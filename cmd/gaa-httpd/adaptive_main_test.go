@@ -6,49 +6,51 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"gaaapi/internal/ids"
 )
 
 // TestDemoAdaptiveBound: the demo deployment's overflow bound lives in
-// the runtime value store; once an attack raises the threat level the
-// tuner tightens it, so a query acceptable in peacetime is denied.
+// the runtime value store, and the host-IDS loop NewStack runs tightens
+// it level by level, so a query acceptable in peacetime is denied.
 func TestDemoAdaptiveBound(t *testing.T) {
-	dep := buildDemo(t)
+	st := buildDemo(t)
+	h := st.Handler()
+	boundIs := func(want string) func() bool {
+		return func() bool {
+			v, _ := st.Values.LookupValue("max_input")
+			return v == want
+		}
+	}
 
-	medium := "/cgi-bin/search?q=" + strings.Repeat("z", 500)
+	query := "/cgi-bin/search?q=" + strings.Repeat("z", 500)
 	// Peacetime: 500 bytes < 1000-byte bound.
-	if w := get(t, dep.handler, medium, "10.0.0.5"); w.Code != http.StatusOK {
+	if w := get(t, h, query, "10.0.0.5"); w.Code != http.StatusOK {
 		t.Fatalf("peacetime 500-byte query = %d, want 200", w.Code)
 	}
 
-	// Trip a signature: the demo policy escalates to medium and the
-	// tuner (running on the threat subscription) tightens the bound.
-	if w := get(t, dep.handler, "/cgi-bin/phf?x", "10.0.0.66"); w.Code != http.StatusForbidden {
-		t.Fatalf("attack = %d, want 403", w.Code)
+	// A medium-severity signature: the demo policy sets medium inside
+	// the request and the correlator takes it no further; the tuner, on
+	// the threat subscription, sets medium's bound.
+	if w := get(t, h, slashFlood, "10.0.0.70"); w.Code != http.StatusForbidden {
+		t.Fatalf("slash flood = %d, want 403", w.Code)
 	}
-	deadline := time.After(2 * time.Second)
-	for dep.threat.Level() != ids.Medium {
-		select {
-		case <-deadline:
-			t.Fatalf("threat level = %v, want medium", dep.threat.Level())
-		case <-time.After(time.Millisecond):
-		}
+	waitFor(t, "max_input = 300", boundIs("300"))
+	if w := get(t, h, query, "10.0.0.5"); w.Code != http.StatusForbidden {
+		t.Errorf("500-byte query under the 300-byte bound = %d, want 403", w.Code)
 	}
-	// The tuner runs asynchronously; wait for the request outcome to
-	// flip rather than for internal state.
-	deadline = time.After(2 * time.Second)
-	for {
-		if w := get(t, dep.handler, medium, "10.0.0.5"); w.Code == http.StatusForbidden {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("tightened bound never took effect")
-		case <-time.After(time.Millisecond):
-		}
+	// The bound denied it, not the lockdown that high would bring.
+	if got := st.Threat.Level(); got != ids.Medium {
+		t.Fatalf("threat level = %v, want medium", got)
 	}
+
+	// A high-severity signature: the correlator raises the level to
+	// high on the one report and the tuner follows.
+	if w := get(t, h, "/cgi-bin/phf?x", "10.0.0.66"); w.Code != http.StatusForbidden {
+		t.Fatalf("phf = %d, want 403", w.Code)
+	}
+	waitFor(t, "threat level high", func() bool { return st.Threat.Level() == ids.High })
+	waitFor(t, "max_input = 100", boundIs("100"))
 }
 
 func TestDocrootFlagServesFromDisk(t *testing.T) {
@@ -61,8 +63,8 @@ func TestDocrootFlagServesFromDisk(t *testing.T) {
 	}
 	writeDoc("ondisk.html", "disk content")
 
-	dep := buildDemo(t, "-docroot", dir)
-	if w := get(t, dep.handler, "/ondisk.html", "10.0.0.5"); w.Code != http.StatusOK || w.Body.String() != "disk content" {
+	h := buildDemo(t, "-docroot", dir).Handler()
+	if w := get(t, h, "/ondisk.html", "10.0.0.5"); w.Code != http.StatusOK || w.Body.String() != "disk content" {
 		t.Errorf("disk doc = %d %q", w.Code, w.Body.String())
 	}
 }

@@ -16,8 +16,9 @@
 //
 //	GET  /gaa/status  — threat level, blacklist, block set, audit tail,
 //	                    state-store and reload statistics
-//	POST /gaa/reload  — re-parse and analyze the policy set; swap it in
-//	                    atomically only when clean at severity < error
+//	POST /gaa/reload  — re-read and analyze the -system/-local-dir
+//	                    policy files; swap them in atomically only when
+//	                    clean at severity < error
 //	GET  /gaa/metrics — Prometheus text exposition: phase latency,
 //	                    decisions, cache, supervision, notifier, state
 //	                    store, threat level (disable with -metrics=false)
@@ -38,34 +39,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"gaaapi/internal/actions"
-	"gaaapi/internal/audit"
-	"gaaapi/internal/cluster"
-	"gaaapi/internal/conditions"
-	"gaaapi/internal/eacl"
 	"gaaapi/internal/faults"
-	"gaaapi/internal/gaa"
 	"gaaapi/internal/gaahttp"
-	"gaaapi/internal/groups"
-	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/ids/adaptive"
-	"gaaapi/internal/metrics"
-	"gaaapi/internal/netblock"
-	"gaaapi/internal/notify"
 	"gaaapi/internal/statestore"
 )
 
@@ -97,642 +84,188 @@ pos_access_right apache *
 mid_cond_quota local cpu_ms<=250
 `
 
-// options are the parsed command-line settings.
+// options are the parsed command line: the deployment NewStack builds
+// and what the binary itself acts on.
 type options struct {
+	stack      gaahttp.StackConfig
 	listen     string
-	systemPath string
-	localDir   string
-	htpasswdF  string
 	groupsFile string
-	accessLog  string
-	docRoot    string
-	notifyLat  time.Duration
-
-	// Robustness & fault-drill knobs (DESIGN.md "Robustness & fault
-	// drills").
-	evalTimeout time.Duration
-	faultSeed   int64
-	faultEval   string
-	faultNotify string
-	faultDisk   string
-
-	// Durability knobs (DESIGN.md "Durability & live reload").
-	stateDir     string
-	fsyncPolicy  string
-	snapInterval time.Duration
-
-	// Cluster knobs (DESIGN.md "Cluster replication").
-	nodeID       string
-	peers        string
-	pushInterval time.Duration
-
-	// Adaptive detection knobs (DESIGN.md "Adaptive detection").
-	adaptiveOn         bool
-	adaptiveBlockScore float64
-	adaptiveBlockFor   time.Duration
-	adaptiveDwell      time.Duration
-
-	// Observability knobs.
-	metrics bool
-	pprof   bool
+	// faultStatus, set during a fault drill, writes the injectors'
+	// counters; run appends them to the /gaa/status report.
+	faultStatus func(io.Writer)
 }
 
+// parseOptions turns the flags into a StackConfig: the built-in
+// demonstration site, with every file-backed input a flag names in its
+// place.
 func parseOptions(args []string) (options, error) {
+	o := options{stack: gaahttp.StackConfig{
+		SystemPolicy:     demoSystemPolicy,
+		LocalPolicies:    map[string]string{"*": demoLocalPolicy},
+		DocRoot:          demoDocRoot(),
+		AccessLog:        os.Stdout,
+		SensitiveObjects: []string{"/cgi-bin/*", "/private/*"},
+		PolicyCache:      true,
+		AsyncNotify:      true,
+		ReliableNotify:   true,
+		// Runtime constraint values (paper section 2 adaptive
+		// constraints): the tuner tightens the CGI input bound as the
+		// threat level rises.
+		RuntimeValues: map[string]string{"max_input": "1000"},
+		LevelValues: map[ids.Level]map[string]string{
+			ids.Low:    {"max_input": "1000"},
+			ids.Medium: {"max_input": "300"},
+			ids.High:   {"max_input": "100"},
+		},
+	}}
+	cfg := &o.stack
+	var (
+		peers                             string
+		adaptiveOn                        bool
+		faultSeed                         int64
+		faultEval, faultNotify, faultDisk string
+	)
 	fs := flag.NewFlagSet("gaa-httpd", flag.ContinueOnError)
-	var o options
 	fs.StringVar(&o.listen, "listen", ":8080", "listen address")
-	fs.StringVar(&o.systemPath, "system", "", "system-wide EACL policy file (empty: demo policy)")
-	fs.StringVar(&o.localDir, "local-dir", "", "directory tree searched for .eacl local policies")
-	fs.StringVar(&o.htpasswdF, "htpasswd", "", "htpasswd credential file")
+	fs.StringVar(&cfg.SystemPolicyFile, "system", "", "system-wide EACL policy file (empty: demo policy)")
+	fs.StringVar(&cfg.LocalPolicyDir, "local-dir", "", "directory tree searched for .eacl local policies")
+	fs.StringVar(&cfg.HtpasswdFile, "htpasswd", "", "htpasswd credential file")
 	fs.StringVar(&o.groupsFile, "groups", "", "persistent group (blacklist) file")
-	fs.StringVar(&o.accessLog, "access-log", "", "common-log-format access log path (empty: stdout)")
-	fs.StringVar(&o.docRoot, "docroot", "", "serve static documents from this directory (empty: built-in demo pages)")
-	fs.DurationVar(&o.notifyLat, "notify-latency", 0, "synthetic notification latency")
-	fs.DurationVar(&o.evalTimeout, "evaluator-timeout", 0, "per-evaluator deadline; a hung or slow condition evaluator degrades to MAYBE (0: off)")
-	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injectors")
-	fs.StringVar(&o.faultEval, "fault-evaluators", "", `evaluator fault injection spec, e.g. "hang=0.01,panic=0.02,error=0.05,latency=0.1:20ms"`)
-	fs.StringVar(&o.faultNotify, "fault-notifier", "", `notifier fault injection spec, same syntax as -fault-evaluators`)
-	fs.StringVar(&o.faultDisk, "fault-disk", "", `state-store disk fault injection spec, e.g. "disk=0.05" (short writes + fsync errors)`)
-	fs.StringVar(&o.stateDir, "state-dir", "", "journal adaptive state (blocks, threat level, lockouts, blacklists) under this directory so it survives crashes")
-	fs.StringVar(&o.fsyncPolicy, "fsync", "interval", "state WAL fsync policy: always|interval|never")
-	fs.DurationVar(&o.snapInterval, "snapshot-interval", 30*time.Second, "compact the state WAL into a snapshot this often (0: count-driven only)")
-	fs.StringVar(&o.nodeID, "node-id", "", "unique cluster node name; enables replication when -peers is set")
-	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs (e.g. http://host2:8080,http://host3:8080) to replicate adaptive state to")
-	fs.DurationVar(&o.pushInterval, "replication-interval", 0, "idle replication push interval (0: built-in default)")
-	fs.BoolVar(&o.adaptiveOn, "adaptive", false, "enable self-adaptive per-source threat scoring (learned profiles drive the threat level and per-source blocks)")
-	fs.Float64Var(&o.adaptiveBlockScore, "adaptive-block-score", 0, "per-source anomaly score that triggers a block (0: built-in default)")
-	fs.DurationVar(&o.adaptiveBlockFor, "adaptive-block-for", 0, "duration of score-triggered source blocks (0: built-in default)")
-	fs.DurationVar(&o.adaptiveDwell, "adaptive-dwell", 0, "minimum time between adaptive threat-level changes before a lower is allowed (0: built-in default)")
-	fs.BoolVar(&o.metrics, "metrics", true, "serve Prometheus text metrics at /gaa/metrics")
-	fs.BoolVar(&o.pprof, "pprof", false, "serve runtime profiles under /debug/pprof/")
+	fs.StringVar(&cfg.AccessLogFile, "access-log", "", "common-log-format access log path (empty: stdout)")
+	fs.StringVar(&cfg.DocRootDir, "docroot", "", "serve static documents from this directory (empty: built-in demo pages)")
+	fs.DurationVar(&cfg.EvaluatorTimeout, "evaluator-timeout", 0, "per-evaluator deadline; a hung or slow condition evaluator degrades to MAYBE (0: off)")
+	fs.Int64Var(&faultSeed, "fault-seed", 1, "seed for the deterministic fault injectors")
+	fs.StringVar(&faultEval, "fault-evaluators", "", `evaluator fault injection spec, e.g. "hang=0.01,panic=0.02,error=0.05,latency=0.1:20ms"`)
+	fs.StringVar(&faultNotify, "fault-notifier", "", `notifier fault injection spec, same syntax as -fault-evaluators`)
+	fs.StringVar(&faultDisk, "fault-disk", "", `state-store disk fault injection spec, e.g. "disk=0.05" (short writes + fsync errors)`)
+	fs.StringVar(&cfg.StateDir, "state-dir", "", "journal adaptive state (blocks, threat level, lockouts, blacklists) under this directory so it survives crashes")
+	fs.StringVar(&cfg.Fsync, "fsync", "interval", "state WAL fsync policy: always|interval|never")
+	fs.DurationVar(&cfg.SnapshotInterval, "snapshot-interval", 30*time.Second, "compact the state WAL into a snapshot this often (0: count-driven only)")
+	fs.StringVar(&cfg.NodeID, "node-id", "", "unique cluster node name; enables replication when -peers is set")
+	fs.StringVar(&peers, "peers", "", "comma-separated peer base URLs (e.g. http://host2:8080,http://host3:8080) to replicate adaptive state to")
+	fs.DurationVar(&cfg.ReplicationInterval, "replication-interval", 0, "idle replication push interval (0: built-in default)")
+	fs.BoolVar(&adaptiveOn, "adaptive", false, "enable self-adaptive per-source threat scoring (learned profiles drive the threat level and per-source blocks)")
+	fs.BoolVar(&cfg.Metrics, "metrics", true, "serve Prometheus text metrics at /gaa/metrics")
+	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve runtime profiles under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
+	}
+
+	if cfg.HtpasswdFile == "" {
+		cfg.Users = map[string]string{"admin": "admin"}
+	}
+	if adaptiveOn {
+		acfg := adaptive.Defaults()
+		cfg.Adaptive = &acfg
+	}
+	if peers != "" && cfg.NodeID == "" {
+		return options{}, fmt.Errorf("-peers requires -node-id (a unique name per fleet member)")
+	}
+	for _, p := range strings.Split(peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			cfg.Peers = append(cfg.Peers, p)
+		}
+	}
+
+	// Fault drill wiring: seeded injectors wrap every registered
+	// evaluator, the notifier transport and the state store's files;
+	// the evaluator supervision, the retry/breaker layer and WAL
+	// recovery absorb what they inject.
+	evalSpec, err := faults.ParseSpec(faultEval)
+	if err != nil {
+		return options{}, fmt.Errorf("-fault-evaluators: %w", err)
+	}
+	notifySpec, err := faults.ParseSpec(faultNotify)
+	if err != nil {
+		return options{}, fmt.Errorf("-fault-notifier: %w", err)
+	}
+	diskSpec, err := faults.ParseSpec(faultDisk)
+	if err != nil {
+		return options{}, fmt.Errorf("-fault-disk: %w", err)
+	}
+	evalInj := faults.New(faultSeed, evalSpec)
+	notifyInj := faults.New(faultSeed+1, notifySpec)
+	diskInj := faults.New(faultSeed+2, diskSpec)
+	if evalSpec.Active() {
+		cfg.EvaluatorWrapper = evalInj.Evaluator
+	}
+	if notifySpec.Active() {
+		cfg.NotifierWrapper = notifyInj.Notifier
+	}
+	if diskSpec.Active() {
+		cfg.StoreFS = diskInj.FS(statestore.OS)
+	}
+	if !evalSpec.Active() && !notifySpec.Active() && !diskSpec.Active() {
+		return o, nil
+	}
+	o.faultStatus = func(w io.Writer) {
+		if evalSpec.Active() || notifySpec.Active() {
+			es, ns := evalInj.Stats(), notifyInj.Stats()
+			fmt.Fprintf(w, "fault drill: evaluators[%s] hangs=%d panics=%d errors=%d latencies=%d; notifier[%s] hangs=%d panics=%d errors=%d latencies=%d\n",
+				evalSpec, es.Hangs, es.Panics, es.Errors, es.Latencies,
+				notifySpec, ns.Hangs, ns.Panics, ns.Errors, ns.Latencies)
+		}
+		if diskSpec.Active() {
+			ds := diskInj.Stats()
+			fmt.Fprintf(w, "fault drill: disk[%s] short-writes=%d sync-errors=%d\n",
+				diskSpec, ds.ShortWrites, ds.SyncErrors)
+		}
 	}
 	return o, nil
 }
 
-// deployment is the wired server plus the state its admin endpoint and
-// shutdown path need.
-type deployment struct {
-	handler  http.Handler
-	threat   *ids.Manager
-	groups   *groups.Store
-	reloader *gaahttp.Reloader
-	store    *statestore.Store
-	cluster  *cluster.Node
-	metrics  *metrics.Registry
-	close    func()
-}
-
-// loadBundle parses the configured policy set fresh from disk (or the
-// demo constants) for validated startup and reload.
-func loadBundle(o options) (*gaahttp.PolicyBundle, error) {
-	b := &gaahttp.PolicyBundle{}
-	sysText, sysName := demoSystemPolicy, "demo-system"
-	if o.systemPath != "" {
-		raw, err := os.ReadFile(o.systemPath)
-		if err != nil {
-			return nil, fmt.Errorf("system policy: %w", err)
-		}
-		sysText, sysName = string(raw), o.systemPath
-	}
-	sysEACL, err := eacl.ParseString(sysText)
+// build wires the deployment the flags describe and loads the
+// persistent blacklist into it (after the state store attached, so the
+// journal sees the loaded members).
+func build(o options) (*gaahttp.Stack, error) {
+	st, err := gaahttp.NewStack(o.stack)
 	if err != nil {
-		return nil, fmt.Errorf("system policy %s: %w", sysName, err)
+		return nil, err
 	}
-	sysMem := gaa.NewMemorySource()
-	sysMem.Add("*", sysEACL)
-	b.System, b.SystemEACLs = sysMem, []*eacl.EACL{sysEACL}
-
-	if o.localDir != "" {
-		// Serving keeps the per-directory DirSource semantics; analysis
-		// vets every .eacl under the tree as of this reload.
-		err := filepath.WalkDir(o.localDir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() || d.Name() != ".eacl" {
-				return err
-			}
-			e, perr := eacl.ParseFile(path)
-			if perr != nil {
-				return fmt.Errorf("local policy %s: %w", path, perr)
-			}
-			b.LocalEACLs = append(b.LocalEACLs, e)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.Local = gaa.NewDirSource(o.localDir, ".eacl")
-	} else {
-		locEACL, err := eacl.ParseString(demoLocalPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("demo local policy: %w", err)
-		}
-		locMem := gaa.NewMemorySource()
-		locMem.Add("*", locEACL)
-		b.Local, b.LocalEACLs = locMem, []*eacl.EACL{locEACL}
-	}
-	return b, nil
-}
-
-func buildDeployment(o options) (*deployment, error) {
-	// Substrate services.
-	threat := ids.NewManager(ids.Low)
-	bus := ids.NewBus()
-	sigs := ids.NewDB(ids.DefaultSignatures()...)
-	grp := groups.NewStore()
-	counters := conditions.NewCounters(nil)
-	blocks := netblock.NewSet()
-	ring := audit.NewRing(4096)
-	mailbox := notify.NewMailbox(o.notifyLat)
-
-	// Fault drill wiring: seeded injectors wrap the notifier transport
-	// and every registered evaluator; the retry/breaker layer and the
-	// evaluator supervision absorb what they inject.
-	evalSpec, err := faults.ParseSpec(o.faultEval)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-evaluators: %w", err)
-	}
-	notifySpec, err := faults.ParseSpec(o.faultNotify)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-notifier: %w", err)
-	}
-	diskSpec, err := faults.ParseSpec(o.faultDisk)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-disk: %w", err)
-	}
-	evalInj := faults.New(o.faultSeed, evalSpec)
-	notifyInj := faults.New(o.faultSeed+1, notifySpec)
-	diskInj := faults.New(o.faultSeed+2, diskSpec)
-
-	// Self-adaptive threat scoring: built before statestore.Attach so
-	// restore and journaling cover its score/profile records.
-	var scorer *adaptive.Engine
-	if o.adaptiveOn {
-		acfg := adaptive.Defaults()
-		if o.adaptiveBlockScore > 0 {
-			acfg.BlockScore = o.adaptiveBlockScore
-		}
-		if o.adaptiveBlockFor > 0 {
-			acfg.BlockFor = o.adaptiveBlockFor
-		}
-		if o.adaptiveDwell > 0 {
-			acfg.Dwell = o.adaptiveDwell
-		}
-		scorer = adaptive.New(acfg, threat, blocks)
-	}
-
-	// Crash-safe adaptive state: restore what a previous process
-	// journaled into the components, then journal every further
-	// mutation. Must happen before any traffic (or the groups file)
-	// mutates them.
-	var (
-		store   *statestore.Store
-		persist *statestore.Adaptive
-	)
-	if o.stateDir != "" {
-		fsyncPolicy, err := statestore.ParseFsyncPolicy(o.fsyncPolicy)
-		if err != nil {
-			return nil, err
-		}
-		storeFS := statestore.OS
-		if diskSpec.Active() {
-			storeFS = diskInj.FS(storeFS)
-		}
-		store, err = statestore.Open(o.stateDir, statestore.Options{
-			Fsync:            fsyncPolicy,
-			SnapshotInterval: o.snapInterval,
-			FS:               storeFS,
-		})
-		if err != nil {
-			return nil, err
-		}
-		persist, err = statestore.Attach(store, statestore.Components{
-			Blocks:   blocks,
-			Threat:   threat,
-			Counters: counters,
-			Groups:   grp,
-			Scorer:   scorer,
-		})
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-
-	// Cluster replication: ship every adaptive-state mutation to the
-	// peers and apply theirs. The node is created here (so the journal
-	// mirror tap sees all traffic-driven mutations) but its pushers
-	// only start once the deployment is fully wired — failure paths
-	// below then have no goroutines to unwind.
-	var node *cluster.Node
-	if o.peers != "" || o.nodeID != "" {
-		if o.nodeID == "" {
-			if store != nil {
-				store.Close()
-			}
-			return nil, fmt.Errorf("-peers requires -node-id (a unique name per fleet member)")
-		}
-		if persist == nil {
-			// No -state-dir: replicate from a memory-only attachment.
-			persist, err = statestore.Attach(nil, statestore.Components{
-				Blocks:   blocks,
-				Threat:   threat,
-				Counters: counters,
-				Groups:   grp,
-				Scorer:   scorer,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		var peerURLs []string
-		for _, p := range strings.Split(o.peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerURLs = append(peerURLs, p)
-			}
-		}
-		node, err = cluster.New(cluster.Config{
-			NodeID:       o.nodeID,
-			Peers:        peerURLs,
-			State:        persist,
-			Transport:    cluster.NewHTTPTransport(nil),
-			PushInterval: o.pushInterval,
-		})
-		if err != nil {
-			if store != nil {
-				store.Close()
-			}
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-	}
-
-	var transport notify.Notifier = mailbox
-	if notifySpec.Active() {
-		transport = notifyInj.Notifier(transport)
-	}
-	reliable := notify.NewReliable(transport)
-	async := notify.NewAsync(reliable, 1024)
-
 	if o.groupsFile != "" {
-		if err := grp.LoadFile(o.groupsFile); err != nil {
-			async.Close()
-			if store != nil {
-				store.Close()
-			}
+		if err := st.Groups.LoadFile(o.groupsFile); err != nil {
+			st.Close()
 			return nil, fmt.Errorf("load groups: %w", err)
 		}
 	}
-
-	// Runtime constraint values (paper section 2 adaptive constraints):
-	// the tuner tightens the CGI input bound as the threat level rises.
-	values := gaa.NewValues()
-	values.Set("max_input", "1000")
-	tuner := ids.NewValueTuner(values)
-	tuner.SetLevelValues(ids.Low, map[string]string{"max_input": "1000"})
-	tuner.SetLevelValues(ids.Medium, map[string]string{"max_input": "300"})
-	tuner.SetLevelValues(ids.High, map[string]string{"max_input": "100"})
-
-	var reg *metrics.Registry
-	if o.metrics {
-		reg = metrics.NewRegistry()
-	}
-
-	apiOpts := []gaa.Option{gaa.WithPolicyCache(4096), gaa.WithValues(values)}
-	if reg != nil {
-		apiOpts = append(apiOpts, gaa.WithMetrics(reg),
-			gaa.WithMetricsSampling(gaa.DefaultMetricsSampleShift))
-	}
-	if o.evalTimeout > 0 {
-		apiOpts = append(apiOpts, gaa.WithEvaluatorTimeout(o.evalTimeout))
-	}
-	if evalSpec.Active() {
-		apiOpts = append(apiOpts, gaa.WithEvaluatorWrapper(evalInj.Evaluator))
-	}
-	api := gaa.New(apiOpts...)
-	conditions.Register(api, conditions.Deps{
-		Threat: threat, Groups: grp, Counters: counters, Signatures: sigs,
-	})
-	actions.Register(api, actions.Deps{
-		Notifier: async, Groups: grp, Audit: ring, Threat: threat,
-		Blocks: blocks, Counters: counters,
-	})
-
-	// Policy sources: parsed once at startup, then served through swap
-	// points so SIGHUP / POST /gaa/reload can replace them atomically
-	// after the static analyzer vets the replacement.
-	bundle, err := loadBundle(o)
-	if err != nil {
-		async.Close()
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	systemSwap := gaa.NewSwappableSource(bundle.System)
-	localSwap := gaa.NewSwappableSource(bundle.Local)
-	reloader := gaahttp.NewReloader(gaahttp.ReloadConfig{
-		Load:   func() (*gaahttp.PolicyBundle, error) { return loadBundle(o) },
-		System: systemSwap,
-		Local:  localSwap,
-		Known:  api.Known,
-	})
-
-	guard := gaahttp.New(gaahttp.Config{
-		API:    api,
-		System: []gaa.PolicySource{systemSwap},
-		Local:  []gaa.PolicySource{localSwap},
-		Bus:    bus, Signatures: sigs,
-		Anomaly:          ids.NewDetector(ids.DefaultAnomalyConfig()),
-		Scorer:           scorer,
-		Audit:            ring,
-		SensitiveObjects: []string{"/cgi-bin/*", "/private/*"},
-		Health:           reloader,
-	})
-
-	// Correlator: the host-IDS loop adapting the threat level; the
-	// value tuner follows level changes.
-	corrCtx, corrCancel := context.WithCancel(context.Background())
-	sub := bus.Subscribe(256)
-	correlator := ids.NewCorrelator(threat, ids.DefaultCorrelatorConfig())
-	corrDone := make(chan struct{})
-	go func() {
-		defer close(corrDone)
-		correlator.Run(corrCtx, sub)
-	}()
-	levelCh, cancelLevelSub := threat.Subscribe()
-	tunerDone := make(chan struct{})
-	go func() {
-		defer close(tunerDone)
-		tuner.Run(corrCtx, levelCh)
-	}()
-
-	// Credentials.
-	htauth := httpd.NewHtpasswd()
-	if o.htpasswdF != "" {
-		f, err := os.Open(o.htpasswdF)
-		if err != nil {
-			corrCancel()
-			async.Close()
-			if store != nil {
-				store.Close()
-			}
-			return nil, fmt.Errorf("open htpasswd: %w", err)
-		}
-		parsed, err := httpd.ParseHtpasswd(f)
-		f.Close()
-		if err != nil {
-			corrCancel()
-			async.Close()
-			if store != nil {
-				store.Close()
-			}
-			return nil, err
-		}
-		htauth = parsed
-	} else {
-		htauth.SetPassword("admin", "admin")
-	}
-
-	var (
-		logW    io.Writer = os.Stdout
-		logFile *os.File
-	)
-	if o.accessLog != "" {
-		f, err := os.OpenFile(o.accessLog, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			corrCancel()
-			async.Close()
-			if store != nil {
-				store.Close()
-			}
-			return nil, fmt.Errorf("open access log: %w", err)
-		}
-		logW, logFile = f, f
-	}
-
-	var files httpd.FileRoot
-	if o.docRoot != "" {
-		files = httpd.NewOSRoot(o.docRoot)
-	}
-	baseline := httpd.NewBaselineGuard(htaccessSource(o.localDir), nil)
-	server := httpd.NewServer(httpd.Config{
-		DocRoot:   demoDocRoot(),
-		Files:     files,
-		Scripts:   httpd.NewDemoRegistry(),
-		Guards:    []httpd.Guard{guard, baseline},
-		Auth:      htauth,
-		Blocks:    blocks,
-		AccessLog: logW,
-	})
-
-	// Dispatch without http.ServeMux: the mux canonicalizes paths
-	// (e.g. collapsing "//") with a 301 *before* the access-control
-	// phase, which would hide slash-flood probes from the GAA guard.
-	// Apache hands the raw request line to its modules; so do we.
-	status := func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintf(w, "threat level: %s\n", threat.Level())
-		fmt.Fprintf(w, "BadGuys: %s\n", strings.Join(grp.Members("BadGuys"), " "))
-		fmt.Fprintf(w, "blocked: %s\n", strings.Join(blocks.List(), " "))
-		fmt.Fprintf(w, "notifications: %d\n", mailbox.Count())
-		fmt.Fprintf(w, "bus reports: %d\n", bus.Published())
-		sup := api.SupervisionStats()
-		fmt.Fprintf(w, "supervision: timeouts=%d panics=%d errors=%d invalid=%d\n",
-			sup.Timeouts, sup.Panics, sup.Errors, sup.Invalid)
-		ns := reliable.Stats()
-		fmt.Fprintf(w, "notifier: delivered=%d failures=%d retries=%d short-circuits=%d breaker=%s opens=%d\n",
-			ns.Delivered, ns.Failures, ns.Retries, ns.ShortCircuits, ns.Breaker, ns.BreakerOpens)
-		if scorer != nil {
-			as := scorer.Stats()
-			fmt.Fprintf(w, "adaptive: signal=%.3f level=%s sources=%d resources=%d samples=%d dropped=%d source-blocks=%d raises=%d lowers=%d\n",
-				as.Signal, as.Level, as.Sources, as.Resources,
-				as.Samples, as.Dropped, as.SourceBlocks, as.Raises, as.Lowers)
-		}
-		if evalInj.Spec().Active() || notifyInj.Spec().Active() {
-			es, nsI := evalInj.Stats(), notifyInj.Stats()
-			fmt.Fprintf(w, "fault drill: evaluators[%s] hangs=%d panics=%d errors=%d latencies=%d; notifier[%s] hangs=%d panics=%d errors=%d latencies=%d\n",
-				evalInj.Spec(), es.Hangs, es.Panics, es.Errors, es.Latencies,
-				notifyInj.Spec(), nsI.Hangs, nsI.Panics, nsI.Errors, nsI.Latencies)
-		}
-		if diskInj.Spec().Active() {
-			ds := diskInj.Stats()
-			fmt.Fprintf(w, "fault drill: disk[%s] short-writes=%d sync-errors=%d\n",
-				diskInj.Spec(), ds.ShortWrites, ds.SyncErrors)
-		}
-		rls := reloader.Stats()
-		fmt.Fprintf(w, "reload: generation=%d attempts=%d applied=%d rejected=%d auto-rollbacks=%d probation=%v\n",
-			rls.Generation, rls.Attempts, rls.Applied, rls.Rejected, rls.AutoRollbacks, rls.Probation)
-		if rls.LastError != "" {
-			fmt.Fprintf(w, "reload last error: %s\n", rls.LastError)
-		}
-		for _, d := range rls.LastDiagnostics {
-			fmt.Fprintf(w, "reload diag: %s\n", d)
-		}
-		if store != nil {
-			ss := store.Stats()
-			fmt.Fprintf(w, "state store: appends=%d append-errors=%d snapshots=%d snapshot-errors=%d syncs=%d sync-errors=%d last-seq=%d journal-errors=%d\n",
-				ss.Appends, ss.AppendErrors, ss.Snapshots, ss.SnapshotErrors,
-				ss.Syncs, ss.SyncErrors, ss.LastSeq, persist.JournalErrors())
-			rec := store.Recovery()
-			fmt.Fprintf(w, "state recovery: snapshot=%v(seq=%d quarantined=%v) replayed=%d dup-skipped=%d dropped=%dB",
-				rec.SnapshotLoaded, rec.SnapshotSeq, rec.SnapshotQuarantined,
-				rec.Replayed, rec.SkippedDuplicates, rec.DroppedBytes)
-			if rec.DroppedReason != "" {
-				fmt.Fprintf(w, " reason=%q", rec.DroppedReason)
-			}
-			fmt.Fprintln(w)
-			rsum := persist.Restored()
-			fmt.Fprintf(w, "state restored: blocks=%d expired-blocks=%d threat=%q counter-events=%d group-members=%d\n",
-				rsum.Blocks, rsum.ExpiredBlocks, rsum.ThreatLevel, rsum.CounterEvents, rsum.GroupMembers)
-		}
-		if node != nil {
-			cs := node.Stats()
-			fmt.Fprintf(w, "cluster: node=%s epoch=%d seq=%d log=%d horizon=%d max-lag=%d degraded-peers=%d\n",
-				cs.NodeID, cs.Epoch, cs.Seq, cs.LogLen, cs.Horizon, cs.MaxLag, cs.DegradedPeers)
-			fmt.Fprintf(w, "cluster io: pushes=%d failures=%d sent=%d applied=%d dup=%d corrupt=%d apply-errors=%d self-drops=%d stale-drops=%d snapshots-sent=%d snapshots-applied=%d\n",
-				cs.Pushes, cs.PushFailures, cs.RecordsSent, cs.RecordsApplied,
-				cs.RecordsDuplicate, cs.CorruptFrames, cs.ApplyErrors,
-				cs.SelfDrops, cs.StaleEpochDrops, cs.SnapshotsSent, cs.SnapshotsApplied)
-			for _, p := range cs.Peers {
-				fmt.Fprintf(w, "cluster peer: %s acked=%d lag=%d breaker=%s degraded=%v",
-					p.URL, p.Acked, p.Lag, p.Breaker, p.Degraded)
-				if p.LastError != "" {
-					fmt.Fprintf(w, " last-error=%q", p.LastError)
-				}
-				fmt.Fprintln(w)
-			}
-			for _, or := range cs.Origins {
-				fmt.Fprintf(w, "cluster origin: %s epoch=%d applied=%d\n", or.Node, or.Epoch, or.Applied)
-			}
-		}
-		recs := ring.Records()
-		if len(recs) > 10 {
-			recs = recs[len(recs)-10:]
-		}
-		for _, r := range recs {
-			fmt.Fprintf(w, "audit: %s %s %s %s\n", r.Kind, r.Object, r.Decision, r.ClientIP)
-		}
-	}
-	reload := func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		res := reloader.Reload()
-		w.Header().Set("Content-Type", "application/json")
-		if !res.OK {
-			// The old policy set keeps serving; the body says why the
-			// candidate was rejected.
-			w.WriteHeader(http.StatusUnprocessableEntity)
-		}
-		json.NewEncoder(w).Encode(res)
-	}
-	var metricsH http.Handler
-	if reg != nil {
-		gaahttp.RegisterComponentMetrics(reg, gaahttp.Components{
-			Threat:   threat,
-			Bus:      bus,
-			Blocks:   blocks,
-			Reliable: reliable,
-			Store:    store,
-			Persist:  persist,
-			Reloader: reloader,
-			Cluster:  node,
-			Scorer:   scorer,
-		})
-		metricsH = gaahttp.MetricsHandler(reg)
-	}
-	healthzH := gaahttp.HealthzHandler(func() gaahttp.Healthz {
-		return gaahttp.ComputeHealth(store, node)
-	})
-	var replicateH http.Handler
-	if node != nil {
-		replicateH = node.Handler()
-	}
-
-	var root http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/gaa/status":
-			status(w, r)
-			return
-		case r.URL.Path == "/gaa/reload":
-			reload(w, r)
-			return
-		case r.URL.Path == gaahttp.HealthzPath:
-			healthzH.ServeHTTP(w, r)
-			return
-		case replicateH != nil && r.URL.Path == cluster.ReplicatePath:
-			replicateH.ServeHTTP(w, r)
-			return
-		case metricsH != nil && r.URL.Path == "/gaa/metrics":
-			metricsH.ServeHTTP(w, r)
-			return
-		case o.pprof && strings.HasPrefix(r.URL.Path, "/debug/pprof"):
-			// Explicit pprof routes: this server deliberately avoids
-			// http.ServeMux (and thus net/http/pprof's DefaultServeMux
-			// registration) so raw request lines reach the guard.
-			servePprof(w, r)
-			return
-		}
-		server.ServeHTTP(w, r)
-	})
-	if reg != nil {
-		root = gaahttp.InstrumentHandler(reg, root)
-	}
-
-	// Everything is wired; the pushers may now ship state.
-	if node != nil {
-		node.Start()
-	}
-
-	return &deployment{
-		handler:  root,
-		metrics:  reg,
-		threat:   threat,
-		groups:   grp,
-		reloader: reloader,
-		store:    store,
-		cluster:  node,
-		close: func() {
-			if node != nil {
-				node.Stop()
-			}
-			if scorer != nil {
-				scorer.Close() // drains before the store goes away
-			}
-			corrCancel()
-			sub.Cancel()
-			cancelLevelSub()
-			<-corrDone
-			<-tunerDone
-			async.Close()
-			if store != nil {
-				store.Close()
-			}
-			if logFile != nil {
-				logFile.Close()
-			}
-		},
-	}, nil
+	return st, nil
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	o, err := parseOptions(args)
 	if err != nil {
 		return err
 	}
-	dep, err := buildDeployment(o)
+	st, err := build(o)
 	if err != nil {
 		return err
 	}
-	defer dep.close()
+	defer st.Close()
+	if o.groupsFile != "" {
+		// On every way out, not only after a clean signal.
+		defer func() {
+			if serr := st.Groups.SaveFile(o.groupsFile); serr != nil && err == nil {
+				err = fmt.Errorf("save groups: %w", serr)
+			}
+		}()
+	}
 
-	httpSrv := &http.Server{Addr: o.listen, Handler: dep.handler, ReadHeaderTimeout: 10 * time.Second}
+	handler := st.Handler()
+	if o.faultStatus != nil {
+		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			st.Handler().ServeHTTP(w, r)
+			if r.URL.Path == "/gaa/status" {
+				o.faultStatus(w)
+			}
+		})
+	}
+	httpSrv := &http.Server{Addr: o.listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("gaa-httpd listening on %s (threat level %s)\n", o.listen, dep.threat.Level())
-	if dep.cluster != nil {
-		cs := dep.cluster.Stats()
+	fmt.Printf("gaa-httpd listening on %s (threat level %s)\n", o.listen, st.Threat.Level())
+	if st.Cluster != nil {
+		cs := st.Cluster.Stats()
 		fmt.Printf("gaa-httpd cluster node %q (epoch %d) replicating to %d peer(s)\n",
 			cs.NodeID, cs.Epoch, len(cs.Peers))
 	}
@@ -750,7 +283,7 @@ loop:
 			}
 			// SIGHUP: validated hot reload. A rejected candidate leaves
 			// the running policy untouched.
-			res := dep.reloader.Reload()
+			res := st.Reloader.Reload()
 			if res.OK {
 				fmt.Printf("gaa-httpd: policy reload applied (generation %d, %d diagnostics)\n",
 					res.Generation, len(res.Diagnostics))
@@ -765,42 +298,7 @@ loop:
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if o.groupsFile != "" {
-		if err := dep.groups.SaveFile(o.groupsFile); err != nil {
-			return fmt.Errorf("save groups: %w", err)
-		}
-	}
-	return nil
-}
-
-// servePprof dispatches /debug/pprof requests to the pprof handlers
-// without going through a ServeMux.
-func servePprof(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/debug/pprof/cmdline":
-		pprof.Cmdline(w, r)
-	case "/debug/pprof/profile":
-		pprof.Profile(w, r)
-	case "/debug/pprof/symbol":
-		pprof.Symbol(w, r)
-	case "/debug/pprof/trace":
-		pprof.Trace(w, r)
-	default:
-		// Index also serves the named profiles (heap, goroutine, ...).
-		pprof.Index(w, r)
-	}
-}
-
-// htaccessSource serves .htaccess files from the local policy tree (or
-// an empty in-memory source for the demo deployment).
-func htaccessSource(dir string) httpd.HtaccessSource {
-	if dir == "" {
-		return httpd.NewMapHtaccessSource()
-	}
-	return httpd.NewDirHtaccessSource(dir, ".htaccess")
+	return httpSrv.Shutdown(ctx)
 }
 
 func demoDocRoot() map[string]string {

@@ -3,12 +3,9 @@ package gaahttp
 import (
 	"encoding/json"
 	"net/http"
-
-	"gaaapi/internal/cluster"
-	"gaaapi/internal/statestore"
 )
 
-// HealthzPath is where deployments serve the readiness endpoint.
+// HealthzPath is where Handler serves the readiness endpoint.
 const HealthzPath = "/gaa/healthz"
 
 // Healthz is the readiness report: whether the adaptive state was
@@ -33,20 +30,20 @@ type Healthz struct {
 	DegradedPeers int `json:"degraded_peers,omitempty"`
 }
 
-// ComputeHealth builds the readiness report from the durable store and
-// the replication node (either may be nil). Degraded replication keeps
+// Health computes the readiness report from the durable store and the
+// replication node (either may be absent). Degraded replication keeps
 // the node ready — a partitioned peer must not make a load balancer
 // pull the one node that still serves (that would turn a partition
 // into an outage); catching up on a healthy link is the only not-ready
 // replication state, and only until the lag drains.
-func ComputeHealth(store *statestore.Store, node *cluster.Node) Healthz {
+func (s *Stack) Health() Healthz {
 	h := Healthz{Store: "none", Policy: "ok", Replication: "none"}
-	if store != nil {
+	if s.Store != nil {
 		h.Store = "ok"
-		h.DroppedBytes = store.Recovery().DroppedBytes
+		h.DroppedBytes = s.Store.Recovery().DroppedBytes
 	}
-	if node != nil {
-		st := node.Stats()
+	if s.Cluster != nil {
+		st := s.Cluster.Stats()
 		h.Lag = st.MaxLag
 		h.DegradedPeers = st.DegradedPeers
 		switch {
@@ -62,19 +59,14 @@ func ComputeHealth(store *statestore.Store, node *cluster.Node) Healthz {
 	return h
 }
 
-// Health computes the stack's readiness report.
-func (s *Stack) Health() Healthz { return ComputeHealth(s.Store, s.Cluster) }
-
-// HealthzHandler serves health's report as JSON: 200 when ready
-// (including degraded replication), 503 while replication is catching
-// up on healthy links.
-func HealthzHandler(health func() Healthz) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := health()
-		w.Header().Set("Content-Type", "application/json")
-		if !h.Ready {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		json.NewEncoder(w).Encode(h)
-	})
+// serveHealthz answers the report as JSON: 200 when ready (including
+// degraded replication), 503 while replication is catching up on
+// healthy links.
+func (s *Stack) serveHealthz(w http.ResponseWriter, _ *http.Request) {
+	h := s.Health()
+	w.Header().Set("Content-Type", "application/json")
+	if !h.Ready {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	json.NewEncoder(w).Encode(h)
 }

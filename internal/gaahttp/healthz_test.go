@@ -12,7 +12,7 @@ import (
 func healthzGet(t *testing.T, s *Stack) (int, Healthz) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	HealthzHandler(s.Health).ServeHTTP(rec, httptest.NewRequest("GET", HealthzPath, nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", HealthzPath, nil))
 	var h Healthz
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("healthz decode: %v (%q)", err, rec.Body.String())

@@ -1,14 +1,21 @@
 package gaahttp
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"io/fs"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sync"
 	"time"
 
 	"gaaapi/internal/actions"
 	"gaaapi/internal/audit"
 	"gaaapi/internal/cluster"
 	"gaaapi/internal/conditions"
+	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/httpd"
@@ -26,14 +33,27 @@ type StackConfig struct {
 	SystemPolicy string
 	// LocalPolicies maps object glob patterns to local EACL sources.
 	LocalPolicies map[string]string
+	// SystemPolicyFile, when non-empty, is read in place of
+	// SystemPolicy, at start and on every reload.
+	SystemPolicyFile string
+	// LocalPolicyDir, when non-empty, is a directory tree whose
+	// per-directory .eacl files replace LocalPolicies and whose
+	// .htaccess files replace Htaccess.
+	LocalPolicyDir string
 
 	// DocRoot maps URL paths to static content.
 	DocRoot map[string]string
+	// DocRootDir, when non-empty, serves static documents from this
+	// directory instead of DocRoot.
+	DocRootDir string
 	// Htaccess maps directories to native .htaccess sources (the
 	// baseline Apache access control GAA declines to).
 	Htaccess map[string]string
 	// Users are Basic-auth credentials (user -> password).
 	Users map[string]string
+	// HtpasswdFile, when non-empty, is an htpasswd credential file
+	// loaded before Users.
+	HtpasswdFile string
 
 	// NotifyLatency is the synthetic mail-delivery latency (paper
 	// section 8 measures with and without notification).
@@ -53,8 +73,15 @@ type StackConfig struct {
 	// adaptive constraint specification, section 2); the IDS or an
 	// administrator may update Stack.Values afterwards.
 	RuntimeValues map[string]string
+	// LevelValues, when non-nil, runs the host-IDS loop (paper sections
+	// 3 and 7.1): a Correlator subscribed to the bus escalates the
+	// threat level on correlated reports, and a ValueTuner sets each
+	// level's runtime values whenever that level becomes current.
+	LevelValues map[ids.Level]map[string]string
 	// AccessLog, when non-nil, receives common-log-format lines.
 	AccessLog io.Writer
+	// AccessLogFile, when non-empty, is appended to instead.
+	AccessLogFile string
 	// Clock overrides time.Now for deterministic runs.
 	Clock func() time.Time
 
@@ -80,17 +107,20 @@ type StackConfig struct {
 	// Fsync is the WAL flush policy: "always", "interval" (default) or
 	// "never".
 	Fsync string
-	// SnapshotEvery compacts the WAL after this many records (default
-	// 4096).
-	SnapshotEvery int
+	// SnapshotInterval also compacts the WAL into a snapshot on a
+	// timer (0: count-driven only).
+	SnapshotInterval time.Duration
 	// StoreFS overrides the store's filesystem (disk-fault drills).
 	StoreFS statestore.FS
 
 	// Metrics turns on the observability layer: a metrics.Registry on
 	// Stack.Metrics carrying the GAA phase instruments
 	// (gaa.WithMetrics) plus every component's collect-time metrics
-	// (RegisterComponentMetrics). Serve it with MetricsHandler.
+	// (RegisterComponentMetrics). Handler serves it at /gaa/metrics.
 	Metrics bool
+	// Pprof makes Handler serve the runtime profiles under
+	// /debug/pprof/.
+	Pprof bool
 
 	// Adaptive, when non-nil, enables the self-adaptive threat-scoring
 	// engine: the guard feeds it every authorization decision, it
@@ -132,15 +162,15 @@ type Stack struct {
 	Network  *ids.StaticSpoofList
 	Scorer   *adaptive.Engine
 	Values   *gaa.Values
-	System   *gaa.MemorySource
-	Local    *gaa.MemorySource
 
 	// SystemSwap and LocalSwap are the live policy swap points the
 	// guard serves from; Reloader swaps validated bundles through them.
 	SystemSwap *gaa.SwappableSource
 	LocalSwap  *gaa.SwappableSource
 	// Reloader validates and applies hot policy reloads; its Health
-	// window drives the post-swap rollback probe.
+	// window drives the post-swap rollback probe. Reload re-reads the
+	// policy files; a stack built from policy text has none to re-read
+	// and takes replacement text through ReloadPolicies.
 	Reloader *Reloader
 	// Store and Persist are the crash-safe state store and its adaptive
 	// wiring (Store nil without StateDir; Persist also wired store-less
@@ -154,17 +184,23 @@ type Stack struct {
 	// StackConfig.Metrics was set).
 	Metrics *metrics.Registry
 
-	async *notify.Async
+	pprof       bool
+	async       *notify.Async
+	accessLog   *os.File
+	stopHostIDS func()
+	handlerOnce sync.Once
+	handler     http.Handler
 }
 
-// NewStack wires everything. The returned stack must be Closed when an
-// async notifier was requested.
-func NewStack(cfg StackConfig) (*Stack, error) {
+// NewStack wires everything; it is the one composition root (gaa-httpd
+// is NewStack plus flags). The returned stack must be Closed.
+func NewStack(cfg StackConfig) (_ *Stack, err error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	st := &Stack{
+		pprof:    cfg.Pprof,
 		Threat:   ids.NewManager(ids.Low),
 		Bus:      ids.NewBus(),
 		Sigs:     ids.NewDB(ids.DefaultSignatures()...),
@@ -176,9 +212,14 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Audit:    audit.NewRing(1024),
 		Network:  ids.NewStaticSpoofList(0.9, cfg.SpoofedSources...),
 		Values:   gaa.NewValues(),
-		System:   gaa.NewMemorySource(),
-		Local:    gaa.NewMemorySource(),
 	}
+	// Every failure below unwinds through Close, which is safe on a
+	// half-built stack.
+	defer func() {
+		if err != nil {
+			st.Close()
+		}
+	}()
 	for name, value := range cfg.RuntimeValues {
 		st.Values.Set(name, value)
 	}
@@ -197,16 +238,22 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		if err != nil {
 			return nil, err
 		}
-		store, err := statestore.Open(cfg.StateDir, statestore.Options{
-			Fsync:         fsyncPolicy,
-			SnapshotEvery: cfg.SnapshotEvery,
-			FS:            cfg.StoreFS,
-			Clock:         clock,
+		st.Store, err = statestore.Open(cfg.StateDir, statestore.Options{
+			Fsync:            fsyncPolicy,
+			SnapshotInterval: cfg.SnapshotInterval,
+			FS:               cfg.StoreFS,
+			Clock:            clock,
 		})
 		if err != nil {
 			return nil, err
 		}
-		persist, err := statestore.Attach(store, statestore.Components{
+	}
+	// Cluster mode replicates adaptive-state mutations to the fleet
+	// through the same attachment: its tap works with or without a disk
+	// journal, so a store-less node still ships and merges state.
+	clustered := cfg.NodeID != "" || len(cfg.Peers) > 0
+	if st.Store != nil || clustered {
+		st.Persist, err = statestore.Attach(st.Store, statestore.Components{
 			Blocks:   st.Blocks,
 			Threat:   st.Threat,
 			Counters: st.Counters,
@@ -215,37 +262,17 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			Clock:    clock,
 		})
 		if err != nil {
-			store.Close()
 			return nil, err
 		}
-		st.Store, st.Persist = store, persist
 	}
-
-	// Cluster mode: replicate adaptive-state mutations to the fleet.
-	// The statestore tap works with or without a disk journal, so a
-	// store-less node still ships and merges state.
-	if cfg.NodeID != "" || len(cfg.Peers) > 0 {
-		if st.Persist == nil {
-			persist, err := statestore.Attach(nil, statestore.Components{
-				Blocks:   st.Blocks,
-				Threat:   st.Threat,
-				Counters: st.Counters,
-				Groups:   st.Groups,
-				Scorer:   st.Scorer,
-				Clock:    clock,
-			})
-			if err != nil {
-				return nil, err
-			}
-			st.Persist = persist
-		}
+	if clustered {
 		// No Clock override: replication timing (push tickers, breaker
 		// cooldowns, the degraded window, epoch derivation) is wall
 		// clock even under a simulated campaign clock — the pushers run
 		// on real goroutines, so a frozen simulated clock would wedge
 		// the circuit breaker open forever. Record deadlines still use
 		// the component clock via the statestore merge rules.
-		node, err := cluster.New(cluster.Config{
+		st.Cluster, err = cluster.New(cluster.Config{
 			NodeID:       cfg.NodeID,
 			Peers:        cfg.Peers,
 			State:        st.Persist,
@@ -253,13 +280,8 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			PushInterval: cfg.ReplicationInterval,
 		})
 		if err != nil {
-			if st.Store != nil {
-				st.Store.Close()
-			}
 			return nil, err
 		}
-		st.Cluster = node
-		node.Start()
 	}
 
 	var apiOpts []gaa.Option
@@ -308,26 +330,19 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Spoof:    st.Network,
 	})
 
-	if cfg.SystemPolicy != "" {
-		if err := st.System.AddPolicy("*", cfg.SystemPolicy); err != nil {
-			return nil, fmt.Errorf("system policy: %w", err)
-		}
-	}
-	for pattern, src := range cfg.LocalPolicies {
-		if err := st.Local.AddPolicy(pattern, src); err != nil {
-			return nil, fmt.Errorf("local policy %q: %w", pattern, err)
-		}
-	}
-
 	// The guard serves through swap points so a validated policy
 	// reload can replace both source levels atomically.
-	st.SystemSwap = gaa.NewSwappableSource(st.System)
-	st.LocalSwap = gaa.NewSwappableSource(st.Local)
-	st.Reloader = NewReloader(ReloadConfig{
-		System: st.SystemSwap,
-		Local:  st.LocalSwap,
-		Known:  st.API.Known,
-	})
+	bundle, err := cfg.loadBundle()
+	if err != nil {
+		return nil, err
+	}
+	st.SystemSwap = gaa.NewSwappableSource(bundle.System)
+	st.LocalSwap = gaa.NewSwappableSource(bundle.Local)
+	reload := ReloadConfig{System: st.SystemSwap, Local: st.LocalSwap, Known: st.API.Known}
+	if cfg.SystemPolicyFile != "" || cfg.LocalPolicyDir != "" {
+		reload.Load = cfg.loadBundle
+	}
+	st.Reloader = NewReloader(reload)
 
 	st.Guard = New(Config{
 		API:              st.API,
@@ -344,23 +359,54 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	})
 
 	htauth := httpd.NewHtpasswd()
+	if cfg.HtpasswdFile != "" {
+		f, err := os.Open(cfg.HtpasswdFile)
+		if err != nil {
+			return nil, fmt.Errorf("htpasswd: %w", err)
+		}
+		htauth, err = httpd.ParseHtpasswd(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("htpasswd %s: %w", cfg.HtpasswdFile, err)
+		}
+	}
 	for user, pass := range cfg.Users {
 		htauth.SetPassword(user, pass)
 	}
-	htsrc := httpd.NewMapHtaccessSource()
-	for dir, src := range cfg.Htaccess {
-		if err := htsrc.SetString(dir, src); err != nil {
-			return nil, fmt.Errorf("htaccess %q: %w", dir, err)
+	var htaccess httpd.HtaccessSource
+	if cfg.LocalPolicyDir != "" {
+		htaccess = httpd.NewDirHtaccessSource(cfg.LocalPolicyDir, ".htaccess")
+	} else {
+		mapped := httpd.NewMapHtaccessSource()
+		for dir, src := range cfg.Htaccess {
+			if err := mapped.SetString(dir, src); err != nil {
+				return nil, fmt.Errorf("htaccess %q: %w", dir, err)
+			}
 		}
+		htaccess = mapped
+	}
+	var files httpd.FileRoot
+	if cfg.DocRootDir != "" {
+		files = httpd.NewOSRoot(cfg.DocRootDir)
+	}
+
+	accessLog := cfg.AccessLog
+	if cfg.AccessLogFile != "" {
+		st.accessLog, err = os.OpenFile(cfg.AccessLogFile, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("open access log: %w", err)
+		}
+		accessLog = st.accessLog
 	}
 
 	st.Server = httpd.NewServer(httpd.Config{
 		DocRoot:   cfg.DocRoot,
+		Files:     files,
 		Scripts:   httpd.NewDemoRegistry(),
-		Guards:    []httpd.Guard{st.Guard, httpd.NewBaselineGuard(htsrc, nil)},
+		Guards:    []httpd.Guard{st.Guard, httpd.NewBaselineGuard(htaccess, nil)},
 		Auth:      htauth,
 		Blocks:    st.Blocks,
-		AccessLog: cfg.AccessLog,
+		AccessLog: accessLog,
 		Clock:     clock,
 	})
 	if st.Metrics != nil {
@@ -376,7 +422,71 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			Scorer:   st.Scorer,
 		})
 	}
+	if cfg.LevelValues != nil {
+		st.startHostIDS(clock, cfg.LevelValues)
+	}
+	// Everything is wired; the pushers may now ship state.
+	if st.Cluster != nil {
+		st.Cluster.Start()
+	}
 	return st, nil
+}
+
+// loadBundle parses the configured policy set fresh — the files where
+// SystemPolicyFile and LocalPolicyDir name them, the policy text
+// otherwise — at start-up and, for the files, on every reload.
+func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
+	system, locals := cfg.SystemPolicy, cfg.LocalPolicies
+	if cfg.SystemPolicyFile != "" {
+		raw, err := os.ReadFile(cfg.SystemPolicyFile)
+		if err != nil {
+			return nil, fmt.Errorf("system policy: %w", err)
+		}
+		system = string(raw)
+	}
+	if cfg.LocalPolicyDir != "" {
+		locals = nil
+	}
+	b, err := BundleFromStrings(system, locals)
+	if err != nil || cfg.LocalPolicyDir == "" {
+		return b, err
+	}
+	// Serving keeps the per-directory DirSource semantics; analysis
+	// vets every .eacl under the tree as of this load.
+	b.Local = gaa.NewDirSource(cfg.LocalPolicyDir, ".eacl")
+	err = filepath.WalkDir(cfg.LocalPolicyDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() != ".eacl" {
+			return err
+		}
+		e, err := eacl.ParseFile(path)
+		if err != nil {
+			return fmt.Errorf("local policy %s: %w", path, err)
+		}
+		b.LocalEACLs = append(b.LocalEACLs, e)
+		return nil
+	})
+	return b, err
+}
+
+// startHostIDS runs the correlator on a bus subscription and the value
+// tuner on a threat-level subscription until Close.
+func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]map[string]string) {
+	corrCfg := ids.DefaultCorrelatorConfig()
+	corrCfg.Clock = clock
+	correlator := ids.NewCorrelator(s.Threat, corrCfg)
+	tuner := ids.NewValueTuner(s.Values)
+	for level, values := range levelValues {
+		tuner.SetLevelValues(level, values)
+	}
+	reports := s.Bus.Subscribe(256)
+	levels, cancelLevels := s.Threat.Subscribe()
+	go correlator.Run(context.Background(), reports)
+	go tuner.Run(context.Background(), levels)
+	// Cancelling a subscription closes its channel, which ends its loop.
+	s.stopHostIDS = func() {
+		reports.Cancel()
+		cancelLevels()
+	}
 }
 
 // ReloadPolicies parses, analyzes, and — if clean at severity <
@@ -389,8 +499,9 @@ func (s *Stack) ReloadPolicies(system string, locals map[string]string) ReloadRe
 	})
 }
 
-// Close releases background workers (the async notifier, the cluster
-// pushers) and flushes the state store.
+// Close releases background workers (the cluster pushers, the scorer,
+// the host-IDS loop, the async notifier) and flushes the state store.
+// It is safe on a stack NewStack gave up on half-way.
 func (s *Stack) Close() {
 	if s.Cluster != nil {
 		s.Cluster.Stop()
@@ -398,10 +509,16 @@ func (s *Stack) Close() {
 	if s.Scorer != nil {
 		s.Scorer.Close() // drains before the store goes away
 	}
+	if s.stopHostIDS != nil {
+		s.stopHostIDS()
+	}
 	if s.async != nil {
 		s.async.Close()
 	}
 	if s.Store != nil {
 		s.Store.Close()
+	}
+	if s.accessLog != nil {
+		s.accessLog.Close()
 	}
 }

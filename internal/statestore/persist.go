@@ -46,21 +46,6 @@ type Components struct {
 	Clock func() time.Time
 }
 
-// stateSnapshot is the JSON shape of a compacted snapshot.
-type stateSnapshot struct {
-	Blocks   []netblock.Entry             `json:"blocks,omitempty"`
-	Threat   *threatState                 `json:"threat,omitempty"`
-	Counters map[string][]time.Time       `json:"counters,omitempty"`
-	Groups   map[string][]string          `json:"groups,omitempty"`
-	Scores   []adaptive.ScoreEvent        `json:"scores,omitempty"`
-	Profiles []adaptive.ProfileCheckpoint `json:"profiles,omitempty"`
-}
-
-type threatState struct {
-	Level   string           `json:"level"`
-	History []ids.Transition `json:"history,omitempty"`
-}
-
 // Adaptive binds a Store to live components: recovery replays the
 // snapshot plus the WAL tail into them, then every further mutation is
 // journaled, and compaction snapshots their current state. A nil store
@@ -112,40 +97,25 @@ func Attach(store *Store, c Components) (*Adaptive, error) {
 
 	if store != nil {
 		if raw, ok := store.SnapshotData(); ok {
-			var snap stateSnapshot
-			if err := json.Unmarshal(raw, &snap); err != nil {
+			if _, err := a.applySnapshot(raw, false); err != nil {
 				return nil, fmt.Errorf("statestore: decode snapshot state: %w", err)
 			}
-			a.applySnapshot(&snap)
 		}
 		for _, rec := range store.Tail() {
-			if err := a.applyRecord(rec); err != nil {
+			if _, err := a.applyRecord(rec, false); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	// Journal hooks go in after restore so replay is not re-journaled.
-	if c.Blocks != nil {
-		c.Blocks.SetJournal(func(ev netblock.Event) { a.append(KindBlock, ev) })
-	}
-	if c.Threat != nil {
-		c.Threat.SetJournal(func(tr ids.Transition) { a.append(KindThreat, tr) })
-	}
-	if c.Counters != nil {
-		c.Counters.SetJournal(func(ev conditions.CounterEvent) { a.append(KindCounter, ev) })
-	}
-	if c.Groups != nil {
-		c.Groups.SetJournal(func(ev groups.Event) { a.append(KindGroup, ev) })
-	}
-	if c.Scorer != nil {
-		c.Scorer.SetJournal(
-			func(ev adaptive.ScoreEvent) { a.append(KindScore, ev) },
-			func(cp adaptive.ProfileCheckpoint) { a.append(KindProfile, cp) },
-		)
+	for _, k := range kinds {
+		if k.tap != nil && k.has(&c) {
+			k.tap(a)
+		}
 	}
 	if store != nil {
-		store.SetSnapshotFunc(a.snapshot)
+		store.SetSnapshotFunc(a.StateSnapshot)
 	}
 	return a, nil
 }
@@ -178,363 +148,374 @@ func (a *Adaptive) append(kind string, v any) {
 	}
 }
 
-// journalRemote persists a record merged from a peer without touching
-// the mirror (no echo back into the cluster).
-func (a *Adaptive) journalRemote(kind string, v any) {
-	if a.store == nil {
-		return
-	}
-	if err := a.store.Append(kind, v); err != nil {
-		a.journalErrors.Add(1)
-	}
-}
-
 // JournalErrors returns the count of appends lost to disk faults.
 func (a *Adaptive) JournalErrors() uint64 { return a.journalErrors.Load() }
 
 // Restored returns what Attach recovered into the components.
 func (a *Adaptive) Restored() RestoreSummary { return a.restored }
 
-func (a *Adaptive) applySnapshot(snap *stateSnapshot) {
-	now := a.c.Clock()
-	if a.c.Blocks != nil {
-		for _, e := range snap.Blocks {
-			if !e.Permanent && !e.Expiry.IsZero() && !now.Before(e.Expiry) {
-				a.restored.ExpiredBlocks++
-				continue
+// kind is one row of the replicated-state table: everything the store
+// knows about one record kind. Attach, restore, replay, both remote
+// merges and compaction loop over kinds, so adding a record kind is one
+// row there plus its Components field.
+type kind struct {
+	name    string // WAL and replication record kind
+	section string // key of the kind's section in the snapshot JSON
+	// has reports whether the component holding the state is wired; no
+	// other field is used when it is not.
+	has func(*Components) bool
+	// tap installs the component's journal hook.
+	tap func(*Adaptive)
+	// record applies one record, state one snapshot section.
+	record, state hook
+	// dump returns the live state as the snapshot section.
+	dump func(*Adaptive) any
+}
+
+// A hook decodes a record payload or snapshot section and returns the
+// mutation it asks for. The node's own data (WAL replay, its snapshot)
+// runs with a nil journal: it is put back as written and counted in
+// a.restored. A peer's runs with a journal: it is merged by the kind's
+// replication rule (DESIGN.md "Cluster replication") and every change
+// that took effect is handed to journal, to be persisted locally.
+// Decoding is separate from running so a snapshot is vetted whole
+// before any of it is applied.
+type hook func(data []byte) (run func(a *Adaptive, journal func(any)), err error)
+
+// on builds a hook from its typed form.
+func on[T any](f func(a *Adaptive, v T, journal func(any))) hook {
+	return func(data []byte) (func(*Adaptive, func(any)), error) {
+		var v T
+		if err := json.Unmarshal(data, &v); err != nil {
+			return nil, err
+		}
+		return func(a *Adaptive, journal func(any)) { f(a, v, journal) }, nil
+	}
+}
+
+// took accounts for one change that took effect: a peer's is journaled,
+// the node's own is counted as restored.
+func took(v any, journal func(any), restored *int) {
+	if journal != nil {
+		journal(v)
+	} else {
+		*restored++
+	}
+}
+
+// threatState is the threat level's snapshot section.
+type threatState struct {
+	Level   string           `json:"level"`
+	History []ids.Transition `json:"history,omitempty"`
+}
+
+// kinds is the table, in snapshot section order. A peer's section
+// carries its totals, not its events.
+var kinds = []kind{
+	{
+		name: KindBlock, section: "blocks",
+		has: func(c *Components) bool { return c.Blocks != nil },
+		tap: func(a *Adaptive) {
+			a.c.Blocks.SetJournal(func(ev netblock.Event) { a.append(KindBlock, ev) })
+		},
+		record: on(applyBlock),
+		state: on(func(a *Adaptive, entries []netblock.Entry, journal func(any)) {
+			for _, e := range entries {
+				applyBlock(a, netblock.Event{Addr: e.Addr, Expiry: e.Expiry}, journal)
 			}
-			a.c.Blocks.BlockUntil(e.Addr, e.Expiry)
-			a.restored.Blocks++
-		}
-	}
-	if a.c.Threat != nil && snap.Threat != nil {
-		if level, err := ids.ParseLevel(snap.Threat.Level); err == nil {
-			a.c.Threat.Restore(level, snap.Threat.History)
-			a.restored.ThreatLevel = level.String()
-		}
-	}
-	if a.c.Counters != nil {
-		for key, series := range snap.Counters {
-			for _, at := range series {
-				a.c.Counters.RestoreEvent(key, at)
+		}),
+		dump: func(a *Adaptive) any { return a.c.Blocks.Entries() },
+	},
+	{
+		name: KindThreat, section: "threat",
+		has: func(c *Components) bool { return c.Threat != nil },
+		tap: func(a *Adaptive) {
+			a.c.Threat.SetJournal(func(tr ids.Transition) { a.append(KindThreat, tr) })
+		},
+		record: on(applyThreat),
+		state: on(func(a *Adaptive, ts threatState, journal func(any)) {
+			level, err := ids.ParseLevel(ts.Level)
+			switch {
+			case err != nil:
+			case journal == nil:
+				a.c.Threat.Restore(level, ts.History)
+				a.restored.ThreatLevel = level.String()
+			default:
+				tr := ids.Transition{To: level, At: a.c.Clock()}
+				if n := len(ts.History); n > 0 {
+					tr.At = ts.History[n-1].At
+				}
+				applyThreat(a, tr, journal)
+			}
+		}),
+		dump: func(a *Adaptive) any {
+			return threatState{Level: a.c.Threat.Level().String(), History: a.c.Threat.History()}
+		},
+	},
+
+	// Counters are additive — every event lands in the sliding window —
+	// so exactly-once is the replication cursors' job, and a peer's full
+	// series is never merged (it would double-count).
+	{
+		name: KindCounter, section: "counters",
+		has: func(c *Components) bool { return c.Counters != nil },
+		tap: func(a *Adaptive) {
+			a.c.Counters.SetJournal(func(ev conditions.CounterEvent) { a.append(KindCounter, ev) })
+		},
+		record: on(func(a *Adaptive, ev conditions.CounterEvent, journal func(any)) {
+			if ev.Reset {
+				a.c.Counters.Reset(ev.Key)
+			} else {
+				a.c.Counters.RestoreEvent(ev.Key, ev.At)
+			}
+			if journal != nil {
+				journal(ev)
+			} else if !ev.Reset {
 				a.restored.CounterEvents++
 			}
-		}
-	}
-	if a.c.Groups != nil {
-		for group, members := range snap.Groups {
-			for _, m := range members {
-				a.c.Groups.Add(group, m)
-				a.restored.GroupMembers++
+		}),
+		state: on(func(a *Adaptive, series map[string][]time.Time, journal func(any)) {
+			if journal != nil {
+				return
 			}
-		}
-	}
-	if a.c.Scorer != nil {
-		for _, ev := range snap.Scores {
-			if a.c.Scorer.RestoreScore(ev) {
-				a.restored.Scores++
+			for key, times := range series {
+				for _, at := range times {
+					a.c.Counters.RestoreEvent(key, at)
+					a.restored.CounterEvents++
+				}
 			}
-		}
-		for _, cp := range snap.Profiles {
-			if a.c.Scorer.ApplyProfile(cp) {
-				a.restored.Profiles++
+		}),
+		dump: func(a *Adaptive) any { return a.c.Counters.Dump() },
+	},
+	{
+		name: KindGroup, section: "groups",
+		has: func(c *Components) bool { return c.Groups != nil },
+		tap: func(a *Adaptive) {
+			a.c.Groups.SetJournal(func(ev groups.Event) { a.append(KindGroup, ev) })
+		},
+		record: on(applyGroup),
+		state: on(func(a *Adaptive, members map[string][]string, journal func(any)) {
+			for group, ms := range members {
+				for _, m := range ms {
+					applyGroup(a, groups.Event{Group: group, Member: m}, journal)
+				}
 			}
+		}),
+		dump: func(a *Adaptive) any {
+			members := make(map[string][]string)
+			for _, g := range a.c.Groups.Groups() {
+				members[g] = a.c.Groups.Members(g)
+			}
+			return members
+		},
+	},
+
+	// Scores are max-wins on the score; the sample count adds for an
+	// event (evidence accumulates across the fleet, and a merged score
+	// past the block threshold blocks locally) but is max-wins for a
+	// section entry, which carries totals.
+	{
+		name: KindScore, section: "scores",
+		has: func(c *Components) bool { return c.Scorer != nil },
+		tap: func(a *Adaptive) {
+			// Engine.SetJournal takes both of the scorer's taps at once;
+			// the profile row has none of its own.
+			a.c.Scorer.SetJournal(
+				func(ev adaptive.ScoreEvent) { a.append(KindScore, ev) },
+				func(cp adaptive.ProfileCheckpoint) { a.append(KindProfile, cp) })
+		},
+		record: on(func(a *Adaptive, ev adaptive.ScoreEvent, journal func(any)) {
+			if a.c.Scorer.ApplyScore(ev) {
+				took(ev, journal, &a.restored.Scores)
+			}
+		}),
+		state: on(func(a *Adaptive, scores []adaptive.ScoreEvent, journal func(any)) {
+			for _, ev := range scores {
+				if a.c.Scorer.RestoreScore(ev) {
+					took(ev, journal, &a.restored.Scores)
+				}
+			}
+		}),
+		dump: func(a *Adaptive) any { return a.c.Scorer.Scores() },
+	},
+	{
+		name: KindProfile, section: "profiles",
+		has:    func(c *Components) bool { return c.Scorer != nil },
+		record: on(applyProfile),
+		state: on(func(a *Adaptive, profiles []adaptive.ProfileCheckpoint, journal func(any)) {
+			for _, cp := range profiles {
+				applyProfile(a, cp, journal)
+			}
+		}),
+		dump: func(a *Adaptive) any { return a.c.Scorer.Profiles() },
+	},
+}
+
+// applyBlock: a peer's block merges later-deadline-wins (permanent is
+// latest) and its unblock applies as sent; a block already past its
+// deadline is dropped either way, not resurrected.
+func applyBlock(a *Adaptive, ev netblock.Event, journal func(any)) {
+	live := ev.Unblock || ev.Expiry.IsZero() || a.c.Clock().Before(ev.Expiry)
+	switch {
+	case journal != nil:
+		if live && a.c.Blocks.ApplyEvent(ev) {
+			journal(ev)
 		}
+	case ev.Unblock:
+		a.c.Blocks.Unblock(ev.Addr)
+	case live:
+		a.c.Blocks.BlockUntil(ev.Addr, ev.Expiry)
+		a.restored.Blocks++
+	default:
+		a.restored.ExpiredBlocks++
 	}
 }
 
-// applyRecord replays one WAL record. Unknown kinds are skipped (a
-// newer version may have written them); malformed payloads in a valid
-// frame are an error — the CRC said these bytes are what we wrote.
-func (a *Adaptive) applyRecord(rec Record) error {
-	switch rec.Kind {
-	case KindBlock:
-		if a.c.Blocks == nil {
-			return nil
-		}
-		var ev netblock.Event
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		switch {
-		case ev.Unblock:
-			a.c.Blocks.Unblock(ev.Addr)
-		case !ev.Expiry.IsZero() && !a.c.Clock().Before(ev.Expiry):
-			a.restored.ExpiredBlocks++
-		default:
-			a.c.Blocks.BlockUntil(ev.Addr, ev.Expiry)
-			a.restored.Blocks++
-		}
-	case KindThreat:
-		if a.c.Threat == nil {
-			return nil
-		}
-		var tr ids.Transition
-		if err := json.Unmarshal(rec.Data, &tr); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		history := append(a.c.Threat.History(), tr)
-		a.c.Threat.Restore(tr.To, history)
+// applyThreat: a peer's transition merges max-wins — it only ever
+// raises the level; de-escalation stays a local decision.
+func applyThreat(a *Adaptive, tr ids.Transition, journal func(any)) {
+	if journal == nil {
+		a.c.Threat.Restore(tr.To, append(a.c.Threat.History(), tr))
 		a.restored.ThreatLevel = tr.To.String()
-	case KindCounter:
-		if a.c.Counters == nil {
-			return nil
-		}
-		var ev conditions.CounterEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		if ev.Reset {
-			a.c.Counters.Reset(ev.Key)
-		} else {
-			a.c.Counters.RestoreEvent(ev.Key, ev.At)
-			a.restored.CounterEvents++
-		}
-	case KindGroup:
-		if a.c.Groups == nil {
-			return nil
-		}
-		var ev groups.Event
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		if ev.Remove {
-			a.c.Groups.Remove(ev.Group, ev.Member)
-		} else {
-			a.c.Groups.Add(ev.Group, ev.Member)
-			a.restored.GroupMembers++
-		}
-	case KindScore:
-		if a.c.Scorer == nil {
-			return nil
-		}
-		var ev adaptive.ScoreEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		if a.c.Scorer.ApplyScore(ev) {
-			a.restored.Scores++
-		}
-	case KindProfile:
-		if a.c.Scorer == nil {
-			return nil
-		}
-		var cp adaptive.ProfileCheckpoint
-		if err := json.Unmarshal(rec.Data, &cp); err != nil {
-			return fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
-		}
-		if a.c.Scorer.ApplyProfile(cp) {
-			a.restored.Profiles++
-		}
+	} else if merged, ok := a.c.Threat.Merge(tr); ok {
+		journal(merged)
 	}
-	return nil
 }
 
-// ApplyRemote merges one record replicated from another node into the
-// live components and reports whether local state changed. Merge rules
-// (DESIGN.md "Cluster replication"):
-//
-//   - blocks: the later deadline wins (permanent counts as latest);
-//     already-expired remote blocks are dropped; unblocks apply as-is.
-//   - threat: max-wins — the level only rises; de-escalation stays a
-//     local decision.
-//   - counters: additive — every event lands in the sliding window.
-//   - groups: adds and removes apply as sent (add-heavy blacklists
-//     converge; concurrent add/remove resolves by arrival order).
-//   - scores: max-wins on the score, additive on the sample delta —
-//     evidence against a source accumulates across the fleet, and a
-//     merged score past the block threshold blocks locally.
-//   - profiles: the better-trained checkpoint wins outright.
-//
-// Changed state is journaled locally (so it survives a restart) but
-// never echoed to the mirror — that is the replication loop-breaker.
-// A malformed payload is an error; the caller counts it against the
-// sending peer. Unknown kinds are skipped (a newer node may send
-// them).
-func (a *Adaptive) ApplyRemote(rec Record) (bool, error) {
-	switch rec.Kind {
-	case KindBlock:
-		if a.c.Blocks == nil {
-			return false, nil
+// applyGroup: a peer's adds and removes apply as sent (add-heavy
+// blacklists converge; a concurrent add/remove resolves by arrival
+// order).
+func applyGroup(a *Adaptive, ev groups.Event, journal func(any)) {
+	switch {
+	case journal != nil:
+		if a.c.Groups.ApplyEvent(ev) {
+			journal(ev)
 		}
-		var ev netblock.Event
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
+	case ev.Remove:
+		a.c.Groups.Remove(ev.Group, ev.Member)
+	default:
+		a.c.Groups.Add(ev.Group, ev.Member)
+		a.restored.GroupMembers++
+	}
+}
+
+// applyProfile: the better-trained checkpoint wins outright, which is
+// idempotent, so one rule serves replay, records and snapshots.
+func applyProfile(a *Adaptive, cp adaptive.ProfileCheckpoint, journal func(any)) {
+	if a.c.Scorer.ApplyProfile(cp) {
+		took(cp, journal, &a.restored.Profiles)
+	}
+}
+
+// run applies one decoded record or section of kind k. A peer's is
+// journaled under the kind's name without touching the mirror — that is
+// the replication loop-breaker — and run returns how many changes that
+// was.
+func (a *Adaptive) run(k *kind, mutate func(*Adaptive, func(any)), remote bool) (journaled int) {
+	if !remote {
+		mutate(a, nil)
+		return 0
+	}
+	mutate(a, func(v any) {
+		if a.store != nil {
+			if err := a.store.Append(k.name, v); err != nil {
+				a.journalErrors.Add(1)
+			}
+		}
+		journaled++
+	})
+	return journaled
+}
+
+// applyRecord applies one record by its kind's rule — replayed from the
+// WAL, or merged from a peer (remote) — and reports whether a merge
+// changed local state. Unknown kinds (a newer version may have written
+// them) and kinds whose component is not wired are skipped. A malformed
+// payload is an error: the frame's CRC said these bytes are what was
+// written, and the cluster counts it against the sending peer.
+func (a *Adaptive) applyRecord(rec Record, remote bool) (bool, error) {
+	for i := range kinds {
+		k := &kinds[i]
+		if k.name != rec.Kind || !k.has(&a.c) {
+			continue
+		}
+		mutate, err := k.record(rec.Data)
+		if err != nil && remote {
 			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
+		} else if err != nil {
+			return false, fmt.Errorf("statestore: record %d (%s): %w", rec.Seq, rec.Kind, err)
 		}
-		if !ev.Unblock && !ev.Expiry.IsZero() && !a.c.Clock().Before(ev.Expiry) {
-			return false, nil // arrived after its own deadline
-		}
-		if !a.c.Blocks.ApplyEvent(ev) {
-			return false, nil
-		}
-		a.journalRemote(KindBlock, ev)
-		return true, nil
-	case KindThreat:
-		if a.c.Threat == nil {
-			return false, nil
-		}
-		var tr ids.Transition
-		if err := json.Unmarshal(rec.Data, &tr); err != nil {
-			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
-		}
-		merged, ok := a.c.Threat.Merge(tr)
-		if !ok {
-			return false, nil
-		}
-		a.journalRemote(KindThreat, merged)
-		return true, nil
-	case KindCounter:
-		if a.c.Counters == nil {
-			return false, nil
-		}
-		var ev conditions.CounterEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
-		}
-		if ev.Reset {
-			a.c.Counters.Reset(ev.Key)
-		} else {
-			a.c.Counters.RestoreEvent(ev.Key, ev.At)
-		}
-		a.journalRemote(KindCounter, ev)
-		return true, nil
-	case KindGroup:
-		if a.c.Groups == nil {
-			return false, nil
-		}
-		var ev groups.Event
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
-		}
-		if !a.c.Groups.ApplyEvent(ev) {
-			return false, nil
-		}
-		a.journalRemote(KindGroup, ev)
-		return true, nil
-	case KindScore:
-		if a.c.Scorer == nil {
-			return false, nil
-		}
-		var ev adaptive.ScoreEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
-		}
-		if !a.c.Scorer.ApplyScore(ev) {
-			return false, nil
-		}
-		a.journalRemote(KindScore, ev)
-		return true, nil
-	case KindProfile:
-		if a.c.Scorer == nil {
-			return false, nil
-		}
-		var cp adaptive.ProfileCheckpoint
-		if err := json.Unmarshal(rec.Data, &cp); err != nil {
-			return false, fmt.Errorf("statestore: remote %s record: %w", rec.Kind, err)
-		}
-		if !a.c.Scorer.ApplyProfile(cp) {
-			return false, nil
-		}
-		a.journalRemote(KindProfile, cp)
-		return true, nil
+		return a.run(k, mutate, remote) > 0, nil
 	}
 	return false, nil
 }
 
-// StateSnapshot marshals the full live adaptive state — what a node
-// sends to a peer that fell behind the replication log horizon.
-func (a *Adaptive) StateSnapshot() ([]byte, error) { return a.snapshot() }
+// ApplyRemote merges one record replicated from another node into the
+// live components and reports whether local state changed. Changed
+// state is journaled locally (so it survives a restart) but never
+// echoed to the mirror.
+func (a *Adaptive) ApplyRemote(rec Record) (bool, error) { return a.applyRecord(rec, true) }
 
-// ApplyRemoteSnapshot merges a peer's full state snapshot using the
-// same rules as ApplyRemote. Counters are NOT merged from snapshots
-// (replaying a full event series would double-count); they replicate
-// incrementally only. Score entries merge max-wins on both fields for
-// the same reason — a snapshot carries totals, so the additive delta
-// rule would double-count evidence. Returns how many mutations
-// changed local state.
+// applySnapshot applies every wired kind's section of a snapshot — the
+// node's own, or a peer's (remote) — and returns how many changes were
+// journaled. Every section is decoded before any is applied, so a
+// malformed snapshot changes nothing.
+func (a *Adaptive) applySnapshot(snapshot []byte, remote bool) (int, error) {
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(snapshot, &sections); err != nil {
+		return 0, err
+	}
+	mutations := make([]func(*Adaptive, func(any)), len(kinds))
+	for i, k := range kinds {
+		if data, ok := sections[k.section]; ok && k.has(&a.c) {
+			var err error
+			if mutations[i], err = k.state(data); err != nil {
+				return 0, fmt.Errorf("%s section: %w", k.section, err)
+			}
+		}
+	}
+	journaled := 0
+	for i, mutate := range mutations {
+		if mutate != nil {
+			journaled += a.run(&kinds[i], mutate, remote)
+		}
+	}
+	return journaled, nil
+}
+
+// ApplyRemoteSnapshot merges a peer's full state snapshot, journaling
+// what changed like ApplyRemote. Returns how many mutations changed
+// local state.
 func (a *Adaptive) ApplyRemoteSnapshot(data []byte) (int, error) {
-	var snap stateSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	applied, err := a.applySnapshot(data, true)
+	if err != nil {
 		return 0, fmt.Errorf("statestore: remote snapshot: %w", err)
-	}
-	applied := 0
-	now := a.c.Clock()
-	if a.c.Blocks != nil {
-		for _, e := range snap.Blocks {
-			if !e.Permanent && !e.Expiry.IsZero() && !now.Before(e.Expiry) {
-				continue
-			}
-			ev := netblock.Event{Addr: e.Addr, Expiry: e.Expiry}
-			if a.c.Blocks.ApplyEvent(ev) {
-				a.journalRemote(KindBlock, ev)
-				applied++
-			}
-		}
-	}
-	if a.c.Threat != nil && snap.Threat != nil {
-		if level, err := ids.ParseLevel(snap.Threat.Level); err == nil {
-			tr := ids.Transition{To: level, At: now}
-			if len(snap.Threat.History) > 0 {
-				tr.At = snap.Threat.History[len(snap.Threat.History)-1].At
-			}
-			if merged, ok := a.c.Threat.Merge(tr); ok {
-				a.journalRemote(KindThreat, merged)
-				applied++
-			}
-		}
-	}
-	if a.c.Groups != nil {
-		for group, members := range snap.Groups {
-			for _, m := range members {
-				ev := groups.Event{Group: group, Member: m}
-				if a.c.Groups.ApplyEvent(ev) {
-					a.journalRemote(KindGroup, ev)
-					applied++
-				}
-			}
-		}
-	}
-	if a.c.Scorer != nil {
-		for _, ev := range snap.Scores {
-			if a.c.Scorer.RestoreScore(ev) {
-				a.journalRemote(KindScore, ev)
-				applied++
-			}
-		}
-		for _, cp := range snap.Profiles {
-			if a.c.Scorer.ApplyProfile(cp) {
-				a.journalRemote(KindProfile, cp)
-				applied++
-			}
-		}
 	}
 	return applied, nil
 }
 
-// snapshot gathers the live component state for compaction.
-func (a *Adaptive) snapshot() ([]byte, error) {
-	var snap stateSnapshot
-	if a.c.Blocks != nil {
-		snap.Blocks = a.c.Blocks.Entries()
-	}
-	if a.c.Threat != nil {
-		snap.Threat = &threatState{
-			Level:   a.c.Threat.Level().String(),
-			History: a.c.Threat.History(),
+// StateSnapshot marshals the full live adaptive state — for compaction,
+// and what a node sends to a peer that fell behind the replication log
+// horizon: one JSON object with a member per wired kind, empty sections
+// left out.
+func (a *Adaptive) StateSnapshot() ([]byte, error) {
+	buf := []byte{'{'}
+	for _, k := range kinds {
+		if !k.has(&a.c) {
+			continue
 		}
-	}
-	if a.c.Counters != nil {
-		snap.Counters = a.c.Counters.Dump()
-	}
-	if a.c.Groups != nil {
-		snap.Groups = make(map[string][]string)
-		for _, g := range a.c.Groups.Groups() {
-			snap.Groups[g] = a.c.Groups.Members(g)
+		data, err := json.Marshal(k.dump(a))
+		if err != nil {
+			return nil, err
 		}
+		if s := string(data); s == "null" || s == "[]" || s == "{}" {
+			continue
+		}
+		if len(buf) > 1 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `"`+k.section+`":`...)
+		buf = append(buf, data...)
 	}
-	if a.c.Scorer != nil {
-		snap.Scores = a.c.Scorer.Scores()
-		snap.Profiles = a.c.Scorer.Profiles()
-	}
-	return json.Marshal(snap)
+	return append(buf, '}'), nil
 }
