@@ -28,10 +28,8 @@ const benchGuardFactor = 2.0
 
 // benchGuardScenarios are the decision paths the guard pins — the
 // cached paths plus the uncached (per-op retrieval, compiled-engine)
-// paths; server-e11 and api-grant-interp run too (via the same sweep)
-// but are not gated: whole requests through the server are too noisy
-// at smoke scale, and the interpreted scan exists only as the
-// compiled engine's comparison baseline.
+// paths; server-e11 runs too (via the same sweep) but is not gated:
+// whole requests through the server are too noisy at smoke scale.
 var benchGuardScenarios = []string{
 	"guard-cached", "api-grant-cached",
 	"guard-uncached", "api-grant-uncached",

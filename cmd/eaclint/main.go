@@ -23,7 +23,7 @@
 //
 // The whole-policy reasoning engine (internal/eacl/reason) answers
 // global reachability questions with concrete witness requests, each
-// replayed through the interpreted and compiled evaluators:
+// replayed through the engine:
 //
 //	eaclint -query 'who-can(apache, GET /cgi-bin/*, high)' policy.eacl
 //	eaclint -prove no-anonymous-yes -system sys.eacl -local loc.eacl

@@ -21,9 +21,10 @@ import (
 // path. Every CompileCond must reproduce the corresponding Evaluate
 // byte-for-byte for trace-disabled requests — when a value cannot be
 // fully pre-resolved (it would evaluate to an error or a
-// value-dependent MAYBE), compilation is refused and the interpreted
-// evaluator keeps producing those outcomes per occurrence. The
-// differential fuzz test in internal/gaa pins the equivalence.
+// value-dependent MAYBE), compilation is refused and Evaluate keeps
+// producing those outcomes per occurrence (the condition stays
+// dynamic). The differential fuzz test in internal/gaa pins the
+// equivalence.
 //
 // Not compiled (deliberately): signature (shared mutable DB),
 // threshold and quota (stateful counters / mid-phase), file_sha256
@@ -149,7 +150,7 @@ type locationCompiled struct {
 
 // CompileCond implements gaa.CondCompiler: CIDR patterns parse once
 // instead of per evaluation. A value with any malformed CIDR stays
-// interpreted, because its outcome (an error MAYBE, but only when no
+// dynamic, because its outcome (an error MAYBE, but only when no
 // earlier pattern matched) depends on evaluation order.
 func (locationEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	patterns := splitFields(cond.Value)

@@ -327,11 +327,9 @@ func (d *domain) intCombos() [][]intChoice {
 // worldEnv is the concrete realization of one world: a frozen clock,
 // an IDS manager pinned at the world's threat level, a group store
 // holding exactly the world's memberships, and the synthesized request.
-// Two APIs share those deps: apiI evaluates on the interpreted path,
-// apiC on the compiled engine (when it engages).
 type worldEnv struct {
-	apiI, apiC *gaa.API
-	req        *gaa.Request
+	api *gaa.API
+	req *gaa.Request
 }
 
 // ActionStubNames is the response-action vocabulary stubbed to YES
@@ -363,20 +361,10 @@ func (d *domain) env(w *world) *worldEnv {
 		vals.Set(k, v)
 	}
 	at := w.at
-	mk := func(compiled bool) *gaa.API {
-		opts := []gaa.Option{
-			gaa.WithClock(func() time.Time { return at }),
-			gaa.WithValues(vals),
-		}
-		if !compiled {
-			opts = append(opts, gaa.WithCompiledEngine(false))
-		}
-		api := gaa.New(opts...)
-		conditions.Register(api, deps)
-		for _, name := range ActionStubNames {
-			api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
-		}
-		return api
+	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(vals))
+	conditions.Register(api, deps)
+	for _, name := range ActionStubNames {
+		api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
 	}
 	params := gaa.ParamList{
 		{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: w.ip},
@@ -398,7 +386,7 @@ func (d *domain) env(w *world) *worldEnv {
 		Params: params,
 		Time:   at,
 	}
-	return &worldEnv{apiI: mk(false), apiC: mk(true), req: req}
+	return &worldEnv{api: api, req: req}
 }
 
 // windowInstants derives boundary candidates from a time window: one

@@ -5,8 +5,9 @@
 // built from the policy's own text (glob witnesses, CIDR interior
 // points, time-window boundaries, comparison bounds, the tri-level
 // threat scale and authenticated/anonymous principals), runs semi-naive
-// bottom-up evaluation mirroring the gaa engine's first-match scan and
-// composition fold, and answers reachability queries:
+// bottom-up evaluation mirroring the gaa engine's first-match scan,
+// composes with the engine's own level and composition folds, and
+// answers reachability queries:
 //
 //	who-can(defauth, right[, threat])   — principals that obtain YES
 //	reachable-without(cond-type)        — a YES needing no such condition
@@ -14,11 +15,11 @@
 //	                                      system-only decisions diverge
 //
 // Every positive answer carries a concrete synthesized request; during
-// construction the engine replays every world through the interpreted
-// evaluator AND the compiled decision engine and fails loudly if either
-// disagrees with the abstract verdict. Soundness therefore reduces to
-// domain coverage, which the engine tracks (Truncated, inexact worlds);
-// see DESIGN.md §5.2 for the full argument and known incompleteness.
+// construction the engine replays every world through the gaa decision
+// engine and fails loudly if it disagrees with the abstract verdict.
+// Soundness therefore reduces to domain coverage, which the engine
+// tracks (Truncated, inexact worlds); see DESIGN.md §5.2 for the full
+// argument and known incompleteness.
 package reason
 
 import (
@@ -48,11 +49,7 @@ type Options struct {
 
 // Verdict is the abstract (and replay-confirmed) phase-1 answer of one
 // world.
-type Verdict struct {
-	Decision   gaa.Decision
-	Applicable bool
-	Challenge  string
-}
+type Verdict = gaa.Verdict
 
 // worldResult is one world's full record.
 type worldResult struct {
@@ -157,20 +154,20 @@ func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// foldWorld mirrors gaa.evaluatePolicy + CheckAuthorization's
-// request-result conjunction for one world, reading the fixpoint.
+// foldWorld is the engine's level fold, composition and request-result
+// conjunction for one world, reading the fixpoint.
 func (e *Engine) foldWorld(ctx context.Context, sp *scanProgram, env *worldEnv, model [][]entryModel, wi int, entryCounts []int32) worldResult {
 	r := worldResult{idx: wi, w: e.worlds[wi], deciderYes: map[string]bool{}}
 
 	stopSys := e.mode == eacl.ModeStop && e.sysExists
-	var sysF, locF levelFold
+	var sysF, locF gaa.LevelFold
 	for ei := range e.eacls {
 		isLocal := ei >= e.nsys
 		if isLocal && stopSys {
 			continue // locals never evaluated under stop
 		}
 		o := sp.outcome(int32(wi), int32(ei), entryCounts[ei])
-		if o.applicable {
+		if o.Applicable {
 			r.deciders = append(r.deciders, entryRef{eacl: int32(ei), entry: o.entry, out: o.out})
 			st := &e.stats[ei][o.entry]
 			st.decided = true
@@ -188,19 +185,16 @@ func (e *Engine) foldWorld(ctx context.Context, sp *scanProgram, env *worldEnv, 
 			}
 		}
 		if isLocal {
-			locF.add(o)
+			locF.Add(o.Verdict)
 		} else {
-			sysF.add(o)
+			sysF.Add(o.Verdict)
 		}
 	}
-	sysA, sysD, sysC := sysF.result()
-	locA, locD, locC := locF.result()
-	applicable, dec, chal := composeFold(e.mode, e.sysExists, sysA, sysD, sysC, locA, locD, locC)
-	r.composed = e.conjoinRR(ctx, env, Verdict{Decision: dec, Applicable: applicable, Challenge: chal}, r.deciders, false)
-
+	sys := sysF.Result()
+	r.composed = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.mode, e.sysExists, sys, locF.Result()), r.deciders, false)
 	if e.opts.SystemOnly {
-		sysApplicable, sysDec, sysChal := composeFold(e.mode, e.sysExists, sysA, sysD, sysC, false, gaa.Maybe, "")
-		r.sysOnly = e.conjoinRR(ctx, env, Verdict{Decision: sysDec, Applicable: sysApplicable, Challenge: sysChal}, r.deciders, true)
+		noLocal := Verdict{Decision: gaa.Maybe}
+		r.sysOnly = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.mode, e.sysExists, sys, noLocal), r.deciders, true)
 	}
 	return r
 }
@@ -224,7 +218,7 @@ func (e *Engine) conjoinRR(ctx context.Context, env *worldEnv, v Verdict, decide
 				continue
 			}
 			evaluated = true
-			out := env.apiI.EvalCondition(ctx, cond, &req)
+			out := env.api.EvalCondition(ctx, cond, &req)
 			combined = gaa.Conjoin(combined, out.Result)
 		}
 		if evaluated {
@@ -234,38 +228,26 @@ func (e *Engine) conjoinRR(ctx context.Context, env *worldEnv, v Verdict, decide
 	return v
 }
 
-// replay runs the synthesized request through the interpreted and the
-// compiled engines and compares each against the abstract verdict.
+// replay runs the synthesized request through the gaa engine and
+// compares its answer against the abstract verdict.
 func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) error {
-	check := func(api *gaa.API, system, local []*eacl.EACL, want Verdict, label string) error {
-		policy := gaa.NewPolicy("reason", system, local)
-		ans, err := api.CheckAuthorization(ctx, policy, env.req)
+	check := func(local []*eacl.EACL, want Verdict, label string) error {
+		ans, err := env.api.CheckAuthorization(ctx, gaa.NewPolicy("reason", e.system, local), env.req)
 		if err != nil {
 			return fmt.Errorf("reason: replay %s: %v", label, err)
 		}
 		got := Verdict{Decision: ans.Decision, Applicable: ans.Applicable, Challenge: ans.Challenge}
-		if got != want {
-			if r.inexact {
-				return nil // ambient state (file hashes) may differ between runs
-			}
+		if got != want && !r.inexact { // ambient state (file hashes) may differ between runs
 			return fmt.Errorf("reason: %s disagrees with abstract verdict on world %s: abstract %+v, engine %+v",
 				label, describeWorld(e.dom, &r.w), want, got)
 		}
 		return nil
 	}
-	if err := check(env.apiI, e.system, e.local, r.composed, "interpreted engine"); err != nil {
-		return err
-	}
-	if err := check(env.apiC, e.system, e.local, r.composed, "compiled engine"); err != nil {
+	if err := check(e.local, r.composed, "engine"); err != nil {
 		return err
 	}
 	if e.opts.SystemOnly {
-		if err := check(env.apiI, e.system, nil, r.sysOnly, "interpreted engine (system-only)"); err != nil {
-			return err
-		}
-		if err := check(env.apiC, e.system, nil, r.sysOnly, "compiled engine (system-only)"); err != nil {
-			return err
-		}
+		return check(nil, r.sysOnly, "engine (system-only)")
 	}
 	return nil
 }

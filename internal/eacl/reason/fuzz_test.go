@@ -9,10 +9,9 @@ import (
 
 // FuzzReasonVsEvaluator feeds random policy text through the prover.
 // Engine construction IS the differential: every world's abstract
-// verdict is replayed through the interpreted evaluator and the
-// compiled engine, and New fails on any disagreement. The fuzzer's job
-// is to find a policy shape whose abstract model drifts from the real
-// scan/compose semantics.
+// verdict is replayed through the decision engine, and New fails on
+// any disagreement. The fuzzer's job is to find a policy shape whose
+// abstract model drifts from the real scan/compose semantics.
 func FuzzReasonVsEvaluator(f *testing.F) {
 	f.Add("pos_access_right apache *\n")
 	f.Fuzz(func(t *testing.T, src string) {

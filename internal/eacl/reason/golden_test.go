@@ -8,8 +8,8 @@ import (
 
 // Golden query/prove results over the shipped paper policies. Every
 // engine construction here also exercises the replay differential: the
-// abstract verdict of each world is compared against both the
-// interpreted evaluator and the compiled decision engine.
+// abstract verdict of each world is compared against the decision
+// engine's answer.
 
 func shipped(t *testing.T, name string) *eacl.EACL {
 	t.Helper()

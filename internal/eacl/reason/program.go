@@ -8,8 +8,8 @@ import (
 )
 
 // program.go translates the composed policy into datalog facts and
-// rules over the world grid and mirrors the gaa engine's level
-// conjunction and composition fold on top of the fixpoint.
+// rules over the world grid; the gaa engine's own level conjunction and
+// composition fold run on top of the fixpoint.
 //
 // The extensional database encodes, per (world, eacl, entry), what the
 // entry would do if the first-match scan reached it:
@@ -29,9 +29,9 @@ import (
 //
 // Semi-naive bottom-up evaluation of those rules computes, for every
 // world at once, which entry decides each EACL — the recursive core of
-// first-match semantics. The per-level conjunction (gaa.levelAccum) and
-// the composition-mode merge (gaa.composeLevels) are deterministic
-// folds over that fixpoint, mirrored in foldPolicy below.
+// first-match semantics. The per-level conjunction (gaa.LevelFold) and
+// the composition-mode merge (gaa.ComposeVerdicts) are deterministic
+// folds over that fixpoint, applied by Engine.foldWorld.
 
 // Entry-local outcome codes (the `out` column of decides/decided).
 const (
@@ -64,7 +64,7 @@ type entryModel struct {
 func condInexact(condType string) bool { return condType == "file_sha256" }
 
 // modelEntry evaluates one entry's pre block in scan order through the
-// engine's own condition seam and mirrors the evaluateEACL inner loop.
+// engine's own condition seam and mirrors the scan's inner loop.
 func modelEntry(ctx context.Context, env *worldEnv, en *eacl.Entry, w *world) entryModel {
 	m := entryModel{matches: eacl.MatchRight(en.Right, w.right)}
 	if !m.matches {
@@ -77,7 +77,7 @@ func modelEntry(ctx context.Context, env *worldEnv, en *eacl.Entry, w *world) en
 		if cond.Block != eacl.BlockPre {
 			continue
 		}
-		out := env.apiI.EvalCondition(ctx, cond, env.req)
+		out := env.api.EvalCondition(ctx, cond, env.req)
 		m.pre = append(m.pre, condEval{cond: cond, out: out})
 		if condInexact(cond.Type) {
 			m.inexact = true
@@ -199,11 +199,9 @@ func (sp *scanProgram) run() { sp.prog.run() }
 
 // eaclOutcome reads one (world, eacl) result off the fixpoint.
 type eaclOutcome struct {
-	applicable bool
-	decision   gaa.Decision
-	challenge  string
-	entry      int32 // deciding entry index, -1 when inapplicable
-	out        int32 // entry-local outcome code, 0 when inapplicable
+	gaa.Verdict
+	entry int32 // deciding entry index, -1 when inapplicable
+	out   int32 // entry-local outcome code, 0 when inapplicable
 }
 
 func (sp *scanProgram) outcome(w, e int32, entries int32) eaclOutcome {
@@ -213,112 +211,19 @@ func (sp *scanProgram) outcome(w, e int32, entries int32) eaclOutcome {
 				if !sp.decided.has(tuple{w, e, i, o, c}) {
 					continue
 				}
-				res := eaclOutcome{applicable: true, entry: i, out: o, challenge: sp.chalTab[c]}
+				res := eaclOutcome{entry: i, out: o}
+				res.Verdict = gaa.Verdict{Applicable: true, Challenge: sp.chalTab[c]}
 				switch o {
 				case outFireYes:
-					res.decision = gaa.Yes
+					res.Decision = gaa.Yes
 				case outFireNo, outFinalNo:
-					res.decision = gaa.No
+					res.Decision = gaa.No
 				case outMaybe:
-					res.decision = gaa.Maybe
+					res.Decision = gaa.Maybe
 				}
 				return res
 			}
 		}
 	}
-	return eaclOutcome{decision: gaa.Maybe, entry: -1}
-}
-
-// levelFold mirrors gaa.levelAccum: conjunction over one level's
-// applicable EACLs, with challenge curability (a challenged deny is
-// curable only when no deny at the level lacked a challenge).
-type levelFold struct {
-	applicable       bool
-	dec              gaa.Decision
-	deniedUncurable  bool
-	deniedChallenged string
-}
-
-func (l *levelFold) add(o eaclOutcome) {
-	if !o.applicable {
-		return
-	}
-	l.applicable = true
-	l.dec = gaa.Conjoin(l.dec, o.decision)
-	if o.decision == gaa.No {
-		if o.challenge == "" {
-			l.deniedUncurable = true
-		} else if l.deniedChallenged == "" {
-			l.deniedChallenged = o.challenge
-		}
-	}
-}
-
-func (l *levelFold) result() (applicable bool, dec gaa.Decision, challenge string) {
-	dec = gaa.Maybe
-	if l.applicable {
-		dec = l.dec
-	}
-	if !l.deniedUncurable {
-		challenge = l.deniedChallenged
-	}
-	return l.applicable, dec, challenge
-}
-
-// composeFold mirrors gaa.composeLevels for one world.
-func composeFold(mode eacl.CompositionMode, sysExists bool,
-	sysA bool, sysD gaa.Decision, sysC string,
-	locA bool, locD gaa.Decision, locC string) (applicable bool, dec gaa.Decision, chal string) {
-
-	switch {
-	case mode == eacl.ModeStop && sysExists:
-		return sysA, sysD, sysC
-	case !sysA && !locA:
-		return false, gaa.Maybe, ""
-	case mode == eacl.ModeExpand:
-		applicable = true
-		switch {
-		case !sysA:
-			dec = locD
-		case !locA:
-			dec = sysD
-		default:
-			dec = gaa.Disjoin(sysD, locD)
-		}
-	default: // narrow (and stop without a system policy)
-		applicable = true
-		switch {
-		case !sysA:
-			dec = locD
-		case !locA:
-			dec = sysD
-		default:
-			dec = gaa.Conjoin(sysD, locD)
-		}
-	}
-	if dec == gaa.No {
-		curable := true
-		challenge := ""
-		levels := []struct {
-			a bool
-			d gaa.Decision
-			c string
-		}{{sysA, sysD, sysC}, {locA, locD, locC}}
-		for _, lv := range levels {
-			if !lv.a || lv.d != gaa.No {
-				continue
-			}
-			if lv.c == "" {
-				curable = false
-				break
-			}
-			if challenge == "" {
-				challenge = lv.c
-			}
-		}
-		if curable {
-			chal = challenge
-		}
-	}
-	return applicable, dec, chal
+	return eaclOutcome{Verdict: gaa.Verdict{Decision: gaa.Maybe}, entry: -1}
 }

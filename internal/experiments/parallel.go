@@ -201,12 +201,8 @@ func parallelScenarios() []parallelScenario {
 			}, func() {}, nil
 		}},
 		// The decision engine with no caching anywhere: the policy is
-		// re-retrieved per op and the answer recomputed. The compiled
-		// first-match program carries the evaluation...
-		{name: "api-grant-uncached", ops: 50000, build: buildAPIGrantUncached(true)},
-		// ...and the same scenario on the interpreted per-entry scan,
-		// the before/after pair for the compiled engine.
-		{name: "api-grant-interp", ops: 50000, build: buildAPIGrantUncached(false)},
+		// re-retrieved per op and the answer recomputed.
+		{name: "api-grant-uncached", ops: 50000, build: buildAPIGrantUncached},
 		// The E11 shape: whole requests through the guarded server.
 		{name: "server-e11", ops: 10000, build: func(opts Options) (func() func() error, func(), error) {
 			st, err := gaahttp.NewStack(gaahttp.StackConfig{
@@ -243,8 +239,8 @@ func parallelScenarios() []parallelScenario {
 // per-path deny entries (each guarding one known-exploit URL prefix),
 // the paper's buffer-overflow detector, then the allow-everything-else
 // entry. A legitimate request matches none of the deny rights, which
-// is precisely the shape the compiled first-match trie prunes and the
-// interpreted scan pays O(entries) for.
+// is precisely the shape the compiled first-match trie prunes and an
+// entry-by-entry scan pays O(entries) for.
 func signatureSweepPolicy(n int) string {
 	var b strings.Builder
 	for i := 0; i < n; i++ {
@@ -254,42 +250,39 @@ func signatureSweepPolicy(n int) string {
 	return b.String()
 }
 
-// buildAPIGrantUncached is the shared shape of the uncached-grant
-// scenarios: per-op policy retrieval + decision over the signature
-// sweep, with the compiled engine on or off.
-func buildAPIGrantUncached(compiled bool) func(Options) (func() func() error, func(), error) {
-	return func(opts Options) (func() func() error, func(), error) {
-		api := gaa.New(gaa.WithCompiledEngine(compiled))
-		conditions.Register(api, conditions.Deps{
-			Threat: ids.NewManager(ids.Low),
-			Groups: groups.NewStore(),
-		})
-		src := gaa.NewMemorySource()
-		if err := src.AddPolicy("*", signatureSweepPolicy(128)); err != nil {
-			return nil, nil, err
-		}
-		local := []gaa.PolicySource{src}
-		req := gaa.NewRequest("apache", "GET /index.html",
-			gaa.Param{Type: gaa.ParamRequestURI, Authority: gaa.AuthorityAny, Value: "GET /index.html"},
-			gaa.Param{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: "14"})
-		return func() func() error {
-			ans := new(gaa.Answer)
-			ctx := context.Background()
-			return func() error {
-				policy, err := api.GetObjectPolicyInfo("/index.html", nil, local)
-				if err != nil {
-					return err
-				}
-				if err := api.CheckAuthorizationInto(ctx, policy, req, ans); err != nil {
-					return err
-				}
-				if ans.Decision != gaa.Yes {
-					return fmt.Errorf("decision = %v, want yes", ans.Decision)
-				}
-				return nil
-			}
-		}, func() {}, nil
+// buildAPIGrantUncached is the uncached-grant scenario: per-op policy
+// retrieval + decision over the signature sweep.
+func buildAPIGrantUncached(Options) (func() func() error, func(), error) {
+	api := gaa.New()
+	conditions.Register(api, conditions.Deps{
+		Threat: ids.NewManager(ids.Low),
+		Groups: groups.NewStore(),
+	})
+	src := gaa.NewMemorySource()
+	if err := src.AddPolicy("*", signatureSweepPolicy(128)); err != nil {
+		return nil, nil, err
 	}
+	local := []gaa.PolicySource{src}
+	req := gaa.NewRequest("apache", "GET /index.html",
+		gaa.Param{Type: gaa.ParamRequestURI, Authority: gaa.AuthorityAny, Value: "GET /index.html"},
+		gaa.Param{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: "14"})
+	return func() func() error {
+		ans := new(gaa.Answer)
+		ctx := context.Background()
+		return func() error {
+			policy, err := api.GetObjectPolicyInfo("/index.html", nil, local)
+			if err != nil {
+				return err
+			}
+			if err := api.CheckAuthorizationInto(ctx, policy, req, ans); err != nil {
+				return err
+			}
+			if ans.Decision != gaa.Yes {
+				return fmt.Errorf("decision = %v, want yes", ans.Decision)
+			}
+			return nil
+		}
+	}, func() {}, nil
 }
 
 // nullResponse is a reusable ResponseWriter that discards bodies; the

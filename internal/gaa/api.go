@@ -33,11 +33,10 @@ type API struct {
 	metrics            *apiInstruments
 	metricsSampleShift uint
 
-	// Compiled decision engine (compiled.go): the program cache, its
-	// counters, and the WithCompiledEngine(false) escape hatch.
-	compileOff bool
-	progs      programTable
-	compiled   compileCounters
+	// Decision engine (compiled.go): the compiled-unit cache and its
+	// counters.
+	progs    programTable
+	compiled compileCounters
 }
 
 // Option configures an API.
@@ -132,7 +131,7 @@ func (a *API) CacheStats() CacheStats {
 }
 
 // InvalidateCache drops all cached policies and compiled decision
-// programs.
+// units.
 func (a *API) InvalidateCache() {
 	if a.cache != nil {
 		a.cache.invalidate()
@@ -225,8 +224,8 @@ func (a *API) composePolicy(object string, system, local []PolicySource) (*Polic
 type evalState struct {
 	req      Request
 	deciders []decidingEntry
-	// cs is the compiled-engine working set (bitsets and the fast-cond
-	// memo table), kept warm across pool cycles.
+	// cs is the scan's working set (bitsets and the fast-cond memo
+	// table), kept warm across pool cycles.
 	cs compiledScratch
 }
 
@@ -282,15 +281,19 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 		start = time.Now()
 	}
 	st := a.getState(req)
-	r := &st.req
-	var res evalResult
-	if prog := a.compiledFor(p, r); prog != nil {
-		a.compiled.runs.Add(1)
-		res = a.evaluatePolicyCompiled(ctx, prog, r, st)
-	} else {
-		res = a.evaluatePolicy(ctx, p, r, st)
+	a.compiled.runs.Add(1)
+	res := a.evaluatePolicyCompiled(ctx, p, &st.req, st)
+	a.conclude(ctx, st, &res, ans)
+	if m != nil {
+		m.check.record(sampled, start, m.weight, ans.Decision)
 	}
+	return nil
+}
 
+// conclude turns the scan result into the answer — the request-result
+// conditions of every deciding entry run with the decision visible —
+// and recycles st.
+func (a *API) conclude(ctx context.Context, st *evalState, res *evalResult, ans *Answer) {
 	*ans = Answer{
 		Decision:    res.decision,
 		Applicable:  res.applicable,
@@ -299,8 +302,7 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 		Trace:       res.trace,
 		Faults:      res.faults,
 	}
-
-	// Request-result conditions see the decision.
+	r := &st.req
 	r.Decision = ans.Decision
 	for _, d := range st.deciders {
 		dec, evaluated := a.evaluateEntryBlock(ctx, d.source, d.entry, eacl.BlockRequestResult, r, &ans.Trace, &ans.Faults)
@@ -312,10 +314,6 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 		appendBlock(&ans.Post, d.entry, eacl.BlockPost)
 	}
 	putState(st)
-	if m != nil {
-		m.check.record(sampled, start, m.weight, ans.Decision)
-	}
-	return nil
 }
 
 // appendBlock appends the entry's conditions of the given block to

@@ -10,30 +10,59 @@ import (
 	"time"
 
 	"gaaapi/internal/conditions"
+	"gaaapi/internal/eacl"
 	"gaaapi/internal/experiments"
+	"gaaapi/internal/faults"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
 )
 
-// The differential harness: one compiled and one interpreted API over
-// identically-built dependencies (own threat manager and group store
-// seeded the same way, shared frozen clock). Policies are composed
-// once and the same *Policy is handed to both engines, so any
-// divergence in the Answer is the compiler's fault.
+// The differential harness: the production walk and the reference
+// oracle (reference_test.go) on two APIs built over identical
+// dependencies (own threat manager, group store and fault injector
+// seeded the same way, shared frozen clock) — two, so that stateful
+// wrappers and evaluators see one evaluation sequence each. Policies
+// are composed once and the same *Policy is handed to both, so any
+// divergence in the Answer is the walk's fault.
 
-type diffPair struct {
-	compiled    *gaa.API
-	interpreted *gaa.API
+// diffConfig is one engine configuration the equivalence must hold
+// under.
+type diffConfig struct {
+	name  string
+	opt   func() gaa.Option // called per API: injectors carry state
+	trace bool              // set Request.Trace
 }
 
-func newDiffPair(threat ids.Level, badGuys []string, now time.Time) diffPair {
-	mk := func(opts ...gaa.Option) *gaa.API {
+var diffConfigs = []diffConfig{
+	{name: "plain"},
+	{name: "tracing", opt: gaa.WithTracing},
+	{name: "request-trace", trace: true},
+	{name: "timeout", opt: func() gaa.Option { return gaa.WithEvaluatorTimeout(time.Second) }},
+	{name: "identity-wrapper", opt: func() gaa.Option {
+		return gaa.WithEvaluatorWrapper(func(ev gaa.Evaluator) gaa.Evaluator { return ev })
+	}},
+	{name: "faults", opt: func() gaa.Option {
+		return gaa.WithEvaluatorWrapper(faults.New(11, faults.Spec{Panic: 0.1, Error: 0.15}).Evaluator)
+	}},
+}
+
+type diffPair struct {
+	cfg    diffConfig
+	walk   *gaa.API
+	oracle *gaa.API
+}
+
+func newDiffPair(cfg diffConfig, threat ids.Level, badGuys []string, now time.Time) diffPair {
+	mk := func() *gaa.API {
 		store := groups.NewStore()
 		for _, m := range badGuys {
 			store.Add("BadGuys", m)
 		}
-		opts = append([]gaa.Option{gaa.WithClock(func() time.Time { return now })}, opts...)
+		opts := []gaa.Option{gaa.WithClock(func() time.Time { return now })}
+		if cfg.opt != nil {
+			opts = append(opts, cfg.opt())
+		}
 		a := gaa.New(opts...)
 		conditions.Register(a, conditions.Deps{
 			Threat: ids.NewManager(threat),
@@ -41,28 +70,32 @@ func newDiffPair(threat ids.Level, badGuys []string, now time.Time) diffPair {
 		})
 		return a
 	}
-	return diffPair{
-		compiled:    mk(),
-		interpreted: mk(gaa.WithCompiledEngine(false)),
-	}
+	return diffPair{cfg: cfg, walk: mk(), oracle: mk()}
 }
 
-// check runs the same request through both engines and fails the test
-// on any observable difference: decision, applicability, challenge,
-// unevaluated conditions, mid/post blocks, faults and fault traces.
+// check runs the same request through the walk and the oracle and fails
+// the test on any observable difference: decision, applicability,
+// challenge, unevaluated conditions, mid/post blocks, faults and the
+// whole trace. Every check must be served by the walk.
 func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) {
 	t.Helper()
 	ctx := context.Background()
-	ac, err := d.compiled.CheckAuthorization(ctx, p, mkReq())
-	if err != nil {
-		t.Fatalf("%s: compiled: %v", label, err)
+	req := func() *gaa.Request {
+		r := mkReq()
+		r.Trace = d.cfg.trace
+		return r
 	}
-	ai, err := d.interpreted.CheckAuthorization(ctx, p, mkReq())
+	before := d.walk.CompileStats().Runs
+	got, err := d.walk.CheckAuthorization(ctx, p, req())
 	if err != nil {
-		t.Fatalf("%s: interpreted: %v", label, err)
+		t.Fatalf("%s: %s: %v", d.cfg.name, label, err)
 	}
-	if diff := answerDiff(ac, ai); diff != "" {
-		t.Errorf("%s: compiled and interpreted answers differ: %s", label, diff)
+	if d.walk.CompileStats().Runs != before+1 {
+		t.Errorf("%s: %s: check not counted as a run", d.cfg.name, label)
+	}
+	want := d.oracle.ReferenceCheck(ctx, p, req())
+	if diff := answerDiff(got, want); diff != "" {
+		t.Errorf("%s: %s: walk and reference answers differ: %s", d.cfg.name, label, diff)
 	}
 }
 
@@ -108,20 +141,19 @@ func answerDiff(c, i *gaa.Answer) string {
 		}
 	}
 	// Untraced requests still trace degraded evaluations.
-	if len(c.Trace) != len(i.Trace) {
-		return fmt.Sprintf("fault-trace %d vs %d events", len(c.Trace), len(i.Trace))
+	if len(c.Trace) != len(i.Trace) || (c.Trace == nil) != (i.Trace == nil) {
+		return fmt.Sprintf("trace %d vs %d events (nil: %v vs %v)", len(c.Trace), len(i.Trace), c.Trace == nil, i.Trace == nil)
 	}
 	for n := range c.Trace {
 		ct, it := c.Trace[n], i.Trace[n]
-		if ct.Source != it.Source || ct.EntryLine != it.EntryLine || ct.Cond != it.Cond ||
-			ct.Note != it.Note ||
-			ct.Outcome.Result != it.Outcome.Result ||
-			ct.Outcome.Unevaluated != it.Outcome.Unevaluated ||
-			ct.Outcome.Fault != it.Outcome.Fault ||
-			ct.Outcome.Detail != it.Outcome.Detail ||
-			ct.Outcome.Challenge != it.Outcome.Challenge {
-			return fmt.Sprintf("trace[%d] differs: {%v %q} vs {%v %q}",
-				n, ct.Outcome.Result, ct.Outcome.Detail, it.Outcome.Result, it.Outcome.Detail)
+		// Errors are distinct values on the two APIs; compare their text
+		// and everything else exactly.
+		if fmt.Sprint(ct.Outcome.Err) != fmt.Sprint(it.Outcome.Err) {
+			return fmt.Sprintf("trace[%d] err %v vs %v", n, ct.Outcome.Err, it.Outcome.Err)
+		}
+		ct.Outcome.Err, it.Outcome.Err = nil, nil
+		if ct != it {
+			return fmt.Sprintf("trace[%d] differs: %+v vs %+v", n, ct, it)
 		}
 	}
 	return ""
@@ -155,8 +187,10 @@ func composePolicy(t *testing.T, a *gaa.API, object, sysText, locText string) *g
 // shipped in the repository — the section 7 files under
 // policies/paper/ and the experiments' inline copies — across a
 // request matrix of rights, identities, client addresses, CGI input
-// lengths and threat levels, requiring identical answers from both
-// engines on each cell.
+// lengths and threat levels, under every engine configuration,
+// requiring the walk's answer to equal the reference oracle's on each
+// cell. Two degenerate compositions ride along: all the policies at
+// once (12+ EACLs) and none.
 func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	sysPolicies := map[string]string{
 		"none": "",
@@ -193,6 +227,31 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 		t.Fatalf("no .eacl files under %s", dir)
 	}
 
+	// The degenerate compositions: every policy at once, twice over
+	// (well past the eight EACLs a composition key used to hold), and
+	// no policy at all.
+	parseAll := func(texts map[string]string) []*eacl.EACL {
+		var out []*eacl.EACL
+		for round := 0; round < 2; round++ {
+			for name, text := range texts {
+				if text == "" {
+					continue
+				}
+				e, err := eacl.ParseString(text)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	everything := gaa.NewPolicy("/index.html", parseAll(sysPolicies), parseAll(locPolicies))
+	if n := len(everything.System) + len(everything.Local); n < 12 {
+		t.Fatalf("large composition has %d EACLs, want at least 12", n)
+	}
+	nothing := gaa.NewPolicy("/index.html", nil, nil)
+
 	rights := []string{
 		"GET /index.html",
 		"GET /cgi-bin/phf?q=x",
@@ -205,47 +264,54 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	inputs := []string{"14", "2000"}
 	now := time.Date(2026, time.March, 4, 15, 30, 0, 0, time.UTC)
 
-	var totalRuns uint64
-	for _, threat := range []ids.Level{ids.Low, ids.Medium, ids.High} {
-		pair := newDiffPair(threat, []string{"10.9.9.9"}, now)
-		for sysName, sysText := range sysPolicies {
-			for locName, locText := range locPolicies {
-				p := composePolicy(t, pair.compiled, "/index.html", sysText, locText)
-				for _, right := range rights {
-					for _, user := range users {
-						for _, ip := range ips {
-							for _, in := range inputs {
-								label := fmt.Sprintf("threat=%v sys=%s loc=%s right=%q user=%q ip=%s in=%s",
-									threat, sysName, locName, right, user, ip, in)
-								pair.check(t, label, p, func() *gaa.Request {
-									params := gaa.ParamList{
-										{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
-										{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: in},
-									}
-									if user != "" {
-										params = append(params, gaa.Param{
-											Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
-										})
-									}
-									return gaa.NewRequest("apache", right, params...)
-								})
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for _, threat := range []ids.Level{ids.Low, ids.Medium, ids.High} {
+				pair := newDiffPair(cfg, threat, []string{"10.9.9.9"}, now)
+				sweep := func(name string, p *gaa.Policy) {
+					for _, right := range rights {
+						for _, user := range users {
+							for _, ip := range ips {
+								for _, in := range inputs {
+									label := fmt.Sprintf("threat=%v %s right=%q user=%q ip=%s in=%s",
+										threat, name, right, user, ip, in)
+									pair.check(t, label, p, func() *gaa.Request {
+										params := gaa.ParamList{
+											{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
+											{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: in},
+										}
+										if user != "" {
+											params = append(params, gaa.Param{
+												Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
+											})
+										}
+										return gaa.NewRequest("apache", right, params...)
+									})
+								}
 							}
 						}
 					}
 				}
+				for sysName, sysText := range sysPolicies {
+					for locName, locText := range locPolicies {
+						sweep(fmt.Sprintf("sys=%s loc=%s", sysName, locName),
+							composePolicy(t, pair.walk, "/index.html", sysText, locText))
+					}
+				}
+				sweep("everything", everything)
+				sweep("nothing", nothing)
 			}
-		}
-		totalRuns += pair.compiled.CompileStats().Runs
-	}
-	if totalRuns == 0 {
-		t.Error("compiled engine never ran during the sweep")
+		})
 	}
 }
 
 // FuzzCompiledVsInterpreted is the differential fuzzer: arbitrary
 // system/local EACL texts, right values, identities and environment
-// knobs, with the compiled and interpreted engines required to agree
-// on the complete answer — decision, reasons and fault degradation.
+// knobs, with the walk and the reference oracle required to agree on
+// the complete answer — decision, reasons, fault degradation, trace —
+// under every engine configuration. (The name predates the oracle's
+// move to reference_test.go; the committed testdata/fuzz/ corpus is
+// keyed by it.)
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	seed := func(sys, loc, right, user, ip string, inputLen, threat, hour, day int) {
 		f.Add(sys, loc, right, user, ip, inputLen, threat, hour, day)
@@ -258,9 +324,9 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	seed("", "pos_access_right apache *\npre_cond_redirect local http://mirror.example/", "GET /x", "", "1.2.3.4", 0, 0, 0, 0)
 	// Authentication challenge from a failed USER requirement.
 	seed("", "pos_access_right apache *\npre_cond_accessid_USER apache alice bob", "GET /x", "", "1.2.3.4", 0, 0, 0, 0)
-	// Unknown condition type: no evaluator registered on either path.
+	// Unknown condition type: no evaluator registered.
 	seed("", "pos_access_right apache *\npre_cond_mystery local v", "GET /x", "", "1.2.3.4", 0, 0, 0, 0)
-	// '@' value reference: stays on the dynamic fallback.
+	// '@' value reference: stays dynamic.
 	seed("", "pos_access_right apache *\npre_cond_location local @trusted_nets", "GET /x", "", "1.2.3.4", 0, 0, 0, 0)
 	// Malformed CIDR degrades to an error fault identically.
 	seed("", "pos_access_right apache *\npre_cond_location local 10.0.0.0/16 not-a-cidr", "GET /x", "", "10.0.1.2", 0, 0, 0, 0)
@@ -278,45 +344,38 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		mod := func(v, n int) int { return ((v % n) + n) % n }
 		level := ids.Level(mod(threat, 3) + 1)
 		now := time.Date(2026, time.March, 1+mod(day, 28), mod(hour, 24), 30, 0, 0, time.UTC)
-		pair := newDiffPair(level, []string{"10.9.9.9"}, now)
-
-		var system, local []gaa.PolicySource
-		if sys != "" {
-			src := gaa.NewMemorySource()
-			if err := src.AddPolicy("*", sys); err != nil {
-				t.Skip("unparseable system policy")
+		var system, local []*eacl.EACL
+		for _, lv := range []struct {
+			text string
+			dst  *[]*eacl.EACL
+		}{{sys, &system}, {loc, &local}} {
+			if lv.text == "" {
+				continue
 			}
-			system = append(system, src)
-		}
-		if loc != "" {
-			src := gaa.NewMemorySource()
-			if err := src.AddPolicy("*", loc); err != nil {
-				t.Skip("unparseable local policy")
+			e, err := eacl.ParseString(lv.text)
+			if err != nil {
+				t.Skip("unparseable policy")
 			}
-			local = append(local, src)
+			*lv.dst = append(*lv.dst, e)
 		}
 		if len(system)+len(local) == 0 {
 			t.Skip("no policy")
 		}
-		p, err := pair.compiled.GetObjectPolicyInfo("/index.html", system, local)
-		if err != nil {
-			t.Skip("composition failed")
-		}
-		before := pair.compiled.CompileStats().Runs
-		pair.check(t, "fuzz", p, func() *gaa.Request {
-			params := gaa.ParamList{
-				{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
-				{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: fmt.Sprint(mod(inputLen, 1<<16))},
-			}
-			if user != "" {
-				params = append(params, gaa.Param{
-					Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
-				})
-			}
-			return gaa.NewRequest("apache", right, params...)
-		})
-		if pair.compiled.CompileStats().Runs == before {
-			t.Error("compiled engine did not run (gated off unexpectedly)")
+		p := gaa.NewPolicy("/index.html", system, local)
+		for _, cfg := range diffConfigs {
+			pair := newDiffPair(cfg, level, []string{"10.9.9.9"}, now)
+			pair.check(t, "fuzz", p, func() *gaa.Request {
+				params := gaa.ParamList{
+					{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
+					{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: fmt.Sprint(mod(inputLen, 1<<16))},
+				}
+				if user != "" {
+					params = append(params, gaa.Param{
+						Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
+					})
+				}
+				return gaa.NewRequest("apache", right, params...)
+			})
 		}
 	})
 }

@@ -215,44 +215,122 @@ func TestCompiledInvalidateCacheDropsPrograms(t *testing.T) {
 	}
 }
 
-func TestCompiledGates(t *testing.T) {
-	var comp, interp atomic.Int64
-	mk := func(opts ...Option) (*API, *Policy) {
-		a := New(opts...)
-		a.Register("fastyes", AuthorityAny, fastEval{
-			out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
-		})
-		return a, memPolicy(t, a, "pos_access_right apache *\npre_cond_fastyes local")
-	}
+// TestCompiledOneScanUnderEveryOption pins the absence of fallback
+// gates: no option or request flag moves a check off the compiled walk,
+// so Runs counts every check. What changes is which conditions run
+// hoisted.
+func TestCompiledOneScanUnderEveryOption(t *testing.T) {
+	identity := WithEvaluatorWrapper(func(ev Evaluator) Evaluator { return ev })
 	cases := []struct {
-		name string
-		opts []Option
-		want uint64 // compiled runs after one check
+		name       string
+		opts       []Option
+		traceReq   bool
+		wantHoists int64 // hoisted evaluations after one check
 	}{
-		{"default-on", nil, 1},
-		{"switched-off", []Option{WithCompiledEngine(false)}, 0},
-		{"tracing", []Option{WithTracing()}, 0},
-		{"timeout", []Option{WithEvaluatorTimeout(time.Second)}, 0},
-		{"wrapper", []Option{WithEvaluatorWrapper(func(ev Evaluator) Evaluator { return ev })}, 0},
+		{"plain", nil, false, 1},
+		{"tracing", []Option{WithTracing()}, false, 0},
+		{"request-trace", nil, true, 0},
+		{"timeout", []Option{WithEvaluatorTimeout(time.Second)}, false, 1},
+		{"wrapper", []Option{identity}, false, 1}, // the identity wrapper returns the CondCompiler itself
+		{"timeout+tracing", []Option{WithEvaluatorTimeout(time.Second), WithTracing()}, false, 0},
+		{"timeout+wrapper+tracing", []Option{WithEvaluatorTimeout(time.Second), identity, WithTracing()}, false, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, p := mk(tc.opts...)
-			if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Yes {
-				t.Fatalf("decision = %v, want yes", ans.Decision)
+			var comp, interp atomic.Int64
+			a := New(tc.opts...)
+			a.Register("fastyes", AuthorityAny, fastEval{
+				out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
+			})
+			p := memPolicy(t, a, "pos_access_right apache *\npre_cond_fastyes local")
+			const checks = 3
+			for i := 0; i < checks; i++ {
+				req := simpleRequest()
+				req.Trace = tc.traceReq
+				if ans := checkAuth(t, a, p, req); ans.Decision != Yes {
+					t.Fatalf("decision = %v, want yes", ans.Decision)
+				}
 			}
-			if got := a.CompileStats().Runs; got != tc.want {
-				t.Errorf("compiled runs = %d, want %d", got, tc.want)
+			if got := a.CompileStats().Runs; got != checks {
+				t.Errorf("runs = %d, want %d", got, checks)
+			}
+			if got := comp.Load(); got != checks*tc.wantHoists {
+				t.Errorf("hoisted evaluations = %d, want %d", got, checks*tc.wantHoists)
+			}
+			if got := interp.Load(); got != checks*(1-tc.wantHoists) {
+				t.Errorf("evaluator calls = %d, want %d", got, checks*(1-tc.wantHoists))
 			}
 		})
 	}
-	// Per-request tracing must also take the interpreted path.
-	a, p := mk()
-	req := simpleRequest()
-	req.Trace = true
-	checkAuth(t, a, p, req)
-	if got := a.CompileStats().Runs; got != 0 {
-		t.Errorf("compiled runs with Request.Trace = %d, want 0", got)
+}
+
+// TestCompiledTimeoutCutsOffCustomEvaluator: the deadline guards every
+// dynamic call on the compiled walk.
+func TestCompiledTimeoutCutsOffCustomEvaluator(t *testing.T) {
+	a := New(WithEvaluatorTimeout(10 * time.Millisecond))
+	release := make(chan struct{})
+	defer close(release)
+	a.RegisterFunc("hang", AuthorityAny, func(ctx context.Context, _ eacl.Condition, _ *Request) Outcome {
+		<-release
+		return MetOutcome(ClassSelector, "late")
+	})
+	p := memPolicy(t, a, "pos_access_right apache *\npre_cond_hang local")
+	ans := checkAuth(t, a, p, simpleRequest())
+	if ans.Decision != Maybe {
+		t.Fatalf("decision = %v, want maybe", ans.Decision)
+	}
+	if len(ans.Faults) != 1 || ans.Faults[0].Kind != FaultTimeout {
+		t.Fatalf("faults = %+v, want one FaultTimeout", ans.Faults)
+	}
+	if got := a.SupervisionStats().Timeouts; got != 1 {
+		t.Errorf("timeouts = %d, want 1", got)
+	}
+	if got := a.CompileStats().Runs; got != 1 {
+		t.Errorf("runs = %d, want 1", got)
+	}
+}
+
+// TestCompiledWrapperSeesEveryEvaluation: an evaluator behind a wrapper
+// is not a CondCompiler, so nothing of it is hoisted and an injector
+// observes exactly the conditions evaluated.
+func TestCompiledWrapperSeesEveryEvaluation(t *testing.T) {
+	var comp, interp, seen atomic.Int64
+	a := New(WithEvaluatorWrapper(func(ev Evaluator) Evaluator {
+		return EvaluatorFunc(func(ctx context.Context, c eacl.Condition, r *Request) Outcome {
+			seen.Add(1)
+			return ev.Evaluate(ctx, c, r)
+		})
+	}))
+	a.Register("fastyes", AuthorityAny, fastEval{
+		out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
+	})
+	a.Register("fastno", AuthorityAny, fastEval{
+		out: FailedOutcome(ClassSelector, "no"), compiled: &comp, interp: &interp,
+	})
+	// Entry 1: yes, no (ends the entry; the third is never reached).
+	// Entry 2: yes, with a request-result condition.
+	p := memPolicy(t, a, `
+neg_access_right apache *
+pre_cond_fastyes local
+pre_cond_fastno local
+pre_cond_fastyes local unreached
+
+pos_access_right apache *
+pre_cond_fastyes local
+rr_cond_fastyes local
+`)
+	if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Yes {
+		t.Fatalf("decision = %v, want yes", ans.Decision)
+	}
+	const evaluated = 4
+	if seen.Load() != evaluated || interp.Load() != evaluated {
+		t.Errorf("wrapper saw %d calls, evaluator %d, want %d each", seen.Load(), interp.Load(), evaluated)
+	}
+	if comp.Load() != 0 {
+		t.Errorf("hoisted evaluations = %d, want 0 behind a wrapper", comp.Load())
+	}
+	if st := a.CompileStats(); st.FastConds != 0 || st.Runs != 1 {
+		t.Errorf("stats = %+v, want no fast conds and one run", st)
 	}
 }
 
@@ -325,61 +403,65 @@ post_cond_audit local x
 	}
 }
 
+// TestCompiledZeroAllocUncachedGrant pins the hoisted grant at 0
+// allocs/op — also under WithEvaluatorTimeout, where only dynamic
+// conditions pay the deadline's goroutine.
 func TestCompiledZeroAllocUncachedGrant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
 	}
-	a := New()
-	var comp, interp atomic.Int64
-	a.Register("fastyes", AuthorityAny, fastEval{
-		out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
-	})
-	p := memPolicy(t, a, `
+	for name, opts := range map[string][]Option{
+		"plain":   nil,
+		"timeout": {WithEvaluatorTimeout(time.Second)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := New(opts...)
+			var comp, interp atomic.Int64
+			a.Register("fastyes", AuthorityAny, fastEval{
+				out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
+			})
+			p := memPolicy(t, a, `
 neg_access_right apache GET /private/*
 pre_cond_fastyes local
 
 pos_access_right apache *
 pre_cond_fastyes local
 `)
-	req := simpleRequest()
-	ans := new(Answer)
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := a.CheckAuthorizationInto(ctx, p, req, ans); err != nil {
-			t.Fatal(err)
-		}
-		if ans.Decision != Yes {
-			t.Fatalf("decision = %v, want yes", ans.Decision)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("compiled grant allocates %v per op, want 0", allocs)
+			req := simpleRequest()
+			ans := new(Answer)
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := a.CheckAuthorizationInto(ctx, p, req, ans); err != nil {
+					t.Fatal(err)
+				}
+				if ans.Decision != Yes {
+					t.Fatalf("decision = %v, want yes", ans.Decision)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("compiled grant allocates %v per op, want 0", allocs)
+			}
+		})
 	}
 }
 
-func TestCompiledProgramCapResets(t *testing.T) {
+func TestCompiledUnitCapResets(t *testing.T) {
 	a := New()
-	// Every iteration parses a fresh EACL: each keys a new program,
-	// driving the table past maxPrograms and through the reset branch
-	// without unbounded growth.
-	for i := 0; i < maxPrograms+10; i++ {
-		src := NewMemorySource()
-		if err := src.AddPolicy("*", fmt.Sprintf("pos_access_right apache /obj-%d\npos_access_right apache *", i)); err != nil {
-			t.Fatal(err)
-		}
-		p, err := a.GetObjectPolicyInfo("/x", nil, []PolicySource{src})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Every iteration parses a fresh EACL: each compiles a new unit,
+	// driving the table past maxCompiledEACLs and through the reset
+	// branch without unbounded growth.
+	const n = maxCompiledEACLs + 10
+	for i := 0; i < n; i++ {
+		p := localPolicy(mustEACL(t, "pos_access_right apache *"))
 		if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Yes {
 			t.Fatalf("decision = %v, want yes", ans.Decision)
 		}
 	}
-	if mp := a.progs.progs.Load(); mp != nil && len(*mp) > maxPrograms {
-		t.Errorf("program table grew to %d entries, cap is %d", len(*mp), maxPrograms)
+	if got := len(*a.progs.units.Load()); got != 10 {
+		t.Errorf("unit table holds %d entries after the reset, want 10", got)
 	}
-	if st := a.CompileStats(); st.Programs != uint64(maxPrograms+10) {
-		t.Errorf("programs = %d, want %d", st.Programs, maxPrograms+10)
+	if st := a.CompileStats(); st.Programs != n {
+		t.Errorf("programs = %d, want %d", st.Programs, n)
 	}
 }
 
@@ -409,19 +491,34 @@ pre_cond_fastyes local @adaptive
 	}
 }
 
-// TestCompiledLargeCompositionFallsBack pins the program-key bound:
-// compositions over maxProgEACLs EACLs stay interpreted.
-func TestCompiledLargeCompositionFallsBack(t *testing.T) {
+// TestCompiledUnitsAreShared pins the unit of compilation: 64
+// compositions over one system EACL compile 65 units, not 64 × 2, and
+// neither an empty nor a 12-EACL composition is a special case.
+func TestCompiledUnitsAreShared(t *testing.T) {
 	a := New()
-	var eacls []*eacl.EACL
-	for i := 0; i <= maxProgEACLs; i++ {
-		eacls = append(eacls, mustEACL(t, "pos_access_right apache *"))
+	system := []*eacl.EACL{mustEACL(t, "eacl_mode narrow\nneg_access_right apache GET /private/*")}
+	for i := 0; i < 64; i++ {
+		local := mustEACL(t, fmt.Sprintf("pos_access_right apache GET /obj-%d\npos_access_right apache *", i))
+		p := NewPolicy("/x", system, []*eacl.EACL{local})
+		if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Yes {
+			t.Fatalf("composition %d: decision = %v, want yes", i, ans.Decision)
+		}
 	}
-	p := localPolicy(eacls...)
-	if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Yes {
-		t.Fatalf("decision = %v, want yes", ans.Decision)
+	if st := a.CompileStats(); st.Programs != 65 || st.Runs != 64 {
+		t.Errorf("stats = %+v, want 65 units over 64 runs", st)
 	}
-	if st := a.CompileStats(); st.Runs != 0 {
-		t.Errorf("compiled runs = %d, want 0 for an oversized composition", st.Runs)
+
+	if ans := checkAuth(t, a, NewPolicy("/x", nil, nil), simpleRequest()); ans.Decision != Maybe || ans.Applicable {
+		t.Errorf("empty composition: %v applicable=%v, want inapplicable maybe", ans.Decision, ans.Applicable)
+	}
+	var twelve []*eacl.EACL
+	for i := 0; i < 12; i++ {
+		twelve = append(twelve, mustEACL(t, "pos_access_right apache *"))
+	}
+	if ans := checkAuth(t, a, localPolicy(twelve...), simpleRequest()); ans.Decision != Yes {
+		t.Errorf("12-EACL composition: decision = %v, want yes", ans.Decision)
+	}
+	if st := a.CompileStats(); st.Programs != 77 || st.Runs != 66 {
+		t.Errorf("stats = %+v, want 77 units over 66 runs", st)
 	}
 }

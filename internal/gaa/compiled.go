@@ -2,28 +2,31 @@ package gaa
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"gaaapi/internal/eacl"
 )
 
-// This file is the compiled first-match decision engine: at policy
-// load/compose time the composed EACL is translated into a decision
-// program — right globs interned into prefix tries, cheap selector
-// conditions (threat level, time windows, CIDR membership, group
-// membership, …) hoisted into pre-resolved tests evaluated once per
-// request instead of once per entry — and the per-request scan runs
-// over the program instead of re-interpreting the entry list. Dynamic
-// conditions ('@value' references, custom evaluators, stateful
-// built-ins) fall back to the supervised interpreter per occurrence,
-// so faults, timeouts and adaptive values behave identically.
+// This file is the first-match decision engine: each EACL is compiled
+// once, on first sight, into a decision unit — right globs interned
+// into prefix tries, cheap selector conditions (threat level, time
+// windows, CIDR membership, group membership, …) hoisted into
+// pre-resolved tests evaluated once per request instead of once per
+// entry — and the per-request scan walks the composed policy's units.
+// Dynamic conditions ('@value' references, custom or wrapped
+// evaluators, stateful built-ins) go through evaluateCondition per
+// occurrence, so supervision, deadlines, injected faults and adaptive
+// values see every one of those calls.
 //
-// The engine is a pure performance layer: for every request it must
-// produce exactly the answer the interpreted scan would (decision,
-// applicability, challenge, unevaluated conditions, deciding entries,
-// faults). compile_diff_test.go enforces that with a differential
-// fuzz test and a golden sweep over the repository's policies.
+// It is the only production scan. reference_test.go keeps the plain
+// entry-by-entry interpretation of the same semantics as the oracle:
+// for every request both must produce exactly the same answer
+// (decision, applicability, challenge, unevaluated conditions, deciding
+// entries, faults, trace). compile_diff_test.go enforces that with a
+// differential fuzz test and a golden sweep over the repository's
+// policies.
 
 // CompiledCond is a condition evaluation specialized at policy-compile
 // time: parsing, pattern compilation and static lookups are done once,
@@ -32,41 +35,33 @@ import (
 // return the same Outcome — because the engine memoizes the outcome
 // across entries of one request. They must produce exactly the Outcome
 // the evaluator they were compiled from would produce for a
-// trace-disabled request (the engine never runs traced requests).
+// trace-disabled request (a traced request evaluates every condition
+// through its evaluator instead, so Detail strings stay the
+// evaluator's own).
 type CompiledCond interface {
 	EvalCompiled(req *Request) Outcome
 }
 
 // CondCompiler is implemented by evaluators that can specialize some
 // of their conditions at policy-compile time. CompileCond returns
-// (nil, false) when the condition must stay on the interpreted path
-// (unparseable values, per-request state, side effects).
+// (nil, false) when the condition must stay dynamic (unparseable
+// values, per-request state, side effects).
 type CondCompiler interface {
 	CompileCond(cond eacl.Condition) (CompiledCond, bool)
-}
-
-// WithCompiledEngine toggles compilation of composed policies into
-// first-match decision programs (on by default). Tracing, evaluator
-// deadlines and evaluator wrappers force the interpreted path
-// regardless; the switch exists for A/B measurement and as an
-// operational escape hatch.
-func WithCompiledEngine(enabled bool) Option {
-	return optionFunc(func(a *API) { a.compileOff = !enabled })
 }
 
 // CompileStats reports compiled-engine activity since the API was
 // built.
 type CompileStats struct {
-	// Programs is the number of decision programs compiled (recompiles
-	// after a registry change or cache reset count again).
+	// Programs is the number of EACLs compiled into decision units
+	// (recompiles after a registry change or cache reset count again).
 	Programs uint64
 	// FastConds and DynamicConds count condition occurrences across all
-	// compiled programs that were hoisted into pre-resolved tests vs
-	// left on the supervised interpreter.
+	// compiled units that were hoisted into pre-resolved tests vs left
+	// dynamic.
 	FastConds    uint64
 	DynamicConds uint64
-	// Runs is the number of CheckAuthorization evaluations served by a
-	// compiled program instead of the interpreted scan.
+	// Runs is the number of CheckAuthorization evaluations.
 	Runs uint64
 }
 
@@ -88,236 +83,106 @@ func (a *API) CompileStats() CompileStats {
 	}
 }
 
-// maxProgEACLs bounds the EACL count a program key can carry; larger
-// compositions (unseen in practice — the paper composes one system and
-// one local policy) stay interpreted.
-const maxProgEACLs = 8
-
-// progKey identifies a compiled program by the identity of the EACLs
-// entering the composition (interned per-pointer ids) plus the
-// composition shape. Sources return stable *eacl.EACL values across
-// calls (MemorySource snapshots, FileSource/DirSource parse caches),
-// so the uncached GetObjectPolicyInfo path re-keys to the same program
-// without re-compiling; a hot reload swaps in newly parsed EACLs and
-// naturally keys a fresh program.
-type progKey struct {
-	mode eacl.CompositionMode
-	nsys uint8
-	nloc uint8
-	ids  [maxProgEACLs]uint32
-}
-
 // patPair is one entry's interned (authority pattern, value pattern)
-// ids, indexed by the entry's program-wide bit.
+// ids, indexed by the entry's position in its EACL.
 type patPair struct {
 	auth  int32
 	value int32
 }
 
-// compiledProgram is one composed policy translated into decision form.
-type compiledProgram struct {
-	mode      eacl.CompositionMode
-	sysExists bool
-	regGen    uint64
-
-	system []compiledEACL
-	local  []compiledEACL
-
-	auth   globTrie
-	value  globTrie
-	nAuth  int
-	nValue int
-	pairs  []patPair
-	nMemo  int
-}
-
+// compiledEACL is one EACL translated into decision form. The unit of
+// compilation is the EACL, not the composition: a system policy shared
+// by every object's composition is compiled (and held in memory) once.
 type compiledEACL struct {
-	source  string
+	source string
+	regGen uint64
+
 	entries []compiledEntry
+	pairs   []patPair
+	auth    globTrie
+	value   globTrie
+	nAuth   int
+	nValue  int
+	nMemo   int
 }
 
 type compiledEntry struct {
 	entry *eacl.Entry
 	pos   bool
-	bit   int32
 	pre   []compiledCond
 }
 
 type compiledCond struct {
 	cond eacl.Condition
-	// fast is nil for dynamic conditions (interpreted per occurrence);
+	// fast is nil for dynamic conditions (evaluated per occurrence);
 	// memo is the request-scoped memoization slot of fast outcomes.
 	fast CompiledCond
 	memo int32
 }
 
-// programTable caches compiled programs under the API, keyed by
-// interned EACL identity. Reads are lock-free (atomic copy-on-write
-// maps); compilation serializes on mu. Both maps are capped: blowing a
-// cap resets the table, which only costs recompilation.
+// programTable caches compiled units under the API, keyed by EACL
+// identity. Sources return stable *eacl.EACL values across calls
+// (MemorySource snapshots, FileSource/DirSource parse caches), so the
+// uncached GetObjectPolicyInfo path finds the same units without
+// recompiling; a hot reload swaps in newly parsed EACLs, which compile
+// afresh. Reads are lock-free (atomic copy-on-write map); compilation
+// serializes on mu. Blowing the cap resets the table, which only costs
+// recompilation — unstable sources that re-parse per call would
+// otherwise grow it without bound.
 type programTable struct {
 	mu    sync.Mutex // writers only
-	ids   atomic.Pointer[map[*eacl.EACL]uint32]
-	progs atomic.Pointer[map[progKey]*compiledProgram]
-	next  uint32
+	units atomic.Pointer[map[*eacl.EACL]*compiledEACL]
 }
 
-const (
-	maxInternedEACLs = 4096
-	maxPrograms      = 256
-)
+const maxCompiledEACLs = 4096
 
-func (pt *programTable) keyFor(p *Policy) (progKey, bool) {
-	idsp := pt.ids.Load()
-	if idsp == nil {
-		return progKey{}, false
-	}
-	m := *idsp
-	k := progKey{mode: p.Mode, nsys: uint8(len(p.System)), nloc: uint8(len(p.Local))}
-	i := 0
-	for _, lst := range [2][]*eacl.EACL{p.System, p.Local} {
-		for _, e := range lst {
-			id, ok := m[e]
-			if !ok {
-				return progKey{}, false
-			}
-			k.ids[i] = id
-			i++
-		}
-	}
-	return k, true
-}
-
-// invalidate drops every compiled program (hot-reload hygiene rides on
+// invalidate drops every compiled unit (hot-reload hygiene rides on
 // pointer identity instead, but API.InvalidateCache flushes here too).
 func (pt *programTable) invalidate() {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	pt.ids.Store(nil)
-	pt.progs.Store(nil)
+	pt.units.Store(nil)
 }
 
-// compiledFor returns the decision program for p, compiling and
-// caching it on first sight, or nil when the request must take the
-// interpreted path: compilation disabled, tracing requested (trace
-// notes are interpreter-only), an evaluator deadline or wrapper
-// installed (both interpose per-call machinery a hoisted test would
-// bypass), or a composition too large to key.
-func (a *API) compiledFor(p *Policy, req *Request) *compiledProgram {
-	if a.compileOff || req.Trace || a.evalTimeout > 0 || a.wrapEval != nil {
-		return nil
-	}
-	n := len(p.System) + len(p.Local)
-	if n == 0 || n > maxProgEACLs {
-		return nil
-	}
-	if key, ok := a.progs.keyFor(p); ok {
-		if mp := a.progs.progs.Load(); mp != nil {
-			if prog, ok := (*mp)[key]; ok && prog.regGen == a.reg.generation() {
-				return prog
-			}
+// compiledFor returns the decision unit for e, compiling and caching it
+// on first sight or after a registration changed the registry.
+func (a *API) compiledFor(e *eacl.EACL) *compiledEACL {
+	gen := a.reg.generation()
+	if mp := a.progs.units.Load(); mp != nil {
+		if u, ok := (*mp)[e]; ok && u.regGen == gen {
+			return u
 		}
 	}
-	return a.compileAndStore(p)
-}
-
-func (a *API) compileAndStore(p *Policy) *compiledProgram {
 	pt := &a.progs
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-
-	// Intern unseen EACL pointers (copy-on-write), resetting the table
-	// when the id map outgrows its cap — unstable sources that re-parse
-	// per call would otherwise grow it without bound.
-	oldIDs := map[*eacl.EACL]uint32{}
-	if idsp := pt.ids.Load(); idsp != nil {
-		oldIDs = *idsp
+	var old map[*eacl.EACL]*compiledEACL
+	if mp := pt.units.Load(); mp != nil {
+		old = *mp
 	}
-	missing := 0
-	for _, lst := range [2][]*eacl.EACL{p.System, p.Local} {
-		for _, e := range lst {
-			if _, ok := oldIDs[e]; !ok {
-				missing++
-			}
-		}
+	if u, ok := old[e]; ok && u.regGen == gen {
+		return u // raced with another compiler
 	}
-	if missing > 0 {
-		if len(oldIDs)+missing > maxInternedEACLs {
-			oldIDs = map[*eacl.EACL]uint32{}
-			pt.progs.Store(nil)
-		}
-		next := make(map[*eacl.EACL]uint32, len(oldIDs)+missing)
-		for k, v := range oldIDs {
-			next[k] = v
-		}
-		for _, lst := range [2][]*eacl.EACL{p.System, p.Local} {
-			for _, e := range lst {
-				if _, ok := next[e]; !ok {
-					pt.next++
-					next[e] = pt.next
-				}
-			}
-		}
-		pt.ids.Store(&next)
+	if len(old) >= maxCompiledEACLs {
+		old = nil
 	}
-	key, _ := pt.keyFor(p)
-
-	gen := a.reg.generation()
-	oldProgs := map[progKey]*compiledProgram{}
-	if mp := pt.progs.Load(); mp != nil {
-		oldProgs = *mp
-	}
-	if prog, ok := oldProgs[key]; ok && prog.regGen == gen {
-		return prog // raced with another compiler
-	}
-	prog := a.compileProgram(p, gen)
-	if len(oldProgs) >= maxPrograms {
-		oldProgs = map[progKey]*compiledProgram{}
-	}
-	next := make(map[progKey]*compiledProgram, len(oldProgs)+1)
-	for k, v := range oldProgs {
+	next := make(map[*eacl.EACL]*compiledEACL, len(old)+1)
+	for k, v := range old {
 		next[k] = v
 	}
-	next[key] = prog
-	pt.progs.Store(&next)
-	return prog
-}
-
-// compileProgram translates the composed policy. Compilation cannot
-// fail: conditions that resist specialization stay dynamic.
-func (a *API) compileProgram(p *Policy, regGen uint64) *compiledProgram {
-	prog := &compiledProgram{
-		mode:      p.Mode,
-		sysExists: len(p.System) > 0,
-		regGen:    regGen,
-	}
-	b := &progBuilder{
-		prog:    prog,
-		authIDs: make(map[string]int32),
-		valIDs:  make(map[string]int32),
-		memoIDs: make(map[memoKey]int32),
-	}
-	prog.system = b.compileLevel(a, p.System)
-	prog.local = b.compileLevel(a, p.Local)
-	prog.nAuth = len(b.authIDs)
-	prog.nValue = len(b.valIDs)
-	prog.nMemo = len(b.memoIDs)
-	a.compiled.programs.Add(1)
-	return prog
+	u := a.compileEACL(e, gen)
+	next[e] = u
+	pt.units.Store(&next)
+	return u
 }
 
 type memoKey struct {
 	typ, auth, val string
 }
 
-type progBuilder struct {
-	prog    *compiledProgram
-	authIDs map[string]int32
-	valIDs  map[string]int32
-	memoIDs map[memoKey]int32
-}
-
-func (b *progBuilder) intern(t *globTrie, ids map[string]int32, pattern string) int32 {
+// internPattern returns the id of pattern in t, inserting it on first
+// sight.
+func internPattern(t *globTrie, ids map[string]int32, pattern string) int32 {
 	pattern = collapseStars(pattern)
 	if id, ok := ids[pattern]; ok {
 		return id
@@ -328,51 +193,53 @@ func (b *progBuilder) intern(t *globTrie, ids map[string]int32, pattern string) 
 	return id
 }
 
-func (b *progBuilder) compileLevel(a *API, eacls []*eacl.EACL) []compiledEACL {
-	if len(eacls) == 0 {
-		return nil
+// compileEACL translates one EACL. Compilation cannot fail: conditions
+// that resist specialization stay dynamic.
+func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
+	u := &compiledEACL{
+		source:  e.Source,
+		regGen:  regGen,
+		entries: make([]compiledEntry, 0, len(e.Entries)),
+		pairs:   make([]patPair, 0, len(e.Entries)),
 	}
-	out := make([]compiledEACL, 0, len(eacls))
-	for _, e := range eacls {
-		ce := compiledEACL{source: e.Source, entries: make([]compiledEntry, 0, len(e.Entries))}
-		for i := range e.Entries {
-			entry := &e.Entries[i]
-			bit := int32(len(b.prog.pairs))
-			b.prog.pairs = append(b.prog.pairs, patPair{
-				auth:  b.intern(&b.prog.auth, b.authIDs, entry.Right.DefAuth),
-				value: b.intern(&b.prog.value, b.valIDs, entry.Right.Value),
-			})
-			cent := compiledEntry{
-				entry: entry,
-				pos:   entry.Right.Sign == eacl.Pos,
-				bit:   bit,
+	authIDs := make(map[string]int32)
+	valIDs := make(map[string]int32)
+	memoIDs := make(map[memoKey]int32)
+	for i := range e.Entries {
+		entry := &e.Entries[i]
+		u.pairs = append(u.pairs, patPair{
+			auth:  internPattern(&u.auth, authIDs, entry.Right.DefAuth),
+			value: internPattern(&u.value, valIDs, entry.Right.Value),
+		})
+		cent := compiledEntry{entry: entry, pos: entry.Right.Sign == eacl.Pos}
+		for ci := range entry.Conditions {
+			cond := entry.Conditions[ci]
+			if cond.Block != eacl.BlockPre {
+				continue
 			}
-			for ci := range entry.Conditions {
-				cond := entry.Conditions[ci]
-				if cond.Block != eacl.BlockPre {
-					continue
+			cc := compiledCond{cond: cond, memo: -1}
+			if fast := a.compileCond(cond); fast != nil {
+				cc.fast = fast
+				mk := memoKey{cond.Type, cond.DefAuth, cond.Value}
+				id, ok := memoIDs[mk]
+				if !ok {
+					id = int32(len(memoIDs))
+					memoIDs[mk] = id
 				}
-				cc := compiledCond{cond: cond, memo: -1}
-				if fast := a.compileCond(cond); fast != nil {
-					cc.fast = fast
-					mk := memoKey{cond.Type, cond.DefAuth, cond.Value}
-					id, ok := b.memoIDs[mk]
-					if !ok {
-						id = int32(len(b.memoIDs))
-						b.memoIDs[mk] = id
-					}
-					cc.memo = id
-					a.compiled.fast.Add(1)
-				} else {
-					a.compiled.dynamic.Add(1)
-				}
-				cent.pre = append(cent.pre, cc)
+				cc.memo = id
+				a.compiled.fast.Add(1)
+			} else {
+				a.compiled.dynamic.Add(1)
 			}
-			ce.entries = append(ce.entries, cent)
+			cent.pre = append(cent.pre, cc)
 		}
-		out = append(out, ce)
+		u.entries = append(u.entries, cent)
 	}
-	return out
+	u.nAuth = len(authIDs)
+	u.nValue = len(valIDs)
+	u.nMemo = len(memoIDs)
+	a.compiled.programs.Add(1)
+	return u
 }
 
 // constCond is a compiled condition with a fixed outcome.
@@ -383,17 +250,22 @@ type constCond struct {
 func (c constCond) EvalCompiled(*Request) Outcome { return c.out }
 
 // compileCond specializes one pre-condition, or returns nil to keep it
-// on the interpreted path. The eligibility rules guarantee the hoisted
-// test reproduces evaluateCondition exactly for trace-disabled
-// requests:
+// dynamic. The eligibility rules guarantee the hoisted test reproduces
+// evaluateCondition exactly for trace-disabled requests:
 //   - values carrying '@' resolve through the runtime value provider
 //     per request — dynamic;
-//   - an unregistered condition is the interpreter's constant
+//   - an unregistered condition is evaluateCondition's constant
 //     "no evaluator registered" MAYBE (a later registration bumps the
 //     registry generation and recompiles);
 //   - only evaluators registered through the supervision layer whose
 //     inner evaluator opts in via CondCompiler compile; everything
-//     else — custom evaluators, stateful built-ins — stays dynamic.
+//     else — custom evaluators, stateful built-ins, and every evaluator
+//     behind a WithEvaluatorWrapper wrapper (the wrapper, not the
+//     built-in, is what supervision holds) — stays dynamic.
+//
+// A hoisted test is a CPU-only function of the request and in-memory
+// state, so it runs inline even under WithEvaluatorTimeout; the
+// deadline guards the dynamic calls, which are the ones that can block.
 func (a *API) compileCond(cond eacl.Condition) CompiledCond {
 	if containsAt(cond.Value) {
 		return nil
@@ -426,10 +298,10 @@ func containsAt(s string) bool {
 	return false
 }
 
-// compiledScratch is the per-request working set of a program run,
-// pooled inside evalState: the right-match bitsets and the fast-cond
-// memo table. Grown on demand, never shrunk, so steady state allocates
-// nothing.
+// compiledScratch is the working set of one unit's scan, pooled inside
+// evalState and reused from EACL to EACL: the right-match bitsets and
+// the fast-cond memo table. Grown on demand, never shrunk, so steady
+// state allocates nothing.
 type compiledScratch struct {
 	authBits  []uint64
 	valBits   []uint64
@@ -438,17 +310,17 @@ type compiledScratch struct {
 	memoSet   []bool
 }
 
-func (cs *compiledScratch) prepare(prog *compiledProgram) {
-	cs.authBits = growBits(cs.authBits, prog.nAuth)
-	cs.valBits = growBits(cs.valBits, prog.nValue)
-	cs.entryBits = growBits(cs.entryBits, len(prog.pairs))
+func (cs *compiledScratch) prepare(u *compiledEACL) {
+	cs.authBits = growBits(cs.authBits, u.nAuth)
+	cs.valBits = growBits(cs.valBits, u.nValue)
+	cs.entryBits = growBits(cs.entryBits, len(u.pairs))
 	clearBits(cs.entryBits)
-	if cap(cs.memoOut) < prog.nMemo {
-		cs.memoOut = make([]Outcome, prog.nMemo)
-		cs.memoSet = make([]bool, prog.nMemo)
+	if cap(cs.memoOut) < u.nMemo {
+		cs.memoOut = make([]Outcome, u.nMemo)
+		cs.memoSet = make([]bool, u.nMemo)
 	}
-	cs.memoOut = cs.memoOut[:prog.nMemo]
-	cs.memoSet = cs.memoSet[:prog.nMemo]
+	cs.memoOut = cs.memoOut[:u.nMemo]
+	cs.memoSet = cs.memoSet[:u.nMemo]
 	for i := range cs.memoSet {
 		cs.memoSet[i] = false
 	}
@@ -463,16 +335,16 @@ func (cs *compiledScratch) release() {
 }
 
 // matchRights walks each requested right through both tries and marks
-// the entries whose right covers it — the compiled replacement for the
-// per-entry entryMatches loop.
-func (cs *compiledScratch) matchRights(prog *compiledProgram, rights []eacl.Right) {
+// the entries whose right covers it, replacing a per-entry
+// eacl.MatchRight loop.
+func (cs *compiledScratch) matchRights(u *compiledEACL, rights []eacl.Right) {
 	for _, r := range rights {
 		clearBits(cs.authBits)
 		clearBits(cs.valBits)
-		prog.auth.match(r.DefAuth, cs.authBits)
-		prog.value.match(r.Value, cs.valBits)
-		for bit := range prog.pairs {
-			pr := &prog.pairs[bit]
+		u.auth.match(r.DefAuth, cs.authBits)
+		u.value.match(r.Value, cs.valBits)
+		for bit := range u.pairs {
+			pr := &u.pairs[bit]
 			if bitGet(cs.authBits, pr.auth) && bitGet(cs.valBits, pr.value) {
 				cs.entryBits[bit>>6] |= 1 << (uint(bit) & 63)
 			}
@@ -480,17 +352,17 @@ func (cs *compiledScratch) matchRights(prog *compiledProgram, rights []eacl.Righ
 	}
 }
 
-// evalFast runs a hoisted test with the interpreter's panic
-// supervision: a panicking dependency (threat provider, group store)
+// evalFast runs a hoisted test with the supervision layer's panic
+// recovery: a panicking dependency (threat provider, group store)
 // degrades to the same FaultPanic outcome the supervised evaluator
 // would produce. Faulted outcomes are not memoized so every occurrence
-// surfaces its own fault, as interpretation would.
+// surfaces its own fault, as evaluating it dynamically would.
 func (a *API) evalFast(cs *compiledScratch, cc *compiledCond, req *Request) Outcome {
-	if cc.memo >= 0 && cs.memoSet[cc.memo] {
+	if cs.memoSet[cc.memo] {
 		return cs.memoOut[cc.memo]
 	}
 	out := a.callFast(cc.fast, req)
-	if cc.memo >= 0 && out.Fault == FaultNone {
+	if out.Fault == FaultNone {
 		cs.memoOut[cc.memo] = out
 		cs.memoSet[cc.memo] = true
 	}
@@ -506,52 +378,61 @@ func (a *API) callFast(fast CompiledCond, req *Request) (out Outcome) {
 	return fast.EvalCompiled(req)
 }
 
-// evaluatePolicyCompiled mirrors evaluatePolicy over the program.
-func (a *API) evaluatePolicyCompiled(ctx context.Context, prog *compiledProgram, req *Request, st *evalState) evalResult {
-	cs := &st.cs
-	cs.prepare(prog)
-	cs.matchRights(prog, req.Rights)
+// evaluatePolicyCompiled runs the scan over both levels, composes, and
+// leaves the deciding entries of every applicable level in st.deciders
+// (their request-result/mid/post blocks belong to the answer).
+func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState) evalResult {
+	sys := a.scanLevel(ctx, p.System, req, st)
+	sysExists := len(p.System) > 0
+	loc := evalResult{decision: Maybe}
+	if !(p.Mode == eacl.ModeStop && sysExists) {
+		loc = a.scanLevel(ctx, p.Local, req, st)
+	}
+	return composeLevels(p.Mode, sys, loc, sysExists)
+}
 
-	var sysAcc levelAccum
-	for i := range prog.system {
-		r := a.evaluateCompiledEACL(ctx, &prog.system[i], req, cs)
-		sysAcc.add(r)
+// scanLevel scans the EACLs of one level, folding each result into a
+// stack accumulator as it is produced — no intermediate per-level
+// result slice.
+func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState) evalResult {
+	var acc levelAccum
+	cs := &st.cs
+	for _, e := range eacls {
+		u := a.compiledFor(e)
+		cs.prepare(u)
+		cs.matchRights(u, req.Rights)
+		r := a.evaluateCompiledEACL(ctx, u, req, cs)
+		cs.release()
+		acc.add(r)
 		if r.applicable && r.entry != nil {
 			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
 		}
 	}
-	sys := sysAcc.result()
-
-	var loc evalResult
-	loc.decision = Maybe
-	if !(prog.mode == eacl.ModeStop && prog.sysExists) {
-		var locAcc levelAccum
-		for i := range prog.local {
-			r := a.evaluateCompiledEACL(ctx, &prog.local[i], req, cs)
-			locAcc.add(r)
-			if r.applicable && r.entry != nil {
-				st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
-			}
-		}
-		loc = locAcc.result()
-	}
-	res := composeLevels(prog.mode, sys, loc, prog.sysExists)
-	cs.release()
-	return res
+	return acc.result()
 }
 
-// evaluateCompiledEACL is evaluateEACL over compiled entries: the same
-// first-match walk with identical No/Maybe/fault handling, minus the
-// trace bookkeeping (the engine only runs trace-disabled requests —
-// faults still trace, exactly as the interpreter does) and with right
-// matching answered by the precomputed entry bitset.
-func (a *API) evaluateCompiledEACL(ctx context.Context, ce *compiledEACL, req *Request, cs *compiledScratch) evalResult {
-	res := evalResult{source: ce.source}
-	for i := range ce.entries {
-		entry := &ce.entries[i]
-		if !bitGet(cs.entryBits, entry.bit) {
+// note records a scan step; callers invoke it for traced requests only.
+func (r *evalResult) note(line int, text string) {
+	r.trace = append(r.trace, TraceEvent{Source: r.source, EntryLine: line, Note: text})
+}
+
+// evaluateCompiledEACL scans the ordered entries of one EACL for the
+// requested rights and returns the first firing entry's decision (see
+// the package comment for the full semantics), with right matching
+// answered by the precomputed entry bitset. Request-result conditions
+// are NOT evaluated here: they run once the composed decision is known.
+//
+// A traced request evaluates every condition through its evaluator —
+// hoisted tests are skipped so Detail strings are the evaluator's own —
+// and records each step; TraceEvents are otherwise recorded only for
+// faults, so the common Yes/No path performs no per-entry allocation.
+func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch) evalResult {
+	res := evalResult{source: u.source}
+	for i := range u.entries {
+		if !bitGet(cs.entryBits, int32(i)) {
 			continue
 		}
+		entry := &u.entries[i]
 		var (
 			sawNo  bool
 			maybes []eacl.Condition
@@ -559,58 +440,78 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, ce *compiledEACL, req *R
 		for ci := range entry.pre {
 			cc := &entry.pre[ci]
 			var out Outcome
-			if cc.fast != nil {
+			if cc.fast != nil && !req.Trace {
 				out = a.evalFast(cs, cc, req)
 			} else {
 				out = a.evaluateCondition(ctx, cc.cond, req)
 			}
 			if out.Fault != FaultNone {
 				res.faults = append(res.faults, Fault{Cond: cc.cond, Kind: out.Fault, Reason: out.faultReason()})
-				// Faults are traced even when tracing is off: a degraded
-				// evaluation must stay observable.
+			}
+			// Faults are traced even when tracing is off: a degraded
+			// evaluation must stay observable.
+			if req.Trace || out.Fault != FaultNone {
 				res.trace = append(res.trace, TraceEvent{
-					Source: ce.source, EntryLine: entry.entry.Line, Cond: cc.cond, Outcome: out,
+					Source: u.source, EntryLine: entry.entry.Line, Cond: cc.cond, Outcome: out,
 				})
 			}
 			switch out.Result {
 			case No:
 				if out.classOrDefault() == ClassSelector || !entry.pos {
+					// Entry inapplicable: scan continues.
 					sawNo = true
 				} else {
+					// Failed requirement on a positive entry: final
+					// deny, possibly with an authentication challenge.
 					res.decision = No
 					res.applicable = true
 					res.entry = entry.entry
 					res.challenge = out.Challenge
+					if req.Trace {
+						res.note(entry.entry.Line, fmt.Sprintf("requirement failed: %s", out.Detail))
+					}
 					return res
 				}
 			case Yes:
 				// condition met; continue within the entry
-			default: // Maybe, or an invalid decision degraded fail-safe
+			default:
+				// Maybe, or a zero/invalid decision treated as unevaluated
+				// for fail-safety.
 				maybes = append(maybes, cc.cond)
 			}
 			if sawNo {
-				break
+				break // conditions are ordered; a selector NO ends the entry
 			}
 		}
 		if sawNo {
+			if req.Trace {
+				res.note(entry.entry.Line, "entry inapplicable")
+			}
 			continue
-		}
-		if len(maybes) > 0 {
-			res.decision = Maybe
-			res.applicable = true
-			res.entry = entry.entry
-			res.unevaluated = maybes
-			return res
 		}
 		res.applicable = true
 		res.entry = entry.entry
-		if entry.pos {
+		switch {
+		case len(maybes) > 0:
+			res.decision = Maybe
+			res.unevaluated = maybes
+			if req.Trace {
+				res.note(entry.entry.Line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
+			}
+		case entry.pos:
 			res.decision = Yes
-		} else {
+			if req.Trace {
+				res.note(entry.entry.Line, "entry fired: grant")
+			}
+		default:
 			res.decision = No
+			if req.Trace {
+				res.note(entry.entry.Line, "entry fired: deny")
+			}
 		}
 		return res
 	}
+	// No entry applied: uncertain.
 	res.decision = Maybe
 	return res
 }

@@ -1,10 +1,6 @@
 package gaa
 
-import (
-	"context"
-
-	"gaaapi/internal/eacl"
-)
+import "gaaapi/internal/eacl"
 
 // Policy is the composed set of EACLs governing one object: system-wide
 // policies first, then local policies (paper section 2.1: "system-wide
@@ -47,20 +43,112 @@ func (p *Policy) EACLs() []*eacl.EACL {
 	return out
 }
 
-// levelAccum folds per-EACL results of one level (system or local) as
-// a conjunction: "To evaluate several separately specified local (or
+// Verdict is the decision-only part of a scan result: what one EACL, one
+// level or the whole composition decided, without the diagnostics
+// (trace, unevaluated conditions, faults) the engine carries beside it.
+type Verdict struct {
+	Decision   Decision
+	Applicable bool
+	Challenge  string
+}
+
+// LevelFold folds per-EACL verdicts of one level (system or local) as a
+// conjunction: "To evaluate several separately specified local (or
 // system-wide) policies, we take a conjunction of the policies" (paper
-// section 2.1). EACLs with no applicable entry are neutral. The
-// accumulator lives on the evaluatePolicy stack so a level with no
-// traces and no unevaluated conditions costs nothing.
-type levelAccum struct {
+// section 2.1). EACLs with no applicable entry are neutral. It is the
+// engine's own fold, exported so whole-policy analysis
+// (internal/eacl/reason) composes with the same code it reasons about.
+type LevelFold struct {
 	applicable       bool
 	dec              Decision
 	deniedUncurable  bool
 	deniedChallenged string
-	trace            []TraceEvent
-	unevaluated      []eacl.Condition
-	faults           []Fault
+}
+
+// Add folds one EACL's verdict into the level.
+func (l *LevelFold) Add(v Verdict) {
+	if !v.Applicable {
+		return
+	}
+	l.applicable = true
+	l.dec = Conjoin(l.dec, v.Decision)
+	if v.Decision == No {
+		if v.Challenge == "" {
+			l.deniedUncurable = true
+		} else if l.deniedChallenged == "" {
+			l.deniedChallenged = v.Challenge
+		}
+	}
+}
+
+// Result returns the level's verdict.
+func (l *LevelFold) Result() Verdict {
+	v := Verdict{Decision: Maybe, Applicable: l.applicable} // uncertain until something applies
+	if l.applicable {
+		v.Decision = l.dec
+	}
+	// A challenge is only meaningful if authenticating could cure every
+	// deny at this level.
+	if !l.deniedUncurable {
+		v.Challenge = l.deniedChallenged
+	}
+	return v
+}
+
+// ComposeVerdicts merges the system-level and local-level verdicts
+// under the composition mode.
+func ComposeVerdicts(mode eacl.CompositionMode, sysExists bool, sys, loc Verdict) Verdict {
+	var out Verdict
+	switch {
+	case mode == eacl.ModeStop && sysExists:
+		// Local policies are ignored entirely.
+		return sys
+	case !sys.Applicable && !loc.Applicable:
+		out.Decision = Maybe
+	case !sys.Applicable:
+		out = Verdict{Decision: loc.Decision, Applicable: true}
+	case !loc.Applicable:
+		out = Verdict{Decision: sys.Decision, Applicable: true}
+	case mode == eacl.ModeExpand:
+		out = Verdict{Decision: Disjoin(sys.Decision, loc.Decision), Applicable: true}
+	default: // narrow (and stop without a system policy)
+		out = Verdict{Decision: Conjoin(sys.Decision, loc.Decision), Applicable: true}
+	}
+	if out.Decision == No {
+		// Surface a challenge only if authenticating could cure every
+		// deny that contributed to the decision.
+		for _, level := range [2]Verdict{sys, loc} {
+			if !level.Applicable || level.Decision != No {
+				continue
+			}
+			if level.Challenge == "" {
+				out.Challenge = ""
+				break
+			}
+			if out.Challenge == "" {
+				out.Challenge = level.Challenge
+			}
+		}
+	}
+	return out
+}
+
+func (r *evalResult) verdict() Verdict {
+	return Verdict{Decision: r.decision, Applicable: r.applicable, Challenge: r.challenge}
+}
+
+func (r *evalResult) setVerdict(v Verdict) {
+	r.decision, r.applicable, r.challenge = v.Decision, v.Applicable, v.Challenge
+}
+
+// levelAccum is LevelFold plus the diagnostics of the scanned EACLs.
+// The accumulator lives on the scanLevel stack so a level with no
+// traces and no unevaluated conditions costs nothing.
+type levelAccum struct {
+	LevelFold
+	trace       []TraceEvent
+	unevaluated []eacl.Condition
+	faults      []Fault
 }
 
 func (l *levelAccum) add(r evalResult) {
@@ -68,135 +156,37 @@ func (l *levelAccum) add(r evalResult) {
 	// Faults are diagnostics: they surface even from EACLs that did not
 	// decide.
 	l.faults = append(l.faults, r.faults...)
-	if !r.applicable {
-		return
+	if r.applicable {
+		l.unevaluated = append(l.unevaluated, r.unevaluated...)
 	}
-	l.applicable = true
-	l.dec = Conjoin(l.dec, r.decision)
-	l.unevaluated = append(l.unevaluated, r.unevaluated...)
-	if r.decision == No {
-		if r.challenge == "" {
-			l.deniedUncurable = true
-		} else if l.deniedChallenged == "" {
-			l.deniedChallenged = r.challenge
-		}
-	}
+	l.Add(r.verdict())
 }
 
 func (l *levelAccum) result() evalResult {
-	combined := evalResult{
-		decision:    Maybe, // uncertain until something applies
-		applicable:  l.applicable,
-		trace:       l.trace,
-		unevaluated: l.unevaluated,
-		faults:      l.faults,
-	}
-	if l.applicable {
-		combined.decision = l.dec
-	}
-	// A challenge is only meaningful if authenticating could cure every
-	// deny at this level.
-	if !l.deniedUncurable {
-		combined.challenge = l.deniedChallenged
-	}
+	combined := evalResult{trace: l.trace, unevaluated: l.unevaluated, faults: l.faults}
+	combined.setVerdict(l.Result())
 	return combined
 }
 
 // composeLevels merges the system-level and local-level results under
 // the composition mode.
 func composeLevels(mode eacl.CompositionMode, sys, loc evalResult, sysExists bool) evalResult {
+	if mode == eacl.ModeStop && sysExists {
+		// Local policies are ignored entirely, including their trace:
+		// they were never evaluated (and produced no faults).
+		return sys
+	}
 	out := evalResult{
 		trace: append(append([]TraceEvent{}, sys.trace...), loc.trace...),
 	}
 	if n := len(sys.faults) + len(loc.faults); n > 0 {
 		out.faults = append(append(make([]Fault, 0, n), sys.faults...), loc.faults...)
 	}
-	switch {
-	case mode == eacl.ModeStop && sysExists:
-		// Local policies are ignored entirely, including their trace:
-		// they were never evaluated (and produced no faults).
-		out = sys
-	case !sys.applicable && !loc.applicable:
-		out.decision = Maybe
-	case mode == eacl.ModeExpand:
-		out.applicable = true
-		switch {
-		case !sys.applicable:
-			out.decision = loc.decision
-		case !loc.applicable:
-			out.decision = sys.decision
-		default:
-			out.decision = Disjoin(sys.decision, loc.decision)
-		}
-	default: // narrow (and stop without a system policy)
-		out.applicable = true
-		switch {
-		case !sys.applicable:
-			out.decision = loc.decision
-		case !loc.applicable:
-			out.decision = sys.decision
-		default:
-			out.decision = Conjoin(sys.decision, loc.decision)
-		}
-	}
+	out.setVerdict(ComposeVerdicts(mode, sysExists, sys.verdict(), loc.verdict()))
 	if out.decision == Maybe {
 		out.unevaluated = append(append([]eacl.Condition{}, sys.unevaluated...), loc.unevaluated...)
 	}
-	if out.decision == No {
-		// Surface a challenge only if authenticating could cure every
-		// deny that contributed to the decision.
-		curable := true
-		var challenge string
-		for _, level := range []evalResult{sys, loc} {
-			if !level.applicable || level.decision != No {
-				continue
-			}
-			if level.challenge == "" {
-				curable = false
-				break
-			}
-			if challenge == "" {
-				challenge = level.challenge
-			}
-		}
-		if curable {
-			out.challenge = challenge
-		}
-	}
 	return out
-}
-
-// evaluatePolicy runs the scan over both levels, composes, and leaves
-// the deciding entries of every applicable level in st.deciders (their
-// request-result/mid/post blocks belong to the answer). Results are
-// folded into stack accumulators as each EACL is scanned — no
-// intermediate per-level result slices.
-func (a *API) evaluatePolicy(ctx context.Context, p *Policy, req *Request, st *evalState) evalResult {
-	var sysAcc levelAccum
-	for _, e := range p.System {
-		r := a.evaluateEACL(ctx, e, req)
-		sysAcc.add(r)
-		if r.applicable && r.entry != nil {
-			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
-		}
-	}
-	sys := sysAcc.result()
-	sysExists := len(p.System) > 0
-
-	var loc evalResult
-	loc.decision = Maybe
-	if !(p.Mode == eacl.ModeStop && sysExists) {
-		var locAcc levelAccum
-		for _, e := range p.Local {
-			r := a.evaluateEACL(ctx, e, req)
-			locAcc.add(r)
-			if r.applicable && r.entry != nil {
-				st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
-			}
-		}
-		loc = locAcc.result()
-	}
-	return composeLevels(p.Mode, sys, loc, sysExists)
 }
 
 // decidingEntry is an entry that fired (or went uncertain) during the

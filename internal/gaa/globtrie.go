@@ -9,9 +9,9 @@ import (
 // globTrie indexes a set of '*'-glob patterns by their literal prefix
 // (everything before the first star) so that one walk over a subject
 // string finds every matching pattern. The compiled decision engine
-// uses two of these per program — one over the rights' defining
-// authorities, one over the right values — replacing the per-entry
-// eacl.MatchRight globbing of the interpreted scan.
+// uses two of these per compiled EACL — one over the rights' defining
+// authorities, one over the right values — replacing per-entry
+// eacl.MatchRight globbing.
 //
 // Soundness rests on a prefix decomposition of the glob language
 // (only '*' is a metacharacter; see eacl.Glob): for a pattern

@@ -1,0 +1,174 @@
+package gaa
+
+import (
+	"context"
+	"fmt"
+
+	"gaaapi/internal/eacl"
+)
+
+// This file is the reference oracle: the plain entry-by-entry
+// interpretation of the first-match semantics, with no compilation, no
+// tries and no hoisting — the implementation compile_diff_test.go
+// compares the production walk (compiled.go) against, through
+// ReferenceCheck (export_test.go). Keep it boring: it is only useful as
+// long as it is obviously the semantics of the package comment.
+
+// evaluatePolicy runs the scan over both levels, composes, and leaves
+// the deciding entries of every applicable level in st.deciders (their
+// request-result/mid/post blocks belong to the answer). Results are
+// folded into stack accumulators as each EACL is scanned — no
+// intermediate per-level result slices.
+func (a *API) evaluatePolicy(ctx context.Context, p *Policy, req *Request, st *evalState) evalResult {
+	var sysAcc levelAccum
+	for _, e := range p.System {
+		r := a.evaluateEACL(ctx, e, req)
+		sysAcc.add(r)
+		if r.applicable && r.entry != nil {
+			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
+		}
+	}
+	sys := sysAcc.result()
+	sysExists := len(p.System) > 0
+
+	var loc evalResult
+	loc.decision = Maybe
+	if !(p.Mode == eacl.ModeStop && sysExists) {
+		var locAcc levelAccum
+		for _, e := range p.Local {
+			r := a.evaluateEACL(ctx, e, req)
+			locAcc.add(r)
+			if r.applicable && r.entry != nil {
+				st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
+			}
+		}
+		loc = locAcc.result()
+	}
+	return composeLevels(p.Mode, sys, loc, sysExists)
+}
+
+// evaluateEACL scans the ordered entries of one EACL for the requested
+// rights and returns the first firing entry's decision (see the package
+// comment for the full semantics). Request-result conditions are NOT
+// evaluated here: they run once the composed decision is known.
+//
+// The pre-condition block is filtered inline from entry.Conditions
+// (rather than materialized via Entry.Block) and TraceEvents are only
+// recorded when req.Trace is set, so the common Yes/No path performs
+// no per-entry allocation.
+func (a *API) evaluateEACL(ctx context.Context, e *eacl.EACL, req *Request) evalResult {
+	res := evalResult{source: e.Source}
+	for i := range e.Entries {
+		entry := &e.Entries[i]
+		if !entryMatches(entry, req) {
+			continue
+		}
+		var (
+			sawNo  bool
+			maybes []eacl.Condition
+		)
+		for ci := range entry.Conditions {
+			cond := entry.Conditions[ci]
+			if cond.Block != eacl.BlockPre {
+				continue
+			}
+			out := a.evaluateCondition(ctx, cond, req)
+			if out.Fault != FaultNone {
+				res.faults = append(res.faults, Fault{Cond: cond, Kind: out.Fault, Reason: out.faultReason()})
+			}
+			// Faults are traced even when tracing is off: a degraded
+			// evaluation must stay observable.
+			if req.Trace || out.Fault != FaultNone {
+				res.trace = append(res.trace, TraceEvent{
+					Source: e.Source, EntryLine: entry.Line, Cond: cond, Outcome: out,
+				})
+			}
+			switch out.Result {
+			case No:
+				if out.classOrDefault() == ClassSelector || entry.Right.Sign == eacl.Neg {
+					// Entry inapplicable: scan continues.
+					sawNo = true
+				} else {
+					// Failed requirement on a positive entry: final
+					// deny, possibly with an authentication challenge.
+					res.decision = No
+					res.applicable = true
+					res.entry = entry
+					res.challenge = out.Challenge
+					if req.Trace {
+						res.trace = append(res.trace, TraceEvent{
+							Source: e.Source, EntryLine: entry.Line,
+							Note: fmt.Sprintf("requirement failed: %s", out.Detail),
+						})
+					}
+					return res
+				}
+			case Maybe:
+				maybes = append(maybes, cond)
+			case Yes:
+				// condition met; continue within the entry
+			default:
+				// An evaluator returned a zero/invalid decision;
+				// treat as unevaluated for fail-safety.
+				maybes = append(maybes, cond)
+			}
+			if sawNo {
+				break // conditions are ordered; a selector NO ends the entry
+			}
+		}
+		if sawNo {
+			if req.Trace {
+				res.trace = append(res.trace, TraceEvent{
+					Source: e.Source, EntryLine: entry.Line, Note: "entry inapplicable",
+				})
+			}
+			continue
+		}
+		if len(maybes) > 0 {
+			res.decision = Maybe
+			res.applicable = true
+			res.entry = entry
+			res.unevaluated = maybes
+			if req.Trace {
+				res.trace = append(res.trace, TraceEvent{
+					Source: e.Source, EntryLine: entry.Line,
+					Note: fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)),
+				})
+			}
+			return res
+		}
+		// All pre-conditions met: the entry fires.
+		res.applicable = true
+		res.entry = entry
+		if entry.Right.Sign == eacl.Pos {
+			res.decision = Yes
+			if req.Trace {
+				res.trace = append(res.trace, TraceEvent{
+					Source: e.Source, EntryLine: entry.Line, Note: "entry fired: grant",
+				})
+			}
+		} else {
+			res.decision = No
+			if req.Trace {
+				res.trace = append(res.trace, TraceEvent{
+					Source: e.Source, EntryLine: entry.Line, Note: "entry fired: deny",
+				})
+			}
+		}
+		return res
+	}
+	// No entry applied: uncertain.
+	res.decision = Maybe
+	return res
+}
+
+// entryMatches reports whether the entry's right covers any requested
+// right.
+func entryMatches(entry *eacl.Entry, req *Request) bool {
+	for _, r := range req.Rights {
+		if eacl.MatchRight(entry.Right, r) {
+			return true
+		}
+	}
+	return false
+}

@@ -380,13 +380,17 @@ func (e *Engine) process(s Sample) {
 	src.last = s.Time
 
 	// --- train the resource shape on granted traffic only ---
+	var (
+		cp     ProfileCheckpoint
+		emitCP bool
+	)
 	if !s.Denied {
 		res.train(s)
 		res.dirty++
 		if e.cfg.CheckpointEvery > 0 && res.dirty >= e.cfg.CheckpointEvery {
 			res.dirty = 0
 			if e.journalProfile != nil {
-				e.journalProfile(checkpoint(s.Path, res, s.Time))
+				cp, emitCP = checkpoint(s.Path, res, s.Time), true
 			}
 		}
 	}
@@ -402,11 +406,15 @@ func (e *Engine) process(s Sample) {
 
 	blockSrc, ev, emit := e.enforceSourceLocked(s.Source, src, s.Time)
 	raise, lower := e.updateLevelLocked(s.Time)
-	journalScore := e.journalScore
+	journalScore, journalProfile := e.journalScore, e.journalProfile
 	e.mu.Unlock()
 
 	// Side effects outside the lock: the block set and the manager
-	// have their own locking and journal taps.
+	// have their own locking and journal taps, and a journal append may
+	// compact the store, which snapshots this engine through e.mu.
+	if emitCP {
+		journalProfile(cp)
+	}
 	if blockSrc {
 		e.blocks.Block(s.Source, e.cfg.BlockFor)
 		e.sourceBlocks.Add(1)

@@ -197,3 +197,46 @@ func TestSnapshotRoundTripMergesScores(t *testing.T) {
 	}
 	_ = applied
 }
+
+// TestRecoveryCompactionUnderScorerJournal: a profile checkpoint whose
+// journal append triggers compaction must not be emitted under the
+// engine lock — compaction snapshots the engine through that same lock
+// (-adaptive with -state-dir deadlocked the scorer at the first
+// compaction). The feed runs under a deadline because the failure mode
+// is a hang.
+func TestRecoveryCompactionUnderScorerJournal(t *testing.T) {
+	clock := &fixedClock{now: time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)}
+	c := Components{
+		Blocks: netblock.NewSet(netblock.WithClock(clock.Now)),
+		Threat: ids.NewManager(ids.Low),
+		Clock:  clock.Now,
+	}
+	cfg := adaptive.Defaults()
+	cfg.Synchronous = true
+	cfg.CheckpointEvery = 1
+	c.Scorer = adaptive.New(cfg, c.Threat, c.Blocks)
+
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: 8, Clock: clock.Now})
+	if _, err := Attach(s, c); err != nil {
+		t.Fatal(err)
+	}
+
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		for i := 0; i < 20; i++ { // one checkpoint record each: past the 8-record boundary twice
+			c.Scorer.ObserveRequest(adaptive.Sample{
+				Time:   clock.now.Add(time.Duration(i) * time.Second),
+				Source: "10.0.0.1", Path: "/index.html", InputLen: 20,
+			})
+		}
+	}()
+	select {
+	case <-fed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scorer blocked: journaling a checkpoint under the engine lock deadlocks against compaction")
+	}
+	if st := s.Stats(); st.Snapshots < 1 {
+		t.Errorf("Snapshots = %d after 20 checkpoint records with SnapshotEvery=8, want >= 1", st.Snapshots)
+	}
+}
