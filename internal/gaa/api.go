@@ -3,7 +3,6 @@ package gaa
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -143,8 +142,9 @@ func (a *API) InvalidateCache() {
 // object (the paper's gaa_get_object_policy_info): system-wide EACLs
 // first, then local ones, with the composition mode taken from the
 // system-wide policy. Results are cached when the API was built with
-// WithPolicyCache; a cache hit is lock-free, and concurrent misses for
-// the same (object, revision) compose the policy once (singleflight).
+// WithPolicyCache; hits and misses are both lock-free. Concurrent misses
+// for one object each compose the policy (sources memoize their parses,
+// see PolicySource) and the last one published stays cached.
 func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (*Policy, error) {
 	if a.cache == nil {
 		return a.composePolicy(object, system, local)
@@ -152,25 +152,22 @@ func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (
 	// Hit path: compare each source's revision against the one recorded
 	// at composition time, element-wise. No revision key is built and
 	// each source's Revision is consulted exactly once.
-	shard, e := a.cache.entryFor(object)
+	set, e := a.cache.lookup(object)
 	if e != nil && e.nsys == len(system) && e.nloc == len(local) {
 		ok, err := e.fresh(object, system, local)
 		if err != nil {
 			return nil, fmt.Errorf("policy revision for %q: %w", object, err)
 		}
 		if ok {
-			shard.recordHit(e)
+			set.hit(e)
 			return e.policy, nil
 		}
 	}
-	shard.recordMiss()
+	set.miss()
 
-	// Miss path (rare): collect the revisions — at most one extra
-	// Revision call per source — and coalesce concurrent compositions
-	// of the same (object, revisions) through the flight group.
+	// Miss path: record the revisions before composing, so a source that
+	// changes in between leaves an entry the next lookup finds stale.
 	revs := make([]string, 0, len(system)+len(local))
-	var key strings.Builder
-	key.WriteString(object)
 	for _, srcs := range [2][]PolicySource{system, local} {
 		for _, src := range srcs {
 			r, err := src.Revision(object)
@@ -178,18 +175,14 @@ func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (
 				return nil, fmt.Errorf("policy revision for %q: %w", object, err)
 			}
 			revs = append(revs, r)
-			key.WriteByte(0x1f)
-			key.WriteString(r)
 		}
 	}
-	return a.cache.flights.do(key.String(), func() (*Policy, error) {
-		p, err := a.composePolicy(object, system, local)
-		if err != nil {
-			return nil, err
-		}
-		a.cache.put(object, revs, len(system), len(local), p)
-		return p, nil
-	})
+	p, err := a.composePolicy(object, system, local)
+	if err != nil {
+		return nil, err
+	}
+	a.cache.put(set, object, revs, len(system), len(local), p)
+	return p, nil
 }
 
 // composePolicy reads every source and builds the composed policy (the

@@ -1,7 +1,8 @@
 package gaa
 
 import (
-	"sync"
+	"hash/maphash"
+	"math"
 	"sync/atomic"
 )
 
@@ -14,163 +15,167 @@ type CacheStats struct {
 	Evictions uint64
 }
 
-// policyCache caches composed policies per object, keyed by the
-// concatenated revisions of the contributing sources. This implements
+const (
+	// cacheWays is the associativity of a production-size cache: eight
+	// slot pointers are one 64-byte line.
+	cacheWays = 8
+	// cacheStripes spreads the hit/miss counters, which double as the
+	// recency clocks, so concurrent lookups of different sets do not
+	// share a cache line.
+	cacheStripes = 16
+)
+
+// policyCache caches composed policies per object, validated on every
+// hit against the revisions of the contributing sources. This implements
 // the paper's section 9 future work: "caching of the retrieved and
 // translated policies for later reuse by subsequent requests".
 //
-// The cache is a read-mostly design built for the authorization hot
-// path: entries live in per-shard maps published through an
-// atomic.Pointer, so a cache hit takes no lock at all — readers load
-// the current map snapshot, look up the entry, and stamp its recency
-// with one atomic store. Writers (misses, evictions, invalidation)
-// serialize on a per-shard mutex and publish a copied map
-// (copy-on-write); with miss coalescing (see flightGroup) write churn
-// is one copy per (object, revision) transition, not per request.
+// The cache is set-associative and lock-free in both directions. The
+// object's hash picks a set of ways consecutive slots, each an atomic
+// pointer to an entry that is immutable but for its recency stamp. The
+// hash is seeded per cache, so a client cannot aim its paths at one
+// set. A lookup compares at most ways slots; a put replaces the slot
+// already holding the object, else an empty one, else the
+// least-recently-stamped one, with a single atomic store — no mutex, no
+// map and no copy, so a miss costs O(ways) whatever the capacity. Every
+// hit stamps the entry with its stripe's lookup count (all sets of a
+// stripe share the counters, so stamps within a set are comparable),
+// which makes eviction least-recently-used within a set.
 //
-// Eviction is least-recently-used within a shard: every hit stamps the
-// entry with a per-shard logical clock, and a full shard evicts the
-// entry with the oldest stamp.
+// Two racing puts on one set may pick the same victim (one composed
+// policy is dropped and recomposed on its next lookup) or leave two
+// entries for one object (lookups return the first; the other ages
+// out). Both entries were composed from the sources and are checked
+// against the sources' revisions on every hit, so neither race can
+// serve a stale policy.
 type policyCache struct {
-	perShard  int
-	shardMask uint32
+	ways      int
+	sets      uint32
+	seed      maphash.Seed
+	slots     []atomic.Pointer[cacheEntry] // sets × ways
 	evictions atomic.Uint64
-	shards    []cacheShard
-	flights   flightGroup
+	stripes   [cacheStripes]cacheStripe
 }
 
-type cacheShard struct {
-	m  atomic.Pointer[map[string]*cacheEntry]
-	mu sync.Mutex // writers only: put, evict, invalidate
-
-	// Per-shard counters keep hit accounting off a single shared cache
-	// line under concurrent load; CacheStats sums them.
+// cacheStripe counts lookups; hits + misses is its logical clock.
+type cacheStripe struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	clock  atomic.Uint64
-	_      [64]byte // pad shards apart
+	_      [48]byte // one stripe per cache line
 }
 
 type cacheEntry struct {
+	object string
+	// hash is the half of the object's hash the set index did not use;
+	// probes compare it first and skip the string compare on a mismatch.
+	hash   uint32
 	policy *Policy
 	// revs holds the per-source revision strings at composition time,
 	// system sources first. Validation compares them one by one — no
-	// joined revision key is ever built on the hit path.
+	// joined revision key is ever built.
 	revs []string
 	// nsys/nloc record how many system and local sources contributed,
 	// so revisions cannot alias across source levels.
 	nsys, nloc int
-	// used is the shard-clock stamp of the last hit (LRU recency).
+	// used is the stripe-clock stamp of the last hit (LRU recency).
 	used atomic.Uint64
+}
+
+// cacheSet is the view of one object's set a lookup hands back, so the
+// miss path publishes into the set already found.
+type cacheSet struct {
+	slots  []atomic.Pointer[cacheEntry]
+	stripe *cacheStripe
+	hash   uint32
 }
 
 func newPolicyCache(maxEntries int) *policyCache {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	// Small caches (tests, tiny deployments) get one shard with exact
-	// LRU; production sizes spread over 16 shards to keep writer
-	// serialization off the hot path.
-	shards := 1
-	if maxEntries >= 64 {
-		shards = 16
+	// Small caches (tests, tiny deployments) are one set with exact LRU.
+	c := &policyCache{ways: maxEntries, sets: 1, seed: maphash.MakeSeed()}
+	if maxEntries >= 2*cacheWays {
+		c.ways, c.sets = cacheWays, uint32(maxEntries/cacheWays)
 	}
-	c := &policyCache{
-		perShard:  maxEntries / shards,
-		shardMask: uint32(shards - 1),
-		shards:    make([]cacheShard, shards),
-	}
-	for i := range c.shards {
-		m := make(map[string]*cacheEntry)
-		c.shards[i].m.Store(&m)
-	}
-	c.flights.m = make(map[string]*flightCall)
+	c.slots = make([]atomic.Pointer[cacheEntry], int(c.sets)*c.ways)
 	return c
 }
 
-// shardFor hashes the object name (FNV-1a) onto a shard.
-func (c *policyCache) shardFor(object string) *cacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(object); i++ {
-		h ^= uint32(object[i])
-		h *= prime32
+// lookup returns the object's set and its entry (nil if absent).
+// Lock-free; the caller validates revisions and reports the outcome
+// through hit/miss.
+func (c *policyCache) lookup(object string) (cacheSet, *cacheEntry) {
+	sum := maphash.String(c.seed, object)
+	h := uint32(sum >> 32)
+	n := uint32(uint64(uint32(sum)) * uint64(c.sets) >> 32) // uniform over [0, sets)
+	set := cacheSet{
+		slots:  c.slots[int(n)*c.ways:][:c.ways],
+		stripe: &c.stripes[n%cacheStripes],
+		hash:   h,
 	}
-	return &c.shards[h&c.shardMask]
-}
-
-// entryFor returns the shard and current entry (nil if absent) for an
-// object. Lock-free; the caller validates revisions and reports the
-// outcome through recordHit/recordMiss.
-func (c *policyCache) entryFor(object string) (*cacheShard, *cacheEntry) {
-	s := c.shardFor(object)
-	return s, (*s.m.Load())[object]
-}
-
-func (s *cacheShard) recordHit(e *cacheEntry) {
-	e.used.Store(s.clock.Add(1))
-	s.hits.Add(1)
-}
-
-func (s *cacheShard) recordMiss() {
-	s.misses.Add(1)
-}
-
-// put publishes a freshly composed policy, evicting the least-recently
-// used entry when the shard is full.
-func (c *policyCache) put(object string, revs []string, nsys, nloc int, p *Policy) {
-	s := c.shardFor(object)
-	e := &cacheEntry{policy: p, revs: revs, nsys: nsys, nloc: nloc}
-	e.used.Store(s.clock.Add(1))
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.m.Load()
-	var (
-		victim     string
-		haveVictim bool
-	)
-	if _, exists := old[object]; !exists && len(old) >= c.perShard {
-		var victimUsed uint64
-		for k, en := range old {
-			if u := en.used.Load(); !haveVictim || u < victimUsed {
-				victim, victimUsed, haveVictim = k, u, true
-			}
+	for i := range set.slots {
+		if e := set.slots[i].Load(); e != nil && e.hash == h && e.object == object {
+			return set, e
 		}
-		c.evictions.Add(1)
 	}
-	next := make(map[string]*cacheEntry, len(old)+1)
-	for k, en := range old {
-		if haveVictim && k == victim {
+	return set, nil
+}
+
+func (s cacheSet) hit(e *cacheEntry) {
+	e.used.Store(s.stripe.hits.Add(1) + s.stripe.misses.Load())
+}
+
+func (s cacheSet) miss() {
+	s.stripe.misses.Add(1)
+}
+
+// put publishes a freshly composed policy into the set its lookup
+// found: over the object's own slot, else an empty one, else the
+// least-recently-used one.
+func (c *policyCache) put(s cacheSet, object string, revs []string, nsys, nloc int, p *Policy) {
+	e := &cacheEntry{object: object, hash: s.hash, policy: p, revs: revs, nsys: nsys, nloc: nloc}
+	// Stamped as of its own miss, which the stripe has already counted.
+	e.used.Store(s.stripe.hits.Load() + s.stripe.misses.Load())
+	empty, victim, oldest := -1, 0, uint64(math.MaxUint64)
+	for i := range s.slots {
+		cur := s.slots[i].Load()
+		if cur == nil {
+			if empty < 0 {
+				empty = i
+			}
 			continue
 		}
-		next[k] = en
+		if cur.hash == e.hash && cur.object == object {
+			s.slots[i].Store(e)
+			return
+		}
+		if u := cur.used.Load(); u < oldest {
+			victim, oldest = i, u
+		}
 	}
-	next[object] = e
-	s.m.Store(&next)
+	if empty >= 0 {
+		victim = empty
+	} else {
+		c.evictions.Add(1)
+	}
+	s.slots[victim].Store(e)
 }
 
 // invalidate drops every cached policy; counters are preserved.
 func (c *policyCache) invalidate() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		m := make(map[string]*cacheEntry)
-		s.m.Store(&m)
-		s.mu.Unlock()
+	for i := range c.slots {
+		c.slots[i].Store(nil)
 	}
 }
 
-// snapshot sums the per-shard counters. Each counter is monotonic, so
+// snapshot sums the striped counters. Each counter is monotonic, so
 // successive snapshots never move backwards.
 func (c *policyCache) snapshot() CacheStats {
 	st := CacheStats{Evictions: c.evictions.Load()}
-	for i := range c.shards {
-		st.Hits += c.shards[i].hits.Load()
-		st.Misses += c.shards[i].misses.Load()
+	for i := range c.stripes {
+		st.Hits += c.stripes[i].hits.Load()
+		st.Misses += c.stripes[i].misses.Load()
 	}
 	return st
 }
@@ -178,48 +183,12 @@ func (c *policyCache) snapshot() CacheStats {
 // len reports the total number of cached entries (tests, diagnostics).
 func (c *policyCache) len() int {
 	n := 0
-	for i := range c.shards {
-		n += len(*c.shards[i].m.Load())
+	for i := range c.slots {
+		if c.slots[i].Load() != nil {
+			n++
+		}
 	}
 	return n
-}
-
-// flightGroup coalesces concurrent cache misses for the same
-// (object, revision): the first caller composes the policy, the rest
-// wait for its result instead of re-reading and re-translating the
-// sources (singleflight).
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	wg     sync.WaitGroup
-	policy *Policy
-	err    error
-}
-
-// do runs fn once per key among concurrent callers and hands every
-// caller the same result.
-func (g *flightGroup) do(key string, fn func() (*Policy, error)) (*Policy, error) {
-	g.mu.Lock()
-	if fc, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		fc.wg.Wait()
-		return fc.policy, fc.err
-	}
-	fc := &flightCall{}
-	fc.wg.Add(1)
-	g.m[key] = fc
-	g.mu.Unlock()
-
-	fc.policy, fc.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	fc.wg.Done()
-	return fc.policy, fc.err
 }
 
 // fresh reports whether the entry's recorded revisions still match the

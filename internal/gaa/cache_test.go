@@ -2,10 +2,12 @@ package gaa
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gaaapi/internal/eacl"
 )
@@ -122,15 +124,20 @@ func TestCacheBounded(t *testing.T) {
 
 func TestPolicyCacheDefaultSize(t *testing.T) {
 	c := newPolicyCache(0)
-	if got := c.perShard * len(c.shards); got != 1024 {
-		t.Errorf("default capacity = %d, want 1024", got)
+	if got := c.ways * int(c.sets); got != 1024 || len(c.slots) != got {
+		t.Errorf("default capacity = %d (%d slots), want 1024", got, len(c.slots))
+	}
+	// The fixed footprint is what heap_live_mb pays on workloads that
+	// never fill the cache: slot pointers plus the counter stripes.
+	if fixed := unsafe.Sizeof(*c) + uintptr(len(c.slots))*unsafe.Sizeof(c.slots[0]); fixed > 10<<10 {
+		t.Errorf("empty 1024-entry cache occupies %d bytes, want <= 10 KiB", fixed)
 	}
 }
 
 // TestCacheLRUEviction verifies real least-recently-used eviction: the
 // untouched entry goes, the recently hit entry stays.
 func TestCacheLRUEviction(t *testing.T) {
-	a := New(WithPolicyCache(2)) // small cache: one shard, exact LRU
+	a := New(WithPolicyCache(2)) // small cache: one set, exact LRU
 	src := NewMemorySource()
 	if err := src.AddPolicy("*", "pos_access_right apache *"); err != nil {
 		t.Fatal(err)
@@ -165,16 +172,20 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheMissCoalescing verifies singleflight: concurrent misses for
-// one object compose the policy once and share the result pointer.
-func TestCacheMissCoalescing(t *testing.T) {
+// TestCacheConcurrentMisses holds eight requests in the miss window of
+// one object at once. Nothing coalesces them: each composes from the
+// (memoizing) source, all get the same EACLs, and whichever publishes
+// last is what the next lookup hits.
+func TestCacheConcurrentMisses(t *testing.T) {
+	const workers = 8
 	a := New(WithPolicyCache(16))
-	src := &countingSource{text: "pos_access_right apache *"}
-	gate := make(chan struct{})
-	src.gate = gate
+	src := &countingSource{
+		text:    "pos_access_right apache *",
+		gate:    make(chan struct{}),
+		entered: make(chan struct{}, workers), // one send per worker
+	}
 	sys := []PolicySource{src}
 
-	const workers = 8
 	results := make([]*Policy, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -189,40 +200,279 @@ func TestCacheMissCoalescing(t *testing.T) {
 			results[i] = p
 		}(i)
 	}
-	// Let every worker reach the (blocked) composition before the
-	// first one finishes.
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-
-	if n := src.calls.Load(); n != 1 {
-		t.Errorf("sources consulted %d times for 8 concurrent misses, want 1 (singleflight)", n)
+	for i := 0; i < workers; i++ {
+		<-src.entered
 	}
-	for i := 1; i < workers; i++ {
-		if results[i] != results[0] {
-			t.Error("coalesced misses returned different policy pointers")
+	close(src.gate)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if n := src.calls.Load(); n > workers {
+		t.Errorf("source consulted %d times for %d concurrent misses", n, workers)
+	}
+	for i, p := range results {
+		if len(p.System) != 1 || p.System[0] != results[0].System[0] {
+			t.Errorf("worker %d composed different EACLs than worker 0", i)
 		}
+	}
+	before := a.CacheStats()
+	if before.Misses != workers {
+		t.Errorf("misses = %d, want %d", before.Misses, workers)
+	}
+	p, err := a.GetObjectPolicyInfo("/x", sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := a.CacheStats(); after.Hits != before.Hits+1 {
+		t.Errorf("lookup after the concurrent misses did not hit: %+v -> %+v", before, after)
+	}
+	published := false
+	for _, r := range results {
+		published = published || r == p
+	}
+	if !published {
+		t.Error("cached policy is none of the eight composed ones")
+	}
+	if n := a.cache.len(); n != 1 {
+		t.Errorf("cache holds %d entries for one object, want 1", n)
 	}
 }
 
 // countingSource counts Policies calls and can block them on a gate to
-// hold several requests in the miss window at once.
+// hold several requests in the miss window at once. It memoizes its
+// parse, as the PolicySource contract asks.
 type countingSource struct {
-	text  string
-	gate  chan struct{}
-	calls atomic.Int64
+	text    string
+	gate    chan struct{}
+	entered chan struct{}
+	calls   atomic.Int64
+
+	once   sync.Once
+	parsed *eacl.EACL
+	err    error
 }
 
 func (c *countingSource) Policies(string) ([]*eacl.EACL, error) {
 	c.calls.Add(1)
 	if c.gate != nil {
+		c.entered <- struct{}{}
 		<-c.gate
 	}
-	e, err := eacl.ParseString(c.text)
-	if err != nil {
-		return nil, err
+	c.once.Do(func() { c.parsed, c.err = eacl.ParseString(c.text) })
+	if c.err != nil {
+		return nil, c.err
 	}
-	return []*eacl.EACL{e}, nil
+	return []*eacl.EACL{c.parsed}, nil
 }
 
 func (c *countingSource) Revision(string) (string, error) { return "static", nil }
+
+// TestCacheModel drives the cache with seeded random lookups over four
+// times its capacity in objects, interleaved with everything that must
+// invalidate (a source mutation, a source swap, InvalidateCache), and
+// checks every answer against an uncached API on the same sources.
+func TestCacheModel(t *testing.T) {
+	for _, capacity := range []int{8, 64} { // one set of 8 ways; 8 sets of 8 ways
+		for _, seed := range []int64{1, 2, 3, 2003} {
+			t.Run(fmt.Sprintf("cap%d/seed%d", capacity, seed), func(t *testing.T) {
+				runCacheModel(t, capacity, seed)
+			})
+		}
+	}
+}
+
+func runCacheModel(t *testing.T, capacity int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	newBacking := func() *MemorySource {
+		m := NewMemorySource()
+		if err := m.AddPolicy("*", "pos_access_right apache *"); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	swap := NewSwappableSource(newBacking())
+	loc := NewMemorySource()
+	system, local := []PolicySource{swap}, []PolicySource{loc}
+	cached, uncached := New(WithPolicyCache(capacity)), New()
+
+	objects := make([]string, 4*capacity)
+	for i := range objects {
+		objects[i] = fmt.Sprintf("/o/%d", i)
+	}
+	same := func(got, want []*eacl.EACL) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	lookup := func(step int, object string) *Policy {
+		got, err := cached.GetObjectPolicyInfo(object, system, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := uncached.GetObjectPolicyInfo(object, system, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got.System, want.System) || !same(got.Local, want.Local) || got.Mode != want.Mode {
+			t.Fatalf("step %d: cached policy for %s is not the current composition", step, object)
+		}
+		return got
+	}
+
+	var lookups uint64
+	var prev CacheStats
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 2:
+			pattern := objects[rng.Intn(len(objects))][:4] + "*" // "/o/N*": a tenth of the objects
+			if err := loc.AddPolicy(pattern, "neg_access_right apache *"); err != nil {
+				t.Fatal(err)
+			}
+		case op < 4:
+			swap.Swap(newBacking()) // same revision string behind a new generation
+		case op < 5:
+			cached.InvalidateCache()
+		default:
+			// Zipf-like: half the lookups go to an eighth of the objects.
+			object := objects[rng.Intn(len(objects))]
+			if rng.Intn(2) == 0 {
+				object = objects[rng.Intn(len(objects)/8)]
+			}
+			p := lookup(step, object)
+			lookups++
+			// Nothing changed since, so the same object must now hit.
+			if rng.Intn(4) == 0 {
+				hits := cached.CacheStats().Hits
+				if again := lookup(step, object); again != p {
+					t.Fatalf("step %d: immediate second lookup of %s recomposed", step, object)
+				}
+				lookups++
+				if cached.CacheStats().Hits != hits+1 {
+					t.Fatalf("step %d: immediate second lookup of %s was not counted as a hit", step, object)
+				}
+			}
+		}
+		st := cached.CacheStats()
+		if st.Hits < prev.Hits || st.Misses < prev.Misses || st.Evictions < prev.Evictions {
+			t.Fatalf("step %d: counters went backwards: %+v -> %+v", step, prev, st)
+		}
+		if st.Hits+st.Misses != lookups {
+			t.Fatalf("step %d: hits %d + misses %d != %d lookups", step, st.Hits, st.Misses, lookups)
+		}
+		if n := cached.cache.len(); n > capacity {
+			t.Fatalf("step %d: cache holds %d entries, capacity %d", step, n, capacity)
+		}
+		prev = st
+	}
+	if prev.Hits == 0 || prev.Evictions == 0 {
+		t.Errorf("model run never hit or never evicted: %+v", prev)
+	}
+}
+
+// fullCache returns an API whose size-entry cache has every slot taken,
+// the two source lists it was filled from, and 16x size objects to
+// cycle through: looked up in order, every one of them misses.
+func fullCache(t testing.TB, size int) (a *API, system, local []PolicySource, objects []string) {
+	sys, loc := NewMemorySource(), NewMemorySource()
+	if err := sys.AddPolicy("*", "neg_access_right apache *\npre_cond_sel_yes local\n"); err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"/d1/*", "/d2/*", "*"} {
+		if err := loc.AddPolicy(pattern, "pos_access_right apache *"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a = New(WithPolicyCache(size))
+	system, local = []PolicySource{sys}, []PolicySource{loc}
+	objects = make([]string, 16*size)
+	for i := range objects {
+		objects[i] = fmt.Sprintf("/d%d/doc%05d.html", i%4, i)
+	}
+	for _, o := range objects {
+		if _, err := a.GetObjectPolicyInfo(o, system, local); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := a.cache.len(); n != size {
+		t.Fatalf("cache holds %d entries after %d distinct lookups, want %d (full)", n, len(objects), size)
+	}
+	return a, system, local, objects
+}
+
+// TestCacheZeroAllocHit pins the hit path of a full production-size
+// cache at zero allocations.
+func TestCacheZeroAllocHit(t *testing.T) {
+	a, system, local, objects := fullCache(t, 1024)
+	hot := objects[len(objects)-1]
+	hits := a.CacheStats().Hits
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := a.GetObjectPolicyInfo(hot, system, local); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cache hit allocates %v per lookup, want 0", allocs)
+	}
+	if got := a.CacheStats().Hits - hits; got < 200 {
+		t.Errorf("only %d of the measured lookups hit", got)
+	}
+}
+
+// TestCacheMissConstantCost pins the miss path on a full cache: a
+// bounded number of allocations, and a cost that does not grow with
+// the capacity (the copy-on-write shard maps this cache replaced paid
+// one map copy per miss, 16x more at 1024 entries than at 64).
+func TestCacheMissConstantCost(t *testing.T) {
+	type probe struct {
+		size   int
+		miss   func()
+		allocs float64
+		best   time.Duration
+	}
+	probes := []*probe{{size: 64}, {size: 1024}}
+	for _, p := range probes {
+		a, system, local, objects := fullCache(t, p.size)
+		next := 0
+		p.miss = func() {
+			if _, err := a.GetObjectPolicyInfo(objects[next%len(objects)], system, local); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		before := a.CacheStats()
+		p.allocs = testing.AllocsPerRun(2000, p.miss)
+		if st := a.CacheStats(); st.Hits != before.Hits {
+			t.Fatalf("%d entries: %d of the measured lookups hit; the cycle should always miss", p.size, st.Hits-before.Hits)
+		}
+	}
+	// Alternate the two caches and keep each one's best round, so a slow
+	// stretch of the host lands on both.
+	const rounds, perRound = 7, 4000
+	for r := 0; r < rounds; r++ {
+		for _, p := range probes {
+			start := time.Now()
+			for i := 0; i < perRound; i++ {
+				p.miss()
+			}
+			if d := time.Since(start) / perRound; p.best == 0 || d < p.best {
+				p.best = d
+			}
+		}
+	}
+	small, big := probes[0], probes[1]
+	t.Logf("miss at 64 entries: %v, %.1f allocs; at 1024 entries: %v, %.1f allocs", small.best, small.allocs, big.best, big.allocs)
+	if small.allocs > 7 || big.allocs > 7 {
+		t.Errorf("miss allocates %.1f (64 entries) / %.1f (1024 entries) per lookup, want <= 7", small.allocs, big.allocs)
+	}
+	if big.best > 2*small.best {
+		t.Errorf("miss costs %v at 1024 entries and %v at 64: more than 2x", big.best, small.best)
+	}
+}

@@ -17,6 +17,13 @@ import (
 // PolicySource supplies the EACLs governing an object. Sources are
 // consulted at access-control time (paper section 6, step 2a); the API
 // composes system-wide sources ahead of local ones.
+//
+// The policy cache does not coalesce concurrent misses: every miss calls
+// Policies, and N requests missing on one object at once call it N
+// times. A source that parses policy text must therefore memoize the
+// parse (as MemorySource, FileSource and DirSource do) and hand back
+// the same *eacl.EACL until its content changes; compiled decision
+// units are keyed by that pointer.
 type PolicySource interface {
 	// Policies returns the EACLs governing object, in priority order.
 	// A source with nothing to say returns an empty slice.
@@ -162,7 +169,7 @@ type DirSource struct {
 }
 
 type dirCacheEntry struct {
-	eacl  *eacl.EACL // nil means "file absent"
+	eacl  *eacl.EACL
 	stamp string
 }
 
@@ -209,13 +216,15 @@ func (d *DirSource) load(file string) (*eacl.EACL, error) {
 	defer d.mu.Unlock()
 	stamp, err := fileStamp(file)
 	if errors.Is(err, fs.ErrNotExist) {
-		d.cache[file] = dirCacheEntry{}
+		// Only files that exist are remembered: a client probing random
+		// directories must not grow the map.
+		delete(d.cache, file)
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := d.cache[file]; ok && c.stamp == stamp && c.eacl != nil {
+	if c, ok := d.cache[file]; ok && c.stamp == stamp {
 		return c.eacl, nil
 	}
 	e, err := eacl.ParseFile(file)

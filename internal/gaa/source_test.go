@@ -1,6 +1,7 @@
 package gaa
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -161,6 +162,39 @@ func TestDirSourceCacheRefresh(t *testing.T) {
 	}
 	if reflect.DeepEqual(first[0].Entries[0].Right, second[0].Entries[0].Right) {
 		t.Error("DirSource served stale policy after file change")
+	}
+}
+
+// TestDirSourceForgetsAbsentFiles pins the bound on DirSource's parse
+// cache: a client walking nonexistent directories leaves nothing
+// behind, and a policy file that is removed stops governing.
+func TestDirSourceForgetsAbsentFiles(t *testing.T) {
+	root := t.TempDir()
+	mkdir(t, filepath.Join(root, "a"))
+	writeFile(t, filepath.Join(root, ".eacl"), "pos_access_right apache *\n")
+	writeFile(t, filepath.Join(root, "a/.eacl"), "neg_access_right apache *\n")
+	d := NewDirSource(root, ".eacl")
+	if got, err := d.Policies("/a/page.html"); err != nil || len(got) != 2 {
+		t.Fatalf("Policies = %d EACLs, %v; want 2", len(got), err)
+	}
+	for i := 0; i < 10000; i++ {
+		got, err := d.Policies(fmt.Sprintf("/x%d/a", i))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("Policies under /x%d = %d EACLs, %v; want 1 (root only)", i, len(got), err)
+		}
+	}
+	if n := len(d.cache); n > 2 {
+		t.Errorf("parse cache holds %d entries after probing 10000 absent directories, want <= 2 (the .eacl files that exist)", n)
+	}
+
+	if err := os.Remove(filepath.Join(root, "a/.eacl")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Policies("/a/page.html"); err != nil || len(got) != 1 {
+		t.Errorf("after removing a/.eacl: %d EACLs, %v; want 1 (root only)", len(got), err)
+	}
+	if n := len(d.cache); n != 1 {
+		t.Errorf("parse cache holds %d entries after the removal, want 1", n)
 	}
 }
 

@@ -157,10 +157,13 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 		return httpd.Verdict{Status: httpd.Forbidden("policy retrieval: " + err.Error())}
 	}
 	cs := checkPool.Get().(*checkState)
+	// One string per check: the audit record's "<authority> <METHOD>
+	// <path>", of which the requested right's value is the tail.
+	right := g.cfg.Authority + " " + rec.Method + " " + rec.Path
 	cs.rights[0] = eacl.Right{
 		Sign:    eacl.Pos,
 		DefAuth: g.cfg.Authority,
-		Value:   rec.Method + " " + rec.Path,
+		Value:   right[len(g.cfg.Authority)+1:],
 	}
 	cs.req = gaa.Request{
 		Rights: cs.rights[:1],
@@ -176,7 +179,7 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	g.observe(ans.Decision == gaa.Maybe || len(ans.Faults) > 0)
 
 	g.report(rec, ans)
-	g.auditDecision(rec, ans)
+	g.auditDecision(rec, right, ans)
 
 	verdict := httpd.Verdict{Status: translate(ans)}
 	if len(ans.Mid) > 0 {
@@ -382,7 +385,7 @@ func (g *Guard) illFormed(rec *httpd.RequestRec) bool {
 	return strings.Contains(rec.URI, "\\")
 }
 
-func (g *Guard) auditDecision(rec *httpd.RequestRec, ans *gaa.Answer) {
+func (g *Guard) auditDecision(rec *httpd.RequestRec, right string, ans *gaa.Answer) {
 	if g.cfg.Audit == nil {
 		return
 	}
@@ -390,7 +393,7 @@ func (g *Guard) auditDecision(rec *httpd.RequestRec, ans *gaa.Answer) {
 		Time:     rec.Time,
 		Kind:     "gaa_check_authorization",
 		Object:   rec.Object(),
-		Right:    g.cfg.Authority + " " + rec.Method + " " + rec.Path,
+		Right:    right,
 		Decision: ans.Decision.String(),
 		ClientIP: rec.ClientIP,
 		User:     rec.User,

@@ -1,9 +1,6 @@
 package httpd
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // FormatCLF renders one NCSA Common Log Format line — the log format
 // Almgren et al.'s offline monitor (paper section 10, related work)
@@ -11,20 +8,31 @@ import (
 //
 //	host ident authuser [date] "request" status bytes
 func FormatCLF(rec *RequestRec, status, bytes int) string {
-	user := rec.User
-	if user == "" {
-		user = "-"
+	var buf [192]byte // longer lines grow onto the heap, then get copied
+	return string(AppendCLF(buf[:0], rec, status, bytes))
+}
+
+// AppendCLF appends the line FormatCLF renders to dst and returns the
+// extended buffer; it allocates only to grow dst.
+func AppendCLF(dst []byte, rec *RequestRec, status, bytes int) []byte {
+	dst = append(dst, rec.ClientIP...)
+	dst = append(dst, " - "...)
+	if rec.User == "" {
+		dst = append(dst, '-')
+	} else {
+		dst = append(dst, rec.User...)
 	}
-	size := "-"
+	dst = append(dst, " ["...)
+	dst = rec.Time.AppendFormat(dst, "02/Jan/2006:15:04:05 -0700")
+	dst = append(dst, "] "...)
+	dst = strconv.AppendQuote(dst, rec.URI)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
 	if bytes > 0 {
-		size = strconv.Itoa(bytes)
+		dst = strconv.AppendInt(dst, int64(bytes), 10)
+	} else {
+		dst = append(dst, '-')
 	}
-	return fmt.Sprintf("%s - %s [%s] %q %d %s",
-		rec.ClientIP,
-		user,
-		rec.Time.Format("02/Jan/2006:15:04:05 -0700"),
-		rec.URI,
-		status,
-		size,
-	)
+	return dst
 }

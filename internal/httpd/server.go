@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -239,11 +238,23 @@ func (s *Server) finish(w http.ResponseWriter, rec *RequestRec, code int, body, 
 	}
 }
 
+// clfPool recycles access-log line buffers.
+var clfPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// logCLF hands the access-log line and its newline to the writer in
+// one Write, formatted into a pooled buffer.
 func (s *Server) logCLF(rec *RequestRec, code, bytes int) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
-	fmt.Fprintln(s.cfg.AccessLog, FormatCLF(rec, code, bytes))
+	buf := clfPool.Get().(*[]byte)
+	line := append(AppendCLF((*buf)[:0], rec, code, bytes), '\n')
+	// A failing access log must not fail the request it records.
+	_, _ = s.cfg.AccessLog.Write(line)
+	if cap(line) <= 4096 { // a pathological URI's buffer is not kept
+		*buf = line
+	}
+	clfPool.Put(buf)
 }
 
 // countingWriter credits written bytes to the usage accounting.

@@ -210,23 +210,38 @@ func (s *Set) Unblock(addr string) {
 }
 
 // Blocked reports whether ip is currently blocked, expiring stale
-// entries as a side effect.
+// entries as a side effect. It runs ahead of every request, so the
+// common answer — not blocked, no ranges — costs one map lookup: the
+// clock is read only when a deadline has to be compared, and ip is
+// parsed only when there are ranges to test it against.
 func (s *Set) Blocked(ip string) bool {
-	now := s.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var now time.Time
+	expired := func(expiry time.Time) bool {
+		if expiry.IsZero() {
+			return false // permanent
+		}
+		if now.IsZero() {
+			now = s.clock()
+		}
+		return !now.Before(expiry)
+	}
 	if expiry, ok := s.hosts[ip]; ok {
-		if expiry.IsZero() || now.Before(expiry) {
+		if !expired(expiry) {
 			return true
 		}
 		delete(s.hosts, ip)
+	}
+	if len(s.nets) == 0 {
+		return false
 	}
 	parsed := net.ParseIP(ip)
 	kept := s.nets[:0]
 	blocked := false
 	for _, n := range s.nets {
-		if !n.expiry.IsZero() && !now.Before(n.expiry) {
-			continue // expired
+		if expired(n.expiry) {
+			continue
 		}
 		kept = append(kept, n)
 		if parsed != nil && n.ipnet.Contains(parsed) {

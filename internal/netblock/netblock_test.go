@@ -271,3 +271,43 @@ func TestApplyEventDoesNotJournal(t *testing.T) {
 		t.Fatalf("ApplyEvent invoked the journal %d times; replication would loop", hook)
 	}
 }
+
+// TestBlockedReadsClockOnlyForDeadlines pins the per-request miss path:
+// no deadline to compare, no clock read.
+func TestBlockedReadsClockOnlyForDeadlines(t *testing.T) {
+	clk := newClock()
+	reads := 0
+	s := NewSet(WithClock(func() time.Time { reads++; return clk.Now() }))
+	s.Block("10.0.0.66", 0)
+	s.Block("192.168.0.0/24", 0)
+	reads = 0
+	for _, tc := range []struct {
+		ip   string
+		want bool
+	}{{"10.0.0.1", false}, {"10.0.0.66", true}, {"192.168.0.7", true}, {"not-an-ip", false}} {
+		if got := s.Blocked(tc.ip); got != tc.want {
+			t.Errorf("Blocked(%q) = %v, want %v", tc.ip, got, tc.want)
+		}
+	}
+	if reads != 0 {
+		t.Errorf("clock read %d times with only permanent blocks, want 0", reads)
+	}
+
+	s.Block("10.0.0.67", time.Minute)
+	s.Block("172.16.0.0/16", time.Minute)
+	reads = 0
+	if !s.Blocked("10.0.0.67") || reads != 1 {
+		t.Errorf("timed host block: clock read %d times, want 1 (and blocked)", reads)
+	}
+	reads = 0
+	if !s.Blocked("172.16.1.1") || reads != 1 {
+		t.Errorf("timed range block: clock read %d times, want 1 (and blocked)", reads)
+	}
+	clk.Advance(2 * time.Minute)
+	if s.Blocked("10.0.0.67") || s.Blocked("172.16.1.1") {
+		t.Error("timed blocks outlived their deadlines")
+	}
+	if got := len(s.Entries()); got != 2 {
+		t.Errorf("%d entries after expiry, want the 2 permanent ones", got)
+	}
+}
