@@ -98,11 +98,11 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	if a.n == nil {
 		return gaa.UnevaluatedOutcome("no notifier configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	tag, rest := infoTag(args)
@@ -145,11 +145,11 @@ func (a updateLogAction) Evaluate(_ context.Context, cond eacl.Condition, req *g
 	if a.store == nil {
 		return gaa.UnevaluatedOutcome("no group store configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	tag, rest := infoTag(args)
@@ -187,11 +187,11 @@ func (a auditAction) Evaluate(ctx context.Context, cond eacl.Condition, req *gaa
 	if a.log == nil {
 		return gaa.UnevaluatedOutcome("no audit logger configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	tag, _ := infoTag(args)
@@ -235,11 +235,11 @@ func (a threatAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.
 	if a.mgr == nil {
 		return gaa.UnevaluatedOutcome("no threat manager configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	_, rest := infoTag(args)
@@ -268,11 +268,11 @@ func (a blockAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 	if a.set == nil {
 		return gaa.UnevaluatedOutcome("no block set configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	var dur time.Duration
@@ -313,11 +313,11 @@ func (a countAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 	if a.counters == nil {
 		return gaa.UnevaluatedOutcome("no counter store configured")
 	}
-	trig, args, err := parseValue(cond.Value)
+	args, fires, err := parseValue(cond, req)
 	if err != nil {
 		return badValue(err)
 	}
-	if !trig.fires(cond, req) {
+	if !fires {
 		return skipped()
 	}
 	_, rest := infoTag(args)

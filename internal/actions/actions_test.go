@@ -386,16 +386,27 @@ post_cond_notify local on:failure/sysadmin/info:opfailed
 }
 
 func TestParseValueDefaultsToAny(t *testing.T) {
-	trig, args, err := parseValue("justarg/info:x")
-	if err != nil || trig != onAny {
-		t.Errorf("parseValue = %v, %v, %v", trig, args, err)
-	}
-	if len(args) != 2 {
-		t.Errorf("args = %v", args)
+	value := func(v string) eacl.Condition { return eacl.Condition{Block: eacl.BlockRequestResult, Value: v} }
+	for _, status := range []gaa.Decision{gaa.Yes, gaa.No, gaa.Maybe} {
+		args, fires, err := parseValue(value("justarg/info:x"), &gaa.Request{Decision: status})
+		if err != nil || !fires {
+			t.Errorf("status %v: parseValue = %v, %v, %v", status, args, fires, err)
+		}
+		if len(args) != 2 {
+			t.Errorf("args = %v", args)
+		}
 	}
 	// Empty segments dropped.
-	_, args, err = parseValue("on:any//x/")
+	args, _, err := parseValue(value("on:any//x/"), &gaa.Request{})
 	if err != nil || len(args) != 1 || args[0] != "x" {
 		t.Errorf("args = %v, err=%v", args, err)
+	}
+	// A trigger that stays quiet parses no arguments; an unknown one is
+	// an error whether or not it would have fired.
+	if args, fires, err := parseValue(value("on:failure/a/b"), &gaa.Request{Decision: gaa.Yes}); err != nil || fires || args != nil {
+		t.Errorf("quiet trigger: %v, %v, %v", args, fires, err)
+	}
+	if _, _, err := parseValue(value("on:sometimes/a"), &gaa.Request{Decision: gaa.Yes}); err == nil {
+		t.Error("unknown trigger accepted")
 	}
 }

@@ -31,14 +31,15 @@ const (
 	onFailure
 )
 
-// parseValue splits an action value "on:failure/arg1/arg2" into the
-// trigger and the remaining slash-separated arguments. A value without
-// an on: prefix defaults to on:any.
-func parseValue(value string) (trigger, []string, error) {
-	parts := strings.Split(value, "/")
+// parseValue reads an action value "on:failure/arg1/arg2": whether its
+// trigger fires for the phase status in req and, only when it does, the
+// remaining slash-separated arguments — an action that stays quiet
+// splits nothing. A value without an on: prefix defaults to on:any.
+func parseValue(cond eacl.Condition, req *gaa.Request) (args []string, fires bool, err error) {
+	rest := cond.Value
 	trig := onAny
-	if len(parts) > 0 && strings.HasPrefix(parts[0], "on:") {
-		switch strings.TrimPrefix(parts[0], "on:") {
+	if head, tail, _ := strings.Cut(rest, "/"); strings.HasPrefix(head, "on:") {
+		switch strings.TrimPrefix(head, "on:") {
 		case "any":
 			trig = onAny
 		case "success":
@@ -46,18 +47,22 @@ func parseValue(value string) (trigger, []string, error) {
 		case "failure":
 			trig = onFailure
 		default:
-			return 0, nil, fmt.Errorf("unknown trigger %q", parts[0])
+			return nil, false, fmt.Errorf("unknown trigger %q", head)
 		}
-		parts = parts[1:]
+		rest = tail
+	}
+	if !trig.fires(cond, req) {
+		return nil, false, nil
 	}
 	// Drop empty segments from values like "on:any/".
-	args := parts[:0]
+	parts := strings.Split(rest, "/")
+	args = parts[:0]
 	for _, p := range parts {
 		if p != "" {
 			args = append(args, p)
 		}
 	}
-	return trig, args, nil
+	return args, true, nil
 }
 
 // fires reports whether the trigger matches the phase status: the

@@ -15,13 +15,13 @@ import (
 )
 
 // This file implements gaa.CondCompiler for the cheap built-in
-// selectors and requirements: condition-value parsing, pattern
-// compilation (CIDRs, regexps) and detail-string formatting move to
-// policy-compile time, leaving only the per-request test on the hot
-// path. Every CompileCond must reproduce the corresponding Evaluate
-// byte-for-byte for trace-disabled requests — when a value cannot be
-// fully pre-resolved (it would evaluate to an error or a
-// value-dependent MAYBE), compilation is refused and Evaluate keeps
+// selectors and requirements: condition-value parsing and pattern
+// compilation (CIDRs, regexps, glob shapes) move to policy-compile
+// time, leaving only the per-request test on the hot path, answered as
+// one gaa.CondVerdict word. Every CompileCond must reproduce the
+// result, class and challenge of the corresponding Evaluate — when a
+// value cannot be fully pre-resolved (it would evaluate to an error or
+// a value-dependent MAYBE), compilation is refused and Evaluate keeps
 // producing those outcomes per occurrence (the condition stays
 // dynamic). The differential fuzz test in internal/gaa pins the
 // equivalence.
@@ -41,9 +41,18 @@ var (
 	_ gaa.CondCompiler = redirectEvaluator{}
 )
 
+// selector is the verdict of a selector test.
+func selector(met bool) gaa.CondVerdict {
+	if met {
+		return gaa.CondYes
+	}
+	return gaa.CondNo
+}
+
 // --- system_threat_level ---
 
 type threatCompiled struct {
+	gaa.NoChallenge
 	provider ids.LevelProvider
 	op       comparator
 	want     ids.Level
@@ -65,21 +74,16 @@ func (t threatEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, boo
 	return threatCompiled{provider: t.provider, op: op, want: want}, true
 }
 
-func (c threatCompiled) EvalCompiled(*gaa.Request) gaa.Outcome {
-	if c.op.holdsInt(int64(c.provider.Level()), int64(c.want)) {
-		return gaa.MetOutcome(gaa.ClassSelector, "threat level matches")
-	}
-	return gaa.FailedOutcome(gaa.ClassSelector, "threat level differs")
+func (c threatCompiled) EvalCompiled(*gaa.Request) gaa.CondVerdict {
+	return selector(c.op.holdsInt(int64(c.provider.Level()), int64(c.want)))
 }
 
 // --- time_window ---
 
 type timeWindowCompiled struct {
+	gaa.NoChallenge
 	start, end int
-	checkDays  bool
 	days       uint8 // bit i set: time.Weekday(i) allowed
-	dayFail    [7]string
-	met, fail  string
 }
 
 // CompileCond implements gaa.CondCompiler. The window bounds and the
@@ -94,14 +98,9 @@ func (timeWindowEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, b
 	if err != nil {
 		return nil, false
 	}
-	c := timeWindowCompiled{
-		start: start,
-		end:   end,
-		met:   "inside window " + fields[0],
-		fail:  "outside window " + fields[0],
-	}
+	c := timeWindowCompiled{start: start, end: end, days: 1<<7 - 1} // every day, unless a day field narrows it
 	if len(fields) == 2 {
-		c.checkDays = true
+		c.days = 0
 		for d := time.Sunday; d <= time.Saturday; d++ {
 			ok, err := dayMatches(fields[1], d)
 			if err != nil {
@@ -110,28 +109,21 @@ func (timeWindowEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, b
 			if ok {
 				c.days |= 1 << uint(d)
 			}
-			c.dayFail[d] = d.String() + " outside " + fields[1]
 		}
 	}
 	return c, true
 }
 
-func (c timeWindowCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c timeWindowCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	now := req.Time
-	if c.checkDays && c.days&(1<<uint(now.Weekday())) == 0 {
-		return gaa.FailedOutcome(gaa.ClassSelector, c.dayFail[now.Weekday()])
+	if c.days&(1<<uint(now.Weekday())) == 0 {
+		return gaa.CondNo
 	}
 	cur := now.Hour()*60 + now.Minute()
-	var inside bool
 	if c.start <= c.end {
-		inside = cur >= c.start && cur < c.end
-	} else { // wraps midnight
-		inside = cur >= c.start || cur < c.end
+		return selector(cur >= c.start && cur < c.end)
 	}
-	if inside {
-		return gaa.MetOutcome(gaa.ClassSelector, c.met)
-	}
-	return gaa.FailedOutcome(gaa.ClassSelector, c.fail)
+	return selector(cur >= c.start || cur < c.end) // wraps midnight
 }
 
 // --- location ---
@@ -139,12 +131,11 @@ func (c timeWindowCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
 type locationPattern struct {
 	cidr *net.IPNet // nil: raw glob pattern
 	glob string
-	raw  string
 }
 
 type locationCompiled struct {
+	gaa.NoChallenge
 	defAuth string
-	value   string
 	pats    []locationPattern
 }
 
@@ -157,57 +148,111 @@ func (locationEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, boo
 	if len(patterns) == 0 {
 		return nil, false
 	}
-	c := locationCompiled{defAuth: cond.DefAuth, value: cond.Value}
+	c := locationCompiled{defAuth: cond.DefAuth}
 	for _, p := range patterns {
 		if strings.Contains(p, "/") {
 			_, ipnet, err := net.ParseCIDR(p)
 			if err != nil {
 				return nil, false
 			}
-			c.pats = append(c.pats, locationPattern{cidr: ipnet, raw: p})
+			c.pats = append(c.pats, locationPattern{cidr: ipnet})
 			continue
 		}
-		c.pats = append(c.pats, locationPattern{glob: p, raw: p})
+		c.pats = append(c.pats, locationPattern{glob: p})
 	}
 	return c, true
 }
 
-func (c locationCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c locationCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	ip, ok := req.Params.Get(gaa.ParamClientIP, c.defAuth)
 	if !ok || ip == "" {
-		return gaa.UnevaluatedOutcome("no client address parameter")
+		return gaa.CondMaybe
 	}
 	parsed := net.ParseIP(ip)
 	for _, p := range c.pats {
 		if p.cidr != nil {
 			if parsed != nil && p.cidr.Contains(parsed) {
-				return gaa.MetOutcome(gaa.ClassSelector, ip+" in "+p.raw)
+				return gaa.CondYes
 			}
 			continue
 		}
 		if eacl.Glob(p.glob, ip) {
-			return gaa.MetOutcome(gaa.ClassSelector, ip+" matches "+p.raw)
+			return gaa.CondYes
 		}
 	}
-	return gaa.FailedOutcome(gaa.ClassSelector, ip+" outside "+c.value)
+	return gaa.CondNo
 }
 
 // --- regex ---
 
+// globShape is what a glob pattern was recognized as at compile time.
+// The paper's signature lists ("*phf* *test-cgi*") are substring
+// searches written as globs; matching them as such skips eacl.Glob's
+// byte-by-byte backtracking walk. eacl.Glob stays the definition:
+// FuzzGlobShapes holds every shape to it.
+type globShape uint8
+
+const (
+	globGeneral  globShape = iota // eacl.Glob(lit, s)
+	globExact                     // no star
+	globPrefix                    // lit*
+	globSuffix                    // *lit
+	globContains                  // *lit*
+)
+
+type compiledGlob struct {
+	shape globShape
+	lit   string // the literal part; the whole pattern for globGeneral
+}
+
+// compileGlob classifies pattern; a run of '*' at either end reads as
+// one star, and all stars as *""*.
+func compileGlob(pattern string) compiledGlob {
+	lit := strings.Trim(pattern, "*")
+	lead, trail := strings.HasPrefix(pattern, "*"), strings.HasSuffix(pattern, "*")
+	switch {
+	case strings.Contains(lit, "*"):
+		return compiledGlob{globGeneral, pattern}
+	case lead && trail:
+		return compiledGlob{globContains, lit}
+	case lead:
+		return compiledGlob{globSuffix, lit}
+	case trail:
+		return compiledGlob{globPrefix, lit}
+	default:
+		return compiledGlob{globExact, lit}
+	}
+}
+
+func (g compiledGlob) match(s string) bool {
+	switch g.shape {
+	case globExact:
+		return s == g.lit
+	case globPrefix:
+		return strings.HasPrefix(s, g.lit)
+	case globSuffix:
+		return strings.HasSuffix(s, g.lit)
+	case globContains:
+		return strings.Contains(s, g.lit)
+	default:
+		return eacl.Glob(g.lit, s)
+	}
+}
+
 type regexPattern struct {
 	re   *regexp.Regexp // nil: glob pattern
-	glob string
-	met  string
+	glob compiledGlob
 }
 
 type regexCompiled struct {
+	gaa.NoChallenge
 	defAuth string
 	pats    []regexPattern
 }
 
 // CompileCond implements gaa.CondCompiler: "re:" patterns compile once
-// (bypassing the shared regex cache and its lock) and the match
-// details are pre-formatted.
+// (bypassing the shared regex cache and its lock) and globs are
+// classified into their shapes.
 func (regexEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	patterns := splitFields(cond.Value)
 	if len(patterns) == 0 {
@@ -220,41 +265,40 @@ func (regexEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) 
 			if err != nil {
 				return nil, false
 			}
-			c.pats = append(c.pats, regexPattern{re: re, met: "regexp " + expr + " matched"})
+			c.pats = append(c.pats, regexPattern{re: re})
 			continue
 		}
-		c.pats = append(c.pats, regexPattern{glob: p, met: "pattern " + p + " matched"})
+		c.pats = append(c.pats, regexPattern{glob: compileGlob(p)})
 	}
 	return c, true
 }
 
-func (c regexCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c regexCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	subject, ok := req.Params.Get(gaa.ParamRequestURI, c.defAuth)
 	if !ok {
-		return gaa.UnevaluatedOutcome("no request_uri parameter")
+		return gaa.CondMaybe
 	}
-	for _, p := range c.pats {
+	for i := range c.pats {
+		p := &c.pats[i]
 		if p.re != nil {
 			if p.re.MatchString(subject) {
-				return gaa.MetOutcome(gaa.ClassSelector, p.met)
+				return gaa.CondYes
 			}
-			continue
-		}
-		if eacl.Glob(p.glob, subject) {
-			return gaa.MetOutcome(gaa.ClassSelector, p.met)
+		} else if p.glob.match(subject) {
+			return gaa.CondYes
 		}
 	}
-	return gaa.FailedOutcome(gaa.ClassSelector, "no pattern matched")
+	return gaa.CondNo
 }
 
 // --- expr ---
 
 type exprCompiled struct {
+	gaa.NoChallenge
 	param   string
 	defAuth string
 	op      comparator
 	want    int64
-	missing string
 }
 
 // CompileCond implements gaa.CondCompiler.
@@ -267,24 +311,15 @@ func (exprEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return exprCompiled{
-		param:   left,
-		defAuth: cond.DefAuth,
-		op:      op,
-		want:    want,
-		missing: "no numeric parameter " + left,
-	}, true
+	return exprCompiled{param: left, defAuth: cond.DefAuth, op: op, want: want}, true
 }
 
-func (c exprCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c exprCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	got, ok := req.Params.GetInt(c.param, c.defAuth)
 	if !ok {
-		return gaa.UnevaluatedOutcome(c.missing)
+		return gaa.CondMaybe
 	}
-	if c.op.holdsInt(got, c.want) {
-		return gaa.MetOutcome(gaa.ClassSelector, "expr holds")
-	}
-	return gaa.FailedOutcome(gaa.ClassSelector, "expr does not hold")
+	return selector(c.op.holdsInt(got, c.want))
 }
 
 // --- accessid_USER ---
@@ -305,43 +340,32 @@ func (userEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	}, true
 }
 
-func (c userCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
-	user, ok := req.Params.Get(gaa.ParamUser, c.defAuth)
-	if !ok || user == "" {
-		return gaa.Outcome{
-			Result:    gaa.No,
-			Class:     gaa.ClassRequirement,
-			Challenge: c.challenge,
-			Detail:    "no authenticated user",
+func (c userCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
+	if user, ok := req.Params.Get(gaa.ParamUser, c.defAuth); ok && user != "" {
+		for _, want := range c.patterns {
+			if eacl.Glob(want, user) {
+				return gaa.CondYes | gaa.CondRequirement
+			}
 		}
 	}
-	for _, want := range c.patterns {
-		if eacl.Glob(want, user) {
-			return gaa.MetOutcome(gaa.ClassRequirement, "user "+user)
-		}
-	}
-	return gaa.Outcome{
-		Result:    gaa.No,
-		Class:     gaa.ClassRequirement,
-		Challenge: c.challenge,
-		Detail:    "user not in list",
-	}
+	return gaa.CondNo | gaa.CondRequirement | gaa.CondChallenge
 }
+
+// Challenge implements gaa.CompiledCond.
+func (c userCompiled) Challenge() string { return c.challenge }
 
 // --- accessid_GROUP ---
 
 type groupCompiled struct {
+	gaa.NoChallenge
 	store   *groups.Store
 	defAuth string
 	group   string
-	met     string
-	fail    string
 }
 
 // CompileCond implements gaa.CondCompiler. The store lookup stays per
 // request (membership is live adaptive state — the section 7.2 BadGuys
-// blacklist grows under attack) but trimming and detail formatting
-// hoist out.
+// blacklist grows under attack) but trimming hoists out.
 func (g groupEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	if g.store == nil {
 		return nil, false
@@ -350,31 +374,26 @@ func (g groupEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool
 	if group == "" {
 		return nil, false
 	}
-	return groupCompiled{
-		store:   g.store,
-		defAuth: cond.DefAuth,
-		group:   group,
-		met:     "member of " + group,
-		fail:    "not a member of " + group,
-	}, true
+	return groupCompiled{store: g.store, defAuth: cond.DefAuth, group: group}, true
 }
 
-func (c groupCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c groupCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	for _, paramType := range [...]string{gaa.ParamGroupKey, gaa.ParamUser, gaa.ParamClientIP} {
 		key, ok := req.Params.Get(paramType, c.defAuth)
 		if !ok || key == "" {
 			continue
 		}
 		if c.store.Contains(c.group, key) {
-			return gaa.MetOutcome(gaa.ClassSelector, c.met)
+			return gaa.CondYes
 		}
 	}
-	return gaa.FailedOutcome(gaa.ClassSelector, c.fail)
+	return gaa.CondNo
 }
 
 // --- accessid_HOST ---
 
 type hostCompiled struct {
+	gaa.NoChallenge
 	defAuth  string
 	patterns []string
 }
@@ -384,25 +403,25 @@ func (hostEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	return hostCompiled{defAuth: cond.DefAuth, patterns: splitFields(cond.Value)}, true
 }
 
-func (c hostCompiled) EvalCompiled(req *gaa.Request) gaa.Outcome {
+func (c hostCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	host, ok := req.Params.Get(gaa.ParamClientHost, c.defAuth)
 	if !ok || host == "" {
 		host, ok = req.Params.Get(gaa.ParamClientIP, c.defAuth)
 	}
 	if !ok || host == "" {
-		return gaa.UnevaluatedOutcome("no client host parameter")
+		return gaa.CondMaybe
 	}
 	for _, want := range c.patterns {
 		if eacl.Glob(want, host) {
-			return gaa.MetOutcome(gaa.ClassSelector, "host "+host)
+			return gaa.CondYes
 		}
 	}
-	return gaa.FailedOutcome(gaa.ClassSelector, "host not in list")
+	return gaa.CondNo
 }
 
 // --- redirect ---
 
-type redirectCompiled struct{}
+type redirectCompiled struct{ gaa.NoChallenge }
 
 // CompileCond implements gaa.CondCompiler: the outcome is a constant
 // by design.
@@ -410,6 +429,4 @@ func (redirectEvaluator) CompileCond(eacl.Condition) (gaa.CompiledCond, bool) {
 	return redirectCompiled{}, true
 }
 
-func (redirectCompiled) EvalCompiled(*gaa.Request) gaa.Outcome {
-	return gaa.UnevaluatedOutcome("redirect deferred to the application")
-}
+func (redirectCompiled) EvalCompiled(*gaa.Request) gaa.CondVerdict { return gaa.CondMaybe }

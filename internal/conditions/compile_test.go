@@ -12,10 +12,11 @@ import (
 )
 
 // TestCompiledCondParity compiles every compilable builtin condition
-// and requires EvalCompiled to reproduce the interpreter's Outcome
-// byte for byte — details and challenges included — across a request
-// matrix. This is the per-evaluator complement of package gaa's
-// differential fuzz: it pins each compiler in isolation.
+// and requires EvalCompiled's verdict word to carry what the scan reads
+// of the interpreter's Outcome — result, class, unevaluated-ness and
+// challenge — across a request matrix. This is the per-evaluator
+// complement of package gaa's differential fuzz: it pins each compiler
+// in isolation.
 func TestCompiledCondParity(t *testing.T) {
 	grp := groups.NewStore()
 	grp.Add("BadGuys", "10.9.9.9")
@@ -58,6 +59,7 @@ func TestCompiledCondParity(t *testing.T) {
 		{"location", "10.0.0.0/8 192.168.*", true},
 		{"location", "10.0.0.0/8 999.0.0.0/8", false},
 		{"regex", "*phf* *cmd.exe*", true},
+		{"regex", "GET /index.html *.html GET /cgi-bin/* **phf** GET*x", true}, // every glob shape
 		{"regex", "re:^GET /cgi-bin/.*$", true},
 		{"regex", "re:(", false},
 		{"expr", "input_length>1000", true},
@@ -94,9 +96,9 @@ func TestCompiledCondParity(t *testing.T) {
 				req.Time = at
 				got := cc.EvalCompiled(&req)
 				want := ev.Evaluate(context.Background(), cond, &req)
-				if !outcomeEq(got, want) {
-					t.Errorf("%s %q req %d time %d:\n  compiled    %+v\n  interpreted %+v",
-						tc.typ, tc.value, ri, ti, got, want)
+				if !verdictCarries(got, cc.Challenge(), want) {
+					t.Errorf("%s %q req %d time %d:\n  compiled    %04b challenge %q\n  interpreted %+v",
+						tc.typ, tc.value, ri, ti, got, cc.Challenge(), want)
 				}
 			}
 		}
@@ -127,16 +129,20 @@ func TestCompileCondRefusals(t *testing.T) {
 	}
 }
 
-func outcomeEq(a, b gaa.Outcome) bool {
-	if a.Result != b.Result || a.Class != b.Class || a.Unevaluated != b.Unevaluated ||
-		a.Challenge != b.Challenge || a.Detail != b.Detail || a.Fault != b.Fault {
+// verdictCarries reports whether verdict word v (of a condition whose
+// compile-time challenge is challenge) says what Outcome o says.
+func verdictCarries(v gaa.CondVerdict, challenge string, o gaa.Outcome) bool {
+	if o.Fault != gaa.FaultNone || o.Err != nil {
+		return false // a compilable value never degrades
+	}
+	if o.Class == 0 {
+		o.Class = gaa.ClassSelector // the zero class reads as selector
+	}
+	if (v&gaa.CondRequirement != 0) != (o.Class == gaa.ClassRequirement) {
 		return false
 	}
-	if (a.Err == nil) != (b.Err == nil) {
-		return false
+	if v&gaa.CondChallenge == 0 {
+		challenge = ""
 	}
-	if a.Err != nil && a.Err.Error() != b.Err.Error() {
-		return false
-	}
-	return true
+	return v.Result() == o.Result && o.Unevaluated == (v.Result() == gaa.Maybe) && challenge == o.Challenge
 }

@@ -43,15 +43,41 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzGlob checks the matcher never panics and is consistent with the
-// trivial containment facts.
+// globRef is Glob's definition written for obviousness, not speed: a
+// star matches every split of the subject, any other byte matches
+// itself. Exponential in the number of stars; fuzz inputs are short.
+func globRef(pattern, s string) bool {
+	if pattern == "" {
+		return s == ""
+	}
+	if pattern[0] == '*' {
+		for i := 0; i <= len(s); i++ {
+			if globRef(pattern[1:], s[i:]) {
+				return true
+			}
+		}
+		return false
+	}
+	return s != "" && pattern[0] == s[0] && globRef(pattern[1:], s[1:])
+}
+
+// FuzzGlob holds the iterative matcher to its definition (globRef) —
+// it is in turn the reference for the compiled engine's tries and glob
+// shapes — and to the trivial containment facts.
 func FuzzGlob(f *testing.F) {
 	f.Add("*phf*", "GET /cgi-bin/phf")
 	f.Add("a*b*c", "abc")
 	f.Add("", "")
 	f.Add("***", "anything")
+	f.Add("*a*a*a*b", "aaaaaaaaaaaaaaaa")
+	f.Add("a*\x00", "a\xff\x00")
 	f.Fuzz(func(t *testing.T, pattern, s string) {
 		got := Glob(pattern, s)
+		if strings.Count(pattern, "*") <= 4 && len(s) <= 32 { // keeps globRef's worst case small
+			if want := globRef(pattern, s); got != want {
+				t.Fatalf("Glob(%q, %q) = %v, definition says %v", pattern, s, got, want)
+			}
+		}
 		// "*" + pattern + "*" must match at least everything pattern
 		// matches (widening property).
 		if got && !Glob("*"+pattern+"*", s) {

@@ -262,7 +262,8 @@ func (a *API) CheckAuthorization(ctx context.Context, p *Policy, req *Request) (
 // caller-supplied Answer, the zero-allocation entry point for servers
 // that reuse a per-connection Answer: with tracing disabled, a grant
 // or deny on a cached policy allocates nothing. Any previous contents
-// of ans are overwritten.
+// of ans are overwritten, but the arrays behind ans.Mid and ans.Post are
+// reused: a caller keeping those lists past the next call copies them.
 func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Request, ans *Answer) error {
 	if p == nil {
 		return fmt.Errorf("nil policy")
@@ -275,7 +276,8 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 	}
 	st := a.getState(req)
 	a.compiled.runs.Add(1)
-	res := a.evaluatePolicyCompiled(ctx, p, &st.req, st)
+	var res evalResult
+	a.evaluatePolicyCompiled(ctx, p, &st.req, st, &res)
 	a.conclude(ctx, st, &res, ans)
 	if m != nil {
 		m.check.record(sampled, start, m.weight, ans.Decision)
@@ -288,17 +290,19 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 // and recycles st.
 func (a *API) conclude(ctx context.Context, st *evalState, res *evalResult, ans *Answer) {
 	*ans = Answer{
-		Decision:    res.decision,
-		Applicable:  res.applicable,
+		Decision:    res.Decision,
+		Applicable:  res.Applicable,
 		Unevaluated: res.unevaluated,
-		Challenge:   res.challenge,
+		Challenge:   res.Challenge,
+		Mid:         ans.Mid[:0],
+		Post:        ans.Post[:0],
 		Trace:       res.trace,
 		Faults:      res.faults,
 	}
 	r := &st.req
 	r.Decision = ans.Decision
 	for _, d := range st.deciders {
-		dec, evaluated := a.evaluateEntryBlock(ctx, d.source, d.entry, eacl.BlockRequestResult, r, &ans.Trace, &ans.Faults)
+		dec, evaluated := a.evaluateBlock(ctx, d.source, d.entry.Line, d.entry.Conditions, eacl.BlockRequestResult, r, &ans.Trace, &ans.Faults)
 		if evaluated {
 			ans.Decision = Conjoin(ans.Decision, dec)
 		}
@@ -339,7 +343,8 @@ func (a *API) ExecutionControl(ctx context.Context, ans *Answer, req *Request, u
 	r := &st.req
 	r.Decision = ans.Decision
 	r.Params = r.Params.With(usage...)
-	dec, trace := a.evaluateBlock(ctx, "mid", 0, ans.Mid, r)
+	var trace []TraceEvent
+	dec, _ := a.evaluateBlock(ctx, "mid", 0, ans.Mid, eacl.BlockMid, r, &trace, nil)
 	putState(st)
 	if m != nil {
 		m.mid.record(sampled, start, m.weight, dec)
@@ -370,7 +375,8 @@ func (a *API) PostExecutionActions(ctx context.Context, ans *Answer, req *Reques
 		Authority: AuthorityAny,
 		Value:     opStatus.String(),
 	})
-	dec, trace := a.evaluateBlock(ctx, "post", 0, ans.Post, r)
+	var trace []TraceEvent
+	dec, _ := a.evaluateBlock(ctx, "post", 0, ans.Post, eacl.BlockPost, r, &trace, nil)
 	putState(st)
 	if m != nil {
 		m.post.record(sampled, start, m.weight, dec)

@@ -83,13 +83,22 @@ type fastCond struct {
 	panics bool
 }
 
-func (c fastCond) EvalCompiled(*Request) Outcome {
+func (c fastCond) EvalCompiled(*Request) CondVerdict {
 	c.n.Add(1)
 	if c.panics {
 		panic("compiled boom")
 	}
-	return c.out
+	v := CondVerdict(c.out.Result)
+	if c.out.Class == ClassRequirement {
+		v |= CondRequirement
+	}
+	if c.out.Challenge != "" {
+		v |= CondChallenge
+	}
+	return v
 }
+
+func (c fastCond) Challenge() string { return c.out.Challenge }
 
 func memPolicy(t *testing.T, a *API, text string) *Policy {
 	t.Helper()

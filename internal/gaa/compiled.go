@@ -3,6 +3,7 @@ package gaa
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -32,15 +33,23 @@ import (
 // time: parsing, pattern compilation and static lookups are done once,
 // and EvalCompiled performs only the per-request test. Implementations
 // must be pure per request — two calls with the same request must
-// return the same Outcome — because the engine memoizes the outcome
-// across entries of one request. They must produce exactly the Outcome
-// the evaluator they were compiled from would produce for a
-// trace-disabled request (a traced request evaluates every condition
-// through its evaluator instead, so Detail strings stay the
-// evaluator's own).
+// return the same verdict — because the engine memoizes it across
+// entries of one request. The verdict must carry the result, class and
+// challenge of the Outcome the evaluator they were compiled from would
+// produce (a traced request evaluates every condition through its
+// evaluator instead, which is where Detail strings come from).
 type CompiledCond interface {
-	EvalCompiled(req *Request) Outcome
+	EvalCompiled(req *Request) CondVerdict
+	// Challenge is the condition's compile-time challenge, read only
+	// when a verdict carrying CondChallenge denies the request.
+	Challenge() string
 }
+
+// NoChallenge is embedded by compiled conditions that never challenge.
+type NoChallenge struct{}
+
+// Challenge implements CompiledCond.
+func (NoChallenge) Challenge() string { return "" }
 
 // CondCompiler is implemented by evaluators that can specialize some
 // of their conditions at policy-compile time. CompileCond returns
@@ -115,7 +124,7 @@ type compiledEntry struct {
 type compiledCond struct {
 	cond eacl.Condition
 	// fast is nil for dynamic conditions (evaluated per occurrence);
-	// memo is the request-scoped memoization slot of fast outcomes.
+	// memo is the request-scoped memoization slot of fast verdicts.
 	fast CompiledCond
 	memo int32
 }
@@ -242,12 +251,13 @@ func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
 	return u
 }
 
-// constCond is a compiled condition with a fixed outcome.
+// constCond is a compiled condition with a fixed verdict.
 type constCond struct {
-	out Outcome
+	NoChallenge
+	v CondVerdict
 }
 
-func (c constCond) EvalCompiled(*Request) Outcome { return c.out }
+func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 
 // compileCond specializes one pre-condition, or returns nil to keep it
 // dynamic. The eligibility rules guarantee the hoisted test reproduces
@@ -267,12 +277,12 @@ func (c constCond) EvalCompiled(*Request) Outcome { return c.out }
 // state, so it runs inline even under WithEvaluatorTimeout; the
 // deadline guards the dynamic calls, which are the ones that can block.
 func (a *API) compileCond(cond eacl.Condition) CompiledCond {
-	if containsAt(cond.Value) {
+	if strings.Contains(cond.Value, "@") {
 		return nil
 	}
 	ev, ok := a.reg.lookup(cond.Type, cond.DefAuth)
 	if !ok {
-		return constCond{out: UnevaluatedOutcome("no evaluator registered")}
+		return constCond{v: CondMaybe}
 	}
 	sup, ok := ev.(supervised)
 	if !ok {
@@ -289,25 +299,16 @@ func (a *API) compileCond(cond eacl.Condition) CompiledCond {
 	return fast
 }
 
-func containsAt(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '@' {
-			return true
-		}
-	}
-	return false
-}
-
 // compiledScratch is the working set of one unit's scan, pooled inside
 // evalState and reused from EACL to EACL: the right-match bitsets and
-// the fast-cond memo table. Grown on demand, never shrunk, so steady
-// state allocates nothing.
+// the fast-cond memo table (0 = not evaluated yet). Grown on demand,
+// never shrunk, so steady state allocates nothing; pointer-free, so the
+// pool pins nothing of the request.
 type compiledScratch struct {
 	authBits  []uint64
 	valBits   []uint64
 	entryBits []uint64
-	memoOut   []Outcome
-	memoSet   []bool
+	memo      []CondVerdict
 }
 
 func (cs *compiledScratch) prepare(u *compiledEACL) {
@@ -315,23 +316,7 @@ func (cs *compiledScratch) prepare(u *compiledEACL) {
 	cs.valBits = growBits(cs.valBits, u.nValue)
 	cs.entryBits = growBits(cs.entryBits, len(u.pairs))
 	clearBits(cs.entryBits)
-	if cap(cs.memoOut) < u.nMemo {
-		cs.memoOut = make([]Outcome, u.nMemo)
-		cs.memoSet = make([]bool, u.nMemo)
-	}
-	cs.memoOut = cs.memoOut[:u.nMemo]
-	cs.memoSet = cs.memoSet[:u.nMemo]
-	for i := range cs.memoSet {
-		cs.memoSet[i] = false
-	}
-}
-
-// release drops outcome references so the pool doesn't pin request
-// strings across uses.
-func (cs *compiledScratch) release() {
-	for i := range cs.memoOut {
-		cs.memoOut[i] = Outcome{}
-	}
+	cs.memo = append(cs.memo[:0], make([]CondVerdict, u.nMemo)...) // zeroed in place, no temporary
 }
 
 // matchRights walks each requested right through both tries and marks
@@ -352,63 +337,89 @@ func (cs *compiledScratch) matchRights(u *compiledEACL, rights []eacl.Right) {
 	}
 }
 
-// evalFast runs a hoisted test with the supervision layer's panic
-// recovery: a panicking dependency (threat provider, group store)
-// degrades to the same FaultPanic outcome the supervised evaluator
-// would produce. Faulted outcomes are not memoized so every occurrence
-// surfaces its own fault, as evaluating it dynamically would.
-func (a *API) evalFast(cs *compiledScratch, cc *compiledCond, req *Request) Outcome {
-	if cs.memoSet[cc.memo] {
-		return cs.memoOut[cc.memo]
-	}
-	out := a.callFast(cc.fast, req)
-	if out.Fault == FaultNone {
-		cs.memoOut[cc.memo] = out
-		cs.memoSet[cc.memo] = true
-	}
-	return out
-}
-
-func (a *API) callFast(fast CompiledCond, req *Request) (out Outcome) {
+// evalFast runs a hoisted test and memoizes its verdict, with the
+// supervision layer's panic recovery: a panicking dependency (threat
+// provider, group store) degrades to the same FaultPanic outcome the
+// supervised evaluator would produce, recorded in res. A faulted call
+// is not memoized so every occurrence surfaces its own fault, as
+// evaluating it dynamically would.
+func (a *API) evalFast(cs *compiledScratch, cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = a.recoverPanic(r)
+			res.fault(cc.cond, line, a.recoverPanic(r))
+			v = CondMaybe
 		}
 	}()
-	return fast.EvalCompiled(req)
+	v = cc.fast.EvalCompiled(req)
+	cs.memo[cc.memo] = v
+	return v
 }
 
-// evaluatePolicyCompiled runs the scan over both levels, composes, and
-// leaves the deciding entries of every applicable level in st.deciders
-// (their request-result/mid/post blocks belong to the answer).
-func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState) evalResult {
-	sys := a.scanLevel(ctx, p.System, req, st)
-	sysExists := len(p.System) > 0
-	loc := evalResult{decision: Maybe}
-	if !(p.Mode == eacl.ModeStop && sysExists) {
-		loc = a.scanLevel(ctx, p.Local, req, st)
+// evalDynamic evaluates cond through its evaluator — a dynamic
+// condition, or any condition of a traced request — recording faults
+// and trace in res. Beside the verdict it hands back the two strings
+// only a final deny reads.
+func (a *API) evalDynamic(ctx context.Context, cond eacl.Condition, req *Request, line int, res *evalResult) (v CondVerdict, challenge, detail string) {
+	out := a.evaluateCondition(ctx, cond, req)
+	// Faults are traced even when tracing is off: a degraded evaluation
+	// must stay observable.
+	if out.Fault != FaultNone {
+		res.fault(cond, line, out)
+	} else if req.Trace {
+		res.trace = append(res.trace, TraceEvent{Source: res.source, EntryLine: line, Cond: cond, Outcome: out})
 	}
-	return composeLevels(p.Mode, sys, loc, sysExists)
+	switch out.Result {
+	case Yes, No, Maybe:
+		v = CondVerdict(out.Result)
+	} // anything else stays 0, which the scan reads as MAYBE
+	if out.classOrDefault() != ClassSelector {
+		v |= CondRequirement
+	}
+	return v, out.Challenge, out.Detail
 }
 
-// scanLevel scans the EACLs of one level, folding each result into a
-// stack accumulator as it is produced — no intermediate per-level
-// result slice.
-func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState) evalResult {
-	var acc levelAccum
+// fault records a degraded evaluation: the Fault and its TraceEvent.
+func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
+	r.faults = append(r.faults, Fault{Cond: cond, Kind: out.Fault, Reason: out.faultReason()})
+	r.trace = append(r.trace, TraceEvent{Source: r.source, EntryLine: line, Cond: cond, Outcome: out})
+}
+
+// evaluatePolicyCompiled runs the scan over both levels and composes
+// them into out, leaving the deciding entries of every applicable level
+// in st.deciders (their request-result/mid/post blocks belong to the
+// answer).
+func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState, out *evalResult) {
+	var sys, loc evalResult
+	a.scanLevel(ctx, p.System, req, st, &sys)
+	sysExists := len(p.System) > 0
+	loc.Decision = Maybe // a level not scanned is uncertain
+	if !(p.Mode == eacl.ModeStop && sysExists) {
+		a.scanLevel(ctx, p.Local, req, st, &loc)
+	}
+	composeLevels(p.Mode, &sys, &loc, sysExists, out)
+}
+
+// scanLevel scans the EACLs of one level into the zero out, folding
+// each result in as it is produced — no intermediate per-level result
+// slice, and one evalResult reused for every EACL.
+func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState, out *evalResult) {
+	var (
+		fold LevelFold
+		r    evalResult
+	)
 	cs := &st.cs
 	for _, e := range eacls {
 		u := a.compiledFor(e)
 		cs.prepare(u)
 		cs.matchRights(u, req.Rights)
-		r := a.evaluateCompiledEACL(ctx, u, req, cs)
-		cs.release()
-		acc.add(r)
-		if r.applicable && r.entry != nil {
+		a.evaluateCompiledEACL(ctx, u, req, cs, &r)
+		out.absorb(&r)
+		fold.Add(r.Verdict)
+		if r.Applicable && r.entry != nil {
 			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
 		}
 	}
-	return acc.result()
+	out.Verdict = fold.Result()
 }
 
 // note records a scan step; callers invoke it for traced requests only.
@@ -417,8 +428,8 @@ func (r *evalResult) note(line int, text string) {
 }
 
 // evaluateCompiledEACL scans the ordered entries of one EACL for the
-// requested rights and returns the first firing entry's decision (see
-// the package comment for the full semantics), with right matching
+// requested rights and leaves the first firing entry's decision in res
+// (see the package comment for the full semantics), with right matching
 // answered by the precomputed entry bitset. Request-result conditions
 // are NOT evaluated here: they run once the composed decision is known.
 //
@@ -426,52 +437,49 @@ func (r *evalResult) note(line int, text string) {
 // hoisted tests are skipped so Detail strings are the evaluator's own —
 // and records each step; TraceEvents are otherwise recorded only for
 // faults, so the common Yes/No path performs no per-entry allocation.
-func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch) evalResult {
-	res := evalResult{source: u.source}
+func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, res *evalResult) {
+	*res = evalResult{source: u.source, Verdict: Verdict{Decision: Maybe}} // uncertain unless an entry applies
+entries:
 	for i := range u.entries {
 		if !bitGet(cs.entryBits, int32(i)) {
 			continue
 		}
 		entry := &u.entries[i]
-		var (
-			sawNo  bool
-			maybes []eacl.Condition
-		)
+		line := entry.entry.Line
+		var maybes []eacl.Condition
 		for ci := range entry.pre {
 			cc := &entry.pre[ci]
-			var out Outcome
-			if cc.fast != nil && !req.Trace {
-				out = a.evalFast(cs, cc, req)
-			} else {
-				out = a.evaluateCondition(ctx, cc.cond, req)
+			var (
+				v                 CondVerdict
+				challenge, detail string
+			)
+			hoisted := cc.fast != nil && !req.Trace
+			if !hoisted {
+				v, challenge, detail = a.evalDynamic(ctx, cc.cond, req, line, res)
+			} else if v = cs.memo[cc.memo]; v == 0 {
+				v = a.evalFast(cs, cc, req, line, res)
 			}
-			if out.Fault != FaultNone {
-				res.faults = append(res.faults, Fault{Cond: cc.cond, Kind: out.Fault, Reason: out.faultReason()})
-			}
-			// Faults are traced even when tracing is off: a degraded
-			// evaluation must stay observable.
-			if req.Trace || out.Fault != FaultNone {
-				res.trace = append(res.trace, TraceEvent{
-					Source: u.source, EntryLine: entry.entry.Line, Cond: cc.cond, Outcome: out,
-				})
-			}
-			switch out.Result {
+			switch v.Result() {
 			case No:
-				if out.classOrDefault() == ClassSelector || !entry.pos {
-					// Entry inapplicable: scan continues.
-					sawNo = true
-				} else {
-					// Failed requirement on a positive entry: final
-					// deny, possibly with an authentication challenge.
-					res.decision = No
-					res.applicable = true
-					res.entry = entry.entry
-					res.challenge = out.Challenge
+				if v&CondRequirement == 0 || !entry.pos {
+					// Entry inapplicable — conditions are ordered, a
+					// selector NO ends the entry — and the scan continues.
 					if req.Trace {
-						res.note(entry.entry.Line, fmt.Sprintf("requirement failed: %s", out.Detail))
+						res.note(line, "entry inapplicable")
 					}
-					return res
+					continue entries
 				}
+				// Failed requirement on a positive entry: final deny,
+				// possibly with an authentication challenge.
+				if hoisted && v&CondChallenge != 0 {
+					challenge = cc.fast.Challenge()
+				}
+				res.Verdict = Verdict{Decision: No, Applicable: true, Challenge: challenge}
+				res.entry = entry.entry
+				if req.Trace {
+					res.note(line, "requirement failed: "+detail)
+				}
+				return
 			case Yes:
 				// condition met; continue within the entry
 			default:
@@ -479,39 +487,26 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 				// for fail-safety.
 				maybes = append(maybes, cc.cond)
 			}
-			if sawNo {
-				break // conditions are ordered; a selector NO ends the entry
-			}
 		}
-		if sawNo {
-			if req.Trace {
-				res.note(entry.entry.Line, "entry inapplicable")
-			}
-			continue
-		}
-		res.applicable = true
+		res.Applicable = true
 		res.entry = entry.entry
 		switch {
 		case len(maybes) > 0:
-			res.decision = Maybe
 			res.unevaluated = maybes
 			if req.Trace {
-				res.note(entry.entry.Line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
+				res.note(line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
 			}
 		case entry.pos:
-			res.decision = Yes
+			res.Decision = Yes
 			if req.Trace {
-				res.note(entry.entry.Line, "entry fired: grant")
+				res.note(line, "entry fired: grant")
 			}
 		default:
-			res.decision = No
+			res.Decision = No
 			if req.Trace {
-				res.note(entry.entry.Line, "entry fired: deny")
+				res.note(line, "entry fired: deny")
 			}
 		}
-		return res
+		return
 	}
-	// No entry applied: uncertain.
-	res.decision = Maybe
-	return res
 }

@@ -133,60 +133,37 @@ func ComposeVerdicts(mode eacl.CompositionMode, sysExists bool, sys, loc Verdict
 	return out
 }
 
-func (r *evalResult) verdict() Verdict {
-	return Verdict{Decision: r.decision, Applicable: r.applicable, Challenge: r.challenge}
-}
-
-func (r *evalResult) setVerdict(v Verdict) {
-	r.decision, r.applicable, r.challenge = v.Decision, v.Applicable, v.Challenge
-}
-
-// levelAccum is LevelFold plus the diagnostics of the scanned EACLs.
-// The accumulator lives on the scanLevel stack so a level with no
-// traces and no unevaluated conditions costs nothing.
-type levelAccum struct {
-	LevelFold
-	trace       []TraceEvent
-	unevaluated []eacl.Condition
-	faults      []Fault
-}
-
-func (l *levelAccum) add(r evalResult) {
+// absorb appends the diagnostics of one scanned EACL to those of its
+// level; the level's verdict is folded beside it by a LevelFold.
+func (l *evalResult) absorb(r *evalResult) {
 	l.trace = append(l.trace, r.trace...)
 	// Faults are diagnostics: they surface even from EACLs that did not
 	// decide.
 	l.faults = append(l.faults, r.faults...)
-	if r.applicable {
+	if r.Applicable {
 		l.unevaluated = append(l.unevaluated, r.unevaluated...)
 	}
-	l.Add(r.verdict())
-}
-
-func (l *levelAccum) result() evalResult {
-	combined := evalResult{trace: l.trace, unevaluated: l.unevaluated, faults: l.faults}
-	combined.setVerdict(l.Result())
-	return combined
 }
 
 // composeLevels merges the system-level and local-level results under
-// the composition mode.
-func composeLevels(mode eacl.CompositionMode, sys, loc evalResult, sysExists bool) evalResult {
+// the composition mode into out.
+func composeLevels(mode eacl.CompositionMode, sys, loc *evalResult, sysExists bool, out *evalResult) {
 	if mode == eacl.ModeStop && sysExists {
 		// Local policies are ignored entirely, including their trace:
 		// they were never evaluated (and produced no faults).
-		return sys
+		*out = *sys
+		return
 	}
-	out := evalResult{
+	*out = evalResult{
 		trace: append(append([]TraceEvent{}, sys.trace...), loc.trace...),
 	}
 	if n := len(sys.faults) + len(loc.faults); n > 0 {
 		out.faults = append(append(make([]Fault, 0, n), sys.faults...), loc.faults...)
 	}
-	out.setVerdict(ComposeVerdicts(mode, sysExists, sys.verdict(), loc.verdict()))
-	if out.decision == Maybe {
+	out.Verdict = ComposeVerdicts(mode, sysExists, sys.Verdict, loc.Verdict)
+	if out.Decision == Maybe {
 		out.unevaluated = append(append([]eacl.Condition{}, sys.unevaluated...), loc.unevaluated...)
 	}
-	return out
 }
 
 // decidingEntry is an entry that fired (or went uncertain) during the

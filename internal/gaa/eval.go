@@ -6,14 +6,13 @@ import (
 	"gaaapi/internal/eacl"
 )
 
-// evalResult is the outcome of scanning one EACL.
+// evalResult is the outcome of scanning one EACL, one level or the
+// whole composition: the verdict and the diagnostics beside it.
 type evalResult struct {
-	decision    Decision
-	applicable  bool
+	Verdict
 	entry       *eacl.Entry // deciding entry, nil when inapplicable
 	source      string
 	unevaluated []eacl.Condition
-	challenge   string
 	trace       []TraceEvent
 	faults      []Fault
 }
@@ -49,47 +48,19 @@ func (a *API) evaluateCondition(ctx context.Context, cond eacl.Condition, req *R
 	return out
 }
 
-// evaluateBlock evaluates an ordered condition slice (request-result,
-// mid or post blocks) and returns the conjunction of the outcomes plus
-// the trace (nil unless req.Trace is set). Used by the request-result,
-// execution-control and post-execution phases where every condition
-// runs (no entry-selection short-circuit).
-func (a *API) evaluateBlock(ctx context.Context, source string, entryLine int, conds []eacl.Condition, req *Request) (Decision, []TraceEvent) {
-	if len(conds) == 0 {
-		return Yes, nil
-	}
-	var (
-		combined Decision
-		trace    []TraceEvent
-	)
-	if req.Trace {
-		trace = make([]TraceEvent, 0, len(conds))
-	}
-	for _, cond := range conds {
-		out := a.evaluateCondition(ctx, cond, req)
-		if req.Trace || out.Fault != FaultNone {
-			trace = append(trace, TraceEvent{
-				Source: source, EntryLine: entryLine, Cond: cond, Outcome: out,
-			})
-		}
-		combined = Conjoin(combined, out.Result)
-	}
-	return combined, trace
-}
-
-// evaluateEntryBlock evaluates the conditions of one block of an entry
-// (filtered inline, no intermediate slice) with the conjunction
-// appended-trace protocol of evaluateBlock. The second return reports
-// whether the entry had any condition in the block; an empty block
-// yields (Yes, false) so callers skip the conjunction, matching the
-// original Entry.Block + evaluateBlock behaviour.
-func (a *API) evaluateEntryBlock(ctx context.Context, source string, entry *eacl.Entry, b eacl.Block, req *Request, trace *[]TraceEvent, faults *[]Fault) (Decision, bool) {
+// evaluateBlock evaluates the conditions of conds that belong to block
+// b (request-result, mid or post) and returns the conjunction of their
+// outcomes: in these phases every condition runs, there is no
+// entry-selection short-circuit. Trace events (every step of a traced
+// request, faults always) are appended to *trace and faults, when the
+// caller collects them, to *faults. The second return reports whether
+// conds held any condition of the block; none yields (Yes, false).
+func (a *API) evaluateBlock(ctx context.Context, source string, line int, conds []eacl.Condition, b eacl.Block, req *Request, trace *[]TraceEvent, faults *[]Fault) (Decision, bool) {
 	var (
 		combined  Decision
 		evaluated bool
 	)
-	for ci := range entry.Conditions {
-		cond := entry.Conditions[ci]
+	for _, cond := range conds {
 		if cond.Block != b {
 			continue
 		}
@@ -99,9 +70,7 @@ func (a *API) evaluateEntryBlock(ctx context.Context, source string, entry *eacl
 			*faults = append(*faults, Fault{Cond: cond, Kind: out.Fault, Reason: out.faultReason()})
 		}
 		if req.Trace || out.Fault != FaultNone {
-			*trace = append(*trace, TraceEvent{
-				Source: source, EntryLine: entry.Line, Cond: cond, Outcome: out,
-			})
+			*trace = append(*trace, TraceEvent{Source: source, EntryLine: line, Cond: cond, Outcome: out})
 		}
 		combined = Conjoin(combined, out.Result)
 	}

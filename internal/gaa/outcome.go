@@ -82,3 +82,27 @@ func FailedOutcome(class Class, detail string) Outcome {
 func UnevaluatedOutcome(detail string) Outcome {
 	return Outcome{Result: Maybe, Unevaluated: true, Detail: detail}
 }
+
+// CondVerdict is what a hoisted test (CompiledCond) answers with: the
+// part of an Outcome the scan acts on, in one pointer-free word that
+// travels in a register and memoizes in a byte. There is no Detail:
+// traced requests never take the hoisted path and nothing else reads
+// it. A selector YES is CondYes; a failed requirement with a realm is
+// CondNo|CondRequirement|CondChallenge.
+type CondVerdict uint8
+
+const (
+	// Bits 0–1: the result, with Decision's own values.
+	CondYes   = CondVerdict(Yes)
+	CondNo    = CondVerdict(No)
+	CondMaybe = CondVerdict(Maybe) // always "unevaluated" on this path
+	// Bit 2: the class — a requirement, not the default selector.
+	CondRequirement CondVerdict = 1 << 2
+	// Bit 3: a deny the requester could cure by meeting the condition's
+	// Challenge.
+	CondChallenge CondVerdict = 1 << 3
+)
+
+// Result returns the tri-state result; zero for an invalid word, which
+// the scan treats as MAYBE.
+func (v CondVerdict) Result() Decision { return Decision(v & 3) }

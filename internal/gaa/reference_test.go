@@ -20,31 +20,38 @@ import (
 // folded into stack accumulators as each EACL is scanned — no
 // intermediate per-level result slices.
 func (a *API) evaluatePolicy(ctx context.Context, p *Policy, req *Request, st *evalState) evalResult {
-	var sysAcc levelAccum
+	var (
+		sys     evalResult
+		sysFold LevelFold
+	)
 	for _, e := range p.System {
 		r := a.evaluateEACL(ctx, e, req)
-		sysAcc.add(r)
-		if r.applicable && r.entry != nil {
+		sys.absorb(&r)
+		sysFold.Add(r.Verdict)
+		if r.Applicable && r.entry != nil {
 			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
 		}
 	}
-	sys := sysAcc.result()
+	sys.Verdict = sysFold.Result()
 	sysExists := len(p.System) > 0
 
 	var loc evalResult
-	loc.decision = Maybe
+	loc.Decision = Maybe
 	if !(p.Mode == eacl.ModeStop && sysExists) {
-		var locAcc levelAccum
+		var locFold LevelFold
 		for _, e := range p.Local {
 			r := a.evaluateEACL(ctx, e, req)
-			locAcc.add(r)
-			if r.applicable && r.entry != nil {
+			loc.absorb(&r)
+			locFold.Add(r.Verdict)
+			if r.Applicable && r.entry != nil {
 				st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
 			}
 		}
-		loc = locAcc.result()
+		loc.Verdict = locFold.Result()
 	}
-	return composeLevels(p.Mode, sys, loc, sysExists)
+	var out evalResult
+	composeLevels(p.Mode, &sys, &loc, sysExists, &out)
+	return out
 }
 
 // evaluateEACL scans the ordered entries of one EACL for the requested
@@ -91,10 +98,10 @@ func (a *API) evaluateEACL(ctx context.Context, e *eacl.EACL, req *Request) eval
 				} else {
 					// Failed requirement on a positive entry: final
 					// deny, possibly with an authentication challenge.
-					res.decision = No
-					res.applicable = true
+					res.Decision = No
+					res.Applicable = true
 					res.entry = entry
-					res.challenge = out.Challenge
+					res.Challenge = out.Challenge
 					if req.Trace {
 						res.trace = append(res.trace, TraceEvent{
 							Source: e.Source, EntryLine: entry.Line,
@@ -125,8 +132,8 @@ func (a *API) evaluateEACL(ctx context.Context, e *eacl.EACL, req *Request) eval
 			continue
 		}
 		if len(maybes) > 0 {
-			res.decision = Maybe
-			res.applicable = true
+			res.Decision = Maybe
+			res.Applicable = true
 			res.entry = entry
 			res.unevaluated = maybes
 			if req.Trace {
@@ -138,17 +145,17 @@ func (a *API) evaluateEACL(ctx context.Context, e *eacl.EACL, req *Request) eval
 			return res
 		}
 		// All pre-conditions met: the entry fires.
-		res.applicable = true
+		res.Applicable = true
 		res.entry = entry
 		if entry.Right.Sign == eacl.Pos {
-			res.decision = Yes
+			res.Decision = Yes
 			if req.Trace {
 				res.trace = append(res.trace, TraceEvent{
 					Source: e.Source, EntryLine: entry.Line, Note: "entry fired: grant",
 				})
 			}
 		} else {
-			res.decision = No
+			res.Decision = No
 			if req.Trace {
 				res.trace = append(res.trace, TraceEvent{
 					Source: e.Source, EntryLine: entry.Line, Note: "entry fired: deny",
@@ -158,7 +165,7 @@ func (a *API) evaluateEACL(ctx context.Context, e *eacl.EACL, req *Request) eval
 		return res
 	}
 	// No entry applied: uncertain.
-	res.decision = Maybe
+	res.Decision = Maybe
 	return res
 }
 

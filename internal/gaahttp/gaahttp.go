@@ -135,8 +135,8 @@ func (g *Guard) Rights(rec *httpd.RequestRec) []eacl.Right {
 }
 
 // checkState is the pooled per-check working set: the request, the
-// answer (whose slices CheckAuthorizationInto reuses), and the backing
-// arrays for the rights and parameter lists.
+// answer (whose Mid and Post arrays CheckAuthorizationInto reuses), and
+// the backing arrays for the rights and parameter lists.
 type checkState struct {
 	req    gaa.Request
 	ans    gaa.Answer
@@ -195,14 +195,17 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 				opStatus = gaa.No
 			}
 			g.cfg.API.PostExecutionActions(ctx, ans, req, opStatus)
+			// Post is the last hook the server runs (httpd.Verdict), so
+			// the state is recycled here.
+			checkPool.Put(cs)
 		}
-	}
-	if verdict.Monitor == nil && verdict.Post == nil {
+	} else if verdict.Monitor == nil {
 		// The later phases hold no reference to the state; recycle it.
-		// (With hooks attached the state rides with the closures and is
-		// dropped to the GC when they are.)
 		checkPool.Put(cs)
 	}
+	// A Monitor without a Post, or hooks the server never runs (a deny
+	// whose deciding entry has mid/post blocks), leave the state to the
+	// GC with the closures.
 	return verdict
 }
 

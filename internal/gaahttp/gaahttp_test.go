@@ -2,9 +2,11 @@ package gaahttp
 
 import (
 	"encoding/base64"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -501,5 +503,137 @@ func TestGuardCheckZeroAllocBeyondRightsString(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { st.Guard.Check(rec) }); allocs != 1 {
 		t.Errorf("cached grant through Guard.Check allocates %v, want 1 (the rights string)", allocs)
+	}
+}
+
+// browseSystem / browseLocal are the paper's section 7 policies as the
+// benchmark's browse workload deploys them (benchmark/deploy.go): CGI is
+// granted under an execution quota with a post-execution audit of
+// failed scripts.
+const (
+	browseSystem = `eacl_mode narrow
+neg_access_right * *
+pre_cond_system_threat_level local =high
+neg_access_right * *
+pre_cond_accessid_GROUP local BadGuys
+`
+	browseLocal = `neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe* *root.exe*
+rr_cond_notify local on:failure/sysadmin/info:cgiexploit
+rr_cond_update_log local on:failure/BadGuys/info:IP
+rr_cond_block_ip local on:failure
+rr_cond_audit local on:failure/info:cgiexploit
+neg_access_right apache *
+pre_cond_expr local input_length>1000
+rr_cond_notify local on:failure/sysadmin/info:overflow
+rr_cond_update_log local on:failure/BadGuys/info:IP
+rr_cond_block_ip local on:failure
+rr_cond_audit local on:failure/info:overflow
+pos_access_right apache GET /cgi-bin/*
+mid_cond_quota local cpu_ms<=250
+post_cond_audit local on:failure/info:cgi-failed
+pos_access_right apache *
+`
+)
+
+// nullResponse is a reusable response sink.
+type nullResponse struct {
+	header http.Header
+	code   int
+}
+
+func (w *nullResponse) Header() http.Header         { return w.header }
+func (w *nullResponse) WriteHeader(code int)        { w.code = code }
+func (w *nullResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestStackCGIGrantAllocs pins a monitored CGI grant through the whole
+// deployment — Stack.Handler(), metrics, policy cache and a discarded
+// access log, as gaa-httpd runs it — at its exact allocation count. The
+// hooked request is the one path that holds the guard's pooled check
+// state across phases: losing the recycling in Verdict.Post, or the
+// reuse of the answer's Mid/Post arrays, shows here as 25.
+func TestStackCGIGrantAllocs(t *testing.T) {
+	st, err := NewStack(StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		DocRoot:       map[string]string{"/index.html": "home"},
+		PolicyCache:   true,
+		Metrics:       true,
+		AccessLog:     io.Discard,
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	defer st.Close()
+	h := st.Handler()
+	req := httptest.NewRequest("GET", "/cgi-bin/search?q=eacl", nil)
+	req.RemoteAddr = "10.0.0.1:40000"
+	rw := &nullResponse{header: make(http.Header)}
+	serve := func() {
+		rw.code = 0
+		h.ServeHTTP(rw, req)
+		if rw.code != http.StatusOK {
+			t.Fatalf("CGI request answered %d, want 200", rw.code)
+		}
+	}
+	serve()
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+	}
+	const want = 21
+	if allocs := testing.AllocsPerRun(500, serve); allocs != want {
+		t.Errorf("CGI grant through Stack.Handler() allocates %v, want %d", allocs, want)
+	}
+}
+
+// TestHookedCheckStateIsNotSharedAcrossRequests: the guard's pooled
+// check state rides with a CGI request's Monitor and Post hooks and is
+// recycled by Post. Concurrent clients whose scripts are aborted by the
+// quota must each get their own post-execution audit record — right
+// address, right object — however the pool hands states around. Run
+// with -race in CI.
+func TestHookedCheckStateIsNotSharedAcrossRequests(t *testing.T) {
+	st, err := NewStack(StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		DocRoot:       map[string]string{"/index.html": "home"},
+		PolicyCache:   true,
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	defer st.Close()
+	const workers, rounds = 8, 5
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ip := "10.0.2." + itoa(w+1)
+			for i := 0; i < rounds; i++ {
+				if code := serveTarget(t, st, "/cgi-bin/search?q=w"+itoa(w), ip); code != http.StatusOK {
+					t.Errorf("search from %s = %d, want 200", ip, code)
+				}
+				if code := serveTarget(t, st, "/cgi-bin/spin", ip); code != http.StatusInternalServerError {
+					t.Errorf("runaway script from %s = %d, want 500 (quota abort)", ip, code)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	failed := make(map[string]int)
+	for _, r := range st.Audit.Records() {
+		if r.Kind != "post_execution" {
+			continue
+		}
+		if r.Object != "/cgi-bin/spin" || r.Right != "apache GET /cgi-bin/spin" || r.Info != "cgi-failed" {
+			t.Errorf("post-execution record %+v, want the aborted spin request", r)
+		}
+		failed[r.ClientIP]++
+	}
+	for w := 0; w < workers; w++ {
+		if ip := "10.0.2." + itoa(w+1); failed[ip] != rounds {
+			t.Errorf("post-execution audits for %s = %d, want %d", ip, failed[ip], rounds)
+		}
 	}
 }

@@ -1,6 +1,38 @@
 package httpd
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+	"time"
+)
+
+const clfTimeLayout = "02/Jan/2006:15:04:05 -0700"
+
+// clfStamp is the CLF timestamp of one second in one zone, rendered
+// once for every line logged in it.
+type clfStamp struct {
+	unix   int64
+	offset int
+	text   string
+}
+
+// appendCLFTime appends t in clfTimeLayout, reusing the rendering in
+// last when t falls in the same second at the same zone offset (a clock
+// that steps backwards, or two zones alternating, simply re-render). A
+// nil last renders every time.
+func appendCLFTime(dst []byte, t time.Time, last *atomic.Pointer[clfStamp]) []byte {
+	if last == nil {
+		return t.AppendFormat(dst, clfTimeLayout)
+	}
+	unix := t.Unix()
+	_, offset := t.Zone()
+	st := last.Load()
+	if st == nil || st.unix != unix || st.offset != offset {
+		st = &clfStamp{unix: unix, offset: offset, text: t.Format(clfTimeLayout)}
+		last.Store(st)
+	}
+	return append(dst, st.text...)
+}
 
 // FormatCLF renders one NCSA Common Log Format line — the log format
 // Almgren et al.'s offline monitor (paper section 10, related work)
@@ -15,6 +47,10 @@ func FormatCLF(rec *RequestRec, status, bytes int) string {
 // AppendCLF appends the line FormatCLF renders to dst and returns the
 // extended buffer; it allocates only to grow dst.
 func AppendCLF(dst []byte, rec *RequestRec, status, bytes int) []byte {
+	return appendCLF(dst, rec, status, bytes, nil)
+}
+
+func appendCLF(dst []byte, rec *RequestRec, status, bytes int, lastTime *atomic.Pointer[clfStamp]) []byte {
 	dst = append(dst, rec.ClientIP...)
 	dst = append(dst, " - "...)
 	if rec.User == "" {
@@ -23,7 +59,7 @@ func AppendCLF(dst []byte, rec *RequestRec, status, bytes int) []byte {
 		dst = append(dst, rec.User...)
 	}
 	dst = append(dst, " ["...)
-	dst = rec.Time.AppendFormat(dst, "02/Jan/2006:15:04:05 -0700")
+	dst = appendCLFTime(dst, rec.Time, lastTime)
 	dst = append(dst, "] "...)
 	dst = strconv.AppendQuote(dst, rec.URI)
 	dst = append(dst, ' ')

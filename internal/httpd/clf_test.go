@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -74,6 +75,80 @@ func TestLogCLFOneWrite(t *testing.T) {
 	want := []string{sprintfCLF(rec, 200, 20) + "\n", sprintfCLF(rec, 404, 0) + "\n"}
 	if len(writes) != 2 || writes[0] != want[0] || writes[1] != want[1] {
 		t.Errorf("writes = %q, want %q", writes, want)
+	}
+}
+
+// TestLogCLFTimestampCacheIsInvisible: the server renders the CLF
+// timestamp once per second and zone; every line must still be the one
+// sprintfCLF renders, whatever order the clock hands seconds out in.
+func TestLogCLFTimestampCacheIsInvisible(t *testing.T) {
+	var got []string
+	s := NewServer(Config{AccessLog: writerFunc(func(p []byte) (int, error) {
+		got = append(got, string(p))
+		return len(p), nil
+	})})
+	base := time.Date(2003, 5, 19, 23, 59, 58, 0, time.UTC)
+	pst := time.FixedZone("PST", -8*3600)
+	ist := time.FixedZone("", 5*3600+30*60)
+	times := []time.Time{
+		base, base.Add(300 * time.Millisecond), // two lines in one second
+		base.Add(999 * time.Millisecond), base.Add(time.Second), // a second boundary
+		base.Add(2 * time.Second), // midnight: the date rolls too
+		base.Add(time.Second),     // the clock steps back, as SimClock campaigns do
+		base.Add(-time.Hour),
+		base.In(pst), base.In(ist), base.In(pst), base.In(ist), // two zones alternating in one instant
+		base.In(pst).Add(time.Second), base,
+		{}, // the zero time
+	}
+	var want []string
+	for i, when := range times {
+		rec := &RequestRec{Time: when, URI: "GET /index.html", ClientIP: "10.0.0.1"}
+		s.logCLF(rec, 200, i)
+		want = append(want, sprintfCLF(rec, 200, i)+"\n")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d = %q\n    want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLogCLFConcurrentClocks: 8 goroutines log through one server with
+// clocks a second apart and in different zones, so the cached timestamp
+// is replaced under their feet; each line must carry its own request's
+// time. Run with -race in CI.
+func TestLogCLFConcurrentClocks(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		lines = make(map[string]int)
+	)
+	s := NewServer(Config{AccessLog: writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		lines[string(p)]++
+		mu.Unlock()
+		return len(p), nil
+	})})
+	base := time.Date(2026, 10, 1, 8, 0, 0, 0, time.UTC)
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			when := base.Add(time.Duration(w/2) * time.Second).In(time.FixedZone("", (w%2)*3600))
+			rec := &RequestRec{Time: when, URI: "GET /w" + strconv.Itoa(w), ClientIP: "10.0.0.1"}
+			for i := 0; i < rounds; i++ {
+				s.logCLF(rec, 200, 1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		when := base.Add(time.Duration(w/2) * time.Second).In(time.FixedZone("", (w%2)*3600))
+		rec := &RequestRec{Time: when, URI: "GET /w" + strconv.Itoa(w), ClientIP: "10.0.0.1"}
+		if n := lines[sprintfCLF(rec, 200, 1)+"\n"]; n != rounds {
+			t.Errorf("worker %d: %d of %d lines carry its own timestamp", w, n, rounds)
+		}
 	}
 }
 

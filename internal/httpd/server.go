@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gaaapi/internal/execctl"
@@ -18,6 +19,12 @@ import (
 // Verdict is a guard's full answer: the access status plus optional
 // hooks for the later request phases (the deciding guard's
 // mid-conditions and post-conditions).
+//
+// The server calls Post exactly once on every path through execute,
+// after execctl.Run has returned and no Monitor call can follow; a
+// guard may release what its hooks share as Post's last act. A verdict
+// that does not reach execute (forbidden, auth required, moved) has
+// neither hook run.
 type Verdict struct {
 	Status AccessStatus
 	// Monitor, when non-nil, is polled with usage snapshots during
@@ -71,6 +78,8 @@ type Config struct {
 // Server is the Apache-analog web server. It implements http.Handler.
 type Server struct {
 	cfg Config
+	// clfTime is the access log's timestamp of the current second.
+	clfTime atomic.Pointer[clfStamp]
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -248,7 +257,7 @@ func (s *Server) logCLF(rec *RequestRec, code, bytes int) {
 		return
 	}
 	buf := clfPool.Get().(*[]byte)
-	line := append(AppendCLF((*buf)[:0], rec, code, bytes), '\n')
+	line := append(appendCLF((*buf)[:0], rec, code, bytes, &s.clfTime), '\n')
 	// A failing access log must not fail the request it records.
 	_, _ = s.cfg.AccessLog.Write(line)
 	if cap(line) <= 4096 { // a pathological URI's buffer is not kept
