@@ -112,14 +112,16 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	}
 	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
 	uri, _ := req.Params.Get(gaa.ParamRequestURI, cond.DefAuth)
-	msg := notify.Message{
-		Time:    a.clock(),
-		To:      recipient,
-		Subject: fmt.Sprintf("GAA alert: %s", tag),
-		Body: fmt.Sprintf("time=%s ip=%s uri=%q decision=%s threat=%s",
-			a.clock().Format(time.RFC3339), ip, uri, req.Decision, tag),
-		Tag: tag,
-	}
+	msg := notify.Message{Time: a.clock(), To: recipient, Subject: "GAA alert: " + tag, Tag: tag}
+	// time=%s ip=%s uri=%q decision=%s threat=%s, without fmt: the URI
+	// of an overflow attempt is over a kilobyte.
+	body := make([]byte, 0, 96+len(ip)+len(uri)+len(tag))
+	body = a.clock().AppendFormat(append(body, "time="...), time.RFC3339)
+	body = append(append(body, " ip="...), ip...)
+	body = gaa.AppendQuoted(append(body, " uri="...), uri)
+	body = append(append(body, " decision="...), req.Decision.String()...)
+	body = append(append(body, " threat="...), tag...)
+	msg.Body = string(body)
 	if _, err := retry.Do(ctx, a.retry, func(ctx context.Context) error {
 		return a.n.Notify(ctx, msg)
 	}); err != nil {

@@ -2,6 +2,8 @@ package actions
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -408,5 +410,40 @@ func TestParseValueDefaultsToAny(t *testing.T) {
 	}
 	if _, _, err := parseValue(value("on:sometimes/a"), &gaa.Request{Decision: gaa.Yes}); err == nil {
 		t.Error("unknown trigger accepted")
+	}
+}
+
+// TestNotifyMessageMatchesSprintf holds the alert the notify action
+// builds with appends to the two Sprintfs it replaced, on URIs that
+// leave gaa.AppendQuoted's fast path.
+func TestNotifyMessageMatchesSprintf(t *testing.T) {
+	at := time.Date(2003, 5, 19, 12, 0, 0, 0, time.FixedZone("PST", -8*3600))
+	mailbox := notify.NewMailbox(0)
+	ev, ok := Builtin("notify", Deps{Notifier: mailbox}, func() time.Time { return at })
+	if !ok {
+		t.Fatal("no notify action")
+	}
+	cond := eacl.Condition{Block: eacl.BlockRequestResult, Type: "notify", DefAuth: "local", Value: "on:failure/sysadmin/info:cgiexploit"}
+	for i, uri := range []string{
+		"GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd",
+		`GET /a"b`,
+		`GET /a\b\\c`,
+		"GET /tab\there\x00nul\x7fdel\r\n",
+		"GET /bad\xff\xfeutf8\xc3",
+		"GET /café/日本語/\U0001f600",
+		"",
+		"POST /" + strings.Repeat("A", 1200),
+	} {
+		req := gaa.NewRequest("apache", "GET /x", params("10.0.0.66", uri)...)
+		req.Decision = gaa.No
+		if out := ev.Evaluate(context.Background(), cond, req); out.Result != gaa.Yes {
+			t.Fatalf("notify(%q) = %+v", uri, out)
+		}
+		msg := mailbox.Messages()[i]
+		wantBody := fmt.Sprintf("time=%s ip=%s uri=%q decision=%s threat=%s",
+			at.Format(time.RFC3339), "10.0.0.66", uri, gaa.No, "cgiexploit")
+		if msg.Subject != "GAA alert: cgiexploit" || msg.Body != wantBody {
+			t.Errorf("message = %q / %q\n   want body %q", msg.Subject, msg.Body, wantBody)
+		}
 	}
 }

@@ -185,63 +185,9 @@ func (c locationCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 
 // --- regex ---
 
-// globShape is what a glob pattern was recognized as at compile time.
-// The paper's signature lists ("*phf* *test-cgi*") are substring
-// searches written as globs; matching them as such skips eacl.Glob's
-// byte-by-byte backtracking walk. eacl.Glob stays the definition:
-// FuzzGlobShapes holds every shape to it.
-type globShape uint8
-
-const (
-	globGeneral  globShape = iota // eacl.Glob(lit, s)
-	globExact                     // no star
-	globPrefix                    // lit*
-	globSuffix                    // *lit
-	globContains                  // *lit*
-)
-
-type compiledGlob struct {
-	shape globShape
-	lit   string // the literal part; the whole pattern for globGeneral
-}
-
-// compileGlob classifies pattern; a run of '*' at either end reads as
-// one star, and all stars as *""*.
-func compileGlob(pattern string) compiledGlob {
-	lit := strings.Trim(pattern, "*")
-	lead, trail := strings.HasPrefix(pattern, "*"), strings.HasSuffix(pattern, "*")
-	switch {
-	case strings.Contains(lit, "*"):
-		return compiledGlob{globGeneral, pattern}
-	case lead && trail:
-		return compiledGlob{globContains, lit}
-	case lead:
-		return compiledGlob{globSuffix, lit}
-	case trail:
-		return compiledGlob{globPrefix, lit}
-	default:
-		return compiledGlob{globExact, lit}
-	}
-}
-
-func (g compiledGlob) match(s string) bool {
-	switch g.shape {
-	case globExact:
-		return s == g.lit
-	case globPrefix:
-		return strings.HasPrefix(s, g.lit)
-	case globSuffix:
-		return strings.HasSuffix(s, g.lit)
-	case globContains:
-		return strings.Contains(s, g.lit)
-	default:
-		return eacl.Glob(g.lit, s)
-	}
-}
-
 type regexPattern struct {
 	re   *regexp.Regexp // nil: glob pattern
-	glob compiledGlob
+	glob eacl.CompiledGlob
 }
 
 type regexCompiled struct {
@@ -268,7 +214,7 @@ func (regexEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) 
 			c.pats = append(c.pats, regexPattern{re: re})
 			continue
 		}
-		c.pats = append(c.pats, regexPattern{glob: compileGlob(p)})
+		c.pats = append(c.pats, regexPattern{glob: eacl.CompileGlob(p)})
 	}
 	return c, true
 }
@@ -284,7 +230,7 @@ func (c regexCompiled) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 			if p.re.MatchString(subject) {
 				return gaa.CondYes
 			}
-		} else if p.glob.match(subject) {
+		} else if p.glob.Match(subject) {
 			return gaa.CondYes
 		}
 	}

@@ -9,8 +9,10 @@ import (
 )
 
 // FuzzGlobShapes holds the compile-time glob shapes to their
-// definition: for any pattern and subject, compileGlob(pattern).match
-// answers what eacl.Glob answers. Seeds: every right and condition
+// definition: for any pattern and subject, eacl.CompileGlob(pattern).Match
+// answers what eacl.Glob answers. It lives here and not beside the
+// shapes because its seeds are split the way conditions split them
+// (splitFields). Seeds: every right and condition
 // field of the shipped policies, the benchmark deployment's section 7.2
 // signature list (benchmark/deploy.go), and the edges of each shape.
 func FuzzGlobShapes(f *testing.F) {
@@ -57,34 +59,10 @@ func FuzzGlobShapes(f *testing.F) {
 		f.Add(p, p) // a pattern as its own subject: stars as literal bytes
 	}
 	f.Fuzz(func(t *testing.T, pattern, s string) {
-		g := compileGlob(pattern)
-		if got, want := g.match(s), eacl.Glob(pattern, s); got != want {
-			t.Fatalf("compileGlob(%q) = shape %d lit %q: match(%q) = %v, eacl.Glob = %v",
-				pattern, g.shape, g.lit, s, got, want)
+		g := eacl.CompileGlob(pattern)
+		if got, want := g.Match(s), eacl.Glob(pattern, s); got != want {
+			t.Fatalf("CompileGlob(%q) = %+v: Match(%q) = %v, eacl.Glob = %v",
+				pattern, g, s, got, want)
 		}
 	})
-}
-
-// TestGlobShapesClassification pins which shape each kind of pattern
-// gets — the fuzz target would pass with everything left general.
-func TestGlobShapesClassification(t *testing.T) {
-	for _, tc := range []struct {
-		pattern string
-		want    compiledGlob
-	}{
-		{"", compiledGlob{globExact, ""}},
-		{"GET /index.html", compiledGlob{globExact, "GET /index.html"}},
-		{"*", compiledGlob{globContains, ""}},
-		{"***", compiledGlob{globContains, ""}},
-		{"GET /cgi-bin/*", compiledGlob{globPrefix, "GET /cgi-bin/"}},
-		{"*.html", compiledGlob{globSuffix, ".html"}},
-		{"*phf*", compiledGlob{globContains, "phf"}},
-		{"***phf**", compiledGlob{globContains, "phf"}},
-		{"a*b", compiledGlob{globGeneral, "a*b"}},
-		{"*a**b*", compiledGlob{globGeneral, "*a**b*"}},
-	} {
-		if got := compileGlob(tc.pattern); got != tc.want {
-			t.Errorf("compileGlob(%q) = %+v, want %+v", tc.pattern, got, tc.want)
-		}
-	}
 }

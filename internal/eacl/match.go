@@ -1,5 +1,7 @@
 package eacl
 
+import "strings"
+
 // MatchRight reports whether the entry right covers the requested right:
 // both the defining authority and the value must glob-match. The
 // requested right's sign is ignored — a neg_access_right entry for
@@ -39,4 +41,61 @@ func Glob(pattern, s string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+// globShape is what a glob pattern was recognized as at compile time.
+// The paper's signature lists ("*phf* *test-cgi*") are substring
+// searches written as globs; matching them as such skips Glob's
+// byte-by-byte backtracking walk. Glob stays the definition:
+// FuzzGlobShapes (internal/conditions) holds every shape to it.
+type globShape uint8
+
+const (
+	globGeneral  globShape = iota // Glob(lit, s)
+	globExact                     // no star
+	globPrefix                    // lit*
+	globSuffix                    // *lit
+	globContains                  // *lit*
+)
+
+// CompiledGlob is a pattern classified once, for callers that match the
+// same pattern against many subjects.
+type CompiledGlob struct {
+	shape globShape
+	lit   string // the literal part; the whole pattern for globGeneral
+}
+
+// CompileGlob classifies pattern; a run of '*' at either end reads as
+// one star, and all stars as *""*.
+func CompileGlob(pattern string) CompiledGlob {
+	lit := strings.Trim(pattern, "*")
+	lead, trail := strings.HasPrefix(pattern, "*"), strings.HasSuffix(pattern, "*")
+	switch {
+	case strings.Contains(lit, "*"):
+		return CompiledGlob{globGeneral, pattern}
+	case lead && trail:
+		return CompiledGlob{globContains, lit}
+	case lead:
+		return CompiledGlob{globSuffix, lit}
+	case trail:
+		return CompiledGlob{globPrefix, lit}
+	default:
+		return CompiledGlob{globExact, lit}
+	}
+}
+
+// Match reports what Glob(pattern, s) reports.
+func (g CompiledGlob) Match(s string) bool {
+	switch g.shape {
+	case globExact:
+		return s == g.lit
+	case globPrefix:
+		return strings.HasPrefix(s, g.lit)
+	case globSuffix:
+		return strings.HasSuffix(s, g.lit)
+	case globContains:
+		return strings.Contains(s, g.lit)
+	default:
+		return Glob(g.lit, s)
+	}
 }

@@ -134,3 +134,27 @@ func BenchmarkGlob(b *testing.B) {
 		}
 	}
 }
+
+// TestGlobShapesClassification pins which shape each kind of pattern
+// gets — the fuzz target would pass with everything left general.
+func TestGlobShapesClassification(t *testing.T) {
+	for _, tc := range []struct {
+		pattern string
+		want    CompiledGlob
+	}{
+		{"", CompiledGlob{globExact, ""}},
+		{"GET /index.html", CompiledGlob{globExact, "GET /index.html"}},
+		{"*", CompiledGlob{globContains, ""}},
+		{"***", CompiledGlob{globContains, ""}},
+		{"GET /cgi-bin/*", CompiledGlob{globPrefix, "GET /cgi-bin/"}},
+		{"*.html", CompiledGlob{globSuffix, ".html"}},
+		{"*phf*", CompiledGlob{globContains, "phf"}},
+		{"***phf**", CompiledGlob{globContains, "phf"}},
+		{"a*b", CompiledGlob{globGeneral, "a*b"}},
+		{"*a**b*", CompiledGlob{globGeneral, "*a**b*"}},
+	} {
+		if got := CompileGlob(tc.pattern); got != tc.want {
+			t.Errorf("CompileGlob(%q) = %+v, want %+v", tc.pattern, got, tc.want)
+		}
+	}
+}

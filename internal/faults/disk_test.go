@@ -154,3 +154,82 @@ func TestDiskStoreSurvivesInjection(t *testing.T) {
 		t.Fatalf("recovered %d records from %d successful appends", got, wrote)
 	}
 }
+
+// TestRecoveryFailedCompactionsKeepRotatedSegment: a compaction that
+// rotated the WAL and then failed to write its snapshot leaves
+// wal.prev.log as the only copy of its records. A second compaction
+// failing the same way must not rotate over it: after a crash every
+// appended record is still replayed, and the first snapshot that does
+// land covers both segments and clears the rotated one.
+func TestRecoveryFailedCompactionsKeepRotatedSegment(t *testing.T) {
+	dir := t.TempDir()
+	in := diskInjector(0)
+	opts := statestore.Options{Fsync: statestore.FsyncNever, SnapshotEvery: -1, FS: in.FS(statestore.OS)}
+	s, err := statestore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	appended := 0
+	appendAndFailCompaction := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			appended++
+			if err := s.Append(statestore.KindBlock, appended); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Flush while the disk is healthy, so the fault lands on the
+		// snapshot write and not on the WAL flush ahead of the rotation.
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		in.spec.Disk = 1
+		if err := s.Compact(); !errors.Is(err, ErrInjectedDisk) {
+			t.Fatalf("Compact on a failing disk = %v, want the injected fault", err)
+		}
+		in.spec.Disk = 0
+	}
+	appendAndFailCompaction(5) // rotates 1..5 into wal.prev.log, writes no snapshot
+	appendAndFailCompaction(3) // must leave wal.prev.log alone
+
+	// Crash here: reopen a copy of the directory as it stands.
+	crashed := t.TempDir()
+	for _, name := range []string{"wal.log", "wal.prev.log"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := statestore.Open(crashed, statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if tail := re.Tail(); len(tail) != appended || tail[0].Seq != 1 || tail[appended-1].Seq != uint64(appended) {
+		t.Fatalf("after two failed compactions and a crash, replay holds %d of %d records (recovery %+v)",
+			len(tail), appended, re.Recovery())
+	}
+
+	// No crash: the next healthy compaction covers everything.
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.prev.log")); !os.IsNotExist(err) {
+		t.Errorf("wal.prev.log after a successful compaction: %v, want it removed", err)
+	}
+	healed, err := statestore.Open(dir, statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healed.Close()
+	if rec := healed.Recovery(); !rec.SnapshotLoaded || rec.SnapshotSeq != uint64(appended) || rec.Replayed != 0 {
+		t.Errorf("recovery after the healthy compaction = %+v, want a snapshot at seq %d and nothing to replay", rec, appended)
+	}
+}

@@ -80,3 +80,18 @@ func (ps ParamList) With(extra ...Param) ParamList {
 	out = append(out, extra...)
 	return out
 }
+
+// AppendQuoted appends s to dst the way strconv.AppendQuote does — the
+// rendering of a request URI in the access log and in alerts. A value
+// of printable ASCII with no quote or backslash, which is nearly every
+// URI, is copied between quotes without the rune-by-rune walk.
+func AppendQuoted(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}

@@ -1,6 +1,10 @@
 package gaa
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestParamListGet(t *testing.T) {
 	ps := ParamList{
@@ -58,5 +62,24 @@ func TestParamListWithDoesNotMutate(t *testing.T) {
 	}
 	if _, ok := ext.Get("b", "*"); !ok {
 		t.Error("extended list missing appended param")
+	}
+}
+
+// TestAppendQuotedMatchesStrconv: the fast path is invisible — every
+// single byte, and the shapes a request URI takes, render as
+// strconv.AppendQuote renders them, after whatever dst already held.
+func TestAppendQuotedMatchesStrconv(t *testing.T) {
+	subjects := []string{
+		"", "GET /index.html", `GET /a"b`, `GET /a\b`, "GET /caf\u00e9", "GET /bad\xff\xfe",
+		"POST /" + strings.Repeat("A", 1200), "POST /" + strings.Repeat("A", 1200) + "\n",
+	}
+	for b := 0; b < 256; b++ {
+		subjects = append(subjects, "GET /"+string([]byte{byte(b)})+"/x")
+	}
+	for _, s := range subjects {
+		want := string(strconv.AppendQuote([]byte("kept|"), s))
+		if got := string(AppendQuoted([]byte("kept|"), s)); got != want {
+			t.Errorf("AppendQuoted(%q) = %s, want %s", s, got, want)
+		}
 	}
 }

@@ -249,7 +249,7 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 		// No consumer for the report classes: keep only the profile
 		// training (the pre-existing bus-less behaviour).
 		if g.cfg.Anomaly != nil && ans.Decision == gaa.Yes {
-			g.cfg.Anomaly.Train(principal, rec.Path, rec.InputLength)
+			g.cfg.Anomaly.Observe(principal, rec.Path, rec.InputLength)
 		}
 		return
 	}
@@ -336,8 +336,9 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 		}
 	case gaa.Yes:
 		// 6. Unusual (but authorized) behaviour per the anomaly
-		// profiles; 7. legitimate patterns for profile building.
-		if g.cfg.Anomaly != nil && g.cfg.Anomaly.Unusual(principal, rec.Path, rec.InputLength) {
+		// profiles; 7. legitimate patterns for profile building. Observe
+		// also trains the profile on the grant, after scoring it.
+		if g.cfg.Anomaly != nil && g.cfg.Anomaly.Observe(principal, rec.Path, rec.InputLength) {
 			r := base
 			r.Kind = ids.UnusualBehavior
 			r.Severity = ids.SevMedium
@@ -352,11 +353,6 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 			r.Confidence = 0.5
 			g.cfg.Bus.Publish(r)
 		}
-	}
-
-	// Train profiles on granted traffic regardless of bus wiring.
-	if g.cfg.Anomaly != nil && ans.Decision == gaa.Yes {
-		g.cfg.Anomaly.Train(principal, rec.Path, rec.InputLength)
 	}
 
 	if g.cfg.Scorer != nil {

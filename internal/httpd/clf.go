@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"gaaapi/internal/gaa"
 )
 
 const clfTimeLayout = "02/Jan/2006:15:04:05 -0700"
@@ -61,7 +63,7 @@ func appendCLF(dst []byte, rec *RequestRec, status, bytes int, lastTime *atomic.
 	dst = append(dst, " ["...)
 	dst = appendCLFTime(dst, rec.Time, lastTime)
 	dst = append(dst, "] "...)
-	dst = strconv.AppendQuote(dst, rec.URI)
+	dst = gaa.AppendQuoted(dst, rec.URI)
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, int64(status), 10)
 	dst = append(dst, ' ')

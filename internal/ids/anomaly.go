@@ -77,12 +77,28 @@ func NewDetector(cfg AnomalyConfig) *Detector {
 func (d *Detector) Train(principal, path string, inputLen int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.profiles[principal]
-	if !ok {
+	d.train(d.profiles[principal], principal, path, inputLen)
+}
+
+// train folds the observation into p, principal's profile (nil: none yet).
+func (d *Detector) train(p *profile, principal, path string, inputLen int) {
+	if p == nil {
 		p = &profile{paths: make(map[string]int)}
 		d.profiles[principal] = p
 	}
 	p.observe(path, inputLen)
+}
+
+// Observe is Unusual followed by Train under one lock and one profile
+// lookup: it scores the observation against the profile as it stood
+// before it, then folds it in. The guard calls it once per grant.
+func (d *Detector) Observe(principal, path string, inputLen int) (unusual bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := d.profiles[principal]
+	unusual = d.score(p, path, inputLen) >= d.cfg.Threshold
+	d.train(p, principal, path, inputLen)
+	return unusual
 }
 
 // Score rates how anomalous the observation is for principal: 0 is
@@ -92,8 +108,11 @@ func (d *Detector) Train(principal, path string, inputLen int) {
 func (d *Detector) Score(principal, path string, inputLen int) float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	p, ok := d.profiles[principal]
-	if !ok || p.n < d.cfg.MinTraining {
+	return d.score(d.profiles[principal], path, inputLen)
+}
+
+func (d *Detector) score(p *profile, path string, inputLen int) float64 {
+	if p == nil || p.n < d.cfg.MinTraining {
 		return 0
 	}
 	score := 0.0

@@ -165,3 +165,45 @@ func sqrtApprox(x float64) float64 {
 	}
 	return g
 }
+
+// TestObserveEqualsUnusualThenTrain holds Observe to the two calls it
+// replaces in the guard: the same verdict, and the same profile after.
+func TestObserveEqualsUnusualThenTrain(t *testing.T) {
+	for _, tc := range []struct {
+		name, principal, path string
+		inputLen              int
+		wantUnusual           bool
+	}{
+		{"untrained principal", "nobody", "/x", 10000, false},
+		{"trained, typical request", "alice", "/index.html", 20, false},
+		{"trained, new path alone", "alice", "/docs/new.html", 20, false},
+		{"trained, long input on a new path", "alice", "/cgi-bin/phf", 1500, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			two, one := trainedDetector(t), trainedDetector(t)
+			// Twice: the second observation is scored against a profile
+			// that already holds the first.
+			for round := 0; round < 2; round++ {
+				want := two.Unusual(tc.principal, tc.path, tc.inputLen)
+				two.Train(tc.principal, tc.path, tc.inputLen)
+				if got := one.Observe(tc.principal, tc.path, tc.inputLen); got != want {
+					t.Fatalf("round %d: Observe = %v, Unusual then Train = %v", round, got, want)
+				}
+				if round == 0 && want != tc.wantUnusual {
+					t.Fatalf("Unusual = %v, want %v", want, tc.wantUnusual)
+				}
+			}
+			if one.Trained(tc.principal) != two.Trained(tc.principal) {
+				t.Fatalf("Trained = %d, want %d", one.Trained(tc.principal), two.Trained(tc.principal))
+			}
+			for _, probe := range []struct {
+				path string
+				n    int
+			}{{tc.path, tc.inputLen}, {"/never-seen", 20}, {"/index.html", 400}} {
+				if got, want := one.Score(tc.principal, probe.path, probe.n), two.Score(tc.principal, probe.path, probe.n); got != want {
+					t.Fatalf("Score(%s, %d) after Observe = %v, after Unusual+Train = %v", probe.path, probe.n, got, want)
+				}
+			}
+		})
+	}
+}

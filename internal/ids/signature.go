@@ -38,6 +38,9 @@ func (sig *Signature) Matches(s string) bool {
 type DB struct {
 	mu   sync.RWMutex
 	sigs []Signature
+	// globs[i] is sigs[i].Patterns compiled at Add: Match runs the
+	// paper's *lit* signatures as substring searches.
+	globs [][]eacl.CompiledGlob
 }
 
 // NewDB returns a database preloaded with the given signatures.
@@ -52,6 +55,13 @@ func (db *DB) Add(sigs ...Signature) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.sigs = append(db.sigs, sigs...)
+	for _, sig := range sigs {
+		globs := make([]eacl.CompiledGlob, len(sig.Patterns))
+		for i, p := range sig.Patterns {
+			globs[i] = eacl.CompileGlob(p)
+		}
+		db.globs = append(db.globs, globs)
+	}
 }
 
 // Match returns every signature matching s, in registration order.
@@ -59,9 +69,12 @@ func (db *DB) Match(s string) []Signature {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Signature
-	for i := range db.sigs {
-		if db.sigs[i].Matches(s) {
-			out = append(out, db.sigs[i])
+	for i, globs := range db.globs {
+		for _, g := range globs {
+			if g.Match(s) {
+				out = append(out, db.sigs[i])
+				break
+			}
 		}
 	}
 	return out

@@ -7,7 +7,7 @@ package netblock
 
 import (
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -270,11 +270,11 @@ func (s *Set) Entries() []Entry {
 			out = append(out, Entry{Addr: n.cidr, Permanent: n.expiry.IsZero(), Expiry: n.expiry})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := strings.Compare(a.Addr, b.Addr); c != 0 {
+			return c
 		}
-		return out[i].Expiry.Before(out[j].Expiry)
+		return a.Expiry.Compare(b.Expiry)
 	})
 	return out
 }

@@ -1,7 +1,10 @@
 package netblock
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -309,5 +312,49 @@ func TestBlockedReadsClockOnlyForDeadlines(t *testing.T) {
 	}
 	if got := len(s.Entries()); got != 2 {
 		t.Errorf("%d entries after expiry, want the 2 permanent ones", got)
+	}
+}
+
+// TestEntriesOrderUnchanged: Entries feeds the persisted snapshot, so
+// its order is on-disk format. The slices.SortFunc comparator must
+// order exactly as the sort.Slice one it replaced: address, then
+// expiry, permanent (zero time) first.
+func TestEntriesOrderUnchanged(t *testing.T) {
+	now := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(18))
+	s := NewSet(WithClock(func() time.Time { return now }))
+	for i := 0; i < 500; i++ {
+		ttl := time.Duration(rng.Intn(3)) * time.Hour // 0: permanent
+		s.Block(fmt.Sprintf("%d.%d.%d.%d", rng.Intn(256), rng.Intn(256), rng.Intn(4), rng.Intn(256)), ttl)
+		if i%10 == 0 {
+			s.Block(fmt.Sprintf("%d.%d.0.0/16", rng.Intn(256), rng.Intn(256)), ttl)
+		}
+	}
+	// The API keeps one entry per address; the comparator's second key
+	// still has to hold for a set that has two.
+	for _, hours := range []int{5, 0, 3, 1} {
+		n := s.nets[0]
+		if n.expiry = now.Add(time.Duration(hours) * time.Hour); hours == 0 {
+			n.expiry = time.Time{}
+		}
+		s.nets = append(s.nets, n)
+	}
+
+	got := s.Entries()
+	want := append([]Entry(nil), got...)
+	rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Addr != want[j].Addr {
+			return want[i].Addr < want[j].Addr
+		}
+		return want[i].Expiry.Before(want[j].Expiry)
+	})
+	if len(got) < 500 {
+		t.Fatalf("Entries() returned %d entries", len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Entries()[%d] = %+v, the parent comparator puts %+v there", i, got[i], want[i])
+		}
 	}
 }

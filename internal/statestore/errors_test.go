@@ -161,6 +161,31 @@ func TestCompactRenameFailureKeepsSegment(t *testing.T) {
 	}
 }
 
+// TestRecoveryRotatedSegmentSurvivesRestart: the rotated segment a
+// failed compaction left behind is still the only copy of its records
+// after a restart, so the next compaction — failing again here — must
+// not rotate over it either.
+func TestRecoveryRotatedSegmentSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	bfs := &brokenFS{FS: OS, failCreate: true}
+	for _, n := range []int{3, 2} {
+		s, err := Open(dir, Options{Fsync: FsyncNever, FS: bfs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+		appendN(t, s, n)
+		if err := s.Compact(); !errors.Is(err, errInjected) {
+			t.Fatalf("Compact with failing Create = %v, want injected", err)
+		}
+		s.Close()
+	}
+	re := openStore(t, dir, Options{})
+	if rec := re.Recovery(); rec.SnapshotLoaded || rec.Replayed != 5 {
+		t.Fatalf("recovery = %+v, want all 5 records replayed from the two segments", rec)
+	}
+}
+
 func TestFsyncAlwaysSurfacesSyncError(t *testing.T) {
 	bfs := &brokenFS{FS: OS, failSync: true}
 	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, FS: bfs})

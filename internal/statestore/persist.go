@@ -139,7 +139,7 @@ func (a *Adaptive) append(kind string, v any) {
 		return
 	}
 	if a.store != nil {
-		if err := a.store.Append(kind, json.RawMessage(data)); err != nil {
+		if err := a.store.appendRaw(kind, data); err != nil {
 			a.journalErrors.Add(1)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -80,8 +81,9 @@ type Options struct {
 	// FsyncInterval is the background flush period under FsyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// appended records (default 4096; negative disables count-driven
+	// SnapshotEvery compacts the WAL into a snapshot after at least this
+	// many appended records, and not before the WAL has reached the size
+	// of the last snapshot (default 4096; negative disables count-driven
 	// compaction).
 	SnapshotEvery int
 	// SnapshotInterval additionally compacts on a timer (0: off).
@@ -179,6 +181,14 @@ type Store struct {
 	// record appended after it.
 	walSize    int64
 	needsTrunc bool
+	// snapSize is the length of the last snapshot's state, written or
+	// loaded: count-driven compaction waits for the WAL to grow as long,
+	// so a snapshot rewrites no more bytes than the log it replaces.
+	snapSize int64
+	// prevPending: wal.prev.log holds records no snapshot covers yet (its
+	// compaction failed, or is in flight); rotating would overwrite them.
+	prevPending bool
+	frame       []byte // Append's encode buffer, reused under mu
 
 	recovery RecoveryReport
 	snapshot json.RawMessage // state restored at Open (nil: none)
@@ -236,6 +246,7 @@ func (s *Store) recover() error {
 			s.recovery.SnapshotLoaded = true
 			s.recovery.SnapshotSeq = sf.Seq
 			s.snapshot = sf.State
+			s.snapSize = int64(len(sf.State))
 			s.nextSeq = sf.Seq
 		}
 	}
@@ -260,6 +271,8 @@ func (s *Store) recover() error {
 		}
 		if name == walName {
 			s.walSize = res.validLen
+		} else {
+			s.prevPending = true
 		}
 		for _, rec := range res.records {
 			if rec.Seq <= s.recovery.SnapshotSeq && s.recovery.SnapshotLoaded {
@@ -273,6 +286,9 @@ func (s *Store) recover() error {
 		}
 	}
 	s.recovery.Replayed = len(s.tail)
+	// A restart does not reset the count, or a process restarted before
+	// every SnapshotEvery-th record would never compact.
+	s.sinceSnp = len(s.tail)
 	if len(torn) > 0 {
 		s.quarantine(torn, s.recovery.DroppedReason)
 	}
@@ -346,7 +362,11 @@ func (s *Store) Append(kind string, v any) error {
 	if err != nil {
 		return fmt.Errorf("statestore: encode %s: %w", kind, err)
 	}
+	return s.appendRaw(kind, data)
+}
 
+// appendRaw is Append for a marshalled value; data is not retained.
+func (s *Store) appendRaw(kind string, data []byte) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -364,8 +384,8 @@ func (s *Store) Append(kind string, v any) error {
 		s.needsTrunc = false
 	}
 	s.nextSeq++
-	rec := Record{Seq: s.nextSeq, Kind: kind, Data: data}
-	frame, err := encodeFrame(rec)
+	frame, err := appendFrame(s.frame[:0], Record{Seq: s.nextSeq, Kind: kind, Data: data})
+	s.frame = frame[:0]
 	if err == nil {
 		var n int
 		n, err = s.wal.Write(frame)
@@ -393,7 +413,8 @@ func (s *Store) Append(kind string, v any) error {
 		}
 		s.dirty = false
 	}
-	needSnap := s.opts.SnapshotEvery > 0 && s.sinceSnp >= s.opts.SnapshotEvery && s.snapshotFunc != nil
+	needSnap := s.opts.SnapshotEvery > 0 && s.sinceSnp >= s.opts.SnapshotEvery &&
+		s.walSize >= s.snapSize && s.snapshotFunc != nil
 	s.mu.Unlock()
 
 	if needSnap {
@@ -452,10 +473,9 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 		return fmt.Errorf("statestore: compact: close WAL: %w", err)
 	}
-	rotated := true
-	if err := s.opts.FS.Rename(s.path(walName), s.path(walPrevName)); err != nil {
-		rotated = false // keep appending to the old segment
-	}
+	// Best effort: over a pending segment, or when the rename fails, keep
+	// appending to the old one; this snapshot covers both all the same.
+	rotated := !s.prevPending && s.opts.FS.Rename(s.path(walName), s.path(walPrevName)) == nil
 	wal, err := s.opts.FS.OpenAppend(s.path(walName))
 	if err != nil {
 		s.stats.SnapshotErrors++
@@ -467,6 +487,7 @@ func (s *Store) Compact() error {
 	if rotated {
 		s.walSize = 0
 		s.needsTrunc = false
+		s.prevPending = true
 	}
 	s.mu.Unlock()
 
@@ -481,20 +502,20 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("statestore: compact: %w", err)
 	}
 	s.stats.Snapshots++
-	if rotated {
-		_ = s.opts.FS.Remove(s.path(walPrevName))
-	}
+	s.snapSize, s.prevPending = int64(len(state)), false
+	_ = s.opts.FS.Remove(s.path(walPrevName))
 	return nil
 }
 
 // writeSnapshot persists state atomically: temp file, fsync, rename,
 // directory sync.
 func (s *Store) writeSnapshot(state []byte, seq uint64) error {
-	sf := snapFile{Version: 1, Seq: seq, CRC: crc32.ChecksumIEEE(state), State: state}
-	raw, err := json.Marshal(sf)
-	if err != nil {
-		return err
-	}
+	// What json.Marshal(snapFile{1, seq, crc, state}) renders: state is
+	// already compact JSON, and the encoder would validate and copy it twice.
+	raw := make([]byte, 0, len(state)+80)
+	raw = strconv.AppendUint(append(raw, `{"version":1,"seq":`...), seq, 10)
+	raw = strconv.AppendUint(append(raw, `,"crc32":`...), uint64(crc32.ChecksumIEEE(state)), 10)
+	raw = append(append(append(raw, `,"state":`...), state...), '}')
 	f, err := s.opts.FS.Create(s.path(snapTempName))
 	if err != nil {
 		return err

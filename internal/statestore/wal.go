@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // The WAL is a sequence of length+CRC framed records:
@@ -35,34 +36,57 @@ type Record struct {
 	Data json.RawMessage `json:"d,omitempty"`
 }
 
-// encodeFrame renders a record as a framed WAL entry.
-func encodeFrame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("statestore: encode record: %w", err)
+// appendFrame appends rec's framed WAL entry to dst. The payload is
+// what json.Marshal(rec) renders, written in place: rec.Data is taken as
+// encoding/json's own output (every caller marshals its value exactly
+// once), and a kind the encoder would escape takes the json.Marshal path.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	if plainASCII(rec.Kind) {
+		dst = strconv.AppendUint(append(dst, `{"seq":`...), rec.Seq, 10)
+		dst = append(append(dst, `,"k":"`...), rec.Kind...)
+		dst = append(dst, '"')
+		if len(rec.Data) > 0 {
+			dst = append(append(dst, `,"d":`...), rec.Data...)
+		}
+		dst = append(dst, '}')
+	} else {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return dst[:start], fmt.Errorf("statestore: encode record: %w", err)
+		}
+		dst = append(dst, payload...)
 	}
+	payload := dst[start+frameHeaderSize:]
 	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("statestore: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordSize)
+		return dst[:start], fmt.Errorf("statestore: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordSize)
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
+}
+
+// plainASCII reports whether encoding/json writes s between quotes
+// unchanged: printable ASCII with none of the bytes it escapes.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // EncodeFrames renders records in the WAL frame format. It is the
 // cluster-replication wire encoding: the same length+CRC framing that
 // protects the on-disk journal protects the records a node ships to
 // its peers.
-func EncodeFrames(recs []Record) ([]byte, error) {
-	var out []byte
+func EncodeFrames(recs []Record) (out []byte, err error) {
 	for _, rec := range recs {
-		frame, err := encodeFrame(rec)
-		if err != nil {
+		if out, err = appendFrame(out, rec); err != nil {
 			return nil, err
 		}
-		out = append(out, frame...)
 	}
 	return out, nil
 }
