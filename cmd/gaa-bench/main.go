@@ -8,12 +8,6 @@
 //	gaa-bench -run e1,e3      # run a subset
 //	gaa-bench -trials 20      # the paper's trial count (default)
 //	gaa-bench -notify 47ms    # synthetic notification latency
-//	gaa-bench -parallel       # parallel decision-path throughput sweep
-//	gaa-bench -parallel -json # same, as JSON (BENCH_parallel.json)
-//	gaa-bench -observability  # metrics-instrumentation overhead
-//	                          # (-json: BENCH_observability.json)
-//	gaa-bench -campaigns      # every attack campaign as a load test
-//	                          # (-json: BENCH_campaigns.json)
 //	gaa-bench -drill          # fault drill: seeded evaluator/notifier
 //	                          # fault injection; non-zero exit on crash
 package main
@@ -40,15 +34,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gaa-bench", flag.ContinueOnError)
 	var (
-		runList  = fs.String("run", "", "comma-separated experiment ids (e1..e8); empty = all")
-		trials   = fs.Int("trials", 20, "measurement trials per cell (paper protocol: 20)")
-		notify   = fs.Duration("notify", 47*time.Millisecond, "synthetic notification latency")
-		seed     = fs.Int64("seed", 2003, "workload seed")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		parallel = fs.Bool("parallel", false, "run the parallel throughput sweep (1/4/16 goroutines) instead of the experiment tables")
-		observ   = fs.Bool("observability", false, "measure metrics-instrumentation overhead (bare vs gaa.WithMetrics) instead of the experiment tables")
-		camps    = fs.Bool("campaigns", false, "run every attack campaign as a load test (per-phase latency + decision accounting) instead of the experiment tables")
-		jsonOut  = fs.Bool("json", false, "with -parallel, -observability or -campaigns: emit machine-readable JSON")
+		runList = fs.String("run", "", "comma-separated experiment ids (e1..e11); empty = all")
+		trials  = fs.Int("trials", 20, "measurement trials per cell (paper protocol: 20)")
+		notify  = fs.Duration("notify", 47*time.Millisecond, "synthetic notification latency")
+		seed    = fs.Int64("seed", 2003, "workload seed")
+		list    = fs.Bool("list", false, "list experiments and exit")
 
 		drill       = fs.Bool("drill", false, "run a fault drill (seeded fault injection over the section 7.2 deployment) instead of the experiment tables")
 		drillN      = fs.Int("drill-requests", 400, "with -drill: legitimate-workload size")
@@ -92,52 +82,6 @@ func run(args []string, out io.Writer) error {
 			do.StateDir = dir
 		}
 		return experiments.FaultDrill(out, do)
-	}
-
-	if *parallel {
-		if !*jsonOut {
-			return experiments.Parallel(out, opts)
-		}
-		results, err := experiments.ParallelResults(opts)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteParallelJSON(out, results)
-	}
-	if *observ {
-		if !*jsonOut {
-			return experiments.Observability(out, opts)
-		}
-		results, err := experiments.ObservabilityResults(opts, 1)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteObservabilityJSON(out, results)
-	}
-	if *camps {
-		if !*jsonOut {
-			return experiments.Campaigns(out, opts)
-		}
-		results, err := experiments.CampaignResults(opts)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteCampaignsJSON(out, results); err != nil {
-			return err
-		}
-		failed := 0
-		for _, cb := range results {
-			if !cb.Passed {
-				failed++
-			}
-		}
-		if failed > 0 {
-			return fmt.Errorf("%d campaign(s) failed", failed)
-		}
-		return nil
-	}
-	if *jsonOut {
-		return fmt.Errorf("-json requires -parallel, -observability or -campaigns")
 	}
 
 	if *list {

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,7 +11,8 @@ func TestList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"} {
+	for i := 1; i <= 11; i++ {
+		id := fmt.Sprintf("e%-3d ", i) // the "%-4s " column, so e1 is not found in e10
 		if !strings.Contains(out.String(), id) {
 			t.Errorf("list output missing %s:\n%s", id, out.String())
 		}
@@ -43,53 +44,5 @@ func TestBadFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Error("want flag parse error")
-	}
-}
-
-// TestCampaignsTable: the campaign load-test sweep prints one row per
-// phase and succeeds when every checkpoint holds.
-func TestCampaignsTable(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-campaigns"}, &out); err != nil {
-		t.Fatalf("run -campaigns: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"credential-stuffing", "threat-ladder", "p95(us)", "ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("campaigns table missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestCampaignsJSON: -campaigns -json emits the BENCH_campaigns.json
-// shape with decision accounting per phase.
-func TestCampaignsJSON(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-campaigns", "-json"}, &out); err != nil {
-		t.Fatalf("run -campaigns -json: %v", err)
-	}
-	var doc struct {
-		Campaigns []struct {
-			Campaign string `json:"campaign"`
-			Passed   bool   `json:"passed"`
-			Phases   []struct {
-				AccountingOK bool `json:"accounting_ok"`
-			} `json:"phases"`
-		} `json:"campaigns"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, out.String())
-	}
-	if len(doc.Campaigns) != 8 {
-		t.Fatalf("campaigns = %d, want 8", len(doc.Campaigns))
-	}
-	for _, c := range doc.Campaigns {
-		if !c.Passed {
-			t.Errorf("campaign %s failed", c.Campaign)
-		}
-		for _, ph := range c.Phases {
-			if !ph.AccountingOK {
-				t.Errorf("campaign %s: decision accounting mismatch", c.Campaign)
-			}
-		}
 	}
 }

@@ -22,6 +22,41 @@ import (
 	"gaaapi/internal/workload"
 )
 
+// The paper's section 7.1 (lockdown) and 7.2 (application-level
+// detection) policies, shared by the root end-to-end tests.
+const (
+	policy71System = `
+eacl_mode narrow
+neg_access_right * *
+pre_cond_system_threat_level local =high
+`
+	policy71Local = `
+pos_access_right apache *
+pre_cond_system_threat_level local >low
+pre_cond_accessid_USER apache *
+`
+	policy72System = `
+eacl_mode narrow
+neg_access_right * *
+pre_cond_accessid_GROUP local BadGuys
+`
+	policy72Local = `
+neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi*
+rr_cond_update_log local on:failure/BadGuys/info:IP
+neg_access_right apache *
+pre_cond_expr local input_length>1000
+pos_access_right apache *
+`
+	policy72LocalNotify = `
+neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi*
+rr_cond_notify local on:failure/sysadmin/info:cgiexploit
+rr_cond_update_log local on:failure/BadGuys/info:IP
+pos_access_right apache *
+`
+)
+
 // TestEndToEndFileBackedDeployment drives the whole system over real
 // TCP with policies stored on disk: the system-wide policy in one
 // file, per-directory local policies in .eacl files, credentials in an
@@ -148,8 +183,7 @@ pre_cond_accessid_USER apache *
 // attacks denied, all legitimate requests served.
 func TestEndToEndWorkloadOverTCP(t *testing.T) {
 	// The full signature set covering every class in the attack mix
-	// (bench_test.go's policy72Local is the minimal two-signature
-	// variant used for timing).
+	// (policy72Local is the minimal two-signature variant).
 	const fullLocalPolicy = `
 neg_access_right apache *
 pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe*

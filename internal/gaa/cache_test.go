@@ -453,6 +453,16 @@ func TestCacheMissConstantCost(t *testing.T) {
 			t.Fatalf("%d entries: %d of the measured lookups hit; the cycle should always miss", p.size, st.Hits-before.Hits)
 		}
 	}
+	small, big := probes[0], probes[1]
+	if small.allocs > 7 || big.allocs > 7 {
+		t.Errorf("miss allocates %.1f (64 entries) / %.1f (1024 entries) per lookup, want <= 7", small.allocs, big.allocs)
+	}
+	if raceEnabled {
+		// Two wall-clock timings compared at 2x do not hold under the
+		// detector with other packages' tests sharing the host.
+		t.Log("race detector on: wall-clock comparison skipped")
+		return
+	}
 	// Alternate the two caches and keep each one's best round, so a slow
 	// stretch of the host lands on both.
 	const rounds, perRound = 7, 4000
@@ -467,11 +477,7 @@ func TestCacheMissConstantCost(t *testing.T) {
 			}
 		}
 	}
-	small, big := probes[0], probes[1]
 	t.Logf("miss at 64 entries: %v, %.1f allocs; at 1024 entries: %v, %.1f allocs", small.best, small.allocs, big.best, big.allocs)
-	if small.allocs > 7 || big.allocs > 7 {
-		t.Errorf("miss allocates %.1f (64 entries) / %.1f (1024 entries) per lookup, want <= 7", small.allocs, big.allocs)
-	}
 	if big.best > 2*small.best {
 		t.Errorf("miss costs %v at 1024 entries and %v at 64: more than 2x", big.best, small.best)
 	}

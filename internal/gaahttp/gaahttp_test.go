@@ -13,6 +13,7 @@ import (
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
+	"gaaapi/internal/ids/adaptive"
 )
 
 // policy71System / policy71Local are the paper's section 7.1 policies.
@@ -473,36 +474,54 @@ func TestAnomalyTrainingThroughGuard(t *testing.T) {
 // TestGuardCheckZeroAllocBeyondRightsString pins a cached grant through
 // the guard at one allocation: the "<authority> <METHOD> <path>" string
 // that is both the audit record's right and, sliced, the requested one.
+// The metrics layer and the asynchronous adaptive scorer ride the same
+// path and must add nothing to it.
 func TestGuardCheckZeroAllocBeyondRightsString(t *testing.T) {
-	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
-		LocalPolicies: map[string]string{"*": policy72Local},
-		DocRoot:       map[string]string{"/index.html": "home"},
-		PolicyCache:   true,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	defer st.Close()
-	rec := &httpd.RequestRec{
-		Time:     time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC),
-		Method:   "GET",
-		Path:     "/index.html",
-		URI:      "GET /index.html",
-		ClientIP: "10.0.0.1",
-	}
-	if v := st.Guard.Check(rec); v.Status.Kind != httpd.StatusOK {
-		t.Fatalf("Check = %+v, want OK", v.Status)
-	}
-	recs := st.Audit.Records()
-	if len(recs) == 0 || recs[len(recs)-1].Right != "apache GET /index.html" {
-		t.Fatalf("audit records = %+v, want a last one with right %q", recs, "apache GET /index.html")
-	}
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	if allocs := testing.AllocsPerRun(200, func() { st.Guard.Check(rec) }); allocs != 1 {
-		t.Errorf("cached grant through Guard.Check allocates %v, want 1 (the rights string)", allocs)
+	scorer := adaptive.Defaults()
+	for _, tc := range []struct {
+		name     string
+		metrics  bool
+		adaptive *adaptive.Config
+	}{
+		{"plain", false, nil},
+		{"metrics", true, nil},
+		{"scorer", false, &scorer},
+		{"metrics+scorer", true, &scorer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewStack(StackConfig{
+				SystemPolicy:  policy72System,
+				LocalPolicies: map[string]string{"*": policy72Local},
+				DocRoot:       map[string]string{"/index.html": "home"},
+				PolicyCache:   true,
+				Metrics:       tc.metrics,
+				Adaptive:      tc.adaptive,
+			})
+			if err != nil {
+				t.Fatalf("NewStack: %v", err)
+			}
+			defer st.Close()
+			rec := &httpd.RequestRec{
+				Time:     time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC),
+				Method:   "GET",
+				Path:     "/index.html",
+				URI:      "GET /index.html",
+				ClientIP: "10.0.0.1",
+			}
+			if v := st.Guard.Check(rec); v.Status.Kind != httpd.StatusOK {
+				t.Fatalf("Check = %+v, want OK", v.Status)
+			}
+			recs := st.Audit.Records()
+			if len(recs) == 0 || recs[len(recs)-1].Right != "apache GET /index.html" {
+				t.Fatalf("audit records = %+v, want a last one with right %q", recs, "apache GET /index.html")
+			}
+			if raceEnabled {
+				t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+			}
+			if allocs := testing.AllocsPerRun(2000, func() { st.Guard.Check(rec) }); allocs != 1 {
+				t.Errorf("cached grant through Guard.Check allocates %v, want 1 (the rights string)", allocs)
+			}
+		})
 	}
 }
 

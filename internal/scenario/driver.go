@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -22,10 +21,6 @@ type Options struct {
 	// Seed drives every phase's traffic generator. Zero means
 	// DefaultSeed.
 	Seed int64
-	// Timing collects wall-clock per-phase latency into
-	// Report.Timings (excluded from the canonical JSON so reports
-	// stay byte-deterministic). The bench harness sets it.
-	Timing bool
 	// Throttle inserts a real pause after every request. Cluster
 	// campaigns set a couple of milliseconds so the replication
 	// pushers (which run on real time) can drain between requests.
@@ -67,17 +62,6 @@ type PhaseReport struct {
 	Checks   []CheckResult `json:"checks"`
 }
 
-// PhaseTiming is the wall-clock load-test view of a phase (bench
-// harness only — deliberately not part of the canonical report).
-type PhaseTiming struct {
-	Name      string
-	Requests  int
-	Elapsed   time.Duration
-	P50, P95  time.Duration
-	Max       time.Duration
-	ReqPerSec float64
-}
-
 // Report is a campaign run's canonical, seed-deterministic outcome.
 // Two runs with the same seed against the same stack produce
 // byte-identical WriteJSON output.
@@ -90,10 +74,6 @@ type Report struct {
 	Checks   int           `json:"checks"`
 	Failures []string      `json:"failures"`
 	Passed   bool          `json:"passed"`
-
-	// Timings carries the optional wall-clock measurements; excluded
-	// from JSON because wall time is never deterministic.
-	Timings []PhaseTiming `json:"-"`
 }
 
 // firewallBody is the netblock layer's fixed response body — how the
@@ -148,8 +128,6 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 			Classes:  map[string]map[string]int{},
 			Checks:   []CheckResult{},
 		}
-		var lat []time.Duration
-		start := time.Now()
 		for i, r := range reqs {
 			d := r.Delay
 			if d == 0 && i > 0 {
@@ -158,17 +136,10 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 			if d > 0 && advances {
 				adv.Advance(d)
 			}
-			var t0 time.Time
-			if opts.Timing {
-				t0 = time.Now()
-			}
 			x, err := tgt.Do(r)
 			if err != nil {
 				return rep, fmt.Errorf("phase %q request %d (%s %s from %s): %w",
 					ph.Name, i, r.Method, r.Target, r.ClientIP, err)
-			}
-			if opts.Timing {
-				lat = append(lat, time.Since(t0))
 			}
 			if opts.Throttle > 0 {
 				time.Sleep(opts.Throttle)
@@ -184,10 +155,6 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 			if x.Body == firewallBody {
 				pr.Firewalled++
 			}
-		}
-		if opts.Timing {
-			pr := phaseTiming(ph.Name, lat, time.Since(start))
-			rep.Timings = append(rep.Timings, pr)
 		}
 
 		convState := ""
@@ -358,20 +325,4 @@ func inGroupStr(groups map[string][]string, m string) string {
 		return "in BadGuys"
 	}
 	return "not in BadGuys"
-}
-
-func phaseTiming(name string, lat []time.Duration, elapsed time.Duration) PhaseTiming {
-	pt := PhaseTiming{Name: name, Requests: len(lat), Elapsed: elapsed}
-	if len(lat) == 0 {
-		return pt
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pt.P50 = sorted[len(sorted)/2]
-	pt.P95 = sorted[(len(sorted)*95)/100]
-	pt.Max = sorted[len(sorted)-1]
-	if elapsed > 0 {
-		pt.ReqPerSec = float64(len(lat)) / elapsed.Seconds()
-	}
-	return pt
 }

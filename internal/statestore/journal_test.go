@@ -228,6 +228,108 @@ func TestRecoveryCompactionIsAmortized(t *testing.T) {
 	}
 }
 
+// parkFS holds the write to the first snapshot temp file created until
+// release is closed, keeping one compaction between its two critical
+// sections. Later temp files are not wrapped, so a second compaction let
+// through runs to its end.
+type parkFS struct {
+	FS
+	taken           atomic.Bool
+	parked, release chan struct{}
+}
+
+type parkFile struct {
+	File
+	fs *parkFS
+}
+
+func (f *parkFS) Create(name string) (File, error) {
+	file, err := f.FS.Create(name)
+	if err != nil || filepath.Base(name) != snapTempName || !f.taken.CompareAndSwap(false, true) {
+		return file, err
+	}
+	return &parkFile{File: file, fs: f}, nil
+}
+
+// Write is called once per snapshot file.
+func (f *parkFile) Write(p []byte) (int, error) {
+	close(f.fs.parked)
+	<-f.fs.release
+	return f.File.Write(p)
+}
+
+// TestRecoveryConcurrentCompactionsKeepEveryRecord: a second compaction
+// issued while the first is writing its snapshot — by an append crossing
+// SnapshotEvery, which skips, or by an explicit Compact, which waits —
+// must not share the temp file with it: every block is there on reopen.
+func TestRecoveryConcurrentCompactionsKeepEveryRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		every    int
+		explicit bool
+	}{
+		{"append-skips", 8, false},
+		{"explicit-waits", -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const before, during = 4, 8
+			dir := t.TempDir()
+			pfs := &parkFS{FS: OS, parked: make(chan struct{}), release: make(chan struct{})}
+			s := openStore(t, dir, Options{Fsync: FsyncNever, SnapshotEvery: tc.every, FS: pfs})
+			c := Components{Blocks: netblock.NewSet()}
+			if _, err := Attach(s, c); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < before; i++ {
+				c.Blocks.Block(blockAddr(i), 0)
+			}
+			errs := make(chan error, 2)
+			go func() { errs <- s.Compact() }()
+			<-pfs.parked
+
+			for i := before; i < before+during; i++ {
+				c.Blocks.Block(blockAddr(i), 0)
+			}
+			compactions := 1
+			if tc.explicit {
+				compactions++
+				done := make(chan struct{})
+				go func() { errs <- s.Compact(); close(done) }()
+				// Unserialized, the second one finishes here, well within
+				// the wait; serialized, it is blocked until the release.
+				select {
+				case <-done:
+				case <-time.After(100 * time.Millisecond):
+				}
+			}
+			close(pfs.release)
+			for i := 0; i < compactions; i++ {
+				if err := <-errs; err != nil {
+					t.Errorf("Compact: %v", err)
+				}
+			}
+			if st := s.Stats(); st.SnapshotErrors != 0 || st.Snapshots != uint64(compactions) {
+				t.Errorf("stats = %+v, want %d snapshots and no snapshot error", st, compactions)
+			}
+			s.Close()
+
+			restored := Components{Blocks: netblock.NewSet()}
+			re := openStore(t, dir, Options{})
+			if _, err := Attach(re, restored); err != nil {
+				t.Fatal(err)
+			}
+			if rec := re.Recovery(); rec.SnapshotQuarantined || !rec.SnapshotLoaded {
+				t.Errorf("recovery = %+v, want the snapshot loaded", rec)
+			}
+			for i := 0; i < before+during; i++ {
+				if !restored.Blocks.Blocked(blockAddr(i)) {
+					t.Errorf("block %d (%s) lost across the reopen", i, blockAddr(i))
+				}
+			}
+		})
+	}
+}
+
 // TestRecoveryReopenCountsWALTail: a process restarted before every
 // SnapshotEvery-th record — the restart loop an attacker can provoke —
 // must still compact: the recovered tail counts towards the trigger.

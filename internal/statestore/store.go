@@ -198,6 +198,11 @@ type Store struct {
 	// set via SetSnapshotFunc before compaction can run.
 	snapshotFunc func() ([]byte, error)
 
+	// compactMu admits one compaction at a time: two in flight would
+	// both write snapshot.json.tmp, and the later rename could publish a
+	// torn or older snapshot after wal.prev.log was removed.
+	compactMu sync.Mutex
+
 	bgStop chan struct{}
 	bgDone chan struct{}
 }
@@ -417,10 +422,13 @@ func (s *Store) appendRaw(kind string, data []byte) error {
 		s.walSize >= s.snapSize && s.snapshotFunc != nil
 	s.mu.Unlock()
 
-	if needSnap {
-		// Compact outside the store lock: the snapshot func reads the
-		// live components, whose mutators may themselves be appending.
-		_ = s.Compact()
+	// Compact outside the store lock: the snapshot func reads the live
+	// components, whose mutators may themselves be appending. When a
+	// compaction is already in flight, skip: this record sits in the live
+	// WAL and the next compaction covers it.
+	if needSnap && s.compactMu.TryLock() {
+		_ = s.compact()
+		s.compactMu.Unlock()
 	}
 	return nil
 }
@@ -448,8 +456,16 @@ func (s *Store) syncLocked() error {
 // Compact folds the live state into a fresh snapshot and resets the
 // WAL. Mutations racing with the state gather may be both included in
 // the snapshot and replayed from the WAL on the next open — replay is
-// at-least-once; consumers apply records idempotently.
+// at-least-once; consumers apply records idempotently. A call made
+// while another compaction is in flight waits for it to finish.
 func (s *Store) Compact() error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compact()
+}
+
+// compact is Compact with compactMu held.
+func (s *Store) compact() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
