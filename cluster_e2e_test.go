@@ -269,9 +269,13 @@ func TestClusterPartitionHealKill9(t *testing.T) {
 		t.Fatalf("block sets never became identical after heal:\nA: %s\nB: %s",
 			httpBody(t, baseA+"/gaa/status"), httpBody(t, baseB+"/gaa/status"))
 	}
-	// A healthy converged node reports ready.
-	if got := getStatus(legit, baseA+"/gaa/healthz"); got != http.StatusOK {
-		t.Fatalf("healthz on converged node A = %d, want 200", got)
+	// A healthy converged node reports ready — once the peer's acks have
+	// drained its lag: Health() reads catching-up until then, which can
+	// outlast the block sets comparing equal.
+	if !waitFor(t, 10*time.Second, nil, func() bool {
+		return getStatus(legit, baseA+"/gaa/healthz") == http.StatusOK
+	}) {
+		t.Fatalf("healthz on converged node A = %d, want 200", getStatus(legit, baseA+"/gaa/healthz"))
 	}
 
 	// Phase 3 — kill -9 and rejoin: B dies hard, restarts on the same

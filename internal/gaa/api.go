@@ -188,22 +188,35 @@ func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (
 // composePolicy reads every source and builds the composed policy (the
 // uncached retrieval-and-translation step of section 6, step 2a).
 func (a *API) composePolicy(object string, system, local []PolicySource) (*Policy, error) {
-	var sysEACLs, locEACLs []*eacl.EACL
-	for _, s := range system {
-		es, err := s.Policies(object)
-		if err != nil {
-			return nil, fmt.Errorf("system policy for %q: %w", object, err)
-		}
-		sysEACLs = append(sysEACLs, es...)
+	sysEACLs, err := gatherLevel("system", object, system)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range local {
-		es, err := s.Policies(object)
-		if err != nil {
-			return nil, fmt.Errorf("local policy for %q: %w", object, err)
-		}
-		locEACLs = append(locEACLs, es...)
+	locEACLs, err := gatherLevel("local", object, local)
+	if err != nil {
+		return nil, err
 	}
 	return NewPolicy(object, sysEACLs, locEACLs), nil
+}
+
+// gatherLevel concatenates what the sources of one level say about
+// object. The first contributing source's slice is adopted, not copied
+// (it is the caller's, see PolicySource), with its capacity clipped so
+// that a second source's append reallocates instead of writing into it.
+func gatherLevel(level, object string, srcs []PolicySource) ([]*eacl.EACL, error) {
+	var out []*eacl.EACL
+	for _, s := range srcs {
+		es, err := s.Policies(object)
+		if err != nil {
+			return nil, fmt.Errorf("%s policy for %q: %w", level, object, err)
+		}
+		if len(out) == 0 {
+			out = es[:len(es):len(es)]
+		} else {
+			out = append(out, es...)
+		}
+	}
+	return out, nil
 }
 
 // evalState is the pooled per-request scratch space of the decision

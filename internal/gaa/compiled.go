@@ -3,6 +3,7 @@ package gaa
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,13 +93,6 @@ func (a *API) CompileStats() CompileStats {
 	}
 }
 
-// patPair is one entry's interned (authority pattern, value pattern)
-// ids, indexed by the entry's position in its EACL.
-type patPair struct {
-	auth  int32
-	value int32
-}
-
 // compiledEACL is one EACL translated into decision form. The unit of
 // compilation is the EACL, not the composition: a system policy shared
 // by every object's composition is compiled (and held in memory) once.
@@ -107,17 +101,20 @@ type compiledEACL struct {
 	regGen uint64
 
 	entries []compiledEntry
-	pairs   []patPair
-	auth    globTrie
-	value   globTrie
-	nAuth   int
-	nValue  int
-	nMemo   int
+	// posts is the posting list of each interned value pattern: the
+	// ascending indexes of the entries that carry it. A request pays for
+	// the patterns its rights matched, not for every entry configured.
+	posts [][]int32
+	auth  globTrie
+	value globTrie
+	nAuth int
+	nMemo int
 }
 
 type compiledEntry struct {
 	entry *eacl.Entry
 	pos   bool
+	auth  int32 // interned authority pattern of the entry's right
 	pre   []compiledCond
 }
 
@@ -209,18 +206,22 @@ func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
 		source:  e.Source,
 		regGen:  regGen,
 		entries: make([]compiledEntry, 0, len(e.Entries)),
-		pairs:   make([]patPair, 0, len(e.Entries)),
 	}
 	authIDs := make(map[string]int32)
 	valIDs := make(map[string]int32)
 	memoIDs := make(map[memoKey]int32)
 	for i := range e.Entries {
 		entry := &e.Entries[i]
-		u.pairs = append(u.pairs, patPair{
+		val := internPattern(&u.value, valIDs, entry.Right.Value)
+		if int(val) == len(u.posts) {
+			u.posts = append(u.posts, nil)
+		}
+		u.posts[val] = append(u.posts[val], int32(i))
+		cent := compiledEntry{
+			entry: entry,
+			pos:   entry.Right.Sign == eacl.Pos,
 			auth:  internPattern(&u.auth, authIDs, entry.Right.DefAuth),
-			value: internPattern(&u.value, valIDs, entry.Right.Value),
-		})
-		cent := compiledEntry{entry: entry, pos: entry.Right.Sign == eacl.Pos}
+		}
 		for ci := range entry.Conditions {
 			cond := entry.Conditions[ci]
 			if cond.Block != eacl.BlockPre {
@@ -245,7 +246,6 @@ func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
 		u.entries = append(u.entries, cent)
 	}
 	u.nAuth = len(authIDs)
-	u.nValue = len(valIDs)
 	u.nMemo = len(memoIDs)
 	a.compiled.programs.Add(1)
 	return u
@@ -313,25 +313,29 @@ type compiledScratch struct {
 
 func (cs *compiledScratch) prepare(u *compiledEACL) {
 	cs.authBits = growBits(cs.authBits, u.nAuth)
-	cs.valBits = growBits(cs.valBits, u.nValue)
-	cs.entryBits = growBits(cs.entryBits, len(u.pairs))
+	cs.valBits = growBits(cs.valBits, len(u.posts))
+	cs.entryBits = growBits(cs.entryBits, len(u.entries))
 	clearBits(cs.entryBits)
 	cs.memo = append(cs.memo[:0], make([]CondVerdict, u.nMemo)...) // zeroed in place, no temporary
 }
 
 // matchRights walks each requested right through both tries and marks
 // the entries whose right covers it, replacing a per-entry
-// eacl.MatchRight loop.
+// eacl.MatchRight loop: only the posting lists of the value patterns
+// that matched are visited, and each visit is one authority-bit test.
 func (cs *compiledScratch) matchRights(u *compiledEACL, rights []eacl.Right) {
 	for _, r := range rights {
 		clearBits(cs.authBits)
 		clearBits(cs.valBits)
 		u.auth.match(r.DefAuth, cs.authBits)
 		u.value.match(r.Value, cs.valBits)
-		for bit := range u.pairs {
-			pr := &u.pairs[bit]
-			if bitGet(cs.authBits, pr.auth) && bitGet(cs.valBits, pr.value) {
-				cs.entryBits[bit>>6] |= 1 << (uint(bit) & 63)
+		for w, word := range cs.valBits {
+			for ; word != 0; word &= word - 1 {
+				for _, i := range u.posts[w<<6|bits.TrailingZeros64(word)] {
+					if bitGet(cs.authBits, u.entries[i].auth) {
+						cs.entryBits[i>>6] |= 1 << (uint(i) & 63)
+					}
+				}
 			}
 		}
 	}
@@ -430,7 +434,8 @@ func (r *evalResult) note(line int, text string) {
 // evaluateCompiledEACL scans the ordered entries of one EACL for the
 // requested rights and leaves the first firing entry's decision in res
 // (see the package comment for the full semantics), with right matching
-// answered by the precomputed entry bitset. Request-result conditions
+// answered by the precomputed entry bitset: the scan visits its set
+// bits, lowest first, which is entry order. Request-result conditions
 // are NOT evaluated here: they run once the composed decision is known.
 //
 // A traced request evaluates every condition through its evaluator —
@@ -439,74 +444,73 @@ func (r *evalResult) note(line int, text string) {
 // faults, so the common Yes/No path performs no per-entry allocation.
 func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, res *evalResult) {
 	*res = evalResult{source: u.source, Verdict: Verdict{Decision: Maybe}} // uncertain unless an entry applies
-entries:
-	for i := range u.entries {
-		if !bitGet(cs.entryBits, int32(i)) {
-			continue
-		}
-		entry := &u.entries[i]
-		line := entry.entry.Line
-		var maybes []eacl.Condition
-		for ci := range entry.pre {
-			cc := &entry.pre[ci]
-			var (
-				v                 CondVerdict
-				challenge, detail string
-			)
-			hoisted := cc.fast != nil && !req.Trace
-			if !hoisted {
-				v, challenge, detail = a.evalDynamic(ctx, cc.cond, req, line, res)
-			} else if v = cs.memo[cc.memo]; v == 0 {
-				v = a.evalFast(cs, cc, req, line, res)
-			}
-			switch v.Result() {
-			case No:
-				if v&CondRequirement == 0 || !entry.pos {
-					// Entry inapplicable — conditions are ordered, a
-					// selector NO ends the entry — and the scan continues.
-					if req.Trace {
-						res.note(line, "entry inapplicable")
+	for w, word := range cs.entryBits {
+	entries:
+		for ; word != 0; word &= word - 1 {
+			entry := &u.entries[w<<6|bits.TrailingZeros64(word)]
+			line := entry.entry.Line
+			var maybes []eacl.Condition
+			for ci := range entry.pre {
+				cc := &entry.pre[ci]
+				var (
+					v                 CondVerdict
+					challenge, detail string
+				)
+				hoisted := cc.fast != nil && !req.Trace
+				if !hoisted {
+					v, challenge, detail = a.evalDynamic(ctx, cc.cond, req, line, res)
+				} else if v = cs.memo[cc.memo]; v == 0 {
+					v = a.evalFast(cs, cc, req, line, res)
+				}
+				switch v.Result() {
+				case No:
+					if v&CondRequirement == 0 || !entry.pos {
+						// Entry inapplicable — conditions are ordered, a
+						// selector NO ends the entry — and the scan continues.
+						if req.Trace {
+							res.note(line, "entry inapplicable")
+						}
+						continue entries
 					}
-					continue entries
+					// Failed requirement on a positive entry: final deny,
+					// possibly with an authentication challenge.
+					if hoisted && v&CondChallenge != 0 {
+						challenge = cc.fast.Challenge()
+					}
+					res.Verdict = Verdict{Decision: No, Applicable: true, Challenge: challenge}
+					res.entry = entry.entry
+					if req.Trace {
+						res.note(line, "requirement failed: "+detail)
+					}
+					return
+				case Yes:
+					// condition met; continue within the entry
+				default:
+					// Maybe, or a zero/invalid decision treated as unevaluated
+					// for fail-safety.
+					maybes = append(maybes, cc.cond)
 				}
-				// Failed requirement on a positive entry: final deny,
-				// possibly with an authentication challenge.
-				if hoisted && v&CondChallenge != 0 {
-					challenge = cc.fast.Challenge()
-				}
-				res.Verdict = Verdict{Decision: No, Applicable: true, Challenge: challenge}
-				res.entry = entry.entry
+			}
+			res.Applicable = true
+			res.entry = entry.entry
+			switch {
+			case len(maybes) > 0:
+				res.unevaluated = maybes
 				if req.Trace {
-					res.note(line, "requirement failed: "+detail)
+					res.note(line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
 				}
-				return
-			case Yes:
-				// condition met; continue within the entry
+			case entry.pos:
+				res.Decision = Yes
+				if req.Trace {
+					res.note(line, "entry fired: grant")
+				}
 			default:
-				// Maybe, or a zero/invalid decision treated as unevaluated
-				// for fail-safety.
-				maybes = append(maybes, cc.cond)
+				res.Decision = No
+				if req.Trace {
+					res.note(line, "entry fired: deny")
+				}
 			}
+			return
 		}
-		res.Applicable = true
-		res.entry = entry.entry
-		switch {
-		case len(maybes) > 0:
-			res.unevaluated = maybes
-			if req.Trace {
-				res.note(line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
-			}
-		case entry.pos:
-			res.Decision = Yes
-			if req.Trace {
-				res.note(line, "entry fired: grant")
-			}
-		default:
-			res.Decision = No
-			if req.Trace {
-				res.note(line, "entry fired: deny")
-			}
-		}
-		return
 	}
 }

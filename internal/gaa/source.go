@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/bits"
 	"os"
 	"path"
 	"strconv"
@@ -26,7 +27,9 @@ import (
 // units are keyed by that pointer.
 type PolicySource interface {
 	// Policies returns the EACLs governing object, in priority order.
-	// A source with nothing to say returns an empty slice.
+	// A source with nothing to say returns an empty slice. The slice is
+	// the caller's: the source does not write to it again (composition
+	// adopts it instead of copying).
 	Policies(object string) ([]*eacl.EACL, error)
 	// Revision identifies the current content version for the object;
 	// the policy cache invalidates when it changes. Implementations
@@ -48,6 +51,11 @@ type memState struct {
 	entries []memEntry
 	rev     int
 	revStr  string
+	// trie indexes the entries' patterns by entry position. It is built
+	// by the first Policies on this state, so a run of Adds (each of
+	// which publishes a state) indexes nothing.
+	index sync.Once
+	trie  globTrie
 }
 
 type memEntry struct {
@@ -87,13 +95,23 @@ func (m *MemorySource) AddPolicy(pattern, src string) error {
 	return nil
 }
 
-// Policies implements PolicySource.
+// Policies implements PolicySource: one trie walk over object, then the
+// matched entries in insertion order — the cost of what matched, not of
+// every pattern registered.
 func (m *MemorySource) Policies(object string) ([]*eacl.EACL, error) {
 	st := m.state.Load()
+	st.index.Do(func() {
+		for i, en := range st.entries {
+			st.trie.insert(en.pattern, int32(i))
+		}
+	})
+	var buf [32]uint64 // up to 2048 patterns without leaving the stack
+	matched := growBits(buf[:0], len(st.entries))
+	st.trie.match(object, matched)
 	var out []*eacl.EACL
-	for _, en := range st.entries {
-		if eacl.Glob(en.pattern, object) {
-			out = append(out, en.eacl)
+	for w, word := range matched {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, st.entries[w<<6|bits.TrailingZeros64(word)].eacl)
 		}
 	}
 	return out, nil

@@ -27,18 +27,25 @@ func DefaultAnomalyConfig() AnomalyConfig {
 	}
 }
 
+// maxProfilePaths bounds each profile's path set: a grant precedes the
+// 404, so any permitted client could otherwise grow it with random paths.
+const maxProfilePaths = 256
+
 // profile accumulates per-principal behaviour: the set of paths the
 // principal accesses and running moments of the request input length
-// (the shared Welford core).
+// (the shared Welford core). A full path set stops recording: new paths
+// keep scoring as never-seen, recorded ones are still recognised.
 type profile struct {
 	n     int
-	paths map[string]int
+	paths map[string]struct{}
 	len   Welford
 }
 
 func (p *profile) observe(path string, inputLen int) {
 	p.n++
-	p.paths[path]++
+	if len(p.paths) < maxProfilePaths {
+		p.paths[path] = struct{}{}
+	}
 	p.len.Observe(float64(inputLen))
 }
 
@@ -46,7 +53,9 @@ func (p *profile) observe(path string, inputLen int) {
 // profile building module and anomaly detector ... to support
 // anomaly-based intrusion detection in addition to the signature-
 // based". Profiles are keyed by principal (user identity or client
-// address). It is safe for concurrent use.
+// address). It is safe for concurrent use. Each profile is bounded
+// (maxProfilePaths); the number of profiles is not — that bound belongs
+// to ROADMAP item 3, which decides whether the Detector stays.
 type Detector struct {
 	cfg      AnomalyConfig
 	mu       sync.RWMutex
@@ -83,7 +92,7 @@ func (d *Detector) Train(principal, path string, inputLen int) {
 // train folds the observation into p, principal's profile (nil: none yet).
 func (d *Detector) train(p *profile, principal, path string, inputLen int) {
 	if p == nil {
-		p = &profile{paths: make(map[string]int)}
+		p = &profile{paths: make(map[string]struct{})}
 		d.profiles[principal] = p
 	}
 	p.observe(path, inputLen)
@@ -116,7 +125,7 @@ func (d *Detector) score(p *profile, path string, inputLen int) float64 {
 		return 0
 	}
 	score := 0.0
-	if p.paths[path] == 0 {
+	if _, seen := p.paths[path]; !seen {
 		score += d.cfg.NewPathWeight
 	}
 	score += p.len.Z(float64(inputLen), d.cfg.LengthZMax)

@@ -113,7 +113,7 @@ func TestProfileMomentsMatchNaive(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		p := &profile{paths: make(map[string]int)}
+		p := &profile{paths: make(map[string]struct{})}
 		var sum float64
 		for _, v := range raw {
 			p.observe("/x", int(v))
@@ -205,5 +205,31 @@ func TestObserveEqualsUnusualThenTrain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDetectorPathSetIsBounded: a grant precedes the 404, so a permitted
+// client can name any number of paths; its profile must not grow with
+// them. A full set stops recording — later paths keep scoring as
+// never-seen — while a path recorded before the bound is still known.
+func TestDetectorPathSetIsBounded(t *testing.T) {
+	d := trainedDetector(t)
+	for i := 0; i < 10000; i++ {
+		d.Observe("alice", fmt.Sprintf("/random/%d", i), 20)
+	}
+	if n := len(d.profiles["alice"].paths); n > maxProfilePaths {
+		t.Fatalf("profile holds %d paths, want <= %d", n, maxProfilePaths)
+	}
+	if got := d.Trained("alice"); got != 30+10000 {
+		t.Fatalf("Trained = %d, want %d: a full path set must not stop the length moments", got, 30+10000)
+	}
+	// Novelty is the only path-dependent term of the score, so the gap
+	// between two paths at one input length is exactly its weight.
+	base := d.Score("alice", "/index.html", 20)
+	if early := d.Score("alice", "/random/0", 20); early != base {
+		t.Errorf("path recorded before the bound scores %v, a trained path %v: novelty should be 0", early, base)
+	}
+	if late := d.Score("alice", "/random/9999", 20); late != base+DefaultAnomalyConfig().NewPathWeight {
+		t.Errorf("path met after the bound scores %v, want %v (still never-seen)", late, base+DefaultAnomalyConfig().NewPathWeight)
 	}
 }
