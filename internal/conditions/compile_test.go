@@ -2,6 +2,7 @@ package conditions
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,4 +146,45 @@ func verdictCarries(v gaa.CondVerdict, challenge string, o gaa.Outcome) bool {
 		challenge = ""
 	}
 	return v.Result() == o.Result && o.Unevaluated == (v.Result() == gaa.Maybe) && challenge == o.Challenge
+}
+
+// TestLiteralAtSignHoists: whether a value is dynamic is decided by
+// gaa.HasValueRef — the reference syntax — not by the presence of an
+// '@'. A mail-style user, a host glob and a signature containing '@'
+// are literal text and hoist (no goroutine and timer per request under
+// WithEvaluatorTimeout); real references stay dynamic.
+func TestLiteralAtSignHoists(t *testing.T) {
+	cases := []struct {
+		condLine string
+		dynamic  uint64
+	}{
+		{"pre_cond_accessid_USER local alice@example.org", 0},
+		{"pre_cond_accessid_HOST local *@corp", 0},
+		{"pre_cond_regex gnu *user@host*", 0},
+		{"pre_cond_accessid_USER local alice", 0},
+		{"pre_cond_expr local input_length>@max", 1},
+		{"pre_cond_location local @nets", 1},
+	}
+	for _, tc := range cases {
+		api := gaa.New()
+		Register(api, Deps{})
+		e, err := eacl.ParseString("pos_access_right apache *\n" + tc.condLine + "\n")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.condLine, err)
+		}
+		p := gaa.NewPolicy("/x", nil, []*eacl.EACL{e})
+		req := gaa.NewRequest("apache", "GET /x", userParam("alice@example.org"))
+		ans, err := api.CheckAuthorization(context.Background(), p, req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.condLine, err)
+		}
+		st := api.CompileStats()
+		if st.DynamicConds != tc.dynamic || st.FastConds != 1-tc.dynamic {
+			t.Errorf("%s: FastConds %d / DynamicConds %d, want %d / %d",
+				tc.condLine, st.FastConds, st.DynamicConds, 1-tc.dynamic, tc.dynamic)
+		}
+		if strings.Contains(tc.condLine, "alice@") && ans.Decision != gaa.Yes {
+			t.Errorf("%s: decision %v for alice@example.org, want yes", tc.condLine, ans.Decision)
+		}
+	}
 }

@@ -7,6 +7,18 @@
 //
 // Evaluators are pure policy: side-effecting response actions (notify,
 // blacklist update, audit) live in package actions.
+//
+// Every condition type with a value language has one unexported parse
+// function returning the value's test, and three presentations of it:
+// ValidateValue returns the parse's error, CompileCond (gaa.CondCompiler)
+// returns the test for the compiled engine to run as a one-word verdict,
+// and Evaluate runs that same test and words its result as an Outcome
+// detail. Parse comes first in all three, so a malformed value is
+// malformed for every request: MAYBE with the validator's error.
+//
+// Not hoisted (deliberately): signature (shared mutable DB), threshold
+// (stateful counters), quota (mid-phase), file_sha256 (filesystem), and
+// anything a deployment registers itself.
 package conditions
 
 import (
@@ -53,13 +65,13 @@ func Builtin(name string, deps Deps) (gaa.Evaluator, bool) {
 	case "signature":
 		return signatureEvaluator{db: deps.Signatures}, true
 	case "expr":
-		return exprEvaluator{}, true
+		return exprEvaluator, true
 	case "threshold":
 		return thresholdEvaluator{counters: deps.Counters}, true
 	case "redirect":
 		return redirectEvaluator{}, true
 	case "quota":
-		return quotaEvaluator{}, true
+		return quotaEvaluator, true
 	case "file_sha256":
 		return fileSHA256Evaluator{}, true
 	default:
@@ -86,4 +98,29 @@ func Register(api *gaa.API, deps Deps) {
 		api.Register(name, gaa.AuthorityAny, ev)
 	}
 	api.Register("regex", "gnu", regexEvaluator{})
+}
+
+// malformed is the outcome of a condition whose value does not parse,
+// whatever the request: unevaluated, carrying the error ValidateValue
+// reports for the same value.
+func malformed(err error) gaa.Outcome {
+	return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: err}
+}
+
+// hoisted hands a parsed test to the compiled engine, refusing (the
+// condition stays dynamic and Evaluate answers malformed per request)
+// exactly when the value did not parse.
+func hoisted[T gaa.CompiledCond](test T, err error) (gaa.CompiledCond, bool) {
+	if err != nil {
+		return nil, false
+	}
+	return test, true
+}
+
+// selector is the verdict of a selector test.
+func selector(met bool) gaa.CondVerdict {
+	if met {
+		return gaa.CondYes
+	}
+	return gaa.CondNo
 }

@@ -3,6 +3,7 @@ package conditions
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gaaapi/internal/eacl"
@@ -10,10 +11,11 @@ import (
 
 // FuzzGlobShapes holds the compile-time glob shapes to their
 // definition: for any pattern and subject, eacl.CompileGlob(pattern).Match
-// answers what eacl.Glob answers. It lives here and not beside the
-// shapes because its seeds are split the way conditions split them
-// (splitFields). Seeds: every right and condition
-// field of the shipped policies, the benchmark deployment's section 7.2
+// answers what eacl.Glob answers. It tests package eacl and belongs
+// beside the shapes; it stays here because the suite's floor list names
+// each of its seeds under this package (CHANGES.md, PR 21). Seeds: every
+// right and condition field (strings.Fields, as the evaluators split
+// them) of the shipped policies, the benchmark deployment's section 7.2
 // signature list (benchmark/deploy.go), and the edges of each shape.
 func FuzzGlobShapes(f *testing.F) {
 	subjects := []string{
@@ -43,7 +45,7 @@ func FuzzGlobShapes(f *testing.F) {
 		for _, entry := range e.Entries {
 			patterns = append(patterns, entry.Right.DefAuth, entry.Right.Value)
 			for _, cond := range entry.Conditions {
-				patterns = append(patterns, splitFields(cond.Value)...)
+				patterns = append(patterns, strings.Fields(cond.Value)...)
 			}
 		}
 	}

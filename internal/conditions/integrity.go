@@ -22,15 +22,36 @@ import (
 // NO, failing the post-condition status.
 type fileSHA256Evaluator struct{}
 
-func (fileSHA256Evaluator) Evaluate(_ context.Context, cond eacl.Condition, _ *gaa.Request) gaa.Outcome {
-	fields := strings.Fields(cond.Value)
+// parseSHA256 reads "<path> <64 hex digits>" and returns the digest in
+// HashFile's lower case. A value of the wrong field count names no
+// file (path is ""); a bad digest comes back beside the path it was
+// written for.
+func parseSHA256(value string) (path, digest string, err error) {
+	fields := strings.Fields(value)
 	if len(fields) != 2 {
-		return gaa.Outcome{
-			Result: gaa.Maybe, Unevaluated: true,
-			Err: fmt.Errorf("want \"<path> <sha256 hex>\", got %q", cond.Value),
-		}
+		return "", "", fmt.Errorf("want \"<path> <sha256 hex>\", got %q", value)
 	}
-	path, want := fields[0], strings.ToLower(fields[1])
+	path, digest = fields[0], strings.ToLower(fields[1])
+	if len(digest) != sha256.Size*2 {
+		return path, "", fmt.Errorf("digest %q is %d hex digits, want %d", fields[1], len(digest), sha256.Size*2)
+	}
+	if _, err := hex.DecodeString(digest); err != nil {
+		return path, "", fmt.Errorf("digest %q is not hex", fields[1])
+	}
+	return path, digest, nil
+}
+
+func (fileSHA256Evaluator) Evaluate(_ context.Context, cond eacl.Condition, _ *gaa.Request) gaa.Outcome {
+	path, want, err := parseSHA256(cond.Value)
+	if path == "" {
+		return malformed(err)
+	}
+	if err != nil {
+		// A check no file content can pass fails; it does not become
+		// uncertain.
+		return gaa.Outcome{Result: gaa.No, Class: gaa.ClassRequirement, Err: err,
+			Detail: "cannot match " + path}
+	}
 	got, err := HashFile(path)
 	if err != nil {
 		return gaa.Outcome{Result: gaa.No, Class: gaa.ClassRequirement, Err: err,

@@ -16,30 +16,89 @@ import (
 // selector.
 type locationEvaluator struct{}
 
-func (locationEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
-	ip, ok := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
-	if !ok || ip == "" {
-		return gaa.UnevaluatedOutcome("no client address parameter")
+// locationPattern is one element of a location list as written; cidr
+// is nil for an address glob.
+type locationPattern struct {
+	src  string
+	cidr *net.IPNet
+}
+
+// locationTest is a parsed location list.
+type locationTest struct {
+	gaa.NoChallenge
+	defAuth string
+	pats    []locationPattern
+}
+
+// parseLocation reads a non-empty list where every pattern containing
+// '/' must parse as a CIDR range; the rest are address globs.
+func parseLocation(value, defAuth string) (locationTest, error) {
+	fields := strings.Fields(value)
+	t := locationTest{defAuth: defAuth, pats: make([]locationPattern, 0, len(fields))}
+	for _, p := range fields {
+		pat := locationPattern{src: p}
+		if strings.Contains(p, "/") {
+			var err error
+			if _, pat.cidr, err = net.ParseCIDR(p); err != nil {
+				return t, fmt.Errorf("bad CIDR %q", p)
+			}
+		}
+		t.pats = append(t.pats, pat)
 	}
-	patterns := splitFields(cond.Value)
-	if len(patterns) == 0 {
-		return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Detail: "empty location list"}
+	if len(t.pats) == 0 {
+		return t, fmt.Errorf("empty location list")
+	}
+	return t, nil
+}
+
+// match returns the client address ("" when the request carries none)
+// and the first pattern containing it, nil when none does.
+func (t locationTest) match(req *gaa.Request) (string, *locationPattern) {
+	ip, ok := req.Params.Get(gaa.ParamClientIP, t.defAuth)
+	if !ok || ip == "" {
+		return "", nil
 	}
 	parsed := net.ParseIP(ip)
-	for _, p := range patterns {
-		if strings.Contains(p, "/") {
-			_, ipnet, err := net.ParseCIDR(p)
-			if err != nil {
-				return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: fmt.Errorf("bad CIDR %q: %w", p, err)}
+	for i := range t.pats {
+		p := &t.pats[i]
+		if p.cidr != nil {
+			if parsed != nil && p.cidr.Contains(parsed) {
+				return ip, p
 			}
-			if parsed != nil && ipnet.Contains(parsed) {
-				return gaa.MetOutcome(gaa.ClassSelector, ip+" in "+p)
-			}
-			continue
-		}
-		if eacl.Glob(p, ip) {
-			return gaa.MetOutcome(gaa.ClassSelector, ip+" matches "+p)
+		} else if eacl.Glob(p.src, ip) {
+			return ip, p
 		}
 	}
-	return gaa.FailedOutcome(gaa.ClassSelector, ip+" outside "+cond.Value)
+	return ip, nil
+}
+
+func (t locationTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
+	ip, hit := t.match(req)
+	if ip == "" {
+		return gaa.CondMaybe
+	}
+	return selector(hit != nil)
+}
+
+// CompileCond implements gaa.CondCompiler: CIDR patterns parse once
+// instead of per evaluation.
+func (locationEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
+	return hoisted(parseLocation(cond.Value, cond.DefAuth))
+}
+
+func (locationEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
+	t, err := parseLocation(cond.Value, cond.DefAuth)
+	if err != nil {
+		return malformed(err)
+	}
+	switch ip, hit := t.match(req); {
+	case ip == "":
+		return gaa.UnevaluatedOutcome("no client address parameter")
+	case hit == nil:
+		return gaa.FailedOutcome(gaa.ClassSelector, ip+" outside "+cond.Value)
+	case hit.cidr != nil:
+		return gaa.MetOutcome(gaa.ClassSelector, ip+" in "+hit.src)
+	default:
+		return gaa.MetOutcome(gaa.ClassSelector, ip+" matches "+hit.src)
+	}
 }

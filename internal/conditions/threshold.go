@@ -138,41 +138,53 @@ type thresholdEvaluator struct {
 	counters *Counters
 }
 
-func (t thresholdEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
-	if t.counters == nil {
+// thresholdTest is a parsed threshold spec. It is not hoisted: the
+// count is shared mutable state that CountSince prunes as it reads.
+type thresholdTest struct {
+	counter, keyParam string
+	max               int
+	window            time.Duration
+}
+
+// parseThreshold reads "counter=<name> key=<param> max=<n>
+// window=<duration>" with a positive count and a positive window.
+func parseThreshold(value string) (thresholdTest, error) {
+	kv, err := parseKV(value)
+	if err != nil {
+		return thresholdTest{}, err
+	}
+	t := thresholdTest{counter: kv["counter"], keyParam: kv["key"]}
+	if t.counter == "" || t.keyParam == "" {
+		return t, fmt.Errorf("threshold needs counter= and key=: %q", value)
+	}
+	if t.max, err = strconv.Atoi(kv["max"]); err != nil || t.max <= 0 {
+		return t, fmt.Errorf("bad max %q (want a positive integer)", kv["max"])
+	}
+	if t.window, err = time.ParseDuration(kv["window"]); err != nil || t.window <= 0 {
+		return t, fmt.Errorf("bad window %q (want a positive duration)", kv["window"])
+	}
+	return t, nil
+}
+
+func (e thresholdEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
+	t, err := parseThreshold(cond.Value)
+	if err != nil {
+		return malformed(err)
+	}
+	if e.counters == nil {
 		return gaa.UnevaluatedOutcome("no counter store configured")
 	}
-	kv, err := parseKV(cond.Value)
-	if err != nil {
-		return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: err}
-	}
-	counter := kv["counter"]
-	keyParam := kv["key"]
-	if counter == "" || keyParam == "" {
-		return gaa.Outcome{
-			Result: gaa.Maybe, Unevaluated: true,
-			Err: fmt.Errorf("threshold needs counter= and key=: %q", cond.Value),
-		}
-	}
-	max, err := strconv.Atoi(kv["max"])
-	if err != nil || max <= 0 {
-		return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: fmt.Errorf("bad max %q", kv["max"])}
-	}
-	window, err := time.ParseDuration(kv["window"])
-	if err != nil || window <= 0 {
-		return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: fmt.Errorf("bad window %q", kv["window"])}
-	}
-	keyValue, ok := req.Params.Get(keyParam, cond.DefAuth)
+	keyValue, ok := req.Params.Get(t.keyParam, cond.DefAuth)
 	if !ok || keyValue == "" {
-		return gaa.UnevaluatedOutcome("no key parameter " + keyParam)
+		return gaa.UnevaluatedOutcome("no key parameter " + t.keyParam)
 	}
-	n := t.counters.CountSince(CounterKey(counter, keyValue), window)
-	if n >= max {
+	n := e.counters.CountSince(CounterKey(t.counter, keyValue), t.window)
+	if n >= t.max {
 		return gaa.MetOutcome(gaa.ClassSelector,
-			fmt.Sprintf("%s[%s]=%d reached max %d", counter, keyValue, n, max))
+			fmt.Sprintf("%s[%s]=%d reached max %d", t.counter, keyValue, n, t.max))
 	}
 	return gaa.FailedOutcome(gaa.ClassSelector,
-		fmt.Sprintf("%s[%s]=%d below max %d", counter, keyValue, n, max))
+		fmt.Sprintf("%s[%s]=%d below max %d", t.counter, keyValue, n, t.max))
 }
 
 // CounterKey builds the canonical counter identity for a (counter

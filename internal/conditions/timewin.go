@@ -18,39 +18,92 @@ import (
 // on it.
 type timeWindowEvaluator struct{}
 
-func (timeWindowEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
-	fields := splitFields(cond.Value)
+// TimeWindow is the parsed form of a pre_cond_time_window value: a
+// daily minute interval plus an optional weekday restriction. The
+// evaluator tests the two dimensions independently (day-of-now must be
+// in Days, minute-of-now in the interval), so windows wrapping midnight
+// ("22:00-06:00") are [Start,1440)∪[0,End) on every listed day.
+type TimeWindow struct {
+	// Start and End are minutes-of-day; the window is [Start, End)
+	// when Start <= End and wraps midnight when Start > End.
+	Start, End int
+	// Days[time.Weekday] reports whether the window is active on that
+	// weekday. All true when the spec had no day restriction.
+	Days [7]bool
+}
+
+// timeWindowTest is a parsed window beside the two fields it was
+// written as, which the outcome details quote.
+type timeWindowTest struct {
+	gaa.NoChallenge
+	TimeWindow
+	window, days string
+}
+
+func parseTimeWindow(value string) (timeWindowTest, error) {
+	var t timeWindowTest
+	fields := strings.Fields(value)
 	if len(fields) == 0 || len(fields) > 2 {
-		return gaa.Outcome{
-			Result: gaa.Maybe, Unevaluated: true,
-			Err: fmt.Errorf("want \"HH:MM-HH:MM [days]\", got %q", cond.Value),
-		}
+		return t, fmt.Errorf("want \"HH:MM-HH:MM [days]\", got %q", value)
 	}
-	startMin, endMin, err := parseWindow(fields[0])
+	var err error
+	if t.Start, t.End, err = parseWindow(fields[0]); err != nil {
+		return t, err
+	}
+	t.window = fields[0]
+	if len(fields) == 1 {
+		t.Days = [7]bool{true, true, true, true, true, true, true}
+		return t, nil
+	}
+	t.days = fields[1]
+	t.Days, err = parseDays(t.days)
+	return t, err
+}
+
+// ParseTimeWindowSpec parses "HH:MM-HH:MM [days]" exactly as the
+// runtime evaluator does.
+func ParseTimeWindowSpec(value string) (TimeWindow, error) {
+	t, err := parseTimeWindow(value)
+	return t.TimeWindow, err
+}
+
+// contains tests the two dimensions of the window against an instant.
+func (w TimeWindow) contains(at time.Time) (onDay, inside bool) {
+	if !w.Days[at.Weekday()] {
+		return false, false
+	}
+	cur := at.Hour()*60 + at.Minute()
+	if w.Start <= w.End {
+		return true, cur >= w.Start && cur < w.End
+	}
+	return true, cur >= w.Start || cur < w.End // wraps midnight
+}
+
+func (t timeWindowTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
+	_, inside := t.contains(req.Time)
+	return selector(inside)
+}
+
+// CompileCond implements gaa.CondCompiler: the window bounds and the
+// day set are resolved once; the per-request test is two integer
+// comparisons.
+func (timeWindowEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
+	return hoisted(parseTimeWindow(cond.Value))
+}
+
+func (timeWindowEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
+	t, err := parseTimeWindow(cond.Value)
 	if err != nil {
-		return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: err}
+		return malformed(err)
 	}
-	now := req.Time
-	if len(fields) == 2 {
-		ok, err := dayMatches(fields[1], now.Weekday())
-		if err != nil {
-			return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: err}
-		}
-		if !ok {
-			return gaa.FailedOutcome(gaa.ClassSelector, now.Weekday().String()+" outside "+fields[1])
-		}
+	switch onDay, inside := t.contains(req.Time); {
+	case !onDay:
+		return gaa.FailedOutcome(gaa.ClassSelector, req.Time.Weekday().String()+" outside "+t.days)
+	case inside:
+		return gaa.MetOutcome(gaa.ClassSelector, "inside window "+t.window)
+	default:
+		return gaa.FailedOutcome(gaa.ClassSelector, "outside window "+t.window)
 	}
-	cur := now.Hour()*60 + now.Minute()
-	inside := false
-	if startMin <= endMin {
-		inside = cur >= startMin && cur < endMin
-	} else { // wraps midnight
-		inside = cur >= startMin || cur < endMin
-	}
-	if inside {
-		return gaa.MetOutcome(gaa.ClassSelector, "inside window "+fields[0])
-	}
-	return gaa.FailedOutcome(gaa.ClassSelector, "outside window "+fields[0])
 }
 
 // parseWindow parses "HH:MM-HH:MM" into minutes-of-day.
@@ -82,33 +135,33 @@ var dayNames = map[string]time.Weekday{
 	"sat": time.Saturday,
 }
 
-// dayMatches checks a day spec: "Mon-Fri" (range, may wrap the week) or
-// "Mon,Wed,Sat" (list) or a single day.
-func dayMatches(spec string, day time.Weekday) (bool, error) {
+// parseDays reads a day spec: "Mon-Fri" (range, may wrap the week as
+// in Sat-Mon), "Mon,Wed,Sat" (list) or a single day.
+func parseDays(spec string) (days [7]bool, err error) {
 	if from, to, ok := strings.Cut(spec, "-"); ok {
-		f, ferr := parseDay(from)
-		t, terr := parseDay(to)
-		if ferr != nil {
-			return false, ferr
+		first, err := parseDay(from)
+		if err != nil {
+			return days, err
 		}
-		if terr != nil {
-			return false, terr
+		last, err := parseDay(to)
+		if err != nil {
+			return days, err
 		}
-		if f <= t {
-			return day >= f && day <= t, nil
+		for d := first; ; d = (d + 1) % 7 {
+			days[d] = true
+			if d == last {
+				return days, nil
+			}
 		}
-		return day >= f || day <= t, nil // wraps the week, e.g. Sat-Mon
 	}
 	for _, part := range strings.Split(spec, ",") {
 		d, err := parseDay(part)
 		if err != nil {
-			return false, err
+			return days, err
 		}
-		if d == day {
-			return true, nil
-		}
+		days[d] = true
 	}
-	return false, nil
+	return days, nil
 }
 
 func parseDay(s string) (time.Weekday, error) {
@@ -121,4 +174,50 @@ func parseDay(s string) (time.Weekday, error) {
 		return 0, fmt.Errorf("unknown day %q", s)
 	}
 	return d, nil
+}
+
+// Empty reports whether the window can never contain an instant: the
+// minute interval is empty (Start == End without wrapping) or no day is
+// active. A wrapping window (Start > End) is never empty.
+func (w TimeWindow) Empty() bool {
+	if w.Start == w.End {
+		return true
+	}
+	for _, on := range w.Days {
+		if on {
+			return false
+		}
+	}
+	return true
+}
+
+// minuteSpans returns the window's minute-of-day intervals.
+func (w TimeWindow) minuteSpans() [][2]int {
+	if w.Start <= w.End {
+		return [][2]int{{w.Start, w.End}}
+	}
+	return [][2]int{{w.Start, 24 * 60}, {0, w.End}}
+}
+
+// Intersects reports whether some instant lies inside both windows:
+// they share an active weekday and their minute intervals overlap.
+func (w TimeWindow) Intersects(o TimeWindow) bool {
+	shareDay := false
+	for d := range w.Days {
+		if w.Days[d] && o.Days[d] {
+			shareDay = true
+			break
+		}
+	}
+	if !shareDay {
+		return false
+	}
+	for _, a := range w.minuteSpans() {
+		for _, b := range o.minuteSpans() {
+			if a[0] < b[1] && b[0] < a[1] {
+				return true
+			}
+		}
+	}
+	return false
 }

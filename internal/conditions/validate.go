@@ -1,287 +1,37 @@
 package conditions
 
-import (
-	"fmt"
-	"net"
-	"regexp"
-	"strconv"
-	"strings"
-	"time"
-
-	"gaaapi/internal/ids"
-)
-
-// This file exports compile/parse validators for the built-in condition
-// value languages, so the static analyzer (internal/eacl/analysis) and
-// the runtime evaluators share one source of truth: a value the
-// analyzer accepts is a value the evaluator can evaluate, and a value
-// the analyzer rejects is one the evaluator would bounce to MAYBE at
-// run time — a silent policy failure the paper's section 2 future-work
-// tool is meant to catch before deployment.
-
-// HasValueRef reports whether the condition value contains an '@name'
-// runtime-value reference (gaa.ValueProvider). Referenced values are
-// resolved at evaluation time, so static value validation must skip
-// them: the shape of the final value is unknowable at lint time.
-func HasValueRef(value string) bool {
-	for _, tok := range strings.Fields(value) {
-		if strings.HasPrefix(tok, "@") {
-			return true
-		}
-		if i := strings.Index(tok, "@"); i > 0 && strings.ContainsAny(tok[i-1:i], "=<>!") {
-			return true
-		}
-	}
-	return false
-}
-
-// ValidateRegexList checks a pre_cond_regex value: a non-empty list of
-// patterns where every "re:"-prefixed pattern must compile as a Go
-// regular expression (plain patterns are '*'-globs and always valid).
-func ValidateRegexList(value string) error {
-	patterns := strings.Fields(value)
-	if len(patterns) == 0 {
-		return fmt.Errorf("empty pattern list")
-	}
-	for _, p := range patterns {
-		if expr, isRe := strings.CutPrefix(p, "re:"); isRe {
-			if _, err := regexp.Compile(expr); err != nil {
-				return fmt.Errorf("regexp %q does not compile: %v", expr, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateLocationList checks a pre_cond_location value: a non-empty
-// list where every pattern containing '/' must parse as a CIDR range
-// (the rest are address globs).
-func ValidateLocationList(value string) error {
-	patterns := strings.Fields(value)
-	if len(patterns) == 0 {
-		return fmt.Errorf("empty location list")
-	}
-	for _, p := range patterns {
-		if strings.Contains(p, "/") {
-			if _, _, err := net.ParseCIDR(p); err != nil {
-				return fmt.Errorf("bad CIDR %q", p)
-			}
-		}
-	}
-	return nil
-}
-
-// TimeWindow is the parsed form of a pre_cond_time_window value: a
-// daily minute interval plus an optional weekday restriction. The
-// evaluator tests the two dimensions independently (day-of-now must be
-// in Days, minute-of-now in the interval), so windows wrapping midnight
-// ("22:00-06:00") are [Start,1440)∪[0,End) on every listed day.
-type TimeWindow struct {
-	// Start and End are minutes-of-day; the window is [Start, End)
-	// when Start <= End and wraps midnight when Start > End.
-	Start, End int
-	// Days[time.Weekday] reports whether the window is active on that
-	// weekday. All true when the spec had no day restriction.
-	Days [7]bool
-}
-
-// ParseTimeWindowSpec parses "HH:MM-HH:MM [days]" exactly as the
-// runtime evaluator does.
-func ParseTimeWindowSpec(value string) (TimeWindow, error) {
-	var w TimeWindow
-	fields := strings.Fields(value)
-	if len(fields) == 0 || len(fields) > 2 {
-		return w, fmt.Errorf("want \"HH:MM-HH:MM [days]\", got %q", value)
-	}
-	start, end, err := parseWindow(fields[0])
-	if err != nil {
-		return w, err
-	}
-	w.Start, w.End = start, end
-	for d := range w.Days {
-		w.Days[d] = true
-	}
-	if len(fields) == 2 {
-		for d := time.Sunday; d <= time.Saturday; d++ {
-			ok, err := dayMatches(fields[1], d)
-			if err != nil {
-				return w, err
-			}
-			w.Days[d] = ok
-		}
-	}
-	return w, nil
-}
-
-// Empty reports whether the window can never contain an instant: the
-// minute interval is empty (Start == End without wrapping) or no day is
-// active. A wrapping window (Start > End) is never empty.
-func (w TimeWindow) Empty() bool {
-	if w.Start == w.End {
-		return true
-	}
-	for _, on := range w.Days {
-		if on {
-			return false
-		}
-	}
-	return true
-}
-
-// minuteSpans returns the window's minute-of-day intervals.
-func (w TimeWindow) minuteSpans() [][2]int {
-	if w.Start <= w.End {
-		return [][2]int{{w.Start, w.End}}
-	}
-	return [][2]int{{w.Start, 24 * 60}, {0, w.End}}
-}
-
-// Intersects reports whether some instant lies inside both windows:
-// they share an active weekday and their minute intervals overlap.
-func (w TimeWindow) Intersects(o TimeWindow) bool {
-	shareDay := false
-	for d := range w.Days {
-		if w.Days[d] && o.Days[d] {
-			shareDay = true
-			break
-		}
-	}
-	if !shareDay {
-		return false
-	}
-	for _, a := range w.minuteSpans() {
-		for _, b := range o.minuteSpans() {
-			if a[0] < b[1] && b[0] < a[1] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ValidateThresholdSpec checks a pre_cond_threshold value:
-// "counter=<name> key=<param> max=<n> window=<duration>" with a
-// positive count and a positive window, as thresholdEvaluator requires.
-func ValidateThresholdSpec(value string) error {
-	kv, err := parseKV(value)
-	if err != nil {
-		return err
-	}
-	if kv["counter"] == "" || kv["key"] == "" {
-		return fmt.Errorf("threshold needs counter= and key=: %q", value)
-	}
-	if max, err := strconv.Atoi(kv["max"]); err != nil || max <= 0 {
-		return fmt.Errorf("bad max %q (want a positive integer)", kv["max"])
-	}
-	if window, err := time.ParseDuration(kv["window"]); err != nil || window <= 0 {
-		return fmt.Errorf("bad window %q (want a positive duration)", kv["window"])
-	}
-	return nil
-}
-
-// SplitComparison exposes the evaluators' comparison parser: it splits
-// "input_length>1000" into the left operand (possibly empty), the
-// comparator token and the right operand, exactly as exprEvaluator,
-// quotaEvaluator and threatEvaluator do. The static reasoner
-// (internal/eacl/reason) uses it to derive boundary candidates for its
-// abstract domain from the policy's own bounds.
-func SplitComparison(value string) (left, op, right string, err error) {
-	l, o, r, err := splitCmp(value)
-	if err != nil {
-		return "", "", "", err
-	}
-	return l, o.String(), r, nil
-}
-
-// ValidateComparison checks a pre_cond_expr or mid_cond_quota value: a
-// parameter name, a comparator and an integer bound ("input_length>1000").
-func ValidateComparison(value string) error {
-	left, _, right, err := splitCmp(value)
-	if err != nil {
-		return err
-	}
-	if left == "" {
-		return fmt.Errorf("comparison needs a parameter name: %q", value)
-	}
-	if _, err := strconv.ParseInt(right, 10, 64); err != nil {
-		return fmt.Errorf("bad number %q", right)
-	}
-	return nil
-}
-
-// ThreatLevelSet parses a pre_cond_system_threat_level value ("=high",
-// ">low", "<=medium") and returns the set of threat levels satisfying
-// it, in ascending order. An empty comparison ("<low") returns an empty
-// set and no error — the caller decides whether an unsatisfiable
-// condition is a finding.
-func ThreatLevelSet(value string) ([]ids.Level, error) {
-	left, op, right, err := splitCmp(value)
-	if err != nil {
-		return nil, err
-	}
-	if left != "" {
-		return nil, fmt.Errorf("unexpected left operand %q", left)
-	}
-	want, err := ids.ParseLevel(right)
-	if err != nil {
-		return nil, err
-	}
-	var out []ids.Level
-	for _, l := range []ids.Level{ids.Low, ids.Medium, ids.High} {
-		if op.holdsInt(int64(l), int64(want)) {
-			out = append(out, l)
-		}
-	}
-	return out, nil
-}
-
-// ValidateSHA256Spec checks a post_cond_file_sha256 value:
-// "<path> <64 lowercase hex digits>".
-func ValidateSHA256Spec(value string) error {
-	fields := strings.Fields(value)
-	if len(fields) != 2 {
-		return fmt.Errorf("want \"<path> <sha256 hex>\", got %q", value)
-	}
-	digest := fields[1]
-	if len(digest) != 64 {
-		return fmt.Errorf("digest %q is %d hex digits, want 64", digest, len(digest))
-	}
-	for i := 0; i < len(digest); i++ {
-		c := digest[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("digest %q is not lowercase hex", digest)
-		}
-	}
-	return nil
-}
+import "gaaapi/internal/gaa"
 
 // ValidateValue statically checks a condition value for the named
-// built-in condition type. It returns nil for condition types without a
-// value language (accessid_*, signature, redirect, ...) and for values
-// carrying '@' runtime references, whose final shape is unknown until
-// evaluation.
+// built-in condition type: it is the error of the parse the type's
+// evaluator runs first, so the static analyzer (internal/eacl/analysis)
+// and the enforcer cannot read a value differently. A value it rejects
+// is MAYBE for every request — a silent policy failure the paper's
+// section 2 future-work tool is meant to catch before deployment.
+//
+// It returns nil for condition types without a value language
+// (accessid_*, signature, redirect, ...) and for values carrying '@'
+// runtime references, whose final shape is unknown until evaluation.
 func ValidateValue(condType, value string) error {
-	if HasValueRef(value) {
+	if gaa.HasValueRef(value) {
 		return nil
 	}
+	var err error
 	switch condType {
 	case "regex":
-		return ValidateRegexList(value)
+		_, err = parseRegex(value, "")
 	case "location":
-		return ValidateLocationList(value)
+		_, err = parseLocation(value, "")
 	case "time_window":
-		_, err := ParseTimeWindowSpec(value)
-		return err
+		_, err = parseTimeWindow(value)
 	case "threshold":
-		return ValidateThresholdSpec(value)
+		_, err = parseThreshold(value)
 	case "expr", "quota":
-		return ValidateComparison(value)
+		_, err = parseCmp(value, "")
 	case "system_threat_level":
-		_, err := ThreatLevelSet(value)
-		return err
+		_, err = parseThreat(value, nil)
 	case "file_sha256":
-		return ValidateSHA256Spec(value)
-	default:
-		return nil
+		_, _, err = parseSHA256(value)
 	}
+	return err
 }

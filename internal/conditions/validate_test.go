@@ -7,48 +7,29 @@ import (
 	"gaaapi/internal/ids"
 )
 
-func TestHasValueRef(t *testing.T) {
-	tests := []struct {
-		value string
-		want  bool
-	}{
-		{"@business_hours", true},
-		{"input_length>@max_input", true},
-		{"09:00-17:00 Mon-Fri", false},
-		{"user@example.org", false}, // '@' not in reference position
-		{"counter=failed key=ip max=5 window=60s", false},
-		{"", false},
-	}
-	for _, tt := range tests {
-		if got := HasValueRef(tt.value); got != tt.want {
-			t.Errorf("HasValueRef(%q) = %v, want %v", tt.value, got, tt.want)
-		}
-	}
-}
-
 func TestValidateRegexList(t *testing.T) {
-	if err := ValidateRegexList("*phf* *test-cgi* re:^GET\\s"); err != nil {
+	if err := ValidateValue("regex", "*phf* *test-cgi* re:^GET\\s"); err != nil {
 		t.Errorf("valid list rejected: %v", err)
 	}
-	if err := ValidateRegexList("re:[unclosed"); err == nil {
+	if err := ValidateValue("regex", "re:[unclosed"); err == nil {
 		t.Error("bad regexp accepted")
 	}
-	if err := ValidateRegexList("  "); err == nil {
+	if err := ValidateValue("regex", "  "); err == nil {
 		t.Error("empty list accepted")
 	}
 }
 
 func TestValidateLocationList(t *testing.T) {
-	if err := ValidateLocationList("128.9.0.0/16 10.* ::1"); err != nil {
+	if err := ValidateValue("location", "128.9.0.0/16 10.* ::1"); err != nil {
 		t.Errorf("valid list rejected: %v", err)
 	}
-	if err := ValidateLocationList("300.0.0.0/8"); err == nil {
+	if err := ValidateValue("location", "300.0.0.0/8"); err == nil {
 		t.Error("bad CIDR accepted")
 	}
-	if err := ValidateLocationList("10.0.0.0/33"); err == nil {
+	if err := ValidateValue("location", "10.0.0.0/33"); err == nil {
 		t.Error("bad prefix length accepted")
 	}
-	if err := ValidateLocationList(""); err == nil {
+	if err := ValidateValue("location", ""); err == nil {
 		t.Error("empty list accepted")
 	}
 }
@@ -115,7 +96,7 @@ func TestTimeWindowEmptyAndIntersects(t *testing.T) {
 }
 
 func TestValidateThresholdSpec(t *testing.T) {
-	if err := ValidateThresholdSpec("counter=failed_login key=client_ip max=5 window=60s"); err != nil {
+	if err := ValidateValue("threshold", "counter=failed_login key=client_ip max=5 window=60s"); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	for _, bad := range []string{
@@ -127,21 +108,23 @@ func TestValidateThresholdSpec(t *testing.T) {
 		"counter=x key=ip max=5 window=often", // bad duration
 		"counter key=ip max=5 window=60s",     // bare token
 	} {
-		if err := ValidateThresholdSpec(bad); err == nil {
-			t.Errorf("ValidateThresholdSpec(%q) accepted", bad)
+		if err := ValidateValue("threshold", bad); err == nil {
+			t.Errorf("ValidateValue(threshold, %q) accepted", bad)
 		}
 	}
 }
 
 func TestValidateComparison(t *testing.T) {
-	for _, good := range []string{"input_length>1000", "cpu_ms<=50", "retries!=0"} {
-		if err := ValidateComparison(good); err != nil {
-			t.Errorf("ValidateComparison(%q): %v", good, err)
+	for _, typ := range []string{"expr", "quota"} {
+		for _, good := range []string{"input_length>1000", "cpu_ms<=50", "retries!=0"} {
+			if err := ValidateValue(typ, good); err != nil {
+				t.Errorf("ValidateValue(%s, %q): %v", typ, good, err)
+			}
 		}
-	}
-	for _, bad := range []string{"input_length", ">1000", "input_length>ten", ""} {
-		if err := ValidateComparison(bad); err == nil {
-			t.Errorf("ValidateComparison(%q) accepted", bad)
+		for _, bad := range []string{"input_length", ">1000", "input_length>ten", ""} {
+			if err := ValidateValue(typ, bad); err == nil {
+				t.Errorf("ValidateValue(%s, %q) accepted", typ, bad)
+			}
 		}
 	}
 }
@@ -183,7 +166,7 @@ func TestThreatLevelSet(t *testing.T) {
 
 func TestValidateSHA256Spec(t *testing.T) {
 	good := "/etc/passwd ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-	if err := ValidateSHA256Spec(good); err != nil {
+	if err := ValidateValue("file_sha256", good); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	for _, bad := range []string{
@@ -192,8 +175,8 @@ func TestValidateSHA256Spec(t *testing.T) {
 		"/etc/passwd " + good[13:76] + "G", // non-hex
 		"a b c",                            // too many fields
 	} {
-		if err := ValidateSHA256Spec(bad); err == nil {
-			t.Errorf("ValidateSHA256Spec(%q) accepted", bad)
+		if err := ValidateValue("file_sha256", bad); err == nil {
+			t.Errorf("ValidateValue(file_sha256, %q) accepted", bad)
 		}
 	}
 }

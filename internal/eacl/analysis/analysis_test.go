@@ -84,6 +84,18 @@ func TestValueRules(t *testing.T) {
 	}
 }
 
+// TestUpperCaseDigestIsNotE008: the evaluator has always lower-cased
+// the pinned digest before comparing; the analyzer reads the value with
+// the evaluator's parse, so it no longer rejects what enforcement
+// honours.
+func TestUpperCaseDigestIsNotE008(t *testing.T) {
+	ds := analyze(t, "pos_access_right apache *\npost_cond_file_sha256 local /etc/passwd "+
+		"BA7816BF8F01CFEA414140DE5DAE2223B00361A396177A9CB410FF61F20015AD")
+	if hasCode(ds, "E008") {
+		t.Errorf("E008 on an upper-case digest: %v", ds)
+	}
+}
+
 func TestValueRefSkipsValueRules(t *testing.T) {
 	ds := analyze(t, `
 neg_access_right apache *

@@ -118,12 +118,12 @@ func (timeContradictionRule) CheckFile(f *File, r *Reporter) {
 		var windows []window
 		for j := range en.Conditions {
 			c := &en.Conditions[j]
-			if c.Block != eacl.BlockPre || c.Type != "time_window" || conditions.HasValueRef(c.Value) {
+			if c.Block != eacl.BlockPre || c.Type != "time_window" {
 				continue
 			}
 			w, err := conditions.ParseTimeWindowSpec(c.Value)
 			if err != nil || w.Empty() {
-				continue // E003/E004 findings
+				continue // E003/E004 findings, or an '@' reference: no window to read
 			}
 			windows = append(windows, window{w, c})
 		}
@@ -154,12 +154,12 @@ func (threatContradictionRule) CheckFile(f *File, r *Reporter) {
 		var seen []*eacl.Condition
 		for j := range en.Conditions {
 			c := &en.Conditions[j]
-			if c.Block != eacl.BlockPre || c.Type != "system_threat_level" || conditions.HasValueRef(c.Value) {
+			if c.Block != eacl.BlockPre || c.Type != "system_threat_level" {
 				continue
 			}
 			levels, err := conditions.ThreatLevelSet(c.Value)
 			if err != nil {
-				continue // E007's finding
+				continue // E007's finding, or an '@' reference: no level set to read
 			}
 			seen = append(seen, c)
 			ok := map[ids.Level]bool{}

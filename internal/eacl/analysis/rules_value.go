@@ -59,7 +59,7 @@ var (
 	}
 	metaSHA256Syntax = Meta{
 		Code: "E008", Name: "sha256-syntax", Severity: SeverityError,
-		Summary: "a file_sha256 value is not \"<path> <64 lowercase hex digits>\"",
+		Summary: "a file_sha256 value is not \"<path> <64 hex digits>\"",
 		Example: "post_cond_file_sha256 local /etc/passwd deadbeef",
 		Fix:     "pin the digest with `eaclint -hash <path>` and paste its output",
 	}
@@ -101,12 +101,12 @@ func (timeWindowEmptyRule) Meta() Meta { return metaTimeWindowEmpty }
 
 func (timeWindowEmptyRule) CheckFile(f *File, r *Reporter) {
 	eachCondition(f.EACL, func(c *eacl.Condition) {
-		if c.Type != "time_window" || conditions.HasValueRef(c.Value) {
+		if c.Type != "time_window" {
 			return
 		}
 		w, err := conditions.ParseTimeWindowSpec(c.Value)
 		if err != nil {
-			return // E003's finding
+			return // E003's finding, or an '@' reference: no window to read
 		}
 		if w.Empty() {
 			r.Report(f.EACL.Source, c.Line, "time window %q is empty: it contains no instant, so the condition never holds", c.Value)

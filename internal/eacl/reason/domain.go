@@ -125,13 +125,9 @@ func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
 				if c.Block != eacl.BlockPre {
 					continue
 				}
-				val := c.Value
-				if conditions.HasValueRef(val) {
-					resolved, ok := resolveRefs(val, d.values)
-					if !ok {
-						continue // stays MAYBE at run time; no candidates
-					}
-					val = resolved
+				val, ok := gaa.ResolveValue(c.Value, mapValues(d.values))
+				if !ok {
+					continue // stays MAYBE at run time; no candidates
 				}
 				switch c.Type {
 				case "accessid_USER":
@@ -177,11 +173,7 @@ func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
 						}
 					}
 				case "expr", "quota":
-					left, _, right, err := conditions.SplitComparison(val)
-					if err != nil || left == "" {
-						continue
-					}
-					k, err := strconv.ParseInt(right, 10, 64)
+					left, _, k, err := conditions.SplitComparison(val)
 					if err != nil {
 						continue
 					}
@@ -356,12 +348,8 @@ func (d *domain) env(w *world) *worldEnv {
 		}
 	}
 	deps := conditions.Deps{Threat: mgr, Groups: store}
-	vals := gaa.NewValues()
-	for k, v := range d.values {
-		vals.Set(k, v)
-	}
 	at := w.at
-	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(vals))
+	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(mapValues(d.values)))
 	conditions.Register(api, deps)
 	for _, name := range ActionStubNames {
 		api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
@@ -421,29 +409,14 @@ func windowInstants(w conditions.TimeWindow) []time.Time {
 	return out
 }
 
-// resolveRefs substitutes '@name' tokens from the values map,
-// reporting false when a reference is missing — mirroring the engine's
-// "unresolved reference means MAYBE" rule for candidate extraction.
-func resolveRefs(value string, values map[string]string) (string, bool) {
-	fields := strings.Fields(value)
-	for i, f := range fields {
-		name := ""
-		if cut, ok := strings.CutPrefix(f, "@"); ok {
-			name = cut
-			fields[i] = ""
-		} else if j := strings.Index(f, "@"); j > 0 && strings.ContainsAny(f[j-1:j], "=<>!") {
-			name = f[j+1:]
-			fields[i] = f[:j]
-		} else {
-			continue
-		}
-		v, ok := values[name]
-		if !ok {
-			return "", false
-		}
-		fields[i] += v
-	}
-	return strings.Join(fields, " "), true
+// mapValues serves Options.Values as the engine's gaa.ValueProvider,
+// so candidate extraction and the per-world APIs resolve '@name'
+// references by the one definition of the syntax.
+type mapValues map[string]string
+
+func (m mapValues) LookupValue(name string) (string, bool) {
+	v, ok := m[name]
+	return v, ok
 }
 
 // cleanURIPool holds request-line candidates tried in order; the first

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -262,8 +261,9 @@ func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 // compileCond specializes one pre-condition, or returns nil to keep it
 // dynamic. The eligibility rules guarantee the hoisted test reproduces
 // evaluateCondition exactly for trace-disabled requests:
-//   - values carrying '@' resolve through the runtime value provider
-//     per request — dynamic;
+//   - values carrying an '@name' reference (HasValueRef) resolve
+//     through the runtime value provider per request — dynamic; any
+//     other '@' ("alice@example.org") is literal text and hoists;
 //   - an unregistered condition is evaluateCondition's constant
 //     "no evaluator registered" MAYBE (a later registration bumps the
 //     registry generation and recompiles);
@@ -277,7 +277,7 @@ func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 // state, so it runs inline even under WithEvaluatorTimeout; the
 // deadline guards the dynamic calls, which are the ones that can block.
 func (a *API) compileCond(cond eacl.Condition) CompiledCond {
-	if strings.Contains(cond.Value, "@") {
+	if HasValueRef(cond.Value) {
 		return nil
 	}
 	ev, ok := a.reg.lookup(cond.Type, cond.DefAuth)

@@ -34,7 +34,7 @@ func (a *API) evaluateCondition(ctx context.Context, cond eacl.Condition, req *R
 	// Adaptive constraint specification (paper section 2): '@name'
 	// tokens in the condition value resolve through the runtime value
 	// provider before the evaluator sees them.
-	if resolved, ok := resolveValue(cond.Value, a.values); ok {
+	if resolved, ok := ResolveValue(cond.Value, a.values); ok {
 		cond.Value = resolved
 	} else {
 		return UnevaluatedOutcome("unresolved runtime value reference in " + cond.Value)

@@ -64,12 +64,12 @@ func (v *Values) LookupValue(name string) (string, bool) {
 	return s, ok
 }
 
-// resolveValue expands '@name' references in a condition value using
+// ResolveValue expands '@name' references in a condition value using
 // the provider. Only whole whitespace-separated tokens are expanded
 // ("@max" resolves; "limit@host" does not), and expansion applies to
 // the suffix after a comparator too ("input_length>@max_input").
 // It reports ok=false when a reference cannot be resolved.
-func resolveValue(value string, provider ValueProvider) (string, bool) {
+func ResolveValue(value string, provider ValueProvider) (string, bool) {
 	if !strings.Contains(value, "@") {
 		return value, true
 	}
@@ -91,29 +91,43 @@ func resolveValue(value string, provider ValueProvider) (string, bool) {
 	return strings.Join(fields, " "), true
 }
 
-// expandToken expands a single token: a leading '@' covers the whole
-// token; an '@' immediately after one of the comparator characters
-// (=<>!) covers the remainder.
+// HasValueRef reports whether the condition value carries an '@name'
+// reference, i.e. whether ResolveValue would consult the provider. Such
+// a value has no shape until evaluation: the compiled engine keeps its
+// condition dynamic and the static analyzer skips value validation.
+func HasValueRef(value string) bool {
+	if !strings.Contains(value, "@") {
+		return false
+	}
+	for _, tok := range strings.Fields(value) {
+		if _, _, ok := valueRef(tok); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// valueRef is the reference syntax, defined once: a leading '@' makes
+// the whole token a reference; an '@' immediately after one of the
+// comparator characters (=<>!) makes the remainder one, keeping the
+// prefix. Any other '@' ("alice@example.org") is literal text.
+func valueRef(tok string) (prefix, name string, ok bool) {
+	i := strings.IndexByte(tok, '@')
+	if i == 0 || i > 0 && strings.IndexByte("=<>!", tok[i-1]) >= 0 {
+		return tok[:i], tok[i+1:], true
+	}
+	return "", "", false
+}
+
+// expandToken expands a single token's reference, if it has one.
 func expandToken(tok string, provider ValueProvider) (string, bool) {
-	if name, ok := strings.CutPrefix(tok, "@"); ok {
-		if provider == nil {
-			return "", false
-		}
-		v, found := provider.LookupValue(name)
-		if !found {
-			return "", false
-		}
-		return v, true
+	prefix, name, ok := valueRef(tok)
+	if !ok {
+		return tok, true
 	}
-	if i := strings.Index(tok, "@"); i > 0 && strings.ContainsAny(tok[i-1:i], "=<>!") {
-		if provider == nil {
-			return "", false
-		}
-		v, found := provider.LookupValue(tok[i+1:])
-		if !found {
-			return "", false
-		}
-		return tok[:i] + v, true
+	if provider == nil {
+		return "", false
 	}
-	return tok, true
+	v, found := provider.LookupValue(name)
+	return prefix + v, found
 }

@@ -27,19 +27,19 @@ func TestResolveValue(t *testing.T) {
 		{"user@host", "user@host", true}, // embedded '@' untouched
 	}
 	for _, tt := range tests {
-		got, ok := resolveValue(tt.in, v)
+		got, ok := ResolveValue(tt.in, v)
 		if ok != tt.wantOK || got != tt.want {
-			t.Errorf("resolveValue(%q) = %q, %v; want %q, %v", tt.in, got, ok, tt.want, tt.wantOK)
+			t.Errorf("ResolveValue(%q) = %q, %v; want %q, %v", tt.in, got, ok, tt.want, tt.wantOK)
 		}
 	}
 	// No provider: references fail, plain values pass.
-	if _, ok := resolveValue("@x", nil); ok {
+	if _, ok := ResolveValue("@x", nil); ok {
 		t.Error("nil provider resolved a reference")
 	}
-	if got, ok := resolveValue("no refs", nil); !ok || got != "no refs" {
+	if got, ok := ResolveValue("no refs", nil); !ok || got != "no refs" {
 		t.Error("nil provider broke plain values")
 	}
-	if _, ok := resolveValue("x>@y", nil); ok {
+	if _, ok := ResolveValue("x>@y", nil); ok {
 		t.Error("nil provider resolved a comparator reference")
 	}
 }
@@ -133,5 +133,43 @@ pre_cond_sel_yes local @tunable
 	p := NewPolicy("/x", nil, []*eacl.EACL{e})
 	if ans := checkAuth(t, a, p, simpleRequest()); ans.Decision != Maybe {
 		t.Errorf("decision = %v, want maybe", ans.Decision)
+	}
+}
+
+// TestHasValueRef: the predicate and the expander are one definition of
+// the reference syntax — a value has a reference exactly when resolving
+// it against a provider that knows nothing fails.
+func TestHasValueRef(t *testing.T) {
+	tests := []struct {
+		value string
+		want  bool
+	}{
+		{"@business_hours", true},
+		{"input_length>@max_input", true},
+		{"09:00-17:00 Mon-Fri", false},
+		{"user@example.org", false}, // '@' not in reference position
+		{"counter=failed key=ip max=5 window=60s", false},
+		{"", false},
+		{"alice@example.org bob", false},
+		{"*@corp", false},
+		{"*user@host*", false},
+		{"@", true}, // a reference to the empty name
+		{"x=@", true},
+		{"a@b=@c", false}, // only the first '@' of a token is read
+		{"level<=@max", true},
+		{"retries!=@n", true},
+		{"10.0.0.0/8 @nets", true},
+		{"plain @", true},
+		{"mail:@x", false},
+	}
+	for _, tt := range tests {
+		if got := HasValueRef(tt.value); got != tt.want {
+			t.Errorf("HasValueRef(%q) = %v, want %v", tt.value, got, tt.want)
+		}
+		for _, provider := range []ValueProvider{nil, NewValues()} {
+			if _, ok := ResolveValue(tt.value, provider); ok == tt.want {
+				t.Errorf("ResolveValue(%q, empty) ok = %v with HasValueRef = %v", tt.value, ok, tt.want)
+			}
+		}
 	}
 }

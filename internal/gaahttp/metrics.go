@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gaaapi/internal/cluster"
-	"gaaapi/internal/conditions"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/ids/adaptive"
 	"gaaapi/internal/metrics"
@@ -26,8 +25,6 @@ const (
 	MetricThreatTransitions = "gaa_threat_transitions_total"
 	MetricIDSReports        = "gaa_ids_reports_total"
 	MetricActiveBlocks      = "gaa_netblock_active_blocks"
-	MetricMemoHits          = "gaa_condition_memo_hits_total"
-	MetricMemoMisses        = "gaa_condition_memo_misses_total"
 
 	MetricNotifyDelivered     = "gaa_notify_delivered_total"
 	MetricNotifyFailures      = "gaa_notify_failures_total"
@@ -101,20 +98,8 @@ type Components struct {
 // RegisterComponentMetrics wires the adaptive substrate into reg using
 // collect-time functions over each component's own atomics — the
 // components keep sole ownership of their counters, so there is no
-// double accounting and no hot-path change. The process-wide condition
-// memo caches (regex, fields) are always registered.
+// double accounting and no hot-path change.
 func RegisterComponentMetrics(reg *metrics.Registry, c Components) {
-	for _, cache := range []string{"regex", "fields"} {
-		cache := cache
-		reg.CounterFunc(MetricMemoHits,
-			"Condition memo cache hits by cache (regex: compiled re: patterns; fields: memoized value splitting).",
-			func() uint64 { return conditions.MemoCacheStats()[cache].Hits },
-			metrics.L("cache", cache))
-		reg.CounterFunc(MetricMemoMisses,
-			"Condition memo cache misses by cache.",
-			func() uint64 { return conditions.MemoCacheStats()[cache].Misses },
-			metrics.L("cache", cache))
-	}
 	if t := c.Threat; t != nil {
 		reg.GaugeFunc(MetricThreatLevel,
 			"Current IDS system threat level (1=low, 2=medium, 3=high).",

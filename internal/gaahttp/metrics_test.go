@@ -73,7 +73,7 @@ func TestStackExposition(t *testing.T) {
 		gaa.MetricPhaseLatency, gaa.MetricDecisions, gaa.MetricEvaluatorFaults,
 		gaa.MetricCacheHits, gaa.MetricCacheMisses, gaa.MetricCacheEvictions,
 		MetricThreatLevel, MetricThreatTransitions, MetricIDSReports,
-		MetricActiveBlocks, MetricMemoHits, MetricMemoMisses,
+		MetricActiveBlocks,
 		MetricNotifyDelivered, MetricNotifyBreakerState,
 		MetricStateAppends, MetricStateLastSeq,
 		MetricReloadAttempts, MetricReloadGeneration,
@@ -153,8 +153,8 @@ func TestInstrumentHandlerCodeClasses(t *testing.T) {
 	}
 }
 
-// TestRegisterComponentMetricsNilTolerant: an empty component set still
-// registers the process-wide memo caches and nothing else.
+// TestRegisterComponentMetricsNilTolerant: an empty component set
+// registers nothing — there is no process-wide state left to report.
 func TestRegisterComponentMetricsNilTolerant(t *testing.T) {
 	reg := metrics.NewRegistry()
 	RegisterComponentMetrics(reg, Components{})
@@ -166,8 +166,8 @@ func TestRegisterComponentMetricsNilTolerant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fams[MetricMemoHits] == nil || fams[MetricMemoMisses] == nil {
-		t.Error("memo cache families missing")
+	if len(fams) != 0 {
+		t.Errorf("empty component set registered %d families", len(fams))
 	}
 	for _, absent := range []string{MetricThreatLevel, MetricNotifyDelivered, MetricStateAppends, MetricReloadAttempts} {
 		if fams[absent] != nil {
