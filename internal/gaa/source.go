@@ -1,14 +1,8 @@
 package gaa
 
 import (
-	"errors"
-	"fmt"
-	"io/fs"
 	"math/bits"
-	"os"
-	"path"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -125,155 +119,45 @@ func (m *MemorySource) Revision(string) (string, error) {
 }
 
 // FileSource reads one policy file that governs every object (the
-// paper's system-wide policy file). Parses are cached and invalidated
-// by file modification time and size.
+// paper's system-wide policy file): the one-directory case of DirChain.
 type FileSource struct {
-	path string
-
-	mu     sync.Mutex
-	cached *eacl.EACL
-	stamp  string
+	chain *DirChain[eacl.EACL]
 }
 
 // NewFileSource returns a source backed by the policy file at path.
 // A missing file is not an error: the source simply supplies nothing,
 // so deployments without a system-wide policy work unchanged.
 func NewFileSource(path string) *FileSource {
-	return &FileSource{path: path}
+	return &FileSource{NewDirChain("", path, eacl.ParseFile)}
 }
 
 // Policies implements PolicySource.
 func (f *FileSource) Policies(string) ([]*eacl.EACL, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	stamp, err := fileStamp(f.path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			f.cached, f.stamp = nil, ""
-			return nil, nil
-		}
-		return nil, err
-	}
-	if f.cached == nil || stamp != f.stamp {
-		e, err := eacl.ParseFile(f.path)
-		if err != nil {
-			return nil, err
-		}
-		f.cached, f.stamp = e, stamp
-	}
-	return []*eacl.EACL{f.cached}, nil
+	return f.chain.Walk("")
 }
 
 // Revision implements PolicySource.
 func (f *FileSource) Revision(string) (string, error) {
-	stamp, err := fileStamp(f.path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return "absent", nil
+	if e, err := f.chain.lookup(""); e == nil {
+		return "absent", err
 	}
-	return stamp, err
+	return *f.chain.rev.Load(), nil
 }
 
 // DirSource maps objects (slash-separated paths) to per-directory
-// policy files, the way Apache looks for .htaccess "in every directory
-// of the path to the document". For object "/a/b/page.html" with Name
-// ".eacl" it consults <root>/.eacl, <root>/a/.eacl and <root>/a/b/.eacl
-// in that order. Parses are cached per file by modification stamp.
+// policy files: for "/a/b/page.html" with name ".eacl", <root>/.eacl,
+// <root>/a/.eacl and <root>/a/b/.eacl in that order (see DirChain).
 type DirSource struct {
-	root string
-	name string
-
-	mu    sync.Mutex
-	cache map[string]dirCacheEntry
-}
-
-type dirCacheEntry struct {
-	eacl  *eacl.EACL
-	stamp string
+	*DirChain[eacl.EACL]
 }
 
 // NewDirSource returns a per-directory policy source rooted at root,
 // looking for files called name.
 func NewDirSource(root, name string) *DirSource {
-	return &DirSource{root: root, name: name, cache: make(map[string]dirCacheEntry)}
+	return &DirSource{NewDirChain(root, name, eacl.ParseFile)}
 }
 
 // Policies implements PolicySource.
 func (d *DirSource) Policies(object string) ([]*eacl.EACL, error) {
-	var out []*eacl.EACL
-	for _, dir := range objectDirs(object) {
-		file := path.Join(d.root, dir, d.name)
-		e, err := d.load(file)
-		if err != nil {
-			return nil, err
-		}
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-// Revision implements PolicySource.
-func (d *DirSource) Revision(object string) (string, error) {
-	var b strings.Builder
-	for _, dir := range objectDirs(object) {
-		stamp, err := fileStamp(path.Join(d.root, dir, d.name))
-		if errors.Is(err, fs.ErrNotExist) {
-			stamp = "absent"
-		} else if err != nil {
-			return "", err
-		}
-		b.WriteString(stamp)
-		b.WriteByte(';')
-	}
-	return b.String(), nil
-}
-
-func (d *DirSource) load(file string) (*eacl.EACL, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	stamp, err := fileStamp(file)
-	if errors.Is(err, fs.ErrNotExist) {
-		// Only files that exist are remembered: a client probing random
-		// directories must not grow the map.
-		delete(d.cache, file)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c, ok := d.cache[file]; ok && c.stamp == stamp {
-		return c.eacl, nil
-	}
-	e, err := eacl.ParseFile(file)
-	if err != nil {
-		return nil, err
-	}
-	d.cache[file] = dirCacheEntry{eacl: e, stamp: stamp}
-	return e, nil
-}
-
-// objectDirs returns the directory chain for an object path: "" (root),
-// then each ancestor directory of the object. The object's final
-// component is treated as a leaf (file), matching Apache's behaviour.
-func objectDirs(object string) []string {
-	object = strings.Trim(path.Clean("/"+object), "/")
-	dirs := []string{""}
-	if object == "" || object == "." {
-		return dirs
-	}
-	parts := strings.Split(object, "/")
-	for i := 1; i < len(parts); i++ {
-		dirs = append(dirs, strings.Join(parts[:i], "/"))
-	}
-	return dirs
-}
-
-// fileStamp builds a cheap content-version string from file metadata.
-func fileStamp(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d-%d", fi.ModTime().UnixNano(), fi.Size()), nil
+	return d.Walk(object)
 }

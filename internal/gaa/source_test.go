@@ -183,8 +183,8 @@ func TestDirSourceForgetsAbsentFiles(t *testing.T) {
 			t.Fatalf("Policies under /x%d = %d EACLs, %v; want 1 (root only)", i, len(got), err)
 		}
 	}
-	if n := len(d.cache); n > 2 {
-		t.Errorf("parse cache holds %d entries after probing 10000 absent directories, want <= 2 (the .eacl files that exist)", n)
+	if n := d.Len(); n != 2 {
+		t.Errorf("chain remembers %d files after probing 10000 absent directories, want 2 (the .eacl files that exist)", n)
 	}
 
 	if err := os.Remove(filepath.Join(root, "a/.eacl")); err != nil {
@@ -193,8 +193,8 @@ func TestDirSourceForgetsAbsentFiles(t *testing.T) {
 	if got, err := d.Policies("/a/page.html"); err != nil || len(got) != 1 {
 		t.Errorf("after removing a/.eacl: %d EACLs, %v; want 1 (root only)", len(got), err)
 	}
-	if n := len(d.cache); n != 1 {
-		t.Errorf("parse cache holds %d entries after the removal, want 1", n)
+	if n := d.Len(); n != 1 {
+		t.Errorf("chain remembers %d files after the removal, want 1", n)
 	}
 }
 
@@ -211,8 +211,13 @@ func TestObjectDirs(t *testing.T) {
 		{"a/b/../c/file", []string{"", "a", "a/c"}},
 	}
 	for _, tt := range tests {
-		if got := objectDirs(tt.object); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("objectDirs(%q) = %v, want %v", tt.object, got, tt.want)
+		var got []string
+		EachDir(tt.object, func(dir string) error {
+			got = append(got, dir)
+			return nil
+		})
+		if !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("EachDir(%q) = %v, want %v", tt.object, got, tt.want)
 		}
 	}
 }

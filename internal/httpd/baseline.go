@@ -1,14 +1,11 @@
 package httpd
 
 import (
-	"errors"
-	"io/fs"
 	"os"
-	"path"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
+
+	"gaaapi/internal/gaa"
 )
 
 // HtaccessSource supplies the .htaccess chain governing an object,
@@ -35,7 +32,7 @@ func NewMapHtaccessSource() *MapHtaccessSource {
 func (m *MapHtaccessSource) Set(dir string, h *Htaccess) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.entries[normalizeDir(dir)] = h
+	m.entries[gaa.CleanObject(dir)[1:]] = h
 }
 
 // SetString parses src and installs it for dir.
@@ -53,11 +50,12 @@ func (m *MapHtaccessSource) For(object string) ([]*Htaccess, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []*Htaccess
-	for _, dir := range objectDirs(object) {
+	gaa.EachDir(object, func(dir string) error {
 		if h, ok := m.entries[dir]; ok {
 			out = append(out, h)
 		}
-	}
+		return nil
+	})
 	return out, nil
 }
 
@@ -74,66 +72,29 @@ func (m *MapHtaccessSource) Dirs() []string {
 }
 
 // DirHtaccessSource reads .htaccess files under a document root on
-// disk, caching parses by modification stamp.
+// disk through the walk gaa.DirSource uses: one stat per directory per
+// call, a parse remembered only while its file exists unchanged.
 type DirHtaccessSource struct {
-	root string
-	name string
-
-	mu    sync.Mutex
-	cache map[string]htaccessCacheEntry
-}
-
-type htaccessCacheEntry struct {
-	h     *Htaccess // nil = file absent
-	stamp string
+	chain *gaa.DirChain[Htaccess]
 }
 
 // NewDirHtaccessSource returns a source for files called name (e.g.
 // ".htaccess") under root.
 func NewDirHtaccessSource(root, name string) *DirHtaccessSource {
-	return &DirHtaccessSource{root: root, name: name, cache: make(map[string]htaccessCacheEntry)}
+	return &DirHtaccessSource{chain: gaa.NewDirChain(root, name, parseHtaccessFile)}
 }
 
 // For implements HtaccessSource.
 func (d *DirHtaccessSource) For(object string) ([]*Htaccess, error) {
-	var out []*Htaccess
-	for _, dir := range objectDirs(object) {
-		file := path.Join(d.root, dir, d.name)
-		h, err := d.load(file)
-		if err != nil {
-			return nil, err
-		}
-		if h != nil {
-			out = append(out, h)
-		}
-	}
-	return out, nil
+	return d.chain.Walk(object)
 }
 
-func (d *DirHtaccessSource) load(file string) (*Htaccess, error) {
-	fi, err := os.Stat(file)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	stamp := fi.ModTime().String() + "-" + strconv.FormatInt(fi.Size(), 10)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.cache[file]; ok && c.stamp == stamp && c.h != nil {
-		return c.h, nil
-	}
+func parseHtaccessFile(file string) (*Htaccess, error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return nil, err
 	}
-	h, err := ParseHtaccessString(string(data))
-	if err != nil {
-		return nil, err
-	}
-	d.cache[file] = htaccessCacheEntry{h: h, stamp: stamp}
-	return h, nil
+	return ParseHtaccessString(string(data))
 }
 
 // BaselineGuard is Apache's native access control as a server guard:
@@ -168,22 +129,4 @@ func (b *BaselineGuard) Check(rec *RequestRec) Verdict {
 	}
 	h := chain[len(chain)-1]
 	return Verdict{Status: h.Evaluate(rec, b.loader)}
-}
-
-// objectDirs mirrors gaa.objectDirs: the directory chain for a path.
-func objectDirs(object string) []string {
-	object = strings.Trim(path.Clean("/"+object), "/")
-	dirs := []string{""}
-	if object == "" || object == "." {
-		return dirs
-	}
-	parts := strings.Split(object, "/")
-	for i := 1; i < len(parts); i++ {
-		dirs = append(dirs, strings.Join(parts[:i], "/"))
-	}
-	return dirs
-}
-
-func normalizeDir(dir string) string {
-	return strings.Trim(path.Clean("/"+dir), "/")
 }

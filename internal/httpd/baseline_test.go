@@ -137,12 +137,129 @@ func TestObjectDirsHTTPD(t *testing.T) {
 		{"/", []string{""}},
 		{"/a/b/file", []string{"", "a", "a/b"}},
 	}
+	// The map source consults exactly the object's directories: every
+	// one of them configured (and the leaf, which must not be read as a
+	// directory) answers with the chain in order.
+	src := NewMapHtaccessSource()
+	for _, dir := range []string{"", "a", "a/b", "a/b/file", "c"} {
+		src.Set(dir, &Htaccess{AuthName: dir})
+	}
 	for _, tt := range tests {
-		if got := objectDirs(tt.object); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("objectDirs(%q) = %v, want %v", tt.object, got, tt.want)
+		chain, err := src.For(tt.object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, h := range chain {
+			got = append(got, h.AuthName)
+		}
+		if !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("For(%q) consulted %v, want %v", tt.object, got, tt.want)
 		}
 	}
-	if normalizeDir("/docs/") != "docs" || normalizeDir("") != "" {
-		t.Error("normalizeDir mismatch")
+	// Set normalizes the directory it is given to the same form.
+	src.Set("/docs/", &Htaccess{})
+	if got, want := src.Dirs(), []string{"", "a", "a/b", "a/b/file", "c", "docs"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Dirs() = %v, want %v", got, want)
+	}
+}
+
+// TestDirHtaccessSourceEditGovernsNextRequest is gaa's
+// TestEditGovernsNextRequest for the .htaccess twin: every way the file
+// changes — at the root or in a nested directory, with no sleep — shows
+// in the next For; a removed file is forgotten, not kept as a dead map
+// entry; and a directory nobody edited keeps its parse by pointer.
+func TestDirHtaccessSourceEditGovernsNextRequest(t *testing.T) {
+	// Same length, so one can replace the other with only the mtime moving.
+	const before, after, bigger = "AuthName old\n", "AuthName new\n", "AuthName new\n# and a byte more\n"
+	write := func(t *testing.T, file, content string, mtime time.Time) {
+		t.Helper()
+		if err := os.WriteFile(file, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(file, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	edits := []struct {
+		name    string
+		existed bool
+		want    string // AuthName after the edit, "" = no file
+		apply   func(t *testing.T, file string)
+	}{
+		{"create", false, "new", func(t *testing.T, file string) { write(t, file, after, t0) }},
+		{"modify size", true, "new", func(t *testing.T, file string) { write(t, file, bigger, t0) }},
+		{"modify mtime only", true, "new", func(t *testing.T, file string) { write(t, file, after, t0.Add(time.Second)) }},
+		{"delete", true, "", func(t *testing.T, file string) {
+			if err := os.Remove(file); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"replace by rename", true, "new", func(t *testing.T, file string) {
+			write(t, file+".tmp", after, t0.Add(time.Second))
+			if err := os.Rename(file+".tmp", file); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, where := range []struct{ name, dir, object string }{
+		{"root", "", "/page.html"},
+		{"nested", "a/b", "/a/b/page.html"},
+	} {
+		for _, edit := range edits {
+			t.Run(where.name+"/"+edit.name, func(t *testing.T) {
+				root := t.TempDir()
+				mkdirAll(t, filepath.Join(root, "a/b"))
+				mkdirAll(t, filepath.Join(root, "other"))
+				write(t, filepath.Join(root, "other/.htaccess"), before, t0)
+				file := filepath.Join(root, where.dir, ".htaccess")
+				files := 1
+				if edit.existed {
+					write(t, file, before, t0)
+					files++
+				}
+				src := NewDirHtaccessSource(root, ".htaccess")
+				innermost := func(object string) *Htaccess {
+					t.Helper()
+					chain, err := src.For(object)
+					if err != nil {
+						t.Fatalf("For(%s): %v", object, err)
+					}
+					if len(chain) == 0 {
+						return nil
+					}
+					return chain[len(chain)-1]
+				}
+				if h := innermost(where.object); (h != nil) != edit.existed {
+					t.Fatalf("before the edit: htaccess %v, want present=%v", h, edit.existed)
+				}
+				elsewhere := innermost("/other/page.html")
+				if got := src.chain.Len(); got != files {
+					t.Fatalf("source remembers %d files, %d exist", got, files)
+				}
+
+				edit.apply(t, file)
+
+				got := ""
+				if h := innermost(where.object); h != nil {
+					got = h.AuthName
+				}
+				if got != edit.want {
+					t.Errorf("the lookup after the edit answers AuthName %q, want %q", got, edit.want)
+				}
+				if innermost("/other/page.html") != elsewhere {
+					t.Error("other/.htaccess was parsed again after an edit somewhere else")
+				}
+				if edit.want == "" {
+					files--
+				} else if !edit.existed {
+					files++
+				}
+				if got := src.chain.Len(); got != files {
+					t.Errorf("source remembers %d files after the edit, %d exist", got, files)
+				}
+			})
+		}
 	}
 }

@@ -2,10 +2,14 @@ package httpd
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path"
 	"strings"
+	"syscall"
+
+	"gaaapi/internal/gaa"
 )
 
 // FileRoot resolves URL paths to static document content. The server
@@ -40,40 +44,49 @@ func (m MapRoot) Open(urlPath string) (string, bool, error) {
 // directory (the URL path is cleaned before joining, so ".."
 // traversal cannot escape). Directory requests resolve to index.html.
 type OSRoot struct {
-	dir string
+	dir string // cleaned, without a trailing separator
 }
 
 var _ FileRoot = (*OSRoot)(nil)
 
 // NewOSRoot returns a disk-backed root.
 func NewOSRoot(dir string) *OSRoot {
-	return &OSRoot{dir: dir}
+	return &OSRoot{dir: strings.TrimSuffix(path.Clean(dir), "/")}
 }
 
-// Open implements FileRoot.
+// Open implements FileRoot. The file is opened once and both its kind
+// and its content are read from that handle, so a document replaced
+// mid-request is served as it was or as it is, never as an error.
 func (r *OSRoot) Open(urlPath string) (string, bool, error) {
-	rel := strings.TrimPrefix(cleanURLPath(urlPath), "/")
-	full := path.Join(r.dir, rel)
-	fi, err := os.Stat(full)
-	if errors.Is(err, fs.ErrNotExist) {
+	full := r.dir + gaa.CleanObject(urlPath)
+	content, isDir, err := readDocument(full)
+	if isDir {
+		content, _, err = readDocument(full + "/index.html")
+	}
+	// ENOTDIR: a component of the path is (or just became) a document.
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
 		return "", false, nil
 	}
+	return content, err == nil, err
+}
+
+// readDocument reads the file at name, or reports that it is a directory.
+func readDocument(name string) (content string, isDir bool, err error) {
+	f, err := os.Open(name)
 	if err != nil {
 		return "", false, err
 	}
-	if fi.IsDir() {
-		full = path.Join(full, "index.html")
-		if _, err := os.Stat(full); errors.Is(err, fs.ErrNotExist) {
-			return "", false, nil
-		} else if err != nil {
-			return "", false, err
-		}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil || fi.IsDir() {
+		return "", err == nil, err
 	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		return "", false, err
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF || err == io.EOF {
+		err = nil // truncated since the stat: serve what is there
 	}
-	return string(data), true, nil
+	return string(data[:n]), false, err
 }
 
 // cleanURLPath normalizes a URL path, forcing it absolute and

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMapRoot(t *testing.T) {
@@ -73,6 +74,7 @@ func TestOSRoot(t *testing.T) {
 		{"/missing.html", "", false},
 		{"/../secret.txt", "", false}, // traversal confined
 		{"/docs/../../secret.txt", "", false},
+		{"/index.html/below", "", false}, // nothing lives under a document
 	}
 	for _, tt := range tests {
 		got, ok, err := r.Open(tt.path)
@@ -89,6 +91,82 @@ func TestOSRoot(t *testing.T) {
 	if _, ok, err := r.Open("/empty"); ok || err != nil {
 		t.Errorf("dir without index = %v, %v; want false, nil", ok, err)
 	}
+}
+
+// TestOSRootOpenAllocs pins a document read at what one open, one
+// fstat and one sized read allocate (12 when Open stat'ed the path,
+// joined and cleaned it twice and let os.ReadFile stat it again).
+func TestOSRootOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	dir := t.TempDir()
+	mkdirAll(t, filepath.Join(dir, "docs"))
+	if err := os.WriteFile(filepath.Join(dir, "docs/guide.html"), []byte("<html>guide</html>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewOSRoot(dir)
+	if got := testing.AllocsPerRun(200, func() { r.Open("/docs/guide.html") }); got > 7 {
+		t.Errorf("OSRoot.Open allocates %v, want <= 7", got)
+	}
+}
+
+// TestOSRootOpenSeesOneInode: a path that flips between a document and
+// a directory while it is being served answers with the document, with
+// the directory's index, or — in the instant it is neither — not found;
+// never with an error. Open used to stat the path and then read it by
+// name, and answered "is a directory" (a 500) when the flip fell in
+// between.
+func TestOSRootOpenSeesOneInode(t *testing.T) {
+	dir := t.TempDir()
+	page := filepath.Join(dir, "page")
+	asDir, asFile := filepath.Join(dir, "page.dir"), filepath.Join(dir, "page.file")
+	mkdirAll(t, page)
+	if err := os.WriteFile(filepath.Join(page, "index.html"), []byte("index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(asFile, []byte("document"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stop, flipped := make(chan struct{}), make(chan error, 1)
+	defer func() {
+		close(stop)
+		if err := <-flipped; err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		for {
+			for _, mv := range [][2]string{{page, asDir}, {asFile, page}, {page, asFile}, {asDir, page}} {
+				if err := os.Rename(mv[0], mv[1]); err != nil {
+					flipped <- err
+					return
+				}
+			}
+			select {
+			case <-stop:
+				flipped <- nil
+				return
+			default:
+			}
+		}
+	}()
+	r := NewOSRoot(dir)
+	seen := map[string]int{}
+	// Long enough to meet both states many times over; the deadline only
+	// bounds a host that never schedules the flipper.
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; (i < 20000 || seen["document"] == 0 || seen["index"] == 0) && time.Now().Before(deadline); i++ {
+		got, ok, err := r.Open("/page")
+		if err != nil {
+			t.Fatalf("Open during a flip: %v", err)
+		}
+		if want := map[string]bool{"document": true, "index": true, "": false}; want[got] != ok || (got != "" && !want[got]) {
+			t.Fatalf("Open during a flip = %q, %v", got, ok)
+		}
+		seen[got]++
+	}
+	t.Logf("answers by content: %v", seen)
 }
 
 func TestServerWithOSRoot(t *testing.T) {
