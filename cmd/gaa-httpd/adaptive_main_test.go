@@ -30,12 +30,15 @@ func TestDemoAdaptiveBound(t *testing.T) {
 	}
 
 	// A medium-severity signature: the demo policy sets medium inside
-	// the request and the correlator takes it no further; the tuner, on
-	// the threat subscription, sets medium's bound.
+	// the request and the correlator takes it no further; the tuner, a
+	// listener on the threat manager, has set medium's bound by the
+	// time the request returns.
 	if w := get(t, h, slashFlood, "10.0.0.70"); w.Code != http.StatusForbidden {
 		t.Fatalf("slash flood = %d, want 403", w.Code)
 	}
-	waitFor(t, "max_input = 300", boundIs("300"))
+	if !boundIs("300")() {
+		t.Fatal("max_input is not 300 after the request that set the level to medium")
+	}
 	if w := get(t, h, query, "10.0.0.5"); w.Code != http.StatusForbidden {
 		t.Errorf("500-byte query under the 300-byte bound = %d, want 403", w.Code)
 	}

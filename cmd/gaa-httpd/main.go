@@ -73,7 +73,7 @@ pre_cond_accessid_GROUP local BadGuys
 
 const demoLocalPolicy = `
 neg_access_right apache *
-pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe*
+pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe* *root.exe*
 rr_cond_notify local on:failure/sysadmin/info:cgiexploit
 rr_cond_update_log local on:failure/BadGuys/info:IP
 rr_cond_set_threat_level local on:failure/medium

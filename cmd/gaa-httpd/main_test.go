@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids"
 )
@@ -36,8 +37,8 @@ func get(t *testing.T, h http.Handler, target, ip string) *httptest.ResponseReco
 	return w
 }
 
-// waitFor polls cond until it holds; the host-IDS loop (correlator,
-// value tuner) runs beside the request that feeds it.
+// waitFor polls cond until it holds; the host-IDS correlator runs
+// beside the request that feeds it.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for stop := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -221,5 +222,30 @@ func TestGroupsSavedOnEveryExit(t *testing.T) {
 	}
 	if _, serr := os.Stat(groupsFile); serr != nil {
 		t.Errorf("groups file not saved after %v: %v", err, serr)
+	}
+}
+
+// TestDemoSignaturesMatchShippedPolicy: the demo site's section 7.2
+// signature line is a copy of policies/paper/local-7.2.eacl's and must
+// not drift from it.
+func TestDemoSignaturesMatchShippedPolicy(t *testing.T) {
+	signatures := func(e *eacl.EACL, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range e.Entries {
+			for _, c := range en.Conditions {
+				if c.Type == "regex" {
+					return c.Value
+				}
+			}
+		}
+		t.Fatalf("%s: no pre_cond_regex", e.Source)
+		return ""
+	}
+	shipped := signatures(eacl.ParseFile("../../policies/paper/local-7.2.eacl"))
+	if demo := signatures(eacl.ParseString(demoLocalPolicy)); demo != shipped {
+		t.Errorf("demo policy's signatures\n  %s\nhave drifted from the shipped policy's\n  %s", demo, shipped)
 	}
 }

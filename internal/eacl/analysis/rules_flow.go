@@ -79,8 +79,8 @@ var (
 	}
 )
 
-// negBlockRule (E010) ports the grammar check from eacl.Validate into
-// the engine: nright ::= pre_cond_block rr_cond_block.
+// negBlockRule (E010) is the grammar check nright ::= pre_cond_block
+// rr_cond_block.
 type negBlockRule struct{}
 
 func (negBlockRule) Meta() Meta { return metaNegBlock }
@@ -396,9 +396,9 @@ func subsetOf(conds []eacl.Condition, set map[string]bool) bool {
 	return true
 }
 
-// condKey mirrors eacl.Validate's duplicate comparison: the conditions
-// in source order, lines normalized. The right is compared separately
-// with eacl.RightsEquivalent so semantically equal glob spellings
+// condKey is W002's duplicate comparison: the conditions in source
+// order, lines normalized. The right is compared separately with
+// eacl.RightsEquivalent so semantically equal glob spellings
 // ("GET /a?*" vs "GET /a?**") still count as duplicates.
 func condKey(en *eacl.Entry) string {
 	var key string

@@ -37,16 +37,3 @@ func ExampleGlob() {
 	// true
 	// false
 }
-
-// ExampleValidate lints a policy with an unreachable entry.
-func ExampleValidate() {
-	policy, _ := eacl.ParseString(`
-pos_access_right apache *
-neg_access_right apache GET /secret
-`)
-	for _, f := range eacl.Validate(policy, eacl.ValidateOptions{}) {
-		fmt.Println(f)
-	}
-	// Output:
-	// line 3: warning: unreachable: shadowed by unconditional entry at line 2
-}

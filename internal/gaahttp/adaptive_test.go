@@ -50,8 +50,8 @@ pos_access_right apache *
 	}
 
 	// An attacker probes phf; the report reaches the correlator, the
-	// threat level rises, and the tuner reacts (synchronously here;
-	// Run() does the same from a subscription in a deployment).
+	// threat level rises, and the tuner reacts (by hand here; in a
+	// deployment it is a Manager.OnChange listener).
 	sub := st.Bus.Subscribe(16)
 	defer sub.Cancel()
 	if code := serveTarget(t, st, "/cgi-bin/phf?Qalias=x", "192.0.2.66"); code != http.StatusForbidden {

@@ -201,7 +201,7 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 	}
 	st := &Stack{
 		pprof:    cfg.Pprof,
-		Threat:   ids.NewManager(ids.Low),
+		Threat:   ids.NewManager(ids.Low, ids.WithManagerClock(clock)),
 		Bus:      ids.NewBus(),
 		Sigs:     ids.NewDB(ids.DefaultSignatures()...),
 		Anomaly:  ids.NewDetector(ids.DefaultAnomalyConfig()),
@@ -468,8 +468,10 @@ func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
 	return b, err
 }
 
-// startHostIDS runs the correlator on a bus subscription and the value
-// tuner on a threat-level subscription until Close.
+// startHostIDS runs the correlator on a bus subscription until Close and
+// makes the value tuner a threat-level listener: the level current now
+// (a restart may have restored it) and every later one has its values in
+// place before the writer that moved it returns.
 func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]map[string]string) {
 	corrCfg := ids.DefaultCorrelatorConfig()
 	corrCfg.Clock = clock
@@ -478,15 +480,12 @@ func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]m
 	for level, values := range levelValues {
 		tuner.SetLevelValues(level, values)
 	}
+	s.Threat.OnChange(func(tr ids.Transition) { tuner.Apply(tr.To) })
+	tuner.Apply(s.Threat.Level())
 	reports := s.Bus.Subscribe(256)
-	levels, cancelLevels := s.Threat.Subscribe()
 	go correlator.Run(context.Background(), reports)
-	go tuner.Run(context.Background(), levels)
-	// Cancelling a subscription closes its channel, which ends its loop.
-	s.stopHostIDS = func() {
-		reports.Cancel()
-		cancelLevels()
-	}
+	// Cancelling the subscription closes its channel, which ends the loop.
+	s.stopHostIDS = reports.Cancel
 }
 
 // ReloadPolicies parses, analyzes, and — if clean at severity <

@@ -511,10 +511,10 @@ func (e *Engine) updateLevelLocked(now time.Time) (raise, lower ids.Level) {
 }
 
 // applyLevel pushes an engine level change into the threat manager.
-// Raises escalate (max-wins with other drivers); a drop only applies
-// when the manager sits at the level the engine is leaving — the
-// engine never undercuts an operator or policy escalation above its
-// own signal.
+// Raises escalate (max-wins with other drivers); a drop steps down from
+// the level the engine is leaving, so it applies only while the manager
+// still sits there — the engine never undercuts an operator or policy
+// escalation above its own signal.
 func (e *Engine) applyLevel(raise, lower ids.Level) {
 	if e.threat == nil {
 		return
@@ -522,8 +522,8 @@ func (e *Engine) applyLevel(raise, lower ids.Level) {
 	if raise > 0 {
 		e.threat.Escalate(raise)
 	}
-	if lower > 0 && e.threat.Level() == lower+1 {
-		e.threat.Set(lower)
+	if lower > 0 {
+		e.threat.StepDown(lower + 1)
 	}
 }
 

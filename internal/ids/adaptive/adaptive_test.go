@@ -319,3 +319,33 @@ func TestScoreFiniteAndSeverityMonotone(t *testing.T) {
 	}
 	e.mu.Unlock()
 }
+
+// TestStepDownLosesToConcurrentRaise, engine half: the engine decides to
+// leave Medium, another writer raises the manager to High before the
+// engine applies its drop (the profile journal runs between the two),
+// and the step down from Medium must then do nothing.
+func TestStepDownLosesToConcurrentRaise(t *testing.T) {
+	cfg := testConfig()
+	cfg.HighRaise = 100 // engine caps at Medium
+	cfg.CheckpointEvery = 1
+	e, mgr, _ := newTestEngine(cfg)
+	end := browse(e, "10.0.0.1", 50, epoch)
+	end = attack(e, "203.0.113.99", 200, end)
+	if e.SignalLevel() != ids.Medium || mgr.Level() != ids.Medium {
+		t.Fatalf("attack left engine %s, manager %s; want medium, medium", e.SignalLevel(), mgr.Level())
+	}
+	raced := false
+	e.SetJournal(nil, func(ProfileCheckpoint) {
+		if !raced && e.SignalLevel() == ids.Low { // decided, not yet applied
+			raced = true
+			mgr.Escalate(ids.High)
+		}
+	})
+	browse(e, "10.0.0.2", 120, end.Add(e.cfg.Dwell))
+	if !raced {
+		t.Fatal("the engine never lowered its level; the test raced nothing")
+	}
+	if got := mgr.Level(); got != ids.High {
+		t.Fatalf("engine's drop from medium overwrote a racing raise: level %s, want high", got)
+	}
+}

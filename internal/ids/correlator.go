@@ -140,15 +140,14 @@ func (c *Correlator) maybeDecay() {
 	if c.cfg.Decay <= 0 {
 		return
 	}
+	cur := c.mgr.Level() // read before judging quiet: a raise landing after it stands
 	c.mu.Lock()
 	quietSince := c.lastHit
 	c.mu.Unlock()
 	if quietSince.IsZero() || c.clock().Sub(quietSince) < c.cfg.Decay {
 		return
 	}
-	cur := c.mgr.Level()
-	if cur > Low {
-		c.mgr.Set(cur - 1)
+	if c.mgr.StepDown(cur) {
 		c.mu.Lock()
 		c.lastHit = c.clock() // restart the quiet period for the next step
 		c.mu.Unlock()

@@ -76,21 +76,28 @@ type Transition struct {
 // historyCap bounds the retained escalation history.
 const historyCap = 64
 
-// Manager holds the current system threat level and notifies
-// subscribers of changes. It is safe for concurrent use.
+// Manager holds the current system threat level; every change to it is
+// one call of transition. It is safe for concurrent use.
 type Manager struct {
 	clock func() time.Time
 
 	// transitions counts every level change since process start —
 	// monotonic, unlike the capped history (observability gauge feed).
 	transitions atomic.Uint64
+	// level is stored only by transition; a request reads it lock-free.
+	level atomic.Int32
 
-	mu      sync.RWMutex
-	level   Level
+	// wmu serialises writers across the journal hook and the listeners,
+	// so the WAL and every listener see transitions in the order they
+	// happened. Neither may call a writer; both may read.
+	wmu       sync.Mutex
+	journal   func(Transition)
+	listeners []func(Transition)
+
+	// mu guards history and is never held across a call out: a journal
+	// append that compacts the store snapshots History from inside it.
+	mu      sync.Mutex
 	history []Transition
-	subs    map[int]*levelSub
-	next    int
-	journal func(Transition)
 }
 
 // ManagerOption configures a Manager.
@@ -105,7 +112,8 @@ func WithManagerClock(now func() time.Time) ManagerOption {
 // NewManager returns a manager starting at the given level (use Low for
 // normal operation).
 func NewManager(initial Level, opts ...ManagerOption) *Manager {
-	m := &Manager{level: initial, subs: make(map[int]*levelSub), clock: time.Now}
+	m := &Manager{clock: time.Now}
+	m.level.Store(int32(initial))
 	for _, o := range opts {
 		o(m)
 	}
@@ -113,187 +121,132 @@ func NewManager(initial Level, opts ...ManagerOption) *Manager {
 }
 
 // Level implements LevelProvider.
-func (m *Manager) Level() Level {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.level
-}
+func (m *Manager) Level() Level { return Level(m.level.Load()) }
 
-// Transitions returns the number of level changes observed since the
-// process started (including restores). Unlike len(History()), which
-// is capped, this counter is monotonic.
-func (m *Manager) Transitions() uint64 {
-	return m.transitions.Load()
-}
+// Transitions returns the number of level changes since the process
+// started (restores included); unlike the capped History, monotonic.
+func (m *Manager) Transitions() uint64 { return m.transitions.Load() }
 
 // History returns the recorded level transitions, oldest first (bounded
 // to the most recent changes).
 func (m *Manager) History() []Transition {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Transition, len(m.history))
-	copy(out, m.history)
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Transition(nil), m.history...)
 }
 
-// SetJournal installs a hook receiving every level transition, for
-// persistence. Restore* calls are not journaled.
+// SetJournal installs the persistence hook: it receives every local
+// transition, not a Restore's or a Merge's.
 func (m *Manager) SetJournal(fn func(Transition)) {
-	m.mu.Lock()
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
 	m.journal = fn
-	m.mu.Unlock()
 }
 
-// Restore sets the level and history without notifying the journal;
-// subscribers still observe the change. It is how persistence replays
-// recovered state.
-func (m *Manager) Restore(level Level, history []Transition) {
-	m.mu.Lock()
-	if len(history) > historyCap {
-		history = history[len(history)-historyCap:]
-	}
-	m.history = append(m.history[:0], history...)
-	m.mu.Unlock()
-	m.set(level, false)
+// OnChange registers fn to be called with every transition, journaled
+// or not, synchronously and in the order they happened: when a writer
+// returns, fn has run. fn must not change the level.
+func (m *Manager) OnChange(fn func(Transition)) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	m.listeners = append(m.listeners, fn)
 }
 
-// Set changes the threat level and notifies subscribers. Setting the
-// current level is a no-op.
-func (m *Manager) Set(l Level) { m.set(l, true) }
+// origin is where a transition comes from, which decides how it is
+// kept: a local one is recorded in the history and journaled; a merged
+// one only recorded (its caller persists it, so the mirror never echoes
+// it); a restored one neither (Restore puts its history back whole).
+type origin uint8
 
-func (m *Manager) set(l Level, journaled bool) {
-	m.mu.Lock()
-	if m.level == l {
-		m.mu.Unlock()
-		return
+const (
+	local origin = iota
+	merged
+	restored
+)
+
+// transition is the one place the level changes. next is the writer's
+// rule, from the current level to the one it asks for; a change is
+// recorded, counted, journaled and announced, in that order, before the
+// next writer's rule runs. A zero at means now.
+func (m *Manager) transition(next func(cur Level) Level, at time.Time, src origin) (Transition, bool) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.transitionLocked(next, at, src)
+}
+
+// transitionLocked is transition for a caller that holds wmu.
+func (m *Manager) transitionLocked(next func(cur Level) Level, at time.Time, src origin) (Transition, bool) {
+	cur := m.Level()
+	to := next(cur)
+	if to == cur {
+		return Transition{}, false
 	}
-	tr := Transition{From: m.level, To: l, At: m.clock()}
-	m.level = l
+	if at.IsZero() {
+		at = m.clock()
+	}
+	tr := Transition{From: cur, To: to, At: at}
+	m.mu.Lock()
+	if src != restored {
+		m.history = tail(append(m.history, tr))
+	}
+	m.level.Store(int32(to))
+	m.mu.Unlock()
 	m.transitions.Add(1)
-	if journaled {
-		m.history = append(m.history, tr)
-		if len(m.history) > historyCap {
-			m.history = m.history[len(m.history)-historyCap:]
+	if src == local && m.journal != nil {
+		m.journal(tr)
+	}
+	for _, fn := range m.listeners {
+		fn(tr)
+	}
+	return tr, true
+}
+
+// tail bounds a history to its most recent historyCap transitions.
+func tail(h []Transition) []Transition { return h[max(0, len(h)-historyCap):] }
+
+// Set changes the threat level to l whatever it is now — the operator's
+// rule. Setting the current level is a no-op.
+func (m *Manager) Set(l Level) {
+	m.transition(func(Level) Level { return l }, time.Time{}, local)
+}
+
+// Escalate raises the level to l if it is higher than the current one
+// and reports whether a change occurred: of racing raises the highest
+// stands and none undoes another.
+func (m *Manager) Escalate(l Level) bool {
+	_, ok := m.transition(func(cur Level) Level { return max(cur, l) }, time.Time{}, local)
+	return ok
+}
+
+// StepDown lowers the level one step if it is still from, and reports
+// whether it did — a compare-and-set, so a decayer that read Medium
+// cannot write Low over a High raised since.
+func (m *Manager) StepDown(from Level) bool {
+	_, ok := m.transition(func(cur Level) Level {
+		if cur == from && cur > Low {
+			cur--
 		}
-	}
-	journal := m.journal
-	subs := make([]*levelSub, 0, len(m.subs))
-	for _, sub := range m.subs {
-		subs = append(subs, sub)
-	}
-	m.mu.Unlock()
-	if journaled && journal != nil {
-		journal(tr)
-	}
-	for _, sub := range subs {
-		sub.send(l)
-	}
+		return cur
+	}, time.Time{}, local)
+	return ok
 }
 
 // Merge applies a threat transition replicated from another node with
 // max-wins semantics: the level only rises (a peer under attack pulls
 // the fleet up; de-escalation stays a local decision). The merged
-// transition — From rewritten to the local level — is recorded in the
-// history and subscribers are notified, but the journal hook is NOT
-// invoked: the caller persists the merged record itself so the mirror
-// never echoes it back into the cluster. Reports the recorded
-// transition and whether the level changed.
+// transition, From rewritten to the local level, is recorded and
+// announced but NOT journaled. Reports it and whether the level changed.
 func (m *Manager) Merge(tr Transition) (Transition, bool) {
+	return m.transition(func(cur Level) Level { return max(cur, tr.To) }, tr.At, merged)
+}
+
+// Restore puts back a recovered level and history without journaling
+// them; listeners still hear the change. Persistence replays through it.
+func (m *Manager) Restore(level Level, history []Transition) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
 	m.mu.Lock()
-	if tr.To <= m.level {
-		m.mu.Unlock()
-		return Transition{}, false
-	}
-	tr.From = m.level
-	m.level = tr.To
-	m.transitions.Add(1)
-	m.history = append(m.history, tr)
-	if len(m.history) > historyCap {
-		m.history = m.history[len(m.history)-historyCap:]
-	}
-	subs := make([]*levelSub, 0, len(m.subs))
-	for _, sub := range m.subs {
-		subs = append(subs, sub)
-	}
+	m.history = append(m.history[:0], tail(history)...)
 	m.mu.Unlock()
-	for _, sub := range subs {
-		sub.send(tr.To)
-	}
-	return tr, true
-}
-
-// Escalate raises the level to l if it is higher than the current one
-// and reports whether a change occurred.
-func (m *Manager) Escalate(l Level) bool {
-	m.mu.RLock()
-	cur := m.level
-	m.mu.RUnlock()
-	if l <= cur {
-		return false
-	}
-	m.Set(l)
-	return true
-}
-
-// levelSub guards one subscription channel: sends and the single close
-// serialize on the sub's own mutex, so a cancel racing a Set can never
-// panic a send on a closed channel, and the channel is closed exactly
-// once.
-type levelSub struct {
-	mu     sync.Mutex
-	ch     chan Level
-	closed bool
-}
-
-// send delivers latest-wins: a pending stale value is dropped first.
-func (s *levelSub) send(l Level) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case <-s.ch:
-	default:
-	}
-	select {
-	case s.ch <- l:
-	default:
-	}
-}
-
-// close drains and closes the channel exactly once.
-func (s *levelSub) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	select {
-	case <-s.ch:
-	default:
-	}
-	close(s.ch)
-}
-
-// Subscribe returns a channel receiving level changes (latest value
-// wins; intermediate values may be skipped) and a cancel function that
-// must be called to release the subscription. Cancel is idempotent and
-// safe against concurrent Set calls: the channel is drained and closed
-// exactly once, and no send can race the close.
-func (m *Manager) Subscribe() (<-chan Level, func()) {
-	sub := &levelSub{ch: make(chan Level, 1)}
-	m.mu.Lock()
-	id := m.next
-	m.next++
-	m.subs[id] = sub
-	m.mu.Unlock()
-	cancel := func() {
-		m.mu.Lock()
-		delete(m.subs, id)
-		m.mu.Unlock()
-		sub.close()
-	}
-	return sub.ch, cancel
+	m.transitionLocked(func(Level) Level { return level }, time.Time{}, restored)
 }

@@ -60,55 +60,38 @@ func TestManagerSetAndEscalate(t *testing.T) {
 	}
 }
 
-func TestManagerSubscription(t *testing.T) {
-	m := NewManager(Low)
-	ch, cancel := m.Subscribe()
-	defer cancel()
-
-	m.Set(High)
-	select {
-	case got := <-ch:
-		if got != High {
-			t.Errorf("received %v, want high", got)
-		}
-	default:
-		t.Fatal("no notification received")
-	}
-
-	// Latest-wins: two rapid changes leave only the last value.
-	m.Set(Low)
-	m.Set(Medium)
-	select {
-	case got := <-ch:
-		if got != Medium {
-			t.Errorf("received %v, want medium (latest wins)", got)
-		}
-	default:
-		t.Fatal("no notification after rapid changes")
-	}
+// record registers a listener on m and returns the slice it appends to.
+func record(m *Manager) *[]Transition {
+	var got []Transition
+	m.OnChange(func(tr Transition) { got = append(got, tr) })
+	return &got
 }
 
-func TestManagerSubscribeCancel(t *testing.T) {
+func TestManagerSubscription(t *testing.T) {
 	m := NewManager(Low)
-	ch, cancel := m.Subscribe()
-	cancel()
+	got := record(m)
+
 	m.Set(High)
-	// Cancel closes the channel (so consumer loops terminate); no level
-	// may be delivered after it.
-	if l, ok := <-ch; ok {
-		t.Errorf("cancelled subscription still receiving: %v", l)
+	if len(*got) != 1 || (*got)[0].From != Low || (*got)[0].To != High {
+		t.Fatalf("listener saw %+v when Set(High) returned, want low->high", *got)
+	}
+
+	// Every change is delivered, in order: nothing is skipped.
+	m.Set(Low)
+	m.Set(Medium)
+	if len(*got) != 3 || (*got)[1].To != Low || (*got)[2].To != Medium {
+		t.Errorf("listener saw %+v, want high, low, medium in order", *got)
 	}
 }
 
 func TestManagerSetSameLevelNoNotify(t *testing.T) {
 	m := NewManager(Medium)
-	ch, cancel := m.Subscribe()
-	defer cancel()
+	got := record(m)
 	m.Set(Medium)
-	select {
-	case <-ch:
-		t.Error("notification for no-op Set")
-	default:
+	m.Escalate(Low)
+	m.StepDown(High)
+	if len(*got) != 0 || m.Transitions() != 0 {
+		t.Errorf("notified %+v (%d transitions) for writes that changed nothing", *got, m.Transitions())
 	}
 }
 
@@ -129,66 +112,6 @@ func TestManagerConcurrency(t *testing.T) {
 	}
 }
 
-// TestSubscribeCancelUnderConcurrentSet is the subscription leak/race
-// test: cancels racing concurrent Set calls must never deadlock, never
-// panic (send on closed channel), and must close each channel exactly
-// once so a range over it terminates.
-func TestSubscribeCancelUnderConcurrentSet(t *testing.T) {
-	m := NewManager(Low)
-	stop := make(chan struct{})
-	var setters sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		setters.Add(1)
-		go func(w int) {
-			defer setters.Done()
-			levels := []Level{Low, Medium, High}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				m.Set(levels[(i+w)%len(levels)])
-			}
-		}(w)
-	}
-
-	var subs sync.WaitGroup
-	for i := 0; i < 200; i++ {
-		subs.Add(1)
-		go func() {
-			defer subs.Done()
-			ch, cancel := m.Subscribe()
-			// Consume a little, then cancel while Sets are in flight.
-			for j := 0; j < 3; j++ {
-				select {
-				case <-ch:
-				default:
-				}
-			}
-			cancel()
-			cancel() // idempotent
-			// The channel must be closed: this range must terminate.
-			for range ch {
-			}
-		}()
-	}
-
-	done := make(chan struct{})
-	go func() { subs.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("subscription cancels deadlocked under concurrent Set")
-	}
-	close(stop)
-	setters.Wait()
-
-	// No leaked subscriptions: a fresh Set must not block on remnants.
-	m.Set(Low)
-	m.Set(High)
-}
-
 func TestManagerHistoryAndRestore(t *testing.T) {
 	at := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
 	m := NewManager(Low, WithManagerClock(func() time.Time { return at }))
@@ -203,12 +126,11 @@ func TestManagerHistoryAndRestore(t *testing.T) {
 	}
 
 	// Restore must set level + history without journaling, and still
-	// notify subscribers.
+	// notify listeners.
 	var journaled []Transition
 	m2 := NewManager(Low)
 	m2.SetJournal(func(tr Transition) { journaled = append(journaled, tr) })
-	ch, cancel := m2.Subscribe()
-	defer cancel()
+	seen := record(m2)
 	m2.Restore(High, h)
 	if m2.Level() != High {
 		t.Fatalf("restored level = %v, want High", m2.Level())
@@ -219,13 +141,8 @@ func TestManagerHistoryAndRestore(t *testing.T) {
 	if len(journaled) != 0 {
 		t.Fatalf("Restore was journaled: %+v (would loop replay back into the WAL)", journaled)
 	}
-	select {
-	case l := <-ch:
-		if l != High {
-			t.Fatalf("subscriber got %v, want High", l)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Restore did not notify subscribers")
+	if len(*seen) != 1 || (*seen)[0].To != High {
+		t.Fatalf("listener saw %+v, want the restored High", *seen)
 	}
 	// A journaled Set after restore extends the restored history.
 	m2.Set(Low)
@@ -281,17 +198,12 @@ func TestMergeIsMaxWins(t *testing.T) {
 
 func TestMergeNotifiesSubscribers(t *testing.T) {
 	m := NewManager(Low)
-	ch, cancel := m.Subscribe()
-	defer cancel()
-	if _, ok := m.Merge(Transition{To: High}); !ok {
+	got := record(m)
+	at := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
+	if _, ok := m.Merge(Transition{To: High, At: at}); !ok {
 		t.Fatal("merge failed")
 	}
-	select {
-	case got := <-ch:
-		if got != High {
-			t.Fatalf("subscriber saw %v", got)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("subscriber not notified of merged escalation")
+	if len(*got) != 1 || (*got)[0] != (Transition{From: Low, To: High, At: at}) {
+		t.Fatalf("listener saw %+v, want the merged low->high stamped by the peer", *got)
 	}
 }

@@ -1,7 +1,7 @@
 package ids
 
 import (
-	"context"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -36,45 +36,21 @@ func NewValueTuner(sink ValueSink) *ValueTuner {
 func (t *ValueTuner) SetLevelValues(level Level, values map[string]string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cp := make(map[string]string, len(values))
-	for k, v := range values {
-		cp[k] = v
-	}
-	t.levels[level] = cp
+	t.levels[level] = maps.Clone(values)
 }
 
-// Apply pushes the values for level into the sink (deterministic
-// order, for reproducible traces).
+// Apply pushes the values for level into the sink in name order (for
+// reproducible traces); a Manager.OnChange listener calls it.
 func (t *ValueTuner) Apply(level Level) {
 	t.mu.Lock()
-	values := t.levels[level]
+	values := t.levels[level] // replaced whole by SetLevelValues, never mutated
+	t.mu.Unlock()
 	names := make([]string, 0, len(values))
 	for name := range values {
 		names = append(names, name)
 	}
-	t.mu.Unlock()
 	sort.Strings(names)
 	for _, name := range names {
-		t.mu.Lock()
-		v := t.levels[level][name]
-		t.mu.Unlock()
-		t.sink.Set(name, v)
-	}
-}
-
-// Run applies values on every threat-level change delivered on ch
-// until ctx is cancelled or ch closes. Subscribe the channel with
-// Manager.Subscribe and run in a goroutine.
-func (t *ValueTuner) Run(ctx context.Context, ch <-chan Level) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case level, ok := <-ch:
-			if !ok {
-				return
-			}
-			t.Apply(level)
-		}
+		t.sink.Set(name, values[name])
 	}
 }

@@ -1,10 +1,8 @@
 package ids
 
 import (
-	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 // mapSink collects Set calls.
@@ -68,47 +66,23 @@ func TestValueTunerRunFollowsManager(t *testing.T) {
 	sink := newMapSink()
 	tuner := NewValueTuner(sink)
 	tuner.SetLevelValues(Medium, map[string]string{"max_input": "500"})
+	tuner.SetLevelValues(High, map[string]string{"max_input": "100"})
 
 	mgr := NewManager(Low)
-	ch, cancelSub := mgr.Subscribe()
-	defer cancelSub()
+	mgr.OnChange(func(tr Transition) { tuner.Apply(tr.To) })
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tuner.Run(ctx, ch)
-	}()
-
+	// The tuner is a listener: the values are in place when the writer
+	// returns, whichever writer it is.
 	mgr.Set(Medium)
-	deadline := time.After(2 * time.Second)
-	for sink.get("max_input") != "500" {
-		select {
-		case <-deadline:
-			t.Fatal("tuner did not apply values on level change")
-		case <-time.After(time.Millisecond):
-		}
+	if got := sink.get("max_input"); got != "500" {
+		t.Fatalf("max_input = %q when Set(Medium) returned, want 500", got)
 	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop on cancel")
+	mgr.Escalate(High)
+	if got := sink.get("max_input"); got != "100" {
+		t.Fatalf("max_input = %q when Escalate(High) returned, want 100", got)
 	}
-}
-
-func TestValueTunerRunStopsOnClosedChannel(t *testing.T) {
-	tuner := NewValueTuner(newMapSink())
-	ch := make(chan Level)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tuner.Run(context.Background(), ch)
-	}()
-	close(ch)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop on closed channel")
+	mgr.StepDown(High)
+	if got := sink.get("max_input"); got != "500" {
+		t.Fatalf("max_input = %q when StepDown(High) returned, want 500", got)
 	}
 }

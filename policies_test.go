@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"gaaapi/internal/conditions"
-	"gaaapi/internal/config"
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/eacl/analysis"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
@@ -16,18 +16,7 @@ import (
 // shipped under policies/, against the routine registry the shipped
 // gaa.conf declares — so the repo's own artifacts never rot.
 func TestShippedPoliciesValidate(t *testing.T) {
-	cfg, err := config.ParseFile("policies/paper/gaa.conf")
-	if err != nil {
-		t.Fatalf("shipped gaa.conf does not parse: %v", err)
-	}
-	api := gaa.New()
-	deps := config.Deps{}
-	deps.Conditions.Threat = ids.NewManager(ids.Low)
-	deps.Conditions.Groups = groups.NewStore()
-	if err := cfg.Apply(api, deps); err != nil {
-		t.Fatalf("shipped gaa.conf does not apply: %v", err)
-	}
-
+	known := shippedKnown(t)
 	paths, err := filepath.Glob("policies/paper/*.eacl")
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +30,8 @@ func TestShippedPoliciesValidate(t *testing.T) {
 			t.Errorf("%s: %v", path, err)
 			continue
 		}
-		for _, f := range eacl.Validate(e, eacl.ValidateOptions{KnownCondition: api.Known}) {
-			t.Errorf("%s: %s", path, f)
+		for _, d := range analysis.New().AnalyzeFile(&analysis.File{EACL: e, Known: known}) {
+			t.Errorf("%s", d)
 		}
 	}
 }
