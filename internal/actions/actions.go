@@ -3,6 +3,7 @@ package actions
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -112,13 +113,21 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	}
 	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
 	uri, _ := req.Params.Get(gaa.ParamRequestURI, cond.DefAuth)
-	msg := notify.Message{Time: a.clock(), To: recipient, Subject: "GAA alert: " + tag, Tag: tag}
+	// One reading, so the message and its body name the same second.
+	now := a.clock()
+	msg := notify.Message{Time: now, To: recipient, Subject: "GAA alert: " + tag, Tag: tag}
 	// time=%s ip=%s uri=%q decision=%s threat=%s, without fmt: the URI
-	// of an overflow attempt is over a kilobyte.
-	body := make([]byte, 0, 96+len(ip)+len(uri)+len(tag))
-	body = a.clock().AppendFormat(append(body, "time="...), time.RFC3339)
+	// of an overflow attempt is over a kilobyte. The quote stops at
+	// audit.MaxField bytes and says how much it left out: an alert is
+	// kept, and the request line is the attacker's to size.
+	quoted := audit.Clip(uri)
+	body := make([]byte, 0, 96+len(ip)+len(quoted)+len(tag))
+	body = now.AppendFormat(append(body, "time="...), time.RFC3339)
 	body = append(append(body, " ip="...), ip...)
-	body = gaa.AppendQuoted(append(body, " uri="...), uri)
+	body = gaa.AppendQuoted(append(body, " uri="...), quoted)
+	if cut := len(uri) - len(quoted); cut > 0 {
+		body = append(strconv.AppendInt(append(body, "…(+"...), int64(cut), 10), " bytes)"...)
+	}
 	body = append(append(body, " decision="...), req.Decision.String()...)
 	body = append(append(body, " threat="...), tag...)
 	msg.Body = string(body)

@@ -446,4 +446,40 @@ func TestNotifyMessageMatchesSprintf(t *testing.T) {
 			t.Errorf("message = %q / %q\n   want body %q", msg.Subject, msg.Body, wantBody)
 		}
 	}
+	// Over the cap the quote stops at audit.MaxField bytes, on a rune
+	// boundary (the 3-byte 日 straddles it), and says what it left out.
+	head := "GET /" + strings.Repeat("A", audit.MaxField-6)
+	uri := head + "日" + strings.Repeat("B", 10000)
+	req := gaa.NewRequest("apache", "GET /x", params("10.0.0.66", uri)...)
+	req.Decision = gaa.No
+	if out := ev.Evaluate(context.Background(), cond, req); out.Result != gaa.Yes {
+		t.Fatalf("notify(long) = %+v", out)
+	}
+	msgs := mailbox.Messages()
+	wantBody := fmt.Sprintf("time=%s ip=%s uri=%q…(+%d bytes) decision=%s threat=%s",
+		at.Format(time.RFC3339), "10.0.0.66", head, len(uri)-len(head), gaa.No, "cgiexploit")
+	if got := msgs[len(msgs)-1].Body; got != wantBody {
+		t.Errorf("long-URI body (%d bytes) = ...%q\n   want (%d bytes) ...%q", len(got), got[len(got)-60:], len(wantBody), wantBody[len(wantBody)-60:])
+	}
+}
+
+// TestNotifyReadsClockOnce: the message's Time and the body's time= are
+// one reading, even on a clock that moves a second per call.
+func TestNotifyReadsClockOnce(t *testing.T) {
+	at := time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC)
+	mailbox := notify.NewMailbox(0)
+	ev, _ := Builtin("notify", Deps{Notifier: mailbox}, func() time.Time {
+		at = at.Add(time.Second)
+		return at
+	})
+	cond := eacl.Condition{Block: eacl.BlockRequestResult, Type: "notify", DefAuth: "local", Value: "on:failure/sysadmin/info:cgiexploit"}
+	req := gaa.NewRequest("apache", "GET /x", params("10.0.0.66", "GET /cgi-bin/phf")...)
+	req.Decision = gaa.No
+	if out := ev.Evaluate(context.Background(), cond, req); out.Result != gaa.Yes {
+		t.Fatalf("notify = %+v", out)
+	}
+	msg := mailbox.Messages()[0]
+	if want := "time=" + msg.Time.Format(time.RFC3339) + " "; !strings.HasPrefix(msg.Body, want) {
+		t.Errorf("body %q, want it to start %q (Message.Time)", msg.Body, want)
+	}
 }

@@ -31,6 +31,11 @@ func DefaultAnomalyConfig() AnomalyConfig {
 // 404, so any permitted client could otherwise grow it with random paths.
 const maxProfilePaths = 256
 
+// maxProfiles bounds the profile table by the same rule: every granted
+// source address is a principal, so a full table admits no new one. An
+// unadmitted principal scores 0, as an untrained one does.
+const maxProfiles = 16384
+
 // profile accumulates per-principal behaviour: the set of paths the
 // principal accesses and running moments of the request input length
 // (the shared Welford core). A full path set stops recording: new paths
@@ -54,8 +59,7 @@ func (p *profile) observe(path string, inputLen int) {
 // anomaly-based intrusion detection in addition to the signature-
 // based". Profiles are keyed by principal (user identity or client
 // address). It is safe for concurrent use. Each profile is bounded
-// (maxProfilePaths); the number of profiles is not — that bound belongs
-// to ROADMAP item 3, which decides whether the Detector stays.
+// (maxProfilePaths), and so is the number of profiles (maxProfiles).
 type Detector struct {
 	cfg      AnomalyConfig
 	mu       sync.RWMutex
@@ -89,9 +93,13 @@ func (d *Detector) Train(principal, path string, inputLen int) {
 	d.train(d.profiles[principal], principal, path, inputLen)
 }
 
-// train folds the observation into p, principal's profile (nil: none yet).
+// train folds the observation into p, principal's profile (nil: none yet,
+// and none made once the table is full).
 func (d *Detector) train(p *profile, principal, path string, inputLen int) {
 	if p == nil {
+		if len(d.profiles) >= maxProfiles {
+			return
+		}
 		p = &profile{paths: make(map[string]struct{})}
 		d.profiles[principal] = p
 	}

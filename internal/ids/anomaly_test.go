@@ -233,3 +233,28 @@ func TestDetectorPathSetIsBounded(t *testing.T) {
 		t.Errorf("path met after the bound scores %v, want %v (still never-seen)", late, base+DefaultAnomalyConfig().NewPathWeight)
 	}
 }
+
+// TestDetectorProfileTableIsBounded: every granted source address is a
+// principal, so the profile table must not grow with them. A full table
+// admits no new principal — it scores 0, as an untrained one does —
+// while a principal admitted before the bound keeps training.
+func TestDetectorProfileTableIsBounded(t *testing.T) {
+	d := trainedDetector(t)
+	for i := 0; i < 20000; i++ {
+		d.Observe(fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff), "/index.html", 20)
+	}
+	if n := len(d.profiles); n != maxProfiles {
+		t.Fatalf("profile table holds %d principals, want exactly %d", n, maxProfiles)
+	}
+	d.Train("alice", "/docs/a.html", 20)
+	if got := d.Trained("alice"); got != 31 {
+		t.Errorf("admitted principal Trained = %d, want 31: a full table must not stop its training", got)
+	}
+	late := "10.0.78.31" // the 20 000th source, met after the bound
+	for i := 0; i < 2*DefaultAnomalyConfig().MinTraining; i++ {
+		d.Train(late, "/index.html", 20)
+	}
+	if n, s := d.Trained(late), d.Score(late, "/weird", 9999); n != 0 || s != 0 {
+		t.Errorf("unadmitted principal: Trained = %d, Score = %v, want 0 and 0", n, s)
+	}
+}

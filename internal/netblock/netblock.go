@@ -261,12 +261,12 @@ func (s *Set) Entries() []Entry {
 	defer s.mu.Unlock()
 	var out []Entry
 	for h, expiry := range s.hosts {
-		if expiry.IsZero() || now.Before(expiry) {
+		if live(expiry, now) {
 			out = append(out, Entry{Addr: h, Permanent: expiry.IsZero(), Expiry: expiry})
 		}
 	}
 	for _, n := range s.nets {
-		if n.expiry.IsZero() || now.Before(n.expiry) {
+		if live(n.expiry, now) {
 			out = append(out, Entry{Addr: n.cidr, Permanent: n.expiry.IsZero(), Expiry: n.expiry})
 		}
 	}
@@ -290,7 +290,28 @@ func (s *Set) List() []string {
 	return out
 }
 
-// Len returns the number of live block entries.
+// Len returns the number of live block entries, len(Entries()) without
+// building and sorting them: the metrics gauge reads it every scrape.
 func (s *Set) Len() int {
-	return len(s.Entries())
+	now := s.clock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, expiry := range s.hosts {
+		if live(expiry, now) {
+			n++
+		}
+	}
+	for _, bn := range s.nets {
+		if live(bn.expiry, now) {
+			n++
+		}
+	}
+	return n
+}
+
+// live reports whether a block with this expiry (zero = permanent) still
+// holds at now.
+func live(expiry, now time.Time) bool {
+	return expiry.IsZero() || now.Before(expiry)
 }

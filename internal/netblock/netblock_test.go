@@ -358,3 +358,28 @@ func TestEntriesOrderUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestLenZeroAllocMatchesEntries: the active-blocks gauge reads Len on
+// every metrics scrape, so it counts what Entries would return — expired
+// hosts and ranges left out — without building or sorting anything.
+func TestLenZeroAllocMatchesEntries(t *testing.T) {
+	clk := newClock()
+	s := NewSet(WithClock(clk.Now))
+	for i := 0; i < 100; i++ {
+		ttl := time.Duration(i%3) * time.Minute // 0: permanent
+		s.Block(fmt.Sprintf("10.0.%d.%d", i/256, i%256), ttl)
+		if i%10 == 0 {
+			s.Block(fmt.Sprintf("172.%d.0.0/16", i), ttl)
+		}
+	}
+	if got, want := s.Len(), len(s.Entries()); got != want || got != 110 {
+		t.Fatalf("Len = %d, len(Entries()) = %d, want both 110", got, want)
+	}
+	clk.Advance(90 * time.Second) // the one-minute blocks expire, unswept
+	if got, want := s.Len(), len(s.Entries()); got != want || got != 74 {
+		t.Fatalf("after expiry Len = %d, len(Entries()) = %d, want both 74", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Len() }); allocs != 0 {
+		t.Errorf("Len allocates %v, want 0", allocs)
+	}
+}

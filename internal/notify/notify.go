@@ -13,6 +13,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"gaaapi/internal/audit"
 )
 
 // Message is one notification.
@@ -32,18 +34,19 @@ type Notifier interface {
 
 // Mailbox is an in-memory synchronous notifier. Notify blocks for the
 // configured latency (interruptible by ctx), simulating mail delivery.
-// The zero latency makes it instantaneous. Safe for concurrent use.
+// The zero latency makes it instantaneous. It keeps the last 1024
+// messages and counts all of them: every attack from a fresh source is
+// an alert, and keeping them all would hand the heap to the attacker.
+// Safe for concurrent use.
 type Mailbox struct {
 	latency time.Duration
-
-	mu   sync.Mutex
-	msgs []Message
+	sent    *audit.Tail[Message]
 }
 
 // NewMailbox returns a mailbox with the given synthetic delivery
 // latency.
 func NewMailbox(latency time.Duration) *Mailbox {
-	return &Mailbox{latency: latency}
+	return &Mailbox{latency: latency, sent: audit.NewTail[Message](1024)}
 }
 
 // Notify implements Notifier.
@@ -57,31 +60,18 @@ func (m *Mailbox) Notify(ctx context.Context, msg Message) error {
 		case <-t.C:
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.msgs = append(m.msgs, msg)
+	m.sent.Put(msg)
 	return nil
 }
 
-// Messages returns a copy of the delivered messages.
-func (m *Mailbox) Messages() []Message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Message(nil), m.msgs...)
-}
+// Messages returns a copy of the retained messages (the last 1024
+// delivered), oldest first.
+func (m *Mailbox) Messages() []Message { return m.sent.Values() }
 
-// Count returns the number of delivered messages.
+// Count returns the number of messages ever delivered, retained or not.
 func (m *Mailbox) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.msgs)
-}
-
-// Reset discards delivered messages.
-func (m *Mailbox) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.msgs = nil
+	_, n := m.sent.Len()
+	return n
 }
 
 // Async wraps a Notifier with a bounded queue and a background worker,

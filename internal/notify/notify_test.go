@@ -2,6 +2,7 @@ package notify
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -20,9 +21,25 @@ func TestMailboxDelivers(t *testing.T) {
 	if m.Count() != 1 {
 		t.Errorf("Count = %d, want 1", m.Count())
 	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Errorf("Count after Reset = %d", m.Count())
+}
+
+// TestMailboxKeepsTheLastMessages: every attack from a fresh source is
+// an alert, so the mailbox keeps the last 1024 of them, oldest first,
+// while Count stays the cumulative total /gaa/status reports.
+func TestMailboxKeepsTheLastMessages(t *testing.T) {
+	m := NewMailbox(0)
+	const keep, sent = 1024, 1024 + 100
+	for i := 0; i < sent; i++ {
+		if err := m.Notify(context.Background(), Message{Body: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := m.Messages()
+	if m.Count() != sent || len(msgs) != keep {
+		t.Fatalf("Count = %d, len(Messages()) = %d; want %d, %d", m.Count(), len(msgs), sent, keep)
+	}
+	if msgs[0].Body != "100" || msgs[len(msgs)-1].Body != strconv.Itoa(sent-1) {
+		t.Errorf("retained %s..%s, want 100..%d", msgs[0].Body, msgs[len(msgs)-1].Body, sent-1)
 	}
 }
 
