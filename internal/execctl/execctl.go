@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,10 +32,9 @@ type Usage struct {
 
 // NewUsage starts accounting at now(); a nil clock means time.Now.
 func NewUsage(clock func() time.Time) *Usage {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Usage{start: clock(), clock: clock}
+	u := new(Usage)
+	u.Reset(clock)
+	return u
 }
 
 // Reset restarts accounting at clock() (nil means time.Now), zeroing
@@ -80,13 +80,16 @@ type Snapshot struct {
 
 // Params renders the snapshot as GAA request parameters for
 // mid-condition evaluation (mid_cond_quota local cpu_ms<=50 ...).
-func (s Snapshot) Params() []gaa.Param {
-	return []gaa.Param{
-		{Type: gaa.ParamCPUMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.CPUMillis, 10)},
-		{Type: gaa.ParamWallMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.WallMillis, 10)},
-		{Type: gaa.ParamMemBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.MemBytes, 10)},
-		{Type: gaa.ParamOutputBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.OutputBytes, 10)},
-	}
+func (s Snapshot) Params() []gaa.Param { return s.AppendParams(nil) }
+
+// AppendParams is Params appending to dst, a caller's reused buffer.
+func (s Snapshot) AppendParams(dst []gaa.Param) []gaa.Param {
+	return append(dst,
+		gaa.Param{Type: gaa.ParamCPUMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.CPUMillis, 10)},
+		gaa.Param{Type: gaa.ParamWallMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.WallMillis, 10)},
+		gaa.Param{Type: gaa.ParamMemBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.MemBytes, 10)},
+		gaa.Param{Type: gaa.ParamOutputBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.OutputBytes, 10)},
+	)
 }
 
 // ErrAborted is returned (wrapped) when a mid-condition violation
@@ -120,63 +123,94 @@ func (r Result) OpStatus() gaa.Decision {
 	return gaa.Yes
 }
 
-// Run executes op under usage accounting while check is evaluated
-// every interval; a No verdict cancels op's context and Run returns
-// with ErrAborted. A final check runs after completion so violations
-// faster than the interval are still recorded. A nil check disables
-// monitoring (the paper's phase with no mid-conditions).
+// Run executes op on the caller's goroutine under usage accounting
+// while check is evaluated every interval; a No verdict cancels op's
+// context and Run returns with ErrAborted. A final check runs after
+// completion so violations faster than the interval are still
+// recorded. A nil check disables monitoring (the paper's phase with no
+// mid-conditions). The periodic checks come from a timer, one at a
+// time, and none starts after Run returns, even if op panics.
 func Run(ctx context.Context, u *Usage, op func(context.Context, *Usage) error, check Check, interval time.Duration) Result {
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
-	var res Result
 	if check == nil {
-		// Unmonitored operation: run synchronously on this goroutine.
-		// No cancellation source exists besides the caller's context,
-		// so the goroutine, channel and derived context would be pure
-		// overhead on the server's hot path.
-		res.Err = op(ctx, u)
-		res.Final = u.Snapshot()
-		return res
+		return Result{Err: op(ctx, u), Final: u.Snapshot()}
 	}
 	opCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- op(opCtx, u)
-	}()
-
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case err := <-done:
-			res.Final = u.Snapshot()
-			// Final check: a violation that the operation outran is
-			// still a violation (and fails the operation status).
-			res.Checks++
-			if check(res.Final) == gaa.No {
-				res.Violated = true
-				if err == nil {
-					err = ErrAborted
-				}
-			}
-			res.Err = err
-			return res
-		case <-ticker.C:
-			res.Checks++
-			if check(u.Snapshot()) == gaa.No {
-				res.Violated = true
-				cancel()
-				err := <-done
-				res.Final = u.Snapshot()
-				if err == nil || errors.Is(err, context.Canceled) {
-					err = ErrAborted
-				}
-				res.Err = err
-				return res
-			}
-		}
+	m := monitorPool.Get().(*monitor)
+	m.mu.Lock()
+	m.done, m.inflight, m.res = false, false, Result{}
+	m.interval, m.u, m.check, m.cancel = interval, u, check, cancel
+	if m.timer == nil {
+		m.timer = time.AfterFunc(interval, m.tick)
+	} else {
+		m.timer.Reset(interval)
 	}
+	m.mu.Unlock()
+	err := m.run(opCtx, op)
+	res := m.res
+	if !m.inflight { // else the fired callback will find done set; m is the GC's
+		monitorPool.Put(m)
+	}
+	res.Final = u.Snapshot()
+	if !res.Violated {
+		// Final check: a violation that the operation outran is still a
+		// violation (and fails the operation status).
+		res.Checks++
+		res.Violated = check(res.Final) == gaa.No
+	} else if errors.Is(err, context.Canceled) {
+		err = nil
+	}
+	if res.Violated && err == nil {
+		err = ErrAborted
+	}
+	res.Err = err
+	return res
+}
+
+// monitor is the periodic half of a monitored Run, pooled: one timer,
+// re-armed after each check, whose callback checks under mu.
+type monitor struct {
+	mu       sync.Mutex
+	timer    *time.Timer
+	done     bool // op returned: no check starts any more
+	inflight bool // a fired callback was still waiting for mu then
+	res      Result
+	interval time.Duration
+	u        *Usage
+	check    Check
+	cancel   context.CancelFunc
+}
+
+var monitorPool = sync.Pool{New: func() any { return new(monitor) }}
+
+// tick is the timer's callback: one check, then the next one armed,
+// unless the operation returned or the check said No.
+func (m *monitor) tick() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done {
+		return
+	}
+	m.res.Checks++
+	if m.res.Violated = m.check(m.u.Snapshot()) == gaa.No; m.res.Violated {
+		m.cancel()
+	} else {
+		m.timer.Reset(m.interval)
+	}
+}
+
+// run runs op, then sets done and stops the timer, even if op panics.
+// Each earlier callback re-armed the timer or recorded a violation, so
+// a timer that will not stop, without a violation, is one in flight.
+func (m *monitor) run(ctx context.Context, op func(context.Context, *Usage) error) error {
+	defer func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.done = true
+		m.inflight = !m.timer.Stop() && !m.res.Violated
+	}()
+	return op(ctx, m.u)
 }

@@ -300,18 +300,14 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 
 // conclude turns the scan result into the answer — the request-result
 // conditions of every deciding entry run with the decision visible —
-// and recycles st.
+// and recycles st. Field by field: a literal reading ans.Mid is built
+// aside and copied in under the GC's bulk write barrier.
 func (a *API) conclude(ctx context.Context, st *evalState, res *evalResult, ans *Answer) {
-	*ans = Answer{
-		Decision:    res.Decision,
-		Applicable:  res.Applicable,
-		Unevaluated: res.unevaluated,
-		Challenge:   res.Challenge,
-		Mid:         ans.Mid[:0],
-		Post:        ans.Post[:0],
-		Trace:       res.trace,
-		Faults:      res.faults,
-	}
+	ans.Decision, ans.Applicable = res.Decision, res.Applicable
+	ans.Unevaluated, ans.Challenge = res.unevaluated, res.Challenge
+	ans.Mid = ans.Mid[:0]
+	ans.Post = ans.Post[:0]
+	ans.Trace, ans.Faults = res.trace, res.faults
 	r := &st.req
 	r.Decision = ans.Decision
 	for _, d := range st.deciders {

@@ -76,7 +76,8 @@ type Config struct {
 
 // Guard implements httpd.Guard over the GAA-API.
 type Guard struct {
-	cfg Config
+	cfg  Config
+	pool sync.Pool // of *checkState
 }
 
 var _ httpd.Guard = (*Guard)(nil)
@@ -92,35 +93,48 @@ func New(cfg Config) *Guard {
 	if cfg.AbnormalInputLength <= 0 {
 		cfg.AbnormalInputLength = 1000
 	}
-	return &Guard{cfg: cfg}
+	g := &Guard{cfg: cfg}
+	g.pool.New = func() any {
+		cs := &checkState{g: g}
+		cs.rights[0] = eacl.Right{Sign: eacl.Pos, DefAuth: cfg.Authority}
+		cs.params.init()
+		cs.req.Rights, cs.req.Params = cs.rights[:], cs.params[:]
+		cs.monitor, cs.post = cs.executionControl, cs.postExecution
+		return cs
+	}
+	return g
 }
 
 // ExtractParams converts a request record into GAA parameters (paper
 // section 6 step 2b: parameters "classified with type and authority so
 // that GAA-API routines ... could find the relevant parameters").
 func ExtractParams(rec *httpd.RequestRec) gaa.ParamList {
-	// Capacity covers every fixed parameter plus the optional user, so
-	// the append below never reallocates.
-	return appendParams(make(gaa.ParamList, 0, 9), rec)
+	ps := new(params)
+	ps.init()
+	return ps[:ps.set(rec)]
 }
 
-// appendParams appends the record's parameters to ps; Check feeds it a
-// pooled backing array instead of allocating one per request.
-func appendParams(ps gaa.ParamList, rec *httpd.RequestRec) gaa.ParamList {
-	ps = append(ps, gaa.ParamList{
-		{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: rec.ClientIP},
-		{Type: gaa.ParamRequestURI, Authority: gaa.AuthorityAny, Value: rec.URI},
-		{Type: gaa.ParamMethod, Authority: gaa.AuthorityAny, Value: rec.Method},
-		{Type: gaa.ParamPath, Authority: gaa.AuthorityAny, Value: rec.Path},
-		{Type: gaa.ParamQuery, Authority: gaa.AuthorityAny, Value: rec.Query},
-		{Type: gaa.ParamObject, Authority: gaa.AuthorityAny, Value: rec.Object()},
-		{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: strconv.Itoa(rec.InputLength)},
-		{Type: gaa.ParamHeaderCount, Authority: gaa.AuthorityAny, Value: strconv.Itoa(rec.HeaderCount)},
-	}...)
-	if rec.User != "" {
-		ps = append(ps, gaa.Param{Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: rec.User})
+// params holds a record's parameters, the optional user last. Pooled,
+// only the values are rewritten: in a GC cycle each costs a barrier.
+type params [9]gaa.Param
+
+func (ps *params) init() {
+	for i, t := range [len(ps)]string{gaa.ParamClientIP, gaa.ParamRequestURI, gaa.ParamMethod, gaa.ParamPath,
+		gaa.ParamQuery, gaa.ParamObject, gaa.ParamInputLength, gaa.ParamHeaderCount, gaa.ParamUser} {
+		ps[i] = gaa.Param{Type: t, Authority: gaa.AuthorityAny}
 	}
-	return ps
+}
+
+// set writes rec's values and returns how many of ps a request carries.
+func (ps *params) set(rec *httpd.RequestRec) int {
+	for i, v := range [len(ps)]string{rec.ClientIP, rec.URI, rec.Method, rec.Path, rec.Query, rec.Object(),
+		strconv.Itoa(rec.InputLength), strconv.Itoa(rec.HeaderCount), rec.User} {
+		ps[i].Value = v
+	}
+	if rec.User == "" {
+		return len(ps) - 1
+	}
+	return len(ps)
 }
 
 // Rights builds the requested rights for a record: the specific
@@ -134,45 +148,56 @@ func (g *Guard) Rights(rec *httpd.RequestRec) []eacl.Right {
 	}}
 }
 
-// checkState is the pooled per-check working set: the request, the
-// answer (whose Mid and Post arrays CheckAuthorizationInto reuses), and
-// the backing arrays for the rights and parameter lists.
+// checkState is the guard's pooled per-check working set: the request,
+// the answer (whose Mid and Post arrays CheckAuthorizationInto reuses),
+// the backing arrays of its lists, and the verdict's hooks, bound once.
 type checkState struct {
-	req    gaa.Request
-	ans    gaa.Answer
-	rights [1]eacl.Right
-	params [9]gaa.Param
+	g       *Guard
+	req     gaa.Request
+	ans     gaa.Answer
+	rights  [1]eacl.Right
+	params  params
+	usage   [4]gaa.Param
+	monitor func(execctl.Snapshot) bool
+	post    func(success bool)
 }
 
-var checkPool = sync.Pool{New: func() any { return new(checkState) }}
+// executionControl is the verdict's Monitor, called one at a time.
+func (cs *checkState) executionControl(snap execctl.Snapshot) bool {
+	dec, _ := cs.g.cfg.API.ExecutionControl(context.Background(), &cs.ans, &cs.req, snap.AppendParams(cs.usage[:0])...)
+	return dec != gaa.No
+}
+
+// postExecution is the verdict's Post, the server's last hook, so it
+// recycles the state (httpd.Verdict).
+func (cs *checkState) postExecution(success bool) {
+	opStatus := gaa.Yes
+	if !success {
+		opStatus = gaa.No
+	}
+	cs.g.cfg.API.PostExecutionActions(context.Background(), &cs.ans, &cs.req, opStatus)
+	cs.g.pool.Put(cs)
+}
 
 // Check implements httpd.Guard: the access-control phase plus hooks
 // for the execution-control and post-execution phases.
 func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
-	ctx := context.Background()
 	policy, err := g.cfg.API.GetObjectPolicyInfo(rec.Object(), g.cfg.System, g.cfg.Local)
 	if err != nil {
 		g.observe(true)
 		// Fail closed: a retrieval error must not grant access.
 		return httpd.Verdict{Status: httpd.Forbidden("policy retrieval: " + err.Error())}
 	}
-	cs := checkPool.Get().(*checkState)
+	cs := g.pool.Get().(*checkState)
 	// One string per check: the audit record's "<authority> <METHOD>
 	// <path>", of which the requested right's value is the tail.
 	right := g.cfg.Authority + " " + rec.Method + " " + rec.Path
-	cs.rights[0] = eacl.Right{
-		Sign:    eacl.Pos,
-		DefAuth: g.cfg.Authority,
-		Value:   right[len(g.cfg.Authority)+1:],
-	}
-	cs.req = gaa.Request{
-		Rights: cs.rights[:1],
-		Params: appendParams(cs.params[:0], rec),
-		Time:   rec.Time,
-	}
-	req, ans := &cs.req, &cs.ans
-	if err := g.cfg.API.CheckAuthorizationInto(ctx, policy, req, ans); err != nil {
-		checkPool.Put(cs)
+	cs.rights[0].Value = right[len(g.cfg.Authority)+1:]
+	cs.req.Params = cs.req.Params[:cs.params.set(rec)]
+	cs.req.Time = rec.Time
+	ans := &cs.ans
+	if err := g.cfg.API.CheckAuthorizationInto(context.Background(), policy, &cs.req, ans); err != nil {
+		g.pool.Put(cs)
 		g.observe(true)
 		return httpd.Verdict{Status: httpd.Forbidden("authorization: " + err.Error())}
 	}
@@ -183,29 +208,17 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 
 	verdict := httpd.Verdict{Status: translate(ans)}
 	if len(ans.Mid) > 0 {
-		verdict.Monitor = func(snap execctl.Snapshot) bool {
-			dec, _ := g.cfg.API.ExecutionControl(ctx, ans, req, snap.Params()...)
-			return dec != gaa.No
-		}
+		verdict.Monitor = cs.monitor
 	}
 	if len(ans.Post) > 0 {
-		verdict.Post = func(success bool) {
-			opStatus := gaa.Yes
-			if !success {
-				opStatus = gaa.No
-			}
-			g.cfg.API.PostExecutionActions(ctx, ans, req, opStatus)
-			// Post is the last hook the server runs (httpd.Verdict), so
-			// the state is recycled here.
-			checkPool.Put(cs)
-		}
+		verdict.Post = cs.post
 	} else if verdict.Monitor == nil {
 		// The later phases hold no reference to the state; recycle it.
-		checkPool.Put(cs)
+		g.pool.Put(cs)
 	}
 	// A Monitor without a Post, or hooks the server never runs (a deny
 	// whose deciding entry has mid/post blocks), leave the state to the
-	// GC with the closures.
+	// GC.
 	return verdict
 }
 

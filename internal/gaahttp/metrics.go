@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"gaaapi/internal/cluster"
@@ -339,7 +340,8 @@ func InstrumentHandler(reg *metrics.Registry, next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := statusWriterPool.Get().(*statusWriter)
+		sw.ResponseWriter, sw.code = w, http.StatusOK
 		next.ServeHTTP(sw, r)
 		dur.ObserveDuration(time.Since(start))
 		idx := sw.code / 100
@@ -347,5 +349,9 @@ func InstrumentHandler(reg *metrics.Registry, next http.Handler) http.Handler {
 			idx = 5
 		}
 		classes[idx].Inc()
+		sw.ResponseWriter = nil // a handler is done with w when it returns
+		statusWriterPool.Put(sw)
 	})
 }
+
+var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}

@@ -23,6 +23,7 @@ type CGIContext struct {
 
 // Script is a simulated CGI program. It must honour ctx cancellation:
 // the execution-control phase kills runaway scripts by cancelling it.
+// The server recycles c when the script returns; a script must not keep it.
 type Script func(ctx context.Context, c *CGIContext) error
 
 // ScriptRegistry maps script names (the path component after

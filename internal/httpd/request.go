@@ -49,24 +49,24 @@ func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestR
 	return rec
 }
 
-// fillRequestRec overwrites rec in place; the server fills pooled
-// records through it instead of allocating one per request.
+// fillRequestRec overwrites every field of a pooled rec, one by one: a
+// composite literal is copied in under the GC's bulk write barrier.
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
-	*rec = RequestRec{
-		Time:        now,
-		Method:      r.Method,
-		Path:        r.URL.Path,
-		Query:       r.URL.RawQuery,
-		URI:         r.Method + " " + r.RequestURI,
-		ClientIP:    clientIP(r.RemoteAddr),
-		HeaderCount: len(r.Header),
-		InputLength: len(r.URL.RawQuery) + int(max64(r.ContentLength, 0)),
-	}
-	if r.RequestURI == "" {
+	rec.Time = now
+	rec.Method = r.Method
+	rec.Path = r.URL.Path
+	rec.Query = r.URL.RawQuery
+	requestURI := r.RequestURI
+	if requestURI == "" {
 		// Outside a real server loop (tests building requests by hand)
 		// RequestURI is unset; reconstruct it.
-		rec.URI = r.Method + " " + r.URL.RequestURI()
+		requestURI = r.URL.RequestURI()
 	}
+	rec.URI = r.Method + " " + requestURI
+	rec.ClientIP = clientIP(r.RemoteAddr)
+	rec.HeaderCount = len(r.Header)
+	rec.InputLength = len(r.URL.RawQuery) + int(max64(r.ContentLength, 0))
+	rec.User, rec.AuthAttempted, rec.AuthFailed = "", false, false
 	if user, pass, ok := basicAuth(r); ok {
 		rec.AuthAttempted = true
 		if auth != nil && auth.Authenticate(user, pass) {

@@ -20,16 +20,17 @@ import (
 // hooks for the later request phases (the deciding guard's
 // mid-conditions and post-conditions).
 //
-// The server calls Post exactly once on every path through execute,
-// after execctl.Run has returned and no Monitor call can follow; a
-// guard may release what its hooks share as Post's last act. A verdict
-// that does not reach execute (forbidden, auth required, moved) has
-// neither hook run.
+// The server calls Post exactly once on every path through execute
+// that returns, after execctl.Run has returned and no Monitor call can
+// follow; a guard may release what its hooks share as Post's last act.
+// A verdict that does not reach execute (forbidden, auth required,
+// moved), or whose operation panics, has neither hook run.
 type Verdict struct {
 	Status AccessStatus
 	// Monitor, when non-nil, is polled with usage snapshots during
 	// operation execution; returning false aborts the operation
-	// (execution-control phase).
+	// (execution-control phase). Calls come from a timer goroutine,
+	// one at a time.
 	Monitor func(execctl.Snapshot) bool
 	// Post, when non-nil, runs after the operation with its success
 	// status (post-execution phase).
@@ -109,13 +110,33 @@ func NewServer(cfg Config) *Server {
 var recPool = sync.Pool{New: func() any { return new(RequestRec) }}
 
 // opScratch bundles the per-operation execution state so one pool hit
-// covers both the usage accounting and the response body buffer.
+// covers the usage accounting, the response body buffer, what a script
+// is handed, and check, the verdict's Monitor as an execctl.Check.
 type opScratch struct {
-	usage execctl.Usage
-	body  bytes.Buffer
+	usage   execctl.Usage
+	body    bytes.Buffer
+	cgi     CGIContext
+	monitor func(execctl.Snapshot) bool
+	check   execctl.Check
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(opScratch)
+	sc.check = func(snap execctl.Snapshot) gaa.Decision {
+		if sc.monitor(snap) {
+			return gaa.Yes
+		}
+		return gaa.No
+	}
+	return sc
+}}
+
+// Write appends to the body and credits the bytes to the usage.
+func (sc *opScratch) Write(p []byte) (int, error) {
+	n, err := sc.body.Write(p)
+	sc.usage.AddOutput(int64(n))
+	return n, err
+}
 
 // ServeHTTP runs the three phases of the paper's integration: access
 // control, monitored execution, post-execution actions — then logs.
@@ -180,9 +201,9 @@ func (s *Server) execute(ctx context.Context, w http.ResponseWriter, rec *Reques
 			s.finish(w, rec, http.StatusNotFound, "no such script\n", "cgi not found")
 			return
 		}
-		op = func(ctx context.Context, u *execctl.Usage) error {
-			cw := &countingWriter{w: body, usage: u}
-			return script(ctx, &CGIContext{Rec: rec, Usage: u, Out: cw})
+		sc.cgi = CGIContext{Rec: rec, Usage: usage, Out: sc}
+		op = func(ctx context.Context, _ *execctl.Usage) error {
+			return script(ctx, &sc.cgi)
 		}
 	default:
 		content, ok, err := s.cfg.Files.Open(rec.Path)
@@ -205,12 +226,7 @@ func (s *Server) execute(ctx context.Context, w http.ResponseWriter, rec *Reques
 
 	var check execctl.Check
 	if verdict.Monitor != nil {
-		check = func(snap execctl.Snapshot) gaa.Decision {
-			if verdict.Monitor(snap) {
-				return gaa.Yes
-			}
-			return gaa.No
-		}
+		sc.monitor, check = verdict.Monitor, sc.check
 	}
 	res := execctl.Run(ctx, usage, op, check, s.cfg.MonitorInterval)
 
@@ -264,16 +280,4 @@ func (s *Server) logCLF(rec *RequestRec, code, bytes int) {
 		*buf = line
 	}
 	clfPool.Put(buf)
-}
-
-// countingWriter credits written bytes to the usage accounting.
-type countingWriter struct {
-	w     io.Writer
-	usage *execctl.Usage
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.usage.AddOutput(int64(n))
-	return n, err
 }
