@@ -95,10 +95,10 @@ func TestShippedCompositionsAnalyzeClean(t *testing.T) {
 // declares (const xxxPolicy = ` ... ` and quickstart's const policy).
 var examplePolicyRE = regexp.MustCompile("(?ms)^const (\\w*[pP]olicy) = `(.*?)`")
 
-// TestExamplePoliciesAnalyzeClean extracts the inline EACL text from
-// every example program and runs the analyzer over it, so the runnable
-// documentation cannot accumulate policy bugs.
-func TestExamplePoliciesAnalyzeClean(t *testing.T) {
+// examplePolicies extracts the inline EACL text from every example
+// program, each parsed with Source set to "<main.go>:<const name>".
+func examplePolicies(t *testing.T) []*eacl.EACL {
+	t.Helper()
 	dirs, err := filepath.Glob("examples/*/main.go")
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,7 @@ func TestExamplePoliciesAnalyzeClean(t *testing.T) {
 	if len(dirs) == 0 {
 		t.Fatal("no examples found")
 	}
-	a := analysis.New()
-	total := 0
+	var out []*eacl.EACL
 	for _, mainPath := range dirs {
 		src, err := os.ReadFile(mainPath)
 		if err != nil {
@@ -115,20 +114,94 @@ func TestExamplePoliciesAnalyzeClean(t *testing.T) {
 		}
 		for _, m := range examplePolicyRE.FindAllStringSubmatch(string(src), -1) {
 			name, text := m[1], m[2]
-			total++
 			e, err := eacl.ParseString(text)
 			if err != nil {
 				t.Errorf("%s %s: %v", mainPath, name, err)
 				continue
 			}
 			e.Source = mainPath + ":" + name
-			for _, d := range a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()}) {
-				t.Errorf("%s", d)
-			}
+			out = append(out, e)
 		}
 	}
-	if total < 7 {
-		t.Errorf("extracted %d inline policies, want at least one per example", total)
+	return out
+}
+
+// TestExamplePoliciesAnalyzeClean runs the analyzer over every example
+// program's inline policies, so the runnable documentation cannot
+// accumulate policy bugs.
+func TestExamplePoliciesAnalyzeClean(t *testing.T) {
+	a := analysis.New()
+	examples := examplePolicies(t)
+	for _, e := range examples {
+		for _, d := range a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()}) {
+			t.Errorf("%s", d)
+		}
+	}
+	if len(examples) < 7 {
+		t.Errorf("extracted %d inline policies, want at least one per example", len(examples))
+	}
+}
+
+// TestOneFindingPerDeadEntry: the prover's cause picks one code per dead
+// entry, so no (file, line) carries two of W002, W003, W007, W020 and
+// W022 — over the seeded fixtures and their compositions, the example
+// policies, and a verbatim duplicate (once W002, W007 and W022).
+func TestOneFindingPerDeadEntry(t *testing.T) {
+	dup, err := eacl.ParseString("pos_access_right apache GET /a\npre_cond_time_window local 09:00-17:00\n" +
+		"pos_access_right apache GET /a\npre_cond_time_window local 09:00-17:00\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup.Source = "duplicate"
+	files := append(examplePolicies(t), dup)
+	paths, err := filepath.Glob("testdata/eaclint/*.eacl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		e, err := eacl.ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, e)
+	}
+	a := analysis.New()
+	var ds []analysis.Diagnostic
+	for _, e := range files {
+		ds = append(ds, a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()})...)
+	}
+	for _, prefix := range []string{"stop", "expand", "narrow", "anon"} {
+		sys, err := eacl.ParseFile(filepath.Join("testdata/eaclint", prefix+"-system.eacl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc, err := eacl.ParseFile(filepath.Join("testdata/eaclint", prefix+"-local.eacl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, a.AnalyzeComposition(analysis.NewComposition([]*eacl.EACL{sys}, []*eacl.EACL{loc}))...)
+	}
+	type at struct {
+		file string
+		line int
+	}
+	seen := map[at]string{}
+	dupReported := false
+	for _, d := range ds {
+		switch d.Code {
+		case "W002", "W003", "W007", "W020", "W022":
+		default:
+			continue
+		}
+		k := at{d.File, d.Line}
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s:%d reported twice: %s and %s", d.File, d.Line, prev, d.Code)
+		}
+		seen[k] = d.Code
+		dupReported = dupReported || d.File == "duplicate" && d.Code == "W002"
+	}
+	if !dupReported {
+		t.Errorf("the verbatim duplicate is not reported as W002: %v", ds)
 	}
 }
 
@@ -146,13 +219,13 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 		{"empty-window.eacl", []string{"E004"}},
 		{"threat-contradiction.eacl", []string{"E012"}},
 		{"conflict.eacl", []string{"W004"}},
-		// The prover independently confirms the flow rules' shadowing
-		// findings: W003/W007 are pattern claims, W022 is a model-checked
-		// "no request reaches this entry" over the full world grid.
-		{"unreachable.eacl", []string{"W003", "W022"}},
-		{"subsumed.eacl", []string{"W007", "W022"}},
-		// Prover-only: the first two entries partition the threat scale,
-		// so entry 3 is dead in a way no pattern rule can establish.
+		// One dead entry, one finding: the prover's cause picks the code.
+		// A single unconditional shadow is W003, a single conditional
+		// same-sign shadow W007.
+		{"unreachable.eacl", []string{"W003"}},
+		{"subsumed.eacl", []string{"W007"}},
+		// The first two entries partition the threat scale and shadow
+		// entry 3 jointly: W022.
 		{"prover-dead.eacl", []string{"W022"}},
 	}
 	for _, tt := range tests {

@@ -51,6 +51,24 @@ func parseLocation(value, defAuth string) (locationTest, error) {
 	return t, nil
 }
 
+// LocationPatterns reads a pre_cond_location value with the evaluator's
+// own parse, for analyses that synthesize client addresses: its CIDR
+// ranges and its address globs.
+func LocationPatterns(value string) (nets []*net.IPNet, globs []string, err error) {
+	t, err := parseLocation(value, gaa.AuthorityAny)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, p := range t.pats {
+		if p.cidr != nil {
+			nets = append(nets, p.cidr)
+		} else {
+			globs = append(globs, p.src)
+		}
+	}
+	return nets, globs, nil
+}
+
 // match returns the client address ("" when the request carries none)
 // and the first pattern containing it, nil when none does.
 func (t locationTest) match(req *gaa.Request) (string, *locationPattern) {

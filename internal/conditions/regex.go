@@ -57,6 +57,26 @@ func parseRegex(value, defAuth string) (regexTest, error) {
 	return t, nil
 }
 
+// RequestLinePatterns reads a pre_cond_regex value with the evaluator's
+// own parse, for analyses that synthesize request lines: the list's
+// '*'-glob patterns, whether it also holds "re:" expressions, and the
+// list's matcher over a request line. A malformed value is MAYBE for
+// every request, so it yields the parse error and nothing else.
+func RequestLinePatterns(value string) (globs []string, hasExpr bool, match func(line string) bool, err error) {
+	t, err := parseRegex(value, gaa.AuthorityAny)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	for _, p := range t.pats {
+		if p.re != nil {
+			hasExpr = true
+		} else {
+			globs = append(globs, p.src)
+		}
+	}
+	return globs, hasExpr, func(line string) bool { return t.matchLine(line) != nil }, nil
+}
+
 // match returns the first pattern matching the request line, nil when
 // none does; ok is false when the request carries no request line.
 func (t regexTest) match(req *gaa.Request) (hit *regexPattern, ok bool) {
@@ -64,17 +84,23 @@ func (t regexTest) match(req *gaa.Request) (hit *regexPattern, ok bool) {
 	if !ok {
 		return nil, false
 	}
+	return t.matchLine(subject), true
+}
+
+// matchLine returns the first pattern matching subject, nil when none
+// does.
+func (t regexTest) matchLine(subject string) *regexPattern {
 	for i := range t.pats {
 		p := &t.pats[i]
 		if p.re != nil {
 			if p.re.MatchString(subject) {
-				return p, true
+				return p
 			}
 		} else if p.glob.Match(subject) {
-			return p, true
+			return p
 		}
 	}
-	return nil, true
+	return nil
 }
 
 func (t regexTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {

@@ -7,12 +7,14 @@
 //     runtime evaluators would bounce to MAYBE (regexes that don't
 //     compile, CIDRs that don't parse, empty time windows, malformed
 //     threshold expressions, bad digests) are errors at lint time;
-//  2. entry- and file-level flow analysis: glob-aware unreachability
-//     and subsumption, pos/neg conflicts over overlapping rights, and
-//     intra-entry contradictions that make an entry unsatisfiable;
-//  3. cross-file composition analysis: dead local policies under
-//     "stop", mandatory-bypass risks under "expand", and grants that
-//     can never be satisfied under "narrow".
+//  2. entry- and file-level flow analysis: pos/neg conflicts over
+//     overlapping rights, and intra-entry contradictions that make an
+//     entry unsatisfiable;
+//  3. the reasoning engine's facts (internal/eacl/reason), each
+//     presented once: dead entries by cause (duplicate, shadowed,
+//     unsatisfiable, dead under "stop"), mandatory-bypass risks under
+//     "expand", grants that can never be satisfied under "narrow", and
+//     anonymous grants of authenticated rights.
 //
 // Every rule carries a stable diagnostic code (E0xx for errors, W0xx
 // for warnings) so findings can be filtered, suppressed, and exported
@@ -69,8 +71,6 @@ type Meta struct {
 	Severity Severity
 	// Summary is a one-line description of what the rule detects.
 	Summary string
-	// Example is a minimal policy fragment triggering the rule.
-	Example string
 	// Fix describes how a policy officer repairs the finding.
 	Fix string
 }
@@ -110,6 +110,9 @@ type File struct {
 	// Known reports whether an evaluator is registered for (condType,
 	// defAuth); nil disables registration-dependent rules (W001, W005).
 	Known func(condType, defAuth string) bool
+
+	proved bool
+	found  []finding // the prover's findings, once proved
 }
 
 // FileRule checks one policy file in isolation.
@@ -285,8 +288,9 @@ func lookupRule(key string) (Meta, bool) {
 }
 
 // allRules instantiates the full rule set, value layer first, then
-// flow, then composition — report order within a line follows code
-// order anyway, so this order only decides tie-breaking work.
+// flow, then the prover's presentations — report order within a line
+// follows code order anyway, so this order only decides tie-breaking
+// work.
 func allRules() []Rule {
 	return []Rule{
 		// Layer 1: value-level semantic validation (E001–E008).
@@ -302,20 +306,20 @@ func allRules() []Rule {
 		negBlockRule{},
 		timeContradictionRule{},
 		threatContradictionRule{},
-		// Layer 2: flow analysis (W001–W007).
+		// Layer 2: flow analysis (W001, W004–W006).
 		unknownConditionRule{},
-		duplicateEntryRule{},
-		unreachableEntryRule{},
 		posNegConflictRule{},
 		maybeOnlyEntryRule{},
 		emptyEACLRule{},
-		subsumedEntryRule{},
-		// Layer 3: composition analysis (W020, W021, E020).
-		stopDeadLocalRule{},
-		expandBypassRule{},
-		narrowDeadGrantRule{},
-		// Layer 4: prover-backed reachability (W022, W023).
-		proverDeadEntryRule{},
-		proverAnonGrantRule{},
+		// Layers 3 and 4: the prover's facts (W002, W003, W007, W020–W023,
+		// E020).
+		proverRule{meta: metaDuplicateEntry, file: true},
+		proverRule{meta: metaUnreachableEntry, file: true},
+		proverRule{meta: metaSubsumedEntry, file: true},
+		proverRule{meta: metaStopDeadLocal, compose: true},
+		proverRule{meta: metaExpandBypass, compose: true},
+		proverRule{meta: metaNarrowDeadGrant, compose: true},
+		proverRule{meta: metaProverDeadEntry, file: true, compose: true},
+		proverRule{meta: metaProverAnonGrant, compose: true},
 	}
 }

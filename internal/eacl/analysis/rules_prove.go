@@ -1,112 +1,270 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
+
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/eacl/reason"
+	"gaaapi/internal/gaa"
 )
 
-// Layer 4: prover-backed rules. These run the whole-policy reasoning
-// engine (internal/eacl/reason) instead of pattern matching: the engine
-// enumerates a finite world grid synthesized from the policy text,
-// replays every world through the real evaluator, and the rules read
-// reachability facts off the fixpoint. They therefore see through
-// condition semantics the flow rules (W003/W007) cannot — a threat
-// selector that excludes every level, a time window nothing satisfies,
-// overlapping guards that jointly shadow an entry.
-//
-// Soundness discipline: the prover stays silent whenever its claim
-// could be incomplete — a truncated domain, an "re:" regex it cannot
-// synthesize witnesses for, or an earlier entry stuck at MAYBE that a
-// resolved runtime value could unblock.
+// Layers 3 and 4: the prover's facts. Whether an entry can ever decide
+// is defined once, by the whole-policy reasoning engine
+// (internal/eacl/reason), which replays every world of a grid
+// synthesized from the policy text through the real evaluator. These
+// codes only present its facts, from one engine per File and one per
+// Composition. A dead entry is reported once, under the code its cause
+// picks: W002, W003 or W007 for a single shadowing entry that is a
+// duplicate, unconditional, or conditional of the same sign; W020 under
+// stop; W022 otherwise. Universal claims (dead entries, E020) need a
+// grid covering the policy; when it does not, or the engine fails, one
+// line-0 W022 says the analysis is unknown, and the existential W021
+// and W023 still report what they found.
 
 // proverMaxWorlds bounds lint-time prover cost; past it the domain is
-// truncated and the prover rules stay silent.
+// truncated and the universal claims stay silent.
 const proverMaxWorlds = 8000
 
+// Composition is a composed policy set: system-wide EACLs first, local
+// EACLs second, with the effective composition mode derived the same
+// way the runtime derives it (paper section 2.1): expand is a
+// disjunction, narrow (the default) a conjunction, and stop applies the
+// system-wide policy alone.
+type Composition struct {
+	Mode   eacl.CompositionMode
+	System []*eacl.EACL
+	Local  []*eacl.EACL
+
+	proved bool
+	found  []finding
+}
+
+// NewComposition composes the policy set, taking its mode from
+// gaa.NewPolicy.
+func NewComposition(system, local []*eacl.EACL) *Composition {
+	return &Composition{Mode: gaa.NewPolicy("", system, local).Mode, System: system, Local: local}
+}
+
 var (
+	metaDuplicateEntry = Meta{
+		Code: "W002", Name: "duplicate-entry", Severity: SeverityWarning,
+		Summary: "an entry repeats the earlier entry that decides every request it would (same right, same conditions)",
+		Fix:     "delete the duplicate; the first occurrence already decides",
+	}
+	metaUnreachableEntry = Meta{
+		Code: "W003", Name: "unreachable-entry", Severity: SeverityWarning,
+		Summary: "one earlier unconditional entry decides every request this entry would, so it can never fire",
+		Fix:     "move the narrower entry first (entries are examined in order) or narrow the earlier right",
+	}
+	metaSubsumedEntry = Meta{
+		Code: "W007", Name: "subsumed-entry", Severity: SeverityWarning,
+		Summary: "one earlier conditional entry of the same sign decides every request this entry would, so the later entry never changes the decision",
+		Fix:     "delete the narrower entry, or order it before the broader one if it must add conditions",
+	}
+	metaStopDeadLocal = Meta{
+		Code: "W020", Name: "stop-dead-local", Severity: SeverityWarning,
+		Summary: "the system-wide policy declares eacl_mode stop, so every local entry is dead (never evaluated)",
+		Fix:     "delete the local policy, or change the system mode if local policies should participate",
+	}
+	metaExpandBypass = Meta{
+		Code: "W021", Name: "expand-bypass", Severity: SeverityWarning,
+		Summary: "under eacl_mode expand, the prover found a request a system-wide denial denies and this local grant grants, and the disjunction grants it",
+		Fix:     "use eacl_mode narrow for mandatory system denials; expand lets local policies broaden rights",
+	}
+	metaNarrowDeadGrant = Meta{
+		Code: "E020", Name: "narrow-dead-grant", Severity: SeverityError,
+		Summary: "under eacl_mode narrow, a system-wide denial decides every request this local grant would grant, so the grant is never satisfiable",
+		Fix:     "guard the system denial with a pre-condition the local grant excludes, or drop the dead grant",
+	}
 	metaProverDeadEntry = Meta{
 		Code: "W022", Name: "prover-dead-entry", Severity: SeverityWarning,
-		Summary: "the prover found no request, at any threat level, that this entry decides: earlier entries always decide first or its own guards are unsatisfiable",
-		Example: "pos_access_right apache *\npos_access_right apache GET /x",
+		Summary: "the prover found no request, at any threat level, that this entry decides: several earlier entries share the work or its own guard is unsatisfiable; on line 0, the analysis is unknown",
 		Fix:     "reorder the entries, narrow the earlier entries' rights, or delete the dead entry",
 	}
 	metaProverAnonGrant = Meta{
 		Code: "W023", Name: "prover-anonymous-grant", Severity: SeverityWarning,
 		Summary: "an unauthenticated client can obtain this right even though another entry guards an overlapping right with pre_cond_accessid_USER",
-		Example: "pos_access_right apache GET /admin/*\npre_cond_accessid_USER apache *\npos_access_right apache *",
 		Fix:     "add pre_cond_accessid_USER to the granting entry, or order the authenticated entry after a narrower anonymous grant",
 	}
 )
 
-// proverDeadEntryRule (W022) runs the reasoning engine over one file as
-// a stand-alone local policy and reports entries that decide in no
-// world. The engine's DeadEntries accessor already applies the
-// soundness suppressions (truncation, re: regexes, MAYBE-blocked
-// scans).
-type proverDeadEntryRule struct{}
+// proverRule reports its code's share of the prover's findings at file
+// scope, composition scope, or both.
+type proverRule struct {
+	meta          Meta
+	file, compose bool
+}
 
-func (proverDeadEntryRule) Meta() Meta { return metaProverDeadEntry }
+func (p proverRule) Meta() Meta { return p.meta }
 
-func (proverDeadEntryRule) CheckFile(f *File, r *Reporter) {
-	if len(f.EACL.Entries) < 2 {
-		return // a sole entry is dead only if unsatisfiable; leave that to E-rules
+func (p proverRule) CheckFile(f *File, r *Reporter) {
+	if p.file {
+		p.report(f.findings(), r)
 	}
-	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
+}
+
+func (p proverRule) CheckComposition(c *Composition, r *Reporter) {
+	if p.compose {
+		p.report(c.findings(), r)
+	}
+}
+
+func (p proverRule) report(found []finding, r *Reporter) {
+	for _, x := range found {
+		if x.code == p.meta.Code {
+			r.Report(x.file, x.line, "%s", x.msg)
+		}
+	}
+}
+
+// finding is one presented fact.
+type finding struct {
+	code, file string
+	line       int
+	msg        string
+}
+
+// findings runs the prover over the file as a stand-alone local policy,
+// once. A sole entry is dead only if unsatisfiable: the E-rules' finding.
+func (f *File) findings() []finding {
+	if !f.proved && len(f.EACL.Entries) > 1 {
+		f.proved = true
+		eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
+		f.found = unknown(f.EACL.Source, eng, err)
+		if eng != nil {
+			for _, d := range eng.DeadEntries() {
+				f.found = append(f.found, deadFinding(f.EACL, d))
+			}
+		}
+	}
+	return f.found
+}
+
+// deadFinding picks a dead entry's one code and message from its cause.
+func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
+	x := finding{code: "W022", file: d.Source, line: d.Line,
+		msg: "prover: no request at any threat level reaches this entry; every world is decided earlier in the scan"}
+	if len(d.ShadowedBy) != 1 {
+		return x
+	}
+	en, prev := &e.Entries[d.Index], &e.Entries[d.ShadowedBy[0]]
+	switch {
+	case eacl.RightsEquivalent(prev.Right, en.Right) && sameConditions(prev, en):
+		x.code, x.msg = "W002", fmt.Sprintf("duplicate of entry at line %d", prev.Line)
+	case len(prev.Block(eacl.BlockPre)) == 0:
+		x.code, x.msg = "W003", fmt.Sprintf("unreachable: shadowed by unconditional entry at line %d whose right %q covers %q",
+			prev.Line, prev.Right.Value, en.Right.Value)
+	case prev.Right.Sign == en.Right.Sign:
+		x.code, x.msg = "W007", fmt.Sprintf("subsumed by entry at line %d: its right covers %q", prev.Line, en.Right.Value)
+	}
+	return x
+}
+
+// sameConditions compares two entries' conditions in source order,
+// ignoring lines.
+func sameConditions(a, b *eacl.Entry) bool {
+	if len(a.Conditions) != len(b.Conditions) {
+		return false
+	}
+	for i, c := range a.Conditions {
+		c.Line = b.Conditions[i].Line
+		if c != b.Conditions[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// unknown is the line-0 W022 saying the universal claims are unknown:
+// the engine failed, or its grid does not cover the policy.
+func unknown(source string, eng *reason.Engine, err error) []finding {
+	why := ""
 	if err != nil {
-		return // abstract/concrete disagreement: a prover bug, not a policy finding
+		why = err.Error()
+	} else if eng != nil {
+		why = eng.Incomplete()
+	}
+	if why == "" {
+		return nil
+	}
+	return []finding{{code: "W022", file: source, msg: "prover: dead-entry analysis unknown: " + why}}
+}
+
+// findings runs the prover over the composition, once: W020 for the
+// local entries a stop-mode system never evaluates, W021 for each grant
+// and denial a world shows the grant overriding, E020 for each grant
+// system denials veto wherever it fires, W023 for each anonymous grant
+// of an authenticated right, and the unknown note (anchored on the
+// first system policy) when there are local grants to vet.
+func (c *Composition) findings() []finding {
+	if c.proved {
+		return c.found
+	}
+	c.proved = true
+	eng, err := reason.New(c.System, c.Local, reason.Options{MaxWorlds: proverMaxWorlds})
+	if len(c.System) > 0 && len(c.Local) > 0 {
+		c.found = unknown(c.System[0].Source, eng, err)
+	}
+	if eng == nil {
+		return c.found
+	}
+	add := func(code string, at reason.Entry, format string, args ...any) {
+		c.found = append(c.found, finding{code: code, file: at.Source, line: at.Line, msg: fmt.Sprintf(format, args...)})
 	}
 	for _, d := range eng.DeadEntries() {
-		r.Report(d.Source, d.Line,
-			"prover: no request at any threat level reaches this entry; every world is decided earlier in the scan")
+		if d.Cause == reason.CauseStop {
+			add("W020", reason.Entry{Source: d.Source, Line: d.Line},
+				"dead under stop: the system-wide policy declares eacl_mode stop, so this local entry is never evaluated")
+		}
 	}
-}
-
-// proverAnonGrantRule (W023) runs the reasoning engine over the full
-// composition and reports grants reachable anonymously when the policy
-// set elsewhere demands authentication for an overlapping right — the
-// signature of a forgotten pre_cond_accessid_USER.
-type proverAnonGrantRule struct{}
-
-func (proverAnonGrantRule) Meta() Meta { return metaProverAnonGrant }
-
-func (proverAnonGrantRule) CheckComposition(c *Composition, r *Reporter) {
-	eng, err := reason.New(c.System, c.Local, reason.Options{MaxWorlds: proverMaxWorlds})
-	if err != nil {
-		return
+	for _, b := range eng.Bypasses() {
+		for _, d := range b.Denials {
+			add("W021", b.Grant,
+				"mandatory-bypass risk under expand: this grant for %q overlaps the system-wide denial %s:%d for %q and overrides it (expand is a disjunction)",
+				b.Grant.Right.Value, d.Source, d.Line, d.Right.Value)
+		}
+	}
+	for _, v := range eng.VetoedGrants() {
+		var at []string
+		for _, d := range v.Denials {
+			at = append(at, fmt.Sprintf("%s:%d", d.Source, d.Line))
+		}
+		add("E020", v.Grant,
+			"never satisfiable under narrow: the system-wide denial %s covers %q and fires whenever this grant would; the conjunction always denies",
+			strings.Join(at, " or "), v.Grant.Right.Value)
 	}
 	all := append(append([]*eacl.EACL{}, c.System...), c.Local...)
+	granted := map[reason.Entry]bool{}
 	for _, g := range eng.AnonymousGrants() {
-		guard := findUserGuard(all, g.Right)
-		if guard == nil {
+		at := reason.Entry{Source: g.Source, Line: g.Line}
+		guard := userGuard(all, g.Right)
+		if guard == "" || granted[at] {
 			continue // anonymity is policy intent when nothing demands authentication
 		}
-		r.Report(g.Source, g.Line,
-			"prover: %q is obtainable anonymously (e.g. client %s requesting %q), but %s:%d guards an overlapping right with pre_cond_accessid_USER",
-			g.Right.DefAuth+" "+g.Right.Value, g.Witness.ClientIP, g.Witness.RequestURI,
-			guard.source, guard.line)
+		granted[at] = true
+		add("W023", at,
+			"prover: %q is obtainable anonymously (e.g. client %s requesting %q), but %s guards an overlapping right with pre_cond_accessid_USER",
+			g.Right.DefAuth+" "+g.Right.Value, g.Witness.ClientIP, g.Witness.RequestURI, guard)
 	}
+	return c.found
 }
 
-type guardRef struct {
-	source string
-	line   int
-}
-
-// findUserGuard returns an entry whose right pattern matches the
-// granted right and whose pre block requires accessid_USER.
-func findUserGuard(eacls []*eacl.EACL, granted eacl.Right) *guardRef {
+// userGuard returns "source:line" of an entry whose right pattern
+// matches the granted right and whose pre block requires accessid_USER,
+// "" when there is none.
+func userGuard(eacls []*eacl.EACL, granted eacl.Right) string {
 	for _, e := range eacls {
-		for i := range e.Entries {
-			en := &e.Entries[i]
+		for _, en := range e.Entries {
 			if !eacl.MatchRight(en.Right, granted) {
 				continue
 			}
-			for _, cond := range en.Conditions {
-				if cond.Block == eacl.BlockPre && cond.Type == "accessid_USER" {
-					return &guardRef{source: e.Source, line: en.Line}
+			for _, cond := range en.Block(eacl.BlockPre) {
+				if cond.Type == "accessid_USER" {
+					return fmt.Sprintf("%s:%d", e.Source, en.Line)
 				}
 			}
 		}
 	}
-	return nil
+	return ""
 }

@@ -18,49 +18,41 @@ var (
 	metaRegexSyntax = Meta{
 		Code: "E001", Name: "regex-syntax", Severity: SeverityError,
 		Summary: "a \"re:\" pattern in a pre_cond_regex value does not compile",
-		Example: "pre_cond_regex gnu re:[unclosed",
 		Fix:     "fix the regular expression, or drop the re: prefix to match it as a '*'-glob",
 	}
 	metaLocationSyntax = Meta{
 		Code: "E002", Name: "location-syntax", Severity: SeverityError,
 		Summary: "a pre_cond_location pattern containing '/' does not parse as a CIDR range",
-		Example: "pre_cond_location local 300.0.0.0/8",
 		Fix:     "use a valid CIDR (e.g. 128.9.0.0/16) or an address glob (e.g. 128.9.*)",
 	}
 	metaTimeWindowSyntax = Meta{
 		Code: "E003", Name: "timewindow-syntax", Severity: SeverityError,
 		Summary: "a pre_cond_time_window value is not \"HH:MM-HH:MM [days]\"",
-		Example: "pre_cond_time_window local 9am-5pm",
 		Fix:     "write 24-hour times (09:00-17:00) and day names as Mon-Fri or Mon,Wed,Sat",
 	}
 	metaTimeWindowEmpty = Meta{
 		Code: "E004", Name: "timewindow-empty", Severity: SeverityError,
 		Summary: "a time window contains no instant (start equals end), so the condition never holds",
-		Example: "pre_cond_time_window local 09:00-09:00",
 		Fix:     "widen the window; windows wrapping midnight (22:00-06:00) are legal and non-empty",
 	}
 	metaThresholdSyntax = Meta{
 		Code: "E005", Name: "threshold-syntax", Severity: SeverityError,
 		Summary: "a pre_cond_threshold value is malformed (needs counter=, key=, positive max= and window=)",
-		Example: "pre_cond_threshold local counter=failed_login max=0 window=60s",
 		Fix:     "supply all four fields: counter=failed_login key=client_ip max=5 window=60s",
 	}
 	metaExprSyntax = Meta{
 		Code: "E006", Name: "expr-syntax", Severity: SeverityError,
 		Summary: "an expr/quota comparison is malformed (needs <param><op><integer>)",
-		Example: "pre_cond_expr local input_length>>1000",
 		Fix:     "write a parameter name, one comparator and an integer bound: input_length>1000",
 	}
 	metaThreatSyntax = Meta{
 		Code: "E007", Name: "threat-syntax", Severity: SeverityError,
 		Summary: "a system_threat_level comparison is malformed (want =low, >low, <=medium, ...)",
-		Example: "pre_cond_system_threat_level local =severe",
 		Fix:     "compare against low, medium or high with a leading comparator: =high",
 	}
 	metaSHA256Syntax = Meta{
 		Code: "E008", Name: "sha256-syntax", Severity: SeverityError,
 		Summary: "a file_sha256 value is not \"<path> <64 hex digits>\"",
-		Example: "post_cond_file_sha256 local /etc/passwd deadbeef",
 		Fix:     "pin the digest with `eaclint -hash <path>` and paste its output",
 	}
 )

@@ -9,7 +9,7 @@ import (
 
 // seededOpts is the largest shipped workload: the section 7.2
 // composition with max_input resolved, which expands to the full
-// threat × principal × URI × input-length grid (384 worlds).
+// right × threat × principal × URI × input-length grid (768 worlds).
 var seededOpts = Options{Values: map[string]string{"max_input": "1000"}, SystemOnly: true}
 
 func shipped72(tb testing.TB) (sys, loc *eacl.EACL) {
@@ -31,8 +31,8 @@ func shipped72(tb testing.TB) (sys, loc *eacl.EACL) {
 }
 
 // TestProverRuntimeBudget pins end-to-end engine construction — world
-// enumeration, real-evaluator atoms, fixpoint, fold and the double
-// replay of every world — under one second on the largest shipped
+// enumeration, real-evaluator atoms, first-match scan, fold and the
+// double replay of every world — under one second on the largest shipped
 // composition, so a policy-reload gate could run it inline.
 func TestProverRuntimeBudget(t *testing.T) {
 	sys, loc := shipped72(t)

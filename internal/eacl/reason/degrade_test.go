@@ -54,8 +54,8 @@ pre_cond_regex gnu re:[unclosed
 pos_access_right apache GET /pub/*
 `)
 	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
-	if !e.dom.noCleanURI {
-		t.Fatal("catch-all pattern did not set noCleanURI")
+	if why := e.Incomplete(); !strings.Contains(why, "no request line dodges") {
+		t.Fatalf("catch-all pattern left the domain %q, want no clean request line", why)
 	}
 	if got := e.DeadEntries(); got != nil {
 		t.Errorf("DeadEntries without a clean URI = %v, want nil", got)

@@ -2,8 +2,7 @@ package reason
 
 import (
 	"context"
-	"net"
-	"regexp"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,8 +25,10 @@ import (
 // (e.g. a request line only an "re:" regular expression accepts) are
 // not represented, and the engine tracks that (see DESIGN.md §5.2).
 
-// Dimension caps keep the world grid bounded; exceeding one sets
-// Domain.Truncated, which downgrades universal claims to "unknown".
+// Dimension caps keep the world grid bounded; exceeding one records why
+// the domain is incomplete, which downgrades universal claims to
+// "unknown". The right axis is capped only when the full grid would
+// exceed the world cap.
 const (
 	maxRightCands = 16
 	maxURICands   = 16
@@ -70,15 +71,15 @@ type domain struct {
 	intDims []string      // parameter names for expr/quota conditions
 	intCand [][]intChoice // candidates per intDims entry
 
-	values     map[string]string // '@name' runtime values (Options.Values)
-	truncated  bool
-	hasRegex   bool // some pre_cond_regex carries an "re:" pattern
-	noCleanURI bool // no candidate URI dodges every URI pattern
+	values mapValues // '@name' runtime values (Options.Values)
+	// why says how the grid falls short of covering the policy; empty
+	// when it covers it.
+	why string
 }
 
 // incomplete reports whether the grid is known not to cover the
 // policy's behaviours, downgrading universal claims to "unknown".
-func (d *domain) incomplete() bool { return d.truncated || d.noCleanURI }
+func (d *domain) incomplete() bool { return d.why != "" }
 
 // world is one point of the grid.
 type world struct {
@@ -93,50 +94,52 @@ type world struct {
 }
 
 // buildDomain scans every entry of the composed EACL list and collects
-// candidates per dimension.
-func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
+// candidates per dimension; maxWorlds decides whether the right axis
+// must be capped.
+func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
 	d := &domain{
 		threats: []ids.Level{ids.Low, ids.Medium, ids.High},
-		values:  opts.Values,
+		values:  mapValues(opts.Values),
 	}
 	var (
-		rightSet    = map[eacl.Right]bool{}
-		userSet     = map[string]bool{}
-		groupSet    = map[string]bool{}
-		ipSet       = map[string]bool{}
-		uriSet      = map[string]bool{}
-		timeSet     = map[time.Time]bool{}
-		intSet      = map[string]map[int64]bool{}
-		patterns    []eacl.Right // entry right patterns, for intersections
-		uriPatterns []string     // every regex pattern, for clean-URI vetting
+		userSet  = map[string]bool{}
+		groupSet = map[string]bool{}
+		ipSet    = map[string]bool{}
+		timeSet  = map[time.Time]bool{}
+		intSet   = map[string]map[int64]bool{}
+		// Distinct right patterns, for witnesses and intersections.
+		patterns    []eacl.Right
+		patternSeen = map[[2]string]bool{}
+		// Distinct '*'-glob patterns of the user, host and request-line
+		// axes, and one matcher per distinct request-line list.
+		userPats  = map[string]bool{}
+		hostPats  = map[string]bool{}
+		linePats  = map[string]bool{}
+		lineSeen  = map[string]bool{}
+		lineMatch []func(string) bool
 	)
-	addRight := func(r eacl.Right) {
-		r.Sign = eacl.Pos
-		if !rightSet[r] {
-			rightSet[r] = true
+	addPattern := func(r eacl.Right) {
+		if k := [2]string{r.DefAuth, r.Value}; !patternSeen[k] {
+			patternSeen[k] = true
+			patterns = append(patterns, r)
 		}
 	}
 	for _, e := range eacls {
 		for i := range e.Entries {
 			en := &e.Entries[i]
-			patterns = append(patterns, en.Right)
-			addRight(eacl.Right{DefAuth: globWitness(en.Right.DefAuth), Value: globWitness(en.Right.Value)})
+			addPattern(en.Right)
 			for _, c := range en.Conditions {
 				if c.Block != eacl.BlockPre {
 					continue
 				}
-				val, ok := gaa.ResolveValue(c.Value, mapValues(d.values))
+				val, ok := gaa.ResolveValue(c.Value, d.values)
 				if !ok {
 					continue // stays MAYBE at run time; no candidates
 				}
 				switch c.Type {
 				case "accessid_USER":
 					for _, p := range strings.Fields(val) {
-						w := globWitness(p)
-						if w == "" {
-							w = "user" // "*" needs a non-empty witness to count as authenticated
-						}
-						userSet[w] = true
+						userPats[p] = true
 					}
 				case "accessid_GROUP":
 					if g := strings.TrimSpace(val); g != "" {
@@ -144,27 +147,28 @@ func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
 					}
 				case "accessid_HOST":
 					for _, p := range strings.Fields(val) {
-						ipSet[globWitness(p)] = true
+						hostPats[p] = true
 					}
 				case "location":
-					for _, p := range strings.Fields(val) {
-						if strings.Contains(p, "/") {
-							if ip, ipnet, err := net.ParseCIDR(p); err == nil {
-								inside := ip.Mask(ipnet.Mask)
-								ipSet[inside.String()] = true
-							}
-						} else {
-							ipSet[globWitness(p)] = true
-						}
+					nets, globs, err := conditions.LocationPatterns(val)
+					if err != nil {
+						continue // malformed: MAYBE for every request
 					}
-				case "regex", "signature":
-					for _, p := range strings.Fields(val) {
-						uriPatterns = append(uriPatterns, p)
-						if strings.HasPrefix(p, "re:") {
-							d.hasRegex = true
-							continue
-						}
-						uriSet[globWitness(p)] = true
+					for _, n := range nets {
+						ipSet[n.IP.String()] = true
+					}
+					for _, g := range globs {
+						hostPats[g] = true
+					}
+				case "regex":
+					globs, _, match, err := conditions.RequestLinePatterns(val)
+					if err != nil || lineSeen[val] {
+						continue // malformed (MAYBE for every request) or already read
+					}
+					lineSeen[val] = true
+					lineMatch = append(lineMatch, match)
+					for _, g := range globs {
+						linePats[g] = true
 					}
 				case "time_window":
 					if w, err := conditions.ParseTimeWindowSpec(val); err == nil {
@@ -191,8 +195,39 @@ func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
 	// the grid and they participate in the intersection pass below, so a
 	// query pattern can exercise entries its plain witness would miss.
 	for _, r := range opts.ExtraRights {
-		patterns = append(patterns, r)
-		addRight(eacl.Right{DefAuth: globWitness(r.DefAuth), Value: globWitness(r.Value)})
+		addPattern(r)
+	}
+	text := append(append(sortedKeys(userPats), sortedKeys(hostPats)...), sortedKeys(linePats)...)
+	for _, p := range patterns {
+		text = append(text, p.DefAuth, p.Value)
+	}
+	fresh := freshByte(text)
+	for _, w := range globWitnesses(sortedKeys(userPats), fresh) {
+		if w == "" {
+			w = "user" // "*" needs a non-empty witness to count as authenticated
+		}
+		userSet[w] = true
+	}
+	for _, w := range globWitnesses(sortedKeys(hostPats), fresh) {
+		ipSet[w] = true
+	}
+	uriSet := map[string]bool{}
+	for _, w := range globWitnesses(sortedKeys(linePats), fresh) {
+		uriSet[w] = true
+	}
+
+	rightSet := map[eacl.Right]bool{}
+	addRight := func(defAuth, value string) {
+		rightSet[eacl.Right{Sign: eacl.Pos, DefAuth: defAuth, Value: value}] = true
+	}
+	for _, p := range patterns {
+		addRight(globWitness(p.DefAuth), globWitness(p.Value))
+		// The open witness is matched only by patterns covering this one,
+		// so an entry that some earlier pattern merely overlaps keeps a
+		// right the earlier entry does not match.
+		if strings.Contains(p.DefAuth+p.Value, "*") {
+			addRight(openWitness(p.DefAuth, fresh), openWitness(p.Value, fresh))
+		}
 	}
 	// Pairwise intersection witnesses let one requested right exercise
 	// two entries whose patterns overlap without either's own witness
@@ -202,48 +237,58 @@ func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
 			da, okA := globIntersectWitness(patterns[i].DefAuth, patterns[j].DefAuth)
 			va, okV := globIntersectWitness(patterns[i].Value, patterns[j].Value)
 			if okA && okV {
-				addRight(eacl.Right{DefAuth: da, Value: va})
+				addRight(da, va)
 			}
 		}
 	}
-	d.rights = capSlice(sortedRights(rightSet), maxRightCands, &d.truncated)
-	d.users = append([]string{""}, capSlice(sortedKeys(userSet), maxUserCands-1, &d.truncated)...)
-	d.groups = capSlice(sortedKeys(groupSet), maxGroupDims, &d.truncated)
+	d.users = append([]string{""}, capSlice(d, sortedKeys(userSet), maxUserCands-1, "user")...)
+	d.groups = capSlice(d, sortedKeys(groupSet), maxGroupDims, "group")
 	// An address outside every listed range/pattern keeps the "no
 	// location matches" world representable.
-	d.ips = capSlice(sortedKeys(ipSet), maxIPCands-1, &d.truncated)
+	d.ips = capSlice(d, sortedKeys(ipSet), maxIPCands-1, "client address")
 	d.ips = append(d.ips, pickOutsideIP(d.ips))
-	// A "clean" URI no pattern matches keeps the request-passes-no-
+	// A "clean" request line no list matches keeps the request-passes-no-
 	// signature worlds representable — the URI analogue of the outside
-	// IP. Candidates are vetted against every pattern, including
-	// compiled "re:" regexes; when the policy's patterns cover the whole
-	// pool the grid is incomplete and universal claims degrade.
-	d.uris = capSlice(sortedKeys(uriSet), maxURICands-1, &d.truncated)
-	if clean, ok := cleanURI(uriPatterns); ok {
+	// IP. Candidates are vetted by every list's own matcher, "re:"
+	// expressions included; when the lists cover the whole pool the grid
+	// is incomplete and universal claims degrade.
+	d.uris = capSlice(d, sortedKeys(uriSet), maxURICands-1, "request line")
+	if clean, ok := cleanURI(lineMatch); ok {
 		d.uris = append(d.uris, clean)
-	} else {
-		d.noCleanURI = true
+	} else if d.why == "" {
+		d.why = "no request line dodges every pre_cond_regex list"
 	}
-	d.times = capSlice(sortedTimes(timeSet), maxTimeCands-1, &d.truncated)
+	d.times = capSlice(d, sortedTimes(timeSet), maxTimeCands-1, "time")
 	d.times = append(d.times, baseTime)
-	intNames := capSlice(sortedKeys(keysOf(intSet)), maxIntDims, &d.truncated)
-	d.intDims = intNames
-	for _, name := range intNames {
-		vals := sortedInts(intSet[name])
-		if len(vals) > maxIntCands-1 {
-			vals = vals[:maxIntCands-1]
-			d.truncated = true
-		}
+	d.intDims = capSlice(d, sortedKeys(keysOf(intSet)), maxIntDims, "integer parameter")
+	for _, name := range d.intDims {
+		vals := capSlice(d, sortedInts(intSet[name]), maxIntCands-1, name)
 		cands := []intChoice{{present: false}}
 		for _, v := range vals {
 			cands = append(cands, intChoice{val: v, present: true})
 		}
 		d.intCand = append(d.intCand, cands)
 	}
+	d.rights = sortedRights(rightSet)
 	if len(d.rights) == 0 {
 		d.rights = []eacl.Right{{DefAuth: "apache", Value: "GET /"}}
 	}
+	if d.worldCount() > maxWorlds {
+		d.rights = capSlice(d, d.rights, maxRightCands, "right")
+	}
 	return d
+}
+
+// capSlice bounds one axis, recording the first cap hit as the reason
+// the domain is incomplete.
+func capSlice[T any](d *domain, s []T, max int, axis string) []T {
+	if len(s) <= max {
+		return s
+	}
+	if d.why == "" {
+		d.why = fmt.Sprintf("%d %s candidates exceed the cap of %d", len(s), axis, max)
+	}
+	return s[:max]
 }
 
 // worldCount returns the grid size (before the MaxWorlds cap).
@@ -260,9 +305,8 @@ func (d *domain) worldCount() int {
 // recording truncation.
 func (d *domain) worlds(max int) []world {
 	var out []world
-	count := d.worldCount()
-	if count > max {
-		d.truncated = true
+	if count := d.worldCount(); count > max && d.why == "" {
+		d.why = fmt.Sprintf("%d worlds exceed the cap of %d", count, max)
 	}
 	for ri := range d.rights {
 		for ti := range d.threats {
@@ -316,44 +360,8 @@ func (d *domain) intCombos() [][]intChoice {
 	return combos
 }
 
-// worldEnv is the concrete realization of one world: a frozen clock,
-// an IDS manager pinned at the world's threat level, a group store
-// holding exactly the world's memberships, and the synthesized request.
-type worldEnv struct {
-	api *gaa.API
-	req *gaa.Request
-}
-
-// ActionStubNames is the response-action vocabulary stubbed to YES
-// during analysis — evaluation must stay pure, but the types have to
-// be "registered" so request-result blocks don't degrade to MAYBE.
-// cmd/eaclint registers the same list.
-var ActionStubNames = []string{"notify", "update_log", "audit", "set_threat_level", "block_ip", "count"}
-
-func stubAction(context.Context, eacl.Condition, *gaa.Request) gaa.Outcome {
-	return gaa.MetOutcome(gaa.ClassAction, "stubbed for analysis")
-}
-
-// env builds the world's evaluation environment.
-func (d *domain) env(w *world) *worldEnv {
-	mgr := ids.NewManager(w.threat)
-	store := groups.NewStore()
-	key := w.user
-	if key == "" {
-		key = w.ip
-	}
-	for gi, g := range d.groups {
-		if w.member[gi] {
-			store.Add(g, key)
-		}
-	}
-	deps := conditions.Deps{Threat: mgr, Groups: store}
-	at := w.at
-	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(mapValues(d.values)))
-	conditions.Register(api, deps)
-	for _, name := range ActionStubNames {
-		api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
-	}
+// request synthesizes the world's request.
+func (d *domain) request(w *world) *gaa.Request {
 	params := gaa.ParamList{
 		{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: w.ip},
 		{Type: gaa.ParamRequestURI, Authority: gaa.AuthorityAny, Value: w.uri},
@@ -369,12 +377,61 @@ func (d *domain) env(w *world) *worldEnv {
 			})
 		}
 	}
-	req := &gaa.Request{
-		Rights: []eacl.Right{w.right},
-		Params: params,
-		Time:   at,
+	return &gaa.Request{Rights: []eacl.Right{w.right}, Params: params, Time: w.at}
+}
+
+// ActionStubNames is the response-action vocabulary stubbed to YES
+// during analysis — evaluation must stay pure, but the types have to
+// be "registered" so request-result blocks don't degrade to MAYBE.
+// cmd/eaclint registers the same list.
+var ActionStubNames = []string{"notify", "update_log", "audit", "set_threat_level", "block_ip", "count"}
+
+func stubAction(context.Context, eacl.Condition, *gaa.Request) gaa.Outcome {
+	return gaa.MetOutcome(gaa.ClassAction, "stubbed for analysis")
+}
+
+// worldEnv is an engine's one evaluation environment: an API with the
+// built-in evaluators, an IDS manager, a group store and a clock, reset
+// to each world in turn, so every EACL compiles once per engine.
+type worldEnv struct {
+	api    *gaa.API
+	threat *ids.Manager
+	groups *groups.Store
+	at     time.Time
+	joined [][2]string // the current world's (group, member) pairs
+	req    *gaa.Request
+}
+
+func newWorldEnv(values mapValues) *worldEnv {
+	env := &worldEnv{threat: ids.NewManager(ids.Low), groups: groups.NewStore()}
+	env.api = gaa.New(gaa.WithClock(func() time.Time { return env.at }), gaa.WithValues(values))
+	conditions.Register(env.api, conditions.Deps{Threat: env.threat, Groups: env.groups})
+	for _, name := range ActionStubNames {
+		env.api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
 	}
-	return &worldEnv{api: api, req: req}
+	return env
+}
+
+// enter resets the environment to world w: the threat level, exactly
+// the world's group memberships, the clock and the request.
+func (env *worldEnv) enter(d *domain, w *world) {
+	env.threat.Set(w.threat)
+	for _, m := range env.joined {
+		env.groups.Remove(m[0], m[1])
+	}
+	env.joined = env.joined[:0]
+	key := w.user
+	if key == "" {
+		key = w.ip
+	}
+	for gi, g := range d.groups {
+		if w.member[gi] {
+			env.groups.Add(g, key)
+			env.joined = append(env.joined, [2]string{g, key})
+		}
+	}
+	env.at = w.at
+	env.req = d.request(w)
 }
 
 // windowInstants derives boundary candidates from a time window: one
@@ -420,38 +477,21 @@ func (m mapValues) LookupValue(name string) (string, bool) {
 }
 
 // cleanURIPool holds request-line candidates tried in order; the first
-// one no policy pattern matches becomes the clean URI.
+// one no list matches becomes the clean URI.
 var cleanURIPool = []string{"GET /index.html", "/nomatch", "HEAD /healthz", "zz"}
 
-// cleanURI returns a request line matched by none of the patterns.
-func cleanURI(patterns []string) (string, bool) {
+// cleanURI returns a request line no list matches.
+func cleanURI(lists []func(string) bool) (string, bool) {
+next:
 	for _, cand := range cleanURIPool {
-		clean := true
-		for _, p := range patterns {
-			if matchURIPattern(p, cand) {
-				clean = false
-				break
+		for _, match := range lists {
+			if match(cand) {
+				continue next
 			}
 		}
-		if clean {
-			return cand, true
-		}
+		return cand, true
 	}
 	return "", false
-}
-
-// matchURIPattern mirrors the regex evaluator's matching: "re:" is a Go
-// regexp (uncompilable patterns yield MAYBE at run time, never a
-// match), anything else a '*'-glob.
-func matchURIPattern(p, uri string) bool {
-	if expr, isRe := strings.CutPrefix(p, "re:"); isRe {
-		re, err := regexp.Compile(expr)
-		if err != nil {
-			return false
-		}
-		return re.MatchString(uri)
-	}
-	return eacl.Glob(p, uri)
 }
 
 // pickOutsideIP returns an address distinct from every candidate.
@@ -469,14 +509,6 @@ func pickOutsideIP(used []string) string {
 		}
 	}
 	return outsideIPs[0]
-}
-
-func capSlice[T any](s []T, max int, truncated *bool) []T {
-	if len(s) > max {
-		*truncated = true
-		return s[:max]
-	}
-	return s
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -1,18 +1,21 @@
 // Package reason is a whole-policy reasoning engine for composed EACL
 // policies — the "who can do what, when?" layer on top of the per-file
-// static analysis (internal/eacl/analysis). It translates a composed
-// policy into datalog facts and rules over a finite abstract domain
-// built from the policy's own text (glob witnesses, CIDR interior
-// points, time-window boundaries, comparison bounds, the tri-level
-// threat scale and authenticated/anonymous principals), runs semi-naive
-// bottom-up evaluation mirroring the gaa engine's first-match scan,
-// composes with the engine's own level and composition folds, and
-// answers reachability queries:
+// static analysis (internal/eacl/analysis). It evaluates a composed
+// policy over a finite abstract domain built from the policy's own text
+// (glob witnesses, CIDR interior points, time-window boundaries,
+// comparison bounds, the tri-level threat scale and
+// authenticated/anonymous principals): every world runs the real
+// condition evaluators, the gaa engine's first-match scan, and the
+// engine's own level and composition folds. It answers reachability
+// queries:
 //
 //	who-can(defauth, right[, threat])   — principals that obtain YES
 //	reachable-without(cond-type)        — a YES needing no such condition
 //	grant-differs()                     — worlds where the composed and
 //	                                      system-only decisions diverge
+//
+// It is also the one definition of "this entry can never decide" the
+// analyzer presents (DeadEntries, VetoedGrants, Bypasses).
 //
 // Every positive answer carries a concrete synthesized request; during
 // construction the engine replays every world through the gaa decision
@@ -25,8 +28,10 @@ package reason
 import (
 	"context"
 	"fmt"
-	"strings"
+	"slices"
+	"sort"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 )
@@ -73,18 +78,20 @@ type entryRef struct {
 
 // entryStat aggregates per-entry reachability over all worlds.
 type entryStat struct {
-	decided      bool
-	decidedMaybe bool
+	decided bool
+	// shadowers are the earlier entries of the same EACL that decided a
+	// world in which this entry would have; shadowMaybe records that one
+	// of them decided MAYBE there.
+	shadowers   []int32
+	shadowMaybe bool
 }
 
 // Engine is an analyzed composition: the domain, the per-world
 // verdicts, and per-entry reachability statistics.
 type Engine struct {
-	system, local []*eacl.EACL
-	eacls         []*eacl.EACL // composition order: system then local
-	nsys          int
-	mode          eacl.CompositionMode
-	sysExists     bool
+	policy, sysPolicy *gaa.Policy  // the composition and its system-only projection
+	eacls             []*eacl.EACL // composition order: system then local
+	nsys              int
 
 	dom     *domain
 	worlds  []world
@@ -93,60 +100,47 @@ type Engine struct {
 	opts    Options
 }
 
-// New builds the engine: domain extraction, per-world atom evaluation,
-// the datalog fixpoint, the composition fold, and the differential
-// replay of every world. A non-nil error means the abstract model and
+// New builds the engine: domain extraction, then per world the atom
+// evaluation, the first-match scan, the composition fold, and the
+// differential replay. A non-nil error means the abstract model and
 // the real engine disagreed — a bug, never a policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
-	e := &Engine{system: system, local: local, mode: eacl.ModeNarrow, opts: opts}
-	for _, s := range system {
-		if s.ModeSet {
-			e.mode = s.Mode
-			break
-		}
+	e := &Engine{
+		policy:    gaa.NewPolicy("reason", system, local),
+		sysPolicy: gaa.NewPolicy("reason", system, nil),
+		opts:      opts,
+		nsys:      len(system),
 	}
-	e.sysExists = len(system) > 0
 	e.eacls = append(append([]*eacl.EACL{}, system...), local...)
-	e.nsys = len(system)
 
 	max := opts.MaxWorlds
 	if max <= 0 {
 		max = DefaultMaxWorlds
 	}
-	e.dom = buildDomain(e.eacls, opts)
+	e.dom = buildDomain(e.eacls, opts, max)
 	e.worlds = e.dom.worlds(max)
 
 	e.stats = make([][]entryStat, len(e.eacls))
-	entryCounts := make([]int32, len(e.eacls))
 	for i, ec := range e.eacls {
 		e.stats[i] = make([]entryStat, len(ec.Entries))
-		entryCounts[i] = int32(len(ec.Entries))
 	}
 
 	ctx := context.Background()
-	sp := newScanProgram()
-	envs := make([]*worldEnv, len(e.worlds))
-	models := make([][][]entryModel, len(e.worlds)) // [w][eacl][entry]
+	env := newWorldEnv(e.dom.values)
+	model := make([][]entryModel, len(e.eacls)) // [eacl][entry], reused per world
+	for i, ec := range e.eacls {
+		model[i] = make([]entryModel, len(ec.Entries))
+	}
 	for wi := range e.worlds {
 		w := &e.worlds[wi]
-		env := e.dom.env(w)
-		envs[wi] = env
-		models[wi] = make([][]entryModel, len(e.eacls))
+		env.enter(e.dom, w)
 		for ei, ec := range e.eacls {
-			models[wi][ei] = make([]entryModel, len(ec.Entries))
 			for i := range ec.Entries {
-				m := modelEntry(ctx, env, &ec.Entries[i], w)
-				models[wi][ei][i] = m
-				sp.addEntry(int32(wi), int32(ei), int32(i), m)
+				model[ei][i] = modelEntry(ctx, env, &ec.Entries[i], w)
 			}
 		}
-	}
-	sp.installRules(int32(len(e.worlds)), entryCounts)
-	sp.run()
-
-	for wi := range e.worlds {
-		r := e.foldWorld(ctx, sp, envs[wi], models[wi], wi, entryCounts)
-		if err := e.replay(ctx, envs[wi], &r); err != nil {
+		r := e.foldWorld(ctx, env, model, wi)
+		if err := e.replay(ctx, env, &r); err != nil {
 			return nil, err
 		}
 		e.results = append(e.results, r)
@@ -154,33 +148,41 @@ func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// foldWorld is the engine's level fold, composition and request-result
-// conjunction for one world, reading the fixpoint.
-func (e *Engine) foldWorld(ctx context.Context, sp *scanProgram, env *worldEnv, model [][]entryModel, wi int, entryCounts []int32) worldResult {
+// stopSystem reports whether a system policy declares stop, so local
+// policies are never evaluated.
+func (e *Engine) stopSystem() bool {
+	return e.policy.Mode == eacl.ModeStop && e.nsys > 0
+}
+
+// foldWorld is the engine's scan, level fold, composition and
+// request-result conjunction for one world. It also records, per entry,
+// which earlier entries decided where it would have.
+func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]entryModel, wi int) worldResult {
 	r := worldResult{idx: wi, w: e.worlds[wi], deciderYes: map[string]bool{}}
 
-	stopSys := e.mode == eacl.ModeStop && e.sysExists
 	var sysF, locF gaa.LevelFold
 	for ei := range e.eacls {
 		isLocal := ei >= e.nsys
-		if isLocal && stopSys {
+		if isLocal && e.stopSystem() {
 			continue // locals never evaluated under stop
 		}
-		o := sp.outcome(int32(wi), int32(ei), entryCounts[ei])
+		o := decide(model[ei])
 		if o.Applicable {
 			r.deciders = append(r.deciders, entryRef{eacl: int32(ei), entry: o.entry, out: o.out})
-			st := &e.stats[ei][o.entry]
-			st.decided = true
-			if o.out == outMaybe {
-				st.decidedMaybe = true
-			}
+			e.stats[ei][o.entry].decided = true
 			m := &model[ei][o.entry]
 			if m.inexact {
 				r.inexact = true
 			}
-			for _, ce := range m.pre {
-				if ce.out.Result == gaa.Yes {
-					r.deciderYes[ce.cond.Type] = true
+			for _, t := range m.yes {
+				r.deciderYes[t] = true
+			}
+			for i := o.entry + 1; i < int32(len(model[ei])); i++ {
+				if st := &e.stats[ei][i]; !model[ei][i].blocked {
+					st.shadowMaybe = st.shadowMaybe || o.out == outMaybe
+					if !slices.Contains(st.shadowers, o.entry) {
+						st.shadowers = append(st.shadowers, o.entry)
+					}
 				}
 			}
 		}
@@ -191,10 +193,11 @@ func (e *Engine) foldWorld(ctx context.Context, sp *scanProgram, env *worldEnv, 
 		}
 	}
 	sys := sysF.Result()
-	r.composed = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.mode, e.sysExists, sys, locF.Result()), r.deciders, false)
+	sysExists := e.nsys > 0
+	r.composed = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.policy.Mode, sysExists, sys, locF.Result()), r.deciders, false)
 	if e.opts.SystemOnly {
 		noLocal := Verdict{Decision: gaa.Maybe}
-		r.sysOnly = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.mode, e.sysExists, sys, noLocal), r.deciders, true)
+		r.sysOnly = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.policy.Mode, sysExists, sys, noLocal), r.deciders, true)
 	}
 	return r
 }
@@ -231,8 +234,8 @@ func (e *Engine) conjoinRR(ctx context.Context, env *worldEnv, v Verdict, decide
 // replay runs the synthesized request through the gaa engine and
 // compares its answer against the abstract verdict.
 func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) error {
-	check := func(local []*eacl.EACL, want Verdict, label string) error {
-		ans, err := env.api.CheckAuthorization(ctx, gaa.NewPolicy("reason", e.system, local), env.req)
+	check := func(p *gaa.Policy, want Verdict, label string) error {
+		ans, err := env.api.CheckAuthorization(ctx, p, env.req)
 		if err != nil {
 			return fmt.Errorf("reason: replay %s: %v", label, err)
 		}
@@ -243,11 +246,11 @@ func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) erro
 		}
 		return nil
 	}
-	if err := check(e.local, r.composed, "engine"); err != nil {
+	if err := check(e.policy, r.composed, "engine"); err != nil {
 		return err
 	}
 	if e.opts.SystemOnly {
-		return check(nil, r.sysOnly, "engine (system-only)")
+		return check(e.sysPolicy, r.sysOnly, "engine (system-only)")
 	}
 	return nil
 }
@@ -257,47 +260,214 @@ func (e *Engine) Worlds() int { return len(e.results) }
 
 // Truncated reports whether the grid is known not to cover the policy
 // — a dimension or world cap was hit, or no clean URI dodging every
-// regex pattern could be found — in which case universal claims
-// (proofs, dead-entry findings) are downgraded to "unknown".
+// regex list could be found — in which case universal claims (proofs,
+// dead entries, vetoed grants) are downgraded to "unknown".
 func (e *Engine) Truncated() bool { return e.dom.incomplete() }
 
-// DeadEntry is an entry the prover found unreachable in every world.
+// Incomplete says how the grid falls short of covering the policy, ""
+// when it covers it.
+func (e *Engine) Incomplete() string {
+	if !e.dom.incomplete() {
+		return ""
+	}
+	return "incomplete domain: " + e.dom.why
+}
+
+// Cause says why a dead entry never decides.
+type Cause string
+
+const (
+	// CauseStop: a local entry under a system policy declaring stop,
+	// never evaluated at all.
+	CauseStop Cause = "stop"
+	// CauseShadowed: earlier entries of the same EACL decide every world
+	// in which this entry would decide (DeadEntry.ShadowedBy).
+	CauseShadowed Cause = "shadowed"
+	// CauseUnsatisfiable: the entry's own right and guard hold together
+	// in no world of the grid.
+	CauseUnsatisfiable Cause = "unsatisfiable"
+)
+
+// DeadEntry is an entry the prover found deciding in no world.
 type DeadEntry struct {
 	Source string `json:"source"`
 	Line   int    `json:"line"`
 	Right  string `json:"right"`
+	Cause  Cause  `json:"cause"`
+	// Index locates the entry in its EACL's Entries; ShadowedBy lists
+	// the indices of the shadowing entries there, ascending.
+	Index      int   `json:"-"`
+	ShadowedBy []int `json:"-"`
 }
 
-// DeadEntries returns entries that never decided in any world, with the
-// suppressions that keep the claim sound:
+// DeadEntries returns the entries that decide in no world, each with
+// its cause. Local entries under stop are structural and always
+// reported. The other causes are universal claims over the grid, kept
+// sound by these suppressions:
 //
-//   - the domain was truncated (coverage incomplete) — nothing reported;
-//   - the entry's own pre block carries an "re:" regular expression
-//     (witnesses for regexes are not synthesized);
-//   - an earlier entry in the same EACL decided MAYBE somewhere (with
-//     the unevaluated condition resolved, the scan could continue past
-//     it and reach this entry).
+//   - the domain is incomplete (Truncated) — none reported;
+//   - a shadowing entry decided MAYBE where this entry would have
+//     decided (with the unevaluated condition resolved, the scan could
+//     continue past it and reach this entry);
+//   - the entry's guard carries an "re:" expression (witnesses for
+//     regular expressions are not synthesized) and it is unsatisfiable
+//     in the grid, or a shadowing entry reads the request line too;
+//   - a shadowing entry's guard carries an "re:" expression.
 func (e *Engine) DeadEntries() []DeadEntry {
+	var out []DeadEntry
+	for ei, ec := range e.eacls {
+		stop := ei >= e.nsys && e.stopSystem()
+		if !stop && e.dom.incomplete() {
+			continue
+		}
+		for i := range ec.Entries {
+			en := &ec.Entries[i]
+			st := &e.stats[ei][i]
+			d := DeadEntry{Source: ec.Source, Line: en.Line, Right: en.Right.String(), Index: i}
+			switch {
+			case stop:
+				d.Cause = CauseStop
+			case st.decided || st.shadowMaybe:
+				continue
+			case len(st.shadowers) == 0:
+				if _, expr := e.dom.requestLineGuard(en); expr {
+					continue
+				}
+				d.Cause = CauseUnsatisfiable
+			default:
+				_, ownExpr := e.dom.requestLineGuard(en)
+				slices.Sort(st.shadowers)
+				for _, j := range st.shadowers {
+					reads, expr := e.dom.requestLineGuard(&ec.Entries[j])
+					if expr || ownExpr && reads {
+						d.ShadowedBy = nil
+						break
+					}
+					d.ShadowedBy = append(d.ShadowedBy, int(j))
+				}
+				if d.ShadowedBy == nil {
+					continue
+				}
+				d.Cause = CauseShadowed
+			}
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// Entry locates one policy entry.
+type Entry struct {
+	Source string
+	Line   int
+	Right  eacl.Right
+}
+
+// GrantDenials is a local grant and the system denials a composition
+// fact relates it to, in composition order.
+type GrantDenials struct {
+	Grant   Entry
+	Denials []Entry
+}
+
+// VetoedGrants returns the local grants that fire in some world while in
+// every world they fire the composed answer is NO and a system denial
+// decides: under narrow such a grant never takes effect. Denials are the
+// system entries that fired NO there. It is a universal claim: nil when
+// the domain is incomplete, and an inexact world keeps a grant live.
+func (e *Engine) VetoedGrants() []GrantDenials {
 	if e.dom.incomplete() {
 		return nil
 	}
-	var out []DeadEntry
-	for ei, ec := range e.eacls {
-		maybeAbove := false
-		for i := range ec.Entries {
-			st := e.stats[ei][i]
-			if !st.decided && !maybeAbove && !entryHasRegexRe(&ec.Entries[i]) {
-				out = append(out, DeadEntry{
-					Source: ec.Source,
-					Line:   ec.Entries[i].Line,
-					Right:  ec.Entries[i].Right.String(),
-				})
+	vetoes := map[entryRef]map[entryRef]bool{} // nil once a grant fired unvetoed
+	for i := range e.results {
+		r := &e.results[i]
+		grants, denials := e.firing(r)
+		for _, g := range grants {
+			set, seen := vetoes[g]
+			if r.inexact || r.composed.Decision != gaa.No || len(denials) == 0 {
+				set = nil
+			} else if !seen {
+				set = map[entryRef]bool{}
 			}
-			if st.decidedMaybe {
-				maybeAbove = true
+			for _, dn := range denials {
+				if set != nil {
+					set[dn] = true
+				}
+			}
+			vetoes[g] = set
+		}
+	}
+	return e.grantDenials(vetoes)
+}
+
+// Bypasses returns the local grants that, in some exact world, fire YES
+// while system denials fire NO and the composed answer is YES: under
+// expand the grant overrides those mandatory denials. It is an
+// existential claim, made whether or not the domain is complete.
+func (e *Engine) Bypasses() []GrantDenials {
+	bypassed := map[entryRef]map[entryRef]bool{}
+	for i := range e.results {
+		r := &e.results[i]
+		if r.inexact || r.composed.Decision != gaa.Yes {
+			continue
+		}
+		grants, denials := e.firing(r)
+		for _, g := range grants {
+			for _, dn := range denials {
+				if bypassed[g] == nil {
+					bypassed[g] = map[entryRef]bool{}
+				}
+				bypassed[g][dn] = true
 			}
 		}
 	}
+	return e.grantDenials(bypassed)
+}
+
+// firing returns the world's local grants that fired YES and system
+// denials that fired NO.
+func (e *Engine) firing(r *worldResult) (grants, denials []entryRef) {
+	for _, d := range r.deciders {
+		ref := entryRef{eacl: d.eacl, entry: d.entry}
+		if local := int(d.eacl) >= e.nsys; local && d.out == outFireYes {
+			grants = append(grants, ref)
+		} else if !local && d.out == outFireNo {
+			denials = append(denials, ref)
+		}
+	}
+	return grants, denials
+}
+
+func (e *Engine) grantDenials(m map[entryRef]map[entryRef]bool) []GrantDenials {
+	var out []GrantDenials
+	for _, g := range sortedRefs(m) {
+		if m[g] == nil {
+			continue
+		}
+		gd := GrantDenials{Grant: e.entry(g)}
+		for _, dn := range sortedRefs(m[g]) {
+			gd.Denials = append(gd.Denials, e.entry(dn))
+		}
+		out = append(out, gd)
+	}
+	return out
+}
+
+func (e *Engine) entry(r entryRef) Entry {
+	en := &e.eacls[r.eacl].Entries[r.entry]
+	return Entry{Source: e.eacls[r.eacl].Source, Line: en.Line, Right: en.Right}
+}
+
+// sortedRefs returns the map's entries in composition order.
+func sortedRefs[V any](m map[entryRef]V) []entryRef {
+	out := make([]entryRef, 0, len(m))
+	for r := range m {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].eacl < out[j].eacl || out[i].eacl == out[j].eacl && out[i].entry < out[j].entry
+	})
 	return out
 }
 
@@ -346,21 +516,22 @@ func (e *Engine) AnonymousGrants() []AnonymousGrant {
 	return out
 }
 
-// entryHasRegexRe reports whether the entry's pre block contains a
-// regex condition with an "re:" pattern — a guard the domain cannot
-// synthesize witnesses for.
-func entryHasRegexRe(en *eacl.Entry) bool {
+// requestLineGuard reports whether the entry's pre block matches the
+// request line, and whether it does so with an "re:" expression — a
+// guard the domain synthesizes no witnesses for.
+func (d *domain) requestLineGuard(en *eacl.Entry) (reads, expr bool) {
 	for _, c := range en.Conditions {
-		if c.Block != eacl.BlockPre || (c.Type != "regex" && c.Type != "signature") {
+		if c.Block != eacl.BlockPre || c.Type != "regex" {
 			continue
 		}
-		for _, p := range strings.Fields(c.Value) {
-			if strings.HasPrefix(p, "re:") {
-				return true
+		reads = true
+		if val, ok := gaa.ResolveValue(c.Value, d.values); ok {
+			if _, hasExpr, _, err := conditions.RequestLinePatterns(val); err == nil && hasExpr {
+				expr = true
 			}
 		}
 	}
-	return false
+	return reads, expr
 }
 
 // describeWorld renders a world compactly for error messages.

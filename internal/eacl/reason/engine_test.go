@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,6 +99,123 @@ func TestDeadEntryDetected(t *testing.T) {
 	}
 	if res := mustProve(t, e, "no-dead-entries"); res.Result != Refuted {
 		t.Errorf("no-dead-entries = %s, want refuted", res.Result)
+	}
+}
+
+// TestDeadEntryCauses pins each cause with its witness: the shadowing
+// entries, or the structure that keeps the entry from ever deciding.
+func TestDeadEntryCauses(t *testing.T) {
+	dead := func(system, local []*eacl.EACL) []DeadEntry {
+		t.Helper()
+		return mustEngine(t, system, local, Options{}).DeadEntries()
+	}
+	// One unconditional shadow, and a verbatim duplicate.
+	got := dead(nil, []*eacl.EACL{mustEACL(t, "pos_access_right apache GET /cgi-bin/*\n"+
+		"neg_access_right apache GET /cgi-bin/phf\npre_cond_regex gnu *phf*\n"+
+		"pos_access_right apache GET /cgi-bin/*\n")})
+	if len(got) != 2 || got[0].Cause != CauseShadowed || fmt.Sprint(got[0].ShadowedBy) != "[0]" ||
+		got[1].Line != 4 || fmt.Sprint(got[1].ShadowedBy) != "[0]" {
+		t.Errorf("shadowed: %+v", got)
+	}
+	// Two entries partitioning the threat scale shadow the third jointly.
+	got = dead(nil, []*eacl.EACL{mustEACL(t, "pos_access_right apache *\n"+
+		"pre_cond_system_threat_level local <=medium\npos_access_right apache *\n"+
+		"pre_cond_system_threat_level local >medium\npos_access_right apache *\n")})
+	if len(got) != 1 || got[0].Line != 5 || fmt.Sprint(got[0].ShadowedBy) != "[0 1]" {
+		t.Errorf("jointly shadowed: %+v", got)
+	}
+	// A guard no threat level satisfies.
+	got = dead(nil, []*eacl.EACL{mustEACL(t, "pos_access_right apache GET /x\n"+
+		"neg_access_right apache *\npre_cond_system_threat_level local <low\n")})
+	if len(got) != 1 || got[0].Cause != CauseUnsatisfiable || got[0].ShadowedBy != nil {
+		t.Errorf("unsatisfiable: %+v", got)
+	}
+	// Every local entry under stop, even on a grid that does not cover
+	// the policy.
+	got = mustEngine(t, []*eacl.EACL{mustEACL(t, "eacl_mode stop\nneg_access_right * *\n")},
+		[]*eacl.EACL{mustEACL(t, "pos_access_right apache *\npos_access_right sshd *\n")},
+		Options{MaxWorlds: 1}).DeadEntries()
+	if len(got) != 2 || got[0].Cause != CauseStop || got[1].Cause != CauseStop {
+		t.Errorf("stop: %+v", got)
+	}
+}
+
+// TestOpenWitnessReachesOverlappedEntry: "GET /a*" is not covered by
+// "GET /a", and the world requesting its open witness "GET /a~" is the
+// one the neg entry decides.
+func TestOpenWitnessReachesOverlappedEntry(t *testing.T) {
+	e := mustEngine(t, nil, []*eacl.EACL{mustEACL(t,
+		"pos_access_right apache GET /a\nneg_access_right apache GET /a*\n")}, Options{})
+	if dead := e.DeadEntries(); len(dead) != 0 {
+		t.Fatalf("DeadEntries = %+v, want none", dead)
+	}
+	for i := range e.results {
+		r := &e.results[i]
+		if len(r.deciders) == 1 && r.deciders[0].entry == 1 {
+			if r.w.right.Value != "GET /a~" || r.composed.Decision.String() != "no" {
+				t.Errorf("entry 2 decides %s with %s, want the open witness denied", r.w.right.Value, r.composed.Decision)
+			}
+			return
+		}
+	}
+	t.Fatal("no world reaches entry 2")
+}
+
+// TestOpenWitnessOnEveryGlobAxis: an exact pattern above its starred
+// extension leaves the later entry live on the user, host and
+// request-line axes too ("ab", "10.0.1", "GET /ab" reach it). Both
+// entries deny, so the first one's NO only blocks it.
+func TestOpenWitnessOnEveryGlobAxis(t *testing.T) {
+	for _, cond := range []string{
+		"pre_cond_accessid_USER apache a",
+		"pre_cond_accessid_HOST local 10.0",
+		"pre_cond_location local 10.0",
+		"pre_cond_regex gnu GET /a",
+	} {
+		src := "neg_access_right apache *\n" + cond + "\nneg_access_right apache *\n" + cond + "*\n"
+		e := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, src)}, Options{})
+		if dead := e.DeadEntries(); len(dead) != 0 {
+			t.Errorf("DeadEntries = %+v, want none for\n%s", dead, src)
+		}
+	}
+}
+
+// TestRegexExprIsNoClaim: an "re:" guard has no synthesized witnesses.
+// Shadowed only where another request-line list matches, the entry is
+// not claimed dead ("GET /b" reaches it); matched by no grid request
+// line, it is unknown, even under an unconditional entry.
+func TestRegexExprIsNoClaim(t *testing.T) {
+	for _, src := range []string{
+		"neg_access_right apache *\npre_cond_regex gnu *ab*\nneg_access_right apache *\npre_cond_regex gnu re:b\n",
+		"neg_access_right apache *\nneg_access_right apache *\npre_cond_regex gnu re:b\n",
+	} {
+		e := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, src)}, Options{})
+		if dead := e.DeadEntries(); len(dead) != 0 {
+			t.Errorf("DeadEntries = %+v, want none for\n%s", dead, src)
+		}
+	}
+}
+
+// TestVetoAndBypassFacts reads the composition facts E020 and W021
+// present, with the denials and the witness.
+func TestVetoAndBypassFacts(t *testing.T) {
+	sys := mustEACL(t, "eacl_mode narrow\nneg_access_right * *\npre_cond_system_threat_level local =high\n")
+	loc := mustEACL(t, "pos_access_right apache *\npre_cond_system_threat_level local =high\n"+
+		"pos_access_right apache *\n")
+	vetoed := mustEngine(t, []*eacl.EACL{sys}, []*eacl.EACL{loc}, Options{}).VetoedGrants()
+	if len(vetoed) != 1 || vetoed[0].Grant.Line != 1 || len(vetoed[0].Denials) != 1 || vetoed[0].Denials[0].Line != 2 {
+		t.Errorf("VetoedGrants = %+v, want the =high grant vetoed by line 2", vetoed)
+	}
+	expand := mustEACL(t, "eacl_mode expand\nneg_access_right * *\npre_cond_system_threat_level local =high\n")
+	e := mustEngine(t, []*eacl.EACL{expand}, []*eacl.EACL{loc}, Options{})
+	if got := e.VetoedGrants(); len(got) != 0 {
+		t.Errorf("VetoedGrants under expand = %+v, want none", got)
+	}
+	// Only the =high grant fires where the denial does; the open grant
+	// below it decides only at the lower levels.
+	by := e.Bypasses()
+	if len(by) != 1 || by[0].Grant.Line != 1 || len(by[0].Denials) != 1 || by[0].Denials[0].Line != 2 {
+		t.Errorf("Bypasses = %+v, want the =high grant overriding the denial", by)
 	}
 }
 

@@ -1,17 +1,26 @@
 package reason
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/gaa"
+	"gaaapi/internal/groups"
+	"gaaapi/internal/ids"
 )
 
 // FuzzReasonVsEvaluator feeds random policy text through the prover.
 // Engine construction IS the differential: every world's abstract
 // verdict is replayed through the decision engine, and New fails on
 // any disagreement. The fuzzer's job is to find a policy shape whose
-// abstract model drifts from the real scan/compose semantics.
+// abstract model drifts from the real scan/compose semantics. Every
+// world is then replayed again in a fresh environment of its own
+// (replayFresh), which catches state the engine's shared environment
+// leaks from one world into the next.
 func FuzzReasonVsEvaluator(f *testing.F) {
 	f.Add("pos_access_right apache *\n")
 	f.Fuzz(func(t *testing.T, src string) {
@@ -37,6 +46,7 @@ func FuzzReasonVsEvaluator(f *testing.F) {
 			if err != nil {
 				t.Fatalf("abstract/concrete disagreement on policy:\n%s\n%v", src, err)
 			}
+			replayFresh(t, e)
 			// Queries and proofs must never panic, whatever the policy.
 			for _, q := range []string{
 				"who-can(apache, *)", "who-can(*, *, high)",
@@ -55,6 +65,81 @@ func FuzzReasonVsEvaluator(f *testing.F) {
 					t.Fatalf("Prove(%s): %v", p, err)
 				}
 			}
+			e.DeadEntries()
+			e.VetoedGrants()
+			e.Bypasses()
 		}
 	})
+}
+
+// freshEnv is the reference for the engine's shared environment: one
+// world realized from nothing — a frozen clock, an IDS manager pinned at
+// the world's threat level, a group store holding exactly the world's
+// memberships — with no state that any other world could have left.
+func freshEnv(d *domain, w *world) (*gaa.API, *gaa.Request) {
+	mgr := ids.NewManager(w.threat)
+	store := groups.NewStore()
+	key := w.user
+	if key == "" {
+		key = w.ip
+	}
+	for gi, g := range d.groups {
+		if w.member[gi] {
+			store.Add(g, key)
+		}
+	}
+	at := w.at
+	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(d.values))
+	conditions.Register(api, conditions.Deps{Threat: mgr, Groups: store})
+	for _, name := range ActionStubNames {
+		api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
+	}
+	return api, d.request(w)
+}
+
+// replayFresh replays every exact world of e in a fresh environment and
+// requires the verdicts the engine recorded.
+func replayFresh(t *testing.T, e *Engine) {
+	t.Helper()
+	ctx := context.Background()
+	for i := range e.results {
+		r := &e.results[i]
+		if r.inexact {
+			continue
+		}
+		api, req := freshEnv(e.dom, &r.w)
+		check := func(p *gaa.Policy, want Verdict, label string) {
+			ans, err := api.CheckAuthorization(ctx, p, req)
+			if err != nil {
+				t.Fatalf("%s replay of world %s: %v", label, describeWorld(e.dom, &r.w), err)
+			}
+			if got := (Verdict{Decision: ans.Decision, Applicable: ans.Applicable, Challenge: ans.Challenge}); got != want {
+				t.Fatalf("%s: world %s reads %+v in a fresh environment, %+v in the shared one",
+					label, describeWorld(e.dom, &r.w), got, want)
+			}
+		}
+		check(e.policy, r.composed, "composed")
+		if e.opts.SystemOnly {
+			check(e.sysPolicy, r.sysOnly, "system-only")
+		}
+	}
+}
+
+// TestSharedEnvMatchesFreshEnv holds the shipped compositions, and a
+// policy whose worlds add and drop group memberships keyed by user and
+// by address, to the fresh-environment reference.
+func TestSharedEnvMatchesFreshEnv(t *testing.T) {
+	sys72, loc72 := shipped72(t)
+	groupsPolicy := mustEACL(t, "neg_access_right * *\npre_cond_accessid_GROUP local BadGuys\n"+
+		"pos_access_right apache GET /admin/*\npre_cond_accessid_GROUP local admins\npre_cond_accessid_USER apache *\n"+
+		"pos_access_right apache *\npre_cond_location local 10.0.0.0/8\n")
+	for name, c := range map[string][2][]*eacl.EACL{
+		"7.1":    {{shipped(t, "system-7.1.eacl")}, {shipped(t, "local-7.1.eacl")}},
+		"7.2":    {{sys72}, {loc72}},
+		"groups": {nil, {groupsPolicy}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			replayFresh(t, mustEngine(t, c[0], c[1], seededOpts))
+		})
+	}
 }

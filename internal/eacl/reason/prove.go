@@ -15,7 +15,8 @@ import (
 //
 //	no-anonymous-yes — no unauthenticated request obtains a composed YES
 //	no-dead-entries  — every entry decides its EACL in some world (after
-//	                   the DeadEntries suppressions; see that method)
+//	                   the DeadEntries suppressions; see that method);
+//	                   each dead entry carries its cause
 
 // Proof outcomes.
 const (
@@ -64,14 +65,14 @@ func (e *Engine) Prove(name string) (*ProofResult, error) {
 			res.Reason = "an anonymous YES depends on ambient state (inexact world)"
 		case e.dom.incomplete():
 			res.Result = Unknown
-			res.Reason = "incomplete domain: the world grid does not cover the policy"
+			res.Reason = e.Incomplete()
 		default:
 			res.Result = Proved
 		}
 	case "no-dead-entries":
 		if e.dom.incomplete() {
 			res.Result = Unknown
-			res.Reason = "incomplete domain: the world grid does not cover the policy"
+			res.Reason = e.Incomplete()
 			return res, nil
 		}
 		res.DeadEntries = e.DeadEntries()

@@ -1,17 +1,64 @@
 package reason
 
-import "strings"
+import (
+	"strings"
+
+	"gaaapi/internal/eacl"
+)
 
 // Witness synthesis for the '*'-glob language of eacl.Glob: '*' is the
 // only metacharacter, every other byte (including '?') matches itself.
-// A pattern's canonical witness is the pattern with its stars removed —
+// A pattern's plain witness is the pattern with its stars removed —
 // always matched, and built from the policy's own glob alphabet, which
-// is what keeps the abstract domain grounded in the policy text.
+// is what keeps the abstract domain grounded in the policy text. Its
+// open witness puts one fresh byte where each star was.
 
 // globWitness returns a string matched by pattern: the literal bytes
 // with every '*' deleted. The result may be empty ("", for "*" or "").
 func globWitness(pattern string) string {
 	return strings.ReplaceAll(pattern, "*", "")
+}
+
+// openWitness returns pattern with every '*' replaced by fresh, a byte
+// no pattern contains. A pattern matching it must absorb each fresh
+// byte into one of its own stars, and so matches the string with any
+// run in place of that byte: only patterns covering this one match the
+// open witness (the argument behind eacl.GlobCovers). The plain witness
+// lacks that property — "GET /a" is the plain witness of both "GET /a"
+// and "GET /a*".
+func openWitness(pattern string, fresh byte) string {
+	return strings.ReplaceAll(pattern, "*", string(fresh))
+}
+
+// globWitnesses returns every pattern's plain witness and, where
+// another pattern matches that witness too, its open witness: each
+// pattern keeps a candidate that the patterns not covering it miss.
+// Axes with a hard cap (users, hosts, request lines) add open witnesses
+// only where they tell patterns apart.
+func globWitnesses(patterns []string, fresh byte) []string {
+	var out []string
+	for _, p := range patterns {
+		w := globWitness(p)
+		out = append(out, w)
+		for _, q := range patterns {
+			if q != p && eacl.Glob(q, w) {
+				out = append(out, openWitness(p, fresh))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// freshByte returns a byte none of the patterns contains, preferring
+// printable ones so witnesses stay readable.
+func freshByte(patterns []string) byte {
+	all := strings.Join(patterns, "")
+	c := byte('~')
+	for c > 0 && strings.IndexByte(all, c) >= 0 {
+		c--
+	}
+	return c
 }
 
 // globIntersectWitness returns a shortest string matched by both
