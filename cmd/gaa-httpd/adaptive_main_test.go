@@ -16,11 +16,9 @@ import (
 func TestDemoAdaptiveBound(t *testing.T) {
 	st := buildDemo(t)
 	h := st.Handler()
-	boundIs := func(want string) func() bool {
-		return func() bool {
-			v, _ := st.Values.LookupValue("max_input")
-			return v == want
-		}
+	bound := func() string {
+		v, _ := st.Values.LookupValue("max_input")
+		return v
 	}
 
 	query := "/cgi-bin/search?q=" + strings.Repeat("z", 500)
@@ -36,8 +34,8 @@ func TestDemoAdaptiveBound(t *testing.T) {
 	if w := get(t, h, slashFlood, "10.0.0.70"); w.Code != http.StatusForbidden {
 		t.Fatalf("slash flood = %d, want 403", w.Code)
 	}
-	if !boundIs("300")() {
-		t.Fatal("max_input is not 300 after the request that set the level to medium")
+	if got := bound(); got != "300" {
+		t.Fatalf("max_input = %s after the request that set the level to medium, want 300", got)
 	}
 	if w := get(t, h, query, "10.0.0.5"); w.Code != http.StatusForbidden {
 		t.Errorf("500-byte query under the 300-byte bound = %d, want 403", w.Code)
@@ -47,13 +45,18 @@ func TestDemoAdaptiveBound(t *testing.T) {
 		t.Fatalf("threat level = %v, want medium", got)
 	}
 
-	// A high-severity signature: the correlator raises the level to
-	// high on the one report and the tuner follows.
+	// A high-severity signature: the correlator, a listener on the bus,
+	// raises the level to high on the one report and the tuner follows,
+	// both before the request returns.
 	if w := get(t, h, "/cgi-bin/phf?x", "10.0.0.66"); w.Code != http.StatusForbidden {
 		t.Fatalf("phf = %d, want 403", w.Code)
 	}
-	waitFor(t, "threat level high", func() bool { return st.Threat.Level() == ids.High })
-	waitFor(t, "max_input = 100", boundIs("100"))
+	if got := st.Threat.Level(); got != ids.High {
+		t.Fatalf("threat level = %v when the phf request returned, want high", got)
+	}
+	if got := bound(); got != "100" {
+		t.Fatalf("max_input = %s when the phf request returned, want 100", got)
+	}
 }
 
 func TestDocrootFlagServesFromDisk(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaahttp"
@@ -35,17 +34,6 @@ func get(t *testing.T, h http.Handler, target, ip string) *httptest.ResponseReco
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
-}
-
-// waitFor polls cond until it holds; the host-IDS correlator runs
-// beside the request that feeds it.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for stop := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(stop) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
 }
 
 const slashFlood = "/////////////////////////////////////////index.html"
@@ -77,15 +65,17 @@ func TestDemoDeploymentServesAndProtects(t *testing.T) {
 	}
 
 	// phf is a high-severity signature: one report and the correlator
-	// raises the level to high, where the system policy locks the server
-	// down (section 7.1).
+	// raises the level to high before the request returns, where the
+	// system policy locks the server down (section 7.1).
 	if w := get(t, h, "/cgi-bin/phf?Qalias=x", "10.0.0.66"); w.Code != http.StatusForbidden {
 		t.Errorf("phf = %d, want 403", w.Code)
 	}
 	if !st.Groups.Contains("BadGuys", "10.0.0.66") {
 		t.Error("attacker not blacklisted")
 	}
-	waitFor(t, "threat level high", func() bool { return st.Threat.Level() == ids.High })
+	if got := st.Threat.Level(); got != ids.High {
+		t.Errorf("threat level = %v when the phf request returned, want high", got)
+	}
 	if w := get(t, h, "/index.html", "10.0.0.5"); w.Code != http.StatusForbidden {
 		t.Errorf("clean client under lockdown = %d, want 403", w.Code)
 	}

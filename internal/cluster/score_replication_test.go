@@ -18,7 +18,6 @@ func scorerNode(t *testing.T, lt *LoopTransport, id string, peers ...string) (*a
 	blocks := netblock.NewSet()
 	threat := ids.NewManager(ids.Low)
 	cfg := adaptive.Defaults()
-	cfg.Synchronous = true
 	cfg.MinSamples = 4
 	cfg.BlockScore = 1.2 // a short burst scores ~1.4; the floor gates blocking
 	eng := adaptive.New(cfg, threat, blocks)

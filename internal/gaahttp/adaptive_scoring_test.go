@@ -40,7 +40,6 @@ func adaptiveStack(t *testing.T) (*Stack, *simClock) {
 	t.Helper()
 	clock := &simClock{now: time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)}
 	acfg := adaptive.Defaults()
-	acfg.Synchronous = true
 	acfg.HalfLife = 10 * time.Second
 	acfg.MinSamples = 5
 	// Per-source enforcement should lead global escalation for a

@@ -52,13 +52,9 @@ pos_access_right apache *
 	// An attacker probes phf; the report reaches the correlator, the
 	// threat level rises, and the tuner reacts (by hand here; in a
 	// deployment it is a Manager.OnChange listener).
-	sub := st.Bus.Subscribe(16)
-	defer sub.Cancel()
+	st.Bus.OnReport(func(r ids.Report) { correlator.Observe(r) })
 	if code := serveTarget(t, st, "/cgi-bin/phf?Qalias=x", "192.0.2.66"); code != http.StatusForbidden {
 		t.Fatalf("attack = %d, want 403", code)
-	}
-	for len(sub.C) > 0 {
-		correlator.Observe(<-sub.C)
 	}
 	if st.Threat.Level() != ids.Medium {
 		t.Fatalf("threat level = %v, want medium", st.Threat.Level())

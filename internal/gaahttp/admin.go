@@ -107,9 +107,9 @@ func (s *Stack) writeStatus(w io.Writer) {
 	}
 	if s.Scorer != nil {
 		as := s.Scorer.Stats()
-		fmt.Fprintf(w, "adaptive: signal=%.3f level=%s sources=%d resources=%d samples=%d dropped=%d source-blocks=%d raises=%d lowers=%d\n",
+		fmt.Fprintf(w, "adaptive: signal=%.3f level=%s sources=%d resources=%d samples=%d source-blocks=%d raises=%d lowers=%d\n",
 			as.Signal, as.Level, as.Sources, as.Resources,
-			as.Samples, as.Dropped, as.SourceBlocks, as.Raises, as.Lowers)
+			as.Samples, as.SourceBlocks, as.Raises, as.Lowers)
 	}
 	rls := s.Reloader.Stats()
 	fmt.Fprintf(w, "reload: generation=%d attempts=%d applied=%d rejected=%d auto-rollbacks=%d probation=%v\n",

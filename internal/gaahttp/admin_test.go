@@ -52,7 +52,7 @@ func TestHandlerDispatch(t *testing.T) {
 	full := adminStack(t, StackConfig{
 		Metrics: true, Pprof: true, ReliableNotify: true,
 		NodeID: "a", ClusterTransport: cluster.NewLoopTransport(),
-		Adaptive: &adaptive.Config{Synchronous: true},
+		Adaptive: &adaptive.Config{},
 	}).Handler()
 	adminDo(full, "GET", "/cgi-bin/phf?x")
 

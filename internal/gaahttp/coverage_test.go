@@ -13,6 +13,7 @@ import (
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/httpd"
+	"gaaapi/internal/ids"
 )
 
 // failingSource errors on every operation.
@@ -72,8 +73,7 @@ func TestIllFormedReportPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sub := st.Bus.Subscribe(16)
-	defer sub.Cancel()
+	reports := collectReports(st.Bus)
 
 	rec := &httpd.RequestRec{
 		Time: time.Now(), Method: "GET", Path: "/x",
@@ -81,8 +81,8 @@ func TestIllFormedReportPublished(t *testing.T) {
 	}
 	st.Guard.Check(rec)
 	found := false
-	for len(sub.C) > 0 {
-		if (<-sub.C).Kind.String() == "ill_formed_request" {
+	for _, r := range *reports {
+		if r.Kind == ids.IllFormedRequest {
 			found = true
 		}
 	}
@@ -106,8 +106,7 @@ func TestUnusualBehaviorReport(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		st.Anomaly.Train("10.7.7.7", "/index.html", 0)
 	}
-	sub := st.Bus.Subscribe(16)
-	defer sub.Cancel()
+	reports := collectReports(st.Bus)
 
 	req := httptest.NewRequest("GET", "/odd.html?q="+strings.Repeat("z", 400), nil)
 	req.RemoteAddr = "10.7.7.7:1"
@@ -117,8 +116,8 @@ func TestUnusualBehaviorReport(t *testing.T) {
 		t.Fatalf("granted request = %d", w.Code)
 	}
 	found := false
-	for len(sub.C) > 0 {
-		if (<-sub.C).Kind.String() == "unusual_behavior" {
+	for _, r := range *reports {
+		if r.Kind == ids.UnusualBehavior {
 			found = true
 		}
 	}

@@ -317,8 +317,7 @@ func TestIDSFeedbackLoop(t *testing.T) {
 	}
 	defer st.Close()
 
-	sub := st.Bus.Subscribe(16)
-	defer sub.Cancel()
+	reports := collectReports(st.Bus)
 	correlator := ids.NewCorrelator(st.Threat, ids.DefaultCorrelatorConfig())
 
 	// One high-severity attack...
@@ -327,8 +326,7 @@ func TestIDSFeedbackLoop(t *testing.T) {
 		t.Fatalf("attack = %d, want 403", w.Code)
 	}
 	var sawAttack bool
-	for len(sub.C) > 0 {
-		r := <-sub.C
+	for _, r := range *reports {
 		correlator.Observe(r)
 		if r.Kind == ids.DetectedAttack && r.Signature == "phf" {
 			sawAttack = true
@@ -353,8 +351,7 @@ func TestIDSFeedbackLoop(t *testing.T) {
 func TestReportKindsPublished(t *testing.T) {
 	st := cgiStack(t)
 	defer st.Close()
-	sub := st.Bus.Subscribe(64)
-	defer sub.Cancel()
+	reports := collectReports(st.Bus)
 
 	// Legitimate request -> legitimate_pattern.
 	req := httptest.NewRequest("GET", "/index.html", nil)
@@ -368,8 +365,8 @@ func TestReportKindsPublished(t *testing.T) {
 	get(t, st.Server, "/cgi-bin/phf?x", "", "")
 
 	kinds := make(map[ids.ReportKind]int)
-	for len(sub.C) > 0 {
-		kinds[(<-sub.C).Kind]++
+	for _, r := range *reports {
+		kinds[r.Kind]++
 	}
 	for _, want := range []ids.ReportKind{
 		ids.LegitimatePattern, ids.AbnormalParameters,
@@ -379,6 +376,15 @@ func TestReportKindsPublished(t *testing.T) {
 			t.Errorf("no %v report published; got %v", want, kinds)
 		}
 	}
+}
+
+// collectReports records every report st's guard publishes, in order;
+// the bus calls it on the request, so the slice is complete when the
+// request returns.
+func collectReports(b *ids.Bus) *[]ids.Report {
+	var reports []ids.Report
+	b.OnReport(func(r ids.Report) { reports = append(reports, r) })
+	return &reports
 }
 
 func TestTranslate(t *testing.T) {
@@ -476,8 +482,8 @@ func TestAnomalyTrainingThroughGuard(t *testing.T) {
 // TestGuardCheckZeroAllocBeyondRightsString pins a cached grant through
 // the guard at one allocation: the "<authority> <METHOD> <path>" string
 // that is both the audit record's right and, sliced, the requested one.
-// The metrics layer and the asynchronous adaptive scorer ride the same
-// path and must add nothing to it.
+// The metrics layer and the adaptive scorer, which scores the sample
+// inline, ride the same path and must add nothing to it.
 func TestGuardCheckZeroAllocBeyondRightsString(t *testing.T) {
 	scorer := adaptive.Defaults()
 	for _, tc := range []struct {

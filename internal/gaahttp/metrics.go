@@ -75,7 +75,6 @@ const (
 	MetricAdaptiveSources      = "gaa_adaptive_sources"
 	MetricAdaptiveResources    = "gaa_adaptive_resources"
 	MetricAdaptiveSamples      = "gaa_adaptive_samples_total"
-	MetricAdaptiveDropped      = "gaa_adaptive_samples_dropped_total"
 	MetricAdaptiveSourceBlocks = "gaa_adaptive_source_blocks_total"
 	MetricAdaptiveRaises       = "gaa_adaptive_raises_total"
 	MetricAdaptiveLowers       = "gaa_adaptive_lowers_total"
@@ -237,8 +236,6 @@ func RegisterComponentMetrics(reg *metrics.Registry, c Components) {
 		}{
 			{MetricAdaptiveSamples, "Authorization decisions scored by the adaptive engine.",
 				func(s adaptive.Stats) uint64 { return s.Samples }},
-			{MetricAdaptiveDropped, "Samples dropped because the async queue was full.",
-				func(s adaptive.Stats) uint64 { return s.Dropped }},
 			{MetricAdaptiveSourceBlocks, "Sources blocked on their per-source anomaly score.",
 				func(s adaptive.Stats) uint64 { return s.SourceBlocks }},
 			{MetricAdaptiveRaises, "Adaptive threat-level raises.",

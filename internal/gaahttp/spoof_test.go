@@ -32,8 +32,7 @@ func TestSpoofSafeguardEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sub := st.Bus.Subscribe(32)
-	defer sub.Cancel()
+	reports := collectReports(st.Bus)
 
 	// Attack "from" the spoof-suspected range: denied, not blacklisted.
 	w := serve(t, st, phfFrom("198.51.100.7"))
@@ -58,8 +57,7 @@ func TestSpoofSafeguardEndToEnd(t *testing.T) {
 
 	// The attack reports differ in recommendation.
 	var spoofedRec, genuineRec string
-	for len(sub.C) > 0 {
-		r := <-sub.C
+	for _, r := range *reports {
 		if r.Kind != ids.DetectedAttack {
 			continue
 		}

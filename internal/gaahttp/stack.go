@@ -1,7 +1,6 @@
 package gaahttp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"io/fs"
@@ -74,7 +73,7 @@ type StackConfig struct {
 	// administrator may update Stack.Values afterwards.
 	RuntimeValues map[string]string
 	// LevelValues, when non-nil, runs the host-IDS loop (paper sections
-	// 3 and 7.1): a Correlator subscribed to the bus escalates the
+	// 3 and 7.1): a Correlator listening on the bus escalates the
 	// threat level on correlated reports, and a ValueTuner sets each
 	// level's runtime values whenever that level becomes current.
 	LevelValues map[ids.Level]map[string]string
@@ -187,7 +186,6 @@ type Stack struct {
 	pprof       bool
 	async       *notify.Async
 	accessLog   *os.File
-	stopHostIDS func()
 	handlerOnce sync.Once
 	handler     http.Handler
 }
@@ -468,10 +466,11 @@ func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
 	return b, err
 }
 
-// startHostIDS runs the correlator on a bus subscription until Close and
-// makes the value tuner a threat-level listener: the level current now
-// (a restart may have restored it) and every later one has its values in
-// place before the writer that moved it returns.
+// startHostIDS makes the correlator a bus listener and the value tuner a
+// threat-level listener, both synchronous: a report has moved the level,
+// and the level current now (a restart may have restored it) and every
+// later one has its values in place, before the request that published
+// it returns.
 func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]map[string]string) {
 	corrCfg := ids.DefaultCorrelatorConfig()
 	corrCfg.Clock = clock
@@ -482,10 +481,7 @@ func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]m
 	}
 	s.Threat.OnChange(func(tr ids.Transition) { tuner.Apply(tr.To) })
 	tuner.Apply(s.Threat.Level())
-	reports := s.Bus.Subscribe(256)
-	go correlator.Run(context.Background(), reports)
-	// Cancelling the subscription closes its channel, which ends the loop.
-	s.stopHostIDS = reports.Cancel
+	s.Bus.OnReport(func(r ids.Report) { correlator.Observe(r) })
 }
 
 // ReloadPolicies parses, analyzes, and — if clean at severity <
@@ -498,18 +494,13 @@ func (s *Stack) ReloadPolicies(system string, locals map[string]string) ReloadRe
 	})
 }
 
-// Close releases background workers (the cluster pushers, the scorer,
-// the host-IDS loop, the async notifier) and flushes the state store.
-// It is safe on a stack NewStack gave up on half-way.
+// Close releases background workers (the cluster pushers and the async
+// notifier) and flushes the state store. The scorer and the host-IDS
+// correlator run on the request and hold nothing to release. It is safe
+// on a stack NewStack gave up on half-way.
 func (s *Stack) Close() {
 	if s.Cluster != nil {
 		s.Cluster.Stop()
-	}
-	if s.Scorer != nil {
-		s.Scorer.Close() // drains before the store goes away
-	}
-	if s.stopHostIDS != nil {
-		s.stopHostIDS()
 	}
 	if s.async != nil {
 		s.async.Close()

@@ -7,15 +7,12 @@
 // any global escalation (ROADMAP item 1; Guyet et al., "Self-adaptive
 // web intrusion detection system").
 //
-// The engine is fed one Sample per authorization decision. In
-// production the feed is asynchronous — ObserveRequest is a
-// non-blocking enqueue with the same drop-counting contract as the
-// IDS event bus, and a background worker does the sketch updates, so
-// the serving hot path never pays for profile maintenance. Campaign
-// and test deployments set Config.Synchronous to process samples
-// inline, which makes the whole engine a deterministic function of
-// the sample stream (every decay, score and level transition is
-// computed from sample timestamps, never from the wall clock).
+// The engine is fed one Sample per authorization decision and folds it
+// in on the caller's goroutine, so a block or raise the sample earns is
+// in force when ObserveRequest returns, and the whole engine is a
+// deterministic function of the sample stream (every decay, score and
+// level transition is computed from sample timestamps, never from the
+// wall clock).
 //
 // Profile features per source: request rate (sliding EWMA over a
 // decaying event counter), error ratio (EWMA of the denial
@@ -111,13 +108,6 @@ type Config struct {
 	// score moved this far from the last journaled value (0: only on
 	// blocks).
 	ScoreEventDelta float64
-
-	// Buffer is the async sample queue depth (ignored when
-	// Synchronous).
-	Buffer int
-	// Synchronous processes samples inline on the caller — the
-	// deterministic mode campaigns and fuzzing use.
-	Synchronous bool
 }
 
 // Defaults returns the tuning the demo deployment and experiments use.
@@ -144,7 +134,6 @@ func Defaults() Config {
 		MaxResources:    1024,
 		CheckpointEvery: 128,
 		ScoreEventDelta: 0.5,
-		Buffer:          1024,
 	}
 }
 
@@ -210,8 +199,7 @@ type resourceProfile struct {
 }
 
 // Engine holds the live profiles and drives the threat manager and
-// block set. All state mutations happen under mu; the async mode
-// funnels samples through a single worker.
+// block set. All state mutations happen under mu.
 type Engine struct {
 	cfg    Config
 	threat *ids.Manager
@@ -229,18 +217,13 @@ type Engine struct {
 	journalProfile func(ProfileCheckpoint)
 
 	samples      atomic.Uint64
-	dropped      atomic.Uint64
 	sourceBlocks atomic.Uint64
 	raises       atomic.Uint64
 	lowers       atomic.Uint64
-
-	ch   chan Sample
-	done chan struct{}
 }
 
 // New builds an engine. threat and blocks may be nil (score-only
-// mode, used by the fuzz harness). In asynchronous mode the worker
-// starts immediately; Close stops it.
+// mode, used by the fuzz harness).
 func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 	d := Defaults()
 	if cfg.HalfLife <= 0 {
@@ -285,10 +268,7 @@ func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 	if cfg.MaxResources <= 0 {
 		cfg.MaxResources = d.MaxResources
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = d.Buffer
-	}
-	e := &Engine{
+	return &Engine{
 		cfg:       cfg,
 		threat:    threat,
 		blocks:    blocks,
@@ -296,12 +276,6 @@ func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 		resources: make(map[string]*resourceProfile),
 		level:     ids.Low,
 	}
-	if !cfg.Synchronous {
-		e.ch = make(chan Sample, cfg.Buffer)
-		e.done = make(chan struct{})
-		go e.run()
-	}
-	return e
 }
 
 // SetJournal installs the persistence/replication taps: score
@@ -313,35 +287,9 @@ func (e *Engine) SetJournal(score func(ScoreEvent), profile func(ProfileCheckpoi
 	e.mu.Unlock()
 }
 
-// ObserveRequest feeds one sample. Asynchronous mode enqueues without
-// blocking (overflow is counted, like a bus subscription falling
-// behind); synchronous mode processes inline.
-func (e *Engine) ObserveRequest(s Sample) {
-	if e.cfg.Synchronous {
-		e.process(s)
-		return
-	}
-	select {
-	case e.ch <- s:
-	default:
-		e.dropped.Add(1)
-	}
-}
-
-// Close stops the async worker (no-op in synchronous mode).
-func (e *Engine) Close() {
-	if e.ch != nil {
-		close(e.ch)
-		<-e.done
-	}
-}
-
-func (e *Engine) run() {
-	defer close(e.done)
-	for s := range e.ch {
-		e.process(s)
-	}
-}
+// Close is a no-op: the engine owns no goroutine, file or timer, so
+// callers that release components uniformly may call it at any time.
+func (e *Engine) Close() {}
 
 // decay returns the exponential decay factor for dt at the configured
 // half-life; out-of-order timestamps decay nothing.
@@ -356,9 +304,10 @@ func (e *Engine) decay(dt time.Duration) float64 {
 // count-based, so bursts with identical timestamps still move it.
 const errAlpha = 1.0 / 8
 
-// process folds one sample into the profiles, scores it, and applies
-// enforcement. Deterministic in the sample stream.
-func (e *Engine) process(s Sample) {
+// ObserveRequest folds one sample into the profiles, scores it and
+// applies enforcement before it returns. Deterministic in the sample
+// stream.
+func (e *Engine) ObserveRequest(s Sample) {
 	e.samples.Add(1)
 	e.mu.Lock()
 
@@ -671,7 +620,6 @@ type Stats struct {
 	Sources      int
 	Resources    int
 	Samples      uint64
-	Dropped      uint64
 	SourceBlocks uint64
 	Raises       uint64
 	Lowers       uint64
@@ -688,7 +636,6 @@ func (e *Engine) Stats() Stats {
 	}
 	e.mu.Unlock()
 	s.Samples = e.samples.Load()
-	s.Dropped = e.dropped.Load()
 	s.SourceBlocks = e.sourceBlocks.Load()
 	s.Raises = e.raises.Load()
 	s.Lowers = e.lowers.Load()

@@ -15,7 +15,6 @@ var epoch = time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)
 // testConfig is a small, fast-reacting tuning shared by the tests.
 func testConfig() Config {
 	cfg := Defaults()
-	cfg.Synchronous = true
 	cfg.HalfLife = 10 * time.Second
 	cfg.MinSamples = 5
 	cfg.Dwell = time.Minute
@@ -274,24 +273,6 @@ func TestBoundedProfileMaps(t *testing.T) {
 	}
 	if st.Samples != 1000 {
 		t.Fatalf("samples counter = %d, want 1000", st.Samples)
-	}
-}
-
-func TestAsyncModeDeliversAndCloses(t *testing.T) {
-	cfg := testConfig()
-	cfg.Synchronous = false
-	cfg.Buffer = 64
-	e, _, _ := newTestEngine(cfg)
-	for i := 0; i < 32; i++ {
-		e.ObserveRequest(Sample{Time: epoch.Add(time.Duration(i) * time.Second), Source: "10.0.0.1", Path: "/a", InputLen: 10})
-	}
-	e.Close() // drains the channel before returning
-	st := e.Stats()
-	if st.Samples+st.Dropped != 32 {
-		t.Fatalf("samples %d + dropped %d != 32", st.Samples, st.Dropped)
-	}
-	if st.Samples == 0 {
-		t.Fatal("async worker processed nothing")
 	}
 }
 

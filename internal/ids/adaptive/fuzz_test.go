@@ -38,7 +38,6 @@ func FuzzAdaptiveScore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := Defaults()
-		cfg.Synchronous = true
 		cfg.HalfLife = 5 * time.Second
 		cfg.Dwell = 30 * time.Second
 		cfg.MaxSources = 8

@@ -8,76 +8,41 @@ import (
 // Bus is the policy-controlled subscription channel between the GAA-API
 // and IDS components (paper section 9: "a subscription-based
 // communication channel to allow GAA-API and IDSs to communicate").
-// Publishing never blocks: a subscriber whose buffer is full loses the
-// report and its drop counter is incremented.
+// Delivery is a call: Publish runs every listener on the publisher's
+// goroutine, so when it returns each listener has acted on the report
+// and none can be lost to a full queue.
 type Bus struct {
-	mu        sync.RWMutex
-	subs      map[int]*Subscription
-	next      int
+	mu        sync.Mutex // serialises OnReport
+	listeners atomic.Pointer[[]func(Report)]
 	published atomic.Uint64
-}
-
-// Subscription is one bus subscriber.
-type Subscription struct {
-	// C delivers published reports.
-	C <-chan Report
-
-	ch      chan Report
-	dropped atomic.Uint64
-	cancel  func()
-}
-
-// Dropped reports how many reports this subscriber lost to a full
-// buffer.
-func (s *Subscription) Dropped() uint64 {
-	return s.dropped.Load()
-}
-
-// Cancel releases the subscription and closes C.
-func (s *Subscription) Cancel() {
-	s.cancel()
 }
 
 // NewBus returns an empty bus.
 func NewBus() *Bus {
-	return &Bus{subs: make(map[int]*Subscription)}
+	return &Bus{}
 }
 
-// Subscribe registers a subscriber with the given channel buffer
-// (minimum 1).
-func (b *Bus) Subscribe(buffer int) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Report, buffer)
-	sub := &Subscription{C: ch, ch: ch}
+// OnReport registers fn to be called with every later report, on the
+// publisher's goroutine and in registration order. fn runs on the
+// request path, so it must be cheap, safe for concurrent calls, and
+// must not publish.
+func (b *Bus) OnReport(fn func(Report)) {
 	b.mu.Lock()
-	id := b.next
-	b.next++
-	b.subs[id] = sub
-	b.mu.Unlock()
-	var once sync.Once
-	sub.cancel = func() {
-		once.Do(func() {
-			b.mu.Lock()
-			delete(b.subs, id)
-			b.mu.Unlock()
-			close(ch)
-		})
+	defer b.mu.Unlock()
+	var ls []func(Report)
+	if cur := b.listeners.Load(); cur != nil {
+		ls = append(ls, *cur...)
 	}
-	return sub
+	ls = append(ls, fn)
+	b.listeners.Store(&ls)
 }
 
-// Publish delivers r to every subscriber without blocking.
+// Publish delivers r to every listener before it returns.
 func (b *Bus) Publish(r Report) {
 	b.published.Add(1)
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, sub := range b.subs {
-		select {
-		case sub.ch <- r:
-		default:
-			sub.dropped.Add(1)
+	if ls := b.listeners.Load(); ls != nil {
+		for _, fn := range *ls {
+			fn(r)
 		}
 	}
 }
@@ -85,11 +50,4 @@ func (b *Bus) Publish(r Report) {
 // Published returns the total number of published reports.
 func (b *Bus) Published() uint64 {
 	return b.published.Load()
-}
-
-// Subscribers returns the current subscriber count.
-func (b *Bus) Subscribers() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs)
 }

@@ -1,7 +1,6 @@
 package ids
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -151,22 +150,6 @@ func (c *Correlator) maybeDecay() {
 		c.mu.Lock()
 		c.lastHit = c.clock() // restart the quiet period for the next step
 		c.mu.Unlock()
-	}
-}
-
-// Run consumes reports from sub until ctx is cancelled or the
-// subscription is closed. Call in a goroutine; it returns when done.
-func (c *Correlator) Run(ctx context.Context, sub *Subscription) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case r, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			c.Observe(r)
-		}
 	}
 }
 

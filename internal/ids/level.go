@@ -1,8 +1,8 @@
 // Package ids implements the intrusion-detection substrate the GAA-API
 // interacts with (paper section 3): a system threat-level manager, an
-// attack-signature database, the seven classes of GAA-to-IDS reports, a
-// subscription-based event bus (paper section 9 future work), a
-// correlator that adapts the threat level to observed events, and an
+// attack-signature database, the seven classes of GAA-to-IDS reports, an
+// event bus that calls its listeners on the publishing request (paper
+// section 9 future work), a correlator that adapts the threat level to observed events, and an
 // anomaly detector built from per-principal behaviour profiles.
 package ids
 

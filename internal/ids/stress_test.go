@@ -2,27 +2,29 @@ package ids
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestBusConcurrentPublishSubscribe stresses the bus with publishers,
-// subscribers and cancellations racing (validated with -race in CI).
+// TestBusConcurrentPublishSubscribe stresses the bus with publishers and
+// listener registrations racing (validated with -race in CI). A listener
+// registered before any publisher starts sees every report; one
+// registered mid-stream sees a suffix of them, never a torn list.
 func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	b := NewBus()
+	var first atomic.Uint64
+	b.OnReport(func(Report) { first.Add(1) })
 	var wg sync.WaitGroup
 
-	// Churning subscribers.
+	// Late listeners.
+	var late atomic.Uint64
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				sub := b.Subscribe(4)
-				for len(sub.C) > 0 {
-					<-sub.C
-				}
-				sub.Cancel()
+				b.OnReport(func(Report) { late.Add(1) })
 			}
 		}()
 	}
@@ -40,8 +42,20 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	if got := b.Published(); got != 800 {
 		t.Errorf("published = %d, want 800", got)
 	}
-	if b.Subscribers() != 0 {
-		t.Errorf("leaked subscribers: %d", b.Subscribers())
+	if got := first.Load(); got != 800 {
+		t.Errorf("first listener saw %d, want 800", got)
+	}
+	before := late.Load()
+	if before > 160*800 {
+		t.Errorf("late listeners saw %d, more than 160 listeners × 800 reports", before)
+	}
+	// Every racing registration landed: one more report reaches all 161.
+	b.Publish(Report{})
+	if got := first.Load(); got != 801 {
+		t.Errorf("first listener saw %d after the last publish, want 801", got)
+	}
+	if got := late.Load() - before; got != 160 {
+		t.Errorf("last report reached %d late listeners, want 160", got)
 	}
 }
 

@@ -64,7 +64,7 @@ func NewClusterTarget(spec StackSpec, n int) (*ClusterTarget, error) {
 			RuntimeValues:       spec.RuntimeValues,
 			Clock:               clock.Now,
 			Metrics:             true,
-			Adaptive:            campaignAdaptive(spec),
+			Adaptive:            spec.Adaptive,
 			NodeID:              fmt.Sprintf("node-%d", i),
 			Peers:               peers,
 			ClusterTransport:    lt.Bind(t.urls[i]),

@@ -26,8 +26,7 @@ type StackSpec struct {
 	Users         map[string]string
 	// RuntimeValues seeds '@name' policy values.
 	RuntimeValues map[string]string
-	// Adaptive enables the self-learning per-source scorer. The driver
-	// forces synchronous scoring so campaign runs stay deterministic.
+	// Adaptive enables the self-learning per-source scorer.
 	Adaptive *adaptive.Config
 }
 

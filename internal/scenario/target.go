@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gaaapi/internal/gaahttp"
-	"gaaapi/internal/ids/adaptive"
 	"gaaapi/internal/workload"
 )
 
@@ -122,24 +121,12 @@ func NewStackTarget(spec StackSpec) (*StackTarget, error) {
 		RuntimeValues: spec.RuntimeValues,
 		Clock:         clock.Now,
 		Metrics:       true,
-		Adaptive:      campaignAdaptive(spec),
+		Adaptive:      spec.Adaptive,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &StackTarget{Stack: st, Clock: clock}, nil
-}
-
-// campaignAdaptive prepares the spec's adaptive config for a campaign
-// stack: scoring runs synchronously so every checkpoint observes the
-// exact state the traffic so far implies, independent of scheduling.
-func campaignAdaptive(spec StackSpec) *adaptive.Config {
-	if spec.Adaptive == nil {
-		return nil
-	}
-	cfg := *spec.Adaptive
-	cfg.Synchronous = true
-	return &cfg
 }
 
 // Do serves the request straight through the server, no sockets.

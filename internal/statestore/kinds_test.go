@@ -39,7 +39,6 @@ func kindSamples(now time.Time) map[string]struct {
 func allComponents(clock func() time.Time) Components {
 	c := components(clock)
 	cfg := adaptive.Defaults()
-	cfg.Synchronous = true
 	c.Scorer = adaptive.New(cfg, c.Threat, c.Blocks)
 	return c
 }

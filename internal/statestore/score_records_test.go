@@ -17,7 +17,6 @@ func scorerComponents(clock func() time.Time) Components {
 		Clock:  clock,
 	}
 	cfg := adaptive.Defaults()
-	cfg.Synchronous = true
 	cfg.MinSamples = 4
 	c.Scorer = adaptive.New(cfg, c.Threat, c.Blocks)
 	return c
@@ -212,7 +211,6 @@ func TestRecoveryCompactionUnderScorerJournal(t *testing.T) {
 		Clock:  clock.Now,
 	}
 	cfg := adaptive.Defaults()
-	cfg.Synchronous = true
 	cfg.CheckpointEvery = 1
 	c.Scorer = adaptive.New(cfg, c.Threat, c.Blocks)
 
