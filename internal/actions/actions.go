@@ -106,10 +106,10 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	if !fires {
 		return skipped()
 	}
-	tag, rest := infoTag(args)
-	recipient := "sysadmin"
-	if len(rest) > 0 {
-		recipient = rest[0]
+	tag := args.info()
+	recipient, _ := args.positional()
+	if recipient == "" {
+		recipient = "sysadmin"
 	}
 	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
 	uri, _ := req.Params.Get(gaa.ParamRequestURI, cond.DefAuth)
@@ -139,7 +139,7 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 		// fails the status.
 		return gaa.Outcome{Result: gaa.No, Class: gaa.ClassAction, Err: err, Detail: "notification failed"}
 	}
-	return gaa.MetOutcome(gaa.ClassAction, "notified "+recipient)
+	return met(req, func() string { return "notified " + recipient })
 }
 
 // updateLogAction implements rr_cond_update_log:
@@ -163,11 +163,11 @@ func (a updateLogAction) Evaluate(_ context.Context, cond eacl.Condition, req *g
 	if !fires {
 		return skipped()
 	}
-	tag, rest := infoTag(args)
-	if len(rest) == 0 {
+	tag := args.info()
+	group, _ := args.positional()
+	if group == "" {
 		return badValue(fmt.Errorf("update_log needs a group name: %q", cond.Value))
 	}
-	group := rest[0]
 	paramType := gaa.ParamClientIP
 	if strings.EqualFold(tag, "user") {
 		paramType = gaa.ParamUser
@@ -183,7 +183,7 @@ func (a updateLogAction) Evaluate(_ context.Context, cond eacl.Condition, req *g
 		}
 	}
 	a.store.Add(group, member)
-	return gaa.MetOutcome(gaa.ClassAction, fmt.Sprintf("added %s to %s", member, group))
+	return met(req, func() string { return "added " + member + " to " + group })
 }
 
 // auditAction implements rr_cond_audit / post_cond_audit:
@@ -205,7 +205,7 @@ func (a auditAction) Evaluate(ctx context.Context, cond eacl.Condition, req *gaa
 	if !fires {
 		return skipped()
 	}
-	tag, _ := infoTag(args)
+	tag := args.info()
 	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
 	user, _ := req.Params.Get(gaa.ParamUser, cond.DefAuth)
 	object, _ := req.Params.Get(gaa.ParamObject, cond.DefAuth)
@@ -253,16 +253,16 @@ func (a threatAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.
 	if !fires {
 		return skipped()
 	}
-	_, rest := infoTag(args)
-	if len(rest) == 0 {
+	name, _ := args.positional()
+	if name == "" {
 		return badValue(fmt.Errorf("set_threat_level needs a level: %q", cond.Value))
 	}
-	level, err := ids.ParseLevel(rest[0])
+	level, err := ids.ParseLevel(name)
 	if err != nil {
 		return badValue(err)
 	}
 	a.mgr.Escalate(level)
-	return gaa.MetOutcome(gaa.ClassAction, "threat level escalated to "+level.String())
+	return met(req, func() string { return "threat level escalated to " + level.String() })
 }
 
 // blockAction implements rr_cond_block_ip:
@@ -287,7 +287,7 @@ func (a blockAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 		return skipped()
 	}
 	var dur time.Duration
-	for _, arg := range args {
+	for arg, rest := args.next(); arg != ""; arg, rest = rest.next() {
 		if v, ok := strings.CutPrefix(arg, "duration:"); ok {
 			d, err := time.ParseDuration(v)
 			if err != nil {
@@ -307,7 +307,7 @@ func (a blockAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 		}
 	}
 	a.set.Block(ip, dur)
-	return gaa.MetOutcome(gaa.ClassAction, "blocked "+ip)
+	return met(req, func() string { return "blocked " + ip })
 }
 
 // countAction implements rr_cond_count:
@@ -331,13 +331,12 @@ func (a countAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 	if !fires {
 		return skipped()
 	}
-	_, rest := infoTag(args)
-	if len(rest) == 0 {
+	counter, rest := args.positional()
+	if counter == "" {
 		return badValue(fmt.Errorf("count needs a counter name: %q", cond.Value))
 	}
-	counter := rest[0]
 	keyParam := gaa.ParamClientIP
-	for _, arg := range rest[1:] {
+	for arg, rest := rest.next(); arg != ""; arg, rest = rest.next() {
 		if v, ok := strings.CutPrefix(arg, "key:"); ok {
 			keyParam = v
 		}
@@ -347,5 +346,5 @@ func (a countAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 		return gaa.UnevaluatedOutcome("no " + keyParam + " parameter to count")
 	}
 	a.counters.Add(conditions.CounterKey(counter, keyValue))
-	return gaa.MetOutcome(gaa.ClassAction, "counted "+counter)
+	return met(req, func() string { return "counted " + counter })
 }

@@ -389,27 +389,41 @@ post_cond_notify local on:failure/sysadmin/info:opfailed
 
 func TestParseValueDefaultsToAny(t *testing.T) {
 	value := func(v string) eacl.Condition { return eacl.Condition{Block: eacl.BlockRequestResult, Value: v} }
+	split := func(a args) (out []string) {
+		for arg, rest := a.next(); arg != ""; arg, rest = rest.next() {
+			out = append(out, arg)
+		}
+		return out
+	}
 	for _, status := range []gaa.Decision{gaa.Yes, gaa.No, gaa.Maybe} {
 		args, fires, err := parseValue(value("justarg/info:x"), &gaa.Request{Decision: status})
 		if err != nil || !fires {
 			t.Errorf("status %v: parseValue = %v, %v, %v", status, args, fires, err)
 		}
-		if len(args) != 2 {
-			t.Errorf("args = %v", args)
+		if got := split(args); len(got) != 2 {
+			t.Errorf("args = %q", got)
+		}
+		if first, _ := args.positional(); first != "justarg" || args.info() != "x" {
+			t.Errorf("positional = %q, info = %q; want justarg and x", first, args.info())
 		}
 	}
 	// Empty segments dropped.
-	args, _, err := parseValue(value("on:any//x/"), &gaa.Request{})
-	if err != nil || len(args) != 1 || args[0] != "x" {
-		t.Errorf("args = %v, err=%v", args, err)
+	sparse, _, err := parseValue(value("on:any//x/"), &gaa.Request{})
+	if got := split(sparse); err != nil || len(got) != 1 || got[0] != "x" {
+		t.Errorf("args = %q, err=%v", got, err)
 	}
 	// A trigger that stays quiet parses no arguments; an unknown one is
 	// an error whether or not it would have fired.
-	if args, fires, err := parseValue(value("on:failure/a/b"), &gaa.Request{Decision: gaa.Yes}); err != nil || fires || args != nil {
-		t.Errorf("quiet trigger: %v, %v, %v", args, fires, err)
+	if args, fires, err := parseValue(value("on:failure/a/b"), &gaa.Request{Decision: gaa.Yes}); err != nil || fires || args != "" {
+		t.Errorf("quiet trigger: %q, %v, %v", args, fires, err)
 	}
 	if _, _, err := parseValue(value("on:sometimes/a"), &gaa.Request{Decision: gaa.Yes}); err == nil {
 		t.Error("unknown trigger accepted")
+	}
+	// The tag is the last info: argument; positional ones skip them all.
+	a := args("info:a/info:b/one/info:c/two")
+	if first, rest := a.positional(); a.info() != "c" || first != "one" || fmt.Sprint(split(rest)) != "[info:c two]" {
+		t.Errorf("info = %q, positional = %q, %q", a.info(), first, split(rest))
 	}
 }
 

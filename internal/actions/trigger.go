@@ -31,11 +31,48 @@ const (
 	onFailure
 )
 
+// args is an action value's slash-separated arguments, read in place:
+// splitting them allocates nothing. Empty segments, as in "on:any/",
+// are skipped.
+type args string
+
+// next returns the first argument and the ones after it; arg is empty
+// when none is left.
+func (a args) next() (arg string, rest args) {
+	for a != "" {
+		head, tail, _ := strings.Cut(string(a), "/")
+		if a = args(tail); head != "" {
+			return head, a
+		}
+	}
+	return "", ""
+}
+
+// info returns the tag of the last "info:<tag>" argument.
+func (a args) info() (tag string) {
+	for arg, rest := a.next(); arg != ""; arg, rest = rest.next() {
+		if v, ok := strings.CutPrefix(arg, "info:"); ok {
+			tag = v
+		}
+	}
+	return tag
+}
+
+// positional returns the first argument that is not "info:<tag>" and
+// the arguments after it.
+func (a args) positional() (string, args) {
+	for arg, rest := a.next(); arg != ""; arg, rest = rest.next() {
+		if !strings.HasPrefix(arg, "info:") {
+			return arg, rest
+		}
+	}
+	return "", ""
+}
+
 // parseValue reads an action value "on:failure/arg1/arg2": whether its
-// trigger fires for the phase status in req and, only when it does, the
-// remaining slash-separated arguments — an action that stays quiet
-// splits nothing. A value without an on: prefix defaults to on:any.
-func parseValue(cond eacl.Condition, req *gaa.Request) (args []string, fires bool, err error) {
+// trigger fires for the phase status in req, and the remaining
+// arguments. A value without an on: prefix defaults to on:any.
+func parseValue(cond eacl.Condition, req *gaa.Request) (a args, fires bool, err error) {
 	rest := cond.Value
 	trig := onAny
 	if head, tail, _ := strings.Cut(rest, "/"); strings.HasPrefix(head, "on:") {
@@ -47,22 +84,14 @@ func parseValue(cond eacl.Condition, req *gaa.Request) (args []string, fires boo
 		case "failure":
 			trig = onFailure
 		default:
-			return nil, false, fmt.Errorf("unknown trigger %q", head)
+			return "", false, fmt.Errorf("unknown trigger %q", head)
 		}
 		rest = tail
 	}
 	if !trig.fires(cond, req) {
-		return nil, false, nil
+		return "", false, nil
 	}
-	// Drop empty segments from values like "on:any/".
-	parts := strings.Split(rest, "/")
-	args = parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			args = append(args, p)
-		}
-	}
-	return args, true, nil
+	return args(rest), true, nil
 }
 
 // fires reports whether the trigger matches the phase status: the
@@ -96,19 +125,11 @@ func badValue(err error) gaa.Outcome {
 	return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Class: gaa.ClassAction, Err: err}
 }
 
-// infoTag extracts "info:<tag>" from the argument list, returning the
-// tag and the remaining arguments.
-func infoTag(args []string) (string, []string) {
-	var (
-		tag  string
-		rest []string
-	)
-	for _, a := range args {
-		if v, ok := strings.CutPrefix(a, "info:"); ok {
-			tag = v
-			continue
-		}
-		rest = append(rest, a)
+// met is the outcome of an action that did its work. The detail is
+// built only for a traced request: evaluateBlock drops it otherwise.
+func met(req *gaa.Request, detail func() string) gaa.Outcome {
+	if !req.Trace {
+		return gaa.MetOutcome(gaa.ClassAction, "")
 	}
-	return tag, rest
+	return gaa.MetOutcome(gaa.ClassAction, detail())
 }

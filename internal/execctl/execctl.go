@@ -128,8 +128,13 @@ func (r Result) OpStatus() gaa.Decision {
 // context and Run returns with ErrAborted. A final check runs after
 // completion so violations faster than the interval are still
 // recorded. A nil check disables monitoring (the paper's phase with no
-// mid-conditions). The periodic checks come from a timer, one at a
-// time, and none starts after Run returns, even if op panics.
+// mid-conditions): op gets ctx itself. The periodic checks come from a
+// timer, one at a time, and none starts after Run returns, even if op
+// panics.
+//
+// The context op receives is valid until op returns: a monitored run's
+// is its pooled monitor, which the next run reuses. Used later, it
+// reports done with context.Canceled and follows no parent.
 func Run(ctx context.Context, u *Usage, op func(context.Context, *Usage) error, check Check, interval time.Duration) Result {
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -137,19 +142,20 @@ func Run(ctx context.Context, u *Usage, op func(context.Context, *Usage) error, 
 	if check == nil {
 		return Result{Err: op(ctx, u), Final: u.Snapshot()}
 	}
-	opCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	m := monitorPool.Get().(*monitor)
+	m.ctxMu.Lock()
+	m.parent, m.over, m.err, m.ch, m.stop = ctx, false, nil, nil, nil
+	m.ctxMu.Unlock()
 	m.mu.Lock()
 	m.done, m.inflight, m.res = false, false, Result{}
-	m.interval, m.u, m.check, m.cancel = interval, u, check, cancel
+	m.interval, m.u, m.check = interval, u, check
 	if m.timer == nil {
 		m.timer = time.AfterFunc(interval, m.tick)
 	} else {
 		m.timer.Reset(interval)
 	}
 	m.mu.Unlock()
-	err := m.run(opCtx, op)
+	err := m.run(op)
 	res := m.res
 	if !m.inflight { // else the fired callback will find done set; m is the GC's
 		monitorPool.Put(m)
@@ -171,7 +177,11 @@ func Run(ctx context.Context, u *Usage, op func(context.Context, *Usage) error, 
 }
 
 // monitor is the periodic half of a monitored Run, pooled: one timer,
-// re-armed after each check, whose callback checks under mu.
+// re-armed after each check, whose callback checks under mu. It is also
+// the operation's context, cancelled by a violation or with its parent,
+// so a run makes no context of its own. The context's state has its own
+// lock, taken inside mu by a check that cancels, so Done and Err never
+// wait on a check in progress.
 type monitor struct {
 	mu       sync.Mutex
 	timer    *time.Timer
@@ -181,10 +191,23 @@ type monitor struct {
 	interval time.Duration
 	u        *Usage
 	check    Check
-	cancel   context.CancelFunc
+
+	ctxMu  sync.Mutex
+	parent context.Context
+	over   bool          // op returned: the context is done for good
+	err    error         // set once the context is cancelled
+	ch     chan struct{} // Done's channel, made by its first call
+	stop   func() bool   // unregisters the parent's cancellation from ch
 }
 
 var monitorPool = sync.Pool{New: func() any { return new(monitor) }}
+
+// closedChan is the Done channel of a context whose run is over.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // tick is the timer's callback: one check, then the next one armed,
 // unless the operation returned or the check said No.
@@ -196,7 +219,9 @@ func (m *monitor) tick() {
 	}
 	m.res.Checks++
 	if m.res.Violated = m.check(m.u.Snapshot()) == gaa.No; m.res.Violated {
-		m.cancel()
+		m.ctxMu.Lock()
+		m.cancel(context.Canceled)
+		m.ctxMu.Unlock()
 	} else {
 		m.timer.Reset(m.interval)
 	}
@@ -205,12 +230,84 @@ func (m *monitor) tick() {
 // run runs op, then sets done and stops the timer, even if op panics.
 // Each earlier callback re-armed the timer or recorded a violation, so
 // a timer that will not stop, without a violation, is one in flight.
-func (m *monitor) run(ctx context.Context, op func(context.Context, *Usage) error) error {
+// The context is then over: a late caller (the watcher goroutine of a
+// context derived from it, say) finds it done, not wired to the next
+// run.
+func (m *monitor) run(op func(context.Context, *Usage) error) error {
 	defer func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		m.done = true
 		m.inflight = !m.timer.Stop() && !m.res.Violated
+		m.ctxMu.Lock()
+		defer m.ctxMu.Unlock()
+		if m.stop != nil {
+			m.stop()
+		}
+		m.cancel(context.Canceled)
+		m.parent, m.over, m.ch, m.stop = context.Background(), true, nil, nil
 	}()
-	return op(ctx, m.u)
+	return op(m, m.u)
+}
+
+// parentCtx returns the context this one defers to.
+func (m *monitor) parentCtx() context.Context {
+	m.ctxMu.Lock()
+	defer m.ctxMu.Unlock()
+	return m.parent
+}
+
+// Deadline implements context.Context: the parent's.
+func (m *monitor) Deadline() (time.Time, bool) { return m.parentCtx().Deadline() }
+
+// Value implements context.Context: the parent's.
+func (m *monitor) Value(key any) any { return m.parentCtx().Value(key) }
+
+// Done implements context.Context. The channel is made by the first
+// call, and only then is the parent's cancellation wired to it: an
+// operation that never waits on it costs no allocation.
+func (m *monitor) Done() <-chan struct{} {
+	m.ctxMu.Lock()
+	defer m.ctxMu.Unlock()
+	if m.over {
+		return closedChan
+	}
+	if m.ch == nil {
+		m.ch = make(chan struct{})
+		if m.err != nil {
+			close(m.ch)
+		} else if m.parent.Done() != nil {
+			ch := m.ch
+			m.stop = context.AfterFunc(m.parent, func() {
+				m.ctxMu.Lock()
+				defer m.ctxMu.Unlock()
+				if m.ch == ch { // else the run is over
+					m.cancel(m.parent.Err())
+				}
+			})
+		}
+	}
+	return m.ch
+}
+
+// Err implements context.Context.
+func (m *monitor) Err() error {
+	m.ctxMu.Lock()
+	defer m.ctxMu.Unlock()
+	if m.err == nil {
+		if err := m.parent.Err(); err != nil {
+			m.cancel(err)
+		}
+	}
+	return m.err
+}
+
+// cancel cancels the context with err, once; the caller holds ctxMu.
+func (m *monitor) cancel(err error) {
+	if m.err == nil {
+		m.err = err
+		if m.ch != nil {
+			close(m.ch)
+		}
+	}
 }

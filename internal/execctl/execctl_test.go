@@ -3,6 +3,7 @@ package execctl
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,4 +178,134 @@ func TestRunDefaultInterval(t *testing.T) {
 	if res.Err != nil {
 		t.Errorf("err = %v", res.Err)
 	}
+}
+
+// TestRunContextFollowsParentAndViolation: a monitored operation's
+// context carries its parent's values and deadline, is live until a
+// violation, and is then done with context.Canceled — for a channel
+// asked for after the violation, and for a context derived from it.
+func TestRunContextFollowsParentAndViolation(t *testing.T) {
+	type key struct{}
+	deadline := time.Now().Add(time.Hour)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), deadline)
+	defer cancel()
+	res := Run(parent, NewUsage(nil),
+		func(ctx context.Context, u *Usage) error {
+			if ctx.Value(key{}) != "v" {
+				t.Error("operation's context lost the parent's value")
+			}
+			if d, ok := ctx.Deadline(); !ok || !d.Equal(deadline) {
+				t.Errorf("operation's deadline = %v, %v; want the parent's", d, ok)
+			}
+			if err := ctx.Err(); err != nil {
+				t.Errorf("Err before any violation = %v", err)
+			}
+			child, stop := context.WithCancel(ctx)
+			defer stop()
+			u.AddCPU(time.Second) // violates at the first tick
+			<-child.Done()
+			if err := ctx.Err(); !errors.Is(err, context.Canceled) {
+				t.Errorf("Err after the violation = %v, want context.Canceled", err)
+			}
+			select {
+			case <-ctx.Done():
+			default:
+				t.Error("Done asked for after the violation is not closed")
+			}
+			return ctx.Err()
+		},
+		func(s Snapshot) gaa.Decision {
+			if s.CPUMillis > 100 {
+				return gaa.No
+			}
+			return gaa.Yes
+		},
+		time.Millisecond)
+	if !res.Violated || !errors.Is(res.Err, ErrAborted) {
+		t.Errorf("result = %+v, want the violation", res)
+	}
+}
+
+// TestRunContextNotCarriedIntoNextRun: a context used after its
+// operation returned — as context.WithCancel's watcher goroutine may,
+// when its parent is not a context it can hook — is done and stays
+// out of the next run on the same pooled monitor, whose context starts
+// live and follows its own parent. Runs alternate between a first run
+// that returns at once and one a violation stopped.
+func TestRunContextNotCarriedIntoNextRun(t *testing.T) {
+	overCPU := func(s Snapshot) gaa.Decision {
+		if s.CPUMillis > 100 {
+			return gaa.No
+		}
+		return gaa.Yes
+	}
+	for i := 0; i < 20; i++ {
+		violated := i%2 == 1
+		var stale context.Context
+		Run(context.Background(), NewUsage(nil), func(ctx context.Context, u *Usage) error {
+			stale = ctx
+			if violated {
+				u.AddCPU(time.Second)
+				<-ctx.Done()
+			}
+			return nil
+		}, overCPU, time.Millisecond)
+		select {
+		case <-stale.Done():
+		default:
+			t.Fatalf("run %d: a finished run's context is not done", i)
+		}
+		if !errors.Is(stale.Err(), context.Canceled) {
+			t.Fatalf("run %d: a finished run's context has Err %v", i, stale.Err())
+		}
+
+		parent, cancel := context.WithCancel(context.Background())
+		Run(parent, NewUsage(nil), func(ctx context.Context, _ *Usage) error {
+			select {
+			case <-ctx.Done():
+				t.Fatalf("run %d: the next run's context starts done (%v)", i, ctx.Err())
+			default:
+			}
+			cancel()
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("run %d: the next run's context does not follow its parent", i)
+			}
+			if !errors.Is(ctx.Err(), context.Canceled) {
+				t.Errorf("run %d: Err after the parent's cancellation = %v", i, ctx.Err())
+			}
+			return nil
+		}, alwaysYes, time.Hour)
+		cancel()
+	}
+}
+
+// TestRunContextDoesNotWaitOnCheck: an operation polling its context
+// gets an answer while a periodic check is still running.
+func TestRunContextDoesNotWaitOnCheck(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	check := func(Snapshot) gaa.Decision {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+		return gaa.Yes
+	}
+	Run(context.Background(), NewUsage(nil), func(ctx context.Context, _ *Usage) error {
+		defer close(release)
+		<-started
+		answered := make(chan struct{})
+		go func() {
+			_, _ = ctx.Done(), ctx.Err()
+			close(answered)
+		}()
+		select {
+		case <-answered:
+		case <-time.After(10 * time.Second):
+			t.Error("Done and Err wait on the check in progress")
+		}
+		return nil
+	}, check, time.Millisecond)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"gaaapi/internal/audit"
 	"gaaapi/internal/eacl"
 )
 
@@ -144,10 +145,17 @@ func (a *API) InvalidateCache() {
 // system-wide policy. Results are cached when the API was built with
 // WithPolicyCache; hits and misses are both lock-free. Concurrent misses
 // for one object each compose the policy (sources memoize their parses,
-// see PolicySource) and the last one published stays cached.
+// see PolicySource) and the last one published stays cached. An object
+// longer than audit.MaxField is composed uncached and counted as
+// neither: the request line is the client's to size, and the cache
+// would keep it.
 func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (*Policy, error) {
-	if a.cache == nil {
-		return a.composePolicy(object, system, local)
+	if a.cache == nil || len(object) > audit.MaxField {
+		p := new(Policy)
+		if err := a.composePolicy(p, object, system, local); err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
 	// Hit path: compare each source's revision against the one recorded
 	// at composition time, element-wise. No revision key is built and
@@ -160,48 +168,51 @@ func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (
 		}
 		if ok {
 			set.hit(e)
-			return e.policy, nil
+			return &e.policy, nil
 		}
 	}
 	set.miss()
 
-	// Miss path: record the revisions before composing, so a source that
-	// changes in between leaves an entry the next lookup finds stale.
-	revs := make([]string, 0, len(system)+len(local))
+	// Miss path: one allocation, the entry, which holds the policy and
+	// the revisions. They are recorded before composing, so a source
+	// that changes in between leaves an entry the next lookup finds
+	// stale.
+	e = &cacheEntry{object: object, hash: set.hash, nsys: len(system), nloc: len(local)}
+	e.revs = e.inline[:0]
 	for _, srcs := range [2][]PolicySource{system, local} {
 		for _, src := range srcs {
 			r, err := src.Revision(object)
 			if err != nil {
 				return nil, fmt.Errorf("policy revision for %q: %w", object, err)
 			}
-			revs = append(revs, r)
+			e.revs = append(e.revs, r)
 		}
 	}
-	p, err := a.composePolicy(object, system, local)
-	if err != nil {
+	if err := a.composePolicy(&e.policy, object, system, local); err != nil {
 		return nil, err
 	}
-	a.cache.put(set, object, revs, len(system), len(local), p)
-	return p, nil
+	a.cache.put(set, e)
+	return &e.policy, nil
 }
 
-// composePolicy reads every source and builds the composed policy (the
+// composePolicy reads every source and composes the policy into p (the
 // uncached retrieval-and-translation step of section 6, step 2a).
-func (a *API) composePolicy(object string, system, local []PolicySource) (*Policy, error) {
+func (a *API) composePolicy(p *Policy, object string, system, local []PolicySource) error {
 	sysEACLs, err := gatherLevel("system", object, system)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	locEACLs, err := gatherLevel("local", object, local)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return NewPolicy(object, sysEACLs, locEACLs), nil
+	p.compose(object, sysEACLs, locEACLs)
+	return nil
 }
 
 // gatherLevel concatenates what the sources of one level say about
 // object. The first contributing source's slice is adopted, not copied
-// (it is the caller's, see PolicySource), with its capacity clipped so
+// (no one writes to it, see PolicySource), with its capacity clipped so
 // that a second source's append reallocates instead of writing into it.
 func gatherLevel(level, object string, srcs []PolicySource) ([]*eacl.EACL, error) {
 	var out []*eacl.EACL
@@ -221,15 +232,19 @@ func gatherLevel(level, object string, srcs []PolicySource) ([]*eacl.EACL, error
 
 // evalState is the pooled per-request scratch space of the decision
 // hot path: the phase-local Request copy (replacing a heap clone per
-// phase) and the deciding-entry buffer. Pooling it makes a
-// trace-disabled grant on a cached policy allocation-free.
+// phase), the deciding-entry buffer and the later phases' parameter
+// list. Pooling it makes a trace-disabled grant on a cached policy
+// allocation-free, and the execution-control and post-execution phases
+// with it.
 //
 // Evaluators receive a pointer to the pooled Request copy and must not
-// retain it beyond the Evaluate call (they may retain the ParamList,
-// which is never mutated in place).
+// retain it, or its ParamList, beyond the Evaluate call: the list may
+// be this state's buffer, rewritten by the next phase that gets it.
+// Values are strings, so a value may be kept.
 type evalState struct {
 	req      Request
 	deciders []decidingEntry
+	params   ParamList
 	// cs is the scan's working set (bitsets and the fast-cond memo
 	// table), kept warm across pool cycles.
 	cs compiledScratch
@@ -247,8 +262,17 @@ func (a *API) getState(req *Request) *evalState {
 	return st
 }
 
+// extendParams points the phase's request at its parameters followed by
+// extra, built in st's buffer instead of a fresh list.
+func (st *evalState) extendParams(extra ...Param) {
+	st.params = append(append(st.params[:0], st.req.Params...), extra...)
+	st.req.Params = st.params
+}
+
 func putState(st *evalState) {
 	st.req = Request{}
+	clear(st.params) // the values are the request's strings
+	st.params = st.params[:0]
 	for i := range st.deciders {
 		st.deciders[i] = decidingEntry{}
 	}
@@ -351,7 +375,7 @@ func (a *API) ExecutionControl(ctx context.Context, ans *Answer, req *Request, u
 	st := a.getState(req)
 	r := &st.req
 	r.Decision = ans.Decision
-	r.Params = r.Params.With(usage...)
+	st.extendParams(usage...)
 	var trace []TraceEvent
 	dec, _ := a.evaluateBlock(ctx, "mid", 0, ans.Mid, eacl.BlockMid, r, &trace, nil)
 	putState(st)
@@ -379,7 +403,7 @@ func (a *API) PostExecutionActions(ctx context.Context, ans *Answer, req *Reques
 	r := &st.req
 	r.Decision = ans.Decision
 	r.OpStatus = opStatus
-	r.Params = r.Params.With(Param{
+	st.extendParams(Param{
 		Type:      ParamOpStatusName,
 		Authority: AuthorityAny,
 		Value:     opStatus.String(),

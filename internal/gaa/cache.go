@@ -64,16 +64,20 @@ type cacheStripe struct {
 	_      [48]byte // one stripe per cache line
 }
 
+// cacheEntry is one cached object: the composed policy and the
+// revisions it was composed at, in one allocation for up to
+// len(inline) sources.
 type cacheEntry struct {
 	object string
 	// hash is the half of the object's hash the set index did not use;
 	// probes compare it first and skip the string compare on a mismatch.
 	hash   uint32
-	policy *Policy
+	policy Policy
 	// revs holds the per-source revision strings at composition time,
-	// system sources first. Validation compares them one by one — no
-	// joined revision key is ever built.
-	revs []string
+	// system sources first, in inline when they fit. Validation compares
+	// them one by one — no joined revision key is ever built.
+	revs   []string
+	inline [4]string
 	// nsys/nloc record how many system and local sources contributed,
 	// so revisions cannot alias across source levels.
 	nsys, nloc int
@@ -130,11 +134,10 @@ func (s cacheSet) miss() {
 	s.stripe.misses.Add(1)
 }
 
-// put publishes a freshly composed policy into the set its lookup
+// put publishes a freshly composed entry into the set its lookup
 // found: over the object's own slot, else an empty one, else the
 // least-recently-used one.
-func (c *policyCache) put(s cacheSet, object string, revs []string, nsys, nloc int, p *Policy) {
-	e := &cacheEntry{object: object, hash: s.hash, policy: p, revs: revs, nsys: nsys, nloc: nloc}
+func (c *policyCache) put(s cacheSet, e *cacheEntry) {
 	// Stamped as of its own miss, which the stripe has already counted.
 	e.used.Store(s.stripe.hits.Load() + s.stripe.misses.Load())
 	empty, victim, oldest := -1, 0, uint64(math.MaxUint64)
@@ -146,7 +149,7 @@ func (c *policyCache) put(s cacheSet, object string, revs []string, nsys, nloc i
 			}
 			continue
 		}
-		if cur.hash == e.hash && cur.object == object {
+		if cur.hash == e.hash && cur.object == e.object {
 			s.slots[i].Store(e)
 			return
 		}

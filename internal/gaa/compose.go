@@ -21,14 +21,20 @@ const DefaultCompositionMode = eacl.ModeNarrow
 
 // NewPolicy composes system and local EACL lists, deriving the mode.
 func NewPolicy(object string, system, local []*eacl.EACL) *Policy {
-	p := &Policy{System: system, Local: local, Mode: DefaultCompositionMode, Object: object}
+	p := new(Policy)
+	p.compose(object, system, local)
+	return p
+}
+
+// compose is NewPolicy into p, which a policy-cache entry embeds.
+func (p *Policy) compose(object string, system, local []*eacl.EACL) {
+	*p = Policy{System: system, Local: local, Mode: DefaultCompositionMode, Object: object}
 	for _, e := range system {
 		if e.ModeSet {
 			p.Mode = e.Mode
 			break
 		}
 	}
-	return p
 }
 
 // EACLs returns the composed ordered list, system-wide first, honoring

@@ -3,6 +3,7 @@ package gaa
 import (
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -391,4 +392,35 @@ func TestDirSourceRevisionAllocs(t *testing.T) {
 			t.Errorf("Revision(%s) allocates %v, want <= %v", tt.object, got, tt.max)
 		}
 	}
+}
+
+func TestCleanObject(t *testing.T) {
+	tests := []struct{ in, want string }{
+		{"/a/b", "/a/b"},
+		{"a/b", "/a/b"},
+		{"/a/../b", "/b"},
+		{"/../../x", "/x"},
+		{"", "/"},
+		{"//a//b/", "/a/b"},
+	}
+	for _, tt := range tests {
+		if got := CleanObject(tt.in); got != tt.want {
+			t.Errorf("CleanObject(%q) = %q, want %q", tt.in, got, tt.want)
+		}
+	}
+}
+
+// FuzzCleanObject holds CleanObject to path.Clean("/"+p), the cleaner
+// the server's MapRoot used before it called CleanObject: a path that
+// needs no "/" prefixed is cleaned without concatenating one, and so
+// without allocating when it is already clean.
+func FuzzCleanObject(f *testing.F) {
+	for _, p := range []string{"/a/b", "a/b", "/a/../b", "/../../x", "", "//a//b/", "/", ".", "..", "/docs/", "/./x/."} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		if got, want := CleanObject(p), path.Clean("/"+p); got != want {
+			t.Errorf("CleanObject(%q) = %q, path.Clean(\"/\"+p) = %q", p, got, want)
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package gaa
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // Well-known parameter types extracted from an application request.
 // Parameters are classified with a type and an authority "so that
@@ -68,9 +71,9 @@ func (ps ParamList) GetInt(paramType, authority string) (int64, bool) {
 	return n, true
 }
 
-// With returns a copy of the list with extra parameters appended. The
-// receiver is never mutated, so evaluators can safely hold references.
-// Appending nothing returns the receiver unchanged (no copy).
+// With returns a copy of the list with extra parameters appended; the
+// receiver is never mutated. Appending nothing returns the receiver
+// unchanged (no copy).
 func (ps ParamList) With(extra ...Param) ParamList {
 	if len(extra) == 0 {
 		return ps
@@ -81,17 +84,22 @@ func (ps ParamList) With(extra ...Param) ParamList {
 	return out
 }
 
-// AppendQuoted appends s to dst the way strconv.AppendQuote does — the
-// rendering of a request URI in the access log and in alerts. A value
-// of printable ASCII with no quote or backslash, which is nearly every
-// URI, is copied between quotes without the rune-by-rune walk.
-func AppendQuoted(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			return strconv.AppendQuote(dst, s)
+// AppendQuoted appends the concatenation of parts to dst the way
+// strconv.AppendQuote does — the rendering of a request URI in the
+// access log and in alerts. A value of printable ASCII with no quote or
+// backslash, which is nearly every URI, is copied between quotes without
+// the rune-by-rune walk and without joining the parts.
+func AppendQuoted(dst []byte, parts ...string) []byte {
+	for _, s := range parts {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+				return strconv.AppendQuote(dst, strings.Join(parts, ""))
+			}
 		}
 	}
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	for _, s := range parts {
+		dst = append(dst, s...)
+	}
 	return append(dst, '"')
 }

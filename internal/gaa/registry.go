@@ -13,6 +13,10 @@ import (
 // registered with the API under a (condition type, defining authority)
 // pair; the GAA-API "is structured to support the addition of modules
 // for evaluation of new conditions" (paper section 5).
+//
+// req, with its Params and Rights, is valid only during Evaluate: the
+// engine recycles it, and the later phases' parameter list with it.
+// Keep a value, not the list.
 type Evaluator interface {
 	Evaluate(ctx context.Context, cond eacl.Condition, req *Request) Outcome
 }

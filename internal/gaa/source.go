@@ -21,9 +21,10 @@ import (
 // units are keyed by that pointer.
 type PolicySource interface {
 	// Policies returns the EACLs governing object, in priority order.
-	// A source with nothing to say returns an empty slice. The slice is
-	// the caller's: the source does not write to it again (composition
-	// adopts it instead of copying).
+	// A source with nothing to say returns an empty slice. Neither side
+	// writes to the slice again: the source may hand the same one to
+	// every caller (MemorySource does when one pattern matches), and
+	// composition adopts it instead of copying.
 	Policies(object string) ([]*eacl.EACL, error)
 	// Revision identifies the current content version for the object;
 	// the policy cache invalidates when it changes. Implementations
@@ -45,11 +46,14 @@ type memState struct {
 	entries []memEntry
 	rev     int
 	revStr  string
-	// trie indexes the entries' patterns by entry position. It is built
-	// by the first Policies on this state, so a run of Adds (each of
-	// which publishes a state) indexes nothing.
+	// trie indexes the entries' patterns by entry position, and eacls
+	// holds every entry's EACL in that order: an object one pattern
+	// governs gets a one-element window of it. Both are built by the
+	// first Policies on this state, so a run of Adds (each of which
+	// publishes a state) indexes nothing.
 	index sync.Once
 	trie  globTrie
+	eacls []*eacl.EACL
 }
 
 type memEntry struct {
@@ -91,21 +95,37 @@ func (m *MemorySource) AddPolicy(pattern, src string) error {
 
 // Policies implements PolicySource: one trie walk over object, then the
 // matched entries in insertion order — the cost of what matched, not of
-// every pattern registered.
+// every pattern registered. One match is a window of the state's own
+// list, so it allocates nothing; more are copied into one exact slice.
 func (m *MemorySource) Policies(object string) ([]*eacl.EACL, error) {
 	st := m.state.Load()
 	st.index.Do(func() {
+		st.eacls = make([]*eacl.EACL, len(st.entries))
 		for i, en := range st.entries {
 			st.trie.insert(en.pattern, int32(i))
+			st.eacls[i] = en.eacl
 		}
 	})
 	var buf [32]uint64 // up to 2048 patterns without leaving the stack
 	matched := growBits(buf[:0], len(st.entries))
 	st.trie.match(object, matched)
-	var out []*eacl.EACL
+	n, first := 0, 0
+	for w, word := range matched {
+		if word != 0 && n == 0 {
+			first = w<<6 | bits.TrailingZeros64(word)
+		}
+		n += bits.OnesCount64(word)
+	}
+	switch n {
+	case 0:
+		return nil, nil
+	case 1:
+		return st.eacls[first : first+1 : first+1], nil
+	}
+	out := make([]*eacl.EACL, 0, n)
 	for w, word := range matched {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, st.entries[w<<6|bits.TrailingZeros64(word)].eacl)
+			out = append(out, st.eacls[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
 	return out, nil

@@ -573,19 +573,25 @@ func (w *nullResponse) Header() http.Header         { return w.header }
 func (w *nullResponse) WriteHeader(code int)        { w.code = code }
 func (w *nullResponse) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestStackCGIGrantAllocs pins a monitored CGI grant through the whole
-// deployment — Stack.Handler(), metrics, policy cache and a discarded
-// access log, as gaa-httpd runs it — at its exact allocation count. The
-// hooked request is the one path that holds the guard's pooled check
-// state across phases: losing the recycling in Verdict.Post, or the
-// reuse of the answer's Mid/Post arrays, shows here as 13.
+// TestStackCGIGrantAllocs pins the request kinds of the benchmark's
+// browse and siege streams through the whole deployment —
+// Stack.Handler(), metrics, policy cache and a discarded access log, as
+// gaa-httpd runs it — at their exact allocation counts. Only what
+// outlives the request allocates:
 //
-// The 8 are the rights string, the record's request line, the script's
-// formatted argument, the usage value "1120", the parameter lists that
-// ExecutionControl and PostExecutionActions extend (2), and the
-// operation's cancellable context (2). Run's goroutine, channel and
-// ticker, the hook and adaptor closures, the script's context and
-// writer, and the usage list made this 21.
+//   - a document grant (2): the record's request line, which the
+//     decision's parameters carry, and the audit record's right;
+//   - a monitored CGI grant (4): those two, the script's formatted
+//     argument and the usage value "1120" (below 100 it is a constant);
+//   - a source the firewall drops (0): it is turned away before the
+//     request line is built, and the 403's body is not copied.
+//
+// The hooked CGI request is the one path that holds the guard's pooled
+// check state across phases: losing the recycling in Verdict.Post, or
+// the reuse of the answer's Mid/Post arrays, shows here. The document
+// was 4 while MapRoot cleaned "/"+path; the CGI grant 8 while the later
+// phases copied their parameter lists and the operation had a context of
+// its own, 21 with Run's goroutine; the drop 2.
 func TestStackCGIGrantAllocs(t *testing.T) {
 	st, err := NewStack(StackConfig{
 		SystemPolicy:  browseSystem,
@@ -600,23 +606,69 @@ func TestStackCGIGrantAllocs(t *testing.T) {
 	}
 	defer st.Close()
 	h := st.Handler()
-	req := httptest.NewRequest("GET", "/cgi-bin/search?q=eacl", nil)
-	req.RemoteAddr = "10.0.0.1:40000"
-	rw := &nullResponse{header: make(http.Header)}
-	serve := func() {
-		rw.code = 0
-		h.ServeHTTP(rw, req)
-		if rw.code != http.StatusOK {
-			t.Fatalf("CGI request answered %d, want 200", rw.code)
+	st.Blocks.Block("10.0.0.66", 0)
+	for _, tc := range []struct {
+		name, target, ip string
+		code             int
+		want             float64
+	}{
+		{"document grant", "/index.html", "10.0.0.1", http.StatusOK, 2},
+		{"CGI grant", "/cgi-bin/search?q=eacl", "10.0.0.1", http.StatusOK, 4},
+		{"firewall drop", "/index.html", "10.0.0.66", http.StatusForbidden, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest("GET", tc.target, nil)
+			req.RemoteAddr = tc.ip + ":40000"
+			rw := &nullResponse{header: make(http.Header)}
+			serve := func() {
+				rw.code = 0
+				h.ServeHTTP(rw, req)
+				if rw.code != tc.code {
+					t.Fatalf("%s answered %d, want %d", tc.target, rw.code, tc.code)
+				}
+			}
+			serve()
+			if raceEnabled {
+				t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+			}
+			if allocs := testing.AllocsPerRun(500, serve); allocs != tc.want {
+				t.Errorf("%s through Stack.Handler() allocates %v, want %v", tc.name, allocs, tc.want)
+			}
+		})
+	}
+}
+
+// TestGuardCheckDenyAllocs pins a section 7.2 deny through Guard.Check
+// — the phf probe, with the local policy's notify, blacklist, firewall
+// block and audit responses — at what the responses keep: the rights
+// string, the alert's subject and body (and the buffer the body is
+// built in), the audit record's right, and the signature hits. 17 while
+// every action split its value and built a detail string no untraced
+// request reads.
+func TestGuardCheckDenyAllocs(t *testing.T) {
+	st, err := NewStack(StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		PolicyCache:   true,
+		Metrics:       true,
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	defer st.Close()
+	rec := httpd.NewRequestRec(newRequest("/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", "10.9.9.9"), nil, time.Now())
+	deny := func() {
+		if v := st.Guard.Check(rec); v.Status.Kind != httpd.StatusForbidden {
+			t.Fatalf("phf probe: %+v, want forbidden", v.Status)
 		}
 	}
-	serve()
+	deny()
 	if raceEnabled {
 		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
 	}
-	const want = 8
-	if allocs := testing.AllocsPerRun(500, serve); allocs != want {
-		t.Errorf("CGI grant through Stack.Handler() allocates %v, want %d", allocs, want)
+	const want = 6
+	if allocs := testing.AllocsPerRun(500, deny); allocs != want {
+		t.Errorf("section 7.2 deny through Guard.Check allocates %v, want %d", allocs, want)
 	}
 }
 

@@ -291,8 +291,9 @@ func MetricsHandler(reg *metrics.Registry) http.Handler {
 
 // statusWriter captures the response code for the request counter. It
 // forwards the optional ResponseWriter interfaces the net/http server
-// may rely on: Flusher, Hijacker (websocket/CONNECT upgrades) and
-// io.ReaderFrom (sendfile on static responses).
+// may rely on: Flusher, Hijacker (websocket/CONNECT upgrades),
+// io.ReaderFrom (sendfile on static responses) and io.StringWriter (a
+// string body written without a copy).
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -314,6 +315,12 @@ func (w *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 		return hj.Hijack()
 	}
 	return nil, nil, http.ErrNotSupported
+}
+
+// WriteString delegates to io.WriteString, which uses the underlying
+// writer's WriteString when it has one.
+func (w *statusWriter) WriteString(s string) (int, error) {
+	return io.WriteString(w.ResponseWriter, s)
 }
 
 // ReadFrom delegates to io.Copy, which uses the underlying writer's

@@ -23,7 +23,8 @@ type CGIContext struct {
 
 // Script is a simulated CGI program. It must honour ctx cancellation:
 // the execution-control phase kills runaway scripts by cancelling it.
-// The server recycles c when the script returns; a script must not keep it.
+// The server recycles c and, for a monitored script, ctx (execctl.Run's
+// pooled monitor) when the script returns; a script must keep neither.
 type Script func(ctx context.Context, c *CGIContext) error
 
 // ScriptRegistry maps script names (the path component after

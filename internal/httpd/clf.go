@@ -63,7 +63,12 @@ func appendCLF(dst []byte, rec *RequestRec, status, bytes int, lastTime *atomic.
 	dst = append(dst, " ["...)
 	dst = appendCLFTime(dst, rec.Time, lastTime)
 	dst = append(dst, "] "...)
-	dst = gaa.AppendQuoted(dst, rec.URI)
+	if rec.URI == "" && rec.target != "" {
+		// Dropped at the firewall, before the line was built.
+		dst = gaa.AppendQuoted(dst, rec.Method, " ", rec.target)
+	} else {
+		dst = gaa.AppendQuoted(dst, rec.URI)
+	}
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, int64(status), 10)
 	dst = append(dst, ' ')

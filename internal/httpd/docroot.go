@@ -29,7 +29,7 @@ var _ FileRoot = MapRoot(nil)
 
 // Open implements FileRoot.
 func (m MapRoot) Open(urlPath string) (string, bool, error) {
-	p := cleanURLPath(urlPath)
+	p := gaa.CleanObject(urlPath)
 	if strings.HasSuffix(urlPath, "/") {
 		p = path.Join(p, "index.html")
 	}
@@ -87,10 +87,4 @@ func readDocument(name string) (content string, isDir bool, err error) {
 		err = nil // truncated since the stat: serve what is there
 	}
 	return string(data[:n]), false, err
-}
-
-// cleanURLPath normalizes a URL path, forcing it absolute and
-// eliminating "." / ".." segments.
-func cleanURLPath(p string) string {
-	return path.Clean("/" + p)
 }

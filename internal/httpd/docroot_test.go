@@ -198,19 +198,3 @@ func TestHeadRequestOmitsBody(t *testing.T) {
 		t.Errorf("log = %q", log.String())
 	}
 }
-
-func TestCleanURLPath(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"/a/b", "/a/b"},
-		{"a/b", "/a/b"},
-		{"/a/../b", "/b"},
-		{"/../../x", "/x"},
-		{"", "/"},
-		{"//a//b/", "/a/b"},
-	}
-	for _, tt := range tests {
-		if got := cleanURLPath(tt.in); got != tt.want {
-			t.Errorf("cleanURLPath(%q) = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}

@@ -19,6 +19,9 @@ type RequestRec struct {
 	Query    string // raw query string
 	URI      string // method + original request URI, the signature subject
 	ClientIP string
+	// target is the original request URI; URI is built from it only
+	// once the source has passed the firewall.
+	target string
 	// User is the authenticated user, empty when anonymous.
 	User string
 	// AuthAttempted reports whether credentials were presented (even
@@ -46,23 +49,25 @@ type Authenticator interface {
 func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestRec {
 	rec := new(RequestRec)
 	fillRequestRec(rec, r, auth, now)
+	rec.buildURI()
 	return rec
 }
 
-// fillRequestRec overwrites every field of a pooled rec, one by one: a
-// composite literal is copied in under the GC's bulk write barrier.
+// fillRequestRec overwrites every field of a pooled rec but URI, which
+// it clears, one by one: a composite literal is copied in under the
+// GC's bulk write barrier.
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
 	rec.Time = now
 	rec.Method = r.Method
 	rec.Path = r.URL.Path
 	rec.Query = r.URL.RawQuery
-	requestURI := r.RequestURI
-	if requestURI == "" {
+	rec.target = r.RequestURI
+	if rec.target == "" {
 		// Outside a real server loop (tests building requests by hand)
 		// RequestURI is unset; reconstruct it.
-		requestURI = r.URL.RequestURI()
+		rec.target = r.URL.RequestURI()
 	}
-	rec.URI = r.Method + " " + requestURI
+	rec.URI = ""
 	rec.ClientIP = clientIP(r.RemoteAddr)
 	rec.HeaderCount = len(r.Header)
 	rec.InputLength = len(r.URL.RawQuery) + int(max64(r.ContentLength, 0))
@@ -75,6 +80,13 @@ func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now ti
 			rec.AuthFailed = true
 		}
 	}
+}
+
+// buildURI sets URI, the request line: the one string of the record
+// that outlives the request (it is the ParamRequestURI the response
+// actions quote).
+func (r *RequestRec) buildURI() {
+	r.URI = r.Method + " " + r.target
 }
 
 // Object returns the protected object the request addresses: the URL

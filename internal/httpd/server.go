@@ -146,24 +146,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fillRequestRec(rec, r, s.cfg.Auth, s.cfg.Clock())
 
 	// Simulated firewall: blocked sources are dropped before the
-	// access-control phase, like a connection-level rule.
+	// access-control phase, like a connection-level rule, and before
+	// the request line is built: a drop allocates nothing.
 	if s.cfg.Blocks != nil && s.cfg.Blocks.Blocked(rec.ClientIP) {
-		s.finish(w, rec, http.StatusForbidden, "address blocked\n", "firewall")
+		s.finish(w, rec, http.StatusForbidden, bodyBlocked)
 		return
 	}
+	rec.buildURI()
 
 	verdict := s.checkAccess(rec)
 	switch verdict.Status.Kind {
 	case StatusForbidden:
-		s.finish(w, rec, http.StatusForbidden, "Permission Denied\n", verdict.Status.Reason)
+		s.finish(w, rec, http.StatusForbidden, bodyDenied)
 		return
 	case StatusAuthRequired:
 		w.Header().Set("WWW-Authenticate", verdict.Status.Challenge)
-		s.finish(w, rec, http.StatusUnauthorized, "Authorization Required\n", verdict.Status.Reason)
+		s.finish(w, rec, http.StatusUnauthorized, bodyAuthRequired)
 		return
 	case StatusMoved:
 		w.Header().Set("Location", verdict.Status.Location)
-		s.finish(w, rec, http.StatusFound, "", verdict.Status.Reason)
+		s.finish(w, rec, http.StatusFound, nil)
 		return
 	}
 	// StatusOK, or StatusDeclined by every guard: default allow, the
@@ -198,7 +200,7 @@ func (s *Server) execute(ctx context.Context, w http.ResponseWriter, rec *Reques
 		script, ok := s.cfg.Scripts.Get(name)
 		if !ok {
 			s.runPost(verdict, false)
-			s.finish(w, rec, http.StatusNotFound, "no such script\n", "cgi not found")
+			s.finish(w, rec, http.StatusNotFound, bodyNoScript)
 			return
 		}
 		sc.cgi = CGIContext{Rec: rec, Usage: usage, Out: sc}
@@ -209,12 +211,12 @@ func (s *Server) execute(ctx context.Context, w http.ResponseWriter, rec *Reques
 		content, ok, err := s.cfg.Files.Open(rec.Path)
 		if err != nil {
 			s.runPost(verdict, false)
-			s.finish(w, rec, http.StatusInternalServerError, "document error\n", err.Error())
+			s.finish(w, rec, http.StatusInternalServerError, bodyDocError)
 			return
 		}
 		if !ok {
 			s.runPost(verdict, false)
-			s.finish(w, rec, http.StatusNotFound, "not found\n", "no such document")
+			s.finish(w, rec, http.StatusNotFound, bodyNotFound)
 			return
 		}
 		op = func(_ context.Context, u *execctl.Usage) error {
@@ -235,9 +237,9 @@ func (s *Server) execute(ctx context.Context, w http.ResponseWriter, rec *Reques
 
 	switch {
 	case res.Violated:
-		s.finish(w, rec, http.StatusInternalServerError, "operation aborted: resource limit exceeded\n", "mid-condition violation")
+		s.finish(w, rec, http.StatusInternalServerError, bodyAborted)
 	case res.Err != nil && !errors.Is(res.Err, context.Canceled):
-		s.finish(w, rec, http.StatusInternalServerError, "operation failed\n", res.Err.Error())
+		s.finish(w, rec, http.StatusInternalServerError, bodyFailed)
 	default:
 		s.logCLF(rec, http.StatusOK, body.Len())
 		w.WriteHeader(http.StatusOK)
@@ -253,13 +255,26 @@ func (s *Server) runPost(verdict Verdict, success bool) {
 	}
 }
 
+// The terminal responses' bodies, written as they are: a string body
+// would be copied per response by a writer without WriteString. Why a
+// request ended surfaces in the guards' own audit trails.
+var (
+	bodyBlocked      = []byte("address blocked\n")
+	bodyDenied       = []byte("Permission Denied\n")
+	bodyAuthRequired = []byte("Authorization Required\n")
+	bodyNoScript     = []byte("no such script\n")
+	bodyDocError     = []byte("document error\n")
+	bodyNotFound     = []byte("not found\n")
+	bodyAborted      = []byte("operation aborted: resource limit exceeded\n")
+	bodyFailed       = []byte("operation failed\n")
+)
+
 // finish writes a terminal response and the access-log line.
-func (s *Server) finish(w http.ResponseWriter, rec *RequestRec, code int, body, reason string) {
-	_ = reason // reasons surface via guards' own audit trails
+func (s *Server) finish(w http.ResponseWriter, rec *RequestRec, code int, body []byte) {
 	s.logCLF(rec, code, len(body))
 	w.WriteHeader(code)
-	if body != "" {
-		_, _ = io.WriteString(w, body)
+	if len(body) > 0 {
+		_, _ = w.Write(body)
 	}
 }
 

@@ -204,9 +204,11 @@ func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestServeFloorDocumentAllocs pins a document through a guard-less
 // Server — the "Apache without GAA" floor the benchmark divides by — at
-// its exact allocation count: the record's request line and MapRoot's
-// path.Clean (2). The operation closure lives on the stack because Run
-// calls it inline; 4 while it escaped into Run's goroutine.
+// its exact allocation count: the record's request line, the one
+// string a served request keeps. MapRoot cleans a clean path without
+// copying it (3 while it cleaned "/"+path), and the operation closure
+// lives on the stack because Run calls it inline (4 while it escaped
+// into Run's goroutine).
 func TestServeFloorDocumentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
@@ -223,7 +225,7 @@ func TestServeFloorDocumentAllocs(t *testing.T) {
 		}
 	}
 	serve()
-	const want = 3
+	const want = 1
 	if allocs := testing.AllocsPerRun(1000, serve); allocs != want {
 		t.Errorf("floor document allocates %v, want %d", allocs, want)
 	}

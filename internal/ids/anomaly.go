@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"hash/maphash"
+	"slices"
 	"sync"
 )
 
@@ -40,16 +42,21 @@ const maxProfiles = 16384
 // principal accesses and running moments of the request input length
 // (the shared Welford core). A full path set stops recording: new paths
 // keep scoring as never-seen, recorded ones are still recognised.
+//
+// The set holds each path's 64-bit hash, sorted, not the path: a full
+// set is 2 KiB and pins no request's string. Two paths share a hash
+// with probability 2^-64, and the hash is seeded per detector, so a
+// client cannot pick a path that collides with a trained one.
 type profile struct {
 	n     int
-	paths map[string]struct{}
+	paths []uint64
 	len   Welford
 }
 
-func (p *profile) observe(path string, inputLen int) {
+func (p *profile) observe(h uint64, inputLen int) {
 	p.n++
-	if len(p.paths) < maxProfilePaths {
-		p.paths[path] = struct{}{}
+	if i, seen := slices.BinarySearch(p.paths, h); !seen && len(p.paths) < maxProfilePaths {
+		p.paths = slices.Insert(p.paths, i, h)
 	}
 	p.len.Observe(float64(inputLen))
 }
@@ -62,6 +69,7 @@ func (p *profile) observe(path string, inputLen int) {
 // (maxProfilePaths), and so is the number of profiles (maxProfiles).
 type Detector struct {
 	cfg      AnomalyConfig
+	seed     maphash.Seed
 	mu       sync.RWMutex
 	profiles map[string]*profile
 }
@@ -80,7 +88,7 @@ func NewDetector(cfg AnomalyConfig) *Detector {
 	if cfg.LengthZMax <= 0 {
 		cfg.LengthZMax = DefaultAnomalyConfig().LengthZMax
 	}
-	return &Detector{cfg: cfg, profiles: make(map[string]*profile)}
+	return &Detector{cfg: cfg, seed: maphash.MakeSeed(), profiles: make(map[string]*profile)}
 }
 
 // Train records one legitimate observation for principal. The paper's
@@ -88,33 +96,36 @@ func NewDetector(cfg AnomalyConfig) *Detector {
 // information can be used to derive profiles that describe typical
 // behavior of users".
 func (d *Detector) Train(principal, path string, inputLen int) {
+	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.train(d.profiles[principal], principal, path, inputLen)
+	d.train(d.profiles[principal], principal, h, inputLen)
 }
 
-// train folds the observation into p, principal's profile (nil: none yet,
-// and none made once the table is full).
-func (d *Detector) train(p *profile, principal, path string, inputLen int) {
+// train folds the observation of the path hashed to h into p,
+// principal's profile (nil: none yet, and none made once the table is
+// full).
+func (d *Detector) train(p *profile, principal string, h uint64, inputLen int) {
 	if p == nil {
 		if len(d.profiles) >= maxProfiles {
 			return
 		}
-		p = &profile{paths: make(map[string]struct{})}
+		p = new(profile)
 		d.profiles[principal] = p
 	}
-	p.observe(path, inputLen)
+	p.observe(h, inputLen)
 }
 
 // Observe is Unusual followed by Train under one lock and one profile
 // lookup: it scores the observation against the profile as it stood
 // before it, then folds it in. The guard calls it once per grant.
 func (d *Detector) Observe(principal, path string, inputLen int) (unusual bool) {
+	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.profiles[principal]
-	unusual = d.score(p, path, inputLen) >= d.cfg.Threshold
-	d.train(p, principal, path, inputLen)
+	unusual = d.score(p, h, inputLen) >= d.cfg.Threshold
+	d.train(p, principal, h, inputLen)
 	return unusual
 }
 
@@ -123,17 +134,19 @@ func (d *Detector) Observe(principal, path string, inputLen int) (unusual bool) 
 // far from the trained mean. An untrained or unknown principal scores 0
 // (no basis for suspicion — the signature engine covers that case).
 func (d *Detector) Score(principal, path string, inputLen int) float64 {
+	h := maphash.String(d.seed, path)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.score(d.profiles[principal], path, inputLen)
+	return d.score(d.profiles[principal], h, inputLen)
 }
 
-func (d *Detector) score(p *profile, path string, inputLen int) float64 {
+// score rates the observation of the path hashed to h against p.
+func (d *Detector) score(p *profile, h uint64, inputLen int) float64 {
 	if p == nil || p.n < d.cfg.MinTraining {
 		return 0
 	}
 	score := 0.0
-	if _, seen := p.paths[path]; !seen {
+	if _, seen := slices.BinarySearch(p.paths, h); !seen {
 		score += d.cfg.NewPathWeight
 	}
 	score += p.len.Z(float64(inputLen), d.cfg.LengthZMax)

@@ -2,6 +2,7 @@ package ids
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -113,10 +114,10 @@ func TestProfileMomentsMatchNaive(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		p := &profile{paths: make(map[string]struct{})}
+		p := new(profile)
 		var sum float64
 		for _, v := range raw {
-			p.observe("/x", int(v))
+			p.observe(1, int(v))
 			sum += float64(v)
 		}
 		mean := sum / float64(len(raw))
@@ -257,4 +258,35 @@ func TestDetectorProfileTableIsBounded(t *testing.T) {
 	if n, s := d.Trained(late), d.Score(late, "/weird", 9999); n != 0 || s != 0 {
 		t.Errorf("unadmitted principal: Trained = %d, Score = %v, want 0 and 0", n, s)
 	}
+}
+
+// TestDetectorProfileHeap pins what full profiles keep: each holds its
+// maxProfilePaths path hashes (2 KiB) and its moments, and no path, so
+// 500 of them stay under 3 KiB apiece (2.1 KiB on amd64). A map of the
+// paths kept 21 KiB per profile, most of it the request strings it
+// pinned.
+func TestDetectorProfileHeap(t *testing.T) {
+	const principals, perProfile = 500, 3 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDetector(DefaultAnomalyConfig())
+	for p := 0; p < principals; p++ {
+		ip := fmt.Sprintf("10.1.%d.%d", p>>8, p&0xff)
+		for i := 0; i < maxProfilePaths; i++ {
+			// A fresh string per request, as the server parses one.
+			d.Train(ip, fmt.Sprintf("/site/dir%03d/page%03d.html", i%17, i), 20)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := len(d.profiles["10.1.0.0"].paths); n != maxProfilePaths {
+		t.Fatalf("profile holds %d paths, want a full %d", n, maxProfilePaths)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d full profiles keep %d bytes, %d per profile", principals, grown, grown/principals)
+	if grown > principals*perProfile {
+		t.Errorf("%d full profiles keep %d bytes, want <= %d per profile", principals, grown, perProfile)
+	}
+	runtime.KeepAlive(d)
 }
