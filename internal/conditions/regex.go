@@ -28,7 +28,6 @@ type regexPattern struct {
 
 // regexTest is a parsed pattern list.
 type regexTest struct {
-	gaa.NoChallenge
 	defAuth string
 	pats    []regexPattern
 }
@@ -103,18 +102,48 @@ func (t regexTest) matchLine(subject string) *regexPattern {
 	return nil
 }
 
-func (t regexTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
-	hit, ok := t.match(req)
+// compiledRegex is a parsed list as the compiled engine runs it: the
+// globs as one eacl.GlobList, so the §7.2 signatures are one scan of
+// the request line, then the "re:" expressions. Only whether some
+// pattern matches is read, so the order Evaluate keeps for its Detail
+// does not matter here.
+type compiledRegex struct {
+	gaa.NoChallenge
+	defAuth string
+	globs   *eacl.GlobList
+	exprs   []*regexp.Regexp
+}
+
+func (c *compiledRegex) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
+	subject, ok := req.Params.Get(gaa.ParamRequestURI, c.defAuth)
 	if !ok {
 		return gaa.CondMaybe
 	}
-	return selector(hit != nil)
+	hit := c.globs.Match(subject)
+	for i := 0; !hit && i < len(c.exprs); i++ {
+		hit = c.exprs[i].MatchString(subject)
+	}
+	return selector(hit)
 }
 
 // CompileCond implements gaa.CondCompiler: "re:" patterns compile once
-// and globs are classified into their shapes.
+// and the globs become one list.
 func (regexEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
-	return hoisted(parseRegex(cond.Value, cond.DefAuth))
+	t, err := parseRegex(cond.Value, cond.DefAuth)
+	if err != nil {
+		return nil, false
+	}
+	c := &compiledRegex{defAuth: t.defAuth}
+	var globs []string
+	for _, p := range t.pats {
+		if p.re != nil {
+			c.exprs = append(c.exprs, p.re)
+		} else {
+			globs = append(globs, p.src)
+		}
+	}
+	c.globs = eacl.CompileGlobList(globs)
+	return c, true
 }
 
 func (regexEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
@@ -151,13 +180,11 @@ func (s signatureEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req
 		return gaa.UnevaluatedOutcome("no request_uri parameter")
 	}
 	want := strings.TrimSpace(cond.Value)
-	if want == "" {
-		want = "*"
+	if want == "*" {
+		want = "" // any signature, as an empty value
 	}
-	for _, hit := range s.db.Match(subject) {
-		if want == "*" || hit.Name == want {
-			return gaa.MetOutcome(gaa.ClassSelector, "signature "+hit.Name+" matched")
-		}
+	if hit, ok := s.db.First(subject, want); ok {
+		return gaa.MetOutcome(gaa.ClassSelector, "signature "+hit.Name+" matched")
 	}
 	return gaa.FailedOutcome(gaa.ClassSelector, "no signature matched")
 }

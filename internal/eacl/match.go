@@ -1,6 +1,9 @@
 package eacl
 
-import "strings"
+import (
+	"sort"
+	"strings"
+)
 
 // MatchRight reports whether the entry right covers the requested right:
 // both the defining authority and the value must glob-match. The
@@ -46,8 +49,10 @@ func Glob(pattern, s string) bool {
 // globShape is what a glob pattern was recognized as at compile time.
 // The paper's signature lists ("*phf* *test-cgi*") are substring
 // searches written as globs; matching them as such skips Glob's
-// byte-by-byte backtracking walk. Glob stays the definition:
-// FuzzGlobShapes (internal/conditions) holds every shape to it.
+// byte-by-byte backtracking walk, and a list of them is one scan of the
+// subject (GlobList). Glob stays the definition: FuzzGlobShapes
+// (internal/conditions) holds every shape to it, FuzzGlobList every
+// list.
 type globShape uint8
 
 const (
@@ -98,4 +103,70 @@ func (g CompiledGlob) Match(s string) bool {
 	default:
 		return Glob(g.lit, s)
 	}
+}
+
+// GlobList is a pattern list compiled for one question: does some
+// member match? Its *lit* members are found in one scan of the subject:
+// the first-byte table names, for each subject byte, the literals that
+// start with it, so a position costs one lookup and a prefix check per
+// literal that can start there, where a strings.Contains per literal
+// reads the subject once each. Members of the other shapes match one
+// by one.
+type GlobList struct {
+	any bool // a *""* member ("*", "**"): every subject matches
+	// first[c] is 1 + the index in lits of the first literal starting
+	// with byte c, 0 when none does; lits is grouped by first byte.
+	first [256]uint16
+	lits  []string
+	rest  []CompiledGlob
+}
+
+// maxListLits is what the first-byte table can index; a longer list's
+// further literals match one by one.
+const maxListLits = 1<<16 - 1
+
+// CompileGlobList compiles patterns as one list.
+func CompileGlobList(patterns []string) *GlobList {
+	l := new(GlobList)
+	for _, p := range patterns {
+		switch g := CompileGlob(p); {
+		case g.shape != globContains || len(l.lits) == maxListLits:
+			l.rest = append(l.rest, g)
+		case g.lit == "":
+			l.any = true
+		default:
+			l.lits = append(l.lits, g.lit)
+		}
+	}
+	sort.SliceStable(l.lits, func(i, j int) bool { return l.lits[i][0] < l.lits[j][0] })
+	for i := len(l.lits) - 1; i >= 0; i-- {
+		l.first[l.lits[i][0]] = uint16(i + 1)
+	}
+	return l
+}
+
+// Match reports whether Glob(p, s) holds for some member p.
+func (l *GlobList) Match(s string) bool {
+	if l.any {
+		return true
+	}
+	if len(l.lits) > 0 {
+		for i := 0; i < len(s); i++ {
+			j := int(l.first[s[i]])
+			if j == 0 {
+				continue
+			}
+			for j--; j < len(l.lits) && l.lits[j][0] == s[i]; j++ {
+				if strings.HasPrefix(s[i:], l.lits[j]) {
+					return true
+				}
+			}
+		}
+	}
+	for _, g := range l.rest {
+		if g.Match(s) {
+			return true
+		}
+	}
+	return false
 }

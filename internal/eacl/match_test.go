@@ -1,7 +1,10 @@
 package eacl
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -132,6 +135,81 @@ func BenchmarkGlob(b *testing.B) {
 		if !Glob(pattern, s) {
 			b.Fatal("unexpected mismatch")
 		}
+	}
+}
+
+// FuzzGlobList holds the one-pass list to its definition: a list
+// matches iff eacl.Glob accepts some member. A list is its patterns
+// joined by newlines, so a member may hold any other byte. Seeds: every
+// pre_cond_regex list of the shipped policies, empty literals, literals
+// sharing a first byte or a prefix, and lists mixing the shapes.
+func FuzzGlobList(f *testing.F) {
+	lists := []string{
+		"**", "*", "", "*\n**", "*phf*\n**", "*a*\n*ab*\n*abc*", "*abc*\n*ab*\n*a*",
+		"*%c0%af*\n*%255c*\n*%*", "*//*\n*///*\n*/*", "*aa*\n*ab*\n*ba*",
+		"*phf*\nGET /cgi-bin/*\n*.html\na*b\nGET /index.html\n*x*y*",
+		"*///////////////////*\n*test-cgi*\nre:^GET", "*\x00*\n*\xff*\n\xff*",
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "policies", "*", "*.eacl"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no shipped policies to seed from (%v)", err)
+	}
+	for _, name := range files {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		e, err := ParseString(string(text))
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		for _, entry := range e.Entries {
+			for _, cond := range entry.Conditions {
+				if cond.Type == "regex" {
+					lists = append(lists, strings.Join(strings.Fields(cond.Value), "\n"))
+				}
+			}
+		}
+	}
+	subjects := []string{
+		"", "a", "ab", "abc", "GET /index.html", "GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd",
+		"GET /a///////////////////b", "GET /scripts/..%c0%af../winnt/system32/cmd.exe", "xaay", "\x00\xff",
+	}
+	for _, l := range lists {
+		for _, s := range subjects {
+			f.Add(l, s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, list, s string) {
+		patterns := strings.Split(list, "\n")
+		want := false
+		for _, p := range patterns {
+			want = want || Glob(p, s)
+		}
+		if got := CompileGlobList(patterns).Match(s); got != want {
+			t.Fatalf("CompileGlobList(%q).Match(%q) = %v, some eacl.Glob = %v", patterns, s, got, want)
+		}
+	})
+}
+
+// TestGlobListBeyondTable: literals past what the first-byte table
+// indexes still match, one by one.
+func TestGlobListBeyondTable(t *testing.T) {
+	patterns := make([]string, maxListLits+2)
+	for i := range patterns {
+		patterns[i] = fmt.Sprintf("*<%d>*", i)
+	}
+	l := CompileGlobList(patterns)
+	if len(l.lits) != maxListLits || len(l.rest) != 2 {
+		t.Fatalf("%d literals indexed, %d one by one; want %d and 2", len(l.lits), len(l.rest), maxListLits)
+	}
+	for _, i := range []int{0, maxListLits - 1, maxListLits, maxListLits + 1} {
+		if s := fmt.Sprintf("GET /<%d>/", i); !l.Match(s) {
+			t.Errorf("list of %d misses %q", len(patterns), s)
+		}
+	}
+	if l.Match("GET /index.html") {
+		t.Error("list matches a subject holding none of its literals")
 	}
 }
 

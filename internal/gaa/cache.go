@@ -64,9 +64,9 @@ type cacheStripe struct {
 	_      [48]byte // one stripe per cache line
 }
 
-// cacheEntry is one cached object: the composed policy and the
-// revisions it was composed at, in one allocation for up to
-// len(inline) sources.
+// cacheEntry is one cached object: the composed policy, with its rights
+// memo, and the revisions it was composed at, in one allocation for up
+// to len(inline) sources.
 type cacheEntry struct {
 	object string
 	// hash is the half of the object's hash the set index did not use;

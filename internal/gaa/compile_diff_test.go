@@ -76,8 +76,9 @@ func newDiffPair(cfg diffConfig, threat ids.Level, badGuys []string, now time.Ti
 // check runs the same request through the walk and the oracle and fails
 // the test on any observable difference: decision, applicability,
 // challenge, unevaluated conditions, mid/post blocks, faults and the
-// whole trace. Every check must be served by the walk.
-func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) {
+// whole trace. Every check must be served by the walk. It returns the
+// walk's answer.
+func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) *gaa.Answer {
 	t.Helper()
 	ctx := context.Background()
 	req := func() *gaa.Request {
@@ -97,6 +98,7 @@ func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() 
 	if diff := answerDiff(got, want); diff != "" {
 		t.Errorf("%s: %s: walk and reference answers differ: %s", d.cfg.name, label, diff)
 	}
+	return got
 }
 
 func answerDiff(c, i *gaa.Answer) string {
@@ -309,9 +311,13 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 // system/local EACL texts, right values, identities and environment
 // knobs, with the walk and the reference oracle required to agree on
 // the complete answer — decision, reasons, fault degradation, trace —
-// under every engine configuration. (The name predates the oracle's
-// move to reference_test.go; the committed testdata/fuzz/ corpus is
-// keyed by it.)
+// under every engine configuration. One Policy per configuration is
+// checked under a sequence of rights — the fuzzed right (filling its
+// rights memo), the same again (reading it), a second right, the first
+// again, and both at once — and each answer must also equal a third API's
+// on a freshly composed Policy, whose memo is empty. (The name predates
+// the oracle's move to reference_test.go; the committed testdata/fuzz/
+// corpus is keyed by it.)
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	seed := func(sys, loc, right, user, ip string, inputLen, threat, hour, day int) {
 		f.Add(sys, loc, right, user, ip, inputLen, threat, hour, day)
@@ -339,6 +345,9 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	seed("", "neg_access_right apache *\npre_cond_accessid_GROUP local BadGuys\npos_access_right apache *", "GET /x", "", "10.9.9.9", 0, 0, 0, 0)
 	// Numeric expression against a missing parameter.
 	seed("", "pos_access_right apache *\npre_cond_expr local bogus_param>10", "GET /x", "", "1.2.3.4", 50, 0, 0, 0)
+	// Per-path rights: the second right of the sequence covers other
+	// entries than the one the rights memo remembers.
+	seed("", "neg_access_right apache GET /cgi-bin/*\npos_access_right apache *", "GET /index.html", "", "1.2.3.4", 0, 0, 0, 0)
 
 	f.Fuzz(func(t *testing.T, sys, loc, right, user, ip string, inputLen, threat, hour, day int) {
 		mod := func(v, n int) int { return ((v % n) + n) % n }
@@ -361,21 +370,42 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		if len(system)+len(local) == 0 {
 			t.Skip("no policy")
 		}
-		p := gaa.NewPolicy("/index.html", system, local)
+		second := "GET /cgi-bin/phf?q=x"
+		if right == second {
+			second = "GET /index.html"
+		}
 		for _, cfg := range diffConfigs {
 			pair := newDiffPair(cfg, level, []string{"10.9.9.9"}, now)
-			pair.check(t, "fuzz", p, func() *gaa.Request {
-				params := gaa.ParamList{
-					{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
-					{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: fmt.Sprint(mod(inputLen, 1<<16))},
+			fresh := newDiffPair(cfg, level, []string{"10.9.9.9"}, now).walk
+			p := gaa.NewPolicy("/index.html", system, local)
+			for i, rights := range [][]string{{right}, {right}, {second}, {right}, {right, second}} {
+				mkReq := func() *gaa.Request {
+					params := gaa.ParamList{
+						{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
+						{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: fmt.Sprint(mod(inputLen, 1<<16))},
+					}
+					if user != "" {
+						params = append(params, gaa.Param{
+							Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
+						})
+					}
+					r := gaa.NewRequest("apache", rights[0], params...)
+					for _, v := range rights[1:] {
+						r.Rights = append(r.Rights, eacl.Right{Sign: eacl.Pos, DefAuth: "apache", Value: v})
+					}
+					r.Trace = cfg.trace
+					return r
 				}
-				if user != "" {
-					params = append(params, gaa.Param{
-						Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
-					})
+				label := fmt.Sprintf("request %d for %q", i, rights)
+				got := pair.check(t, label, p, mkReq)
+				want, err := fresh.CheckAuthorization(context.Background(), gaa.NewPolicy("/index.html", system, local), mkReq())
+				if err != nil {
+					t.Fatalf("%s: %s: %v", cfg.name, label, err)
 				}
-				return gaa.NewRequest("apache", right, params...)
-			})
+				if diff := answerDiff(got, want); diff != "" {
+					t.Errorf("%s: %s: the checked policy and a fresh one answer differently: %s", cfg.name, label, diff)
+				}
+			}
 		}
 	})
 }

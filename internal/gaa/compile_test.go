@@ -3,6 +3,7 @@ package gaa
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,31 +13,49 @@ import (
 
 // --- glob trie ---
 
+// TestGlobTrieMatchesGlob holds the trie, whose tails match by shape,
+// to eacl.Glob: over a fixed set covering every tail shape ("*", "*lit",
+// "*lit*", "*a*b", none) and over seeded random sets whose short
+// patterns share prefixes and tails.
 func TestGlobTrieMatchesGlob(t *testing.T) {
-	patterns := []string{
-		"", "*", "**", "*a", "a*", "a**b", "abc", "a?c", "?", "GET /index.html",
-		"GET /cgi-bin/*", "GET *", "*phf*", "10.0.*", "10.0.1.5", "apache",
-		"loc*", "local", "*.html", "a*b*c", "***",
-	}
-	subjects := []string{
-		"", "a", "abc", "aXc", "a?c", "?", "ab", "axbyc", "GET /index.html",
-		"GET /cgi-bin/phf?x", "POST /x", "10.0.1.5", "10.1.2.3", "apache",
-		"local", "loc", "index.html", "x.html", "GET ", "*",
-	}
-	var trie globTrie
-	for i, p := range patterns {
-		trie.insert(collapseStars(p), int32(i))
-	}
-	bits := make([]uint64, (len(patterns)+63)/64)
-	for _, s := range subjects {
-		clearBits(bits)
-		trie.match(s, bits)
+	check := func(patterns, subjects []string) {
+		t.Helper()
+		var trie globTrie
 		for i, p := range patterns {
-			want := eacl.Glob(p, s)
-			if got := bitGet(bits, int32(i)); got != want {
-				t.Errorf("trie match %q against pattern %q = %v, Glob = %v", s, p, got, want)
+			trie.insert(collapseStars(p), int32(i))
+		}
+		bits := make([]uint64, bitWords(len(patterns)))
+		for _, s := range subjects {
+			clearBits(bits)
+			trie.match(s, bits)
+			for i, p := range patterns {
+				want := eacl.Glob(p, s)
+				if got := bitGet(bits, int32(i)); got != want {
+					t.Errorf("trie match %q against pattern %q = %v, Glob = %v", s, p, got, want)
+				}
 			}
 		}
+	}
+	check([]string{
+		"", "*", "**", "*a", "a*", "a**b", "abc", "a?c", "?", "GET /index.html",
+		"GET /cgi-bin/*", "GET *", "*phf*", "10.0.*", "10.0.1.5", "apache",
+		"loc*", "local", "*.html", "a*b*c", "***", "GET /*.html", "GET /*cgi*", "GET /*a*b",
+	}, []string{
+		"", "a", "abc", "aXc", "a?c", "?", "ab", "axbyc", "GET /index.html",
+		"GET /cgi-bin/phf?x", "POST /x", "10.0.1.5", "10.1.2.3", "apache",
+		"local", "loc", "index.html", "x.html", "GET ", "*", "GET /xaxb", "GET /a.html",
+	})
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		patterns := make([]string, 1+rng.Intn(20))
+		for i := range patterns {
+			patterns[i] = randomGlob(rng)
+		}
+		subjects := make([]string, 20)
+		for i := range subjects {
+			subjects[i] = randomSubject(rng)
+		}
+		check(patterns, subjects)
 	}
 }
 

@@ -299,6 +299,109 @@ func (a *API) compileCond(cond eacl.Condition) CompiledCond {
 	return fast
 }
 
+// rightsMemoWords is a Policy's rights memo in bitset words: each
+// unit's entry bitset, one after another, ⌈entries/64⌉ words each.
+// Eight hold the benchmark's sprawl composition (201 + 4 entries, five
+// words) with room to spare; a policy needing more never memoizes.
+const rightsMemoWords = 8
+
+// rightsMemo states.
+const (
+	memoEmpty   uint32 = iota
+	memoFilling        // one request is copying its bitsets in
+	memoReady
+	memoNever // the policy's bitsets do not fit
+)
+
+// rightsMemo remembers which entries of a Policy cover the first single
+// right the policy is checked for. For a cached policy that answer is
+// fixed — the guard asks for "<METHOD> <path>" and the cache key is
+// that path — so a request asking for the memo's right skips the trie
+// walks and the bitset work; it still evaluates every condition. The
+// bits depend only on the EACLs and the right (entry i of a unit is
+// entry i of its EACL, whatever registry generation compiled it), so a
+// recompile keeps them valid, and a reload, which composes new Policy
+// values, starts new memos.
+//
+// The first writer wins: one request takes memoEmpty to memoFilling by
+// CAS, copies in the bitsets its own scan computed and publishes them
+// with the store of memoReady, before which no reader looks at them.
+// Nothing is overwritten afterwards. Every other request — more than
+// one right, another right, a memo being filled — walks the tries as if
+// there were no memo. Neither filling nor reading allocates.
+type rightsMemo struct {
+	state       atomic.Uint32
+	auth, value string
+	bits        [rightsMemoWords]uint64
+}
+
+// How a scan uses the rights memo.
+const (
+	memoWalk uint8 = iota // walk the tries
+	memoRead              // take every unit's entry bits from the memo
+	memoFill              // walk the tries and copy the bits in
+)
+
+// rightsCursor follows one scan through the memo, unit by unit.
+type rightsCursor struct {
+	m   *rightsMemo
+	use uint8
+	off int // words consumed by the units scanned so far
+}
+
+// cursor decides how a scan of p for rights uses p's memo.
+func (p *Policy) cursor(rights []eacl.Right) rightsCursor {
+	m := &p.rights
+	c := rightsCursor{m: m, use: memoWalk}
+	if len(rights) != 1 {
+		return c
+	}
+	r := &rights[0]
+	switch m.state.Load() {
+	case memoReady:
+		if r.DefAuth == m.auth && r.Value == m.value {
+			c.use = memoRead
+		}
+	case memoEmpty:
+		words := 0
+		for _, level := range [2][]*eacl.EACL{p.System, p.Local} {
+			for _, e := range level {
+				words += bitWords(len(e.Entries))
+			}
+		}
+		if words > rightsMemoWords {
+			m.state.CompareAndSwap(memoEmpty, memoNever)
+		} else if m.state.CompareAndSwap(memoEmpty, memoFilling) {
+			m.auth, m.value = r.DefAuth, r.Value
+			c.use = memoFill
+		}
+	}
+	return c
+}
+
+// entryBits returns the bitset of u's entries that cover the request's
+// rights: read from the memo, or computed in cs (and copied in when
+// filling).
+func (c *rightsCursor) entryBits(cs *compiledScratch, u *compiledEACL, rights []eacl.Right) []uint64 {
+	n := bitWords(len(u.entries))
+	if c.use == memoRead {
+		c.off += n
+		return c.m.bits[c.off-n : c.off]
+	}
+	cs.matchRights(u, rights)
+	if c.use == memoFill {
+		c.off += copy(c.m.bits[c.off:], cs.entryBits)
+	}
+	return cs.entryBits
+}
+
+// done publishes a filled memo.
+func (c *rightsCursor) done() {
+	if c.use == memoFill {
+		c.m.state.Store(memoReady)
+	}
+}
+
 // compiledScratch is the working set of one unit's scan, pooled inside
 // evalState and reused from EACL to EACL: the right-match bitsets and
 // the fast-cond memo table (0 = not evaluated yet). Grown on demand,
@@ -311,19 +414,21 @@ type compiledScratch struct {
 	memo      []CondVerdict
 }
 
+// prepare readies the fast-cond memo table for a scan of u.
 func (cs *compiledScratch) prepare(u *compiledEACL) {
-	cs.authBits = growBits(cs.authBits, u.nAuth)
-	cs.valBits = growBits(cs.valBits, len(u.posts))
-	cs.entryBits = growBits(cs.entryBits, len(u.entries))
-	clearBits(cs.entryBits)
 	cs.memo = append(cs.memo[:0], make([]CondVerdict, u.nMemo)...) // zeroed in place, no temporary
 }
 
 // matchRights walks each requested right through both tries and marks
-// the entries whose right covers it, replacing a per-entry
-// eacl.MatchRight loop: only the posting lists of the value patterns
-// that matched are visited, and each visit is one authority-bit test.
+// the entries whose right covers it in cs.entryBits, replacing a
+// per-entry eacl.MatchRight loop: only the posting lists of the value
+// patterns that matched are visited, and each visit is one
+// authority-bit test.
 func (cs *compiledScratch) matchRights(u *compiledEACL, rights []eacl.Right) {
+	cs.authBits = growBits(cs.authBits, u.nAuth)
+	cs.valBits = growBits(cs.valBits, len(u.posts))
+	cs.entryBits = growBits(cs.entryBits, len(u.entries))
+	clearBits(cs.entryBits)
 	for _, r := range rights {
 		clearBits(cs.authBits)
 		clearBits(cs.valBits)
@@ -394,19 +499,21 @@ func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
 // answer).
 func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState, out *evalResult) {
 	var sys, loc evalResult
-	a.scanLevel(ctx, p.System, req, st, &sys)
+	rc := p.cursor(req.Rights)
+	a.scanLevel(ctx, p.System, req, st, &rc, &sys)
 	sysExists := len(p.System) > 0
 	loc.Decision = Maybe // a level not scanned is uncertain
 	if !(p.Mode == eacl.ModeStop && sysExists) {
-		a.scanLevel(ctx, p.Local, req, st, &loc)
+		a.scanLevel(ctx, p.Local, req, st, &rc, &loc)
 	}
+	rc.done()
 	composeLevels(p.Mode, &sys, &loc, sysExists, out)
 }
 
 // scanLevel scans the EACLs of one level into the zero out, folding
 // each result in as it is produced — no intermediate per-level result
 // slice, and one evalResult reused for every EACL.
-func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState, out *evalResult) {
+func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState, rc *rightsCursor, out *evalResult) {
 	var (
 		fold LevelFold
 		r    evalResult
@@ -415,8 +522,7 @@ func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, s
 	for _, e := range eacls {
 		u := a.compiledFor(e)
 		cs.prepare(u)
-		cs.matchRights(u, req.Rights)
-		a.evaluateCompiledEACL(ctx, u, req, cs, &r)
+		a.evaluateCompiledEACL(ctx, u, req, cs, rc.entryBits(cs, u, req.Rights), &r)
 		out.absorb(&r)
 		fold.Add(r.Verdict)
 		if r.Applicable && r.entry != nil {
@@ -434,17 +540,17 @@ func (r *evalResult) note(line int, text string) {
 // evaluateCompiledEACL scans the ordered entries of one EACL for the
 // requested rights and leaves the first firing entry's decision in res
 // (see the package comment for the full semantics), with right matching
-// answered by the precomputed entry bitset: the scan visits its set
-// bits, lowest first, which is entry order. Request-result conditions
-// are NOT evaluated here: they run once the composed decision is known.
+// answered by the entry bitset entryBits: the scan visits its set bits,
+// lowest first, which is entry order. Request-result conditions are NOT
+// evaluated here: they run once the composed decision is known.
 //
 // A traced request evaluates every condition through its evaluator —
 // hoisted tests are skipped so Detail strings are the evaluator's own —
 // and records each step; TraceEvents are otherwise recorded only for
 // faults, so the common Yes/No path performs no per-entry allocation.
-func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, res *evalResult) {
+func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, entryBits []uint64, res *evalResult) {
 	*res = evalResult{source: u.source, Verdict: Verdict{Decision: Maybe}} // uncertain unless an entry applies
-	for w, word := range cs.entryBits {
+	for w, word := range entryBits {
 	entries:
 		for ; word != 0; word &= word - 1 {
 			entry := &u.entries[w<<6|bits.TrailingZeros64(word)]

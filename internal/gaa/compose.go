@@ -5,6 +5,9 @@ import "gaaapi/internal/eacl"
 // Policy is the composed set of EACLs governing one object: system-wide
 // policies first, then local policies (paper section 2.1: "system-wide
 // policies implicitly have higher priority than the local policies").
+//
+// Once checked, a Policy is not modified and not copied: it remembers
+// which of its entries cover the right it was first checked for.
 type Policy struct {
 	System []*eacl.EACL
 	Local  []*eacl.EACL
@@ -13,6 +16,8 @@ type Policy struct {
 	Mode eacl.CompositionMode
 	// Object is the protected object the policy was retrieved for.
 	Object string
+
+	rights rightsMemo // compiled.go
 }
 
 // DefaultCompositionMode applies when no system-wide policy declares a

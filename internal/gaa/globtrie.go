@@ -22,9 +22,12 @@ import (
 // Fully literal patterns therefore match exactly the subject equal to
 // them (reported at the terminal node when the subject is exhausted),
 // and starred patterns match iff the walk reaches the node of their
-// literal prefix and eacl.Glob accepts the remaining suffix. The
-// cover_test.go cross-checks insert/match against eacl.Glob and the
-// GlobCovers inclusion DP over generated pattern sets.
+// literal prefix and the remaining suffix, compiled by shape
+// (eacl.CompileGlob: the ubiquitous "*" tail is a constant yes, "*.html"
+// a suffix test), accepts the rest of the subject.
+// TestGlobTrieMatchesGlob cross-checks insert/match against eacl.Glob
+// over fixed and generated pattern sets, and TestCollapseStarsEquivalence
+// the canonicalization with the GlobCovers inclusion DP.
 type globTrie struct {
 	nodes []trieNode
 }
@@ -37,13 +40,13 @@ type trieNode struct {
 	// exact holds the ids of fully-literal patterns ending at this node.
 	exact []int32
 	// tails holds patterns whose literal prefix ends here; rest is the
-	// remainder starting with '*'.
+	// remainder, starting with '*'.
 	tails []trieTail
 }
 
 type trieTail struct {
 	id   int32
-	rest string
+	rest eacl.CompiledGlob
 }
 
 func (n *trieNode) next(c byte) int32 {
@@ -79,7 +82,7 @@ func (t *globTrie) insert(pattern string, id int32) {
 	if len(lit) == len(pattern) {
 		t.nodes[n].exact = append(t.nodes[n].exact, id)
 	} else {
-		t.nodes[n].tails = append(t.nodes[n].tails, trieTail{id: id, rest: pattern[len(lit):]})
+		t.nodes[n].tails = append(t.nodes[n].tails, trieTail{id: id, rest: eacl.CompileGlob(pattern[len(lit):])})
 	}
 }
 
@@ -93,7 +96,7 @@ func (t *globTrie) match(s string, bits []uint64) {
 	for i := 0; ; i++ {
 		node := &t.nodes[n]
 		for _, tl := range node.tails {
-			if eacl.Glob(tl.rest, s[i:]) {
+			if tl.rest.Match(s[i:]) {
 				bits[tl.id>>6] |= 1 << (uint(tl.id) & 63)
 			}
 		}
@@ -138,8 +141,11 @@ func collapseStars(p string) string {
 	return b.String()
 }
 
+// bitWords is the number of words in a bitset of n bits.
+func bitWords(n int) int { return (n + 63) / 64 }
+
 func growBits(bits []uint64, n int) []uint64 {
-	words := (n + 63) / 64
+	words := bitWords(n)
 	if cap(bits) < words {
 		return make([]uint64, words)
 	}

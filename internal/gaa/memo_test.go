@@ -1,0 +1,181 @@
+package gaa
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"gaaapi/internal/eacl"
+)
+
+// memoPolicyText has one deny per signature right and a grant: a right
+// under /cgi-bin/sigN is denied, anything else granted.
+func memoPolicyText(signatures int) string {
+	var b strings.Builder
+	for i := 0; i < signatures; i++ {
+		fmt.Fprintf(&b, "neg_access_right apache GET /cgi-bin/sig%d*\npre_cond_fastyes local\n", i)
+	}
+	b.WriteString("pos_access_right apache *\npre_cond_fastyes local\n")
+	return b.String()
+}
+
+func newMemoAPI(opts ...Option) *API {
+	a := New(opts...)
+	var comp, interp atomic.Int64
+	a.Register("fastyes", AuthorityAny, fastEval{out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp})
+	return a
+}
+
+// walkBits is what the tries say about one right over every unit of p,
+// laid out as the memo lays them out.
+func walkBits(a *API, p *Policy, right eacl.Right) []uint64 {
+	var cs compiledScratch
+	var out []uint64
+	for _, level := range [2][]*eacl.EACL{p.System, p.Local} {
+		for _, e := range level {
+			cs.matchRights(a.compiledFor(e), []eacl.Right{right})
+			out = append(out, cs.entryBits...)
+		}
+	}
+	return out
+}
+
+// TestCompiledRightsMemoStates walks one policy's memo through its
+// life: the first single right fills it, and neither another right nor
+// a multi-right request overwrites it; a registration recompiles the
+// units and the memo's bits still hold; a policy whose bitsets exceed
+// the memo never memoizes.
+func TestCompiledRightsMemoStates(t *testing.T) {
+	a := newMemoAPI()
+	p := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, memoPolicyText(3))})
+	deny, grant := "GET /cgi-bin/sig1/x", "GET /index.html"
+	check := func(want Decision, values ...string) {
+		t.Helper()
+		req := NewRequest("apache", values[0])
+		for _, v := range values[1:] {
+			req.Rights = append(req.Rights, eacl.Right{Sign: eacl.Pos, DefAuth: "apache", Value: v})
+		}
+		if ans := checkAuth(t, a, p, req); ans.Decision != want {
+			t.Fatalf("%q: decision %v, want %v", values, ans.Decision, want)
+		}
+	}
+	memo := func(wantState uint32, wantValue string) {
+		t.Helper()
+		if st := p.rights.state.Load(); st != wantState || st == memoReady && p.rights.value != wantValue {
+			t.Fatalf("memo state %d for %q, want %d for %q", st, p.rights.value, wantState, wantValue)
+		}
+	}
+
+	check(No, deny, grant) // two rights: walked, not remembered
+	memo(memoEmpty, "")
+	check(No, deny)
+	memo(memoReady, deny)
+	if got, want := p.rights.bits[:1], walkBits(a, p, eacl.Right{DefAuth: "apache", Value: deny}); !slices.Equal(got, want) {
+		t.Fatalf("memo bits %b, the tries say %b", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		check(No, deny)
+		check(Yes, grant)
+		check(No, grant, deny)
+	}
+	memo(memoReady, deny)
+
+	a.RegisterFunc("unused", AuthorityAny, func(context.Context, eacl.Condition, *Request) Outcome { return Outcome{} })
+	before := a.CompileStats().Programs
+	check(No, deny)
+	check(Yes, grant)
+	if a.CompileStats().Programs == before {
+		t.Fatal("a registration did not recompile the unit")
+	}
+	memo(memoReady, deny)
+
+	big := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, memoPolicyText(64*rightsMemoWords))})
+	if ans := checkAuth(t, a, big, simpleRequest()); ans.Decision != Yes {
+		t.Fatalf("oversized policy: decision %v, want yes", ans.Decision)
+	}
+	if st := big.rights.state.Load(); st != memoNever {
+		t.Fatalf("oversized policy's memo state %d, want %d (never)", st, memoNever)
+	}
+}
+
+// TestCompiledRightsMemoConcurrentFill starts 32 goroutines at once on
+// one Policy, each asking for its own right: whichever fills the memo,
+// every answer is the one its right deserves, and the memo holds the
+// tries' bits for the right it remembers. Run under -race -cpu 1,4.
+func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
+	const workers = 32
+	a := newMemoAPI()
+	p := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, memoPolicyText(workers))})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		right, want := fmt.Sprintf("GET /doc%d.html", w), Yes
+		if w%2 == 0 {
+			right, want = fmt.Sprintf("GET /cgi-bin/sig%d/x", w), No
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ans := new(Answer)
+			for i := 0; i < 50; i++ {
+				if err := a.CheckAuthorizationInto(context.Background(), p, NewRequest("apache", right), ans); err != nil || ans.Decision != want {
+					t.Errorf("%q: decision %v (%v), want %v", right, ans.Decision, err, want)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := p.rights.state.Load(); st != memoReady {
+		t.Fatalf("memo state %d after the burst, want ready", st)
+	}
+	words := bitWords(workers + 1)
+	if got, want := p.rights.bits[:words], walkBits(a, p, eacl.Right{DefAuth: p.rights.auth, Value: p.rights.value}); !slices.Equal(got, want) {
+		t.Fatalf("memo for %q holds %b, the tries say %b", p.rights.value, got, want)
+	}
+}
+
+// TestCompiledZeroAllocMemoFill pins the request that fills a cached
+// policy's memo at 0 allocations, as the requests that read it are
+// (TestCompiledZeroAllocUncachedGrant, TestMetricsZeroAllocCachedGrant):
+// every measured check meets a policy nobody has checked.
+func TestCompiledZeroAllocMemoFill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+	}
+	const runs = 200
+	a := newMemoAPI(WithPolicyCache(2 * runs))
+	src := NewMemorySource()
+	if err := src.AddPolicy("*", memoPolicyText(20)); err != nil {
+		t.Fatal(err)
+	}
+	policies := make([]*Policy, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range policies {
+		p, err := a.GetObjectPolicyInfo(fmt.Sprintf("/doc%d.html", i), nil, []PolicySource{src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies[i] = p
+	}
+	req, ans, next := simpleRequest(), new(Answer), 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := a.CheckAuthorizationInto(context.Background(), policies[next], req, ans); err != nil || ans.Decision != Yes {
+			t.Fatalf("decision = %v, %v; want yes", ans.Decision, err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a grant filling the memo allocates %v, want 0", allocs)
+	}
+	for i, p := range policies {
+		if st := p.rights.state.Load(); st != memoReady {
+			t.Fatalf("policy %d: memo state %d, want ready", i, st)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func TestMatchRightsEqualsMatchRight(t *testing.T) {
 
 		var res evalResult
 		visited = visited[:0]
-		a.evaluateCompiledEACL(context.Background(), u, req, &cs, &res)
+		a.evaluateCompiledEACL(context.Background(), u, req, &cs, cs.entryBits, &res)
 		if !slices.Equal(visited, want) {
 			t.Fatalf("seed %d: scan visited entries %v, want %v in that order", seed, visited, want)
 		}

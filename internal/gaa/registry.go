@@ -29,19 +29,15 @@ func (f EvaluatorFunc) Evaluate(ctx context.Context, cond eacl.Condition, req *R
 	return f(ctx, cond, req)
 }
 
-type regKey struct {
-	condType string
-	defAuth  string
-}
-
-// registry stores condition evaluators with two-step lookup: exact
-// (type, authority), then (type, "*"). Lookups run once per condition
-// per request, so the map is published through an atomic pointer and
-// read without locking; registration (rare, usually at startup)
-// serializes on a mutex and publishes a copied map.
+// registry stores condition evaluators by type, then authority, with
+// two-step lookup: exact (type, authority), then (type, "*"). Lookups
+// run once per condition per request: one string hash finds the type,
+// and its few authorities are a small map. The maps are published
+// through an atomic pointer and read without locking; registration
+// (rare, usually at startup) serializes on a mutex and publishes copies.
 type registry struct {
 	mu    sync.Mutex // writers only
-	evals atomic.Pointer[map[regKey]Evaluator]
+	evals atomic.Pointer[map[string]map[string]Evaluator]
 	// gen counts registrations. Compiled decision programs record the
 	// generation they were built against and recompile on mismatch, so a
 	// late registration invalidates every program that resolved (or
@@ -51,7 +47,7 @@ type registry struct {
 
 func newRegistry() *registry {
 	r := &registry{}
-	m := make(map[regKey]Evaluator)
+	m := make(map[string]map[string]Evaluator)
 	r.evals.Store(&m)
 	return r
 }
@@ -60,11 +56,16 @@ func (r *registry) register(condType, defAuth string, ev Evaluator) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := *r.evals.Load()
-	next := make(map[regKey]Evaluator, len(old)+1)
+	next := make(map[string]map[string]Evaluator, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[regKey{condType, defAuth}] = ev
+	byAuth := make(map[string]Evaluator, len(old[condType])+1)
+	for k, v := range old[condType] {
+		byAuth[k] = v
+	}
+	byAuth[defAuth] = ev
+	next[condType] = byAuth
 	r.evals.Store(&next)
 	// Bump after publishing the map: a program stamped with the new
 	// generation is guaranteed to have compiled against the new map.
@@ -76,11 +77,11 @@ func (r *registry) generation() uint64 {
 }
 
 func (r *registry) lookup(condType, defAuth string) (Evaluator, bool) {
-	m := *r.evals.Load()
-	if ev, ok := m[regKey{condType, defAuth}]; ok {
+	byAuth := (*r.evals.Load())[condType]
+	if ev, ok := byAuth[defAuth]; ok {
 		return ev, true
 	}
-	ev, ok := m[regKey{condType, AuthorityAny}]
+	ev, ok := byAuth[AuthorityAny]
 	return ev, ok
 }
 
@@ -91,10 +92,11 @@ func (r *registry) known(condType, defAuth string) bool {
 
 // registered returns "type authority" strings, sorted, for diagnostics.
 func (r *registry) registered() []string {
-	m := *r.evals.Load()
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k.condType+" "+k.defAuth)
+	var out []string
+	for condType, byAuth := range *r.evals.Load() {
+		for defAuth := range byAuth {
+			out = append(out, condType+" "+defAuth)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -316,14 +316,14 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 		// 5. Detected application-level attacks, with threat
 		// characteristics from the signature database.
 		if g.cfg.Signatures != nil {
-			if hits := g.cfg.Signatures.Match(rec.URI); len(hits) > 0 {
+			if hit, ok := g.cfg.Signatures.First(rec.URI, ""); ok {
 				r := base
 				r.Kind = ids.DetectedAttack
-				r.Signature = hits[0].Name
-				r.Severity = hits[0].Severity
+				r.Signature = hit.Name
+				r.Severity = hit.Severity
 				r.Confidence = 0.9
-				r.Info = hits[0].Kind
-				r.Recommendation = hits[0].Recommendation
+				r.Info = hit.Kind
+				r.Recommendation = hit.Recommendation
 				if g.cfg.Network != nil {
 					if spoofed, conf := g.cfg.Network.SpoofIndication(rec.ClientIP); spoofed {
 						r.Recommendation = "do not blacklist: source address suspected spoofed"

@@ -24,16 +24,6 @@ type Signature struct {
 	Recommendation string
 }
 
-// Matches reports whether any pattern matches s.
-func (sig *Signature) Matches(s string) bool {
-	for _, p := range sig.Patterns {
-		if eacl.Glob(p, s) {
-			return true
-		}
-	}
-	return false
-}
-
 // DB is a concurrent-safe signature database.
 type DB struct {
 	mu   sync.RWMutex
@@ -69,15 +59,37 @@ func (db *DB) Match(s string) []Signature {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Signature
-	for i, globs := range db.globs {
-		for _, g := range globs {
-			if g.Match(s) {
-				out = append(out, db.sigs[i])
-				break
-			}
+	for i := range db.sigs {
+		if db.matches(i, s) {
+			out = append(out, db.sigs[i])
 		}
 	}
 	return out
+}
+
+// First returns the first signature, in registration order, that
+// matches s and is named name ("" names any), without building Match's
+// slice.
+func (db *DB) First(s, name string) (Signature, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for i := range db.sigs {
+		if (name == "" || db.sigs[i].Name == name) && db.matches(i, s) {
+			return db.sigs[i], true
+		}
+	}
+	return Signature{}, false
+}
+
+// matches reports whether some pattern of signature i matches s; the
+// caller holds mu.
+func (db *DB) matches(i int, s string) bool {
+	for _, g := range db.globs[i] {
+		if g.Match(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of signatures.

@@ -68,9 +68,37 @@ func TestDBAddAndLen(t *testing.T) {
 }
 
 func TestSignatureMultiplePatterns(t *testing.T) {
-	s := Signature{Patterns: []string{"*a*", "*b*"}}
-	if !s.Matches("xxbxx") || !s.Matches("xaxx") || s.Matches("cc") {
-		t.Error("multi-pattern matching broken")
+	db := NewDB(Signature{Name: "ab", Patterns: []string{"*a*", "*b*"}})
+	for s, want := range map[string]bool{"xxbxx": true, "xaxx": true, "cc": false} {
+		if _, got := db.First(s, ""); got != want {
+			t.Errorf("First(%q) matched = %v, want %v", s, got, want)
+		}
+	}
+}
+
+// TestDBFirstIsMatchFirst holds the first-hit query to Match: the
+// first signature in registration order that matches, among those
+// with the wanted name when one is given.
+func TestDBFirstIsMatchFirst(t *testing.T) {
+	db := NewDB(DefaultSignatures()...)
+	db.Add(Signature{Name: "phf-again", Patterns: []string{"*phf*"}})
+	for _, s := range []string{
+		"GET /cgi-bin/phf?Qalias=x", "GET /scripts/..%c0%af../cmd.exe", "GET /index.html", "",
+	} {
+		hits := db.Match(s)
+		for _, name := range []string{"", "phf", "phf-again", "nimda", "absent"} {
+			var want *Signature
+			for i := range hits {
+				if name == "" || hits[i].Name == name {
+					want = &hits[i]
+					break
+				}
+			}
+			got, ok := db.First(s, name)
+			if ok != (want != nil) || ok && got.Name != want.Name {
+				t.Errorf("First(%q, %q) = %q, %v; Match says %v", s, name, got.Name, ok, names(hits))
+			}
+		}
 	}
 }
 
