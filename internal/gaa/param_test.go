@@ -83,3 +83,35 @@ func TestAppendQuotedMatchesStrconv(t *testing.T) {
 		}
 	}
 }
+
+// plainASCIIBytes is PlainASCII's definition, one byte at a time.
+func plainASCIIBytes(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzPlainASCII holds the word-at-a-time scan to the byte loop. Each
+// seed is one byte value between the highest and between the lowest
+// printable bytes, and every suffix is checked, so each value sits alone
+// at every offset of a word, beside the bytes a carry or borrow would
+// reach.
+func FuzzPlainASCII(f *testing.F) {
+	f.Add("GET /index.html HTTP/1.0")
+	f.Add("POST /" + strings.Repeat("A", 1200))
+	for b := 0; b < 256; b++ {
+		for _, pad := range []string{"~~~~~~~~", "        "} {
+			f.Add(pad + string([]byte{byte(b)}) + pad)
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for i := 0; i <= len(s) && i < 16; i++ {
+			if got, want := PlainASCII(s[i:]), plainASCIIBytes(s[i:]); got != want {
+				t.Fatalf("PlainASCII(%q) = %v, the byte loop says %v", s[i:], got, want)
+			}
+		}
+	})
+}

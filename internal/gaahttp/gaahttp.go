@@ -10,7 +10,6 @@ package gaahttp
 import (
 	"context"
 	"strconv"
-	"strings"
 	"sync"
 
 	"gaaapi/internal/audit"
@@ -389,12 +388,16 @@ func (g *Guard) illFormed(rec *httpd.RequestRec) bool {
 	if rec.HeaderCount > g.cfg.IllFormedHeaderMax {
 		return true
 	}
-	for _, r := range rec.URI {
-		if r < 0x20 && r != '\t' {
+	// A plain URI has no control byte or backslash; others take the loop.
+	if gaa.PlainASCII(rec.URI) {
+		return false
+	}
+	for i := 0; i < len(rec.URI); i++ {
+		if c := rec.URI[i]; c < 0x20 && c != '\t' || c == '\\' {
 			return true
 		}
 	}
-	return strings.Contains(rec.URI, "\\")
+	return false
 }
 
 func (g *Guard) auditDecision(rec *httpd.RequestRec, right string, ans *gaa.Answer) {

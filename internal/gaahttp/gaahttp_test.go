@@ -2,6 +2,7 @@ package gaahttp
 
 import (
 	"encoding/base64"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -446,6 +447,17 @@ func TestIllFormedDetection(t *testing.T) {
 	if !g.illFormed(backslash) {
 		t.Error("backslash traversal not flagged")
 	}
+	// Past the first word and at every offset in one: a control byte or
+	// a backslash is ill-formed, a tab, a quote or a byte of 0x80 or
+	// more is not.
+	for off := 0; off < 24; off++ {
+		for b, want := range map[string]bool{"\x01": true, "\x1f": true, "\x00": true, `\`: true, "\t": false, `"`: false, "\x7f": false, "\x80": false, "\xff": false, "é": false} {
+			uri := "GET /" + strings.Repeat("a", off) + b + "/tail.html"
+			if got := g.illFormed(&httpd.RequestRec{URI: uri, HeaderCount: 1}); got != want {
+				t.Errorf("illFormed(%q) = %v, want %v", uri, got, want)
+			}
+		}
+	}
 }
 
 func TestStackConfigErrors(t *testing.T) {
@@ -670,6 +682,57 @@ func TestGuardCheckDenyAllocs(t *testing.T) {
 	const want = 5
 	if allocs := testing.AllocsPerRun(500, deny); allocs != want {
 		t.Errorf("section 7.2 deny through Guard.Check allocates %v, want %d", allocs, want)
+	}
+}
+
+// TestStackFirstContactAttackAllocs pins a phf probe from a source the
+// server has not seen, through Stack.Server with a state directory as
+// the siege workload runs it: the probe is denied, its source notified,
+// blacklisted, blocked and audited, and the block and the membership are
+// journaled. The journal records render into the store's frame buffer,
+// so the count is what the responses keep (6); it was 11 while each
+// record was boxed and handed to json.Marshal.
+func TestStackFirstContactAttackAllocs(t *testing.T) {
+	st, err := NewStack(StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		DocRoot:       map[string]string{"/index.html": "home"},
+		PolicyCache:   true,
+		Metrics:       true,
+		AccessLog:     io.Discard,
+		StateDir:      t.TempDir(),
+		Fsync:         "interval",
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	defer st.Close()
+	// One probe here, one AllocsPerRun warms up with, then the runs.
+	const runs = 500
+	sources := make([]string, runs+2)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("11.0.%d.%d:40000", i>>8, i&255)
+	}
+	req := httptest.NewRequest("GET", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", nil)
+	rw := &nullResponse{header: make(http.Header)}
+	probe := func() {
+		req.RemoteAddr, sources = sources[0], sources[1:]
+		rw.code = 0
+		st.Server.ServeHTTP(rw, req)
+		if rw.code != http.StatusForbidden {
+			t.Fatalf("phf probe from %s answered %d, want 403", req.RemoteAddr, rw.code)
+		}
+	}
+	probe()
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+	}
+	const want = 6
+	if allocs := testing.AllocsPerRun(runs, probe); allocs != want {
+		t.Errorf("a first-contact phf probe through Stack.Server allocates %v, want %d", allocs, want)
+	}
+	if n := st.Store.Stats().Appends; n < 2*(runs+2) {
+		t.Errorf("%d probes journaled %d records, want two each", runs+2, n)
 	}
 }
 

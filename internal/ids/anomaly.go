@@ -53,12 +53,12 @@ type profile struct {
 	len   Welford
 }
 
-func (p *profile) observe(h uint64, inputLen int) {
-	p.n++
-	if i, seen := slices.BinarySearch(p.paths, h); !seen && len(p.paths) < maxProfilePaths {
-		p.paths = slices.Insert(p.paths, i, h)
+// find searches p's set (none when p is nil) for the path hashed to h.
+func (p *profile) find(h uint64) (i int, seen bool) {
+	if p == nil {
+		return 0, false
 	}
-	p.len.Observe(float64(inputLen))
+	return slices.BinarySearch(p.paths, h)
 }
 
 // Detector implements the paper's section 9 future work: "a simple
@@ -99,13 +99,15 @@ func (d *Detector) Train(principal, path string, inputLen int) {
 	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.train(d.profiles[principal], principal, h, inputLen)
+	p := d.profiles[principal]
+	i, seen := p.find(h)
+	d.train(p, principal, h, i, seen, inputLen)
 }
 
-// train folds the observation of the path hashed to h into p,
-// principal's profile (nil: none yet, and none made once the table is
+// train folds the observation of the path hashed to h, found at i, into
+// p, principal's profile (nil: none yet, and none made once the table is
 // full).
-func (d *Detector) train(p *profile, principal string, h uint64, inputLen int) {
+func (d *Detector) train(p *profile, principal string, h uint64, i int, seen bool, inputLen int) {
 	if p == nil {
 		if len(d.profiles) >= maxProfiles {
 			return
@@ -113,19 +115,24 @@ func (d *Detector) train(p *profile, principal string, h uint64, inputLen int) {
 		p = new(profile)
 		d.profiles[principal] = p
 	}
-	p.observe(h, inputLen)
+	p.n++
+	if !seen && len(p.paths) < maxProfilePaths {
+		p.paths = slices.Insert(p.paths, i, h)
+	}
+	p.len.Observe(float64(inputLen))
 }
 
-// Observe is Unusual followed by Train under one lock and one profile
-// lookup: it scores the observation against the profile as it stood
-// before it, then folds it in. The guard calls it once per grant.
+// Observe is Unusual followed by Train under one lock, one profile lookup
+// and one path search: it scores the observation against the profile as
+// it stood before it, then folds it in. The guard calls it once per grant.
 func (d *Detector) Observe(principal, path string, inputLen int) (unusual bool) {
 	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.profiles[principal]
-	unusual = d.score(p, h, inputLen) >= d.cfg.Threshold
-	d.train(p, principal, h, inputLen)
+	i, seen := p.find(h)
+	unusual = d.score(p, seen, inputLen) >= d.cfg.Threshold
+	d.train(p, principal, h, i, seen, inputLen)
 	return unusual
 }
 
@@ -137,16 +144,18 @@ func (d *Detector) Score(principal, path string, inputLen int) float64 {
 	h := maphash.String(d.seed, path)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.score(d.profiles[principal], h, inputLen)
+	p := d.profiles[principal]
+	_, seen := p.find(h)
+	return d.score(p, seen, inputLen)
 }
 
-// score rates the observation of the path hashed to h against p.
-func (d *Detector) score(p *profile, h uint64, inputLen int) float64 {
+// score rates an observation against p, seen if p holds its path.
+func (d *Detector) score(p *profile, seen bool, inputLen int) float64 {
 	if p == nil || p.n < d.cfg.MinTraining {
 		return 0
 	}
 	score := 0.0
-	if _, seen := slices.BinarySearch(p.paths, h); !seen {
+	if !seen {
 		score += d.cfg.NewPathWeight
 	}
 	score += p.len.Z(float64(inputLen), d.cfg.LengthZMax)

@@ -114,12 +114,13 @@ func TestProfileMomentsMatchNaive(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		p := new(profile)
+		d := NewDetector(AnomalyConfig{})
 		var sum float64
 		for _, v := range raw {
-			p.observe(1, int(v))
+			d.Train("p", "/x", int(v))
 			sum += float64(v)
 		}
+		p := d.profiles["p"]
 		mean := sum / float64(len(raw))
 		var ss float64
 		for _, v := range raw {

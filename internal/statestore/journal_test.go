@@ -16,7 +16,13 @@ import (
 	"gaaapi/internal/netblock"
 )
 
-// referenceFrame is the frame encoder appendFrame replaced, kept as the
+// appendFrame appends rec's framed WAL entry to dst, rec.Data taken as
+// encoding/json's own output, as EncodeFrames does.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	return appendRecord(dst, rec.Seq, rec.Kind, func(dst []byte) ([]byte, error) { return append(dst, rec.Data...), nil })
+}
+
+// referenceFrame is the frame encoder appendRecord replaced, kept as the
 // definition of the format: header + json.Marshal(Record).
 func referenceFrame(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)

@@ -128,24 +128,30 @@ func (a *Adaptive) SetMirror(fn func(kind string, data json.RawMessage)) {
 	a.mirror.Store(&fn)
 }
 
-// append journals one mutation; failures (disk faults) are counted,
-// not propagated — the server keeps enforcing from memory. The mirror,
-// when set, sees the record regardless: a local disk fault must not
-// stop the fleet from learning about an attacker.
-func (a *Adaptive) append(kind string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		a.journalErrors.Add(1)
-		return
+// journal journals one mutation, data rendering its payload. Failures
+// (disk faults) are counted, not propagated: the server enforces from
+// memory, and the mirror, so the fleet still learns of the attacker, gets
+// the record regardless, in a payload of its own (the buffer is reused).
+func (a *Adaptive) journal(kind string, data payload) {
+	if m := a.mirror.Load(); m != nil {
+		kept, err := data(nil)
+		if err != nil {
+			a.journalErrors.Add(1)
+			return
+		}
+		defer (*m)(kind, kept)
+		data = func(dst []byte) ([]byte, error) { return append(dst, kept...), nil }
 	}
 	if a.store != nil {
-		if err := a.store.appendRaw(kind, data); err != nil {
+		if err := a.store.append(kind, data); err != nil {
 			a.journalErrors.Add(1)
 		}
 	}
-	if m := a.mirror.Load(); m != nil {
-		(*m)(kind, data)
-	}
+}
+
+// append journals a mutation json.Marshal encodes.
+func (a *Adaptive) append(kind string, v any) {
+	a.journal(kind, func(dst []byte) ([]byte, error) { return appendValue(dst, v) })
 }
 
 // JournalErrors returns the count of appends lost to disk faults.
@@ -168,8 +174,8 @@ type kind struct {
 	tap func(*Adaptive)
 	// record applies one record, state one snapshot section.
 	record, state hook
-	// dump returns the live state as the snapshot section.
-	dump func(*Adaptive) any
+	// dump appends json.Marshal of the live state, the snapshot section.
+	dump func(a *Adaptive, dst []byte) ([]byte, error)
 }
 
 // A hook decodes a record payload or snapshot section and returns the
@@ -216,7 +222,9 @@ var kinds = []kind{
 		name: KindBlock, section: "blocks",
 		has: func(c *Components) bool { return c.Blocks != nil },
 		tap: func(a *Adaptive) {
-			a.c.Blocks.SetJournal(func(ev netblock.Event) { a.append(KindBlock, ev) })
+			a.c.Blocks.SetJournal(func(ev netblock.Event) {
+				a.journal(KindBlock, func(dst []byte) ([]byte, error) { return appendBlock(dst, ev) })
+			})
 		},
 		record: on(applyBlock),
 		state: on(func(a *Adaptive, entries []netblock.Entry, journal func(any)) {
@@ -224,7 +232,7 @@ var kinds = []kind{
 				applyBlock(a, netblock.Event{Addr: e.Addr, Expiry: e.Expiry}, journal)
 			}
 		}),
-		dump: func(a *Adaptive) any { return a.c.Blocks.Entries() },
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendEntries(dst, a.c.Blocks.Entries()) },
 	},
 	{
 		name: KindThreat, section: "threat",
@@ -248,8 +256,8 @@ var kinds = []kind{
 				applyThreat(a, tr, journal)
 			}
 		}),
-		dump: func(a *Adaptive) any {
-			return threatState{Level: a.c.Threat.Level().String(), History: a.c.Threat.History()}
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) {
+			return appendValue(dst, threatState{Level: a.c.Threat.Level().String(), History: a.c.Threat.History()})
 		},
 	},
 
@@ -285,13 +293,15 @@ var kinds = []kind{
 				}
 			}
 		}),
-		dump: func(a *Adaptive) any { return a.c.Counters.Dump() },
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendValue(dst, a.c.Counters.Dump()) },
 	},
 	{
 		name: KindGroup, section: "groups",
 		has: func(c *Components) bool { return c.Groups != nil },
 		tap: func(a *Adaptive) {
-			a.c.Groups.SetJournal(func(ev groups.Event) { a.append(KindGroup, ev) })
+			a.c.Groups.SetJournal(func(ev groups.Event) {
+				a.journal(KindGroup, func(dst []byte) ([]byte, error) { return appendGroup(dst, ev) })
+			})
 		},
 		record: on(applyGroup),
 		state: on(func(a *Adaptive, members map[string][]string, journal func(any)) {
@@ -301,13 +311,7 @@ var kinds = []kind{
 				}
 			}
 		}),
-		dump: func(a *Adaptive) any {
-			members := make(map[string][]string)
-			for _, g := range a.c.Groups.Groups() {
-				members[g] = a.c.Groups.Members(g)
-			}
-			return members
-		},
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendMembers(dst, a.c.Groups), nil },
 	},
 
 	// Scores are max-wins on the score; the sample count adds for an
@@ -336,7 +340,7 @@ var kinds = []kind{
 				}
 			}
 		}),
-		dump: func(a *Adaptive) any { return a.c.Scorer.Scores() },
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendValue(dst, a.c.Scorer.Scores()) },
 	},
 	{
 		name: KindProfile, section: "profiles",
@@ -347,7 +351,7 @@ var kinds = []kind{
 				applyProfile(a, cp, journal)
 			}
 		}),
-		dump: func(a *Adaptive) any { return a.c.Scorer.Profiles() },
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendValue(dst, a.c.Scorer.Profiles()) },
 	},
 }
 
@@ -497,25 +501,26 @@ func (a *Adaptive) ApplyRemoteSnapshot(data []byte) (int, error) {
 // StateSnapshot marshals the full live adaptive state — for compaction,
 // and what a node sends to a peer that fell behind the replication log
 // horizon: one JSON object with a member per wired kind, empty sections
-// left out.
+// left out. Every section is rendered straight into the one buffer.
 func (a *Adaptive) StateSnapshot() ([]byte, error) {
 	buf := []byte{'{'}
 	for _, k := range kinds {
 		if !k.has(&a.c) {
 			continue
 		}
-		data, err := json.Marshal(k.dump(a))
-		if err != nil {
-			return nil, err
-		}
-		if s := string(data); s == "null" || s == "[]" || s == "{}" {
-			continue
-		}
-		if len(buf) > 1 {
+		mark := len(buf)
+		if mark > 1 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, `"`+k.section+`":`...)
-		buf = append(buf, data...)
+		buf = append(append(append(buf, '"'), k.section...), '"', ':')
+		section := len(buf)
+		var err error
+		if buf, err = k.dump(a, buf); err != nil {
+			return nil, err
+		}
+		if s := string(buf[section:]); s == "null" || s == "[]" || s == "{}" {
+			buf = buf[:mark]
+		}
 	}
 	return append(buf, '}'), nil
 }

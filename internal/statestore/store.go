@@ -363,15 +363,12 @@ var ErrClosed = errors.New("statestore: store closed")
 // Under FsyncAlways the record is on stable storage when Append
 // returns.
 func (s *Store) Append(kind string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("statestore: encode %s: %w", kind, err)
-	}
-	return s.appendRaw(kind, data)
+	return s.append(kind, func(dst []byte) ([]byte, error) { return appendValue(dst, v) })
 }
 
-// appendRaw is Append for a marshalled value; data is not retained.
-func (s *Store) appendRaw(kind string, data []byte) error {
+// append journals one record, its data rendered under s.mu into the
+// reused frame buffer. A record that does not encode takes no sequence.
+func (s *Store) append(kind string, data payload) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -388,18 +385,19 @@ func (s *Store) appendRaw(kind string, data []byte) error {
 		}
 		s.needsTrunc = false
 	}
-	s.nextSeq++
-	frame, err := appendFrame(s.frame[:0], Record{Seq: s.nextSeq, Kind: kind, Data: data})
+	frame, err := appendRecord(s.frame[:0], s.nextSeq+1, kind, data)
+	if err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("statestore: encode %s: %w", kind, err)
+	}
 	s.frame = frame[:0]
-	if err == nil {
-		var n int
-		n, err = s.wal.Write(frame)
-		if err != nil && n > 0 {
+	s.nextSeq++
+	n, err := s.wal.Write(frame)
+	if err != nil {
+		if n > 0 {
 			// Short write: mark the tail for truncation.
 			s.needsTrunc = true
 		}
-	}
-	if err != nil {
 		s.stats.AppendErrors++
 		s.mu.Unlock()
 		return fmt.Errorf("statestore: append %s: %w", kind, err)

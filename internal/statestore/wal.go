@@ -36,46 +36,30 @@ type Record struct {
 	Data json.RawMessage `json:"d,omitempty"`
 }
 
-// appendFrame appends rec's framed WAL entry to dst. The payload is
-// what json.Marshal(rec) renders, written in place: rec.Data is taken as
-// encoding/json's own output (every caller marshals its value exactly
-// once), and a kind the encoder would escape takes the json.Marshal path.
-func appendFrame(dst []byte, rec Record) ([]byte, error) {
+// appendRecord appends the framed WAL entry of record seq of kind: what
+// json.Marshal(Record) renders, written in place, data appending the "d"
+// member's value (nothing leaves the member out, as omitempty does).
+func appendRecord(dst []byte, seq uint64, kind string, data payload) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeaderSize)...)
-	if plainASCII(rec.Kind) {
-		dst = strconv.AppendUint(append(dst, `{"seq":`...), rec.Seq, 10)
-		dst = append(append(dst, `,"k":"`...), rec.Kind...)
-		dst = append(dst, '"')
-		if len(rec.Data) > 0 {
-			dst = append(append(dst, `,"d":`...), rec.Data...)
-		}
-		dst = append(dst, '}')
-	} else {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return dst[:start], fmt.Errorf("statestore: encode record: %w", err)
-		}
-		dst = append(dst, payload...)
+	dst = strconv.AppendUint(append(dst, `{"seq":`...), seq, 10)
+	dst = appendString(append(dst, `,"k":`...), kind)
+	member := len(dst)
+	dst, err := data(append(dst, `,"d":`...))
+	if err != nil {
+		return dst[:start], err
 	}
-	payload := dst[start+frameHeaderSize:]
-	if len(payload) > maxRecordSize {
-		return dst[:start], fmt.Errorf("statestore: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordSize)
+	if len(dst) == member+len(`,"d":`) {
+		dst = dst[:member]
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	dst = append(dst, '}')
+	body := dst[start+frameHeaderSize:]
+	if len(body) > maxRecordSize {
+		return dst[:start], fmt.Errorf("statestore: record of %d bytes exceeds the %d-byte frame limit", len(body), maxRecordSize)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
 	return dst, nil
-}
-
-// plainASCII reports whether encoding/json writes s between quotes
-// unchanged: printable ASCII with none of the bytes it escapes.
-func plainASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
 }
 
 // EncodeFrames renders records in the WAL frame format. It is the
@@ -84,7 +68,8 @@ func plainASCII(s string) bool {
 // its peers.
 func EncodeFrames(recs []Record) (out []byte, err error) {
 	for _, rec := range recs {
-		if out, err = appendFrame(out, rec); err != nil {
+		data := func(dst []byte) ([]byte, error) { return append(dst, rec.Data...), nil }
+		if out, err = appendRecord(out, rec.Seq, rec.Kind, data); err != nil {
 			return nil, err
 		}
 	}
