@@ -323,16 +323,21 @@ const (
 // recompile keeps them valid, and a reload, which composes new Policy
 // values, starts new memos.
 //
+// The memo also keeps the filling request's Label, the right spelt
+// "<auth> <value>", which RightLabel hands to later requests for the
+// same right so that they need not build it.
+//
 // The first writer wins: one request takes memoEmpty to memoFilling by
-// CAS, copies in the bitsets its own scan computed and publishes them
-// with the store of memoReady, before which no reader looks at them.
-// Nothing is overwritten afterwards. Every other request — more than
-// one right, another right, a memo being filled — walks the tries as if
-// there were no memo. Neither filling nor reading allocates.
+// CAS, copies in the bitsets its own scan computed and publishes them,
+// with its right and label, by the store of memoReady, before which no
+// reader looks at them. Nothing is overwritten afterwards. Every other
+// request — more than one right, another right, a memo being filled —
+// walks the tries as if there were no memo. Neither filling nor reading
+// allocates.
 type rightsMemo struct {
-	state       atomic.Uint32
-	auth, value string
-	bits        [rightsMemoWords]uint64
+	state              atomic.Uint32
+	auth, value, label string
+	bits               [rightsMemoWords]uint64
 }
 
 // How a scan uses the rights memo.
@@ -349,14 +354,14 @@ type rightsCursor struct {
 	off int // words consumed by the units scanned so far
 }
 
-// cursor decides how a scan of p for rights uses p's memo.
-func (p *Policy) cursor(rights []eacl.Right) rightsCursor {
+// cursor decides how a scan of p for req's rights uses p's memo.
+func (p *Policy) cursor(req *Request) rightsCursor {
 	m := &p.rights
 	c := rightsCursor{m: m, use: memoWalk}
-	if len(rights) != 1 {
+	if len(req.Rights) != 1 {
 		return c
 	}
-	r := &rights[0]
+	r := &req.Rights[0]
 	switch m.state.Load() {
 	case memoReady:
 		if r.DefAuth == m.auth && r.Value == m.value {
@@ -372,11 +377,31 @@ func (p *Policy) cursor(rights []eacl.Right) rightsCursor {
 		if words > rightsMemoWords {
 			m.state.CompareAndSwap(memoEmpty, memoNever)
 		} else if m.state.CompareAndSwap(memoEmpty, memoFilling) {
-			m.auth, m.value = r.DefAuth, r.Value
+			m.auth, m.value, m.label = r.DefAuth, r.Value, ""
+			if joins(req.Label, r.DefAuth, r.Value) {
+				m.label = req.Label
+			}
 			c.use = memoFill
 		}
 	}
 	return c
+}
+
+// RightLabel returns the label of p's memoized right (Request.Label)
+// when that right is auth's "<method> <path>". Its tail after
+// len(auth)+1 bytes is the right's value, so a caller asking for that
+// right again builds neither string.
+func (p *Policy) RightLabel(auth, method, path string) (string, bool) {
+	m := &p.rights
+	if m.state.Load() != memoReady || m.label == "" || m.auth != auth || !joins(m.value, method, path) {
+		return "", false
+	}
+	return m.label, true
+}
+
+// joins reports whether s is a+" "+b, without building it.
+func joins(s, a, b string) bool {
+	return len(s) == len(a)+1+len(b) && s[:len(a)] == a && s[len(a)] == ' ' && s[len(a)+1:] == b
 }
 
 // entryBits returns the bitset of u's entries that cover the request's
@@ -499,7 +524,7 @@ func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
 // answer).
 func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState, out *evalResult) {
 	var sys, loc evalResult
-	rc := p.cursor(req.Rights)
+	rc := p.cursor(req)
 	a.scanLevel(ctx, p.System, req, st, &rc, &sys)
 	sysExists := len(p.System) > 0
 	loc.Decision = Maybe // a level not scanned is uncertain

@@ -102,10 +102,53 @@ func TestCompiledRightsMemoStates(t *testing.T) {
 	}
 }
 
+// TestPolicyRightLabel: the memo keeps the filling request's label when
+// it spells the right, and RightLabel hands it out only for that right
+// under that authority, once the memo is ready.
+func TestPolicyRightLabel(t *testing.T) {
+	a := newMemoAPI()
+	text := memoPolicyText(3)
+	for _, tc := range []struct {
+		name, label string
+		kept        bool
+	}{
+		{"spelt", "apache GET /index.html", true},
+		{"unset", "", false},
+		{"other authority", "nginx GET /index.html", false},
+		{"other right", "apache GET /index.htm", false},
+		{"no separator", "apache/GET /index.html", false},
+	} {
+		p := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, text)})
+		if _, ok := p.RightLabel("apache", "GET", "/index.html"); ok {
+			t.Fatalf("%s: an empty memo returned a label", tc.name)
+		}
+		req := simpleRequest()
+		req.Label = tc.label
+		checkAuth(t, a, p, req)
+		for _, q := range []struct {
+			auth, method, path string
+			ok                 bool
+		}{
+			{"apache", "GET", "/index.html", tc.kept},
+			{"apache", "HEAD", "/index.html", false},
+			{"apache", "GET", "/index.htm", false},
+			{"apache", "GET /index.html", "", false},
+			{"nginx", "GET", "/index.html", false},
+		} {
+			label, ok := p.RightLabel(q.auth, q.method, q.path)
+			if ok != q.ok || ok && label != tc.label {
+				t.Errorf("%s: RightLabel(%q, %q, %q) = %q, %v; want %v", tc.name, q.auth, q.method, q.path, label, ok, q.ok)
+			}
+		}
+	}
+}
+
 // TestCompiledRightsMemoConcurrentFill starts 32 goroutines at once on
-// one Policy, each asking for its own right: whichever fills the memo,
-// every answer is the one its right deserves, and the memo holds the
-// tries' bits for the right it remembers. Run under -race -cpu 1,4.
+// one Policy, each asking for its own right with its label and asking
+// RightLabel first: whichever fills the memo, every answer is the one
+// its right deserves, a label handed out is the asker's, and the memo
+// holds the tries' bits for the right it remembers. Run under -race
+// -cpu 1,4.
 func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
 	const workers = 32
 	a := newMemoAPI()
@@ -122,8 +165,14 @@ func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
 			defer wg.Done()
 			<-start
 			ans := new(Answer)
+			req := NewRequest("apache", right)
+			req.Label = "apache " + right
 			for i := 0; i < 50; i++ {
-				if err := a.CheckAuthorizationInto(context.Background(), p, NewRequest("apache", right), ans); err != nil || ans.Decision != want {
+				if label, ok := p.RightLabel("apache", "GET", right[len("GET "):]); ok && label != req.Label {
+					t.Errorf("%q: RightLabel = %q", right, label)
+					return
+				}
+				if err := a.CheckAuthorizationInto(context.Background(), p, req, ans); err != nil || ans.Decision != want {
 					t.Errorf("%q: decision %v (%v), want %v", right, ans.Decision, err, want)
 					return
 				}
@@ -164,6 +213,7 @@ func TestCompiledZeroAllocMemoFill(t *testing.T) {
 		policies[i] = p
 	}
 	req, ans, next := simpleRequest(), new(Answer), 0
+	req.Label = "apache " + req.Rights[0].Value
 	allocs := testing.AllocsPerRun(runs, func() {
 		if err := a.CheckAuthorizationInto(context.Background(), policies[next], req, ans); err != nil || ans.Decision != Yes {
 			t.Fatalf("decision = %v, %v; want yes", ans.Decision, err)
@@ -174,8 +224,8 @@ func TestCompiledZeroAllocMemoFill(t *testing.T) {
 		t.Errorf("a grant filling the memo allocates %v, want 0", allocs)
 	}
 	for i, p := range policies {
-		if st := p.rights.state.Load(); st != memoReady {
-			t.Fatalf("policy %d: memo state %d, want ready", i, st)
+		if st := p.rights.state.Load(); st != memoReady || p.rights.label != req.Label {
+			t.Fatalf("policy %d: memo state %d with label %q, want ready with %q", i, st, p.rights.label, req.Label)
 		}
 	}
 }

@@ -31,6 +31,12 @@ type Request struct {
 	// request, even on an API built without WithTracing. When neither
 	// is set, the engine records no TraceEvents at all (the fast path).
 	Trace bool
+
+	// Label, when set, is the single requested right spelt
+	// "<DefAuth> <Value>", as an audit record names it. The policy's
+	// rights memo keeps the label of the request that fills it, and
+	// Policy.RightLabel returns it to later requests for that right.
+	Label string
 }
 
 // NewRequest builds a request for a single right.

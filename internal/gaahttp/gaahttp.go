@@ -188,10 +188,16 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 		return httpd.Verdict{Status: httpd.Forbidden("policy retrieval: " + err.Error())}
 	}
 	cs := g.pool.Get().(*checkState)
-	// One string per check: the audit record's "<authority> <METHOD>
-	// <path>", of which the requested right's value is the tail.
-	right := g.cfg.Authority + " " + rec.Method + " " + rec.Path
-	cs.rights[0].Value = right[len(g.cfg.Authority)+1:]
+	// The audit record's "<authority> <METHOD> <path>", of which the
+	// requested right's value is the tail. A cached policy's rights memo
+	// keeps it from the check that filled the memo; only that check,
+	// another method or a policy too large to memoize builds it.
+	label, ok := policy.RightLabel(g.cfg.Authority, rec.Method, rec.Path)
+	if !ok {
+		label = g.cfg.Authority + " " + rec.Method + " " + rec.Path
+	}
+	cs.req.Label = label
+	cs.rights[0].Value = label[len(g.cfg.Authority)+1:]
 	cs.req.Params = cs.req.Params[:cs.params.set(rec)]
 	cs.req.Time = rec.Time
 	ans := &cs.ans
@@ -203,7 +209,7 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	g.observe(ans.Decision == gaa.Maybe || len(ans.Faults) > 0)
 
 	g.report(rec, ans)
-	g.auditDecision(rec, right, ans)
+	g.auditDecision(rec, label, ans)
 
 	verdict := httpd.Verdict{Status: translate(ans)}
 	if len(ans.Mid) > 0 {

@@ -6,6 +6,7 @@
 package netblock
 
 import (
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -18,10 +19,40 @@ type Set struct {
 	clock func() time.Time
 
 	mu    sync.Mutex
-	hosts map[string]time.Time // ip -> expiry (zero = permanent)
+	hosts map[string]deadline // ip -> expiry
 	nets  []blockedNet
+	// exact holds, by address, the deadlines that read inexact.
+	exact map[string]time.Time
 
 	journal func(Event)
+}
+
+// A deadline is a block's expiry in Unix nanoseconds: 8 bytes where a
+// time.Time takes 24, so a host's map slot is 24 bytes instead of 40.
+// Permanent is the largest value. A time Unix nanoseconds cannot hold —
+// before 1678 or after 2262 — is inexact and kept as given in Set.exact.
+// Deadlines are compared and returned as the instants they stand for,
+// as when each was a time.Time, but by the wall clock alone: a block
+// made in this process no longer carries the monotonic clock reading,
+// so stepping the system clock moves when it expires.
+type deadline int64
+
+const (
+	permanent deadline = math.MaxInt64
+	inexact   deadline = math.MinInt64
+)
+
+// deadlineOf encodes expiry (zero = permanent). Whole seconds strictly
+// inside ±MaxInt64 nanoseconds leave room for the fraction and keep
+// clear of both sentinels; the zero time is outside.
+func deadlineOf(expiry time.Time) deadline {
+	if sec := expiry.Unix(); sec > math.MinInt64/int64(time.Second) && sec < math.MaxInt64/int64(time.Second) {
+		return deadline(sec*int64(time.Second) + int64(expiry.Nanosecond()))
+	}
+	if expiry.IsZero() {
+		return permanent
+	}
+	return inexact
 }
 
 // Event describes one mutation for persistence: a block (with its
@@ -49,9 +80,9 @@ type Entry struct {
 }
 
 type blockedNet struct {
-	cidr   string
-	ipnet  *net.IPNet
-	expiry time.Time // zero = permanent
+	cidr  string
+	ipnet *net.IPNet
+	until deadline
 }
 
 // Option configures a Set.
@@ -68,7 +99,7 @@ func WithClock(now func() time.Time) Option {
 
 // NewSet returns an empty block set.
 func NewSet(opts ...Option) *Set {
-	s := &Set{clock: time.Now, hosts: make(map[string]time.Time)}
+	s := &Set{clock: time.Now, hosts: make(map[string]deadline)}
 	for _, o := range opts {
 		o.apply(s)
 	}
@@ -102,25 +133,7 @@ func (s *Set) Block(addr string, d time.Duration) {
 // is idempotent.
 func (s *Set) BlockUntil(addr string, expiry time.Time) {
 	s.mu.Lock()
-	applied := false
-	if strings.Contains(addr, "/") {
-		if _, ipnet, err := net.ParseCIDR(addr); err == nil {
-			for i := range s.nets {
-				if s.nets[i].cidr == addr {
-					s.nets[i].expiry = expiry
-					applied = true
-					break
-				}
-			}
-			if !applied {
-				s.nets = append(s.nets, blockedNet{cidr: addr, ipnet: ipnet, expiry: expiry})
-			}
-			applied = true
-		}
-	}
-	if !applied {
-		s.hosts[addr] = expiry
-	}
+	s.set(addr, expiry)
 	journal := s.journal
 	s.mu.Unlock()
 	if journal != nil {
@@ -139,44 +152,86 @@ func (s *Set) ApplyEvent(ev Event) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ev.Unblock {
-		if _, ok := s.hosts[ev.Addr]; ok {
-			delete(s.hosts, ev.Addr)
-			return true
-		}
-		kept := s.nets[:0]
-		changed := false
-		for _, n := range s.nets {
-			if n.cidr == ev.Addr {
-				changed = true
-				continue
-			}
-			kept = append(kept, n)
-		}
-		s.nets = kept
-		return changed
+		return s.remove(ev.Addr)
 	}
-	if strings.Contains(ev.Addr, "/") {
-		if _, ipnet, err := net.ParseCIDR(ev.Addr); err == nil {
+	if cur, ok := s.current(ev.Addr); ok && !laterDeadline(cur, ev.Expiry) {
+		return false
+	}
+	s.set(ev.Addr, ev.Expiry)
+	return true
+}
+
+// set blocks addr until expiry, a range if addr parses as a CIDR, else a
+// host. The caller holds s.mu.
+func (s *Set) set(addr string, expiry time.Time) {
+	d := deadlineOf(expiry)
+	if d == inexact {
+		if s.exact == nil {
+			s.exact = make(map[string]time.Time)
+		}
+		s.exact[addr] = expiry
+	} else {
+		delete(s.exact, addr)
+	}
+	if strings.Contains(addr, "/") {
+		if _, ipnet, err := net.ParseCIDR(addr); err == nil {
 			for i := range s.nets {
-				if s.nets[i].cidr == ev.Addr {
-					if !laterDeadline(s.nets[i].expiry, ev.Expiry) {
-						return false
-					}
-					s.nets[i].expiry = ev.Expiry
-					return true
+				if s.nets[i].cidr == addr {
+					s.nets[i].until = d
+					return
 				}
 			}
-			s.nets = append(s.nets, blockedNet{cidr: ev.Addr, ipnet: ipnet, expiry: ev.Expiry})
-			return true
+			s.nets = append(s.nets, blockedNet{cidr: addr, ipnet: ipnet, until: d})
+			return
 		}
 	}
-	if cur, ok := s.hosts[ev.Addr]; ok {
-		if !laterDeadline(cur, ev.Expiry) {
-			return false
+	s.hosts[addr] = d
+}
+
+// current returns the expiry of addr's block (zero = permanent), if
+// there is one. The caller holds s.mu.
+func (s *Set) current(addr string) (time.Time, bool) {
+	d, ok := s.hosts[addr]
+	if !ok {
+		i := slices.IndexFunc(s.nets, func(n blockedNet) bool { return n.cidr == addr })
+		if i < 0 {
+			return time.Time{}, false
 		}
+		d = s.nets[i].until
 	}
-	s.hosts[ev.Addr] = ev.Expiry
-	return true
+	return s.expiry(addr, d, time.UTC), true
+}
+
+// expiry decodes addr's deadline d (zero = permanent) in loc; an inexact
+// one is returned as given. The caller holds s.mu.
+func (s *Set) expiry(addr string, d deadline, loc *time.Location) time.Time {
+	switch d {
+	case permanent:
+		return time.Time{}
+	case inexact:
+		return s.exact[addr]
+	}
+	return time.Unix(0, int64(d)).In(loc)
+}
+
+// live reports whether addr's block with deadline d still holds at now.
+// The caller holds s.mu.
+func (s *Set) live(addr string, d deadline, now *reading) bool {
+	return d == permanent || now.read().Before(s.expiry(addr, d, time.UTC))
+}
+
+// A reading is the set's clock, read at most once in a call and only
+// when a deadline has to be compared.
+type reading struct {
+	clock func() time.Time // nil once read
+	t     time.Time
+}
+
+func (r *reading) read() time.Time {
+	if r.clock != nil {
+		r.t, r.clock = r.clock(), nil
+	}
+	return r.t
 }
 
 // laterDeadline reports whether candidate extends the current deadline
@@ -194,19 +249,25 @@ func laterDeadline(cur, candidate time.Time) bool {
 // Unblock removes a previously blocked address or CIDR.
 func (s *Set) Unblock(addr string) {
 	s.mu.Lock()
-	delete(s.hosts, addr)
-	kept := s.nets[:0]
-	for _, n := range s.nets {
-		if n.cidr != addr {
-			kept = append(kept, n)
-		}
-	}
-	s.nets = kept
+	s.remove(addr)
 	journal := s.journal
 	s.mu.Unlock()
 	if journal != nil {
 		journal(Event{Unblock: true, Addr: addr})
 	}
+}
+
+// remove deletes addr's block and reports whether there was one. The
+// caller holds s.mu.
+func (s *Set) remove(addr string) bool {
+	delete(s.exact, addr)
+	if _, ok := s.hosts[addr]; ok {
+		delete(s.hosts, addr)
+		return true
+	}
+	n := len(s.nets)
+	s.nets = slices.DeleteFunc(s.nets, func(n blockedNet) bool { return n.cidr == addr })
+	return len(s.nets) < n
 }
 
 // Blocked reports whether ip is currently blocked, expiring stale
@@ -217,58 +278,49 @@ func (s *Set) Unblock(addr string) {
 func (s *Set) Blocked(ip string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var now time.Time
-	expired := func(expiry time.Time) bool {
-		if expiry.IsZero() {
-			return false // permanent
-		}
-		if now.IsZero() {
-			now = s.clock()
-		}
-		return !now.Before(expiry)
-	}
-	if expiry, ok := s.hosts[ip]; ok {
-		if !expired(expiry) {
+	now := reading{clock: s.clock}
+	if d, ok := s.hosts[ip]; ok {
+		if s.live(ip, d, &now) {
 			return true
 		}
 		delete(s.hosts, ip)
+		delete(s.exact, ip)
 	}
 	if len(s.nets) == 0 {
 		return false
 	}
 	parsed := net.ParseIP(ip)
-	kept := s.nets[:0]
 	blocked := false
-	for _, n := range s.nets {
-		if expired(n.expiry) {
-			continue
+	s.nets = slices.DeleteFunc(s.nets, func(n blockedNet) bool {
+		if !s.live(n.cidr, n.until, &now) {
+			delete(s.exact, n.cidr)
+			return true
 		}
-		kept = append(kept, n)
-		if parsed != nil && n.ipnet.Contains(parsed) {
-			blocked = true
-		}
-	}
-	s.nets = kept
+		blocked = blocked || parsed != nil && n.ipnet.Contains(parsed)
+		return false
+	})
 	return blocked
 }
 
 // Entries returns the live blocks with their deadlines, sorted by
 // address then expiry, so persistence snapshots and status output are
-// deterministic.
+// deterministic. A deadline reads in the clock's location.
 func (s *Set) Entries() []Entry {
-	now := s.clock()
+	now := reading{clock: s.clock}
+	loc := now.read().Location()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Entry
-	for h, expiry := range s.hosts {
-		if live(expiry, now) {
-			out = append(out, Entry{Addr: h, Permanent: expiry.IsZero(), Expiry: expiry})
+	add := func(addr string, d deadline) {
+		if s.live(addr, d, &now) {
+			out = append(out, Entry{Addr: addr, Permanent: d == permanent, Expiry: s.expiry(addr, d, loc)})
 		}
 	}
+	for h, d := range s.hosts {
+		add(h, d)
+	}
 	for _, n := range s.nets {
-		if live(n.expiry, now) {
-			out = append(out, Entry{Addr: n.cidr, Permanent: n.expiry.IsZero(), Expiry: n.expiry})
-		}
+		add(n.cidr, n.until)
 	}
 	slices.SortFunc(out, func(a, b Entry) int {
 		if c := strings.Compare(a.Addr, b.Addr); c != 0 {
@@ -293,25 +345,20 @@ func (s *Set) List() []string {
 // Len returns the number of live block entries, len(Entries()) without
 // building and sorting them: the metrics gauge reads it every scrape.
 func (s *Set) Len() int {
-	now := s.clock()
+	now := reading{clock: s.clock}
+	now.read()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, expiry := range s.hosts {
-		if live(expiry, now) {
+	for h, d := range s.hosts {
+		if s.live(h, d, &now) {
 			n++
 		}
 	}
 	for _, bn := range s.nets {
-		if live(bn.expiry, now) {
+		if s.live(bn.cidr, bn.until, &now) {
 			n++
 		}
 	}
 	return n
-}
-
-// live reports whether a block with this expiry (zero = permanent) still
-// holds at now.
-func live(expiry, now time.Time) bool {
-	return expiry.IsZero() || now.Before(expiry)
 }

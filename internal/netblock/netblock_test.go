@@ -2,9 +2,12 @@ package netblock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -334,8 +337,8 @@ func TestEntriesOrderUnchanged(t *testing.T) {
 	// still has to hold for a set that has two.
 	for _, hours := range []int{5, 0, 3, 1} {
 		n := s.nets[0]
-		if n.expiry = now.Add(time.Duration(hours) * time.Hour); hours == 0 {
-			n.expiry = time.Time{}
+		if n.until = deadlineOf(now.Add(time.Duration(hours) * time.Hour)); hours == 0 {
+			n.until = permanent
 		}
 		s.nets = append(s.nets, n)
 	}
@@ -381,5 +384,175 @@ func TestLenZeroAllocMatchesEntries(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.Len() }); allocs != 0 {
 		t.Errorf("Len allocates %v, want 0", allocs)
+	}
+}
+
+// TestBlockedWithRangesZeroAlloc: once a range is blocked, every request
+// tests its source against it, so that test must not allocate (the
+// parsed source stays on the stack). The answers are pinned too: an
+// IPv4 range holds an IPv4-mapped source, an IPv4-mapped range is the
+// IPv4 range it maps, an IPv6 range holds no IPv4 source, and a range
+// spelt with a leading zero in its length is still a range, listed as
+// it was blocked.
+func TestBlockedWithRangesZeroAlloc(t *testing.T) {
+	s := NewSet()
+	for _, cidr := range []string{"192.168.0.0/24", "10.1.2.3/016", "2001:db8::/32", "::ffff:172.16.0.0/108", "::/0"} {
+		s.Block(cidr, 0)
+	}
+	for _, tc := range []struct {
+		ip   string
+		want bool
+	}{
+		{"192.168.0.7", true}, {"::ffff:192.168.0.7", true}, {"192.168.1.7", false},
+		{"10.1.200.200", true}, {"10.2.0.1", false},
+		{"2001:db8::1", true}, {"2001:db9::1", true}, {"::", true}, {"fe80::1%eth0", false},
+		{"172.31.0.1", true}, {"::ffff:172.16.0.1", true}, {"172.32.0.1", false},
+		{"0.0.0.0", false}, {"::ffff:10.2.0.1", false},
+		{"not-an-ip", false}, {"", false},
+	} {
+		if got := s.Blocked(tc.ip); got != tc.want {
+			t.Errorf("Blocked(%q) = %v, want %v", tc.ip, got, tc.want)
+		}
+	}
+	if got := s.List(); !reflect.DeepEqual(got, []string{"10.1.2.3/016", "192.168.0.0/24", "2001:db8::/32", "::/0", "::ffff:172.16.0.0/108"}) {
+		t.Errorf("List = %q, want each range as it was blocked", got)
+	}
+	for _, ip := range []string{"10.0.0.1", "192.168.0.7", "2001:db8::1"} {
+		if allocs := testing.AllocsPerRun(100, func() { s.Blocked(ip) }); allocs != 0 {
+			t.Errorf("Blocked(%q) with ranges allocates %v, want 0", ip, allocs)
+		}
+	}
+}
+
+// TestDeadlineEncoding: a deadline is kept in 8 bytes where Unix
+// nanoseconds hold it and as given where they do not, including the
+// instants whose nanoseconds are the sentinels' values. Either way
+// every entry point answers as it did when each deadline was a
+// time.Time: live or expired by the instant, the instant itself back
+// from Entries, and later-deadline-wins between any two of them.
+func TestDeadlineEncoding(t *testing.T) {
+	now := time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC)
+	deadlines := []struct {
+		name   string
+		expiry time.Time
+	}{
+		{"permanent", time.Time{}},
+		{"epoch", time.Unix(0, 0)},
+		{"1677", time.Date(1677, 6, 1, 0, 0, 0, 1, time.UTC)},
+		{"MinInt64 ns", time.Unix(0, math.MinInt64)},
+		{"before now", now.Add(-time.Nanosecond)},
+		{"now", now},
+		{"+02:00", now.Add(time.Hour).In(time.FixedZone("east", 2*3600))},
+		{"MaxInt64 ns", time.Unix(0, math.MaxInt64)},
+		{"2263", time.Date(2263, 1, 1, 0, 0, 0, 7, time.UTC)},
+		{"9999", time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC)},
+	}
+	// The set's clock reads 2003, or a year Unix nanoseconds cannot hold.
+	for _, at := range []time.Time{now, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		live := func(expiry time.Time) bool { return expiry.IsZero() || at.Before(expiry) }
+		for _, tc := range deadlines {
+			for _, addr := range []string{"10.0.0.1", "10.9.0.0/16"} {
+				probe := "10.0.0.1"
+				if strings.Contains(addr, "/") {
+					probe = "10.9.8.7"
+				}
+				for _, add := range []string{"BlockUntil", "ApplyEvent"} {
+					name := at.Format("2006") + "/" + tc.name + "/" + addr + "/" + add
+					s := NewSet(WithClock(func() time.Time { return at }))
+					if add == "BlockUntil" {
+						s.BlockUntil(addr, tc.expiry)
+					} else if !s.ApplyEvent(Event{Addr: addr, Expiry: tc.expiry}) {
+						t.Errorf("%s: a first block reported no change", name)
+					}
+					want := live(tc.expiry)
+					entries := s.Entries()
+					if got := len(entries) == 1; got != want || s.Len() != len(entries) {
+						t.Errorf("%s: Entries = %+v, Len = %d, want live %v", name, entries, s.Len(), want)
+					} else if want && (entries[0].Addr != addr || entries[0].Permanent != tc.expiry.IsZero() || !entries[0].Expiry.Equal(tc.expiry)) {
+						t.Errorf("%s: entry %+v, want %s until %v", name, entries[0], addr, tc.expiry)
+					} else if d := deadlineOf(tc.expiry); want && d != permanent && d != inexact && entries[0].Expiry.Location() != time.UTC {
+						t.Errorf("%s: entry expires in %v, want the clock's location", name, entries[0].Expiry.Location())
+					}
+					if got := s.Blocked(probe); got != want {
+						t.Errorf("%s: Blocked = %v, want %v", name, got, want)
+					}
+					if s.Len() != len(entries) || len(s.exact) > len(entries) {
+						t.Errorf("%s: Len %d and %d exact deadlines after Blocked, want %d and at most that", name, s.Len(), len(s.exact), len(entries))
+					}
+				}
+			}
+		}
+	}
+	for _, a := range deadlines {
+		for _, b := range deadlines {
+			s := NewSet(WithClock(func() time.Time { return now }))
+			s.ApplyEvent(Event{Addr: "10.0.0.1", Expiry: a.expiry})
+			later := laterDeadline(a.expiry, b.expiry)
+			if got := s.ApplyEvent(Event{Addr: "10.0.0.1", Expiry: b.expiry}); got != later {
+				t.Errorf("merging %s into %s reported change %v, want %v", b.name, a.name, got, later)
+			}
+			kept := a.expiry
+			if later {
+				kept = b.expiry
+			}
+			if got, _ := s.current("10.0.0.1"); !got.Equal(kept) {
+				t.Errorf("merging %s into %s kept %v, want %v", b.name, a.name, got, kept)
+			}
+			if got, want := len(s.exact), deadlineOf(kept) == inexact; (got == 1) != want || got > 1 {
+				t.Errorf("merging %s into %s left %d exact deadlines", b.name, a.name, got)
+			}
+		}
+	}
+
+	// Two peers exchanging one far-future block settle at once.
+	far := time.Date(9999, 1, 1, 0, 0, 0, 1, time.UTC)
+	s := NewSet(WithClock(func() time.Time { return now }))
+	for i, want := range []bool{true, false, false} {
+		if got := s.ApplyEvent(Event{Addr: "10.0.0.1", Expiry: far}); got != want {
+			t.Errorf("far-future merge %d reported change %v, want %v", i, got, want)
+		}
+	}
+	if s.ApplyEvent(Event{Addr: "10.0.0.1", Expiry: far.Add(-time.Nanosecond)}) {
+		t.Error("a nanosecond-earlier far-future deadline replaced a later one")
+	}
+	s.Unblock("10.0.0.1")
+	if len(s.exact) != 0 || s.Len() != 0 {
+		t.Errorf("Unblock left %d exact deadlines, Len %d", len(s.exact), s.Len())
+	}
+}
+
+// TestHostEntryBytes: a blocked source costs its map slot and an 8-byte
+// deadline — the address string is the caller's. A time.Time deadline
+// made it ≈ 63 B.
+func TestHostEntryBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap readings include the race detector's shadow state")
+	}
+	const hosts = 50000
+	addrs := make([]string, hosts)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("11.%d.%d.%d", i>>16, i>>8&0xff, i&0xff)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	now := time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC)
+	before := heap()
+	s := NewSet(WithClock(func() time.Time { return now }))
+	for _, a := range addrs {
+		s.Block(a, time.Hour)
+	}
+	per := float64(heap()-before) / hosts
+	runtime.KeepAlive(addrs)
+	if s.Len() != hosts {
+		t.Fatalf("Len = %d, want %d", s.Len(), hosts)
+	}
+	t.Logf("%.1f B per blocked host", per)
+	if per > 40 {
+		t.Errorf("a blocked host costs %.1f B, want ≤ 40", per)
 	}
 }
