@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"gaaapi/internal/audit"
 	"gaaapi/internal/conditions"
@@ -130,7 +131,9 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	}
 	body = append(append(body, " decision="...), req.Decision.String()...)
 	body = append(append(body, " threat="...), tag...)
-	msg.Body = string(body)
+	// The message keeps body's bytes as its Body, uncopied: nothing
+	// writes to body after this.
+	msg.Body = unsafe.String(unsafe.SliceData(body), len(body))
 	if _, err := retry.Do(ctx, a.retry, func(ctx context.Context) error {
 		return a.n.Notify(ctx, msg)
 	}); err != nil {
@@ -209,10 +212,6 @@ func (a auditAction) Evaluate(ctx context.Context, cond eacl.Condition, req *gaa
 	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
 	user, _ := req.Params.Get(gaa.ParamUser, cond.DefAuth)
 	object, _ := req.Params.Get(gaa.ParamObject, cond.DefAuth)
-	var right string
-	if len(req.Rights) > 0 {
-		right = req.Rights[0].DefAuth + " " + req.Rights[0].Value
-	}
 	kind := "authorization"
 	if cond.Block == eacl.BlockPost {
 		kind = "post_execution"
@@ -221,7 +220,7 @@ func (a auditAction) Evaluate(ctx context.Context, cond eacl.Condition, req *gaa
 		Time:     a.clock(),
 		Kind:     kind,
 		Object:   object,
-		Right:    right,
+		Right:    req.FirstRight(),
 		Decision: req.Decision.String(),
 		ClientIP: ip,
 		User:     user,

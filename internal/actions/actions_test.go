@@ -227,6 +227,28 @@ func TestAuditAction(t *testing.T) {
 	}
 }
 
+// TestAuditRightFromLabel: the record names the requested right the
+// same whether the request carries its label, which the record then
+// keeps, or a label for something else, or none.
+func TestAuditRightFromLabel(t *testing.T) {
+	e, err := eacl.ParseString("neg_access_right apache *\nrr_cond_audit local on:any/info:probe\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gaa.NewPolicy("/x", nil, []*eacl.EACL{e})
+	for _, label := range []string{"apache GET /x", "", "apache HEAD /x"} {
+		h := newHarness(t)
+		req := gaa.NewRequest("apache", "GET /x", params("10.0.0.5", "GET /x")...)
+		req.Label = label
+		if _, err := h.api.CheckAuthorization(context.Background(), p, req); err != nil {
+			t.Fatalf("CheckAuthorization: %v", err)
+		}
+		if recs := h.ring.Records(); len(recs) != 1 || recs[0].Right != "apache GET /x" {
+			t.Errorf("label %q: records %+v, want one naming right %q", label, recs, "apache GET /x")
+		}
+	}
+}
+
 func TestSetThreatLevelAction(t *testing.T) {
 	h := newHarness(t)
 	h.check(t, "neg_access_right apache *\nrr_cond_set_threat_level local on:failure/high\n")

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"gaaapi/internal/eacl"
 )
@@ -140,6 +141,30 @@ func TestPolicyRightLabel(t *testing.T) {
 				t.Errorf("%s: RightLabel(%q, %q, %q) = %q, %v; want %v", tc.name, q.auth, q.method, q.path, label, ok, q.ok)
 			}
 		}
+	}
+}
+
+// TestRequestFirstRight: the first right is the request's label when
+// the label spells it, the same string and no copy, and is built when
+// the label is unset or names anything else.
+func TestRequestFirstRight(t *testing.T) {
+	const want = "apache GET /index.html"
+	for _, label := range []string{want, "", "nginx GET /index.html", "apache GET /index.htm", "apache/GET /index.html"} {
+		req := NewRequest("apache", "GET /index.html")
+		req.Label = label
+		got := req.FirstRight()
+		if got != want {
+			t.Errorf("label %q: FirstRight = %q, want %q", label, got, want)
+		}
+		if reused := unsafe.StringData(got) == unsafe.StringData(label); reused != (label == want) {
+			t.Errorf("label %q: FirstRight reused the label: %v, want %v", label, reused, label == want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { got = req.FirstRight() }); (allocs == 0) != (label == want) {
+			t.Errorf("label %q: FirstRight allocates %v", label, allocs)
+		}
+	}
+	if got := (&Request{}).FirstRight(); got != "" {
+		t.Errorf("no rights: FirstRight = %q, want empty", got)
 	}
 }
 

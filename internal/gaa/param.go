@@ -1,6 +1,7 @@
 package gaa
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
 )
@@ -108,16 +109,15 @@ func AppendQuoted(dst []byte, parts ...string) []byte {
 // or '\\' for a match — and a borrow or carry leaves only a flagged byte.
 func PlainASCII(s string) bool {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	i := 0
-	for ; i+8 <= len(s); i += 8 {
-		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+	// s shrinks by a word a step, so one length test covers the load.
+	for ; len(s) >= 8; s = s[8:] {
+		w := binary.LittleEndian.Uint64([]byte(s[:8]))
 		quote, backslash := w^'"'*ones, w^'\\'*ones
 		if (w|(w+ones)|(w-0x20*ones)&^w|(quote-ones)&^quote|(backslash-ones)&^backslash)&highs != 0 {
 			return false
 		}
 	}
-	for ; i < len(s); i++ {
+	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
 			return false
 		}

@@ -115,3 +115,23 @@ func FuzzPlainASCII(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkPlainASCII times the scan on a short request line and on the
+// 1.2 KB line of the overflow attack, which the guard classifies and
+// the access log and the alert quote.
+func BenchmarkPlainASCII(b *testing.B) {
+	for _, bc := range []struct{ name, s string }{
+		{"short", "GET /docs/guide.html HTTP/1.0"},
+		{"overflow-1.2KB", "GET /cgi-bin/test-cgi?" + strings.Repeat("A", 1200) + " HTTP/1.0"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.s)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !PlainASCII(bc.s) {
+					b.Fatal("not plain")
+				}
+			}
+		})
+	}
+}

@@ -39,6 +39,20 @@ type Request struct {
 	Label string
 }
 
+// FirstRight returns the first requested right spelt "<DefAuth>
+// <Value>": Label when it spells that right, which then costs nothing,
+// a new string otherwise; "" when no right is requested.
+func (r *Request) FirstRight() string {
+	if len(r.Rights) == 0 {
+		return ""
+	}
+	x := &r.Rights[0]
+	if joins(r.Label, x.DefAuth, x.Value) {
+		return r.Label
+	}
+	return x.DefAuth + " " + x.Value
+}
+
 // NewRequest builds a request for a single right.
 func NewRequest(defAuth, rightValue string, params ...Param) *Request {
 	return &Request{

@@ -732,11 +732,13 @@ func TestStackCGIGrantAllocs(t *testing.T) {
 // TestGuardCheckDenyAllocs pins a section 7.2 deny through Guard.Check
 // — the phf probe, with the local policy's notify, blacklist, firewall
 // block and audit responses — at what the responses keep: the alert's
-// subject and body (and the buffer the body is built in) and the audit
-// action's right. The guard's own "<authority> <METHOD> <path>" is the
-// cached policy's (5 while every check built it), 17 while every action
-// split its value and built a detail string no untraced request reads,
-// 6 while the IDS report asked the signature database for every hit to
+// subject and body (2). The body is built in the string the alert keeps
+// and the audit record's right is the request's label, 4 while the body
+// went through a buffer of its own and the audit action built the
+// right. The guard's own "<authority> <METHOD> <path>" is the cached
+// policy's (5 while every check built it), 17 while every action split
+// its value and built a detail string no untraced request reads, 6
+// while the IDS report asked the signature database for every hit to
 // read the first.
 func TestGuardCheckDenyAllocs(t *testing.T) {
 	st, err := NewStack(StackConfig{
@@ -759,9 +761,10 @@ func TestGuardCheckDenyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
 	}
-	const want = 4
+	const want = 2
 	if allocs := testing.AllocsPerRun(500, deny); allocs != want {
-		t.Errorf("section 7.2 deny through Guard.Check allocates %v, want %d", allocs, want)
+		t.Errorf("section 7.2 deny through Guard.Check allocates %v, want %d: the alert's subject and body "+
+			"(the body's separate buffer and the audit right are deleted)", allocs, want)
 	}
 }
 
@@ -771,8 +774,10 @@ func TestGuardCheckDenyAllocs(t *testing.T) {
 // blacklisted, blocked and audited, and the block and the membership are
 // journaled. The journal records render into the store's frame buffer,
 // and the guard's "<authority> <METHOD> <path>" is the cached policy's,
-// so the count is the request line and what the responses keep (5); it
-// was 6 while every check built that string, 11 while each record was
+// so the count is the request line and what the responses keep, the
+// alert's subject and body (3). It was 5 while the alert body went
+// through a buffer of its own and the audit action built its right, 6
+// while every check built the guard's string, 11 while each record was
 // boxed and handed to json.Marshal.
 func TestStackFirstContactAttackAllocs(t *testing.T) {
 	st, err := NewStack(StackConfig{
@@ -809,9 +814,10 @@ func TestStackFirstContactAttackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
 	}
-	const want = 5
+	const want = 3
 	if allocs := testing.AllocsPerRun(runs, probe); allocs != want {
-		t.Errorf("a first-contact phf probe through Stack.Server allocates %v, want %d", allocs, want)
+		t.Errorf("a first-contact phf probe through Stack.Server allocates %v, want %d: the request line and "+
+			"the alert's subject and body (the body's separate buffer and the audit right are deleted)", allocs, want)
 	}
 	if n := st.Store.Stats().Appends; n < 2*(runs+2) {
 		t.Errorf("%d probes journaled %d records, want two each", runs+2, n)

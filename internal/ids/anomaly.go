@@ -61,6 +61,18 @@ func (p *profile) find(h uint64) (i int, seen bool) {
 	return slices.BinarySearch(p.paths, h)
 }
 
+// full reports whether p's path set has stopped recording: no
+// observation can change it, so folding one in needs no search.
+func (p *profile) full() bool {
+	return p != nil && len(p.paths) >= maxProfilePaths
+}
+
+// count folds one observation's input length into p's moments.
+func (p *profile) count(inputLen int) {
+	p.n++
+	p.len.Observe(float64(inputLen))
+}
+
 // Detector implements the paper's section 9 future work: "a simple
 // profile building module and anomaly detector ... to support
 // anomaly-based intrusion detection in addition to the signature-
@@ -94,12 +106,17 @@ func NewDetector(cfg AnomalyConfig) *Detector {
 // Train records one legitimate observation for principal. The paper's
 // item 7 (legitimate access request patterns) feeds this: "This
 // information can be used to derive profiles that describe typical
-// behavior of users".
+// behavior of users". A full profile only counts it: the path is hashed
+// and searched only when it may be inserted.
 func (d *Detector) Train(principal, path string, inputLen int) {
-	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.profiles[principal]
+	if p.full() {
+		p.count(inputLen)
+		return
+	}
+	h := maphash.String(d.seed, path)
 	i, seen := p.find(h)
 	d.train(p, principal, h, i, seen, inputLen)
 }
@@ -115,23 +132,35 @@ func (d *Detector) train(p *profile, principal string, h uint64, i int, seen boo
 		p = new(profile)
 		d.profiles[principal] = p
 	}
-	p.n++
 	if !seen && len(p.paths) < maxProfilePaths {
 		p.paths = slices.Insert(p.paths, i, h)
 	}
-	p.len.Observe(float64(inputLen))
+	p.count(inputLen)
 }
 
-// Observe is Unusual followed by Train under one lock, one profile lookup
-// and one path search: it scores the observation against the profile as
-// it stood before it, then folds it in. The guard calls it once per grant.
+// Observe is Unusual followed by Train under one lock and one profile
+// lookup: it scores the observation against the profile as it stood
+// before it, then folds it in. The guard calls it once per grant.
+//
+// The path is hashed and searched only when the answer can matter.
+// While the set is not full, a new path is inserted. Once it is full,
+// novelty decides the verdict only when the length term lies in
+// [Threshold − NewPathWeight, Threshold): below the threshold on a
+// known path, at or above it on a new one. Any other grant on a full
+// profile updates its count and length moments alone, and its verdict
+// is the same for a known path and a new one.
 func (d *Detector) Observe(principal, path string, inputLen int) (unusual bool) {
-	h := maphash.String(d.seed, path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.profiles[principal]
+	known, novel := d.scores(p, inputLen)
+	if p.full() && (known >= d.cfg.Threshold || novel < d.cfg.Threshold) {
+		p.count(inputLen)
+		return known >= d.cfg.Threshold
+	}
+	h := maphash.String(d.seed, path)
 	i, seen := p.find(h)
-	unusual = d.score(p, seen, inputLen) >= d.cfg.Threshold
+	unusual = pick(seen, known, novel) >= d.cfg.Threshold
 	d.train(p, principal, h, i, seen, inputLen)
 	return unusual
 }
@@ -146,20 +175,27 @@ func (d *Detector) Score(principal, path string, inputLen int) float64 {
 	defer d.mu.RUnlock()
 	p := d.profiles[principal]
 	_, seen := p.find(h)
-	return d.score(p, seen, inputLen)
+	known, novel := d.scores(p, inputLen)
+	return pick(seen, known, novel)
 }
 
-// score rates an observation against p, seen if p holds its path.
-func (d *Detector) score(p *profile, seen bool, inputLen int) float64 {
+// scores rates an observation against p both ways its path can stand:
+// known if p holds the path, novel if it does not. They differ by the
+// never-seen weight alone; an untrained or absent profile scores 0.
+func (d *Detector) scores(p *profile, inputLen int) (known, novel float64) {
 	if p == nil || p.n < d.cfg.MinTraining {
-		return 0
+		return 0, 0
 	}
-	score := 0.0
-	if !seen {
-		score += d.cfg.NewPathWeight
+	known = p.len.Z(float64(inputLen), d.cfg.LengthZMax)
+	return known, d.cfg.NewPathWeight + known
+}
+
+// pick returns the score of a path seen or not.
+func pick(seen bool, known, novel float64) float64 {
+	if seen {
+		return known
 	}
-	score += p.len.Z(float64(inputLen), d.cfg.LengthZMax)
-	return score
+	return novel
 }
 
 // Unusual reports whether the observation scores at or above the

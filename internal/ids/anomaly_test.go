@@ -2,7 +2,9 @@ package ids
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -180,9 +182,18 @@ func TestObserveEqualsUnusualThenTrain(t *testing.T) {
 		{"trained, typical request", "alice", "/index.html", 20, false},
 		{"trained, new path alone", "alice", "/docs/new.html", 20, false},
 		{"trained, long input on a new path", "alice", "/cgi-bin/phf", 1500, true},
+		// carol's set is full: only a length inside the band, where
+		// novelty decides, sends Observe to the path search.
+		{"full, typical length", "carol", "/full/7", 20, false},
+		{"full, typical length on a new path", "carol", "/never-seen", 20, false},
+		{"full, huge length", "carol", "/full/7", 1500, true},
+		{"full, length in the band on a recorded path", "carol", "/full/7", fullBand, false},
+		{"full, length in the band on an unrecorded path", "carol", "/never-seen", fullBand, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			two, one := trainedDetector(t), trainedDetector(t)
+			fillProfile(two, "carol")
+			fillProfile(one, "carol")
 			// Twice: the second observation is scored against a profile
 			// that already holds the first.
 			for round := 0; round < 2; round++ {
@@ -205,6 +216,147 @@ func TestObserveEqualsUnusualThenTrain(t *testing.T) {
 				if got, want := one.Score(tc.principal, probe.path, probe.n), two.Score(tc.principal, probe.path, probe.n); got != want {
 					t.Fatalf("Score(%s, %d) after Observe = %v, after Unusual+Train = %v", probe.path, probe.n, got, want)
 				}
+			}
+		})
+	}
+}
+
+// fillProfile trains principal on maxProfilePaths paths, /full/0
+// onwards, with lengths 16 to 24 around 20: its set is full, and its
+// length term is about 2.5 at fullBand, inside the band [Threshold −
+// NewPathWeight, Threshold) = [2, 3) of the default tuning.
+func fillProfile(d *Detector, principal string) {
+	lengths := []int{16, 18, 20, 22, 24}
+	for i := 0; i < maxProfilePaths; i++ {
+		d.Train(principal, fmt.Sprintf("/full/%d", i), lengths[i%len(lengths)])
+	}
+}
+
+// fullBand is an input length inside fillProfile's band.
+const fullBand = 27
+
+// TestObserveDifferential drives Observe on one detector and Unusual
+// then Train on another, over more than maxProfilePaths paths per
+// principal and with input lengths on both sides of both band edges, so
+// that full profiles take both the counted and the searched branch.
+// Every verdict, Trained count and probe Score must match.
+func TestObserveDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 7, 2003} {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultAnomalyConfig()
+		one, two := NewDetector(cfg), NewDetector(cfg)
+		principals := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}
+		var counted, searched, unusual int
+		for op := 0; op < 6000; op++ {
+			pr := principals[rng.Intn(len(principals))]
+			path := fmt.Sprintf("/p/%d", rng.Intn(400))
+			n := 14 + rng.Intn(13) // 14..26 around 20
+			if op > 600 && rng.Intn(3) == 0 {
+				n = rng.Intn(60)
+			}
+			if p := one.profiles[pr]; p.full() {
+				known, novel := one.scores(p, n)
+				if known >= cfg.Threshold || novel < cfg.Threshold {
+					counted++
+				} else {
+					searched++
+				}
+			}
+			want := two.Unusual(pr, path, n)
+			two.Train(pr, path, n)
+			if got := one.Observe(pr, path, n); got != want {
+				t.Fatalf("seed %d op %d: Observe(%s, %s, %d) = %v, Unusual then Train = %v", seed, op, pr, path, n, got, want)
+			}
+			if want {
+				unusual++
+			}
+			if got, want := one.Trained(pr), two.Trained(pr); got != want {
+				t.Fatalf("seed %d op %d: Trained(%s) = %d, want %d", seed, op, pr, got, want)
+			}
+			for _, probe := range []string{path, "/p/0", "/never-seen"} {
+				if got, want := one.Score(pr, probe, n), two.Score(pr, probe, n); got != want {
+					t.Fatalf("seed %d op %d: Score(%s, %s, %d) = %v after Observe, %v after Unusual+Train", seed, op, pr, probe, n, got, want)
+				}
+			}
+		}
+		t.Logf("seed %d: full-profile observations %d counted, %d searched; %d unusual", seed, counted, searched, unusual)
+		if counted == 0 || searched == 0 || unusual == 0 {
+			t.Fatalf("seed %d: %d counted, %d searched, %d unusual: every branch must be taken", seed, counted, searched, unusual)
+		}
+	}
+}
+
+// TestObserveConcurrentFullProfiles races Observe and Score on shared
+// full profiles (run it under -race): a grant that only counts still
+// takes the lock.
+func TestObserveConcurrentFullProfiles(t *testing.T) {
+	d := NewDetector(DefaultAnomalyConfig())
+	principals := []string{"a", "b"}
+	for _, pr := range principals {
+		fillProfile(d, pr)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				pr := principals[(g+i)%len(principals)]
+				n := []int{20, fullBand, 1500}[i%3]
+				if g%2 == 0 {
+					d.Observe(pr, fmt.Sprintf("/full/%d", i%300), n)
+				} else if s := d.Score(pr, "/never-seen", n); s < 0 {
+					t.Errorf("Score = %v", s)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, pr := range principals {
+		if got, want := d.Trained(pr), maxProfilePaths+2*2000/len(principals); got != want {
+			t.Errorf("Trained(%s) = %d, want %d", pr, got, want)
+		}
+		if n := len(d.profiles[pr].paths); n != maxProfilePaths {
+			t.Errorf("%s holds %d paths, want %d", pr, n, maxProfilePaths)
+		}
+	}
+}
+
+// TestObserveKnownPrincipalZeroAlloc pins Observe on a principal the
+// detector already profiles, full or not, at 0 allocations: the path
+// hash is seeded maphash over the string, and a full set grows no more.
+func TestObserveKnownPrincipalZeroAlloc(t *testing.T) {
+	d := trainedDetector(t)
+	fillProfile(d, "carol")
+	for _, tc := range []struct{ principal, path string }{
+		{"alice", "/index.html"}, {"carol", "/full/7"}, {"carol", "/never-seen"},
+	} {
+		for _, n := range []int{20, fullBand, 1500} {
+			if allocs := testing.AllocsPerRun(200, func() { d.Observe(tc.principal, tc.path, n) }); allocs != 0 {
+				t.Errorf("Observe(%s, %s, %d) allocates %v, want 0", tc.principal, tc.path, n, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkObserve times one grant's Observe against a full profile and
+// a five-path one, at a typical input length.
+func BenchmarkObserve(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		paths int
+	}{{"full", maxProfilePaths}, {"5-path", 5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := NewDetector(DefaultAnomalyConfig())
+			paths := make([]string, bc.paths)
+			for i := range paths {
+				paths[i] = fmt.Sprintf("/site/dir%03d/page%03d.html", i%17, i)
+				d.Train("10.1.0.1", paths[i], 16+2*(i%5))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Observe("10.1.0.1", paths[i%len(paths)], 20)
 			}
 		})
 	}
