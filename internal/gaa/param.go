@@ -15,7 +15,6 @@ const (
 	ParamClientHost  = "client_host"   // resolved client host name
 	ParamRequestURI  = "request_uri"   // method + URI, e.g. "GET /cgi-bin/phf?x=1"
 	ParamMethod      = "method"        // HTTP method
-	ParamPath        = "path"          // URL path component
 	ParamQuery       = "query"         // raw query string
 	ParamUser        = "accessid_USER" // authenticated user identity
 	ParamGroupKey    = "group_key"     // identity checked against groups (defaults to client_ip)

@@ -115,10 +115,10 @@ func ExtractParams(rec *httpd.RequestRec) gaa.ParamList {
 
 // params holds a record's parameters, the optional user last. Pooled,
 // only the values are rewritten: in a GC cycle each costs a barrier.
-type params [9]gaa.Param
+type params [8]gaa.Param
 
 func (ps *params) init() {
-	for i, t := range [len(ps)]string{gaa.ParamClientIP, gaa.ParamRequestURI, gaa.ParamMethod, gaa.ParamPath,
+	for i, t := range [len(ps)]string{gaa.ParamClientIP, gaa.ParamRequestURI, gaa.ParamMethod,
 		gaa.ParamQuery, gaa.ParamObject, gaa.ParamInputLength, gaa.ParamHeaderCount, gaa.ParamUser} {
 		ps[i] = gaa.Param{Type: t, Authority: gaa.AuthorityAny}
 	}
@@ -126,7 +126,7 @@ func (ps *params) init() {
 
 // set writes rec's values and returns how many of ps a request carries.
 func (ps *params) set(rec *httpd.RequestRec) int {
-	for i, v := range [len(ps)]string{rec.ClientIP, rec.URI, rec.Method, rec.Path, rec.Query, rec.Object(),
+	for i, v := range [len(ps)]string{rec.ClientIP, rec.URI, rec.Method, rec.Query, rec.Object(),
 		strconv.Itoa(rec.InputLength), strconv.Itoa(rec.HeaderCount), rec.User} {
 		ps[i].Value = v
 	}

@@ -414,7 +414,6 @@ func TestExtractParams(t *testing.T) {
 	checks := map[string]string{
 		gaa.ParamClientIP:   "1.2.3.4",
 		gaa.ParamMethod:     "GET",
-		gaa.ParamPath:       "/cgi-bin/phf",
 		gaa.ParamQuery:      "a=b",
 		gaa.ParamObject:     "/cgi-bin/phf",
 		gaa.ParamRequestURI: "GET /cgi-bin/phf?a=b",
@@ -768,17 +767,20 @@ func TestGuardCheckDenyAllocs(t *testing.T) {
 	}
 }
 
-// TestStackFirstContactAttackAllocs pins a phf probe from a source the
-// server has not seen, through Stack.Server with a state directory as
-// the siege workload runs it: the probe is denied, its source notified,
-// blacklisted, blocked and audited, and the block and the membership are
-// journaled. The journal records render into the store's frame buffer,
-// and the guard's "<authority> <METHOD> <path>" is the cached policy's,
-// so the count is the request line and what the responses keep, the
-// alert's subject and body (3). It was 5 while the alert body went
-// through a buffer of its own and the audit action built its right, 6
-// while every check built the guard's string, 11 while each record was
-// boxed and handed to json.Marshal.
+// TestStackFirstContactAttackAllocs pins a first-contact probe of each
+// of siege's four attack classes from a source the server has not seen,
+// through Stack.Server with a state directory as the siege workload runs
+// it: the probe is denied, its source notified, blacklisted, blocked and
+// audited, and the block and the membership are journaled. The journal
+// records render into the store's frame buffer, and the guard's
+// "<authority> <METHOD> <path>" is the cached policy's, so a probe costs
+// the request line and what the responses keep, the alert's subject and
+// body (3); the overflow also spells its input length, 1202, into a
+// parameter and an abnormal-parameters report (6). The slash flood's
+// object is sliced out of its path, not copied. phf was 5 while the
+// alert body went through a buffer of its own and the audit action built
+// its right, 6 while every check built the guard's string, 11 while each
+// record was boxed and handed to json.Marshal.
 func TestStackFirstContactAttackAllocs(t *testing.T) {
 	st, err := NewStack(StackConfig{
 		SystemPolicy:  browseSystem,
@@ -794,33 +796,42 @@ func TestStackFirstContactAttackAllocs(t *testing.T) {
 		t.Fatalf("NewStack: %v", err)
 	}
 	defer st.Close()
-	// One probe here, one AllocsPerRun warms up with, then the runs.
+	// Per class: one probe here, one AllocsPerRun warms up with, then
+	// the runs.
 	const runs = 500
-	sources := make([]string, runs+2)
+	sources := make([]string, 4*(runs+2))
 	for i := range sources {
-		sources[i] = fmt.Sprintf("11.0.%d.%d:40000", i>>8, i&255)
+		sources[i] = fmt.Sprintf("11.%d.%d.%d:40000", i>>16, i>>8&255, i&255)
 	}
-	req := httptest.NewRequest("GET", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", nil)
-	rw := &nullResponse{header: make(http.Header)}
-	probe := func() {
-		req.RemoteAddr, sources = sources[0], sources[1:]
-		rw.code = 0
-		st.Server.ServeHTTP(rw, req)
-		if rw.code != http.StatusForbidden {
-			t.Fatalf("phf probe from %s answered %d, want 403", req.RemoteAddr, rw.code)
+	for _, attack := range []struct {
+		name, target string
+		want         float64
+	}{
+		{"phf", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", 3},
+		{"nimda", "/scripts/..%c0%af../winnt/system32/cmd.exe?/c+dir", 3},
+		{"slash flood", "/" + strings.Repeat("/", 40) + "index.html", 3},
+		{"overflow", "/cgi-bin/search?q=" + strings.Repeat("A", 1200), 6},
+	} {
+		req := httptest.NewRequest("GET", attack.target, nil)
+		rw := &nullResponse{header: make(http.Header)}
+		probe := func() {
+			req.RemoteAddr, sources = sources[0], sources[1:]
+			rw.code = 0
+			st.Server.ServeHTTP(rw, req)
+			if rw.code != http.StatusForbidden {
+				t.Fatalf("%s probe from %s answered %d, want 403", attack.name, req.RemoteAddr, rw.code)
+			}
+		}
+		probe()
+		if raceEnabled {
+			t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+		}
+		if allocs := testing.AllocsPerRun(runs, probe); allocs != attack.want {
+			t.Errorf("a first-contact %s probe through Stack.Server allocates %v, want %v", attack.name, allocs, attack.want)
 		}
 	}
-	probe()
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	const want = 3
-	if allocs := testing.AllocsPerRun(runs, probe); allocs != want {
-		t.Errorf("a first-contact phf probe through Stack.Server allocates %v, want %d: the request line and "+
-			"the alert's subject and body (the body's separate buffer and the audit right are deleted)", allocs, want)
-	}
-	if n := st.Store.Stats().Appends; n < 2*(runs+2) {
-		t.Errorf("%d probes journaled %d records, want two each", runs+2, n)
+	if n := st.Store.Stats().Appends; n < 2*4*(runs+2) {
+		t.Errorf("%d probes journaled %d records, want two each", 4*(runs+2), n)
 	}
 }
 

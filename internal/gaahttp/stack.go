@@ -40,7 +40,7 @@ type StackConfig struct {
 	// .htaccess files replace Htaccess.
 	LocalPolicyDir string
 
-	// DocRoot maps URL paths to static content.
+	// DocRoot maps objects ("/index.html") to static content.
 	DocRoot map[string]string
 	// DocRootDir, when non-empty, serves static documents from this
 	// directory instead of DocRoot.

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"io/fs"
@@ -12,37 +13,42 @@ import (
 	"gaaapi/internal/gaa"
 )
 
-// FileRoot resolves URL paths to static document content. The server
-// falls back to its in-memory DocRoot map when no FileRoot is
-// configured.
-type FileRoot interface {
-	// Open returns the content for the cleaned URL path, or ok=false
-	// when no document exists there.
-	Open(urlPath string) (content string, ok bool, err error)
+// objectPath names the one document a decoded URL path addresses, as
+// Apache's ap_getparents and mod_dir settle it before any access hook:
+// dot segments and repeated slashes go, and a path whose last segment is
+// empty, "." or ".." names its directory's index.html. A clean path comes
+// back as is, a run of leading slashes sliced off rather than copied.
+func objectPath(p string) string {
+	for len(p) > 1 && p[1] == '/' {
+		p = p[1:]
+	}
+	object := gaa.CleanObject(p)
+	if last := p[strings.LastIndexByte(p, '/')+1:]; last != "" && last != "." && last != ".." {
+		return object
+	}
+	return strings.TrimSuffix(object, "/") + "/index.html"
 }
 
-// MapRoot adapts the in-memory path→content map. Paths ending in "/"
-// resolve to their index.html.
+// FileRoot serves static documents by object (RequestRec.Path); the
+// server falls back to a MapRoot of its DocRoot when none is configured.
+type FileRoot interface {
+	// Open returns the content of the document the object names, or
+	// ok=false when no document exists there; a directory is none.
+	Open(object string) (content string, ok bool, err error)
+}
+
+// MapRoot adapts the in-memory object→content map.
 type MapRoot map[string]string
 
-var _ FileRoot = MapRoot(nil)
-
 // Open implements FileRoot.
-func (m MapRoot) Open(urlPath string) (string, bool, error) {
-	p := gaa.CleanObject(urlPath)
-	if strings.HasSuffix(urlPath, "/") {
-		p = path.Join(p, "index.html")
-	}
-	content, ok := m[p]
-	if !ok && p == "/" {
-		content, ok = m["/index.html"]
-	}
+func (m MapRoot) Open(object string) (string, bool, error) {
+	content, ok := m[object]
 	return content, ok, nil
 }
 
 // OSRoot serves documents from a directory on disk, confined to that
-// directory (the URL path is cleaned before joining, so ".."
-// traversal cannot escape). Directory requests resolve to index.html.
+// directory (the object is cleaned again before joining, so ".."
+// traversal cannot escape whatever a caller passes).
 type OSRoot struct {
 	dir string // cleaned, without a trailing separator
 }
@@ -57,12 +63,8 @@ func NewOSRoot(dir string) *OSRoot {
 // Open implements FileRoot. The file is opened once and both its kind
 // and its content are read from that handle, so a document replaced
 // mid-request is served as it was or as it is, never as an error.
-func (r *OSRoot) Open(urlPath string) (string, bool, error) {
-	full := r.dir + gaa.CleanObject(urlPath)
-	content, isDir, err := readDocument(full)
-	if isDir {
-		content, _, err = readDocument(full + "/index.html")
-	}
+func (r *OSRoot) Open(object string) (string, bool, error) {
+	content, err := readDocument(r.dir + gaa.CleanObject(object))
 	// ENOTDIR: a component of the path is (or just became) a document.
 	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
 		return "", false, nil
@@ -70,21 +72,21 @@ func (r *OSRoot) Open(urlPath string) (string, bool, error) {
 	return content, err == nil, err
 }
 
-// readDocument reads the file at name, or reports that it is a directory.
-func readDocument(name string) (content string, isDir bool, err error) {
+// readDocument reads the file at name; a directory reads as not-exist.
+func readDocument(name string) (string, error) {
 	f, err := os.Open(name)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil || fi.IsDir() {
-		return "", err == nil, err
+		return "", cmp.Or(err, fs.ErrNotExist)
 	}
 	data := make([]byte, fi.Size())
 	n, err := io.ReadFull(f, data)
 	if err == io.ErrUnexpectedEOF || err == io.EOF {
 		err = nil // truncated since the stat: serve what is there
 	}
-	return string(data[:n]), false, err
+	return string(data[:n]), err
 }

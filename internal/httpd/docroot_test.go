@@ -9,6 +9,43 @@ import (
 	"time"
 )
 
+// TestObjectPath: the edge decides which document a URL path names,
+// once, for every guard and both roots. The "/", "/docs/" and
+// "/../index.html" rows were TestMapRoot's and TestOSRoot's while each
+// root resolved paths its own way.
+func TestObjectPath(t *testing.T) {
+	flood := "/" + strings.Repeat("/", 40) + "index.html"
+	tests := []struct{ path, want string }{
+		{"/index.html", "/index.html"},
+		{"/", "/index.html"},
+		{"", "/index.html"},
+		{"/docs/", "/docs/index.html"},
+		{"/docs/.", "/docs/index.html"},
+		{"/docs/a/..", "/docs/index.html"},
+		{"/..", "/index.html"},
+		{"/docs", "/docs"}, // a directory named without its slash is no document
+		{"/../index.html", "/index.html"},
+		{"/public/../private/secret.html", "/private/secret.html"},
+		{"//private/secret.html", "/private/secret.html"},
+		{"/private//", "/private/index.html"},
+		{"/a//b/./c", "/a/b/c"},
+		{"/cgi-bin/../private/secret.html", "/private/secret.html"},
+		{"/scripts/..\xc0\xaf../winnt/cmd.exe", "/scripts/..\xc0\xaf../winnt/cmd.exe"},
+		{flood, "/index.html"},
+	}
+	for _, tt := range tests {
+		if got := objectPath(tt.path); got != tt.want {
+			t.Errorf("objectPath(%q) = %q, want %q", tt.path, got, tt.want)
+		}
+	}
+	// A clean path and a slash flood are sliced, not copied.
+	for _, p := range []string{"/docs/a.html", "/", flood} {
+		if n := testing.AllocsPerRun(100, func() { objectPath(p) }); n != 0 {
+			t.Errorf("objectPath(%.20q...) allocates %v, want 0", p, n)
+		}
+	}
+}
+
 func TestMapRoot(t *testing.T) {
 	m := MapRoot{
 		"/index.html":      "home",
@@ -21,11 +58,10 @@ func TestMapRoot(t *testing.T) {
 		wantOK bool
 	}{
 		{"/index.html", "home", true},
-		{"/", "home", true},
-		{"/docs/", "docs home", true},
+		{"/docs/index.html", "docs home", true},
 		{"/docs/a.html", "a", true},
+		{"/docs", "", false},
 		{"/missing", "", false},
-		{"/../index.html", "home", true}, // cleaned, cannot escape
 	}
 	for _, tt := range tests {
 		got, ok, err := m.Open(tt.path)
@@ -68,8 +104,7 @@ func TestOSRoot(t *testing.T) {
 		wantOK bool
 	}{
 		{"/index.html", "home", true},
-		{"/", "home", true},
-		{"/docs", "docs home", true}, // directory resolves to its index
+		{"/docs/index.html", "docs home", true},
 		{"/docs/a.html", "a", true},
 		{"/missing.html", "", false},
 		{"/../secret.txt", "", false}, // traversal confined
@@ -86,10 +121,14 @@ func TestOSRoot(t *testing.T) {
 			t.Errorf("Open(%q) = %q, %v; want %q, %v", tt.path, got, ok, tt.want, tt.wantOK)
 		}
 	}
-	// Directory without an index: not found.
+	// A directory is no document, with an index or without: until
+	// objectPath named the index, OSRoot served "/docs" as docs/index.html,
+	// an object no policy had decided on.
 	mkdirAll(t, filepath.Join(dir, "empty"))
-	if _, ok, err := r.Open("/empty"); ok || err != nil {
-		t.Errorf("dir without index = %v, %v; want false, nil", ok, err)
+	for _, p := range []string{"/docs", "/empty"} {
+		if got, ok, err := r.Open(p); ok || err != nil {
+			t.Errorf("Open(%q) = %q, %v, %v; want not found: the directory's index is a different object", p, got, ok, err)
+		}
 	}
 }
 
@@ -112,11 +151,10 @@ func TestOSRootOpenAllocs(t *testing.T) {
 }
 
 // TestOSRootOpenSeesOneInode: a path that flips between a document and
-// a directory while it is being served answers with the document, with
-// the directory's index, or — in the instant it is neither — not found;
-// never with an error. Open used to stat the path and then read it by
-// name, and answered "is a directory" (a 500) when the flip fell in
-// between.
+// a directory while it is being served answers with the document or,
+// while it is a directory or nothing, not found; never with an error.
+// Open used to stat the path and then read it by name, and answered "is
+// a directory" (a 500) when the flip fell in between.
 func TestOSRootOpenSeesOneInode(t *testing.T) {
 	dir := t.TempDir()
 	page := filepath.Join(dir, "page")
@@ -156,12 +194,12 @@ func TestOSRootOpenSeesOneInode(t *testing.T) {
 	// Long enough to meet both states many times over; the deadline only
 	// bounds a host that never schedules the flipper.
 	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; (i < 20000 || seen["document"] == 0 || seen["index"] == 0) && time.Now().Before(deadline); i++ {
+	for i := 0; (i < 20000 || seen["document"] == 0 || seen[""] == 0) && time.Now().Before(deadline); i++ {
 		got, ok, err := r.Open("/page")
 		if err != nil {
 			t.Fatalf("Open during a flip: %v", err)
 		}
-		if want := map[string]bool{"document": true, "index": true, "": false}; want[got] != ok || (got != "" && !want[got]) {
+		if want := map[string]bool{"document": true, "": false}; want[got] != ok || (got != "" && !want[got]) {
 			t.Fatalf("Open during a flip = %q, %v", got, ok)
 		}
 		seen[got]++

@@ -15,7 +15,7 @@ import (
 type RequestRec struct {
 	Time     time.Time
 	Method   string
-	Path     string // URL path component
+	Path     string // the object: the document the URL path names (objectPath)
 	Query    string // raw query string
 	URI      string // method + original request URI, the signature subject
 	ClientIP string
@@ -59,7 +59,7 @@ func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestR
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
 	rec.Time = now
 	rec.Method = r.Method
-	rec.Path = r.URL.Path
+	rec.Path = objectPath(r.URL.Path)
 	rec.Query = r.URL.RawQuery
 	rec.target = r.RequestURI
 	if rec.target == "" {
@@ -89,8 +89,8 @@ func (r *RequestRec) buildURI() {
 	r.URI = r.Method + " " + r.target
 }
 
-// Object returns the protected object the request addresses: the URL
-// path, which maps onto the policy directory tree.
+// Object returns the protected object the request addresses: the
+// document its URL path names, which maps onto the policy directory tree.
 func (r *RequestRec) Object() string {
 	return r.Path
 }

@@ -51,7 +51,7 @@ func (f GuardFunc) Check(rec *RequestRec) Verdict { return f(rec) }
 
 // Config assembles a Server.
 type Config struct {
-	// DocRoot maps URL paths ("/index.html") to static content; it is
+	// DocRoot maps objects ("/index.html") to static content; it is
 	// wrapped as a MapRoot when Files is nil.
 	DocRoot map[string]string
 	// Files, when non-nil, resolves static documents (e.g. an OSRoot
@@ -92,9 +92,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.MonitorInterval <= 0 {
 		cfg.MonitorInterval = 500 * time.Microsecond
-	}
-	if cfg.DocRoot == nil {
-		cfg.DocRoot = make(map[string]string)
 	}
 	if cfg.Files == nil {
 		cfg.Files = MapRoot(cfg.DocRoot)

@@ -144,14 +144,14 @@ rr_cond_block_ip local on:failure/duration:30m
 # Aggregate detector: failed logins against one object, summed over
 # ALL sources. Trips on the campaign even though every source is quiet.
 neg_access_right apache *
-pre_cond_threshold local counter=failed_login key=path max=15 window=2h
+pre_cond_threshold local counter=failed_login key=object max=15 window=2h
 rr_cond_set_threat_level local on:failure/high
 rr_cond_notify local on:failure/sysadmin/info:distributed-brute-force
 
 pos_access_right apache GET /account/*
 pre_cond_accessid_USER apache *
 rr_cond_count local on:failure/failed_login
-rr_cond_count local on:failure/failed_login/key:path
+rr_cond_count local on:failure/failed_login/key:object
 
 pos_access_right apache *
 `
