@@ -125,7 +125,11 @@ func (a notifyAction) Evaluate(ctx context.Context, cond eacl.Condition, req *ga
 	body := make([]byte, 0, 96+len(ip)+len(quoted)+len(tag))
 	body = now.AppendFormat(append(body, "time="...), time.RFC3339)
 	body = append(append(body, " ip="...), ip...)
-	body = gaa.AppendQuoted(append(body, " uri="...), quoted)
+	if req.URIPlain {
+		body = append(append(append(body, " uri=\""...), quoted...), '"')
+	} else {
+		body = gaa.AppendQuoted(append(body, " uri="...), quoted)
+	}
 	if cut := len(uri) - len(quoted); cut > 0 {
 		body = append(strconv.AppendInt(append(body, "…(+"...), int64(cut), 10), " bytes)"...)
 	}

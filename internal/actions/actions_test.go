@@ -499,6 +499,34 @@ func TestNotifyMessageMatchesSprintf(t *testing.T) {
 	}
 }
 
+// TestNotifyURIPlainSameBody: a request whose URIPlain promises a plain
+// request line gets the alert body of one that leaves it unset, for a
+// line under audit.MaxField and for one the quote clips.
+func TestNotifyURIPlainSameBody(t *testing.T) {
+	at := time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC)
+	mailbox := notify.NewMailbox(0)
+	ev, _ := Builtin("notify", Deps{Notifier: mailbox}, func() time.Time { return at })
+	cond := eacl.Condition{Block: eacl.BlockRequestResult, Type: "notify", DefAuth: "local", Value: "on:failure/sysadmin/info:overflow"}
+	for _, uri := range []string{
+		"GET /cgi-bin/search?q=" + strings.Repeat("A", 1200),
+		"GET /cgi-bin/search?q=" + strings.Repeat("A", audit.MaxField+100),
+	} {
+		var bodies [2]string
+		for i, plain := range []bool{false, true} {
+			req := gaa.NewRequest("apache", "GET /x", params("10.0.0.66", uri)...)
+			req.Decision, req.URIPlain = gaa.No, plain
+			if out := ev.Evaluate(context.Background(), cond, req); out.Result != gaa.Yes {
+				t.Fatalf("notify(%d bytes, URIPlain %v) = %+v", len(uri), plain, out)
+			}
+			msgs := mailbox.Messages()
+			bodies[i] = msgs[len(msgs)-1].Body
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%d-byte line: body with URIPlain\n%q\nwithout\n%q", len(uri), bodies[1], bodies[0])
+		}
+	}
+}
+
 // TestNotifyReadsClockOnce: the message's Time and the body's time= are
 // one reading, even on a clock that moves a second per call.
 func TestNotifyReadsClockOnce(t *testing.T) {

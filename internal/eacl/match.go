@@ -106,12 +106,13 @@ func (g CompiledGlob) Match(s string) bool {
 }
 
 // GlobList is a pattern list compiled for one question: does some
-// member match? Its *lit* members are found in one scan of the subject:
-// the first-byte table names, for each subject byte, the literals that
-// start with it, so a position costs one lookup and a prefix check per
-// literal that can start there, where a strings.Contains per literal
-// reads the subject once each. Members of the other shapes match one
-// by one.
+// member match? Below longSubject bytes its *lit* members are found in
+// one scan: the first-byte table names, for each subject byte, the
+// literals that start with it. A longer subject is the attacker's to
+// size and to fill with a byte that starts literals ("%"), so there a
+// list of at most searchedLits literals, and a list of one anywhere,
+// runs one strings.Contains per literal, linear in the subject whatever
+// it holds. Members of the other shapes match one by one.
 type GlobList struct {
 	any bool // a *""* member ("*", "**"): every subject matches
 	// first[c] is 1 + the index in lits of the first literal starting
@@ -124,6 +125,10 @@ type GlobList struct {
 // maxListLits is what the first-byte table can index; a longer list's
 // further literals match one by one.
 const maxListLits = 1<<16 - 1
+
+// From longSubject bytes a list of up to searchedLits literals is
+// searched literal by literal.
+const longSubject, searchedLits = 128, 16
 
 // CompileGlobList compiles patterns as one list.
 func CompileGlobList(patterns []string) *GlobList {
@@ -150,7 +155,13 @@ func (l *GlobList) Match(s string) bool {
 	if l.any {
 		return true
 	}
-	if len(l.lits) > 0 {
+	if len(l.lits) <= searchedLits && (len(s) >= longSubject || len(l.lits) == 1) {
+		for _, lit := range l.lits {
+			if strings.Contains(s, lit) {
+				return true
+			}
+		}
+	} else if len(l.lits) > 0 {
 		for i := 0; i < len(s); i++ {
 			j := int(l.first[s[i]])
 			if j == 0 {

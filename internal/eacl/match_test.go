@@ -175,9 +175,27 @@ func FuzzGlobList(f *testing.F) {
 		"", "a", "ab", "abc", "GET /index.html", "GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd",
 		"GET /a///////////////////b", "GET /scripts/..%c0%af../winnt/system32/cmd.exe", "xaay", "\x00\xff",
 	}
+	// Long subjects, which Match searches literal by literal: each
+	// shipped literal at the start, the middle and the end of an
+	// overflow line, and runs of literal-starting bytes around the
+	// length threshold.
+	overflow := "GET /cgi-bin/search?q=" + strings.Repeat("A", 1200)
+	for _, lit := range strings.Fields(strings.ReplaceAll(section72List, "*", "")) {
+		subjects = append(subjects, lit+overflow, overflow[:600]+lit+overflow[600:], overflow+lit)
+	}
+	for _, n := range []int{longSubject - 1, longSubject, longSubject + 1} {
+		subjects = append(subjects, strings.Repeat("%", n), strings.Repeat("/c", n)[:n], strings.Repeat("c", n))
+	}
 	for _, l := range lists {
 		for _, s := range subjects {
 			f.Add(l, s)
+		}
+	}
+	// Lists at the searched maximum of literals and one over it.
+	for _, n := range []int{searchedLits, searchedLits + 1} {
+		list := strings.Join(fillerLits(n-1), "\n") + "\n*phf*"
+		for _, s := range subjects {
+			f.Add(list, s)
 		}
 	}
 	f.Fuzz(func(t *testing.T, list, s string) {
@@ -210,6 +228,78 @@ func TestGlobListBeyondTable(t *testing.T) {
 	}
 	if l.Match("GET /index.html") {
 		t.Error("list matches a subject holding none of its literals")
+	}
+}
+
+// section72List is the paper's section 7.2 signature list, as the
+// shipped local-7.2.eacl writes it.
+const section72List = "*phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe* *root.exe*"
+
+// fillerLits returns n *lit* patterns that all start with '%', the byte
+// the section 7.2 literals share.
+func fillerLits(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("*%%%02x%%*", i)
+	}
+	return out
+}
+
+// TestGlobListLiteralAtEveryOffset walks a literal across every offset
+// of subjects under, at and over the length from which Match searches
+// literal by literal — a match, or a prefix cut off by the subject's
+// end — in lists of one literal, of the searched maximum and of one
+// more, against eacl.Glob.
+func TestGlobListLiteralAtEveryOffset(t *testing.T) {
+	const lit = "%c0%af"
+	for _, nlits := range []int{1, searchedLits, searchedLits + 1} {
+		patterns := append(fillerLits(nlits-1), "*"+lit+"*")
+		l := CompileGlobList(patterns)
+		for _, n := range []int{longSubject - 1, longSubject, longSubject + 1, 1200} {
+			for _, fill := range []string{"%", "%c", "A"} {
+				line := strings.Repeat(fill, n)
+				for off := 0; off < n; off++ {
+					s := (line[:off] + lit + line)[:n]
+					want := false
+					for _, p := range patterns {
+						want = want || Glob(p, s)
+					}
+					if got := l.Match(s); got != want {
+						t.Fatalf("%d literals, %d bytes of %q, %q at %d: Match = %v, some eacl.Glob = %v", nlits, n, fill, lit, off, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGlobList times the section 7.2 list on a short legitimate
+// line, the overflow probe and lines an attacker fills with a byte
+// that starts a literal, and a 64-literal list on 1.2 KB lines.
+func BenchmarkGlobList(b *testing.B) {
+	overflow := "GET /cgi-bin/search?q=" + strings.Repeat("A", 1200)
+	for _, bc := range []struct {
+		name     string
+		patterns []string
+		s        string
+	}{
+		{"7.2/legit", strings.Fields(section72List), "GET /docs/guide.html"},
+		{"7.2/overflow-1.2K", strings.Fields(section72List), overflow},
+		{"7.2/pct-1.2K", strings.Fields(section72List), strings.Repeat("%", 1200)},
+		{"7.2/slash-c-1.2K", strings.Fields(section72List), strings.Repeat("/c", 600)},
+		{"7.2/pct-64K", strings.Fields(section72List), strings.Repeat("%", 64<<10)},
+		{"lits64/overflow-1.2K", fillerLits(64), overflow},
+		{"lits64/pct-1.2K", fillerLits(64), strings.Repeat("%", 1200)},
+	} {
+		l := CompileGlobList(bc.patterns)
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.s)))
+			for i := 0; i < b.N; i++ {
+				if l.Match(bc.s) {
+					b.Fatal("unexpected match")
+				}
+			}
+		})
 	}
 }
 

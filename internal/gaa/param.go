@@ -103,18 +103,19 @@ func AppendQuoted(dst []byte, parts ...string) []byte {
 }
 
 // PlainASCII reports whether strconv.Quote copies s unchanged: printable
-// ASCII, no '"' or '\\'. It tests eight bytes a step — w or w+1 has a
-// high bit for a byte ≥ 0x7f, w-0x20 borrows for one < 0x20, w XOR '"'
-// or '\\' for a match — and a borrow or carry leaves only a flagged byte.
+// ASCII, no '"' or '\\'. It tests two words of eight bytes a step.
 func PlainASCII(s string) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	// s shrinks by a word a step, so one length test covers the load.
-	for ; len(s) >= 8; s = s[8:] {
-		w := binary.LittleEndian.Uint64([]byte(s[:8]))
-		quote, backslash := w^'"'*ones, w^'\\'*ones
-		if (w|(w+ones)|(w-0x20*ones)&^w|(quote-ones)&^quote|(backslash-ones)&^backslash)&highs != 0 {
+	// s shrinks by the bytes tested, so one length test covers the loads.
+	for ; len(s) >= 16; s = s[16:] {
+		if plainFlags(s[:8])|plainFlags(s[8:16]) != 0 {
 			return false
 		}
+	}
+	if len(s) >= 8 {
+		if plainFlags(s[:8]) != 0 {
+			return false
+		}
+		s = s[8:]
 	}
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
@@ -122,4 +123,15 @@ func PlainASCII(s string) bool {
 		}
 	}
 	return true
+}
+
+// plainFlags sets the high bit of each byte of s[:8] PlainASCII rejects:
+// w or w+1 has a high bit for a byte ≥ 0x7f, w-0x20 borrows for one
+// < 0x20, w XOR '"' or '\\' for a match, and a borrow or carry leaves
+// only a flagged byte.
+func plainFlags(s string) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	w := binary.LittleEndian.Uint64([]byte(s))
+	quote, backslash := w^'"'*ones, w^'\\'*ones
+	return (w | (w + ones) | (w-0x20*ones)&^w | (quote-ones)&^quote | (backslash-ones)&^backslash) & highs
 }

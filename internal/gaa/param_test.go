@@ -97,18 +97,18 @@ func plainASCIIBytes(s string) bool {
 // FuzzPlainASCII holds the word-at-a-time scan to the byte loop. Each
 // seed is one byte value between the highest and between the lowest
 // printable bytes, and every suffix is checked, so each value sits alone
-// at every offset of a word, beside the bytes a carry or borrow would
-// reach.
+// at every offset of a two-word step, beside the bytes a carry or borrow
+// would reach.
 func FuzzPlainASCII(f *testing.F) {
 	f.Add("GET /index.html HTTP/1.0")
 	f.Add("POST /" + strings.Repeat("A", 1200))
 	for b := 0; b < 256; b++ {
-		for _, pad := range []string{"~~~~~~~~", "        "} {
+		for _, pad := range []string{strings.Repeat("~", 16), strings.Repeat(" ", 16)} {
 			f.Add(pad + string([]byte{byte(b)}) + pad)
 		}
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		for i := 0; i <= len(s) && i < 16; i++ {
+		for i := 0; i <= len(s) && i < 32; i++ {
 			if got, want := PlainASCII(s[i:]), plainASCIIBytes(s[i:]); got != want {
 				t.Fatalf("PlainASCII(%q) = %v, the byte loop says %v", s[i:], got, want)
 			}

@@ -37,6 +37,10 @@ type Request struct {
 	// rights memo keeps the label of the request that fills it, and
 	// Policy.RightLabel returns it to later requests for that right.
 	Label string
+	// URIPlain, when set, promises that the ParamRequestURI value is
+	// one PlainASCII accepts, so an action quoting it need not scan
+	// it again.
+	URIPlain bool
 }
 
 // FirstRight returns the first requested right spelt "<DefAuth>

@@ -196,7 +196,7 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	if !ok {
 		label = g.cfg.Authority + " " + rec.Method + " " + rec.Path
 	}
-	cs.req.Label = label
+	cs.req.Label, cs.req.URIPlain = label, rec.PlainURI()
 	cs.rights[0].Value = label[len(g.cfg.Authority)+1:]
 	cs.req.Params = cs.req.Params[:cs.params.set(rec)]
 	cs.req.Time = rec.Time
@@ -395,7 +395,7 @@ func (g *Guard) illFormed(rec *httpd.RequestRec) bool {
 		return true
 	}
 	// A plain URI has no control byte or backslash; others take the loop.
-	if gaa.PlainASCII(rec.URI) {
+	if rec.PlainURI() {
 		return false
 	}
 	for i := 0; i < len(rec.URI); i++ {

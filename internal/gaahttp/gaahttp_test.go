@@ -782,6 +782,59 @@ func TestGuardCheckDenyAllocs(t *testing.T) {
 // its right, 6 while every check built the guard's string, 11 while each
 // record was boxed and handed to json.Marshal.
 func TestStackFirstContactAttackAllocs(t *testing.T) {
+	st := firstContactStack(t)
+	// Per class: one probe here, one AllocsPerRun warms up with, then
+	// the runs.
+	const runs = 500
+	sources := firstContactSources(4 * (runs + 2))
+	for _, attack := range firstContactAttacks {
+		probe := firstContactProbe(t, st, attack.target, &sources)
+		probe()
+		if raceEnabled {
+			t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
+		}
+		if allocs := testing.AllocsPerRun(runs, probe); allocs != attack.allocs {
+			t.Errorf("a first-contact %s probe through Stack.Server allocates %v, want %v", attack.name, allocs, attack.allocs)
+		}
+	}
+	if n := st.Store.Stats().Appends; n < 2*4*(runs+2) {
+		t.Errorf("%d probes journaled %d records, want two each", 4*(runs+2), n)
+	}
+}
+
+// BenchmarkStackFirstContact times a first-contact probe of each of
+// siege's four attack classes through Stack.Server with a state
+// directory, each from a fresh source: the requests whose allocations
+// TestStackFirstContactAttackAllocs counts.
+func BenchmarkStackFirstContact(b *testing.B) {
+	st := firstContactStack(b)
+	for _, attack := range firstContactAttacks {
+		b.Run(attack.name, func(b *testing.B) {
+			sources := firstContactSources(b.N)
+			probe := firstContactProbe(b, st, attack.target, &sources)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				probe()
+			}
+		})
+	}
+}
+
+// firstContactAttacks are siege's attack classes, with what a probe of
+// each allocates.
+var firstContactAttacks = []struct {
+	name, target string
+	allocs       float64
+}{
+	{"phf", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", 3},
+	{"nimda", "/scripts/..%c0%af../winnt/system32/cmd.exe?/c+dir", 3},
+	{"slash flood", "/" + strings.Repeat("/", 40) + "index.html", 3},
+	{"overflow", "/cgi-bin/search?q=" + strings.Repeat("A", 1200), 6},
+}
+
+// firstContactStack is the siege deployment with a state directory.
+func firstContactStack(tb testing.TB) *Stack {
 	st, err := NewStack(StackConfig{
 		SystemPolicy:  browseSystem,
 		LocalPolicies: map[string]string{"*": browseLocal},
@@ -789,49 +842,42 @@ func TestStackFirstContactAttackAllocs(t *testing.T) {
 		PolicyCache:   true,
 		Metrics:       true,
 		AccessLog:     io.Discard,
-		StateDir:      t.TempDir(),
+		StateDir:      tb.TempDir(),
 		Fsync:         "interval",
 	})
 	if err != nil {
-		t.Fatalf("NewStack: %v", err)
+		tb.Fatalf("NewStack: %v", err)
 	}
-	defer st.Close()
-	// Per class: one probe here, one AllocsPerRun warms up with, then
-	// the runs.
-	const runs = 500
-	sources := make([]string, 4*(runs+2))
-	for i := range sources {
-		sources[i] = fmt.Sprintf("11.%d.%d.%d:40000", i>>16, i>>8&255, i&255)
+	tb.Cleanup(func() { st.Close() })
+	return st
+}
+
+// firstContactSources returns n distinct source addresses no stack has
+// seen, a new run of them on every call.
+func firstContactSources(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		firstContactNext++
+		k := firstContactNext
+		out[i] = fmt.Sprintf("%d.%d.%d.%d:40000", 11+k>>24, k>>16&255, k>>8&255, k&255)
 	}
-	for _, attack := range []struct {
-		name, target string
-		want         float64
-	}{
-		{"phf", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", 3},
-		{"nimda", "/scripts/..%c0%af../winnt/system32/cmd.exe?/c+dir", 3},
-		{"slash flood", "/" + strings.Repeat("/", 40) + "index.html", 3},
-		{"overflow", "/cgi-bin/search?q=" + strings.Repeat("A", 1200), 6},
-	} {
-		req := httptest.NewRequest("GET", attack.target, nil)
-		rw := &nullResponse{header: make(http.Header)}
-		probe := func() {
-			req.RemoteAddr, sources = sources[0], sources[1:]
-			rw.code = 0
-			st.Server.ServeHTTP(rw, req)
-			if rw.code != http.StatusForbidden {
-				t.Fatalf("%s probe from %s answered %d, want 403", attack.name, req.RemoteAddr, rw.code)
-			}
+	return out
+}
+
+var firstContactNext int
+
+// firstContactProbe returns a probe of target that takes its source off
+// the front of sources and wants a 403.
+func firstContactProbe(tb testing.TB, st *Stack, target string, sources *[]string) func() {
+	req := httptest.NewRequest("GET", target, nil)
+	rw := &nullResponse{header: make(http.Header)}
+	return func() {
+		req.RemoteAddr, *sources = (*sources)[0], (*sources)[1:]
+		rw.code = 0
+		st.Server.ServeHTTP(rw, req)
+		if rw.code != http.StatusForbidden {
+			tb.Fatalf("probe of %s from %s answered %d, want 403", target, req.RemoteAddr, rw.code)
 		}
-		probe()
-		if raceEnabled {
-			t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-		}
-		if allocs := testing.AllocsPerRun(runs, probe); allocs != attack.want {
-			t.Errorf("a first-contact %s probe through Stack.Server allocates %v, want %v", attack.name, allocs, attack.want)
-		}
-	}
-	if n := st.Store.Stats().Appends; n < 2*4*(runs+2) {
-		t.Errorf("%d probes journaled %d records, want two each", 4*(runs+2), n)
 	}
 }
 

@@ -66,8 +66,10 @@ func appendCLF(dst []byte, rec *RequestRec, status, bytes int, lastTime *atomic.
 	if rec.URI == "" && rec.target != "" {
 		// Dropped at the firewall, before the line was built.
 		dst = gaa.AppendQuoted(dst, rec.Method, " ", rec.target)
+	} else if rec.PlainURI() {
+		dst = append(append(append(dst, '"'), rec.URI...), '"')
 	} else {
-		dst = gaa.AppendQuoted(dst, rec.URI)
+		dst = strconv.AppendQuote(dst, rec.URI)
 	}
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, int64(status), 10)

@@ -3,11 +3,14 @@ package httpd
 import (
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gaaapi/internal/gaa"
 )
 
 // sprintfCLF is the expression FormatCLF was before AppendCLF existed;
@@ -148,6 +151,27 @@ func TestLogCLFConcurrentClocks(t *testing.T) {
 		rec := &RequestRec{Time: when, URI: "GET /w" + strconv.Itoa(w), ClientIP: "10.0.0.1"}
 		if n := lines[sprintfCLF(rec, 200, 1)+"\n"]; n != rounds {
 			t.Errorf("worker %d: %d of %d lines carry its own timestamp", w, n, rounds)
+		}
+	}
+}
+
+// TestServedCLFQuotesEachLine serves, through one Server and so one
+// pooled RequestRec, plain request lines and lines strconv.Quote
+// escapes, alternately: each access-log line quotes its own line as
+// gaa.AppendQuoted does. A plain answer kept from an earlier request
+// would write the raw control byte into the log logscan reads back.
+func TestServedCLFQuotesEachLine(t *testing.T) {
+	var log strings.Builder
+	s := NewServer(Config{AccessLog: &log})
+	const escaped = "/a\"b\\c\x01d/é"
+	for _, target := range []string{"/index.html", escaped, "/index.html", escaped} {
+		log.Reset()
+		r := httptest.NewRequest("GET", "/", nil)
+		r.RequestURI = target
+		s.ServeHTTP(httptest.NewRecorder(), r)
+		want := "] " + string(gaa.AppendQuoted(nil, "GET "+target)) + " "
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("access log %q, want it to hold %q", log.String(), want)
 		}
 	}
 }

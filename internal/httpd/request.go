@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"gaaapi/internal/gaa"
 )
 
 // RequestRec is the server's per-request record, the analog of
@@ -22,6 +24,8 @@ type RequestRec struct {
 	// target is the original request URI; URI is built from it only
 	// once the source has passed the firewall.
 	target string
+	// plain is PlainURI's answer once plainRead is set.
+	plain, plainRead bool
 	// User is the authenticated user, empty when anonymous.
 	User string
 	// AuthAttempted reports whether credentials were presented (even
@@ -53,9 +57,9 @@ func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestR
 	return rec
 }
 
-// fillRequestRec overwrites every field of a pooled rec but URI, which
-// it clears, one by one: a composite literal is copied in under the
-// GC's bulk write barrier.
+// fillRequestRec overwrites every field of a pooled rec but URI and
+// PlainURI's answer, which it clears, one by one: a composite literal
+// is copied in under the GC's bulk write barrier.
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
 	rec.Time = now
 	rec.Method = r.Method
@@ -67,7 +71,7 @@ func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now ti
 		// RequestURI is unset; reconstruct it.
 		rec.target = r.URL.RequestURI()
 	}
-	rec.URI = ""
+	rec.URI, rec.plainRead = "", false
 	rec.ClientIP = clientIP(r.RemoteAddr)
 	rec.HeaderCount = len(r.Header)
 	rec.InputLength = len(r.URL.RawQuery) + int(max64(r.ContentLength, 0))
@@ -87,6 +91,16 @@ func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now ti
 // actions quote).
 func (r *RequestRec) buildURI() {
 	r.URI = r.Method + " " + r.target
+}
+
+// PlainURI reports gaa.PlainASCII(URI), reading the line at most once
+// per request: the guard's ill-formed check, the alert that quotes the
+// line and the access log share the answer.
+func (r *RequestRec) PlainURI() bool {
+	if !r.plainRead {
+		r.plain, r.plainRead = gaa.PlainASCII(r.URI), true
+	}
+	return r.plain
 }
 
 // Object returns the protected object the request addresses: the

@@ -28,9 +28,11 @@ type Signature struct {
 type DB struct {
 	mu   sync.RWMutex
 	sigs []Signature
-	// globs[i] is sigs[i].Patterns compiled at Add: Match runs the
-	// paper's *lit* signatures as substring searches.
-	globs [][]eacl.CompiledGlob
+	// lists[i] is sigs[i].Patterns compiled at Add, and all is every
+	// pattern as one list: a line no signature matches is read once,
+	// with the kernel pre_cond_regex runs.
+	lists []*eacl.GlobList
+	all   *eacl.GlobList
 }
 
 // NewDB returns a database preloaded with the given signatures.
@@ -45,22 +47,26 @@ func (db *DB) Add(sigs ...Signature) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.sigs = append(db.sigs, sigs...)
-	for _, sig := range sigs {
-		globs := make([]eacl.CompiledGlob, len(sig.Patterns))
-		for i, p := range sig.Patterns {
-			globs[i] = eacl.CompileGlob(p)
-		}
-		db.globs = append(db.globs, globs)
+	var all []string
+	for _, sig := range db.sigs {
+		all = append(all, sig.Patterns...)
 	}
+	for _, sig := range sigs {
+		db.lists = append(db.lists, eacl.CompileGlobList(sig.Patterns))
+	}
+	db.all = eacl.CompileGlobList(all)
 }
 
 // Match returns every signature matching s, in registration order.
 func (db *DB) Match(s string) []Signature {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if !db.all.Match(s) {
+		return nil
+	}
 	var out []Signature
 	for i := range db.sigs {
-		if db.matches(i, s) {
+		if db.lists[i].Match(s) {
 			out = append(out, db.sigs[i])
 		}
 	}
@@ -73,30 +79,15 @@ func (db *DB) Match(s string) []Signature {
 func (db *DB) First(s, name string) (Signature, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if !db.all.Match(s) {
+		return Signature{}, false
+	}
 	for i := range db.sigs {
-		if (name == "" || db.sigs[i].Name == name) && db.matches(i, s) {
+		if (name == "" || db.sigs[i].Name == name) && db.lists[i].Match(s) {
 			return db.sigs[i], true
 		}
 	}
 	return Signature{}, false
-}
-
-// matches reports whether some pattern of signature i matches s; the
-// caller holds mu.
-func (db *DB) matches(i int, s string) bool {
-	for _, g := range db.globs[i] {
-		if g.Match(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of signatures.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.sigs)
 }
 
 // DefaultSignatures returns the attack signatures discussed in the

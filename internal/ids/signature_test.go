@@ -19,6 +19,8 @@ func TestDefaultSignaturesDetectPaperAttacks(t *testing.T) {
 		{"nimda cmd.exe", "GET /msadc/root.exe?/c+dir", "nimda"},
 		{"legit page", "GET /index.html", ""},
 		{"legit encoded space", "GET /docs/a%20b.html", ""},
+		{"overflow", "GET /cgi-bin/search?q=" + strings.Repeat("A", 1200), ""},
+		{"nimda after 1.2 KB", "GET /cgi-bin/search?q=" + strings.Repeat("%", 1200) + "%255c", "nimda"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -53,17 +55,18 @@ func names(sigs []Signature) []string {
 	return out
 }
 
-func TestDBAddAndLen(t *testing.T) {
+func TestDBAdd(t *testing.T) {
 	db := NewDB()
-	if db.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", db.Len())
+	if hits := db.Match("GET /evil/path"); len(hits) != 0 {
+		t.Fatalf("empty database Match = %v", names(hits))
 	}
 	db.Add(Signature{Name: "custom", Patterns: []string{"*evil*"}, Severity: SevMedium, Kind: "custom"})
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", db.Len())
-	}
 	if hits := db.Match("GET /evil/path"); len(hits) != 1 || hits[0].Name != "custom" {
 		t.Errorf("Match = %v", names(hits))
+	}
+	db.Add(Signature{Name: "later", Patterns: []string{"*path*"}})
+	if hits := db.Match("GET /evil/path"); len(names(hits)) != 2 || hits[1].Name != "later" {
+		t.Errorf("after a second Add, Match = %v", names(hits))
 	}
 }
 
