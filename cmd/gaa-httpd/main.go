@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -261,10 +262,15 @@ func run(args []string) (err error) {
 	}
 	httpSrv := &http.Server{Addr: o.listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 
+	ln, err := net.Listen("tcp", o.listen)
+	if err != nil {
+		return err
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Printf("gaa-httpd listening on %s (threat level %s)\n", o.listen, st.Threat.Level())
 	if st.Cluster != nil {
+		st.Cluster.Start()
 		cs := st.Cluster.Stats()
 		fmt.Printf("gaa-httpd cluster node %q (epoch %d) replicating to %d peer(s)\n",
 			cs.NodeID, cs.Epoch, len(cs.Peers))

@@ -10,21 +10,24 @@
 // statestore journal record and the wire encoding is the same
 // length+CRC WAL framing that protects the on-disk journal. Each node
 // pushes its log tail to every peer over HTTP, with jittered-backoff
-// retry and a circuit breaker per peer. Receivers apply remote records
-// through merge rules that commute — later-deadline-wins for blocks,
-// max-wins for the threat level, additive counters, as-sent group
-// membership — so nodes converge eventually regardless of delivery
-// order, and loops are broken by origin tagging: a node never
-// re-ships a record it merged from a peer (remote applies bypass the
-// mirror), and drops pushes that carry its own node id.
+// retry and a circuit breaker per peer. A push is a step, Push(now),
+// on a clock its caller owns: a simulated fleet steps it between
+// requests, a server runs it on Start's per-peer goroutines.
+// Receivers apply remote records through merge rules that commute —
+// later-deadline-wins for blocks, max-wins for the threat level,
+// additive counters, as-sent group membership — so nodes converge
+// eventually regardless of delivery order, and loops are broken by
+// origin tagging: a node never re-ships a record it merged from a peer
+// (remote applies bypass the mirror), and drops pushes that carry its
+// own node id.
 //
 // Robustness is the headline contract: a peer that is down, slow,
 // lying (corrupt frames, malformed payloads), or partitioned away
 // must never stall the request hot path — the tap is an in-memory
-// append, all network IO happens on per-peer goroutines — and must
-// never corrupt local state: frames are CRC-checked, payloads that
-// fail to decode stop the batch at the last good record, and degraded
-// replication is reported via Stats/metrics, never fatal.
+// append, all network IO happens in Push — and must never corrupt
+// local state: frames are CRC-checked, payloads that fail to decode
+// stop the batch at the last good record, and degraded replication is
+// reported via Stats/metrics, never fatal.
 package cluster
 
 import (
@@ -87,38 +90,30 @@ type Config struct {
 	// Transport overrides peer delivery (in-process tests); nil uses
 	// HTTP POST to peer + "/gaa/replicate".
 	Transport Transport
-	// PushInterval is the idle retry tick — how often a peer with
+	// PushInterval is Start's idle tick — how often a peer with
 	// pending records is re-tried outside the immediate push on new
-	// mutations (default 100ms). The replication SLO is a small
-	// multiple of this.
+	// mutations (default 100ms).
 	PushInterval time.Duration
-	// PushTimeout bounds one push round-trip (default 2s).
-	PushTimeout time.Duration
-	// MaxBatch caps records per push (default 512).
-	MaxBatch int
-	// MaxLog bounds the in-memory replication log (default 65536).
-	// When it overflows, the oldest records are trimmed; a peer that
-	// fell behind the trimmed horizon receives a full state snapshot
-	// instead of the lost records.
-	MaxLog int
-	// Backoff paces retries against a failing peer; the default is
-	// 25ms base, x2, 2s cap, full jitter — a fleet must not retry a
-	// recovered node in lockstep.
-	Backoff retry.Policy
-	// BreakerThreshold and BreakerCooldown configure the per-peer
-	// circuit breaker (defaults 3 failures, 1s cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// DegradedAfter is how long without a successful push before a
-	// peer counts as degraded in Stats and healthz (default 5s).
-	DegradedAfter time.Duration
-	// Epoch overrides the node's epoch (tests). 0 derives one from the
-	// wall clock at start, so a restarted node presents a higher epoch
-	// and peers reset their applied cursor for it.
-	Epoch uint64
-	// Clock overrides time.Now (tests).
+	// Clock is the instant Stats, the breakers and Start's steps read
+	// (default time.Now). A simulated campaign passes its own clock,
+	// so backoff, breaker cooldowns and the degraded window follow it.
 	Clock func() time.Time
 }
+
+// Replication constants. The backoff is 25ms base, x2, 2s cap, full
+// jitter — a fleet must not retry a recovered node in lockstep.
+const (
+	pushTimeout      = 2 * time.Second // bounds one push round-trip
+	maxBatch         = 512             // records per push
+	maxLog           = 65536           // default bound of the replication log
+	breakerThreshold = 3               // consecutive failures that open a peer's breaker
+	breakerCooldown  = time.Second     // open breaker's wait before a probe
+	degradedAfter    = 5 * time.Second // without a successful push: degraded
+	backoffBase      = 25 * time.Millisecond
+	backoffCap       = 2 * time.Second
+)
+
+var backoff = retry.Policy{BaseDelay: backoffBase, Multiplier: 2, MaxDelay: backoffCap, Jitter: 1}
 
 func (c Config) withDefaults() (Config, error) {
 	if c.NodeID == "" {
@@ -133,38 +128,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.PushInterval <= 0 {
 		c.PushInterval = 100 * time.Millisecond
 	}
-	if c.PushTimeout <= 0 {
-		c.PushTimeout = 2 * time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 512
-	}
-	if c.MaxLog <= 0 {
-		c.MaxLog = 65536
-	}
-	if c.Backoff.BaseDelay <= 0 {
-		c.Backoff = retry.Policy{
-			BaseDelay:  25 * time.Millisecond,
-			Multiplier: 2,
-			MaxDelay:   2 * time.Second,
-			Jitter:     1,
-			Rand:       c.Backoff.Rand, // keep an injected seeded source
-		}
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 5 * time.Second
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.Epoch == 0 {
-		c.Epoch = uint64(c.Clock().UnixNano())
 	}
 	return c, nil
 }
@@ -183,17 +148,21 @@ type peer struct {
 
 	mu          sync.Mutex
 	acked       uint64
-	failures    int // consecutive, for backoff
+	failures    int       // consecutive, for backoff
+	next        time.Time // after a failure: no attempt before this instant
 	lastErr     string
 	lastSuccess time.Time // baseline: node creation, then each acked push
 }
 
-// Node is one member of the replication mesh. Create with New, start
-// the pushers with Start, serve Handler at the replicate endpoint, and
+// Node is one member of the replication mesh. Create with New, serve
+// Handler at the replicate endpoint, and ship state either by calling
+// Push on a clock the caller owns or by Start's per-peer goroutines;
 // Stop on shutdown.
 type Node struct {
-	cfg   Config
-	peers []*peer
+	cfg    Config
+	epoch  uint64
+	peers  []*peer
+	maxLog int
 
 	mu      sync.Mutex
 	log     []statestore.Record // self-originated records; log[i].Seq == horizon+i+1
@@ -201,9 +170,11 @@ type Node struct {
 	seq     uint64              // last issued sequence
 	origins map[string]*originState
 
-	stop    chan struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	// ctx parents every push and Start's goroutines; Stop cancels it,
+	// so a push hung on a slow peer ends with Stop, not its timeout.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	// counters (atomics: read by metrics collectors on scrape).
 	recordsSent      atomic.Uint64
@@ -220,8 +191,10 @@ type Node struct {
 	panicsRecovered  atomic.Uint64
 }
 
-// New wires a node and installs the journal mirror tap. The node does
-// not push until Start.
+// New wires a node and installs the journal mirror tap. Nothing is
+// shipped until Push or Start. The epoch is read from the wall clock,
+// whatever Config.Clock says, so a restarted node presents a higher
+// epoch and peers reset their applied cursor for it.
 func New(cfg Config) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -229,17 +202,19 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:     cfg,
+		epoch:   uint64(time.Now().UnixNano()),
+		maxLog:  maxLog,
 		origins: make(map[string]*originState),
-		stop:    make(chan struct{}),
 	}
+	n.ctx, n.cancel = context.WithCancel(context.Background())
 	for _, url := range cfg.Peers {
 		n.peers = append(n.peers, &peer{
 			url:     url,
-			breaker: retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
+			breaker: retry.NewBreaker(breakerThreshold, breakerCooldown, cfg.Clock),
 			notify:  make(chan struct{}, 1),
 			// The degraded window starts from creation: a peer is only
 			// degraded once it has been failing with pending records
-			// for DegradedAfter, not merely because nothing ever
+			// for degradedAfter, not merely because nothing ever
 			// needed pushing.
 			lastSuccess: cfg.Clock(),
 		})
@@ -252,18 +227,20 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) ID() string { return n.cfg.NodeID }
 
 // Epoch returns the node's epoch.
-func (n *Node) Epoch() uint64 { return n.cfg.Epoch }
+func (n *Node) Epoch() uint64 { return n.epoch }
 
 // mirror is the statestore tap: record a locally originated mutation
 // in the replication log and nudge the pushers. It runs on the request
 // hot path (inside journal hooks), so it is an in-memory append and
-// two non-blocking channel sends — no IO, no waiting.
+// non-blocking channel sends — no IO, no waiting. When the log
+// overflows maxLog, the oldest records are trimmed; a peer that fell
+// behind the trimmed horizon receives a full state snapshot instead.
 func (n *Node) mirror(kind string, data json.RawMessage) {
 	n.mu.Lock()
 	n.seq++
 	n.log = append(n.log, statestore.Record{Seq: n.seq, Kind: kind, Data: data})
-	if len(n.log) > n.cfg.MaxLog {
-		trim := len(n.log) - n.cfg.MaxLog
+	if len(n.log) > n.maxLog {
+		trim := len(n.log) - n.maxLog
 		n.horizon = n.log[trim-1].Seq
 		n.log = append(n.log[:0], n.log[trim:]...)
 	}
@@ -276,48 +253,51 @@ func (n *Node) mirror(kind string, data json.RawMessage) {
 	}
 }
 
-// Start launches one pusher goroutine per peer.
+// Start is the wall-clock driver: one goroutine per peer waits for a
+// new-record nudge or the idle tick and then takes one step for that
+// peer. A caller that owns the clock calls Push instead.
 func (n *Node) Start() {
 	for _, p := range n.peers {
 		p := p
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.runPeer(p)
+			tick := time.NewTicker(n.cfg.PushInterval)
+			defer tick.Stop()
+			for {
+				select {
+				case <-n.ctx.Done():
+					return
+				case <-p.notify:
+				case <-tick.C:
+				}
+				n.pushTo(p, n.cfg.Clock())
+			}
 		}()
 	}
 }
 
-// Stop halts the pushers and waits for them. The mirror tap stays
-// installed (mutations keep accumulating in the log) but nothing is
-// shipped after Stop returns.
+// Stop cancels any push in flight, halts Start's goroutines and waits
+// for them. The mirror tap stays installed (mutations keep
+// accumulating in the log) but nothing is shipped after Stop returns.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	n.mu.Unlock()
-	close(n.stop)
+	n.cancel()
 	n.wg.Wait()
 }
 
-// runPeer is one peer's push loop: push on new-record nudges and on
-// the idle tick; back off (jittered) after failures so a recovered
-// peer is not herd-stampeded.
-func (n *Node) runPeer(p *peer) {
-	tick := time.NewTicker(n.cfg.PushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-p.notify:
-		case <-tick.C:
-		}
-		n.pushTo(p)
+// Push is one replication step at instant now: every peer that is
+// due — its breaker admits a call and no failed push set its next
+// attempt after now — is sent its pending tail, batch after batch
+// while it keeps acknowledging. It returns how many records the peers
+// newly acknowledged, so a caller can step until a round ships
+// nothing. Failures are absorbed: the peer's next attempt moves to
+// now plus the jittered backoff, and nothing reaches the caller.
+func (n *Node) Push(now time.Time) int {
+	acked := 0
+	for _, p := range n.peers {
+		acked += n.pushTo(p, now)
 	}
+	return acked
 }
 
 // tail returns the records to send to a peer that has acknowledged
@@ -340,41 +320,27 @@ func (n *Node) tail(acked uint64) (recs []statestore.Record, needSnapshot bool, 
 		return nil, needSnapshot, snapSeq
 	}
 	end := len(n.log)
-	if end-start > n.cfg.MaxBatch {
-		end = start + n.cfg.MaxBatch
+	if end-start > maxBatch {
+		end = start + maxBatch
 	}
 	recs = make([]statestore.Record, end-start)
 	copy(recs, n.log[start:end])
 	return recs, needSnapshot, snapSeq
 }
 
-// pushTo ships the pending tail to one peer, looping while more is
-// pending and the peer keeps acknowledging. Failures are absorbed:
-// breaker short-circuit, consecutive-failure backoff, and return — the
-// next nudge or tick retries. Nothing here ever propagates an error to
-// the serving path.
-func (n *Node) pushTo(p *peer) {
-	for {
+// pushTo is Push for one peer.
+func (n *Node) pushTo(p *peer, now time.Time) (acked int) {
+	for n.ctx.Err() == nil {
 		p.mu.Lock()
-		acked, failures := p.acked, p.failures
+		from, next := p.acked, p.next
 		p.mu.Unlock()
 
-		recs, needSnapshot, snapSeq := n.tail(acked)
+		recs, needSnapshot, snapSeq := n.tail(from)
 		if len(recs) == 0 && !needSnapshot {
-			return // caught up
+			return acked // caught up
 		}
-		if !p.breaker.Allow() {
-			return // open breaker: the cooldown tick will probe later
-		}
-		if failures > 0 {
-			// Jittered backoff between consecutive failed pushes.
-			t := time.NewTimer(n.cfg.Backoff.Delay(failures))
-			select {
-			case <-n.stop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
+		if now.Before(next) || !p.breaker.Allow() {
+			return acked // backing off, or the breaker is open
 		}
 
 		frames, err := n.encodeBatch(recs, needSnapshot, snapSeq)
@@ -382,9 +348,9 @@ func (n *Node) pushTo(p *peer) {
 			// Only a marshal bug lands here; drop the snapshot attempt
 			// rather than wedging the pusher.
 			p.breaker.Record(nil)
-			return
+			return acked
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout)
+		ctx, cancel := context.WithTimeout(n.ctx, pushTimeout)
 		respBody, err := n.cfg.Transport.Send(ctx, p.url, frames)
 		cancel()
 		n.pushes.Add(1)
@@ -400,17 +366,18 @@ func (n *Node) pushTo(p *peer) {
 				p.acked = n.currentSeq()
 				p.failures = 0
 				p.mu.Unlock()
-				return
+				return acked
 			} else {
 				p.breaker.Record(nil)
 				p.mu.Lock()
 				if ack.Acked > p.acked {
 					n.recordsSent.Add(ack.Acked - p.acked)
+					acked += int(ack.Acked - p.acked)
 					p.acked = ack.Acked
 				}
 				p.failures = 0
 				p.lastErr = ""
-				p.lastSuccess = n.cfg.Clock()
+				p.lastSuccess = now
 				p.mu.Unlock()
 				if needSnapshot {
 					n.snapshotsSent.Add(1)
@@ -419,7 +386,7 @@ func (n *Node) pushTo(p *peer) {
 					// The peer rejected part of the batch; retrying the
 					// same bytes is unlikely to fare better immediately.
 					n.pushFailures.Add(1)
-					return
+					return acked
 				}
 				continue // more tail may be pending
 			}
@@ -428,15 +395,17 @@ func (n *Node) pushTo(p *peer) {
 		p.breaker.Record(err)
 		p.mu.Lock()
 		p.failures++
+		p.next = now.Add(backoff.Delay(p.failures))
 		p.lastErr = err.Error()
 		p.mu.Unlock()
-		return
+		return acked
 	}
+	return acked
 }
 
 // encodeBatch frames hello [+ snapshot] + records.
 func (n *Node) encodeBatch(recs []statestore.Record, withSnapshot bool, snapSeq uint64) ([]byte, error) {
-	helloData, err := json.Marshal(hello{Node: n.cfg.NodeID, Epoch: n.cfg.Epoch})
+	helloData, err := json.Marshal(hello{Node: n.cfg.NodeID, Epoch: n.epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -590,8 +559,8 @@ type PeerStatus struct {
 	Failures int `json:"failures,omitempty"`
 	// LastError is the most recent push error ("" when healthy).
 	LastError string `json:"last_error,omitempty"`
-	// Degraded: no successful push within DegradedAfter (and there is
-	// something to push or there never was a success).
+	// Degraded: records pending and no successful push within the
+	// degraded window (5s on the node's clock).
 	Degraded bool `json:"degraded,omitempty"`
 	// BreakerOpens counts how often this peer tripped the breaker.
 	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
@@ -639,7 +608,7 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	s := Stats{
 		NodeID:  n.cfg.NodeID,
-		Epoch:   n.cfg.Epoch,
+		Epoch:   n.epoch,
 		Seq:     n.seq,
 		LogLen:  len(n.log),
 		Horizon: n.horizon,
@@ -677,7 +646,7 @@ func (n *Node) Stats() Stats {
 		if seq > p.acked {
 			ps.Lag = seq - p.acked
 		}
-		ps.Degraded = ps.Lag > 0 && now.Sub(p.lastSuccess) > n.cfg.DegradedAfter
+		ps.Degraded = ps.Lag > 0 && now.Sub(p.lastSuccess) > degradedAfter
 		p.mu.Unlock()
 		if ps.Lag > s.MaxLag {
 			s.MaxLag = ps.Lag
@@ -692,7 +661,4 @@ func (n *Node) Stats() Stats {
 
 // CaughtUp reports whether every peer has confirmed the whole local
 // log (vacuously true with no peers).
-func (n *Node) CaughtUp() bool {
-	st := n.Stats()
-	return st.MaxLag == 0
-}
+func (n *Node) CaughtUp() bool { return n.Stats().MaxLag == 0 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +15,6 @@ import (
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/netblock"
-	"gaaapi/internal/retry"
 	"gaaapi/internal/statestore"
 )
 
@@ -50,26 +50,44 @@ func newTestState(t *testing.T) *testState {
 	return s
 }
 
-// testNode wires a node over a shared LoopTransport with a fast push
-// cadence so tests converge in milliseconds.
-func testNode(t *testing.T, lt *LoopTransport, id string, peers ...string) (*testState, *Node) {
+// testClock is the manually advanced clock a test's nodes share:
+// breakers, backoff and the degraded window read it, and the test
+// steps Push at its instant.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newTestClock() *testClock {
+	return &testClock{now: time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)}
+}
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// retryWait is how far a test advances the clock so that a peer that
+// failed is due again: past the breaker's cooldown and the backoff cap.
+const retryWait = breakerCooldown + backoffCap
+
+// testNode wires a node over a shared LoopTransport on clk.
+func testNode(t *testing.T, lt *LoopTransport, clk *testClock, id string, peers ...string) (*testState, *Node) {
 	t.Helper()
 	st := newTestState(t)
 	n, err := New(Config{
-		NodeID:       id,
-		Peers:        peers,
-		State:        st.adaptive,
-		Transport:    lt,
-		PushInterval: 5 * time.Millisecond,
-		PushTimeout:  200 * time.Millisecond,
-		Backoff: retry.Policy{
-			BaseDelay:  time.Millisecond,
-			Multiplier: 2,
-			MaxDelay:   10 * time.Millisecond,
-			Jitter:     1,
-		},
-		BreakerCooldown: 10 * time.Millisecond,
-		DegradedAfter:   50 * time.Millisecond,
+		NodeID:    id,
+		Peers:     peers,
+		State:     st.adaptive,
+		Transport: lt,
+		Clock:     clk.Now,
 	})
 	if err != nil {
 		t.Fatalf("New(%s): %v", id, err)
@@ -79,72 +97,84 @@ func testNode(t *testing.T, lt *LoopTransport, id string, peers ...string) (*tes
 	return st, n
 }
 
-// eventually polls cond for up to two seconds.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
+// settle steps every node at the clock's instant until a round ships
+// nothing.
+func settle(clk *testClock, nodes ...*Node) {
+	for {
+		shipped := 0
+		for _, n := range nodes {
+			shipped += n.Push(clk.Now())
+		}
+		if shipped == 0 {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func TestReplicatesBlockToPeer(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, _ := testNode(t, lt, "b", "loop://a")
-	na.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, _ := testNode(t, lt, clk, "b", "loop://a")
 
 	sa.blocks.Block("203.0.113.9", 30*time.Minute)
-	eventually(t, "block replicated to b", func() bool { return sb.blocks.Blocked("203.0.113.9") })
+	if got := na.Push(clk.Now()); got != 1 {
+		t.Fatalf("Push acknowledged %d records, want 1", got)
+	}
+	if !sb.blocks.Blocked("203.0.113.9") {
+		t.Fatal("block not replicated to b")
+	}
 	if !na.CaughtUp() {
-		eventually(t, "a caught up", na.CaughtUp)
+		t.Fatalf("a not caught up: %+v", na.Stats())
+	}
+	if got := na.Push(clk.Now()); got != 0 {
+		t.Fatalf("a caught-up Push acknowledged %d records", got)
 	}
 }
 
 func TestReplicatesThreatGroupsCounters(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, _ := testNode(t, lt, "b", "loop://a")
-	na.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, _ := testNode(t, lt, clk, "b", "loop://a")
 
 	sa.threat.Set(ids.Medium)
 	sa.groups.Add("BadGuys", "203.0.113.9")
 	sa.counters.Add("login_attempt|203.0.113.9")
+	settle(clk, na)
 
-	eventually(t, "threat replicated", func() bool { return sb.threat.Level() == ids.Medium })
-	eventually(t, "group replicated", func() bool { return sb.groups.Contains("BadGuys", "203.0.113.9") })
-	eventually(t, "counter replicated", func() bool {
-		return sb.counters.CountSince("login_attempt|203.0.113.9", time.Hour) == 1
-	})
+	if sb.threat.Level() != ids.Medium {
+		t.Errorf("threat on b = %v, want medium", sb.threat.Level())
+	}
+	if !sb.groups.Contains("BadGuys", "203.0.113.9") {
+		t.Error("group not replicated")
+	}
+	if got := sb.counters.CountSince("login_attempt|203.0.113.9", time.Hour); got != 1 {
+		t.Errorf("counter on b = %d, want 1", got)
+	}
 }
 
 func TestThreatMergeIsMaxWins(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, nb := testNode(t, lt, "b", "loop://a")
-	na.Start()
-	nb.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b", "loop://a")
 
 	sb.threat.Set(ids.High)
-	eventually(t, "b's high level on a", func() bool { return sa.threat.Level() == ids.High })
+	settle(clk, na, nb)
+	if sa.threat.Level() != ids.High {
+		t.Fatalf("b's high level not on a: %v", sa.threat.Level())
+	}
 
-	// A late medium transition from a must not pull b back down.
-	sa.threat.Set(ids.Medium) // local de-escalation on a... but a is already High
+	// A later medium transition from a must not pull b back down.
+	sa.threat.Set(ids.Medium)
+	settle(clk, na, nb)
 	if sb.threat.Level() != ids.High {
 		t.Fatalf("b de-escalated to %v by replication", sb.threat.Level())
 	}
 }
 
 func TestPartitionHealConverges(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, nb := testNode(t, lt, "b", "loop://a")
-	na.Start()
-	nb.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b", "loop://a")
 
 	// Partition both directions.
 	lt.Cut("loop://a")
@@ -157,44 +187,55 @@ func TestPartitionHealConverges(t *testing.T) {
 	sb.groups.Add("BadGuys", "203.0.113.2")
 	sb.threat.Set(ids.Medium)
 
-	time.Sleep(30 * time.Millisecond) // let pushes fail for a while
+	settle(clk, na, nb) // both pushes fail
 	if sa.blocks.Blocked("203.0.113.2") || sb.blocks.Blocked("203.0.113.1") {
 		t.Fatal("state leaked across a cut partition")
+	}
+	if st := na.Stats(); st.PushFailures == 0 || st.Peers[0].Failures != 1 {
+		t.Fatalf("a's failed push not recorded: %+v", st)
 	}
 
 	lt.Heal("loop://a")
 	lt.Heal("loop://b")
+	settle(clk, na, nb) // both peers are still backing off
+	if sa.blocks.Blocked("203.0.113.2") {
+		t.Fatal("a retried before its backoff elapsed")
+	}
+	clk.Advance(retryWait)
+	settle(clk, na, nb)
 
-	eventually(t, "a has b's block", func() bool { return sa.blocks.Blocked("203.0.113.2") })
-	eventually(t, "b has a's block", func() bool { return sb.blocks.Blocked("203.0.113.1") })
-	eventually(t, "groups converged", func() bool {
-		return sa.groups.Contains("BadGuys", "203.0.113.2") && sb.groups.Contains("BadGuys", "203.0.113.1")
-	})
-	eventually(t, "threat converged", func() bool { return sa.threat.Level() == ids.Medium })
-	eventually(t, "identical block lists", func() bool {
-		return fmt.Sprint(sa.blocks.List()) == fmt.Sprint(sb.blocks.List())
-	})
-	eventually(t, "both caught up", func() bool { return na.CaughtUp() && nb.CaughtUp() })
+	if !sa.blocks.Blocked("203.0.113.2") || !sb.blocks.Blocked("203.0.113.1") {
+		t.Fatal("blocks not exchanged after heal")
+	}
+	if !sa.groups.Contains("BadGuys", "203.0.113.2") || !sb.groups.Contains("BadGuys", "203.0.113.1") {
+		t.Fatal("groups not converged")
+	}
+	if sa.threat.Level() != ids.Medium {
+		t.Fatalf("threat on a = %v, want medium", sa.threat.Level())
+	}
+	if fmt.Sprint(sa.blocks.List()) != fmt.Sprint(sb.blocks.List()) {
+		t.Fatalf("block lists differ: a=%v b=%v", sa.blocks.List(), sb.blocks.List())
+	}
+	if !na.CaughtUp() || !nb.CaughtUp() {
+		t.Fatal("not caught up after heal")
+	}
 }
 
 func TestBlockDeadlineMergeLaterWins(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, nb := testNode(t, lt, "b", "loop://a")
-	na.Start()
-	nb.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b", "loop://a")
 
-	// Both nodes block the same IP with different deadlines while
-	// partitioned; after healing both must settle on the longer one —
+	// Both nodes block the same IP with different deadlines before
+	// either pushes; once they do, both must settle on the longer one —
 	// not swap deadlines forever.
-	lt.Cut("loop://a")
-	lt.Cut("loop://b")
 	sa.blocks.Block("203.0.113.7", 10*time.Minute)
 	sb.blocks.Block("203.0.113.7", 24*time.Hour)
-	lt.Heal("loop://a")
-	lt.Heal("loop://b")
+	settle(clk, na, nb)
 
-	eventually(t, "both caught up", func() bool { return na.CaughtUp() && nb.CaughtUp() })
+	if !na.CaughtUp() || !nb.CaughtUp() {
+		t.Fatal("not caught up")
+	}
 	wantA := sa.blocks.Entries()
 	wantB := sb.blocks.Entries()
 	if len(wantA) != 1 || len(wantB) != 1 {
@@ -209,11 +250,88 @@ func TestBlockDeadlineMergeLaterWins(t *testing.T) {
 	}
 }
 
-func TestMirrorIsNonBlockingWithHungPeer(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	_ = newTestState(t) // b's state never even registered: peer is a black hole
+// TestStartShipsOnNudge drives replication with Start's goroutines: a
+// mutation nudges a's pusher, and b's handler signals the delivery.
+func TestStartShipsOnNudge(t *testing.T) {
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b")
+	delivered := make(chan struct{}, 1)
+	lt.RegisterFunc("loop://b", func(frames []byte) ([]byte, error) {
+		ack, err := nb.Receive(frames)
+		if err != nil {
+			return nil, err
+		}
+		select {
+		case delivered <- struct{}{}:
+		default:
+		}
+		return json.Marshal(ack)
+	})
+	na.Start()
+
+	sa.blocks.Block("203.0.113.9", 30*time.Minute)
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Start's pusher never delivered the block")
+	}
+	if !sb.blocks.Blocked("203.0.113.9") {
+		t.Fatal("delivered push did not block on b")
+	}
+}
+
+// hookTransport signals each send before handing it to the loop
+// transport.
+type hookTransport struct {
+	*LoopTransport
+	sending chan struct{}
+}
+
+func (h hookTransport) Send(ctx context.Context, url string, frames []byte) ([]byte, error) {
+	select {
+	case h.sending <- struct{}{}:
+	default:
+	}
+	return h.LoopTransport.Send(ctx, url, frames)
+}
+
+// TestStopCancelsHungPush: Stop ends a push hung on a slow peer instead
+// of waiting out the push timeout.
+func TestStopCancelsHungPush(t *testing.T) {
+	lt, clk := NewLoopTransport(), newTestClock()
 	lt.Hang("loop://b")
+	ht := hookTransport{LoopTransport: lt, sending: make(chan struct{}, 1)}
+	sa := newTestState(t)
+	na, err := New(Config{NodeID: "a", Peers: []string{"loop://b"}, State: sa.adaptive, Transport: ht, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	na.Start()
+	sa.blocks.Block("203.0.113.9", time.Minute)
+	select {
+	case <-ht.sending:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Start's pusher never sent")
+	}
+
+	start := time.Now()
+	na.Stop()
+	if d := time.Since(start); d >= pushTimeout/2 {
+		t.Fatalf("Stop took %v with a hung push (push timeout %v)", d, pushTimeout)
+	}
+	if got := na.Stats().Peers[0].LastError; got != "context canceled" {
+		t.Fatalf("LastError = %q, want context canceled", got)
+	}
+	if got := na.Push(clk.Now()); got != 0 || na.Stats().Pushes != 1 {
+		t.Fatalf("Push after Stop shipped: acked %d, %+v", got, na.Stats())
+	}
+}
+
+func TestMirrorIsNonBlockingWithHungPeer(t *testing.T) {
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	lt.Hang("loop://b") // the peer is a black hole
 	na.Start()
 
 	// With the peer hanging every push, local mutations must still be
@@ -232,21 +350,116 @@ func TestMirrorIsNonBlockingWithHungPeer(t *testing.T) {
 }
 
 func TestDegradedPeerReported(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
 	lt.Cut("loop://b")
-	na.Start()
 
 	sa.blocks.Block("203.0.113.9", time.Minute)
-	eventually(t, "peer reported degraded", func() bool {
-		st := na.Stats()
-		return st.DegradedPeers == 1 && st.MaxLag > 0 && st.PushFailures > 0
+	na.Push(clk.Now())
+	st := na.Stats()
+	if st.MaxLag == 0 || st.PushFailures == 0 || st.DegradedPeers != 0 {
+		t.Fatalf("after one failed push: %+v", st)
+	}
+	clk.Advance(degradedAfter + time.Millisecond)
+	if st := na.Stats(); st.DegradedPeers != 1 {
+		t.Fatalf("peer not degraded past the window: %+v", st)
+	}
+}
+
+// originApplied is n's applied cursor for origin ("": none yet).
+func originApplied(n *Node, origin string) uint64 {
+	for _, o := range n.Stats().Origins {
+		if o.Node == origin {
+			return o.Applied
+		}
+	}
+	return 0
+}
+
+// TestDropDuplicateReorderConverge: b's inbound link loses one push,
+// delivers one twice, and holds one back until after the next. After
+// settling, both nodes hold the same state, and b's applied cursor for
+// a never moved backwards.
+func TestDropDuplicateReorderConverge(t *testing.T) {
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b", "loop://a")
+
+	var applied uint64
+	deliver := func(frames []byte) ([]byte, error) {
+		ack, err := nb.Receive(frames)
+		if err != nil {
+			return nil, err
+		}
+		if cur := originApplied(nb, "a"); cur < applied {
+			t.Errorf("applied cursor for a moved back: %d -> %d", applied, cur)
+		} else {
+			applied = cur
+		}
+		return json.Marshal(ack)
+	}
+	var pushes int
+	var held []byte
+	lt.RegisterFunc("loop://b", func(frames []byte) ([]byte, error) {
+		pushes++
+		switch pushes {
+		case 1: // lost
+			return nil, fmt.Errorf("push %d dropped", pushes)
+		case 2: // duplicated
+			deliver(frames)
+			return deliver(frames)
+		case 3: // held back
+			held = frames
+			return nil, fmt.Errorf("push %d held", pushes)
+		case 4: // overtakes the held push
+			ack, err := deliver(frames)
+			deliver(held)
+			return ack, err
+		}
+		return deliver(frames)
 	})
+
+	for _, mutate := range []func(){
+		func() { sa.blocks.Block("203.0.113.1", time.Hour) },
+		func() {
+			sa.groups.Add("BadGuys", "203.0.113.1")
+			sb.blocks.Block("203.0.113.2", time.Hour)
+		},
+		func() { sa.threat.Set(ids.Medium) },
+		func() {
+			sa.blocks.Block("203.0.113.1", 2*time.Hour)
+			sb.groups.Add("BadGuys", "203.0.113.2")
+		},
+	} {
+		mutate()
+		settle(clk, na, nb)
+		clk.Advance(retryWait)
+	}
+	settle(clk, na, nb)
+
+	if pushes != 4 {
+		t.Fatalf("%d pushes reached b's link, want the scripted 4", pushes)
+	}
+	if st := nb.Stats(); st.RecordsDuplicate == 0 {
+		t.Errorf("duplicate and overtaken deliveries not seen as duplicates: %+v", st)
+	}
+	if a, b := fmt.Sprint(sa.blocks.Entries()), fmt.Sprint(sb.blocks.Entries()); a != b {
+		t.Errorf("blocks differ:\na=%s\nb=%s", a, b)
+	}
+	if a, b := fmt.Sprint(sa.groups.Members("BadGuys")), fmt.Sprint(sb.groups.Members("BadGuys")); a != b {
+		t.Errorf("groups differ: a=%s b=%s", a, b)
+	}
+	if a, b := sa.threat.Level(), sb.threat.Level(); a != b || a != ids.Medium {
+		t.Errorf("threat a=%v b=%v, want medium on both", a, b)
+	}
+	if !na.CaughtUp() || !nb.CaughtUp() {
+		t.Errorf("not caught up: a=%+v b=%+v", na.Stats(), nb.Stats())
+	}
 }
 
 func TestCorruptPushDoesNotPanicOrApply(t *testing.T) {
 	lt := NewLoopTransport()
-	sb, nb := testNode(t, lt, "b")
+	sb, nb := testNode(t, lt, newTestClock(), "b")
 
 	// Garbage bytes: rejected outright, state untouched.
 	if _, err := nb.Receive([]byte("not a wal frame at all")); err == nil {
@@ -295,7 +508,7 @@ func TestCorruptPushDoesNotPanicOrApply(t *testing.T) {
 
 func TestSelfPushDropped(t *testing.T) {
 	lt := NewLoopTransport()
-	sb, nb := testNode(t, lt, "b")
+	sb, nb := testNode(t, lt, newTestClock(), "b")
 	batch := encodeTestBatch(t, "b", nb.Epoch(), []statestore.Record{
 		{Seq: 1, Kind: statestore.KindBlock, Data: mustJSON(t, netblock.Event{Addr: "203.0.113.60"})},
 	})
@@ -316,7 +529,7 @@ func TestSelfPushDropped(t *testing.T) {
 
 func TestStaleEpochDropped(t *testing.T) {
 	lt := NewLoopTransport()
-	sb, nb := testNode(t, lt, "b")
+	sb, nb := testNode(t, lt, newTestClock(), "b")
 	rec := statestore.Record{Seq: 1, Kind: statestore.KindBlock, Data: mustJSON(t, netblock.Event{Addr: "203.0.113.61"})}
 
 	if _, err := nb.Receive(encodeTestBatch(t, "a", 100, []statestore.Record{rec})); err != nil {
@@ -352,7 +565,7 @@ func TestStaleEpochDropped(t *testing.T) {
 
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	lt := NewLoopTransport()
-	sb, nb := testNode(t, lt, "b")
+	sb, nb := testNode(t, lt, newTestClock(), "b")
 	batch := encodeTestBatch(t, "a", 100, []statestore.Record{
 		{Seq: 1, Kind: statestore.KindGroup, Data: mustJSON(t, groups.Event{Group: "BadGuys", Member: "x"})},
 	})
@@ -370,67 +583,54 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 }
 
 func TestSnapshotResyncWhenLogTrimmed(t *testing.T) {
-	lt := NewLoopTransport()
-	sa := newTestState(t)
-	na, err := New(Config{
-		NodeID:       "a",
-		Peers:        []string{"loop://b"},
-		State:        sa.adaptive,
-		Transport:    lt,
-		PushInterval: 5 * time.Millisecond,
-		PushTimeout:  200 * time.Millisecond,
-		MaxLog:       4, // tiny log: a cut peer falls behind the horizon fast
-		Backoff:      retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 1},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(na.Stop)
-	sb, _ := testNode(t, lt, "b")
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	na.maxLog = 4 // tiny log: a cut peer falls behind the horizon fast
+	sb, _ := testNode(t, lt, clk, "b")
 
 	lt.Cut("loop://b")
-	na.Start()
 	for i := 0; i < 20; i++ {
 		sa.blocks.Block(fmt.Sprintf("203.0.113.%d", 100+i), time.Hour)
 	}
 	sa.threat.Set(ids.Medium)
 	sa.groups.Add("BadGuys", "203.0.113.100")
-	eventually(t, "log trimmed", func() bool { return na.Stats().Horizon > 0 })
+	na.Push(clk.Now())
+	if st := na.Stats(); st.Horizon == 0 || st.LogLen != 4 {
+		t.Fatalf("log not trimmed: %+v", st)
+	}
 
 	lt.Heal("loop://b")
-	eventually(t, "peer resynced via snapshot", func() bool {
-		return sb.blocks.Blocked("203.0.113.100") && sb.blocks.Blocked("203.0.113.119") &&
-			sb.threat.Level() == ids.Medium && sb.groups.Contains("BadGuys", "203.0.113.100")
-	})
-	// The loop transport applies the push before Send returns to the
-	// pusher, which counts it only then.
-	eventually(t, "snapshot counted", func() bool { return na.Stats().SnapshotsSent > 0 })
-	eventually(t, "a caught up after resync", na.CaughtUp)
+	clk.Advance(retryWait)
+	na.Push(clk.Now())
+	if !sb.blocks.Blocked("203.0.113.100") || !sb.blocks.Blocked("203.0.113.119") ||
+		sb.threat.Level() != ids.Medium || !sb.groups.Contains("BadGuys", "203.0.113.100") {
+		t.Fatal("peer not resynced via snapshot")
+	}
+	if st := na.Stats(); st.SnapshotsSent != 1 || !na.CaughtUp() {
+		t.Fatalf("after resync: %+v", st)
+	}
 }
 
 func TestNoReplicationLoop(t *testing.T) {
-	lt := NewLoopTransport()
-	sa, na := testNode(t, lt, "a", "loop://b")
-	sb, nb := testNode(t, lt, "b", "loop://a")
-	na.Start()
-	nb.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	sb, nb := testNode(t, lt, clk, "b", "loop://a")
 
 	sa.blocks.Block("203.0.113.77", time.Hour)
-	eventually(t, "replicated", func() bool { return sb.blocks.Blocked("203.0.113.77") })
-
-	// Give any echo a chance to circulate, then check b never re-shipped
-	// a's record: b's own log holds only b-originated mutations (none).
-	time.Sleep(50 * time.Millisecond)
-	if st := nb.Stats(); st.Seq != 0 {
+	settle(clk, na, nb)
+	if !sb.blocks.Blocked("203.0.113.77") {
+		t.Fatal("not replicated")
+	}
+	// b never re-ships a's record: b's own log holds only b-originated
+	// mutations (none), so b has nothing to push back.
+	if st := nb.Stats(); st.Seq != 0 || st.Pushes != 0 {
 		t.Fatalf("b re-mirrored a remote record into its own log: %+v", st)
 	}
 }
 
 func TestHTTPTransportAndHandler(t *testing.T) {
 	lt := NewLoopTransport() // only for building nodes; transport under test is HTTP
-	sa, _ := testNode(t, lt, "a")
-	_ = sa
-	sb, nb := testNode(t, lt, "b")
+	sb, nb := testNode(t, lt, newTestClock(), "b")
 
 	batch := encodeTestBatch(t, "a", 42, []statestore.Record{
 		{Seq: 1, Kind: statestore.KindBlock, Data: mustJSON(t, netblock.Event{Addr: "203.0.113.88", Expiry: time.Now().Add(time.Hour)})},
@@ -468,7 +668,7 @@ func TestHTTPTransportAndHandler(t *testing.T) {
 
 func TestReceiveRequiresHello(t *testing.T) {
 	lt := NewLoopTransport()
-	_, nb := testNode(t, lt, "b")
+	_, nb := testNode(t, lt, newTestClock(), "b")
 	frames, err := statestore.EncodeFrames([]statestore.Record{
 		{Seq: 1, Kind: statestore.KindBlock, Data: mustJSON(t, netblock.Event{Addr: "203.0.113.90"})},
 	})

@@ -13,7 +13,7 @@ import (
 // scorerNode wires a node whose state includes a synchronous adaptive
 // scoring engine, so score events and profile checkpoints flow through
 // the same mirror-and-push machinery as the other record kinds.
-func scorerNode(t *testing.T, lt *LoopTransport, id string, peers ...string) (*adaptive.Engine, *netblock.Set, *Node) {
+func scorerNode(t *testing.T, lt *LoopTransport, clk *testClock, id string, peers ...string) (*adaptive.Engine, *netblock.Set, *Node) {
 	t.Helper()
 	blocks := netblock.NewSet()
 	threat := ids.NewManager(ids.Low)
@@ -30,12 +30,11 @@ func scorerNode(t *testing.T, lt *LoopTransport, id string, peers ...string) (*a
 		t.Fatalf("Attach: %v", err)
 	}
 	n, err := New(Config{
-		NodeID:       id,
-		Peers:        peers,
-		State:        a,
-		Transport:    lt,
-		PushInterval: 5 * time.Millisecond,
-		PushTimeout:  200 * time.Millisecond,
+		NodeID:    id,
+		Peers:     peers,
+		State:     a,
+		Transport: lt,
+		Clock:     clk.Now,
 	})
 	if err != nil {
 		t.Fatalf("New(%s): %v", id, err)
@@ -60,31 +59,31 @@ func attackSamples(eng *adaptive.Engine, source string, n int, start time.Time) 
 // origin issued from it must enforce there — the acceptance path for
 // fleet-wide per-source enforcement.
 func TestScoreEventsReplicateAndBlockOnPeer(t *testing.T) {
-	lt := NewLoopTransport()
-	ea, ba, na := scorerNode(t, lt, "a", "loop://b")
-	eb, bb, _ := scorerNode(t, lt, "b", "loop://a")
-	na.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	ea, ba, na := scorerNode(t, lt, clk, "a", "loop://b")
+	eb, bb, _ := scorerNode(t, lt, clk, "b", "loop://a")
 
 	start := time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)
 	attackSamples(ea, "203.0.113.99", 12, start)
 	if !ba.Blocked("203.0.113.99") {
 		t.Fatalf("origin did not block the attacker (score %v)", ea.SourceScore("203.0.113.99"))
 	}
+	settle(clk, na)
 
-	eventually(t, "block enforced on peer", func() bool { return bb.Blocked("203.0.113.99") })
-	eventually(t, "score merged on peer", func() bool {
-		return eb.SourceScore("203.0.113.99") > 0
-	})
+	if !bb.Blocked("203.0.113.99") {
+		t.Error("block not enforced on peer")
+	}
+	if eb.SourceScore("203.0.113.99") <= 0 {
+		t.Error("score not merged on peer")
+	}
 }
 
 // Split evidence: neither node alone reaches the evidence floor, but
 // the additive sample-delta merge lets the fleet converge on a block.
 func TestSplitEvidenceConvergesToBlock(t *testing.T) {
-	lt := NewLoopTransport()
-	ea, ba, na := scorerNode(t, lt, "a", "loop://b")
-	eb, bb, nb := scorerNode(t, lt, "b", "loop://a")
-	na.Start()
-	nb.Start() // evidence flows both ways
+	lt, clk := NewLoopTransport(), newTestClock()
+	ea, ba, na := scorerNode(t, lt, clk, "a", "loop://b")
+	eb, bb, nb := scorerNode(t, lt, clk, "b", "loop://a")
 
 	// 3 samples per node: below the MinSamples=4 floor individually.
 	// ScoreEventDelta (0.5) makes each node journal its hot score with
@@ -92,19 +91,20 @@ func TestSplitEvidenceConvergesToBlock(t *testing.T) {
 	start := time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)
 	attackSamples(ea, "198.51.100.7", 3, start)
 	attackSamples(eb, "198.51.100.7", 3, start)
+	settle(clk, na, nb) // evidence flows both ways
 
-	eventually(t, "split evidence blocks on both nodes", func() bool {
-		return ba.Blocked("198.51.100.7") && bb.Blocked("198.51.100.7")
-	})
+	if !ba.Blocked("198.51.100.7") || !bb.Blocked("198.51.100.7") {
+		t.Fatalf("split evidence blocked a=%v b=%v, want both",
+			ba.Blocked("198.51.100.7"), bb.Blocked("198.51.100.7"))
+	}
 }
 
 // Profile checkpoints replicate so a fresh node starts with trained
 // baselines instead of scoring blind until MinTraining.
 func TestProfileCheckpointsReplicate(t *testing.T) {
-	lt := NewLoopTransport()
-	ea, _, na := scorerNode(t, lt, "a", "loop://b")
-	eb, _, _ := scorerNode(t, lt, "b", "loop://a")
-	na.Start()
+	lt, clk := NewLoopTransport(), newTestClock()
+	ea, _, na := scorerNode(t, lt, clk, "a", "loop://b")
+	eb, _, _ := scorerNode(t, lt, clk, "b", "loop://a")
 
 	start := time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 200; i++ {
@@ -113,12 +113,11 @@ func TestProfileCheckpointsReplicate(t *testing.T) {
 			Source: "10.0.0.1", Path: "/index.html", InputLen: 20,
 		})
 	}
-	eventually(t, "profile checkpoint replicated", func() bool {
-		for _, cp := range eb.Profiles() {
-			if cp.Resource == "/index.html" && cp.N >= 128 {
-				return true
-			}
+	settle(clk, na)
+	for _, cp := range eb.Profiles() {
+		if cp.Resource == "/index.html" && cp.N >= 128 {
+			return
 		}
-		return false
-	})
+	}
+	t.Fatalf("profile checkpoint not replicated: %+v", eb.Profiles())
 }

@@ -11,8 +11,6 @@ import (
 	"sync"
 )
 
-func jsonBytes(v any) ([]byte, error) { return json.Marshal(v) }
-
 func writeJSON(w http.ResponseWriter, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -25,14 +23,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 // ReplicatePath is the HTTP path peers push replication batches to.
 const ReplicatePath = "/gaa/replicate"
 
-// maxPushBody bounds one replication push: generous for a MaxBatch of
+// maxPushBody bounds one replication push: generous for maxBatch
 // journal records plus a snapshot, small enough that a lying peer
 // cannot balloon the receiver's memory.
 const maxPushBody = 8 << 20
 
 // Transport delivers one framed batch to a peer and returns the raw
-// ack body. Implementations must honor ctx (the push timeout) — a
-// hung peer is the main thing the pusher defends against.
+// ack body. Implementations must honor ctx (the push timeout, or
+// Stop) — a hung peer is the main thing the pusher defends against.
 type Transport interface {
 	Send(ctx context.Context, peerURL string, frames []byte) ([]byte, error)
 }
@@ -141,7 +139,7 @@ func (t *LoopTransport) Register(url string, n *Node) {
 		if err != nil {
 			return nil, err
 		}
-		return jsonBytes(ack)
+		return json.Marshal(ack)
 	}
 }
 

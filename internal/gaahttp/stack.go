@@ -136,7 +136,8 @@ type StackConfig struct {
 	Peers []string
 	// ClusterTransport overrides peer delivery (in-process tests).
 	ClusterTransport cluster.Transport
-	// ReplicationInterval overrides the push cadence (default 100ms).
+	// ReplicationInterval overrides the idle tick of Cluster.Start's
+	// pushers (default 100ms).
 	ReplicationInterval time.Duration
 }
 
@@ -177,6 +178,8 @@ type Stack struct {
 	Store   *statestore.Store
 	Persist *statestore.Adaptive
 	// Cluster is the replication node (nil unless NodeID was set).
+	// NewStack does not start it: a server calls Cluster.Start once it
+	// is listening; a simulated fleet steps Cluster.Push.
 	Cluster *cluster.Node
 
 	// Metrics is the observability registry (nil unless
@@ -264,18 +267,15 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		}
 	}
 	if clustered {
-		// No Clock override: replication timing (push tickers, breaker
-		// cooldowns, the degraded window, epoch derivation) is wall
-		// clock even under a simulated campaign clock — the pushers run
-		// on real goroutines, so a frozen simulated clock would wedge
-		// the circuit breaker open forever. Record deadlines still use
-		// the component clock via the statestore merge rules.
+		// Breaker cooldowns, backoff and the degraded window follow the
+		// stack's clock, a simulated campaign's included.
 		st.Cluster, err = cluster.New(cluster.Config{
 			NodeID:       cfg.NodeID,
 			Peers:        cfg.Peers,
 			State:        st.Persist,
 			Transport:    cfg.ClusterTransport,
 			PushInterval: cfg.ReplicationInterval,
+			Clock:        clock,
 		})
 		if err != nil {
 			return nil, err
@@ -423,10 +423,6 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 	if cfg.LevelValues != nil {
 		st.startHostIDS(clock, cfg.LevelValues)
 	}
-	// Everything is wired; the pushers may now ship state.
-	if st.Cluster != nil {
-		st.Cluster.Start()
-	}
 	return st, nil
 }
 
@@ -494,10 +490,10 @@ func (s *Stack) ReloadPolicies(system string, locals map[string]string) ReloadRe
 	})
 }
 
-// Close releases background workers (the cluster pushers and the async
-// notifier) and flushes the state store. The scorer and the host-IDS
-// correlator run on the request and hold nothing to release. It is safe
-// on a stack NewStack gave up on half-way.
+// Close releases background workers (the cluster pushers, if started,
+// and the async notifier) and flushes the state store. The scorer and
+// the host-IDS correlator run on the request and hold nothing to
+// release. It is safe on a stack NewStack gave up on half-way.
 func (s *Stack) Close() {
 	if s.Cluster != nil {
 		s.Cluster.Stop()

@@ -21,6 +21,13 @@ import (
 // partition drills (ROADMAP: campaigns over a cluster) without
 // processes or sockets.
 //
+// The target runs no goroutine. After every Do, and whenever a test
+// calls Settle, it steps each node's Cluster.Push at the simulated
+// instant until a round ships nothing, so a report depends on the
+// seed alone. Stepping never moves the clock: a peer backing off after
+// a failed push is retried only once the campaign advances past its
+// next attempt.
+//
 // Observe merges the fleet the way the convergence rules do: max
 // threat level, union of blocks and blacklists, summed mailboxes and
 // decision counters. A checkpoint written for a single StackTarget
@@ -57,18 +64,17 @@ func NewClusterTarget(spec StackSpec, n int) (*ClusterTarget, error) {
 			}
 		}
 		st, err := gaahttp.NewStack(gaahttp.StackConfig{
-			SystemPolicy:        spec.SystemPolicy,
-			LocalPolicies:       spec.LocalPolicies,
-			DocRoot:             spec.DocRoot,
-			Users:               spec.Users,
-			RuntimeValues:       spec.RuntimeValues,
-			Clock:               clock.Now,
-			Metrics:             true,
-			Adaptive:            spec.Adaptive,
-			NodeID:              fmt.Sprintf("node-%d", i),
-			Peers:               peers,
-			ClusterTransport:    lt.Bind(t.urls[i]),
-			ReplicationInterval: 2 * time.Millisecond,
+			SystemPolicy:     spec.SystemPolicy,
+			LocalPolicies:    spec.LocalPolicies,
+			DocRoot:          spec.DocRoot,
+			Users:            spec.Users,
+			RuntimeValues:    spec.RuntimeValues,
+			Clock:            clock.Now,
+			Metrics:          true,
+			Adaptive:         spec.Adaptive,
+			NodeID:           fmt.Sprintf("node-%d", i),
+			Peers:            peers,
+			ClusterTransport: lt.Bind(t.urls[i]),
 		})
 		if err != nil {
 			for _, prev := range t.Nodes {
@@ -90,6 +96,7 @@ func (t *ClusterTarget) Do(r workload.Request) (Exchange, error) {
 	t.mu.Unlock()
 	rec := httptest.NewRecorder()
 	node.Server.ServeHTTP(rec, r.HTTPRequest())
+	t.Settle()
 	return Exchange{
 		Method: r.Method,
 		Target: r.Target,
@@ -99,6 +106,20 @@ func (t *ClusterTarget) Do(r workload.Request) (Exchange, error) {
 		Status: rec.Code,
 		Body:   rec.Body.String(),
 	}, nil
+}
+
+// Settle steps every node's replication at the simulated instant
+// until a round ships nothing.
+func (t *ClusterTarget) Settle() {
+	for {
+		shipped := 0
+		for _, node := range t.Nodes {
+			shipped += node.Cluster.Push(t.Clock.Now())
+		}
+		if shipped == 0 {
+			return
+		}
+	}
 }
 
 // Advance moves the shared simulated clock.
@@ -177,7 +198,7 @@ func (t *ClusterTarget) Heal(i int) {
 // fully acknowledged by all its peers.
 func (t *ClusterTarget) Converged() bool {
 	for _, node := range t.Nodes {
-		if node.Cluster != nil && !node.Cluster.CaughtUp() {
+		if !node.Cluster.CaughtUp() {
 			return false
 		}
 	}

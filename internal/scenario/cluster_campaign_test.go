@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
-	"time"
 
 	"gaaapi/internal/ids"
 )
@@ -11,10 +14,10 @@ import (
 // traffic-class expectations are dropped (round-robin shifts exactly
 // which request trips a threshold, so per-request statuses differ),
 // transition caps are dropped (each node climbs its own ladder), and
-// every phase instead requires the replication mesh to converge within
-// the SLO before its state checks run. What remains — threat level,
-// firewall blocks, blacklist membership, notification floors — must
-// hold against the MERGED fleet state, which is the whole point:
+// every phase instead requires the replication mesh to have converged
+// before its state checks run. What remains — threat level, firewall
+// blocks, blacklist membership, notification floors — must hold
+// against the MERGED fleet state, which is the whole point:
 // checkpoints written for one server read naturally against a
 // converged cluster.
 func clusterize(c Campaign) Campaign {
@@ -31,45 +34,72 @@ func clusterize(c Campaign) Campaign {
 	return c
 }
 
+var updateCampaigns = flag.Bool("update-campaigns", false, "rewrite the clusterized campaign golden reports")
+
+// clusterGoldenDir holds one golden report per catalog campaign,
+// clusterized on two nodes, beside the single-stack ones.
+const clusterGoldenDir = "../../testdata/scenario/cluster"
+
 // TestCampaignCatalogOnCluster runs the whole campaign catalog against
-// a two-node replicated fleet behind a round-robin load balancer. Every
-// phase carries a convergence checkpoint, so the replication SLO is a
-// first-class assertion: a mesh that fails to drain within 5 seconds
-// fails the campaign even if the state happens to look right.
+// a two-node replicated fleet behind a round-robin load balancer. The
+// target steps replication between requests on the campaign clock, so
+// every phase's convergence checkpoint is a direct read, and two runs
+// on fresh targets must render the golden report byte for byte. With
+// -update-campaigns it rewrites the goldens instead.
 func TestCampaignCatalogOnCluster(t *testing.T) {
 	for _, c := range All() {
 		c := clusterize(c)
 		t.Run(c.Name, func(t *testing.T) {
-			ct, err := NewClusterTarget(c.Stack, 2)
-			if err != nil {
-				t.Fatalf("NewClusterTarget: %v", err)
-			}
-			defer ct.Close()
-			rep, err := Run(c, ct, Options{
-				Throttle:    2 * time.Millisecond,
-				ConvergeSLO: 5 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if !rep.Passed {
-				for _, f := range rep.Failures {
-					t.Error(f)
+			golden := filepath.Join(clusterGoldenDir, c.Name+".golden.json")
+			var want []byte
+			if !*updateCampaigns {
+				var err error
+				if want, err = os.ReadFile(golden); err != nil {
+					t.Fatalf("read golden (run with -update-campaigns to regenerate): %v", err)
 				}
 			}
-			// Convergence must have been asserted for real, not skipped.
-			for _, ph := range rep.Phases {
-				found := false
-				for _, ck := range ph.Checks {
-					if ck.Name == "converged" {
-						found = true
-						if ck.Skipped {
-							t.Errorf("phase %s: convergence check skipped on a cluster target", ph.Name)
-						}
+			for run := 0; run < 2; run++ {
+				ct, err := NewClusterTarget(c.Stack, 2)
+				if err != nil {
+					t.Fatalf("NewClusterTarget: %v", err)
+				}
+				rep, err := Run(c, ct, Options{})
+				ct.Close()
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if !rep.Passed {
+					for _, f := range rep.Failures {
+						t.Error(f)
 					}
 				}
-				if !found {
-					t.Errorf("phase %s: no convergence check", ph.Name)
+				// Convergence must have been asserted for real, not skipped.
+				for _, ph := range rep.Phases {
+					found := false
+					for _, ck := range ph.Checks {
+						if ck.Name == "converged" {
+							found = true
+							if ck.Skipped {
+								t.Errorf("phase %s: convergence check skipped on a cluster target", ph.Name)
+							}
+						}
+					}
+					if !found {
+						t.Errorf("phase %s: no convergence check", ph.Name)
+					}
+				}
+				var got bytes.Buffer
+				if err := rep.WriteJSON(&got); err != nil {
+					t.Fatal(err)
+				}
+				if *updateCampaigns {
+					if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Errorf("run %d: report differs from %s:\n%s", run+1, golden, got.Bytes())
 				}
 			}
 		})
@@ -88,10 +118,7 @@ func TestAdaptiveRampClusterEnforcement(t *testing.T) {
 		t.Fatalf("NewClusterTarget: %v", err)
 	}
 	defer ct.Close()
-	rep, err := Run(c, ct, Options{
-		Throttle:    2 * time.Millisecond,
-		ConvergeSLO: 5 * time.Second,
-	})
+	rep, err := Run(c, ct, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -38,7 +38,7 @@ func getReq(ip string) workload.Request {
 }
 
 // serveOn sends one request to a specific node (bypassing round-robin)
-// and returns the status.
+// and returns the status. Unlike Do it does not settle replication.
 func serveOn(t *ClusterTarget, node int, r workload.Request) int {
 	rec := httptest.NewRecorder()
 	t.Nodes[node].Server.ServeHTTP(rec, r.HTTPRequest())
@@ -51,18 +51,6 @@ func attack(t *ClusterTarget, node int, ip string) {
 	for i := 0; i < 4; i++ {
 		serveOn(t, node, workload.Login(ip, "/account/profile.html", "alice", "wrong-pw"))
 	}
-}
-
-func waitCluster(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func TestClusterTargetCrossNodeEnforcement(t *testing.T) {
@@ -80,13 +68,15 @@ func TestClusterTargetCrossNodeEnforcement(t *testing.T) {
 
 	// The block must propagate: every other node firewalls the
 	// attacker without ever having seen a bad request from it.
-	for i := 1; i < 3; i++ {
-		i := i
-		waitCluster(t, "block replicated", func() bool {
-			return serveOn(ct, i, getReq(attacker)) == 403
-		})
+	ct.Settle()
+	if !ct.Converged() {
+		t.Fatal("fleet not converged after settling")
 	}
-	waitCluster(t, "fleet converged", ct.Converged)
+	for i := 1; i < 3; i++ {
+		if got := serveOn(ct, i, getReq(attacker)); got != 403 {
+			t.Fatalf("node %d serves the attacker with %d", i, got)
+		}
+	}
 
 	obs := ct.Observe()
 	if obs.Threat != "medium" {
@@ -118,7 +108,7 @@ func TestClusterTargetPartitionDrill(t *testing.T) {
 	attack(ct, 1, atkB)
 
 	// The partition holds: neither side learns the other's block.
-	time.Sleep(30 * time.Millisecond)
+	ct.Settle()
 	if ct.Nodes[0].Blocks.Blocked(atkB) || ct.Nodes[1].Blocks.Blocked(atkA) {
 		t.Fatal("blocks crossed a cut partition")
 	}
@@ -126,11 +116,21 @@ func TestClusterTargetPartitionDrill(t *testing.T) {
 		t.Fatal("partitioned fleet claims convergence")
 	}
 
+	// The failed pushes back off on the campaign clock: healing alone
+	// ships nothing until the clock passes the next attempt.
 	ct.Heal(1)
-	waitCluster(t, "fleet converged after heal", ct.Converged)
-	waitCluster(t, "blocks exchanged", func() bool {
-		return ct.Nodes[0].Blocks.Blocked(atkB) && ct.Nodes[1].Blocks.Blocked(atkA)
-	})
+	ct.Settle()
+	if ct.Converged() {
+		t.Fatal("a backing-off fleet converged before the clock moved")
+	}
+	ct.Advance(3 * time.Second) // past the breaker cooldown and the backoff cap
+	ct.Settle()
+	if !ct.Converged() {
+		t.Fatal("fleet not converged after heal")
+	}
+	if !ct.Nodes[0].Blocks.Blocked(atkB) || !ct.Nodes[1].Blocks.Blocked(atkA) {
+		t.Fatal("blocks not exchanged after heal")
+	}
 
 	// Both attackers are firewalled fleet-wide.
 	for node := 0; node < 2; node++ {
@@ -162,7 +162,7 @@ func TestClusterTargetRoundRobin(t *testing.T) {
 			t.Fatalf("Do: %v", err)
 		}
 	}
-	waitCluster(t, "spread attack blocked fleet-wide", func() bool {
-		return ct.Nodes[0].Blocks.Blocked(attacker) && ct.Nodes[1].Blocks.Blocked(attacker)
-	})
+	if !ct.Nodes[0].Blocks.Blocked(attacker) || !ct.Nodes[1].Blocks.Blocked(attacker) {
+		t.Fatal("spread attack not blocked fleet-wide")
+	}
 }

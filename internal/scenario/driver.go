@@ -21,15 +21,6 @@ type Options struct {
 	// Seed drives every phase's traffic generator. Zero means
 	// DefaultSeed.
 	Seed int64
-	// Throttle inserts a real pause after every request. Cluster
-	// campaigns set a couple of milliseconds so the replication
-	// pushers (which run on real time) can drain between requests.
-	Throttle time.Duration
-	// ConvergeSLO bounds how long a Converged checkpoint may wait for
-	// the replication mesh to catch up (default 5s). Exceeding it
-	// fails the check — the replication SLO as a first-class
-	// assertion.
-	ConvergeSLO time.Duration
 }
 
 // CheckResult is one checkpoint assertion's outcome.
@@ -141,9 +132,6 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 				return rep, fmt.Errorf("phase %q request %d (%s %s from %s): %w",
 					ph.Name, i, r.Method, r.Target, r.ClientIP, err)
 			}
-			if opts.Throttle > 0 {
-				time.Sleep(opts.Throttle)
-			}
 			status := strconv.Itoa(x.Status)
 			pr.Statuses[status]++
 			byClass := pr.Classes[x.Class]
@@ -159,7 +147,7 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 
 		convState := ""
 		if ph.Checkpoint.Converged {
-			convState = awaitConvergence(tgt, opts.ConvergeSLO)
+			convState = convergence(tgt)
 		}
 
 		var cur Observation
@@ -188,28 +176,18 @@ func Run(c Campaign, tgt Target, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// awaitConvergence polls the target's replication mesh until it has
-// fully caught up or the SLO expires. The returned state is a
-// deterministic string for the checkpoint: "converged",
-// "not converged", or "unobservable" for targets without a mesh.
-func awaitConvergence(tgt Target, slo time.Duration) string {
+// convergence reads the target's replication mesh as a deterministic
+// string for the checkpoint: "converged", "not converged", or
+// "unobservable" for targets without a mesh.
+func convergence(tgt Target) string {
 	cv, ok := tgt.(Converger)
-	if !ok {
+	switch {
+	case !ok:
 		return "unobservable"
+	case cv.Converged():
+		return "converged"
 	}
-	if slo <= 0 {
-		slo = 5 * time.Second
-	}
-	deadline := time.Now().Add(slo)
-	for {
-		if cv.Converged() {
-			return "converged"
-		}
-		if !time.Now().Before(deadline) {
-			return "not converged"
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return "not converged"
 }
 
 // evalCheckpoint turns the declarative checkpoint into concrete

@@ -77,8 +77,9 @@ type Checkpoint struct {
 	// count — the anti-flapping assertion. Zero asserts nothing.
 	TransitionsAtMost int `json:"transitions_at_most,omitempty"`
 	// Converged requires the target's replication mesh to be fully
-	// acknowledged (within the driver's convergence SLO) before the
-	// state checks run. Skipped on targets that cannot report it.
+	// acknowledged when the phase's traffic is done; the driver reads
+	// it once, without waiting. Skipped on targets that cannot report
+	// it.
 	Converged bool `json:"converged,omitempty"`
 	// Classes are per-traffic-class status expectations over this
 	// phase's exchanges.

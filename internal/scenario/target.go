@@ -95,7 +95,8 @@ type Advancer interface {
 }
 
 // Converger reports whether the target's replication mesh has fully
-// caught up — the convergence-SLO hook for Checkpoint.Converged.
+// caught up — the hook for Checkpoint.Converged, read once and never
+// waited on: a fleet target ships its replication between requests.
 // Single-node targets are trivially converged and need not implement
 // it; checkpoints then report the check as skipped.
 type Converger interface {

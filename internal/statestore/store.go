@@ -203,8 +203,11 @@ type Store struct {
 	// torn or older snapshot after wal.prev.log was removed.
 	compactMu sync.Mutex
 
-	bgStop chan struct{}
-	bgDone chan struct{}
+	// syncDue and snapDue are the instants Tick next fsyncs and
+	// compacts at, on the wall clock the background loop ticks by.
+	syncDue, snapDue time.Time
+	bgStop           chan struct{}
+	bgDone           chan struct{}
 }
 
 // Open recovers the state directory and returns a store ready for
@@ -225,6 +228,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.wal = wal
 	if opts.Fsync == FsyncInterval || opts.SnapshotInterval > 0 {
+		now := time.Now()
+		s.syncDue, s.snapDue = now.Add(opts.FsyncInterval), now.Add(opts.SnapshotInterval)
 		s.bgStop = make(chan struct{})
 		s.bgDone = make(chan struct{})
 		go s.background()
@@ -551,7 +556,34 @@ func (s *Store) writeSnapshot(state []byte, seq uint64) error {
 	return s.opts.FS.SyncDir(s.dir)
 }
 
-// background runs the interval fsync and timed compaction loops.
+// Tick runs the timed work due at now: an fsync under FsyncInterval
+// and a compaction under SnapshotInterval, each first due one period
+// after Open and then once per period. The background loop calls it on
+// both periods' ticks.
+func (s *Store) Tick(now time.Time) {
+	s.mu.Lock()
+	if s.opts.Fsync == FsyncInterval && due(&s.syncDue, now, s.opts.FsyncInterval) {
+		_ = s.syncLocked()
+	}
+	compact := s.opts.SnapshotInterval > 0 && due(&s.snapDue, now, s.opts.SnapshotInterval) &&
+		s.snapshotFunc != nil && s.sinceSnp > 0
+	s.mu.Unlock()
+	if compact {
+		_ = s.Compact()
+	}
+}
+
+// due reports whether *next has come by now and, if so, moves it to
+// the first period boundary after now.
+func due(next *time.Time, now time.Time, period time.Duration) bool {
+	if now.Before(*next) {
+		return false
+	}
+	*next = next.Add((now.Sub(*next)/period + 1) * period)
+	return true
+}
+
+// background waits out the fsync and compaction periods and calls Tick.
 func (s *Store) background() {
 	defer close(s.bgDone)
 	syncTick := time.NewTicker(s.opts.FsyncInterval)
@@ -563,21 +595,14 @@ func (s *Store) background() {
 		snapC = snapTick.C
 	}
 	for {
+		var now time.Time
 		select {
 		case <-s.bgStop:
 			return
-		case <-syncTick.C:
-			if s.opts.Fsync == FsyncInterval {
-				_ = s.Sync()
-			}
-		case <-snapC:
-			s.mu.Lock()
-			ready := s.snapshotFunc != nil && s.sinceSnp > 0
-			s.mu.Unlock()
-			if ready {
-				_ = s.Compact()
-			}
+		case now = <-syncTick.C:
+		case now = <-snapC:
 		}
+		s.Tick(now)
 	}
 }
 

@@ -356,17 +356,15 @@ func TestFsyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("interval syncs on the background tick", func(t *testing.T) {
-		s := openStore(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond})
+		s := openStore(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncInterval: time.Hour})
 		appendN(t, s, 3)
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if st := s.Stats(); st.Syncs > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("background fsync never ran")
-			}
-			time.Sleep(time.Millisecond)
+		s.Tick(time.Now())
+		if st := s.Stats(); st.Syncs != 0 {
+			t.Fatalf("Syncs = %d before the interval, want 0", st.Syncs)
+		}
+		s.Tick(time.Now().Add(time.Hour))
+		if st := s.Stats(); st.Syncs != 1 {
+			t.Fatalf("Syncs = %d after the interval, want 1", st.Syncs)
 		}
 	})
 	t.Run("never leaves flushing to close", func(t *testing.T) {
@@ -385,18 +383,21 @@ func TestFsyncPolicies(t *testing.T) {
 }
 
 func TestTimedCompaction(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: -1, SnapshotInterval: 5 * time.Millisecond})
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: -1, SnapshotInterval: time.Hour})
 	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
 	appendN(t, s, 2)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if st := s.Stats(); st.Snapshots > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed compaction never ran")
-		}
-		time.Sleep(time.Millisecond)
+	s.Tick(time.Now())
+	if st := s.Stats(); st.Snapshots != 0 || st.Syncs != 0 {
+		t.Fatalf("before the interval: %+v", st)
+	}
+	s.Tick(time.Now().Add(time.Hour))
+	if st := s.Stats(); st.Snapshots != 1 {
+		t.Fatalf("Snapshots = %d after the interval, want 1", st.Snapshots)
+	}
+	// Nothing appended since: the next period has nothing to compact.
+	s.Tick(time.Now().Add(2 * time.Hour))
+	if st := s.Stats(); st.Snapshots != 1 {
+		t.Fatalf("Snapshots = %d with nothing new, want 1", st.Snapshots)
 	}
 }
 
