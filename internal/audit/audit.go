@@ -4,8 +4,6 @@
 package audit
 
 import (
-	"encoding/json"
-	"io"
 	"maps"
 	"slices"
 	"strings"
@@ -37,25 +35,6 @@ type LoggerFunc func(Record) error
 
 // Log implements Logger.
 func (f LoggerFunc) Log(r Record) error { return f(r) }
-
-// JSONWriter writes one JSON object per line to an io.Writer. Safe for
-// concurrent use.
-type JSONWriter struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONWriter returns a JSON-lines audit logger writing to w.
-func NewJSONWriter(w io.Writer) *JSONWriter {
-	return &JSONWriter{enc: json.NewEncoder(w)}
-}
-
-// Log implements Logger.
-func (j *JSONWriter) Log(r Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.enc.Encode(r)
-}
 
 // Tail keeps the last n values put into it and counts all of them. Its
 // buffer is allocated by the first Put, so an idle Tail costs nothing.
@@ -153,20 +132,6 @@ func (r *Ring) Records() []Record { return r.tail.Values() }
 func (r *Ring) Len() int {
 	n, _ := r.tail.Len()
 	return n
-}
-
-// Multi fans records out to several loggers; the first error wins but
-// every logger is attempted.
-func Multi(loggers ...Logger) Logger {
-	return LoggerFunc(func(rec Record) error {
-		var first error
-		for _, l := range loggers {
-			if err := l.Log(rec); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	})
 }
 
 // Discard drops every record.

@@ -1,42 +1,12 @@
 package audit
 
 import (
-	"encoding/json"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unicode/utf8"
 	"unsafe"
 )
-
-func TestJSONWriter(t *testing.T) {
-	var buf strings.Builder
-	w := NewJSONWriter(&buf)
-	rec := Record{
-		Time:     time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC),
-		Kind:     "authorization",
-		Object:   "/cgi-bin/phf",
-		Decision: "no",
-		ClientIP: "10.0.0.66",
-		Details:  map[string]string{"signature": "phf"},
-	}
-	if err := w.Log(rec); err != nil {
-		t.Fatalf("Log: %v", err)
-	}
-	var got Record
-	if err := json.Unmarshal([]byte(buf.String()), &got); err != nil {
-		t.Fatalf("output not valid JSON: %v", err)
-	}
-	if got.Object != rec.Object || got.Details["signature"] != "phf" {
-		t.Errorf("round trip = %+v", got)
-	}
-	// Empty optional fields are omitted.
-	if strings.Contains(buf.String(), `"user"`) {
-		t.Errorf("zero fields should be omitted: %s", buf.String())
-	}
-}
 
 func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
@@ -97,28 +67,6 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	ring1, ring2 := NewRing(4), NewRing(4)
-	m := Multi(ring1, ring2)
-	if err := m.Log(Record{Info: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if ring1.Len() != 1 || ring2.Len() != 1 {
-		t.Error("Multi did not fan out")
-	}
-
-	boom := errors.New("boom")
-	failing := LoggerFunc(func(Record) error { return boom })
-	m2 := Multi(failing, ring1)
-	err := m2.Log(Record{Info: "y"})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
-	}
-	if ring1.Len() != 2 {
-		t.Error("Multi stopped at first error; all loggers must be attempted")
-	}
-}
-
 func TestDiscard(t *testing.T) {
 	if err := Discard.Log(Record{}); err != nil {
 		t.Errorf("Discard.Log = %v", err)
@@ -136,14 +84,13 @@ func infos(recs []Record) []string {
 // TestRingKeepsCopiedPrefixOfLongFields: a record quoting a pathological
 // request line is kept as at most MaxField bytes per field, cut on a
 // rune boundary and copied — a substring would pin the whole line —
-// while a JSONWriter beside the ring still gets the full record.
+// while the caller's record keeps its fields whole.
 func TestRingKeepsCopiedPrefixOfLongFields(t *testing.T) {
 	long := "/" + strings.Repeat("é", 3*MaxField) // 2-byte runes: MaxField-1 is mid-rune
-	var buf strings.Builder
 	ring := NewRing(4)
 	rec := Record{Kind: "authorization", Object: long, Right: "apache GET " + long, ClientIP: "10.0.0.66",
 		Details: map[string]string{"uri": long, "signature": "overflow"}}
-	if err := Multi(ring, NewJSONWriter(&buf)).Log(rec); err != nil {
+	if err := ring.Log(rec); err != nil {
 		t.Fatal(err)
 	}
 	got := ring.Records()[0]
@@ -158,12 +105,8 @@ func TestRingKeepsCopiedPrefixOfLongFields(t *testing.T) {
 	if !strings.HasPrefix(long, got.Object) || got.ClientIP != "10.0.0.66" || got.Details["signature"] != "overflow" {
 		t.Errorf("kept record %q / %q / %v, want a prefix and the short fields whole", got.Object[:16], got.ClientIP, got.Details["signature"])
 	}
-	if rec.Details["uri"] != long {
-		t.Error("the caller's Details map was modified")
-	}
-	var written Record
-	if err := json.Unmarshal([]byte(buf.String()), &written); err != nil || written.Object != long || written.Details["uri"] != long {
-		t.Errorf("JSONWriter got a cut record (err %v)", err)
+	if rec.Object != long || rec.Details["uri"] != long {
+		t.Error("the caller's record was modified")
 	}
 }
 

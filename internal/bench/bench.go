@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -137,19 +136,4 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// SortRows orders rows by the given column (lexicographically), for
-// deterministic output when rows were collected from maps.
-func (t *Table) SortRows(col int) {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		var a, b string
-		if col < len(t.Rows[i]) {
-			a = t.Rows[i][col]
-		}
-		if col < len(t.Rows[j]) {
-			b = t.Rows[j][col]
-		}
-		return a < b
-	})
 }

@@ -90,13 +90,3 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
-
-func TestTableSortRows(t *testing.T) {
-	tbl := Table{Header: []string{"k", "v"}}
-	tbl.AddRow("b", "2")
-	tbl.AddRow("a", "1")
-	tbl.SortRows(0)
-	if tbl.Rows[0][0] != "a" {
-		t.Errorf("rows = %v", tbl.Rows)
-	}
-}

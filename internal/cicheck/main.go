@@ -4,8 +4,8 @@
 // that pins it. For every go test command with -run, the top-level part
 // (before any /) of each |-alternative must match a test, benchmark,
 // fuzz target or example that `go test -list .` reports in that
-// command's packages. The run-nothing patterns "xxx" and "^$" are
-// exempt.
+// command's packages, and each package it names (not a ./... pattern)
+// must hold a test it selects. "xxx" and "^$" are exempt.
 //
 //	go run ./internal/cicheck .github/workflows/ci.yml
 package main
@@ -37,7 +37,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	listed := map[string][]string{}
+	listed := map[string]map[string][]string{}
 	failed := false
 	cmds := commands(string(text))
 	for _, c := range cmds {
@@ -50,7 +50,7 @@ func main() {
 			}
 			listed[key] = names
 		}
-		for _, p := range check(c.run, listed[key]) {
+		for _, p := range check(c, listed[key]) {
 			fmt.Printf("%s:%d: -run %q in %s: %s\n", os.Args[1], c.line, c.run, strings.Join(c.pkgs, " "), p)
 			failed = true
 		}
@@ -58,11 +58,12 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("%d -run lists name only tests that exist\n", len(cmds))
+	fmt.Printf("%d -run lists name only tests that exist, and run one in each package they name\n", len(cmds))
 }
 
-// list returns the names go test -list reports for pkgs, run in dir.
-func list(dir string, pkgs []string) ([]string, error) {
+// list returns the names go test -list reports for pkgs, run in dir, by
+// package: a package's names come before its "ok" or "?" line.
+func list(dir string, pkgs []string) (map[string][]string, error) {
 	args := append([]string{"test", "-list", "."}, pkgs...)
 	if dir != "" {
 		args = append([]string{"-C", dir}, args...)
@@ -71,32 +72,49 @@ func list(dir string, pkgs []string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
-	var names []string
+	byPkg, names := map[string][]string{}, []string(nil)
 	for _, l := range strings.Split(string(out), "\n") {
-		if l != "" && !strings.ContainsAny(l, " \t") {
+		if f := strings.Fields(l); len(f) > 1 && (f[0] == "ok" || f[0] == "?") {
+			byPkg[f[1]], names = names, nil
+		} else if l != "" && !strings.ContainsAny(l, " \t") {
 			names = append(names, l)
 		}
 	}
-	return names, nil
+	return byPkg, nil
 }
 
-// check returns what is wrong with pattern against the listed names.
-func check(pattern string, names []string) []string {
-	if pattern == "xxx" || pattern == "^$" {
+// check returns what is wrong with c's pattern against the names its
+// packages list, by package.
+func check(c goTest, byPkg map[string][]string) []string {
+	if c.run == "xxx" || c.run == "^$" {
 		return nil
 	}
 	var problems []string
-	for _, alt := range split(pattern, '|') {
+	selected := map[string]bool{}
+	for _, alt := range split(c.run, '|') {
 		top := split(alt, '/')[0]
 		re, err := regexp.Compile(top)
 		if err != nil {
 			problems = append(problems, err.Error())
 			continue
 		}
-		if !slices.ContainsFunc(names, re.MatchString) {
+		matched := false
+		for pkg, names := range byPkg {
+			if slices.ContainsFunc(names, re.MatchString) {
+				selected[pkg], matched = true, true
+			}
+		}
+		if !matched {
 			problems = append(problems, fmt.Sprintf("%q matches no test", top))
 		}
 	}
+	n := len(problems)
+	for pkg := range byPkg {
+		if !selected[pkg] && !strings.Contains(strings.Join(c.pkgs, " "), "...") {
+			problems = append(problems, "it runs nothing in "+pkg)
+		}
+	}
+	slices.Sort(problems[n:])
 	return problems
 }
 

@@ -42,8 +42,34 @@ func TestCheck(t *testing.T) {
 		{"TestEscalateNeverLowers|TestGone/x", 2},
 		{"Test[", 1},
 	} {
-		if got := check(tc.pattern, names); len(got) != tc.bad {
+		if got := check(goTest{run: tc.pattern, pkgs: []string{"./..."}}, map[string][]string{"m/a": names}); len(got) != tc.bad {
 			t.Errorf("check(%q) = %q, want %d problems", tc.pattern, got, tc.bad)
+		}
+	}
+}
+
+// TestCheckEachPackage: a pattern that matches in one package of a
+// command but selects nothing in another it names fails, so deleting
+// one package's TestCost fails `-run Cost` over all of them. A ./...
+// pattern names no package of its own.
+func TestCheckEachPackage(t *testing.T) {
+	byPkg := map[string][]string{
+		"m/internal/a": {"TestCost", "TestA"},
+		"m/internal/b": {"TestB"},
+		"m/internal/c": nil, // no test files
+	}
+	for _, tc := range []struct {
+		run  string
+		pkgs []string
+		want []string
+	}{
+		{"Cost", []string{"./internal/a/", "./internal/b/", "./internal/c/"}, []string{"it runs nothing in m/internal/b", "it runs nothing in m/internal/c"}},
+		{"Cost|TestB|TestD", []string{"./internal/a/", "./internal/b/", "./internal/c/"}, []string{`"TestD" matches no test`, "it runs nothing in m/internal/c"}},
+		{"Cost|TestB", []string{"./internal/..."}, nil},
+		{"xxx", []string{"./internal/a/", "./internal/b/", "./internal/c/"}, nil},
+	} {
+		if got := check(goTest{run: tc.run, pkgs: tc.pkgs}, byPkg); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("check(-run %q %v) = %q, want %q", tc.run, tc.pkgs, got, tc.want)
 		}
 	}
 }

@@ -154,23 +154,3 @@ func TestRunPanickingOpLeavesNothingArmed(t *testing.T) {
 func emptyOp(context.Context, *Usage) error { return nil }
 
 func alwaysYes(Snapshot) gaa.Decision { return gaa.Yes }
-
-// TestRunMonitoredAllocs pins a monitored operation that returns before
-// its first tick at no allocation: the monitor and its timer are pooled,
-// the monitor is the operation's context, and no goroutine or channel is
-// made. A per-run cancellable context read 2; a goroutine, a channel and
-// a ticker per operation read 7.
-func TestRunMonitoredAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	u := NewUsage(nil)
-	ctx := context.Background()
-	const want = 0
-	if allocs := testing.AllocsPerRun(1000, func() { Run(ctx, u, emptyOp, alwaysYes, time.Hour) }); allocs != want {
-		t.Errorf("monitored Run allocates %v, want %d", allocs, want)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { Run(ctx, u, emptyOp, nil, time.Hour) }); allocs != 0 {
-		t.Errorf("unmonitored Run allocates %v, want 0", allocs)
-	}
-}

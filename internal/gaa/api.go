@@ -112,11 +112,6 @@ func (a *API) Known(condType, defAuth string) bool {
 	return a.reg.known(condType, defAuth)
 }
 
-// Registered lists registered (type, authority) pairs for diagnostics.
-func (a *API) Registered() []string {
-	return a.reg.registered()
-}
-
 // Now returns the API clock time.
 func (a *API) Now() time.Time {
 	return a.clock()

@@ -431,48 +431,6 @@ post_cond_audit local x
 	}
 }
 
-// TestCompiledZeroAllocUncachedGrant pins the hoisted grant at 0
-// allocs/op — also under WithEvaluatorTimeout, where only dynamic
-// conditions pay the deadline's goroutine.
-func TestCompiledZeroAllocUncachedGrant(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	for name, opts := range map[string][]Option{
-		"plain":   nil,
-		"timeout": {WithEvaluatorTimeout(time.Second)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			a := New(opts...)
-			var comp, interp atomic.Int64
-			a.Register("fastyes", AuthorityAny, fastEval{
-				out: MetOutcome(ClassSelector, "yes"), compiled: &comp, interp: &interp,
-			})
-			p := memPolicy(t, a, `
-neg_access_right apache GET /private/*
-pre_cond_fastyes local
-
-pos_access_right apache *
-pre_cond_fastyes local
-`)
-			req := simpleRequest()
-			ans := new(Answer)
-			ctx := context.Background()
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := a.CheckAuthorizationInto(ctx, p, req, ans); err != nil {
-					t.Fatal(err)
-				}
-				if ans.Decision != Yes {
-					t.Fatalf("decision = %v, want yes", ans.Decision)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("compiled grant allocates %v per op, want 0", allocs)
-			}
-		})
-	}
-}
-
 func TestCompiledUnitCapResets(t *testing.T) {
 	a := New()
 	// Every iteration parses a fresh EACL: each compiles a new unit,

@@ -42,18 +42,6 @@ func (p *Policy) compose(object string, system, local []*eacl.EACL) {
 	}
 }
 
-// EACLs returns the composed ordered list, system-wide first, honoring
-// ModeStop (local policies ignored when a system policy exists).
-func (p *Policy) EACLs() []*eacl.EACL {
-	if p.Mode == eacl.ModeStop && len(p.System) > 0 {
-		return p.System
-	}
-	out := make([]*eacl.EACL, 0, len(p.System)+len(p.Local))
-	out = append(out, p.System...)
-	out = append(out, p.Local...)
-	return out
-}
-
 // Verdict is the decision-only part of a scan result: what one EACL, one
 // level or the whole composition decided, without the diagnostics
 // (trace, unevaluated conditions, faults) the engine carries beside it.

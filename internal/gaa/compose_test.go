@@ -202,3 +202,15 @@ pre_cond_maybe local
 		t.Error("unevaluated conditions lost in composition")
 	}
 }
+
+// EACLs returns the composed ordered list, system-wide first, honoring
+// ModeStop (local policies ignored when a system policy exists).
+func (p *Policy) EACLs() []*eacl.EACL {
+	if p.Mode == eacl.ModeStop && len(p.System) > 0 {
+		return p.System
+	}
+	out := make([]*eacl.EACL, 0, len(p.System)+len(p.Local))
+	out = append(out, p.System...)
+	out = append(out, p.Local...)
+	return out
+}

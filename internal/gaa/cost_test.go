@@ -1,0 +1,174 @@
+package gaa
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"gaaapi/internal/costpin"
+	"gaaapi/internal/metrics"
+)
+
+// TestCost is the package's cost ledger (internal/costpin): what a
+// decision, a policy lookup and a revision check allocate, each count in
+// testdata/cost.golden. The tests after it pin parts of it by name.
+func TestCost(t *testing.T) {
+	costpin.Check(t, slices.Concat(
+		compiledGrantRows(t),
+		memoFillRows(t),
+		meteredGrantRows(t),
+		[]costpin.Row{
+			{Name: "grant behind 20 non-covering signatures", What: "nothing: the posting lists visit what covers the right", Run: signatureGrant(t, 20), NoRace: true},
+			{Name: "grant behind 2000 non-covering signatures", What: "nothing, as behind 20", Run: signatureGrant(t, 2000), NoRace: true},
+			{Name: "MemorySource.Policies over 8 patterns", What: "nothing: one match is a slice of the source's own list, and the match bitset stays on the stack", Run: patternLookup(t, 8)},
+			{Name: "MemorySource.Policies over 2048 patterns", What: "nothing, as over 8", Run: patternLookup(t, 2048)},
+		},
+		cacheHitRows(t),
+		cacheMissRows(t),
+		revisionRows(t),
+	))
+}
+
+func TestCompiledZeroAllocUncachedGrant(t *testing.T) {
+	for i, name := range []string{"plain", "timeout"} {
+		t.Run(name, func(t *testing.T) { costpin.CheckRows(t, compiledGrantRows(t)[i:i+1]) })
+	}
+}
+
+func TestCompiledZeroAllocMemoFill(t *testing.T)   { costpin.CheckRows(t, memoFillRows(t)) }
+func TestMetricsZeroAllocCachedGrant(t *testing.T) { costpin.CheckRows(t, meteredGrantRows(t)) }
+func TestCacheZeroAllocHit(t *testing.T)           { costpin.CheckRows(t, cacheHitRows(t)) }
+func TestDirSourceRevisionAllocs(t *testing.T)     { costpin.CheckRows(t, revisionRows(t)) }
+
+// grantRun is a grant of a on p that wants yes.
+func grantRun(t *testing.T, a *API, p *Policy) func() {
+	ctx, req, ans := context.Background(), simpleRequest(), new(Answer)
+	return func() {
+		if err := a.CheckAuthorizationInto(ctx, p, req, ans); err != nil || ans.Decision != Yes {
+			t.Fatalf("decision = %v, %v; want yes", ans.Decision, err)
+		}
+	}
+}
+
+// compiledGrantRows are the hoisted grant on an uncached policy, plain
+// and under WithEvaluatorTimeout.
+func compiledGrantRows(t *testing.T) []costpin.Row {
+	compiled := func(opts ...Option) func() {
+		a := newMemoAPI(opts...)
+		return grantRun(t, a, memPolicy(t, a, "neg_access_right apache GET /private/*\npre_cond_fastyes local\n\npos_access_right apache *\npre_cond_fastyes local\n"))
+	}
+	return []costpin.Row{
+		{Name: "compiled grant, uncached policy", What: "nothing: the hoisted grant evaluates in pooled state", Run: compiled(), NoRace: true},
+		{Name: "compiled grant under WithEvaluatorTimeout", What: "nothing: only a dynamic condition pays the deadline's goroutine", Run: compiled(WithEvaluatorTimeout(time.Second)), NoRace: true},
+	}
+}
+
+// memoFillRows is a grant that fills a cached policy's rights memo:
+// every measured check meets a policy nobody has checked.
+func memoFillRows(t *testing.T) []costpin.Row {
+	a := newMemoAPI(WithPolicyCache(2 * (costpin.Runs + 1)))
+	src := NewMemorySource()
+	if err := src.AddPolicy("*", memoPolicyText(20)); err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([]*Policy, costpin.Runs+1)
+	for i := range fresh {
+		p, err := a.GetObjectPolicyInfo(fmt.Sprintf("/doc%d.html", i), nil, []PolicySource{src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = p
+	}
+	ctx, req, ans, next := context.Background(), simpleRequest(), new(Answer), 0
+	req.Label = "apache " + req.Rights[0].Value
+	t.Cleanup(func() {
+		if costpin.Race {
+			return
+		}
+		for i, p := range fresh {
+			if st := p.rights.state.Load(); st != memoReady || p.rights.label != req.Label {
+				t.Fatalf("policy %d: memo state %d with label %q, want ready with %q", i, st, p.rights.label, req.Label)
+			}
+		}
+	})
+	return []costpin.Row{{Name: "compiled grant filling a cached policy's rights memo", What: "nothing: the memo is a field of the policy (§5.1)", Run: func() {
+		if err := a.CheckAuthorizationInto(ctx, fresh[next], req, ans); err != nil || ans.Decision != Yes {
+			t.Fatalf("decision = %v, %v; want yes", ans.Decision, err)
+		}
+		next++
+	}, NoRace: true}}
+}
+
+// meteredGrantRows is a cached grant with the metrics layer on.
+func meteredGrantRows(t *testing.T) []costpin.Row {
+	a := New(WithMetrics(metrics.NewRegistry()), WithPolicyCache(16))
+	src := NewMemorySource()
+	if err := src.AddPolicy("*", "pos_access_right apache *"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := a.GetObjectPolicyInfo("/x", nil, []PolicySource{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []costpin.Row{{Name: "cached grant with WithMetrics", What: "nothing: the instruments cost the grant no allocation", Run: grantRun(t, a, p), NoRace: true}}
+}
+
+// cacheHitRows is a hit on a full production-size policy cache.
+func cacheHitRows(t *testing.T) []costpin.Row {
+	a, system, local, objects := fullCache(t, 1024)
+	hot := objects[len(objects)-1]
+	hits := a.CacheStats().Hits
+	t.Cleanup(func() {
+		if got := a.CacheStats().Hits - hits; got < costpin.Runs {
+			t.Errorf("only %d of the measured cache lookups hit", got)
+		}
+	})
+	return []costpin.Row{{Name: "policy-cache hit, 1024 entries", What: "nothing", Run: func() {
+		if _, err := a.GetObjectPolicyInfo(hot, system, local); err != nil {
+			t.Fatal(err)
+		}
+	}}}
+}
+
+// cacheMissRows are misses on full caches of 64 and 1024 entries, for
+// an object one pattern governs and one two govern.
+func cacheMissRows(t *testing.T) []costpin.Row {
+	small, _, small1, small2 := missCycles(t, 64)
+	big, _, big1, big2 := missCycles(t, 1024)
+	hits := small.CacheStats().Hits + big.CacheStats().Hits
+	t.Cleanup(func() {
+		if got := small.CacheStats().Hits + big.CacheStats().Hits - hits; got != 0 {
+			t.Errorf("%d of the measured misses hit; the cycles should always miss", got)
+		}
+	})
+	const entry = "the cache entry, which embeds the composed Policy (with its rights memo, §5.1) and up to four source revisions"
+	const two = "the entry, and the slice composing two patterns of one MemorySource"
+	return []costpin.Row{
+		{Name: "policy-cache miss, 64 entries", What: entry, Run: small1},
+		{Name: "policy-cache miss, 1024 entries", What: entry, Run: big1},
+		{Name: "policy-cache miss, two patterns govern, 64 entries", What: two, Run: small2},
+		{Name: "policy-cache miss, two patterns govern, 1024 entries", What: two, Run: big2},
+	}
+}
+
+// revisionRows are DirSource revision checks on the benchmark's site
+// shape: a root .eacl, docs/ without one.
+func revisionRows(t *testing.T) []costpin.Row {
+	root := t.TempDir()
+	mkdir(t, filepath.Join(root, "docs"))
+	writeFile(t, filepath.Join(root, ".eacl"), chainPolicyOld)
+	dir := NewSwappableSource(NewDirSource(root, ".eacl"))
+	revision := func(object string) func() {
+		if _, err := dir.Revision(object); err != nil {
+			t.Fatal(err)
+		}
+		return func() { dir.Revision(object) }
+	}
+	return []costpin.Row{
+		{Name: "DirSource revision, /index.html", What: "what os.Stat allocates: a string built around the stat shows here", Run: revision("/index.html"), NoRace: true},
+		{Name: "DirSource revision, /docs/guide.html", What: "two stats, and for docs/, which has no policy file, the path asked about and the error that says so", Run: revision("/docs/guide.html"), NoRace: true},
+	}
+}

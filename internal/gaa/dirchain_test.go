@@ -367,33 +367,6 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 	}
 }
 
-// TestDirSourceRevisionAllocs pins what a revision check costs on the
-// benchmark's site shape (a root .eacl, docs/ without one): nothing but
-// what os.Stat itself allocates — two per call — plus, for a directory
-// with no policy file, the path to ask about and the error that says so.
-// A string built around the stat (a joined path for a file the chain
-// already knows, a formatted stamp, a described chain) shows here.
-func TestDirSourceRevisionAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are pinned without the race detector")
-	}
-	root := t.TempDir()
-	mkdir(t, filepath.Join(root, "docs"))
-	writeFile(t, filepath.Join(root, ".eacl"), chainPolicyOld)
-	src := NewSwappableSource(NewDirSource(root, ".eacl"))
-	for _, tt := range []struct {
-		object string
-		max    float64
-	}{{"/index.html", 2}, {"/docs/guide.html", 6}} {
-		if _, err := src.Revision(tt.object); err != nil {
-			t.Fatal(err)
-		}
-		if got := testing.AllocsPerRun(200, func() { src.Revision(tt.object) }); got > tt.max {
-			t.Errorf("Revision(%s) allocates %v, want <= %v", tt.object, got, tt.max)
-		}
-	}
-}
-
 func TestCleanObject(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"/a/b", "/a/b"},

@@ -214,43 +214,3 @@ func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
 		t.Fatalf("memo for %q holds %b, the tries say %b", p.rights.value, got, want)
 	}
 }
-
-// TestCompiledZeroAllocMemoFill pins the request that fills a cached
-// policy's memo at 0 allocations, as the requests that read it are
-// (TestCompiledZeroAllocUncachedGrant, TestMetricsZeroAllocCachedGrant):
-// every measured check meets a policy nobody has checked.
-func TestCompiledZeroAllocMemoFill(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	const runs = 200
-	a := newMemoAPI(WithPolicyCache(2 * runs))
-	src := NewMemorySource()
-	if err := src.AddPolicy("*", memoPolicyText(20)); err != nil {
-		t.Fatal(err)
-	}
-	policies := make([]*Policy, runs+1) // AllocsPerRun calls once more to warm up
-	for i := range policies {
-		p, err := a.GetObjectPolicyInfo(fmt.Sprintf("/doc%d.html", i), nil, []PolicySource{src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		policies[i] = p
-	}
-	req, ans, next := simpleRequest(), new(Answer), 0
-	req.Label = "apache " + req.Rights[0].Value
-	allocs := testing.AllocsPerRun(runs, func() {
-		if err := a.CheckAuthorizationInto(context.Background(), policies[next], req, ans); err != nil || ans.Decision != Yes {
-			t.Fatalf("decision = %v, %v; want yes", ans.Decision, err)
-		}
-		next++
-	})
-	if allocs != 0 {
-		t.Errorf("a grant filling the memo allocates %v, want 0", allocs)
-	}
-	for i, p := range policies {
-		if st := p.rights.state.Load(); st != memoReady || p.rights.label != req.Label {
-			t.Fatalf("policy %d: memo state %d with label %q, want ready with %q", i, st, p.rights.label, req.Label)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package gaa
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,16 +87,4 @@ func (r *registry) lookup(condType, defAuth string) (Evaluator, bool) {
 func (r *registry) known(condType, defAuth string) bool {
 	_, ok := r.lookup(condType, defAuth)
 	return ok
-}
-
-// registered returns "type authority" strings, sorted, for diagnostics.
-func (r *registry) registered() []string {
-	var out []string
-	for condType, byAuth := range *r.evals.Load() {
-		for defAuth := range byAuth {
-			out = append(out, condType+" "+defAuth)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +14,6 @@ import (
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
-	"gaaapi/internal/ids/adaptive"
 )
 
 // policy71System / policy71Local are the paper's section 7.1 policies.
@@ -490,73 +487,6 @@ func TestAnomalyTrainingThroughGuard(t *testing.T) {
 	}
 }
 
-// TestGuardCheckCachedGrantZeroAlloc pins a cached grant through the
-// guard at no allocation: the "<authority> <METHOD> <path>" string that
-// is both the audit record's right and, sliced, the requested one is
-// the cached policy's, kept in its rights memo by the check that filled
-// it (built on every check, it was 1). A HEAD after the GET that filled
-// the memo builds its own (1). The metrics layer and the adaptive
-// scorer, which scores the sample inline, ride the same path and must
-// add nothing to it.
-func TestGuardCheckCachedGrantZeroAlloc(t *testing.T) {
-	scorer := adaptive.Defaults()
-	for _, tc := range []struct {
-		name     string
-		metrics  bool
-		adaptive *adaptive.Config
-	}{
-		{"plain", false, nil},
-		{"metrics", true, nil},
-		{"scorer", false, &scorer},
-		{"metrics+scorer", true, &scorer},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := NewStack(StackConfig{
-				SystemPolicy:  policy72System,
-				LocalPolicies: map[string]string{"*": policy72Local},
-				DocRoot:       map[string]string{"/index.html": "home"},
-				PolicyCache:   true,
-				Metrics:       tc.metrics,
-				Adaptive:      tc.adaptive,
-			})
-			if err != nil {
-				t.Fatalf("NewStack: %v", err)
-			}
-			defer st.Close()
-			for _, row := range []struct {
-				method, right string
-				want          float64
-			}{
-				{"GET", "apache GET /index.html", 0},
-				{"HEAD", "apache HEAD /index.html", 1},
-			} {
-				rec := &httpd.RequestRec{
-					Time:     time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC),
-					Method:   row.method,
-					Path:     "/index.html",
-					URI:      row.method + " /index.html",
-					ClientIP: "10.0.0.1",
-				}
-				for i := 0; i < 2; i++ { // the first GET fills the memo
-					if v := st.Guard.Check(rec); v.Status.Kind != httpd.StatusOK {
-						t.Fatalf("%s: Check = %+v, want OK", row.method, v.Status)
-					}
-					recs := st.Audit.Records()
-					if len(recs) == 0 || recs[len(recs)-1].Right != row.right {
-						t.Fatalf("audit records = %+v, want a last one with right %q", recs, row.right)
-					}
-				}
-				if raceEnabled {
-					continue // sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there
-				}
-				if allocs := testing.AllocsPerRun(2000, func() { st.Guard.Check(rec) }); allocs != row.want {
-					t.Errorf("cached %s grant through Guard.Check allocates %v, want %v", row.method, allocs, row.want)
-				}
-			}
-		})
-	}
-}
-
 // TestGuardRightsLabelConcurrentFill races the first checks of fresh
 // cached policies: GETs and HEADs of one object arrive at once, one of
 // them fills the policy's rights memo with its label and the others read
@@ -660,152 +590,10 @@ func (w *nullResponse) Header() http.Header         { return w.header }
 func (w *nullResponse) WriteHeader(code int)        { w.code = code }
 func (w *nullResponse) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestStackCGIGrantAllocs pins the request kinds of the benchmark's
-// browse and siege streams through the whole deployment —
-// Stack.Handler(), metrics, policy cache and a discarded access log, as
-// gaa-httpd runs it — at their exact allocation counts. Only what
-// outlives the request allocates:
-//
-//   - a document grant (1): the record's request line, which the
-//     decision's parameters carry (the audit record's right is the
-//     cached policy's, TestGuardCheckCachedGrantZeroAlloc);
-//   - a monitored CGI grant (3): the request line, the script's
-//     formatted argument and the usage value "1120" (below 100 it is a
-//     constant);
-//   - a source the firewall drops (0): it is turned away before the
-//     request line is built, and the 403's body is not copied.
-//
-// The hooked CGI request is the one path that holds the guard's pooled
-// check state across phases: losing the recycling in Verdict.Post, or
-// the reuse of the answer's Mid/Post arrays, shows here. The document
-// was 2 and the CGI grant 4 while every check built the audit record's
-// right; the document 4 while MapRoot cleaned "/"+path; the CGI grant 8
-// while the later phases copied their parameter lists and the operation
-// had a context of its own, 21 with Run's goroutine; the drop 2.
-func TestStackCGIGrantAllocs(t *testing.T) {
-	st, err := NewStack(StackConfig{
-		SystemPolicy:  browseSystem,
-		LocalPolicies: map[string]string{"*": browseLocal},
-		DocRoot:       map[string]string{"/index.html": "home"},
-		PolicyCache:   true,
-		Metrics:       true,
-		AccessLog:     io.Discard,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	defer st.Close()
-	h := st.Handler()
-	st.Blocks.Block("10.0.0.66", 0)
-	for _, tc := range []struct {
-		name, target, ip string
-		code             int
-		want             float64
-	}{
-		{"document grant", "/index.html", "10.0.0.1", http.StatusOK, 1},
-		{"CGI grant", "/cgi-bin/search?q=eacl", "10.0.0.1", http.StatusOK, 3},
-		{"firewall drop", "/index.html", "10.0.0.66", http.StatusForbidden, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			req := httptest.NewRequest("GET", tc.target, nil)
-			req.RemoteAddr = tc.ip + ":40000"
-			rw := &nullResponse{header: make(http.Header)}
-			serve := func() {
-				rw.code = 0
-				h.ServeHTTP(rw, req)
-				if rw.code != tc.code {
-					t.Fatalf("%s answered %d, want %d", tc.target, rw.code, tc.code)
-				}
-			}
-			serve()
-			if raceEnabled {
-				t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-			}
-			if allocs := testing.AllocsPerRun(500, serve); allocs != tc.want {
-				t.Errorf("%s through Stack.Handler() allocates %v, want %v", tc.name, allocs, tc.want)
-			}
-		})
-	}
-}
-
-// TestGuardCheckDenyAllocs pins a section 7.2 deny through Guard.Check
-// — the phf probe, with the local policy's notify, blacklist, firewall
-// block and audit responses — at what the responses keep: the alert's
-// subject and body (2). The body is built in the string the alert keeps
-// and the audit record's right is the request's label, 4 while the body
-// went through a buffer of its own and the audit action built the
-// right. The guard's own "<authority> <METHOD> <path>" is the cached
-// policy's (5 while every check built it), 17 while every action split
-// its value and built a detail string no untraced request reads, 6
-// while the IDS report asked the signature database for every hit to
-// read the first.
-func TestGuardCheckDenyAllocs(t *testing.T) {
-	st, err := NewStack(StackConfig{
-		SystemPolicy:  browseSystem,
-		LocalPolicies: map[string]string{"*": browseLocal},
-		PolicyCache:   true,
-		Metrics:       true,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	defer st.Close()
-	rec := httpd.NewRequestRec(newRequest("/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", "10.9.9.9"), nil, time.Now())
-	deny := func() {
-		if v := st.Guard.Check(rec); v.Status.Kind != httpd.StatusForbidden {
-			t.Fatalf("phf probe: %+v, want forbidden", v.Status)
-		}
-	}
-	deny()
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	const want = 2
-	if allocs := testing.AllocsPerRun(500, deny); allocs != want {
-		t.Errorf("section 7.2 deny through Guard.Check allocates %v, want %d: the alert's subject and body "+
-			"(the body's separate buffer and the audit right are deleted)", allocs, want)
-	}
-}
-
-// TestStackFirstContactAttackAllocs pins a first-contact probe of each
-// of siege's four attack classes from a source the server has not seen,
-// through Stack.Server with a state directory as the siege workload runs
-// it: the probe is denied, its source notified, blacklisted, blocked and
-// audited, and the block and the membership are journaled. The journal
-// records render into the store's frame buffer, and the guard's
-// "<authority> <METHOD> <path>" is the cached policy's, so a probe costs
-// the request line and what the responses keep, the alert's subject and
-// body (3); the overflow also spells its input length, 1202, into a
-// parameter and an abnormal-parameters report (6). The slash flood's
-// object is sliced out of its path, not copied. phf was 5 while the
-// alert body went through a buffer of its own and the audit action built
-// its right, 6 while every check built the guard's string, 11 while each
-// record was boxed and handed to json.Marshal.
-func TestStackFirstContactAttackAllocs(t *testing.T) {
-	st := firstContactStack(t)
-	// Per class: one probe here, one AllocsPerRun warms up with, then
-	// the runs.
-	const runs = 500
-	sources := firstContactSources(4 * (runs + 2))
-	for _, attack := range firstContactAttacks {
-		probe := firstContactProbe(t, st, attack.target, &sources)
-		probe()
-		if raceEnabled {
-			t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-		}
-		if allocs := testing.AllocsPerRun(runs, probe); allocs != attack.allocs {
-			t.Errorf("a first-contact %s probe through Stack.Server allocates %v, want %v", attack.name, allocs, attack.allocs)
-		}
-	}
-	if n := st.Store.Stats().Appends; n < 2*4*(runs+2) {
-		t.Errorf("%d probes journaled %d records, want two each", 4*(runs+2), n)
-	}
-}
-
 // BenchmarkStackFirstContact times a first-contact probe of each of
 // siege's four attack classes through Stack.Server with a state
 // directory, each from a fresh source: the requests whose allocations
-// TestStackFirstContactAttackAllocs counts.
+// TestCost's first-contact rows count.
 func BenchmarkStackFirstContact(b *testing.B) {
 	st := firstContactStack(b)
 	for _, attack := range firstContactAttacks {
@@ -821,16 +609,12 @@ func BenchmarkStackFirstContact(b *testing.B) {
 	}
 }
 
-// firstContactAttacks are siege's attack classes, with what a probe of
-// each allocates.
-var firstContactAttacks = []struct {
-	name, target string
-	allocs       float64
-}{
-	{"phf", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd", 3},
-	{"nimda", "/scripts/..%c0%af../winnt/system32/cmd.exe?/c+dir", 3},
-	{"slash flood", "/" + strings.Repeat("/", 40) + "index.html", 3},
-	{"overflow", "/cgi-bin/search?q=" + strings.Repeat("A", 1200), 6},
+// firstContactAttacks are siege's attack classes.
+var firstContactAttacks = []struct{ name, target string }{
+	{"phf", "/cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd"},
+	{"nimda", "/scripts/..%c0%af../winnt/system32/cmd.exe?/c+dir"},
+	{"slash flood", "/" + strings.Repeat("/", 40) + "index.html"},
+	{"overflow", "/cgi-bin/search?q=" + strings.Repeat("A", 1200)},
 }
 
 // firstContactStack is the siege deployment with a state directory.
@@ -878,64 +662,6 @@ func firstContactProbe(tb testing.TB, st *Stack, target string, sources *[]strin
 		if rw.code != http.StatusForbidden {
 			tb.Fatalf("probe of %s from %s answered %d, want 403", target, req.RemoteAddr, rw.code)
 		}
-	}
-}
-
-// TestStackFileBackedGrantAllocs pins a document grant through the
-// deployment gaa-httpd runs from files — system.eacl, per-directory
-// .eacl files under the document root (one at the root, none in docs/),
-// documents read from disk — on the benchmark's site shape. Per request
-// that is one revision check on the cache-hit path (two stats: the root
-// and docs/) and one file read; 38 when every stat came wrapped in a
-// joined path, a formatted stamp and a described chain, 17 while the
-// metrics wrapper allocated its status writer and the operation closure
-// escaped into execctl.Run's goroutine.
-func TestStackFileBackedGrantAllocs(t *testing.T) {
-	dir := t.TempDir()
-	site := filepath.Join(dir, "site")
-	for name, content := range map[string]string{
-		filepath.Join(dir, "system.eacl"):      browseSystem,
-		filepath.Join(site, ".eacl"):           browseLocal,
-		filepath.Join(site, "index.html"):      "<html>home</html>",
-		filepath.Join(site, "docs/guide.html"): "<html>guide</html>",
-	} {
-		if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := NewStack(StackConfig{
-		SystemPolicyFile: filepath.Join(dir, "system.eacl"),
-		LocalPolicyDir:   site,
-		DocRootDir:       site,
-		PolicyCache:      true,
-		Metrics:          true,
-		AccessLog:        io.Discard,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	defer st.Close()
-	h := st.Handler()
-	req := httptest.NewRequest("GET", "/docs/guide.html", nil)
-	req.RemoteAddr = "10.0.0.1:40000"
-	rw := &nullResponse{header: make(http.Header)}
-	serve := func() {
-		rw.code = 0
-		h.ServeHTTP(rw, req)
-		if rw.code != http.StatusOK {
-			t.Fatalf("document request answered %d, want 200", rw.code)
-		}
-	}
-	serve()
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	const max = 15
-	if allocs := testing.AllocsPerRun(500, serve); allocs > max {
-		t.Errorf("file-backed document grant through Stack.Handler() allocates %v, want <= %d", allocs, max)
 	}
 }
 

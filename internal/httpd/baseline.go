@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"os"
-	"sort"
 	"sync"
 
 	"gaaapi/internal/gaa"
@@ -57,18 +56,6 @@ func (m *MapHtaccessSource) For(object string) ([]*Htaccess, error) {
 		return nil
 	})
 	return out, nil
-}
-
-// Dirs returns the configured directories, sorted (diagnostics).
-func (m *MapHtaccessSource) Dirs() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.entries))
-	for d := range m.entries {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DirHtaccessSource reads .htaccess files under a document root on

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -262,4 +263,16 @@ func TestDirHtaccessSourceEditGovernsNextRequest(t *testing.T) {
 			})
 		}
 	}
+}
+
+// Dirs returns the configured directories, sorted (diagnostics).
+func (m *MapHtaccessSource) Dirs() []string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]string, 0, len(m.entries))
+	for d := range m.entries {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
 }

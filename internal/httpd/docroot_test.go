@@ -132,24 +132,6 @@ func TestOSRoot(t *testing.T) {
 	}
 }
 
-// TestOSRootOpenAllocs pins a document read at what one open, one
-// fstat and one sized read allocate (12 when Open stat'ed the path,
-// joined and cleaned it twice and let os.ReadFile stat it again).
-func TestOSRootOpenAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are pinned without the race detector")
-	}
-	dir := t.TempDir()
-	mkdirAll(t, filepath.Join(dir, "docs"))
-	if err := os.WriteFile(filepath.Join(dir, "docs/guide.html"), []byte("<html>guide</html>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := NewOSRoot(dir)
-	if got := testing.AllocsPerRun(200, func() { r.Open("/docs/guide.html") }); got > 7 {
-		t.Errorf("OSRoot.Open allocates %v, want <= 7", got)
-	}
-}
-
 // TestOSRootOpenSeesOneInode: a path that flips between a document and
 // a directory while it is being served answers with the document or,
 // while it is a directory or nothing, not found; never with an error.

@@ -202,35 +202,6 @@ func (w *discardResponse) Header() http.Header         { return w.header }
 func (w *discardResponse) WriteHeader(code int)        { w.code = code }
 func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestServeFloorDocumentAllocs pins a document through a guard-less
-// Server — the "Apache without GAA" floor the benchmark divides by — at
-// its exact allocation count: the record's request line, the one
-// string a served request keeps. MapRoot cleans a clean path without
-// copying it (3 while it cleaned "/"+path), and the operation closure
-// lives on the stack because Run calls it inline (4 while it escaped
-// into Run's goroutine).
-func TestServeFloorDocumentAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under race; pooled paths allocate by design there")
-	}
-	s := NewServer(Config{DocRoot: map[string]string{"/index.html": "<html>welcome</html>"}})
-	req := httptest.NewRequest("GET", "/index.html", nil)
-	req.RemoteAddr = "10.0.0.1:34567"
-	rw := &discardResponse{header: make(http.Header)}
-	serve := func() {
-		rw.code = 0
-		s.ServeHTTP(rw, req)
-		if rw.code != http.StatusOK {
-			t.Fatalf("document answered %d, want 200", rw.code)
-		}
-	}
-	serve()
-	const want = 1
-	if allocs := testing.AllocsPerRun(1000, serve); allocs != want {
-		t.Errorf("floor document allocates %v, want %d", allocs, want)
-	}
-}
-
 func TestPostHookSeesOperationStatus(t *testing.T) {
 	var statuses []bool
 	guard := GuardFunc(func(*RequestRec) Verdict {

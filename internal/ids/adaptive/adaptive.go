@@ -649,14 +649,6 @@ func (e *Engine) Signal() float64 {
 	return e.signal
 }
 
-// SignalLevel returns the engine's own hysteresis level (which it
-// pushes into the shared threat manager).
-func (e *Engine) SignalLevel() ids.Level {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.level
-}
-
 // SourceScore returns the current per-source score (0 for an unknown
 // source).
 func (e *Engine) SourceScore(addr string) float64 {

@@ -330,3 +330,11 @@ func TestStepDownLosesToConcurrentRaise(t *testing.T) {
 		t.Fatalf("engine's drop from medium overwrote a racing raise: level %s, want high", got)
 	}
 }
+
+// SignalLevel returns the engine's own hysteresis level (which it
+// pushes into the shared threat manager).
+func (e *Engine) SignalLevel() ids.Level {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.level
+}

@@ -3,7 +3,6 @@ package ids
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -322,23 +321,6 @@ func TestObserveConcurrentFullProfiles(t *testing.T) {
 	}
 }
 
-// TestObserveKnownPrincipalZeroAlloc pins Observe on a principal the
-// detector already profiles, full or not, at 0 allocations: the path
-// hash is seeded maphash over the string, and a full set grows no more.
-func TestObserveKnownPrincipalZeroAlloc(t *testing.T) {
-	d := trainedDetector(t)
-	fillProfile(d, "carol")
-	for _, tc := range []struct{ principal, path string }{
-		{"alice", "/index.html"}, {"carol", "/full/7"}, {"carol", "/never-seen"},
-	} {
-		for _, n := range []int{20, fullBand, 1500} {
-			if allocs := testing.AllocsPerRun(200, func() { d.Observe(tc.principal, tc.path, n) }); allocs != 0 {
-				t.Errorf("Observe(%s, %s, %d) allocates %v, want 0", tc.principal, tc.path, n, allocs)
-			}
-		}
-	}
-}
-
 // BenchmarkObserve times one grant's Observe against a full profile and
 // a five-path one, at a typical input length.
 func BenchmarkObserve(b *testing.B) {
@@ -411,35 +393,4 @@ func TestDetectorProfileTableIsBounded(t *testing.T) {
 	if n, s := d.Trained(late), d.Score(late, "/weird", 9999); n != 0 || s != 0 {
 		t.Errorf("unadmitted principal: Trained = %d, Score = %v, want 0 and 0", n, s)
 	}
-}
-
-// TestDetectorProfileHeap pins what full profiles keep: each holds its
-// maxProfilePaths path hashes (2 KiB) and its moments, and no path, so
-// 500 of them stay under 3 KiB apiece (2.1 KiB on amd64). A map of the
-// paths kept 21 KiB per profile, most of it the request strings it
-// pinned.
-func TestDetectorProfileHeap(t *testing.T) {
-	const principals, perProfile = 500, 3 << 10
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	d := NewDetector(DefaultAnomalyConfig())
-	for p := 0; p < principals; p++ {
-		ip := fmt.Sprintf("10.1.%d.%d", p>>8, p&0xff)
-		for i := 0; i < maxProfilePaths; i++ {
-			// A fresh string per request, as the server parses one.
-			d.Train(ip, fmt.Sprintf("/site/dir%03d/page%03d.html", i%17, i), 20)
-		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if n := len(d.profiles["10.1.0.0"].paths); n != maxProfilePaths {
-		t.Fatalf("profile holds %d paths, want a full %d", n, maxProfilePaths)
-	}
-	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d full profiles keep %d bytes, %d per profile", principals, grown, grown/principals)
-	if grown > principals*perProfile {
-		t.Errorf("%d full profiles keep %d bytes, want <= %d per profile", principals, grown, perProfile)
-	}
-	runtime.KeepAlive(d)
 }

@@ -115,16 +115,6 @@ func TestCheckHistogramInvariantViolations(t *testing.T) {
 	}
 }
 
-func TestRegistryFamilies(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("zz_gauge", "")
-	r.Counter("aa_total", "")
-	r.Histogram("mm_seconds", "", nil) // nil bounds: DefLatencyBuckets
-	if got, want := r.Families(), []string{"aa_total", "mm_seconds", "zz_gauge"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Families() = %v, want %v", got, want)
-	}
-}
-
 func TestHistogramBoundsLengthMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("hlen_seconds", "h", []float64{1, 2}, L("p", "a"))

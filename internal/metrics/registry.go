@@ -174,18 +174,6 @@ func equalBounds(a, b []float64) bool {
 	return true
 }
 
-// Families returns the registered family names, sorted.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // familyView is a per-collection snapshot of one family: the immutable
 // metadata plus a copy of the series slice taken under r.mu. Series are
 // kept signature-sorted at insertion, so collection never touches (let

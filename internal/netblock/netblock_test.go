@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -362,68 +361,6 @@ func TestEntriesOrderUnchanged(t *testing.T) {
 	}
 }
 
-// TestLenZeroAllocMatchesEntries: the active-blocks gauge reads Len on
-// every metrics scrape, so it counts what Entries would return — expired
-// hosts and ranges left out — without building or sorting anything.
-func TestLenZeroAllocMatchesEntries(t *testing.T) {
-	clk := newClock()
-	s := NewSet(WithClock(clk.Now))
-	for i := 0; i < 100; i++ {
-		ttl := time.Duration(i%3) * time.Minute // 0: permanent
-		s.Block(fmt.Sprintf("10.0.%d.%d", i/256, i%256), ttl)
-		if i%10 == 0 {
-			s.Block(fmt.Sprintf("172.%d.0.0/16", i), ttl)
-		}
-	}
-	if got, want := s.Len(), len(s.Entries()); got != want || got != 110 {
-		t.Fatalf("Len = %d, len(Entries()) = %d, want both 110", got, want)
-	}
-	clk.Advance(90 * time.Second) // the one-minute blocks expire, unswept
-	if got, want := s.Len(), len(s.Entries()); got != want || got != 74 {
-		t.Fatalf("after expiry Len = %d, len(Entries()) = %d, want both 74", got, want)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Len() }); allocs != 0 {
-		t.Errorf("Len allocates %v, want 0", allocs)
-	}
-}
-
-// TestBlockedWithRangesZeroAlloc: once a range is blocked, every request
-// tests its source against it, so that test must not allocate (the
-// parsed source stays on the stack). The answers are pinned too: an
-// IPv4 range holds an IPv4-mapped source, an IPv4-mapped range is the
-// IPv4 range it maps, an IPv6 range holds no IPv4 source, and a range
-// spelt with a leading zero in its length is still a range, listed as
-// it was blocked.
-func TestBlockedWithRangesZeroAlloc(t *testing.T) {
-	s := NewSet()
-	for _, cidr := range []string{"192.168.0.0/24", "10.1.2.3/016", "2001:db8::/32", "::ffff:172.16.0.0/108", "::/0"} {
-		s.Block(cidr, 0)
-	}
-	for _, tc := range []struct {
-		ip   string
-		want bool
-	}{
-		{"192.168.0.7", true}, {"::ffff:192.168.0.7", true}, {"192.168.1.7", false},
-		{"10.1.200.200", true}, {"10.2.0.1", false},
-		{"2001:db8::1", true}, {"2001:db9::1", true}, {"::", true}, {"fe80::1%eth0", false},
-		{"172.31.0.1", true}, {"::ffff:172.16.0.1", true}, {"172.32.0.1", false},
-		{"0.0.0.0", false}, {"::ffff:10.2.0.1", false},
-		{"not-an-ip", false}, {"", false},
-	} {
-		if got := s.Blocked(tc.ip); got != tc.want {
-			t.Errorf("Blocked(%q) = %v, want %v", tc.ip, got, tc.want)
-		}
-	}
-	if got := s.List(); !reflect.DeepEqual(got, []string{"10.1.2.3/016", "192.168.0.0/24", "2001:db8::/32", "::/0", "::ffff:172.16.0.0/108"}) {
-		t.Errorf("List = %q, want each range as it was blocked", got)
-	}
-	for _, ip := range []string{"10.0.0.1", "192.168.0.7", "2001:db8::1"} {
-		if allocs := testing.AllocsPerRun(100, func() { s.Blocked(ip) }); allocs != 0 {
-			t.Errorf("Blocked(%q) with ranges allocates %v, want 0", ip, allocs)
-		}
-	}
-}
-
 // TestDeadlineEncoding: a deadline is kept in 8 bytes where Unix
 // nanoseconds hold it and as given where they do not, including the
 // instants whose nanoseconds are the sentinels' values. Either way
@@ -518,41 +455,5 @@ func TestDeadlineEncoding(t *testing.T) {
 	s.Unblock("10.0.0.1")
 	if len(s.exact) != 0 || s.Len() != 0 {
 		t.Errorf("Unblock left %d exact deadlines, Len %d", len(s.exact), s.Len())
-	}
-}
-
-// TestHostEntryBytes: a blocked source costs its map slot and an 8-byte
-// deadline — the address string is the caller's. A time.Time deadline
-// made it ≈ 63 B.
-func TestHostEntryBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("heap readings include the race detector's shadow state")
-	}
-	const hosts = 50000
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("11.%d.%d.%d", i>>16, i>>8&0xff, i&0xff)
-	}
-	heap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	now := time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC)
-	before := heap()
-	s := NewSet(WithClock(func() time.Time { return now }))
-	for _, a := range addrs {
-		s.Block(a, time.Hour)
-	}
-	per := float64(heap()-before) / hosts
-	runtime.KeepAlive(addrs)
-	if s.Len() != hosts {
-		t.Fatalf("Len = %d, want %d", s.Len(), hosts)
-	}
-	t.Logf("%.1f B per blocked host", per)
-	if per > 40 {
-		t.Errorf("a blocked host costs %.1f B, want ≤ 40", per)
 	}
 }

@@ -158,31 +158,3 @@ func TestSnapshotSectionsAreMarshal(t *testing.T) {
 		}
 	}
 }
-
-// TestJournalRecordZeroAlloc: with no mirror, a block record and a group
-// record journaled through an attached Store allocate nothing; marshalling
-// the event cost 3 allocations, and boxing it one more.
-func TestJournalRecordZeroAlloc(t *testing.T) {
-	now := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: -1})
-	c := Components{Blocks: netblock.NewSet(netblock.WithClock(clock)), Groups: groups.NewStore(), Clock: clock}
-	if _, err := Attach(s, c); err != nil {
-		t.Fatal(err)
-	}
-	c.Blocks.Block("10.0.0.1", time.Hour)
-	c.Groups.Add("BadGuys", "10.0.0.1")
-	before := s.Stats().Appends
-	if n := testing.AllocsPerRun(100, func() { c.Blocks.Block("10.0.0.1", time.Hour) }); n != 0 {
-		t.Errorf("a block record costs %v allocations, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		c.Groups.Remove("BadGuys", "10.0.0.1")
-		c.Groups.Add("BadGuys", "10.0.0.1")
-	}); n != 0 {
-		t.Errorf("a group removal and addition cost %v allocations, want 0", n)
-	}
-	if got := s.Stats().Appends - before; got != 101+202 {
-		t.Errorf("journaled %d records, want %d", got, 101+202)
-	}
-}

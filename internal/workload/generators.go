@@ -42,19 +42,6 @@ func Pace(reqs []Request, gap time.Duration) []Request {
 	return reqs
 }
 
-// Spread shapes reqs to cover total time evenly: len(reqs)-1 equal
-// gaps. A total of 0 (or fewer than two requests) clears all delays —
-// a burst.
-func Spread(reqs []Request, total time.Duration) []Request {
-	if len(reqs) < 2 || total <= 0 {
-		for i := range reqs {
-			reqs[i].Delay = 0
-		}
-		return reqs
-	}
-	return Pace(reqs, total/time.Duration(len(reqs)-1))
-}
-
 // AssignSources deals sources onto reqs deterministically: shuffled
 // round-robin, so every source appears within any window of
 // len(sources) consecutive requests but the order varies with seed.

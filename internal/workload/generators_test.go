@@ -76,37 +76,6 @@ func TestPace(t *testing.T) {
 	}
 }
 
-func TestSpread(t *testing.T) {
-	tests := []struct {
-		name  string
-		n     int
-		total time.Duration
-		want  []time.Duration
-	}{
-		{"even gaps over the window", 5, 4 * time.Second,
-			[]time.Duration{0, time.Second, time.Second, time.Second, time.Second}},
-		{"zero total is a burst", 3, 0, []time.Duration{0, 0, 0}},
-		{"single request is a burst", 1, time.Minute, []time.Duration{0}},
-		{"empty stream", 0, time.Minute, nil},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			reqs := make([]Request, tt.n)
-			for i := range reqs {
-				reqs[i].Delay = time.Hour
-			}
-			got := Spread(reqs, tt.total)
-			var delays []time.Duration
-			for _, r := range got {
-				delays = append(delays, r.Delay)
-			}
-			if !reflect.DeepEqual(delays, tt.want) {
-				t.Errorf("delays = %v, want %v", delays, tt.want)
-			}
-		})
-	}
-}
-
 func TestAssignSources(t *testing.T) {
 	sources := IPPool("198.51.100", 4)
 	reqs := AssignSources(Legit(20, 1), sources, 9)

@@ -150,22 +150,6 @@ func Overflow(ip string, length int) Request {
 	}
 }
 
-// PasswordGuess produces n failed login attempts against user from ip.
-func PasswordGuess(ip, user string, n int) []Request {
-	out := make([]Request, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Request{
-			Method:   "GET",
-			Target:   "/private/secrets.html",
-			ClientIP: ip,
-			User:     user,
-			Pass:     fmt.Sprintf("guess-%d", i),
-			Attack:   "password-guess",
-		})
-	}
-	return out
-}
-
 // AttackMix returns one of each single-shot attack class from distinct
 // attacker addresses — the ground-truth set of experiment E3.
 func AttackMix() []Request {

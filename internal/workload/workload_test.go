@@ -69,23 +69,6 @@ func TestAttackShapes(t *testing.T) {
 	}
 }
 
-func TestPasswordGuess(t *testing.T) {
-	reqs := PasswordGuess("2.2.2.2", "root", 5)
-	if len(reqs) != 5 {
-		t.Fatalf("len = %d", len(reqs))
-	}
-	seen := map[string]bool{}
-	for _, r := range reqs {
-		if r.User != "root" || r.Attack != "password-guess" {
-			t.Errorf("req = %+v", r)
-		}
-		if seen[r.Pass] {
-			t.Errorf("duplicate password guess %q", r.Pass)
-		}
-		seen[r.Pass] = true
-	}
-}
-
 func TestAttackMixDistinctSources(t *testing.T) {
 	mix := AttackMix()
 	if len(mix) != 5 {
