@@ -37,7 +37,7 @@ func TestCampaignReplaySuite(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			if *updateCampaigns {
-				st, err := scenario.NewStackTarget(c.Stack)
+				st, err := scenario.NewClusterTarget(c.Stack, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

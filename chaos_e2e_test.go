@@ -21,6 +21,7 @@ import (
 	"gaaapi/internal/notify"
 	"gaaapi/internal/retry"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // chaosStack builds the section 7.2 deployment with fault injection on
@@ -31,7 +32,7 @@ func chaosStack(t *testing.T, evalSpec, notifySpec faults.Spec) (*gaahttp.Stack,
 	evalInj := faults.New(2003, evalSpec)
 	notifyInj := faults.New(2004, notifySpec)
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:     policy72System,
+		SystemPolicy:     paper.System72,
 		LocalPolicies:    map[string]string{"*": policy72LocalNotify},
 		DocRoot:          workload.DocRoot(),
 		PolicyCache:      true,
@@ -194,7 +195,7 @@ func TestChaosNotificationsDeliveredThroughFlakyTransport(t *testing.T) {
 func TestChaosRedirectSurvivesInjectedLatency(t *testing.T) {
 	evalInj := faults.New(5, faults.Spec{Latency: 1, LatencyDur: time.Millisecond})
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy: policy72System,
+		SystemPolicy: paper.System72,
 		LocalPolicies: map[string]string{"/mirror/*": `
 pos_access_right apache *
 pre_cond_redirect local http://replica.example.org/
@@ -238,7 +239,7 @@ func TestChaosBreakerRecovers(t *testing.T) {
 		notify.WithBreaker(2, 10*time.Millisecond))
 
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72LocalNotify},
 		DocRoot:       workload.DocRoot(),
 		NotifierWrapper: func(notify.Notifier) notify.Notifier {

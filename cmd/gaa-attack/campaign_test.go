@@ -127,13 +127,7 @@ func TestCampaignLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  c.Stack.SystemPolicy,
-		LocalPolicies: c.Stack.LocalPolicies,
-		DocRoot:       c.Stack.DocRoot,
-		Users:         c.Stack.Users,
-		RuntimeValues: c.Stack.RuntimeValues,
-	})
+	st, err := gaahttp.NewStack(c.Stack)
 	if err != nil {
 		t.Fatal(err)
 	}

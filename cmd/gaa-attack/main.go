@@ -123,32 +123,15 @@ func run(args []string, out io.Writer) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tgt := &scenario.LiveTarget{BaseURL: *target, Client: client}
 			for r := range work {
-				req, err := http.NewRequest(r.Method, *target+r.Target, nil)
-				if err != nil {
-					mu.Lock()
-					errors++
-					mu.Unlock()
-					continue
-				}
-				if r.User != "" {
-					req.SetBasicAuth(r.User, r.Pass)
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					mu.Lock()
-					errors++
-					mu.Unlock()
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				label := r.Attack
-				if label == "" {
-					label = "legit"
-				}
+				x, err := tgt.Do(r)
 				mu.Lock()
-				counts[key{label, resp.StatusCode}]++
+				if err != nil {
+					errors++
+				} else {
+					counts[key{x.Class, x.Status}]++
+				}
 				mu.Unlock()
 			}
 		}()
@@ -278,7 +261,7 @@ func runOneCampaign(c scenario.Campaign, opts campaignOpts) (*scenario.Report, e
 	case opts.live:
 		tgt = &scenario.LiveTarget{BaseURL: opts.target}
 	default:
-		st, err := scenario.NewStackTarget(c.Stack)
+		st, err := scenario.NewClusterTarget(c.Stack, 1)
 		if err != nil {
 			return nil, err
 		}

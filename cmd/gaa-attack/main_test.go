@@ -73,8 +73,12 @@ func TestLegitMixAgainstProtectedServer(t *testing.T) {
 	if !strings.Contains(out.String(), "legit") || !strings.Contains(out.String(), "200") {
 		t.Errorf("legit traffic not served:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "403") {
-		t.Errorf("false positives in legit mix:\n%s", out.String())
+	// A 403 in the status column is a false positive; the throughput
+	// line's req/s figure may contain the digits too.
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == "403" {
+			t.Errorf("false positives in legit mix:\n%s", out.String())
+		}
 	}
 }
 

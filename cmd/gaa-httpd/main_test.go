@@ -11,6 +11,7 @@ import (
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids"
+	"gaaapi/policies/paper"
 )
 
 func buildDemo(t *testing.T, args ...string) *gaahttp.Stack {
@@ -216,8 +217,8 @@ func TestGroupsSavedOnEveryExit(t *testing.T) {
 }
 
 // TestDemoSignaturesMatchShippedPolicy: the demo site's section 7.2
-// signature line is a copy of policies/paper/local-7.2.eacl's and must
-// not drift from it.
+// signature line is a copy of the shipped policy's (paper.Local72) and
+// must not drift from it.
 func TestDemoSignaturesMatchShippedPolicy(t *testing.T) {
 	signatures := func(e *eacl.EACL, err error) string {
 		t.Helper()
@@ -234,7 +235,7 @@ func TestDemoSignaturesMatchShippedPolicy(t *testing.T) {
 		t.Fatalf("%s: no pre_cond_regex", e.Source)
 		return ""
 	}
-	shipped := signatures(eacl.ParseFile("../../policies/paper/local-7.2.eacl"))
+	shipped := signatures(eacl.ParseString(paper.Local72))
 	if demo := signatures(eacl.ParseString(demoLocalPolicy)); demo != shipped {
 		t.Errorf("demo policy's signatures\n  %s\nhave drifted from the shipped policy's\n  %s", demo, shipped)
 	}

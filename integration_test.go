@@ -20,26 +20,13 @@ import (
 	"gaaapi/internal/netblock"
 	"gaaapi/internal/notify"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
-// The paper's section 7.1 (lockdown) and 7.2 (application-level
-// detection) policies, shared by the root end-to-end tests.
+// Two-signature variants of the paper's section 7.2 local policy
+// (policies/paper), shared by the root end-to-end tests with the
+// shipped system policy, paper.System72.
 const (
-	policy71System = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_system_threat_level local =high
-`
-	policy71Local = `
-pos_access_right apache *
-pre_cond_system_threat_level local >low
-pre_cond_accessid_USER apache *
-`
-	policy72System = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_accessid_GROUP local BadGuys
-`
 	policy72Local = `
 neg_access_right apache *
 pre_cond_regex gnu *phf* *test-cgi*
@@ -194,7 +181,7 @@ rr_cond_update_log local on:failure/BadGuys/info:IP
 pos_access_right apache *
 `
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": fullLocalPolicy},
 		DocRoot:       workload.DocRoot(),
 	})

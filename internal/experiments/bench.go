@@ -1,8 +1,9 @@
-// Package bench provides the measurement harness the experiment
-// binaries share: repeated-trial timing with summary statistics
-// (the paper's section 8 protocol — "the experiment was performed 20
-// times ... on average") and paper-style table rendering.
-package bench
+package experiments
+
+// The measurement harness the experiments share: repeated-trial timing
+// with summary statistics (the paper's section 8 protocol — "the
+// experiment was performed 20 times ... on average") and paper-style
+// table rendering.
 
 import (
 	"fmt"

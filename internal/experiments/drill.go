@@ -11,6 +11,7 @@ import (
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/statestore"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // FaultDrillOptions configures a fault drill (gaa-bench -drill).
@@ -63,8 +64,9 @@ func FaultDrill(w io.Writer, o FaultDrillOptions) error {
 	diskInj := faults.New(o.Seed+2, o.DiskSpec)
 
 	cfg := gaahttp.StackConfig{
-		SystemPolicy:     Policy72System,
-		LocalPolicies:    map[string]string{"*": Policy72Local},
+		SystemPolicy:     paper.System72,
+		LocalPolicies:    map[string]string{"*": paper.Local72},
+		RuntimeValues:    paperValues(),
 		DocRoot:          workload.DocRoot(),
 		PolicyCache:      true,
 		EvaluatorTimeout: o.Timeout,

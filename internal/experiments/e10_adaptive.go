@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/workload"
@@ -57,7 +56,7 @@ pos_access_right apache *
 		ids.High:   {200, 403, 403, 403},
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E10: adaptive constraints — input bound tightening with threat level",
 		Header: []string{"threat level", "bound (@max_input)", "40 B", "200 B", "500 B", "1500 B", "expected"},
 		Notes: []string{
@@ -101,8 +100,8 @@ pos_access_right apache *
 	tuner.Apply(ids.Low)
 
 	const perBatch = 200
-	measure := func(s *gaahttp.Stack) bench.Stats {
-		return bench.Measure(opts.Trials, func() {
+	measure := func(s *gaahttp.Stack) Stats {
+		return Measure(opts.Trials, func() {
 			for i := 0; i < perBatch; i++ {
 				req := httptest.NewRequest("GET", "/cgi-bin/search?q=ok", nil)
 				req.RemoteAddr = "10.0.0.5:1"
@@ -116,13 +115,13 @@ pos_access_right apache *
 	}
 	withRef := measure(st)
 	withLit := measure(literal)
-	cost := bench.Table{
+	cost := Table{
 		Title:  "E10b: cost of runtime value indirection",
 		Header: []string{"condition value", "per request (µs)"},
 		Notes: []string{fmt.Sprintf("%d trials of %d-request batches; overhead %s",
-			opts.Trials, perBatch, pct(bench.Overhead(withLit.Mean, withRef.Mean)))},
+			opts.Trials, perBatch, pct(Overhead(withLit.Mean, withRef.Mean)))},
 	}
-	perReq := func(s bench.Stats) string {
+	perReq := func(s Stats) string {
 		return fmt.Sprintf("%.1f", float64(s.Mean)/perBatch/1000)
 	}
 	cost.AddRow("literal (input_length>1000)", perReq(withLit))

@@ -8,10 +8,10 @@ import (
 	"sync"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // E11 complements E1's per-request latency with server throughput: the
@@ -28,8 +28,9 @@ func E11(w io.Writer, opts Options) error {
 
 	run := func(withGAA bool) (reqPerSec float64, err error) {
 		st, err := gaahttp.NewStack(gaahttp.StackConfig{
-			SystemPolicy:  Policy71System,
-			LocalPolicies: map[string]string{"*": Policy72LocalNoNotify},
+			SystemPolicy:  paper.System71,
+			LocalPolicies: map[string]string{"*": paper.Without(paper.Local72, "notify")},
+			RuntimeValues: paperValues(),
 			DocRoot:       workload.DocRoot(),
 			PolicyCache:   true,
 		})
@@ -89,7 +90,7 @@ func E11(w io.Writer, opts Options) error {
 		return err
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E11: server throughput with and without the GAA guard",
 		Header: []string{"configuration", "throughput (req/s)", "relative"},
 		Notes: []string{

@@ -6,10 +6,10 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // E1 reproduces the paper's section 8 experiment: with the section 7.1
@@ -29,13 +29,14 @@ func E1(w io.Writer, opts Options) error {
 	opts = opts.Defaults()
 
 	type cell struct {
-		gaa   bench.Stats
-		total bench.Stats
+		gaa   Stats
+		total Stats
 	}
 	run := func(localPolicy string, latency time.Duration, async bool) (cell, error) {
 		st, err := gaahttp.NewStack(gaahttp.StackConfig{
-			SystemPolicy:  Policy71System,
+			SystemPolicy:  paper.System71,
 			LocalPolicies: map[string]string{"*": localPolicy},
+			RuntimeValues: paperValues(),
 			DocRoot:       workload.DocRoot(),
 			NotifyLatency: latency,
 			AsyncNotify:   async,
@@ -50,36 +51,36 @@ func E1(w io.Writer, opts Options) error {
 
 		// (a) GAA-API functions alone: the modified check-access hook.
 		rec := httpd.NewRequestRec(attack.HTTPRequest(), nil, time.Now())
-		out.gaa = bench.Measure(opts.Trials, func() {
+		out.gaa = Measure(opts.Trials, func() {
 			st.Groups.Remove("BadGuys", attack.ClientIP) // keep the scenario identical per trial
 			st.Guard.Check(rec)
 		})
 
 		// (b) the whole request through the server.
-		out.total = bench.Measure(opts.Trials, func() {
+		out.total = Measure(opts.Trials, func() {
 			st.Groups.Remove("BadGuys", attack.ClientIP)
 			st.Server.ServeHTTP(httptest.NewRecorder(), attack.HTTPRequest())
 		})
 		return out, nil
 	}
 
-	without, err := run(Policy72LocalNoNotify, 0, false)
+	without, err := run(paper.Without(paper.Local72, "notify"), 0, false)
 	if err != nil {
 		return err
 	}
-	with, err := run(Policy72Local, opts.NotifyLatency, false)
+	with, err := run(paper.Local72, opts.NotifyLatency, false)
 	if err != nil {
 		return err
 	}
 	// Extension beyond the paper: asynchronous notification delivery
 	// removes the latency from the request path — the obvious fix for
 	// the paper's 80% figure, quantified.
-	withAsync, err := run(Policy72Local, opts.NotifyLatency, true)
+	withAsync, err := run(paper.Local72, opts.NotifyLatency, true)
 	if err != nil {
 		return err
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E1: GAA-API cost per request (paper section 8)",
 		Header: []string{"measurement", "without notification", "with notification", "async notification", "paper (ms)"},
 		Notes: []string{

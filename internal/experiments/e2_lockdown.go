@@ -6,10 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // E2 reproduces the paper's section 7.1 network-lockdown deployment as
@@ -22,8 +22,8 @@ import (
 func E2(w io.Writer, opts Options) error {
 	opts = opts.Defaults()
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  Policy71System,
-		LocalPolicies: map[string]string{"*": Policy71Local},
+		SystemPolicy:  paper.System71,
+		LocalPolicies: map[string]string{"*": paper.Local71},
 		DocRoot:       workload.DocRoot(),
 		Htaccess: map[string]string{
 			// Native mixed access: /docs needs auth even in peacetime.
@@ -47,7 +47,7 @@ func E2(w io.Writer, opts Options) error {
 		return rec.Code
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E2: network lockdown behaviour (paper section 7.1)",
 		Header: []string{"threat level", "client", "GET /index.html", "GET /docs/guide.html", "expected"},
 		Notes: []string{

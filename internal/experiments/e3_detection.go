@@ -7,9 +7,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // E3 reproduces the paper's section 7.2 deployment as a measured
@@ -23,8 +23,9 @@ import (
 func E3(w io.Writer, opts Options) error {
 	opts = opts.Defaults()
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  Policy72System,
-		LocalPolicies: map[string]string{"*": Policy72Local},
+		SystemPolicy:  paper.System72,
+		LocalPolicies: map[string]string{"*": paper.Local72},
+		RuntimeValues: paperValues(),
 		DocRoot:       workload.DocRoot(),
 	})
 	if err != nil {
@@ -38,7 +39,7 @@ func E3(w io.Writer, opts Options) error {
 		return rec.Code
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E3: application-level intrusion detection (paper section 7.2)",
 		Header: []string{"attack class", "blocked", "blacklisted", "notified", "follow-up blocked"},
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
@@ -14,6 +13,7 @@ import (
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // parsingSource retrieves and translates the policy text on every
@@ -47,20 +47,24 @@ func (p *parsingSource) Revision(string) (string, error) {
 func E4(w io.Writer, opts Options) error {
 	opts = opts.Defaults()
 
-	run := func(cache bool) (bench.Stats, uint64, uint64, error) {
+	run := func(cache bool) (Stats, uint64, uint64, error) {
 		var apiOpts []gaa.Option
 		if cache {
 			apiOpts = append(apiOpts, gaa.WithPolicyCache(64))
 		}
-		api := gaa.New(apiOpts...)
+		values := gaa.NewValues()
+		for name, v := range paperValues() {
+			values.Set(name, v)
+		}
+		api := gaa.New(append(apiOpts, gaa.WithValues(values))...)
 		conditions.Register(api, conditions.Deps{
 			Threat: ids.NewManager(ids.Low),
 			Groups: groups.NewStore(),
 		})
 		guard := gaahttp.New(gaahttp.Config{
 			API:    api,
-			System: []gaa.PolicySource{&parsingSource{text: Policy71System}},
-			Local:  []gaa.PolicySource{&parsingSource{text: Policy72LocalNoNotify}},
+			System: []gaa.PolicySource{&parsingSource{text: paper.System71}},
+			Local:  []gaa.PolicySource{&parsingSource{text: paper.Without(paper.Local72, "notify")}},
 		})
 
 		reqs := workload.Legit(200, opts.Seed)
@@ -68,7 +72,7 @@ func E4(w io.Writer, opts Options) error {
 		for i, r := range reqs {
 			recs[i] = httpd.NewRequestRec(r.HTTPRequest(), nil, time.Now())
 		}
-		stats := bench.Measure(opts.Trials, func() {
+		stats := Measure(opts.Trials, func() {
 			for _, rec := range recs {
 				guard.Check(rec)
 			}
@@ -86,7 +90,7 @@ func E4(w io.Writer, opts Options) error {
 		return err
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E4: policy caching (paper section 9 future work)",
 		Header: []string{"configuration", "200-request batch", "per request (µs)", "cache hits/misses"},
 		Notes: []string{
@@ -94,7 +98,7 @@ func E4(w io.Writer, opts Options) error {
 			fmt.Sprintf("speedup with cache: %.2fx", float64(off.Mean)/float64(on.Mean)),
 		},
 	}
-	perReq := func(s bench.Stats) string {
+	perReq := func(s Stats) string {
 		return fmt.Sprintf("%.1f", float64(s.Mean)/200/float64(time.Microsecond))
 	}
 	tbl.AddRow("cache off", off.String(), perReq(off), "-")

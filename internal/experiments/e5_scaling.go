@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
@@ -54,8 +53,8 @@ func E5(w io.Writer, opts Options) error {
 		gaa.Param{Type: gaa.ParamRequestURI, Authority: gaa.AuthorityAny, Value: "GET /index.html"})
 
 	const perBatch = 100
-	measure := func(p *gaa.Policy) bench.Stats {
-		return bench.Measure(opts.Trials, func() {
+	measure := func(p *gaa.Policy) Stats {
+		return Measure(opts.Trials, func() {
 			for i := 0; i < perBatch; i++ {
 				if _, err := api.CheckAuthorization(context.Background(), p, req); err != nil {
 					panic(err)
@@ -63,11 +62,11 @@ func E5(w io.Writer, opts Options) error {
 			}
 		})
 	}
-	perCall := func(s bench.Stats) string {
+	perCall := func(s Stats) string {
 		return fmt.Sprintf("%.2f", float64(s.Mean)/perBatch/float64(time.Microsecond))
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E5a: evaluation latency vs number of entries (1 condition each)",
 		Header: []string{"entries scanned", "per call (µs)"},
 		Notes:  []string{fmt.Sprintf("%d trials of %d-call batches; worst case: only the last entry matches", opts.Trials, perBatch)},
@@ -77,7 +76,7 @@ func E5(w io.Writer, opts Options) error {
 	}
 	tbl.Fprint(w)
 
-	tbl2 := bench.Table{
+	tbl2 := Table{
 		Title:  "E5b: evaluation latency vs conditions per entry (16 entries)",
 		Header: []string{"conditions per entry", "per call (µs)"},
 	}

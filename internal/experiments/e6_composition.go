@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 )
@@ -62,7 +61,7 @@ func E6(w io.Writer, opts Options) error {
 		},
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E6: composition mode semantics (paper section 2.1)",
 		Header: []string{"mode", "system", "local", "decision", "expected"},
 		Notes: []string{
@@ -94,7 +93,7 @@ func E6(w io.Writer, opts Options) error {
 	tbl.Fprint(w)
 
 	// Relative cost of the modes over a two-level policy.
-	costTbl := bench.Table{
+	costTbl := Table{
 		Title:  "E6b: composed-evaluation cost by mode",
 		Header: []string{"mode", "per call (µs)"},
 		Notes:  []string{fmt.Sprintf("%d trials of 1000-call batches", opts.Trials)},
@@ -103,7 +102,7 @@ func E6(w io.Writer, opts Options) error {
 		p := gaa.NewPolicy("/x",
 			[]*eacl.EACL{mk("grant", mode)},
 			[]*eacl.EACL{mk("grant", "")})
-		s := bench.Measure(opts.Trials, func() {
+		s := Measure(opts.Trials, func() {
 			for i := 0; i < 1000; i++ {
 				if _, err := api.CheckAuthorization(context.Background(), p, req); err != nil {
 					panic(err)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/workload"
 )
@@ -54,7 +53,7 @@ mid_cond_quota local output_bytes<=65536
 		return rec.Code, time.Since(start)
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E7: execution control (mid-condition quotas)",
 		Header: []string{"scenario", "HTTP status", "outcome", "wall time"},
 		Notes: []string{
@@ -94,8 +93,8 @@ mid_cond_quota local output_bytes<=65536
 
 	// Monitoring overhead on well-behaved requests.
 	const perBatch = 50
-	measure := func(st *gaahttp.Stack) bench.Stats {
-		return bench.Measure(opts.Trials, func() {
+	measure := func(st *gaahttp.Stack) Stats {
+		return Measure(opts.Trials, func() {
 			for i := 0; i < perBatch; i++ {
 				if code, _ := serve(st, "/cgi-bin/search?q=ok"); code != http.StatusOK {
 					panic(fmt.Sprintf("unexpected status %d", code))
@@ -105,13 +104,13 @@ mid_cond_quota local output_bytes<=65536
 	}
 	withQuota := measure(guarded)
 	without := measure(plain)
-	ovTbl := bench.Table{
+	ovTbl := Table{
 		Title:  "E7b: monitoring overhead on well-behaved scripts",
 		Header: []string{"configuration", "per request (µs)"},
 		Notes: []string{fmt.Sprintf("%d trials of %d-request batches; overhead %s",
-			opts.Trials, perBatch, pct(bench.Overhead(without.Mean, withQuota.Mean)))},
+			opts.Trials, perBatch, pct(Overhead(without.Mean, withQuota.Mean)))},
 	}
-	perReq := func(s bench.Stats) string {
+	perReq := func(s Stats) string {
 		return fmt.Sprintf("%.1f", float64(s.Mean)/perBatch/float64(time.Microsecond))
 	}
 	ovTbl.AddRow("no mid-conditions", perReq(without))

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/workload"
 )
@@ -52,7 +51,7 @@ func E8(w io.Writer, opts Options) error {
 		return fmt.Errorf("E8: client %s under-trained", trainedClient)
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E8: anomaly-based detection (paper section 9 future work)",
 		Header: []string{"attack class", "anomaly score", "flagged"},
 	}

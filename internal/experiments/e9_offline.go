@@ -6,12 +6,12 @@ import (
 	"net/http/httptest"
 	"strings"
 
-	"gaaapi/internal/bench"
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/logscan"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // E9 reproduces the paper's section 10 argument against offline log
@@ -58,8 +58,9 @@ func E9(w io.Writer, opts Options) error {
 
 	// (b) GAA-protected server.
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  Policy72System,
-		LocalPolicies: map[string]string{"*": Policy72Local},
+		SystemPolicy:  paper.System72,
+		LocalPolicies: map[string]string{"*": paper.Local72},
+		RuntimeValues: paperValues(),
 		DocRoot:       workload.DocRoot(),
 	})
 	if err != nil {
@@ -78,7 +79,7 @@ func E9(w io.Writer, opts Options) error {
 		}
 	}
 
-	tbl := bench.Table{
+	tbl := Table{
 		Title:  "E9: online (GAA) vs offline (CLF scan) detection (paper section 10)",
 		Header: []string{"approach", "attacks detected", "executed before detection", "data leaked"},
 		Notes: []string{

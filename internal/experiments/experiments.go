@@ -5,9 +5,9 @@
 // paper names (policy caching, policy size, composition modes,
 // execution control, anomaly detection).
 //
-// Each experiment is a function from Options to one or more
-// bench.Tables, so cmd/gaa-bench can print them and the root benchmark
-// suite can assert on them.
+// Each experiment is a function from Options to one or more printed
+// Tables; cmd/gaa-bench runs them. The section 7 deployments read the
+// shipped policies of policies/paper.
 package experiments
 
 import (
@@ -22,21 +22,18 @@ type Options struct {
 	// 20).
 	Trials int
 	// NotifyLatency is the synthetic mail-delivery latency for the
-	// "with notification" configurations. The paper's testbed showed
-	// notification adding ~47 ms to both the GAA-only and total times;
-	// the default reproduces that constant.
+	// "with notification" configurations; zero delivers instantly. The
+	// paper's testbed showed notification adding ~47 ms to both the
+	// GAA-only and total times, gaa-bench's default.
 	NotifyLatency time.Duration
 	// Seed drives the deterministic workload generators.
 	Seed int64
 }
 
-// Defaults fills zero fields.
+// Defaults fills a zero trial count and seed.
 func (o Options) Defaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = 20
-	}
-	if o.NotifyLatency <= 0 {
-		o.NotifyLatency = 47 * time.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 2003
@@ -76,6 +73,13 @@ func Find(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
+}
+
+// paperValues seeds the one runtime value the shipped section 7.2
+// local policy reads: @max_input, the paper's 1000-character bound on
+// CGI input.
+func paperValues() map[string]string {
+	return map[string]string{"max_input": "1000"}
 }
 
 // pct renders a percentage with one decimal.

@@ -3,19 +3,16 @@ package gaa_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
-	"gaaapi/internal/experiments"
 	"gaaapi/internal/faults"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
+	"gaaapi/policies/paper"
 )
 
 // The differential harness: the production walk and the reference
@@ -185,9 +182,25 @@ func composePolicy(t *testing.T, a *gaa.API, object, sysText, locText string) *g
 	return p
 }
 
-// TestCompiledMatchesInterpretedOnRepoPolicies sweeps every policy
-// shipped in the repository — the section 7 files under
-// policies/paper/ and the experiments' inline copies — across a
+// policy72LocalLiteral is the section 7.2 local policy with its input
+// bound written as the literal 1000 instead of the shipped file's
+// @max_input: a literal is hoisted into the compiled comparison, a
+// reference stays dynamic, and the sweep must meet both.
+const policy72LocalLiteral = `
+neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe* *root.exe*
+rr_cond_notify local on:failure/sysadmin/info:cgiexploit
+rr_cond_update_log local on:failure/BadGuys/info:IP
+neg_access_right apache *
+pre_cond_expr local input_length>1000
+rr_cond_notify local on:failure/sysadmin/info:overflow
+rr_cond_update_log local on:failure/BadGuys/info:IP
+pos_access_right apache *
+`
+
+// TestCompiledMatchesInterpretedOnRepoPolicies sweeps the section 7
+// policies the repository ships (policies/paper), their "without
+// notification" variants and the literal-bound 7.2 local across a
 // request matrix of rights, identities, client addresses, CGI input
 // lengths and threat levels, under every engine configuration,
 // requiring the walk's answer to equal the reference oracle's on each
@@ -196,37 +209,15 @@ func composePolicy(t *testing.T, a *gaa.API, object, sysText, locText string) *g
 func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	sysPolicies := map[string]string{
 		"none": "",
-		"71":   experiments.Policy71System,
-		"72":   experiments.Policy72System,
+		"71":   paper.System71,
+		"72":   paper.System72,
 	}
 	locPolicies := map[string]string{
-		"71":   experiments.Policy71Local,
-		"72":   experiments.Policy72Local,
-		"72nn": experiments.Policy72LocalNoNotify,
-	}
-	dir := filepath.Join("..", "..", "policies", "paper")
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nfiles int
-	for _, f := range files {
-		if filepath.Ext(f.Name()) != ".eacl" {
-			continue
-		}
-		text, err := os.ReadFile(filepath.Join(dir, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.HasPrefix(f.Name(), "system-") {
-			sysPolicies["file:"+f.Name()] = string(text)
-		} else {
-			locPolicies["file:"+f.Name()] = string(text)
-		}
-		nfiles++
-	}
-	if nfiles == 0 {
-		t.Fatalf("no .eacl files under %s", dir)
+		"71":      paper.Local71,
+		"72":      paper.Local72,
+		"72nn":    paper.Without(paper.Local72, "notify"),
+		"72lit":   policy72LocalLiteral,
+		"72litnn": paper.Without(policy72LocalLiteral, "notify"),
 	}
 
 	// The degenerate compositions: every policy at once, twice over
@@ -323,9 +314,9 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		f.Add(sys, loc, right, user, ip, inputLen, threat, hour, day)
 	}
 	// Section 7 combinations.
-	seed(experiments.Policy71System, experiments.Policy71Local, "GET /index.html", "", "10.9.9.9", 14, 2, 15, 3)
-	seed(experiments.Policy72System, experiments.Policy72Local, "GET /cgi-bin/phf?q=x", "alice", "10.9.9.9", 14, 0, 15, 3)
-	seed("", experiments.Policy72LocalNoNotify, "GET /index.html", "", "192.168.1.5", 2000, 1, 9, 0)
+	seed(paper.System71, paper.Local71, "GET /index.html", "", "10.9.9.9", 14, 2, 15, 3)
+	seed(paper.System72, policy72LocalLiteral, "GET /cgi-bin/phf?q=x", "alice", "10.9.9.9", 14, 0, 15, 3)
+	seed("", paper.Without(policy72LocalLiteral, "notify"), "GET /index.html", "", "192.168.1.5", 2000, 1, 9, 0)
 	// Redirect left unevaluated for the application.
 	seed("", "pos_access_right apache *\npre_cond_redirect local http://mirror.example/", "GET /x", "", "1.2.3.4", 0, 0, 0, 0)
 	// Authentication challenge from a failed USER requirement.
@@ -338,7 +329,7 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	seed("", "pos_access_right apache *\npre_cond_location local 10.0.0.0/16 not-a-cidr", "GET /x", "", "10.0.1.2", 0, 0, 0, 0)
 	// Anchored regex and a wrapping overnight time window.
 	seed("", "neg_access_right apache *\npre_cond_regex gnu re:^GET /secret/.*$\npos_access_right apache *", "GET /secret/x", "", "1.2.3.4", 0, 0, 0, 0)
-	seed(experiments.Policy71System, "pos_access_right apache *\npre_cond_time_window local 18:00-08:00", "GET /x", "", "1.2.3.4", 0, 1, 23, 5)
+	seed(paper.System71, "pos_access_right apache *\npre_cond_time_window local 18:00-08:00", "GET /x", "", "1.2.3.4", 0, 1, 23, 5)
 	seed("", "pos_access_right apache *\npre_cond_time_window local 09:00-17:00 Mon-Fri", "GET /x", "", "1.2.3.4", 0, 0, 12, 6)
 	// Threat-level comparison operators and group membership.
 	seed("eacl_mode narrow\nneg_access_right * *\npre_cond_system_threat_level local >=medium", "pos_access_right apache *", "GET /x", "", "1.2.3.4", 0, 2, 0, 0)

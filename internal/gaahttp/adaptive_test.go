@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gaaapi/internal/ids"
+	"gaaapi/policies/paper"
 )
 
 // TestAdaptiveConstraintLoop drives the paper's full adaptation cycle
@@ -26,7 +27,7 @@ pre_cond_expr local input_length>@max_input
 pos_access_right apache *
 `
 	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": local},
 		DocRoot:       map[string]string{"/index.html": "home"},
 		RuntimeValues: map[string]string{"max_input": "1000"},

@@ -9,6 +9,7 @@ import (
 
 	"gaaapi/internal/ids"
 	"gaaapi/internal/ids/adaptive"
+	"gaaapi/policies/paper"
 )
 
 // The two tests below run on one P, the benchmark's pinned
@@ -22,7 +23,7 @@ import (
 func TestHostIDSSeesProbeInBurst(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72Local},
 		DocRoot:       map[string]string{"/index.html": "home"},
 		RuntimeValues: map[string]string{"max_input": "1000"},
@@ -73,7 +74,7 @@ func TestScorerSeesEverySampleInBurst(t *testing.T) {
 		clock := &simClock{now: time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)}
 		acfg := adaptive.Defaults()
 		st, err := NewStack(StackConfig{
-			SystemPolicy:  policy72System,
+			SystemPolicy:  paper.System72,
 			LocalPolicies: map[string]string{"*": policy72Local},
 			DocRoot:       map[string]string{"/index.html": "home"},
 			Clock:         clock.Now,

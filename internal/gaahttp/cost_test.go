@@ -15,6 +15,7 @@ import (
 	"gaaapi/internal/costpin"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids/adaptive"
+	"gaaapi/policies/paper"
 )
 
 // TestCost is the package's cost ledger (internal/costpin): what each
@@ -111,7 +112,7 @@ type guardConfig struct {
 // and a HEAD after it.
 func cachedGrantRows(t *testing.T, c guardConfig) []costpin.Row {
 	st := costStack(t, StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72Local},
 		DocRoot:       map[string]string{"/index.html": "home"},
 		PolicyCache:   true,

@@ -14,31 +14,13 @@ import (
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/httpd"
 	"gaaapi/internal/ids"
+	"gaaapi/policies/paper"
 )
 
-// policy71System / policy71Local are the paper's section 7.1 policies.
-const (
-	policy71System = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_system_threat_level local =high
-`
-	policy71Local = `
-pos_access_right apache *
-pre_cond_system_threat_level local >low
-pre_cond_accessid_USER apache *
-`
-)
-
-// policy72Local is the paper's section 7.2 local policy (the BadGuys
-// system policy is policy72System).
-const (
-	policy72System = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_accessid_GROUP local BadGuys
-`
-	policy72Local = `
+// policy72Local is a variant of the paper's section 7.2 local policy
+// (policies/paper) with a literal input bound and fewer signatures;
+// the tests pair it with the shipped system policy, paper.System72.
+const policy72Local = `
 neg_access_right apache *
 pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c*
 rr_cond_notify local on:failure/sysadmin/info:cgiexploit
@@ -49,14 +31,13 @@ rr_cond_notify local on:failure/sysadmin/info:overflow
 rr_cond_update_log local on:failure/BadGuys/info:IP
 pos_access_right apache *
 `
-)
 
 func lockdownStack(t *testing.T) *Stack {
 	t.Helper()
 	st, err := NewStack(StackConfig{
-		SystemPolicy: policy71System,
+		SystemPolicy: paper.System71,
 		LocalPolicies: map[string]string{
-			"*": policy71Local,
+			"*": paper.Local71,
 		},
 		DocRoot: map[string]string{
 			"/public/index.html": "public content",
@@ -132,7 +113,7 @@ func TestPaperSection71NetworkLockdown(t *testing.T) {
 func cgiStack(t *testing.T) *Stack {
 	t.Helper()
 	st, err := NewStack(StackConfig{
-		SystemPolicy: policy72System,
+		SystemPolicy: paper.System72,
 		LocalPolicies: map[string]string{
 			"*": policy72Local,
 		},
@@ -304,7 +285,7 @@ post_cond_audit local on:any/info:op-finished
 // the system down (the full feedback loop).
 func TestIDSFeedbackLoop(t *testing.T) {
 	st, err := NewStack(StackConfig{
-		SystemPolicy: policy71System, // deny all at high threat
+		SystemPolicy: paper.System71, // deny all at high threat
 		LocalPolicies: map[string]string{
 			"*": policy72Local, // signature detection
 		},
@@ -494,7 +475,7 @@ func TestAnomalyTrainingThroughGuard(t *testing.T) {
 // right. Run under -race -cpu 1,4.
 func TestGuardRightsLabelConcurrentFill(t *testing.T) {
 	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72Local},
 		PolicyCache:   true,
 	})

@@ -12,6 +12,7 @@ import (
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/metrics"
+	"gaaapi/policies/paper"
 )
 
 // metricsStack wires a full deployment with the observability layer on:
@@ -19,7 +20,7 @@ import (
 func metricsStack(t *testing.T) *Stack {
 	t.Helper()
 	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72Local},
 		DocRoot: map[string]string{
 			"/index.html": "home",

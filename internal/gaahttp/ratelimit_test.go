@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"gaaapi/policies/paper"
 )
 
 // TestRequestRateLimitRecipe expresses per-client request-rate
@@ -49,7 +51,7 @@ rr_cond_count local on:any/req_rate
 // see 200 (no attacker shares their address). Run with -race in CI.
 func TestConcurrentMixedWorkloadSoak(t *testing.T) {
 	st, err := NewStack(StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72Local},
 		DocRoot: map[string]string{
 			"/index.html":      "home",

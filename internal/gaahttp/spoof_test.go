@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gaaapi/internal/ids"
+	"gaaapi/policies/paper"
 )
 
 func newRequest(target, ip string) *http.Request {
@@ -23,7 +24,7 @@ func newRequest(target, ip string) *http.Request {
 // against an impersonated host.
 func TestSpoofSafeguardEndToEnd(t *testing.T) {
 	st, err := NewStack(StackConfig{
-		SystemPolicy:   policy72System,
+		SystemPolicy:   paper.System72,
 		LocalPolicies:  map[string]string{"*": policy72Local},
 		DocRoot:        map[string]string{"/index.html": "home"},
 		SpoofedSources: []string{"198.51.100.*"},

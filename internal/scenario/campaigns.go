@@ -6,8 +6,10 @@ import (
 	"strings"
 	"time"
 
+	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids/adaptive"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // The pre-built campaign catalog. Each campaign is a self-contained
@@ -57,7 +59,7 @@ pos_access_right apache *
 		Description: "Three sources spray breached credentials across the account base. " +
 			"Each source trips the per-source failed-login threshold, is firewalled for 30m, " +
 			"and the operator is notified; legitimate traffic and correct logins are unaffected.",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       accountSite(),
 			Users:         map[string]string{"alice": "alice-pw", "bob": "bob-pw", "carol": "carol-pw"},
@@ -163,7 +165,7 @@ pos_access_right apache *
 			"apart, keeping every per-source counter at 1. The aggregate per-object threshold " +
 			"trips anyway, locks the attacked object down and escalates the threat level — " +
 			"with zero sources firewalled (no collateral blocking).",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       accountSite(),
 			Users:         map[string]string{"alice": "alice-pw"},
@@ -245,7 +247,7 @@ rr_cond_count local on:any/req_rate
 		Description: "A scraper sweeps the document tree at 10 req/s while normal clients " +
 			"browse. The per-client request-rate policy lets 30 requests through in its 60s " +
 			"window, then firewalls the scraper for 2 minutes; the crowd is untouched.",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       workload.DocRoot(),
 		},
@@ -304,11 +306,6 @@ rr_cond_count local on:any/req_rate
 // every attacker with zero false positives in the crowd — the
 // discrimination test.
 func flashCrowd() Campaign {
-	const system = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_accessid_GROUP local BadGuys
-`
 	const local = `
 # Known CGI exploit and DoS signatures (paper section 7.2).
 neg_access_right apache *
@@ -333,8 +330,8 @@ pos_access_right apache *
 			"with the paper's five attack classes. Every attacker is denied and blacklisted; " +
 			"every crowd request is served — the zero-false-positive assertion is checked " +
 			"with All, so a single blocked bystander fails the campaign.",
-		Stack: StackSpec{
-			SystemPolicy:  system,
+		Stack: gaahttp.StackConfig{
+			SystemPolicy:  paper.System72,
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       workload.DocRoot(),
 		},
@@ -397,11 +394,6 @@ pos_access_right apache *
 // behavior changes with it — open docs start demanding authentication
 // at medium, and the mandatory system policy locks the site at high.
 func threatLadder() Campaign {
-	const system = `
-eacl_mode narrow
-neg_access_right * *
-pre_cond_system_threat_level local =high
-`
 	const local = `
 # A recon probe escalates to medium.
 neg_access_right apache *
@@ -458,8 +450,8 @@ pos_access_right apache *
 			"requiring authentication. An overflow attempt lifts it to high — the mandatory " +
 			"system policy locks the whole site. The level is sticky: it never de-escalates " +
 			"on its own, which the final phase asserts after two quiet simulated hours.",
-		Stack: StackSpec{
-			SystemPolicy:  system,
+		Stack: gaahttp.StackConfig{
+			SystemPolicy:  paper.System71,
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       workload.DocRoot(),
 			Users:         map[string]string{"alice": "alice-pw"},
@@ -564,7 +556,7 @@ pos_access_right apache *
 			"for 90 seconds. After the block and the counter window expire, the correct " +
 			"password works again and service is fully restored — only the escalated threat " +
 			"level remains, because de-escalation is an operator decision.",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": local},
 			DocRoot:       accountSite(),
 			Users:         map[string]string{"alice": "alice-pw"},
@@ -680,7 +672,7 @@ func adaptiveRamp() Campaign {
 			"crosses the block floor within a handful of probes and the source is firewalled — " +
 			"while the global threat level stays low throughout (surgical, not site-wide, " +
 			"response).",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": adaptivePolicy},
 			DocRoot:       workload.DocRoot(),
 			Adaptive:      &acfg,
@@ -778,7 +770,7 @@ func adaptiveFlap() Campaign {
 			"dwell time pins the level, so the second burst causes no second raise. After a " +
 			"15-minute calm the level steps back down — two transitions total, asserted with " +
 			"a transition-count cap in every phase.",
-		Stack: StackSpec{
+		Stack: gaahttp.StackConfig{
 			LocalPolicies: map[string]string{"*": adaptivePolicy},
 			DocRoot:       workload.DocRoot(),
 			Adaptive:      &acfg,

@@ -13,13 +13,14 @@ import (
 	"gaaapi/internal/workload"
 )
 
-// ClusterTarget drives a campaign against an in-process fleet of
-// stacks joined by the replication layer: requests round-robin across
-// the nodes like a load balancer would spread them, every node shares
-// one simulated clock, and the replication mesh runs over an
-// in-process transport whose links the campaign can cut and heal —
-// partition drills (ROADMAP: campaigns over a cluster) without
-// processes or sockets.
+// ClusterTarget drives a campaign against an in-process fleet of n
+// stacks on one simulated clock — the deterministic way to run
+// campaigns. Requests round-robin across the nodes like a load
+// balancer would spread them. A fleet of one is a single stack and
+// runs no replication code; a larger fleet is joined by the
+// replication layer over an in-process transport whose links the
+// campaign can cut and heal — partition drills without processes or
+// sockets.
 //
 // The target runs no goroutine. After every Do, and whenever a test
 // calls Settle, it steps each node's Cluster.Push at the simulated
@@ -30,9 +31,9 @@ import (
 //
 // Observe merges the fleet the way the convergence rules do: max
 // threat level, union of blocks and blacklists, summed mailboxes and
-// decision counters. A checkpoint written for a single StackTarget
-// therefore reads naturally against a converged fleet — and fails
-// loudly against a partitioned one that should have converged.
+// decision counters. A checkpoint written for one stack therefore
+// reads naturally against a converged fleet — and fails loudly
+// against a partitioned one that should have converged.
 type ClusterTarget struct {
 	Nodes []*gaahttp.Stack
 	Clock *SimClock
@@ -44,46 +45,38 @@ type ClusterTarget struct {
 	next int // round-robin cursor
 }
 
-// NewClusterTarget wires n identical stacks for spec into a full
-// replication mesh on a shared simulated clock.
-func NewClusterTarget(spec StackSpec, n int) (*ClusterTarget, error) {
+// NewClusterTarget wires n stacks for cfg (metrics on, Clock the
+// shared simulated one) and, when n > 1, joins them in a full
+// replication mesh.
+func NewClusterTarget(cfg gaahttp.StackConfig, n int) (*ClusterTarget, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster target needs at least one node, got %d", n)
 	}
-	clock := NewSimClock()
-	lt := cluster.NewLoopTransport()
-	t := &ClusterTarget{Clock: clock, transport: lt}
-	for i := 0; i < n; i++ {
-		t.urls = append(t.urls, fmt.Sprintf("loop://node-%d", i))
+	t := &ClusterTarget{Clock: NewSimClock()}
+	cfg.Clock = t.Clock.Now
+	cfg.Metrics = true
+	if n > 1 {
+		t.transport = cluster.NewLoopTransport()
+		for i := 0; i < n; i++ {
+			t.urls = append(t.urls, fmt.Sprintf("loop://node-%d", i))
+		}
 	}
 	for i := 0; i < n; i++ {
-		var peers []string
-		for j, u := range t.urls {
-			if j != i {
-				peers = append(peers, u)
-			}
+		node := cfg
+		if n > 1 {
+			node.NodeID = fmt.Sprintf("node-%d", i)
+			node.Peers = append(append([]string{}, t.urls[:i]...), t.urls[i+1:]...)
+			node.ClusterTransport = t.transport.Bind(t.urls[i])
 		}
-		st, err := gaahttp.NewStack(gaahttp.StackConfig{
-			SystemPolicy:     spec.SystemPolicy,
-			LocalPolicies:    spec.LocalPolicies,
-			DocRoot:          spec.DocRoot,
-			Users:            spec.Users,
-			RuntimeValues:    spec.RuntimeValues,
-			Clock:            clock.Now,
-			Metrics:          true,
-			Adaptive:         spec.Adaptive,
-			NodeID:           fmt.Sprintf("node-%d", i),
-			Peers:            peers,
-			ClusterTransport: lt.Bind(t.urls[i]),
-		})
+		st, err := gaahttp.NewStack(node)
 		if err != nil {
-			for _, prev := range t.Nodes {
-				prev.Close()
-			}
+			t.Close()
 			return nil, fmt.Errorf("cluster node %d: %w", i, err)
 		}
 		t.Nodes = append(t.Nodes, st)
-		lt.Register(t.urls[i], st.Cluster)
+		if st.Cluster != nil {
+			t.transport.Register(t.urls[i], st.Cluster)
+		}
 	}
 	return t, nil
 }
@@ -109,12 +102,14 @@ func (t *ClusterTarget) Do(r workload.Request) (Exchange, error) {
 }
 
 // Settle steps every node's replication at the simulated instant
-// until a round ships nothing.
+// until a round ships nothing (at once in a fleet of one).
 func (t *ClusterTarget) Settle() {
 	for {
 		shipped := 0
 		for _, node := range t.Nodes {
-			shipped += node.Cluster.Push(t.Clock.Now())
+			if node.Cluster != nil {
+				shipped += node.Cluster.Push(t.Clock.Now())
+			}
 		}
 		if shipped == 0 {
 			return
@@ -198,7 +193,7 @@ func (t *ClusterTarget) Heal(i int) {
 // fully acknowledged by all its peers.
 func (t *ClusterTarget) Converged() bool {
 	for _, node := range t.Nodes {
-		if !node.Cluster.CaughtUp() {
+		if node.Cluster != nil && !node.Cluster.CaughtUp() {
 			return false
 		}
 	}

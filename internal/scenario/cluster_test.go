@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/workload"
 )
 
 // clusterSpec is a lockout deployment: three failed logins from one
 // source block it at the firewall, blacklist it, and escalate the
 // threat level.
-func clusterSpec() StackSpec {
+func clusterSpec() gaahttp.StackConfig {
 	const local = `
 neg_access_right apache *
 pre_cond_threshold local counter=login_attempt key=client_ip max=2 window=10m
@@ -25,7 +26,7 @@ rr_cond_count local on:failure/login_attempt
 
 pos_access_right apache *
 `
-	return StackSpec{
+	return gaahttp.StackConfig{
 		LocalPolicies: map[string]string{"*": local},
 		DocRoot:       accountSite(),
 		Users:         map[string]string{"alice": "alice-pw"},

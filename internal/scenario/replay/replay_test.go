@@ -13,7 +13,7 @@ import (
 // and returns the live report plus the serialized trace.
 func record(t *testing.T, c scenario.Campaign, seed int64) (*scenario.Report, []byte) {
 	t.Helper()
-	st, err := scenario.NewStackTarget(c.Stack)
+	st, err := scenario.NewClusterTarget(c.Stack, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := scenario.NewStackTarget(c.Stack)
+	st, err := scenario.NewClusterTarget(c.Stack, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

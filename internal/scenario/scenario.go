@@ -1,34 +1,20 @@
 // Package scenario is the attack-campaign factory: a declarative DSL
 // for named, phased adversarial-traffic campaigns with turn-by-turn
 // checkpoints, plus a driver that runs them against an in-process
-// gaahttp stack or a live gaa-httpd URL. Campaigns are fully seeded —
-// the same seed produces the same request stream, the same decisions
-// and a byte-identical JSON report — and every campaign doubles as a
-// load test through internal/experiments. The sibling package
-// scenario/replay captures a campaign's HTTP exchanges so CI replays
-// them deterministically with zero live traffic.
+// gaahttp fleet (ClusterTarget, one stack or several) or a live
+// gaa-httpd URL. Campaigns are fully seeded — the same seed produces
+// the same request stream, the same decisions and a byte-identical
+// JSON report. The sibling package scenario/replay captures a
+// campaign's HTTP exchanges so CI replays them deterministically with
+// zero live traffic.
 package scenario
 
 import (
 	"time"
 
-	"gaaapi/internal/ids/adaptive"
+	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/workload"
 )
-
-// StackSpec is the deployment a campaign runs against when driven
-// in-process: the policy pair plus the site content and accounts the
-// traffic generators assume.
-type StackSpec struct {
-	SystemPolicy  string
-	LocalPolicies map[string]string
-	DocRoot       map[string]string
-	Users         map[string]string
-	// RuntimeValues seeds '@name' policy values.
-	RuntimeValues map[string]string
-	// Adaptive enables the self-learning per-source scorer.
-	Adaptive *adaptive.Config
-}
 
 // TrafficFunc generates one phase's request stream from the phase
 // seed. It must be deterministic in seed.
@@ -111,8 +97,10 @@ type Campaign struct {
 	// Description says what the campaign exercises and what the
 	// expected trajectory is.
 	Description string
-	// Stack is the in-process deployment spec.
-	Stack StackSpec
+	// Stack is the deployment the campaign runs against in-process:
+	// the policy pair plus the site content and accounts its traffic
+	// assumes. The in-process target sets Clock and Metrics.
+	Stack gaahttp.StackConfig
 	// Phases run in order against one stack instance.
 	Phases []Phase
 }

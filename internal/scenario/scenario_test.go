@@ -12,7 +12,7 @@ import (
 // runCampaign drives c against a fresh in-process stack.
 func runCampaign(t *testing.T, c Campaign, opts Options) *Report {
 	t.Helper()
-	tgt, err := NewStackTarget(c.Stack)
+	tgt, err := NewClusterTarget(c.Stack, 1)
 	if err != nil {
 		t.Fatalf("stack for %s: %v", c.Name, err)
 	}
@@ -124,7 +124,7 @@ func TestCheckpointFailureDetected(t *testing.T) {
 
 // TestDriverUnobservableTarget: state checks are skipped (not failed)
 // when the target exposes no Observer — the live-URL degradation path.
-type blindTarget struct{ inner *StackTarget }
+type blindTarget struct{ inner *ClusterTarget }
 
 func (b blindTarget) Do(r workload.Request) (Exchange, error) { return b.inner.Do(r) }
 func (b blindTarget) Advance(d time.Duration)                 { b.inner.Advance(d) }
@@ -134,7 +134,7 @@ func TestDriverUnobservableTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStackTarget(c.Stack)
+	st, err := NewClusterTarget(c.Stack, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"time"
@@ -96,79 +95,13 @@ type Advancer interface {
 
 // Converger reports whether the target's replication mesh has fully
 // caught up — the hook for Checkpoint.Converged, read once and never
-// waited on: a fleet target ships its replication between requests.
-// Single-node targets are trivially converged and need not implement
-// it; checkpoints then report the check as skipped.
+// waited on: a fleet target ships its replication between requests,
+// and a fleet of one is trivially converged. Targets without a mesh to
+// read (a live URL, a trace) don't implement it; checkpoints then
+// report the check as skipped.
 type Converger interface {
 	Converged() bool
 }
-
-// StackTarget drives a full in-process gaahttp stack on a simulated
-// clock — the deterministic way to run campaigns.
-type StackTarget struct {
-	Stack *gaahttp.Stack
-	Clock *SimClock
-}
-
-// NewStackTarget wires a fresh stack (metrics on, simulated clock)
-// for spec.
-func NewStackTarget(spec StackSpec) (*StackTarget, error) {
-	clock := NewSimClock()
-	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  spec.SystemPolicy,
-		LocalPolicies: spec.LocalPolicies,
-		DocRoot:       spec.DocRoot,
-		Users:         spec.Users,
-		RuntimeValues: spec.RuntimeValues,
-		Clock:         clock.Now,
-		Metrics:       true,
-		Adaptive:      spec.Adaptive,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &StackTarget{Stack: st, Clock: clock}, nil
-}
-
-// Do serves the request straight through the server, no sockets.
-func (t *StackTarget) Do(r workload.Request) (Exchange, error) {
-	rec := httptest.NewRecorder()
-	t.Stack.Server.ServeHTTP(rec, r.HTTPRequest())
-	return Exchange{
-		Method: r.Method,
-		Target: r.Target,
-		IP:     r.ClientIP,
-		User:   r.User,
-		Class:  classKey(r.Attack),
-		Status: rec.Code,
-		Body:   rec.Body.String(),
-	}, nil
-}
-
-// Advance moves the simulated clock.
-func (t *StackTarget) Advance(d time.Duration) { t.Clock.Advance(d) }
-
-// Observe snapshots the stack's adaptive state.
-func (t *StackTarget) Observe() Observation {
-	obs := Observation{
-		Threat:      t.Stack.Threat.Level().String(),
-		Transitions: t.Stack.Threat.Transitions(),
-		Blocked:     t.Stack.Blocks.List(),
-		Blacklist:   map[string][]string{},
-		Mailbox:     t.Stack.Mailbox.Count(),
-		Decisions:   decisionCounts(t.Stack),
-	}
-	if obs.Blocked == nil {
-		obs.Blocked = []string{}
-	}
-	for _, g := range t.Stack.Groups.Groups() {
-		obs.Blacklist[g] = t.Stack.Groups.Members(g)
-	}
-	return obs
-}
-
-// Close releases the stack.
-func (t *StackTarget) Close() { t.Stack.Close() }
 
 // decisionCounts reads the exact check-phase decision counters out of
 // the stack's metrics registry.
@@ -200,7 +133,8 @@ type LiveTarget struct {
 	// BaseURL is the server under test, e.g. "http://localhost:8080".
 	BaseURL string
 	// Client defaults to a 5s-timeout client that treats redirects as
-	// outcomes, like gaa-attack's mix mode.
+	// outcomes (gaa-attack shares one such client, with its -timeout,
+	// across its mix-mode workers).
 	Client *http.Client
 	// MaxSleep caps how much real time one Advance may burn (default
 	// 100ms) — a low-and-slow campaign advancing simulated hours must

@@ -28,20 +28,6 @@ func IPPool(prefix string, n int) []string {
 	return out
 }
 
-// Pace sets a fixed inter-request delay on every request but the
-// first — the rate-shaping knob campaign phases use to stay under (or
-// burst over) sliding-window thresholds. It mutates and returns reqs.
-func Pace(reqs []Request, gap time.Duration) []Request {
-	for i := range reqs {
-		if i == 0 {
-			reqs[i].Delay = 0
-			continue
-		}
-		reqs[i].Delay = gap
-	}
-	return reqs
-}
-
 // AssignSources deals sources onto reqs deterministically: shuffled
 // round-robin, so every source appears within any window of
 // len(sources) consecutive requests but the order varies with seed.

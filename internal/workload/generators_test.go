@@ -45,37 +45,6 @@ func TestIPPool(t *testing.T) {
 	}
 }
 
-func TestPace(t *testing.T) {
-	tests := []struct {
-		name string
-		n    int
-		gap  time.Duration
-		want []time.Duration
-	}{
-		{"empty", 0, time.Second, nil},
-		{"single request has no delay", 1, time.Second, []time.Duration{0}},
-		{"gap on every request but the first", 3, 50 * time.Millisecond,
-			[]time.Duration{0, 50 * time.Millisecond, 50 * time.Millisecond}},
-		{"zero gap clears prior delays", 2, 0, []time.Duration{0, 0}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			reqs := make([]Request, tt.n)
-			for i := range reqs {
-				reqs[i].Delay = time.Hour // Pace must overwrite stale pacing
-			}
-			got := Pace(reqs, tt.gap)
-			var delays []time.Duration
-			for _, r := range got {
-				delays = append(delays, r.Delay)
-			}
-			if !reflect.DeepEqual(delays, tt.want) {
-				t.Errorf("delays = %v, want %v", delays, tt.want)
-			}
-		})
-	}
-}
-
 func TestAssignSources(t *testing.T) {
 	sources := IPPool("198.51.100", 4)
 	reqs := AssignSources(Legit(20, 1), sources, 9)

@@ -21,6 +21,7 @@ import (
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/ids"
 	"gaaapi/internal/workload"
+	"gaaapi/policies/paper"
 )
 
 // recoveryLocal escalates on a phf probe with every adaptive
@@ -39,7 +40,7 @@ pos_access_right apache *
 func recoveryStack(t *testing.T, dir string) *gaahttp.Stack {
 	t.Helper()
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
-		SystemPolicy:  policy72System,
+		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": recoveryLocal},
 		DocRoot:       workload.DocRoot(),
 		PolicyCache:   true,
