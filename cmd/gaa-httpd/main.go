@@ -12,7 +12,8 @@
 //
 // Without -system/-local-dir it serves a built-in demonstration
 // deployment: the paper's section 7.1 lockdown policy plus the section
-// 7.2 CGI protections over a small document tree. Admin endpoints:
+// 7.2 CGI protections over a small document tree. Admin endpoints, for
+// loopback sources only (internal/gaahttp/admin.eacl):
 //
 //	GET  /gaa/status  — threat level, blacklist, block set, audit tail,
 //	                    state-store and reload statistics
@@ -34,7 +35,8 @@
 // With -node-id and -peers the server joins a replication fleet:
 // every adaptive-state mutation is pushed to each peer's
 // POST /gaa/replicate endpoint, so a block earned on one node is
-// enforced by all of them (DESIGN.md "Cluster replication").
+// enforced by all of them (DESIGN.md "Cluster replication"). Peers on
+// other hosts need their addresses added to admin.eacl.
 package main
 
 import (
@@ -92,7 +94,7 @@ type options struct {
 	listen     string
 	groupsFile string
 	// faultStatus, set during a fault drill, writes the injectors'
-	// counters; run appends them to the /gaa/status report.
+	// counters; run prints them when the process exits.
 	faultStatus func(io.Writer)
 }
 
@@ -200,17 +202,8 @@ func parseOptions(args []string) (options, error) {
 		return o, nil
 	}
 	o.faultStatus = func(w io.Writer) {
-		if evalSpec.Active() || notifySpec.Active() {
-			es, ns := evalInj.Stats(), notifyInj.Stats()
-			fmt.Fprintf(w, "fault drill: evaluators[%s] hangs=%d panics=%d errors=%d latencies=%d; notifier[%s] hangs=%d panics=%d errors=%d latencies=%d\n",
-				evalSpec, es.Hangs, es.Panics, es.Errors, es.Latencies,
-				notifySpec, ns.Hangs, ns.Panics, ns.Errors, ns.Latencies)
-		}
-		if diskSpec.Active() {
-			ds := diskInj.Stats()
-			fmt.Fprintf(w, "fault drill: disk[%s] short-writes=%d sync-errors=%d\n",
-				diskSpec, ds.ShortWrites, ds.SyncErrors)
-		}
+		fmt.Fprintf(w, "fault drill: evaluators[%s] %+v; notifier[%s] %+v; disk[%s] %+v\n",
+			evalSpec, evalInj.Stats(), notifySpec, notifyInj.Stats(), diskSpec, diskInj.Stats())
 	}
 	return o, nil
 }
@@ -251,16 +244,10 @@ func run(args []string) (err error) {
 		}()
 	}
 
-	handler := st.Handler()
 	if o.faultStatus != nil {
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			st.Handler().ServeHTTP(w, r)
-			if r.URL.Path == "/gaa/status" {
-				o.faultStatus(w)
-			}
-		})
+		defer o.faultStatus(os.Stdout)
 	}
-	httpSrv := &http.Server{Addr: o.listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{Addr: o.listen, Handler: st.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {

@@ -124,7 +124,9 @@ func TestFileBackedDeployment(t *testing.T) {
 	// A reload re-reads the files and the analyzer vets them.
 	reload := func() *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("POST", "/gaa/reload", nil))
+		req := httptest.NewRequest("POST", "/gaa/reload", nil)
+		req.RemoteAddr = "127.0.0.1:40000"
+		h.ServeHTTP(w, req)
 		return w
 	}
 	if w := reload(); w.Code != http.StatusOK {

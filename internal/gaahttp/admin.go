@@ -1,58 +1,76 @@
 package gaahttp
 
 import (
+	_ "embed"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
+	rpprof "runtime/pprof"
 	"strings"
 
 	"gaaapi/internal/cluster"
+	"gaaapi/internal/gaa"
 )
 
-// Handler returns the deployment's HTTP entry point: the admin
-// endpoints — /gaa/status, /gaa/reload, /gaa/healthz, the replicate
-// endpoint in cluster mode, /gaa/metrics with Metrics, /debug/pprof/
-// with Pprof — dispatched ahead of the guarded Server, and the whole
-// instrumented with request metrics when Metrics is on.
+// adminEACL alone decides the objects the server mounts (the admin
+// endpoints): loopback sources are granted, everyone else is denied
+// (DESIGN.md "Admin plane").
 //
-// Dispatch avoids http.ServeMux: the mux canonicalizes paths (e.g.
-// collapsing "//") with a 301 *before* the access-control phase, which
-// would hide slash-flood probes from the GAA guard. Apache hands the
-// raw request line to its modules; so do we.
+//go:embed admin.eacl
+var adminEACL string
+
+// adminSources is the guard's one policy source for a mounted object.
+var adminSources = func() []gaa.PolicySource {
+	src := gaa.NewMemorySource()
+	if err := src.AddPolicy("*", adminEACL); err != nil {
+		panic("gaahttp: admin.eacl: " + err.Error())
+	}
+	return []gaa.PolicySource{src}
+}()
+
+// Handler returns the deployment's HTTP entry point: the Server, which
+// serves the admin endpoints as objects (adminMounts), instrumented with
+// request metrics when Metrics is on.
 func (s *Stack) Handler() http.Handler {
 	s.handlerOnce.Do(func() {
-		var replicate, scrape http.Handler
-		if s.Cluster != nil {
-			replicate = s.Cluster.Handler()
-		}
+		s.handler = s.Server
 		if s.Metrics != nil {
-			scrape = MetricsHandler(s.Metrics)
-		}
-		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch path := r.URL.Path; {
-			case path == "/gaa/status":
-				s.writeStatus(w)
-			case path == "/gaa/reload":
-				s.serveReload(w, r)
-			case path == HealthzPath:
-				s.serveHealthz(w, r)
-			case replicate != nil && path == cluster.ReplicatePath:
-				replicate.ServeHTTP(w, r)
-			case scrape != nil && path == "/gaa/metrics":
-				scrape.ServeHTTP(w, r)
-			case s.pprof && strings.HasPrefix(path, "/debug/pprof"):
-				servePprof(w, r)
-			default:
-				s.Server.ServeHTTP(w, r)
-			}
-		})
-		if s.Metrics != nil {
-			s.handler = InstrumentHandler(s.Metrics, s.handler)
+			s.handler = InstrumentHandler(s.Metrics, s.Server)
 		}
 	})
 	return s.handler
+}
+
+// adminMounts are the admin endpoints the Server mounts, each by its
+// exact object; the replicate endpoint only in cluster mode,
+// /gaa/metrics only with Metrics, and with pprof the index, each runtime
+// profile by name (heap, allocs, goroutine, ...) and the four others.
+func (s *Stack) adminMounts(withPprof bool) map[string]http.Handler {
+	mounts := map[string]http.Handler{
+		"/gaa/status": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { s.writeStatus(w) }),
+		"/gaa/reload": http.HandlerFunc(s.serveReload),
+		HealthzPath:   http.HandlerFunc(s.serveHealthz),
+	}
+	if s.Cluster != nil {
+		mounts[cluster.ReplicatePath] = s.Cluster.Handler()
+	}
+	if s.Metrics != nil {
+		mounts["/gaa/metrics"] = MetricsHandler(s.Metrics)
+	}
+	if withPprof {
+		// The object "/debug/pprof/" names (httpd's objectPath).
+		mounts["/debug/pprof/index.html"] = http.HandlerFunc(pprof.Index)
+		for _, p := range rpprof.Profiles() {
+			mounts["/debug/pprof/"+p.Name()] = pprof.Handler(p.Name())
+		}
+		mounts["/debug/pprof/cmdline"] = http.HandlerFunc(pprof.Cmdline)
+		mounts["/debug/pprof/profile"] = http.HandlerFunc(pprof.Profile)
+		mounts["/debug/pprof/symbol"] = http.HandlerFunc(pprof.Symbol)
+		mounts["/debug/pprof/trace"] = http.HandlerFunc(pprof.Trace)
+	}
+	return mounts
 }
 
 // serveReload runs a validated policy reload on POST. A rejected
@@ -69,24 +87,6 @@ func (s *Stack) serveReload(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
 	json.NewEncoder(w).Encode(res)
-}
-
-// servePprof dispatches /debug/pprof requests to the pprof handlers
-// without net/http/pprof's DefaultServeMux registration.
-func servePprof(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/debug/pprof/cmdline":
-		pprof.Cmdline(w, r)
-	case "/debug/pprof/profile":
-		pprof.Profile(w, r)
-	case "/debug/pprof/symbol":
-		pprof.Symbol(w, r)
-	case "/debug/pprof/trace":
-		pprof.Trace(w, r)
-	default:
-		// Index also serves the named profiles (heap, goroutine, ...).
-		pprof.Index(w, r)
-	}
 }
 
 // writeStatus is the /gaa/status report: one line per component, the

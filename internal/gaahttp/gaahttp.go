@@ -181,9 +181,14 @@ func (cs *checkState) postExecution(success bool) {
 // Check implements httpd.Guard: the access-control phase plus hooks
 // for the execution-control and post-execution phases.
 func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
-	policy, err := g.cfg.API.GetObjectPolicyInfo(rec.Object(), g.cfg.System, g.cfg.Local)
+	system, local := g.cfg.System, g.cfg.Local
+	if rec.Mount != nil {
+		// The server's own endpoint: admin.eacl alone decides it.
+		system, local = adminSources, nil
+	}
+	policy, err := g.cfg.API.GetObjectPolicyInfo(rec.Object(), system, local)
 	if err != nil {
-		g.observe(true)
+		g.observe(rec, true)
 		// Fail closed: a retrieval error must not grant access.
 		return httpd.Verdict{Status: httpd.Forbidden("policy retrieval: " + err.Error())}
 	}
@@ -203,10 +208,10 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	ans := &cs.ans
 	if err := g.cfg.API.CheckAuthorizationInto(context.Background(), policy, &cs.req, ans); err != nil {
 		g.pool.Put(cs)
-		g.observe(true)
+		g.observe(rec, true)
 		return httpd.Verdict{Status: httpd.Forbidden("authorization: " + err.Error())}
 	}
-	g.observe(ans.Decision == gaa.Maybe || len(ans.Faults) > 0)
+	g.observe(rec, ans.Decision == gaa.Maybe || len(ans.Faults) > 0)
 
 	g.report(rec, ans)
 	g.auditDecision(rec, label, ans)
@@ -227,9 +232,10 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	return verdict
 }
 
-// observe reports one request-health observation to the reload probe.
-func (g *Guard) observe(bad bool) {
-	if g.cfg.Health != nil {
+// observe reports one request-health observation to the reload probe;
+// a mounted object is none (see report).
+func (g *Guard) observe(rec *httpd.RequestRec, bad bool) {
+	if g.cfg.Health != nil && rec.Mount == nil {
 		g.cfg.Health.Observe(bad)
 	}
 }
@@ -257,8 +263,13 @@ func translate(ans *gaa.Answer) httpd.AccessStatus {
 }
 
 // report publishes the section 3 report classes to the IDS bus and
-// feeds the anomaly profiles and the adaptive scorer.
+// feeds the anomaly profiles and the adaptive scorer. A mounted object
+// (a peer's push, a health poll) is audited but is no evidence about
+// the server's clients, so it reports nothing.
 func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
+	if rec.Mount != nil {
+		return
+	}
 	principal := rec.User
 	if principal == "" {
 		principal = rec.ClientIP

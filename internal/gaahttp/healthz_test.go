@@ -12,7 +12,9 @@ import (
 func healthzGet(t *testing.T, s *Stack) (int, Healthz) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", HealthzPath, nil))
+	req := httptest.NewRequest("GET", HealthzPath, nil)
+	req.RemoteAddr = "127.0.0.1:40000"
+	s.Handler().ServeHTTP(rec, req)
 	var h Healthz
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("healthz decode: %v (%q)", err, rec.Body.String())

@@ -327,21 +327,6 @@ func (r *Reloader) Observe(bad bool) {
 	r.prevSystem, r.prevLocal = nil, nil
 }
 
-// Rollback manually reverts the most recent applied reload while its
-// probation is still open; it reports whether anything was reverted.
-func (r *Reloader) Rollback() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.probing {
-		return false
-	}
-	r.rollbackLocked()
-	r.probing = false
-	r.probingFlag.Store(false)
-	r.prevSystem, r.prevLocal = nil, nil
-	return true
-}
-
 func (r *Reloader) rollbackLocked() {
 	if r.prevSystem != nil {
 		r.cfg.System.Swap(r.prevSystem)

@@ -204,25 +204,6 @@ func TestHealthProbeRespectsDegradedBaseline(t *testing.T) {
 	}
 }
 
-func TestManualRollback(t *testing.T) {
-	r, _, local, orig := newTestReloader(t, 64)
-	res := r.ReloadWith(func() (*PolicyBundle, error) {
-		return BundleFromStrings("", map[string]string{"*": denyAll})
-	})
-	if !res.OK {
-		t.Fatalf("reload = %+v", res)
-	}
-	if !r.Rollback() {
-		t.Fatal("Rollback() = false while probation open")
-	}
-	if local.Current() != orig {
-		t.Fatal("manual rollback did not restore the previous source")
-	}
-	if r.Rollback() {
-		t.Fatal("second Rollback() = true with nothing to revert")
-	}
-}
-
 func TestHealthWindow(t *testing.T) {
 	h := NewHealth(4)
 	if rate, n := h.Rate(); rate != 0 || n != 0 {

@@ -186,7 +186,6 @@ type Stack struct {
 	// StackConfig.Metrics was set).
 	Metrics *metrics.Registry
 
-	pprof       bool
 	async       *notify.Async
 	accessLog   *os.File
 	handlerOnce sync.Once
@@ -201,7 +200,6 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		clock = time.Now
 	}
 	st := &Stack{
-		pprof:    cfg.Pprof,
 		Threat:   ids.NewManager(ids.Low, ids.WithManagerClock(clock)),
 		Bus:      ids.NewBus(),
 		Sigs:     ids.NewDB(ids.DefaultSignatures()...),
@@ -401,6 +399,7 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		DocRoot:   cfg.DocRoot,
 		Files:     files,
 		Scripts:   httpd.NewDemoRegistry(),
+		Mounts:    st.adminMounts(cfg.Pprof),
 		Guards:    []httpd.Guard{st.Guard, httpd.NewBaselineGuard(htaccess, nil)},
 		Auth:      htauth,
 		Blocks:    st.Blocks,

@@ -39,6 +39,9 @@ type RequestRec struct {
 	// query string plus request body length (the paper's CGI
 	// buffer-overflow detector measures it).
 	InputLength int
+	// Mount, set before the guards run, is the Config.Mounts handler
+	// that serves the object: one of the server's own endpoints.
+	Mount http.Handler
 }
 
 // Authenticator verifies user credentials (htpasswd-backed in this
@@ -57,9 +60,9 @@ func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestR
 	return rec
 }
 
-// fillRequestRec overwrites every field of a pooled rec but URI and
-// PlainURI's answer, which it clears, one by one: a composite literal
-// is copied in under the GC's bulk write barrier.
+// fillRequestRec overwrites every field of a pooled rec but URI,
+// PlainURI's answer and Mount, which it clears, one by one: a composite
+// literal is copied in under the GC's bulk write barrier.
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
 	rec.Time = now
 	rec.Method = r.Method
@@ -71,7 +74,7 @@ func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now ti
 		// RequestURI is unset; reconstruct it.
 		rec.target = r.URL.RequestURI()
 	}
-	rec.URI, rec.plainRead = "", false
+	rec.URI, rec.plainRead, rec.Mount = "", false, nil
 	rec.ClientIP = clientIP(r.RemoteAddr)
 	rec.HeaderCount = len(r.Header)
 	rec.InputLength = len(r.URL.RawQuery) + int(max64(r.ContentLength, 0))

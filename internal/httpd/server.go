@@ -22,8 +22,9 @@ import (
 //
 // The server calls Post exactly once on every path through execute
 // that returns, after execctl.Run has returned and no Monitor call can
-// follow; a guard may release what its hooks share as Post's last act.
-// A verdict that does not reach execute (forbidden, auth required,
+// follow, and after a mounted handler returns (which runs unmonitored);
+// a guard may release what its hooks share as Post's last act. A
+// verdict that does not reach an operation (forbidden, auth required,
 // moved), or whose operation panics, has neither hook run.
 type Verdict struct {
 	Status AccessStatus
@@ -59,6 +60,10 @@ type Config struct {
 	Files FileRoot
 	// Scripts serves /cgi-bin/<name> requests.
 	Scripts *ScriptRegistry
+	// Mounts serves objects by handler, after the access-control phase
+	// like any document. A mounted object is one of the server's own
+	// endpoints (RequestRec.Mount), not site content.
+	Mounts map[string]http.Handler
 	// Guards run in order during the access-control phase (e.g. the
 	// GAA guard first, the htaccess baseline second).
 	Guards []Guard
@@ -150,6 +155,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.buildURI()
+	rec.Mount = s.cfg.Mounts[rec.Path]
 
 	verdict := s.checkAccess(rec)
 	switch verdict.Status.Kind {
@@ -167,6 +173,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// StatusOK, or StatusDeclined by every guard: default allow, the
 	// operation executes.
+	if rec.Mount != nil {
+		// A mounted handler writes its own response, outside execution
+		// control; Post and the log line read the status it answered.
+		mw := &mountWriter{ResponseWriter: w, code: http.StatusOK}
+		rec.Mount.ServeHTTP(mw, r)
+		s.runPost(verdict, mw.code < http.StatusInternalServerError)
+		s.logCLF(rec, mw.code, mw.bytes)
+		return
+	}
 	s.execute(r.Context(), w, rec, verdict)
 }
 
@@ -292,4 +307,21 @@ func (s *Server) logCLF(rec *RequestRec, code, bytes int) {
 		*buf = line
 	}
 	clfPool.Put(buf)
+}
+
+// mountWriter records the status and body size a mounted handler answered.
+type mountWriter struct {
+	http.ResponseWriter
+	code, bytes int
+}
+
+func (w *mountWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *mountWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.bytes += n
+	return n, err
 }

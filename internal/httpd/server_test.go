@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -358,5 +359,69 @@ func TestAuthRequiredDefaultChallenge(t *testing.T) {
 	st := AuthRequired("", "why")
 	if !strings.Contains(st.Challenge, "restricted") {
 		t.Errorf("default challenge = %q", st.Challenge)
+	}
+}
+
+// TestMounts: a mounted object is served by its handler, by its exact
+// object, only after the firewall and the guards, which see its
+// Mount; Post and the log line see the status the handler answered,
+// and a document outside the mounts is served as before.
+func TestMounts(t *testing.T) {
+	var log strings.Builder
+	var posts, mounted []bool
+	blocks := netblock.NewSet()
+	blocks.Block("10.0.0.66", 0)
+	answer := func(code int, body string) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(code)
+			w.Write([]byte(body))
+		})
+	}
+	guard := GuardFunc(func(rec *RequestRec) Verdict {
+		mounted = append(mounted, rec.Mount != nil)
+		if rec.ClientIP == "10.0.0.9" {
+			return Verdict{Status: Forbidden("")}
+		}
+		return Verdict{Status: OK(""), Post: func(ok bool) { posts = append(posts, ok) }}
+	})
+	s := testServer(t, func(c *Config) {
+		c.Guards, c.Blocks, c.AccessLog = []Guard{guard}, blocks, &log
+		c.Mounts = map[string]http.Handler{
+			"/adm/status":     answer(http.StatusOK, "up"),
+			"/adm/fail":       answer(http.StatusServiceUnavailable, "down"),
+			"/dbg/index.html": answer(http.StatusOK, "tree"),
+		}
+	})
+	for _, tc := range []struct {
+		from, target string
+		code         int
+		body         string
+	}{
+		{"10.0.0.1", "/adm/status", 200, "up"},
+		{"10.0.0.1", "/adm//status", 200, "up"}, // the object, not the spelling
+		{"10.0.0.1", "/adm/fail", 503, "down"},
+		{"10.0.0.1", "/dbg/", 200, "tree"},           // the directory's object
+		{"10.0.0.1", "/dbg/a/b", 404, "not found\n"}, // one object, not a subtree
+		{"10.0.0.1", "/adm/other", 404, "not found\n"},
+		{"10.0.0.1", "/index.html", 200, "<html>welcome</html>"},
+		{"10.0.0.9", "/adm/status", 403, "Permission Denied\n"},
+		{"10.0.0.66", "/adm/status", 403, "address blocked\n"},
+	} {
+		req := httptest.NewRequest("GET", tc.target, nil)
+		req.RemoteAddr = tc.from + ":34567"
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != tc.code || w.Body.String() != tc.body {
+			t.Errorf("GET %s from %s = %d %q, want %d %q", tc.target, tc.from, w.Code, w.Body, tc.code, tc.body)
+		}
+	}
+	if want := []bool{true, true, false, true, false, false, true}; !slices.Equal(posts, want) {
+		t.Errorf("post statuses = %v, want %v", posts, want)
+	}
+	if want := []bool{true, true, true, true, false, false, false, true}; !slices.Equal(mounted, want) {
+		t.Errorf("guard saw a Mount = %v, want %v", mounted, want)
+	}
+	if !strings.Contains(log.String(), `"GET /adm/fail" 503 4`) {
+		t.Errorf("access log lacks the mounted handler's status and size:\n%s", log.String())
 	}
 }
