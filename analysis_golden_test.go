@@ -143,9 +143,10 @@ func TestExamplePoliciesAnalyzeClean(t *testing.T) {
 }
 
 // TestOneFindingPerDeadEntry: the prover's cause picks one code per dead
-// entry, so no (file, line) carries two of W002, W003, W007, W020 and
-// W022 — over the seeded fixtures and their compositions, the example
-// policies, and a verbatim duplicate (once W002, W007 and W022).
+// entry, so no entry carries two of E011, E012, E013, W002, W003, W007,
+// W020 and W022 on any of its lines — over the seeded fixtures and
+// their compositions, the example policies, and a verbatim duplicate
+// (once W002, W007 and W022).
 func TestOneFindingPerDeadEntry(t *testing.T) {
 	dup, err := eacl.ParseString("pos_access_right apache GET /a\npre_cond_time_window local 09:00-17:00\n" +
 		"pos_access_right apache GET /a\npre_cond_time_window local 09:00-17:00\n")
@@ -167,7 +168,9 @@ func TestOneFindingPerDeadEntry(t *testing.T) {
 	}
 	a := analysis.New()
 	var ds []analysis.Diagnostic
+	bySource := map[string]*eacl.EACL{}
 	for _, e := range files {
+		bySource[e.Source] = e
 		ds = append(ds, a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()})...)
 	}
 	for _, prefix := range []string{"stop", "expand", "narrow", "anon"} {
@@ -182,27 +185,45 @@ func TestOneFindingPerDeadEntry(t *testing.T) {
 		ds = append(ds, a.AnalyzeComposition(analysis.NewComposition([]*eacl.EACL{sys}, []*eacl.EACL{loc}))...)
 	}
 	type at struct {
-		file string
-		line int
+		file  string
+		entry int
 	}
-	seen := map[at]string{}
+	seen := map[at]analysis.Diagnostic{}
 	dupReported := false
 	for _, d := range ds {
 		switch d.Code {
-		case "W002", "W003", "W007", "W020", "W022":
+		case "E011", "E012", "E013", "W002", "W003", "W007", "W020", "W022":
 		default:
 			continue
 		}
-		k := at{d.File, d.Line}
-		if prev, ok := seen[k]; ok {
-			t.Errorf("%s:%d reported twice: %s and %s", d.File, d.Line, prev, d.Code)
+		e := bySource[d.File]
+		if e == nil {
+			t.Fatalf("finding in an unknown file: %v", d)
 		}
-		seen[k] = d.Code
+		if d.Line == 0 {
+			continue // the file-wide "unknown" note belongs to no entry
+		}
+		k := at{d.File, entryAt(e, d.Line)}
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s: entry at line %d reported twice: %s at line %d and %s at line %d",
+				d.File, e.Entries[k.entry].Line, prev.Code, prev.Line, d.Code, d.Line)
+		}
+		seen[k] = d
 		dupReported = dupReported || d.File == "duplicate" && d.Code == "W002"
 	}
 	if !dupReported {
 		t.Errorf("the verbatim duplicate is not reported as W002: %v", ds)
 	}
+}
+
+// entryAt returns the index of the entry whose span (its right's line
+// up to the next entry's) holds line.
+func entryAt(e *eacl.EACL, line int) int {
+	i := 0
+	for i+1 < len(e.Entries) && e.Entries[i+1].Line <= line {
+		i++
+	}
+	return i
 }
 
 // TestSeededFixturesTriggerTheirRule is the golden contract for the
@@ -213,20 +234,29 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 	tests := []struct {
 		file  string
 		codes []string
+		line  int // the one finding's line
 	}{
-		{"bad-regex.eacl", []string{"E001"}},
-		{"bad-cidr.eacl", []string{"E002"}},
-		{"empty-window.eacl", []string{"E004"}},
-		{"threat-contradiction.eacl", []string{"E012"}},
-		{"conflict.eacl", []string{"W004"}},
+		{"bad-regex.eacl", []string{"E001"}, 3},
+		{"bad-cidr.eacl", []string{"E002"}, 3},
+		{"empty-window.eacl", []string{"E004"}, 4},
+		{"threat-contradiction.eacl", []string{"E012"}, 4},
+		{"conflict.eacl", []string{"W004"}, 4},
 		// One dead entry, one finding: the prover's cause picks the code.
 		// A single unconditional shadow is W003, a single conditional
 		// same-sign shadow W007.
-		{"unreachable.eacl", []string{"W003"}},
-		{"subsumed.eacl", []string{"W007"}},
+		{"unreachable.eacl", []string{"W003"}, 4},
+		{"subsumed.eacl", []string{"W007"}, 5},
 		// The first two entries partition the threat scale and shadow
 		// entry 3 jointly: W022.
-		{"prover-dead.eacl", []string{"W022"}},
+		{"prover-dead.eacl", []string{"W022"}, 10},
+		// An unsatisfiable entry is the prover's fact, reported once
+		// under the conditions at fault and left out of the file's grid,
+		// so it shadows nothing and truncates nothing.
+		{"unsat-location.eacl", []string{"E013"}, 4},
+		{"unsat-location-first.eacl", []string{"E013"}, 4},
+		{"unsat-length.eacl", []string{"E013"}, 3},
+		{"unsat-length-first.eacl", []string{"E013"}, 4},
+		{"time-contradiction-first.eacl", []string{"E011"}, 6},
 	}
 	for _, tt := range tests {
 		t.Run(tt.file, func(t *testing.T) {
@@ -243,6 +273,9 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 				if got[i] != tt.codes[i] {
 					t.Fatalf("codes = %v, want %v", got, tt.codes)
 				}
+			}
+			if len(ds) != 1 || ds[0].Line != tt.line {
+				t.Errorf("findings = %v, want one at line %d", ds, tt.line)
 			}
 		})
 	}

@@ -181,6 +181,13 @@ func TestRulesFlag(t *testing.T) {
 	if strings.Contains(out.String(), "W003") || !strings.Contains(out.String(), "E001") {
 		t.Errorf("negative rule filter not applied:\n%s", out.String())
 	}
+
+	// The unsatisfiable entry is the fixture's only error.
+	out.Reset()
+	code, err = run([]string{"-rules", "-E013", "../../testdata/eaclint/unsat-location.eacl"}, &out)
+	if err != nil || code != 0 || strings.Contains(out.String(), "E013") {
+		t.Errorf("-rules -E013: exit %d, err %v, want 0 and no E013:\n%s", code, err, out.String())
+	}
 }
 
 func TestSeverityFlag(t *testing.T) {

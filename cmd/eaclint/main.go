@@ -2,9 +2,10 @@
 // section 2: "an automated tool to ensure policy correctness and
 // consistency and to ease the policy specification burden on the
 // policy officer". It drives the static-analysis engine in
-// internal/eacl/analysis: value-level semantic validation, flow
-// analysis (conflicting entries, contradictions), and the reasoning
-// engine's facts per file and across the composition (dead entries by
+// internal/eacl/analysis: value-level semantic validation, structural
+// checks (grammar, unregistered conditions, conflicting entries), and
+// the reasoning engine's facts per file and across the composition
+// (contradictions, i.e. unsatisfiable entries, and dead entries by
 // cause, vetoed and bypassing grants), with plain-text, JSON and SARIF
 // 2.1.0 output. It also pretty-prints the canonical form and explains
 // how a hypothetical request would evaluate.

@@ -7,12 +7,12 @@
 //     runtime evaluators would bounce to MAYBE (regexes that don't
 //     compile, CIDRs that don't parse, empty time windows, malformed
 //     threshold expressions, bad digests) are errors at lint time;
-//  2. entry- and file-level flow analysis: pos/neg conflicts over
-//     overlapping rights, and intra-entry contradictions that make an
-//     entry unsatisfiable;
+//  2. entry- and file-level structural checks: the grammar, the
+//     registration vocabulary, and pos/neg conflicts over overlapping
+//     rights;
 //  3. the reasoning engine's facts (internal/eacl/reason), each
-//     presented once: dead entries by cause (duplicate, shadowed,
-//     unsatisfiable, dead under "stop"), mandatory-bypass risks under
+//     presented once: dead entries by cause (unsatisfiable, duplicate,
+//     shadowed, dead under "stop"), mandatory-bypass risks under
 //     "expand", grants that can never be satisfied under "narrow", and
 //     anonymous grants of authenticated rights.
 //
@@ -23,8 +23,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"gaaapi/internal/eacl"
@@ -222,29 +223,24 @@ func (a *Analyzer) enabled(m Meta) bool {
 
 // AnalyzeFile runs every enabled file-scope rule over one policy.
 func (a *Analyzer) AnalyzeFile(f *File) []Diagnostic {
-	var out []Diagnostic
-	for _, rule := range a.rules {
-		fr, ok := rule.(FileRule)
-		if !ok || !a.enabled(rule.Meta()) {
-			continue
-		}
-		fr.CheckFile(f, &Reporter{meta: rule.Meta(), diags: &out})
-	}
-	sortDiagnostics(out)
-	return out
+	return run(a, func(r FileRule, rep *Reporter) { r.CheckFile(f, rep) })
 }
 
 // AnalyzeComposition runs every enabled composition-scope rule over a
 // composed policy set. Per-file findings are not repeated here; run
 // AnalyzeFile on each member for those.
 func (a *Analyzer) AnalyzeComposition(c *Composition) []Diagnostic {
+	return run(a, func(r CompositionRule, rep *Reporter) { r.CheckComposition(c, rep) })
+}
+
+// run checks every enabled rule of kind R, in catalog order, and sorts
+// the findings.
+func run[R Rule](a *Analyzer, check func(R, *Reporter)) []Diagnostic {
 	var out []Diagnostic
 	for _, rule := range a.rules {
-		cr, ok := rule.(CompositionRule)
-		if !ok || !a.enabled(rule.Meta()) {
-			continue
+		if r, ok := rule.(R); ok && a.enabled(rule.Meta()) {
+			check(r, &Reporter{meta: rule.Meta(), diags: &out})
 		}
-		cr.CheckComposition(c, &Reporter{meta: rule.Meta(), diags: &out})
 	}
 	sortDiagnostics(out)
 	return out
@@ -253,14 +249,8 @@ func (a *Analyzer) AnalyzeComposition(c *Composition) []Diagnostic {
 // sortDiagnostics orders findings for stable output: by file, then
 // line, then code.
 func sortDiagnostics(ds []Diagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].File != ds[j].File {
-			return ds[i].File < ds[j].File
-		}
-		if ds[i].Line != ds[j].Line {
-			return ds[i].Line < ds[j].Line
-		}
-		return ds[i].Code < ds[j].Code
+	slices.SortStableFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), strings.Compare(a.Code, b.Code))
 	})
 }
 
@@ -272,7 +262,7 @@ func Catalog() []Meta {
 	for i, r := range rules {
 		out[i] = r.Meta()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
+	slices.SortFunc(out, func(a, b Meta) int { return strings.Compare(a.Code, b.Code) })
 	return out
 }
 
@@ -292,27 +282,22 @@ func lookupRule(key string) (Meta, bool) {
 // follows code order anyway, so this order only decides tie-breaking
 // work.
 func allRules() []Rule {
-	return []Rule{
-		// Layer 1: value-level semantic validation (E001–E008).
-		valueRule(metaRegexSyntax, "regex"),
-		valueRule(metaLocationSyntax, "location"),
-		valueRule(metaTimeWindowSyntax, "time_window"),
-		timeWindowEmptyRule{},
-		valueRule(metaThresholdSyntax, "threshold"),
-		valueRule(metaExprSyntax, "expr", "quota"),
-		valueRule(metaThreatSyntax, "system_threat_level"),
-		valueRule(metaSHA256Syntax, "file_sha256"),
-		// Structural errors and intra-entry contradictions (E010–E012).
+	var rules []Rule
+	for _, v := range valueRules { // Layer 1: value-level semantic validation (E001–E008).
+		rules = append(rules, v)
+	}
+	return append(rules,
+		// Layer 2: structural checks (E010, W001, W004–W006).
 		negBlockRule{},
-		timeContradictionRule{},
-		threatContradictionRule{},
-		// Layer 2: flow analysis (W001, W004–W006).
 		unknownConditionRule{},
 		posNegConflictRule{},
 		maybeOnlyEntryRule{},
 		emptyEACLRule{},
-		// Layers 3 and 4: the prover's facts (W002, W003, W007, W020–W023,
-		// E020).
+		// Layers 3 and 4: the prover's facts (E011–E013, E020, W002,
+		// W003, W007, W020–W023).
+		proverRule{meta: metaTimeContradiction, file: true},
+		proverRule{meta: metaThreatContradiction, file: true},
+		proverRule{meta: metaUnsatisfiableEntry, file: true},
 		proverRule{meta: metaDuplicateEntry, file: true},
 		proverRule{meta: metaUnreachableEntry, file: true},
 		proverRule{meta: metaSubsumedEntry, file: true},
@@ -321,5 +306,5 @@ func allRules() []Rule {
 		proverRule{meta: metaNarrowDeadGrant, compose: true},
 		proverRule{meta: metaProverDeadEntry, file: true, compose: true},
 		proverRule{meta: metaProverAnonGrant, compose: true},
-	}
+	)
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -172,6 +173,66 @@ pre_cond_system_threat_level local <=high
 	}
 }
 
+// TestUnsatisfiableEntry: the prover's per-entry query decides
+// unsatisfiability; the finding names the conditions at fault, leaves a
+// value-level defect to its own rule, and says "unknown" where the
+// entry's grid may miss the worlds it decides in.
+func TestUnsatisfiableEntry(t *testing.T) {
+	tests := []struct {
+		name, src string
+		want      []string // "code:line"
+		msg       string   // a substring of the last finding's message
+	}{
+		{"only the type at fault is named",
+			"pos_access_right apache *\npre_cond_time_window local 09:00-17:00\n" +
+				"pre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n",
+			[]string{"E013:1"}, `no request satisfies pre_cond_location "10.0.0.0/8" (line 3) and pre_cond_location "192.168.0.0/16" (line 4);`},
+		{"a single condition", "pos_access_right apache *\npre_cond_system_threat_level local <low\n",
+			[]string{"E012:2"}, `no request satisfies pre_cond_system_threat_level "<low" (line 2);`},
+		// The empty window is E004's finding; without it the entry is
+		// satisfiable, so nothing more.
+		{"value defect", "pos_access_right apache *\npre_cond_time_window local 09:00-09:00\npre_cond_time_window local 13:00-17:00\n",
+			[]string{"E004:2"}, "is empty"},
+		// The bad CIDR is MAYBE; the threat levels contradict anyway.
+		{"two defects", "pos_access_right apache *\npre_cond_location local 300.0.0.0/8\n" +
+			"pre_cond_system_threat_level local =high\npre_cond_system_threat_level local =low\n",
+			[]string{"E002:2", "E012:4"}, "the entry can never fire"},
+		// The windows meet only on Wednesdays from 10:00.
+		{"windows meeting on a shared day", "pos_access_right apache *\npre_cond_time_window local 09:00-17:00 Wed\n" +
+			"pre_cond_time_window local 10:00-12:00\n",
+			nil, ""},
+		// Its own grid holds Wednesday 10:00; the file's grid does not, so
+		// whether the entry is shadowed is unknown, not "decided earlier".
+		{"satisfiable but missing from the file's grid", "pos_access_right apache *\npre_cond_time_window local 09:00-17:00 Wed\n" +
+			"pre_cond_time_window local 10:00-12:00\nneg_access_right apache *\n",
+			[]string{"W022:1"}, "unknown whether this entry is shadowed"},
+		// Proved without the unsatisfiable entry, whose six bounds would
+		// exceed the integer axis's cap: the rest of the file is complete.
+		{"unsatisfiable entry left out of the grid", "neg_access_right apache *\npre_cond_expr local input_length>1000\n" +
+			"pre_cond_expr local input_length<10\nneg_access_right apache GET /a\npos_access_right apache GET /b\n",
+			[]string{"E013:1"}, "the entry can never fire"},
+		{"unknown", "neg_access_right apache *\npre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*\n",
+			[]string{"W022:1"}, "unknown whether this entry can fire: incomplete domain: two conditions match one axis with '*'-globs"},
+		// The note stands in for any shadowing finding.
+		{"unknown and shadowed", "neg_access_right apache *\n" +
+			"neg_access_right apache *\npre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*\n",
+			[]string{"W022:2"}, "unknown whether this entry can fire"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			ds := analyze(t, tt.src)
+			var got []string
+			for _, d := range ds {
+				got = append(got, fmt.Sprintf("%s:%d", d.Code, d.Line))
+			}
+			if strings.Join(got, ",") != strings.Join(tt.want, ",") ||
+				len(ds) > 0 && !strings.Contains(ds[len(ds)-1].Message, tt.msg) {
+				t.Errorf("findings = %v, want %v with %q", ds, tt.want, tt.msg)
+			}
+		})
+	}
+}
+
 func TestUnknownAndMaybeOnly(t *testing.T) {
 	ds := analyze(t, `
 pos_access_right apache *
@@ -318,6 +379,22 @@ pre_cond_regex gnu re:[unclosed
 	if hasCode(ds, "W003") || !hasCode(ds, "E001") {
 		t.Errorf("negative filter failed: %v", codes(ds))
 	}
+	// E013 is selected by code or name, and silenced by code.
+	const unsat = "pos_access_right apache *\npre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n"
+	for spec, want := range map[string][]string{
+		"unsatisfiable-entry": {"E013"},
+		"E013":                {"E013"},
+		"-E013":               nil,
+	} {
+		opt, err := WithRuleFilter(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := New(opt).AnalyzeFile(&File{EACL: mustParse(t, unsat), Known: BuiltinKnown()})
+		if got := codes(ds); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("-rules %s: codes = %v, want %v", spec, got, want)
+		}
+	}
 	// Unknown rule is an error.
 	if _, err := WithRuleFilter("E999"); err == nil {
 		t.Error("unknown rule accepted")
@@ -365,7 +442,7 @@ func TestCatalogIsStable(t *testing.T) {
 	}
 	// Every documented rule must exist.
 	for _, code := range []string{"E001", "E002", "E003", "E004", "E005", "E006", "E007", "E008",
-		"E010", "E011", "E012", "E020", "W001", "W002", "W003", "W004", "W005", "W006", "W007",
+		"E010", "E011", "E012", "E013", "E020", "W001", "W002", "W003", "W004", "W005", "W006", "W007",
 		"W020", "W021"} {
 		if !seen[code] {
 			t.Errorf("missing rule %s", code)

@@ -14,7 +14,8 @@ import (
 // rules these codes replaced carries the prover's witness for it.
 
 // deadCodes are the codes a dead entry is reported under, once.
-var deadCodes = map[string]bool{"W002": true, "W003": true, "W007": true, "W020": true, "W022": true}
+var deadCodes = map[string]bool{"E011": true, "E012": true, "E013": true,
+	"W002": true, "W003": true, "W007": true, "W020": true, "W022": true}
 
 func TestOpenWitness(t *testing.T) {
 	// "GET /a*" overlaps "GET /a" without being covered by it: the open

@@ -4,31 +4,19 @@ import (
 	"sort"
 	"strings"
 
-	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
-	"gaaapi/internal/ids"
 )
 
-// Layer 2: entry- and file-level flow analysis: structural errors,
-// intra-entry contradictions, the registration vocabulary, and pos/neg
-// conflicts over overlapping rights (eacl.RightsOverlap). Whether an
-// entry can ever decide is the prover's fact (rules_prove.go).
+// Layer 2: structural checks: the grammar, the registration vocabulary,
+// and pos/neg conflicts over overlapping rights (eacl.RightsOverlap).
+// They read the syntax and the registry, not worlds: whether an entry
+// can ever decide is the prover's fact (rules_prove.go).
 
 var (
 	metaNegBlock = Meta{
 		Code: "E010", Name: "neg-illegal-block", Severity: SeverityError,
 		Summary: "a mid_cond or post_cond block on a neg_access_right (the grammar gives nright only pre and request-result blocks)",
 		Fix:     "move execution-phase conditions to a pos entry; a denial has no operation to constrain",
-	}
-	metaTimeContradiction = Meta{
-		Code: "E011", Name: "time-contradiction", Severity: SeverityError,
-		Summary: "one entry carries disjoint time windows, so its conditions can never hold together",
-		Fix:     "split the entry in two (EACL entries are disjunctive) or merge the windows",
-	}
-	metaThreatContradiction = Meta{
-		Code: "E012", Name: "threat-contradiction", Severity: SeverityError,
-		Summary: "one entry's threat-level conditions have no common satisfying level",
-		Fix:     "keep one threat condition per entry; use separate entries for disjoint threat states",
 	}
 	metaUnknownCondition = Meta{
 		Code: "W001", Name: "unknown-condition", Severity: SeverityWarning,
@@ -70,92 +58,6 @@ func (negBlockRule) CheckFile(f *File, r *Reporter) {
 					"%s block not allowed on neg_access_right (grammar: nright ::= pre_cond_block rr_cond_block)", c.Block)
 			}
 		}
-	}
-}
-
-// timeContradictionRule (E011) finds entries whose time-window
-// pre-conditions are pairwise-conjoined but never intersect. All
-// pre-conditions of one entry must hold together for the entry to
-// fire, so two disjoint windows make the entry unsatisfiable.
-type timeContradictionRule struct{}
-
-func (timeContradictionRule) Meta() Meta { return metaTimeContradiction }
-
-func (timeContradictionRule) CheckFile(f *File, r *Reporter) {
-	for i := range f.EACL.Entries {
-		en := &f.EACL.Entries[i]
-		type window struct {
-			w    conditions.TimeWindow
-			cond *eacl.Condition
-		}
-		var windows []window
-		for j := range en.Conditions {
-			c := &en.Conditions[j]
-			if c.Block != eacl.BlockPre || c.Type != "time_window" {
-				continue
-			}
-			w, err := conditions.ParseTimeWindowSpec(c.Value)
-			if err != nil || w.Empty() {
-				continue // E003/E004 findings, or an '@' reference: no window to read
-			}
-			windows = append(windows, window{w, c})
-		}
-		for a := 0; a < len(windows); a++ {
-			for b := a + 1; b < len(windows); b++ {
-				if !windows[a].w.Intersects(windows[b].w) {
-					r.Report(f.EACL.Source, windows[b].cond.Line,
-						"time windows %q (line %d) and %q never intersect; the entry can never fire",
-						windows[a].cond.Value, windows[a].cond.Line, windows[b].cond.Value)
-				}
-			}
-		}
-	}
-}
-
-// threatContradictionRule (E012) intersects the satisfying threat-level
-// sets of an entry's system_threat_level pre-conditions; an empty
-// intersection (including a single unsatisfiable condition like "<low")
-// makes the entry dead.
-type threatContradictionRule struct{}
-
-func (threatContradictionRule) Meta() Meta { return metaThreatContradiction }
-
-func (threatContradictionRule) CheckFile(f *File, r *Reporter) {
-	for i := range f.EACL.Entries {
-		en := &f.EACL.Entries[i]
-		sat := map[ids.Level]bool{ids.Low: true, ids.Medium: true, ids.High: true}
-		var seen []*eacl.Condition
-		for j := range en.Conditions {
-			c := &en.Conditions[j]
-			if c.Block != eacl.BlockPre || c.Type != "system_threat_level" {
-				continue
-			}
-			levels, err := conditions.ThreatLevelSet(c.Value)
-			if err != nil {
-				continue // E007's finding, or an '@' reference: no level set to read
-			}
-			seen = append(seen, c)
-			ok := map[ids.Level]bool{}
-			for _, l := range levels {
-				ok[l] = true
-			}
-			for l := range sat {
-				if !ok[l] {
-					delete(sat, l)
-				}
-			}
-		}
-		if len(seen) == 0 || len(sat) > 0 {
-			continue
-		}
-		last := seen[len(seen)-1]
-		var values []string
-		for _, c := range seen {
-			values = append(values, c.Value)
-		}
-		r.Report(f.EACL.Source, last.Line,
-			"no threat level satisfies %s together; the entry can never fire",
-			strings.Join(values, " and "))
 	}
 }
 

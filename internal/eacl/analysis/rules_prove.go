@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gaaapi/internal/eacl"
@@ -13,14 +14,14 @@ import (
 // is defined once, by the whole-policy reasoning engine
 // (internal/eacl/reason), which replays every world of a grid
 // synthesized from the policy text through the real evaluator. These
-// codes only present its facts, from one engine per File and one per
-// Composition. A dead entry is reported once, under the code its cause
-// picks: W002, W003 or W007 for a single shadowing entry that is a
-// duplicate, unconditional, or conditional of the same sign; W020 under
-// stop; W022 otherwise. Universal claims (dead entries, E020) need a
-// grid covering the policy; when it does not, or the engine fails, one
-// line-0 W022 says the analysis is unknown, and the existential W021
-// and W023 still report what they found.
+// codes only present its facts. A dead entry is reported once, under
+// the code its cause picks: E011, E012 or E013 when it is unsatisfiable;
+// W002, W003 or W007 for a single shadowing entry that is a duplicate,
+// unconditional, or conditional of the same sign; W020 under stop; W022
+// otherwise. Universal claims need a grid covering the policy; when it
+// does not, or the engine fails, a W022 says the analysis is unknown
+// (at the entry for its own query, else on line 0), and the
+// existential W021 and W023 still report what they found.
 
 // proverMaxWorlds bounds lint-time prover cost; past it the domain is
 // truncated and the universal claims stay silent.
@@ -47,6 +48,21 @@ func NewComposition(system, local []*eacl.EACL) *Composition {
 }
 
 var (
+	metaTimeContradiction = Meta{
+		Code: "E011", Name: "time-contradiction", Severity: SeverityError,
+		Summary: "the prover's unsatisfiable cause, narrowed to time windows: the entry's time windows alone never hold together",
+		Fix:     "split the entry in two (EACL entries are disjunctive) or merge the windows",
+	}
+	metaThreatContradiction = Meta{
+		Code: "E012", Name: "threat-contradiction", Severity: SeverityError,
+		Summary: "the prover's unsatisfiable cause, narrowed to threat levels: the entry's threat-level conditions alone have no common satisfying level",
+		Fix:     "keep one threat condition per entry; use separate entries for disjoint threat states",
+	}
+	metaUnsatisfiableEntry = Meta{
+		Code: "E013", Name: "unsatisfiable-entry", Severity: SeverityError,
+		Summary: "the prover's unsatisfiable cause otherwise: no request satisfies the entry's pre-conditions together, so it can never fire",
+		Fix:     "split the entry in two (EACL entries are disjunctive) or drop the condition that excludes the others",
+	}
 	metaDuplicateEntry = Meta{
 		Code: "W002", Name: "duplicate-entry", Severity: SeverityWarning,
 		Summary: "an entry repeats the earlier entry that decides every request it would (same right, same conditions)",
@@ -79,7 +95,7 @@ var (
 	}
 	metaProverDeadEntry = Meta{
 		Code: "W022", Name: "prover-dead-entry", Severity: SeverityWarning,
-		Summary: "the prover found no request, at any threat level, that this entry decides: several earlier entries share the work or its own guard is unsatisfiable; on line 0, the analysis is unknown",
+		Summary: "the prover found no request, at any threat level, that this entry decides: several earlier entries share the work; a message saying \"unknown\" means the prover cannot tell, for this entry or, on line 0, for the file",
 		Fix:     "reorder the entries, narrow the earlier entries' rights, or delete the dead entry",
 	}
 	metaProverAnonGrant = Meta{
@@ -126,17 +142,47 @@ type finding struct {
 }
 
 // findings runs the prover over the file as a stand-alone local policy,
-// once. A sole entry is dead only if unsatisfiable: the E-rules' finding.
+// once. An entry that fires in the file's grid is satisfiable; any
+// other gets its own query. One found unsatisfiable decides no world,
+// and one the query cannot settle gets only that note, so the file is
+// proved again without both.
 func (f *File) findings() []finding {
-	if !f.proved && len(f.EACL.Entries) > 1 {
-		f.proved = true
-		eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
-		f.found = unknown(f.EACL.Source, eng, err)
-		if eng != nil {
-			for _, d := range eng.DeadEntries() {
-				f.found = append(f.found, deadFinding(f.EACL, d))
+	if f.proved {
+		return f.found
+	}
+	f.proved = true
+	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
+	reduced := &eacl.EACL{Source: f.EACL.Source}
+	var live []int // reduced.Entries index -> f.EACL.Entries index
+	for i, en := range f.EACL.Entries {
+		if err != nil || !eng.Fired(0, i) {
+			switch core, why := reason.Unsatisfiable(en); {
+			case core != nil:
+				f.found = append(f.found, unsatFinding(f.EACL.Source, en))
+				continue
+			case why != "":
+				f.found = append(f.found, finding{code: "W022", file: f.EACL.Source, line: en.Line,
+					msg: "prover: unknown whether this entry can fire: " + why})
+				continue
 			}
 		}
+		live, reduced.Entries = append(live, i), append(reduced.Entries, en)
+	}
+	if len(live) < 2 {
+		return f.found // shadowing takes two entries that can decide
+	}
+	if len(live) < len(f.EACL.Entries) {
+		eng, err = reason.New(nil, []*eacl.EACL{reduced}, reason.Options{MaxWorlds: proverMaxWorlds})
+	}
+	if f.found = append(f.found, unknown(reduced.Source, eng, err)...); err != nil {
+		return f.found
+	}
+	for _, d := range eng.DeadEntries() {
+		d.Index = live[d.Index]
+		for k, j := range d.ShadowedBy {
+			d.ShadowedBy[k] = live[j]
+		}
+		f.found = append(f.found, deadFinding(f.EACL, d))
 	}
 	return f.found
 }
@@ -145,7 +191,11 @@ func (f *File) findings() []finding {
 func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
 	x := finding{code: "W022", file: d.Source, line: d.Line,
 		msg: "prover: no request at any threat level reaches this entry; every world is decided earlier in the scan"}
-	if len(d.ShadowedBy) != 1 {
+	switch {
+	case d.Cause == reason.CauseUnsatisfiable: // yet it fired, or its own query found it satisfiable
+		x.msg = "prover: unknown whether this entry is shadowed: the file's grid holds no world in which it decides"
+		return x
+	case len(d.ShadowedBy) != 1:
 		return x
 	}
 	en, prev := &e.Entries[d.Index], &e.Entries[d.ShadowedBy[0]]
@@ -161,19 +211,39 @@ func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
 	return x
 }
 
+// unsatFinding names the conditions of an unsatisfiable entry that
+// cannot hold together: E011 (time windows) and E012 (threat levels) at
+// the last of them, E013 at the entry. Conditions a value-level rule
+// reports are left out first; if the rest can hold together, the zero
+// finding, which no rule reports, leaves that rule's the only one.
+func unsatFinding(src string, en eacl.Entry) finding {
+	en.Conditions = slices.DeleteFunc(slices.Clone(en.Conditions), func(c eacl.Condition) bool {
+		return slices.ContainsFunc(valueRules, func(v valueRule) bool { return v.fault(c) != nil })
+	})
+	core, _ := reason.Unsatisfiable(en)
+	if core == nil {
+		return finding{}
+	}
+	x, last := finding{code: "E013", file: src, line: en.Line}, core[len(core)-1]
+	code := map[string]string{"time_window": "E011", "system_threat_level": "E012"}[last.Type]
+	if code != "" && !slices.ContainsFunc(core, func(c eacl.Condition) bool { return c.Type != last.Type }) {
+		x.code, x.line = code, last.Line
+	}
+	var names []string
+	for _, c := range core {
+		names = append(names, fmt.Sprintf("%s_%s %q (line %d)", c.Block, c.Type, c.Value, c.Line))
+	}
+	x.msg = "prover: no request satisfies " + strings.Join(names, " and ") + "; the entry can never fire"
+	return x
+}
+
 // sameConditions compares two entries' conditions in source order,
 // ignoring lines.
 func sameConditions(a, b *eacl.Entry) bool {
-	if len(a.Conditions) != len(b.Conditions) {
-		return false
-	}
-	for i, c := range a.Conditions {
-		c.Line = b.Conditions[i].Line
-		if c != b.Conditions[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Conditions, b.Conditions, func(x, y eacl.Condition) bool {
+		x.Line = y.Line
+		return x == y
+	})
 }
 
 // unknown is the line-0 W022 saying the universal claims are unknown:
@@ -182,10 +252,7 @@ func unknown(source string, eng *reason.Engine, err error) []finding {
 	why := ""
 	if err != nil {
 		why = err.Error()
-	} else if eng != nil {
-		why = eng.Incomplete()
-	}
-	if why == "" {
+	} else if why = eng.Incomplete(); why == "" {
 		return nil
 	}
 	return []finding{{code: "W022", file: source, msg: "prover: dead-entry analysis unknown: " + why}}

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
+
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 )
@@ -57,53 +60,55 @@ var (
 	}
 )
 
-// valueCheckRule validates condition values of the listed types with
-// conditions.ValidateValue.
-type valueCheckRule struct {
+// valueRule reports each condition of its types whose value check
+// fails, by default the evaluator's own parse (conditions.ValidateValue).
+type valueRule struct {
 	meta  Meta
-	types map[string]bool
+	types []string
+	check func(c eacl.Condition) error
 }
 
-func valueRule(meta Meta, types ...string) valueCheckRule {
-	set := make(map[string]bool, len(types))
-	for _, t := range types {
-		set[t] = true
+// valueRules is layer 1, in code order.
+var valueRules = []valueRule{
+	{metaRegexSyntax, []string{"regex"}, nil},
+	{metaLocationSyntax, []string{"location"}, nil},
+	{metaTimeWindowSyntax, []string{"time_window"}, nil},
+	{metaTimeWindowEmpty, []string{"time_window"}, emptyWindow},
+	{metaThresholdSyntax, []string{"threshold"}, nil},
+	{metaExprSyntax, []string{"expr", "quota"}, nil},
+	{metaThreatSyntax, []string{"system_threat_level"}, nil},
+	{metaSHA256Syntax, []string{"file_sha256"}, nil},
+}
+
+func (v valueRule) Meta() Meta { return v.meta }
+
+func (v valueRule) CheckFile(f *File, r *Reporter) {
+	eachCondition(f.EACL, func(c *eacl.Condition) {
+		if err := v.fault(*c); err != nil {
+			r.Report(f.EACL.Source, c.Line, "%v", err)
+		}
+	})
+}
+
+// fault is the check's error on c, nil when c is not of the rule's types.
+func (v valueRule) fault(c eacl.Condition) error {
+	if !slices.Contains(v.types, c.Type) {
+		return nil
+	} else if v.check != nil {
+		return v.check(c)
+	} else if err := conditions.ValidateValue(c.Type, c.Value); err != nil {
+		return fmt.Errorf("%s_%s value never evaluates: %v", c.Block, c.Type, err)
 	}
-	return valueCheckRule{meta: meta, types: set}
+	return nil
 }
 
-func (v valueCheckRule) Meta() Meta { return v.meta }
-
-func (v valueCheckRule) CheckFile(f *File, r *Reporter) {
-	eachCondition(f.EACL, func(c *eacl.Condition) {
-		if !v.types[c.Type] {
-			return
-		}
-		if err := conditions.ValidateValue(c.Type, c.Value); err != nil {
-			r.Report(f.EACL.Source, c.Line, "%s_%s value never evaluates: %v", c.Block, c.Type, err)
-		}
-	})
-}
-
-// timeWindowEmptyRule (E004) flags windows that parse but can never
-// contain an instant.
-type timeWindowEmptyRule struct{}
-
-func (timeWindowEmptyRule) Meta() Meta { return metaTimeWindowEmpty }
-
-func (timeWindowEmptyRule) CheckFile(f *File, r *Reporter) {
-	eachCondition(f.EACL, func(c *eacl.Condition) {
-		if c.Type != "time_window" {
-			return
-		}
-		w, err := conditions.ParseTimeWindowSpec(c.Value)
-		if err != nil {
-			return // E003's finding, or an '@' reference: no window to read
-		}
-		if w.Empty() {
-			r.Report(f.EACL.Source, c.Line, "time window %q is empty: it contains no instant, so the condition never holds", c.Value)
-		}
-	})
+// emptyWindow (E004) rejects a window that parses but holds no instant;
+// one that does not parse is E003's, or an '@' reference.
+func emptyWindow(c eacl.Condition) error {
+	if w, err := conditions.ParseTimeWindowSpec(c.Value); err == nil && w.Empty() {
+		return fmt.Errorf("time window %q is empty: it contains no instant, so the condition never holds", c.Value)
+	}
+	return nil
 }
 
 // eachCondition visits every condition of every entry, in source order.

@@ -97,14 +97,6 @@ type sarifRegion struct {
 	StartLine int `json:"startLine"`
 }
 
-// sarifLevel maps the analyzer severity onto SARIF's level vocabulary.
-func sarifLevel(s Severity) string {
-	if s == SeverityError {
-		return "error"
-	}
-	return "warning"
-}
-
 // SARIFReport renders diagnostics as a SARIF 2.1.0 log with the full
 // rule catalog, ready for `gh code-scanning` upload.
 func SARIFReport(diags []Diagnostic) ([]byte, error) {
@@ -118,19 +110,17 @@ func SARIFReport(diags []Diagnostic) ([]byte, error) {
 			Name:             m.Name,
 			ShortDescription: sarifMessage{Text: m.Summary},
 			Help:             sarifMessage{Text: "Fix: " + m.Fix},
-			DefaultConfig:    sarifConfig{Level: sarifLevel(m.Severity)},
+			DefaultConfig:    sarifConfig{Level: m.Severity.String()},
 		}
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		line := d.Line
-		if line < 1 {
-			line = 1 // SARIF regions are 1-based; file-level findings anchor at the top
-		}
+		// SARIF regions are 1-based; file-level findings anchor at the top.
+		line := max(d.Line, 1)
 		results = append(results, sarifResult{
 			RuleID:    d.Code,
 			RuleIndex: index[d.Code],
-			Level:     sarifLevel(d.Severity),
+			Level:     d.Severity.String(),
 			Message:   sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{

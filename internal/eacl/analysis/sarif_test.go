@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"gaaapi/internal/eacl"
@@ -146,8 +147,65 @@ func TestSARIFShape(t *testing.T) {
 	}
 }
 
+// TestSARIFOfSeededFixtures reads back the SARIF report of every
+// seeded fixture under testdata/eaclint: it parses, and each result
+// names a catalog rule at that rule's level.
+func TestSARIFOfSeededFixtures(t *testing.T) {
+	paths, err := filepath.Glob("../../../testdata/eaclint/*.eacl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	var ds []Diagnostic
+	for _, path := range paths {
+		e, err := eacl.ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, New().AnalyzeFile(&File{EACL: e, Known: BuiltinKnown()})...)
+	}
+	out, err := SARIFReport(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs []struct {
+			Results []struct {
+				RuleID string `json:"ruleId"`
+				Level  string `json:"level"`
+			} `json:"results"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("SARIF output does not parse: %v", err)
+	}
+	level := map[string]string{}
+	for _, m := range Catalog() {
+		level[m.Code] = m.Severity.String()
+	}
+	if len(doc.Runs) != 1 || len(doc.Runs[0].Results) != len(ds) {
+		t.Fatalf("SARIF holds %d runs, want 1 with %d results", len(doc.Runs), len(ds))
+	}
+	for _, res := range doc.Runs[0].Results {
+		if want, ok := level[res.RuleID]; !ok || res.Level != want {
+			t.Errorf("result %s at level %q; the catalog has %q", res.RuleID, res.Level, want)
+		}
+	}
+}
+
+// entryAt returns the index of the entry whose span (its right's line
+// up to the next entry's) holds line.
+func entryAt(e *eacl.EACL, line int) int {
+	i := 0
+	for i+1 < len(e.Entries) && e.Entries[i+1].Line <= line {
+		i++
+	}
+	return i
+}
+
 // FuzzAnalyze checks the whole engine never panics on any parseable
-// policy — the analyzer runs in CI over untrusted policy files.
+// policy — the analyzer runs in CI over untrusted policy files — and
+// that it reports each dead entry once: no entry's file findings carry
+// two of the codes a dead entry is reported under.
 func FuzzAnalyze(f *testing.F) {
 	f.Add("pos_access_right apache GET /cgi-bin/*\nneg_access_right apache GET /cgi-bin/phf\npre_cond_regex gnu *phf*")
 	f.Add("neg_access_right apache *\npre_cond_regex gnu re:[unclosed\npre_cond_location local 300.0.0.0/8")
@@ -155,6 +213,13 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add("pos_access_right apache *\npre_cond_system_threat_level local =high\npre_cond_system_threat_level local =low")
 	f.Add("eacl_mode stop\nneg_access_right * *\npre_cond_expr local input_length>@max_input")
 	f.Add("pos_access_right apache *\npost_cond_file_sha256 local /etc/passwd nothex")
+	unsatLocation := "pos_access_right apache *\npre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n"
+	unsatLength := "neg_access_right apache *\npre_cond_expr local input_length>1000\npre_cond_expr local input_length<10\n"
+	f.Add(unsatLocation)
+	f.Add(unsatLocation + "neg_access_right apache *\n")
+	f.Add(unsatLength)
+	f.Add(unsatLength + "neg_access_right apache *\n")
+	f.Add("pos_access_right apache *\npre_cond_time_window local 09:00-12:00\npre_cond_time_window local 13:00-17:00\nneg_access_right apache *\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := eacl.ParseString(src)
 		if err != nil {
@@ -162,6 +227,17 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		a := New()
 		ds := a.AnalyzeFile(&File{EACL: e, Known: BuiltinKnown()})
+		once := map[int]Diagnostic{}
+		for _, d := range ds {
+			if !deadCodes[d.Code] || d.Line == 0 {
+				continue
+			}
+			i := entryAt(e, d.Line)
+			if prev, ok := once[i]; ok {
+				t.Fatalf("entry at line %d reported twice: %v and %v", e.Entries[i].Line, prev, d)
+			}
+			once[i] = d
+		}
 		// Composition with itself on both levels must not panic either.
 		ds = append(ds, a.AnalyzeComposition(NewComposition(
 			[]*eacl.EACL{e}, []*eacl.EACL{e}))...)

@@ -1,9 +1,11 @@
 package reason
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,6 +77,10 @@ type domain struct {
 	// why says how the grid falls short of covering the policy; empty
 	// when it covers it.
 	why string
+	// own marks a grid built from one entry (Unsatisfiable): no axis
+	// is capped, compared integers are always present, and each window's
+	// start and midnight join the time axis on every weekday.
+	own bool
 }
 
 // incomplete reports whether the grid is known not to cover the
@@ -96,10 +102,11 @@ type world struct {
 // buildDomain scans every entry of the composed EACL list and collects
 // candidates per dimension; maxWorlds decides whether the right axis
 // must be capped.
-func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
+func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *domain {
 	d := &domain{
 		threats: []ids.Level{ids.Low, ids.Medium, ids.High},
 		values:  mapValues(opts.Values),
+		own:     own,
 	}
 	var (
 		userSet  = map[string]bool{}
@@ -175,6 +182,11 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
 						for _, at := range windowInstants(w) {
 							timeSet[at] = true
 						}
+						for day := 0; own && day < 7; day++ {
+							start := baseTime.AddDate(0, 0, day).Truncate(24 * time.Hour)
+							timeSet[start] = true
+							timeSet[start.Add(time.Duration(w.Start)*time.Minute)] = true
+						}
 					}
 				case "expr", "quota":
 					left, _, k, err := conditions.SplitComparison(val)
@@ -197,22 +209,22 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
 	for _, r := range opts.ExtraRights {
 		addPattern(r)
 	}
-	text := append(append(sortedKeys(userPats), sortedKeys(hostPats)...), sortedKeys(linePats)...)
+	text := append(append(sorted(userPats, strings.Compare), sorted(hostPats, strings.Compare)...), sorted(linePats, strings.Compare)...)
 	for _, p := range patterns {
 		text = append(text, p.DefAuth, p.Value)
 	}
 	fresh := freshByte(text)
-	for _, w := range globWitnesses(sortedKeys(userPats), fresh) {
+	for _, w := range globWitnesses(sorted(userPats, strings.Compare), fresh) {
 		if w == "" {
 			w = "user" // "*" needs a non-empty witness to count as authenticated
 		}
 		userSet[w] = true
 	}
-	for _, w := range globWitnesses(sortedKeys(hostPats), fresh) {
+	for _, w := range globWitnesses(sorted(hostPats, strings.Compare), fresh) {
 		ipSet[w] = true
 	}
 	uriSet := map[string]bool{}
-	for _, w := range globWitnesses(sortedKeys(linePats), fresh) {
+	for _, w := range globWitnesses(sorted(linePats, strings.Compare), fresh) {
 		uriSet[w] = true
 	}
 
@@ -241,39 +253,44 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
 			}
 		}
 	}
-	d.users = append([]string{""}, capSlice(d, sortedKeys(userSet), maxUserCands-1, "user")...)
-	d.groups = capSlice(d, sortedKeys(groupSet), maxGroupDims, "group")
+	d.users = append([]string{""}, capSlice(d, sorted(userSet, strings.Compare), maxUserCands-1, "user")...)
+	d.groups = capSlice(d, sorted(groupSet, strings.Compare), maxGroupDims, "group")
 	// An address outside every listed range/pattern keeps the "no
 	// location matches" world representable.
-	d.ips = capSlice(d, sortedKeys(ipSet), maxIPCands-1, "client address")
+	d.ips = capSlice(d, sorted(ipSet, strings.Compare), maxIPCands-1, "client address")
 	d.ips = append(d.ips, pickOutsideIP(d.ips))
 	// A "clean" request line no list matches keeps the request-passes-no-
 	// signature worlds representable — the URI analogue of the outside
 	// IP. Candidates are vetted by every list's own matcher, "re:"
 	// expressions included; when the lists cover the whole pool the grid
 	// is incomplete and universal claims degrade.
-	d.uris = capSlice(d, sortedKeys(uriSet), maxURICands-1, "request line")
+	d.uris = capSlice(d, sorted(uriSet, strings.Compare), maxURICands-1, "request line")
 	if clean, ok := cleanURI(lineMatch); ok {
 		d.uris = append(d.uris, clean)
 	} else if d.why == "" {
 		d.why = "no request line dodges every pre_cond_regex list"
 	}
-	d.times = capSlice(d, sortedTimes(timeSet), maxTimeCands-1, "time")
+	d.times = capSlice(d, sorted(timeSet, time.Time.Compare), maxTimeCands-1, "time")
 	d.times = append(d.times, baseTime)
-	d.intDims = capSlice(d, sortedKeys(keysOf(intSet)), maxIntDims, "integer parameter")
+	d.intDims = capSlice(d, sorted(intSet, strings.Compare), maxIntDims, "integer parameter")
 	for _, name := range d.intDims {
-		vals := capSlice(d, sortedInts(intSet[name]), maxIntCands-1, name)
+		vals := capSlice(d, sorted(intSet[name], cmp.Compare[int64]), maxIntCands-1, name)
 		cands := []intChoice{{present: false}}
+		if own {
+			cands = nil
+		}
 		for _, v := range vals {
 			cands = append(cands, intChoice{val: v, present: true})
 		}
 		d.intCand = append(d.intCand, cands)
 	}
-	d.rights = sortedRights(rightSet)
+	d.rights = sorted(rightSet, func(a, b eacl.Right) int {
+		return cmp.Or(strings.Compare(a.DefAuth, b.DefAuth), strings.Compare(a.Value, b.Value))
+	})
 	if len(d.rights) == 0 {
 		d.rights = []eacl.Right{{DefAuth: "apache", Value: "GET /"}}
 	}
-	if d.worldCount() > maxWorlds {
+	if d.worldCount() > float64(maxWorlds) {
 		d.rights = capSlice(d, d.rights, maxRightCands, "right")
 	}
 	return d
@@ -282,7 +299,7 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int) *domain {
 // capSlice bounds one axis, recording the first cap hit as the reason
 // the domain is incomplete.
 func capSlice[T any](d *domain, s []T, max int, axis string) []T {
-	if len(s) <= max {
+	if len(s) <= max || d.own {
 		return s
 	}
 	if d.why == "" {
@@ -291,22 +308,28 @@ func capSlice[T any](d *domain, s []T, max int, axis string) []T {
 	return s[:max]
 }
 
-// worldCount returns the grid size (before the MaxWorlds cap).
-func (d *domain) worldCount() int {
-	n := len(d.rights) * len(d.threats) * len(d.users) * len(d.ips) * len(d.uris) * len(d.times)
-	n *= 1 << len(d.groups)
+// worldCount returns the grid size (before the MaxWorlds cap), as a
+// float so an uncapped grid cannot overflow it.
+func (d *domain) worldCount() float64 {
+	n := math.Ldexp(float64(len(d.rights)*len(d.threats)*len(d.users)*len(d.ips)*len(d.uris)*len(d.times)), len(d.groups))
 	for _, c := range d.intCand {
-		n *= len(c)
+		n *= float64(len(c))
 	}
 	return n
 }
 
 // worlds enumerates the grid in a fixed order, stopping at max and
-// recording truncation.
+// recording truncation. An uncapped grid past max enumerates nothing:
+// its integer cross product alone may not fit in memory.
 func (d *domain) worlds(max int) []world {
 	var out []world
-	if count := d.worldCount(); count > max && d.why == "" {
-		d.why = fmt.Sprintf("%d worlds exceed the cap of %d", count, max)
+	if count := d.worldCount(); count > float64(max) {
+		if d.why == "" {
+			d.why = fmt.Sprintf("%.0f worlds exceed the cap of %d", count, max)
+		}
+		if d.own {
+			return nil
+		}
 	}
 	for ri := range d.rights {
 		for ti := range d.threats {
@@ -511,51 +534,12 @@ func pickOutsideIP(used []string) string {
 	return outsideIPs[0]
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
+// sorted returns m's keys in cmp's order.
+func sorted[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func keysOf[V any](m map[string]V) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-func sortedInts(m map[int64]bool) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedRights(m map[eacl.Right]bool) []eacl.Right {
-	out := make([]eacl.Right, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DefAuth != out[j].DefAuth {
-			return out[i].DefAuth < out[j].DefAuth
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}
-
-func sortedTimes(m map[time.Time]bool) []time.Time {
-	out := make([]time.Time, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	slices.SortFunc(out, cmp)
 	return out
 }

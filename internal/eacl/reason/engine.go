@@ -78,7 +78,7 @@ type entryRef struct {
 
 // entryStat aggregates per-entry reachability over all worlds.
 type entryStat struct {
-	decided bool
+	decided, fired bool // fired: decided with every pre-condition YES
 	// shadowers are the earlier entries of the same EACL that decided a
 	// world in which this entry would have; shadowMaybe records that one
 	// of them decided MAYBE there.
@@ -105,6 +105,12 @@ type Engine struct {
 // differential replay. A non-nil error means the abstract model and
 // the real engine disagreed — a bug, never a policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
+	return build(system, local, opts, false)
+}
+
+// build is New; own builds the grid from one entry's own conditions
+// (see Unsatisfiable).
+func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) {
 	e := &Engine{
 		policy:    gaa.NewPolicy("reason", system, local),
 		sysPolicy: gaa.NewPolicy("reason", system, nil),
@@ -117,7 +123,7 @@ func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	if max <= 0 {
 		max = DefaultMaxWorlds
 	}
-	e.dom = buildDomain(e.eacls, opts, max)
+	e.dom = buildDomain(e.eacls, opts, max, own)
 	e.worlds = e.dom.worlds(max)
 
 	e.stats = make([][]entryStat, len(e.eacls))
@@ -169,7 +175,8 @@ func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]entryMo
 		o := decide(model[ei])
 		if o.Applicable {
 			r.deciders = append(r.deciders, entryRef{eacl: int32(ei), entry: o.entry, out: o.out})
-			e.stats[ei][o.entry].decided = true
+			st := &e.stats[ei][o.entry]
+			st.decided, st.fired = true, st.fired || o.out == outFireYes || o.out == outFireNo
 			m := &model[ei][o.entry]
 			if m.inexact {
 				r.inexact = true
@@ -272,6 +279,10 @@ func (e *Engine) Incomplete() string {
 	}
 	return "incomplete domain: " + e.dom.why
 }
+
+// Fired reports whether entry i of the composition's EACL n fired, all
+// its pre-conditions YES, in some world: a request that satisfies it.
+func (e *Engine) Fired(n, i int) bool { return e.stats[n][i].fired }
 
 // Cause says why a dead entry never decides.
 type Cause string

@@ -338,3 +338,56 @@ func TestUnknownProofName(t *testing.T) {
 		t.Error("want error for unknown property")
 	}
 }
+
+// TestUnsatisfiable pins the per-entry query: what its own grid proves
+// dead, what it proves live although the capped grid of a whole file
+// could not, and what it leaves unknown rather than guess.
+func TestUnsatisfiable(t *testing.T) {
+	tests := []struct {
+		name, guard string
+		unsat       bool
+		unknown     string // a substring of the unknown reason
+	}{
+		{"disjoint CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16", true, ""},
+		{"nested CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 10.1.0.0/16", false, ""},
+		// A missing parameter makes both comparisons MAYBE on every
+		// request alike; no present value satisfies both.
+		{"disjoint bounds", "pre_cond_expr local input_length>1000\npre_cond_expr local input_length<10", true, ""},
+		{"overlapping bounds", "pre_cond_expr local input_length>10\npre_cond_expr local input_length<1000", false, ""},
+		{"disjoint windows", "pre_cond_time_window local 09:00-12:00\npre_cond_time_window local 13:00-17:00", true, ""},
+		// The windows meet only on Wednesday at 10:00, an instant
+		// neither window's own boundaries name.
+		{"windows meeting on a shared day", "pre_cond_time_window local 09:00-17:00 Wed\npre_cond_time_window local 10:00-12:00 Mon-Fri", false, ""},
+		{"threat levels", "pre_cond_system_threat_level local =high\npre_cond_system_threat_level local =low", true, ""},
+		// Seven names exceed the user axis's cap of a file's grid.
+		{"seven users", "pre_cond_accessid_USER apache a b c d e f g", false, ""},
+		// Unregistered conditions and '@' references are MAYBE: the
+		// entry decides, so it is not unsatisfiable.
+		{"unregistered", "pre_cond_phase_of_moon local full", false, ""},
+		{"regex expression", "pre_cond_regex gnu re:^POST\\s", false, `"re:" expression`},
+		{"two glob lists", "pre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*", false, "globs"},
+		{"glob and CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 10.0.0.0/8", false, "globs"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := mustEACL(t, "neg_access_right apache *\n"+tt.guard+"\n")
+			core, unknown := Unsatisfiable(e.Entries[0])
+			if (core != nil) != tt.unsat || !strings.Contains(unknown, tt.unknown) || (tt.unknown == "") != (unknown == "") {
+				t.Errorf("Unsatisfiable = %v, %q; want unsatisfiable %v, %q", core, unknown, tt.unsat, tt.unknown)
+			}
+		})
+	}
+	// A fired entry is a witness of satisfiability; a shadowed one fires
+	// nowhere.
+	eng := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, "pos_access_right apache *\nneg_access_right apache GET /x\n")}, Options{})
+	if !eng.Fired(0, 0) || eng.Fired(0, 1) {
+		t.Errorf("Fired = %v, %v; want true, false", eng.Fired(0, 0), eng.Fired(0, 1))
+	}
+	// The core is the first type that cannot hold alone: the CIDRs, not
+	// the window beside them.
+	e := mustEACL(t, "neg_access_right apache *\npre_cond_time_window local 09:00-17:00\n"+
+		"pre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n")
+	if core, _ := Unsatisfiable(e.Entries[0]); len(core) != 2 || core[0].Line != 3 || core[1].Line != 4 {
+		t.Errorf("core = %+v, want the two location conditions", core)
+	}
+}

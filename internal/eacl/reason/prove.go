@@ -1,8 +1,12 @@
 package reason
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"gaaapi/internal/conditions"
+	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 )
 
@@ -85,4 +89,65 @@ func (e *Engine) Prove(name string) (*ProofResult, error) {
 		return nil, fmt.Errorf("unknown property %q (have: %v)", name, ProofNames)
 	}
 	return res, nil
+}
+
+// Unsatisfiable is the one definition of an entry that can never
+// decide: modeled alone, on a grid built from its own conditions, it
+// decides in no world. core is nil when it can decide, else the
+// pre-conditions that cannot hold together: those of the first type
+// that cannot alone, or all of them. unknown says why the grid may miss
+// the worlds where a dead entry decides, or how the replay failed.
+func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
+	if dead, unknown := deadAlone(en); !dead {
+		return nil, unknown
+	}
+	core = en.Block(eacl.BlockPre)
+	for _, c := range core {
+		sub := slices.DeleteFunc(en.Block(eacl.BlockPre), func(o eacl.Condition) bool { return o.Type != c.Type })
+		if dead, _ := deadAlone(eacl.Entry{Right: en.Right, Conditions: sub}); dead {
+			return sub, ""
+		}
+	}
+	return core, ""
+}
+
+// deadAlone reports whether en decides in no world of its own grid.
+func deadAlone(en eacl.Entry) (dead bool, unknown string) {
+	e, err := build(nil, []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}, Options{}, true)
+	if err != nil {
+		return false, err.Error()
+	} else if e.stats[0][0].decided {
+		return false, ""
+	}
+	why := cmp.Or(e.Incomplete(), e.dom.blindSpot(&en))
+	return why == "", why
+}
+
+// blindSpot says why a grid holding each pattern's own witnesses may
+// miss the worlds where en decides, "" when it cannot: no witness is
+// synthesized for an "re:" expression, nor one two '*'-glob conditions
+// on one axis share. CIDRs alone are exact: a block's network address
+// lies in every block overlapping it.
+func (d *domain) blindSpot(en *eacl.Entry) string {
+	if _, expr := d.requestLineGuard(en); expr {
+		return `incomplete domain: no witness is synthesized for an "re:" expression`
+	}
+	var users, lines, ips, ipGlobs int
+	for _, c := range en.Block(eacl.BlockPre) {
+		switch val, _ := gaa.ResolveValue(c.Value, d.values); c.Type {
+		case "accessid_USER":
+			users++
+		case "regex":
+			lines++
+		case "accessid_HOST", "location":
+			ips++
+			if _, globs, err := conditions.LocationPatterns(val); c.Type == "accessid_HOST" || err == nil && len(globs) > 0 {
+				ipGlobs++
+			}
+		}
+	}
+	if users > 1 || lines > 1 || ips > 1 && ipGlobs > 0 {
+		return "incomplete domain: two conditions match one axis with '*'-globs, and no witness of both is synthesized"
+	}
+	return ""
 }

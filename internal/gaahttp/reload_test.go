@@ -66,38 +66,48 @@ func TestReloadAppliesAndInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestRejectedReloadKeepsServingOldPolicy: a candidate carrying an
+// error-severity finding, a value-level one or an unsatisfiable entry,
+// is refused, and the old policy keeps serving.
 func TestRejectedReloadKeepsServingOldPolicy(t *testing.T) {
-	st := reloadStack(t)
-	if code := reloadGet(st, "/index.html"); code != http.StatusOK {
-		t.Fatalf("pre-reload GET = %d, want 200", code)
-	}
+	for _, tt := range []struct{ code, policy string }{
+		{"E001", badRegex},
+		{"E013", "pos_access_right apache *\npre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16"},
+	} {
+		t.Run(tt.code, func(t *testing.T) {
+			st := reloadStack(t)
+			if code := reloadGet(st, "/index.html"); code != http.StatusOK {
+				t.Fatalf("pre-reload GET = %d, want 200", code)
+			}
 
-	res := st.ReloadPolicies("", map[string]string{"*": badRegex})
-	if res.OK {
-		t.Fatal("analyzer-rejected policy applied")
-	}
-	if res.Err == "" || len(res.Diagnostics) == 0 {
-		t.Fatalf("rejection carries no diagnostics: %+v", res)
-	}
-	found := false
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d, "E001") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("diagnostics lack the rejecting rule: %v", res.Diagnostics)
-	}
-	if res.Generation != 1 {
-		t.Fatalf("generation = %d after rejection, want 1 (unswapped)", res.Generation)
-	}
-	// The old policy must keep serving.
-	if code := reloadGet(st, "/index.html"); code != http.StatusOK {
-		t.Fatalf("GET after rejected reload = %d, want 200", code)
-	}
-	stats := st.Reloader.Stats()
-	if stats.Rejected != 1 || stats.Applied != 0 || stats.LastError == "" || len(stats.LastDiagnostics) == 0 {
-		t.Fatalf("stats after rejection = %+v", stats)
+			res := st.ReloadPolicies("", map[string]string{"*": tt.policy})
+			if res.OK {
+				t.Fatal("analyzer-rejected policy applied")
+			}
+			if res.Err == "" || len(res.Diagnostics) == 0 {
+				t.Fatalf("rejection carries no diagnostics: %+v", res)
+			}
+			found := false
+			for _, d := range res.Diagnostics {
+				if strings.Contains(d, tt.code) {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("diagnostics lack the rejecting rule: %v", res.Diagnostics)
+			}
+			if res.Generation != 1 {
+				t.Fatalf("generation = %d after rejection, want 1 (unswapped)", res.Generation)
+			}
+			// The old policy must keep serving.
+			if code := reloadGet(st, "/index.html"); code != http.StatusOK {
+				t.Fatalf("GET after rejected reload = %d, want 200", code)
+			}
+			stats := st.Reloader.Stats()
+			if stats.Rejected != 1 || stats.Applied != 0 || stats.LastError == "" || len(stats.LastDiagnostics) == 0 {
+				t.Fatalf("stats after rejection = %+v", stats)
+			}
+		})
 	}
 }
 
