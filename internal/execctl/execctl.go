@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"gaaapi/internal/gaa"
 )
@@ -80,16 +81,28 @@ type Snapshot struct {
 
 // Params renders the snapshot as GAA request parameters for
 // mid-condition evaluation (mid_cond_quota local cpu_ms<=50 ...).
-func (s Snapshot) Params() []gaa.Param { return s.AppendParams(nil) }
+func (s Snapshot) Params() []gaa.Param {
+	ps, _ := s.AppendParams(make([]gaa.Param, 0, 4), make([]byte, 0, 4*20))
+	return ps
+}
 
-// AppendParams is Params appending to dst, a caller's reused buffer.
-func (s Snapshot) AppendParams(dst []gaa.Param) []gaa.Param {
-	return append(dst,
-		gaa.Param{Type: gaa.ParamCPUMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.CPUMillis, 10)},
-		gaa.Param{Type: gaa.ParamWallMillis, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.WallMillis, 10)},
-		gaa.Param{Type: gaa.ParamMemBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.MemBytes, 10)},
-		gaa.Param{Type: gaa.ParamOutputBytes, Authority: gaa.AuthorityAny, Value: strconv.FormatInt(s.OutputBytes, 10)},
-	)
+// AppendParams is Params appending to dst, with the values written
+// after digits' contents: caller's reused buffers. The values are
+// borrowed from the digits it returns, valid until that room is
+// written again.
+func (s Snapshot) AppendParams(dst []gaa.Param, digits []byte) ([]gaa.Param, []byte) {
+	var ends [4]int
+	start := len(digits)
+	for i, n := range [...]int64{s.CPUMillis, s.WallMillis, s.MemBytes, s.OutputBytes} {
+		digits = strconv.AppendInt(digits, n, 10)
+		ends[i] = len(digits)
+	}
+	text := unsafe.String(unsafe.SliceData(digits), len(digits))
+	for i, typ := range [...]string{gaa.ParamCPUMillis, gaa.ParamWallMillis, gaa.ParamMemBytes, gaa.ParamOutputBytes} {
+		dst = append(dst, gaa.Param{Type: typ, Authority: gaa.AuthorityAny, Value: text[start:ends[i]]})
+		start = ends[i]
+	}
+	return dst, digits
 }
 
 // ErrAborted is returned (wrapped) when a mid-condition violation

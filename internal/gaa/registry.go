@@ -14,8 +14,9 @@ import (
 // for evaluation of new conditions" (paper section 5).
 //
 // req, with its Params and Rights, is valid only during Evaluate: the
-// engine recycles it, and the later phases' parameter list with it.
-// Keep a value, not the list.
+// engine recycles it, and the later phases' parameter list with it. A
+// value is borrowed too (a server writes the request line and the
+// numbers into its pooled buffers): copy it, strings.Clone, to keep it.
 type Evaluator interface {
 	Evaluate(ctx context.Context, cond eacl.Condition, req *Request) Outcome
 }

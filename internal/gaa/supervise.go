@@ -3,6 +3,7 @@ package gaa
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -185,6 +186,22 @@ func (s supervised) evaluateDeadline(parent context.Context, cond eacl.Condition
 	// them being rewritten for the next request.
 	reqCopy.Params = append(ParamList(nil), req.Params...)
 	reqCopy.Rights = append([]eacl.Right(nil), req.Rights...)
+	// The values are borrowed as well (Evaluator): copy them, in one
+	// allocation.
+	size := 0
+	for _, p := range req.Params {
+		size += len(p.Value)
+	}
+	var text strings.Builder
+	text.Grow(size)
+	for _, p := range req.Params {
+		text.WriteString(p.Value)
+	}
+	all := text.String()
+	for i := range reqCopy.Params {
+		n := len(reqCopy.Params[i].Value)
+		reqCopy.Params[i].Value, all = all[:n], all[n:]
+	}
 	ch := make(chan Outcome, 1)
 	go func() {
 		ch <- s.call(ctx, cond, reqCopy)

@@ -166,9 +166,9 @@ func browseRows(t *testing.T) []costpin.Row {
 		warm(serveRun(t, h, "/index.html", "10.0.0.66", http.StatusForbidden), costpin.Row{Name: "firewall drop",
 			What: "nothing: the source is dropped before the request line is built, and the 403 body is a package-level []byte"}),
 		warm(serveRun(t, h, "/index.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "document grant",
-			What: "the request line, carried as ParamRequestURI"}),
+			What: "nothing: the request line and the numeric parameters are written into the record's and the check's pooled buffers and borrowed"}),
 		warm(serveRun(t, h, "/cgi-bin/search?q=eacl", "10.0.0.1", http.StatusOK), costpin.Row{Name: "monitored CGI grant",
-			What: `the request line; the script's formatted output argument (the script's own); the usage value "1120" (a value ≥ 100; smaller ones are constant strings)`}),
+			What: `the script's formatted output argument, the script's own: the request line and the usage values ("1120") are borrowed from pooled buffers`}),
 	}
 }
 
@@ -208,12 +208,12 @@ func firstContactRows(t *testing.T) []costpin.Row {
 	})
 	var rows []costpin.Row
 	for _, a := range firstContactAttacks {
-		what := "the request line and the deny's two; the block and the membership are journaled at no allocation, and the new source's map entries grow amortised"
+		what := "the deny's two; the request line is borrowed, the block and the membership are journaled at no allocation, and the new source's map entries grow amortised"
 		switch a.name {
 		case "slash flood":
 			what += ". The object is sliced out of the path, not copied"
 		case "overflow":
-			what = "the three of the other probes, and the input length spelt as a parameter and into the abnormal-parameters report"
+			what = "the deny's two, and the abnormal-parameters report's Info; the input length parameter is borrowed like the line"
 		}
 		rows = append(rows, warm(firstContactProbe(t, st, a.target, &sources), costpin.Row{Name: "first-contact " + a.name + " (Stack.Server, StateDir)", What: what}))
 	}
@@ -248,7 +248,7 @@ func fileBackedRows(t *testing.T) []costpin.Row {
 		AccessLog:        io.Discard,
 	})
 	return []costpin.Row{warm(serveRun(t, st.Handler(), "/docs/guide.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant",
-		What: "the document grant's request line, one revision check on the cache-hit path (two stats: the root and docs/) and one file read"})}
+		What: "one revision check on the cache-hit path (two stats: the root and docs/) and one file read; the request line is borrowed, as in the document grant"})}
 }
 
 // retentionRows are what the response path keeps per attack: the

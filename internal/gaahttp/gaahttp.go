@@ -11,6 +11,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"gaaapi/internal/audit"
 	"gaaapi/internal/eacl"
@@ -97,6 +98,7 @@ func New(cfg Config) *Guard {
 		cs := &checkState{g: g}
 		cs.rights[0] = eacl.Right{Sign: eacl.Pos, DefAuth: cfg.Authority}
 		cs.params.init()
+		cs.digits = make([]byte, 0, 6*20)
 		cs.req.Rights, cs.req.Params = cs.rights[:], cs.params[:]
 		cs.monitor, cs.post = cs.executionControl, cs.postExecution
 		return cs
@@ -108,9 +110,13 @@ func New(cfg Config) *Guard {
 // section 6 step 2b: parameters "classified with type and authority so
 // that GAA-API routines ... could find the relevant parameters").
 func ExtractParams(rec *httpd.RequestRec) gaa.ParamList {
-	ps := new(params)
+	ps := new(struct {
+		params
+		digits [2 * 20]byte
+	})
 	ps.init()
-	return ps[:ps.set(rec)]
+	n, _ := ps.set(rec, ps.digits[:0])
+	return ps.params[:n]
 }
 
 // params holds a record's parameters, the optional user last. Pooled,
@@ -124,16 +130,23 @@ func (ps *params) init() {
 	}
 }
 
-// set writes rec's values and returns how many of ps a request carries.
-func (ps *params) set(rec *httpd.RequestRec) int {
+// set writes rec's values, the two numbers after digits' contents, and
+// returns how many of ps a request carries and digits with the numbers,
+// which ps borrows.
+func (ps *params) set(rec *httpd.RequestRec, digits []byte) (int, []byte) {
+	start := len(digits)
+	digits = strconv.AppendInt(digits, int64(rec.InputLength), 10)
+	mid := len(digits)
+	digits = strconv.AppendInt(digits, int64(rec.HeaderCount), 10)
+	text := unsafe.String(unsafe.SliceData(digits), len(digits))
 	for i, v := range [len(ps)]string{rec.ClientIP, rec.URI, rec.Method, rec.Query, rec.Object(),
-		strconv.Itoa(rec.InputLength), strconv.Itoa(rec.HeaderCount), rec.User} {
+		text[start:mid], text[mid:], rec.User} {
 		ps[i].Value = v
 	}
 	if rec.User == "" {
-		return len(ps) - 1
+		return len(ps) - 1, digits
 	}
-	return len(ps)
+	return len(ps), digits
 }
 
 // Rights builds the requested rights for a record: the specific
@@ -159,11 +172,16 @@ type checkState struct {
 	usage   [4]gaa.Param
 	monitor func(execctl.Snapshot) bool
 	post    func(success bool)
+	// digits holds the text of the numeric parameters, at most 20 bytes
+	// each: the record's two, then the usage snapshot's four, rewritten
+	// by each check.
+	digits []byte
 }
 
 // executionControl is the verdict's Monitor, called one at a time.
 func (cs *checkState) executionControl(snap execctl.Snapshot) bool {
-	dec, _ := cs.g.cfg.API.ExecutionControl(context.Background(), &cs.ans, &cs.req, snap.AppendParams(cs.usage[:0])...)
+	usage, _ := snap.AppendParams(cs.usage[:0], cs.digits)
+	dec, _ := cs.g.cfg.API.ExecutionControl(context.Background(), &cs.ans, &cs.req, usage...)
 	return dec != gaa.No
 }
 
@@ -203,7 +221,8 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	}
 	cs.req.Label, cs.req.URIPlain = label, rec.PlainURI()
 	cs.rights[0].Value = label[len(g.cfg.Authority)+1:]
-	cs.req.Params = cs.req.Params[:cs.params.set(rec)]
+	n, digits := cs.params.set(rec, cs.digits[:0])
+	cs.req.Params, cs.digits = cs.req.Params[:n], digits
 	cs.req.Time = rec.Time
 	ans := &cs.ans
 	if err := g.cfg.API.CheckAuthorizationInto(context.Background(), policy, &cs.req, ans); err != nil {
@@ -323,7 +342,8 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 		r.Kind = ids.AbnormalParameters
 		r.Severity = ids.SevMedium
 		r.Confidence = 0.6
-		r.Info = "operation input length " + strconv.Itoa(rec.InputLength)
+		var info [64]byte
+		r.Info = string(strconv.AppendInt(append(info[:0], "operation input length "...), int64(rec.InputLength), 10))
 		observe(r.Severity)
 		publish(r)
 	}

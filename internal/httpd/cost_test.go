@@ -32,7 +32,7 @@ func floorRows(t *testing.T) []costpin.Row {
 	req := httptest.NewRequest("GET", "/index.html", nil)
 	req.RemoteAddr = "10.0.0.1:34567"
 	rw := &discardResponse{header: make(http.Header)}
-	return []costpin.Row{{Name: "floor document", What: "the request line (RequestRec.URI), the one string a served request keeps: MapRoot serves a clean path uncopied and the operation closure stays on the stack", Run: func() {
+	return []costpin.Row{{Name: "floor document", What: "nothing: the request line (RequestRec.URI) is written into the pooled record's buffer, MapRoot serves a clean path uncopied and the operation closure stays on the stack", Run: func() {
 		rw.code = 0
 		s.ServeHTTP(rw, req)
 		if rw.code != http.StatusOK {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unsafe"
 
 	"gaaapi/internal/gaa"
 )
@@ -19,11 +20,15 @@ type RequestRec struct {
 	Method   string
 	Path     string // the object: the document the URL path names (objectPath)
 	Query    string // raw query string
-	URI      string // method + original request URI, the signature subject
+	URI      string // method + original request URI, the signature subject; borrowed (line)
 	ClientIP string
 	// target is the original request URI; URI is built from it only
 	// once the source has passed the firewall.
 	target string
+	// line is the buffer URI is written into, reused by a pooled
+	// record: URI is valid until ServeHTTP returns, and code that keeps
+	// it past that (an alert, a script's own state) keeps a clone.
+	line []byte
 	// plain is PlainURI's answer once plainRead is set.
 	plain, plainRead bool
 	// User is the authenticated user, empty when anonymous.
@@ -52,7 +57,7 @@ type Authenticator interface {
 
 // NewRequestRec builds the record from an incoming request,
 // authenticating Basic credentials against auth (nil auth rejects all
-// credentials).
+// credentials). The record is not pooled: its URI stays valid.
 func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestRec {
 	rec := new(RequestRec)
 	fillRequestRec(rec, r, auth, now)
@@ -61,8 +66,9 @@ func NewRequestRec(r *http.Request, auth Authenticator, now time.Time) *RequestR
 }
 
 // fillRequestRec overwrites every field of a pooled rec but URI,
-// PlainURI's answer and Mount, which it clears, one by one: a composite
-// literal is copied in under the GC's bulk write barrier.
+// PlainURI's answer and Mount, which it clears, and line, which
+// buildURI reuses, one by one: a composite literal is copied in under
+// the GC's bulk write barrier.
 func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now time.Time) {
 	rec.Time = now
 	rec.Method = r.Method
@@ -89,11 +95,11 @@ func fillRequestRec(rec *RequestRec, r *http.Request, auth Authenticator, now ti
 	}
 }
 
-// buildURI sets URI, the request line: the one string of the record
-// that outlives the request (it is the ParamRequestURI the response
-// actions quote).
+// buildURI sets URI, the request line, written into the record's line
+// buffer: a served request allocates no string for it.
 func (r *RequestRec) buildURI() {
-	r.URI = r.Method + " " + r.target
+	r.line = append(append(append(r.line[:0], r.Method...), ' '), r.target...)
+	r.URI = unsafe.String(unsafe.SliceData(r.line), len(r.line))
 }
 
 // PlainURI reports gaa.PlainASCII(URI), reading the line at most once

@@ -111,6 +111,20 @@ func NewServer(cfg Config) *Server {
 // for the duration of the check-access phase and must not retain it.
 var recPool = sync.Pool{New: func() any { return new(RequestRec) }}
 
+// maxPooledBuf is the largest line buffer a pool keeps: a pathological
+// URI's buffer is not kept.
+const maxPooledBuf = 4096
+
+// putRec returns rec to recPool once its request is over, with the
+// borrowed URI cleared.
+func putRec(rec *RequestRec) {
+	rec.URI = ""
+	if cap(rec.line) > maxPooledBuf {
+		rec.line = nil
+	}
+	recPool.Put(rec)
+}
+
 // opScratch bundles the per-operation execution state so one pool hit
 // covers the usage accounting, the response body buffer, what a script
 // is handed, and check, the verdict's Monitor as an execctl.Check.
@@ -144,7 +158,7 @@ func (sc *opScratch) Write(p []byte) (int, error) {
 // control, monitored execution, post-execution actions — then logs.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := recPool.Get().(*RequestRec)
-	defer recPool.Put(rec)
+	defer putRec(rec)
 	fillRequestRec(rec, r, s.cfg.Auth, s.cfg.Clock())
 
 	// Simulated firewall: blocked sources are dropped before the
@@ -303,7 +317,7 @@ func (s *Server) logCLF(rec *RequestRec, code, bytes int) {
 	line := append(appendCLF((*buf)[:0], rec, code, bytes, &s.clfTime), '\n')
 	// A failing access log must not fail the request it records.
 	_, _ = s.cfg.AccessLog.Write(line)
-	if cap(line) <= 4096 { // a pathological URI's buffer is not kept
+	if cap(line) <= maxPooledBuf {
 		*buf = line
 	}
 	clfPool.Put(buf)
