@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"gaaapi/internal/audit"
 	"gaaapi/internal/eacl"
 )
 
@@ -37,6 +36,8 @@ type API struct {
 	// counters.
 	progs    programTable
 	compiled compileCounters
+	// comps interns compositions (compose.go).
+	comps compositionTable
 }
 
 // Option configures an API.
@@ -125,39 +126,35 @@ func (a *API) CacheStats() CacheStats {
 	return a.cache.snapshot()
 }
 
-// InvalidateCache drops all cached policies and compiled decision
-// units.
-func (a *API) InvalidateCache() {
-	if a.cache != nil {
-		a.cache.invalidate()
-	}
-	a.progs.invalidate()
-}
+// maxCachedObject is the longest object the policy cache keeps: the
+// request line is the client's to size, and the cache would keep it.
+// 4096 such keys and their entries are under 4 MiB.
+const maxCachedObject = 768
 
 // GetObjectPolicyInfo retrieves and composes the policies governing
 // object (the paper's gaa_get_object_policy_info): system-wide EACLs
 // first, then local ones, with the composition mode taken from the
-// system-wide policy. Results are cached when the API was built with
-// WithPolicyCache; hits and misses are both lock-free. Concurrent misses
-// for one object each compose the policy (sources memoize their parses,
-// see PolicySource) and the last one published stays cached. An object
-// longer than audit.MaxField is composed uncached and counted as
-// neither: the request line is the client's to size, and the cache
-// would keep it.
+// system-wide policy. What the sources say is composed once, into a
+// composition every object they say the same of shares. Results are
+// cached when the API was built with WithPolicyCache; hits and misses
+// are both lock-free. Concurrent misses for one object each compose the
+// policy (sources memoize their parses, see PolicySource) and the last
+// one published stays cached. An object longer than maxCachedObject is
+// composed uncached and counted as neither.
 func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (*Policy, error) {
-	if a.cache == nil || len(object) > audit.MaxField {
-		p := new(Policy)
-		if err := a.composePolicy(p, object, system, local); err != nil {
+	if a.cache == nil || len(object) > maxCachedObject {
+		c, err := a.compose(object, system, local)
+		if err != nil {
 			return nil, err
 		}
-		return p, nil
+		return &Policy{composition: c, Object: object}, nil
 	}
-	// Hit path: compare each source's revision against the one recorded
-	// at composition time, element-wise. No revision key is built and
+	// Hit path: compare each source's revision against the one its
+	// composition recorded, element-wise. No revision key is built and
 	// each source's Revision is consulted exactly once.
 	set, e := a.cache.lookup(object)
-	if e != nil && e.nsys == len(system) && e.nloc == len(local) {
-		ok, err := e.fresh(object, system, local)
+	if e != nil {
+		ok, err := e.policy.fresh(object, system, local)
 		if err != nil {
 			return nil, fmt.Errorf("policy revision for %q: %w", object, err)
 		}
@@ -168,41 +165,43 @@ func (a *API) GetObjectPolicyInfo(object string, system, local []PolicySource) (
 	}
 	set.miss()
 
-	// Miss path: one allocation, the entry, which holds the policy and
-	// the revisions. They are recorded before composing, so a source
-	// that changes in between leaves an entry the next lookup finds
-	// stale.
-	e = &cacheEntry{object: object, hash: set.hash, nsys: len(system), nloc: len(local)}
-	e.revs = e.inline[:0]
+	// Miss path: one allocation, the entry, unless the sources said
+	// something new.
+	c, err := a.compose(object, system, local)
+	if err != nil {
+		return nil, err
+	}
+	e = &cacheEntry{policy: Policy{composition: c, Object: object}, hash: set.hash}
+	a.cache.put(set, e)
+	return &e.policy, nil
+}
+
+// compose reads every source's revision, then its policies, and returns
+// the composition of what they said (the uncached retrieval-and-
+// translation step of section 6, step 2a). The revisions are read
+// first, so a source that changes in between leaves a composition the
+// next lookup finds stale.
+func (a *API) compose(object string, system, local []PolicySource) (*composition, error) {
+	var inline [4]string
+	revs := inline[:0]
 	for _, srcs := range [2][]PolicySource{system, local} {
 		for _, src := range srcs {
 			r, err := src.Revision(object)
 			if err != nil {
 				return nil, fmt.Errorf("policy revision for %q: %w", object, err)
 			}
-			e.revs = append(e.revs, r)
+			revs = append(revs, r)
 		}
 	}
-	if err := a.composePolicy(&e.policy, object, system, local); err != nil {
-		return nil, err
-	}
-	a.cache.put(set, e)
-	return &e.policy, nil
-}
-
-// composePolicy reads every source and composes the policy into p (the
-// uncached retrieval-and-translation step of section 6, step 2a).
-func (a *API) composePolicy(p *Policy, object string, system, local []PolicySource) error {
 	sysEACLs, err := gatherLevel("system", object, system)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	locEACLs, err := gatherLevel("local", object, local)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.compose(object, sysEACLs, locEACLs)
-	return nil
+	return a.comps.intern(revs, len(system), sysEACLs, locEACLs), nil
 }
 
 // gatherLevel concatenates what the sources of one level say about

@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // CacheStats reports policy-cache effectiveness (experiment E4).
@@ -32,15 +33,17 @@ const (
 //
 // The cache is set-associative and lock-free in both directions. The
 // object's hash picks a set of ways consecutive slots, each an atomic
-// pointer to an entry that is immutable but for its recency stamp. The
-// hash is seeded per cache, so a client cannot aim its paths at one
-// set. A lookup compares at most ways slots; a put replaces the slot
-// already holding the object, else an empty one, else the
-// least-recently-stamped one, with a single atomic store — no mutex, no
-// map and no copy, so a miss costs O(ways) whatever the capacity. Every
-// hit stamps the entry with its stripe's lookup count (all sets of a
-// stripe share the counters, so stamps within a set are comparable),
-// which makes eviction least-recently-used within a set.
+// pointer to an entry that is immutable but for its recency stamp and
+// its policy's rights memo. A set's slots are allocated by its first
+// put, so an empty cache is one pointer a set. The hash is seeded per
+// cache, so a client cannot aim its paths at one set. A lookup compares
+// at most ways slots; a put replaces the slot already holding the
+// object, else an empty one, else the least-recently-stamped one, with
+// a single atomic store — no mutex, no map and no copy, so a miss costs
+// O(ways) whatever the capacity. Every hit stamps the entry with its
+// stripe's lookup count (all sets of a stripe share the counters, so
+// stamps within a set are comparable), which makes eviction
+// least-recently-used within a set.
 //
 // Two racing puts on one set may pick the same victim (one composed
 // policy is dropped and recomposed on its next lookup) or leave two
@@ -49,10 +52,10 @@ const (
 // against the sources' revisions on every hit, so neither race can
 // serve a stale policy.
 type policyCache struct {
-	ways      int
-	sets      uint32
-	seed      maphash.Seed
-	slots     []atomic.Pointer[cacheEntry] // sets × ways
+	ways int
+	seed maphash.Seed
+	// sets holds each set's first slot, nil until the set's first put.
+	sets      []atomic.Pointer[atomic.Pointer[cacheEntry]]
 	evictions atomic.Uint64
 	stripes   [cacheStripes]cacheStripe
 }
@@ -64,31 +67,23 @@ type cacheStripe struct {
 	_      [48]byte // one stripe per cache line
 }
 
-// cacheEntry is one cached object: the composed policy, with its rights
-// memo, and the revisions it was composed at, in one allocation for up
-// to len(inline) sources.
+// cacheEntry is one cached object, in one allocation: its Policy, which
+// points at the shared composition and holds the object's rights memo,
+// the hash and the recency stamp.
 type cacheEntry struct {
-	object string
-	// hash is the half of the object's hash the set index did not use;
-	// probes compare it first and skip the string compare on a mismatch.
-	hash   uint32
 	policy Policy
-	// revs holds the per-source revision strings at composition time,
-	// system sources first, in inline when they fit. Validation compares
-	// them one by one — no joined revision key is ever built.
-	revs   []string
-	inline [4]string
-	// nsys/nloc record how many system and local sources contributed,
-	// so revisions cannot alias across source levels.
-	nsys, nloc int
 	// used is the stripe-clock stamp of the last hit (LRU recency).
 	used atomic.Uint64
+	// hash is the half of the object's hash the set index did not use;
+	// probes compare it first and skip the string compare on a mismatch.
+	hash uint32
 }
 
 // cacheSet is the view of one object's set a lookup hands back, so the
 // miss path publishes into the set already found.
 type cacheSet struct {
-	slots  []atomic.Pointer[cacheEntry]
+	slots  []atomic.Pointer[cacheEntry] // nil until the set's first put
+	first  *atomic.Pointer[atomic.Pointer[cacheEntry]]
 	stripe *cacheStripe
 	hash   uint32
 }
@@ -98,12 +93,21 @@ func newPolicyCache(maxEntries int) *policyCache {
 		maxEntries = 1024
 	}
 	// Small caches (tests, tiny deployments) are one set with exact LRU.
-	c := &policyCache{ways: maxEntries, sets: 1, seed: maphash.MakeSeed()}
+	c := &policyCache{ways: maxEntries, seed: maphash.MakeSeed()}
+	sets := 1
 	if maxEntries >= 2*cacheWays {
-		c.ways, c.sets = cacheWays, uint32(maxEntries/cacheWays)
+		c.ways, sets = cacheWays, maxEntries/cacheWays
 	}
-	c.slots = make([]atomic.Pointer[cacheEntry], int(c.sets)*c.ways)
+	c.sets = make([]atomic.Pointer[atomic.Pointer[cacheEntry]], sets)
 	return c
+}
+
+// slots returns the set whose first slot first holds, nil for none.
+func (c *policyCache) slots(first *atomic.Pointer[cacheEntry]) []atomic.Pointer[cacheEntry] {
+	if first == nil {
+		return nil
+	}
+	return unsafe.Slice(first, c.ways)
 }
 
 // lookup returns the object's set and its entry (nil if absent).
@@ -111,15 +115,15 @@ func newPolicyCache(maxEntries int) *policyCache {
 // through hit/miss.
 func (c *policyCache) lookup(object string) (cacheSet, *cacheEntry) {
 	sum := maphash.String(c.seed, object)
-	h := uint32(sum >> 32)
-	n := uint32(uint64(uint32(sum)) * uint64(c.sets) >> 32) // uniform over [0, sets)
+	n := uint32(uint64(uint32(sum)) * uint64(len(c.sets)) >> 32) // uniform over [0, sets)
 	set := cacheSet{
-		slots:  c.slots[int(n)*c.ways:][:c.ways],
+		first:  &c.sets[n],
 		stripe: &c.stripes[n%cacheStripes],
-		hash:   h,
+		hash:   uint32(sum >> 32),
 	}
+	set.slots = c.slots(set.first.Load())
 	for i := range set.slots {
-		if e := set.slots[i].Load(); e != nil && e.hash == h && e.object == object {
+		if e := set.slots[i].Load(); e != nil && e.hash == set.hash && e.policy.Object == object {
 			return set, e
 		}
 	}
@@ -138,6 +142,13 @@ func (s cacheSet) miss() {
 // found: over the object's own slot, else an empty one, else the
 // least-recently-used one.
 func (c *policyCache) put(s cacheSet, e *cacheEntry) {
+	if s.slots == nil {
+		ways := make([]atomic.Pointer[cacheEntry], c.ways)
+		if !s.first.CompareAndSwap(nil, &ways[0]) {
+			ways = c.slots(s.first.Load()) // another put allocated it
+		}
+		s.slots = ways
+	}
 	// Stamped as of its own miss, which the stripe has already counted.
 	e.used.Store(s.stripe.hits.Load() + s.stripe.misses.Load())
 	empty, victim, oldest := -1, 0, uint64(math.MaxUint64)
@@ -149,7 +160,7 @@ func (c *policyCache) put(s cacheSet, e *cacheEntry) {
 			}
 			continue
 		}
-		if cur.hash == e.hash && cur.object == e.object {
+		if cur.hash == e.hash && cur.policy.Object == e.policy.Object {
 			s.slots[i].Store(e)
 			return
 		}
@@ -163,13 +174,6 @@ func (c *policyCache) put(s cacheSet, e *cacheEntry) {
 		c.evictions.Add(1)
 	}
 	s.slots[victim].Store(e)
-}
-
-// invalidate drops every cached policy; counters are preserved.
-func (c *policyCache) invalidate() {
-	for i := range c.slots {
-		c.slots[i].Store(nil)
-	}
 }
 
 // snapshot sums the striped counters. Each counter is monotonic, so
@@ -186,29 +190,13 @@ func (c *policyCache) snapshot() CacheStats {
 // len reports the total number of cached entries (tests, diagnostics).
 func (c *policyCache) len() int {
 	n := 0
-	for i := range c.slots {
-		if c.slots[i].Load() != nil {
-			n++
+	for i := range c.sets {
+		slots := c.slots(c.sets[i].Load())
+		for j := range slots {
+			if slots[j].Load() != nil {
+				n++
+			}
 		}
 	}
 	return n
-}
-
-// fresh reports whether the entry's recorded revisions still match the
-// sources, comparing element-wise (system first, then local) with no
-// key construction. It stops at the first stale source.
-func (e *cacheEntry) fresh(object string, system, local []PolicySource) (bool, error) {
-	for i, src := range system {
-		r, err := src.Revision(object)
-		if err != nil || r != e.revs[i] {
-			return false, err
-		}
-	}
-	for i, src := range local {
-		r, err := src.Revision(object)
-		if err != nil || r != e.revs[len(system)+i] {
-			return false, err
-		}
-	}
-	return true, nil
 }

@@ -126,13 +126,17 @@ func TestCacheBounded(t *testing.T) {
 
 func TestPolicyCacheDefaultSize(t *testing.T) {
 	c := newPolicyCache(0)
-	if got := c.ways * int(c.sets); got != 1024 || len(c.slots) != got {
-		t.Errorf("default capacity = %d (%d slots), want 1024", got, len(c.slots))
+	if got := c.ways * len(c.sets); got != 1024 {
+		t.Errorf("default capacity = %d (%d sets), want 1024", got, len(c.sets))
 	}
 	// The fixed footprint is what heap_live_mb pays on workloads that
-	// never fill the cache: slot pointers plus the counter stripes.
-	if fixed := unsafe.Sizeof(*c) + uintptr(len(c.slots))*unsafe.Sizeof(c.slots[0]); fixed > 10<<10 {
-		t.Errorf("empty 1024-entry cache occupies %d bytes, want <= 10 KiB", fixed)
+	// never fill the cache: a pointer a set plus the counter stripes, at
+	// the default size and at NewStack's. A set's slots come with its
+	// first put.
+	for _, c := range []*policyCache{c, newPolicyCache(4096)} {
+		if fixed := unsafe.Sizeof(*c) + uintptr(len(c.sets))*unsafe.Sizeof(c.sets[0]); fixed > 10<<10 {
+			t.Errorf("empty %d-entry cache occupies %d bytes, want <= 10 KiB", c.ways*len(c.sets), fixed)
+		}
 	}
 }
 
@@ -453,9 +457,9 @@ func TestCacheMissConstantCost(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsOversizedObject: an object longer than audit.MaxField is
-// decided like any other but never cached, since the cache would keep
-// the client-sized key.
+// TestCacheSkipsOversizedObject: an object longer than maxCachedObject
+// is decided like any other but never cached, since the cache would
+// keep the client-sized key.
 func TestCacheSkipsOversizedObject(t *testing.T) {
 	a, system, local, _ := fullCache(t, 64)
 	a.RegisterFunc("sel_yes", AuthorityAny, func(context.Context, eacl.Condition, *Request) Outcome {
@@ -484,5 +488,121 @@ func TestCacheSkipsOversizedObject(t *testing.T) {
 	}
 	if got := a.cache.len(); got != 1 {
 		t.Errorf("cache holds %d entries after a short object, want 1", got)
+	}
+}
+
+// TestSharedCompositionGoesStale: the objects one source content
+// governs share one composition, and a MemorySource.Add or a
+// SwappableSource swap makes every one of them answer from the new
+// policy on its very next lookup, which misses.
+func TestSharedCompositionGoesStale(t *testing.T) {
+	grant, deny := "pos_access_right apache *", "neg_access_right apache *"
+	for _, edit := range []string{"MemorySource.Add", "SwappableSource.Swap"} {
+		t.Run(edit, func(t *testing.T) {
+			backing := NewMemorySource()
+			if err := backing.AddPolicy("*", grant); err != nil {
+				t.Fatal(err)
+			}
+			swap := NewSwappableSource(backing)
+			a := New(WithPolicyCache(64))
+			objects := make([]string, 32)
+			for i := range objects {
+				objects[i] = fmt.Sprintf("/shared/doc%02d.html", i)
+			}
+			decide := func(o string) (*Policy, Decision) {
+				t.Helper()
+				p, err := a.GetObjectPolicyInfo(o, nil, []PolicySource{swap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ans, err := a.CheckAuthorization(context.Background(), p, NewRequest("apache", "GET "+o))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, ans.Decision
+			}
+			var shared *composition
+			for _, o := range objects {
+				p, dec := decide(o)
+				if dec != Yes {
+					t.Fatalf("%s before the edit: %v, want yes", o, dec)
+				}
+				if shared == nil {
+					shared = p.composition
+				} else if p.composition != shared {
+					t.Fatalf("%s has a composition of its own", o)
+				}
+			}
+
+			if edit == "MemorySource.Add" {
+				if err := backing.AddPolicy("*", deny); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				denying := NewMemorySource()
+				if err := denying.AddPolicy("*", deny); err != nil {
+					t.Fatal(err)
+				}
+				swap.Swap(denying)
+			}
+			var next *composition
+			for _, o := range objects {
+				misses := a.CacheStats().Misses
+				p, dec := decide(o)
+				if dec != No {
+					t.Errorf("%s after the edit: %v, want no", o, dec)
+				}
+				if a.CacheStats().Misses != misses+1 {
+					t.Errorf("%s: the first lookup after the edit did not miss", o)
+				}
+				if next == nil {
+					next = p.composition
+				}
+				if p.composition == shared || p.composition != next {
+					t.Errorf("%s: not composed into the one new shared composition", o)
+				}
+			}
+		})
+	}
+}
+
+// reparsingSource parses its text on every Policies call, against the
+// PolicySource contract: every lookup brings new EACL pointers.
+type reparsingSource struct{ text string }
+
+func (r reparsingSource) Policies(string) ([]*eacl.EACL, error) {
+	e, err := eacl.ParseString(r.text)
+	return []*eacl.EACL{e}, err
+}
+
+func (reparsingSource) Revision(string) (string, error) { return "static", nil }
+
+// TestCompositionTableBounded: a source that hands back a fresh *EACL
+// on every call makes every miss a new composition; the table resets at
+// its cap instead of growing, and every answer is still right.
+func TestCompositionTableBounded(t *testing.T) {
+	for _, text := range []string{"pos_access_right apache *", "neg_access_right apache *"} {
+		want := Yes
+		if strings.HasPrefix(text, "neg") {
+			want = No
+		}
+		a := New(WithPolicyCache(64))
+		local := []PolicySource{reparsingSource{text}}
+		for i := 0; i < maxCompositions+100; i++ {
+			o := fmt.Sprintf("/r/%d", i)
+			p, err := a.GetObjectPolicyInfo(o, nil, local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(a.comps.m); n > maxCompositions {
+				t.Fatalf("lookup %d: the table holds %d compositions, cap %d", i, n, maxCompositions)
+			}
+			if ans, err := a.CheckAuthorization(context.Background(), p, NewRequest("apache", "GET "+o)); err != nil || ans.Decision != want {
+				t.Fatalf("%s under %q: %v, %v; want %v", o, text, ans, err, want)
+			}
+		}
+		if n := len(a.comps.m); n != 100 {
+			t.Errorf("the table holds %d compositions after its reset, want 100", n)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gaaapi/internal/eacl"
 )
@@ -127,8 +128,8 @@ type compiledCond struct {
 
 // programTable caches compiled units under the API, keyed by EACL
 // identity. Sources return stable *eacl.EACL values across calls
-// (MemorySource snapshots, FileSource/DirSource parse caches), so the
-// uncached GetObjectPolicyInfo path finds the same units without
+// (MemorySource snapshots, FileSource/DirSource parse caches), so every
+// composition holding an EACL resolves the same unit (unitsFor) without
 // recompiling; a hot reload swaps in newly parsed EACLs, which compile
 // afresh. Reads are lock-free (atomic copy-on-write map); compilation
 // serializes on mu. Blowing the cap resets the table, which only costs
@@ -140,14 +141,6 @@ type programTable struct {
 }
 
 const maxCompiledEACLs = 4096
-
-// invalidate drops every compiled unit (hot-reload hygiene rides on
-// pointer identity instead, but API.InvalidateCache flushes here too).
-func (pt *programTable) invalidate() {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	pt.units.Store(nil)
-}
 
 // compiledFor returns the decision unit for e, compiling and caching it
 // on first sight or after a registration changed the registry.
@@ -179,6 +172,31 @@ func (a *API) compiledFor(e *eacl.EACL) *compiledEACL {
 	next[e] = u
 	pt.units.Store(&next)
 	return u
+}
+
+// compiledUnits are a composition's units, System's then Local's, as
+// one API's compiledFor resolved them at one registry generation.
+type compiledUnits struct {
+	api   *API
+	gen   uint64
+	units []*compiledEACL
+}
+
+// unitsFor returns c's units under a, resolving them once per registry
+// generation instead of looking each one up on every scan.
+func (c *composition) unitsFor(a *API) []*compiledEACL {
+	gen := a.reg.generation()
+	if u := c.units.Load(); u != nil && u.api == a && u.gen == gen {
+		return u.units
+	}
+	u := &compiledUnits{api: a, gen: gen, units: make([]*compiledEACL, 0, len(c.System)+len(c.Local))}
+	for _, level := range [2][]*eacl.EACL{c.System, c.Local} {
+		for _, e := range level {
+			u.units = append(u.units, a.compiledFor(e))
+		}
+	}
+	c.units.Store(u)
+	return u.units
 }
 
 type memoKey struct {
@@ -302,15 +320,21 @@ func (a *API) compileCond(cond eacl.Condition) CompiledCond {
 // rightsMemoWords is a Policy's rights memo in bitset words: each
 // unit's entry bitset, one after another, ⌈entries/64⌉ words each.
 // Eight hold the benchmark's sprawl composition (201 + 4 entries, five
-// words) with room to spare; a policy needing more never memoizes.
+// words) with room to spare; a policy needing more never memoizes its
+// bits.
 const rightsMemoWords = 8
+
+// memoLabelBytes is the room for the memo's label inside the policy,
+// sized so that a policy-cache entry is 208 bytes: "apache GET " and a
+// path of 88 bytes.
+const memoLabelBytes = 99
 
 // rightsMemo states.
 const (
-	memoEmpty   uint32 = iota
-	memoFilling        // one request is copying its bitsets in
-	memoReady
-	memoNever // the policy's bitsets do not fit
+	memoEmpty    uint32 = iota
+	memoWriting         // one caller is writing the label, or a scan its bits
+	memoLabelled        // the label is readable; the bits are not
+	memoReady           // label and bits are readable
 )
 
 // rightsMemo remembers which entries of a Policy cover the first single
@@ -323,21 +347,52 @@ const (
 // recompile keeps them valid, and a reload, which composes new Policy
 // values, starts new memos.
 //
-// The memo also keeps the filling request's Label, the right spelt
-// "<auth> <value>", which RightLabel hands to later requests for the
-// same right so that they need not build it.
+// The right is kept as its label, "<auth> <value>" (Request.Label),
+// written into the memo's own bytes: a request's right is compared
+// against them, and RightLabel hands them to the audit record, so the
+// label costs no allocation of its own. A right whose label does not
+// fit is not memoized.
 //
-// The first writer wins: one request takes memoEmpty to memoFilling by
-// CAS, copies in the bitsets its own scan computed and publishes them,
-// with its right and label, by the store of memoReady, before which no
-// reader looks at them. Nothing is overwritten afterwards. Every other
-// request — more than one right, another right, a memo being filled —
-// walks the tries as if there were no memo. Neither filling nor reading
-// allocates.
+// The first writer wins: RightLabel, or a scan that finds the memo
+// empty, takes it to writing by CAS, writes the label (and the scan its
+// bitsets) and publishes them by a store, before which no reader looks
+// at them. A scan that finds the label of its own right published takes
+// the memo from labelled to writing the same way. Nothing is
+// overwritten afterwards. Every other request — more than one right, another
+// right, a memo being written — walks the tries as if there were no
+// memo. Neither writing nor reading allocates.
 type rightsMemo struct {
-	state              atomic.Uint32
-	auth, value, label string
-	bits               [rightsMemoWords]uint64
+	bits  [rightsMemoWords]uint64
+	state atomic.Uint32
+	n     uint8 // the label's length
+	buf   [memoLabelBytes]byte
+}
+
+// label returns the memo's label, once published.
+func (m *rightsMemo) label() string {
+	return unsafe.String(&m.buf[0], m.n)
+}
+
+// setLabel writes parts, joined by spaces, into m's bytes; the caller
+// owns the memo. It reports false, writing nothing, when they do not
+// fit.
+func (m *rightsMemo) setLabel(parts ...string) bool {
+	n := len(parts) - 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > len(m.buf) {
+		return false
+	}
+	m.n = uint8(n)
+	b := m.buf[:0]
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, p...)
+	}
+	return true
 }
 
 // How a scan uses the rights memo.
@@ -358,45 +413,54 @@ type rightsCursor struct {
 func (p *Policy) cursor(req *Request) rightsCursor {
 	m := &p.rights
 	c := rightsCursor{m: m, use: memoWalk}
-	if len(req.Rights) != 1 {
+	if len(req.Rights) != 1 || p.words > rightsMemoWords {
 		return c
 	}
 	r := &req.Rights[0]
 	switch m.state.Load() {
 	case memoReady:
-		if r.DefAuth == m.auth && r.Value == m.value {
+		if joins(m.label(), r.DefAuth, r.Value) {
 			c.use = memoRead
 		}
-	case memoEmpty:
-		words := 0
-		for _, level := range [2][]*eacl.EACL{p.System, p.Local} {
-			for _, e := range level {
-				words += bitWords(len(e.Entries))
-			}
-		}
-		if words > rightsMemoWords {
-			m.state.CompareAndSwap(memoEmpty, memoNever)
-		} else if m.state.CompareAndSwap(memoEmpty, memoFilling) {
-			m.auth, m.value, m.label = r.DefAuth, r.Value, ""
-			if joins(req.Label, r.DefAuth, r.Value) {
-				m.label = req.Label
-			}
+	case memoLabelled:
+		if joins(m.label(), r.DefAuth, r.Value) && m.state.CompareAndSwap(memoLabelled, memoWriting) {
 			c.use = memoFill
+		}
+	case memoEmpty:
+		if m.state.CompareAndSwap(memoEmpty, memoWriting) {
+			if m.setLabel(r.DefAuth, r.Value) {
+				c.use = memoFill
+			} else {
+				m.state.Store(memoEmpty)
+			}
 		}
 	}
 	return c
 }
 
-// RightLabel returns the label of p's memoized right (Request.Label)
-// when that right is auth's "<method> <path>". Its tail after
-// len(auth)+1 bytes is the right's value, so a caller asking for that
-// right again builds neither string.
-func (p *Policy) RightLabel(auth, method, path string) (string, bool) {
+// RightLabel returns "<auth> <method> <path>", the label of auth's
+// right "<method> <path>" (Request.Label), whose tail after len(auth)+1
+// bytes is the right's value. It is p's memo's own label when the memo
+// holds that right, or holds none yet and the label fits, so a caller
+// asking for that right builds neither string; otherwise it is built.
+// The memo's label is never overwritten, so it may be kept.
+func (p *Policy) RightLabel(auth, method, path string) string {
 	m := &p.rights
-	if m.state.Load() != memoReady || m.label == "" || m.auth != auth || !joins(m.value, method, path) {
-		return "", false
+	switch m.state.Load() {
+	case memoLabelled, memoReady:
+		if l := m.label(); len(l) > len(auth) && l[:len(auth)] == auth && l[len(auth)] == ' ' && joins(l[len(auth)+1:], method, path) {
+			return l
+		}
+	case memoEmpty:
+		if m.state.CompareAndSwap(memoEmpty, memoWriting) {
+			if m.setLabel(auth, method, path) {
+				m.state.Store(memoLabelled)
+				return m.label()
+			}
+			m.state.Store(memoEmpty)
+		}
 	}
-	return m.label, true
+	return auth + " " + method + " " + path
 }
 
 // joins reports whether s is a+" "+b, without building it.
@@ -524,28 +588,28 @@ func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
 // answer).
 func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState, out *evalResult) {
 	var sys, loc evalResult
+	units := p.unitsFor(a)
 	rc := p.cursor(req)
-	a.scanLevel(ctx, p.System, req, st, &rc, &sys)
+	a.scanLevel(ctx, units[:len(p.System)], req, st, &rc, &sys)
 	sysExists := len(p.System) > 0
 	loc.Decision = Maybe // a level not scanned is uncertain
 	if !(p.Mode == eacl.ModeStop && sysExists) {
-		a.scanLevel(ctx, p.Local, req, st, &rc, &loc)
+		a.scanLevel(ctx, units[len(p.System):], req, st, &rc, &loc)
 	}
 	rc.done()
 	composeLevels(p.Mode, &sys, &loc, sysExists, out)
 }
 
-// scanLevel scans the EACLs of one level into the zero out, folding
+// scanLevel scans the units of one level into the zero out, folding
 // each result in as it is produced — no intermediate per-level result
 // slice, and one evalResult reused for every EACL.
-func (a *API) scanLevel(ctx context.Context, eacls []*eacl.EACL, req *Request, st *evalState, rc *rightsCursor, out *evalResult) {
+func (a *API) scanLevel(ctx context.Context, units []*compiledEACL, req *Request, st *evalState, rc *rightsCursor, out *evalResult) {
 	var (
 		fold LevelFold
 		r    evalResult
 	)
 	cs := &st.cs
-	for _, e := range eacls {
-		u := a.compiledFor(e)
+	for _, u := range units {
 		cs.prepare(u)
 		a.evaluateCompiledEACL(ctx, u, req, cs, rc.entryBits(cs, u, req.Rights), &r)
 		out.absorb(&r)

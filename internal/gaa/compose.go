@@ -1,23 +1,51 @@
 package gaa
 
-import "gaaapi/internal/eacl"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"gaaapi/internal/eacl"
+)
 
 // Policy is the composed set of EACLs governing one object: system-wide
 // policies first, then local policies (paper section 2.1: "system-wide
 // policies implicitly have higher priority than the local policies").
 //
-// Once checked, a Policy is not modified and not copied: it remembers
-// which of its entries cover the right it was first checked for.
+// A Policy is the object's half of a composition. System, Local and
+// Mode are its composition's, read through the embedded pointer, which
+// every object composed from the same source content shares. The
+// object's own part is its name and its rights memo. Once checked, a
+// Policy is not modified and not copied: it remembers which of its
+// entries cover the right it was first checked for.
 type Policy struct {
+	*composition
+	// Object is the protected object the policy was retrieved for.
+	Object string
+
+	rights rightsMemo // compiled.go
+}
+
+// composition is what the sources said about an object, shared by
+// every object they said the same of and immutable once built.
+type composition struct {
 	System []*eacl.EACL
 	Local  []*eacl.EACL
 	// Mode is the composition mode taken from the first system-wide
 	// EACL that declares one; DefaultCompositionMode otherwise.
 	Mode eacl.CompositionMode
-	// Object is the protected object the policy was retrieved for.
-	Object string
 
-	rights rightsMemo // compiled.go
+	// revs are the per-source revisions read before Policies, system
+	// sources first, nsys of them: a source that changed since makes
+	// the composition stale (fresh).
+	revs []string
+	nsys int
+	// words is the rights memo's need in bitset words (compiled.go).
+	words int
+	// units are the compiled units of System then Local, resolved for
+	// one API at one registry generation (unitsFor).
+	units atomic.Pointer[compiledUnits]
 }
 
 // DefaultCompositionMode applies when no system-wide policy declares a
@@ -26,20 +54,84 @@ const DefaultCompositionMode = eacl.ModeNarrow
 
 // NewPolicy composes system and local EACL lists, deriving the mode.
 func NewPolicy(object string, system, local []*eacl.EACL) *Policy {
-	p := new(Policy)
-	p.compose(object, system, local)
-	return p
+	return &Policy{composition: newComposition(system, local), Object: object}
 }
 
-// compose is NewPolicy into p, which a policy-cache entry embeds.
-func (p *Policy) compose(object string, system, local []*eacl.EACL) {
-	*p = Policy{System: system, Local: local, Mode: DefaultCompositionMode, Object: object}
+func newComposition(system, local []*eacl.EACL) *composition {
+	c := &composition{System: system, Local: local, Mode: DefaultCompositionMode}
 	for _, e := range system {
 		if e.ModeSet {
-			p.Mode = e.Mode
+			c.Mode = e.Mode
 			break
 		}
 	}
+	for _, level := range [2][]*eacl.EACL{system, local} {
+		for _, e := range level {
+			c.words += bitWords(len(e.Entries))
+		}
+	}
+	return c
+}
+
+// fresh reports whether every source still reads the revision c was
+// composed at, comparing element-wise (system first, then local) with
+// no key construction. It stops at the first stale source.
+func (c *composition) fresh(object string, system, local []PolicySource) (bool, error) {
+	if c.nsys != len(system) || len(c.revs) != len(system)+len(local) {
+		return false, nil
+	}
+	for i, src := range system {
+		r, err := src.Revision(object)
+		if err != nil || r != c.revs[i] {
+			return false, err
+		}
+	}
+	for i, src := range local {
+		r, err := src.Revision(object)
+		if err != nil || r != c.revs[len(system)+i] {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// compositionTable interns compositions by the EACL pointers they
+// hold: a source hands back the same *eacl.EACL until its content
+// changes, so equal pointers and revisions are equal content, and the
+// objects they govern share one composition. Blowing the cap resets
+// the table, as programTable does: a source that re-parses on every
+// call would otherwise grow it without bound, and a reset costs only
+// sharing, since every cached object keeps its own composition.
+type compositionTable struct {
+	mu sync.Mutex
+	m  map[uint64]*composition
+}
+
+const maxCompositions = 1024
+
+// intern returns the composition of system and local at revs, nsys of
+// them system sources' revisions, building it on first sight. Only a
+// new composition keeps a copy of revs.
+func (t *compositionTable) intern(revs []string, nsys int, system, local []*eacl.EACL) *composition {
+	h := uint64(len(system))
+	for _, level := range [2][]*eacl.EACL{system, local} {
+		for _, e := range level {
+			h = (h ^ uint64(uintptr(unsafe.Pointer(e)))) * 0x100000001b3
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c := t.m[h]; c != nil && c.nsys == nsys && slices.Equal(c.revs, revs) &&
+		slices.Equal(c.System, system) && slices.Equal(c.Local, local) {
+		return c
+	}
+	if t.m == nil || len(t.m) >= maxCompositions {
+		t.m = make(map[uint64]*composition)
+	}
+	c := newComposition(system, local)
+	c.revs, c.nsys = slices.Clone(revs), nsys
+	t.m[h] = c
+	return c
 }
 
 // Verdict is the decision-only part of a scan result: what one EACL, one

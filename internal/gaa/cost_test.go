@@ -29,6 +29,7 @@ func TestCost(t *testing.T) {
 		cacheHitRows(t),
 		cacheMissRows(t),
 		revisionRows(t),
+		cacheHeapRows(t),
 	))
 }
 
@@ -89,8 +90,8 @@ func memoFillRows(t *testing.T) []costpin.Row {
 			return
 		}
 		for i, p := range fresh {
-			if st := p.rights.state.Load(); st != memoReady || p.rights.label != req.Label {
-				t.Fatalf("policy %d: memo state %d with label %q, want ready with %q", i, st, p.rights.label, req.Label)
+			if st := p.rights.state.Load(); st != memoReady || p.rights.label() != req.Label {
+				t.Fatalf("policy %d: memo state %d with label %q, want ready with %q", i, st, p.rights.label(), req.Label)
 			}
 		}
 	})
@@ -144,13 +145,65 @@ func cacheMissRows(t *testing.T) []costpin.Row {
 			t.Errorf("%d of the measured misses hit; the cycles should always miss", got)
 		}
 	})
-	const entry = "the cache entry, which embeds the composed Policy (with its rights memo, §5.1) and up to four source revisions"
-	const two = "the entry, and the slice composing two patterns of one MemorySource"
+	const entry = "the cache entry: the object's Policy, its rights memo (§5.1) with the label's bytes, pointing at the composition its objects share"
+	const two = "the entry, and the slice one MemorySource composes two patterns into, dropped for the composition already shared"
 	return []costpin.Row{
 		{Name: "policy-cache miss, 64 entries", What: entry, Run: small1},
 		{Name: "policy-cache miss, 1024 entries", What: entry, Run: big1},
 		{Name: "policy-cache miss, two patterns govern, 64 entries", What: two, Run: small2},
 		{Name: "policy-cache miss, two patterns govern, 1024 entries", What: two, Run: big2},
+	}
+}
+
+// heapKept holds each heap row's API live while its heap is measured.
+var heapKept [2]*API
+
+// cacheHeapRows bound what a full NewStack-size cache keeps: entries
+// for sprawl's shape, 64 directory policies over 16 384 objects, and the
+// longest objects the cache keeps, which is what a client sending
+// distinct paths can make it hold. Each lookup also asks for the
+// object's label, as the guard does: a label that fits lives in the
+// entry, a longer one is built and not kept.
+func cacheHeapRows(t *testing.T) []costpin.Row {
+	sys, loc := NewMemorySource(), NewMemorySource()
+	if err := sys.AddPolicy("*", "neg_access_right apache GET /cgi-bin/*\n"); err != nil {
+		t.Fatal(err)
+	}
+	objects := make([]string, 0, 64*256)
+	for d := 0; d < 64; d++ {
+		if err := loc.AddPolicy(fmt.Sprintf("/d%02d/*", d), "pos_access_right apache *"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 256; i++ {
+			objects = append(objects, fmt.Sprintf("/d%02d/doc%03d.html", d, i))
+		}
+	}
+	system, local := []PolicySource{sys}, []PolicySource{loc}
+	fill := func(row int, object func(i int) string) func() {
+		return func() {
+			a := New(WithPolicyCache(4096))
+			for i := 0; i < 4*4096; i++ {
+				o := object(i)
+				p, err := a.GetObjectPolicyInfo(o, system, local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.RightLabel("apache", "GET", o)
+			}
+			if n := a.cache.len(); n != 4096 {
+				t.Fatalf("cache holds %d entries, want 4096 (full)", n)
+			}
+			heapKept[row] = a
+		}
+	}
+	t.Cleanup(func() { heapKept = [2]*API{} })
+	return []costpin.Row{
+		{Name: "4096 cached objects under 64 compositions", What: "a 208 B entry each, the label inside it, and the sets, the compositions and the source's index: ≤ 4096 × 208 B + 96 KiB",
+			Run: fill(0, func(i int) string { return objects[i] }), MaxBytes: 4096*208 + 96<<10, NoRace: true},
+		{Name: "4096 cached objects of 768 B, the longest kept", What: "each object's bytes and its entry, and no label: ≤ 4 MiB",
+			Run: fill(1, func(i int) string {
+				return fmt.Sprintf("/d%02d/%0*d", i%64, maxCachedObject-5, i)
+			}), MaxBytes: 4 << 20, NoRace: true},
 	}
 }
 

@@ -14,3 +14,15 @@ func (a *API) ReferenceCheck(ctx context.Context, p *Policy, req *Request) *Answ
 	a.conclude(ctx, st, &res, ans)
 	return ans
 }
+
+// InvalidateCache drops every cached policy and, by moving the registry
+// generation on, every compiled decision unit: the next check of any
+// policy recompiles its units.
+func (a *API) InvalidateCache() {
+	if a.cache != nil {
+		for i := range a.cache.sets {
+			a.cache.sets[i].Store(nil)
+		}
+	}
+	a.reg.gen.Add(1)
+}

@@ -66,8 +66,8 @@ func TestCompiledRightsMemoStates(t *testing.T) {
 	}
 	memo := func(wantState uint32, wantValue string) {
 		t.Helper()
-		if st := p.rights.state.Load(); st != wantState || st == memoReady && p.rights.value != wantValue {
-			t.Fatalf("memo state %d for %q, want %d for %q", st, p.rights.value, wantState, wantValue)
+		if st := p.rights.state.Load(); st != wantState || st == memoReady && p.rights.label() != "apache "+wantValue {
+			t.Fatalf("memo state %d for %q, want %d for %q", st, p.rights.label(), wantState, wantValue)
 		}
 	}
 
@@ -94,51 +94,65 @@ func TestCompiledRightsMemoStates(t *testing.T) {
 	}
 	memo(memoReady, deny)
 
+	// A policy whose bitsets exceed the memo keeps a label, but no scan
+	// takes the memo to fill it.
 	big := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, memoPolicyText(64*rightsMemoWords))})
-	if ans := checkAuth(t, a, big, simpleRequest()); ans.Decision != Yes {
-		t.Fatalf("oversized policy: decision %v, want yes", ans.Decision)
-	}
-	if st := big.rights.state.Load(); st != memoNever {
-		t.Fatalf("oversized policy's memo state %d, want %d (never)", st, memoNever)
+	for i, want := range []uint32{memoEmpty, memoLabelled} {
+		if i > 0 {
+			big.RightLabel("apache", "GET", "/index.html")
+		}
+		if ans := checkAuth(t, a, big, simpleRequest()); ans.Decision != Yes {
+			t.Fatalf("oversized policy: decision %v, want yes", ans.Decision)
+		}
+		if st := big.rights.state.Load(); st != want {
+			t.Fatalf("oversized policy's memo state %d, want %d", st, want)
+		}
 	}
 }
 
-// TestPolicyRightLabel: the memo keeps the filling request's label when
-// it spells the right, and RightLabel hands it out only for that right
-// under that authority, once the memo is ready.
+// TestPolicyRightLabel: the first RightLabel of an empty memo writes
+// its label into the memo's bytes, and later calls for that right under
+// that authority hand out those bytes without building anything; every
+// other right gets its label built. A scan that fills the memo leaves
+// its own right's label, and a label longer than the memo's bytes is
+// built every time and leaves the memo to the next right that fits.
 func TestPolicyRightLabel(t *testing.T) {
 	a := newMemoAPI()
 	text := memoPolicyText(3)
+	inMemo := func(p *Policy, s string) bool {
+		return len(s) > 0 && unsafe.StringData(s) == &p.rights.buf[0]
+	}
 	for _, tc := range []struct {
-		name, label string
-		kept        bool
+		name  string
+		first func(p *Policy) // what takes the memo, if it can
 	}{
-		{"spelt", "apache GET /index.html", true},
-		{"unset", "", false},
-		{"other authority", "nginx GET /index.html", false},
-		{"other right", "apache GET /index.htm", false},
-		{"no separator", "apache/GET /index.html", false},
+		{"RightLabel", func(p *Policy) { p.RightLabel("apache", "GET", "/index.html") }},
+		{"scan", func(p *Policy) { checkAuth(t, a, p, simpleRequest()) }},
+		// The long label leaves the memo to the first query below.
+		{"too long", func(p *Policy) { p.RightLabel("apache", "GET", "/"+strings.Repeat("x", memoLabelBytes)) }},
 	} {
 		p := NewPolicy("/index.html", nil, []*eacl.EACL{mustEACL(t, text)})
-		if _, ok := p.RightLabel("apache", "GET", "/index.html"); ok {
-			t.Fatalf("%s: an empty memo returned a label", tc.name)
-		}
-		req := simpleRequest()
-		req.Label = tc.label
-		checkAuth(t, a, p, req)
-		for _, q := range []struct {
-			auth, method, path string
-			ok                 bool
-		}{
-			{"apache", "GET", "/index.html", tc.kept},
-			{"apache", "HEAD", "/index.html", false},
-			{"apache", "GET", "/index.htm", false},
-			{"apache", "GET /index.html", "", false},
-			{"nginx", "GET", "/index.html", false},
+		tc.first(p)
+		for _, q := range []struct{ auth, method, path string }{
+			{"apache", "GET", "/index.html"},
+			{"apache", "HEAD", "/index.html"},
+			{"apache", "GET", "/index.htm"},
+			{"apache", "GET /index.html", ""},
+			{"nginx", "GET", "/index.html"},
 		} {
-			label, ok := p.RightLabel(q.auth, q.method, q.path)
-			if ok != q.ok || ok && label != tc.label {
-				t.Errorf("%s: RightLabel(%q, %q, %q) = %q, %v; want %v", tc.name, q.auth, q.method, q.path, label, ok, q.ok)
+			want := q.auth + " " + q.method + " " + q.path
+			label := p.RightLabel(q.auth, q.method, q.path)
+			if label != want {
+				t.Errorf("%s: RightLabel(%q, %q, %q) = %q, want %q", tc.name, q.auth, q.method, q.path, label, want)
+			}
+			kept := want == "apache GET /index.html"
+			if got := inMemo(p, label); got != kept {
+				t.Errorf("%s: RightLabel(%q, %q, %q) in the memo's bytes: %v, want %v", tc.name, q.auth, q.method, q.path, got, kept)
+			}
+			if kept {
+				if allocs := testing.AllocsPerRun(100, func() { label = p.RightLabel(q.auth, q.method, q.path) }); allocs != 0 {
+					t.Errorf("%s: the memo's label costs %v allocations", tc.name, allocs)
+				}
 			}
 		}
 	}
@@ -170,7 +184,7 @@ func TestRequestFirstRight(t *testing.T) {
 
 // TestCompiledRightsMemoConcurrentFill starts 32 goroutines at once on
 // one Policy, each asking for its own right with its label and asking
-// RightLabel first: whichever fills the memo, every answer is the one
+// RightLabel first: whichever writes the memo, every answer is the one
 // its right deserves, a label handed out is the asker's, and the memo
 // holds the tries' bits for the right it remembers. Run under -race
 // -cpu 1,4.
@@ -193,7 +207,7 @@ func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
 			req := NewRequest("apache", right)
 			req.Label = "apache " + right
 			for i := 0; i < 50; i++ {
-				if label, ok := p.RightLabel("apache", "GET", right[len("GET "):]); ok && label != req.Label {
+				if label := p.RightLabel("apache", "GET", right[len("GET "):]); label != req.Label {
 					t.Errorf("%q: RightLabel = %q", right, label)
 					return
 				}
@@ -210,7 +224,8 @@ func TestCompiledRightsMemoConcurrentFill(t *testing.T) {
 		t.Fatalf("memo state %d after the burst, want ready", st)
 	}
 	words := bitWords(workers + 1)
-	if got, want := p.rights.bits[:words], walkBits(a, p, eacl.Right{DefAuth: p.rights.auth, Value: p.rights.value}); !slices.Equal(got, want) {
-		t.Fatalf("memo for %q holds %b, the tries say %b", p.rights.value, got, want)
+	auth, value, _ := strings.Cut(p.rights.label(), " ")
+	if got, want := p.rights.bits[:words], walkBits(a, p, eacl.Right{DefAuth: auth, Value: value}); !slices.Equal(got, want) {
+		t.Fatalf("memo for %q holds %b, the tries say %b", p.rights.label(), got, want)
 	}
 }

@@ -33,9 +33,9 @@ type Request struct {
 	Trace bool
 
 	// Label, when set, is the single requested right spelt
-	// "<DefAuth> <Value>", as an audit record names it. The policy's
-	// rights memo keeps the label of the request that fills it, and
-	// Policy.RightLabel returns it to later requests for that right.
+	// "<DefAuth> <Value>", as an audit record names it.
+	// Policy.RightLabel returns one that lives in the policy's rights
+	// memo, so later requests for that right need not build it.
 	Label string
 	// URIPlain, when set, promises that the ParamRequestURI value is
 	// one PlainASCII accepts, so an action quoting it need not scan

@@ -18,7 +18,8 @@ import (
 // times. A source that parses policy text must therefore memoize the
 // parse (as MemorySource, FileSource and DirSource do) and hand back
 // the same *eacl.EACL until its content changes; compiled decision
-// units are keyed by that pointer.
+// units, and the compositions that objects share, are keyed by that
+// pointer.
 type PolicySource interface {
 	// Policies returns the EACLs governing object, in priority order.
 	// A source with nothing to say returns an empty slice. Neither side

@@ -32,6 +32,7 @@ func TestCost(t *testing.T) {
 		rows = append(rows, cachedGrantRows(t, c)...)
 	}
 	costpin.Check(t, slices.Concat(rows,
+		coldGrantRows(t),
 		browseRows(t),
 		denyRows(t),
 		firstContactRows(t),
@@ -52,6 +53,7 @@ func TestStackCGIGrantAllocs(t *testing.T) {
 	}
 }
 
+func TestGuardCheckColdGrantAllocs(t *testing.T)     { costpin.CheckRows(t, coldGrantRows(t)) }
 func TestGuardCheckDenyAllocs(t *testing.T)          { costpin.CheckRows(t, denyRows(t)) }
 func TestStackFirstContactAttackAllocs(t *testing.T) { costpin.CheckRows(t, firstContactRows(t)) }
 func TestStackFileBackedGrantAllocs(t *testing.T)    { costpin.CheckRows(t, fileBackedRows(t)) }
@@ -146,6 +148,49 @@ func cachedGrantRows(t *testing.T, c guardConfig) []costpin.Row {
 		rows = append(rows, warm(check, costpin.Row{Name: "cached grant (Guard.Check), " + c.name + ", " + m.method, What: m.what}))
 	}
 	return rows
+}
+
+// coldGrantRows is a document grant through Guard.Check on an object
+// the policy cache has not seen. The cache is full first, so every
+// measured check misses and evicts, and its object's composition is
+// the one its neighbours share.
+func coldGrantRows(t *testing.T) []costpin.Row {
+	st := costStack(t, StackConfig{
+		SystemPolicy:  paper.System72,
+		LocalPolicies: map[string]string{"*": policy72Local},
+		PolicyCache:   true,
+		Metrics:       true,
+	})
+	const fill = 3 * 4096 // NewStack's capacity, thrice over
+	recs := make([]*httpd.RequestRec, fill+costpin.Runs+2)
+	for i := range recs {
+		path := fmt.Sprintf("/docs/page%05d.html", i)
+		recs[i] = &httpd.RequestRec{
+			Time:     time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC),
+			Method:   "GET",
+			Path:     path,
+			URI:      "GET " + path,
+			ClientIP: "10.0.0.1",
+		}
+	}
+	next := 0
+	check := func() {
+		if v := st.Guard.Check(recs[next]); v.Status.Kind != httpd.StatusOK {
+			t.Fatalf("%s: Check = %+v, want OK", recs[next].Path, v.Status)
+		}
+		next++
+	}
+	for next < fill {
+		check()
+	}
+	hits := st.API.CacheStats().Hits
+	t.Cleanup(func() {
+		if got := st.API.CacheStats().Hits - hits; got != 0 {
+			t.Errorf("%d of the measured checks hit the policy cache; every one should miss", got)
+		}
+	})
+	return []costpin.Row{warm(check, costpin.Row{Name: "cold document grant (Guard.Check)",
+		What: "the policy-cache entry, whose rights memo keeps the audit record's right in its own bytes; the composition is shared"})}
 }
 
 // browseRows are the browse stream's request kinds through

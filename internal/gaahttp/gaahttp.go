@@ -212,13 +212,10 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	}
 	cs := g.pool.Get().(*checkState)
 	// The audit record's "<authority> <METHOD> <path>", of which the
-	// requested right's value is the tail. A cached policy's rights memo
-	// keeps it from the check that filled the memo; only that check,
-	// another method or a policy too large to memoize builds it.
-	label, ok := policy.RightLabel(g.cfg.Authority, rec.Method, rec.Path)
-	if !ok {
-		label = g.cfg.Authority + " " + rec.Method + " " + rec.Path
-	}
+	// requested right's value is the tail. The policy's rights memo
+	// keeps it in its own bytes from the object's first check; another
+	// method, or a label too long for the memo, builds it.
+	label := policy.RightLabel(g.cfg.Authority, rec.Method, rec.Path)
 	cs.req.Label, cs.req.URIPlain = label, rec.PlainURI()
 	cs.rights[0].Value = label[len(g.cfg.Authority)+1:]
 	n, digits := cs.params.set(rec, cs.digits[:0])

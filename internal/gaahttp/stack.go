@@ -60,7 +60,8 @@ type StackConfig struct {
 	// AsyncNotify delivers notifications on a background worker
 	// instead of blocking policy evaluation (an ablation knob).
 	AsyncNotify bool
-	// PolicyCache enables the composed-policy cache (experiment E4).
+	// PolicyCache enables the composed-policy cache (experiment E4),
+	// holding 4096 objects.
 	PolicyCache bool
 	// SensitiveObjects are glob patterns reported on denial.
 	SensitiveObjects []string
@@ -288,7 +289,9 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 			gaa.WithMetricsSampling(gaa.DefaultMetricsSampleShift))
 	}
 	if cfg.PolicyCache {
-		apiOpts = append(apiOpts, gaa.WithPolicyCache(1024))
+		// 4096 entries of 208 bytes, their compositions shared: under
+		// 1 MB when full (internal/gaa's cost ledger).
+		apiOpts = append(apiOpts, gaa.WithPolicyCache(4096))
 	}
 	if cfg.EvaluatorTimeout > 0 {
 		apiOpts = append(apiOpts, gaa.WithEvaluatorTimeout(cfg.EvaluatorTimeout))
