@@ -56,17 +56,17 @@ type Deps struct {
 func Builtin(name string, deps Deps, clock func() time.Time) (gaa.Evaluator, bool) {
 	switch name {
 	case "notify":
-		return notifyAction{n: deps.Notifier, clock: clock, retry: deps.Retry}, true
+		return triggered{notifyAction{n: deps.Notifier, clock: clock, retry: deps.Retry}, deps.Notifier != nil}, true
 	case "update_log":
-		return updateLogAction{store: deps.Groups, spoof: deps.Spoof}, true
+		return triggered{updateLogAction{store: deps.Groups, spoof: deps.Spoof}, deps.Groups != nil}, true
 	case "audit":
-		return auditAction{log: deps.Audit, clock: clock, retry: deps.Retry}, true
+		return triggered{auditAction{log: deps.Audit, clock: clock, retry: deps.Retry}, deps.Audit != nil}, true
 	case "set_threat_level":
-		return threatAction{mgr: deps.Threat}, true
+		return triggered{threatAction{mgr: deps.Threat}, deps.Threat != nil}, true
 	case "block_ip":
-		return blockAction{set: deps.Blocks, spoof: deps.Spoof}, true
+		return triggered{blockAction{set: deps.Blocks, spoof: deps.Spoof}, deps.Blocks != nil}, true
 	case "count":
-		return countAction{counters: deps.Counters}, true
+		return triggered{countAction{counters: deps.Counters}, deps.Counters != nil}, true
 	default:
 		return nil, false
 	}

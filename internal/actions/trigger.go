@@ -69,39 +69,49 @@ func (a args) positional() (string, args) {
 	return "", ""
 }
 
+// parseTrigger reads the on: prefix of an action value: its trigger
+// and the arguments after it. A value without one is on:any. It is
+// the one reading of the trigger grammar, per call (parseValue) and at
+// policy compile time (CompileTrigger).
+func parseTrigger(value string) (trigger, args, error) {
+	head, tail, _ := strings.Cut(value, "/")
+	if !strings.HasPrefix(head, "on:") {
+		return onAny, args(value), nil
+	}
+	switch strings.TrimPrefix(head, "on:") {
+	case "any":
+		return onAny, args(tail), nil
+	case "success":
+		return onSuccess, args(tail), nil
+	case "failure":
+		return onFailure, args(tail), nil
+	default:
+		return 0, "", fmt.Errorf("unknown trigger %q", head)
+	}
+}
+
 // parseValue reads an action value "on:failure/arg1/arg2": whether its
 // trigger fires for the phase status in req, and the remaining
-// arguments. A value without an on: prefix defaults to on:any.
+// arguments.
 func parseValue(cond eacl.Condition, req *gaa.Request) (a args, fires bool, err error) {
-	rest := cond.Value
-	trig := onAny
-	if head, tail, _ := strings.Cut(rest, "/"); strings.HasPrefix(head, "on:") {
-		switch strings.TrimPrefix(head, "on:") {
-		case "any":
-			trig = onAny
-		case "success":
-			trig = onSuccess
-		case "failure":
-			trig = onFailure
-		default:
-			return "", false, fmt.Errorf("unknown trigger %q", head)
-		}
-		rest = tail
+	trig, rest, err := parseTrigger(cond.Value)
+	if err != nil {
+		return "", false, err
 	}
-	if !trig.fires(cond, req) {
+	status := req.Decision
+	if cond.Block == eacl.BlockPost {
+		status = req.OpStatus
+	}
+	if !trig.fires(status) {
 		return "", false, nil
 	}
-	return args(rest), true, nil
+	return rest, true, nil
 }
 
 // fires reports whether the trigger matches the phase status: the
 // authorization decision for request-result conditions, the operation
 // status for post-conditions.
-func (t trigger) fires(cond eacl.Condition, req *gaa.Request) bool {
-	status := req.Decision
-	if cond.Block == eacl.BlockPost {
-		status = req.OpStatus
-	}
+func (t trigger) fires(status gaa.Decision) bool {
 	switch t {
 	case onSuccess:
 		return status == gaa.Yes
@@ -112,6 +122,23 @@ func (t trigger) fires(cond eacl.Condition, req *gaa.Request) bool {
 	default:
 		return true
 	}
+}
+
+// triggered is a built-in action as Builtin returns it, with whether
+// its service is configured (one that is not answers MAYBE whatever the
+// status).
+type triggered struct {
+	gaa.Evaluator
+	configured bool
+}
+
+// CompileTrigger implements gaa.TriggerCompiler: a configured action's
+// trigger, read once, when its value names a known one.
+func (t triggered) CompileTrigger(cond eacl.Condition) func(gaa.Decision) bool {
+	if trig, _, err := parseTrigger(cond.Value); t.configured && err == nil {
+		return trig.fires
+	}
+	return nil
 }
 
 // skipped is the outcome of an action whose trigger did not match.

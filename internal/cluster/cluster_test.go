@@ -366,6 +366,26 @@ func TestDegradedPeerReported(t *testing.T) {
 	}
 }
 
+// TestDegradedAtTheWindowsEdge pins the degraded window's boundary: a
+// failing peer with pending records is not degraded after exactly
+// degradedAfter without a successful push, and is one nanosecond later.
+func TestDegradedAtTheWindowsEdge(t *testing.T) {
+	lt, clk := NewLoopTransport(), newTestClock()
+	sa, na := testNode(t, lt, clk, "a", "loop://b")
+	lt.Cut("loop://b")
+
+	sa.blocks.Block("203.0.113.9", time.Minute)
+	na.Push(clk.Now())
+	clk.Advance(degradedAfter)
+	if st := na.Stats(); st.DegradedPeers != 0 || st.Peers[0].Degraded {
+		t.Fatalf("peer degraded at exactly the window: %+v", st)
+	}
+	clk.Advance(time.Nanosecond)
+	if st := na.Stats(); st.DegradedPeers != 1 || !st.Peers[0].Degraded {
+		t.Fatalf("peer not degraded a nanosecond past the window: %+v", st)
+	}
+}
+
 // originApplied is n's applied cursor for origin ("": none yet).
 func originApplied(n *Node, origin string) uint64 {
 	for _, o := range n.Stats().Origins {
@@ -579,6 +599,33 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 	if st := nb.Stats(); st.RecordsDuplicate < 2 {
 		t.Fatalf("duplicates not counted: %+v", st)
+	}
+}
+
+// TestRedeliveredLastRecordIsDuplicate: an origin's last applied
+// record, delivered again on its own, is a duplicate. A counter event
+// adds on every apply, so applying it twice would count one failure
+// twice.
+func TestRedeliveredLastRecordIsDuplicate(t *testing.T) {
+	lt := NewLoopTransport()
+	sb, nb := testNode(t, lt, newTestClock(), "b")
+	const key = "failed_login:203.0.113.70"
+	at := time.Now()
+	event := func(seq uint64) statestore.Record {
+		return statestore.Record{Seq: seq, Kind: statestore.KindCounter, Data: mustJSON(t, conditions.CounterEvent{Key: key, At: at})}
+	}
+	if _, err := nb.Receive(encodeTestBatch(t, "a", 100, []statestore.Record{event(1), event(2)})); err != nil {
+		t.Fatalf("first delivery: %v", err)
+	}
+	ack, err := nb.Receive(encodeTestBatch(t, "a", 100, []statestore.Record{event(2)}))
+	if err != nil {
+		t.Fatalf("re-delivery: %v", err)
+	}
+	if got := sb.counters.CountSince(key, time.Hour); got != 2 {
+		t.Errorf("counter = %d after re-delivering the last record, want 2", got)
+	}
+	if st := nb.Stats(); ack.Acked != 2 || st.RecordsApplied != 2 || st.RecordsDuplicate != 1 {
+		t.Errorf("ack %+v, applied %d, duplicates %d; want acked 2, applied 2, one duplicate", ack, st.RecordsApplied, st.RecordsDuplicate)
 	}
 }
 

@@ -28,12 +28,14 @@ func TestCompiledCondParity(t *testing.T) {
 		gaa.NewRequest("apache", "GET /index.html",
 			gaa.Param{Type: gaa.ParamClientIP, Authority: "*", Value: "10.9.9.9"},
 			gaa.Param{Type: gaa.ParamInputLength, Authority: "*", Value: "14"},
+			gaa.Param{Type: gaa.ParamCPUMillis, Authority: "*", Value: "20"},
 		),
 		gaa.NewRequest("apache", "GET /cgi-bin/phf?q=x",
 			gaa.Param{Type: gaa.ParamClientIP, Authority: "*", Value: "192.168.1.5"},
 			gaa.Param{Type: gaa.ParamUser, Authority: "*", Value: "alice"},
 			gaa.Param{Type: gaa.ParamClientHost, Authority: "*", Value: "ws.example.org"},
 			gaa.Param{Type: gaa.ParamInputLength, Authority: "*", Value: "2000"},
+			gaa.Param{Type: gaa.ParamCPUMillis, Authority: "*", Value: "50"},
 		),
 		gaa.NewRequest("apache", "GET /x"), // no params at all
 	}
@@ -66,6 +68,11 @@ func TestCompiledCondParity(t *testing.T) {
 		{"expr", "input_length>1000", true},
 		{"expr", "missing_param<5", true},
 		{"expr", "nonsense", false},
+		{"quota", "cpu_ms<=50", true},
+		{"quota", "cpu_ms<50", true},
+		{"quota", "cpu_ms>=50", true},
+		{"quota", "wall_ms<=10", true},
+		{"quota", "cpu_ms<=many", false},
 		{"accessid_USER", "alice bob", true},
 		{"accessid_USER", "*", true},
 		{"accessid_GROUP", "BadGuys", true},

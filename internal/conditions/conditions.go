@@ -17,8 +17,8 @@
 // malformed for every request: MAYBE with the validator's error.
 //
 // Not hoisted (deliberately): signature (shared mutable DB), threshold
-// (stateful counters), quota (mid-phase), file_sha256 (filesystem), and
-// anything a deployment registers itself.
+// (stateful counters), file_sha256 (filesystem), and anything a
+// deployment registers itself.
 package conditions
 
 import (

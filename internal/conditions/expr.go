@@ -21,7 +21,7 @@ import (
 // during operation execution — the paper's "CPU usage threshold that
 // must hold during the operation execution" (section 2). It is a
 // requirement: a violated quota is a final NO for the execution-control
-// phase. It is not hoisted: mid-conditions never reach the compiler.
+// phase. Both hoist: the compiled engine runs every block's conditions.
 type cmpEvaluator struct {
 	class             gaa.Class
 	noParam           string // detail prefix when the parameter is absent
@@ -43,6 +43,7 @@ type cmpTest struct {
 	param, defAuth string
 	op             comparator
 	bound          int64
+	class          gaa.CondVerdict // the class bit of a met or failed test
 }
 
 func parseCmp(value, defAuth string) (cmpTest, error) {
@@ -72,15 +73,16 @@ func (t cmpTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	if !ok {
 		return gaa.CondMaybe
 	}
-	return selector(holds)
+	return selector(holds) | t.class
 }
 
 // CompileCond implements gaa.CondCompiler.
 func (e cmpEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
-	if e.class != gaa.ClassSelector {
-		return nil, false
+	t, err := parseCmp(cond.Value, cond.DefAuth)
+	if e.class == gaa.ClassRequirement {
+		t.class = gaa.CondRequirement
 	}
-	return hoisted(parseCmp(cond.Value, cond.DefAuth))
+	return hoisted(t, err)
 }
 
 func (e cmpEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {

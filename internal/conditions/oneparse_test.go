@@ -95,7 +95,7 @@ func TestOneParsePerCondition(t *testing.T) {
 		{"file_sha256", "a b c", false},
 	}
 	hoistable := map[string]bool{
-		"system_threat_level": true, "time_window": true, "location": true, "regex": true, "expr": true,
+		"system_threat_level": true, "time_window": true, "location": true, "regex": true, "expr": true, "quota": true,
 	}
 	wired := Deps{Threat: ids.NewManager(ids.Medium), Groups: groups.NewStore(), Counters: NewCounters(nil)}
 	reqs := []*gaa.Request{

@@ -59,10 +59,14 @@ type Answer struct {
 	// Challenge, when non-empty, tells the application the requester
 	// may satisfy the policy by authenticating (HTTP_AUTHREQUIRED).
 	Challenge string
-	// Mid and Post hold the mid- and post-condition lists of the
-	// entries that decided, for ExecutionControl and
-	// PostExecutionActions.
+	// Mid and Post list the mid- and post-conditions of the entries
+	// that decided. ExecutionControl and PostExecutionActions run them
+	// in the compiled form CheckAuthorization keeps beside them.
 	Mid, Post []eacl.Condition
+	// later are the deciding entries with mid or post blocks, of units
+	// compiled at registry generation gen.
+	later []*compiledEntry
+	gen   uint64
 	// Trace is the full evaluation trace when tracing is enabled.
 	// Degraded evaluations (see Faults) are traced even with tracing
 	// off.

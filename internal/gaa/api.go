@@ -242,6 +242,8 @@ type evalState struct {
 	// cs is the scan's working set (bitsets and the fast-cond memo
 	// table), kept warm across pool cycles.
 	cs compiledScratch
+	// gen is the registry generation the scan's units compiled at.
+	gen uint64
 }
 
 var statePool = sync.Pool{New: func() any { return new(evalState) }}
@@ -317,37 +319,38 @@ func (a *API) CheckAuthorizationInto(ctx context.Context, p *Policy, req *Reques
 }
 
 // conclude turns the scan result into the answer — the request-result
-// conditions of every deciding entry run with the decision visible —
-// and recycles st. Field by field: a literal reading ans.Mid is built
+// blocks of every deciding entry run with the decision visible — and
+// recycles st. Field by field: a literal reading ans.Mid is built
 // aside and copied in under the GC's bulk write barrier.
 func (a *API) conclude(ctx context.Context, st *evalState, res *evalResult, ans *Answer) {
 	ans.Decision, ans.Applicable = res.Decision, res.Applicable
 	ans.Unevaluated, ans.Challenge = res.unevaluated, res.Challenge
 	ans.Mid = ans.Mid[:0]
 	ans.Post = ans.Post[:0]
-	ans.Trace, ans.Faults = res.trace, res.faults
+	clear(ans.later)
+	ans.later, ans.gen = ans.later[:0], st.gen
 	r := &st.req
 	r.Decision = ans.Decision
 	for _, d := range st.deciders {
-		dec, evaluated := a.evaluateBlock(ctx, d.source, d.entry.Line, d.entry.Conditions, eacl.BlockRequestResult, r, &ans.Trace, &ans.Faults)
-		if evaluated {
-			ans.Decision = Conjoin(ans.Decision, dec)
+		if d.later == nil {
+			continue
 		}
+		res.source = d.source
+		ans.Decision = Conjoin(ans.Decision, a.runBlock(ctx, d.block(eacl.BlockRequestResult), false, r, r.Decision, d.entry.Line, res))
 		// Later phases enforce the deciding entries' mid/post blocks.
-		appendBlock(&ans.Mid, d.entry, eacl.BlockMid)
-		appendBlock(&ans.Post, d.entry, eacl.BlockPost)
-	}
-	putState(st)
-}
-
-// appendBlock appends the entry's conditions of the given block to
-// *dst, allocating only when the block is non-empty.
-func appendBlock(dst *[]eacl.Condition, entry *eacl.Entry, b eacl.Block) {
-	for i := range entry.Conditions {
-		if entry.Conditions[i].Block == b {
-			*dst = append(*dst, entry.Conditions[i])
+		mid, post := d.block(eacl.BlockMid), d.block(eacl.BlockPost)
+		if len(mid)+len(post) > 0 {
+			ans.later = append(ans.later, d.compiledEntry)
+		}
+		for i := range mid {
+			ans.Mid = append(ans.Mid, mid[i].cond)
+		}
+		for i := range post {
+			ans.Post = append(ans.Post, post[i].cond)
 		}
 	}
+	ans.Trace, ans.Faults = res.trace, res.faults
+	putState(st)
 }
 
 // ExecutionControl is phase 2 (the paper's gaa_execution_control): it
@@ -366,13 +369,7 @@ func (a *API) ExecutionControl(ctx context.Context, ans *Answer, req *Request, u
 	if sampled {
 		start = time.Now()
 	}
-	st := a.getState(req)
-	r := &st.req
-	r.Decision = ans.Decision
-	st.extendParams(usage...)
-	var trace []TraceEvent
-	dec, _ := a.evaluateBlock(ctx, "mid", 0, ans.Mid, eacl.BlockMid, r, &trace, nil)
-	putState(st)
+	dec, trace := a.runPhase(ctx, ans, eacl.BlockMid, req, req.OpStatus, usage...)
 	if m != nil {
 		m.mid.record(sampled, start, m.weight, dec)
 	}
@@ -393,20 +390,66 @@ func (a *API) PostExecutionActions(ctx context.Context, ans *Answer, req *Reques
 	if sampled {
 		start = time.Now()
 	}
-	st := a.getState(req)
-	r := &st.req
-	r.Decision = ans.Decision
-	r.OpStatus = opStatus
-	st.extendParams(Param{
+	dec, trace := a.runPhase(ctx, ans, eacl.BlockPost, req, opStatus, Param{
 		Type:      ParamOpStatusName,
 		Authority: AuthorityAny,
 		Value:     opStatus.String(),
 	})
-	var trace []TraceEvent
-	dec, _ := a.evaluateBlock(ctx, "post", 0, ans.Post, eacl.BlockPost, r, &trace, nil)
-	putState(st)
 	if m != nil {
 		m.post.record(sampled, start, m.weight, dec)
 	}
 	return dec, trace
+}
+
+// runPhase runs block b, mid or post, of the entries that decided ans,
+// on req extended by extra with ans's decision and opStatus visible,
+// and returns the conjunction of the outcomes and the phase's trace. An
+// action's trigger reads the decision in the mid block, opStatus in the
+// post block. The pooled request state is taken only for an evaluator
+// call, or when req is not the phase's request in what a hoisted test
+// reads; after a registration since the scan, the blocks compile afresh.
+func (a *API) runPhase(ctx context.Context, ans *Answer, b eacl.Block, req *Request, opStatus Decision, extra ...Param) (Decision, []TraceEvent) {
+	status, source := ans.Decision, "mid"
+	if b == eacl.BlockPost {
+		status, source = opStatus, "post"
+	}
+	stale := ans.gen != a.reg.generation()
+	runs, calls := ans.runs(b, status, a.trace || req.Trace || stale)
+	if !runs {
+		return Yes, nil
+	}
+	r, st := req, (*evalState)(nil)
+	if calls || len(extra) > 0 || req.Time.IsZero() {
+		st = a.getState(req)
+		st.req.Decision, st.req.OpStatus = ans.Decision, opStatus
+		st.extendParams(extra...)
+		r = &st.req
+	}
+	res := evalResult{source: source}
+	var dec Decision
+	for _, e := range ans.later {
+		dec = Conjoin(dec, a.runBlock(ctx, e.block(b), stale, r, status, 0, &res))
+	}
+	if st != nil {
+		putState(st)
+	}
+	return dec, res.trace
+}
+
+// runs reports whether running block b for status runs any condition
+// (an action that cannot fire does not), and whether one of them calls
+// its evaluator, as every condition does when traced.
+func (ans *Answer) runs(b eacl.Block, status Decision, traced bool) (runs, calls bool) {
+	for _, e := range ans.later {
+		blk := e.block(b)
+		for i := range blk {
+			switch cc := &blk[i]; {
+			case traced || cc.fast == nil && !cc.skips(status):
+				return true, true
+			case cc.fast != nil:
+				runs = true
+			}
+		}
+	}
+	return runs, false
 }

@@ -3,6 +3,7 @@ package gaa
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,5 +262,85 @@ func TestRegisteredAndKnown(t *testing.T) {
 	})
 	if !a.Known("regex", "other") {
 		t.Error("Known should fall back to wildcard authority")
+	}
+}
+
+// TestPhaseSkipsActionsThatCannotFire: an action whose trigger cannot
+// fire for the phase status is not called on an untraced request, and
+// is on a traced one, whose trace shows its answer; one that fires is
+// called either way.
+func TestPhaseSkipsActionsThatCannotFire(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		var calls, fired atomic.Int64
+		a := New()
+		a.Register("audit", AuthorityAny, failureAudit{&calls, &fired})
+		p := memPolicy(t, a, "pos_access_right apache *\nrr_cond_audit local on:failure\npost_cond_audit local on:failure\n")
+		req := simpleRequest()
+		req.Trace = traced
+		ans := checkAuth(t, a, p, req)
+		want := int64(0)
+		if traced {
+			want = 1
+			if n := len(ans.Trace); n == 0 || ans.Trace[n-1].Outcome.Detail != "trigger not matched" {
+				t.Errorf("traced grant's trace = %v, want the unmatched trigger last", ans.Trace)
+			}
+		}
+		if ans.Decision != Yes || calls.Load() != want {
+			t.Errorf("traced=%v: grant = %v after %d audit calls, want yes after %d", traced, ans.Decision, calls.Load(), want)
+		}
+		if dec, trace := a.PostExecutionActions(context.Background(), ans, req, Yes); dec != Yes || calls.Load() != 2*want || (len(trace) > 0) != traced {
+			t.Errorf("traced=%v: post after success = %v, %d calls, trace %v", traced, dec, calls.Load(), trace)
+		}
+		if dec, _ := a.PostExecutionActions(context.Background(), ans, req, No); dec != Yes || calls.Load() != 2*want+1 || fired.Load() != 1 {
+			t.Errorf("traced=%v: post after failure = %v, %d calls, %d fired; want yes, the audit fired", traced, dec, calls.Load(), fired.Load())
+		}
+	}
+}
+
+// TestPhaseRunsHoistedMidTestsInline: a hoisted mid-condition runs its
+// compiled test, whether the usage comes apart or after the request's
+// own parameters, and its evaluator only on a traced request.
+func TestPhaseRunsHoistedMidTestsInline(t *testing.T) {
+	var comp, interp atomic.Int64
+	a := New()
+	a.Register("fastyes", AuthorityAny, fastEval{out: MetOutcome(ClassRequirement, "yes"), compiled: &comp, interp: &interp})
+	a.Register("quota", AuthorityAny, usageQuota{})
+	p := memPolicy(t, a, "pos_access_right apache *\nmid_cond_fastyes local\nmid_cond_quota local cpu_ms<=50\n")
+	req := simpleRequest()
+	ans := checkAuth(t, a, p, req)
+	cpu := func(v string) Param { return Param{Type: ParamCPUMillis, Authority: AuthorityAny, Value: v} }
+	inline := simpleRequest(cpu("80"))
+	inline.Time = time.Date(2026, time.March, 4, 15, 30, 0, 0, time.UTC)
+	if dec, _ := a.ExecutionControl(context.Background(), ans, req, cpu("20")); dec != Yes {
+		t.Errorf("within quota = %v, want yes", dec)
+	}
+	if dec, _ := a.ExecutionControl(context.Background(), ans, inline); dec != No {
+		t.Errorf("usage in the request, over quota = %v, want no", dec)
+	}
+	if comp.Load() != 2 || interp.Load() != 0 {
+		t.Errorf("hoisted %d, evaluator %d calls; want 2 and 0", comp.Load(), interp.Load())
+	}
+	req.Trace = true
+	if dec, trace := a.ExecutionControl(context.Background(), ans, req); dec != Maybe || len(trace) != 2 || interp.Load() != 1 {
+		t.Errorf("traced, usage missing = %v with %d events, %d evaluator calls; want maybe, 2 events, 1 call", dec, len(trace), interp.Load())
+	}
+}
+
+// TestPhaseAfterRegistrationCompilesAfresh: a registration between the
+// check and a later phase is seen by that phase, as the registry is by
+// every evaluation.
+func TestPhaseAfterRegistrationCompilesAfresh(t *testing.T) {
+	a := New()
+	p := memPolicy(t, a, "pos_access_right apache *\nmid_cond_late local\n")
+	req := simpleRequest()
+	ans := checkAuth(t, a, p, req)
+	if dec, _ := a.ExecutionControl(context.Background(), ans, req); dec != Maybe {
+		t.Fatalf("unregistered mid-condition = %v, want maybe", dec)
+	}
+	a.RegisterFunc("late", AuthorityAny, func(context.Context, eacl.Condition, *Request) Outcome {
+		return FailedOutcome(ClassRequirement, "late")
+	})
+	if dec, _ := a.ExecutionControl(context.Background(), ans, req); dec != No {
+		t.Errorf("mid-condition registered after the check = %v, want no", dec)
 	}
 }

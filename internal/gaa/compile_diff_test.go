@@ -3,25 +3,31 @@ package gaa_test
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
+	"gaaapi/internal/actions"
+	"gaaapi/internal/audit"
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/faults"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
+	"gaaapi/internal/netblock"
+	"gaaapi/internal/notify"
 	"gaaapi/policies/paper"
 )
 
 // The differential harness: the production walk and the reference
 // oracle (reference_test.go) on two APIs built over identical
-// dependencies (own threat manager, group store and fault injector
-// seeded the same way, shared frozen clock) — two, so that stateful
-// wrappers and evaluators see one evaluation sequence each. Policies
-// are composed once and the same *Policy is handed to both, so any
-// divergence in the Answer is the walk's fault.
+// dependencies (own threat manager, group store, action sinks and
+// fault injector seeded the same way, shared frozen clock) — two, so
+// that stateful wrappers, evaluators and actions see one evaluation
+// sequence each. Policies are composed once and the same *Policy is
+// handed to both, so any divergence in the Answer, or in what the later
+// phases answer for it, is the walk's fault.
 
 // diffConfig is one engine configuration the equivalence must hold
 // under.
@@ -45,37 +51,111 @@ var diffConfigs = []diffConfig{
 }
 
 type diffPair struct {
-	cfg    diffConfig
-	walk   *gaa.API
-	oracle *gaa.API
+	cfg              diffConfig
+	now              time.Time
+	walk, oracle     *gaa.API
+	walkFx, oracleFx *effects
+}
+
+// auditCount is an audit log that counts its records.
+type auditCount struct{ n int }
+
+func (a *auditCount) Log(audit.Record) error {
+	a.n++
+	return nil
+}
+
+// effects are what one API's actions act on.
+type effects struct {
+	audit    *auditCount
+	mail     *notify.Mailbox
+	groups   *groups.Store
+	blocks   *netblock.Set
+	threat   *ids.Manager
+	counters *conditions.Counters
+}
+
+// tally counts what the actions did.
+type tally struct {
+	audits, mails, badGuys, blocks, counted int
+	threat                                  ids.Level
+}
+
+func (e *effects) tally() tally {
+	n := tally{audits: e.audit.n, mails: e.mail.Count(), badGuys: len(e.groups.Members("BadGuys")),
+		blocks: e.blocks.Len(), threat: e.threat.Level()}
+	for _, events := range e.counters.Dump() {
+		n.counted += len(events)
+	}
+	return n
+}
+
+// sameEffects fails the test when the walk's actions and the oracle's
+// have not done the same.
+func (d diffPair) sameEffects(t *testing.T, label string) {
+	t.Helper()
+	if w, o := d.walkFx.tally(), d.oracleFx.tally(); w != o {
+		t.Errorf("%s: %s: the actions' effects differ: walk %+v, oracle %+v", d.cfg.name, label, w, o)
+	}
+}
+
+// budgetEval is a custom mid-condition evaluator: "cpu_ms" holds while
+// the parameter is below 100, and is unevaluated without it.
+func budgetEval(_ context.Context, c eacl.Condition, r *gaa.Request) gaa.Outcome {
+	n, ok := r.Params.GetInt(c.Value, c.DefAuth)
+	switch {
+	case !ok:
+		return gaa.UnevaluatedOutcome("no " + c.Value)
+	case n < 100:
+		return gaa.MetOutcome(gaa.ClassRequirement, "within budget")
+	default:
+		return gaa.FailedOutcome(gaa.ClassRequirement, "over budget")
+	}
 }
 
 func newDiffPair(cfg diffConfig, threat ids.Level, badGuys []string, now time.Time) diffPair {
-	mk := func() *gaa.API {
-		store := groups.NewStore()
-		for _, m := range badGuys {
-			store.Add("BadGuys", m)
+	clock := func() time.Time { return now }
+	mk := func() (*gaa.API, *effects) {
+		fx := &effects{
+			audit:    new(auditCount),
+			mail:     notify.NewMailbox(0),
+			groups:   groups.NewStore(),
+			blocks:   netblock.NewSet(netblock.WithClock(clock)),
+			threat:   ids.NewManager(threat),
+			counters: conditions.NewCounters(clock),
 		}
-		opts := []gaa.Option{gaa.WithClock(func() time.Time { return now })}
+		for _, m := range badGuys {
+			fx.groups.Add("BadGuys", m)
+		}
+		opts := []gaa.Option{gaa.WithClock(clock)}
 		if cfg.opt != nil {
 			opts = append(opts, cfg.opt())
 		}
 		a := gaa.New(opts...)
-		conditions.Register(a, conditions.Deps{
-			Threat: ids.NewManager(threat),
-			Groups: store,
+		conditions.Register(a, conditions.Deps{Threat: fx.threat, Groups: fx.groups, Counters: fx.counters})
+		actions.Register(a, actions.Deps{
+			Notifier: fx.mail,
+			Groups:   fx.groups,
+			Audit:    fx.audit,
+			Threat:   fx.threat,
+			Blocks:   fx.blocks,
+			Counters: fx.counters,
 		})
-		return a
+		a.RegisterFunc("budget", gaa.AuthorityAny, budgetEval)
+		return a, fx
 	}
-	return diffPair{cfg: cfg, walk: mk(), oracle: mk()}
+	d := diffPair{cfg: cfg, now: now}
+	d.walk, d.walkFx = mk()
+	d.oracle, d.oracleFx = mk()
+	return d
 }
 
 // check runs the same request through the walk and the oracle and fails
 // the test on any observable difference: decision, applicability,
 // challenge, unevaluated conditions, mid/post blocks, faults and the
 // whole trace. Every check must be served by the walk. It returns the
-// walk's answer.
-func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) *gaa.Answer {
+// walk's answer and the oracle's.
+func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) (got, want *gaa.Answer) {
 	t.Helper()
 	ctx := context.Background()
 	req := func() *gaa.Request {
@@ -91,11 +171,67 @@ func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() 
 	if d.walk.CompileStats().Runs != before+1 {
 		t.Errorf("%s: %s: check not counted as a run", d.cfg.name, label)
 	}
-	want := d.oracle.ReferenceCheck(ctx, p, req())
+	want = d.oracle.ReferenceCheck(ctx, p, req())
 	if diff := answerDiff(got, want); diff != "" {
 		t.Errorf("%s: %s: walk and reference answers differ: %s", d.cfg.name, label, diff)
 	}
-	return got
+	d.sameEffects(t, label)
+	return got, want
+}
+
+// usageParams is a usage snapshot as execution control reads it; a
+// negative value leaves its parameter out.
+func usageParams(cpu, wall, mem, out int) []gaa.Param {
+	var ps []gaa.Param
+	for i, typ := range [...]string{gaa.ParamCPUMillis, gaa.ParamWallMillis, gaa.ParamMemBytes, gaa.ParamOutputBytes} {
+		if v := [...]int{cpu, wall, mem, out}[i]; v >= 0 {
+			ps = append(ps, gaa.Param{Type: typ, Authority: gaa.AuthorityAny, Value: strconv.Itoa(v)})
+		}
+	}
+	return ps
+}
+
+// phases runs the later phases on the walk's answer got and the
+// oracle's want, each on its own API, and fails the test when a
+// decision, a trace or the actions' effects differ: ExecutionControl
+// with the usage passed
+// apart, then as a server passes it, after the request's own
+// parameters on a request that carries its time, then
+// PostExecutionActions for each operation status.
+func (d diffPair) phases(t *testing.T, label string, got, want *gaa.Answer, mkReq func() *gaa.Request, usage []gaa.Param) {
+	t.Helper()
+	ctx := context.Background()
+	req := func() *gaa.Request {
+		r := mkReq()
+		r.Trace = d.cfg.trace
+		return r
+	}
+	inline := func() *gaa.Request {
+		r := req()
+		r.Params = append(r.Params, usage...)
+		r.Time = d.now
+		return r
+	}
+	same := func(step string, gd gaa.Decision, gt []gaa.TraceEvent, wd gaa.Decision, wt []gaa.TraceEvent) {
+		t.Helper()
+		if gd != wd {
+			t.Errorf("%s: %s: %s = %v, reference %v", d.cfg.name, label, step, gd, wd)
+		} else if diff := traceDiff(gt, wt); diff != "" {
+			t.Errorf("%s: %s: %s traces differ: %s", d.cfg.name, label, step, diff)
+		}
+		d.sameEffects(t, label+", "+step)
+	}
+	gd, gt := d.walk.ExecutionControl(ctx, got, req(), usage...)
+	wd, wt := d.oracle.ReferenceExecutionControl(ctx, want, req(), usage...)
+	same("ExecutionControl", gd, gt, wd, wt)
+	gd, gt = d.walk.ExecutionControl(ctx, got, inline())
+	wd, wt = d.oracle.ReferenceExecutionControl(ctx, want, inline())
+	same("ExecutionControl, usage in the request", gd, gt, wd, wt)
+	for _, op := range []gaa.Decision{gaa.Yes, gaa.No, gaa.Maybe} {
+		gd, gt = d.walk.PostExecutionActions(ctx, got, req(), op)
+		wd, wt = d.oracle.ReferencePostExecutionActions(ctx, want, req(), op)
+		same("PostExecutionActions "+op.String(), gd, gt, wd, wt)
+	}
 }
 
 func answerDiff(c, i *gaa.Answer) string {
@@ -140,11 +276,15 @@ func answerDiff(c, i *gaa.Answer) string {
 		}
 	}
 	// Untraced requests still trace degraded evaluations.
-	if len(c.Trace) != len(i.Trace) || (c.Trace == nil) != (i.Trace == nil) {
-		return fmt.Sprintf("trace %d vs %d events (nil: %v vs %v)", len(c.Trace), len(i.Trace), c.Trace == nil, i.Trace == nil)
+	return traceDiff(c.Trace, i.Trace)
+}
+
+func traceDiff(c, i []gaa.TraceEvent) string {
+	if len(c) != len(i) || (c == nil) != (i == nil) {
+		return fmt.Sprintf("trace %d vs %d events (nil: %v vs %v)", len(c), len(i), c == nil, i == nil)
 	}
-	for n := range c.Trace {
-		ct, it := c.Trace[n], i.Trace[n]
+	for n := range c {
+		ct, it := c[n], i[n]
 		// Errors are distinct values on the two APIs; compare their text
 		// and everything else exactly.
 		if fmt.Sprint(ct.Outcome.Err) != fmt.Sprint(it.Outcome.Err) {
@@ -198,14 +338,40 @@ rr_cond_update_log local on:failure/BadGuys/info:IP
 pos_access_right apache *
 `
 
+// policy72Monitored is the literal-bound 7.2 local policy as a
+// deployment serves it with responses and execution control: every
+// deny also blocks and audits, and a CGI grant runs under a CPU quota
+// with an audit of a failed run.
+const policy72Monitored = `
+neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%c0%af* *%255c* *cmd.exe* *root.exe*
+rr_cond_notify local on:failure/sysadmin/info:cgiexploit
+rr_cond_update_log local on:failure/BadGuys/info:IP
+rr_cond_block_ip local on:failure
+rr_cond_audit local on:failure/info:cgiexploit
+neg_access_right apache *
+pre_cond_expr local input_length>1000
+rr_cond_notify local on:failure/sysadmin/info:overflow
+rr_cond_update_log local on:failure/BadGuys/info:IP
+rr_cond_block_ip local on:failure
+rr_cond_audit local on:failure/info:overflow
+pos_access_right apache GET /cgi-bin/*
+mid_cond_quota local cpu_ms<=250
+post_cond_audit local on:failure/info:cgi-failed
+pos_access_right apache *
+`
+
 // TestCompiledMatchesInterpretedOnRepoPolicies sweeps the section 7
 // policies the repository ships (policies/paper), their "without
-// notification" variants and the literal-bound 7.2 local across a
-// request matrix of rights, identities, client addresses, CGI input
-// lengths and threat levels, under every engine configuration,
-// requiring the walk's answer to equal the reference oracle's on each
-// cell. Two degenerate compositions ride along: all the policies at
-// once (12+ EACLs) and none.
+// notification" variants, the literal-bound 7.2 local and its
+// monitored variant across a request matrix of rights, identities,
+// client addresses, CGI input lengths and threat levels, under every
+// engine configuration, requiring the walk's answer to equal the
+// reference oracle's on each cell, and the later phases' answers for
+// it — execution control under a snapshot within the quota and one
+// over it, post-execution for each operation status — to equal the
+// oracle's. Two degenerate compositions ride along: all the policies
+// at once (12+ EACLs) and none.
 func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	sysPolicies := map[string]string{
 		"none": "",
@@ -218,6 +384,7 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 		"72nn":    paper.Without(paper.Local72, "notify"),
 		"72lit":   policy72LocalLiteral,
 		"72litnn": paper.Without(policy72LocalLiteral, "notify"),
+		"72mon":   policy72Monitored,
 	}
 
 	// The degenerate compositions: every policy at once, twice over
@@ -247,6 +414,7 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 
 	rights := []string{
 		"GET /index.html",
+		"GET /cgi-bin/hello",
 		"GET /cgi-bin/phf?q=x",
 		"GET /cgi-bin/test-cgi",
 		"GET /a///////////////////b",
@@ -255,6 +423,7 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	users := []string{"", "alice"}
 	ips := []string{"10.9.9.9", "192.168.1.5"}
 	inputs := []string{"14", "2000"}
+	usages := [][]gaa.Param{usageParams(20, 5, 1<<20, 512), usageParams(400, 9000, 1<<30, 1<<20)}
 	now := time.Date(2026, time.March, 4, 15, 30, 0, 0, time.UTC)
 
 	for _, cfg := range diffConfigs {
@@ -268,7 +437,7 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 								for _, in := range inputs {
 									label := fmt.Sprintf("threat=%v %s right=%q user=%q ip=%s in=%s",
 										threat, name, right, user, ip, in)
-									pair.check(t, label, p, func() *gaa.Request {
+									mkReq := func() *gaa.Request {
 										params := gaa.ParamList{
 											{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
 											{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: in},
@@ -279,7 +448,11 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 											})
 										}
 										return gaa.NewRequest("apache", right, params...)
-									})
+									}
+									got, want := pair.check(t, label, p, mkReq)
+									for _, usage := range usages {
+										pair.phases(t, label, got, want, mkReq, usage)
+									}
 								}
 							}
 						}
@@ -299,19 +472,24 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 }
 
 // FuzzCompiledVsInterpreted is the differential fuzzer: arbitrary
-// system/local EACL texts, right values, identities and environment
-// knobs, with the walk and the reference oracle required to agree on
-// the complete answer — decision, reasons, fault degradation, trace —
+// system/local EACL texts, right values, identities, environment knobs
+// and a usage snapshot (cpu, wall, mem, out; a negative value leaves
+// its parameter out), with the walk and the reference oracle required
+// to agree on the complete answer — decision, reasons, fault
+// degradation, trace — and on what the later phases answer for it,
 // under every engine configuration. One Policy per configuration is
 // checked under a sequence of rights — the fuzzed right (filling its
 // rights memo), the same again (reading it), a second right, the first
-// again, and both at once — and each answer must also equal a third API's
-// on a freshly composed Policy, whose memo is empty. (The name predates
-// the oracle's move to reference_test.go; the committed testdata/fuzz/
-// corpus is keyed by it.)
+// again, and both at once — and each answer must also equal a third
+// API's on a freshly composed Policy, whose memo is empty. (The name
+// predates the oracle's move to reference_test.go; the committed
+// testdata/fuzz/ corpus is keyed by it.)
 func FuzzCompiledVsInterpreted(f *testing.F) {
+	phaseSeed := func(sys, loc, right string, cpu, wall, mem, out int) {
+		f.Add(sys, loc, right, "", "1.2.3.4", 14, 0, 12, 2, cpu, wall, mem, out)
+	}
 	seed := func(sys, loc, right, user, ip string, inputLen, threat, hour, day int) {
-		f.Add(sys, loc, right, user, ip, inputLen, threat, hour, day)
+		f.Add(sys, loc, right, user, ip, inputLen, threat, hour, day, 20, 5, 1<<20, 512)
 	}
 	// Section 7 combinations.
 	seed(paper.System71, paper.Local71, "GET /index.html", "", "10.9.9.9", 14, 2, 15, 3)
@@ -339,8 +517,28 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	// Per-path rights: the second right of the sequence covers other
 	// entries than the one the rights memo remembers.
 	seed("", "neg_access_right apache GET /cgi-bin/*\npos_access_right apache *", "GET /index.html", "", "1.2.3.4", 0, 0, 0, 0)
+	// The later phases: each quota comparator on each side of its
+	// bound, a usage parameter missing, an '@name' mid value, and a
+	// custom mid evaluator (the faults configuration wraps it).
+	for _, q := range []string{"cpu_ms<=250", "cpu_ms<250", "wall_ms>=100", "mem_bytes>4096", "output_bytes=512", "cpu_ms!=20"} {
+		quota := "pos_access_right apache *\nmid_cond_quota local " + q
+		phaseSeed("", quota, "GET /cgi-bin/hello", 20, 100, 4096, 512)
+		phaseSeed("", quota, "GET /cgi-bin/hello", 250, 99, 4097, 513)
+	}
+	phaseSeed("", "pos_access_right apache *\nmid_cond_quota local cpu_ms<=250\nmid_cond_quota local wall_ms<=10", "GET /x", 20, -1, 0, 0)
+	phaseSeed("", "pos_access_right apache *\nmid_cond_quota local cpu_ms<=@cpu_limit", "GET /x", 20, 5, 0, 0)
+	phaseSeed("", "pos_access_right apache *\nmid_cond_budget local cpu_ms\nmid_cond_budget local wall_ms", "GET /x", 20, 500, 0, 0)
+	// Request-result and post actions under each trigger, on a grant,
+	// a deny and an uncertain answer.
+	for _, trig := range []string{"on:success", "on:failure", "on:any"} {
+		acts := "\nrr_cond_audit local " + trig + "/info:rr\nrr_cond_count local " + trig + "/hits\npost_cond_audit local " + trig + "/info:post\npost_cond_update_log local " + trig + "/BadGuys/info:IP"
+		phaseSeed("", "pos_access_right apache *"+acts, "GET /x", 20, 5, 0, 0)
+		phaseSeed("", "neg_access_right apache *"+acts, "GET /x", 20, 5, 0, 0)
+		phaseSeed("", "pos_access_right apache *\npre_cond_mystery local v"+acts, "GET /x", 20, 5, 0, 0)
+	}
+	phaseSeed(paper.System72, policy72Monitored, "GET /cgi-bin/hello", 400, 5, 0, 0)
 
-	f.Fuzz(func(t *testing.T, sys, loc, right, user, ip string, inputLen, threat, hour, day int) {
+	f.Fuzz(func(t *testing.T, sys, loc, right, user, ip string, inputLen, threat, hour, day, cpu, wall, mem, out int) {
 		mod := func(v, n int) int { return ((v % n) + n) % n }
 		level := ids.Level(mod(threat, 3) + 1)
 		now := time.Date(2026, time.March, 1+mod(day, 28), mod(hour, 24), 30, 0, 0, time.UTC)
@@ -365,9 +563,10 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		if right == second {
 			second = "GET /index.html"
 		}
+		usage := usageParams(cpu, wall, mem, out)
 		for _, cfg := range diffConfigs {
 			pair := newDiffPair(cfg, level, []string{"10.9.9.9"}, now)
-			fresh := newDiffPair(cfg, level, []string{"10.9.9.9"}, now).walk
+			fresh := newDiffPair(cfg, level, []string{"10.9.9.9"}, now)
 			p := gaa.NewPolicy("/index.html", system, local)
 			for i, rights := range [][]string{{right}, {right}, {second}, {right}, {right, second}} {
 				mkReq := func() *gaa.Request {
@@ -388,12 +587,13 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 					return r
 				}
 				label := fmt.Sprintf("request %d for %q", i, rights)
-				got := pair.check(t, label, p, mkReq)
-				want, err := fresh.CheckAuthorization(context.Background(), gaa.NewPolicy("/index.html", system, local), mkReq())
-				if err != nil {
-					t.Fatalf("%s: %s: %v", cfg.name, label, err)
-				}
-				if diff := answerDiff(got, want); diff != "" {
+				got, want := pair.check(t, label, p, mkReq)
+				pair.phases(t, label, got, want, mkReq, usage)
+				// The fresh pair runs the same sequence, so that actions
+				// leave the same state behind on all four APIs.
+				freshGot, freshWant := fresh.check(t, label, gaa.NewPolicy("/index.html", system, local), mkReq)
+				fresh.phases(t, label, freshGot, freshWant, mkReq, usage)
+				if diff := answerDiff(got, freshGot); diff != "" {
 					t.Errorf("%s: %s: the checked policy and a fresh one answer differently: %s", cfg.name, label, diff)
 				}
 			}

@@ -18,9 +18,9 @@ import (
 // pre-resolved tests evaluated once per request instead of once per
 // entry — and the per-request scan walks the composed policy's units.
 // Dynamic conditions ('@value' references, custom or wrapped
-// evaluators, stateful built-ins) go through evaluateCondition per
-// occurrence, so supervision, deadlines, injected faults and adaptive
-// values see every one of those calls.
+// evaluators, stateful built-ins, actions) go through evaluateCondition
+// per occurrence, so supervision, deadlines, injected faults and
+// adaptive values see every one of those calls. Every block compiles.
 //
 // It is the only production scan. reference_test.go keeps the plain
 // entry-by-entry interpretation of the same semantics as the oracle:
@@ -38,7 +38,8 @@ import (
 // entries of one request. The verdict must carry the result, class and
 // challenge of the Outcome the evaluator they were compiled from would
 // produce (a traced request evaluates every condition through its
-// evaluator instead, which is where Detail strings come from).
+// evaluator instead, which is where Detail strings come from). A test
+// reads only the request's Rights, Params and Time.
 type CompiledCond interface {
 	EvalCompiled(req *Request) CondVerdict
 	// Challenge is the condition's compile-time challenge, read only
@@ -58,6 +59,15 @@ func (NoChallenge) Challenge() string { return "" }
 // values, per-request state, side effects).
 type CondCompiler interface {
 	CompileCond(cond eacl.Condition) (CompiledCond, bool)
+}
+
+// TriggerCompiler is implemented by actions whose value names the phase
+// status they act on (on:success, on:failure, on:any): for a later
+// block's condition, whether the action fires for a status, or nil to
+// be called whatever the status. An untraced phase counts an action
+// that does not fire met (YES) without calling it.
+type TriggerCompiler interface {
+	CompileTrigger(cond eacl.Condition) (fires func(status Decision) bool)
 }
 
 // CompileStats reports compiled-engine activity since the API was
@@ -116,14 +126,34 @@ type compiledEntry struct {
 	pos   bool
 	auth  int32 // interned authority pattern of the entry's right
 	pre   []compiledCond
+	// later holds the request-result, mid and post blocks, nil when
+	// the entry has none.
+	later *[3][]compiledCond
+}
+
+// block returns the entry's later block b.
+func (e *compiledEntry) block(b eacl.Block) []compiledCond {
+	if e.later == nil {
+		return nil
+	}
+	return e.later[b-eacl.BlockRequestResult]
 }
 
 type compiledCond struct {
 	cond eacl.Condition
+	ev   Evaluator // registered when the unit compiled; nil: none
 	// fast is nil for dynamic conditions (evaluated per occurrence);
-	// memo is the request-scoped memoization slot of fast verdicts.
+	// memo is the request-scoped memoization slot of fast verdicts in
+	// the pre block.
 	fast CompiledCond
 	memo int32
+	// fires is a later block's action trigger (TriggerCompiler).
+	fires func(status Decision) bool
+}
+
+// skips reports whether cc is an action that cannot fire for status.
+func (cc *compiledCond) skips(status Decision) bool {
+	return cc.fires != nil && !cc.fires(status)
 }
 
 // programTable caches compiled units under the API, keyed by EACL
@@ -184,10 +214,10 @@ type compiledUnits struct {
 
 // unitsFor returns c's units under a, resolving them once per registry
 // generation instead of looking each one up on every scan.
-func (c *composition) unitsFor(a *API) []*compiledEACL {
+func (c *composition) unitsFor(a *API) *compiledUnits {
 	gen := a.reg.generation()
 	if u := c.units.Load(); u != nil && u.api == a && u.gen == gen {
-		return u.units
+		return u
 	}
 	u := &compiledUnits{api: a, gen: gen, units: make([]*compiledEACL, 0, len(c.System)+len(c.Local))}
 	for _, level := range [2][]*eacl.EACL{c.System, c.Local} {
@@ -196,7 +226,7 @@ func (c *composition) unitsFor(a *API) []*compiledEACL {
 		}
 	}
 	c.units.Store(u)
-	return u.units
+	return u
 }
 
 type memoKey struct {
@@ -239,14 +269,22 @@ func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
 			pos:   entry.Right.Sign == eacl.Pos,
 			auth:  internPattern(&u.auth, authIDs, entry.Right.DefAuth),
 		}
-		for ci := range entry.Conditions {
-			cond := entry.Conditions[ci]
+		for _, cond := range entry.Conditions {
+			cc := a.compileCond(cond)
+			if cc.fast != nil {
+				a.compiled.fast.Add(1)
+			} else {
+				a.compiled.dynamic.Add(1)
+			}
 			if cond.Block != eacl.BlockPre {
+				if cent.later == nil {
+					cent.later = new([3][]compiledCond)
+				}
+				b := &cent.later[cond.Block-eacl.BlockRequestResult]
+				*b = append(*b, cc)
 				continue
 			}
-			cc := compiledCond{cond: cond, memo: -1}
-			if fast := a.compileCond(cond); fast != nil {
-				cc.fast = fast
+			if cc.fast != nil {
 				mk := memoKey{cond.Type, cond.DefAuth, cond.Value}
 				id, ok := memoIDs[mk]
 				if !ok {
@@ -254,9 +292,6 @@ func (a *API) compileEACL(e *eacl.EACL, regGen uint64) *compiledEACL {
 					memoIDs[mk] = id
 				}
 				cc.memo = id
-				a.compiled.fast.Add(1)
-			} else {
-				a.compiled.dynamic.Add(1)
 			}
 			cent.pre = append(cent.pre, cc)
 		}
@@ -276,9 +311,9 @@ type constCond struct {
 
 func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 
-// compileCond specializes one pre-condition, or returns nil to keep it
-// dynamic. The eligibility rules guarantee the hoisted test reproduces
-// evaluateCondition exactly for trace-disabled requests:
+// compileCond resolves one condition's evaluator and hoists its test
+// where it can. The eligibility rules guarantee the hoisted test
+// reproduces evaluateCondition exactly for trace-disabled requests:
 //   - values carrying an '@name' reference (HasValueRef) resolve
 //     through the runtime value provider per request — dynamic; any
 //     other '@' ("alice@example.org") is literal text and hoists;
@@ -287,34 +322,39 @@ func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 //     registry generation and recompiles);
 //   - only evaluators registered through the supervision layer whose
 //     inner evaluator opts in via CondCompiler compile; everything
-//     else — custom evaluators, stateful built-ins, and every evaluator
-//     behind a WithEvaluatorWrapper wrapper (the wrapper, not the
-//     built-in, is what supervision holds) — stays dynamic.
+//     else — custom evaluators, stateful built-ins, actions, and every
+//     evaluator behind a WithEvaluatorWrapper wrapper (the wrapper, not
+//     the built-in, is what supervision holds) — stays dynamic.
+//
+// A later block's action keeps its trigger under the same rules.
 //
 // A hoisted test is a CPU-only function of the request and in-memory
 // state, so it runs inline even under WithEvaluatorTimeout; the
 // deadline guards the dynamic calls, which are the ones that can block.
-func (a *API) compileCond(cond eacl.Condition) CompiledCond {
+func (a *API) compileCond(cond eacl.Condition) compiledCond {
+	cc := compiledCond{cond: cond, memo: -1}
+	cc.ev, _ = a.reg.lookup(cond.Type, cond.DefAuth)
 	if HasValueRef(cond.Value) {
-		return nil
+		return cc
 	}
-	ev, ok := a.reg.lookup(cond.Type, cond.DefAuth)
+	if cc.ev == nil {
+		cc.fast = constCond{v: CondMaybe}
+		return cc
+	}
+	sup, ok := cc.ev.(supervised)
 	if !ok {
-		return constCond{v: CondMaybe}
+		return cc
 	}
-	sup, ok := ev.(supervised)
-	if !ok {
-		return nil
+	if comp, ok := sup.inner.(CondCompiler); ok {
+		if fast, ok := comp.CompileCond(cond); ok {
+			cc.fast = fast
+			return cc
+		}
 	}
-	comp, ok := sup.inner.(CondCompiler)
-	if !ok {
-		return nil
+	if tc, ok := sup.inner.(TriggerCompiler); ok && cond.Block != eacl.BlockPre {
+		cc.fires = tc.CompileTrigger(cond)
 	}
-	fast, ok := comp.CompileCond(cond)
-	if !ok {
-		return nil
-	}
-	return fast
+	return cc
 }
 
 // rightsMemoWords is a Policy's rights memo in bitset words: each
@@ -535,36 +575,34 @@ func (cs *compiledScratch) matchRights(u *compiledEACL, rights []eacl.Right) {
 	}
 }
 
-// evalFast runs a hoisted test and memoizes its verdict, with the
-// supervision layer's panic recovery: a panicking dependency (threat
-// provider, group store) degrades to the same FaultPanic outcome the
-// supervised evaluator would produce, recorded in res. A faulted call
-// is not memoized so every occurrence surfaces its own fault, as
-// evaluating it dynamically would.
-func (a *API) evalFast(cs *compiledScratch, cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict) {
+// evalFast runs a hoisted test with the supervision layer's panic
+// recovery: a panicking dependency (threat provider, group store)
+// degrades to the same FaultPanic outcome the supervised evaluator
+// would produce, recorded in res, and ok is false. The pre scan
+// memoizes only a verdict that did not fault, so every occurrence
+// surfaces its own fault, as evaluating it dynamically would.
+func (a *API) evalFast(cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.fault(cc.cond, line, a.recoverPanic(r))
-			v = CondMaybe
+			v, ok = CondMaybe, false
 		}
 	}()
-	v = cc.fast.EvalCompiled(req)
-	cs.memo[cc.memo] = v
-	return v
+	return cc.fast.EvalCompiled(req), true
 }
 
-// evalDynamic evaluates cond through its evaluator — a dynamic
+// evalDynamic evaluates cc through its evaluator — a dynamic
 // condition, or any condition of a traced request — recording faults
 // and trace in res. Beside the verdict it hands back the two strings
 // only a final deny reads.
-func (a *API) evalDynamic(ctx context.Context, cond eacl.Condition, req *Request, line int, res *evalResult) (v CondVerdict, challenge, detail string) {
-	out := a.evaluateCondition(ctx, cond, req)
+func (a *API) evalDynamic(ctx context.Context, cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict, challenge, detail string) {
+	out := a.evaluateCondition(ctx, cc.ev, cc.cond, req)
 	// Faults are traced even when tracing is off: a degraded evaluation
 	// must stay observable.
 	if out.Fault != FaultNone {
-		res.fault(cond, line, out)
+		res.fault(cc.cond, line, out)
 	} else if req.Trace {
-		res.trace = append(res.trace, TraceEvent{Source: res.source, EntryLine: line, Cond: cond, Outcome: out})
+		res.trace = append(res.trace, TraceEvent{Source: res.source, EntryLine: line, Cond: cc.cond, Outcome: out})
 	}
 	switch out.Result {
 	case Yes, No, Maybe:
@@ -574,6 +612,37 @@ func (a *API) evalDynamic(ctx context.Context, cond eacl.Condition, req *Request
 		v |= CondRequirement
 	}
 	return v, out.Challenge, out.Detail
+}
+
+// runBlock runs a deciding entry's request-result, mid or post block
+// on the phase's request r and returns the conjunction of its outcomes
+// (zero for an empty block): every condition runs. As in the pre scan,
+// a hoisted test runs inline (unmemoized) and any other condition, or
+// any of a traced request, calls its evaluator, tracing into res; an
+// action that cannot fire for status is met uncalled. A stale block,
+// compiled before the registry last changed, compiles afresh as it runs.
+func (a *API) runBlock(ctx context.Context, blk []compiledCond, stale bool, r *Request, status Decision, line int, res *evalResult) Decision {
+	var dec Decision
+	for i := range blk {
+		cc := &blk[i]
+		if stale {
+			fresh := a.compileCond(cc.cond)
+			cc = &fresh
+		}
+		v := CondYes // an action that cannot fire
+		switch {
+		case r.Trace || cc.fast == nil && !cc.skips(status):
+			v, _, _ = a.evalDynamic(ctx, cc, r, line, res)
+		case cc.fast != nil:
+			v, _ = a.evalFast(cc, r, line, res)
+		}
+		d := v.Result()
+		if d == 0 {
+			d = Maybe // an invalid verdict, as the scan reads it
+		}
+		dec = Conjoin(dec, d)
+	}
+	return dec
 }
 
 // fault records a degraded evaluation: the Fault and its TraceEvent.
@@ -588,13 +657,14 @@ func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
 // answer).
 func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Request, st *evalState, out *evalResult) {
 	var sys, loc evalResult
-	units := p.unitsFor(a)
+	cu := p.unitsFor(a)
+	st.gen = cu.gen
 	rc := p.cursor(req)
-	a.scanLevel(ctx, units[:len(p.System)], req, st, &rc, &sys)
+	a.scanLevel(ctx, cu.units[:len(p.System)], req, st, &rc, &sys)
 	sysExists := len(p.System) > 0
 	loc.Decision = Maybe // a level not scanned is uncertain
 	if !(p.Mode == eacl.ModeStop && sysExists) {
-		a.scanLevel(ctx, units[len(p.System):], req, st, &rc, &loc)
+		a.scanLevel(ctx, cu.units[len(p.System):], req, st, &rc, &loc)
 	}
 	rc.done()
 	composeLevels(p.Mode, &sys, &loc, sysExists, out)
@@ -611,11 +681,11 @@ func (a *API) scanLevel(ctx context.Context, units []*compiledEACL, req *Request
 	cs := &st.cs
 	for _, u := range units {
 		cs.prepare(u)
-		a.evaluateCompiledEACL(ctx, u, req, cs, rc.entryBits(cs, u, req.Rights), &r)
+		decider := a.evaluateCompiledEACL(ctx, u, req, cs, rc.entryBits(cs, u, req.Rights), &r)
 		out.absorb(&r)
 		fold.Add(r.Verdict)
-		if r.Applicable && r.entry != nil {
-			st.deciders = append(st.deciders, decidingEntry{entry: r.entry, source: r.source})
+		if r.Applicable && decider != nil {
+			st.deciders = append(st.deciders, decidingEntry{decider, r.source})
 		}
 	}
 	out.Verdict = fold.Result()
@@ -627,9 +697,9 @@ func (r *evalResult) note(line int, text string) {
 }
 
 // evaluateCompiledEACL scans the ordered entries of one EACL for the
-// requested rights and leaves the first firing entry's decision in res
-// (see the package comment for the full semantics), with right matching
-// answered by the entry bitset entryBits: the scan visits its set bits,
+// requested rights, leaves the first firing entry's decision in res and
+// returns that entry (see the package comment for the full semantics),
+// with right matching answered by the entry bitset entryBits: the scan visits its set bits,
 // lowest first, which is entry order. Request-result conditions are NOT
 // evaluated here: they run once the composed decision is known.
 //
@@ -637,7 +707,7 @@ func (r *evalResult) note(line int, text string) {
 // hoisted tests are skipped so Detail strings are the evaluator's own —
 // and records each step; TraceEvents are otherwise recorded only for
 // faults, so the common Yes/No path performs no per-entry allocation.
-func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, entryBits []uint64, res *evalResult) {
+func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, entryBits []uint64, res *evalResult) *compiledEntry {
 	*res = evalResult{source: u.source, Verdict: Verdict{Decision: Maybe}} // uncertain unless an entry applies
 	for w, word := range entryBits {
 	entries:
@@ -653,9 +723,12 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 				)
 				hoisted := cc.fast != nil && !req.Trace
 				if !hoisted {
-					v, challenge, detail = a.evalDynamic(ctx, cc.cond, req, line, res)
+					v, challenge, detail = a.evalDynamic(ctx, cc, req, line, res)
 				} else if v = cs.memo[cc.memo]; v == 0 {
-					v = a.evalFast(cs, cc, req, line, res)
+					var ok bool
+					if v, ok = a.evalFast(cc, req, line, res); ok {
+						cs.memo[cc.memo] = v
+					}
 				}
 				switch v.Result() {
 				case No:
@@ -673,11 +746,10 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 						challenge = cc.fast.Challenge()
 					}
 					res.Verdict = Verdict{Decision: No, Applicable: true, Challenge: challenge}
-					res.entry = entry.entry
 					if req.Trace {
 						res.note(line, "requirement failed: "+detail)
 					}
-					return
+					return entry
 				case Yes:
 					// condition met; continue within the entry
 				default:
@@ -687,7 +759,6 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 				}
 			}
 			res.Applicable = true
-			res.entry = entry.entry
 			switch {
 			case len(maybes) > 0:
 				res.unevaluated = maybes
@@ -705,7 +776,8 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 					res.note(line, "entry fired: deny")
 				}
 			}
-			return
+			return entry
 		}
 	}
+	return nil
 }

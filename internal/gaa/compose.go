@@ -258,9 +258,9 @@ func composeLevels(mode eacl.CompositionMode, sys, loc *evalResult, sysExists bo
 }
 
 // decidingEntry is an entry that fired (or went uncertain) during the
-// scan; its request-result, mid and post blocks participate in the
-// later phases.
+// scan, with the source of its EACL; its request-result, mid and post
+// blocks participate in the later phases.
 type decidingEntry struct {
-	entry  *eacl.Entry
+	*compiledEntry
 	source string
 }

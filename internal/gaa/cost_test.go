@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gaaapi/internal/costpin"
+	"gaaapi/internal/eacl"
 	"gaaapi/internal/metrics"
 )
 
@@ -30,6 +34,7 @@ func TestCost(t *testing.T) {
 		cacheMissRows(t),
 		revisionRows(t),
 		cacheHeapRows(t),
+		phaseRows(t),
 	))
 }
 
@@ -40,6 +45,7 @@ func TestCompiledZeroAllocUncachedGrant(t *testing.T) {
 }
 
 func TestCompiledZeroAllocMemoFill(t *testing.T)   { costpin.CheckRows(t, memoFillRows(t)) }
+func TestLaterPhaseAllocs(t *testing.T)            { costpin.CheckRows(t, phaseRows(t)) }
 func TestMetricsZeroAllocCachedGrant(t *testing.T) { costpin.CheckRows(t, meteredGrantRows(t)) }
 func TestCacheZeroAllocHit(t *testing.T)           { costpin.CheckRows(t, cacheHitRows(t)) }
 func TestDirSourceRevisionAllocs(t *testing.T)     { costpin.CheckRows(t, revisionRows(t)) }
@@ -223,5 +229,106 @@ func revisionRows(t *testing.T) []costpin.Row {
 	return []costpin.Row{
 		{Name: "DirSource revision, /index.html", What: "what os.Stat allocates: a string built around the stat shows here", Run: revision("/index.html"), NoRace: true},
 		{Name: "DirSource revision, /docs/guide.html", What: "two stats, and for docs/, which has no policy file, the path asked about and the error that says so", Run: revision("/docs/guide.html"), NoRace: true},
+	}
+}
+
+// usageQuota is a quota evaluator of this package's tests, "<param><=<n>"
+// over a usage parameter, which hoists as a requirement the way
+// mid_cond_quota does.
+type usageQuota struct{}
+
+type quotaTest struct {
+	NoChallenge
+	param string
+	bound int64
+}
+
+func parseQuota(value string) (quotaTest, bool) {
+	param, bound, ok := strings.Cut(value, "<=")
+	n, err := strconv.ParseInt(bound, 10, 64)
+	return quotaTest{param: param, bound: n}, ok && err == nil
+}
+
+func (usageQuota) CompileCond(c eacl.Condition) (CompiledCond, bool) { return parseQuota(c.Value) }
+
+func (usageQuota) Evaluate(_ context.Context, c eacl.Condition, r *Request) Outcome {
+	q, ok := parseQuota(c.Value)
+	if !ok {
+		return Outcome{Result: Maybe, Unevaluated: true, Err: fmt.Errorf("bad quota %q", c.Value)}
+	}
+	v := q.EvalCompiled(r)
+	if v.Result() == Maybe {
+		return UnevaluatedOutcome("no usage parameter " + q.param)
+	}
+	return Outcome{Result: v.Result(), Class: ClassRequirement}
+}
+
+func (q quotaTest) EvalCompiled(r *Request) CondVerdict {
+	n, ok := r.Params.GetInt(q.param, AuthorityAny)
+	switch {
+	case !ok:
+		return CondMaybe
+	case n <= q.bound:
+		return CondYes | CondRequirement
+	default:
+		return CondNo | CondRequirement
+	}
+}
+
+// failureAudit is an action of this package's tests that counts its
+// calls and the runs it fires on: "on:failure" fires when the phase
+// status is No.
+type failureAudit struct{ calls, fired *atomic.Int64 }
+
+func (f failureAudit) Evaluate(_ context.Context, c eacl.Condition, r *Request) Outcome {
+	f.calls.Add(1)
+	status := r.Decision
+	if c.Block == eacl.BlockPost {
+		status = r.OpStatus
+	}
+	if c.Value == "on:failure" && status != No {
+		return MetOutcome(ClassAction, "trigger not matched")
+	}
+	f.fired.Add(1)
+	return MetOutcome(ClassAction, "audited")
+}
+
+func (f failureAudit) CompileTrigger(c eacl.Condition) func(Decision) bool {
+	return func(status Decision) bool { return c.Value != "on:failure" || status == No }
+}
+
+// phaseRows are the later phases of a monitored grant: a mid check
+// within its quota and one over it, and the post phase of a grant whose
+// audit fires on failure, after a run that succeeded and one that
+// failed.
+func phaseRows(t *testing.T) []costpin.Row {
+	var calls, fired atomic.Int64
+	a := New()
+	a.Register("quota", AuthorityAny, usageQuota{})
+	a.Register("audit", AuthorityAny, failureAudit{&calls, &fired})
+	p := memPolicy(t, a, "pos_access_right apache GET /cgi-bin/*\nmid_cond_quota local cpu_ms<=250\npost_cond_audit local on:failure\n")
+	ctx, req := context.Background(), NewRequest("apache", "GET /cgi-bin/search")
+	ans := checkAuth(t, a, p, req)
+	mid := func(cpu string, want Decision) func() {
+		usage := []Param{{Type: ParamCPUMillis, Authority: AuthorityAny, Value: cpu}, {Type: ParamWallMillis, Authority: AuthorityAny, Value: "3"}}
+		return func() {
+			if dec, _ := a.ExecutionControl(ctx, ans, req, usage...); dec != want {
+				t.Fatalf("ExecutionControl at cpu_ms=%s = %v, want %v", cpu, dec, want)
+			}
+		}
+	}
+	post := func(op Decision, fires int64) func() {
+		return func() {
+			before := fired.Load()
+			if dec, _ := a.PostExecutionActions(ctx, ans, req, op); dec != Yes || fired.Load()-before != fires {
+				t.Fatalf("PostExecutionActions(%v) = %v firing %d audits, want yes firing %d", op, dec, fired.Load()-before, fires)
+			}
+		}
+	}
+	return []costpin.Row{
+		{Name: "ExecutionControl, quota holds", What: "nothing: the hoisted quota reads the usage from the pooled phase state", Run: mid("20", Yes)},
+		{Name: "ExecutionControl, quota violated", What: "nothing, as when it holds", Run: mid("400", No)},
+		{Name: "PostExecutionActions, on:failure audit after success", What: "nothing: an action that cannot fire is not called, and the phase takes no state", Run: post(Yes, 0)},
+		{Name: "PostExecutionActions, on:failure audit after failure", What: "nothing: the action runs on the pooled phase state", Run: post(No, 1)},
 	}
 }

@@ -15,7 +15,8 @@ import (
 // through this call, so an atom and the engine's own evaluation of the
 // same condition in the same world cannot drift apart.
 func (a *API) EvalCondition(ctx context.Context, cond eacl.Condition, req *Request) Outcome {
-	return a.evaluateCondition(ctx, cond, req)
+	ev, _ := a.reg.lookup(cond.Type, cond.DefAuth)
+	return a.evaluateCondition(ctx, ev, cond, req)
 }
 
 // OutcomeClass resolves an outcome's effective class the way the scan

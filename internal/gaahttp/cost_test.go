@@ -38,6 +38,7 @@ func TestCost(t *testing.T) {
 		firstContactRows(t),
 		fileBackedRows(t),
 		retentionRows(t),
+		violatedRows(t),
 	))
 }
 
@@ -54,6 +55,7 @@ func TestStackCGIGrantAllocs(t *testing.T) {
 }
 
 func TestGuardCheckColdGrantAllocs(t *testing.T)     { costpin.CheckRows(t, coldGrantRows(t)) }
+func TestStackQuotaViolationAllocs(t *testing.T)     { costpin.CheckRows(t, violatedRows(t)) }
 func TestGuardCheckDenyAllocs(t *testing.T)          { costpin.CheckRows(t, denyRows(t)) }
 func TestStackFirstContactAttackAllocs(t *testing.T) { costpin.CheckRows(t, firstContactRows(t)) }
 func TestStackFileBackedGrantAllocs(t *testing.T)    { costpin.CheckRows(t, fileBackedRows(t)) }
@@ -215,6 +217,23 @@ func browseRows(t *testing.T) []costpin.Row {
 		warm(serveRun(t, h, "/cgi-bin/search?q=eacl", "10.0.0.1", http.StatusOK), costpin.Row{Name: "monitored CGI grant",
 			What: `the script's formatted output argument, the script's own: the request line and the usage values ("1120") are borrowed from pooled buffers`}),
 	}
+}
+
+// violatedRows are a CGI grant whose script outruns its quota through
+// Stack.Handler(), as browseRows serve it: the final mid check fails,
+// the operation is aborted with a 500, and the post block's
+// on:failure audit fires.
+func violatedRows(t *testing.T) []costpin.Row {
+	st := costStack(t, StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": strings.Replace(browseLocal, "cpu_ms<=250", "cpu_ms<1", 1)},
+		PolicyCache:   true,
+		Metrics:       true,
+		AccessLog:     io.Discard,
+	})
+	return []costpin.Row{warm(serveRun(t, st.Handler(), "/cgi-bin/search?q=eacl", "10.0.0.1", http.StatusInternalServerError),
+		costpin.Row{Name: "monitored CGI grant, quota violated",
+			What: "the script's formatted output argument, as in the monitored CGI grant: the failed run's audit record costs none of its own"})}
 }
 
 // denyRows is the phf probe through Guard.Check, with the local

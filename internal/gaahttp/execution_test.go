@@ -133,3 +133,64 @@ func TestMonitoredGrantFence(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMonitorTicksRaceFinalMidCheck: a script ticked every 20µs while
+// within its quota crosses it in its last step and returns at once, so
+// the final mid check runs right behind the last tick. Both run the
+// compiled quota on the check state's phase request, which -race
+// reports unless the fence orders them; every run must end aborted,
+// with its post-execution audit.
+func TestMonitorTicksRaceFinalMidCheck(t *testing.T) {
+	scripts := httpd.NewDemoRegistry()
+	scripts.Register("edge", func(ctx context.Context, c *httpd.CGIContext) error {
+		for i := 0; i < 8; i++ {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(40 * time.Microsecond):
+			}
+			c.Usage.AddCPU(30 * time.Millisecond) // 240 ms after eight: within cpu_ms<=250
+		}
+		c.Usage.AddCPU(100 * time.Millisecond)
+		return nil
+	})
+	st, err := NewStack(StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		PolicyCache:   true,
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	t.Cleanup(st.Close)
+	s := httpd.NewServer(httpd.Config{
+		Scripts:         scripts,
+		Guards:          []httpd.Guard{st.Guard},
+		MonitorInterval: 20 * time.Microsecond,
+	})
+	const workers, rounds = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rw := httptest.NewRecorder()
+				s.ServeHTTP(rw, newRequest("/cgi-bin/edge", "10.0.4."+itoa(w+1)))
+				if rw.Code != http.StatusInternalServerError {
+					t.Errorf("quota-crossing script = %d, want 500 (aborted)", rw.Code)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	failed := 0
+	for _, r := range st.Audit.Records() {
+		if r.Kind == "post_execution" && r.Object == "/cgi-bin/edge" && r.Info == "cgi-failed" {
+			failed++
+		}
+	}
+	if failed != workers*rounds {
+		t.Errorf("%d post-execution audits of a failed run, want %d", failed, workers*rounds)
+	}
+}

@@ -164,24 +164,27 @@ func (g *Guard) Rights(rec *httpd.RequestRec) []eacl.Right {
 // the answer (whose Mid and Post arrays CheckAuthorizationInto reuses),
 // the backing arrays of its lists, and the verdict's hooks, bound once.
 type checkState struct {
-	g       *Guard
-	req     gaa.Request
-	ans     gaa.Answer
-	rights  [1]eacl.Right
-	params  params
-	usage   [4]gaa.Param
-	monitor func(execctl.Snapshot) bool
-	post    func(success bool)
+	g         *Guard
+	req       gaa.Request
+	ans       gaa.Answer
+	rights    [1]eacl.Right
+	params    params
+	mid       gaa.Request // req with the usage snapshot after its parameters
+	midParams [len(params{}) + 4]gaa.Param
+	monitor   func(execctl.Snapshot) bool
+	post      func(success bool)
 	// digits holds the text of the numeric parameters, at most 20 bytes
 	// each: the record's two, then the usage snapshot's four, rewritten
 	// by each check.
 	digits []byte
 }
 
-// executionControl is the verdict's Monitor, called one at a time.
+// executionControl is the verdict's Monitor, called one at a time, on
+// the phase's whole request: hoisted mid-conditions run on it as it is.
 func (cs *checkState) executionControl(snap execctl.Snapshot) bool {
-	usage, _ := snap.AppendParams(cs.usage[:0], cs.digits)
-	dec, _ := cs.g.cfg.API.ExecutionControl(context.Background(), &cs.ans, &cs.req, usage...)
+	cs.mid = cs.req
+	cs.mid.Params, _ = snap.AppendParams(append(cs.midParams[:0], cs.req.Params...), cs.digits)
+	dec, _ := cs.g.cfg.API.ExecutionControl(context.Background(), &cs.ans, &cs.mid)
 	return dec != gaa.No
 }
 
