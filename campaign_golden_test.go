@@ -25,31 +25,49 @@ func campaignTrace(t *testing.T, name string) *replay.Replayer {
 	return rp
 }
 
-// TestCampaignReplaySuite replays every committed campaign trace
-// through the full driver: all checkpoints must hold, every trace must
-// be consumed exactly, and the decision-accounting invariant (check
-// decisions == requests - firewalled) must be asserted in every phase.
-// The replayer is the target, so the suite issues zero live HTTP
-// requests by construction. With -update-campaigns it instead
-// re-records every trace from a live in-process run.
+// TestCampaignReplaySuite records every campaign live through the
+// in-process target (scenario.ClusterTarget, a fleet of one) and holds
+// the trace to the committed one byte for byte, then replays the
+// committed trace through the full driver: all checkpoints must hold,
+// every trace must be consumed exactly, and the decision-accounting
+// invariant (check decisions == requests - firewalled) must be asserted
+// in every phase. The replayer is the target, so the replay issues zero
+// live HTTP requests by construction. With -update-campaigns the live
+// recording overwrites the committed trace instead.
 func TestCampaignReplaySuite(t *testing.T) {
 	for _, c := range scenario.All() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
+			committed := filepath.Join(campaignRecordDir, c.Name+".trace")
+			recorded := committed
+			if !*updateCampaigns {
+				recorded = filepath.Join(t.TempDir(), c.Name+".trace")
+			}
+			st, err := scenario.NewClusterTarget(c.Stack, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			rec := replay.NewRecorder(st, c.Name, scenario.DefaultSeed)
+			if _, err := scenario.Run(c, rec, scenario.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Save(recorded); err != nil {
+				t.Fatal(err)
+			}
 			if *updateCampaigns {
-				st, err := scenario.NewClusterTarget(c.Stack, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				rec := replay.NewRecorder(st, c.Name, scenario.DefaultSeed)
-				if _, err := scenario.Run(c, rec, scenario.Options{}); err != nil {
-					t.Fatal(err)
-				}
-				if err := rec.Save(filepath.Join(campaignRecordDir, c.Name+".trace")); err != nil {
-					t.Fatal(err)
-				}
 				return
+			}
+			got, err := os.ReadFile(recorded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(committed)
+			if err != nil {
+				t.Fatalf("read trace (run with -update-campaigns to regenerate): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("a live recording differs from %s (run with -update-campaigns to regenerate)", committed)
 			}
 
 			rp := campaignTrace(t, c.Name)

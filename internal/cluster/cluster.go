@@ -223,9 +223,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// ID returns the node id.
-func (n *Node) ID() string { return n.cfg.NodeID }
-
 // Epoch returns the node's epoch.
 func (n *Node) Epoch() uint64 { return n.epoch }
 

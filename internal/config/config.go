@@ -113,18 +113,3 @@ func (c *Config) Apply(api *gaa.API, deps Deps) error {
 	}
 	return nil
 }
-
-// Default returns the configuration equivalent to registering every
-// built-in under the wildcard authority (what conditions.Register and
-// actions.Register do), rendered as a file for documentation purposes.
-func Default() string {
-	var b strings.Builder
-	for _, name := range conditions.Names() {
-		fmt.Fprintf(&b, "condition %s * %s\n", name, name)
-	}
-	b.WriteString("condition regex gnu regex\n")
-	for _, name := range actions.Names() {
-		fmt.Fprintf(&b, "action %s * %s\n", name, name)
-	}
-	return b.String()
-}

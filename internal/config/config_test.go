@@ -2,11 +2,14 @@ package config
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gaaapi/internal/actions"
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/ids"
@@ -103,14 +106,25 @@ func TestParseFile(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigurationApplies registers every built-in under the
+// wildcard authority (what conditions.Register and actions.Register
+// do), rendered as a configuration file: each routine name must apply.
 func TestDefaultConfigurationApplies(t *testing.T) {
-	cfg, err := ParseString(Default())
+	var b strings.Builder
+	for _, name := range conditions.Names() {
+		fmt.Fprintf(&b, "condition %s * %s\n", name, name)
+	}
+	b.WriteString("condition regex gnu regex\n")
+	for _, name := range actions.Names() {
+		fmt.Fprintf(&b, "action %s * %s\n", name, name)
+	}
+	cfg, err := ParseString(b.String())
 	if err != nil {
-		t.Fatalf("Default() does not parse: %v", err)
+		t.Fatalf("default configuration does not parse: %v", err)
 	}
 	api := gaa.New()
 	if err := cfg.Apply(api, Deps{}); err != nil {
-		t.Fatalf("Default() does not apply: %v", err)
+		t.Fatalf("default configuration does not apply: %v", err)
 	}
 	for _, pair := range [][2]string{
 		{"regex", "gnu"},

@@ -175,9 +175,6 @@ func New(seed int64, spec Spec) *Injector {
 	return &Injector{spec: spec, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Spec returns the configured injection probabilities.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Stats returns the injection counters.
 func (in *Injector) Stats() Stats {
 	return Stats{

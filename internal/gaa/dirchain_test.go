@@ -310,11 +310,12 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 	a := New(WithPolicyCache(64))
 	local := []PolicySource{NewDirSource(root, ".eacl")}
 
-	stop := make(chan struct{})
+	stop, exited := make(chan struct{}), make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
+		defer close(exited)
 		for k := int64(1); ; k++ {
 			for d := 0; d < dirs; d++ {
 				select {
@@ -331,12 +332,23 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 			}
 		}
 	}()
+	// A reader runs its lookups, then reads on until the writer has
+	// edited every directory three times (or has failed), so the edits
+	// run beside the reads however the scheduler orders the goroutines.
+	edited := func() bool {
+		select {
+		case <-exited:
+			return true
+		default:
+			return done[dirs-1].Load() >= 3
+		}
+	}
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			for i := 0; i < lookups; i++ {
+			for i := 0; i < lookups || !edited(); i++ {
 				d := (r + i) % dirs
 				object := "/" + dirName(d) + "/f" + strconv.Itoa(i%filesPerDir)
 				lo := done[d].Load()

@@ -293,14 +293,6 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 	if principal == "" {
 		principal = rec.ClientIP
 	}
-	if g.cfg.Bus == nil && g.cfg.Scorer == nil {
-		// No consumer for the report classes: keep only the profile
-		// training (the pre-existing bus-less behaviour).
-		if g.cfg.Anomaly != nil && ans.Decision == gaa.Yes {
-			g.cfg.Anomaly.Observe(principal, rec.Path, rec.InputLength)
-		}
-		return
-	}
 
 	// worst tracks the highest severity among the threat reports this
 	// request triggered; the adaptive scorer receives it with the

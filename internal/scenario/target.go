@@ -140,8 +140,6 @@ type LiveTarget struct {
 	// 100ms) — a low-and-slow campaign advancing simulated hours must
 	// not stall a live run for hours.
 	MaxSleep time.Duration
-
-	requests int
 }
 
 // Do issues the request over the wire.
@@ -169,7 +167,6 @@ func (t *LiveTarget) Do(r workload.Request) (Exchange, error) {
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	resp.Body.Close()
-	t.requests++
 	return Exchange{
 		Method: r.Method,
 		Target: r.Target,
@@ -194,6 +191,3 @@ func (t *LiveTarget) Advance(d time.Duration) {
 		time.Sleep(d)
 	}
 }
-
-// Requests reports how many live HTTP requests were issued.
-func (t *LiveTarget) Requests() int { return t.requests }
