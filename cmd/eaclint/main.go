@@ -323,8 +323,8 @@ type reasonReport struct {
 
 // runReason drives -query/-prove: build one engine per target, answer
 // every query, discharge every proof. Exit 1 when a proof is not
-// proved; an abstract/concrete replay disagreement is an engine bug and
-// exits 2.
+// proved; a replay disagreement between the specification and the
+// compiled engine is an engine bug and exits 2.
 func runReason(out io.Writer, queries, proves, values multiFlag, targets []reasonTarget) (int, error) {
 	var qs []*reason.Query
 	for _, s := range queries {

@@ -4,10 +4,11 @@
 // policy over a finite abstract domain built from the policy's own text
 // (glob witnesses, CIDR interior points, time-window boundaries,
 // comparison bounds, the tri-level threat scale and
-// authenticated/anonymous principals): every world runs the real
-// condition evaluators, the gaa engine's first-match scan, and the
-// engine's own level and composition folds. It answers reachability
-// queries:
+// authenticated/anonymous principals). Every world is modeled by gaa's
+// executable specification (spec.go): SpecEntry runs each entry's pre
+// conditions through the real evaluators, and SpecCheck's first-match
+// scan, level fold, composition and request-result conjunction decide
+// over those models. It answers reachability queries:
 //
 //	who-can(defauth, right[, threat])   — principals that obtain YES
 //	reachable-without(cond-type)        — a YES needing no such condition
@@ -18,9 +19,10 @@
 // analyzer presents (DeadEntries, VetoedGrants, Bypasses).
 //
 // Every positive answer carries a concrete synthesized request; during
-// construction the engine replays every world through the gaa decision
-// engine and fails loudly if it disagrees with the abstract verdict.
-// Soundness therefore reduces to domain coverage, which the engine
+// construction the engine replays every world through the compiled
+// engine (CheckAuthorization) and fails loudly if it disagrees with the
+// specification's verdict, so every world of every run is a differential
+// check of the two. Soundness reduces to domain coverage, which the engine
 // tracks (Truncated, inexact worlds); see DESIGN.md §5.2 for the full
 // argument and known incompleteness.
 package reason
@@ -52,8 +54,8 @@ type Options struct {
 	SystemOnly bool
 }
 
-// Verdict is the abstract (and replay-confirmed) phase-1 answer of one
-// world.
+// Verdict is the specification's (and replay-confirmed) phase-1 answer
+// of one world.
 type Verdict = gaa.Verdict
 
 // worldResult is one world's full record.
@@ -68,12 +70,15 @@ type worldResult struct {
 	deciderYes map[string]bool
 	// deciders are the (eacl, entry) pairs whose entries decided.
 	deciders []entryRef
+	// kinds are what every entry of the composition, in order, would
+	// do in this world if the scan reached it.
+	kinds []gaa.EntryKind
 }
 
 type entryRef struct {
 	eacl  int32
 	entry int32
-	out   int32
+	kind  gaa.EntryKind
 }
 
 // entryStat aggregates per-entry reachability over all worlds.
@@ -100,10 +105,10 @@ type Engine struct {
 	opts    Options
 }
 
-// New builds the engine: domain extraction, then per world the atom
-// evaluation, the first-match scan, the composition fold, and the
-// differential replay. A non-nil error means the abstract model and
-// the real engine disagreed — a bug, never a policy property.
+// New builds the engine: domain extraction, then per world the entry
+// models, the specification's scan and folds over them, and the
+// differential replay. A non-nil error means the specification and the
+// compiled engine disagreed — a bug, never a policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	return build(system, local, opts, false)
 }
@@ -133,19 +138,19 @@ func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) 
 
 	ctx := context.Background()
 	env := newWorldEnv(e.dom.values)
-	model := make([][]entryModel, len(e.eacls)) // [eacl][entry], reused per world
+	model := make([][]gaa.EntryModel, len(e.eacls)) // [eacl][entry], reused per world
+	nentries := 0
 	for i, ec := range e.eacls {
-		model[i] = make([]entryModel, len(ec.Entries))
+		model[i] = make([]gaa.EntryModel, len(ec.Entries))
+		nentries += len(ec.Entries)
 	}
+	kinds := make([]gaa.EntryKind, len(e.worlds)*nentries)
+	e.results = make([]worldResult, 0, len(e.worlds))
 	for wi := range e.worlds {
-		w := &e.worlds[wi]
-		env.enter(e.dom, w)
-		for ei, ec := range e.eacls {
-			for i := range ec.Entries {
-				model[ei][i] = modelEntry(ctx, env, &ec.Entries[i], w)
-			}
-		}
-		r := e.foldWorld(ctx, env, model, wi)
+		env.enter(e.dom, &e.worlds[wi])
+		r := worldResult{idx: wi, w: e.worlds[wi], kinds: kinds[wi*nentries : (wi+1)*nentries]}
+		e.models(ctx, env.api, env.req, model, r.kinds)
+		e.foldWorld(ctx, env, model, &r)
 		if err := e.replay(ctx, env, &r); err != nil {
 			return nil, err
 		}
@@ -154,101 +159,87 @@ func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) 
 	return e, nil
 }
 
+// models writes into model what every entry of the composition would do
+// for req if the scan reached it, and the kinds, flattened, into kinds.
+func (e *Engine) models(ctx context.Context, api *gaa.API, req *gaa.Request, model [][]gaa.EntryModel, kinds []gaa.EntryKind) {
+	k := 0
+	for n, ec := range e.eacls {
+		for i := range ec.Entries {
+			api.SpecEntry(ctx, ec, i, req, &model[n][i])
+			kinds[k] = model[n][i].Kind
+			k++
+		}
+	}
+}
+
 // stopSystem reports whether a system policy declares stop, so local
 // policies are never evaluated.
 func (e *Engine) stopSystem() bool {
 	return e.policy.Mode == eacl.ModeStop && e.nsys > 0
 }
 
-// foldWorld is the engine's scan, level fold, composition and
-// request-result conjunction for one world. It also records, per entry,
-// which earlier entries decided where it would have.
-func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]entryModel, wi int) worldResult {
-	r := worldResult{idx: wi, w: e.worlds[wi], deciderYes: map[string]bool{}}
+// condInexact reports condition types whose outcome depends on state
+// outside the world assignment (the file system), making per-world
+// truth unrepeatable. Worlds touching them are excluded from positive
+// answers.
+func condInexact(condType string) bool { return condType == "file_sha256" }
 
-	var sysF, locF gaa.LevelFold
-	for ei := range e.eacls {
-		isLocal := ei >= e.nsys
-		if isLocal && e.stopSystem() {
-			continue // locals never evaluated under stop
+// foldWorld takes the composed and system-only verdicts of one world
+// from the specification's scan over its entry models, and records,
+// per entry, which earlier entries decided where it would have.
+func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]gaa.EntryModel, r *worldResult) {
+	entry := func(n, i int) *gaa.EntryModel { return &model[n][i] }
+	ans, decided := env.api.SpecCheck(ctx, e.policy, env.req, entry)
+	r.composed = verdict(&ans)
+	if e.opts.SystemOnly {
+		ans, _ := env.api.SpecCheck(ctx, e.sysPolicy, env.req, entry)
+		r.sysOnly = verdict(&ans)
+	}
+	for n, d := range decided {
+		if d < 0 {
+			continue
 		}
-		o := decide(model[ei])
-		if o.Applicable {
-			r.deciders = append(r.deciders, entryRef{eacl: int32(ei), entry: o.entry, out: o.out})
-			st := &e.stats[ei][o.entry]
-			st.decided, st.fired = true, st.fired || o.out == outFireYes || o.out == outFireNo
-			m := &model[ei][o.entry]
-			if m.inexact {
-				r.inexact = true
+		m := &model[n][d]
+		r.deciders = append(r.deciders, entryRef{eacl: int32(n), entry: int32(d), kind: m.Kind})
+		st := &e.stats[n][d]
+		st.decided, st.fired = true, st.fired || m.Kind == gaa.EntryFiresYes || m.Kind == gaa.EntryFiresNo
+		for j := range m.Evaluated {
+			ev := &m.Evaluated[j]
+			r.inexact = r.inexact || condInexact(ev.Cond.Type)
+			if ev.Outcome.Result == gaa.Yes {
+				if r.deciderYes == nil {
+					r.deciderYes = map[string]bool{}
+				}
+				r.deciderYes[ev.Cond.Type] = true
 			}
-			for _, t := range m.yes {
-				r.deciderYes[t] = true
-			}
-			for i := o.entry + 1; i < int32(len(model[ei])); i++ {
-				if st := &e.stats[ei][i]; !model[ei][i].blocked {
-					st.shadowMaybe = st.shadowMaybe || o.out == outMaybe
-					if !slices.Contains(st.shadowers, o.entry) {
-						st.shadowers = append(st.shadowers, o.entry)
-					}
+		}
+		for i := d + 1; i < len(model[n]); i++ {
+			if st := &e.stats[n][i]; model[n][i].Kind != gaa.EntryInapplicable {
+				st.shadowMaybe = st.shadowMaybe || m.Kind == gaa.EntryMaybe
+				if !slices.Contains(st.shadowers, int32(d)) {
+					st.shadowers = append(st.shadowers, int32(d))
 				}
 			}
 		}
-		if isLocal {
-			locF.Add(o.Verdict)
-		} else {
-			sysF.Add(o.Verdict)
-		}
 	}
-	sys := sysF.Result()
-	sysExists := e.nsys > 0
-	r.composed = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.policy.Mode, sysExists, sys, locF.Result()), r.deciders, false)
-	if e.opts.SystemOnly {
-		noLocal := Verdict{Decision: gaa.Maybe}
-		r.sysOnly = e.conjoinRR(ctx, env, gaa.ComposeVerdicts(e.policy.Mode, sysExists, sys, noLocal), r.deciders, true)
-	}
-	return r
 }
 
-// conjoinRR mirrors the request-result phase: the deciders' rr blocks
-// run with the composed decision visible and conjoin into it.
-// systemOnly restricts to system-level deciders (the projection never
-// evaluated local EACLs).
-func (e *Engine) conjoinRR(ctx context.Context, env *worldEnv, v Verdict, deciders []entryRef, systemOnly bool) Verdict {
-	req := *env.req
-	req.Decision = v.Decision
-	for _, d := range deciders {
-		if systemOnly && int(d.eacl) >= e.nsys {
-			continue
-		}
-		en := &e.eacls[d.eacl].Entries[d.entry]
-		var combined gaa.Decision
-		evaluated := false
-		for _, cond := range en.Conditions {
-			if cond.Block != eacl.BlockRequestResult {
-				continue
-			}
-			evaluated = true
-			out := env.api.EvalCondition(ctx, cond, &req)
-			combined = gaa.Conjoin(combined, out.Result)
-		}
-		if evaluated {
-			v.Decision = gaa.Conjoin(v.Decision, combined)
-		}
-	}
-	return v
+// verdict is the decision-only part of an answer.
+func verdict(ans *gaa.Answer) Verdict {
+	return Verdict{Decision: ans.Decision, Applicable: ans.Applicable, Challenge: ans.Challenge}
 }
 
-// replay runs the synthesized request through the gaa engine and
-// compares its answer against the abstract verdict.
+// replay runs the synthesized request through the compiled engine and
+// compares its answer against the specification's verdict.
 func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) error {
 	check := func(p *gaa.Policy, want Verdict, label string) error {
 		ans, err := env.api.CheckAuthorization(ctx, p, env.req)
 		if err != nil {
 			return fmt.Errorf("reason: replay %s: %v", label, err)
 		}
-		got := Verdict{Decision: ans.Decision, Applicable: ans.Applicable, Challenge: ans.Challenge}
+		got := verdict(ans)
 		if got != want && !r.inexact { // ambient state (file hashes) may differ between runs
-			return fmt.Errorf("reason: %s disagrees with abstract verdict on world %s: abstract %+v, engine %+v",
+			return fmt.Errorf("reason: %s disagrees with the specification on world %s: specification %+v, engine %+v",
 				label, describeWorld(e.dom, &r.w), want, got)
 		}
 		return nil
@@ -441,9 +432,9 @@ func (e *Engine) Bypasses() []GrantDenials {
 func (e *Engine) firing(r *worldResult) (grants, denials []entryRef) {
 	for _, d := range r.deciders {
 		ref := entryRef{eacl: d.eacl, entry: d.entry}
-		if local := int(d.eacl) >= e.nsys; local && d.out == outFireYes {
+		if local := int(d.eacl) >= e.nsys; local && d.kind == gaa.EntryFiresYes {
 			grants = append(grants, ref)
-		} else if !local && d.out == outFireNo {
+		} else if !local && d.kind == gaa.EntryFiresNo {
 			denials = append(denials, ref)
 		}
 	}
@@ -507,7 +498,7 @@ func (e *Engine) AnonymousGrants() []AnonymousGrant {
 			continue
 		}
 		for _, d := range r.deciders {
-			if d.out != outFireYes {
+			if d.kind != gaa.EntryFiresYes {
 				continue
 			}
 			k := key{d.eacl, d.entry, r.w.right}

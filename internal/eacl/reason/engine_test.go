@@ -292,8 +292,8 @@ func TestGrantDiffers(t *testing.T) {
 
 func TestChallengedDenialSurvivesComposition(t *testing.T) {
 	// Anonymous at threat medium under the 7.1 local shape: the USER
-	// requirement denies with a Basic challenge, and the abstract fold
-	// must carry it exactly as the engine does (replay enforces this;
+	// requirement denies with a Basic challenge, and the specification's
+	// fold must carry it exactly as the engine does (replay enforces this;
 	// the assertion documents it).
 	local := mustEACL(t, "pos_access_right apache *\n"+
 		"pre_cond_accessid_USER apache *\n")

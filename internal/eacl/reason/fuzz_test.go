@@ -2,6 +2,7 @@ package reason
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 )
 
 // FuzzReasonVsEvaluator feeds random policy text through the prover.
-// Engine construction IS the differential: every world's abstract
-// verdict is replayed through the decision engine, and New fails on
-// any disagreement. The fuzzer's job is to find a policy shape whose
-// abstract model drifts from the real scan/compose semantics. Every
-// world is then replayed again in a fresh environment of its own
+// Engine construction IS the differential: every world's verdict, the
+// specification's scan (gaa's spec.go) over the world's entry models, is
+// replayed through the compiled engine, and New fails on any
+// disagreement. The fuzzer's job is to find a policy shape on which the
+// specification and the compiled engine part. Every world is then
+// modeled and replayed again in a fresh environment of its own
 // (replayFresh), which catches state the engine's shared environment
 // leaks from one world into the next.
 func FuzzReasonVsEvaluator(f *testing.F) {
@@ -44,7 +46,7 @@ func FuzzReasonVsEvaluator(f *testing.F) {
 		} {
 			e, err := New(arr[0], arr[1], opts)
 			if err != nil {
-				t.Fatalf("abstract/concrete disagreement on policy:\n%s\n%v", src, err)
+				t.Fatalf("specification/engine disagreement on policy:\n%s\n%v", src, err)
 			}
 			replayFresh(t, e)
 			// Queries and proofs must never panic, whatever the policy.
@@ -97,23 +99,35 @@ func freshEnv(d *domain, w *world) (*gaa.API, *gaa.Request) {
 	return api, d.request(w)
 }
 
-// replayFresh replays every exact world of e in a fresh environment and
-// requires the verdicts the engine recorded.
+// replayFresh models and replays every exact world of e in a fresh
+// environment and requires what the engine recorded in its shared one:
+// the kind of every entry, which the shadow statistics behind
+// DeadEntries read, and the verdicts.
 func replayFresh(t *testing.T, e *Engine) {
 	t.Helper()
 	ctx := context.Background()
+	model := make([][]gaa.EntryModel, len(e.eacls))
+	for n, ec := range e.eacls {
+		model[n] = make([]gaa.EntryModel, len(ec.Entries))
+	}
 	for i := range e.results {
 		r := &e.results[i]
 		if r.inexact {
 			continue
 		}
 		api, req := freshEnv(e.dom, &r.w)
+		kinds := make([]gaa.EntryKind, len(r.kinds))
+		e.models(ctx, api, req, model, kinds)
+		if !slices.Equal(kinds, r.kinds) {
+			t.Fatalf("world %s: entry kinds %v in a fresh environment, %v in the shared one",
+				describeWorld(e.dom, &r.w), kinds, r.kinds)
+		}
 		check := func(p *gaa.Policy, want Verdict, label string) {
 			ans, err := api.CheckAuthorization(ctx, p, req)
 			if err != nil {
 				t.Fatalf("%s replay of world %s: %v", label, describeWorld(e.dom, &r.w), err)
 			}
-			if got := (Verdict{Decision: ans.Decision, Applicable: ans.Applicable, Challenge: ans.Challenge}); got != want {
+			if got := verdict(ans); got != want {
 				t.Fatalf("%s: world %s reads %+v in a fresh environment, %+v in the shared one",
 					label, describeWorld(e.dom, &r.w), got, want)
 			}

@@ -21,7 +21,7 @@ import (
 )
 
 // The differential harness: the production walk and the reference
-// oracle (reference_test.go) on two APIs built over identical
+// oracle (the specification, spec.go) on two APIs built over identical
 // dependencies (own threat manager, group store, action sinks and
 // fault injector seeded the same way, shared frozen clock) — two, so
 // that stateful wrappers, evaluators and actions see one evaluation
@@ -482,7 +482,7 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 // rights memo), the same again (reading it), a second right, the first
 // again, and both at once — and each answer must also equal a third
 // API's on a freshly composed Policy, whose memo is empty. (The name
-// predates the oracle's move to reference_test.go; the committed
+// predates the oracle's move to the specification; the committed
 // testdata/fuzz/ corpus is keyed by it.)
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	phaseSeed := func(sys, loc, right string, cpu, wall, mem, out int) {

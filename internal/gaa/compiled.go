@@ -22,13 +22,12 @@ import (
 // per occurrence, so supervision, deadlines, injected faults and
 // adaptive values see every one of those calls. Every block compiles.
 //
-// It is the only production scan. reference_test.go keeps the plain
-// entry-by-entry interpretation of the same semantics as the oracle:
-// for every request both must produce exactly the same answer
-// (decision, applicability, challenge, unevaluated conditions, deciding
-// entries, faults, trace). compile_diff_test.go enforces that with a
-// differential fuzz test and a golden sweep over the repository's
-// policies.
+// It is the only production scan. spec.go states the same semantics
+// entry by entry, as the specification: for every request both must
+// produce exactly the same answer (decision, applicability, challenge,
+// unevaluated conditions, deciding entries, faults, trace).
+// compile_diff_test.go enforces that with a differential fuzz test and
+// a golden sweep over the repository's policies.
 
 // CompiledCond is a condition evaluation specialized at policy-compile
 // time: parsing, pattern compilation and static lookups are done once,
@@ -675,7 +674,7 @@ func (a *API) evaluatePolicyCompiled(ctx context.Context, p *Policy, req *Reques
 // slice, and one evalResult reused for every EACL.
 func (a *API) scanLevel(ctx context.Context, units []*compiledEACL, req *Request, st *evalState, rc *rightsCursor, out *evalResult) {
 	var (
-		fold LevelFold
+		fold levelFold
 		r    evalResult
 	)
 	cs := &st.cs
@@ -683,12 +682,12 @@ func (a *API) scanLevel(ctx context.Context, units []*compiledEACL, req *Request
 		cs.prepare(u)
 		decider := a.evaluateCompiledEACL(ctx, u, req, cs, rc.entryBits(cs, u, req.Rights), &r)
 		out.absorb(&r)
-		fold.Add(r.Verdict)
+		fold.add(r.Verdict)
 		if r.Applicable && decider != nil {
 			st.deciders = append(st.deciders, decidingEntry{decider, r.source})
 		}
 	}
-	out.Verdict = fold.Result()
+	out.Verdict = fold.result()
 }
 
 // note records a scan step; callers invoke it for traced requests only.

@@ -143,21 +143,20 @@ type Verdict struct {
 	Challenge  string
 }
 
-// LevelFold folds per-EACL verdicts of one level (system or local) as a
+// levelFold folds per-EACL verdicts of one level (system or local) as a
 // conjunction: "To evaluate several separately specified local (or
 // system-wide) policies, we take a conjunction of the policies" (paper
-// section 2.1). EACLs with no applicable entry are neutral. It is the
-// engine's own fold, exported so whole-policy analysis
-// (internal/eacl/reason) composes with the same code it reasons about.
-type LevelFold struct {
+// section 2.1). EACLs with no applicable entry are neutral. The
+// compiled engine and the specification (spec.go) share it.
+type levelFold struct {
 	applicable       bool
 	dec              Decision
 	deniedUncurable  bool
 	deniedChallenged string
 }
 
-// Add folds one EACL's verdict into the level.
-func (l *LevelFold) Add(v Verdict) {
+// add folds one EACL's verdict into the level.
+func (l *levelFold) add(v Verdict) {
 	if !v.Applicable {
 		return
 	}
@@ -172,8 +171,8 @@ func (l *LevelFold) Add(v Verdict) {
 	}
 }
 
-// Result returns the level's verdict.
-func (l *LevelFold) Result() Verdict {
+// result returns the level's verdict.
+func (l *levelFold) result() Verdict {
 	v := Verdict{Decision: Maybe, Applicable: l.applicable} // uncertain until something applies
 	if l.applicable {
 		v.Decision = l.dec
@@ -186,9 +185,10 @@ func (l *LevelFold) Result() Verdict {
 	return v
 }
 
-// ComposeVerdicts merges the system-level and local-level verdicts
-// under the composition mode.
-func ComposeVerdicts(mode eacl.CompositionMode, sysExists bool, sys, loc Verdict) Verdict {
+// composeVerdicts merges the system-level and local-level verdicts
+// under the composition mode, for the compiled engine and the
+// specification alike.
+func composeVerdicts(mode eacl.CompositionMode, sysExists bool, sys, loc Verdict) Verdict {
 	var out Verdict
 	switch {
 	case mode == eacl.ModeStop && sysExists:
@@ -225,7 +225,7 @@ func ComposeVerdicts(mode eacl.CompositionMode, sysExists bool, sys, loc Verdict
 }
 
 // absorb appends the diagnostics of one scanned EACL to those of its
-// level; the level's verdict is folded beside it by a LevelFold.
+// level; the level's verdict is folded beside it by a levelFold.
 func (l *evalResult) absorb(r *evalResult) {
 	l.trace = append(l.trace, r.trace...)
 	// Faults are diagnostics: they surface even from EACLs that did not
@@ -251,7 +251,7 @@ func composeLevels(mode eacl.CompositionMode, sys, loc *evalResult, sysExists bo
 	if n := len(sys.faults) + len(loc.faults); n > 0 {
 		out.faults = append(append(make([]Fault, 0, n), sys.faults...), loc.faults...)
 	}
-	out.Verdict = ComposeVerdicts(mode, sysExists, sys.Verdict, loc.Verdict)
+	out.Verdict = composeVerdicts(mode, sysExists, sys.Verdict, loc.Verdict)
 	if out.Decision == Maybe {
 		out.unevaluated = append(append([]eacl.Condition{}, sys.unevaluated...), loc.unevaluated...)
 	}

@@ -12,8 +12,8 @@
 // # Evaluation semantics
 //
 // The paper's worked examples (sections 6 and 7) imply the following
-// algorithm, which this package implements precisely (see also
-// DESIGN.md, "Interpretation notes"):
+// algorithm (DESIGN.md, "Interpretation notes"). spec.go is its
+// executable statement, and the compiled engine is held to it:
 //
 // Entries are scanned first-to-last. An entry is considered when its
 // right matches a requested right. Each pre-condition evaluates to

@@ -6,18 +6,12 @@ import (
 	"gaaapi/internal/eacl"
 )
 
-// ReferenceCheck is CheckAuthorization with the reference scan and
-// request-result phase (reference_test.go) in place of the compiled
-// ones. It is the seam through which the external differential suite
-// reaches the oracle.
+// ReferenceCheck is CheckAuthorization by the specification (spec.go),
+// each entry evaluated as the scan reaches it. It is the seam through
+// which the external differential suite reaches the oracle.
 func (a *API) ReferenceCheck(ctx context.Context, p *Policy, req *Request) *Answer {
-	r := *req
-	r.Trace = a.trace || req.Trace
-	if r.Time.IsZero() {
-		r.Time = a.clock()
-	}
-	res, deciders := a.evaluatePolicy(ctx, p, &r)
-	return a.referenceConclude(ctx, &r, &res, deciders)
+	ans, _ := a.SpecCheck(ctx, p, req, nil)
+	return &ans
 }
 
 // ReferenceExecutionControl is ExecutionControl interpreting ans.Mid.
@@ -31,6 +25,29 @@ func (a *API) ReferencePostExecutionActions(ctx context.Context, ans *Answer, re
 	return a.referencePhase(ctx, ans, eacl.BlockPost, req, opStatus, Param{
 		Type: ParamOpStatusName, Authority: AuthorityAny, Value: opStatus.String(),
 	})
+}
+
+// referencePhase is ExecutionControl (block mid) or
+// PostExecutionActions (block post) interpreting ans.Mid or ans.Post
+// with the specification's block evaluation.
+func (a *API) referencePhase(ctx context.Context, ans *Answer, b eacl.Block, req *Request, opStatus Decision, extra ...Param) (Decision, []TraceEvent) {
+	conds, source := ans.Mid, "mid"
+	if b == eacl.BlockPost {
+		conds, source = ans.Post, "post"
+	}
+	if len(conds) == 0 {
+		return Yes, nil
+	}
+	r := *req
+	r.Trace = a.trace || req.Trace
+	if r.Time.IsZero() {
+		r.Time = a.clock()
+	}
+	r.Decision, r.OpStatus = ans.Decision, opStatus
+	r.Params = append(append(ParamList(nil), req.Params...), extra...)
+	var trace []TraceEvent
+	dec, _ := a.specBlock(ctx, source, 0, conds, b, &r, &trace, nil)
+	return dec, trace
 }
 
 // InvalidateCache drops every cached policy and, by moving the registry

@@ -102,6 +102,20 @@ var ratchets = []ratchet{
 		forbidden: `json\.Marshal|a\.append\(`,
 		bad:       "\t\t\t\tb, err := json.Marshal(ev)",
 	},
+	{
+		name:      "one first-match scan outside the compiled engine",
+		why:       "the reasoner models each world through gaa's specification (spec.go): SpecEntry per entry, SpecCheck for the scan, the folds and the request-result conjunction",
+		files:     []string{"internal/eacl/**/*.go"},
+		forbidden: `func modelEntry|func decide\(|conjoinRR`,
+		bad:       "func modelEntry(ctx context.Context, env *worldEnv, en *eacl.Entry, w *world) entryModel {",
+	},
+	{
+		name:      "the specification stays off the request path",
+		why:       "gaa's spec.go is plain on purpose and answers for the compiled engine; nothing that serves a request calls it",
+		files:     []string{"internal/gaahttp/*.go", "internal/httpd/*.go", "internal/execctl/*.go", "internal/gaa/api.go", "internal/gaa/compiled.go", "cmd/gaa-httpd/*.go"},
+		forbidden: `\bSpec(Entry|Check)\b|\bEntry(Model|Kind|Inapplicable|FiresYes|FiresNo|Maybe|RequirementNo)\b|\bspec(Scan|Block)\b`,
+		bad:       "\tans, _ := g.api.SpecCheck(ctx, p, req, nil)",
+	},
 }
 
 // TestRatchets holds every row of the table against the tree, and the
