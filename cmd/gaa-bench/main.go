@@ -1,6 +1,7 @@
 // Command gaa-bench regenerates every experiment table indexed in
-// DESIGN.md section 4 (E1 is the paper's section 8 performance table;
-// E2/E3 are the section 7 deployments; E4-E8 are ablations).
+// DESIGN.md section 4. E1 is the paper's section 8 performance table
+// and the only one that prints timings; E2, E3 and E6-E10 are behaviour
+// tables, pinned byte for byte by testdata/experiments/behaviour.golden.
 //
 // Usage:
 //
@@ -34,7 +35,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gaa-bench", flag.ContinueOnError)
 	var (
-		runList = fs.String("run", "", "comma-separated experiment ids (e1..e11); empty = all")
+		runList = fs.String("run", "", "comma-separated experiment ids (see -list); empty = all")
 		trials  = fs.Int("trials", 20, "measurement trials per cell (paper protocol: 20)")
 		notify  = fs.Duration("notify", 47*time.Millisecond, "synthetic notification latency")
 		seed    = fs.Int64("seed", 2003, "workload seed")

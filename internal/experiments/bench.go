@@ -1,22 +1,20 @@
 package experiments
 
-// The measurement harness the experiments share: repeated-trial timing
-// with summary statistics (the paper's section 8 protocol — "the
-// experiment was performed 20 times ... on average") and paper-style
-// table rendering.
+// The harness the experiments share: E1's repeated-trial timing (the
+// paper's section 8 protocol — "the experiment was performed 20 times
+// ... on average") and paper-style table rendering.
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 )
 
-// Stats summarizes repeated trials.
+// Stats summarizes repeated trials by their mean, the one figure the
+// paper's section 8 table reports.
 type Stats struct {
-	N                      int
-	Mean, Stddev, Min, Max time.Duration
+	Mean time.Duration
 }
 
 // Measure runs f trials times and summarizes the per-trial wall time.
@@ -34,53 +32,22 @@ func Measure(trials int, f func()) Stats {
 	return Summarize(samples)
 }
 
-// Summarize computes statistics over samples.
+// Summarize computes the mean over samples.
 func Summarize(samples []time.Duration) Stats {
 	if len(samples) == 0 {
 		return Stats{}
 	}
-	s := Stats{N: len(samples), Min: samples[0], Max: samples[0]}
-	var sum float64
+	var sum time.Duration
 	for _, d := range samples {
-		sum += float64(d)
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
+		sum += d
 	}
-	mean := sum / float64(len(samples))
-	s.Mean = time.Duration(mean)
-	var ss float64
-	for _, d := range samples {
-		diff := float64(d) - mean
-		ss += diff * diff
-	}
-	if len(samples) > 1 {
-		s.Stddev = time.Duration(math.Sqrt(ss / float64(len(samples)-1)))
-	}
-	return s
+	return Stats{Mean: sum / time.Duration(len(samples))}
 }
 
 // Millis renders the mean in milliseconds with two decimals, the unit
 // of the paper's section 8 table.
 func (s Stats) Millis() string {
 	return fmt.Sprintf("%.2f", float64(s.Mean)/float64(time.Millisecond))
-}
-
-// String renders "mean ± stddev (n=N)".
-func (s Stats) String() string {
-	return fmt.Sprintf("%v ± %v (n=%d)", s.Mean.Round(time.Microsecond), s.Stddev.Round(time.Microsecond), s.N)
-}
-
-// Overhead returns the percentage by which with exceeds base — the
-// paper's "the overhead introduced by the GAA-API is 30%" metric.
-func Overhead(base, with time.Duration) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return 100 * (float64(with) - float64(base)) / float64(base)
 }
 
 // Table renders experiment results in aligned columns.

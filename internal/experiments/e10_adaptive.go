@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 
@@ -12,15 +11,14 @@ import (
 	"gaaapi/internal/workload"
 )
 
-// E10 measures the paper's adaptive constraint specification (section
+// E10 exercises the paper's adaptive constraint specification (section
 // 2: condition values "can be obtained at run time ... supplied by
 // other services, e.g., an IDS"; section 3: the IDS communicates
 // "values for thresholds"): the CGI input bound lives in the runtime
 // value store and a value tuner tightens it as the threat level rises.
 // The table shows the same request sizes flipping from served to
-// denied per level, plus the evaluation cost of value indirection.
+// denied per level.
 func E10(w io.Writer, opts Options) error {
-	opts = opts.Defaults()
 	const local = `
 neg_access_right apache *
 pre_cond_expr local input_length>@max_input
@@ -86,47 +84,6 @@ pos_access_right apache *
 		tbl.AddRow(row...)
 	}
 	tbl.Fprint(w)
-
-	// Cost of value indirection: identical policy with a literal bound.
-	literal, err := gaahttp.NewStack(gaahttp.StackConfig{
-		LocalPolicies: map[string]string{"*": strings.Replace(local, "@max_input", "1000", 1)},
-		DocRoot:       workload.DocRoot(),
-	})
-	if err != nil {
-		return err
-	}
-	defer literal.Close()
-	st.Threat.Set(ids.Low)
-	tuner.Apply(ids.Low)
-
-	const perBatch = 200
-	measure := func(s *gaahttp.Stack) Stats {
-		return Measure(opts.Trials, func() {
-			for i := 0; i < perBatch; i++ {
-				req := httptest.NewRequest("GET", "/cgi-bin/search?q=ok", nil)
-				req.RemoteAddr = "10.0.0.5:1"
-				rec := httptest.NewRecorder()
-				s.Server.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					panic(fmt.Sprintf("unexpected status %d", rec.Code))
-				}
-			}
-		})
-	}
-	withRef := measure(st)
-	withLit := measure(literal)
-	cost := Table{
-		Title:  "E10b: cost of runtime value indirection",
-		Header: []string{"condition value", "per request (µs)"},
-		Notes: []string{fmt.Sprintf("%d trials of %d-request batches; overhead %s",
-			opts.Trials, perBatch, pct(Overhead(withLit.Mean, withRef.Mean)))},
-	}
-	perReq := func(s Stats) string {
-		return fmt.Sprintf("%.1f", float64(s.Mean)/perBatch/1000)
-	}
-	cost.AddRow("literal (input_length>1000)", perReq(withLit))
-	cost.AddRow("runtime (input_length>@max_input)", perReq(withRef))
-	cost.Fprint(w)
 
 	if mismatches > 0 {
 		return fmt.Errorf("E10: %d behaviour mismatches", mismatches)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
@@ -13,10 +12,8 @@ import (
 // E6 checks the paper's section 2.1 composition semantics as a full
 // decision matrix — for every (system policy, local policy) pair in
 // {grant, deny, inapplicable} and every composition mode in {expand,
-// narrow, stop} — and measures the relative cost of composed
-// evaluation.
+// narrow, stop}.
 func E6(w io.Writer, opts Options) error {
-	opts = opts.Defaults()
 	api := gaa.New()
 	req := gaa.NewRequest("apache", "GET /x")
 
@@ -91,27 +88,6 @@ func E6(w io.Writer, opts Options) error {
 		}
 	}
 	tbl.Fprint(w)
-
-	// Relative cost of the modes over a two-level policy.
-	costTbl := Table{
-		Title:  "E6b: composed-evaluation cost by mode",
-		Header: []string{"mode", "per call (µs)"},
-		Notes:  []string{fmt.Sprintf("%d trials of 1000-call batches", opts.Trials)},
-	}
-	for _, mode := range []string{"expand", "narrow", "stop"} {
-		p := gaa.NewPolicy("/x",
-			[]*eacl.EACL{mk("grant", mode)},
-			[]*eacl.EACL{mk("grant", "")})
-		s := Measure(opts.Trials, func() {
-			for i := 0; i < 1000; i++ {
-				if _, err := api.CheckAuthorization(context.Background(), p, req); err != nil {
-					panic(err)
-				}
-			}
-		})
-		costTbl.AddRow(mode, fmt.Sprintf("%.2f", float64(s.Mean)/1000/float64(time.Microsecond)))
-	}
-	costTbl.Fprint(w)
 
 	if mismatches > 0 {
 		return fmt.Errorf("E6: %d composition mismatches", mismatches)

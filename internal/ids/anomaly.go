@@ -19,7 +19,7 @@ type AnomalyConfig struct {
 	Threshold float64
 }
 
-// DefaultAnomalyConfig returns the tuning used by the experiments.
+// DefaultAnomalyConfig returns the tuning gaahttp.NewStack's live detector and E8 use.
 func DefaultAnomalyConfig() AnomalyConfig {
 	return AnomalyConfig{
 		MinTraining:   20,
