@@ -62,6 +62,10 @@ func (t userTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 // Challenge implements gaa.CompiledCond.
 func (t userTest) Challenge() string { return t.challenge }
 
+func (userEvaluator) atoms(value string) (Atoms, error) {
+	return Atoms{Axis: AxisUser, Globs: strings.Fields(value)}, nil
+}
+
 // CompileCond implements gaa.CondCompiler.
 func (userEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	return userTest{
@@ -131,6 +135,10 @@ func (t groupTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 	return selector(ok)
 }
 
+func (groupEvaluator) atoms(value string) (Atoms, error) {
+	return Atoms{Axis: AxisGroup, Group: strings.TrimSpace(value)}, nil
+}
+
 func (e groupEvaluator) test(cond eacl.Condition) groupTest {
 	return groupTest{store: e.store, defAuth: cond.DefAuth, group: strings.TrimSpace(cond.Value)}
 }
@@ -191,6 +199,10 @@ func (t hostTest) EvalCompiled(req *gaa.Request) gaa.CondVerdict {
 		return gaa.CondMaybe
 	}
 	return selector(ok)
+}
+
+func (hostEvaluator) atoms(value string) (Atoms, error) {
+	return Atoms{Axis: AxisAddress, Globs: strings.Fields(value)}, nil
 }
 
 // CompileCond implements gaa.CondCompiler.

@@ -1,0 +1,65 @@
+package conditions
+
+import "net"
+
+// Axis is the request dimension a condition reads: none (the threat
+// level, a counter, ambient state, or no built-in), the user, a group
+// membership, the client address (a host list reads the client host
+// first), the request line, the time, or an integer parameter.
+type Axis int
+
+const (
+	AxisNone Axis = iota
+	AxisUser
+	AxisGroup
+	AxisAddress
+	AxisLine
+	AxisTime
+	AxisInt
+)
+
+// Atoms are the cells a condition's value cuts its axis into, read by
+// the condition's own parse: what a static reasoner needs to build
+// requests on either side of every cut.
+type Atoms struct {
+	Axis Axis
+	// Ambient: the truth depends on state outside the request (a
+	// file's contents), so it is not repeatable.
+	Ambient bool
+	// Globs are the '*'-globs of a user, host, location or request-line
+	// list; Exprs reports that a request-line list also holds "re:"
+	// expressions, and Match is that list's own matcher.
+	Globs []string
+	Exprs bool
+	Match func(line string) bool
+	Group string
+	// Nets are a location list's CIDR ranges.
+	Nets   []*net.IPNet
+	Window TimeWindow
+	// Param, Op and Bound are a comparison: the parameter, the
+	// comparator token and the integer bound.
+	Param, Op string
+	Bound     int64
+}
+
+// atomizer is a built-in evaluator that declares its condition's atoms
+// by running the condition's parse.
+type atomizer interface {
+	atoms(value string) (Atoms, error)
+}
+
+// AtomsOf returns the atoms of a value of the named built-in condition
+// type; a type that declares none has none. A malformed value, MAYBE
+// for every request, has its axis and no cells, beside the parse error.
+func AtomsOf(condType, value string) (Atoms, error) {
+	ev, _ := Builtin(condType, Deps{})
+	at, ok := ev.(atomizer)
+	if !ok {
+		return Atoms{}, nil
+	}
+	a, err := at.atoms(value)
+	if err != nil {
+		return Atoms{Axis: a.Axis, Ambient: a.Ambient}, err
+	}
+	return a, nil
+}

@@ -9,12 +9,14 @@
 // blacklist update, audit) live in package actions.
 //
 // Every condition type with a value language has one unexported parse
-// function returning the value's test, and three presentations of it:
+// function returning the value's test, and four presentations of it:
 // ValidateValue returns the parse's error, CompileCond (gaa.CondCompiler)
 // returns the test for the compiled engine to run as a one-word verdict,
-// and Evaluate runs that same test and words its result as an Outcome
-// detail. Parse comes first in all three, so a malformed value is
-// malformed for every request: MAYBE with the validator's error.
+// Evaluate runs that same test and words its result as an Outcome
+// detail, and AtomsOf returns the cells the test cuts its request axis
+// into, for the static reasoner (internal/eacl/reason). Parse comes
+// first in all four, so a malformed value is malformed for every
+// request: MAYBE with the validator's error.
 //
 // Not hoisted (deliberately): signature (shared mutable DB), threshold
 // (stateful counters), file_sha256 (filesystem), and anything a

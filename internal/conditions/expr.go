@@ -29,10 +29,11 @@ type cmpEvaluator struct {
 	holdsFmt, failFmt string // traced details over (param, got, op, bound)
 }
 
+// Pointers, so handing one out as a gaa.Evaluator copies nothing.
 var (
-	exprEvaluator = cmpEvaluator{gaa.ClassSelector, "no numeric parameter ",
+	exprEvaluator = &cmpEvaluator{gaa.ClassSelector, "no numeric parameter ",
 		"expr holds", "expr does not hold", "%s=%d %s %d", "%s=%d not %s %d"}
-	quotaEvaluator = cmpEvaluator{gaa.ClassRequirement, "no usage parameter ",
+	quotaEvaluator = &cmpEvaluator{gaa.ClassRequirement, "no usage parameter ",
 		"within quota", "quota violated", "%s=%d within %s%d", "%s=%d violates %s%d"}
 )
 
@@ -59,6 +60,11 @@ func parseCmp(value, defAuth string) (cmpTest, error) {
 		return cmpTest{}, fmt.Errorf("bad number %q", right)
 	}
 	return cmpTest{param: left, defAuth: defAuth, op: op, bound: bound}, nil
+}
+
+func (cmpEvaluator) atoms(value string) (Atoms, error) {
+	t, err := parseCmp(value, "")
+	return Atoms{Axis: AxisInt, Param: t.param, Op: t.op.String(), Bound: t.bound}, err
 }
 
 // compare returns the parameter's value and whether the comparison
@@ -104,17 +110,4 @@ func (e cmpEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.
 		detail = fmt.Sprintf(format, t.param, got, t.op, t.bound)
 	}
 	return gaa.Outcome{Result: result, Class: e.class, Detail: detail}
-}
-
-// SplitComparison exposes the comparison parse: "input_length>1000" is
-// the parameter name, the comparator token and the integer bound,
-// exactly as pre_cond_expr and mid_cond_quota read it. The static
-// reasoner (internal/eacl/reason) uses it to derive boundary candidates
-// for its abstract domain from the policy's own bounds.
-func SplitComparison(value string) (param, op string, bound int64, err error) {
-	t, err := parseCmp(value, "")
-	if err != nil {
-		return "", "", 0, err
-	}
-	return t.param, t.op.String(), t.bound, nil
 }

@@ -41,6 +41,8 @@ func parseSHA256(value string) (path, digest string, err error) {
 	return path, digest, nil
 }
 
+func (fileSHA256Evaluator) atoms(string) (Atoms, error) { return Atoms{Ambient: true}, nil }
+
 func (fileSHA256Evaluator) Evaluate(_ context.Context, cond eacl.Condition, _ *gaa.Request) gaa.Outcome {
 	path, want, err := parseSHA256(cond.Value)
 	if path == "" {

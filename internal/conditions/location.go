@@ -51,22 +51,17 @@ func parseLocation(value, defAuth string) (locationTest, error) {
 	return t, nil
 }
 
-// LocationPatterns reads a pre_cond_location value with the evaluator's
-// own parse, for analyses that synthesize client addresses: its CIDR
-// ranges and its address globs.
-func LocationPatterns(value string) (nets []*net.IPNet, globs []string, err error) {
-	t, err := parseLocation(value, gaa.AuthorityAny)
-	if err != nil {
-		return nil, nil, err
-	}
+func (locationEvaluator) atoms(value string) (Atoms, error) {
+	t, err := parseLocation(value, "")
+	a := Atoms{Axis: AxisAddress}
 	for _, p := range t.pats {
 		if p.cidr != nil {
-			nets = append(nets, p.cidr)
+			a.Nets = append(a.Nets, p.cidr)
 		} else {
-			globs = append(globs, p.src)
+			a.Globs = append(a.Globs, p.src)
 		}
 	}
-	return nets, globs, nil
+	return a, err
 }
 
 // match returns the client address ("" when the request carries none)

@@ -2,6 +2,7 @@ package conditions
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,10 +15,11 @@ import (
 	"gaaapi/internal/ids"
 )
 
-// TestOneParsePerCondition holds the three readers of every value
+// TestOneParsePerCondition holds the four readers of every value
 // language to one parse: for any value, ValidateValue accepts it ⇔
 // CompileCond hoists it (dependencies wired, hoistable type) ⇔ Evaluate
-// reports no error; and a value one of them rejects is rejected by the
+// reports no error ⇔ AtomsOf (for a type whose atoms read its value)
+// reports none; and a value one of them rejects is rejected by the
 // others with the same text — whether or not the evaluator's dependency
 // is wired, and whatever the request carries. Parse comes first: the
 // first request below is inside 10.0.0.0/8, matches *phf* and falls on
@@ -116,6 +118,9 @@ func TestOneParsePerCondition(t *testing.T) {
 		if (verr == nil) != tc.wellFormed {
 			t.Errorf("%s %q: ValidateValue = %v, want well-formed = %v", tc.typ, tc.value, verr, tc.wellFormed)
 			continue
+		}
+		if a, aerr := AtomsOf(tc.typ, tc.value); a.Axis != AxisNone && fmt.Sprint(aerr) != fmt.Sprint(verr) {
+			t.Errorf("%s %q: AtomsOf error = %v, ValidateValue = %v", tc.typ, tc.value, aerr, verr)
 		}
 		cond := eacl.Condition{Block: eacl.BlockPre, Type: tc.typ, DefAuth: "local", Value: tc.value}
 		for name, deps := range map[string]Deps{"wired": wired, "unwired": {}} {

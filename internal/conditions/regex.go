@@ -56,24 +56,17 @@ func parseRegex(value, defAuth string) (regexTest, error) {
 	return t, nil
 }
 
-// RequestLinePatterns reads a pre_cond_regex value with the evaluator's
-// own parse, for analyses that synthesize request lines: the list's
-// '*'-glob patterns, whether it also holds "re:" expressions, and the
-// list's matcher over a request line. A malformed value is MAYBE for
-// every request, so it yields the parse error and nothing else.
-func RequestLinePatterns(value string) (globs []string, hasExpr bool, match func(line string) bool, err error) {
-	t, err := parseRegex(value, gaa.AuthorityAny)
-	if err != nil {
-		return nil, false, nil, err
-	}
+func (regexEvaluator) atoms(value string) (Atoms, error) {
+	t, err := parseRegex(value, "")
+	a := Atoms{Axis: AxisLine, Match: func(line string) bool { return t.matchLine(line) != nil }}
 	for _, p := range t.pats {
 		if p.re != nil {
-			hasExpr = true
+			a.Exprs = true
 		} else {
-			globs = append(globs, p.src)
+			a.Globs = append(a.Globs, p.src)
 		}
 	}
-	return globs, hasExpr, func(line string) bool { return t.matchLine(line) != nil }, nil
+	return a, err
 }
 
 // match returns the first pattern matching the request line, nil when

@@ -78,22 +78,3 @@ func (e threatEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *g
 	}
 	return gaa.FailedOutcome(gaa.ClassSelector, "threat level differs")
 }
-
-// ThreatLevelSet parses a pre_cond_system_threat_level value ("=high",
-// ">low", "<=medium") and returns the set of threat levels satisfying
-// it, in ascending order. An empty comparison ("<low") returns an empty
-// set and no error — the caller decides whether an unsatisfiable
-// condition is a finding.
-func ThreatLevelSet(value string) ([]ids.Level, error) {
-	t, err := parseThreat(value, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []ids.Level
-	for _, l := range []ids.Level{ids.Low, ids.Medium, ids.High} {
-		if t.holds(l) {
-			out = append(out, l)
-		}
-	}
-	return out, nil
-}

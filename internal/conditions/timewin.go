@@ -60,11 +60,9 @@ func parseTimeWindow(value string) (timeWindowTest, error) {
 	return t, err
 }
 
-// ParseTimeWindowSpec parses "HH:MM-HH:MM [days]" exactly as the
-// runtime evaluator does.
-func ParseTimeWindowSpec(value string) (TimeWindow, error) {
+func (timeWindowEvaluator) atoms(value string) (Atoms, error) {
 	t, err := parseTimeWindow(value)
-	return t.TimeWindow, err
+	return Atoms{Axis: AxisTime, Window: t.TimeWindow}, err
 }
 
 // contains tests the two dimensions of the window against an instant.
@@ -189,35 +187,4 @@ func (w TimeWindow) Empty() bool {
 		}
 	}
 	return true
-}
-
-// minuteSpans returns the window's minute-of-day intervals.
-func (w TimeWindow) minuteSpans() [][2]int {
-	if w.Start <= w.End {
-		return [][2]int{{w.Start, w.End}}
-	}
-	return [][2]int{{w.Start, 24 * 60}, {0, w.End}}
-}
-
-// Intersects reports whether some instant lies inside both windows:
-// they share an active weekday and their minute intervals overlap.
-func (w TimeWindow) Intersects(o TimeWindow) bool {
-	shareDay := false
-	for d := range w.Days {
-		if w.Days[d] && o.Days[d] {
-			shareDay = true
-			break
-		}
-	}
-	if !shareDay {
-		return false
-	}
-	for _, a := range w.minuteSpans() {
-		for _, b := range o.minuteSpans() {
-			if a[0] < b[1] && b[0] < a[1] {
-				return true
-			}
-		}
-	}
-	return false
 }

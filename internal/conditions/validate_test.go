@@ -3,8 +3,6 @@ package conditions
 import (
 	"testing"
 	"time"
-
-	"gaaapi/internal/ids"
 )
 
 func TestValidateRegexList(t *testing.T) {
@@ -35,10 +33,15 @@ func TestValidateLocationList(t *testing.T) {
 }
 
 func TestParseTimeWindowSpec(t *testing.T) {
-	w, err := ParseTimeWindowSpec("09:00-17:00 Mon-Fri")
-	if err != nil {
-		t.Fatalf("ParseTimeWindowSpec: %v", err)
+	window := func(s string) TimeWindow {
+		t.Helper()
+		a, err := AtomsOf("time_window", s)
+		if err != nil {
+			t.Fatalf("AtomsOf(time_window, %q): %v", s, err)
+		}
+		return a.Window
 	}
+	w := window("09:00-17:00 Mon-Fri")
 	if w.Start != 9*60 || w.End != 17*60 {
 		t.Errorf("window = [%d,%d), want [540,1020)", w.Start, w.End)
 	}
@@ -48,49 +51,16 @@ func TestParseTimeWindowSpec(t *testing.T) {
 	if w.Empty() {
 		t.Error("business hours reported empty")
 	}
-
-	for _, bad := range []string{"", "9am-5pm", "09:00", "09:00-17:00 Xyz", "09:00-17:00 Mon extra"} {
-		if _, err := ParseTimeWindowSpec(bad); err == nil {
-			t.Errorf("ParseTimeWindowSpec(%q) accepted", bad)
-		}
-	}
-}
-
-func TestTimeWindowEmptyAndIntersects(t *testing.T) {
-	parse := func(s string) TimeWindow {
-		t.Helper()
-		w, err := ParseTimeWindowSpec(s)
-		if err != nil {
-			t.Fatalf("ParseTimeWindowSpec(%q): %v", s, err)
-		}
-		return w
-	}
-	if !parse("09:00-09:00").Empty() {
+	if !window("09:00-09:00").Empty() {
 		t.Error("zero-length window not reported empty")
 	}
-	if parse("22:00-06:00").Empty() {
+	if window("22:00-06:00").Empty() {
 		t.Error("midnight-wrapping window reported empty")
 	}
 
-	tests := []struct {
-		a, b string
-		want bool
-	}{
-		{"09:00-17:00", "16:00-18:00", true},
-		{"09:00-12:00", "12:00-17:00", false}, // half-open: [a,b)
-		{"09:00-17:00 Mon-Fri", "10:00-11:00 Sat,Sun", false},
-		{"09:00-17:00 Mon", "10:00-11:00 Mon", true},
-		{"22:00-06:00", "05:00-07:00", true}, // wrap reaches early morning
-		{"22:00-06:00", "07:00-21:00", false},
-		{"22:00-02:00", "23:00-01:00", true},
-	}
-	for _, tt := range tests {
-		a, b := parse(tt.a), parse(tt.b)
-		if got := a.Intersects(b); got != tt.want {
-			t.Errorf("Intersects(%q, %q) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-		if got := b.Intersects(a); got != tt.want {
-			t.Errorf("Intersects(%q, %q) = %v, want %v (symmetry)", tt.b, tt.a, got, tt.want)
+	for _, bad := range []string{"", "9am-5pm", "09:00", "09:00-17:00 Xyz", "09:00-17:00 Mon extra"} {
+		if _, err := AtomsOf("time_window", bad); err == nil {
+			t.Errorf("AtomsOf(time_window, %q) accepted", bad)
 		}
 	}
 }
@@ -125,41 +95,6 @@ func TestValidateComparison(t *testing.T) {
 			if err := ValidateValue(typ, bad); err == nil {
 				t.Errorf("ValidateValue(%s, %q) accepted", typ, bad)
 			}
-		}
-	}
-}
-
-func TestThreatLevelSet(t *testing.T) {
-	tests := []struct {
-		value string
-		want  []ids.Level
-	}{
-		{"=high", []ids.Level{ids.High}},
-		{">low", []ids.Level{ids.Medium, ids.High}},
-		{"<=medium", []ids.Level{ids.Low, ids.Medium}},
-		{"<low", nil}, // legal but unsatisfiable
-		{"!=medium", []ids.Level{ids.Low, ids.High}},
-	}
-	for _, tt := range tests {
-		got, err := ThreatLevelSet(tt.value)
-		if err != nil {
-			t.Errorf("ThreatLevelSet(%q): %v", tt.value, err)
-			continue
-		}
-		if len(got) != len(tt.want) {
-			t.Errorf("ThreatLevelSet(%q) = %v, want %v", tt.value, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Errorf("ThreatLevelSet(%q) = %v, want %v", tt.value, got, tt.want)
-				break
-			}
-		}
-	}
-	for _, bad := range []string{"high", "=severe", "level=high", ""} {
-		if _, err := ThreatLevelSet(bad); err == nil {
-			t.Errorf("ThreatLevelSet(%q) accepted", bad)
 		}
 	}
 }

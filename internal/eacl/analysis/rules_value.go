@@ -105,7 +105,7 @@ func (v valueRule) fault(c eacl.Condition) error {
 // emptyWindow (E004) rejects a window that parses but holds no instant;
 // one that does not parse is E003's, or an '@' reference.
 func emptyWindow(c eacl.Condition) error {
-	if w, err := conditions.ParseTimeWindowSpec(c.Value); err == nil && w.Empty() {
+	if a, err := conditions.AtomsOf(c.Type, c.Value); err == nil && a.Window.Empty() {
 		return fmt.Errorf("time window %q is empty: it contains no instant, so the condition never holds", c.Value)
 	}
 	return nil

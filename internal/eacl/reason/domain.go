@@ -19,9 +19,10 @@ import (
 
 // The abstract domain is a finite grid of concrete candidate values,
 // one axis per request dimension the registered evaluators consult.
-// Every candidate is synthesized from the policy's own text (glob
-// witnesses, CIDR interior points, time-window boundaries, comparison
-// bounds), so per-world truth is computed exactly — by running the real
+// Every candidate is synthesized from the policy's own text, as each
+// condition's atoms (conditions.AtomsOf) cut it: glob witnesses, CIDR
+// network addresses, time-window boundaries, comparison bounds. So
+// per-world truth is computed exactly — by running the real
 // evaluators against the candidate — and the only incompleteness is
 // coverage: behaviours reachable solely outside the candidate grid
 // (e.g. a request line only an "re:" regular expression accepts) are
@@ -74,6 +75,10 @@ type domain struct {
 	intCand [][]intChoice // candidates per intDims entry
 
 	values mapValues // '@name' runtime values (Options.Values)
+	// ambient holds the pre-condition types whose truth depends on state
+	// outside the world (conditions.Atoms.Ambient): a world one of them
+	// decides in is inexact.
+	ambient map[string]bool
 	// why says how the grid falls short of covering the policy; empty
 	// when it covers it.
 	why string
@@ -106,6 +111,7 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *dom
 	d := &domain{
 		threats: []ids.Level{ids.Low, ids.Medium, ids.High},
 		values:  mapValues(opts.Values),
+		ambient: map[string]bool{},
 		own:     own,
 	}
 	var (
@@ -122,6 +128,7 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *dom
 		userPats  = map[string]bool{}
 		hostPats  = map[string]bool{}
 		linePats  = map[string]bool{}
+		globPats  = [...]map[string]bool{conditions.AxisUser: userPats, conditions.AxisAddress: hostPats, conditions.AxisLine: linePats}
 		lineSeen  = map[string]bool{}
 		lineMatch []func(string) bool
 	)
@@ -139,66 +146,43 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *dom
 				if c.Block != eacl.BlockPre {
 					continue
 				}
-				val, ok := gaa.ResolveValue(c.Value, d.values)
-				if !ok {
-					continue // stays MAYBE at run time; no candidates
+				a, cells := d.atoms(c)
+				if a.Ambient {
+					d.ambient[c.Type] = true
 				}
-				switch c.Type {
-				case "accessid_USER":
-					for _, p := range strings.Fields(val) {
-						userPats[p] = true
+				if !cells {
+					continue // MAYBE for every request: no candidates
+				}
+				for _, g := range a.Globs {
+					globPats[a.Axis][g] = true
+				}
+				for _, n := range a.Nets {
+					ipSet[n.IP.String()] = true
+				}
+				if a.Group != "" {
+					groupSet[a.Group] = true
+				}
+				if a.Match != nil && !lineSeen[c.Value] {
+					lineSeen[c.Value] = true
+					lineMatch = append(lineMatch, a.Match)
+				}
+				if a.Axis == conditions.AxisTime {
+					for _, at := range windowInstants(a.Window) {
+						timeSet[at] = true
 					}
-				case "accessid_GROUP":
-					if g := strings.TrimSpace(val); g != "" {
-						groupSet[g] = true
+					for day := 0; own && day < 7; day++ {
+						start := baseTime.AddDate(0, 0, day).Truncate(24 * time.Hour)
+						timeSet[start] = true
+						timeSet[start.Add(time.Duration(a.Window.Start)*time.Minute)] = true
 					}
-				case "accessid_HOST":
-					for _, p := range strings.Fields(val) {
-						hostPats[p] = true
+				}
+				if a.Axis == conditions.AxisInt {
+					if intSet[a.Param] == nil {
+						intSet[a.Param] = map[int64]bool{}
 					}
-				case "location":
-					nets, globs, err := conditions.LocationPatterns(val)
-					if err != nil {
-						continue // malformed: MAYBE for every request
-					}
-					for _, n := range nets {
-						ipSet[n.IP.String()] = true
-					}
-					for _, g := range globs {
-						hostPats[g] = true
-					}
-				case "regex":
-					globs, _, match, err := conditions.RequestLinePatterns(val)
-					if err != nil || lineSeen[val] {
-						continue // malformed (MAYBE for every request) or already read
-					}
-					lineSeen[val] = true
-					lineMatch = append(lineMatch, match)
-					for _, g := range globs {
-						linePats[g] = true
-					}
-				case "time_window":
-					if w, err := conditions.ParseTimeWindowSpec(val); err == nil {
-						for _, at := range windowInstants(w) {
-							timeSet[at] = true
-						}
-						for day := 0; own && day < 7; day++ {
-							start := baseTime.AddDate(0, 0, day).Truncate(24 * time.Hour)
-							timeSet[start] = true
-							timeSet[start.Add(time.Duration(w.Start)*time.Minute)] = true
-						}
-					}
-				case "expr", "quota":
-					left, _, k, err := conditions.SplitComparison(val)
-					if err != nil {
-						continue
-					}
-					if intSet[left] == nil {
-						intSet[left] = map[int64]bool{}
-					}
-					intSet[left][k-1] = true
-					intSet[left][k] = true
-					intSet[left][k+1] = true
+					intSet[a.Param][a.Bound-1] = true
+					intSet[a.Param][a.Bound] = true
+					intSet[a.Param][a.Bound+1] = true
 				}
 			}
 		}
@@ -294,6 +278,18 @@ func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *dom
 		d.rights = capSlice(d, d.rights, maxRightCands, "right")
 	}
 	return d
+}
+
+// atoms returns what pre-condition c reads: its axis always, and its
+// cells when its value resolves and parses (cells); otherwise c is
+// MAYBE for every request.
+func (d *domain) atoms(c eacl.Condition) (a conditions.Atoms, cells bool) {
+	val, ok := gaa.ResolveValue(c.Value, d.values)
+	a, err := conditions.AtomsOf(c.Type, val)
+	if !ok || err != nil {
+		return conditions.Atoms{Axis: a.Axis, Ambient: a.Ambient}, false
+	}
+	return a, true
 }
 
 // capSlice bounds one axis, recording the first cap hit as the reason

@@ -178,12 +178,6 @@ func (e *Engine) stopSystem() bool {
 	return e.policy.Mode == eacl.ModeStop && e.nsys > 0
 }
 
-// condInexact reports condition types whose outcome depends on state
-// outside the world assignment (the file system), making per-world
-// truth unrepeatable. Worlds touching them are excluded from positive
-// answers.
-func condInexact(condType string) bool { return condType == "file_sha256" }
-
 // foldWorld takes the composed and system-only verdicts of one world
 // from the specification's scan over its entry models, and records,
 // per entry, which earlier entries decided where it would have.
@@ -205,7 +199,7 @@ func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]gaa.Ent
 		st.decided, st.fired = true, st.fired || m.Kind == gaa.EntryFiresYes || m.Kind == gaa.EntryFiresNo
 		for j := range m.Evaluated {
 			ev := &m.Evaluated[j]
-			r.inexact = r.inexact || condInexact(ev.Cond.Type)
+			r.inexact = r.inexact || e.dom.ambient[ev.Cond.Type]
 			if ev.Outcome.Result == gaa.Yes {
 				if r.deciderYes == nil {
 					r.deciderYes = map[string]bool{}
@@ -522,16 +516,10 @@ func (e *Engine) AnonymousGrants() []AnonymousGrant {
 // request line, and whether it does so with an "re:" expression — a
 // guard the domain synthesizes no witnesses for.
 func (d *domain) requestLineGuard(en *eacl.Entry) (reads, expr bool) {
-	for _, c := range en.Conditions {
-		if c.Block != eacl.BlockPre || c.Type != "regex" {
-			continue
-		}
-		reads = true
-		if val, ok := gaa.ResolveValue(c.Value, d.values); ok {
-			if _, hasExpr, _, err := conditions.RequestLinePatterns(val); err == nil && hasExpr {
-				expr = true
-			}
-		}
+	for _, c := range en.Block(eacl.BlockPre) {
+		a, _ := d.atoms(c)
+		reads = reads || a.Axis == conditions.AxisLine
+		expr = expr || a.Exprs
 	}
 	return reads, expr
 }

@@ -132,22 +132,18 @@ func (d *domain) blindSpot(en *eacl.Entry) string {
 	if _, expr := d.requestLineGuard(en); expr {
 		return `incomplete domain: no witness is synthesized for an "re:" expression`
 	}
-	var users, lines, ips, ipGlobs int
+	reads, globbed := map[conditions.Axis]int{}, map[conditions.Axis]bool{}
 	for _, c := range en.Block(eacl.BlockPre) {
-		switch val, _ := gaa.ResolveValue(c.Value, d.values); c.Type {
-		case "accessid_USER":
-			users++
-		case "regex":
-			lines++
-		case "accessid_HOST", "location":
-			ips++
-			if _, globs, err := conditions.LocationPatterns(val); c.Type == "accessid_HOST" || err == nil && len(globs) > 0 {
-				ipGlobs++
-			}
+		a, _ := d.atoms(c)
+		reads[a.Axis]++
+		if len(a.Globs) > 0 {
+			globbed[a.Axis] = true
 		}
 	}
-	if users > 1 || lines > 1 || ips > 1 && ipGlobs > 0 {
-		return "incomplete domain: two conditions match one axis with '*'-globs, and no witness of both is synthesized"
+	for axis := range globbed {
+		if reads[axis] > 1 {
+			return "incomplete domain: two conditions match one axis with '*'-globs, and no witness of both is synthesized"
+		}
 	}
 	return ""
 }

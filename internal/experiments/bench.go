@@ -17,19 +17,27 @@ type Stats struct {
 	Mean time.Duration
 }
 
-// Measure runs f trials times and summarizes the per-trial wall time.
-// A non-positive trials count defaults to the paper's 20.
-func Measure(trials int, f func()) Stats {
+// Measure runs each of fs trials times and summarizes each one's
+// per-trial wall time. The calls alternate trial by trial, so a slow
+// phase of the host lands on every measurement alike. A non-positive
+// trials count defaults to the paper's 20.
+func Measure(trials int, fs ...func()) []Stats {
 	if trials <= 0 {
 		trials = 20
 	}
-	samples := make([]time.Duration, trials)
-	for i := range samples {
-		start := time.Now()
-		f()
-		samples[i] = time.Since(start)
+	samples := make([][]time.Duration, len(fs))
+	for range trials {
+		for i, f := range fs {
+			start := time.Now()
+			f()
+			samples[i] = append(samples[i], time.Since(start))
+		}
 	}
-	return Summarize(samples)
+	out := make([]Stats, len(fs))
+	for i := range samples {
+		out[i] = Summarize(samples[i])
+	}
+	return out
 }
 
 // Summarize computes the mean over samples.

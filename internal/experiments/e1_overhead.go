@@ -47,21 +47,23 @@ func E1(w io.Writer, opts Options) error {
 		defer st.Close()
 
 		attack := workload.PhfScan("192.0.2.66")
-		var out cell
 
-		// (a) GAA-API functions alone: the modified check-access hook.
+		// (a) GAA-API functions alone: the modified check-access hook;
+		// (b) the whole request through the server. Each runs once
+		// untimed, so neither pays the cold work alone.
 		rec := httpd.NewRequestRec(attack.HTTPRequest(), nil, time.Now())
-		out.gaa = Measure(opts.Trials, func() {
+		gaaOnly := func() {
 			st.Groups.Remove("BadGuys", attack.ClientIP) // keep the scenario identical per trial
 			st.Guard.Check(rec)
-		})
-
-		// (b) the whole request through the server.
-		out.total = Measure(opts.Trials, func() {
+		}
+		whole := func() {
 			st.Groups.Remove("BadGuys", attack.ClientIP)
 			st.Server.ServeHTTP(httptest.NewRecorder(), attack.HTTPRequest())
-		})
-		return out, nil
+		}
+		gaaOnly()
+		whole()
+		s := Measure(opts.Trials, gaaOnly, whole)
+		return cell{gaa: s[0], total: s[1]}, nil
 	}
 
 	without, err := run(paper.Without(paper.Local72, "notify"), 0, false)

@@ -30,7 +30,9 @@ type ratchet struct {
 	files []string
 	// region, when set, limits the search to the lines from one matching
 	// region[0] through the next matching region[1], as an awk range.
-	region    [2]string
+	region [2]string
+	// nonTest leaves the _test.go files out.
+	nonTest   bool
 	forbidden string
 	bad       string
 }
@@ -116,6 +118,14 @@ var ratchets = []ratchet{
 		forbidden: `\bSpec(Entry|Check)\b|\bEntry(Model|Kind|Inapplicable|FiresYes|FiresNo|Maybe|RequirementNo)\b|\bspec(Scan|Block)\b`,
 		bad:       "\tans, _ := g.api.SpecCheck(ctx, p, req, nil)",
 	},
+	{
+		name:      "the reasoner names no condition type",
+		why:       "each built-in condition declares what it reads beside its parse (conditions.AtomsOf); the reasoner merges atoms by axis and never restates a value language by type name",
+		files:     []string{"internal/eacl/reason/*.go"},
+		nonTest:   true,
+		forbidden: `"(accessid_USER|accessid_GROUP|accessid_HOST|system_threat_level|time_window|location|regex|signature|expr|threshold|redirect|quota|file_sha256)"`,
+		bad:       `				case "accessid_USER":`,
+	},
 }
 
 // TestRatchets holds every row of the table against the tree, and the
@@ -131,7 +141,11 @@ func TestRatchets(t *testing.T) {
 			if r.region[0] != "" {
 				start, end = regexp.MustCompile(r.region[0]), regexp.MustCompile(r.region[1])
 			}
-			for _, name := range ratchetFiles(t, r.files) {
+			files := ratchetFiles(t, r.files)
+			if r.nonTest {
+				files = slices.DeleteFunc(files, func(name string) bool { return strings.HasSuffix(name, "_test.go") })
+			}
+			for _, name := range files {
 				text, err := os.ReadFile(name)
 				if err != nil {
 					t.Fatal(err)
