@@ -51,16 +51,63 @@ func TestParseTimeWindowSpec(t *testing.T) {
 	if w.Empty() {
 		t.Error("business hours reported empty")
 	}
-	if !window("09:00-09:00").Empty() {
-		t.Error("zero-length window not reported empty")
-	}
-	if window("22:00-06:00").Empty() {
-		t.Error("midnight-wrapping window reported empty")
-	}
 
 	for _, bad := range []string{"", "9am-5pm", "09:00", "09:00-17:00 Xyz", "09:00-17:00 Mon extra"} {
 		if _, err := AtomsOf("time_window", bad); err == nil {
 			t.Errorf("AtomsOf(time_window, %q) accepted", bad)
+		}
+	}
+}
+
+func TestTimeWindowEmptyAndIntersects(t *testing.T) {
+	parse := func(s string) TimeWindow {
+		t.Helper()
+		a, err := AtomsOf("time_window", s)
+		if err != nil {
+			t.Fatalf("AtomsOf(time_window, %q): %v", s, err)
+		}
+		return a.Window
+	}
+	if !parse("09:00-09:00").Empty() {
+		t.Error("zero-length window not reported empty")
+	}
+	if parse("22:00-06:00").Empty() {
+		t.Error("midnight-wrapping window reported empty")
+	}
+
+	// Two windows intersect when some minute of the week lies inside
+	// both, as the evaluator's own containment test sees it.
+	week := time.Date(2024, 1, 7, 0, 0, 0, 0, time.UTC) // a Sunday
+	intersects := func(a, b TimeWindow) bool {
+		for m := 0; m < 7*24*60; m++ {
+			at := week.Add(time.Duration(m) * time.Minute)
+			_, inA := a.contains(at)
+			_, inB := b.contains(at)
+			if inA && inB {
+				return true
+			}
+		}
+		return false
+	}
+	tests := []struct {
+		a, b string
+		want bool
+	}{
+		{"09:00-17:00", "16:00-18:00", true},
+		{"09:00-12:00", "12:00-17:00", false}, // half-open: [a,b)
+		{"09:00-17:00 Mon-Fri", "10:00-11:00 Sat,Sun", false},
+		{"09:00-17:00 Mon", "10:00-11:00 Mon", true},
+		{"22:00-06:00", "05:00-07:00", true}, // wrap reaches early morning
+		{"22:00-06:00", "07:00-21:00", false},
+		{"22:00-02:00", "23:00-01:00", true},
+	}
+	for _, tt := range tests {
+		a, b := parse(tt.a), parse(tt.b)
+		if got := intersects(a, b); got != tt.want {
+			t.Errorf("intersects(%q, %q) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+		if got := intersects(b, a); got != tt.want {
+			t.Errorf("intersects(%q, %q) = %v, want %v (symmetry)", tt.b, tt.a, got, tt.want)
 		}
 	}
 }
