@@ -7,9 +7,11 @@ import (
 	"sort"
 	"testing"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/config"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/eacl/analysis"
+	"gaaapi/internal/eacl/reason"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/ids"
@@ -43,6 +45,14 @@ func shippedKnown(t *testing.T) func(condType, defAuth string) bool {
 	if err := cfg.Apply(api, deps); err != nil {
 		t.Fatalf("shipped gaa.conf does not apply: %v", err)
 	}
+	return api.Known
+}
+
+// lintKnown is eaclint's default vocabulary: the built-in conditions
+// and the stubbed built-in actions.
+func lintKnown() func(condType, defAuth string) bool {
+	api := gaa.New()
+	reason.RegisterVocabulary(api, conditions.Deps{})
 	return api.Known
 }
 
@@ -133,7 +143,7 @@ func TestExamplePoliciesAnalyzeClean(t *testing.T) {
 	a := analysis.New()
 	examples := examplePolicies(t)
 	for _, e := range examples {
-		for _, d := range a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()}) {
+		for _, d := range a.AnalyzeFile(&analysis.File{EACL: e, Known: lintKnown()}) {
 			t.Errorf("%s", d)
 		}
 	}
@@ -171,7 +181,7 @@ func TestOneFindingPerDeadEntry(t *testing.T) {
 	bySource := map[string]*eacl.EACL{}
 	for _, e := range files {
 		bySource[e.Source] = e
-		ds = append(ds, a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()})...)
+		ds = append(ds, a.AnalyzeFile(&analysis.File{EACL: e, Known: lintKnown()})...)
 	}
 	for _, prefix := range []string{"stop", "expand", "narrow", "anon"} {
 		sys, err := eacl.ParseFile(filepath.Join("testdata/eaclint", prefix+"-system.eacl"))
@@ -264,7 +274,7 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds := a.AnalyzeFile(&analysis.File{EACL: e, Known: analysis.BuiltinKnown()})
+			ds := a.AnalyzeFile(&analysis.File{EACL: e, Known: lintKnown()})
 			got := diagCodes(ds)
 			if len(got) != len(tt.codes) {
 				t.Fatalf("codes = %v, want %v (%v)", got, tt.codes, ds)

@@ -153,11 +153,10 @@ func run(args []string, out io.Writer) (int, error) {
 			return 2, err
 		}
 	} else {
-		conditions.Register(api, conditions.Deps{
+		reason.RegisterVocabulary(api, conditions.Deps{
 			Threat: ids.NewManager(ids.Low),
 			Groups: groups.NewStore(),
 		})
-		registerActionStubs(api)
 	}
 
 	// Parse every file up front: positional files are analyzed in
@@ -290,19 +289,6 @@ func explainPolicy(out io.Writer, api *gaa.API, e *eacl.EACL, right string, para
 		fmt.Fprintf(out, "  %s\n", ev)
 	}
 	return nil
-}
-
-// registerActionStubs marks the action vocabulary as known without
-// wiring real side effects — lint-time evaluation must stay pure. The
-// list is shared with the reasoning engine so -query/-prove and plain
-// lint agree on what "registered" means.
-func registerActionStubs(api *gaa.API) {
-	for _, name := range reason.ActionStubNames {
-		api.RegisterFunc(name, gaa.AuthorityAny,
-			func(context.Context, eacl.Condition, *gaa.Request) gaa.Outcome {
-				return gaa.MetOutcome(gaa.ClassAction, "stubbed for lint")
-			})
-	}
 }
 
 // reasonTarget is one policy set the reasoning engine runs over.

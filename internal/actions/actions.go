@@ -50,31 +50,54 @@ type Deps struct {
 	Retry retry.Policy
 }
 
+// builtins is the built-in action vocabulary, in registration order:
+// each routine name beside the evaluator it stands for over deps, with
+// clock supplying timestamps for notifications and audit records. It
+// is an array, so the slice Names makes has a constant length and stays
+// on the stack of a caller that ranges it.
+var builtins = [...]struct {
+	name  string
+	build func(deps Deps, clock func() time.Time) gaa.Evaluator
+}{
+	{"notify", func(d Deps, clock func() time.Time) gaa.Evaluator {
+		return triggered{notifyAction{n: d.Notifier, clock: clock, retry: d.Retry}, d.Notifier != nil}
+	}},
+	{"update_log", func(d Deps, _ func() time.Time) gaa.Evaluator {
+		return triggered{updateLogAction{store: d.Groups, spoof: d.Spoof}, d.Groups != nil}
+	}},
+	{"audit", func(d Deps, clock func() time.Time) gaa.Evaluator {
+		return triggered{auditAction{log: d.Audit, clock: clock, retry: d.Retry}, d.Audit != nil}
+	}},
+	{"set_threat_level", func(d Deps, _ func() time.Time) gaa.Evaluator {
+		return triggered{threatAction{mgr: d.Threat}, d.Threat != nil}
+	}},
+	{"block_ip", func(d Deps, _ func() time.Time) gaa.Evaluator {
+		return triggered{blockAction{set: d.Blocks, spoof: d.Spoof}, d.Blocks != nil}
+	}},
+	{"count", func(d Deps, _ func() time.Time) gaa.Evaluator {
+		return triggered{countAction{counters: d.Counters}, d.Counters != nil}
+	}},
+}
+
 // Builtin returns the built-in action evaluator registered under name.
 // clock supplies timestamps for notifications and audit records (pass
 // api.Now).
 func Builtin(name string, deps Deps, clock func() time.Time) (gaa.Evaluator, bool) {
-	switch name {
-	case "notify":
-		return triggered{notifyAction{n: deps.Notifier, clock: clock, retry: deps.Retry}, deps.Notifier != nil}, true
-	case "update_log":
-		return triggered{updateLogAction{store: deps.Groups, spoof: deps.Spoof}, deps.Groups != nil}, true
-	case "audit":
-		return triggered{auditAction{log: deps.Audit, clock: clock, retry: deps.Retry}, deps.Audit != nil}, true
-	case "set_threat_level":
-		return triggered{threatAction{mgr: deps.Threat}, deps.Threat != nil}, true
-	case "block_ip":
-		return triggered{blockAction{set: deps.Blocks, spoof: deps.Spoof}, deps.Blocks != nil}, true
-	case "count":
-		return triggered{countAction{counters: deps.Counters}, deps.Counters != nil}, true
-	default:
-		return nil, false
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build(deps, clock), true
+		}
 	}
+	return nil, false
 }
 
 // Names lists the built-in action evaluator names.
 func Names() []string {
-	return []string{"notify", "update_log", "audit", "set_threat_level", "block_ip", "count"}
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	return names
 }
 
 // Register installs every action evaluator on api under the wildcard

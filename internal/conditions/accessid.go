@@ -12,7 +12,7 @@ import (
 
 // The accessid value languages have no malformed values — a list of
 // globs is a strings.Fields, a group is a name — so their tests are
-// built, not parsed, and ValidateValue has nothing to say about them.
+// built, not parsed, and AtomsOf never reports an error for them.
 
 // globList is a USER or HOST value.
 type globList []string

@@ -49,8 +49,11 @@ type atomizer interface {
 }
 
 // AtomsOf returns the atoms of a value of the named built-in condition
-// type; a type that declares none has none. A malformed value, MAYBE
-// for every request, has its axis and no cells, beside the parse error.
+// type, beside the error of the parse the type's evaluator runs first:
+// a value it rejects is MAYBE for every request, and has its axis and
+// no cells. A type without a value language (signature, redirect, or
+// no built-in) has no atoms and no error. The value is read as it
+// stands: an '@' runtime reference is the caller's to resolve first.
 func AtomsOf(condType, value string) (Atoms, error) {
 	ev, _ := Builtin(condType, Deps{})
 	at, ok := ev.(atomizer)

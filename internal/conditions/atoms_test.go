@@ -75,6 +75,7 @@ func TestAtomsHoldToEvaluator(t *testing.T) {
 		{"expr", "n>5"},
 		{"expr", "n>=5"},
 		{"quota", "cpu_ms<=50"},
+		{"threshold", "counter=failed_login key=client_ip max=5 window=60s"},
 		{"file_sha256", pinned + " " + digest},
 	}...)
 
@@ -94,10 +95,10 @@ func TestAtomsHoldToEvaluator(t *testing.T) {
 			t.Errorf("%s %q: %v", v.typ, v.value, err)
 			continue
 		}
-		if a.Axis == AxisNone && !a.Ambient {
-			continue
-		}
 		covered[v.typ] = true
+		if a.Axis == AxisNone && !a.Ambient {
+			continue // no request axis: a threat level, a counter
+		}
 		store := groups.NewStore()
 		ev, _ := Builtin(v.typ, Deps{Groups: store})
 		cond := eacl.Condition{Block: eacl.BlockPre, Type: v.typ, DefAuth: "local", Value: v.value}
@@ -206,7 +207,8 @@ func TestAtomsHoldToEvaluator(t *testing.T) {
 		}
 	}
 	for _, name := range Names() {
-		if a, _ := AtomsOf(name, ""); (a.Axis != AxisNone || a.Ambient) && !covered[name] {
+		ev, _ := Builtin(name, Deps{})
+		if _, declares := ev.(atomizer); declares && !covered[name] {
 			t.Errorf("%s declares atoms but no value exercises them", name)
 		}
 	}

@@ -9,14 +9,15 @@
 // blacklist update, audit) live in package actions.
 //
 // Every condition type with a value language has one unexported parse
-// function returning the value's test, and four presentations of it:
-// ValidateValue returns the parse's error, CompileCond (gaa.CondCompiler)
-// returns the test for the compiled engine to run as a one-word verdict,
-// Evaluate runs that same test and words its result as an Outcome
-// detail, and AtomsOf returns the cells the test cuts its request axis
-// into, for the static reasoner (internal/eacl/reason). Parse comes
-// first in all four, so a malformed value is malformed for every
-// request: MAYBE with the validator's error.
+// function returning the value's test, and three presentations of it:
+// CompileCond (gaa.CondCompiler) returns the test for the compiled
+// engine to run as a one-word verdict, Evaluate runs that same test and
+// words its result as an Outcome detail, and AtomsOf returns the cells
+// the test cuts its request axis into, for the static reasoner
+// (internal/eacl/reason), beside the parse's error, which the analyzer
+// (internal/eacl/analysis) reports as E001–E008. Parse comes first in
+// all three, so a malformed value is malformed for every request: MAYBE
+// with AtomsOf's error.
 //
 // Not hoisted (deliberately): signature (shared mutable DB), threshold
 // (stateful counters), file_sha256 (filesystem), and anything a
@@ -44,51 +45,48 @@ type Deps struct {
 	Signatures *ids.DB
 }
 
-// Builtin returns the built-in evaluator registered under name — the
-// same names the GAA configuration files use (package config, the
+// builtins is the built-in vocabulary, in registration order: each
+// routine name the GAA configuration files use (package config, the
 // paper's "configuration files list routines ... for evaluating
-// conditions specified in the policy files").
+// conditions specified in the policy files") beside the evaluator it
+// stands for over deps. It is an array, so the slice Names makes has a
+// constant length and stays on the stack of a caller that ranges it.
+var builtins = [...]struct {
+	name  string
+	build func(deps Deps) gaa.Evaluator
+}{
+	{"accessid_USER", func(Deps) gaa.Evaluator { return userEvaluator{} }},
+	{"accessid_GROUP", func(d Deps) gaa.Evaluator { return groupEvaluator{store: d.Groups} }},
+	{"accessid_HOST", func(Deps) gaa.Evaluator { return hostEvaluator{} }},
+	{"system_threat_level", func(d Deps) gaa.Evaluator { return threatEvaluator{provider: d.Threat} }},
+	{"time_window", func(Deps) gaa.Evaluator { return timeWindowEvaluator{} }},
+	{"location", func(Deps) gaa.Evaluator { return locationEvaluator{} }},
+	{"regex", func(Deps) gaa.Evaluator { return regexEvaluator{} }},
+	{"signature", func(d Deps) gaa.Evaluator { return signatureEvaluator{db: d.Signatures} }},
+	{"expr", func(Deps) gaa.Evaluator { return exprEvaluator }},
+	{"threshold", func(d Deps) gaa.Evaluator { return thresholdEvaluator{counters: d.Counters} }},
+	{"redirect", func(Deps) gaa.Evaluator { return redirectEvaluator{} }},
+	{"quota", func(Deps) gaa.Evaluator { return quotaEvaluator }},
+	{"file_sha256", func(Deps) gaa.Evaluator { return fileSHA256Evaluator{} }},
+}
+
+// Builtin returns the built-in evaluator registered under name.
 func Builtin(name string, deps Deps) (gaa.Evaluator, bool) {
-	switch name {
-	case "accessid_USER":
-		return userEvaluator{}, true
-	case "accessid_GROUP":
-		return groupEvaluator{store: deps.Groups}, true
-	case "accessid_HOST":
-		return hostEvaluator{}, true
-	case "system_threat_level":
-		return threatEvaluator{provider: deps.Threat}, true
-	case "time_window":
-		return timeWindowEvaluator{}, true
-	case "location":
-		return locationEvaluator{}, true
-	case "regex":
-		return regexEvaluator{}, true
-	case "signature":
-		return signatureEvaluator{db: deps.Signatures}, true
-	case "expr":
-		return exprEvaluator, true
-	case "threshold":
-		return thresholdEvaluator{counters: deps.Counters}, true
-	case "redirect":
-		return redirectEvaluator{}, true
-	case "quota":
-		return quotaEvaluator, true
-	case "file_sha256":
-		return fileSHA256Evaluator{}, true
-	default:
-		return nil, false
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build(deps), true
+		}
 	}
+	return nil, false
 }
 
 // Names lists the built-in condition evaluator names.
 func Names() []string {
-	return []string{
-		"accessid_USER", "accessid_GROUP", "accessid_HOST",
-		"system_threat_level", "time_window", "location",
-		"regex", "signature", "expr", "threshold", "redirect",
-		"quota", "file_sha256",
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
 	}
+	return names
 }
 
 // Register installs every built-in evaluator on api under its own name.
@@ -103,8 +101,8 @@ func Register(api *gaa.API, deps Deps) {
 }
 
 // malformed is the outcome of a condition whose value does not parse,
-// whatever the request: unevaluated, carrying the error ValidateValue
-// reports for the same value.
+// whatever the request: unevaluated, carrying the error AtomsOf reports
+// for the same value.
 func malformed(err error) gaa.Outcome {
 	return gaa.Outcome{Result: gaa.Maybe, Unevaluated: true, Err: err}
 }

@@ -41,7 +41,10 @@ func parseSHA256(value string) (path, digest string, err error) {
 	return path, digest, nil
 }
 
-func (fileSHA256Evaluator) atoms(string) (Atoms, error) { return Atoms{Ambient: true}, nil }
+func (fileSHA256Evaluator) atoms(value string) (Atoms, error) {
+	_, _, err := parseSHA256(value)
+	return Atoms{Ambient: true}, err
+}
 
 func (fileSHA256Evaluator) Evaluate(_ context.Context, cond eacl.Condition, _ *gaa.Request) gaa.Outcome {
 	path, want, err := parseSHA256(cond.Value)

@@ -15,16 +15,18 @@ import (
 	"gaaapi/internal/ids"
 )
 
-// TestOneParsePerCondition holds the four readers of every value
-// language to one parse: for any value, ValidateValue accepts it ⇔
+// TestOneParsePerCondition holds the three readers of every value
+// language to one parse: for any value, AtomsOf reports no error ⇔
 // CompileCond hoists it (dependencies wired, hoistable type) ⇔ Evaluate
-// reports no error ⇔ AtomsOf (for a type whose atoms read its value)
-// reports none; and a value one of them rejects is rejected by the
+// reports no error; and a value one of them rejects is rejected by the
 // others with the same text — whether or not the evaluator's dependency
-// is wired, and whatever the request carries. Parse comes first: the
-// first request below is inside 10.0.0.0/8, matches *phf* and falls on
-// a Monday, and still the lists that start that way and end malformed
-// are MAYBE for it, as they are for the request that carries nothing.
+// is wired, and whatever the request carries. Every value of the table
+// is also read as every other built-in type, so a type whose Evaluate
+// runs a parse its atoms do not is caught whatever its value. Parse
+// comes first: the first request below is inside 10.0.0.0/8, matches
+// *phf* and falls on a Monday, and still the lists that start that way
+// and end malformed are MAYBE for it, as they are for the request that
+// carries nothing.
 func TestOneParsePerCondition(t *testing.T) {
 	pinned := filepath.Join(t.TempDir(), "passwd")
 	if err := os.WriteFile(pinned, []byte("root:x:0:0\n"), 0o644); err != nil {
@@ -114,42 +116,39 @@ func TestOneParsePerCondition(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		verr := ValidateValue(tc.typ, tc.value)
-		if (verr == nil) != tc.wellFormed {
-			t.Errorf("%s %q: ValidateValue = %v, want well-formed = %v", tc.typ, tc.value, verr, tc.wellFormed)
-			continue
-		}
-		if a, aerr := AtomsOf(tc.typ, tc.value); a.Axis != AxisNone && fmt.Sprint(aerr) != fmt.Sprint(verr) {
-			t.Errorf("%s %q: AtomsOf error = %v, ValidateValue = %v", tc.typ, tc.value, aerr, verr)
-		}
-		cond := eacl.Condition{Block: eacl.BlockPre, Type: tc.typ, DefAuth: "local", Value: tc.value}
-		for name, deps := range map[string]Deps{"wired": wired, "unwired": {}} {
-			ev, ok := Builtin(tc.typ, deps)
-			if !ok {
-				t.Fatalf("no builtin %q", tc.typ)
+		for _, typ := range Names() {
+			_, aerr := AtomsOf(typ, tc.value)
+			own := typ == tc.typ // the value is written for this type
+			if own && (aerr == nil) != tc.wellFormed {
+				t.Errorf("%s %q: AtomsOf = %v, want well-formed = %v", typ, tc.value, aerr, tc.wellFormed)
+				continue
 			}
-			if comp, ok := ev.(gaa.CondCompiler); ok {
-				_, compiled := comp.CompileCond(cond)
-				want := tc.wellFormed && hoistable[tc.typ] && (name == "wired" || tc.typ != "system_threat_level")
-				if compiled != want {
-					t.Errorf("%s %q (%s): CompileCond ok = %v, want %v", tc.typ, tc.value, name, compiled, want)
+			cond := eacl.Condition{Block: eacl.BlockPre, Type: typ, DefAuth: "local", Value: tc.value}
+			for name, deps := range map[string]Deps{"wired": wired, "unwired": {}} {
+				ev, _ := Builtin(typ, deps)
+				if comp, ok := ev.(gaa.CondCompiler); ok {
+					_, compiled := comp.CompileCond(cond)
+					if compiled && aerr != nil {
+						t.Errorf("%s %q (%s): CompileCond hoists a value AtomsOf rejects: %v", typ, tc.value, name, aerr)
+					}
+					want := tc.wellFormed && hoistable[typ] && (name == "wired" || typ != "system_threat_level")
+					if own && compiled != want {
+						t.Errorf("%s %q (%s): CompileCond ok = %v, want %v", typ, tc.value, name, compiled, want)
+					}
+				} else if hoistable[typ] {
+					t.Errorf("builtin %q does not implement CondCompiler", typ)
 				}
-			} else if hoistable[tc.typ] {
-				t.Errorf("builtin %q does not implement CondCompiler", tc.typ)
-			}
-			for ri, req := range reqs {
-				out := ev.Evaluate(context.Background(), cond, req)
-				switch {
-				case verr == nil && out.Err != nil:
-					t.Errorf("%s %q (%s, req %d): Evaluate error %v on a value ValidateValue accepts",
-						tc.typ, tc.value, name, ri, out.Err)
-				case verr != nil && (out.Err == nil || out.Err.Error() != verr.Error()):
-					t.Errorf("%s %q (%s, req %d): Evaluate error = %v, ValidateValue = %v",
-						tc.typ, tc.value, name, ri, out.Err, verr)
-				case verr != nil && tc.typ != "file_sha256" && (out.Result != gaa.Maybe || !out.Unevaluated):
-					// file_sha256 is TestFileSHA256DigestCase's: a bad digest is NO.
-					t.Errorf("%s %q (%s, req %d): a malformed value answered %+v, want MAYBE unevaluated",
-						tc.typ, tc.value, name, ri, out)
+				for ri, req := range reqs {
+					out := ev.Evaluate(context.Background(), cond, req)
+					switch {
+					case fmt.Sprint(out.Err) != fmt.Sprint(aerr):
+						t.Errorf("%s %q (%s, req %d): Evaluate error = %v, AtomsOf = %v",
+							typ, tc.value, name, ri, out.Err, aerr)
+					case aerr != nil && typ != "file_sha256" && (out.Result != gaa.Maybe || !out.Unevaluated):
+						// file_sha256 is TestFileSHA256DigestCase's: a bad digest is NO.
+						t.Errorf("%s %q (%s, req %d): a malformed value answered %+v, want MAYBE unevaluated",
+							typ, tc.value, name, ri, out)
+					}
 				}
 			}
 		}
@@ -159,7 +158,7 @@ func TestOneParsePerCondition(t *testing.T) {
 // TestFileSHA256DigestCase: the one parse accepts a digest in either
 // case and normalises it, so the analyzer (E008) no longer rejects what
 // the evaluator honours. A digest no file can have — wrong length or
-// alphabet — still answers NO, now carrying the validator's error; a
+// alphabet — still answers NO, carrying the parse's error; a
 // value that names no file is MAYBE.
 func TestFileSHA256DigestCase(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "passwd")
@@ -178,8 +177,8 @@ func TestFileSHA256DigestCase(t *testing.T) {
 	}
 	for _, d := range []string{digest, strings.ToUpper(digest)} {
 		value := path + " " + d
-		if err := ValidateValue("file_sha256", value); err != nil {
-			t.Errorf("ValidateValue(%q) = %v on a digest the evaluator honours", value, err)
+		if _, err := AtomsOf("file_sha256", value); err != nil {
+			t.Errorf("AtomsOf(%q) = %v on a digest the evaluator honours", value, err)
 		}
 		if out := eval(value); out.Result != gaa.Yes || out.Err != nil {
 			t.Errorf("Evaluate(%q) = %+v, want YES", value, out)
@@ -187,7 +186,7 @@ func TestFileSHA256DigestCase(t *testing.T) {
 	}
 	for _, d := range []string{"deadbeef", digest[:63] + "G"} {
 		value := path + " " + d
-		verr := ValidateValue("file_sha256", value)
+		_, verr := AtomsOf("file_sha256", value)
 		out := eval(value)
 		if verr == nil || out.Result != gaa.No || out.Class != gaa.ClassRequirement ||
 			out.Err == nil || out.Err.Error() != verr.Error() {

@@ -48,6 +48,12 @@ func (t threatTest) EvalCompiled(*gaa.Request) gaa.CondVerdict {
 	return selector(t.holds(t.provider.Level()))
 }
 
+// atoms reads no request axis: the level is the provider's.
+func (threatEvaluator) atoms(value string) (Atoms, error) {
+	_, err := parseThreat(value, nil)
+	return Atoms{}, err
+}
+
 // CompileCond implements gaa.CondCompiler.
 func (e threatEvaluator) CompileCond(cond eacl.Condition) (gaa.CompiledCond, bool) {
 	if e.provider == nil {

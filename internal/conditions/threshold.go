@@ -166,6 +166,12 @@ func parseThreshold(value string) (thresholdTest, error) {
 	return t, nil
 }
 
+// atoms reads no request axis: the count is the counter store's.
+func (thresholdEvaluator) atoms(value string) (Atoms, error) {
+	_, err := parseThreshold(value)
+	return Atoms{}, err
+}
+
 func (e thresholdEvaluator) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
 	t, err := parseThreshold(cond.Value)
 	if err != nil {

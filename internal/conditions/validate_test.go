@@ -5,29 +5,38 @@ import (
 	"time"
 )
 
+// The TestValidate* tests hold each value language's parse, read
+// through AtomsOf: the error the analyzer reports as E001–E008.
+
+// parseErr is the error of the named type's own parse of value.
+func parseErr(typ, value string) error {
+	_, err := AtomsOf(typ, value)
+	return err
+}
+
 func TestValidateRegexList(t *testing.T) {
-	if err := ValidateValue("regex", "*phf* *test-cgi* re:^GET\\s"); err != nil {
+	if err := parseErr("regex", "*phf* *test-cgi* re:^GET\\s"); err != nil {
 		t.Errorf("valid list rejected: %v", err)
 	}
-	if err := ValidateValue("regex", "re:[unclosed"); err == nil {
+	if err := parseErr("regex", "re:[unclosed"); err == nil {
 		t.Error("bad regexp accepted")
 	}
-	if err := ValidateValue("regex", "  "); err == nil {
+	if err := parseErr("regex", "  "); err == nil {
 		t.Error("empty list accepted")
 	}
 }
 
 func TestValidateLocationList(t *testing.T) {
-	if err := ValidateValue("location", "128.9.0.0/16 10.* ::1"); err != nil {
+	if err := parseErr("location", "128.9.0.0/16 10.* ::1"); err != nil {
 		t.Errorf("valid list rejected: %v", err)
 	}
-	if err := ValidateValue("location", "300.0.0.0/8"); err == nil {
+	if err := parseErr("location", "300.0.0.0/8"); err == nil {
 		t.Error("bad CIDR accepted")
 	}
-	if err := ValidateValue("location", "10.0.0.0/33"); err == nil {
+	if err := parseErr("location", "10.0.0.0/33"); err == nil {
 		t.Error("bad prefix length accepted")
 	}
-	if err := ValidateValue("location", ""); err == nil {
+	if err := parseErr("location", ""); err == nil {
 		t.Error("empty list accepted")
 	}
 }
@@ -113,7 +122,7 @@ func TestTimeWindowEmptyAndIntersects(t *testing.T) {
 }
 
 func TestValidateThresholdSpec(t *testing.T) {
-	if err := ValidateValue("threshold", "counter=failed_login key=client_ip max=5 window=60s"); err != nil {
+	if err := parseErr("threshold", "counter=failed_login key=client_ip max=5 window=60s"); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	for _, bad := range []string{
@@ -125,8 +134,8 @@ func TestValidateThresholdSpec(t *testing.T) {
 		"counter=x key=ip max=5 window=often", // bad duration
 		"counter key=ip max=5 window=60s",     // bare token
 	} {
-		if err := ValidateValue("threshold", bad); err == nil {
-			t.Errorf("ValidateValue(threshold, %q) accepted", bad)
+		if err := parseErr("threshold", bad); err == nil {
+			t.Errorf("AtomsOf(threshold, %q) accepted", bad)
 		}
 	}
 }
@@ -134,13 +143,13 @@ func TestValidateThresholdSpec(t *testing.T) {
 func TestValidateComparison(t *testing.T) {
 	for _, typ := range []string{"expr", "quota"} {
 		for _, good := range []string{"input_length>1000", "cpu_ms<=50", "retries!=0"} {
-			if err := ValidateValue(typ, good); err != nil {
-				t.Errorf("ValidateValue(%s, %q): %v", typ, good, err)
+			if err := parseErr(typ, good); err != nil {
+				t.Errorf("AtomsOf(%s, %q): %v", typ, good, err)
 			}
 		}
 		for _, bad := range []string{"input_length", ">1000", "input_length>ten", ""} {
-			if err := ValidateValue(typ, bad); err == nil {
-				t.Errorf("ValidateValue(%s, %q) accepted", typ, bad)
+			if err := parseErr(typ, bad); err == nil {
+				t.Errorf("AtomsOf(%s, %q) accepted", typ, bad)
 			}
 		}
 	}
@@ -148,7 +157,7 @@ func TestValidateComparison(t *testing.T) {
 
 func TestValidateSHA256Spec(t *testing.T) {
 	good := "/etc/passwd ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-	if err := ValidateValue("file_sha256", good); err != nil {
+	if err := parseErr("file_sha256", good); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	for _, bad := range []string{
@@ -157,23 +166,23 @@ func TestValidateSHA256Spec(t *testing.T) {
 		"/etc/passwd " + good[13:76] + "G", // non-hex
 		"a b c",                            // too many fields
 	} {
-		if err := ValidateValue("file_sha256", bad); err == nil {
-			t.Errorf("ValidateValue(file_sha256, %q) accepted", bad)
+		if err := parseErr("file_sha256", bad); err == nil {
+			t.Errorf("AtomsOf(file_sha256, %q) accepted", bad)
 		}
 	}
 }
 
-func TestValidateValueDispatch(t *testing.T) {
-	if err := ValidateValue("regex", "re:[bad"); err == nil {
+func TestAtomsOfDispatch(t *testing.T) {
+	if err := parseErr("regex", "re:[bad"); err == nil {
 		t.Error("dispatch missed bad regex")
 	}
-	if err := ValidateValue("expr", "input_length>@max_input"); err != nil {
-		t.Errorf("runtime value reference should be skipped: %v", err)
+	if err := parseErr("expr", "input_length>@max_input"); err == nil {
+		t.Error("an unresolved runtime value reference parsed as a number")
 	}
-	if err := ValidateValue("accessid_USER", "anything at all"); err != nil {
+	if err := parseErr("accessid_USER", "anything at all"); err != nil {
 		t.Errorf("unchecked type should pass: %v", err)
 	}
-	if err := ValidateValue("time_window", "25:00-26:00"); err == nil {
+	if err := parseErr("time_window", "25:00-26:00"); err == nil {
 		t.Error("dispatch missed bad time window")
 	}
 }

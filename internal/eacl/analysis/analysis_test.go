@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/eacl/reason"
+	"gaaapi/internal/gaa"
 )
 
 func mustParse(t *testing.T, src string) *eacl.EACL {
@@ -17,10 +20,18 @@ func mustParse(t *testing.T, src string) *eacl.EACL {
 	return e
 }
 
+// lintKnown is eaclint's default vocabulary: the built-in conditions
+// and the stubbed built-in actions.
+func lintKnown() func(condType, defAuth string) bool {
+	api := gaa.New()
+	reason.RegisterVocabulary(api, conditions.Deps{})
+	return api.Known
+}
+
 // analyze runs the full catalog with the built-in vocabulary.
 func analyze(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	return New().AnalyzeFile(&File{EACL: mustParse(t, src), Known: BuiltinKnown()})
+	return New().AnalyzeFile(&File{EACL: mustParse(t, src), Known: lintKnown()})
 }
 
 // codes extracts the diagnostic codes in order.
@@ -366,7 +377,7 @@ pre_cond_regex gnu re:[unclosed
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := New(opt).AnalyzeFile(&File{EACL: mustParse(t, src), Known: BuiltinKnown()})
+	ds := New(opt).AnalyzeFile(&File{EACL: mustParse(t, src), Known: lintKnown()})
 	if got := codes(ds); len(got) != 1 || got[0] != "E001" {
 		t.Errorf("filtered codes = %v, want [E001]", got)
 	}
@@ -375,7 +386,7 @@ pre_cond_regex gnu re:[unclosed
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds = New(opt).AnalyzeFile(&File{EACL: mustParse(t, src), Known: BuiltinKnown()})
+	ds = New(opt).AnalyzeFile(&File{EACL: mustParse(t, src), Known: lintKnown()})
 	if hasCode(ds, "W003") || !hasCode(ds, "E001") {
 		t.Errorf("negative filter failed: %v", codes(ds))
 	}
@@ -390,7 +401,7 @@ pre_cond_regex gnu re:[unclosed
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := New(opt).AnalyzeFile(&File{EACL: mustParse(t, unsat), Known: BuiltinKnown()})
+		ds := New(opt).AnalyzeFile(&File{EACL: mustParse(t, unsat), Known: lintKnown()})
 		if got := codes(ds); strings.Join(got, ",") != strings.Join(want, ",") {
 			t.Errorf("-rules %s: codes = %v, want %v", spec, got, want)
 		}
@@ -407,7 +418,7 @@ pos_access_right apache GET /cgi-bin/*
 neg_access_right apache GET /cgi-bin/phf
 pre_cond_regex gnu re:[unclosed
 `
-	ds := New(WithMinSeverity(SeverityError)).AnalyzeFile(&File{EACL: mustParse(t, src), Known: BuiltinKnown()})
+	ds := New(WithMinSeverity(SeverityError)).AnalyzeFile(&File{EACL: mustParse(t, src), Known: lintKnown()})
 	for _, d := range ds {
 		if d.Severity < SeverityError {
 			t.Errorf("warning leaked through severity filter: %v", d)

@@ -81,7 +81,7 @@ func sprawlSystemPolicy() string {
 }
 
 func TestProverCoversSignatureDatabase(t *testing.T) {
-	f := &File{EACL: mustParse(t, sprawlSystemPolicy()), Known: BuiltinKnown()}
+	f := &File{EACL: mustParse(t, sprawlSystemPolicy()), Known: lintKnown()}
 	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/eacl/reason"
 	"gaaapi/internal/gaa"
@@ -318,8 +319,8 @@ func (c *Composition) findings() []finding {
 }
 
 // userGuard returns "source:line" of an entry whose right pattern
-// matches the granted right and whose pre block requires accessid_USER,
-// "" when there is none.
+// matches the granted right and whose pre block reads the user axis
+// (accessid_USER), "" when there is none.
 func userGuard(eacls []*eacl.EACL, granted eacl.Right) string {
 	for _, e := range eacls {
 		for _, en := range e.Entries {
@@ -327,7 +328,7 @@ func userGuard(eacls []*eacl.EACL, granted eacl.Right) string {
 				continue
 			}
 			for _, cond := range en.Block(eacl.BlockPre) {
-				if cond.Type == "accessid_USER" {
+				if a, _ := conditions.AtomsOf(cond.Type, cond.Value); a.Axis == conditions.AxisUser {
 					return fmt.Sprintf("%s:%d", e.Source, en.Line)
 				}
 			}

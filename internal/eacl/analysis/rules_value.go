@@ -6,16 +6,17 @@ import (
 
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/gaa"
 )
 
-// Layer 1: value-level semantic validation. Each rule re-uses the
-// exported validators of internal/conditions, so the analyzer accepts
-// exactly what the runtime evaluators accept. A value rejected here
-// would evaluate to MAYBE on every request at run time — on a pos entry
-// that silently withholds a grant, on a neg entry it silently disables
-// a denial, and in both cases the decision degrades to the web server's
-// fallback. Values carrying '@' runtime references are skipped: their
-// final shape is supplied by the IDS at evaluation time.
+// Layer 1: value-level semantic validation. Each rule reads the error
+// of the evaluator's own parse (conditions.AtomsOf), so the analyzer
+// accepts exactly what the runtime evaluators accept. A value rejected
+// here would evaluate to MAYBE on every request at run time — on a pos
+// entry that silently withholds a grant, on a neg entry it silently
+// disables a denial, and in both cases the decision degrades to the web
+// server's fallback. Values carrying '@' runtime references are
+// skipped: their final shape is supplied by the IDS at evaluation time.
 
 var (
 	metaRegexSyntax = Meta{
@@ -61,7 +62,7 @@ var (
 )
 
 // valueRule reports each condition of its types whose value check
-// fails, by default the evaluator's own parse (conditions.ValidateValue).
+// fails, by default the evaluator's own parse (conditions.AtomsOf).
 type valueRule struct {
 	meta  Meta
 	types []string
@@ -92,18 +93,18 @@ func (v valueRule) CheckFile(f *File, r *Reporter) {
 
 // fault is the check's error on c, nil when c is not of the rule's types.
 func (v valueRule) fault(c eacl.Condition) error {
-	if !slices.Contains(v.types, c.Type) {
+	if !slices.Contains(v.types, c.Type) || gaa.HasValueRef(c.Value) {
 		return nil
 	} else if v.check != nil {
 		return v.check(c)
-	} else if err := conditions.ValidateValue(c.Type, c.Value); err != nil {
+	} else if _, err := conditions.AtomsOf(c.Type, c.Value); err != nil {
 		return fmt.Errorf("%s_%s value never evaluates: %v", c.Block, c.Type, err)
 	}
 	return nil
 }
 
 // emptyWindow (E004) rejects a window that parses but holds no instant;
-// one that does not parse is E003's, or an '@' reference.
+// one that does not parse is E003's.
 func emptyWindow(c eacl.Condition) error {
 	if a, err := conditions.AtomsOf(c.Type, c.Value); err == nil && a.Window.Empty() {
 		return fmt.Errorf("time window %q is empty: it contains no instant, so the condition never holds", c.Value)

@@ -161,7 +161,7 @@ func TestSARIFOfSeededFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds = append(ds, New().AnalyzeFile(&File{EACL: e, Known: BuiltinKnown()})...)
+		ds = append(ds, New().AnalyzeFile(&File{EACL: e, Known: lintKnown()})...)
 	}
 	out, err := SARIFReport(ds)
 	if err != nil {
@@ -226,7 +226,7 @@ func FuzzAnalyze(f *testing.F) {
 			return
 		}
 		a := New()
-		ds := a.AnalyzeFile(&File{EACL: e, Known: BuiltinKnown()})
+		ds := a.AnalyzeFile(&File{EACL: e, Known: lintKnown()})
 		once := map[int]Diagnostic{}
 		for _, d := range ds {
 			if !deadCodes[d.Code] || d.Line == 0 {

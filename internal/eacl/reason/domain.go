@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"gaaapi/internal/actions"
 	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
@@ -399,14 +400,19 @@ func (d *domain) request(w *world) *gaa.Request {
 	return &gaa.Request{Rights: []eacl.Right{w.right}, Params: params, Time: w.at}
 }
 
-// ActionStubNames is the response-action vocabulary stubbed to YES
-// during analysis — evaluation must stay pure, but the types have to
-// be "registered" so request-result blocks don't degrade to MAYBE.
-// cmd/eaclint registers the same list.
-var ActionStubNames = []string{"notify", "update_log", "audit", "set_threat_level", "block_ip", "count"}
-
-func stubAction(context.Context, eacl.Condition, *gaa.Request) gaa.Outcome {
-	return gaa.MetOutcome(gaa.ClassAction, "stubbed for analysis")
+// RegisterVocabulary registers on api the vocabulary the static tools
+// read policies against: every built-in condition over deps, and a YES
+// stub under each built-in action's name — evaluation at lint time must
+// stay pure, but the actions have to be registered so request-result
+// blocks don't degrade to MAYBE. The reasoner's worlds and cmd/eaclint's
+// default vocabulary are both this one.
+func RegisterVocabulary(api *gaa.API, deps conditions.Deps) {
+	conditions.Register(api, deps)
+	for _, name := range actions.Names() {
+		api.RegisterFunc(name, gaa.AuthorityAny, func(context.Context, eacl.Condition, *gaa.Request) gaa.Outcome {
+			return gaa.MetOutcome(gaa.ClassAction, "stubbed for analysis")
+		})
+	}
 }
 
 // worldEnv is an engine's one evaluation environment: an API with the
@@ -424,10 +430,7 @@ type worldEnv struct {
 func newWorldEnv(values mapValues) *worldEnv {
 	env := &worldEnv{threat: ids.NewManager(ids.Low), groups: groups.NewStore()}
 	env.api = gaa.New(gaa.WithClock(func() time.Time { return env.at }), gaa.WithValues(values))
-	conditions.Register(env.api, conditions.Deps{Threat: env.threat, Groups: env.groups})
-	for _, name := range ActionStubNames {
-		env.api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
-	}
+	RegisterVocabulary(env.api, conditions.Deps{Threat: env.threat, Groups: env.groups})
 	return env
 }
 

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"gaaapi/internal/actions"
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/gaa"
 )
 
 func mustEACL(t *testing.T, src string) *eacl.EACL {
@@ -389,5 +392,28 @@ func TestUnsatisfiable(t *testing.T) {
 		"pre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n")
 	if core, _ := Unsatisfiable(e.Entries[0]); len(core) != 2 || core[0].Line != 3 || core[1].Line != 4 {
 		t.Errorf("core = %+v, want the two location conditions", core)
+	}
+}
+
+// TestVocabularyIsTheBuiltins: the vocabulary the reasoner and eaclint
+// evaluate against is every built-in condition and action name under
+// any authority, and the paper's regex under "gnu" — nothing else.
+func TestVocabularyIsTheBuiltins(t *testing.T) {
+	api := gaa.New()
+	RegisterVocabulary(api, conditions.Deps{})
+	for _, name := range append(conditions.Names(), actions.Names()...) {
+		if !api.Known(name, "local") {
+			t.Errorf("%s is not known", name)
+		}
+	}
+	if !api.Known("regex", "gnu") {
+		t.Error(`regex is not known under "gnu"`)
+	}
+	for _, name := range []string{"bogus", "accessid_user", ""} {
+		for _, auth := range []string{"local", "gnu"} {
+			if api.Known(name, auth) {
+				t.Errorf("%q is known under %q", name, auth)
+			}
+		}
 	}
 }

@@ -92,10 +92,7 @@ func freshEnv(d *domain, w *world) (*gaa.API, *gaa.Request) {
 	}
 	at := w.at
 	api := gaa.New(gaa.WithClock(func() time.Time { return at }), gaa.WithValues(d.values))
-	conditions.Register(api, conditions.Deps{Threat: mgr, Groups: store})
-	for _, name := range ActionStubNames {
-		api.RegisterFunc(name, gaa.AuthorityAny, stubAction)
-	}
+	RegisterVocabulary(api, conditions.Deps{Threat: mgr, Groups: store})
 	return api, d.request(w)
 }
 

@@ -4,8 +4,11 @@ import (
 	"os"
 	"testing"
 
+	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/eacl/analysis"
+	"gaaapi/internal/eacl/reason"
+	"gaaapi/internal/gaa"
 )
 
 // The static checks eacl.Validate once made, each held against the
@@ -22,6 +25,14 @@ func diagnose(t *testing.T, src string, known func(condType, defAuth string) boo
 	return analysis.New().AnalyzeFile(&analysis.File{EACL: e, Known: known})
 }
 
+// lintKnown is eaclint's default vocabulary: the built-in conditions
+// and the stubbed built-in actions.
+func lintKnown() func(condType, defAuth string) bool {
+	api := gaa.New()
+	reason.RegisterVocabulary(api, conditions.Deps{})
+	return api.Known
+}
+
 // find returns the first diagnostic carrying code, or nil.
 func find(ds []analysis.Diagnostic, code string) *analysis.Diagnostic {
 	for i := range ds {
@@ -36,7 +47,7 @@ func find(ds []analysis.Diagnostic, code string) *analysis.Diagnostic {
 // does not draw it at all.
 func expect(t *testing.T, src, code string, line int) {
 	t.Helper()
-	d := find(diagnose(t, src, analysis.BuiltinKnown()), code)
+	d := find(diagnose(t, src, lintKnown()), code)
 	switch {
 	case d == nil && line != 0:
 		t.Errorf("want %s at line %d, got none", code, line)
@@ -50,7 +61,7 @@ func TestValidateCleanPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds := diagnose(t, string(src), analysis.BuiltinKnown()); len(ds) != 0 {
+	if ds := diagnose(t, string(src), lintKnown()); len(ds) != 0 {
 		t.Errorf("findings on clean policy: %v", ds)
 	}
 }

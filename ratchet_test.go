@@ -119,12 +119,12 @@ var ratchets = []ratchet{
 		bad:       "\tans, _ := g.api.SpecCheck(ctx, p, req, nil)",
 	},
 	{
-		name:      "the reasoner names no condition type",
-		why:       "each built-in condition declares what it reads beside its parse (conditions.AtomsOf); the reasoner merges atoms by axis and never restates a value language by type name",
-		files:     []string{"internal/eacl/reason/*.go"},
+		name:      "the reasoner and eaclint name no built-in routine",
+		why:       "each built-in condition declares what it reads beside its parse (conditions.AtomsOf), and each vocabulary is one table (conditions.Names, actions.Names); the reasoner merges atoms by axis and the lint vocabulary is reason.RegisterVocabulary, so neither restates a routine by name",
+		files:     []string{"internal/eacl/reason/*.go", "cmd/eaclint/*.go"},
 		nonTest:   true,
-		forbidden: `"(accessid_USER|accessid_GROUP|accessid_HOST|system_threat_level|time_window|location|regex|signature|expr|threshold|redirect|quota|file_sha256)"`,
-		bad:       `				case "accessid_USER":`,
+		forbidden: `"(accessid_USER|accessid_GROUP|accessid_HOST|system_threat_level|time_window|location|regex|signature|expr|threshold|redirect|quota|file_sha256|notify|update_log|audit|set_threat_level|block_ip|count)"`,
+		bad:       `	for _, name := range []string{"notify", "update_log", "audit"} {`,
 	},
 }
 
