@@ -38,6 +38,7 @@ func TestCost(t *testing.T) {
 		firstContactRows(t),
 		fileBackedRows(t),
 		retentionRows(t),
+		grantRetentionRows(t),
 		violatedRows(t),
 	))
 }
@@ -60,6 +61,7 @@ func TestGuardCheckDenyAllocs(t *testing.T)          { costpin.CheckRows(t, deny
 func TestStackFirstContactAttackAllocs(t *testing.T) { costpin.CheckRows(t, firstContactRows(t)) }
 func TestStackFileBackedGrantAllocs(t *testing.T)    { costpin.CheckRows(t, fileBackedRows(t)) }
 func TestResponseRetentionBounded(t *testing.T)      { costpin.CheckRows(t, retentionRows(t)) }
+func TestGrantRetentionBounded(t *testing.T)         { costpin.CheckRows(t, grantRetentionRows(t)) }
 
 // costStack is a Stack on cfg, closed when the test ends.
 func costStack(t *testing.T, cfg StackConfig) *Stack {
@@ -354,6 +356,33 @@ func retentionRows(t *testing.T) []costpin.Row {
 			for i := 0; i < long; i++ {
 				prefix := fmt.Sprintf("/cgi-bin/phf/%05d/", i)
 				attack(prefix + strings.Repeat("A", 16<<10-len(prefix)))
+			}
+		}}}
+}
+
+// grantRetentionRows is what a grant keeps of its source: nothing. The
+// grant's legitimate-pattern report trains no profile, so a client that
+// arrives once from each of many sources grows no table. The audit ring
+// is full before the row starts, so its turnover is no growth.
+func grantRetentionRows(t *testing.T) []costpin.Row {
+	st := costStack(t, StackConfig{
+		SystemPolicy:  browseSystem,
+		LocalPolicies: map[string]string{"*": browseLocal},
+		DocRoot:       map[string]string{"/index.html": "home"},
+		PolicyCache:   true,
+		Metrics:       true,
+	})
+	const sources = 16384
+	grant := func(i int) {
+		serveRun(t, st.Server, "/index.html", fmt.Sprintf("12.%d.%d.%d", i>>16, i>>8&0xff, i&0xff), http.StatusOK)()
+	}
+	for i := 0; i < 1024; i++ {
+		grant(sources + i)
+	}
+	return []costpin.Row{{Name: "16 384 grants, each from its own source (Stack.Server)",
+		What: "nothing of the source: ≤ 64 KiB", MaxBytes: 64 << 10, NoRace: true, Run: func() {
+			for i := 0; i < sources; i++ {
+				grant(i)
 			}
 		}}}
 }

@@ -3,7 +3,6 @@ package gaahttp
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -92,28 +91,20 @@ func TestIllFormedReportPublished(t *testing.T) {
 }
 
 // TestUnusualBehaviorReport: a trained client deviating wildly gets an
-// unusual_behavior report on a GRANTED request.
+// unusual_behavior report on a GRANTED request. NewStack builds no
+// detector, so the guard is given one (Config.Anomaly).
 func TestUnusualBehaviorReport(t *testing.T) {
-	st, err := NewStack(StackConfig{
-		LocalPolicies: map[string]string{"*": "pos_access_right apache *"},
-		DocRoot:       map[string]string{"/index.html": "x", "/odd.html": "y"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	g, det, bus := anomalyGuard(t)
 	// Train well past MinTraining on a constant profile.
 	for i := 0; i < 30; i++ {
-		st.Anomaly.Train("10.7.7.7", "/index.html", 0)
+		det.Train("10.7.7.7", "/index.html", 0)
 	}
-	reports := collectReports(st.Bus)
+	reports := collectReports(bus)
 
 	req := httptest.NewRequest("GET", "/odd.html?q="+strings.Repeat("z", 400), nil)
 	req.RemoteAddr = "10.7.7.7:1"
-	w := httptest.NewRecorder()
-	st.Server.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("granted request = %d", w.Code)
+	if v := g.Check(httpd.NewRequestRec(req, nil, time.Now())); v.Status.Kind != httpd.StatusOK {
+		t.Fatalf("granted request = %+v", v.Status)
 	}
 	found := false
 	for _, r := range *reports {
@@ -124,6 +115,17 @@ func TestUnusualBehaviorReport(t *testing.T) {
 	if !found {
 		t.Error("no unusual_behavior report for a wildly deviating request")
 	}
+}
+
+// anomalyGuard is a guard that grants everything, publishes to its bus
+// and trains its anomaly detector on each grant.
+func anomalyGuard(t *testing.T) (*Guard, *ids.Detector, *ids.Bus) {
+	src := gaa.NewMemorySource()
+	if err := src.AddPolicy("*", "pos_access_right apache *"); err != nil {
+		t.Fatal(err)
+	}
+	det, bus := ids.NewDetector(ids.DefaultAnomalyConfig()), ids.NewBus()
+	return New(Config{API: gaa.New(), Local: []gaa.PolicySource{src}, Bus: bus, Anomaly: det}), det, bus
 }
 
 // TestStackCloseFlushesAsyncNotifier: Close drains queued messages.

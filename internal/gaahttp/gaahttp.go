@@ -45,7 +45,8 @@ type Config struct {
 	// section 3).
 	Network ids.NetworkIDS
 	// Anomaly, when non-nil, is trained on granted requests and
-	// consulted for unusual-behaviour reports.
+	// consulted for unusual-behaviour reports. NewStack leaves it nil:
+	// the live stack's anomaly feed is the adaptive scorer.
 	Anomaly *ids.Detector
 	// Scorer, when non-nil, receives one sample per authorization
 	// decision — the self-adaptive threat-scoring feed. Unlike the bus
@@ -282,9 +283,9 @@ func translate(ans *gaa.Answer) httpd.AccessStatus {
 }
 
 // report publishes the section 3 report classes to the IDS bus and
-// feeds the anomaly profiles and the adaptive scorer. A mounted object
-// (a peer's push, a health poll) is audited but is no evidence about
-// the server's clients, so it reports nothing.
+// feeds the anomaly profiles, if any, and the adaptive scorer. A
+// mounted object (a peer's push, a health poll) is audited but is no
+// evidence about the server's clients, so it reports nothing.
 func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 	if rec.Mount != nil {
 		return

@@ -449,21 +449,16 @@ func TestStackConfigErrors(t *testing.T) {
 	}
 }
 
+// TestAnomalyTrainingThroughGuard: a guard given a detector trains it
+// once per grant.
 func TestAnomalyTrainingThroughGuard(t *testing.T) {
-	st, err := NewStack(StackConfig{
-		LocalPolicies: map[string]string{"*": "pos_access_right apache *"},
-		DocRoot:       map[string]string{"/index.html": "home"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	g, det, _ := anomalyGuard(t)
 	for i := 0; i < 5; i++ {
 		req := httptest.NewRequest("GET", "/index.html", nil)
 		req.RemoteAddr = "10.4.4.4:1"
-		st.Server.ServeHTTP(httptest.NewRecorder(), req)
+		g.Check(httpd.NewRequestRec(req, nil, time.Now()))
 	}
-	if n := st.Anomaly.Trained("10.4.4.4"); n != 5 {
+	if n := det.Trained("10.4.4.4"); n != 5 {
 		t.Errorf("trained observations = %d, want 5", n)
 	}
 }

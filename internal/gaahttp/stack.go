@@ -153,7 +153,6 @@ type Stack struct {
 	Threat   *ids.Manager
 	Bus      *ids.Bus
 	Sigs     *ids.DB
-	Anomaly  *ids.Detector
 	Groups   *groups.Store
 	Counters *conditions.Counters
 	Blocks   *netblock.Set
@@ -204,7 +203,6 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		Threat:   ids.NewManager(ids.Low, ids.WithManagerClock(clock)),
 		Bus:      ids.NewBus(),
 		Sigs:     ids.NewDB(ids.DefaultSignatures()...),
-		Anomaly:  ids.NewDetector(ids.DefaultAnomalyConfig()),
 		Groups:   groups.NewStore(),
 		Counters: conditions.NewCounters(clock),
 		Blocks:   netblock.NewSet(netblock.WithClock(clock)),
@@ -350,7 +348,6 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		Bus:              st.Bus,
 		Signatures:       st.Sigs,
 		Network:          st.Network,
-		Anomaly:          st.Anomaly,
 		Scorer:           st.Scorer,
 		Audit:            st.Audit,
 		SensitiveObjects: cfg.SensitiveObjects,

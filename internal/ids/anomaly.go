@@ -19,7 +19,7 @@ type AnomalyConfig struct {
 	Threshold float64
 }
 
-// DefaultAnomalyConfig returns the tuning gaahttp.NewStack's live detector and E8 use.
+// DefaultAnomalyConfig returns the tuning E8 uses.
 func DefaultAnomalyConfig() AnomalyConfig {
 	return AnomalyConfig{
 		MinTraining:   20,
@@ -140,7 +140,8 @@ func (d *Detector) train(p *profile, principal string, h uint64, i int, seen boo
 
 // Observe is Unusual followed by Train under one lock and one profile
 // lookup: it scores the observation against the profile as it stood
-// before it, then folds it in. The guard calls it once per grant.
+// before it, then folds it in. A guard given a detector
+// (gaahttp.Config.Anomaly) calls it once per grant.
 //
 // The path is hashed and searched only when the answer can matter.
 // While the set is not full, a new path is inserted. Once it is full,

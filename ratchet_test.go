@@ -126,6 +126,14 @@ var ratchets = []ratchet{
 		forbidden: `"(accessid_USER|accessid_GROUP|accessid_HOST|system_threat_level|time_window|location|regex|signature|expr|threshold|redirect|quota|file_sha256|notify|update_log|audit|set_threat_level|block_ip|count)"`,
 		bad:       `	for _, name := range []string{"notify", "update_log", "audit"} {`,
 	},
+	{
+		name:      "the live stack trains no profile detector",
+		why:       "a grant reports its legitimate pattern (class 7) and trains nothing; the live anomaly feed is the opt-in adaptive scorer, and ids.Detector is E8's (a guard takes one only through Config.Anomaly)",
+		files:     []string{"internal/gaahttp/*.go", "cmd/**/*.go"},
+		nonTest:   true,
+		forbidden: `ids\.NewDetector\(`,
+		bad:       "\t\tAnomaly:  ids.NewDetector(ids.DefaultAnomalyConfig()),",
+	},
 }
 
 // TestRatchets holds every row of the table against the tree, and the
