@@ -10,7 +10,6 @@ package gaaapi
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"gaaapi/internal/gaahttp"
 	"gaaapi/internal/notify"
 	"gaaapi/internal/retry"
+	"gaaapi/internal/scenario"
 	"gaaapi/internal/workload"
 	"gaaapi/policies/paper"
 )
@@ -223,62 +223,53 @@ pre_cond_redirect local http://replica.example.org/
 }
 
 // TestChaosBreakerRecovers closes the loop on the breaker lifecycle at
-// the HTTP level: outage trips it open, the cooldown elapses, and the
-// next attack's notification probes and re-closes it.
+// the HTTP level: outage trips it open, the cooldown elapses on the
+// stack's simulated clock, and the next attack's notification probes
+// and re-closes it.
 func TestChaosBreakerRecovers(t *testing.T) {
-	// Hand-built stack: the breaker needs a short cooldown and the
-	// injector must be switchable, so wire Reliable explicitly around a
-	// switchable injector chain.
+	// The stack's own Reliable, on the simulated clock, around a
+	// switchable injector chain in front of the mailbox.
+	clock := scenario.NewSimClock()
 	dead := faults.New(11, faults.Spec{Error: 1})
-	mailbox := notify.NewMailbox(0)
-	var transport notify.Notifier = dead.Notifier(mailbox)
 	healed := false
-	switchable := notifierSwitch{healthy: mailbox, faulty: transport, healed: &healed}
-	reliable := notify.NewReliable(switchable,
-		notify.WithRetryPolicy(retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond}),
-		notify.WithBreaker(2, 10*time.Millisecond))
-
 	st, err := gaahttp.NewStack(gaahttp.StackConfig{
 		SystemPolicy:  paper.System72,
 		LocalPolicies: map[string]string{"*": policy72LocalNotify},
 		DocRoot:       workload.DocRoot(),
-		NotifierWrapper: func(notify.Notifier) notify.Notifier {
-			return reliable
+		Clock:         clock.Now,
+		NotifierWrapper: func(mailbox notify.Notifier) notify.Notifier {
+			return notifierSwitch{healthy: mailbox, faulty: dead.Notifier(mailbox), healed: &healed}
 		},
+		ReliableNotify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	// Outage: two attacks exhaust their retries and open the breaker.
-	for _, ip := range []string{"192.0.2.31", "192.0.2.32"} {
+	// Outage: three attacks exhaust their retries and open the breaker.
+	for _, ip := range []string{"192.0.2.31", "192.0.2.32", "192.0.2.33"} {
 		if rec := serve(st, workload.PhfScan(ip)); rec.Code != http.StatusForbidden {
 			t.Fatalf("attack during outage = %d, want 403", rec.Code)
 		}
 	}
-	if got := reliable.BreakerState(); got != retry.Open {
+	if got := st.Reliable.BreakerState(); got != retry.Open {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 
-	// Transport heals; once the 10ms cooldown elapses the next attack's
-	// notification is the half-open probe that re-closes the circuit.
-	// Poll with fresh source IPs — a reused source is already
-	// blacklisted and gets denied before the notify condition fires —
-	// until the probe lands or the deadline expires.
+	// Transport heals; once the one-second cooldown elapses the next
+	// attack's notification is the half-open probe that re-closes the
+	// circuit. It comes from a fresh source: a reused one is already
+	// blacklisted and gets denied before the notify condition fires.
 	healed = true
-	next := 33
-	closed := waitFor(t, 10*time.Second, func() {
-		ip := fmt.Sprintf("10.66.%d.%d", next/250, next%250)
-		next++
-		if rec := serve(st, workload.PhfScan(ip)); rec.Code != http.StatusForbidden {
-			t.Fatalf("attack after heal = %d, want 403", rec.Code)
-		}
-	}, func() bool { return reliable.BreakerState() == retry.Closed })
-	if !closed {
-		t.Fatalf("breaker = %v, want closed after successful probe", reliable.BreakerState())
+	clock.Advance(time.Second)
+	if rec := serve(st, workload.PhfScan("10.66.0.33")); rec.Code != http.StatusForbidden {
+		t.Fatalf("attack after heal = %d, want 403", rec.Code)
 	}
-	if mailbox.Count() == 0 {
+	if got := st.Reliable.BreakerState(); got != retry.Closed {
+		t.Fatalf("breaker = %v, want closed after successful probe", got)
+	}
+	if st.Mailbox.Count() == 0 {
 		t.Error("probe notification not delivered")
 	}
 }

@@ -139,8 +139,7 @@ func run(args []string, out io.Writer) (int, error) {
 	// The registration vocabulary the findings are checked against:
 	// every built-in by default, or exactly what a GAA configuration
 	// file declares (paper section 6 step 1).
-	// Tracing on: --explain renders the full evaluation trace.
-	api := gaa.New(gaa.WithTracing())
+	api := gaa.New()
 	if *cfgPath != "" {
 		cfg, err := gaaconfig.ParseFile(*cfgPath)
 		if err != nil {
@@ -269,6 +268,7 @@ func run(args []string, out io.Writer) (int, error) {
 
 func explainPolicy(out io.Writer, api *gaa.API, e *eacl.EACL, right string, params multiFlag) error {
 	req := gaa.NewRequest("apache", right)
+	req.Trace = true // --explain renders the full evaluation trace
 	for _, p := range params {
 		typ, val, ok := strings.Cut(p, "=")
 		if !ok {

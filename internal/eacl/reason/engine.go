@@ -183,12 +183,12 @@ func (e *Engine) stopSystem() bool {
 // per entry, which earlier entries decided where it would have.
 func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]gaa.EntryModel, r *worldResult) {
 	entry := func(n, i int) *gaa.EntryModel { return &model[n][i] }
-	ans, decided := env.api.SpecCheck(ctx, e.policy, env.req, entry)
-	r.composed = verdict(&ans)
+	var sysOnly *Verdict
 	if e.opts.SystemOnly {
-		ans, _ := env.api.SpecCheck(ctx, e.sysPolicy, env.req, entry)
-		r.sysOnly = verdict(&ans)
+		sysOnly = &r.sysOnly
 	}
+	ans, decided := env.api.SpecCheck(ctx, e.policy, env.req, entry, sysOnly)
+	r.composed = verdict(&ans)
 	for n, d := range decided {
 		if d < 0 {
 			continue

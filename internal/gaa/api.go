@@ -17,7 +17,6 @@ type API struct {
 	clock  func() time.Time
 	cache  *policyCache
 	values ValueProvider
-	trace  bool
 
 	// Supervision (see supervise.go): per-evaluator deadline, the
 	// fault-injection seam, and degraded-mode counters.
@@ -59,15 +58,6 @@ func WithClock(now func() time.Time) Option {
 // invalidated when any contributing source's revision changes.
 func WithPolicyCache(maxEntries int) Option {
 	return optionFunc(func(a *API) { a.cache = newPolicyCache(maxEntries) })
-}
-
-// WithTracing records a TraceEvent for every evaluation step in the
-// answers this API produces (audit logs, cmd/eaclint --explain).
-// Tracing is off by default: the Yes/No fast path then performs no
-// trace bookkeeping at all. A single request can opt in instead by
-// setting Request.Trace.
-func WithTracing() Option {
-	return optionFunc(func(a *API) { a.trace = true })
 }
 
 // WithValues installs the runtime value provider that resolves '@name'
@@ -251,7 +241,6 @@ var statePool = sync.Pool{New: func() any { return new(evalState) }}
 func (a *API) getState(req *Request) *evalState {
 	st := statePool.Get().(*evalState)
 	st.req = *req
-	st.req.Trace = a.trace || req.Trace
 	if st.req.Time.IsZero() {
 		st.req.Time = a.clock()
 	}
@@ -414,7 +403,7 @@ func (a *API) runPhase(ctx context.Context, ans *Answer, b eacl.Block, req *Requ
 		status, source = opStatus, "post"
 	}
 	stale := ans.gen != a.reg.generation()
-	runs, calls := ans.runs(b, status, a.trace || req.Trace || stale)
+	runs, calls := ans.runs(b, status, req.Trace || stale)
 	if !runs {
 		return Yes, nil
 	}

@@ -91,7 +91,7 @@ post_cond_record local on:any/done
 }
 
 func TestExecutionControlEvaluatesMidConditions(t *testing.T) {
-	a := New(WithTracing())
+	a := New()
 	a.RegisterFunc("quota", AuthorityAny, func(_ context.Context, c eacl.Condition, r *Request) Outcome {
 		// Tiny quota language for the test: "cpu_ms<=N".
 		if c.Value == "cpu_ms<=50" {
@@ -107,6 +107,7 @@ pos_access_right apache *
 mid_cond_quota local cpu_ms<=50
 `))
 	req := simpleRequest()
+	req.Trace = true
 	ans := checkAuth(t, a, p, req)
 	if ans.Decision != Yes {
 		t.Fatalf("decision = %v, want yes", ans.Decision)

@@ -39,7 +39,6 @@ type diffConfig struct {
 
 var diffConfigs = []diffConfig{
 	{name: "plain"},
-	{name: "tracing", opt: gaa.WithTracing},
 	{name: "request-trace", trace: true},
 	{name: "timeout", opt: func() gaa.Option { return gaa.WithEvaluatorTimeout(time.Second) }},
 	{name: "identity-wrapper", opt: func() gaa.Option {

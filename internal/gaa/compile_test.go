@@ -256,12 +256,11 @@ func TestCompiledOneScanUnderEveryOption(t *testing.T) {
 		wantHoists int64 // hoisted evaluations after one check
 	}{
 		{"plain", nil, false, 1},
-		{"tracing", []Option{WithTracing()}, false, 0},
 		{"request-trace", nil, true, 0},
 		{"timeout", []Option{WithEvaluatorTimeout(time.Second)}, false, 1},
 		{"wrapper", []Option{identity}, false, 1}, // the identity wrapper returns the CondCompiler itself
-		{"timeout+tracing", []Option{WithEvaluatorTimeout(time.Second), WithTracing()}, false, 0},
-		{"timeout+wrapper+tracing", []Option{WithEvaluatorTimeout(time.Second), identity, WithTracing()}, false, 0},
+		{"timeout+tracing", []Option{WithEvaluatorTimeout(time.Second)}, true, 0},
+		{"timeout+wrapper+tracing", []Option{WithEvaluatorTimeout(time.Second), identity}, true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // each entry evaluated as the scan reaches it. It is the seam through
 // which the external differential suite reaches the oracle.
 func (a *API) ReferenceCheck(ctx context.Context, p *Policy, req *Request) *Answer {
-	ans, _ := a.SpecCheck(ctx, p, req, nil)
+	ans, _ := a.SpecCheck(ctx, p, req, nil, nil)
 	return &ans
 }
 
@@ -39,7 +39,6 @@ func (a *API) referencePhase(ctx context.Context, ans *Answer, b eacl.Block, req
 		return Yes, nil
 	}
 	r := *req
-	r.Trace = a.trace || req.Trace
 	if r.Time.IsZero() {
 		r.Time = a.clock()
 	}

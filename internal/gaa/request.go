@@ -28,8 +28,8 @@ type Request struct {
 	OpStatus Decision
 
 	// Trace requests a full evaluation trace in the Answer for this
-	// request, even on an API built without WithTracing. When neither
-	// is set, the engine records no TraceEvents at all (the fast path).
+	// request (audit logs, cmd/eaclint --explain). Unset, the engine
+	// records none but a degraded evaluation's (the fast path).
 	Trace bool
 
 	// Label, when set, is the single requested right spelt

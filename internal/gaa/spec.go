@@ -87,10 +87,13 @@ func (a *API) SpecEntry(ctx context.Context, e *eacl.EACL, i int, req *Request, 
 // entry(n, i) supplies entry i of the n-th EACL of p, system ones first;
 // when entry is nil, SpecEntry evaluates each entry as the scan reaches
 // it. Beside the answer, SpecCheck returns each EACL's deciding entry,
-// -1 where none applies or the EACL is not scanned.
-func (a *API) SpecCheck(ctx context.Context, p *Policy, req *Request, entry func(n, i int) *EntryModel) (Answer, []int) {
+// -1 where none applies or the EACL is not scanned. When sysOnly is not
+// nil, it also writes there the verdict of p's system level alone, as
+// if p had no local policies: the system fold composed with an empty
+// local level, then the system deciders' request-result blocks run
+// again under that decision.
+func (a *API) SpecCheck(ctx context.Context, p *Policy, req *Request, entry func(n, i int) *EntryModel, sysOnly *Verdict) (Answer, []int) {
 	r := *req
-	r.Trace = a.trace || req.Trace
 	if r.Time.IsZero() {
 		r.Time = a.clock()
 	}
@@ -143,6 +146,19 @@ func (a *API) SpecCheck(ctx context.Context, p *Policy, req *Request, entry func
 					case eacl.BlockPost:
 						ans.Post = append(ans.Post, c)
 					}
+				}
+			}
+		}
+	}
+	if sysOnly != nil {
+		*sysOnly = composeVerdicts(p.Mode, sysExists, res[0].Verdict, Verdict{Decision: Maybe})
+		r.Decision = sysOnly.Decision
+		var trace []TraceEvent
+		for k, e := range p.System {
+			if i := decided[k]; i >= 0 {
+				en := &e.Entries[i]
+				if dec, ok := a.specBlock(ctx, e.Source, en.Line, en.Conditions, eacl.BlockRequestResult, &r, &trace, nil); ok {
+					sysOnly.Decision = Conjoin(sysOnly.Decision, dec)
 				}
 			}
 		}

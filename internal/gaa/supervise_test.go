@@ -180,7 +180,7 @@ pre_cond_invalid local
 // with tracing disabled, a degraded evaluation leaves a TraceEvent so
 // the audit trail can tell a policy MAYBE from a degraded-mode MAYBE.
 func TestFaultTracedWithTracingOff(t *testing.T) {
-	a := New() // no WithTracing
+	a := New() // no Request.Trace
 	registerFaulty(a)
 	p := localPolicy(mustEACL(t, `
 pos_access_right apache *

@@ -316,7 +316,7 @@ func TestAdminPlane(t *testing.T) {
 				return ""
 			}},
 		// The fleet's own traffic is audited but is no evidence: three
-		// pushes over AbnormalInputLength within a minute would otherwise
+		// pushes over abnormalInputLength within a minute would otherwise
 		// escalate the host IDS, tighten max_input and score the peer.
 		{name: "pushes under the host IDS", cfg: watched, from: loopback, method: "POST", target: cluster.ReplicatePath,
 			body: bulk, repeat: 3, code: 200,
@@ -325,7 +325,7 @@ func TestAdminPlane(t *testing.T) {
 				if lvl := st.Threat.Level(); lvl != ids.Low || v != "1000" || st.Blocks.Blocked(loopback) {
 					return fmt.Sprintf("pushes escalated: threat %v, max_input %s, blocks %v", lvl, v, st.Blocks.List())
 				}
-				_, health := st.Reloader.Health().Rate()
+				_, health := st.Reloader.health.Rate()
 				if n, score, audited := st.Bus.Published(), st.Scorer.SourceScore(loopback), len(st.Audit.Records()); n != 0 || score != 0 || health != 0 || audited != 3 {
 					return fmt.Sprintf("bus reports %d, scorer %v, health observations %d, audit records %d; want 0, 0, 0, 3", n, score, health, audited)
 				}

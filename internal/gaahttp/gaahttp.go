@@ -30,9 +30,6 @@ type Config struct {
 	// System and Local are the policy sources composed per request
 	// (paper section 2.1).
 	System, Local []gaa.PolicySource
-	// Authority names the defining authority of the web server's
-	// rights; defaults to "apache".
-	Authority string
 
 	// Bus, when non-nil, receives GAA-to-IDS reports.
 	Bus *ids.Bus
@@ -56,14 +53,6 @@ type Config struct {
 	// Audit, when non-nil, records every authorization decision.
 	Audit audit.Logger
 
-	// IllFormedHeaderMax flags requests with more headers as
-	// ill-formed (paper section 1: "a large number of HTTP headers");
-	// 0 means 64.
-	IllFormedHeaderMax int
-	// AbnormalInputLength flags larger operation inputs as abnormal
-	// parameters (paper section 3 item 2); 0 means 1000, the paper's
-	// buffer-overflow bound.
-	AbnormalInputLength int
 	// SensitiveObjects are glob patterns whose denials are reported as
 	// sensitive-access denials (section 3 item 3).
 	SensitiveObjects []string
@@ -75,6 +64,18 @@ type Config struct {
 	Health HealthObserver
 }
 
+const (
+	// authority is the defining authority of the web server's rights.
+	authority = "apache"
+	// illFormedHeaderMax flags requests with more headers as ill-formed
+	// (paper section 1: "a large number of HTTP headers").
+	illFormedHeaderMax = 64
+	// abnormalInputLength flags larger operation inputs as abnormal
+	// parameters (paper section 3 item 2): the paper's buffer-overflow
+	// bound.
+	abnormalInputLength = 1000
+)
+
 // Guard implements httpd.Guard over the GAA-API.
 type Guard struct {
 	cfg  Config
@@ -83,21 +84,12 @@ type Guard struct {
 
 var _ httpd.Guard = (*Guard)(nil)
 
-// New builds the guard, applying defaults.
+// New builds the guard.
 func New(cfg Config) *Guard {
-	if cfg.Authority == "" {
-		cfg.Authority = "apache"
-	}
-	if cfg.IllFormedHeaderMax <= 0 {
-		cfg.IllFormedHeaderMax = 64
-	}
-	if cfg.AbnormalInputLength <= 0 {
-		cfg.AbnormalInputLength = 1000
-	}
 	g := &Guard{cfg: cfg}
 	g.pool.New = func() any {
 		cs := &checkState{g: g}
-		cs.rights[0] = eacl.Right{Sign: eacl.Pos, DefAuth: cfg.Authority}
+		cs.rights[0] = eacl.Right{Sign: eacl.Pos, DefAuth: authority}
 		cs.params.init()
 		cs.digits = make([]byte, 0, 6*20)
 		cs.req.Rights, cs.req.Params = cs.rights[:], cs.params[:]
@@ -151,12 +143,12 @@ func (ps *params) set(rec *httpd.RequestRec, digits []byte) (int, []byte) {
 }
 
 // Rights builds the requested rights for a record: the specific
-// "<METHOD> <path>" right under the configured authority. Policies
+// "<METHOD> <path>" right under the server's authority. Policies
 // match it with globs ("*", "GET /cgi-bin/*").
 func (g *Guard) Rights(rec *httpd.RequestRec) []eacl.Right {
 	return []eacl.Right{{
 		Sign:    eacl.Pos,
-		DefAuth: g.cfg.Authority,
+		DefAuth: authority,
 		Value:   rec.Method + " " + rec.Path,
 	}}
 }
@@ -219,9 +211,9 @@ func (g *Guard) Check(rec *httpd.RequestRec) httpd.Verdict {
 	// requested right's value is the tail. The policy's rights memo
 	// keeps it in its own bytes from the object's first check; another
 	// method, or a label too long for the memo, builds it.
-	label := policy.RightLabel(g.cfg.Authority, rec.Method, rec.Path)
+	label := policy.RightLabel(authority, rec.Method, rec.Path)
 	cs.req.Label, cs.req.URIPlain = label, rec.PlainURI()
-	cs.rights[0].Value = label[len(g.cfg.Authority)+1:]
+	cs.rights[0].Value = label[len(authority)+1:]
 	n, digits := cs.params.set(rec, cs.digits[:0])
 	cs.req.Params, cs.digits = cs.req.Params[:n], digits
 	cs.req.Time = rec.Time
@@ -309,7 +301,7 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 
 	base := ids.Report{
 		Time:     rec.Time,
-		Source:   g.cfg.Authority,
+		Source:   authority,
 		ClientIP: rec.ClientIP,
 		User:     rec.User,
 		Object:   rec.Object(),
@@ -330,7 +322,7 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 		publish(r)
 	}
 	// 2. Abnormally large parameters.
-	if rec.InputLength > g.cfg.AbnormalInputLength {
+	if rec.InputLength > abnormalInputLength {
 		r := base
 		r.Kind = ids.AbnormalParameters
 		r.Severity = ids.SevMedium
@@ -415,7 +407,7 @@ func (g *Guard) report(rec *httpd.RequestRec, ans *gaa.Answer) {
 // section 3 item 1: "the API can apply application level knowledge to
 // determine whether the request is properly formed").
 func (g *Guard) illFormed(rec *httpd.RequestRec) bool {
-	if rec.HeaderCount > g.cfg.IllFormedHeaderMax {
+	if rec.HeaderCount > illFormedHeaderMax {
 		return true
 	}
 	// A plain URI has no control byte or backslash; others take the loop.

@@ -61,8 +61,9 @@ type HealthObserver interface {
 	Observe(bad bool)
 }
 
-// Health is a sliding window over recent request-health observations.
-type Health struct {
+// health is a sliding window over the last healthWindow request-health
+// observations.
+type health struct {
 	mu   sync.Mutex
 	ring []bool
 	n    int // filled
@@ -70,17 +71,30 @@ type Health struct {
 	bad  int
 }
 
-// NewHealth returns a window over the last size observations (default
-// 128 when size <= 0).
-func NewHealth(size int) *Health {
-	if size <= 0 {
-		size = 128
-	}
-	return &Health{ring: make([]bool, size)}
+// The health probe's fixed tuning.
+const (
+	// healthWindow is how many recent observations the pre-swap
+	// baseline covers.
+	healthWindow = 128
+	// probeWindow is how many post-swap observations the probe collects
+	// before judging the new policy.
+	probeWindow = 64
+	// probeBadLimit is the degraded-request fraction above which the
+	// probe rolls back.
+	probeBadLimit = 0.5
+	// probeMargin is how much worse than the pre-swap baseline the
+	// probe must be, in addition to probeBadLimit, to roll back: a
+	// workload that was already degraded does not condemn the new
+	// policy.
+	probeMargin = 0.10
+)
+
+func newHealth() *health {
+	return &health{ring: make([]bool, healthWindow)}
 }
 
 // Observe records one request outcome.
-func (h *Health) Observe(bad bool) {
+func (h *health) Observe(bad bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n == len(h.ring) {
@@ -99,7 +113,7 @@ func (h *Health) Observe(bad bool) {
 
 // Rate returns the bad-observation fraction over the window (0 when
 // empty) and the number of observations it covers.
-func (h *Health) Rate() (rate float64, observations int) {
+func (h *health) Rate() (rate float64, observations int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n == 0 {
@@ -117,20 +131,6 @@ type ReloadConfig struct {
 	// Known is the registration vocabulary for analysis (api.Known);
 	// nil disables registration-dependent rules.
 	Known func(condType, defAuth string) bool
-	// Health is the request-health window backing the post-swap probe;
-	// nil allocates a default one.
-	Health *Health
-	// ProbeWindow is how many post-swap observations the health probe
-	// collects before judging the new policy (default 64).
-	ProbeWindow int
-	// ProbeBadLimit is the degraded-request fraction above which the
-	// probe rolls back (default 0.5).
-	ProbeBadLimit float64
-	// ProbeMargin is how much worse than the pre-swap baseline the
-	// probe must be, in addition to ProbeBadLimit, to roll back
-	// (default 0.10) — a workload that was already degraded does not
-	// condemn the new policy.
-	ProbeMargin float64
 }
 
 // ReloadResult is the outcome of one reload attempt.
@@ -172,6 +172,8 @@ type ReloadStats struct {
 type Reloader struct {
 	cfg      ReloadConfig
 	analyzer *analysis.Analyzer
+	// health is the request-health window backing the post-swap probe.
+	health *health
 
 	mu    sync.Mutex
 	stats ReloadStats
@@ -190,23 +192,8 @@ type Reloader struct {
 
 // NewReloader builds a reloader; System and Local are required.
 func NewReloader(cfg ReloadConfig) *Reloader {
-	if cfg.Health == nil {
-		cfg.Health = NewHealth(0)
-	}
-	if cfg.ProbeWindow <= 0 {
-		cfg.ProbeWindow = 64
-	}
-	if cfg.ProbeBadLimit <= 0 {
-		cfg.ProbeBadLimit = 0.5
-	}
-	if cfg.ProbeMargin <= 0 {
-		cfg.ProbeMargin = 0.10
-	}
-	return &Reloader{cfg: cfg, analyzer: analysis.New()}
+	return &Reloader{cfg: cfg, analyzer: analysis.New(), health: newHealth()}
 }
-
-// Health returns the health window the probe reads.
-func (r *Reloader) Health() *Health { return r.cfg.Health }
 
 // Stats returns the reload history.
 func (r *Reloader) Stats() ReloadStats {
@@ -265,7 +252,7 @@ func (r *Reloader) ReloadWith(load func() (*PolicyBundle, error)) ReloadResult {
 	// Passed: swap atomically. In-flight requests finish on the old
 	// sources; the generation bump invalidates the policy cache for
 	// everything after.
-	baseline, _ := r.cfg.Health.Rate()
+	baseline, _ := r.health.Rate()
 	prevSys, _ := r.cfg.System.Swap(bundle.System)
 	prevLoc, gen := r.cfg.Local.Swap(bundle.Local)
 	r.stats.Applied++
@@ -296,9 +283,9 @@ func (r *Reloader) analyze(b *PolicyBundle) []analysis.Diagnostic {
 // Observe implements HealthObserver: it feeds the sliding window and,
 // during probation, judges the freshly swapped policy — rolling it
 // back if the degraded-request rate exceeds both the absolute limit
-// and the pre-swap baseline by the configured margin.
+// and the pre-swap baseline by the margin.
 func (r *Reloader) Observe(bad bool) {
-	r.cfg.Health.Observe(bad)
+	r.health.Observe(bad)
 	if !r.probingFlag.Load() {
 		return
 	}
@@ -311,11 +298,11 @@ func (r *Reloader) Observe(bad bool) {
 	if bad {
 		r.probeBad++
 	}
-	if r.probeTotal < r.cfg.ProbeWindow {
+	if r.probeTotal < probeWindow {
 		return
 	}
 	rate := float64(r.probeBad) / float64(r.probeTotal)
-	if rate > r.cfg.ProbeBadLimit && rate > r.baselineRate+r.cfg.ProbeMargin {
+	if rate > probeBadLimit && rate > r.baselineRate+probeMargin {
 		r.rollbackLocked()
 		r.stats.AutoRollbacks++
 		r.stats.LastError = fmt.Sprintf(

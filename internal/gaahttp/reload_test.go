@@ -122,7 +122,7 @@ func TestReloadParseErrorRejected(t *testing.T) {
 	}
 }
 
-func newTestReloader(t *testing.T, window int) (*Reloader, *gaa.SwappableSource, *gaa.SwappableSource, gaa.PolicySource) {
+func newTestReloader(t *testing.T) (*Reloader, *gaa.SwappableSource, *gaa.SwappableSource, gaa.PolicySource) {
 	t.Helper()
 	orig := gaa.NewMemorySource()
 	if err := orig.AddPolicy("*", allowAll); err != nil {
@@ -131,15 +131,14 @@ func newTestReloader(t *testing.T, window int) (*Reloader, *gaa.SwappableSource,
 	system := gaa.NewSwappableSource(gaa.NewMemorySource())
 	local := gaa.NewSwappableSource(orig)
 	r := NewReloader(ReloadConfig{
-		System:      system,
-		Local:       local,
-		ProbeWindow: window,
+		System: system,
+		Local:  local,
 	})
 	return r, system, local, orig
 }
 
 func TestHealthProbeAutoRollback(t *testing.T) {
-	r, _, local, orig := newTestReloader(t, 4)
+	r, _, local, orig := newTestReloader(t)
 	res := r.ReloadWith(func() (*PolicyBundle, error) {
 		return BundleFromStrings("", map[string]string{"*": denyAll})
 	})
@@ -151,7 +150,7 @@ func TestHealthProbeAutoRollback(t *testing.T) {
 	}
 
 	// Every post-swap request degrades: the probe must revert the swap.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < probeWindow; i++ {
 		r.Observe(true)
 	}
 	if local.Current() != orig {
@@ -170,7 +169,7 @@ func TestHealthProbeAutoRollback(t *testing.T) {
 }
 
 func TestHealthProbeHealthySwapSticks(t *testing.T) {
-	r, _, local, orig := newTestReloader(t, 4)
+	r, _, local, orig := newTestReloader(t)
 	res := r.ReloadWith(func() (*PolicyBundle, error) {
 		return BundleFromStrings("", map[string]string{"*": denyAll})
 	})
@@ -178,7 +177,7 @@ func TestHealthProbeHealthySwapSticks(t *testing.T) {
 		t.Fatalf("reload = %+v", res)
 	}
 	swapped := local.Current()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*probeWindow; i++ {
 		r.Observe(false)
 	}
 	if local.Current() != swapped || local.Current() == orig {
@@ -193,9 +192,9 @@ func TestHealthProbeHealthySwapSticks(t *testing.T) {
 func TestHealthProbeRespectsDegradedBaseline(t *testing.T) {
 	// A workload that was already degraded before the swap must not
 	// condemn the new policy: rate must exceed baseline + margin.
-	r, _, local, orig := newTestReloader(t, 4)
-	for i := 0; i < 64; i++ {
-		r.Health().Observe(true) // baseline: 100% degraded
+	r, _, local, orig := newTestReloader(t)
+	for i := 0; i < healthWindow; i++ {
+		r.health.Observe(true) // baseline: 100% degraded
 	}
 	res := r.ReloadWith(func() (*PolicyBundle, error) {
 		return BundleFromStrings("", map[string]string{"*": denyAll})
@@ -203,7 +202,7 @@ func TestHealthProbeRespectsDegradedBaseline(t *testing.T) {
 	if !res.OK {
 		t.Fatalf("reload = %+v", res)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < probeWindow; i++ {
 		r.Observe(true)
 	}
 	if local.Current() == orig {
@@ -215,7 +214,7 @@ func TestHealthProbeRespectsDegradedBaseline(t *testing.T) {
 }
 
 func TestHealthWindow(t *testing.T) {
-	h := NewHealth(4)
+	h := newHealth()
 	if rate, n := h.Rate(); rate != 0 || n != 0 {
 		t.Fatalf("empty window = %v/%d", rate, n)
 	}
@@ -225,16 +224,16 @@ func TestHealthWindow(t *testing.T) {
 		t.Fatalf("rate = %v/%d, want 0.5/2", rate, n)
 	}
 	// Overwrite the full ring: the bad observation must age out.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < healthWindow; i++ {
 		h.Observe(false)
 	}
-	if rate, n := h.Rate(); rate != 0 || n != 4 {
-		t.Fatalf("rate = %v/%d after aging, want 0/4", rate, n)
+	if rate, n := h.Rate(); rate != 0 || n != healthWindow {
+		t.Fatalf("rate = %v/%d after aging, want 0/%d", rate, n, healthWindow)
 	}
 }
 
 func TestReloadWithNoLoader(t *testing.T) {
-	r, _, _, _ := newTestReloader(t, 4)
+	r, _, _, _ := newTestReloader(t)
 	if res := r.Reload(); res.OK || res.Err == "" {
 		t.Fatalf("Reload without loader = %+v", res)
 	}

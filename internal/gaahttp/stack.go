@@ -96,7 +96,8 @@ type StackConfig struct {
 	// (between the mailbox and the retry/breaker layer).
 	NotifierWrapper func(notify.Notifier) notify.Notifier
 	// ReliableNotify wraps the transport in notify.NewReliable
-	// (bounded retry + circuit breaker); the handle is Stack.Reliable.
+	// (bounded retry + circuit breaker on the stack's clock); the
+	// handle is Stack.Reliable.
 	ReliableNotify bool
 
 	// StateDir, when non-empty, makes the adaptive state (blocks,
@@ -167,7 +168,7 @@ type Stack struct {
 	// guard serves from; Reloader swaps validated bundles through them.
 	SystemSwap *gaa.SwappableSource
 	LocalSwap  *gaa.SwappableSource
-	// Reloader validates and applies hot policy reloads; its Health
+	// Reloader validates and applies hot policy reloads; its health
 	// window drives the post-swap rollback probe. Reload re-reads the
 	// policy files; a stack built from policy text has none to re-read
 	// and takes replacement text through ReloadPolicies.
@@ -310,11 +311,11 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		notifier = cfg.NotifierWrapper(notifier)
 	}
 	if cfg.ReliableNotify {
-		st.Reliable = notify.NewReliable(notifier)
+		st.Reliable = notify.NewReliable(notifier, clock)
 		notifier = st.Reliable
 	}
 	if cfg.AsyncNotify {
-		st.async = notify.NewAsync(notifier, 256)
+		st.async = notify.NewAsync(notifier)
 		notifier = st.async
 	}
 	actions.Register(st.API, actions.Deps{

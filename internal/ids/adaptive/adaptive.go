@@ -63,79 +63,71 @@ type Config struct {
 	// HalfLife is the decay half-life of the sliding rates, per-source
 	// scores and the global signal.
 	HalfLife time.Duration
-	// MinTraining is the number of observations a resource profile
-	// needs before its shape sketch contributes to scoring.
-	MinTraining int
 	// MinSamples is the evidence floor (local + merged remote samples)
 	// before a source may be blocked.
 	MinSamples int
-
-	// Weights of the score components; each component is normalized
-	// into [0,1] before weighting, so the score is bounded by their sum.
-	RateWeight     float64
-	ErrorWeight    float64
-	EntropyWeight  float64
-	ShapeWeight    float64
-	SeverityWeight float64
-	// RateRef is the per-source request rate (req/s) at which the rate
-	// component reaches 0.5.
-	RateRef float64
-	// EntropyRef is the path entropy (bits) at which the entropy
-	// component reaches 0.5.
-	EntropyRef float64
-
-	// Hysteresis: the signal must reach a Raise threshold to lift the
-	// level and fall to the (lower) Lower threshold to drop it, and a
-	// drop additionally waits out Dwell since the last transition.
-	// MediumRaise > MediumLower and HighRaise > HighLower.
-	MediumRaise, MediumLower float64
-	HighRaise, HighLower     float64
-	Dwell                    time.Duration
-
+	// HighRaise is the signal that lifts the level to high (it drops
+	// back at highLower); Dwell is how long any drop waits since the
+	// last transition. HighRaise > highLower.
+	HighRaise float64
+	Dwell     time.Duration
 	// BlockScore is the per-source score at which the source is
-	// blocked; BlockFor is the block duration.
+	// blocked, for blockFor.
 	BlockScore float64
-	BlockFor   time.Duration
-
-	// MaxSources / MaxResources bound the profile maps; the
-	// least-interesting entry is evicted past the cap.
-	MaxSources   int
-	MaxResources int
-	// CheckpointEvery journals a profile checkpoint after this many
-	// training observations on a resource (0: never).
-	CheckpointEvery int
-	// ScoreEventDelta journals a per-source score event whenever the
-	// score moved this far from the last journaled value (0: only on
-	// blocks).
-	ScoreEventDelta float64
 }
 
 // Defaults returns the tuning the demo deployment and experiments use.
 func Defaults() Config {
 	return Config{
-		HalfLife:        30 * time.Second,
-		MinTraining:     20,
-		MinSamples:      8,
-		RateWeight:      0.8,
-		ErrorWeight:     1.2,
-		EntropyWeight:   0.6,
-		ShapeWeight:     0.8,
-		SeverityWeight:  1.0,
-		RateRef:         10,
-		EntropyRef:      3,
-		MediumRaise:     0.9,
-		MediumLower:     0.45,
-		HighRaise:       1.6,
-		HighLower:       0.8,
-		Dwell:           2 * time.Minute,
-		BlockScore:      1.5,
-		BlockFor:        10 * time.Minute,
-		MaxSources:      4096,
-		MaxResources:    1024,
-		CheckpointEvery: 128,
-		ScoreEventDelta: 0.5,
+		HalfLife:   30 * time.Second,
+		MinSamples: 8,
+		HighRaise:  1.6,
+		Dwell:      2 * time.Minute,
+		BlockScore: 1.5,
 	}
 }
+
+// The tuning no deployment varies. Each score component is normalized
+// into [0,1] before weighting, so the score is bounded by the weights'
+// sum (DESIGN.md's adaptive-scorer section gives the reason for each
+// value).
+const (
+	// minTraining is the number of observations a resource profile
+	// needs before its shape sketch contributes to scoring.
+	minTraining = 20
+
+	rateWeight     = 0.8
+	errorWeight    = 1.2
+	entropyWeight  = 0.6
+	shapeWeight    = 0.8
+	severityWeight = 1.0
+	// rateRef is the per-source request rate (req/s) at which the rate
+	// component reaches 0.5; entropyRef the path entropy (bits) at
+	// which the entropy component does.
+	rateRef    = 10
+	entropyRef = 3
+
+	// Hysteresis: the signal must reach mediumRaise to lift the level
+	// to medium and fall to mediumLower to drop it; highLower is the
+	// drop from high.
+	mediumRaise = 0.9
+	mediumLower = 0.45
+	highLower   = 0.8
+
+	// blockFor is how long a hot source stays blocked.
+	blockFor = 10 * time.Minute
+
+	// maxSources / maxResources bound the profile maps; the
+	// least-interesting entry is evicted past the cap.
+	maxSources   = 4096
+	maxResources = 1024
+	// checkpointEvery journals a profile checkpoint after this many
+	// training observations on a resource.
+	checkpointEvery = 128
+	// scoreEventDelta journals a per-source score event whenever the
+	// score moved this far from the last journaled value.
+	scoreEventDelta = 0.5
+)
 
 // charset classes of the parameter-shape sketch.
 const (
@@ -229,44 +221,17 @@ func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 	if cfg.HalfLife <= 0 {
 		cfg.HalfLife = d.HalfLife
 	}
-	if cfg.MinTraining <= 0 {
-		cfg.MinTraining = d.MinTraining
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = d.MinSamples
 	}
-	if cfg.RateRef <= 0 {
-		cfg.RateRef = d.RateRef
-	}
-	if cfg.EntropyRef <= 0 {
-		cfg.EntropyRef = d.EntropyRef
-	}
-	if cfg.MediumRaise <= 0 {
-		cfg.MediumRaise = d.MediumRaise
-	}
-	if cfg.MediumLower <= 0 {
-		cfg.MediumLower = d.MediumLower
-	}
 	if cfg.HighRaise <= 0 {
 		cfg.HighRaise = d.HighRaise
-	}
-	if cfg.HighLower <= 0 {
-		cfg.HighLower = d.HighLower
 	}
 	if cfg.Dwell <= 0 {
 		cfg.Dwell = d.Dwell
 	}
 	if cfg.BlockScore <= 0 {
 		cfg.BlockScore = d.BlockScore
-	}
-	if cfg.BlockFor <= 0 {
-		cfg.BlockFor = d.BlockFor
-	}
-	if cfg.MaxSources <= 0 {
-		cfg.MaxSources = d.MaxSources
-	}
-	if cfg.MaxResources <= 0 {
-		cfg.MaxResources = d.MaxResources
 	}
 	return &Engine{
 		cfg:       cfg,
@@ -336,7 +301,7 @@ func (e *Engine) ObserveRequest(s Sample) {
 	if !s.Denied {
 		res.train(s)
 		res.dirty++
-		if e.cfg.CheckpointEvery > 0 && res.dirty >= e.cfg.CheckpointEvery {
+		if res.dirty >= checkpointEvery {
 			res.dirty = 0
 			if e.journalProfile != nil {
 				cp, emitCP = checkpoint(s.Path, res, s.Time), true
@@ -365,7 +330,7 @@ func (e *Engine) ObserveRequest(s Sample) {
 		journalProfile(cp)
 	}
 	if blockSrc {
-		e.blocks.Block(s.Source, e.cfg.BlockFor)
+		e.blocks.Block(s.Source, blockFor)
 		e.sourceBlocks.Add(1)
 	}
 	if emit && journalScore != nil {
@@ -385,22 +350,21 @@ func boolF(b bool) float64 {
 // each component normalized to [0,1], then weighted. Monotone in
 // Severity by construction (the fuzz target proves it stays so).
 func (e *Engine) scoreLocked(src *sourceProfile, res *resourceProfile, s Sample) float64 {
-	c := &e.cfg
 	rate := src.rate * math.Ln2 / e.cfg.HalfLife.Seconds()
-	score := c.RateWeight * (rate / (rate + c.RateRef))
-	score += c.ErrorWeight * src.err
+	score := rateWeight * (rate / (rate + rateRef))
+	score += errorWeight * src.err
 	h := src.entropy()
-	score += c.EntropyWeight * (h / (h + c.EntropyRef))
-	if res.n >= c.MinTraining {
+	score += entropyWeight * (h / (h + entropyRef))
+	if res.n >= minTraining {
 		z := res.length.Z(float64(s.InputLen), 4) / 4
-		score += c.ShapeWeight * (z + res.classDistance(s)) / 2
+		score += shapeWeight * (z + res.classDistance(s)) / 2
 	}
 	if s.Severity > 0 {
 		sev := float64(s.Severity) / float64(ids.SevHigh)
 		if sev > 1 {
 			sev = 1
 		}
-		score += c.SeverityWeight * sev
+		score += severityWeight * sev
 	}
 	return score
 }
@@ -415,7 +379,7 @@ func (e *Engine) enforceSourceLocked(addr string, src *sourceProfile, at time.Ti
 		block = true
 	}
 	delta := src.score - src.journaled
-	if block || (e.cfg.ScoreEventDelta > 0 && math.Abs(delta) >= e.cfg.ScoreEventDelta) {
+	if block || math.Abs(delta) >= scoreEventDelta {
 		ev = ScoreEvent{Source: addr, Score: src.score, Samples: src.n - src.journaledN, At: at}
 		src.journaled, src.journaledN = src.score, src.n
 		emit = true
@@ -433,7 +397,7 @@ func (e *Engine) updateLevelLocked(now time.Time) (raise, lower ids.Level) {
 	switch {
 	case e.signal >= e.cfg.HighRaise:
 		target = ids.High
-	case e.signal >= e.cfg.MediumRaise && e.level < ids.Medium:
+	case e.signal >= mediumRaise && e.level < ids.Medium:
 		target = ids.Medium
 	}
 	if target > e.level {
@@ -444,12 +408,12 @@ func (e *Engine) updateLevelLocked(now time.Time) (raise, lower ids.Level) {
 	}
 	if now.Sub(e.lastTrans) >= e.cfg.Dwell {
 		switch {
-		case e.level == ids.High && e.signal <= e.cfg.HighLower:
+		case e.level == ids.High && e.signal <= highLower:
 			e.level = ids.Medium
 			e.lastTrans = now
 			e.lowers.Add(1)
 			return 0, ids.Medium
-		case e.level == ids.Medium && e.signal <= e.cfg.MediumLower:
+		case e.level == ids.Medium && e.signal <= mediumLower:
 			e.level = ids.Low
 			e.lastTrans = now
 			e.lowers.Add(1)
@@ -482,7 +446,7 @@ func (e *Engine) source(addr string) *sourceProfile {
 	if p, ok := e.sources[addr]; ok {
 		return p
 	}
-	if len(e.sources) >= e.cfg.MaxSources {
+	if len(e.sources) >= maxSources {
 		e.evictSource()
 	}
 	p := &sourceProfile{paths: make(map[string]int, 4)}
@@ -509,7 +473,7 @@ func (e *Engine) resource(path string) *resourceProfile {
 	if p, ok := e.resources[path]; ok {
 		return p
 	}
-	if len(e.resources) >= e.cfg.MaxResources {
+	if len(e.resources) >= maxResources {
 		e.evictResource()
 	}
 	p := &resourceProfile{}

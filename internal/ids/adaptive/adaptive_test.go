@@ -225,18 +225,19 @@ func TestProfileCheckpointMerge(t *testing.T) {
 }
 
 func TestCheckpointJournalEmitted(t *testing.T) {
-	cfg := testConfig()
-	cfg.CheckpointEvery = 10
-	e, _, _ := newTestEngine(cfg)
+	e, _, _ := newTestEngine(testConfig())
 	var checkpoints []ProfileCheckpoint
 	var events []ScoreEvent
 	e.SetJournal(
 		func(ev ScoreEvent) { events = append(events, ev) },
 		func(cp ProfileCheckpoint) { checkpoints = append(checkpoints, cp) },
 	)
-	end := browse(e, "10.0.0.1", 40, epoch)
-	if len(checkpoints) == 0 {
-		t.Fatal("no profile checkpoints journaled after 40 trained samples")
+	// browse spreads its samples over three paths: checkpointEvery
+	// trained samples on each.
+	end := browse(e, "10.0.0.1", 3*checkpointEvery, epoch)
+	if len(checkpoints) != 3 {
+		t.Fatalf("%d profile checkpoints journaled after %d trained samples on each of 3 paths, want 3",
+			len(checkpoints), checkpointEvery)
 	}
 	attack(e, "203.0.113.99", 30, end)
 	if len(events) == 0 {
@@ -255,12 +256,10 @@ func TestCheckpointJournalEmitted(t *testing.T) {
 }
 
 func TestBoundedProfileMaps(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxSources = 8
-	cfg.MaxResources = 8
-	e, _, _ := newTestEngine(cfg)
+	e, _, _ := newTestEngine(testConfig())
+	const n = maxSources + 100 // distinct sources and paths past both caps
 	t0 := epoch
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < n; i++ {
 		t0 = t0.Add(10 * time.Millisecond)
 		e.ObserveRequest(Sample{
 			Time: t0, Source: fmt.Sprintf("10.1.%d.%d", i/250, i%250),
@@ -268,11 +267,12 @@ func TestBoundedProfileMaps(t *testing.T) {
 		})
 	}
 	st := e.Stats()
-	if st.Sources > 8 || st.Resources > 8 {
-		t.Fatalf("profile maps exceeded caps: %d sources, %d resources", st.Sources, st.Resources)
+	if st.Sources != maxSources || st.Resources != maxResources {
+		t.Fatalf("profile maps: %d sources, %d resources; want the caps %d, %d",
+			st.Sources, st.Resources, maxSources, maxResources)
 	}
-	if st.Samples != 1000 {
-		t.Fatalf("samples counter = %d, want 1000", st.Samples)
+	if st.Samples != n {
+		t.Fatalf("samples counter = %d, want %d", st.Samples, n)
 	}
 }
 
@@ -308,19 +308,29 @@ func TestScoreFiniteAndSeverityMonotone(t *testing.T) {
 func TestStepDownLosesToConcurrentRaise(t *testing.T) {
 	cfg := testConfig()
 	cfg.HighRaise = 100 // engine caps at Medium
-	cfg.CheckpointEvery = 1
 	e, mgr, _ := newTestEngine(cfg)
 	end := browse(e, "10.0.0.1", 50, epoch)
 	end = attack(e, "203.0.113.99", 200, end)
 	if e.SignalLevel() != ids.Medium || mgr.Level() != ids.Medium {
 		t.Fatalf("attack left engine %s, manager %s; want medium, medium", e.SignalLevel(), mgr.Level())
 	}
+	// Every trained sample journals a checkpoint: each resource is kept
+	// one observation short of checkpointEvery.
+	rearm := func() {
+		e.mu.Lock()
+		for _, r := range e.resources {
+			r.dirty = checkpointEvery - 1
+		}
+		e.mu.Unlock()
+	}
+	rearm()
 	raced := false
 	e.SetJournal(nil, func(ProfileCheckpoint) {
 		if !raced && e.SignalLevel() == ids.Low { // decided, not yet applied
 			raced = true
 			mgr.Escalate(ids.High)
 		}
+		rearm()
 	})
 	browse(e, "10.0.0.2", 120, end.Add(e.cfg.Dwell))
 	if !raced {

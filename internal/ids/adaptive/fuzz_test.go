@@ -40,8 +40,6 @@ func FuzzAdaptiveScore(f *testing.F) {
 		cfg := Defaults()
 		cfg.HalfLife = 5 * time.Second
 		cfg.Dwell = 30 * time.Second
-		cfg.MaxSources = 8
-		cfg.MaxResources = 16
 		mgr := ids.NewManager(ids.Low)
 		e := New(cfg, mgr, nil) // score-only: blocks exercised in unit tests
 

@@ -71,7 +71,7 @@ func (e *Engine) ApplyScore(ev ScoreEvent) bool {
 	}
 	e.mu.Unlock()
 	if block {
-		e.blocks.Block(ev.Source, e.cfg.BlockFor)
+		e.blocks.Block(ev.Source, blockFor)
 		e.sourceBlocks.Add(1)
 	}
 	return changed || block

@@ -19,10 +19,14 @@ func goldenRegistry() *Registry {
 
 	yes := r.Counter("gaa_decisions_total", "Authorization decisions by phase and outcome.",
 		L("phase", "check"), L("decision", "yes"))
-	yes.Add(12)
+	for i := 0; i < 12; i++ {
+		yes.Inc()
+	}
 	no := r.Counter("gaa_decisions_total", "Authorization decisions by phase and outcome.",
 		L("phase", "check"), L("decision", "no"))
-	no.Add(3)
+	for i := 0; i < 3; i++ {
+		no.Inc()
+	}
 	maybe := r.Counter("gaa_decisions_total", "Authorization decisions by phase and outcome.",
 		L("phase", "mid"), L("decision", "maybe"))
 	maybe.Inc()
@@ -30,8 +34,7 @@ func goldenRegistry() *Registry {
 	r.CounterFunc("gaa_policy_cache_hits_total", "Policy cache hits.", func() uint64 { return 90 })
 	r.GaugeFunc("gaa_threat_level", "Current IDS threat level (0=low 1=medium 2=high).", func() float64 { return 1 })
 
-	g := r.Gauge("gaa_netblock_active_blocks", "Live firewall block entries.")
-	g.Set(4)
+	r.GaugeFunc("gaa_netblock_active_blocks", "Live firewall block entries.", func() float64 { return 4 })
 
 	h := r.Histogram("gaa_phase_latency_seconds", "Evaluation latency per enforcement phase.",
 		[]float64{1e-6, 1e-3, 0.1}, L("phase", "check"))

@@ -1,7 +1,8 @@
 // Package metrics is the zero-dependency observability substrate of
-// the reproduction: lock-free sharded counters, gauges, and
-// fixed-bucket latency histograms, collected into a Registry that
-// renders the Prometheus text exposition format (version 0.0.4).
+// the reproduction: lock-free sharded counters, collect-time counter
+// and gauge functions, and fixed-bucket latency histograms, collected
+// into a Registry that renders the Prometheus text exposition format
+// (version 0.0.4).
 //
 // The package exists to make every prior layer's behaviour externally
 // visible — per-phase evaluation latency, YES/NO/MAYBE outcome rates,
@@ -18,7 +19,6 @@
 package metrics
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
@@ -56,11 +56,6 @@ func (c *Counter) Inc() {
 	c.stripes[stripeIdx()].n.Add(1)
 }
 
-// Add adds n (use only non-negative deltas; counters are monotonic).
-func (c *Counter) Add(n uint64) {
-	c.stripes[stripeIdx()].n.Add(n)
-}
-
 // Value sums the stripes. Concurrent increments may or may not be
 // included, but successive Values never move backwards.
 func (c *Counter) Value() uint64 {
@@ -69,34 +64,6 @@ func (c *Counter) Value() uint64 {
 		total += c.stripes[i].n.Load()
 	}
 	return total
-}
-
-// Gauge is a settable instantaneous value (threat level, active
-// blocks, breaker state). Gauges change at human rates, not per
-// request, so a single atomic cell suffices.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta (atomic compare-and-swap loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	return math.Float64frombits(g.bits.Load())
 }
 
 // DefLatencyBuckets are the default histogram bounds for request-path

@@ -12,22 +12,26 @@ func TestCounterBasics(t *testing.T) {
 	if got := c.Value(); got != 0 {
 		t.Fatalf("zero counter = %d", got)
 	}
-	c.Inc()
-	c.Add(41)
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	if got := c.Value(); got != 42 {
 		t.Fatalf("Value = %d, want 42", got)
 	}
 }
 
+// TestGaugeBasics: a gauge series reads its function at every
+// collection.
 func TestGaugeBasics(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
+	r := NewRegistry()
+	v := 2.5
+	r.GaugeFunc("g", "g", func() float64 { return v })
+	if got := r.Values()["g"]; got != 2.5 {
 		t.Fatalf("Value = %v", got)
 	}
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.0 {
-		t.Fatalf("after Add = %v", got)
+	v -= 1.5
+	if got := r.Values()["g"]; got != 1.0 {
+		t.Fatalf("after the change = %v", got)
 	}
 }
 
@@ -109,7 +113,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("clash", "g")
+	r.GaugeFunc("clash", "g", func() float64 { return 0 })
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
@@ -176,9 +180,10 @@ func TestValidNames(t *testing.T) {
 func TestValuesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("v_total", "v", L("k", "a"))
-	c.Add(7)
-	g := r.Gauge("v_gauge", "v")
-	g.Set(1.5)
+	for i := 0; i < 7; i++ {
+		c.Inc()
+	}
+	r.GaugeFunc("v_gauge", "v", func() float64 { return 1.5 })
 	h := r.Histogram("v_seconds", "v", []float64{0.1})
 	h.Observe(0.05)
 	h.Observe(5)

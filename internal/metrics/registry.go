@@ -50,7 +50,6 @@ type series struct {
 	signature string  // rendered label block, "" for unlabeled
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -96,13 +95,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // reads them on scrape.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.add(name, help, KindCounter, nil, labels, &series{counterFn: fn})
-}
-
-// Gauge registers a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, KindGauge, nil, labels, &series{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge series collected from fn at exposition
@@ -252,13 +244,7 @@ func writeSeries(b *strings.Builder, f familyView, s *series) {
 		}
 		writeSample(b, f.name, s.labels, formatUint(v))
 	case KindGauge:
-		v := 0.0
-		if s.gauge != nil {
-			v = s.gauge.Value()
-		} else {
-			v = s.gaugeFn()
-		}
-		writeSample(b, f.name, s.labels, formatFloat(v))
+		writeSample(b, f.name, s.labels, formatFloat(s.gaugeFn()))
 	}
 }
 
@@ -342,11 +328,7 @@ func (r *Registry) Values() map[string]float64 {
 					out[f.name+s.signature] = float64(s.counterFn())
 				}
 			case KindGauge:
-				if s.gauge != nil {
-					out[f.name+s.signature] = s.gauge.Value()
-				} else {
-					out[f.name+s.signature] = s.gaugeFn()
-				}
+				out[f.name+s.signature] = s.gaugeFn()
 			}
 		}
 	}

@@ -29,7 +29,8 @@ func TestStressConcurrentCollect(t *testing.T) {
 		labeled[i] = r.Counter("stress_labeled_total", "s", L("k", v))
 	}
 	h := r.Histogram("stress_seconds", "s", []float64{1e-6, 1e-3, 1})
-	g := r.Gauge("stress_gauge", "s")
+	var gauge atomic.Int64
+	r.GaugeFunc("stress_gauge", "s", func() float64 { return float64(gauge.Load()) })
 	var fnHits atomic.Uint64
 	r.CounterFunc("stress_fn_total", "s", fnHits.Load)
 
@@ -78,9 +79,10 @@ func TestStressConcurrentCollect(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				labeled[i%3].Add(2)
+				labeled[i%3].Inc()
+				labeled[i%3].Inc()
 				h.Observe(float64(i%7) * 1e-4)
-				g.Set(float64(w))
+				gauge.Store(int64(w))
 				fnHits.Add(1)
 			}
 		}(w)

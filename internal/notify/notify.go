@@ -87,15 +87,15 @@ type Async struct {
 	closed  bool
 }
 
-// NewAsync returns an asynchronous notifier with the given queue depth
-// (minimum 1).
-func NewAsync(inner Notifier, depth int) *Async {
-	if depth < 1 {
-		depth = 1
-	}
+// asyncDepth is the Async queue's capacity.
+const asyncDepth = 256
+
+// NewAsync returns an asynchronous notifier over a queue of asyncDepth
+// messages.
+func NewAsync(inner Notifier) *Async {
 	a := &Async{
 		inner: inner,
-		queue: make(chan Message, depth),
+		queue: make(chan Message, asyncDepth),
 		done:  make(chan struct{}),
 	}
 	go a.run()

@@ -84,7 +84,7 @@ func TestMailboxConcurrent(t *testing.T) {
 
 func TestAsyncDeliversInBackground(t *testing.T) {
 	inner := NewMailbox(0)
-	a := NewAsync(inner, 8)
+	a := NewAsync(inner)
 	for i := 0; i < 5; i++ {
 		if err := a.Notify(context.Background(), Message{Tag: "t"}); err != nil {
 			t.Fatalf("Notify: %v", err)
@@ -101,7 +101,7 @@ func TestAsyncDeliversInBackground(t *testing.T) {
 
 func TestAsyncDoesNotBlockCaller(t *testing.T) {
 	inner := NewMailbox(50 * time.Millisecond)
-	a := NewAsync(inner, 4)
+	a := NewAsync(inner)
 	defer a.Close()
 	start := time.Now()
 	if err := a.Notify(context.Background(), Message{}); err != nil {
@@ -119,10 +119,10 @@ func TestAsyncDropsWhenFull(t *testing.T) {
 		<-release
 		return nil
 	})
-	a := NewAsync(blocking, 1)
-	// First message occupies the worker; second fills the queue; third
-	// and later are dropped.
-	for i := 0; i < 5; i++ {
+	a := NewAsync(blocking)
+	// The first message occupies the worker and the next asyncDepth fill
+	// the queue; the rest are dropped.
+	for i := 0; i < asyncDepth+5; i++ {
 		_ = a.Notify(context.Background(), Message{})
 	}
 	if a.Dropped() == 0 {
@@ -134,7 +134,7 @@ func TestAsyncDropsWhenFull(t *testing.T) {
 
 func TestAsyncCloseIdempotentAndDropsAfterClose(t *testing.T) {
 	inner := NewMailbox(0)
-	a := NewAsync(inner, 2)
+	a := NewAsync(inner)
 	a.Close()
 	a.Close()
 	if err := a.Notify(context.Background(), Message{}); err != nil {

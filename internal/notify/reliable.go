@@ -33,47 +33,21 @@ type Reliable struct {
 	shortCircuits atomic.Uint64
 }
 
-// ReliableOption configures a Reliable notifier.
-type ReliableOption func(*reliableConfig)
+// A delivery makes three attempts, 5ms backoff doubling to 250ms
+// between them (NewReliable's policy); the breaker opens after three
+// exhausted deliveries and lets a probe through a second later.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
 
-type reliableConfig struct {
-	policy    retry.Policy
-	threshold int
-	cooldown  time.Duration
-	clock     func() time.Time
-}
-
-// WithRetryPolicy sets the retry bounds (default: 3 attempts, 5ms base
-// backoff doubling to 250ms).
-func WithRetryPolicy(p retry.Policy) ReliableOption {
-	return func(c *reliableConfig) { c.policy = p }
-}
-
-// WithBreaker sets the breaker threshold (consecutive exhausted
-// deliveries before opening) and cooldown before a half-open probe.
-func WithBreaker(threshold int, cooldown time.Duration) ReliableOption {
-	return func(c *reliableConfig) { c.threshold, c.cooldown = threshold, cooldown }
-}
-
-// WithReliableClock overrides the breaker time source (tests).
-func WithReliableClock(clock func() time.Time) ReliableOption {
-	return func(c *reliableConfig) { c.clock = clock }
-}
-
-// NewReliable wraps inner.
-func NewReliable(inner Notifier, opts ...ReliableOption) *Reliable {
-	cfg := reliableConfig{
-		policy:    retry.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
-		threshold: 3,
-		cooldown:  time.Second,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// NewReliable wraps inner. clock is the breaker's time source (nil:
+// time.Now), so its cooldown follows a simulated clock.
+func NewReliable(inner Notifier, clock func() time.Time) *Reliable {
 	return &Reliable{
 		inner:   inner,
-		policy:  cfg.policy,
-		breaker: retry.NewBreaker(cfg.threshold, cfg.cooldown, cfg.clock),
+		policy:  retry.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
+		breaker: retry.NewBreaker(breakerThreshold, breakerCooldown, clock),
 	}
 }
 

@@ -42,13 +42,9 @@ func (f *flakyNotifier) callCount() int {
 	return f.calls
 }
 
-func fastPolicy(attempts int) ReliableOption {
-	return WithRetryPolicy(retry.Policy{MaxAttempts: attempts, BaseDelay: time.Microsecond})
-}
-
 func TestReliableRetriesTransientFailure(t *testing.T) {
 	inner := &flakyNotifier{failN: 2}
-	r := NewReliable(inner, fastPolicy(3))
+	r := NewReliable(inner, nil)
 	if err := r.Notify(context.Background(), Message{Tag: "t"}); err != nil {
 		t.Fatalf("Notify: %v (two transient failures within three attempts)", err)
 	}
@@ -63,7 +59,7 @@ func TestReliableRetriesTransientFailure(t *testing.T) {
 
 func TestReliableRecoversPanic(t *testing.T) {
 	inner := &flakyNotifier{failN: 1, panics: true}
-	r := NewReliable(inner, fastPolicy(2))
+	r := NewReliable(inner, nil)
 	if err := r.Notify(context.Background(), Message{}); err != nil {
 		t.Fatalf("Notify: %v (panic on first attempt must be retried)", err)
 	}
@@ -76,17 +72,17 @@ func TestReliableBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	inner := &flakyNotifier{failN: 1 << 30} // fails forever (until lowered)
-	r := NewReliable(inner, fastPolicy(2), WithBreaker(2, time.Minute), WithReliableClock(clock))
+	r := NewReliable(inner, clock)
 	ctx := context.Background()
 
-	// Two exhausted deliveries trip the breaker.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold exhausted deliveries trip the breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		if err := r.Notify(ctx, Message{}); !errors.Is(err, errDown) {
 			t.Fatalf("Notify %d: %v, want errDown", i, err)
 		}
 	}
 	if got := r.BreakerState(); got != retry.Open {
-		t.Fatalf("breaker = %v, want open after two exhausted deliveries", got)
+		t.Fatalf("breaker = %v, want open after %d exhausted deliveries", got, breakerThreshold)
 	}
 
 	// Open: the hot path is short-circuited, the dead transport not hit.
@@ -102,7 +98,7 @@ func TestReliableBreakerLifecycle(t *testing.T) {
 	}
 
 	// Cooldown elapses; the transport recovers; the probe closes it.
-	now = now.Add(time.Minute)
+	now = now.Add(breakerCooldown)
 	inner.mu.Lock()
 	inner.failN = 0
 	inner.mu.Unlock()
@@ -125,7 +121,11 @@ func TestReliableBreakerLifecycle(t *testing.T) {
 // the counters coherent under contention.
 func TestReliableBreakerConcurrent(t *testing.T) {
 	inner := &flakyNotifier{failN: 40}
-	r := NewReliable(inner, fastPolicy(1), WithBreaker(3, time.Millisecond))
+	r := NewReliable(inner, nil)
+	// One attempt per delivery and a 1ms cooldown, so the cycle turns
+	// many times within the test.
+	r.policy = retry.Policy{MaxAttempts: 1}
+	r.breaker = retry.NewBreaker(breakerThreshold, time.Millisecond, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)

@@ -30,11 +30,11 @@ type Policy struct {
 	// a recovered node on the same deterministic schedule is a
 	// thundering herd; jitter decorrelates them.
 	Jitter float64
-	// Rand supplies uniform [0,1) randomness for jitter; nil uses the
-	// process-wide source. Inject a seeded source for deterministic
-	// tests.
-	Rand func() float64
 }
+
+// uniform supplies the jitter's uniform [0,1) draws: the process-wide
+// source (the package's tests seed their own).
+var uniform = rand.Float64
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts < 1 {
@@ -54,9 +54,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Jitter > 1 {
 		p.Jitter = 1
-	}
-	if p.Rand == nil {
-		p.Rand = rand.Float64
 	}
 	return p
 }
@@ -85,7 +82,7 @@ func (p Policy) Delay(attempt int) time.Duration {
 	if p.Jitter > 0 {
 		// Keep (1-Jitter) of the delay deterministic and spread the
 		// rest uniformly; Jitter=1 is classic full jitter over (0, d].
-		d = d*(1-p.Jitter) + d*p.Jitter*p.Rand()
+		d = d*(1-p.Jitter) + d*p.Jitter*uniform()
 		if d < 1 {
 			d = 1 // never a zero sleep: that busy-spins the retry loop
 		}

@@ -117,11 +117,18 @@ func TestDelayDeterministicWithoutJitter(t *testing.T) {
 	}
 }
 
+// seedJitter draws the test's jitter from a source seeded with seed.
+func seedJitter(t *testing.T, seed int64) {
+	prev := uniform
+	uniform = rand.New(rand.NewSource(seed)).Float64
+	t.Cleanup(func() { uniform = prev })
+}
+
 func TestDelayFullJitterBounds(t *testing.T) {
-	src := rand.New(rand.NewSource(2003))
+	seedJitter(t, 2003)
 	p := Policy{
 		BaseDelay: 10 * time.Millisecond, Multiplier: 2,
-		MaxDelay: 80 * time.Millisecond, Jitter: 1, Rand: src.Float64,
+		MaxDelay: 80 * time.Millisecond, Jitter: 1,
 	}
 	for attempt := 1; attempt <= 6; attempt++ {
 		det := Policy{BaseDelay: p.BaseDelay, Multiplier: p.Multiplier, MaxDelay: p.MaxDelay}.Delay(attempt)
@@ -140,9 +147,9 @@ func TestDelayFullJitterBounds(t *testing.T) {
 }
 
 func TestDelayPartialJitterKeepsFloor(t *testing.T) {
-	src := rand.New(rand.NewSource(7))
+	seedJitter(t, 7)
 	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 100 * time.Millisecond,
-		Jitter: 0.25, Rand: src.Float64}
+		Jitter: 0.25}
 	for i := 0; i < 100; i++ {
 		d := p.Delay(1)
 		if d < 75*time.Millisecond || d > 100*time.Millisecond {
@@ -153,8 +160,8 @@ func TestDelayPartialJitterKeepsFloor(t *testing.T) {
 
 func TestDelaySeededSourceIsReproducible(t *testing.T) {
 	mk := func() []time.Duration {
-		src := rand.New(rand.NewSource(42))
-		p := Policy{BaseDelay: time.Millisecond, Jitter: 1, Rand: src.Float64}
+		seedJitter(t, 42)
+		p := Policy{BaseDelay: time.Millisecond, Jitter: 1}
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = p.Delay(i + 1)
@@ -170,8 +177,8 @@ func TestDelaySeededSourceIsReproducible(t *testing.T) {
 }
 
 func TestDoAppliesJitterWithoutStalling(t *testing.T) {
-	src := rand.New(rand.NewSource(1))
-	p := Policy{MaxAttempts: 5, BaseDelay: 100 * time.Microsecond, Jitter: 1, Rand: src.Float64}
+	seedJitter(t, 1)
+	p := Policy{MaxAttempts: 5, BaseDelay: 100 * time.Microsecond, Jitter: 1}
 	start := time.Now()
 	attempts, err := Do(context.Background(), p, func(context.Context) error { return errFlaky })
 	if attempts != 5 || !errors.Is(err, errFlaky) {

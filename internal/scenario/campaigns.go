@@ -661,7 +661,8 @@ func adaptiveRamp() Campaign {
 	acfg.HalfLife = 10 * time.Second
 	acfg.MinSamples = 5
 	// Per-source enforcement must lead global escalation: the block
-	// fires while the fleet-level signal is still below MediumRaise.
+	// fires while the fleet-level signal is still below the medium
+	// raise threshold.
 	acfg.BlockScore = 1.1
 	const attacker = "203.0.113.99"
 	return Campaign{

@@ -210,9 +210,7 @@ func TestRecoveryCompactionUnderScorerJournal(t *testing.T) {
 		Threat: ids.NewManager(ids.Low),
 		Clock:  clock.Now,
 	}
-	cfg := adaptive.Defaults()
-	cfg.CheckpointEvery = 1
-	c.Scorer = adaptive.New(cfg, c.Threat, c.Blocks)
+	c.Scorer = adaptive.New(adaptive.Defaults(), c.Threat, c.Blocks)
 
 	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: 8, Clock: clock.Now})
 	if _, err := Attach(s, c); err != nil {
@@ -222,7 +220,9 @@ func TestRecoveryCompactionUnderScorerJournal(t *testing.T) {
 	fed := make(chan struct{})
 	go func() {
 		defer close(fed)
-		for i := 0; i < 20; i++ { // one checkpoint record each: past the 8-record boundary twice
+		// The engine checkpoints a resource every 128 trained samples:
+		// 20 checkpoint records, past the 8-record boundary twice.
+		for i := 0; i < 20*128; i++ {
 			c.Scorer.ObserveRequest(adaptive.Sample{
 				Time:   clock.now.Add(time.Duration(i) * time.Second),
 				Source: "10.0.0.1", Path: "/index.html", InputLen: 20,

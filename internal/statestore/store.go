@@ -37,8 +37,8 @@ const (
 	// FsyncAlways syncs after every append: no acknowledged mutation is
 	// ever lost, at a per-write latency cost.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background tick (default 100ms): a crash
-	// loses at most one interval of mutations.
+	// FsyncInterval syncs on a background tick every fsyncInterval: a
+	// crash loses at most one interval of mutations.
 	FsyncInterval
 	// FsyncNever leaves flushing to the OS page cache: a process crash
 	// loses nothing, a power loss may lose everything since the last
@@ -78,9 +78,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync is the WAL flush policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background flush period under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// SnapshotEvery compacts the WAL into a snapshot after at least this
 	// many appended records, and not before the WAL has reached the size
 	// of the last snapshot (default 4096; negative disables count-driven
@@ -94,10 +91,10 @@ type Options struct {
 	Clock func() time.Time
 }
 
+// fsyncInterval is the background flush period under FsyncInterval.
+const fsyncInterval = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
 	}
@@ -229,7 +226,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.wal = wal
 	if opts.Fsync == FsyncInterval || opts.SnapshotInterval > 0 {
 		now := time.Now()
-		s.syncDue, s.snapDue = now.Add(opts.FsyncInterval), now.Add(opts.SnapshotInterval)
+		s.syncDue, s.snapDue = now.Add(fsyncInterval), now.Add(opts.SnapshotInterval)
 		s.bgStop = make(chan struct{})
 		s.bgDone = make(chan struct{})
 		go s.background()
@@ -562,7 +559,7 @@ func (s *Store) writeSnapshot(state []byte, seq uint64) error {
 // both periods' ticks.
 func (s *Store) Tick(now time.Time) {
 	s.mu.Lock()
-	if s.opts.Fsync == FsyncInterval && due(&s.syncDue, now, s.opts.FsyncInterval) {
+	if s.opts.Fsync == FsyncInterval && due(&s.syncDue, now, fsyncInterval) {
 		_ = s.syncLocked()
 	}
 	compact := s.opts.SnapshotInterval > 0 && due(&s.snapDue, now, s.opts.SnapshotInterval) &&
@@ -586,7 +583,7 @@ func due(next *time.Time, now time.Time, period time.Duration) bool {
 // background waits out the fsync and compaction periods and calls Tick.
 func (s *Store) background() {
 	defer close(s.bgDone)
-	syncTick := time.NewTicker(s.opts.FsyncInterval)
+	syncTick := time.NewTicker(fsyncInterval)
 	defer syncTick.Stop()
 	var snapC <-chan time.Time
 	if s.opts.SnapshotInterval > 0 {

@@ -356,13 +356,18 @@ func TestFsyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("interval syncs on the background tick", func(t *testing.T) {
-		s := openStore(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncInterval: time.Hour})
+		s := openStore(t, t.TempDir(), Options{Fsync: FsyncInterval})
+		// The test ticks by hand: stop the background loop first.
+		close(s.bgStop)
+		<-s.bgDone
+		s.bgStop, s.bgDone = nil, nil
 		appendN(t, s, 3)
-		s.Tick(time.Now())
+		due := s.syncDue // one fsyncInterval after Open
+		s.Tick(due.Add(-time.Nanosecond))
 		if st := s.Stats(); st.Syncs != 0 {
 			t.Fatalf("Syncs = %d before the interval, want 0", st.Syncs)
 		}
-		s.Tick(time.Now().Add(time.Hour))
+		s.Tick(due)
 		if st := s.Stats(); st.Syncs != 1 {
 			t.Fatalf("Syncs = %d after the interval, want 1", st.Syncs)
 		}
