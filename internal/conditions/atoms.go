@@ -27,12 +27,10 @@ type Atoms struct {
 	// file's contents), so it is not repeatable.
 	Ambient bool
 	// Globs are the '*'-globs of a user, host, location or request-line
-	// list; Exprs reports that a request-line list also holds "re:"
-	// expressions, and Match is that list's own matcher.
-	Globs []string
-	Exprs bool
-	Match func(line string) bool
-	Group string
+	// list; Exprs are a request-line list's "re:" expressions, without
+	// the prefix. The list matches when one of them does.
+	Globs, Exprs []string
+	Group        string
 	// Nets are a location list's CIDR ranges.
 	Nets   []*net.IPNet
 	Window TimeWindow

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -140,24 +141,21 @@ func TestAtomsHoldToEvaluator(t *testing.T) {
 		case AxisLine:
 			lines := []string{"GET /index.html", "GET /admin/users", "GET /cgi-bin/cmd.exe", "zz"}
 			for _, g := range a.Globs {
-				if !a.Match(witness(g)) {
-					t.Errorf("%s %q: the list's matcher misses its own glob %q", v.typ, v.value, g)
-				}
 				lines = append(lines, witness(g))
 			}
 			for _, line := range lines {
-				inside := a.Match(line)
-				if !a.Exprs && inside != slices.ContainsFunc(a.Globs, func(g string) bool { return eacl.Glob(g, line) }) {
-					t.Errorf("%s %q: a list of globs alone matches %q other than its globs do", v.typ, v.value, line)
-				}
+				inside := slices.ContainsFunc(a.Globs, func(g string) bool { return eacl.Glob(g, line) }) ||
+					slices.ContainsFunc(a.Exprs, func(e string) bool { return regexp.MustCompile(e).MatchString(line) })
 				want := gaa.No
 				if inside {
 					want = gaa.Yes
 				}
 				check(fmt.Sprintf("request line %q", line), want, monday, param(gaa.ParamRequestURI, line))
 			}
-			if a.Exprs && !strings.Contains(v.value, "re:") {
-				t.Errorf("%s %q: declares re: expressions it does not hold", v.typ, v.value)
+			for _, e := range a.Exprs {
+				if !strings.Contains(v.value, "re:"+e) {
+					t.Errorf("%s %q: declares an re: expression %q it does not hold", v.typ, v.value, e)
+				}
 			}
 		case AxisTime:
 			w := a.Window

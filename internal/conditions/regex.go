@@ -58,10 +58,10 @@ func parseRegex(value, defAuth string) (regexTest, error) {
 
 func (regexEvaluator) atoms(value string) (Atoms, error) {
 	t, err := parseRegex(value, "")
-	a := Atoms{Axis: AxisLine, Match: func(line string) bool { return t.matchLine(line) != nil }}
+	a := Atoms{Axis: AxisLine}
 	for _, p := range t.pats {
 		if p.re != nil {
-			a.Exprs = true
+			a.Exprs = append(a.Exprs, p.re.String())
 		} else {
 			a.Globs = append(a.Globs, p.src)
 		}

@@ -187,7 +187,11 @@ pre_cond_system_threat_level local <=high
 // TestUnsatisfiableEntry: the prover's per-entry query decides
 // unsatisfiability; the finding names the conditions at fault, leaves a
 // value-level defect to its own rule, and says "unknown" where the
-// entry's grid may miss the worlds it decides in.
+// entry reads state outside the request.
+// missingFile is a pre-condition on a file that is not there.
+const missingFile = "pre_cond_file_sha256 local /nonexistent/blob " +
+	"0000000000000000000000000000000000000000000000000000000000000000\n"
+
 func TestUnsatisfiableEntry(t *testing.T) {
 	tests := []struct {
 		name, src string
@@ -212,22 +216,24 @@ func TestUnsatisfiableEntry(t *testing.T) {
 		{"windows meeting on a shared day", "pos_access_right apache *\npre_cond_time_window local 09:00-17:00 Wed\n" +
 			"pre_cond_time_window local 10:00-12:00\n",
 			nil, ""},
-		// Its own grid holds Wednesday 10:00; the file's grid does not, so
-		// whether the entry is shadowed is unknown, not "decided earlier".
+		// The windows meet on Wednesdays from 10:00, where line 1 fires:
+		// nothing is shadowed.
 		{"satisfiable but missing from the file's grid", "pos_access_right apache *\npre_cond_time_window local 09:00-17:00 Wed\n" +
 			"pre_cond_time_window local 10:00-12:00\nneg_access_right apache *\n",
-			[]string{"W022:1"}, "unknown whether this entry is shadowed"},
-		// Proved without the unsatisfiable entry, whose six bounds would
-		// exceed the integer axis's cap: the rest of the file is complete.
+			nil, ""},
+		// Proved without the unsatisfiable entry, which decides no region.
 		{"unsatisfiable entry left out of the grid", "neg_access_right apache *\npre_cond_expr local input_length>1000\n" +
 			"pre_cond_expr local input_length<10\nneg_access_right apache GET /a\npos_access_right apache GET /b\n",
 			[]string{"E013:1"}, "the entry can never fire"},
-		{"unknown", "neg_access_right apache *\npre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*\n",
-			[]string{"W022:1"}, "unknown whether this entry can fire: incomplete domain: two conditions match one axis with '*'-globs"},
+		// A missing file fails its hash check on every request, and a file
+		// is not the request's: whether the entry fires is unknown.
+		{"unknown", "neg_access_right apache *\n" + missingFile,
+			[]string{"W022:1"}, "unknown whether this entry can fire: incomplete domain: pre_cond_file_sha256 reads state outside the request"},
 		// The note stands in for any shadowing finding.
-		{"unknown and shadowed", "neg_access_right apache *\n" +
-			"neg_access_right apache *\npre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*\n",
+		{"unknown and shadowed", "neg_access_right apache *\nneg_access_right apache *\n" + missingFile,
 			[]string{"W022:2"}, "unknown whether this entry can fire"},
+		// Two lists on one axis are one language intersection.
+		{"two glob lists", "neg_access_right apache *\npre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*\n", nil, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,9 +2,14 @@ package analysis
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"gaaapi/internal/conditions"
+	"gaaapi/internal/costpin"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/eacl/reason"
 )
@@ -82,12 +87,12 @@ func sprawlSystemPolicy() string {
 
 func TestProverCoversSignatureDatabase(t *testing.T) {
 	f := &File{EACL: mustParse(t, sprawlSystemPolicy()), Known: lintKnown()}
-	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
+	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.Truncated() || len(eng.DeadEntries()) != 190 {
-		t.Fatalf("engine over %d worlds: %q, %d dead entries; want the whole grid and 190",
+		t.Fatalf("engine over %d worlds: %q, %d dead entries; want complete and 190",
 			eng.Worlds(), eng.Incomplete(), len(eng.DeadEntries()))
 	}
 	ds := New().AnalyzeFile(f)
@@ -113,37 +118,99 @@ func TestProverCoversSignatureDatabase(t *testing.T) {
 	}
 }
 
-// TestUnknownStaysUnknown: past a domain cap the universal claims (dead
-// entries, E020) are silent and one line-0 W022 says why; W020 is
-// structural and W021 existential, so both are still reported.
+// TestUnknownStaysUnknown: where a condition reads state outside the
+// request the universal claims (dead entries, E020) are silent and one
+// line-0 W022 says why; W020 is structural and W021 existential, so
+// both are still reported.
 func TestUnknownStaysUnknown(t *testing.T) {
-	// Seven user names exceed the user axis's cap.
-	users := "pre_cond_accessid_USER apache a b c d e f g\n"
-	ds := analyze(t, "pos_access_right apache *\n"+users+"pos_access_right apache *\n"+users)
+	// A file the hash check matches: the entries fire, on ambient state.
+	path := filepath.Join(t.TempDir(), "blob")
+	if err := os.WriteFile(path, []byte("content"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	digest, err := conditions.HashFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := "pre_cond_file_sha256 local " + path + " " + digest + "\n"
+	ds := analyze(t, "pos_access_right apache *\n"+pinned+"pos_access_right apache *\n"+pinned)
 	if got := codes(ds); len(got) != 1 || got[0] != "W022" || ds[0].Line != 0 ||
-		!strings.Contains(ds[0].Message, "dead-entry analysis unknown: incomplete domain: 7 user candidates exceed the cap of 5") {
+		!strings.Contains(ds[0].Message, "dead-entry analysis unknown: incomplete domain: pre_cond_file_sha256 reads state outside the request") {
 		t.Errorf("findings = %v, want only the line-0 unknown note", ds)
 	}
 
-	c := composeOf(t,
-		[]string{"eacl_mode narrow\nneg_access_right * *"},
-		[]string{"pos_access_right apache *\n" + users})
+	local := "pos_access_right apache GET /a\n" + pinned + "pos_access_right apache *\n"
+	c := composeOf(t, []string{"eacl_mode narrow\nneg_access_right * *"}, []string{local})
 	ds = New().AnalyzeComposition(c)
 	if got := codes(ds); len(got) != 1 || got[0] != "W022" || ds[0].File != "system0.eacl" || ds[0].Line != 0 {
 		t.Errorf("narrow: findings = %v, want the unknown note in place of E020", ds)
 	}
-	c = composeOf(t,
-		[]string{"eacl_mode expand\nneg_access_right * *"},
-		[]string{"pos_access_right apache *\n" + users})
+	c = composeOf(t, []string{"eacl_mode expand\nneg_access_right * *"}, []string{local})
 	if ds = New().AnalyzeComposition(c); !hasCode(ds, "W021") || !hasCode(ds, "W022") {
 		t.Errorf("expand: findings = %v, want W021 beside the unknown note", ds)
 	}
-	c = composeOf(t,
-		[]string{"eacl_mode stop\nneg_access_right * *"},
-		[]string{"pos_access_right apache *\n" + users})
+	c = composeOf(t, []string{"eacl_mode stop\nneg_access_right * *"}, []string{local})
 	if ds = New().AnalyzeComposition(c); !hasCode(ds, "W020") {
 		t.Errorf("stop: findings = %v, want W020", ds)
 	}
+}
+
+// sprawlLocalPolicy is one of the 64 per-directory policies of the
+// benchmark's sprawl deployment: the shared signature and overflow
+// denies, a directory-specific deny, and the grant.
+func sprawlLocalPolicy(dir int) string {
+	return fmt.Sprintf(`neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi* *///////////////////* *%%c0%%af* *%%255c* *cmd.exe* *root.exe*
+rr_cond_update_log local on:failure/BadGuys/info:IP
+neg_access_right apache *
+pre_cond_expr local input_length>1000
+neg_access_right apache GET /d%02d/private*
+pre_cond_system_threat_level local >low
+pos_access_right apache *
+`, dir)
+}
+
+// TestProverCoversSprawlComposition: the 200-entry signature database
+// composed with 64 per-directory locals is walked whole, in under a
+// second, and the 190 prefix-shadowed signatures are its dead entries.
+func TestProverCoversSprawlComposition(t *testing.T) {
+	sys := mustParse(t, sprawlSystemPolicy())
+	var locals []*eacl.EACL
+	for d := 0; d < 64; d++ {
+		locals = append(locals, mustParse(t, sprawlLocalPolicy(d)))
+	}
+	start := time.Now()
+	eng, err := reason.New([]*eacl.EACL{sys}, locals, reason.Options{})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if why := eng.Incomplete(); why != "" {
+		t.Fatalf("Incomplete() = %q, want complete", why)
+	}
+	res, err := eng.Prove("no-dead-entries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := map[int]bool{}
+	for _, d := range res.DeadEntries {
+		if d.Source != sys.Source || d.Cause != reason.CauseShadowed {
+			t.Errorf("unexpected dead entry %+v", d)
+		}
+		dead[d.Line] = true
+	}
+	for n := 10; n < 200; n++ {
+		if !dead[2+2*n] {
+			t.Errorf("signature %d (line %d) not reported dead", n, 2+2*n)
+		}
+	}
+	if res.Result != reason.Refuted || len(res.DeadEntries) != 190 {
+		t.Errorf("no-dead-entries = %s with %d dead entries, want refuted by the 190 shadowed signatures", res.Result, len(res.DeadEntries))
+	}
+	if !costpin.Race && elapsed > time.Second {
+		t.Errorf("reason.New took %v over %d worlds, budget 1s", elapsed, eng.Worlds())
+	}
+	t.Logf("reason.New: %v over %d worlds", elapsed, eng.Worlds())
 }
 
 // TestVetoNamesEveryDenial: two system denials that between them

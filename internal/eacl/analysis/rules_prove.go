@@ -13,20 +13,17 @@ import (
 
 // Layers 3 and 4: the prover's facts. Whether an entry can ever decide
 // is defined once, by the whole-policy reasoning engine
-// (internal/eacl/reason), which replays every world of a grid
-// synthesized from the policy text through the real evaluator. These
-// codes only present its facts. A dead entry is reported once, under
-// the code its cause picks: E011, E012 or E013 when it is unsatisfiable;
-// W002, W003 or W007 for a single shadowing entry that is a duplicate,
-// unconditional, or conditional of the same sign; W020 under stop; W022
-// otherwise. Universal claims need a grid covering the policy; when it
-// does not, or the engine fails, a W022 says the analysis is unknown
-// (at the entry for its own query, else on line 0), and the
-// existential W021 and W023 still report what they found.
-
-// proverMaxWorlds bounds lint-time prover cost; past it the domain is
-// truncated and the universal claims stay silent.
-const proverMaxWorlds = 8000
+// (internal/eacl/reason), which walks the first-match scan over regions
+// cut from the policy text and replays a witness of each through the
+// real evaluator. These codes only present its facts. A dead entry is
+// reported once, under the code its cause picks: E011, E012 or E013
+// when it is unsatisfiable; W002, W003 or W007 for a single shadowing
+// entry that is a duplicate, unconditional, or conditional of the same
+// sign; W020 under stop; W022 otherwise. Universal claims need regions
+// covering the policy; when a condition reads state outside the request,
+// or the engine fails, a W022 says the analysis is unknown (at the entry
+// for its own query, else on line 0), and the existential W021 and W023
+// still report what they found.
 
 // Composition is a composed policy set: system-wide EACLs first, local
 // EACLs second, with the effective composition mode derived the same
@@ -143,8 +140,8 @@ type finding struct {
 }
 
 // findings runs the prover over the file as a stand-alone local policy,
-// once. An entry that fires in the file's grid is satisfiable; any
-// other gets its own query. One found unsatisfiable decides no world,
+// once. An entry that fires in the file's walk is satisfiable; any
+// other gets its own query. One found unsatisfiable decides nothing,
 // and one the query cannot settle gets only that note, so the file is
 // proved again without both.
 func (f *File) findings() []finding {
@@ -152,7 +149,7 @@ func (f *File) findings() []finding {
 		return f.found
 	}
 	f.proved = true
-	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{MaxWorlds: proverMaxWorlds})
+	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{})
 	reduced := &eacl.EACL{Source: f.EACL.Source}
 	var live []int // reduced.Entries index -> f.EACL.Entries index
 	for i, en := range f.EACL.Entries {
@@ -173,7 +170,7 @@ func (f *File) findings() []finding {
 		return f.found // shadowing takes two entries that can decide
 	}
 	if len(live) < len(f.EACL.Entries) {
-		eng, err = reason.New(nil, []*eacl.EACL{reduced}, reason.Options{MaxWorlds: proverMaxWorlds})
+		eng, err = reason.New(nil, []*eacl.EACL{reduced}, reason.Options{})
 	}
 	if f.found = append(f.found, unknown(reduced.Source, eng, err)...); err != nil {
 		return f.found
@@ -194,7 +191,7 @@ func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
 		msg: "prover: no request at any threat level reaches this entry; every world is decided earlier in the scan"}
 	switch {
 	case d.Cause == reason.CauseUnsatisfiable: // yet it fired, or its own query found it satisfiable
-		x.msg = "prover: unknown whether this entry is shadowed: the file's grid holds no world in which it decides"
+		x.msg = "prover: unknown whether this entry is shadowed: no region of the file is one it decides"
 		return x
 	case len(d.ShadowedBy) != 1:
 		return x
@@ -248,7 +245,7 @@ func sameConditions(a, b *eacl.Entry) bool {
 }
 
 // unknown is the line-0 W022 saying the universal claims are unknown:
-// the engine failed, or its grid does not cover the policy.
+// the engine failed, or its regions do not cover the policy.
 func unknown(source string, eng *reason.Engine, err error) []finding {
 	why := ""
 	if err != nil {
@@ -270,7 +267,18 @@ func (c *Composition) findings() []finding {
 		return c.found
 	}
 	c.proved = true
-	eng, err := reason.New(c.System, c.Local, reason.Options{MaxWorlds: proverMaxWorlds})
+	// The rights an authentication guard protects cut the domain, so an
+	// anonymous grant shows inside each of them where it reaches one.
+	all := append(append([]*eacl.EACL{}, c.System...), c.Local...)
+	var guarded []eacl.Right
+	for _, e := range all {
+		for _, en := range e.Entries {
+			if readsUser(en) {
+				guarded = append(guarded, en.Right)
+			}
+		}
+	}
+	eng, err := reason.New(c.System, c.Local, reason.Options{ExtraRights: guarded})
 	if len(c.System) > 0 && len(c.Local) > 0 {
 		c.found = unknown(c.System[0].Source, eng, err)
 	}
@@ -302,7 +310,6 @@ func (c *Composition) findings() []finding {
 			"never satisfiable under narrow: the system-wide denial %s covers %q and fires whenever this grant would; the conjunction always denies",
 			strings.Join(at, " or "), v.Grant.Right.Value)
 	}
-	all := append(append([]*eacl.EACL{}, c.System...), c.Local...)
 	granted := map[reason.Entry]bool{}
 	for _, g := range eng.AnonymousGrants() {
 		at := reason.Entry{Source: g.Source, Line: g.Line}
@@ -324,15 +331,18 @@ func (c *Composition) findings() []finding {
 func userGuard(eacls []*eacl.EACL, granted eacl.Right) string {
 	for _, e := range eacls {
 		for _, en := range e.Entries {
-			if !eacl.MatchRight(en.Right, granted) {
-				continue
-			}
-			for _, cond := range en.Block(eacl.BlockPre) {
-				if a, _ := conditions.AtomsOf(cond.Type, cond.Value); a.Axis == conditions.AxisUser {
-					return fmt.Sprintf("%s:%d", e.Source, en.Line)
-				}
+			if eacl.MatchRight(en.Right, granted) && readsUser(en) {
+				return fmt.Sprintf("%s:%d", e.Source, en.Line)
 			}
 		}
 	}
 	return ""
+}
+
+// readsUser reports whether the entry's pre block reads the user axis.
+func readsUser(en eacl.Entry) bool {
+	return slices.ContainsFunc(en.Block(eacl.BlockPre), func(c eacl.Condition) bool {
+		a, _ := conditions.AtomsOf(c.Type, c.Value)
+		return a.Axis == conditions.AxisUser
+	})
 }

@@ -1,49 +1,20 @@
 package eacl
 
-// This file decides inclusion and intersection for the '*'-glob pattern
-// language of Glob (match.go). Both questions are decidable in
-// O(len(a)*len(b)) for patterns whose only metacharacter is '*', and
-// both are what a static analyzer needs: inclusion proves an entry
-// unreachable (an earlier pattern covers everything a later one can
-// match), intersection proves two entries can fire on the same request
-// (a pos/neg conflict).
+// Inclusion and intersection of the '*'-glob language of Glob
+// (match.go) are two questions the string search (lang.go) answers:
+// inclusion proves an entry unreachable (an earlier pattern covers
+// everything a later one can match), intersection proves two entries
+// can fire on the same request (a pos/neg conflict).
 
 // GlobCovers reports whether pattern outer matches every string that
-// pattern inner matches — language inclusion L(inner) ⊆ L(outer).
+// pattern inner matches — language inclusion L(inner) ⊆ L(outer): no
+// string is in inner and outside outer.
 //
 // GlobCovers("GET /cgi-bin/*", "GET /cgi-bin/phf") is true;
 // GlobCovers("*phf*", "*") is false (inner matches "", outer does not).
 func GlobCovers(outer, inner string) bool {
-	n, m := len(outer), len(inner)
-	// cover[j] is cover(i, j) for the current i; iterate i from n down.
-	cover := make([]bool, m+1)
-	next := make([]bool, m+1) // cover(i+1, ·)
-	// Base row i == n: the empty outer pattern matches only the empty
-	// string, so it covers inner[j:] only when inner[j:] is empty.
-	// (inner[j:] == "*..." generates non-empty strings too.)
-	next[m] = true
-	for i := n - 1; i >= 0; i-- {
-		// Column j == m: outer[i:] must match the empty string.
-		cover[m] = outer[i] == '*' && next[m]
-		for j := m - 1; j >= 0; j-- {
-			switch {
-			case outer[i] == '*':
-				// The star absorbs inner's next symbol (literal or
-				// star) or yields to the rest of outer.
-				cover[j] = next[j] || cover[j+1]
-			case inner[j] == '*':
-				// inner can generate any byte here; a literal outer
-				// byte cannot cover that.
-				cover[j] = false
-			case outer[i] == inner[j]:
-				cover[j] = next[j+1]
-			default:
-				cover[j] = false
-			}
-		}
-		cover, next = next, cover
-	}
-	return next[0]
+	_, found := Witness([]Language{{Globs: []string{inner}}}, []Language{{Globs: []string{outer}}})
+	return !found
 }
 
 // GlobsOverlap reports whether some string is matched by both patterns
@@ -52,33 +23,8 @@ func GlobCovers(outer, inner string) bool {
 // GlobsOverlap("GET /a*", "*phf*") is true (e.g. "GET /aphf");
 // GlobsOverlap("GET *", "POST *") is false.
 func GlobsOverlap(a, b string) bool {
-	n, m := len(a), len(b)
-	inter := make([]bool, m+1)
-	next := make([]bool, m+1) // inter(i+1, ·)
-	// Base row i == n: empty a intersects b[j:] iff b[j:] can generate
-	// the empty string, i.e. is all stars.
-	next[m] = true
-	for j := m - 1; j >= 0; j-- {
-		next[j] = b[j] == '*' && next[j+1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		// Column j == m: a[i:] must be able to generate "".
-		inter[m] = a[i] == '*' && next[m]
-		for j := m - 1; j >= 0; j-- {
-			switch {
-			case a[i] == '*':
-				inter[j] = next[j] || inter[j+1]
-			case b[j] == '*':
-				inter[j] = inter[j+1] || next[j]
-			case a[i] == b[j]:
-				inter[j] = next[j+1]
-			default:
-				inter[j] = false
-			}
-		}
-		inter, next = next, inter
-	}
-	return next[0]
+	_, found := Witness([]Language{{Globs: []string{a}}, {Globs: []string{b}}}, nil)
+	return found
 }
 
 // GlobsEquivalent reports whether two patterns match exactly the same

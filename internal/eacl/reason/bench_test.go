@@ -8,8 +8,9 @@ import (
 )
 
 // seededOpts is the largest shipped workload: the section 7.2
-// composition with max_input resolved, which expands to the full
-// right × threat × principal × URI × input-length grid (768 worlds).
+// composition with max_input resolved, whose walk cuts every threat
+// level by the BadGuys bit, the authority, the signature list and the
+// input length's three intervals and absence (30 worlds).
 var seededOpts = Options{Values: map[string]string{"max_input": "1000"}, SystemOnly: true}
 
 func shipped72(tb testing.TB) (sys, loc *eacl.EACL) {
@@ -30,8 +31,8 @@ func shipped72(tb testing.TB) (sys, loc *eacl.EACL) {
 	return sys, loc
 }
 
-// TestProverRuntimeBudget pins end-to-end engine construction — world
-// enumeration, real-evaluator atoms, first-match scan, fold and the
+// TestProverRuntimeBudget pins end-to-end engine construction — the
+// walks, real-evaluator witnesses, first-match scan, fold and the
 // double replay of every world — under one second on the largest shipped
 // composition, so a policy-reload gate could run it inline.
 func TestProverRuntimeBudget(t *testing.T) {

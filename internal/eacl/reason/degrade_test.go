@@ -10,32 +10,33 @@ import (
 	"gaaapi/internal/eacl"
 )
 
-// Honest-degradation contract: whenever the world grid cannot cover
-// the policy (truncation, no clean URI, ambient state), universal
+// Honest-degradation contract: whenever the cubes cannot cover the
+// policy (a condition reads state outside the request), universal
 // claims downgrade to unknown and positive evidence is withheld.
 
+// ambientGuard is a pre-condition whose truth is a file's, not the
+// request's: a digest no file has, of a file that is not there.
+const ambientGuard = "pre_cond_file_sha256 local /nonexistent/blob " +
+	"0000000000000000000000000000000000000000000000000000000000000000\n"
+
 func TestTruncatedWorldsDegradeProofs(t *testing.T) {
-	local := mustEACL(t, `
-pos_access_right apache GET /a/*
-pre_cond_accessid_GROUP local g1
-pre_cond_accessid_GROUP local g2
-pre_cond_accessid_GROUP local g3
+	local := mustEACL(t, "pos_access_right apache GET /a/*\n"+ambientGuard+`
 pos_access_right apache GET /b/*
 pre_cond_accessid_USER apache *
 `)
-	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{MaxWorlds: 4})
+	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
 	if !e.Truncated() {
-		t.Fatal("MaxWorlds=4 did not truncate")
+		t.Fatal("an ambient condition left the domain complete")
 	}
 	if got := e.DeadEntries(); got != nil {
-		t.Errorf("DeadEntries on a truncated domain = %v, want nil", got)
+		t.Errorf("DeadEntries on an incomplete domain = %v, want nil", got)
 	}
 	for _, name := range ProofNames {
 		res := mustProve(t, e, name)
 		if res.Result != Unknown {
-			t.Errorf("%s on a truncated domain = %s, want unknown", name, res.Result)
+			t.Errorf("%s on an incomplete domain = %s, want unknown", name, res.Result)
 		}
-		if !strings.Contains(res.Reason, "incomplete domain") {
+		if !strings.Contains(res.Reason, "incomplete domain: pre_cond_file_sha256 reads state outside the request") {
 			t.Errorf("%s reason = %q", name, res.Reason)
 		}
 	}
@@ -44,9 +45,11 @@ pre_cond_accessid_USER apache *
 	}
 }
 
-func TestNoCleanURIDegradesProofs(t *testing.T) {
-	// A catch-all regex pattern leaves no candidate URI that dodges
-	// every pattern, so "entry 2 is never reached" cannot be trusted.
+// TestCatchAllListIsDecided: a catch-all pattern leaves no request line
+// outside its list, and that is a fact about an empty cell, not a gap:
+// entry 2 is maybe-blocked (the malformed expression is MAYBE), so it is
+// not dead, and the proof holds.
+func TestCatchAllListIsDecided(t *testing.T) {
 	local := mustEACL(t, `
 neg_access_right apache *
 pre_cond_regex gnu *
@@ -54,14 +57,14 @@ pre_cond_regex gnu re:[unclosed
 pos_access_right apache GET /pub/*
 `)
 	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
-	if why := e.Incomplete(); !strings.Contains(why, "no request line dodges") {
-		t.Fatalf("catch-all pattern left the domain %q, want no clean request line", why)
+	if why := e.Incomplete(); why != "" {
+		t.Fatalf("catch-all pattern left the domain %q, want complete", why)
 	}
 	if got := e.DeadEntries(); got != nil {
-		t.Errorf("DeadEntries without a clean URI = %v, want nil", got)
+		t.Errorf("DeadEntries under a maybe-blocking entry = %v, want nil", got)
 	}
-	if res := mustProve(t, e, "no-dead-entries"); res.Result != Unknown {
-		t.Errorf("no-dead-entries = %s, want unknown", res.Result)
+	if res := mustProve(t, e, "no-dead-entries"); res.Result != Proved {
+		t.Errorf("no-dead-entries = %s, want proved", res.Result)
 	}
 }
 

@@ -1,10 +1,11 @@
 package reason
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"net"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,82 +19,74 @@ import (
 	"gaaapi/internal/ids"
 )
 
-// The abstract domain is a finite grid of concrete candidate values,
-// one axis per request dimension the registered evaluators consult.
-// Every candidate is synthesized from the policy's own text, as each
-// condition's atoms (conditions.AtomsOf) cut it: glob witnesses, CIDR
-// network addresses, time-window boundaries, comparison bounds. So
-// per-world truth is computed exactly — by running the real
-// evaluators against the candidate — and the only incompleteness is
-// coverage: behaviours reachable solely outside the candidate grid
-// (e.g. a request line only an "re:" regular expression accepts) are
-// not represented, and the engine tracks that (see DESIGN.md §5.2).
+// The domain is the request space cut into regions. A region is a cube:
+// per request axis, the cells of the policy's atoms (conditions.AtomsOf)
+// it lies in. A glob or "re:" list is a string language, and a string
+// axis holds the languages its strings must be in and must avoid; a
+// CIDR is the language of the addresses inside it; a time window is a
+// set of minutes of the week; a comparison cuts its parameter into
+// absent and three integer intervals; a group is a membership bit; the
+// threat level is one of three. The first-match scan is walked over
+// cubes (walk): each entry cuts the cube it is reached with into the
+// pieces on which its right and each of its conditions read one cell,
+// and each piece's witness — one request, the shortest string of each
+// language intersection (eacl.Witness) — tells through the real
+// evaluators what the entry does on all of it. The pieces it decides
+// leave the scan, the rest go on to the next entry. So a verdict read
+// off a witness holds for its whole cube, and the cubes cover every
+// request: the only incompleteness left is a condition whose truth
+// depends on state outside the request (conditions.Atoms.Ambient). An
+// unregistered or malformed condition is MAYBE for every request, and
+// claims never pass through it (see DESIGN.md §5.2).
 
-// Dimension caps keep the world grid bounded; exceeding one records why
-// the domain is incomplete, which downgrades universal claims to
-// "unknown". The right axis is capped only when the full grid would
-// exceed the world cap.
-const (
-	maxRightCands = 16
-	maxURICands   = 16
-	maxIPCands    = 8
-	maxUserCands  = 6
-	maxTimeCands  = 8
-	maxIntCands   = 5
-	maxGroupDims  = 4
-	maxIntDims    = 4
-)
-
-// DefaultMaxWorlds bounds the world grid when Options.MaxWorlds is 0.
-const DefaultMaxWorlds = 20000
-
-// baseTime is the instant worlds default to: a Monday noon, fixed so
-// answers and witnesses are reproducible. Time-window conditions add
-// boundary instants around it.
+// baseTime is the instant witnesses prefer: a Monday noon, fixed so
+// answers are reproducible. A witness minute of the week is a minute of
+// the week starting on that Monday.
 var baseTime = time.Date(2026, time.January, 5, 12, 0, 0, 0, time.UTC)
 
-// outsideIPs is the pool the domain draws "matches nothing" client
-// addresses from (RFC 5737 / RFC 1918 test ranges).
-var outsideIPs = []string{"203.0.113.77", "198.51.100.23", "192.0.2.19", "10.123.45.67"}
+// Each string axis prefers one witness while its cube holds it, so
+// witnesses read like requests: an authenticated user, a client address
+// (RFC 5737) and a request line.
+const (
+	defaultUser = "user"
+	defaultIP   = "203.0.113.77"
+	defaultLine = "GET /index.html"
+)
 
-// intChoice is one candidate for an integer request parameter: a value,
-// or the parameter being absent from the request.
+// nonEmpty is the language of the strings with at least one byte: the
+// evaluators read an empty user or client address as none at all.
+var nonEmpty = &lang{Language: eacl.Language{Exprs: []string{"(?s)."}}, match: func(s string) bool { return s != "" }}
+
+// intChoice is one value of an integer request parameter: a value, or
+// the parameter being absent from the request.
 type intChoice struct {
 	val     int64
 	present bool
 }
 
-// domain is the candidate grid derived from one composed policy.
+// domain is what the walk reads of one composed policy: the groups and
+// integer parameters its conditions name, each condition's languages,
+// and its ambient conditions.
 type domain struct {
-	rights  []eacl.Right // requested-right candidates (sign always Pos)
-	threats []ids.Level
-	users   []string // "" = anonymous
 	groups  []string // group names; membership is a per-name bit
-	ips     []string
-	uris    []string
-	times   []time.Time
-	intDims []string      // parameter names for expr/quota conditions
-	intCand [][]intChoice // candidates per intDims entry
-
-	values mapValues // '@name' runtime values (Options.Values)
-	// ambient holds the pre-condition types whose truth depends on state
-	// outside the world (conditions.Atoms.Ambient): a world one of them
-	// decides in is inexact.
+	intDims []string // parameter names compared
+	values  mapValues
+	langs   map[string]*lang // by glob, or by condition type and value
+	// found remembers each search by the languages it was asked about.
+	found map[string]found
+	// cells holds each condition's atoms, by its type and value.
+	read map[[2]string]atoms
+	// ambient holds the condition types whose truth depends on state
+	// outside the request; why says how that leaves the domain short.
 	ambient map[string]bool
-	// why says how the grid falls short of covering the policy; empty
-	// when it covers it.
-	why string
-	// own marks a grid built from one entry (Unsatisfiable): no axis
-	// is capped, compared integers are always present, and each window's
-	// start and midnight join the time axis on every weekday.
-	own bool
+	why     string
 }
 
-// incomplete reports whether the grid is known not to cover the
+// incomplete reports whether the domain is known not to cover the
 // policy's behaviours, downgrading universal claims to "unknown".
 func (d *domain) incomplete() bool { return d.why != "" }
 
-// world is one point of the grid.
+// world is one witness request: one point of a cube.
 type world struct {
 	right  eacl.Right
 	threat ids.Level
@@ -105,279 +98,488 @@ type world struct {
 	ints   []intChoice // parallel to domain.intDims
 }
 
-// buildDomain scans every entry of the composed EACL list and collects
-// candidates per dimension; maxWorlds decides whether the right axis
-// must be capped.
-func buildDomain(eacls []*eacl.EACL, opts Options, maxWorlds int, own bool) *domain {
-	d := &domain{
-		threats: []ids.Level{ids.Low, ids.Medium, ids.High},
-		values:  mapValues(opts.Values),
-		ambient: map[string]bool{},
-		own:     own,
-	}
-	var (
-		userSet  = map[string]bool{}
-		groupSet = map[string]bool{}
-		ipSet    = map[string]bool{}
-		timeSet  = map[time.Time]bool{}
-		intSet   = map[string]map[int64]bool{}
-		// Distinct right patterns, for witnesses and intersections.
-		patterns    []eacl.Right
-		patternSeen = map[[2]string]bool{}
-		// Distinct '*'-glob patterns of the user, host and request-line
-		// axes, and one matcher per distinct request-line list.
-		userPats  = map[string]bool{}
-		hostPats  = map[string]bool{}
-		linePats  = map[string]bool{}
-		globPats  = [...]map[string]bool{conditions.AxisUser: userPats, conditions.AxisAddress: hostPats, conditions.AxisLine: linePats}
-		lineSeen  = map[string]bool{}
-		lineMatch []func(string) bool
-	)
-	addPattern := func(r eacl.Right) {
-		if k := [2]string{r.DefAuth, r.Value}; !patternSeen[k] {
-			patternSeen[k] = true
-			patterns = append(patterns, r)
-		}
-	}
+// buildDomain collects the groups and parameters every pre and
+// request-result condition of the composition names, and its ambient
+// conditions.
+func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
+	d := &domain{values: mapValues(opts.Values), langs: map[string]*lang{}, found: map[string]found{}, read: map[[2]string]atoms{}, ambient: map[string]bool{}}
+	groupSet, intSet := map[string]bool{}, map[string]bool{}
 	for _, e := range eacls {
-		for i := range e.Entries {
-			en := &e.Entries[i]
-			addPattern(en.Right)
+		for _, en := range e.Entries {
 			for _, c := range en.Conditions {
-				if c.Block != eacl.BlockPre {
+				if c.Block != eacl.BlockPre && c.Block != eacl.BlockRequestResult {
 					continue
 				}
 				a, cells := d.atoms(c)
-				if a.Ambient {
+				if a.Ambient && !d.ambient[c.Type] {
 					d.ambient[c.Type] = true
+					if d.why == "" {
+						d.why = fmt.Sprintf("%s_%s reads state outside the request", c.Block, c.Type)
+					}
 				}
-				if !cells {
-					continue // MAYBE for every request: no candidates
-				}
-				for _, g := range a.Globs {
-					globPats[a.Axis][g] = true
-				}
-				for _, n := range a.Nets {
-					ipSet[n.IP.String()] = true
-				}
-				if a.Group != "" {
+				switch {
+				case !cells:
+				case a.Axis == conditions.AxisGroup:
 					groupSet[a.Group] = true
-				}
-				if a.Match != nil && !lineSeen[c.Value] {
-					lineSeen[c.Value] = true
-					lineMatch = append(lineMatch, a.Match)
-				}
-				if a.Axis == conditions.AxisTime {
-					for _, at := range windowInstants(a.Window) {
-						timeSet[at] = true
-					}
-					for day := 0; own && day < 7; day++ {
-						start := baseTime.AddDate(0, 0, day).Truncate(24 * time.Hour)
-						timeSet[start] = true
-						timeSet[start.Add(time.Duration(a.Window.Start)*time.Minute)] = true
-					}
-				}
-				if a.Axis == conditions.AxisInt {
-					if intSet[a.Param] == nil {
-						intSet[a.Param] = map[int64]bool{}
-					}
-					intSet[a.Param][a.Bound-1] = true
-					intSet[a.Param][a.Bound] = true
-					intSet[a.Param][a.Bound+1] = true
+				case a.Axis == conditions.AxisInt:
+					intSet[a.Param] = true
 				}
 			}
 		}
 	}
-	// Query rights may themselves be glob patterns: their witnesses join
-	// the grid and they participate in the intersection pass below, so a
-	// query pattern can exercise entries its plain witness would miss.
-	for _, r := range opts.ExtraRights {
-		addPattern(r)
-	}
-	text := append(append(sorted(userPats, strings.Compare), sorted(hostPats, strings.Compare)...), sorted(linePats, strings.Compare)...)
-	for _, p := range patterns {
-		text = append(text, p.DefAuth, p.Value)
-	}
-	fresh := freshByte(text)
-	for _, w := range globWitnesses(sorted(userPats, strings.Compare), fresh) {
-		if w == "" {
-			w = "user" // "*" needs a non-empty witness to count as authenticated
-		}
-		userSet[w] = true
-	}
-	for _, w := range globWitnesses(sorted(hostPats, strings.Compare), fresh) {
-		ipSet[w] = true
-	}
-	uriSet := map[string]bool{}
-	for _, w := range globWitnesses(sorted(linePats, strings.Compare), fresh) {
-		uriSet[w] = true
-	}
-
-	rightSet := map[eacl.Right]bool{}
-	addRight := func(defAuth, value string) {
-		rightSet[eacl.Right{Sign: eacl.Pos, DefAuth: defAuth, Value: value}] = true
-	}
-	for _, p := range patterns {
-		addRight(globWitness(p.DefAuth), globWitness(p.Value))
-		// The open witness is matched only by patterns covering this one,
-		// so an entry that some earlier pattern merely overlaps keeps a
-		// right the earlier entry does not match.
-		if strings.Contains(p.DefAuth+p.Value, "*") {
-			addRight(openWitness(p.DefAuth, fresh), openWitness(p.Value, fresh))
-		}
-	}
-	// Pairwise intersection witnesses let one requested right exercise
-	// two entries whose patterns overlap without either's own witness
-	// matching both (e.g. "*phf*" vs "GET *" -> "GET phf").
-	for i := 0; i < len(patterns); i++ {
-		for j := i + 1; j < len(patterns); j++ {
-			da, okA := globIntersectWitness(patterns[i].DefAuth, patterns[j].DefAuth)
-			va, okV := globIntersectWitness(patterns[i].Value, patterns[j].Value)
-			if okA && okV {
-				addRight(da, va)
-			}
-		}
-	}
-	d.users = append([]string{""}, capSlice(d, sorted(userSet, strings.Compare), maxUserCands-1, "user")...)
-	d.groups = capSlice(d, sorted(groupSet, strings.Compare), maxGroupDims, "group")
-	// An address outside every listed range/pattern keeps the "no
-	// location matches" world representable.
-	d.ips = capSlice(d, sorted(ipSet, strings.Compare), maxIPCands-1, "client address")
-	d.ips = append(d.ips, pickOutsideIP(d.ips))
-	// A "clean" request line no list matches keeps the request-passes-no-
-	// signature worlds representable — the URI analogue of the outside
-	// IP. Candidates are vetted by every list's own matcher, "re:"
-	// expressions included; when the lists cover the whole pool the grid
-	// is incomplete and universal claims degrade.
-	d.uris = capSlice(d, sorted(uriSet, strings.Compare), maxURICands-1, "request line")
-	if clean, ok := cleanURI(lineMatch); ok {
-		d.uris = append(d.uris, clean)
-	} else if d.why == "" {
-		d.why = "no request line dodges every pre_cond_regex list"
-	}
-	d.times = capSlice(d, sorted(timeSet, time.Time.Compare), maxTimeCands-1, "time")
-	d.times = append(d.times, baseTime)
-	d.intDims = capSlice(d, sorted(intSet, strings.Compare), maxIntDims, "integer parameter")
-	for _, name := range d.intDims {
-		vals := capSlice(d, sorted(intSet[name], cmp.Compare[int64]), maxIntCands-1, name)
-		cands := []intChoice{{present: false}}
-		if own {
-			cands = nil
-		}
-		for _, v := range vals {
-			cands = append(cands, intChoice{val: v, present: true})
-		}
-		d.intCand = append(d.intCand, cands)
-	}
-	d.rights = sorted(rightSet, func(a, b eacl.Right) int {
-		return cmp.Or(strings.Compare(a.DefAuth, b.DefAuth), strings.Compare(a.Value, b.Value))
-	})
-	if len(d.rights) == 0 {
-		d.rights = []eacl.Right{{DefAuth: "apache", Value: "GET /"}}
-	}
-	if d.worldCount() > float64(maxWorlds) {
-		d.rights = capSlice(d, d.rights, maxRightCands, "right")
-	}
+	d.groups = sorted(groupSet, strings.Compare)
+	d.intDims = sorted(intSet, strings.Compare)
 	return d
 }
 
-// atoms returns what pre-condition c reads: its axis always, and its
-// cells when its value resolves and parses (cells); otherwise c is
-// MAYBE for every request.
-func (d *domain) atoms(c eacl.Condition) (a conditions.Atoms, cells bool) {
+// atoms is what a condition reads, once per type and value.
+type atoms struct {
+	conditions.Atoms
+	cells bool
+}
+
+// atoms returns what condition c reads: its axis always, and its cells
+// when its value resolves and parses (cells); otherwise c is MAYBE for
+// every request.
+func (d *domain) atoms(c eacl.Condition) (conditions.Atoms, bool) {
+	key := [2]string{c.Type, c.Value}
+	if r, ok := d.read[key]; ok {
+		return r.Atoms, r.cells
+	}
 	val, ok := gaa.ResolveValue(c.Value, d.values)
 	a, err := conditions.AtomsOf(c.Type, val)
-	if !ok || err != nil {
-		return conditions.Atoms{Axis: a.Axis, Ambient: a.Ambient}, false
+	r := atoms{Atoms: a, cells: ok && err == nil}
+	if !r.cells {
+		r.Atoms = conditions.Atoms{Axis: a.Axis, Ambient: a.Ambient}
 	}
-	return a, true
+	d.read[key] = r
+	return r.Atoms, r.cells
 }
 
-// capSlice bounds one axis, recording the first cap hit as the reason
-// the domain is incomplete.
-func capSlice[T any](d *domain, s []T, max int, axis string) []T {
-	if len(s) <= max || d.own {
-		return s
-	}
-	if d.why == "" {
-		d.why = fmt.Sprintf("%d %s candidates exceed the cap of %d", len(s), axis, max)
-	}
-	return s[:max]
+// lang is a language beside its matcher and the number the searches
+// know it by.
+type lang struct {
+	eacl.Language
+	match func(string) bool
+	id    int
 }
 
-// worldCount returns the grid size (before the MaxWorlds cap), as a
-// float so an uncapped grid cannot overflow it.
-func (d *domain) worldCount() float64 {
-	n := math.Ldexp(float64(len(d.rights)*len(d.threats)*len(d.users)*len(d.ips)*len(d.uris)*len(d.times)), len(d.groups))
-	for _, c := range d.intCand {
-		n *= float64(len(c))
+func (d *domain) newLang(l eacl.Language) *lang {
+	var res []*regexp.Regexp
+	for _, e := range l.Exprs {
+		res = append(res, regexp.MustCompile(e))
 	}
-	return n
+	return &lang{Language: l, id: len(d.langs) + 1, match: func(s string) bool {
+		return slices.ContainsFunc(l.Globs, func(g string) bool { return eacl.Glob(g, s) }) ||
+			slices.ContainsFunc(res, func(re *regexp.Regexp) bool { return re.MatchString(s) })
+	}}
 }
 
-// worlds enumerates the grid in a fixed order, stopping at max and
-// recording truncation. An uncapped grid past max enumerates nothing:
-// its integer cross product alone may not fit in memory.
-func (d *domain) worlds(max int) []world {
-	var out []world
-	if count := d.worldCount(); count > float64(max) {
-		if d.why == "" {
-			d.why = fmt.Sprintf("%.0f worlds exceed the cap of %d", count, max)
+// glob returns the language of one '*'-glob.
+func (d *domain) glob(g string) *lang {
+	l, ok := d.langs[g]
+	if !ok {
+		l = d.newLang(eacl.Language{Globs: []string{g}})
+		d.langs[g] = l
+	}
+	return l
+}
+
+// condLang returns the language of a list condition's atoms: its globs,
+// its expressions, and each CIDR as the addresses inside it.
+func (d *domain) condLang(c eacl.Condition, a conditions.Atoms) *lang {
+	key := "\x00" + c.Type + "\x00" + c.Value
+	if l, ok := d.langs[key]; ok {
+		return l
+	}
+	l := eacl.Language{Globs: a.Globs, Exprs: a.Exprs}
+	for _, n := range a.Nets {
+		l.Exprs = append(l.Exprs, cidrExpr(n))
+	}
+	d.langs[key] = d.newLang(l)
+	return d.langs[key]
+}
+
+// cidrExpr is the expression of the addresses a CIDR block holds, as a
+// server spells them: dotted decimal without leading zeros for IPv4,
+// eight groups of four hex digits for IPv6.
+func cidrExpr(n *net.IPNet) string {
+	var b strings.Builder
+	b.WriteByte('^')
+	if len(n.IP) == net.IPv4len {
+		for k := 0; k < 4; k++ {
+			if k > 0 {
+				b.WriteString(`\.`)
+			}
+			lo := int(n.IP[k])
+			b.WriteString(decimals(lo, lo|int(^n.Mask[k])))
 		}
-		if d.own {
-			return nil
+	} else {
+		for k := 0; k < 32; k++ {
+			if k > 0 && k%4 == 0 {
+				b.WriteByte(':')
+			}
+			shift := 4 * (1 - k%2)
+			lo, span := int(n.IP[k/2]>>shift)&15, int(^n.Mask[k/2]>>shift)&15
+			b.WriteByte('[')
+			for v := lo; v <= lo|span; v++ {
+				b.WriteString(strconv.FormatInt(int64(v), 16))
+			}
+			b.WriteByte(']')
 		}
 	}
-	for ri := range d.rights {
-		for ti := range d.threats {
-			for ui := range d.users {
-				for gi := 0; gi < 1<<len(d.groups); gi++ {
-					for ii := range d.ips {
-						for qi := range d.uris {
-							for ci := range d.times {
-								for _, ints := range d.intCombos() {
-									if len(out) >= max {
-										return out
-									}
-									member := make([]bool, len(d.groups))
-									for b := range member {
-										member[b] = gi&(1<<b) != 0
-									}
-									out = append(out, world{
-										right:  d.rights[ri],
-										threat: d.threats[ti],
-										user:   d.users[ui],
-										member: member,
-										ip:     d.ips[ii],
-										uri:    d.uris[qi],
-										at:     d.times[ci],
-										ints:   ints,
-									})
-								}
-							}
-						}
-					}
+	b.WriteByte('$')
+	return b.String()
+}
+
+// decimals is the expression of the spellings of lo..hi without
+// leading zeros, one alternative per run sharing all but the last digit.
+func decimals(lo, hi int) string {
+	var alts []string
+	for v := lo; v <= hi; {
+		end := min(hi, v/10*10+9)
+		prefix := ""
+		if v >= 10 {
+			prefix = strconv.Itoa(v / 10)
+		}
+		alts = append(alts, fmt.Sprintf("%s[%d-%d]", prefix, v%10, end%10))
+		v = end + 1
+	}
+	return "(?:" + strings.Join(alts, "|") + ")"
+}
+
+// strAxis is a cube's extent on a string axis: the languages its
+// strings are in and those they avoid, and one string of them.
+type strAxis struct {
+	in, out []*lang
+	w       string
+}
+
+// narrow returns the axis with l added to in (inside) or out, and false
+// when no string is left. The witness stays while the axis holds it;
+// else the preferred one, or the shortest string of the in languages
+// alone, where the axis holds them; else the search's.
+func (d *domain) narrow(s strAxis, l *lang, inside bool, preferred string) (strAxis, bool) {
+	switch {
+	case slices.Contains(s.in, l):
+		return s, inside
+	case slices.Contains(s.out, l):
+		return s, !inside
+	case inside:
+		s.in = append(slices.Clip(s.in), l)
+	default:
+		s.out = append(slices.Clip(s.out), l)
+	}
+	if l.match(s.w) == inside { // the rest held already
+		return s, true
+	}
+	f := d.search(s.in, nil)
+	if !f.ok {
+		return s, false
+	}
+	for _, w := range []string{s.w, preferred, f.w} {
+		if s.holds(w) {
+			s.w = w
+			return s, true
+		}
+	}
+	f = d.search(s.in, s.out)
+	s.w = f.w
+	return s, f.ok
+}
+
+// found is one search's answer.
+type found struct {
+	w  string
+	ok bool
+}
+
+// search asks eacl.Witness for a string in every language of in and in
+// none of out, once per pair of language sets.
+func (d *domain) search(in, out []*lang) found {
+	var b []byte
+	for _, side := range [][]*lang{in, out} {
+		ids := make([]int, len(side))
+		for i, l := range side {
+			ids[i] = l.id
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			b = strconv.AppendInt(b, int64(id), 10)
+			b = append(b, ',')
+		}
+		b = append(b, '|')
+	}
+	key := string(b)
+	f, ok := d.found[key]
+	if !ok {
+		langs := func(side []*lang) []eacl.Language {
+			out := make([]eacl.Language, len(side))
+			for i, l := range side {
+				out[i] = l.Language
+			}
+			return out
+		}
+		f.w, f.ok = eacl.Witness(langs(in), langs(out))
+		d.found[key] = f
+	}
+	return f
+}
+
+func (s strAxis) holds(w string) bool {
+	return !slices.ContainsFunc(s.in, func(l *lang) bool { return !l.match(w) }) &&
+		!slices.ContainsFunc(s.out, func(l *lang) bool { return l.match(w) })
+}
+
+// intAxis is a cube's extent on one integer parameter: free (no cell
+// read yet), absent, or the values lo..hi.
+type intAxis struct {
+	state  int8 // 0 free, 1 absent, 2 present
+	lo, hi int64
+}
+
+const minutesPerWeek = 7 * 24 * 60
+
+// cube is a region of the request space.
+type cube struct {
+	threat  ids.Level
+	right   [2]strAxis // the requested right's defining authority and value
+	user    strAxis    // "" for the anonymous client
+	member  []int8     // per domain.groups: 0 free, 1 member, -1 not
+	addr    strAxis
+	line    strAxis
+	minutes []bool // nil: every minute of the week
+	minute  int    // the witness minute
+	ints    []intAxis
+}
+
+// root is the cube of every request at one threat level.
+func (d *domain) root(level ids.Level) *cube {
+	return &cube{
+		threat: level,
+		member: make([]int8, len(d.groups)),
+		addr:   strAxis{in: []*lang{nonEmpty}, w: defaultIP},
+		line:   strAxis{w: defaultLine},
+		minute: baseMinute(),
+		ints:   make([]intAxis, len(d.intDims)),
+	}
+}
+
+// baseMinute is baseTime's minute of the week.
+func baseMinute() int { return baseTime.Hour()*60 + baseTime.Minute() }
+
+// clone copies the cube so a piece can narrow it.
+func (k *cube) clone() *cube {
+	c := *k
+	c.member = slices.Clone(k.member)
+	c.ints = slices.Clone(k.ints)
+	return &c
+}
+
+// with returns a copy of k that set narrows.
+func (k *cube) with(set func(p *cube)) *cube {
+	p := k.clone()
+	set(p)
+	return p
+}
+
+// rightPieces cuts k by an entry's right pattern: the piece it matches,
+// first, and the two it does not (another authority; the authority but
+// another value). Empty pieces are left out; match is nil when empty.
+func (d *domain) rightPieces(k *cube, p eacl.Right) (match *cube, miss []*cube) {
+	auth, value := d.glob(p.DefAuth), d.glob(p.Value)
+	if a, ok := d.narrow(k.right[0], auth, false, ""); ok {
+		miss = append(miss, k.withRight(a, k.right[1]))
+	}
+	if a, ok := d.narrow(k.right[0], auth, true, ""); ok {
+		if v, ok := d.narrow(k.right[1], value, false, ""); ok {
+			miss = append(miss, k.withRight(a, v))
+		}
+		if v, ok := d.narrow(k.right[1], value, true, ""); ok {
+			match = k.withRight(a, v)
+		}
+	}
+	return match, miss
+}
+
+// withRight returns k with right axes a and v: k itself when narrowing
+// left them as they were (cubes are not changed once made).
+func (k *cube) withRight(a, v strAxis) *cube {
+	same := func(x, y strAxis) bool { return len(x.in) == len(y.in) && len(x.out) == len(y.out) && x.w == y.w }
+	if same(a, k.right[0]) && same(v, k.right[1]) {
+		return k
+	}
+	c := k.clone()
+	c.right[0], c.right[1] = a, v
+	return c
+}
+
+// cells cuts k into the pieces on which condition c reads one cell of
+// its atoms, or returns nil when it reads the same cell on all of k.
+func (d *domain) cells(c eacl.Condition, k *cube) []*cube {
+	a, ok := d.atoms(c)
+	if !ok {
+		return nil
+	}
+	var out []*cube
+	add := func(c *cube) { out = append(out, c) }
+	switch a.Axis {
+	case conditions.AxisUser:
+		// The empty user is the anonymous client, whom no list admits.
+		if u, ok := d.narrow(k.user, nonEmpty, false, ""); ok {
+			add(k.with(func(p *cube) { p.user = u }))
+		}
+		if auth, ok := d.narrow(k.user, nonEmpty, true, defaultUser); ok {
+			for _, inside := range []bool{true, false} {
+				if u, ok := d.narrow(auth, d.condLang(c, a), inside, defaultUser); ok {
+					add(k.with(func(p *cube) { p.user = u }))
 				}
 			}
 		}
+	case conditions.AxisGroup:
+		g, _ := slices.BinarySearch(d.groups, a.Group)
+		for _, bit := range []int8{1, -1} {
+			if k.member[g] != -bit {
+				add(k.with(func(p *cube) { p.member[g] = bit }))
+			}
+		}
+	case conditions.AxisAddress:
+		for _, inside := range []bool{true, false} {
+			if s, ok := d.narrow(k.addr, d.condLang(c, a), inside, defaultIP); ok {
+				add(k.with(func(p *cube) { p.addr = s }))
+			}
+		}
+	case conditions.AxisLine:
+		for _, inside := range []bool{true, false} {
+			if s, ok := d.narrow(k.line, d.condLang(c, a), inside, defaultLine); ok {
+				add(k.with(func(p *cube) { p.line = s }))
+			}
+		}
+	case conditions.AxisTime:
+		for _, inside := range []bool{true, false} {
+			if piece := k.window(a.Window, inside); piece != nil {
+				add(piece)
+			}
+		}
+	case conditions.AxisInt:
+		i, _ := slices.BinarySearch(d.intDims, a.Param)
+		for _, cell := range intCells(a.Op, a.Bound) {
+			if piece := k.narrowInt(i, cell); piece != nil {
+				add(piece)
+			}
+		}
+	}
+	if len(out) < 2 {
+		return nil
 	}
 	return out
 }
 
-// intCombos enumerates the cross product of the integer dimensions.
-func (d *domain) intCombos() [][]intChoice {
-	combos := [][]intChoice{nil}
-	for _, cands := range d.intCand {
-		var next [][]intChoice
-		for _, base := range combos {
-			for _, c := range cands {
-				row := append(append([]intChoice{}, base...), c)
-				next = append(next, row)
+// window returns the piece of k inside (or outside) a time window, nil
+// when it is empty. Minute m of the week is on baseTime's Monday plus
+// m/1440 days.
+func (k *cube) window(w conditions.TimeWindow, inside bool) *cube {
+	mins := make([]bool, minutesPerWeek)
+	first, keep := -1, false
+	for m := range mins {
+		day := (baseTime.Weekday() + time.Weekday(m/1440)) % 7
+		cur := m % 1440
+		in := w.Days[day] && (w.Start <= w.End && cur >= w.Start && cur < w.End ||
+			w.Start > w.End && (cur >= w.Start || cur < w.End))
+		mins[m] = in == inside && (k.minutes == nil || k.minutes[m])
+		if mins[m] {
+			if first < 0 {
+				first = m
 			}
+			keep = keep || m == k.minute
 		}
-		combos = next
 	}
-	return combos
+	if first < 0 {
+		return nil
+	}
+	piece := k.clone()
+	piece.minutes = mins
+	if !keep {
+		piece.minute = first
+		if mins[baseMinute()] {
+			piece.minute = baseMinute()
+		}
+	}
+	return piece
+}
+
+// intCells are the cells a comparison cuts its parameter into: absent,
+// and the intervals on which it holds or fails — one each side of the
+// bound for an order, below, at and above it for (in)equality.
+func intCells(op string, bound int64) []intAxis {
+	cells := []intAxis{{state: 1}}
+	add := func(lo, hi int64) { cells = append(cells, intAxis{state: 2, lo: lo, hi: hi}) }
+	lower := bound > math.MinInt64 // a value below the bound exists
+	upper := bound < math.MaxInt64 // and one above it
+	switch op {
+	case "<", ">=":
+		if lower {
+			add(math.MinInt64, bound-1)
+		}
+		add(bound, math.MaxInt64)
+	case "<=", ">":
+		add(math.MinInt64, bound)
+		if upper {
+			add(bound+1, math.MaxInt64)
+		}
+	default:
+		if lower {
+			add(math.MinInt64, bound-1)
+		}
+		add(bound, bound)
+		if upper {
+			add(bound+1, math.MaxInt64)
+		}
+	}
+	return cells
+}
+
+// narrowInt returns the piece of k in cell of parameter i, nil when it
+// is empty.
+func (k *cube) narrowInt(i int, cell intAxis) *cube {
+	cur := k.ints[i]
+	switch {
+	case cur.state == 0:
+	case cur.state != cell.state:
+		return nil
+	case cell.state == 2:
+		cell.lo, cell.hi = max(cell.lo, cur.lo), min(cell.hi, cur.hi)
+		if cell.lo > cell.hi {
+			return nil
+		}
+	}
+	piece := k.clone()
+	piece.ints[i] = cell
+	return piece
+}
+
+// witness is the cube's witness request.
+func (d *domain) witness(k *cube) world {
+	w := world{
+		right:  eacl.Right{Sign: eacl.Pos, DefAuth: k.right[0].w, Value: k.right[1].w},
+		threat: k.threat,
+		user:   k.user.w,
+		member: make([]bool, len(d.groups)),
+		ip:     k.addr.w,
+		uri:    k.line.w,
+		at:     baseTime.Truncate(24 * time.Hour).Add(time.Duration(k.minute) * time.Minute),
+		ints:   make([]intChoice, len(d.intDims)),
+	}
+	for g, bit := range k.member {
+		w.member[g] = bit > 0
+	}
+	for i, c := range k.ints {
+		if c.state == 2 {
+			v := min(max(0, c.lo), c.hi)
+			w.ints[i] = intChoice{val: v, present: true}
+		}
+	}
+	return w
 }
 
 // request synthesizes the world's request.
@@ -456,81 +658,14 @@ func (env *worldEnv) enter(d *domain, w *world) {
 	env.req = d.request(w)
 }
 
-// windowInstants derives boundary candidates from a time window: one
-// instant just inside the start, one just before it (outside), and one
-// at the exclusive end, each on an active weekday when one exists; plus
-// an instant on an inactive weekday when the window excludes days.
-func windowInstants(w conditions.TimeWindow) []time.Time {
-	var out []time.Time
-	onDelta, offDelta := -1, -1
-	for delta := 0; delta < 7; delta++ {
-		d := baseTime.AddDate(0, 0, delta)
-		if w.Days[d.Weekday()] && onDelta < 0 {
-			onDelta = delta
-		}
-		if !w.Days[d.Weekday()] && offDelta < 0 {
-			offDelta = delta
-		}
-	}
-	at := func(dayDelta int, minute int) time.Time {
-		day := baseTime.AddDate(0, 0, dayDelta)
-		return time.Date(day.Year(), day.Month(), day.Day(), 0, 0, 0, 0, time.UTC).
-			Add(time.Duration(minute) * time.Minute)
-	}
-	if onDelta >= 0 {
-		out = append(out, at(onDelta, w.Start))
-		out = append(out, at(onDelta, (w.Start+24*60-1)%(24*60))) // minute before start
-		out = append(out, at(onDelta, w.End%(24*60)))             // first excluded minute (non-wrapping)
-	}
-	if offDelta >= 0 {
-		out = append(out, at(offDelta, w.Start))
-	}
-	return out
-}
-
 // mapValues serves Options.Values as the engine's gaa.ValueProvider,
-// so candidate extraction and the per-world APIs resolve '@name'
-// references by the one definition of the syntax.
+// so the atoms and the evaluators resolve '@name' references by the
+// one definition of the syntax.
 type mapValues map[string]string
 
 func (m mapValues) LookupValue(name string) (string, bool) {
 	v, ok := m[name]
 	return v, ok
-}
-
-// cleanURIPool holds request-line candidates tried in order; the first
-// one no list matches becomes the clean URI.
-var cleanURIPool = []string{"GET /index.html", "/nomatch", "HEAD /healthz", "zz"}
-
-// cleanURI returns a request line no list matches.
-func cleanURI(lists []func(string) bool) (string, bool) {
-next:
-	for _, cand := range cleanURIPool {
-		for _, match := range lists {
-			if match(cand) {
-				continue next
-			}
-		}
-		return cand, true
-	}
-	return "", false
-}
-
-// pickOutsideIP returns an address distinct from every candidate.
-func pickOutsideIP(used []string) string {
-	for _, ip := range outsideIPs {
-		clash := false
-		for _, u := range used {
-			if u == ip {
-				clash = true
-				break
-			}
-		}
-		if !clash {
-			return ip
-		}
-	}
-	return outsideIPs[0]
 }
 
 // sorted returns m's keys in cmp's order.

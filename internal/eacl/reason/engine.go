@@ -1,14 +1,16 @@
 // Package reason is a whole-policy reasoning engine for composed EACL
 // policies — the "who can do what, when?" layer on top of the per-file
-// static analysis (internal/eacl/analysis). It evaluates a composed
-// policy over a finite abstract domain built from the policy's own text
-// (glob witnesses, CIDR interior points, time-window boundaries,
-// comparison bounds, the tri-level threat scale and
-// authenticated/anonymous principals). Every world is modeled by gaa's
-// executable specification (spec.go): SpecEntry runs each entry's pre
-// conditions through the real evaluators, and SpecCheck's first-match
-// scan, level fold, composition and request-result conjunction decide
-// over those models. It answers reachability queries:
+// static analysis (internal/eacl/analysis). It walks each EACL's
+// first-match scan over regions of the request space cut from the
+// policy's own text (domain.go): a string language per glob or "re:"
+// list, an address language per CIDR, minutes of the week per time
+// window, integer intervals per comparison, a bit per group, the
+// tri-level threat scale. One witness request per region is modeled by
+// gaa's executable specification (spec.go): SpecEntry runs each entry's
+// pre conditions through the real evaluators, and SpecCheck's
+// first-match scan, level fold, composition and request-result
+// conjunction decide over those models. It answers reachability
+// queries:
 //
 //	who-can(defauth, right[, threat])   — principals that obtain YES
 //	reachable-without(cond-type)        — a YES needing no such condition
@@ -16,15 +18,15 @@
 //	                                      system-only decisions diverge
 //
 // It is also the one definition of "this entry can never decide" the
-// analyzer presents (DeadEntries, VetoedGrants, Bypasses).
+// analyzer presents (DeadEntries, VetoedGrants, Bypasses, Unsatisfiable).
 //
 // Every positive answer carries a concrete synthesized request; during
 // construction the engine replays every world through the compiled
 // engine (CheckAuthorization) and fails loudly if it disagrees with the
 // specification's verdict, so every world of every run is a differential
-// check of the two. Soundness reduces to domain coverage, which the engine
-// tracks (Truncated, inexact worlds); see DESIGN.md §5.2 for the full
-// argument and known incompleteness.
+// check of the two. The regions cover every request but where a
+// condition reads ambient state, which the engine tracks (Truncated,
+// inexact worlds); see DESIGN.md §5.2 for the full argument.
 package reason
 
 import (
@@ -33,9 +35,9 @@ import (
 	"slices"
 	"sort"
 
-	"gaaapi/internal/conditions"
 	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
+	"gaaapi/internal/ids"
 )
 
 // Options configures an Engine.
@@ -44,11 +46,9 @@ type Options struct {
 	// -value flag). Unreferenced names are ignored; unresolved
 	// references evaluate to MAYBE exactly as at run time.
 	Values map[string]string
-	// ExtraRights adds requested-right candidates to the domain (the
-	// rights named in who-can queries).
+	// ExtraRights cut the domain's right axis further (the rights named
+	// in who-can queries), so a query pattern reads whole cubes.
 	ExtraRights []eacl.Right
-	// MaxWorlds caps the world grid; 0 means DefaultMaxWorlds.
-	MaxWorlds int
 	// SystemOnly additionally folds and replays the system-only
 	// projection of every world, enabling grant-differs queries.
 	SystemOnly bool
@@ -70,9 +70,6 @@ type worldResult struct {
 	deciderYes map[string]bool
 	// deciders are the (eacl, entry) pairs whose entries decided.
 	deciders []entryRef
-	// kinds are what every entry of the composition, in order, would
-	// do in this world if the scan reached it.
-	kinds []gaa.EntryKind
 }
 
 type entryRef struct {
@@ -81,12 +78,12 @@ type entryRef struct {
 	kind  gaa.EntryKind
 }
 
-// entryStat aggregates per-entry reachability over all worlds.
+// entryStat aggregates per-entry reachability over all cubes.
 type entryStat struct {
 	decided, fired bool // fired: decided with every pre-condition YES
-	// shadowers are the earlier entries of the same EACL that decided a
-	// world in which this entry would have; shadowMaybe records that one
-	// of them decided MAYBE there.
+	// shadowers are the earlier entries of the same EACL that decide a
+	// cube in which this entry would decide somewhere; shadowMaybe
+	// records that one of them decides MAYBE there.
 	shadowers   []int32
 	shadowMaybe bool
 }
@@ -99,23 +96,21 @@ type Engine struct {
 	nsys              int
 
 	dom     *domain
+	env     *worldEnv
 	worlds  []world
+	walked  [][]int // per world, each EACL's deciding entry in the walk
 	results []worldResult
 	stats   [][]entryStat // [eaclIdx][entryIdx]
 	opts    Options
 }
 
-// New builds the engine: domain extraction, then per world the entry
-// models, the specification's scan and folds over them, and the
-// differential replay. A non-nil error means the specification and the
-// compiled engine disagreed — a bug, never a policy property.
+// New builds the engine: the walk of each EACL's scan, which decides
+// the entry statistics, the walk of the composition, whose cubes'
+// witnesses are the worlds, then per world the specification's scan and
+// folds and the differential replay. A non-nil error means the
+// specification and the compiled engine disagreed — a bug, never a
+// policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
-	return build(system, local, opts, false)
-}
-
-// build is New; own builds the grid from one entry's own conditions
-// (see Unsatisfiable).
-func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) {
 	e := &Engine{
 		policy:    gaa.NewPolicy("reason", system, local),
 		sysPolicy: gaa.NewPolicy("reason", system, nil),
@@ -123,34 +118,51 @@ func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) 
 		nsys:      len(system),
 	}
 	e.eacls = append(append([]*eacl.EACL{}, system...), local...)
-
-	max := opts.MaxWorlds
-	if max <= 0 {
-		max = DefaultMaxWorlds
-	}
-	e.dom = buildDomain(e.eacls, opts, max, own)
-	e.worlds = e.dom.worlds(max)
+	e.dom = buildDomain(e.eacls, opts)
+	e.env = newWorldEnv(e.dom.values)
 
 	e.stats = make([][]entryStat, len(e.eacls))
 	for i, ec := range e.eacls {
 		e.stats[i] = make([]entryStat, len(ec.Entries))
 	}
+	// Each EACL's own walk tallies its entries; the first one's pieces
+	// are also where the composition's walk goes on from.
+	for n := range e.eacls {
+		if n >= e.nsys && e.stopSystem() {
+			continue // never scanned
+		}
+		for _, k := range e.roots() {
+			e.scan(n, 0, k, func(k *cube, d int, kind gaa.EntryKind) {
+				e.tally(n, d, k, kind)
+				if n == 0 {
+					e.compose(1, k, []int{d})
+				}
+			})
+		}
+	}
+	if len(e.eacls) == 0 {
+		for _, k := range e.roots() {
+			e.compose(0, k, nil)
+		}
+	}
 
 	ctx := context.Background()
-	env := newWorldEnv(e.dom.values)
+	env := e.env
 	model := make([][]gaa.EntryModel, len(e.eacls)) // [eacl][entry], reused per world
-	nentries := 0
 	for i, ec := range e.eacls {
 		model[i] = make([]gaa.EntryModel, len(ec.Entries))
-		nentries += len(ec.Entries)
 	}
-	kinds := make([]gaa.EntryKind, len(e.worlds)*nentries)
+	entry := func(n, i int) *gaa.EntryModel {
+		env.api.SpecEntry(ctx, e.eacls[n], i, env.req, &model[n][i])
+		return &model[n][i]
+	}
 	e.results = make([]worldResult, 0, len(e.worlds))
 	for wi := range e.worlds {
 		env.enter(e.dom, &e.worlds[wi])
-		r := worldResult{idx: wi, w: e.worlds[wi], kinds: kinds[wi*nentries : (wi+1)*nentries]}
-		e.models(ctx, env.api, env.req, model, r.kinds)
-		e.foldWorld(ctx, env, model, &r)
+		r := worldResult{idx: wi, w: e.worlds[wi]}
+		if err := e.foldWorld(ctx, env, entry, model, &r); err != nil {
+			return nil, err
+		}
 		if err := e.replay(ctx, env, &r); err != nil {
 			return nil, err
 		}
@@ -159,17 +171,125 @@ func build(system, local []*eacl.EACL, opts Options, own bool) (*Engine, error) 
 	return e, nil
 }
 
-// models writes into model what every entry of the composition would do
-// for req if the scan reached it, and the kinds, flattened, into kinds.
-func (e *Engine) models(ctx context.Context, api *gaa.API, req *gaa.Request, model [][]gaa.EntryModel, kinds []gaa.EntryKind) {
-	k := 0
-	for n, ec := range e.eacls {
-		for i := range ec.Entries {
-			api.SpecEntry(ctx, ec, i, req, &model[n][i])
-			kinds[k] = model[n][i].Kind
-			k++
+// roots are the cubes the walks start from: one per threat level, cut
+// by each query right.
+func (e *Engine) roots() []*cube {
+	var roots []*cube
+	for _, level := range []ids.Level{ids.Low, ids.Medium, ids.High} {
+		roots = append(roots, e.dom.root(level))
+	}
+	for _, r := range e.opts.ExtraRights {
+		var next []*cube
+		for _, k := range roots {
+			match, miss := e.dom.rightPieces(k, r)
+			if match != nil {
+				next = append(next, match)
+			}
+			next = append(next, miss...)
+		}
+		roots = next
+	}
+	return roots
+}
+
+// scan walks EACL n's first-match scan from entry i over cube k: each
+// piece of k goes to decide with the entry deciding it and what that
+// entry does there, or -1 where no entry applies. An entry that decides
+// nowhere in k leaves k whole for the next one.
+func (e *Engine) scan(n, i int, k *cube, decide func(k *cube, d int, kind gaa.EntryKind)) {
+	for ; i < len(e.eacls[n].Entries); i++ {
+		pieces, kinds := e.cut(n, i, k)
+		if !slices.ContainsFunc(kinds, decides) {
+			continue
+		}
+		for j, p := range pieces {
+			if kinds[j] == gaa.EntryInapplicable {
+				e.scan(n, i+1, p, decide)
+			} else {
+				decide(p, i, kinds[j])
+			}
+		}
+		return
+	}
+	decide(k, -1, gaa.EntryInapplicable)
+}
+
+// decides reports whether an entry doing kind stops the scan.
+func decides(kind gaa.EntryKind) bool { return kind != gaa.EntryInapplicable }
+
+// cut returns the pieces of k on which entry i of EACL n reads one cell
+// of its right and of each of its pre and request-result conditions,
+// and what the entry does on each, read off its witness.
+func (e *Engine) cut(n, i int, k *cube) ([]*cube, []gaa.EntryKind) {
+	en := &e.eacls[n].Entries[i]
+	match, miss := e.dom.rightPieces(k, en.Right)
+	var pieces []*cube
+	var kinds []gaa.EntryKind
+	if match != nil {
+		pieces = []*cube{match}
+		for _, c := range en.Conditions {
+			if c.Block != eacl.BlockPre && c.Block != eacl.BlockRequestResult {
+				continue
+			}
+			var next []*cube
+			for _, p := range pieces {
+				if cs := e.dom.cells(c, p); cs != nil {
+					next = append(next, cs...)
+				} else {
+					next = append(next, p)
+				}
+			}
+			pieces = next
+		}
+		var m gaa.EntryModel
+		for _, p := range pieces {
+			w := e.dom.witness(p)
+			e.env.enter(e.dom, &w)
+			e.env.api.SpecEntry(context.Background(), e.eacls[n], i, e.env.req, &m)
+			kinds = append(kinds, m.Kind)
 		}
 	}
+	return append(pieces, miss...), append(kinds, make([]gaa.EntryKind, len(miss))...)
+}
+
+// tally records that entry d of EACL n decides cube k, doing kind, and
+// which later entries would decide somewhere in k.
+func (e *Engine) tally(n, d int, k *cube, kind gaa.EntryKind) {
+	if d < 0 {
+		return
+	}
+	st := &e.stats[n][d]
+	st.decided, st.fired = true, st.fired || kind == gaa.EntryFiresYes || kind == gaa.EntryFiresNo
+	for i := d + 1; i < len(e.eacls[n].Entries); i++ {
+		later := &e.stats[n][i]
+		known := slices.Contains(later.shadowers, int32(d))
+		if known && (later.shadowMaybe || kind != gaa.EntryMaybe) {
+			continue
+		}
+		if _, kinds := e.cut(n, i, k); slices.ContainsFunc(kinds, decides) {
+			later.shadowMaybe = later.shadowMaybe || kind == gaa.EntryMaybe
+			if !known {
+				later.shadowers = append(later.shadowers, int32(d))
+			}
+		}
+	}
+}
+
+// compose walks the composition's scans in order from EACL n over cube
+// k, which the EACLs before n decide by deciders; each cube left after
+// the last one gives its witness as a world.
+func (e *Engine) compose(n int, k *cube, deciders []int) {
+	if n == len(e.eacls) || n >= e.nsys && e.stopSystem() {
+		for len(deciders) < len(e.eacls) {
+			deciders = append(deciders, -1)
+		}
+		e.worlds = append(e.worlds, e.dom.witness(k))
+		e.walked = append(e.walked, deciders)
+		return
+	}
+	e.scan(n, 0, k, func(k *cube, d int, _ gaa.EntryKind) {
+		e.compose(n+1, k, append(slices.Clip(deciders), d))
+	})
 }
 
 // stopSystem reports whether a system policy declares stop, so local
@@ -179,24 +299,27 @@ func (e *Engine) stopSystem() bool {
 }
 
 // foldWorld takes the composed and system-only verdicts of one world
-// from the specification's scan over its entry models, and records,
-// per entry, which earlier entries decided where it would have.
-func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]gaa.EntryModel, r *worldResult) {
-	entry := func(n, i int) *gaa.EntryModel { return &model[n][i] }
+// from the specification's scan, with entry modeling each entry the
+// scan reaches into model, and records the world's deciders. Those are
+// the walk's for the world's cube, or the cube is not what the walk took
+// it for, an error like a failed replay.
+func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, entry func(n, i int) *gaa.EntryModel, model [][]gaa.EntryModel, r *worldResult) error {
 	var sysOnly *Verdict
 	if e.opts.SystemOnly {
 		sysOnly = &r.sysOnly
 	}
 	ans, decided := env.api.SpecCheck(ctx, e.policy, env.req, entry, sysOnly)
 	r.composed = verdict(&ans)
+	if !slices.Equal(decided, e.walked[r.idx]) {
+		return fmt.Errorf("reason: the walk and the specification disagree on world %s: entries %v decide the walk's cube, %v its witness",
+			describeWorld(e.dom, &r.w), e.walked[r.idx], decided)
+	}
 	for n, d := range decided {
 		if d < 0 {
 			continue
 		}
 		m := &model[n][d]
 		r.deciders = append(r.deciders, entryRef{eacl: int32(n), entry: int32(d), kind: m.Kind})
-		st := &e.stats[n][d]
-		st.decided, st.fired = true, st.fired || m.Kind == gaa.EntryFiresYes || m.Kind == gaa.EntryFiresNo
 		for j := range m.Evaluated {
 			ev := &m.Evaluated[j]
 			r.inexact = r.inexact || e.dom.ambient[ev.Cond.Type]
@@ -207,15 +330,8 @@ func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, model [][]gaa.Ent
 				r.deciderYes[ev.Cond.Type] = true
 			}
 		}
-		for i := d + 1; i < len(model[n]); i++ {
-			if st := &e.stats[n][i]; model[n][i].Kind != gaa.EntryInapplicable {
-				st.shadowMaybe = st.shadowMaybe || m.Kind == gaa.EntryMaybe
-				if !slices.Contains(st.shadowers, int32(d)) {
-					st.shadowers = append(st.shadowers, int32(d))
-				}
-			}
-		}
 	}
+	return nil
 }
 
 // verdict is the decision-only part of an answer.
@@ -250,14 +366,14 @@ func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) erro
 // Worlds returns the number of worlds modeled.
 func (e *Engine) Worlds() int { return len(e.results) }
 
-// Truncated reports whether the grid is known not to cover the policy
-// — a dimension or world cap was hit, or no clean URI dodging every
-// regex list could be found — in which case universal claims (proofs,
-// dead entries, vetoed grants) are downgraded to "unknown".
+// Truncated reports whether the cubes are known not to cover the
+// policy's behaviours — a condition reads state outside the request —
+// in which case universal claims (proofs, dead entries, vetoed grants)
+// are downgraded to "unknown".
 func (e *Engine) Truncated() bool { return e.dom.incomplete() }
 
-// Incomplete says how the grid falls short of covering the policy, ""
-// when it covers it.
+// Incomplete says how the cubes fall short of covering the policy, ""
+// when they cover it.
 func (e *Engine) Incomplete() string {
 	if !e.dom.incomplete() {
 		return ""
@@ -265,8 +381,8 @@ func (e *Engine) Incomplete() string {
 	return "incomplete domain: " + e.dom.why
 }
 
-// Fired reports whether entry i of the composition's EACL n fired, all
-// its pre-conditions YES, in some world: a request that satisfies it.
+// Fired reports whether entry i of the composition's EACL n fires, all
+// its pre-conditions YES, on some cube: a request that satisfies it.
 func (e *Engine) Fired(n, i int) bool { return e.stats[n][i].fired }
 
 // Cause says why a dead entry never decides.
@@ -276,11 +392,11 @@ const (
 	// CauseStop: a local entry under a system policy declaring stop,
 	// never evaluated at all.
 	CauseStop Cause = "stop"
-	// CauseShadowed: earlier entries of the same EACL decide every world
-	// in which this entry would decide (DeadEntry.ShadowedBy).
+	// CauseShadowed: earlier entries of the same EACL decide every
+	// request this entry would decide (DeadEntry.ShadowedBy).
 	CauseShadowed Cause = "shadowed"
-	// CauseUnsatisfiable: the entry's own right and guard hold together
-	// in no world of the grid.
+	// CauseUnsatisfiable: the entry decides on no cube, and no earlier
+	// entry decides where it would.
 	CauseUnsatisfiable Cause = "unsatisfiable"
 )
 
@@ -296,19 +412,15 @@ type DeadEntry struct {
 	ShadowedBy []int `json:"-"`
 }
 
-// DeadEntries returns the entries that decide in no world, each with
-// its cause. Local entries under stop are structural and always
-// reported. The other causes are universal claims over the grid, kept
-// sound by these suppressions:
+// DeadEntries returns the entries that decide on no cube, each with its
+// cause. Local entries under stop are structural and always reported.
+// The other causes are universal claims, kept sound by two
+// suppressions:
 //
 //   - the domain is incomplete (Truncated) — none reported;
-//   - a shadowing entry decided MAYBE where this entry would have
-//     decided (with the unevaluated condition resolved, the scan could
-//     continue past it and reach this entry);
-//   - the entry's guard carries an "re:" expression (witnesses for
-//     regular expressions are not synthesized) and it is unsatisfiable
-//     in the grid, or a shadowing entry reads the request line too;
-//   - a shadowing entry's guard carries an "re:" expression.
+//   - a shadowing entry decides MAYBE where this entry would decide
+//     (with the unevaluated condition resolved, the scan could continue
+//     past it and reach this entry).
 func (e *Engine) DeadEntries() []DeadEntry {
 	var out []DeadEntry
 	for ei, ec := range e.eacls {
@@ -326,25 +438,13 @@ func (e *Engine) DeadEntries() []DeadEntry {
 			case st.decided || st.shadowMaybe:
 				continue
 			case len(st.shadowers) == 0:
-				if _, expr := e.dom.requestLineGuard(en); expr {
-					continue
-				}
 				d.Cause = CauseUnsatisfiable
 			default:
-				_, ownExpr := e.dom.requestLineGuard(en)
-				slices.Sort(st.shadowers)
+				d.Cause = CauseShadowed
 				for _, j := range st.shadowers {
-					reads, expr := e.dom.requestLineGuard(&ec.Entries[j])
-					if expr || ownExpr && reads {
-						d.ShadowedBy = nil
-						break
-					}
 					d.ShadowedBy = append(d.ShadowedBy, int(j))
 				}
-				if d.ShadowedBy == nil {
-					continue
-				}
-				d.Cause = CauseShadowed
+				slices.Sort(d.ShadowedBy)
 			}
 			out = append(out, d)
 		}
@@ -510,18 +610,6 @@ func (e *Engine) AnonymousGrants() []AnonymousGrant {
 		}
 	}
 	return out
-}
-
-// requestLineGuard reports whether the entry's pre block matches the
-// request line, and whether it does so with an "re:" expression — a
-// guard the domain synthesizes no witnesses for.
-func (d *domain) requestLineGuard(en *eacl.Entry) (reads, expr bool) {
-	for _, c := range en.Block(eacl.BlockPre) {
-		a, _ := d.atoms(c)
-		reads = reads || a.Axis == conditions.AxisLine
-		expr = expr || a.Exprs
-	}
-	return reads, expr
 }
 
 // describeWorld renders a world compactly for error messages.

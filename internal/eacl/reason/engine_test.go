@@ -133,11 +133,11 @@ func TestDeadEntryCauses(t *testing.T) {
 	if len(got) != 1 || got[0].Cause != CauseUnsatisfiable || got[0].ShadowedBy != nil {
 		t.Errorf("unsatisfiable: %+v", got)
 	}
-	// Every local entry under stop, even on a grid that does not cover
-	// the policy.
+	// Every local entry under stop, even on a domain that does not
+	// cover the policy.
 	got = mustEngine(t, []*eacl.EACL{mustEACL(t, "eacl_mode stop\nneg_access_right * *\n")},
-		[]*eacl.EACL{mustEACL(t, "pos_access_right apache *\npos_access_right sshd *\n")},
-		Options{MaxWorlds: 1}).DeadEntries()
+		[]*eacl.EACL{mustEACL(t, "pos_access_right apache *\n"+ambientGuard+"pos_access_right sshd *\n")},
+		Options{}).DeadEntries()
 	if len(got) != 2 || got[0].Cause != CauseStop || got[1].Cause != CauseStop {
 		t.Errorf("stop: %+v", got)
 	}
@@ -183,19 +183,20 @@ func TestOpenWitnessOnEveryGlobAxis(t *testing.T) {
 	}
 }
 
-// TestRegexExprIsNoClaim: an "re:" guard has no synthesized witnesses.
-// Shadowed only where another request-line list matches, the entry is
-// not claimed dead ("GET /b" reaches it); matched by no grid request
-// line, it is unknown, even under an unconditional entry.
-func TestRegexExprIsNoClaim(t *testing.T) {
-	for _, src := range []string{
-		"neg_access_right apache *\npre_cond_regex gnu *ab*\nneg_access_right apache *\npre_cond_regex gnu re:b\n",
-		"neg_access_right apache *\nneg_access_right apache *\npre_cond_regex gnu re:b\n",
-	} {
-		e := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, src)}, Options{})
-		if dead := e.DeadEntries(); len(dead) != 0 {
-			t.Errorf("DeadEntries = %+v, want none for\n%s", dead, src)
-		}
+// TestRegexExprIsDecided: an "re:" guard is a language like a glob
+// list. Shadowed only where another request-line list matches, the
+// entry is live ("b" reaches it); under an unconditional entry, it is
+// dead, shadowed by that entry.
+func TestRegexExprIsDecided(t *testing.T) {
+	e := mustEngine(t, nil, []*eacl.EACL{mustEACL(t,
+		"neg_access_right apache *\npre_cond_regex gnu *ab*\nneg_access_right apache *\npre_cond_regex gnu re:b\n")}, Options{})
+	if dead := e.DeadEntries(); len(dead) != 0 {
+		t.Errorf("DeadEntries = %+v, want none", dead)
+	}
+	e = mustEngine(t, nil, []*eacl.EACL{mustEACL(t,
+		"neg_access_right apache *\nneg_access_right apache *\npre_cond_regex gnu re:b\n")}, Options{})
+	if dead := e.DeadEntries(); len(dead) != 1 || dead[0].Line != 2 || fmt.Sprint(dead[0].ShadowedBy) != "[0]" {
+		t.Errorf("DeadEntries = %+v, want line 2 shadowed by entry 0", dead)
 	}
 }
 
@@ -342,9 +343,8 @@ func TestUnknownProofName(t *testing.T) {
 	}
 }
 
-// TestUnsatisfiable pins the per-entry query: what its own grid proves
-// dead, what it proves live although the capped grid of a whole file
-// could not, and what it leaves unknown rather than guess.
+// TestUnsatisfiable pins the per-entry query: which regions are empty,
+// which are not, and what it leaves unknown rather than guess.
 func TestUnsatisfiable(t *testing.T) {
 	tests := []struct {
 		name, guard string
@@ -362,14 +362,17 @@ func TestUnsatisfiable(t *testing.T) {
 		// neither window's own boundaries name.
 		{"windows meeting on a shared day", "pre_cond_time_window local 09:00-17:00 Wed\npre_cond_time_window local 10:00-12:00 Mon-Fri", false, ""},
 		{"threat levels", "pre_cond_system_threat_level local =high\npre_cond_system_threat_level local =low", true, ""},
-		// Seven names exceed the user axis's cap of a file's grid.
 		{"seven users", "pre_cond_accessid_USER apache a b c d e f g", false, ""},
 		// Unregistered conditions and '@' references are MAYBE: the
 		// entry decides, so it is not unsatisfiable.
 		{"unregistered", "pre_cond_phase_of_moon local full", false, ""},
-		{"regex expression", "pre_cond_regex gnu re:^POST\\s", false, `"re:" expression`},
-		{"two glob lists", "pre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*", false, "globs"},
-		{"glob and CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 10.0.0.0/8", false, "globs"},
+		{"regex expression", "pre_cond_regex gnu re:^POST\\s", false, ""},
+		{"two glob lists", "pre_cond_regex gnu *cgi*\npre_cond_regex gnu *phf*", false, ""},
+		{"glob and CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 10.0.0.0/8", false, ""},
+		{"disjoint expressions", "pre_cond_regex gnu re:^GET\npre_cond_regex gnu re:^POST", true, ""},
+		{"disjoint globs", "pre_cond_regex gnu GET*\npre_cond_regex gnu POST*", true, ""},
+		{"glob outside a CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 192.168.0.0/16", true, ""},
+		{"ambient", strings.TrimSuffix(ambientGuard, "\n"), false, "reads state outside the request"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

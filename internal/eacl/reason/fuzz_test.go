@@ -20,9 +20,11 @@ import (
 // replayed through the compiled engine, and New fails on any
 // disagreement. The fuzzer's job is to find a policy shape on which the
 // specification and the compiled engine part. Every world is then
-// modeled and replayed again in a fresh environment of its own
+// scanned and replayed again in a fresh environment of its own
 // (replayFresh), which catches state the engine's shared environment
-// leaks from one world into the next.
+// leaks from one world into the next. The walk has no cap: at most
+// eight entries bound it, and a seed with a file hash holds the one
+// incompleteness left, ambient state.
 func FuzzReasonVsEvaluator(f *testing.F) {
 	f.Add("pos_access_right apache *\n")
 	f.Fuzz(func(t *testing.T, src string) {
@@ -36,8 +38,7 @@ func FuzzReasonVsEvaluator(f *testing.F) {
 		if len(pol.Entries) > 8 {
 			return
 		}
-		opts := Options{MaxWorlds: 400, SystemOnly: true,
-			Values: map[string]string{"max_input": "1000"}}
+		opts := Options{SystemOnly: true, Values: map[string]string{"max_input": "1000"}}
 
 		// Local-only and composed-with-itself both exercise the fold.
 		for _, arr := range [][2][]*eacl.EACL{
@@ -96,28 +97,33 @@ func freshEnv(d *domain, w *world) (*gaa.API, *gaa.Request) {
 	return api, d.request(w)
 }
 
-// replayFresh models and replays every exact world of e in a fresh
+// replayFresh scans and replays every exact world of e in a fresh
 // environment and requires what the engine recorded in its shared one:
-// the kind of every entry, which the shadow statistics behind
-// DeadEntries read, and the verdicts.
+// the deciding entries and the verdicts.
 func replayFresh(t *testing.T, e *Engine) {
 	t.Helper()
 	ctx := context.Background()
-	model := make([][]gaa.EntryModel, len(e.eacls))
-	for n, ec := range e.eacls {
-		model[n] = make([]gaa.EntryModel, len(ec.Entries))
-	}
 	for i := range e.results {
 		r := &e.results[i]
 		if r.inexact {
 			continue
 		}
 		api, req := freshEnv(e.dom, &r.w)
-		kinds := make([]gaa.EntryKind, len(r.kinds))
-		e.models(ctx, api, req, model, kinds)
-		if !slices.Equal(kinds, r.kinds) {
-			t.Fatalf("world %s: entry kinds %v in a fresh environment, %v in the shared one",
-				describeWorld(e.dom, &r.w), kinds, r.kinds)
+		var sysOnly Verdict
+		ans, decided := api.SpecCheck(ctx, e.policy, req, nil, &sysOnly)
+		var deciders []entryRef
+		for n, d := range decided {
+			if d >= 0 {
+				deciders = append(deciders, entryRef{eacl: int32(n), entry: int32(d)})
+			}
+		}
+		recorded := slices.Clone(r.deciders)
+		for j := range recorded {
+			recorded[j].kind = 0
+		}
+		if !slices.Equal(deciders, recorded) || verdict(&ans) != r.composed {
+			t.Fatalf("world %s: deciders %v, verdict %+v in a fresh environment; %v, %+v in the shared one",
+				describeWorld(e.dom, &r.w), deciders, verdict(&ans), recorded, r.composed)
 		}
 		check := func(p *gaa.Policy, want Verdict, label string) {
 			ans, err := api.CheckAuthorization(ctx, p, req)

@@ -1,7 +1,7 @@
 package reason
 
 import (
-	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -10,15 +10,16 @@ import (
 	"gaaapi/internal/gaa"
 )
 
-// Proofs are universal claims over the world grid. Unlike queries, a
-// proof can come back "unknown": when the domain was truncated the grid
-// no longer covers the policy's behaviours and a universal claim cannot
-// be discharged; when an inexact world (one whose verdict consulted
-// ambient state, e.g. a file hash) violates the property, the violation
-// existed at analysis time but cannot be pinned to a replayable witness.
+// Proofs are universal claims over every request. Unlike queries, a
+// proof can come back "unknown": when a condition reads state outside
+// the request the regions no longer cover the policy's behaviours and a
+// universal claim cannot be discharged; when an inexact world (one whose
+// verdict consulted ambient state, e.g. a file hash) violates the
+// property, the violation existed at analysis time but cannot be pinned
+// to a replayable witness.
 //
 //	no-anonymous-yes — no unauthenticated request obtains a composed YES
-//	no-dead-entries  — every entry decides its EACL in some world (after
+//	no-dead-entries  — every entry decides its EACL on some region (after
 //	                   the DeadEntries suppressions; see that method);
 //	                   each dead entry carries its cause
 
@@ -91,59 +92,62 @@ func (e *Engine) Prove(name string) (*ProofResult, error) {
 	return res, nil
 }
 
-// Unsatisfiable is the one definition of an entry that can never
-// decide: modeled alone, on a grid built from its own conditions, it
-// decides in no world. core is nil when it can decide, else the
-// pre-conditions that cannot hold together: those of the first type
-// that cannot alone, or all of them. unknown says why the grid may miss
-// the worlds where a dead entry decides, or how the replay failed.
+// Unsatisfiable is the one definition of an entry that can never fire:
+// its region is empty. The region is the requests its right matches on
+// which each pre-condition holds, a condition that is MAYBE for every
+// request (unregistered, malformed, an unresolved '@' reference)
+// counting as holding. core is nil when the region is not empty, else
+// the pre-conditions that cannot hold together: those of the first type
+// that cannot alone, or all of them. unknown says why the walk may miss
+// the region: a condition reads state outside the request.
 func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
-	if dead, unknown := deadAlone(en); !dead {
+	if empty, unknown := emptyRegion(en); !empty {
 		return nil, unknown
 	}
 	core = en.Block(eacl.BlockPre)
 	for _, c := range core {
 		sub := slices.DeleteFunc(en.Block(eacl.BlockPre), func(o eacl.Condition) bool { return o.Type != c.Type })
-		if dead, _ := deadAlone(eacl.Entry{Right: en.Right, Conditions: sub}); dead {
+		if empty, _ := emptyRegion(eacl.Entry{Right: en.Right, Conditions: sub}); empty {
 			return sub, ""
 		}
 	}
 	return core, ""
 }
 
-// deadAlone reports whether en decides in no world of its own grid.
-func deadAlone(en eacl.Entry) (dead bool, unknown string) {
-	e, err := build(nil, []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}, Options{}, true)
-	if err != nil {
-		return false, err.Error()
-	} else if e.stats[0][0].decided {
-		return false, ""
+// emptyRegion reports whether en fires on none of the cubes it cuts the
+// request space into.
+func emptyRegion(en eacl.Entry) (empty bool, unknown string) {
+	e := &Engine{eacls: []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}}
+	e.dom = buildDomain(e.eacls, Options{})
+	e.env = newWorldEnv(e.dom.values)
+	var m gaa.EntryModel
+	for _, k := range e.roots() {
+		pieces, _ := e.cut(0, 0, k)
+		for _, p := range pieces {
+			w := e.dom.witness(p)
+			if !eacl.MatchRight(en.Right, w.right) {
+				continue
+			}
+			e.env.enter(e.dom, &w)
+			e.env.api.SpecEntry(context.Background(), e.eacls[0], 0, e.env.req, &m)
+			if e.holds(&m) {
+				return false, ""
+			}
+		}
 	}
-	why := cmp.Or(e.Incomplete(), e.dom.blindSpot(&en))
-	return why == "", why
+	return !e.dom.incomplete(), e.Incomplete()
 }
 
-// blindSpot says why a grid holding each pattern's own witnesses may
-// miss the worlds where en decides, "" when it cannot: no witness is
-// synthesized for an "re:" expression, nor one two '*'-glob conditions
-// on one axis share. CIDRs alone are exact: a block's network address
-// lies in every block overlapping it.
-func (d *domain) blindSpot(en *eacl.Entry) string {
-	if _, expr := d.requestLineGuard(en); expr {
-		return `incomplete domain: no witness is synthesized for an "re:" expression`
-	}
-	reads, globbed := map[conditions.Axis]int{}, map[conditions.Axis]bool{}
-	for _, c := range en.Block(eacl.BlockPre) {
-		a, _ := d.atoms(c)
-		reads[a.Axis]++
-		if len(a.Globs) > 0 {
-			globbed[a.Axis] = true
+// holds reports whether an entry model has every pre-condition hold:
+// none NO, and each MAYBE one that no request changes.
+func (e *Engine) holds(m *gaa.EntryModel) bool {
+	for _, ev := range m.Evaluated {
+		if ev.Outcome.Result == gaa.No {
+			return false
 		}
 	}
-	for axis := range globbed {
-		if reads[axis] > 1 {
-			return "incomplete domain: two conditions match one axis with '*'-globs, and no witness of both is synthesized"
-		}
-	}
-	return ""
+	return !slices.ContainsFunc(m.Unevaluated, func(c eacl.Condition) bool {
+		a, cells := e.dom.atoms(c)
+		return cells && a.Axis != conditions.AxisNone
+	})
 }

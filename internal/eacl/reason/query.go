@@ -81,8 +81,8 @@ func ParseQuery(s string) (*Query, error) {
 	return q, nil
 }
 
-// ExtraRights returns right candidates the domain must include for this
-// query (the who-can pattern; it joins the intersection pass too).
+// ExtraRights returns the rights that must cut the domain for this
+// query (the who-can pattern), so its regions lie inside or outside it.
 func (q *Query) ExtraRights() []eacl.Right {
 	if q.Kind == "who-can" {
 		return []eacl.Right{q.Right}

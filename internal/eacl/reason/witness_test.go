@@ -6,6 +6,8 @@ import (
 	"gaaapi/internal/eacl"
 )
 
+// A cube's string witness is the shortest string of its languages
+// (eacl.Witness): for one glob, the pattern with its stars removed.
 func TestGlobWitness(t *testing.T) {
 	cases := []struct{ pattern, want string }{
 		{"*", ""},
@@ -15,15 +17,18 @@ func TestGlobWitness(t *testing.T) {
 		{"a*b*c", "abc"},
 	}
 	for _, tt := range cases {
-		if got := globWitness(tt.pattern); got != tt.want {
-			t.Errorf("globWitness(%q) = %q, want %q", tt.pattern, got, tt.want)
+		got, ok := eacl.Witness([]eacl.Language{{Globs: []string{tt.pattern}}}, nil)
+		if !ok || got != tt.want {
+			t.Errorf("witness of %q = %q, %v; want %q", tt.pattern, got, ok, tt.want)
 		}
-		if !eacl.Glob(tt.pattern, globWitness(tt.pattern)) {
+		if !eacl.Glob(tt.pattern, got) {
 			t.Errorf("pattern %q does not match its own witness", tt.pattern)
 		}
 	}
 }
 
+// Two right patterns that overlap share a cube, whose witness is the
+// shortest string both match.
 func TestGlobIntersectWitness(t *testing.T) {
 	cases := []struct {
 		a, b    string
@@ -42,16 +47,16 @@ func TestGlobIntersectWitness(t *testing.T) {
 		{"a", "", false, 0},
 	}
 	for _, tt := range cases {
-		got, ok := globIntersectWitness(tt.a, tt.b)
+		got, ok := eacl.Witness([]eacl.Language{{Globs: []string{tt.a}}, {Globs: []string{tt.b}}}, nil)
 		if ok != tt.ok {
-			t.Errorf("globIntersectWitness(%q, %q) ok = %v, want %v", tt.a, tt.b, ok, tt.ok)
+			t.Errorf("witness of %q and %q ok = %v, want %v", tt.a, tt.b, ok, tt.ok)
 			continue
 		}
 		if !ok {
 			continue
 		}
 		if len(got) != tt.wantLen {
-			t.Errorf("globIntersectWitness(%q, %q) = %q (len %d), want len %d", tt.a, tt.b, got, len(got), tt.wantLen)
+			t.Errorf("witness of %q and %q = %q (len %d), want len %d", tt.a, tt.b, got, len(got), tt.wantLen)
 		}
 		if !eacl.Glob(tt.a, got) || !eacl.Glob(tt.b, got) {
 			t.Errorf("witness %q not matched by both %q and %q", got, tt.a, tt.b)

@@ -179,7 +179,9 @@ type sourceProfile struct {
 	// emitted as a score event, so events carry sample deltas.
 	journaled  float64
 	journaledN int
-	blocked    bool
+	// blockedUntil is the deadline of the source's last block: a hot
+	// source is blocked again once it has passed.
+	blockedUntil time.Time
 }
 
 // resourceProfile is the per-resource (path) request-shape baseline.
@@ -373,9 +375,9 @@ func (e *Engine) scoreLocked(src *sourceProfile, res *resourceProfile, s Sample)
 // threshold and whether its score is worth journaling.
 func (e *Engine) enforceSourceLocked(addr string, src *sourceProfile, at time.Time) (block bool, ev ScoreEvent, emit bool) {
 	evidence := src.n + src.merged
-	if !src.blocked && e.blocks != nil &&
+	if !at.Before(src.blockedUntil) && e.blocks != nil &&
 		src.score >= e.cfg.BlockScore && evidence >= e.cfg.MinSamples {
-		src.blocked = true
+		src.blockedUntil = at.Add(blockFor)
 		block = true
 	}
 	delta := src.score - src.journaled

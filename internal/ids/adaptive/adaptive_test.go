@@ -94,6 +94,20 @@ func TestScanningSourceBlockedBeforeGlobalEscalation(t *testing.T) {
 	}
 }
 
+// TestLapsedBlockIsRenewed: a block lasts blockFor; a source that is
+// still probing after it lapsed is blocked again.
+func TestLapsedBlockIsRenewed(t *testing.T) {
+	e, _, _ := newTestEngine(testConfig())
+	end := attack(e, "203.0.113.99", 30, epoch)
+	if got := e.Stats().SourceBlocks; got != 1 {
+		t.Fatalf("SourceBlocks after 30 probes = %d, want 1", got)
+	}
+	attack(e, "203.0.113.99", 30, end.Add(11*time.Minute))
+	if got := e.Stats().SourceBlocks; got != 2 {
+		t.Errorf("SourceBlocks after 30 more probes past the block's end = %d, want 2", got)
+	}
+}
+
 func TestSustainedAttackRaisesLevel(t *testing.T) {
 	e, mgr, _ := newTestEngine(testConfig())
 	end := browse(e, "10.0.0.1", 50, epoch)

@@ -64,9 +64,9 @@ func (e *Engine) ApplyScore(ev ScoreEvent) bool {
 		src.last = ev.At
 	}
 	block := false
-	if !src.blocked && e.blocks != nil &&
+	if !ev.At.Before(src.blockedUntil) && e.blocks != nil &&
 		src.score >= e.cfg.BlockScore && src.n+src.merged >= e.cfg.MinSamples {
-		src.blocked = true
+		src.blockedUntil = ev.At.Add(blockFor)
 		block = true
 	}
 	e.mu.Unlock()
