@@ -10,7 +10,7 @@ import (
 // seededOpts is the largest shipped workload: the section 7.2
 // composition with max_input resolved, whose walk cuts every threat
 // level by the BadGuys bit, the authority, the signature list and the
-// input length's three intervals and absence (30 worlds).
+// input length's absence and two intervals (30 worlds).
 var seededOpts = Options{Values: map[string]string{"max_input": "1000"}, SystemOnly: true}
 
 func shipped72(tb testing.TB) (sys, loc *eacl.EACL) {

@@ -25,9 +25,9 @@ import (
 // axis holds the languages its strings must be in and must avoid; a
 // CIDR is the language of the addresses inside it; a time window is a
 // set of minutes of the week; a comparison cuts its parameter into
-// absent and three integer intervals; a group is a membership bit; the
-// threat level is one of three. The first-match scan is walked over
-// cubes (walk): each entry cuts the cube it is reached with into the
+// absent and the intervals on which it holds or fails; a group is a
+// membership bit; the threat level is one of three. The first-match
+// scan is walked over cubes (Engine.scan): each entry cuts the cube it is reached with into the
 // pieces on which its right and each of its conditions read one cell,
 // and each piece's witness — one request, the shortest string of each
 // language intersection (eacl.Witness) — tells through the real
