@@ -4,7 +4,9 @@ package eacl
 // (match.go) are two questions the string search (lang.go) answers:
 // inclusion proves an entry unreachable (an earlier pattern covers
 // everything a later one can match), intersection proves two entries
-// can fire on the same request (a pos/neg conflict).
+// can fire on the same request (a pos/neg conflict). Where the search
+// gives up (ErrSearchBudget), each answers on the side that claims
+// nothing: not covered, overlapping.
 
 // GlobCovers reports whether pattern outer matches every string that
 // pattern inner matches — language inclusion L(inner) ⊆ L(outer): no
@@ -13,8 +15,8 @@ package eacl
 // GlobCovers("GET /cgi-bin/*", "GET /cgi-bin/phf") is true;
 // GlobCovers("*phf*", "*") is false (inner matches "", outer does not).
 func GlobCovers(outer, inner string) bool {
-	_, found := Witness([]Language{{Globs: []string{inner}}}, []Language{{Globs: []string{outer}}})
-	return !found
+	_, found, err := Witness([]Language{{Globs: []string{inner}}}, []Language{{Globs: []string{outer}}})
+	return outer == inner || !found && err == nil
 }
 
 // GlobsOverlap reports whether some string is matched by both patterns
@@ -23,8 +25,8 @@ func GlobCovers(outer, inner string) bool {
 // GlobsOverlap("GET /a*", "*phf*") is true (e.g. "GET /aphf");
 // GlobsOverlap("GET *", "POST *") is false.
 func GlobsOverlap(a, b string) bool {
-	_, found := Witness([]Language{{Globs: []string{a}}, {Globs: []string{b}}}, nil)
-	return found
+	_, found, err := Witness([]Language{{Globs: []string{a}}, {Globs: []string{b}}}, nil)
+	return a == b || found || err != nil
 }
 
 // GlobsEquivalent reports whether two patterns match exactly the same

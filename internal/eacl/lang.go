@@ -2,6 +2,7 @@ package eacl
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/bits"
 	"regexp/syntax"
 	"slices"
@@ -19,27 +20,39 @@ import (
 // glob is a chain of states whose stars loop, an expression is the
 // program regexp/syntax compiles. Both are finite, so the search ends,
 // and breadth first, so a witness found is a shortest one. Inclusion
-// and intersection of globs (cover.go) are two such questions.
+// and intersection of globs (cover.go) are two such questions. The
+// product can still grow exponentially (an expression's sets of
+// instructions, the states of many globs side by side), so a search
+// that passes maxSearchNodes states gives up with ErrSearchBudget.
 
 // Language is a union of '*'-globs and regular expressions.
 type Language struct {
 	Globs, Exprs []string
 }
 
+// maxSearchNodes bounds the states one search visits; the searches of
+// the shipped policies and tests visit at most about a thousand.
+const maxSearchNodes = 1 << 14
+
+// ErrSearchBudget is Witness's answer when the search passes
+// maxSearchNodes states before it decides.
+var ErrSearchBudget = errors.New("the string search exceeds its state budget")
+
 // Witness returns a shortest string that every language of in matches
-// and no language of out does, and whether one exists. An expression
-// that does not compile matches nothing. Among the shortest, the one
-// read first prefers a byte no pattern names ('~' where it can), then
-// lower bytes. Where expressions take part the search reads runes, so a
-// glob byte outside UTF-8 reads as U+FFFD there.
-func Witness(in, out []Language) (string, bool) {
+// and no language of out does, and whether one exists; or
+// ErrSearchBudget when it cannot tell. An expression that does not
+// compile matches nothing. Among the shortest, the one read first
+// prefers a byte no pattern names ('~' where it can), then lower bytes.
+// Where expressions take part the search reads runes, so a glob byte
+// outside UTF-8 reads as U+FFFD there.
+func Witness(in, out []Language) (string, bool, error) {
 	// Two single globs whose literal starts part ways share no string.
 	var starts []string
 	for _, l := range in {
 		if len(l.Globs) == 1 && len(l.Exprs) == 0 {
 			p, _, _ := strings.Cut(l.Globs[0], "*")
 			if slices.ContainsFunc(starts, func(q string) bool { return !strings.HasPrefix(p, q) && !strings.HasPrefix(q, p) }) {
-				return "", false
+				return "", false, nil
 			}
 			starts = append(starts, p)
 		}
@@ -363,7 +376,7 @@ func key(buf []byte, prev rune, states []bitset) []byte {
 }
 
 // run is the breadth-first search.
-func (s *search) run() (string, bool) {
+func (s *search) run() (string, bool, error) {
 	start := make([]bitset, len(s.all))
 	for i, a := range s.all {
 		start[i] = a.start()
@@ -379,7 +392,10 @@ func (s *search) run() (string, bool) {
 				rev = append(rev, nodes[i].sym)
 			}
 			slices.Reverse(rev)
-			return strings.Join(rev, ""), true
+			return strings.Join(rev, ""), true, nil
+		}
+		if len(nodes) > maxSearchNodes {
+			return "", false, ErrSearchBudget
 		}
 		live := s.literals(n)
 	next:
@@ -401,7 +417,7 @@ func (s *search) run() (string, bool) {
 			}
 		}
 	}
-	return "", false
+	return "", false, nil
 }
 
 // holds reports whether the node's text is in every in language and no

@@ -102,13 +102,25 @@ func TestWitness(t *testing.T) {
 	}
 	for _, tt := range tests {
 		in, out := languages(tt.in), languages(tt.out)
-		got, found := Witness(in, out)
+		got, found, err := Witness(in, out)
+		if err != nil {
+			t.Errorf("Witness(%q, %q): %v", tt.in, tt.out, err)
+		}
 		if found != tt.found || found && got != tt.want {
 			t.Errorf("Witness(%q, %q) = %q, %v; want %q, %v", tt.in, tt.out, got, found, tt.want, tt.found)
 		}
 		if found && !holds(in, out)(got) {
 			t.Errorf("Witness(%q, %q) = %q, which the languages do not hold", tt.in, tt.out, got)
 		}
+	}
+}
+
+// TestWitnessBudget: the strings whose 17th byte from the end is an 'a'
+// need a state per choice of the last 17 bytes, past the search's
+// budget, so it says it cannot tell rather than run on.
+func TestWitnessBudget(t *testing.T) {
+	if w, found, err := Witness(languages("re:^[ab]*a[ab]{16}$"), nil); err != ErrSearchBudget {
+		t.Errorf("Witness = %q, %v, %v; want ErrSearchBudget", w, found, err)
 	}
 }
 
@@ -140,7 +152,10 @@ func FuzzLanguageWitness(f *testing.F) {
 			return
 		}
 		inAll := holds(in, out)
-		got, found := Witness(in, out)
+		got, found, err := Witness(in, out)
+		if err != nil {
+			return // undecided within the budget: neither a witness nor "empty"
+		}
 		if found {
 			if !inAll(got) {
 				t.Fatalf("Witness(%q, %q) = %q, which the languages do not hold", inSpec, outSpec, got)

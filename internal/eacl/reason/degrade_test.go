@@ -1,17 +1,21 @@
 package reason
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gaaapi/internal/conditions"
+	"gaaapi/internal/costpin"
 	"gaaapi/internal/eacl"
 )
 
 // Honest-degradation contract: whenever the cubes cannot cover the
-// policy (a condition reads state outside the request), universal
+// policy (a condition reads state outside the request, a walk passes
+// its budget), universal
 // claims downgrade to unknown and positive evidence is withheld.
 
 // ambientGuard is a pre-condition whose truth is a file's, not the
@@ -43,6 +47,36 @@ pre_cond_accessid_USER apache *
 	if res := mustAnswer(t, e, "who-can(apache, *)"); !res.Truncated {
 		t.Error("query result does not carry the truncation flag")
 	}
+}
+
+// TestWalkBudgetDegradesProofs: each group-guarded per-directory local
+// cuts every cube it is reached with into members and the rest, so 24
+// of them make 2^24 cubes. The walk stops at its budget: New returns
+// within seconds, with the domain incomplete and every universal claim
+// unknown, while the worlds it did walk still answer and replay: an
+// anonymous member of a group is granted.
+func TestWalkBudgetDegradesProofs(t *testing.T) {
+	var locals []*eacl.EACL
+	for g := 0; g < 24; g++ {
+		locals = append(locals, mustEACL(t, fmt.Sprintf(
+			"pos_access_right apache *\npre_cond_accessid_GROUP local g%d\nneg_access_right apache *\n", g)))
+	}
+	start := time.Now()
+	e := mustEngine(t, nil, locals, Options{})
+	elapsed := time.Since(start)
+	if why := e.Incomplete(); !strings.Contains(why, "the walk exceeds") {
+		t.Fatalf("Incomplete() = %q, want the walk's budget", why)
+	}
+	if res := mustProve(t, e, "no-dead-entries"); res.Result != Unknown {
+		t.Errorf("no-dead-entries past the budget = %s, want unknown", res.Result)
+	}
+	if res := mustProve(t, e, "no-anonymous-yes"); res.Result != Refuted {
+		t.Errorf("no-anonymous-yes past the budget = %s, want refuted by a walked world", res.Result)
+	}
+	if !costpin.Race && elapsed > 5*time.Second {
+		t.Errorf("New took %v past the budget (%d worlds)", elapsed, e.Worlds())
+	}
+	t.Logf("New: %v over %d worlds", elapsed, e.Worlds())
 }
 
 // TestCatchAllListIsDecided: a catch-all pattern leaves no request line

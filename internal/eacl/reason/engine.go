@@ -3,7 +3,7 @@
 // static analysis (internal/eacl/analysis). It walks each EACL's
 // first-match scan over regions of the request space cut from the
 // policy's own text (domain.go): a string language per glob or "re:"
-// list, an address language per CIDR, minutes of the week per time
+// list, an address block per CIDR, minutes of the week per time
 // window, integer intervals per comparison, a bit per group, the
 // tri-level threat scale. One witness request per region is modeled by
 // gaa's executable specification (spec.go): SpecEntry runs each entry's
@@ -25,8 +25,9 @@
 // engine (CheckAuthorization) and fails loudly if it disagrees with the
 // specification's verdict, so every world of every run is a differential
 // check of the two. The regions cover every request but where a
-// condition reads ambient state, which the engine tracks (Truncated,
-// inexact worlds); see DESIGN.md §5.2 for the full argument.
+// condition reads ambient state or a walk or search passes its budget,
+// which the engine tracks (Truncated, inexact worlds); see DESIGN.md
+// §5.2 for the full argument.
 package reason
 
 import (
@@ -199,6 +200,9 @@ func (e *Engine) roots() []*cube {
 func (e *Engine) scan(n, i int, k *cube, decide func(k *cube, d int, kind gaa.EntryKind)) {
 	for ; i < len(e.eacls[n].Entries); i++ {
 		pieces, kinds := e.cut(n, i, k)
+		if e.dom.cubes > maxCubes {
+			return
+		}
 		if !slices.ContainsFunc(kinds, decides) {
 			continue
 		}
@@ -219,10 +223,14 @@ func decides(kind gaa.EntryKind) bool { return kind != gaa.EntryInapplicable }
 
 // cut returns the pieces of k on which entry i of EACL n reads one cell
 // of its right and of each of its pre and request-result conditions,
-// and what the entry does on each, read off its witness.
+// and what the entry does on each, read off its witness; nothing once
+// the walk is past its budget.
 func (e *Engine) cut(n, i int, k *cube) ([]*cube, []gaa.EntryKind) {
 	en := &e.eacls[n].Entries[i]
 	match, miss := e.dom.rightPieces(k, en.Right)
+	if e.dom.spend(1 + len(miss)) {
+		return nil, nil
+	}
 	var pieces []*cube
 	var kinds []gaa.EntryKind
 	if match != nil {
@@ -239,7 +247,9 @@ func (e *Engine) cut(n, i int, k *cube) ([]*cube, []gaa.EntryKind) {
 					next = append(next, p)
 				}
 			}
-			pieces = next
+			if pieces = next; e.dom.spend(len(next)) {
+				return nil, nil
+			}
 		}
 		var m gaa.EntryModel
 		for _, p := range pieces {
@@ -280,6 +290,10 @@ func (e *Engine) tally(n, d int, k *cube, kind gaa.EntryKind) {
 // the last one gives its witness as a world.
 func (e *Engine) compose(n int, k *cube, deciders []int) {
 	if n == len(e.eacls) || n >= e.nsys && e.stopSystem() {
+		// A world costs a fold and a replay through every EACL.
+		if e.dom.spend(len(e.eacls)) {
+			return
+		}
 		for len(deciders) < len(e.eacls) {
 			deciders = append(deciders, -1)
 		}
@@ -367,9 +381,9 @@ func (e *Engine) replay(ctx context.Context, env *worldEnv, r *worldResult) erro
 func (e *Engine) Worlds() int { return len(e.results) }
 
 // Truncated reports whether the cubes are known not to cover the
-// policy's behaviours — a condition reads state outside the request —
-// in which case universal claims (proofs, dead entries, vetoed grants)
-// are downgraded to "unknown".
+// policy's behaviours — a condition reads state outside the request, or
+// a walk or search passed its budget — in which case universal claims
+// (proofs, dead entries, vetoed grants) are downgraded to "unknown".
 func (e *Engine) Truncated() bool { return e.dom.incomplete() }
 
 // Incomplete says how the cubes fall short of covering the policy, ""

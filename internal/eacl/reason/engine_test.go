@@ -133,6 +133,29 @@ func TestDeadEntryCauses(t *testing.T) {
 	if len(got) != 1 || got[0].Cause != CauseUnsatisfiable || got[0].ShadowedBy != nil {
 		t.Errorf("unsatisfiable: %+v", got)
 	}
+	// Two halves of a block shadow a grant to the block; one half
+	// leaves the other half's first address to it.
+	halves := "neg_access_right apache *\npre_cond_location local 10.0.0.0/9 10.128.0.0/9\n"
+	got = dead(nil, []*eacl.EACL{mustEACL(t, halves+"pos_access_right apache *\npre_cond_location local 10.0.0.0/8\n")})
+	if len(got) != 1 || got[0].Line != 3 || fmt.Sprint(got[0].ShadowedBy) != "[0]" {
+		t.Errorf("shadowed by blocks: %+v", got)
+	}
+	half := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, strings.Replace(halves, " 10.128.0.0/9", "", 1)+
+		"pos_access_right apache *\npre_cond_location local 10.0.0.0/8\n")}, Options{})
+	if got := half.DeadEntries(); got != nil {
+		t.Errorf("half a block: %+v", got)
+	}
+	if res := mustAnswer(t, half, "who-can(apache, *)"); !strings.Contains(fmt.Sprint(res), "10.128.0.0") {
+		t.Errorf("who-can = %+v, want a grant at 10.128.0.0", res)
+	}
+	// An IPv6 glob beside its block cuts four address cubes, each with
+	// a witness: 2001:db8:: (in both), its block's last address (in the
+	// block only), 2001:db8::~ (in the glob only), and one outside both.
+	v6 := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, "neg_access_right apache *\n"+
+		"pre_cond_location local 2001:db8::*\npre_cond_location local 2001:db8::/32\npos_access_right apache *\n")}, Options{})
+	if why := v6.Incomplete(); why != "" || v6.DeadEntries() != nil {
+		t.Errorf("IPv6 glob and block: %q, %+v; want complete, no dead entry", why, v6.DeadEntries())
+	}
 	// Every local entry under stop, even on a domain that does not
 	// cover the policy.
 	got = mustEngine(t, []*eacl.EACL{mustEACL(t, "eacl_mode stop\nneg_access_right * *\n")},
@@ -371,8 +394,18 @@ func TestUnsatisfiable(t *testing.T) {
 		{"glob and CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 10.0.0.0/8", false, ""},
 		{"disjoint expressions", "pre_cond_regex gnu re:^GET\npre_cond_regex gnu re:^POST", true, ""},
 		{"disjoint globs", "pre_cond_regex gnu GET*\npre_cond_regex gnu POST*", true, ""},
-		{"glob outside a CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 192.168.0.0/16", true, ""},
+		// A client address is judged as the location condition judges
+		// it, by net.ParseIP: 2001:db8::1 is in both lists.
+		{"IPv6 glob and CIDR", "pre_cond_location local 2001:db8::*\npre_cond_location local 2001:db8::/32", false, ""},
+		{"disjoint IPv6 CIDRs", "pre_cond_location local 2001:db8::/32\npre_cond_location local 2001:db9::/32", true, ""},
+		{"host name inside a CIDR", "pre_cond_accessid_HOST local *.example.org\npre_cond_location local 10.0.0.0/8", true, ""},
+		{"IPv4 and IPv6 CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 2001:db8::/32", true, ""},
+		{"CIDR inside a union of CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 10.0.0.0/9 10.128.0.0/9", false, ""},
+		// No string of 10.1.* parses into 192.168.0.0/16, but the walk
+		// names no spelling of an address beyond those it tries.
+		{"glob outside a CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 192.168.0.0/16", false, "address glob"},
 		{"ambient", strings.TrimSuffix(ambientGuard, "\n"), false, "reads state outside the request"},
+		{"expression past the search's budget", "pre_cond_regex gnu re:^[ab]*a[ab]{16}$", false, "state budget"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -115,11 +115,14 @@ func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
 }
 
 // emptyRegion reports whether en fires on none of the cubes it cuts the
-// request space into.
+// request space into. Each piece's witness is replayed through the
+// compiled engine, as New replays worlds; a disagreement is unknown.
 func emptyRegion(en eacl.Entry) (empty bool, unknown string) {
 	e := &Engine{eacls: []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}}
+	e.policy = gaa.NewPolicy("reason", e.eacls, nil)
 	e.dom = buildDomain(e.eacls, Options{})
 	e.env = newWorldEnv(e.dom.values)
+	ctx := context.Background()
 	var m gaa.EntryModel
 	for _, k := range e.roots() {
 		pieces, _ := e.cut(0, 0, k)
@@ -129,7 +132,12 @@ func emptyRegion(en eacl.Entry) (empty bool, unknown string) {
 				continue
 			}
 			e.env.enter(e.dom, &w)
-			e.env.api.SpecEntry(context.Background(), e.eacls[0], 0, e.env.req, &m)
+			ans, _ := e.env.api.SpecCheck(ctx, e.policy, e.env.req, nil, nil)
+			r := worldResult{w: w, composed: verdict(&ans), inexact: e.dom.incomplete()}
+			if err := e.replay(ctx, e.env, &r); err != nil {
+				return false, err.Error()
+			}
+			e.env.api.SpecEntry(ctx, e.eacls[0], 0, e.env.req, &m)
 			if e.holds(&m) {
 				return false, ""
 			}

@@ -17,8 +17,8 @@ func TestGlobWitness(t *testing.T) {
 		{"a*b*c", "abc"},
 	}
 	for _, tt := range cases {
-		got, ok := eacl.Witness([]eacl.Language{{Globs: []string{tt.pattern}}}, nil)
-		if !ok || got != tt.want {
+		got, ok, err := eacl.Witness([]eacl.Language{{Globs: []string{tt.pattern}}}, nil)
+		if !ok || err != nil || got != tt.want {
 			t.Errorf("witness of %q = %q, %v; want %q", tt.pattern, got, ok, tt.want)
 		}
 		if !eacl.Glob(tt.pattern, got) {
@@ -47,9 +47,9 @@ func TestGlobIntersectWitness(t *testing.T) {
 		{"a", "", false, 0},
 	}
 	for _, tt := range cases {
-		got, ok := eacl.Witness([]eacl.Language{{Globs: []string{tt.a}}, {Globs: []string{tt.b}}}, nil)
-		if ok != tt.ok {
-			t.Errorf("witness of %q and %q ok = %v, want %v", tt.a, tt.b, ok, tt.ok)
+		got, ok, err := eacl.Witness([]eacl.Language{{Globs: []string{tt.a}}, {Globs: []string{tt.b}}}, nil)
+		if ok != tt.ok || err != nil {
+			t.Errorf("witness of %q and %q ok = %v, %v; want %v", tt.a, tt.b, ok, err, tt.ok)
 			continue
 		}
 		if !ok {
