@@ -273,6 +273,9 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 		{"unsat-globs.eacl", []string{"E013"}, 3},
 		// Their satisfiable twin.
 		{"sat-globs.eacl", nil, 0},
+		// An address glob the scan reaches only outside an earlier
+		// entry's CIDR: no walk asks for an address in both.
+		{"glob-beside-cidr.eacl", nil, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.file, func(t *testing.T) {

@@ -140,43 +140,36 @@ type finding struct {
 }
 
 // findings runs the prover over the file as a stand-alone local policy,
-// once. An entry that fires in the file's walk is satisfiable; any
-// other gets its own query. One found unsatisfiable decides nothing,
-// and one the query cannot settle gets only that note, so the file is
-// proved again without both.
+// once. Each entry is asked first whether it can fire at all: one found
+// unsatisfiable decides nothing, and one the query cannot settle gets
+// only that note, so the file is proved without both.
 func (f *File) findings() []finding {
 	if f.proved {
 		return f.found
 	}
 	f.proved = true
-	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{})
 	reduced := &eacl.EACL{Source: f.EACL.Source}
 	var live []int // reduced.Entries index -> f.EACL.Entries index
 	for i, en := range f.EACL.Entries {
-		if err != nil || !eng.Fired(0, i) {
-			switch core, why := reason.Unsatisfiable(en); {
-			case core != nil:
-				f.found = append(f.found, unsatFinding(f.EACL.Source, en))
-				continue
-			case why != "":
-				f.found = append(f.found, finding{code: "W022", file: f.EACL.Source, line: en.Line,
-					msg: "prover: unknown whether this entry can fire: " + why})
-				continue
-			}
+		switch core, why := reason.Unsatisfiable(en); {
+		case core != nil:
+			f.found = append(f.found, unsatFinding(f.EACL.Source, en))
+		case why != "":
+			f.found = append(f.found, finding{code: "W022", file: f.EACL.Source, line: en.Line,
+				msg: "prover: unknown whether this entry can fire: " + why})
+		default:
+			live, reduced.Entries = append(live, i), append(reduced.Entries, en)
 		}
-		live, reduced.Entries = append(live, i), append(reduced.Entries, en)
 	}
 	if len(live) < 2 {
 		return f.found // shadowing takes two entries that can decide
 	}
-	if len(live) < len(f.EACL.Entries) {
-		eng, err = reason.New(nil, []*eacl.EACL{reduced}, reason.Options{})
-	}
+	eng, err := reason.New(nil, []*eacl.EACL{reduced}, reason.Options{})
 	if f.found = append(f.found, unknown(reduced.Source, eng, err)...); err != nil {
 		return f.found
 	}
 	for _, d := range eng.DeadEntries() {
-		d.Index = live[d.Index]
+		d.Index, d.ShadowedBy = live[d.Index], slices.Clone(d.ShadowedBy) // the engine keeps its own
 		for k, j := range d.ShadowedBy {
 			d.ShadowedBy[k] = live[j]
 		}
@@ -189,11 +182,7 @@ func (f *File) findings() []finding {
 func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
 	x := finding{code: "W022", file: d.Source, line: d.Line,
 		msg: "prover: no request at any threat level reaches this entry; every world is decided earlier in the scan"}
-	switch {
-	case d.Cause == reason.CauseUnsatisfiable: // yet it fired, or its own query found it satisfiable
-		x.msg = "prover: unknown whether this entry is shadowed: no region of the file is one it decides"
-		return x
-	case len(d.ShadowedBy) != 1:
+	if len(d.ShadowedBy) != 1 {
 		return x
 	}
 	en, prev := &e.Entries[d.Index], &e.Entries[d.ShadowedBy[0]]

@@ -1,16 +1,16 @@
 // Package reason is a whole-policy reasoning engine for composed EACL
 // policies — the "who can do what, when?" layer on top of the per-file
-// static analysis (internal/eacl/analysis). It walks each EACL's
-// first-match scan over regions of the request space cut from the
-// policy's own text (domain.go): a string language per glob or "re:"
-// list, an address block per CIDR, minutes of the week per time
-// window, integer intervals per comparison, a bit per group, the
-// tri-level threat scale. One witness request per region is modeled by
-// gaa's executable specification (spec.go): SpecEntry runs each entry's
-// pre conditions through the real evaluators, and SpecCheck's
-// first-match scan, level fold, composition and request-result
-// conjunction decide over those models. It answers reachability
-// queries:
+// static analysis (internal/eacl/analysis). It walks the composition,
+// each EACL's first-match scan in turn, over regions of the request
+// space cut from the policy's own text (domain.go): a string language
+// per glob or "re:" list, an address block per CIDR, minutes of the
+// week per time window, integer intervals per comparison, a bit per
+// group, the tri-level threat scale. One witness request per region is
+// modeled by gaa's executable specification (spec.go): SpecEntry runs
+// each entry's pre conditions through the real evaluators, and
+// SpecCheck's first-match scan, level fold, composition and
+// request-result conjunction decide over those models. It answers
+// reachability queries:
 //
 //	who-can(defauth, right[, threat])   — principals that obtain YES
 //	reachable-without(cond-type)        — a YES needing no such condition
@@ -18,7 +18,10 @@
 //	                                      system-only decisions diverge
 //
 // It is also the one definition of "this entry can never decide" the
-// analyzer presents (DeadEntries, VetoedGrants, Bypasses, Unsatisfiable).
+// analyzer presents (DeadEntries, VetoedGrants, Bypasses, Unsatisfiable):
+// an entry decides in some world, or its fate walk — the entry cut alone,
+// and the pieces it decides scanned by its EACL — names what keeps it
+// from deciding.
 //
 // Every positive answer carries a concrete synthesized request; during
 // construction the engine replays every world through the compiled
@@ -26,11 +29,12 @@
 // specification's verdict, so every world of every run is a differential
 // check of the two. The regions cover every request but where a
 // condition reads ambient state or a walk or search passes its budget,
-// which the engine tracks (Truncated, inexact worlds); see DESIGN.md
-// §5.2 for the full argument.
+// which the engine tracks (Truncated, Incomplete, inexact worlds); see
+// DESIGN.md §5.2 for the full argument.
 package reason
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -79,18 +83,8 @@ type entryRef struct {
 	kind  gaa.EntryKind
 }
 
-// entryStat aggregates per-entry reachability over all cubes.
-type entryStat struct {
-	decided, fired bool // fired: decided with every pre-condition YES
-	// shadowers are the earlier entries of the same EACL that decide a
-	// cube in which this entry would decide somewhere; shadowMaybe
-	// records that one of them decides MAYBE there.
-	shadowers   []int32
-	shadowMaybe bool
-}
-
 // Engine is an analyzed composition: the domain, the per-world
-// verdicts, and per-entry reachability statistics.
+// verdicts, and the entries that decide in no world.
 type Engine struct {
 	policy, sysPolicy *gaa.Policy  // the composition and its system-only projection
 	eacls             []*eacl.EACL // composition order: system then local
@@ -101,16 +95,16 @@ type Engine struct {
 	worlds  []world
 	walked  [][]int // per world, each EACL's deciding entry in the walk
 	results []worldResult
-	stats   [][]entryStat // [eaclIdx][entryIdx]
+	dead    []DeadEntry
+	deadWhy string // why the fate walks fall short of the policy
 	opts    Options
 }
 
-// New builds the engine: the walk of each EACL's scan, which decides
-// the entry statistics, the walk of the composition, whose cubes'
+// New builds the engine: the walk of the composition, whose cubes'
 // witnesses are the worlds, then per world the specification's scan and
-// folds and the differential replay. A non-nil error means the
-// specification and the compiled engine disagreed — a bug, never a
-// policy property.
+// folds and the differential replay, and last the fate of each entry
+// that decides in no world. A non-nil error means the specification and
+// the compiled engine disagreed — a bug, never a policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	e := &Engine{
 		policy:    gaa.NewPolicy("reason", system, local),
@@ -122,29 +116,8 @@ func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 	e.dom = buildDomain(e.eacls, opts)
 	e.env = newWorldEnv(e.dom.values)
 
-	e.stats = make([][]entryStat, len(e.eacls))
-	for i, ec := range e.eacls {
-		e.stats[i] = make([]entryStat, len(ec.Entries))
-	}
-	// Each EACL's own walk tallies its entries; the first one's pieces
-	// are also where the composition's walk goes on from.
-	for n := range e.eacls {
-		if n >= e.nsys && e.stopSystem() {
-			continue // never scanned
-		}
-		for _, k := range e.roots() {
-			e.scan(n, 0, k, func(k *cube, d int, kind gaa.EntryKind) {
-				e.tally(n, d, k, kind)
-				if n == 0 {
-					e.compose(1, k, []int{d})
-				}
-			})
-		}
-	}
-	if len(e.eacls) == 0 {
-		for _, k := range e.roots() {
-			e.compose(0, k, nil)
-		}
+	for _, k := range e.roots() {
+		e.compose(0, k, nil)
 	}
 
 	ctx := context.Background()
@@ -169,6 +142,7 @@ func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
 		}
 		e.results = append(e.results, r)
 	}
+	e.fates()
 	return e, nil
 }
 
@@ -262,27 +236,76 @@ func (e *Engine) cut(n, i int, k *cube) ([]*cube, []gaa.EntryKind) {
 	return append(pieces, miss...), append(kinds, make([]gaa.EntryKind, len(miss))...)
 }
 
-// tally records that entry d of EACL n decides cube k, doing kind, and
-// which later entries would decide somewhere in k.
-func (e *Engine) tally(n, d int, k *cube, kind gaa.EntryKind) {
-	if d < 0 {
-		return
-	}
-	st := &e.stats[n][d]
-	st.decided, st.fired = true, st.fired || kind == gaa.EntryFiresYes || kind == gaa.EntryFiresNo
-	for i := d + 1; i < len(e.eacls[n].Entries); i++ {
-		later := &e.stats[n][i]
-		known := slices.Contains(later.shadowers, int32(d))
-		if known && (later.shadowMaybe || kind != gaa.EntryMaybe) {
-			continue
+// fates gives each entry that decides in no world its cause. A local
+// entry under a stop system is never scanned. Where the walk covers the
+// policy, any other is cut alone from the roots, and the pieces it
+// decides go through its EACL's scan from the first entry: the earlier
+// entries deciding them shadow it, and where it decides none it is
+// unsatisfiable. A walk that falls short of the policy leaves a claim of
+// death unknown, never one of life: where the walk of an entry claimed
+// dead falls short, only the stop causes stand.
+func (e *Engine) fates() {
+	decided := map[[2]int]bool{}
+	for _, ds := range e.walked {
+		for n, d := range ds {
+			decided[[2]int{n, d}] = true
 		}
-		if _, kinds := e.cut(n, i, k); slices.ContainsFunc(kinds, decides) {
-			later.shadowMaybe = later.shadowMaybe || kind == gaa.EntryMaybe
-			if !known {
-				later.shadowers = append(later.shadowers, int32(d))
+	}
+	complete := !e.dom.incomplete()
+	for n, ec := range e.eacls {
+		stop := n >= e.nsys && e.stopSystem()
+		for i, en := range ec.Entries {
+			d := DeadEntry{Source: ec.Source, Line: en.Line, Right: en.Right.String(), Index: i}
+			switch {
+			case stop:
+				d.Cause = CauseStop
+			case !complete || decided[[2]int{n, i}]:
+				continue
+			default:
+				if d.Cause, d.ShadowedBy = e.fate(n, i); d.Cause != "" {
+					e.deadWhy = cmp.Or(e.deadWhy, e.dom.why)
+				}
+				if e.dom.why = ""; d.Cause == "" {
+					continue
+				}
 			}
+			e.dead = append(e.dead, d)
 		}
 	}
+	if e.deadWhy != "" {
+		e.dead = slices.DeleteFunc(e.dead, func(d DeadEntry) bool { return d.Cause != CauseStop })
+	}
+}
+
+// fate scans the pieces entry i of EACL n decides alone, and returns
+// the entries deciding them first, ascending: its cause is shadowed, or
+// unsatisfiable when there is no piece. It is "" when the scan reaches
+// the entry itself, or a shadowing entry decides MAYBE (with the
+// unevaluated condition resolved, the scan could pass it and reach the
+// entry).
+func (e *Engine) fate(n, i int) (cause Cause, by []int) {
+	cause = CauseUnsatisfiable
+	live := false
+	for _, k := range e.roots() {
+		pieces, kinds := e.cut(n, i, k)
+		for j, p := range pieces {
+			if !decides(kinds[j]) {
+				continue
+			}
+			cause = CauseShadowed
+			e.scan(n, 0, p, func(_ *cube, d int, kind gaa.EntryKind) {
+				live = live || d < 0 || d >= i || kind == gaa.EntryMaybe
+				if !live && !slices.Contains(by, d) {
+					by = append(by, d)
+				}
+			})
+		}
+	}
+	if live {
+		return "", nil
+	}
+	slices.Sort(by)
+	return cause, by
 }
 
 // compose walks the composition's scans in order from EACL n over cube
@@ -383,21 +406,19 @@ func (e *Engine) Worlds() int { return len(e.results) }
 // Truncated reports whether the cubes are known not to cover the
 // policy's behaviours — a condition reads state outside the request, or
 // a walk or search passed its budget — in which case universal claims
-// (proofs, dead entries, vetoed grants) are downgraded to "unknown".
+// (proofs, dead entries, vetoed grants) are downgraded to "unknown";
+// dead entries also where only their fate walks fall short (Incomplete).
 func (e *Engine) Truncated() bool { return e.dom.incomplete() }
 
-// Incomplete says how the cubes fall short of covering the policy, ""
-// when they cover it.
+// Incomplete says how the cubes fall short of covering the policy, or
+// the walks that decide the fates of entries deciding in no world fall
+// short of it; "" when both cover it.
 func (e *Engine) Incomplete() string {
-	if !e.dom.incomplete() {
-		return ""
+	if why := cmp.Or(e.dom.why, e.deadWhy); why != "" {
+		return "incomplete domain: " + why
 	}
-	return "incomplete domain: " + e.dom.why
+	return ""
 }
-
-// Fired reports whether entry i of the composition's EACL n fires, all
-// its pre-conditions YES, on some cube: a request that satisfies it.
-func (e *Engine) Fired(n, i int) bool { return e.stats[n][i].fired }
 
 // Cause says why a dead entry never decides.
 type Cause string
@@ -409,8 +430,7 @@ const (
 	// CauseShadowed: earlier entries of the same EACL decide every
 	// request this entry would decide (DeadEntry.ShadowedBy).
 	CauseShadowed Cause = "shadowed"
-	// CauseUnsatisfiable: the entry decides on no cube, and no earlier
-	// entry decides where it would.
+	// CauseUnsatisfiable: the entry alone decides no request.
 	CauseUnsatisfiable Cause = "unsatisfiable"
 )
 
@@ -426,45 +446,15 @@ type DeadEntry struct {
 	ShadowedBy []int `json:"-"`
 }
 
-// DeadEntries returns the entries that decide on no cube, each with its
-// cause. Local entries under stop are structural and always reported.
-// The other causes are universal claims, kept sound by two
+// DeadEntries returns the entries that decide in no world, each with
+// its cause. Local entries under stop are structural and always
+// reported. The other causes are universal claims, kept sound by two
 // suppressions:
 //
-//   - the domain is incomplete (Truncated) — none reported;
+//   - the domain is incomplete (Incomplete) — none reported;
 //   - a shadowing entry decides MAYBE where this entry would decide
-//     (with the unevaluated condition resolved, the scan could continue
-//     past it and reach this entry).
-func (e *Engine) DeadEntries() []DeadEntry {
-	var out []DeadEntry
-	for ei, ec := range e.eacls {
-		stop := ei >= e.nsys && e.stopSystem()
-		if !stop && e.dom.incomplete() {
-			continue
-		}
-		for i := range ec.Entries {
-			en := &ec.Entries[i]
-			st := &e.stats[ei][i]
-			d := DeadEntry{Source: ec.Source, Line: en.Line, Right: en.Right.String(), Index: i}
-			switch {
-			case stop:
-				d.Cause = CauseStop
-			case st.decided || st.shadowMaybe:
-				continue
-			case len(st.shadowers) == 0:
-				d.Cause = CauseUnsatisfiable
-			default:
-				d.Cause = CauseShadowed
-				for _, j := range st.shadowers {
-					d.ShadowedBy = append(d.ShadowedBy, int(j))
-				}
-				slices.Sort(d.ShadowedBy)
-			}
-			out = append(out, d)
-		}
-	}
-	return out
-}
+//     (see fate).
+func (e *Engine) DeadEntries() []DeadEntry { return e.dead }
 
 // Entry locates one policy entry.
 type Entry struct {

@@ -156,6 +156,20 @@ func TestDeadEntryCauses(t *testing.T) {
 	if why := v6.Incomplete(); why != "" || v6.DeadEntries() != nil {
 		t.Errorf("IPv6 glob and block: %q, %+v; want complete, no dead entry", why, v6.DeadEntries())
 	}
+	// A local EACL under a system that splits the space without stop:
+	// the local's fates are its own, beside the system's, whose BadGuys
+	// deny and grant to everyone else jointly shadow its last entry.
+	sys := mustEACL(t, "neg_access_right * *\npre_cond_accessid_GROUP local BadGuys\n"+
+		"pos_access_right * *\nneg_access_right apache GET /x\n")
+	loc := mustEACL(t, "pos_access_right apache GET /*\npre_cond_system_threat_level local <high\n"+
+		"neg_access_right apache *\npos_access_right apache GET /x\npre_cond_system_threat_level local =low\n")
+	sys.Source, loc.Source = "system", "local"
+	got = dead([]*eacl.EACL{sys}, []*eacl.EACL{loc})
+	if len(got) != 2 || got[0].Source != "system" || got[0].Line != 4 || got[0].Cause != CauseShadowed ||
+		fmt.Sprint(got[0].ShadowedBy) != "[0 1]" || got[1].Source != "local" || got[1].Line != 4 ||
+		got[1].Cause != CauseShadowed || fmt.Sprint(got[1].ShadowedBy) != "[0]" {
+		t.Errorf("composed: %+v", got)
+	}
 	// Every local entry under stop, even on a domain that does not
 	// cover the policy.
 	got = mustEngine(t, []*eacl.EACL{mustEACL(t, "eacl_mode stop\nneg_access_right * *\n")},
@@ -416,11 +430,11 @@ func TestUnsatisfiable(t *testing.T) {
 			}
 		})
 	}
-	// A fired entry is a witness of satisfiability; a shadowed one fires
-	// nowhere.
+	// A shadowed entry decides nowhere, yet alone it fires: shadowed, not
+	// unsatisfiable.
 	eng := mustEngine(t, nil, []*eacl.EACL{mustEACL(t, "pos_access_right apache *\nneg_access_right apache GET /x\n")}, Options{})
-	if !eng.Fired(0, 0) || eng.Fired(0, 1) {
-		t.Errorf("Fired = %v, %v; want true, false", eng.Fired(0, 0), eng.Fired(0, 1))
+	if dead := eng.DeadEntries(); len(dead) != 1 || dead[0].Index != 1 || dead[0].Cause != CauseShadowed || fmt.Sprint(dead[0].ShadowedBy) != "[0]" {
+		t.Errorf("DeadEntries = %+v; want the second entry shadowed by the first", dead)
 	}
 	// The core is the first type that cannot hold alone: the CIDRs, not
 	// the window beside them.

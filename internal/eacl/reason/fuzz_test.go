@@ -68,7 +68,23 @@ func FuzzReasonVsEvaluator(f *testing.F) {
 					t.Fatalf("Prove(%s): %v", p, err)
 				}
 			}
-			e.DeadEntries()
+			// The fate walks and the composition walk agree: a dead entry
+			// decides in no world, and only earlier entries shadow it. A
+			// policy composed with itself shares its source, so an entry
+			// is known by source and index; a local one under stop is
+			// never scanned.
+			for _, d := range e.DeadEntries() {
+				for wi, ds := range e.walked {
+					for n, i := range ds {
+						if i == d.Index && e.eacls[n].Source == d.Source && d.Cause != CauseStop {
+							t.Fatalf("dead entry %+v decides world %s", d, describeWorld(e.dom, &e.worlds[wi]))
+						}
+					}
+				}
+				if slices.ContainsFunc(d.ShadowedBy, func(j int) bool { return j >= d.Index }) {
+					t.Fatalf("dead entry %+v is shadowed by a later one", d)
+				}
+			}
 			e.VetoedGrants()
 			e.Bypasses()
 		}

@@ -75,9 +75,8 @@ func (e *Engine) Prove(name string) (*ProofResult, error) {
 			res.Result = Proved
 		}
 	case "no-dead-entries":
-		if e.dom.incomplete() {
+		if res.Reason = e.Incomplete(); res.Reason != "" {
 			res.Result = Unknown
-			res.Reason = e.Incomplete()
 			return res, nil
 		}
 		res.DeadEntries = e.DeadEntries()
@@ -114,36 +113,29 @@ func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
 	return core, ""
 }
 
-// emptyRegion reports whether en fires on none of the cubes it cuts the
-// request space into. Each piece's witness is replayed through the
-// compiled engine, as New replays worlds; a disagreement is unknown.
+// emptyRegion reports whether en holds in none of the worlds of its
+// one-entry policy, which New replays through the compiled engine; a
+// disagreement is unknown.
 func emptyRegion(en eacl.Entry) (empty bool, unknown string) {
-	e := &Engine{eacls: []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}}
-	e.policy = gaa.NewPolicy("reason", e.eacls, nil)
-	e.dom = buildDomain(e.eacls, Options{})
-	e.env = newWorldEnv(e.dom.values)
-	ctx := context.Background()
+	e, err := New(nil, []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}, Options{})
+	if err != nil {
+		return false, err.Error()
+	}
 	var m gaa.EntryModel
-	for _, k := range e.roots() {
-		pieces, _ := e.cut(0, 0, k)
-		for _, p := range pieces {
-			w := e.dom.witness(p)
-			if !eacl.MatchRight(en.Right, w.right) {
-				continue
-			}
-			e.env.enter(e.dom, &w)
-			ans, _ := e.env.api.SpecCheck(ctx, e.policy, e.env.req, nil, nil)
-			r := worldResult{w: w, composed: verdict(&ans), inexact: e.dom.incomplete()}
-			if err := e.replay(ctx, e.env, &r); err != nil {
-				return false, err.Error()
-			}
-			e.env.api.SpecEntry(ctx, e.eacls[0], 0, e.env.req, &m)
-			if e.holds(&m) {
-				return false, ""
-			}
+	for i := range e.results {
+		if e.walked[i][0] < 0 {
+			continue
+		}
+		e.env.enter(e.dom, &e.results[i].w)
+		e.env.api.SpecEntry(context.Background(), e.eacls[0], 0, e.env.req, &m)
+		if e.holds(&m) {
+			return false, ""
 		}
 	}
-	return !e.dom.incomplete(), e.Incomplete()
+	if e.dom.incomplete() {
+		return false, e.Incomplete()
+	}
+	return true, ""
 }
 
 // holds reports whether an entry model has every pre-condition hold:

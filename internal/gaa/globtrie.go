@@ -27,7 +27,7 @@ import (
 // a suffix test), accepts the rest of the subject.
 // TestGlobTrieMatchesGlob cross-checks insert/match against eacl.Glob
 // over fixed and generated pattern sets, and TestCollapseStarsEquivalence
-// the canonicalization with the GlobCovers inclusion DP.
+// the canonicalization with eacl.GlobCovers, one eacl.Witness search.
 type globTrie struct {
 	nodes []trieNode
 }
@@ -116,8 +116,9 @@ func (t *globTrie) match(s string, bits []uint64) {
 // collapseStars canonicalizes a glob pattern by collapsing runs of
 // consecutive stars into one. The languages are identical — a star
 // matches any (possibly empty) substring, so extra stars add nothing —
-// which the eacl.GlobCovers inclusion DP confirms in both directions
-// (GlobCovers(collapsed, p) && GlobCovers(p, collapsed); pinned by
+// which eacl.GlobCovers confirms in both directions, each one
+// eacl.Witness search for a string in one language and outside the
+// other (GlobCovers(collapsed, p) && GlobCovers(p, collapsed); pinned by
 // cover_test.go). Canonical patterns make equal-language entries share
 // one trie id.
 func collapseStars(p string) string {
