@@ -276,6 +276,10 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 		// An address glob the scan reaches only outside an earlier
 		// entry's CIDR: no walk asks for an address in both.
 		{"glob-beside-cidr.eacl", nil, 0},
+		// Glob bytes outside UTF-8 beside an expression: the search
+		// cannot tell, so no W007, and the entry whose language mixes
+		// both reads unknown.
+		{"glob-bytes-beside-regex.eacl", []string{"W022"}, 6},
 	}
 	for _, tt := range tests {
 		t.Run(tt.file, func(t *testing.T) {

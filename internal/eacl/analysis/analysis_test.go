@@ -11,7 +11,7 @@ import (
 	"gaaapi/internal/gaa"
 )
 
-func mustParse(t *testing.T, src string) *eacl.EACL {
+func mustParse(t testing.TB, src string) *eacl.EACL {
 	t.Helper()
 	e, err := eacl.ParseString(src)
 	if err != nil {

@@ -213,6 +213,38 @@ func TestProverCoversSprawlComposition(t *testing.T) {
 	t.Logf("reason.New: %v over %d worlds", elapsed, eng.Worlds())
 }
 
+// BenchmarkReloadAnalysis times what a reload of the sprawl deployment
+// analyzes, in its three parts: the 200-entry system list alone, the 64
+// locals one by one, and their composition.
+func BenchmarkReloadAnalysis(b *testing.B) {
+	sys := mustParse(b, sprawlSystemPolicy())
+	sys.Source = "system.eacl"
+	var locals []*eacl.EACL
+	for d := 0; d < 64; d++ {
+		e := mustParse(b, sprawlLocalPolicy(d))
+		e.Source = fmt.Sprintf("d%02d.eacl", d)
+		locals = append(locals, e)
+	}
+	known := lintKnown()
+	b.Run("system", func(b *testing.B) {
+		for range b.N {
+			New().AnalyzeFile(&File{EACL: sys, Known: known})
+		}
+	})
+	b.Run("locals", func(b *testing.B) {
+		for range b.N {
+			for _, e := range locals {
+				New().AnalyzeFile(&File{EACL: e, Known: known})
+			}
+		}
+	})
+	b.Run("composition", func(b *testing.B) {
+		for range b.N {
+			New().AnalyzeComposition(NewComposition([]*eacl.EACL{sys}, locals))
+		}
+	})
+}
+
 // TestVetoNamesEveryDenial: two system denials that between them
 // decide wherever the grant fires make one E020 naming both.
 func TestVetoNamesEveryDenial(t *testing.T) {

@@ -86,25 +86,33 @@ func TestWitness(t *testing.T) {
 		in, out string
 		want    string // "" with found false means empty
 		found   bool
+		err     error
 	}{
-		{"GET /a*", "GET /a", "GET /a~", true},
-		{"*phf*\nGET *", "", "GET phf", true},
-		{"GET*\nPOST*", "", "", false},
-		{"GET*\n*phf*", "", "GETphf", true},
-		{"re:^GET\nre:^POST", "", "", false},
-		{`re:^GET\s`, "", "GET\t", true},
-		{"*", "*phf*\t*test-cgi*", "", true},
-		{"re:[0-9]+", "re:^[0-9]*$", "~0", true},
-		{"re:(?i)abc", "abc", "ABC", true},
-		{"GET /cgi-bin/sig10*", "GET /cgi-bin/sig1*", "", false},
-		{"re:a$", "*a", "", false},
-		{`re:\bx`, "x*", "~x", true},
+		{"GET /a*", "GET /a", "GET /a~", true, nil},
+		{"*phf*\nGET *", "", "GET phf", true, nil},
+		{"GET*\nPOST*", "", "", false, nil},
+		{"GET*\n*phf*", "", "GETphf", true, nil},
+		{"re:^GET\nre:^POST", "", "", false, nil},
+		{`re:^GET\s`, "", "GET\t", true, nil},
+		{"*", "*phf*\t*test-cgi*", "", true, nil},
+		{"re:[0-9]+", "re:^[0-9]*$", "~0", true, nil},
+		{"re:(?i)abc", "abc", "ABC", true, nil},
+		{"GET /cgi-bin/sig10*", "GET /cgi-bin/sig1*", "", false, nil},
+		{"re:a$", "*a", "", false, nil},
+		{`re:\bx`, "x*", "~x", true, nil},
+		// Without an expression glob bytes are bytes, UTF-8 or not.
+		{"\xff*", "\xff", "\xff~", true, nil},
+		// A glob's star crosses a newline, an expression's dot does not.
+		{"a*b", `re:^a[^\n]*b$`, "a\nb", true, nil},
+		// "\xff\xff" holds, but a search in runes reads \xfe and \xff
+		// alike (U+FFFD), so where an expression takes part it cannot tell.
+		{in: "*\xff*", out: "*\xfe*\tre:^.$", err: errBytesBesideExpr},
 	}
 	for _, tt := range tests {
 		in, out := languages(tt.in), languages(tt.out)
 		got, found, err := Witness(in, out)
-		if err != nil {
-			t.Errorf("Witness(%q, %q): %v", tt.in, tt.out, err)
+		if err != tt.err {
+			t.Errorf("Witness(%q, %q): error %v, want %v", tt.in, tt.out, err, tt.err)
 		}
 		if found != tt.found || found && got != tt.want {
 			t.Errorf("Witness(%q, %q) = %q, %v; want %q, %v", tt.in, tt.out, got, found, tt.want, tt.found)
@@ -130,7 +138,8 @@ func TestWitnessBudget(t *testing.T) {
 // pass over every string of up to four bytes drawn from the patterns'
 // bytes and one byte none of them holds. Inputs are one language per
 // line, members separated by tabs, "re:" marking an expression;
-// patterns are ASCII.
+// patterns hold no NUL, and bytes past ASCII only where no expression
+// takes part (the search then reads bytes, as the brute-force pass does).
 func FuzzLanguageWitness(f *testing.F) {
 	f.Add("GET*\nPOST*", "")
 	f.Add("GET*\n*phf*", "")
@@ -138,12 +147,13 @@ func FuzzLanguageWitness(f *testing.F) {
 	f.Add("*", "*phf*\tre:cmd")
 	f.Add("a*", "a\tre:^ab")
 	f.Add(`re:\ba`, "re:(?m)^a$")
+	f.Add("\xff*\n*\xc3\xa9*", "\xff\xc3")
 	f.Fuzz(func(t *testing.T, inSpec, outSpec string) {
 		if len(inSpec)+len(outSpec) > 24 {
 			return
 		}
 		for i := 0; i < len(inSpec+outSpec); i++ {
-			if c := (inSpec + outSpec)[i]; c >= 0x80 || c == 0 {
+			if c := (inSpec + outSpec)[i]; c >= 0x80 && strings.Contains(inSpec+outSpec, "re:") || c == 0 {
 				return
 			}
 		}

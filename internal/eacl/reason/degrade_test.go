@@ -79,6 +79,25 @@ func TestWalkBudgetDegradesProofs(t *testing.T) {
 	t.Logf("New: %v over %d worlds", elapsed, e.Worlds())
 }
 
+// TestUntoldPieceStaysApart: the string search cannot tell whether a
+// request line lies in "*\xfe* re:^x$" (a glob outside UTF-8 beside an
+// expression), so the first entry's inside piece is dropped. The piece
+// left outside it must not stand for the whole cube: had it, the second
+// entry's witness "x" would be walked as decided by it, while the first
+// entry fires on "x", and the replay would disagree. Instead the domain
+// is incomplete and the walk holds only what it could tell.
+func TestUntoldPieceStaysApart(t *testing.T) {
+	local := mustEACL(t, "neg_access_right apache *\npre_cond_regex gnu *\xfe* re:^x$\n"+
+		"pos_access_right apache *\npre_cond_regex gnu x*\n")
+	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
+	if why := e.Incomplete(); !strings.Contains(why, "a glob outside UTF-8 shares a string search with an expression") {
+		t.Fatalf("Incomplete() = %q, want the search's mixed-mode answer", why)
+	}
+	if res := mustProve(t, e, "no-dead-entries"); res.Result != Unknown {
+		t.Errorf("no-dead-entries = %s, want unknown", res.Result)
+	}
+}
+
 // TestCatchAllListIsDecided: a catch-all pattern leaves no request line
 // outside its list, and that is a fact about an empty cell, not a gap:
 // entry 2 is maybe-blocked (the malformed expression is MAYBE), so it is

@@ -2,6 +2,7 @@ package reason
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -90,6 +91,7 @@ type domain struct {
 	// outside the request; why says how that leaves the domain short.
 	ambient map[string]bool
 	why     string
+	shorts  int // times the domain fell short
 	cubes   int // cut so far, against maxCubes
 }
 
@@ -100,7 +102,7 @@ func (d *domain) incomplete() bool { return d.why != "" }
 // short records why the domain falls short of the policy; the first
 // reason stands.
 func (d *domain) short(why string) {
-	if d.why == "" {
+	if d.shorts++; d.why == "" {
 		d.why = why
 	}
 }
@@ -365,7 +367,7 @@ func (d *domain) search(in, out []*lang) found {
 		}
 		f.w, f.ok, f.err = eacl.Witness(langs(in), langs(out))
 		d.found[key] = f
-		if f.err != nil {
+		if errors.Is(f.err, eacl.ErrSearchBudget) {
 			d.spend(maxCubes / 8) // as much work as an eighth of the walk's
 		}
 	}
@@ -553,13 +555,15 @@ func (k *cube) withRight(a, v strAxis) *cube {
 }
 
 // cells cuts k into the pieces on which condition c reads one cell of
-// its atoms, or returns nil when it reads the same cell on all of k.
+// its atoms, or returns nil when it reads the same cell on all of k. A
+// piece dropped for want of an answer is no empty one: then the pieces
+// left are returned, even one or none.
 func (d *domain) cells(c eacl.Condition, k *cube) []*cube {
 	a, ok := d.atoms(c)
 	if !ok {
 		return nil
 	}
-	var out []*cube
+	out, shorts := []*cube{}, d.shorts
 	add := func(c *cube) { out = append(out, c) }
 	switch a.Axis {
 	case conditions.AxisUser:
@@ -623,7 +627,7 @@ func (d *domain) cells(c eacl.Condition, k *cube) []*cube {
 			}
 		}
 	}
-	if len(out) < 2 {
+	if len(out) < 2 && d.shorts == shorts {
 		return nil
 	}
 	return out

@@ -170,14 +170,16 @@ func (e *Engine) roots() []*cube {
 // scan walks EACL n's first-match scan from entry i over cube k: each
 // piece of k goes to decide with the entry deciding it and what that
 // entry does there, or -1 where no entry applies. An entry that decides
-// nowhere in k leaves k whole for the next one.
+// nowhere in k leaves k whole for the next one, unless a piece was
+// dropped for want of an answer: then the pieces left go on.
 func (e *Engine) scan(n, i int, k *cube, decide func(k *cube, d int, kind gaa.EntryKind)) {
 	for ; i < len(e.eacls[n].Entries); i++ {
+		shorts := e.dom.shorts
 		pieces, kinds := e.cut(n, i, k)
 		if e.dom.cubes > maxCubes {
 			return
 		}
-		if !slices.ContainsFunc(kinds, decides) {
+		if !slices.ContainsFunc(kinds, decides) && e.dom.shorts == shorts {
 			continue
 		}
 		for j, p := range pieces {
