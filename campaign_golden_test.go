@@ -104,12 +104,12 @@ func TestCampaignReplaySuite(t *testing.T) {
 	}
 }
 
-// TestCampaignGoldenReports pins the full canonical JSON report of two
+// TestCampaignGoldenReports pins the full canonical JSON report of five
 // campaigns, replayed from their committed traces — any drift in the
 // driver, the checkpoint evaluation, the decision accounting or the
 // report shape shows up as a byte diff.
 func TestCampaignGoldenReports(t *testing.T) {
-	for _, name := range []string{"credential-stuffing", "flash-crowd", "adaptive-ramp", "adaptive-flap"} {
+	for _, name := range []string{"credential-stuffing", "flash-crowd", "adaptive-ramp", "adaptive-flap", "lockdown-ends"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			c, err := scenario.Find(name)

@@ -45,14 +45,16 @@ func TestDemoAdaptiveBound(t *testing.T) {
 		t.Fatalf("threat level = %v, want medium", got)
 	}
 
-	// A high-severity signature: the correlator, a listener on the bus,
-	// raises the level to high on the one report and the tuner follows,
-	// both before the request returns.
-	if w := get(t, h, "/cgi-bin/phf?x", "10.0.0.66"); w.Code != http.StatusForbidden {
-		t.Fatalf("phf = %d, want 403", w.Code)
+	// A high-severity signature from HighAfter distinct sources: the
+	// correlator, a listener on the bus, raises the level to high on the
+	// last report and the tuner follows, both before the request returns.
+	for _, ip := range probeSources() {
+		if w := get(t, h, "/cgi-bin/phf?x", ip); w.Code != http.StatusForbidden {
+			t.Fatalf("phf from %s = %d, want 403", ip, w.Code)
+		}
 	}
 	if got := st.Threat.Level(); got != ids.High {
-		t.Fatalf("threat level = %v when the phf request returned, want high", got)
+		t.Fatalf("threat level = %v when the last phf request returned, want high", got)
 	}
 	if got := bound(); got != "100" {
 		t.Fatalf("max_input = %s when the phf request returned, want 100", got)

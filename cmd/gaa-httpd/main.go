@@ -1,8 +1,9 @@
 // Command gaa-httpd runs the GAA-protected web server: the Apache
 // analog with the GAA-API guard in front of its native .htaccess
 // access control, the demo CGI scripts, and the IDS feedback loop
-// (signature reports escalate the threat level, which the policies
-// read back).
+// (signature reports from several sources escalate the threat level,
+// which the policies read back, and a level no detector renews steps
+// down after five minutes).
 //
 // Usage:
 //
@@ -147,7 +148,7 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&cfg.NodeID, "node-id", "", "unique cluster node name; enables replication when -peers is set")
 	fs.StringVar(&peers, "peers", "", "comma-separated peer base URLs (e.g. http://host2:8080,http://host3:8080) to replicate adaptive state to")
 	fs.DurationVar(&cfg.ReplicationInterval, "replication-interval", 0, "idle replication push interval (0: built-in default)")
-	fs.BoolVar(&adaptiveOn, "adaptive", false, "enable self-adaptive per-source threat scoring (learned profiles drive the threat level and per-source blocks)")
+	fs.BoolVar(&adaptiveOn, "adaptive", false, "enable self-adaptive per-source threat scoring (learned profiles raise the threat level and block hot sources; a raised level steps down after 5m without renewal)")
 	fs.BoolVar(&cfg.Metrics, "metrics", true, "serve Prometheus text metrics at /gaa/metrics")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "serve runtime profiles under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
@@ -265,11 +266,16 @@ func run(args []string) (err error) {
 
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	// The threat level's timed step-down runs from this one ticker.
+	ticker := time.NewTicker(time.Second)
+	defer ticker.Stop()
 loop:
 	for {
 		select {
 		case err := <-errCh:
 			return err
+		case now := <-ticker.C:
+			st.Tick(now)
 		case sig := <-sigCh:
 			if sig != syscall.SIGHUP {
 				break loop

@@ -65,17 +65,20 @@ func TestDemoDeploymentServesAndProtects(t *testing.T) {
 		t.Errorf("clean client at medium = %d, want 200", w.Code)
 	}
 
-	// phf is a high-severity signature: one report and the correlator
-	// raises the level to high before the request returns, where the
-	// system policy locks the server down (section 7.1).
-	if w := get(t, h, "/cgi-bin/phf?Qalias=x", "10.0.0.66"); w.Code != http.StatusForbidden {
-		t.Errorf("phf = %d, want 403", w.Code)
-	}
-	if !st.Groups.Contains("BadGuys", "10.0.0.66") {
-		t.Error("attacker not blacklisted")
+	// phf is a high-severity signature: once HighAfter distinct sources
+	// have sent it, the correlator raises the level to high before the
+	// last request returns, where the system policy locks the server
+	// down (section 7.1).
+	for _, ip := range probeSources() {
+		if w := get(t, h, "/cgi-bin/phf?Qalias=x", ip); w.Code != http.StatusForbidden {
+			t.Errorf("phf from %s = %d, want 403", ip, w.Code)
+		}
+		if !st.Groups.Contains("BadGuys", ip) {
+			t.Errorf("attacker %s not blacklisted", ip)
+		}
 	}
 	if got := st.Threat.Level(); got != ids.High {
-		t.Errorf("threat level = %v when the phf request returned, want high", got)
+		t.Errorf("threat level = %v when the last phf request returned, want high", got)
 	}
 	if w := get(t, h, "/index.html", "10.0.0.5"); w.Code != http.StatusForbidden {
 		t.Errorf("clean client under lockdown = %d, want 403", w.Code)

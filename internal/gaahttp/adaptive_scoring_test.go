@@ -121,7 +121,7 @@ func TestStackAdaptiveMetricsExposed(t *testing.T) {
 	MetricsHandler(st.Metrics).ServeHTTP(w, httptest.NewRequest("GET", "/gaa/metrics", nil))
 	body := w.Body.String()
 	for _, name := range []string{
-		MetricAdaptiveSignal, MetricAdaptiveLevel, MetricAdaptiveSources,
+		MetricAdaptiveSignal, MetricAdaptiveSources,
 		MetricAdaptiveResources, MetricAdaptiveSamples, MetricAdaptiveSourceBlocks,
 	} {
 		if !strings.Contains(body, name) {

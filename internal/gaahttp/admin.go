@@ -107,9 +107,8 @@ func (s *Stack) writeStatus(w io.Writer) {
 	}
 	if s.Scorer != nil {
 		as := s.Scorer.Stats()
-		fmt.Fprintf(w, "adaptive: signal=%.3f level=%s sources=%d resources=%d samples=%d source-blocks=%d raises=%d lowers=%d\n",
-			as.Signal, as.Level, as.Sources, as.Resources,
-			as.Samples, as.SourceBlocks, as.Raises, as.Lowers)
+		fmt.Fprintf(w, "adaptive: signal=%.3f sources=%d resources=%d samples=%d source-blocks=%d raises=%d\n",
+			as.Signal, as.Sources, as.Resources, as.Samples, as.SourceBlocks, as.Raises)
 	}
 	rls := s.Reloader.Stats()
 	fmt.Fprintf(w, "reload: generation=%d attempts=%d applied=%d rejected=%d auto-rollbacks=%d probation=%v\n",

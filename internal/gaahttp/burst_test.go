@@ -17,9 +17,10 @@ import (
 // on it would get no CPU until the request goroutine yielded, so any
 // queue between them would fill and drop. Neither test sleeps.
 
-// TestHostIDSSeesProbeInBurst: a phf probe buried in a burst of grants
-// escalates the threat level, and the tuner tightens @max_input, before
-// the probe's ServeHTTP returns.
+// TestHostIDSSeesProbeInBurst: phf probes from HighAfter distinct
+// sources, each buried in a burst of grants, escalate the threat level,
+// and the tuner tightens @max_input, before the last probe's ServeHTTP
+// returns.
 func TestHostIDSSeesProbeInBurst(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	st, err := NewStack(StackConfig{
@@ -43,15 +44,18 @@ func TestHostIDSSeesProbeInBurst(t *testing.T) {
 			}
 		}
 	}
-	grants()
-	if got := st.Threat.Level(); got != ids.Low {
-		t.Fatalf("level = %s after %d grants, want low", got, n)
-	}
-	if code := serveTarget(t, st, "/cgi-bin/phf?Qalias=x", "192.0.2.66"); code != http.StatusForbidden {
-		t.Fatalf("phf probe = %d, want 403", code)
+	probes := ids.DefaultCorrelatorConfig().HighAfter
+	for i := 0; i < probes; i++ {
+		grants()
+		if got := st.Threat.Level(); got != ids.Low {
+			t.Fatalf("level = %s after %d probes and their grants, want low", got, i)
+		}
+		if code := serveTarget(t, st, "/cgi-bin/phf?Qalias=x", fmt.Sprintf("192.0.2.%d", 66+i)); code != http.StatusForbidden {
+			t.Fatalf("phf probe = %d, want 403", code)
+		}
 	}
 	if got := st.Threat.Level(); got != ids.High {
-		t.Fatalf("level = %s when the probe returned, want high", got)
+		t.Fatalf("level = %s when the probe from the %d-th source returned, want high", got, probes)
 	}
 	if got := maxInput(t, st); got != "100" {
 		t.Fatalf("max_input = %q when the probe returned, want the high bound 100", got)

@@ -297,7 +297,7 @@ func TestIDSFeedbackLoop(t *testing.T) {
 	defer st.Close()
 
 	reports := collectReports(st.Bus)
-	correlator := ids.NewCorrelator(st.Threat, ids.DefaultCorrelatorConfig())
+	correlator := ids.NewCorrelator(st.Threat, ids.CorrelatorConfig{HighAfter: 1})
 
 	// One high-severity attack...
 	w := get(t, st.Server, "/cgi-bin/phf?Qalias=x", "", "")

@@ -86,3 +86,68 @@ func TestRestartAtHighThreatKeepsTunedValues(t *testing.T) {
 		t.Fatalf("max_input = %q after a restart at high, want 100", got)
 	}
 }
+
+// hold is the threat manager's hold period: a level no detector renews
+// for this long steps down one level on the next Stack.Tick.
+const hold = 5 * time.Minute
+
+// TestRestartAtHighThreatStepsDown: a level restored at high on a stack
+// that runs a detector is held from the restore instant and then steps
+// down like any other, with the lower level's values tuned in.
+func TestRestartAtHighThreatStepsDown(t *testing.T) {
+	clock := &simClock{now: time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)}
+	cfg := StackConfig{
+		StateDir:      t.TempDir(),
+		RuntimeValues: map[string]string{"max_input": "1000"},
+		LevelValues: map[ids.Level]map[string]string{
+			ids.Low:    {"max_input": "1000"},
+			ids.Medium: {"max_input": "300"},
+			ids.High:   {"max_input": "100"},
+		},
+		Clock: clock.Now,
+	}
+	st, err := NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Threat.Set(ids.High)
+	st.Close()
+
+	clock.Advance(time.Hour) // the restart comes long after the raise
+	st, err = NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	clock.Advance(hold - time.Second)
+	st.Tick(clock.Now())
+	if got := st.Threat.Level(); got != ids.High {
+		t.Fatalf("level = %s inside the hold from the restore, want high", got)
+	}
+	clock.Advance(time.Second)
+	st.Tick(clock.Now())
+	if got := st.Threat.Level(); got != ids.Medium {
+		t.Fatalf("level = %s one hold after the restore, want medium", got)
+	}
+	if got := maxInput(t, st); got != "300" {
+		t.Fatalf("max_input = %q after the step down to medium, want 300", got)
+	}
+}
+
+// TestTickWithoutDetectorKeepsLevel: on a stack that runs neither the
+// correlator nor the scorer, nothing renews the level, and nothing but
+// the operator lowers it.
+func TestTickWithoutDetectorKeepsLevel(t *testing.T) {
+	clock := &simClock{now: time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)}
+	st, err := NewStack(StackConfig{Clock: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Threat.Set(ids.High)
+	clock.Advance(24 * time.Hour)
+	st.Tick(clock.Now())
+	if got := st.Threat.Level(); got != ids.High {
+		t.Fatalf("level = %s a day later on a stack with no detector, want high", got)
+	}
+}

@@ -71,13 +71,11 @@ const (
 	MetricHTTPDuration = "gaa_http_request_duration_seconds"
 
 	MetricAdaptiveSignal       = "gaa_adaptive_signal"
-	MetricAdaptiveLevel        = "gaa_adaptive_level"
 	MetricAdaptiveSources      = "gaa_adaptive_sources"
 	MetricAdaptiveResources    = "gaa_adaptive_resources"
 	MetricAdaptiveSamples      = "gaa_adaptive_samples_total"
 	MetricAdaptiveSourceBlocks = "gaa_adaptive_source_blocks_total"
 	MetricAdaptiveRaises       = "gaa_adaptive_raises_total"
-	MetricAdaptiveLowers       = "gaa_adaptive_lowers_total"
 )
 
 // Components names the stack pieces whose existing counters are scraped
@@ -221,9 +219,6 @@ func RegisterComponentMetrics(reg *metrics.Registry, c Components) {
 		reg.GaugeFunc(MetricAdaptiveSignal,
 			"Smoothed global anomaly signal driving the adaptive threat level.",
 			func() float64 { return sc.Stats().Signal })
-		reg.GaugeFunc(MetricAdaptiveLevel,
-			"Adaptive engine's own hysteresis level (1=low, 2=medium, 3=high).",
-			func() float64 { return float64(sc.Stats().Level) })
 		reg.GaugeFunc(MetricAdaptiveSources,
 			"Live per-source behaviour profiles.",
 			func() float64 { return float64(sc.Stats().Sources) })
@@ -240,8 +235,6 @@ func RegisterComponentMetrics(reg *metrics.Registry, c Components) {
 				func(s adaptive.Stats) uint64 { return s.SourceBlocks }},
 			{MetricAdaptiveRaises, "Adaptive threat-level raises.",
 				func(s adaptive.Stats) uint64 { return s.Raises }},
-			{MetricAdaptiveLowers, "Adaptive threat-level lowers (dwell-gated).",
-				func(s adaptive.Stats) uint64 { return s.Lowers }},
 		} {
 			f := f
 			reg.CounterFunc(f.name, f.help, func() uint64 { return f.fn(sc.Stats()) })

@@ -1,10 +1,12 @@
 package gaahttp
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gaaapi/internal/ids"
 	"gaaapi/policies/paper"
@@ -96,4 +98,52 @@ func serveTarget(t *testing.T, st *Stack, target, ip string) int {
 	w := httptest.NewRecorder()
 	st.Server.ServeHTTP(w, newRequest(target, ip))
 	return w.Code
+}
+
+// TestSpoofedProbeLeavesThreatLevel: the section 3 spoof gate covers
+// the threat level. phf probes from HighAfter spoof-suspected addresses
+// leave it where it was, and one inside a lockdown does not renew the
+// lockdown's hold.
+func TestSpoofedProbeLeavesThreatLevel(t *testing.T) {
+	clock := &simClock{now: time.Date(2003, 5, 1, 9, 0, 0, 0, time.UTC)}
+	st, err := NewStack(StackConfig{
+		SystemPolicy:   paper.System72,
+		LocalPolicies:  map[string]string{"*": policy72Local},
+		DocRoot:        map[string]string{"/index.html": "home"},
+		SpoofedSources: []string{"203.0.113.*"},
+		LevelValues:    tunedLevels,
+		Clock:          clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	probe := func(ip string) {
+		t.Helper()
+		if code := serveTarget(t, st, "/cgi-bin/phf?Qalias=x", ip); code != http.StatusForbidden {
+			t.Fatalf("phf probe from %s = %d, want 403", ip, code)
+		}
+	}
+
+	sources := ids.DefaultCorrelatorConfig().HighAfter
+	for i := 1; i <= sources; i++ {
+		probe(fmt.Sprintf("203.0.113.%d", i))
+	}
+	if got := st.Threat.Level(); got != ids.Low {
+		t.Fatalf("level = %s after probes from %d spoofed sources, want low", got, sources)
+	}
+
+	for i := 1; i <= sources; i++ {
+		probe(fmt.Sprintf("192.0.2.%d", i))
+	}
+	if got := st.Threat.Level(); got != ids.High {
+		t.Fatalf("level = %s after probes from %d real sources, want high", got, sources)
+	}
+	clock.Advance(4 * time.Minute)
+	probe("203.0.113.99")
+	clock.Advance(time.Minute) // five minutes, the hold, since the last real probe
+	st.Tick(clock.Now())
+	if got := st.Threat.Level(); got != ids.Medium {
+		t.Fatalf("level = %s one hold after the last real probe, want medium: a spoofed probe renewed the hold", got)
+	}
 }

@@ -75,8 +75,9 @@ type StackConfig struct {
 	RuntimeValues map[string]string
 	// LevelValues, when non-nil, runs the host-IDS loop (paper sections
 	// 3 and 7.1): a Correlator listening on the bus escalates the
-	// threat level on correlated reports, and a ValueTuner sets each
-	// level's runtime values whenever that level becomes current.
+	// threat level on correlated reports, except those from
+	// spoof-suspected sources, and a ValueTuner sets each level's
+	// runtime values whenever that level becomes current.
 	LevelValues map[ids.Level]map[string]string
 	// AccessLog, when non-nil, receives common-log-format lines.
 	AccessLog io.Writer
@@ -125,7 +126,7 @@ type StackConfig struct {
 
 	// Adaptive, when non-nil, enables the self-adaptive threat-scoring
 	// engine: the guard feeds it every authorization decision, it
-	// drives the threat manager through its hysteresis state machine,
+	// raises the threat level and renews its hold,
 	// blocks hot sources, and its score/profile records persist and
 	// replicate with the rest of the adaptive state.
 	Adaptive *adaptive.Config
@@ -187,6 +188,7 @@ type Stack struct {
 	// StackConfig.Metrics was set).
 	Metrics *metrics.Registry
 
+	detects     bool // runs the correlator or the scorer: Tick lowers the level
 	async       *notify.Async
 	accessLog   *os.File
 	handlerOnce sync.Once
@@ -211,6 +213,7 @@ func NewStack(cfg StackConfig) (_ *Stack, err error) {
 		Audit:    audit.NewRing(1024),
 		Network:  ids.NewStaticSpoofList(0.9, cfg.SpoofedSources...),
 		Values:   gaa.NewValues(),
+		detects:  cfg.LevelValues != nil || cfg.Adaptive != nil,
 	}
 	// Every failure below unwinds through Close, which is safe on a
 	// half-built stack.
@@ -466,7 +469,9 @@ func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
 // threat-level listener, both synchronous: a report has moved the level,
 // and the level current now (a restart may have restored it) and every
 // later one has its values in place, before the request that published
-// it returns.
+// it returns. A report from a spoof-suspected source never reaches the
+// correlator, so it neither counts toward escalation nor renews a hold:
+// the paper's section 3 rule that update_log and block_ip follow.
 func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]map[string]string) {
 	corrCfg := ids.DefaultCorrelatorConfig()
 	corrCfg.Clock = clock
@@ -477,7 +482,20 @@ func (s *Stack) startHostIDS(clock func() time.Time, levelValues map[ids.Level]m
 	}
 	s.Threat.OnChange(func(tr ids.Transition) { tuner.Apply(tr.To) })
 	tuner.Apply(s.Threat.Level())
-	s.Bus.OnReport(func(r ids.Report) { correlator.Observe(r) })
+	s.Bus.OnReport(func(r ids.Report) {
+		if spoofed, _ := s.Network.SpoofIndication(r.ClientIP); !spoofed {
+			correlator.Observe(r)
+		}
+	})
+}
+
+// Tick steps the threat level down once its hold has lapsed at now
+// (ids.Manager.Tick), on a stack that runs a detector. A caller that
+// owns the clock calls it, as with Cluster.Push (DESIGN.md §9).
+func (s *Stack) Tick(now time.Time) {
+	if s.detects {
+		s.Threat.Tick(now)
+	}
 }
 
 // ReloadPolicies parses, analyzes, and — if clean at severity <

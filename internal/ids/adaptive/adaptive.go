@@ -10,9 +10,10 @@
 // The engine is fed one Sample per authorization decision and folds it
 // in on the caller's goroutine, so a block or raise the sample earns is
 // in force when ObserveRequest returns, and the whole engine is a
-// deterministic function of the sample stream (every decay, score and
-// level transition is computed from sample timestamps, never from the
-// wall clock).
+// deterministic function of the sample stream (every decay, score,
+// raise and renewal is computed from sample timestamps, never from the
+// wall clock). The engine only raises the level and renews its hold;
+// the level falls by the threat manager's timed step-down alone.
 //
 // Profile features per source: request rate (sliding EWMA over a
 // decaying event counter), error ratio (EWMA of the denial
@@ -66,11 +67,9 @@ type Config struct {
 	// MinSamples is the evidence floor (local + merged remote samples)
 	// before a source may be blocked.
 	MinSamples int
-	// HighRaise is the signal that lifts the level to high (it drops
-	// back at highLower); Dwell is how long any drop waits since the
-	// last transition. HighRaise > highLower.
+	// HighRaise is the signal that lifts the level to high; above
+	// highLower it renews high's hold. HighRaise > highLower.
 	HighRaise float64
-	Dwell     time.Duration
 	// BlockScore is the per-source score at which the source is
 	// blocked, for blockFor.
 	BlockScore float64
@@ -82,7 +81,6 @@ func Defaults() Config {
 		HalfLife:   30 * time.Second,
 		MinSamples: 8,
 		HighRaise:  1.6,
-		Dwell:      2 * time.Minute,
 		BlockScore: 1.5,
 	}
 }
@@ -108,8 +106,8 @@ const (
 	entropyRef = 3
 
 	// Hysteresis: the signal must reach mediumRaise to lift the level
-	// to medium and fall to mediumLower to drop it; highLower is the
-	// drop from high.
+	// to medium, and above mediumLower it renews medium's hold;
+	// highLower is high's renewal floor.
 	mediumRaise = 0.9
 	mediumLower = 0.45
 	highLower   = 0.8
@@ -204,8 +202,6 @@ type Engine struct {
 	resources map[string]*resourceProfile
 	signal    float64 // smoothed global anomaly signal
 	sigLast   time.Time
-	level     ids.Level
-	lastTrans time.Time
 
 	journalScore   func(ScoreEvent)
 	journalProfile func(ProfileCheckpoint)
@@ -213,7 +209,6 @@ type Engine struct {
 	samples      atomic.Uint64
 	sourceBlocks atomic.Uint64
 	raises       atomic.Uint64
-	lowers       atomic.Uint64
 }
 
 // New builds an engine. threat and blocks may be nil (score-only
@@ -229,9 +224,6 @@ func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 	if cfg.HighRaise <= 0 {
 		cfg.HighRaise = d.HighRaise
 	}
-	if cfg.Dwell <= 0 {
-		cfg.Dwell = d.Dwell
-	}
 	if cfg.BlockScore <= 0 {
 		cfg.BlockScore = d.BlockScore
 	}
@@ -241,7 +233,6 @@ func New(cfg Config, threat *ids.Manager, blocks *netblock.Set) *Engine {
 		blocks:    blocks,
 		sources:   make(map[string]*sourceProfile),
 		resources: make(map[string]*resourceProfile),
-		level:     ids.Low,
 	}
 }
 
@@ -321,7 +312,7 @@ func (e *Engine) ObserveRequest(s Sample) {
 	e.sigLast = s.Time
 
 	blockSrc, ev, emit := e.enforceSourceLocked(s.Source, src, s.Time)
-	raise, lower := e.updateLevelLocked(s.Time)
+	raise, renew := e.levelLocked()
 	journalScore, journalProfile := e.journalScore, e.journalProfile
 	e.mu.Unlock()
 
@@ -338,7 +329,12 @@ func (e *Engine) ObserveRequest(s Sample) {
 	if emit && journalScore != nil {
 		journalScore(ev)
 	}
-	e.applyLevel(raise, lower)
+	if renew {
+		if raise > 0 {
+			e.threat.Escalate(raise)
+		}
+		e.threat.Renew(s.Time)
+	}
 }
 
 func boolF(b bool) float64 {
@@ -389,57 +385,33 @@ func (e *Engine) enforceSourceLocked(addr string, src *sourceProfile, at time.Ti
 	return block, ev, emit
 }
 
-// updateLevelLocked applies the hysteresis state machine to the
-// global signal: raises are immediate once a Raise threshold is
-// crossed; drops require the signal below the Lower threshold AND the
-// dwell time since the last transition — oscillating load therefore
-// cannot flap the level.
-func (e *Engine) updateLevelLocked(now time.Time) (raise, lower ids.Level) {
-	target := e.level
+// levelLocked applies the hysteresis to the global signal against the
+// manager's level: a signal at a raise threshold asks for a raise, and
+// a raise, or a signal above the current level's lower threshold,
+// renews the level's hold. Oscillating load therefore cannot flap the
+// level: it falls only once the signal has stayed low for a whole hold.
+func (e *Engine) levelLocked() (raise ids.Level, renew bool) {
+	if e.threat == nil {
+		return 0, false
+	}
+	cur := e.threat.Level()
 	switch {
 	case e.signal >= e.cfg.HighRaise:
-		target = ids.High
-	case e.signal >= mediumRaise && e.level < ids.Medium:
-		target = ids.Medium
+		raise = ids.High
+	case e.signal >= mediumRaise:
+		raise = ids.Medium
 	}
-	if target > e.level {
-		e.level = target
-		e.lastTrans = now
+	if raise > cur {
 		e.raises.Add(1)
-		return target, 0
+		return raise, true
 	}
-	if now.Sub(e.lastTrans) >= e.cfg.Dwell {
-		switch {
-		case e.level == ids.High && e.signal <= highLower:
-			e.level = ids.Medium
-			e.lastTrans = now
-			e.lowers.Add(1)
-			return 0, ids.Medium
-		case e.level == ids.Medium && e.signal <= mediumLower:
-			e.level = ids.Low
-			e.lastTrans = now
-			e.lowers.Add(1)
-			return 0, ids.Low
-		}
+	switch cur {
+	case ids.High:
+		return 0, e.signal > highLower
+	case ids.Medium:
+		return 0, e.signal > mediumLower
 	}
-	return 0, 0
-}
-
-// applyLevel pushes an engine level change into the threat manager.
-// Raises escalate (max-wins with other drivers); a drop steps down from
-// the level the engine is leaving, so it applies only while the manager
-// still sits there — the engine never undercuts an operator or policy
-// escalation above its own signal.
-func (e *Engine) applyLevel(raise, lower ids.Level) {
-	if e.threat == nil {
-		return
-	}
-	if raise > 0 {
-		e.threat.Escalate(raise)
-	}
-	if lower > 0 {
-		e.threat.StepDown(lower + 1)
-	}
+	return 0, false
 }
 
 // source returns (creating) the profile for addr, evicting the
@@ -582,13 +554,11 @@ func classHistogram(hist *[nClasses]float64, path, query string) {
 // Stats is a point-in-time summary of the engine.
 type Stats struct {
 	Signal       float64
-	Level        ids.Level
 	Sources      int
 	Resources    int
 	Samples      uint64
 	SourceBlocks uint64
 	Raises       uint64
-	Lowers       uint64
 }
 
 // Stats snapshots the engine counters.
@@ -596,7 +566,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
 		Signal:    e.signal,
-		Level:     e.level,
 		Sources:   len(e.sources),
 		Resources: len(e.resources),
 	}
@@ -604,7 +573,6 @@ func (e *Engine) Stats() Stats {
 	s.Samples = e.samples.Load()
 	s.SourceBlocks = e.sourceBlocks.Load()
 	s.Raises = e.raises.Load()
-	s.Lowers = e.lowers.Load()
 	return s
 }
 

@@ -17,13 +17,20 @@ func testConfig() Config {
 	cfg := Defaults()
 	cfg.HalfLife = 10 * time.Second
 	cfg.MinSamples = 5
-	cfg.Dwell = time.Minute
 	return cfg
 }
 
+// hold is the threat manager's hold period: a level no sample renews
+// for this long steps down one level on the next tick.
+const hold = 5 * time.Minute
+
+// newTestEngine wires an engine to a manager and a block set whose
+// clocks stand at epoch: the engine renews the level's hold at sample
+// time, which the tests tick the manager with.
 func newTestEngine(cfg Config) (*Engine, *ids.Manager, *netblock.Set) {
-	mgr := ids.NewManager(ids.Low)
-	blocks := netblock.NewSet(netblock.WithClock(func() time.Time { return epoch }))
+	clock := func() time.Time { return epoch }
+	mgr := ids.NewManager(ids.Low, ids.WithManagerClock(clock))
+	blocks := netblock.NewSet(netblock.WithClock(clock))
 	return New(cfg, mgr, blocks), mgr, blocks
 }
 
@@ -115,11 +122,15 @@ func TestSustainedAttackRaisesLevel(t *testing.T) {
 	if got := mgr.Level(); got < ids.Medium {
 		t.Fatalf("sustained attack left level %s (signal %v)", got, e.Signal())
 	}
-	if e.SignalLevel() != mgr.Level() {
-		t.Fatalf("engine level %s != manager level %s", e.SignalLevel(), mgr.Level())
+	if raises := e.Stats().Raises; raises == 0 || raises > 2 {
+		t.Fatalf("engine counted %d raises to reach %s, want 1 or 2", raises, mgr.Level())
 	}
 }
 
+// TestHysteresisDwellBlocksImmediateLower: the engine never lowers the
+// level. Calm traffic right after a raise leaves it where it is, and so
+// does a tick inside the hold; a hold with no sample above the level's
+// lower threshold lapses, and the tick then steps it down one level.
 func TestHysteresisDwellBlocksImmediateLower(t *testing.T) {
 	e, mgr, _ := newTestEngine(testConfig())
 	end := browse(e, "10.0.0.1", 50, epoch)
@@ -128,40 +139,49 @@ func TestHysteresisDwellBlocksImmediateLower(t *testing.T) {
 	if raised < ids.Medium {
 		t.Fatalf("attack did not raise level (signal %v)", e.Signal())
 	}
-	transAfterRaise := e.Stats().Raises + e.Stats().Lowers
+	raises := e.Stats().Raises
 
-	// Quiet traffic immediately after: signal drops below the lower
-	// threshold, but the dwell has not elapsed — level must hold.
+	// Quiet traffic immediately after: the signal drops below the
+	// lower threshold, but the hold has not lapsed — the level holds.
 	end = browse(e, "10.0.0.2", 20, end)
+	mgr.Tick(end)
 	if got := mgr.Level(); got != raised {
-		t.Fatalf("level dropped to %s before dwell elapsed", got)
+		t.Fatalf("level dropped to %s inside the hold", got)
 	}
 
-	// After the dwell passes with calm traffic the level steps down.
-	end = browse(e, "10.0.0.2", 60, end.Add(e.cfg.Dwell))
-	if got := e.SignalLevel(); got >= raised {
-		t.Fatalf("level still %s after dwell + calm traffic (signal %v)", got, e.Signal())
+	// A whole hold of calm traffic after the signal collapsed, the
+	// tick steps down one level.
+	end = browse(e, "10.0.0.2", 30, end)
+	end = browse(e, "10.0.0.2", int(hold/(2*time.Second)), end)
+	mgr.Tick(end)
+	if got := mgr.Level(); got != raised-1 {
+		t.Fatalf("level %s after a calm hold, want %s (signal %v)", got, raised-1, e.Signal())
 	}
-	if moves := e.Stats().Raises + e.Stats().Lowers - transAfterRaise; moves > 2 {
-		t.Fatalf("%d level moves during calm-down, hysteresis should allow at most 2", moves)
+	if got := e.Stats().Raises; got != raises {
+		t.Fatalf("calm traffic raised the level %d more times", got-raises)
 	}
 }
 
+// TestLowerRespectsExternalEscalation: an operator (or the signature
+// correlator) escalates above the engine's raise. The engine renews no
+// level its signal does not bear out, so high lapses one step, to the
+// medium the engine raised, not to low.
 func TestLowerRespectsExternalEscalation(t *testing.T) {
 	cfg := testConfig()
 	cfg.HighRaise = 100 // engine caps at Medium; High is operator-only here
 	e, mgr, _ := newTestEngine(cfg)
 	end := browse(e, "10.0.0.1", 50, epoch)
 	end = attack(e, "203.0.113.99", 200, end)
-	if e.SignalLevel() != ids.Medium {
-		t.Fatalf("attack did not raise engine level to medium")
+	if mgr.Level() != ids.Medium {
+		t.Fatalf("attack did not raise the level to medium: %s", mgr.Level())
 	}
-	// An operator (or the signature correlator) escalates above the
-	// engine's view; the engine's later lower must not undercut it.
 	mgr.Escalate(ids.High)
-	browse(e, "10.0.0.2", 120, end.Add(e.cfg.Dwell))
-	if got := mgr.Level(); got != ids.High {
-		t.Fatalf("engine undercut external escalation: level %s", got)
+	mgr.Renew(end)
+	end = browse(e, "10.0.0.2", 30, end) // the signal collapses
+	end = browse(e, "10.0.0.2", int(hold/(2*time.Second)), end)
+	mgr.Tick(end)
+	if got := mgr.Level(); got != ids.Medium {
+		t.Fatalf("level %s after high's hold lapsed, want medium", got)
 	}
 }
 
@@ -315,50 +335,40 @@ func TestScoreFiniteAndSeverityMonotone(t *testing.T) {
 	e.mu.Unlock()
 }
 
-// TestStepDownLosesToConcurrentRaise, engine half: the engine decides to
-// leave Medium, another writer raises the manager to High before the
-// engine applies its drop (the profile journal runs between the two),
-// and the step down from Medium must then do nothing.
+// TestStepDownLosesToConcurrentRaise, engine half: the engine decides
+// to raise the level to high, and a tick whose hold has lapsed steps
+// medium down before the engine applies the raise (the score journal
+// runs between the two). The raise then lands on the lowered level and
+// stands.
 func TestStepDownLosesToConcurrentRaise(t *testing.T) {
 	cfg := testConfig()
-	cfg.HighRaise = 100 // engine caps at Medium
+	cfg.HighRaise = 1 // within reach of one probe from each of many sources
 	e, mgr, _ := newTestEngine(cfg)
 	end := browse(e, "10.0.0.1", 50, epoch)
-	end = attack(e, "203.0.113.99", 200, end)
-	if e.SignalLevel() != ids.Medium || mgr.Level() != ids.Medium {
-		t.Fatalf("attack left engine %s, manager %s; want medium, medium", e.SignalLevel(), mgr.Level())
-	}
-	// Every trained sample journals a checkpoint: each resource is kept
-	// one observation short of checkpointEvery.
-	rearm := func() {
-		e.mu.Lock()
-		for _, r := range e.resources {
-			r.dirty = checkpointEvery - 1
-		}
-		e.mu.Unlock()
-	}
-	rearm()
+	mgr.Set(ids.Medium)
 	raced := false
-	e.SetJournal(nil, func(ProfileCheckpoint) {
-		if !raced && e.SignalLevel() == ids.Low { // decided, not yet applied
+	e.SetJournal(func(ev ScoreEvent) {
+		if !raced && e.raises.Load() > 0 && mgr.Level() == ids.Medium { // decided, not yet applied
 			raced = true
-			mgr.Escalate(ids.High)
+			mgr.Tick(ev.At.Add(hold))
+			if got := mgr.Level(); got != ids.Low {
+				t.Errorf("the racing tick left %s, want low", got)
+			}
 		}
-		rearm()
-	})
-	browse(e, "10.0.0.2", 120, end.Add(e.cfg.Dwell))
+	}, nil)
+	// A fresh source per probe: each probe's score event runs the hook.
+	for i := 0; i < 60; i++ {
+		end = attack(e, fmt.Sprintf("203.0.113.%d", i), 1, end)
+	}
 	if !raced {
-		t.Fatal("the engine never lowered its level; the test raced nothing")
+		t.Fatal("the engine never raised the level; the test raced nothing")
 	}
 	if got := mgr.Level(); got != ids.High {
-		t.Fatalf("engine's drop from medium overwrote a racing raise: level %s, want high", got)
+		t.Fatalf("a racing step-down undid the engine's raise: level %s, want high", got)
 	}
-}
-
-// SignalLevel returns the engine's own hysteresis level (which it
-// pushes into the shared threat manager).
-func (e *Engine) SignalLevel() ids.Level {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.level
+	for _, tr := range mgr.History() {
+		if tr.From-tr.To > 1 {
+			t.Fatalf("history holds a two-step drop %s->%s", tr.From, tr.To)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -70,7 +71,9 @@ func TestCorrelatorListensOnBus(t *testing.T) {
 	if mgr.Level() != Low {
 		t.Fatalf("level = %v after a legitimate report, want low", mgr.Level())
 	}
-	b.Publish(Report{Kind: DetectedAttack, Severity: SevHigh})
+	for i := 0; i < DefaultCorrelatorConfig().HighAfter; i++ {
+		b.Publish(Report{Kind: DetectedAttack, Severity: SevHigh, ClientIP: fmt.Sprintf("192.0.2.%d", i)})
+	}
 	if mgr.Level() != High {
 		t.Fatalf("level = %v when Publish returned, want high", mgr.Level())
 	}

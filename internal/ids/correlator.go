@@ -1,125 +1,143 @@
 package ids
 
 import (
+	"net/netip"
+	"slices"
 	"sync"
 	"time"
 )
 
 // CorrelatorConfig tunes threat-level escalation.
 type CorrelatorConfig struct {
-	// Window is the sliding window over which events are counted.
+	// Window is the sliding window over which sources are counted.
 	Window time.Duration
-	// MediumAfter is the number of medium-or-worse attack events
-	// within Window that raises the level to Medium.
+	// MediumAfter is the number of distinct sources with a
+	// medium-or-worse attack event within Window that raises the level
+	// to Medium.
 	MediumAfter int
-	// HighAfter is the number of high-severity attack events within
-	// Window that raises the level to High.
+	// HighAfter is the number of distinct sources with a high-severity
+	// attack event within Window that raises the level to High.
 	HighAfter int
-	// Decay lowers the level one step after a quiet period of this
-	// length; zero disables decay.
-	Decay time.Duration
 	// Clock overrides the time source (tests); nil means time.Now.
 	Clock func() time.Time
 }
 
-// DefaultCorrelatorConfig mirrors a conservative deployment: one
-// high-severity event within a minute marks the system under attack;
-// three suspicious events raise it to Medium.
+// DefaultCorrelatorConfig mirrors a conservative deployment: three
+// sources with suspicious events within a minute raise the level to
+// Medium, and three with high-severity events mark the system under
+// attack. One source moves the level no further than the policy's own
+// set_threat_level asks (DESIGN.md, "One transition for the threat
+// level").
 func DefaultCorrelatorConfig() CorrelatorConfig {
 	return CorrelatorConfig{
 		Window:      time.Minute,
 		MediumAfter: 3,
-		HighAfter:   1,
-		Decay:       5 * time.Minute,
+		HighAfter:   3,
 	}
 }
 
 // Correlator consumes GAA-API reports and adapts the system threat
-// level — the host-IDS role of paper sections 3 and 7.1. It is safe
-// for concurrent use.
+// level — the host-IDS role of paper sections 3 and 7.1. It raises the
+// level and renews its hold; the level falls only by the manager's
+// timed step-down (Manager.Tick). It is safe for concurrent use.
 //
-// Memory is bounded: escalation only asks whether the K most recent
-// qualifying events all fall within the window, so each severity tier
-// keeps exactly its threshold's worth of timestamps in a fixed ring —
-// sustained traffic cannot grow the working set (it used to retain
-// every event timestamp inside the window).
+// Memory is bounded: escalation only asks whether the K most recently
+// seen sources were all seen within the window, so each severity tier
+// keeps exactly its threshold's worth of sources — sustained traffic
+// cannot grow the working set.
 type Correlator struct {
-	cfg     CorrelatorConfig
-	mgr     *Manager
-	clock   func() time.Time
-	mu      sync.Mutex
-	medium  eventRing // last MediumAfter medium-or-worse event times
-	high    eventRing // last HighAfter high-severity event times
-	lastHit time.Time
+	cfg    CorrelatorConfig
+	mgr    *Manager
+	clock  func() time.Time
+	mu     sync.Mutex
+	medium sourceRing // last MediumAfter sources with medium-or-worse events
+	high   sourceRing // last HighAfter sources with high-severity events
 }
 
-// eventRing holds the most recent K event timestamps in place.
-type eventRing struct {
-	buf  []time.Time
-	head int // next write position
-	n    int // filled entries (<= len(buf))
+// sourceRing holds the K most recently seen distinct sources, oldest
+// first, each with the time it was last seen.
+type sourceRing struct {
+	buf []sourceHit // len <= cap == K
 }
 
-// add records one event time, overwriting the oldest when full.
-func (r *eventRing) add(t time.Time) {
-	r.buf[r.head] = t
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+type sourceHit struct {
+	src string
+	at  time.Time
+}
+
+// add records an event from src at t: src becomes the newest entry,
+// and a full ring drops its oldest source.
+func (r *sourceRing) add(src string, t time.Time) {
+	if i := slices.IndexFunc(r.buf, func(h sourceHit) bool { return h.src == src }); i >= 0 {
+		r.buf = slices.Delete(r.buf, i, i+1)
+	} else if len(r.buf) == cap(r.buf) {
+		r.buf = slices.Delete(r.buf, 0, 1)
 	}
+	r.buf = append(r.buf, sourceHit{src, t})
 }
 
-// full reports whether the ring holds its capacity of events with the
-// oldest retained event at or after cutoff — i.e. at least K
-// qualifying events landed within the window.
-func (r *eventRing) full(cutoff time.Time) bool {
-	if r.n < len(r.buf) {
-		return false
+// full reports whether the ring holds its capacity of sources with the
+// oldest last seen at or after cutoff — i.e. at least K distinct
+// sources had a qualifying event within the window.
+func (r *sourceRing) full(cutoff time.Time) bool {
+	return len(r.buf) == cap(r.buf) && !r.buf[0].at.Before(cutoff)
+}
+
+// sourceKey is what a tier counts as one source: the client address,
+// or its /64 for IPv6, the block one host is commonly given.
+func sourceKey(ip string) string {
+	a, err := netip.ParseAddr(ip)
+	if err != nil || !a.Is6() || a.Is4In6() {
+		return ip
 	}
-	oldest := r.buf[r.head] // next overwrite slot == oldest when full
-	return !oldest.Before(cutoff)
+	p, _ := a.Prefix(64)
+	return p.String()
 }
 
-// NewCorrelator returns a correlator driving mgr.
+// NewCorrelator returns a correlator driving mgr; a zero field of cfg
+// takes DefaultCorrelatorConfig's value.
 func NewCorrelator(mgr *Manager, cfg CorrelatorConfig) *Correlator {
+	d := DefaultCorrelatorConfig()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
+		cfg.Window = d.Window
 	}
 	if cfg.MediumAfter <= 0 {
-		cfg.MediumAfter = 3
+		cfg.MediumAfter = d.MediumAfter
 	}
 	if cfg.HighAfter <= 0 {
-		cfg.HighAfter = 1
+		cfg.HighAfter = d.HighAfter
 	}
 	return &Correlator{
 		cfg:    cfg,
 		mgr:    mgr,
 		clock:  clock,
-		medium: eventRing{buf: make([]time.Time, cfg.MediumAfter)},
-		high:   eventRing{buf: make([]time.Time, cfg.HighAfter)},
+		medium: sourceRing{buf: make([]sourceHit, 0, cfg.MediumAfter)},
+		high:   sourceRing{buf: make([]sourceHit, 0, cfg.HighAfter)},
 	}
 }
 
 // Observe processes one report synchronously and returns the threat
-// level after processing.
+// level after processing. A threatening report counts its source
+// toward escalation, and renews the level's hold when it is at least
+// as severe as the level: a medium-severity report renews Medium, not
+// High, so the denials a lockdown itself causes do not prolong it.
 func (c *Correlator) Observe(r Report) Level {
 	if !isThreatening(r.Kind) {
-		c.maybeDecay()
 		return c.mgr.Level()
 	}
 	now := c.clock()
+	src := sourceKey(r.ClientIP)
 	c.mu.Lock()
-	c.lastHit = now
 	cutoff := now.Add(-c.cfg.Window)
 	if r.Severity >= SevMedium {
-		c.medium.add(now)
+		c.medium.add(src, now)
 	}
 	if r.Severity >= SevHigh {
-		c.high.add(now)
+		c.high.add(src, now)
 	}
 	escalateHigh := c.high.full(cutoff)
 	escalateMedium := c.medium.full(cutoff)
@@ -131,26 +149,11 @@ func (c *Correlator) Observe(r Report) Level {
 	case escalateMedium:
 		c.mgr.Escalate(Medium)
 	}
+	// Severities and levels share one scale, info/low to high.
+	if Level(r.Severity) >= c.mgr.Level() {
+		c.mgr.Renew(now)
+	}
 	return c.mgr.Level()
-}
-
-// maybeDecay lowers the threat level one step after a quiet period.
-func (c *Correlator) maybeDecay() {
-	if c.cfg.Decay <= 0 {
-		return
-	}
-	cur := c.mgr.Level() // read before judging quiet: a raise landing after it stands
-	c.mu.Lock()
-	quietSince := c.lastHit
-	c.mu.Unlock()
-	if quietSince.IsZero() || c.clock().Sub(quietSince) < c.cfg.Decay {
-		return
-	}
-	if c.mgr.StepDown(cur) {
-		c.mu.Lock()
-		c.lastHit = c.clock() // restart the quiet period for the next step
-		c.mu.Unlock()
-	}
 }
 
 // isThreatening reports whether the report kind contributes to threat

@@ -76,8 +76,13 @@ type Transition struct {
 // historyCap bounds the retained escalation history.
 const historyCap = 64
 
+// holdPeriod is how long a level above low is held after its last
+// renewal before Tick steps it down one level (DESIGN.md §9, the hold).
+const holdPeriod = 5 * time.Minute
+
 // Manager holds the current system threat level; every change to it is
-// one call of transition. It is safe for concurrent use.
+// one call of transition. Writers raise the level and renew its hold;
+// it falls only by Tick. It is safe for concurrent use.
 type Manager struct {
 	clock func() time.Time
 
@@ -93,6 +98,9 @@ type Manager struct {
 	wmu       sync.Mutex
 	journal   func(Transition)
 	listeners []func(Transition)
+	// renewed is when the hold on the current level last began; wmu
+	// guards it.
+	renewed time.Time
 
 	// mu guards history and is never held across a call out: a journal
 	// append that compacts the store snapshots History from inside it.
@@ -117,6 +125,7 @@ func NewManager(initial Level, opts ...ManagerOption) *Manager {
 	for _, o := range opts {
 		o(m)
 	}
+	m.renewed = m.clock()
 	return m
 }
 
@@ -165,9 +174,9 @@ const (
 )
 
 // transition is the one place the level changes. next is the writer's
-// rule, from the current level to the one it asks for; a change is
-// recorded, counted, journaled and announced, in that order, before the
-// next writer's rule runs. A zero at means now.
+// rule, from the current level to the one it asks for; a change starts
+// a new hold and is recorded, counted, journaled and announced, in that
+// order, before the next writer's rule runs. A zero at means now.
 func (m *Manager) transition(next func(cur Level) Level, at time.Time, src origin) (Transition, bool) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
@@ -185,6 +194,7 @@ func (m *Manager) transitionLocked(next func(cur Level) Level, at time.Time, src
 		at = m.clock()
 	}
 	tr := Transition{From: cur, To: to, At: at}
+	m.renewed = at
 	m.mu.Lock()
 	if src != restored {
 		m.history = tail(append(m.history, tr))
@@ -218,30 +228,43 @@ func (m *Manager) Escalate(l Level) bool {
 	return ok
 }
 
-// StepDown lowers the level one step if it is still from, and reports
-// whether it did — a compare-and-set, so a decayer that read Medium
-// cannot write Low over a High raised since.
-func (m *Manager) StepDown(from Level) bool {
-	_, ok := m.transition(func(cur Level) Level {
-		if cur == from && cur > Low {
-			cur--
-		}
-		return cur
-	}, time.Time{}, local)
-	return ok
+// Renew restarts the hold on the current level at at: a detector that
+// still sees the threat it raised the level for calls it.
+func (m *Manager) Renew(at time.Time) {
+	m.wmu.Lock()
+	m.renewed = at
+	m.wmu.Unlock()
+}
+
+// Tick is the one rule that lowers the level: once the hold has lapsed
+// at now, a level above low steps down one, and that step begins the
+// next hold. A caller that owns the clock calls it (Stack.Tick).
+func (m *Manager) Tick(now time.Time) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if now.Sub(m.renewed) >= holdPeriod {
+		m.transitionLocked(func(cur Level) Level { return max(cur-1, Low) }, now, local)
+	}
 }
 
 // Merge applies a threat transition replicated from another node with
 // max-wins semantics: the level only rises (a peer under attack pulls
-// the fleet up; de-escalation stays a local decision). The merged
-// transition, From rewritten to the local level, is recorded and
+// the fleet up; de-escalation stays a local decision), and a raise that
+// reaches the local level renews its hold from the raise's instant. The
+// merged transition, From rewritten to the local level, is recorded and
 // announced but NOT journaled. Reports it and whether the level changed.
 func (m *Manager) Merge(tr Transition) (Transition, bool) {
-	return m.transition(func(cur Level) Level { return max(cur, tr.To) }, tr.At, merged)
+	return m.transition(func(cur Level) Level {
+		if tr.To > tr.From && tr.To == cur && tr.At.After(m.renewed) {
+			m.renewed = tr.At
+		}
+		return max(cur, tr.To)
+	}, tr.At, merged)
 }
 
 // Restore puts back a recovered level and history without journaling
-// them; listeners still hear the change. Persistence replays through it.
+// them; listeners still hear the change, and the level is held from the
+// restore instant. Persistence replays through it.
 func (m *Manager) Restore(level Level, history []Transition) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()

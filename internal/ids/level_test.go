@@ -89,7 +89,7 @@ func TestManagerSetSameLevelNoNotify(t *testing.T) {
 	got := record(m)
 	m.Set(Medium)
 	m.Escalate(Low)
-	m.StepDown(High)
+	m.Tick(time.Now())
 	if len(*got) != 0 || m.Transitions() != 0 {
 		t.Errorf("notified %+v (%d transitions) for writes that changed nothing", *got, m.Transitions())
 	}
@@ -205,5 +205,24 @@ func TestMergeNotifiesSubscribers(t *testing.T) {
 	}
 	if len(*got) != 1 || (*got)[0] != (Transition{From: Low, To: High, At: at}) {
 		t.Fatalf("listener saw %+v, want the merged low->high stamped by the peer", *got)
+	}
+}
+
+// TestMergedRaiseRenewsHold: a replicated raise that reaches the local
+// level renews its hold from the raise's instant; a replicated step
+// down renews nothing.
+func TestMergedRaiseRenewsHold(t *testing.T) {
+	t0 := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
+	m := NewManager(Low, WithManagerClock(func() time.Time { return t0 }))
+	m.Escalate(High)
+	m.Merge(Transition{From: Medium, To: High, At: t0.Add(3 * time.Minute)})
+	m.Merge(Transition{From: High, To: Medium, At: t0.Add(4 * time.Minute)})
+	m.Tick(t0.Add(holdPeriod))
+	if got := m.Level(); got != High {
+		t.Fatalf("level = %s one hold after the local raise, want high: the merged raise renews it", got)
+	}
+	m.Tick(t0.Add(3*time.Minute + holdPeriod))
+	if got := m.Level(); got != Medium {
+		t.Fatalf("level = %s one hold after the merged raise, want medium", got)
 	}
 }

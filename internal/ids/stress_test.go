@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,14 +70,15 @@ func TestCorrelatorConcurrentObserve(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ip := fmt.Sprintf("192.0.2.%d", i)
 			for j := 0; j < 50; j++ {
-				c.Observe(Report{Kind: DetectedAttack, Severity: SevMedium})
+				c.Observe(Report{Kind: DetectedAttack, Severity: SevMedium, ClientIP: ip})
 			}
 		}()
 	}
 	wg.Wait()
 	if mgr.Level() != Medium {
-		t.Errorf("level = %v, want medium after 800 medium events", mgr.Level())
+		t.Errorf("level = %v, want medium after 800 medium events from 16 sources", mgr.Level())
 	}
 }
 

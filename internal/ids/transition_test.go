@@ -28,39 +28,44 @@ func TestEscalateNeverLowers(t *testing.T) {
 	}
 }
 
-// TestStepDownLosesToConcurrentRaise, correlator half: the decayer judges
-// the quiet period at Medium, another writer raises High before it acts
-// (the clock read between the two is where the test gets in), and the
-// step down from Medium must then do nothing — not write Low over High.
+// TestStepDownLosesToConcurrentRaise: a Tick whose hold has lapsed
+// races a raise to High, which renews the hold. Whichever runs first,
+// the raise stands: a tick after it finds the hold renewed, and a tick
+// before it steps Medium down to Low, which the raise then lifts. No
+// interleaving drops two levels in one step.
 func TestStepDownLosesToConcurrentRaise(t *testing.T) {
-	now := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
-	m := NewManager(Low)
-	var onClock func()
-	c := NewCorrelator(m, CorrelatorConfig{MediumAfter: 1, HighAfter: 10, Decay: time.Minute,
-		Clock: func() time.Time {
-			if onClock != nil {
-				onClock()
-			}
-			return now
-		}})
-	if got := c.Observe(Report{Kind: DetectedAttack, Severity: SevMedium}); got != Medium {
-		t.Fatalf("level after one attack report = %s, want medium", got)
-	}
-
-	now = now.Add(2 * time.Minute) // quiet long enough to decay
-	onClock = func() { onClock = nil; m.Escalate(High) }
-	if got := c.Observe(Report{Kind: LegitimatePattern}); got != High {
-		t.Fatalf("decay from medium overwrote a racing raise: level %s, want high", got)
-	}
-	for _, tr := range m.History() {
-		if tr.From-tr.To > 1 {
-			t.Fatalf("history holds a two-step drop %s->%s", tr.From, tr.To)
+	start := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
+	lapsed := start.Add(holdPeriod)
+	for round := 0; round < 5000; round++ {
+		now := start
+		m := NewManager(Low, WithManagerClock(func() time.Time { return now }))
+		m.Escalate(Medium)
+		now = lapsed // the raise below renews at the tick's instant
+		var wg sync.WaitGroup
+		begin := make(chan struct{})
+		wg.Add(2)
+		for _, write := range []func(){func() { m.Tick(lapsed) }, func() { m.Escalate(High) }} {
+			go func() {
+				defer wg.Done()
+				<-begin
+				write()
+			}()
 		}
-	}
-	// The refused step did not restart the quiet period: the next
-	// decay steps down from High, one level.
-	if got := c.Observe(Report{Kind: LegitimatePattern}); got != Medium {
-		t.Fatalf("level after the next decay = %s, want medium", got)
+		close(begin)
+		wg.Wait()
+		if got := m.Level(); got != High {
+			t.Fatalf("round %d: level %s after a tick raced a raise to high, want high", round, got)
+		}
+		for _, tr := range m.History() {
+			if tr.From-tr.To > 1 {
+				t.Fatalf("round %d: history holds a two-step drop %s->%s", round, tr.From, tr.To)
+			}
+		}
+		// The raise restarted the hold: a tick at the same instant is a no-op.
+		m.Tick(lapsed)
+		if got := m.Level(); got != High {
+			t.Fatalf("round %d: a tick inside the renewed hold lowered high to %s", round, got)
+		}
 	}
 }
 
@@ -86,7 +91,7 @@ func TestJournalAndListenersSeeHistoryOrder(t *testing.T) {
 				case 0, 1:
 					m.Escalate(l)
 				case 2:
-					m.StepDown(l)
+					m.Tick(time.Now().Add(holdPeriod))
 				default:
 					m.Set(l)
 				}

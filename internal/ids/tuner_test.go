@@ -3,6 +3,7 @@ package ids
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // mapSink collects Set calls.
@@ -81,8 +82,8 @@ func TestValueTunerRunFollowsManager(t *testing.T) {
 	if got := sink.get("max_input"); got != "100" {
 		t.Fatalf("max_input = %q when Escalate(High) returned, want 100", got)
 	}
-	mgr.StepDown(High)
+	mgr.Tick(time.Now().Add(holdPeriod))
 	if got := sink.get("max_input"); got != "500" {
-		t.Fatalf("max_input = %q when StepDown(High) returned, want 500", got)
+		t.Fatalf("max_input = %q when Tick stepped down from high, want 500", got)
 	}
 }

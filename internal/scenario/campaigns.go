@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gaaapi/internal/gaahttp"
+	"gaaapi/internal/ids"
 	"gaaapi/internal/ids/adaptive"
 	"gaaapi/internal/workload"
 	"gaaapi/policies/paper"
@@ -625,6 +626,168 @@ pos_access_right apache *
 	}
 }
 
+// lockdownEnds: the section 7.1 lockdown ends on its own. One phf
+// probe moves the threat level no further than the policy's own
+// set_threat_level asks; probes from three sources, the correlator's
+// HighAfter, lock the site. Every request during the lockdown is
+// denied, so no grant and no renewing report arrives, and the level
+// still steps down one level per quiet five minutes, on every node: a
+// peer that only merged the raise is not pinned at high.
+func lockdownEnds() Campaign {
+	const system = `
+eacl_mode narrow
+neg_access_right * *
+pre_cond_system_threat_level local =high
+neg_access_right * *
+pre_cond_accessid_GROUP local BadGuys
+`
+	const local = `
+neg_access_right apache *
+pre_cond_regex gnu *phf* *test-cgi*
+rr_cond_update_log local on:failure/BadGuys/info:IP
+rr_cond_set_threat_level local on:failure/medium
+rr_cond_notify local on:failure/sysadmin/info:probe
+pos_access_right apache *
+`
+	attackers := workload.IPPool("198.51.100", 3)
+	// retry is the blacklisted first attacker asking for the home page.
+	retry := func() workload.Request {
+		return workload.Relabel([]workload.Request{
+			{Method: "GET", Target: "/index.html", ClientIP: attackers[0]},
+		}, "blacklisted-retry")[0]
+	}
+	return Campaign{
+		Name:  "lockdown-ends",
+		Title: "A lockdown ends on its own",
+		Description: "One phf probe raises the threat level to medium, as the policy asks, and " +
+			"no further. Probes from three sources within a minute lock the site (section 7.1). " +
+			"Every request during the lockdown is denied, yet the level steps down to medium " +
+			"five quiet minutes after the last probe and to low five minutes later, on every " +
+			"node of a fleet.",
+		Stack: gaahttp.StackConfig{
+			SystemPolicy:     system,
+			LocalPolicies:    map[string]string{"*": local},
+			DocRoot:          workload.DocRoot(),
+			SensitiveObjects: []string{"/cgi-bin/*"},
+			// Runs the host-IDS correlator; the values are the demo
+			// deployment's input bounds.
+			LevelValues: map[ids.Level]map[string]string{
+				ids.Low:    {"max_input": "1000"},
+				ids.Medium: {"max_input": "300"},
+				ids.High:   {"max_input": "100"},
+			},
+		},
+		Phases: []Phase{
+			{
+				Name:    "calm",
+				Comment: "the crowd browses at low threat",
+				Gap:     2 * time.Second,
+				Traffic: func(seed int64) []workload.Request { return workload.Legit(12, seed) },
+				Checkpoint: Checkpoint{
+					Threat:  "low",
+					Classes: []ClassExpect{{Class: "", Status: 200, All: true}},
+				},
+			},
+			{
+				Name:    "one-probe",
+				Comment: "one phf probe: medium, as the policy asks, and the crowd is still served",
+				Traffic: func(seed int64) []workload.Request {
+					return append([]workload.Request{workload.PhfScan(attackers[0])}, workload.Legit(5, seed)...)
+				},
+				Checkpoint: Checkpoint{
+					Threat:            "medium",
+					Blacklisted:       []string{attackers[0]},
+					MailboxAtLeast:    1,
+					TransitionsAtMost: 1,
+					Classes: []ClassExpect{
+						{Class: "phf", Status: 403, All: true},
+						{Class: "", Status: 200, All: true},
+					},
+				},
+			},
+			{
+				Name: "lockdown",
+				Comment: "probes from three sources within a minute: the site locks down; " +
+					"on a fleet one node sees all three and its peers merge the raise",
+				Traffic: func(seed int64) []workload.Request {
+					// Round-robin puts requests 0, 3 and 6 on the first node
+					// of three, and 0, 2, 4 and 6 on the first of two.
+					crowd := workload.Legit(3, seed)
+					return []workload.Request{
+						workload.PhfScan(attackers[0]), crowd[0],
+						workload.PhfScan(attackers[1]), workload.PhfScan(attackers[1]),
+						crowd[1], crowd[2],
+						workload.PhfScan(attackers[2]),
+					}
+				},
+				Checkpoint: Checkpoint{
+					Threat:            "high",
+					Blacklisted:       attackers,
+					TransitionsAtMost: 2,
+					Classes:           []ClassExpect{{Class: "phf", Status: 403, All: true}},
+				},
+			},
+			{
+				Name: "lockdown-holds",
+				Comment: "over the next minutes every request is denied, the crowd's searches " +
+					"included; their sensitive-object reports are too mild to renew the lockdown",
+				Advance: time.Minute,
+				Gap:     30 * time.Second,
+				Traffic: func(seed int64) []workload.Request {
+					searches := workload.Relabel([]workload.Request{
+						{Method: "GET", Target: "/cgi-bin/search?q=eacl", ClientIP: "10.0.2.21"},
+						{Method: "GET", Target: "/cgi-bin/search?q=apache", ClientIP: "10.0.2.22"},
+						{Method: "GET", Target: "/cgi-bin/search?q=gaa+api", ClientIP: "10.0.2.23"},
+					}, "crowd-search")
+					return append(append(workload.Legit(4, seed), searches...), retry())
+				},
+				Checkpoint: Checkpoint{
+					Threat:            "high",
+					TransitionsAtMost: 2,
+					Classes: []ClassExpect{
+						{Class: "", Status: 403, All: true},
+						{Class: "crowd-search", Status: 403, All: true},
+						{Class: "blacklisted-retry", Status: 403, All: true},
+					},
+				},
+			},
+			{
+				Name:    "steps-to-medium",
+				Comment: "five quiet minutes after the last probe the level steps down to medium and the crowd is served",
+				Advance: 2 * time.Minute,
+				Traffic: func(seed int64) []workload.Request {
+					return append(workload.Legit(6, seed), retry())
+				},
+				Checkpoint: Checkpoint{
+					Threat:            "medium",
+					TransitionsAtMost: 3,
+					Classes: []ClassExpect{
+						{Class: "", Status: 200, All: true},
+						{Class: "blacklisted-retry", Status: 403, All: true},
+					},
+				},
+			},
+			{
+				Name:    "ends",
+				Comment: "five more: low again; the blacklist, not the lockdown, still stops the attacker",
+				Advance: 5 * time.Minute,
+				Traffic: func(seed int64) []workload.Request {
+					return append(workload.Legit(6, seed), retry())
+				},
+				Checkpoint: Checkpoint{
+					Threat:            "low",
+					Blacklisted:       attackers,
+					TransitionsAtMost: 4,
+					Classes: []ClassExpect{
+						{Class: "", Status: 200, All: true},
+						{Class: "blacklisted-retry", Status: 403, All: true},
+					},
+				},
+			},
+		},
+	}
+}
+
 // adaptivePolicy is the deliberately dumb deployment the adaptive
 // campaigns run against: the admin tree is off limits and everything
 // else is open. No counters, no thresholds, no signature rules —
@@ -750,9 +913,10 @@ func adaptiveRamp() Campaign {
 }
 
 // adaptiveFlap: oscillating attack load must not flap the threat
-// level. Bursts raise it once; the hysteresis dwell pins it through
-// the quiet valleys and the second burst, and only a long sustained
-// calm lowers it again — exactly two transitions across four swings.
+// level. Bursts raise it once; the level's hold pins it through the
+// quiet valleys and the second burst renews it, and only a long
+// sustained calm lowers it again — exactly two transitions across four
+// swings.
 func adaptiveFlap() Campaign {
 	acfg := adaptive.Defaults()
 	acfg.HalfLife = 10 * time.Second
@@ -762,13 +926,12 @@ func adaptiveFlap() Campaign {
 	// every observed transition is the global signal's doing.
 	acfg.BlockScore = 100
 	acfg.HighRaise = 100
-	acfg.Dwell = 10 * time.Minute
 	return Campaign{
 		Name:  "adaptive-flap",
 		Title: "Oscillating load cannot flap the threat level",
 		Description: "Attack bursts alternate with quiet valleys. The first burst raises the " +
 			"level to medium; the valleys drop the signal below the lower threshold but the " +
-			"dwell time pins the level, so the second burst causes no second raise. After a " +
+			"level's hold pins it, so the second burst causes no second raise. After a " +
 			"15-minute calm the level steps back down — two transitions total, asserted with " +
 			"a transition-count cap in every phase.",
 		Stack: gaahttp.StackConfig{
@@ -856,6 +1019,7 @@ func All() []Campaign {
 		flashCrowd(),
 		threatLadder(),
 		recoveryAfterBlock(),
+		lockdownEnds(),
 		adaptiveRamp(),
 		adaptiveFlap(),
 	}

@@ -24,10 +24,11 @@ import (
 //
 // The target runs no goroutine. After every Do, and whenever a test
 // calls Settle, it steps each node's Cluster.Push at the simulated
-// instant until a round ships nothing, so a report depends on the
-// seed alone. Stepping never moves the clock: a peer backing off after
-// a failed push is retried only once the campaign advances past its
-// next attempt.
+// instant until a round ships nothing, then ticks each node's threat
+// level (Stack.Tick); every Advance ticks them too. So a report depends
+// on the seed alone. Stepping never moves the clock: a peer backing off
+// after a failed push is retried only once the campaign advances past
+// its next attempt.
 //
 // Observe merges the fleet the way the convergence rules do: max
 // threat level, union of blocks and blacklists, summed mailboxes and
@@ -102,7 +103,8 @@ func (t *ClusterTarget) Do(r workload.Request) (Exchange, error) {
 }
 
 // Settle steps every node's replication at the simulated instant
-// until a round ships nothing (at once in a fleet of one).
+// until a round ships nothing (at once in a fleet of one), then ticks
+// every node.
 func (t *ClusterTarget) Settle() {
 	for {
 		shipped := 0
@@ -112,13 +114,24 @@ func (t *ClusterTarget) Settle() {
 			}
 		}
 		if shipped == 0 {
-			return
+			break
 		}
 	}
+	t.tick()
 }
 
-// Advance moves the shared simulated clock.
-func (t *ClusterTarget) Advance(d time.Duration) { t.Clock.Advance(d) }
+// Advance moves the shared simulated clock and ticks every node.
+func (t *ClusterTarget) Advance(d time.Duration) {
+	t.Clock.Advance(d)
+	t.tick()
+}
+
+// tick steps every node's threat level at the simulated instant.
+func (t *ClusterTarget) tick() {
+	for _, node := range t.Nodes {
+		node.Tick(t.Clock.Now())
+	}
+}
 
 // Observe merges the fleet's adaptive state: max threat, union of
 // blocks and blacklist members, summed mailbox and decision counts.

@@ -147,3 +147,58 @@ func TestAdaptiveRampClusterEnforcement(t *testing.T) {
 		}
 	}
 }
+
+// TestLockdownEndsOnThreeNodes runs lockdown-ends on a three-node
+// fleet and pins its report. Round-robin puts every probe of the
+// lockdown phase but one on node 0 and none on node 1: node 1's level
+// goes high only by merging node 0's raise, and it steps back down to
+// low with the rest of the fleet instead of staying pinned.
+func TestLockdownEndsOnThreeNodes(t *testing.T) {
+	c := clusterize(lockdownEnds())
+	ct, err := NewClusterTarget(c.Stack, 3)
+	if err != nil {
+		t.Fatalf("NewClusterTarget: %v", err)
+	}
+	defer ct.Close()
+	rep, err := Run(c, ct, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !rep.Passed {
+		for _, f := range rep.Failures {
+			t.Error(f)
+		}
+	}
+	// Notifications do not replicate: node 1 was sent no probe.
+	if got := ct.Nodes[1].Mailbox.Count(); got != 0 {
+		t.Errorf("node 1 sent %d notifications, want none: it should have seen no probe", got)
+	}
+	for i, node := range ct.Nodes {
+		var peak ids.Level
+		for _, tr := range node.Threat.History() {
+			peak = max(peak, tr.To)
+		}
+		if peak != ids.High || node.Threat.Level() != ids.Low {
+			t.Errorf("node %d peaked at %s and ended at %s, want high then low", i, peak, node.Threat.Level())
+		}
+	}
+
+	var got bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join(clusterGoldenDir, "lockdown-ends.3-nodes.golden.json")
+	if *updateCampaigns {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-campaigns to regenerate): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("report differs from %s:\n%s", golden, got.Bytes())
+	}
+}

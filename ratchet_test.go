@@ -127,6 +127,14 @@ var ratchets = []ratchet{
 		bad:       `	for _, name := range []string{"notify", "update_log", "audit"} {`,
 	},
 	{
+		name:      "the threat level steps down in one place",
+		why:       "writers raise the level and renew its hold; ids.Manager.Tick (internal/ids/level.go) is the one rule that lowers it, so no detector keeps a decay, a dwell or a step-down of its own",
+		files:     []string{"**/*.go"},
+		nonTest:   true,
+		forbidden: `StepDown|stepDown|maybeDecay|lastTrans|Dwell|Lowers`,
+		bad:       "\t\te.threat.StepDown(lower + 1)",
+	},
+	{
 		name:      "the live stack trains no profile detector",
 		why:       "a grant reports its legitimate pattern (class 7) and trains nothing; the live anomaly feed is the opt-in adaptive scorer, and ids.Detector is E8's (a guard takes one only through Config.Anomaly)",
 		files:     []string{"internal/gaahttp/*.go", "cmd/**/*.go"},
