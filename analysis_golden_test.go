@@ -280,6 +280,9 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 		// cannot tell, so no W007, and the entry whose language mixes
 		// both reads unknown.
 		{"glob-bytes-beside-regex.eacl", []string{"W022"}, 6},
+		// A user glob outside UTF-8 with no expression beside it: the
+		// search reads bytes, and the user "\xffroot" fires the entry.
+		{"user-bytes.eacl", nil, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.file, func(t *testing.T) {

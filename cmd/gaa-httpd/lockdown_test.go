@@ -116,3 +116,26 @@ func TestOneProbeCannotLockTheSite(t *testing.T) {
 	}
 	expect("/index.html", "10.0.0.5", http.StatusOK, ids.Low)
 }
+
+// TestSpoofedProbeLeavesTheLevel: on the default deployment a phf probe
+// from a spoof-suspected source is denied, but its set_threat_level, like
+// its update_log, is skipped, so the level stays low.
+func TestSpoofedProbeLeavesTheLevel(t *testing.T) {
+	o, err := parseOptions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.stack.AccessLog = io.Discard
+	o.stack.SpoofedSources = []string{"203.0.113.*"}
+	st, err := build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if w := get(t, st.Handler(), "/cgi-bin/phf?Qalias=x", "203.0.113.7"); w.Code != http.StatusForbidden {
+		t.Fatalf("phf from a spoofed source = %d, want 403", w.Code)
+	}
+	if got := st.Threat.Level(); got != ids.Low {
+		t.Errorf("threat level = %s after a spoofed phf probe, want low", got)
+	}
+}

@@ -37,10 +37,10 @@ type Deps struct {
 	// pre_cond_threshold).
 	Counters *conditions.Counters
 	// Spoof, when non-nil, is consulted before source-keyed
-	// countermeasures (update_log, block_ip): a spoof-suspected
-	// address is never blacklisted or firewalled, so an attacker
-	// cannot stage a denial of service by impersonating a host
-	// (paper sections 1 and 3).
+	// countermeasures (update_log, block_ip, set_threat_level): a
+	// spoof-suspected address is never blacklisted or firewalled and
+	// raises no threat level, so an attacker cannot stage a denial of
+	// service by impersonating a host (paper sections 1 and 3).
 	Spoof ids.NetworkIDS
 	// Retry bounds re-attempts of side-effecting deliveries (notify,
 	// audit) when the backing service errors transiently. The zero
@@ -69,7 +69,7 @@ var builtins = [...]struct {
 		return triggered{auditAction{log: d.Audit, clock: clock, retry: d.Retry}, d.Audit != nil}
 	}},
 	{"set_threat_level", func(d Deps, _ func() time.Time) gaa.Evaluator {
-		return triggered{threatAction{mgr: d.Threat}, d.Threat != nil}
+		return triggered{threatAction{mgr: d.Threat, spoof: d.Spoof}, d.Threat != nil}
 	}},
 	{"block_ip", func(d Deps, _ func() time.Time) gaa.Evaluator {
 		return triggered{blockAction{set: d.Blocks, spoof: d.Spoof}, d.Blocks != nil}
@@ -206,10 +206,9 @@ func (a updateLogAction) Evaluate(_ context.Context, cond eacl.Condition, req *g
 	if !ok || member == "" {
 		return gaa.UnevaluatedOutcome("no " + paramType + " parameter to record")
 	}
-	if paramType == gaa.ParamClientIP && a.spoof != nil {
-		if spoofed, conf := a.spoof.SpoofIndication(member); spoofed {
-			return gaa.MetOutcome(gaa.ClassAction,
-				fmt.Sprintf("skipped: %s suspected spoofed (confidence %.2f)", member, conf))
+	if paramType == gaa.ParamClientIP {
+		if out, ok := spoofed(a.spoof, member); ok {
+			return out
 		}
 	}
 	a.store.Add(group, member)
@@ -261,11 +260,26 @@ func (a auditAction) Evaluate(ctx context.Context, cond eacl.Condition, req *gaa
 	return gaa.MetOutcome(gaa.ClassAction, "audited")
 }
 
+// spoofed reports whether spoof suspects the source address ip, with
+// the outcome of a countermeasure skipped for it: met, so the request's
+// decision stands, but nothing done to the address or the site.
+func spoofed(spoof ids.NetworkIDS, ip string) (gaa.Outcome, bool) {
+	if spoof == nil || ip == "" {
+		return gaa.Outcome{}, false
+	}
+	if yes, conf := spoof.SpoofIndication(ip); yes {
+		return gaa.MetOutcome(gaa.ClassAction, fmt.Sprintf("skipped: %s suspected spoofed (confidence %.2f)", ip, conf)), true
+	}
+	return gaa.Outcome{}, false
+}
+
 // threatAction implements rr_cond_set_threat_level: "on:failure/high"
 // escalates the system threat level — the paper's "modifying overall
-// system protection" countermeasure.
+// system protection" countermeasure — unless the client address is
+// suspected spoofed.
 type threatAction struct {
-	mgr *ids.Manager
+	mgr   *ids.Manager
+	spoof ids.NetworkIDS
 }
 
 func (a threatAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.Request) gaa.Outcome {
@@ -286,6 +300,10 @@ func (a threatAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.
 	level, err := ids.ParseLevel(name)
 	if err != nil {
 		return badValue(err)
+	}
+	ip, _ := req.Params.Get(gaa.ParamClientIP, cond.DefAuth)
+	if out, ok := spoofed(a.spoof, ip); ok {
+		return out
 	}
 	a.mgr.Escalate(level)
 	return met(req, func() string { return "threat level escalated to " + level.String() })
@@ -326,11 +344,8 @@ func (a blockAction) Evaluate(_ context.Context, cond eacl.Condition, req *gaa.R
 	if !ok || ip == "" {
 		return gaa.UnevaluatedOutcome("no client address to block")
 	}
-	if a.spoof != nil {
-		if spoofed, conf := a.spoof.SpoofIndication(ip); spoofed {
-			return gaa.MetOutcome(gaa.ClassAction,
-				fmt.Sprintf("skipped: %s suspected spoofed (confidence %.2f)", ip, conf))
-		}
+	if out, ok := spoofed(a.spoof, ip); ok {
+		return out
 	}
 	a.set.Block(ip, dur)
 	return met(req, func() string { return "blocked " + ip })

@@ -15,14 +15,15 @@ import (
 // is defined once, by the whole-policy reasoning engine
 // (internal/eacl/reason), which walks the first-match scan over regions
 // cut from the policy text and replays a witness of each through the
-// real evaluator. These codes only present its facts. A dead entry is
-// reported once, under the code its cause picks: E011, E012 or E013
-// when it is unsatisfiable; W002, W003 or W007 for a single shadowing
-// entry that is a duplicate, unconditional, or conditional of the same
-// sign; W020 under stop; W022 otherwise. Universal claims need regions
-// covering the policy; when a condition reads state outside the request,
-// or the engine fails, a W022 says the analysis is unknown (at the entry
-// for its own query, else on line 0), and the existential W021 and W023
+// real evaluator; every question about a file walks on its one engine.
+// These codes only present its facts. A dead entry is reported once,
+// under the code its cause picks: E011, E012 or E013 when it is
+// unsatisfiable; W002, W003 or W007 for a single shadowing entry that is
+// a duplicate, unconditional, or conditional of the same sign; W020
+// under stop; W022 otherwise. Universal claims need regions covering the
+// policy; when a condition reads state outside the request, or the
+// engine fails, a W022 says the analysis is unknown (at the entry for
+// its own query, else on line 0), and the existential W021 and W023
 // still report what they found.
 
 // Composition is a composed policy set: system-wide EACLs first, local
@@ -140,20 +141,25 @@ type finding struct {
 }
 
 // findings runs the prover over the file as a stand-alone local policy,
-// once. Each entry is asked first whether it can fire at all: one found
-// unsatisfiable decides nothing, and one the query cannot settle gets
-// only that note, so the file is proved without both.
+// once, on one engine. Each entry is asked there whether it can fire: one
+// found unsatisfiable decides nothing, and one the query cannot settle
+// gets only that note, so the file is proved without both (Walk).
 func (f *File) findings() []finding {
 	if f.proved {
 		return f.found
 	}
 	f.proved = true
+	eng, err := reason.New(nil, []*eacl.EACL{f.EACL}, reason.Options{})
+	if err != nil {
+		f.found = unknown(f.EACL.Source, eng, err)
+		return f.found
+	}
 	reduced := &eacl.EACL{Source: f.EACL.Source}
 	var live []int // reduced.Entries index -> f.EACL.Entries index
 	for i, en := range f.EACL.Entries {
-		switch core, why := reason.Unsatisfiable(en); {
+		switch core, why := eng.Unsatisfiable(en); {
 		case core != nil:
-			f.found = append(f.found, unsatFinding(f.EACL.Source, en))
+			f.found = append(f.found, unsatFinding(eng, f.EACL.Source, en))
 		case why != "":
 			f.found = append(f.found, finding{code: "W022", file: f.EACL.Source, line: en.Line,
 				msg: "prover: unknown whether this entry can fire: " + why})
@@ -164,7 +170,9 @@ func (f *File) findings() []finding {
 	if len(live) < 2 {
 		return f.found // shadowing takes two entries that can decide
 	}
-	eng, err := reason.New(nil, []*eacl.EACL{reduced}, reason.Options{})
+	if len(live) < len(f.EACL.Entries) {
+		eng, err = eng.Walk(reduced)
+	}
 	if f.found = append(f.found, unknown(reduced.Source, eng, err)...); err != nil {
 		return f.found
 	}
@@ -203,11 +211,11 @@ func deadFinding(e *eacl.EACL, d reason.DeadEntry) finding {
 // the last of them, E013 at the entry. Conditions a value-level rule
 // reports are left out first; if the rest can hold together, the zero
 // finding, which no rule reports, leaves that rule's the only one.
-func unsatFinding(src string, en eacl.Entry) finding {
+func unsatFinding(eng *reason.Engine, src string, en eacl.Entry) finding {
 	en.Conditions = slices.DeleteFunc(slices.Clone(en.Conditions), func(c eacl.Condition) bool {
 		return slices.ContainsFunc(valueRules, func(v valueRule) bool { return v.fault(c) != nil })
 	})
-	core, _ := reason.Unsatisfiable(en)
+	core, _ := eng.Unsatisfiable(en)
 	if core == nil {
 		return finding{}
 	}

@@ -3,9 +3,11 @@ package analysis
 import (
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gaaapi/internal/eacl"
+	"gaaapi/internal/eacl/reason"
 )
 
 func sampleDiags() []Diagnostic {
@@ -203,9 +205,11 @@ func entryAt(e *eacl.EACL, line int) int {
 }
 
 // FuzzAnalyze checks the whole engine never panics on any parseable
-// policy — the analyzer runs in CI over untrusted policy files — and
-// that it reports each dead entry once: no entry's file findings carry
-// two of the codes a dead entry is reported under.
+// policy — the analyzer runs in CI over untrusted policy files — that
+// it reports each dead entry once: no entry's file findings carry two
+// of the codes a dead entry is reported under, and that each entry gets
+// from its file's engine, on which all its questions walk, the answer a
+// fresh engine of the entry alone gives.
 func FuzzAnalyze(f *testing.F) {
 	f.Add("pos_access_right apache GET /cgi-bin/*\nneg_access_right apache GET /cgi-bin/phf\npre_cond_regex gnu *phf*")
 	f.Add("neg_access_right apache *\npre_cond_regex gnu re:[unclosed\npre_cond_location local 300.0.0.0/8")
@@ -237,6 +241,18 @@ func FuzzAnalyze(f *testing.F) {
 				t.Fatalf("entry at line %d reported twice: %v and %v", e.Entries[i].Line, prev, d)
 			}
 			once[i] = d
+		}
+		if eng, err := reason.New(nil, []*eacl.EACL{e}, reason.Options{}); err == nil {
+			for _, en := range e.Entries {
+				core, unknown := eng.Unsatisfiable(en)
+				fresh, err := reason.New(nil, []*eacl.EACL{{Source: e.Source, Entries: []eacl.Entry{en}}}, reason.Options{})
+				if err != nil {
+					continue
+				}
+				if want, wantUnknown := fresh.Unsatisfiable(en); !slices.Equal(core, want) || unknown != wantUnknown {
+					t.Fatalf("entry at line %d: the file's engine answers %v, %q; a fresh one %v, %q", en.Line, core, unknown, want, wantUnknown)
+				}
+			}
 		}
 		// Composition with itself on both levels must not panic either.
 		ds = append(ds, a.AnalyzeComposition(NewComposition(

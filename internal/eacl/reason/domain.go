@@ -64,9 +64,10 @@ var (
 	spelled = &lang{Language: eacl.Language{Exprs: []string{`^[0-9A-Fa-f.:]*$`}}, id: -2}
 )
 
-// nonEmpty is the language of the strings with at least one byte: the
-// evaluators read an empty user or client address as none at all.
-var nonEmpty = &lang{Language: eacl.Language{Exprs: []string{"(?s)."}}, match: func(s string) bool { return s != "" }}
+// empty is the glob "", the language of the empty string: the evaluators
+// read an empty user or client address as none at all, so users and
+// addresses lie outside it, and their searches stay in bytes.
+var empty = &lang{Language: eacl.Language{Globs: []string{""}}, match: func(s string) bool { return s == "" }}
 
 // intChoice is one value of an integer request parameter: a value, or
 // the parameter being absent from the request.
@@ -76,23 +77,25 @@ type intChoice struct {
 }
 
 // domain is what the walk reads of one composed policy: the groups and
-// integer parameters its conditions name, each condition's languages,
-// and its ambient conditions.
+// integer parameters its conditions name, the text's answers, and its
+// ambient conditions.
 type domain struct {
 	groups  []string // group names; membership is a per-name bit
 	intDims []string // parameter names compared
-	values  mapValues
-	langs   map[string]*lang // by glob, or by condition type and value
-	// found remembers each search by the languages it was asked about.
-	found map[string]found
-	// cells holds each condition's atoms, by its type and value.
-	read map[[2]string]atoms
+	// The text's answers, one engine's whichever walk asks: the '@' values,
+	// each condition's atoms, the languages by glob or by condition type
+	// and value, and each search by the languages it was asked about.
+	values mapValues
+	read   map[[2]string]atoms
+	langs  map[string]*lang
+	found  map[string]found
 	// ambient holds the condition types whose truth depends on state
 	// outside the request; why says how that leaves the domain short.
 	ambient map[string]bool
 	why     string
-	shorts  int // times the domain fell short
-	cubes   int // cut so far, against maxCubes
+	shorts  int      // times the domain fell short
+	cubes   int      // cut so far, against maxCubes
+	over    []string // the searches past their budget charged so far
 }
 
 // incomplete reports whether the domain is known not to cover the
@@ -138,9 +141,9 @@ type world struct {
 
 // buildDomain collects the groups and parameters every pre and
 // request-result condition of the composition names, and its ambient
-// conditions.
-func buildDomain(eacls []*eacl.EACL, opts Options) *domain {
-	d := &domain{values: mapValues(opts.Values), langs: map[string]*lang{}, found: map[string]found{}, read: map[[2]string]atoms{}, ambient: map[string]bool{}}
+// conditions, with the text's answers shared's are.
+func buildDomain(eacls []*eacl.EACL, shared *domain) *domain {
+	d := &domain{values: shared.values, read: shared.read, langs: shared.langs, found: shared.found, ambient: map[string]bool{}}
 	groupSet, intSet := map[string]bool{}, map[string]bool{}
 	for _, e := range eacls {
 		for _, en := range e.Entries {
@@ -340,7 +343,7 @@ type found struct {
 }
 
 // search asks eacl.Witness for a string in every language of in and in
-// none of out, once per pair of language sets.
+// none of out, once per pair of language sets on an engine.
 func (d *domain) search(in, out []*lang) found {
 	var b []byte
 	for _, side := range [][]*lang{in, out} {
@@ -367,9 +370,10 @@ func (d *domain) search(in, out []*lang) found {
 		}
 		f.w, f.ok, f.err = eacl.Witness(langs(in), langs(out))
 		d.found[key] = f
-		if errors.Is(f.err, eacl.ErrSearchBudget) {
-			d.spend(maxCubes / 8) // as much work as an eighth of the walk's
-		}
+	}
+	if errors.Is(f.err, eacl.ErrSearchBudget) && !slices.Contains(d.over, key) {
+		d.over = append(d.over, key)
+		d.spend(maxCubes / 8) // once a walk: an eighth of its budget
 	}
 	return f
 }
@@ -498,7 +502,7 @@ func (d *domain) root(level ids.Level) *cube {
 	return &cube{
 		threat: level,
 		member: make([]int8, len(d.groups)),
-		addr:   strAxis{in: []*lang{nonEmpty}, w: defaultIP},
+		addr:   strAxis{out: []*lang{empty}, w: defaultIP},
 		line:   strAxis{w: defaultLine},
 		minute: baseMinute(),
 		ints:   make([]intAxis, len(d.intDims)),
@@ -568,10 +572,10 @@ func (d *domain) cells(c eacl.Condition, k *cube) []*cube {
 	switch a.Axis {
 	case conditions.AxisUser:
 		// The empty user is the anonymous client, whom no list admits.
-		if u, ok := d.narrow(k.user, nonEmpty, false, ""); ok {
+		if u, ok := d.narrow(k.user, empty, true, ""); ok {
 			add(k.with(func(p *cube) { p.user = u }))
 		}
-		if auth, ok := d.narrow(k.user, nonEmpty, true, defaultUser); ok {
+		if auth, ok := d.narrow(k.user, empty, false, defaultUser); ok {
 			for _, inside := range []bool{true, false} {
 				if u, ok := d.narrow(auth, d.condLang(c, a), inside, defaultUser); ok {
 					add(k.with(func(p *cube) { p.user = u }))

@@ -21,7 +21,8 @@
 // analyzer presents (DeadEntries, VetoedGrants, Bypasses, Unsatisfiable):
 // an entry decides in some world, or its fate walk — the entry cut alone,
 // and the pieces it decides scanned by its EACL — names what keeps it
-// from deciding.
+// from deciding. Whether an entry can fire at all is asked of an engine,
+// which walks the entry's one-entry policy on its own answers (Walk).
 //
 // Every positive answer carries a concrete synthesized request; during
 // construction the engine replays every world through the compiled
@@ -70,6 +71,7 @@ type worldResult struct {
 	composed Verdict
 	sysOnly  Verdict // valid when Options.SystemOnly
 	inexact  bool
+	held     bool // a decider's pre-conditions all hold (emptyRegion reads it)
 	// deciderYes holds the condition types that evaluated YES on some
 	// deciding entry (reachable-without reads it).
 	deciderYes map[string]bool
@@ -106,22 +108,34 @@ type Engine struct {
 // that decides in no world. A non-nil error means the specification and
 // the compiled engine disagreed — a bug, never a policy property.
 func New(system, local []*eacl.EACL, opts Options) (*Engine, error) {
+	d := &domain{values: mapValues(opts.Values), read: map[[2]string]atoms{}, langs: map[string]*lang{}, found: map[string]found{}}
+	return newEngine(system, local, opts, d, newWorldEnv(d.values))
+}
+
+// Walk is New for the one-file policy ec on e's answers and environment
+// (API, vocabulary, groups, clock), with its own budget, shortfalls and
+// ambient conditions. It writes e's answers: one call at a time.
+func (e *Engine) Walk(ec *eacl.EACL) (*Engine, error) {
+	return newEngine(nil, []*eacl.EACL{ec}, Options{Values: e.opts.Values}, e.dom, e.env)
+}
+
+// newEngine is New on the answers of domain shared and on env.
+func newEngine(system, local []*eacl.EACL, opts Options, shared *domain, env *worldEnv) (*Engine, error) {
 	e := &Engine{
 		policy:    gaa.NewPolicy("reason", system, local),
 		sysPolicy: gaa.NewPolicy("reason", system, nil),
 		opts:      opts,
 		nsys:      len(system),
+		env:       env,
 	}
 	e.eacls = append(append([]*eacl.EACL{}, system...), local...)
-	e.dom = buildDomain(e.eacls, opts)
-	e.env = newWorldEnv(e.dom.values)
+	e.dom = buildDomain(e.eacls, shared)
 
 	for _, k := range e.roots() {
 		e.compose(0, k, nil)
 	}
 
-	ctx := context.Background()
-	env := e.env
+	ctx, env := context.Background(), e.env
 	model := make([][]gaa.EntryModel, len(e.eacls)) // [eacl][entry], reused per world
 	for i, ec := range e.eacls {
 		model[i] = make([]gaa.EntryModel, len(ec.Entries))
@@ -358,6 +372,7 @@ func (e *Engine) foldWorld(ctx context.Context, env *worldEnv, entry func(n, i i
 			continue
 		}
 		m := &model[n][d]
+		r.held = r.held || e.holds(m)
 		r.deciders = append(r.deciders, entryRef{eacl: int32(n), entry: int32(d), kind: m.Kind})
 		for j := range m.Evaluated {
 			ev := &m.Evaluated[j]

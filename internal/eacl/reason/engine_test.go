@@ -400,6 +400,9 @@ func TestUnsatisfiable(t *testing.T) {
 		{"windows meeting on a shared day", "pre_cond_time_window local 09:00-17:00 Wed\npre_cond_time_window local 10:00-12:00 Mon-Fri", false, ""},
 		{"threat levels", "pre_cond_system_threat_level local =high\npre_cond_system_threat_level local =low", true, ""},
 		{"seven users", "pre_cond_accessid_USER apache a b c d e f g", false, ""},
+		// No expression takes part, so the user axis is searched in
+		// bytes: the user "\xffroot" fires the entry.
+		{"user outside UTF-8", "pre_cond_accessid_USER apache \xffroot", false, ""},
 		// Unregistered conditions and '@' references are MAYBE: the
 		// entry decides, so it is not unsatisfiable.
 		{"unregistered", "pre_cond_phase_of_moon local full", false, ""},
@@ -424,7 +427,7 @@ func TestUnsatisfiable(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			e := mustEACL(t, "neg_access_right apache *\n"+tt.guard+"\n")
-			core, unknown := Unsatisfiable(e.Entries[0])
+			core, unknown := mustEngine(t, nil, []*eacl.EACL{e}, Options{}).Unsatisfiable(e.Entries[0])
 			if (core != nil) != tt.unsat || !strings.Contains(unknown, tt.unknown) || (tt.unknown == "") != (unknown == "") {
 				t.Errorf("Unsatisfiable = %v, %q; want unsatisfiable %v, %q", core, unknown, tt.unsat, tt.unknown)
 			}
@@ -440,7 +443,7 @@ func TestUnsatisfiable(t *testing.T) {
 	// the window beside them.
 	e := mustEACL(t, "neg_access_right apache *\npre_cond_time_window local 09:00-17:00\n"+
 		"pre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16\n")
-	if core, _ := Unsatisfiable(e.Entries[0]); len(core) != 2 || core[0].Line != 3 || core[1].Line != 4 {
+	if core, _ := eng.Unsatisfiable(e.Entries[0]); len(core) != 2 || core[0].Line != 3 || core[1].Line != 4 {
 		t.Errorf("core = %+v, want the two location conditions", core)
 	}
 }

@@ -1,7 +1,6 @@
 package reason
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -98,15 +97,15 @@ func (e *Engine) Prove(name string) (*ProofResult, error) {
 // counting as holding. core is nil when the region is not empty, else
 // the pre-conditions that cannot hold together: those of the first type
 // that cannot alone, or all of them. unknown says why the walk may miss
-// the region: a condition reads state outside the request.
-func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
-	if empty, unknown := emptyRegion(en); !empty {
+// the region: a condition reads state outside the request. It walks on e.
+func (e *Engine) Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
+	if empty, unknown := e.emptyRegion(en); !empty {
 		return nil, unknown
 	}
 	core = en.Block(eacl.BlockPre)
 	for _, c := range core {
 		sub := slices.DeleteFunc(en.Block(eacl.BlockPre), func(o eacl.Condition) bool { return o.Type != c.Type })
-		if empty, _ := emptyRegion(eacl.Entry{Right: en.Right, Conditions: sub}); empty {
+		if empty, _ := e.emptyRegion(eacl.Entry{Right: en.Right, Conditions: sub}); empty {
 			return sub, ""
 		}
 	}
@@ -114,26 +113,20 @@ func Unsatisfiable(en eacl.Entry) (core []eacl.Condition, unknown string) {
 }
 
 // emptyRegion reports whether en holds in none of the worlds of its
-// one-entry policy, which New replays through the compiled engine; a
-// disagreement is unknown.
-func emptyRegion(en eacl.Entry) (empty bool, unknown string) {
-	e, err := New(nil, []*eacl.EACL{{Source: "entry", Entries: []eacl.Entry{en}}}, Options{})
+// one-entry policy, which the walk folds and replays through the
+// compiled engine; a disagreement is unknown.
+func (e *Engine) emptyRegion(en eacl.Entry) (empty bool, unknown string) {
+	w, err := e.Walk(&eacl.EACL{Source: "entry", Entries: []eacl.Entry{en}})
 	if err != nil {
 		return false, err.Error()
 	}
-	var m gaa.EntryModel
-	for i := range e.results {
-		if e.walked[i][0] < 0 {
-			continue
-		}
-		e.env.enter(e.dom, &e.results[i].w)
-		e.env.api.SpecEntry(context.Background(), e.eacls[0], 0, e.env.req, &m)
-		if e.holds(&m) {
+	for i := range w.results {
+		if w.results[i].held {
 			return false, ""
 		}
 	}
-	if e.dom.incomplete() {
-		return false, e.Incomplete()
+	if w.dom.incomplete() {
+		return false, w.Incomplete()
 	}
 	return true, ""
 }

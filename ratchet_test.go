@@ -127,6 +127,14 @@ var ratchets = []ratchet{
 		bad:       `	for _, name := range []string{"notify", "update_log", "audit"} {`,
 	},
 	{
+		name:      "the reasoner builds no engine of its own",
+		why:       "each per-entry question walks on the engine it is asked of (Engine.Walk), on that engine's answers and evaluation environment; a one-entry New per question built a gaa.API, a vocabulary and a domain each time",
+		files:     []string{"internal/eacl/reason/*.go"},
+		nonTest:   true,
+		forbidden: `New\(nil,`,
+		bad:       "\te, err := New(nil, []*eacl.EACL{{Source: \"entry\", Entries: []eacl.Entry{en}}}, Options{})",
+	},
+	{
 		name:      "the threat level steps down in one place",
 		why:       "writers raise the level and renew its hold; ids.Manager.Tick (internal/ids/level.go) is the one rule that lowers it, so no detector keeps a decay, a dwell or a step-down of its own",
 		files:     []string{"**/*.go"},
