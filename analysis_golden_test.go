@@ -264,6 +264,8 @@ func TestSeededFixturesTriggerTheirRule(t *testing.T) {
 		// so it shadows nothing and truncates nothing.
 		{"unsat-location.eacl", []string{"E013"}, 4},
 		{"unsat-location-first.eacl", []string{"E013"}, 4},
+		// A CIDR is a language: no string of the glob lies in the block.
+		{"unsat-location-glob.eacl", []string{"E013"}, 4},
 		{"unsat-length.eacl", []string{"E013"}, 3},
 		{"unsat-length-first.eacl", []string{"E013"}, 4},
 		{"time-contradiction-first.eacl", []string{"E011"}, 6},

@@ -1,7 +1,5 @@
 package conditions
 
-import "net"
-
 // Axis is the request dimension a condition reads: none (the threat
 // level, a counter, ambient state, or no built-in), the user, a group
 // membership, the client address (a host list reads the client host
@@ -28,12 +26,12 @@ type Atoms struct {
 	Ambient bool
 	// Globs are the '*'-globs of a user, host, location or request-line
 	// list; Exprs are a request-line list's "re:" expressions, without
-	// the prefix. The list matches when one of them does.
+	// the prefix, and a location list's CIDR blocks, each the anchored
+	// expression of the strings net.ParseIP places in it. The list
+	// matches when one of them does.
 	Globs, Exprs []string
 	Group        string
-	// Nets are a location list's CIDR ranges.
-	Nets   []*net.IPNet
-	Window TimeWindow
+	Window       TimeWindow
 	// Param, Op and Bound are a comparison: the parameter, the
 	// comparator token and the integer bound.
 	Param, Op string

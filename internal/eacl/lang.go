@@ -27,10 +27,12 @@ import (
 // sets of instructions), so a search that passes maxSearchNodes states
 // gives up with ErrSearchBudget.
 //
-// Where no expression takes part the search reads bytes: a glob's
-// literal bytes are the runes 0-255 (byte mode), so a glob outside UTF-8
-// keeps Glob's byte semantics. Where one does the search reads runes, in
-// which a glob outside UTF-8 cannot be spelled, so it cannot tell.
+// Where no expression matches past ASCII the search reads bytes: a
+// glob's literal bytes are the runes 0-255 (byte mode), so a glob outside
+// UTF-8 keeps Glob's byte semantics, and an ASCII expression reads a
+// byte past ASCII as it reads a rune, in none of its classes. Where one
+// does the search reads runes, in which a glob outside UTF-8 cannot be
+// spelled, so it cannot tell.
 
 // Language is a union of '*'-globs and regular expressions.
 type Language struct {
@@ -45,16 +47,17 @@ const maxSearchNodes = 1 << 14
 // maxSearchNodes states before it decides.
 var ErrSearchBudget = errors.New("the string search exceeds its state budget")
 
-// errBytesBesideExpr is Witness's answer when an expression and a glob
-// outside UTF-8 share a search.
+// errBytesBesideExpr is Witness's answer when an expression that matches
+// past ASCII and a glob outside UTF-8 share a search.
 var errBytesBesideExpr = errors.New("a glob outside UTF-8 shares a string search with an expression")
 
 // Witness returns a shortest string that every language of in matches
 // and no language of out does, and whether one exists; or an error when
-// it cannot tell: ErrSearchBudget, or another where an expression and a
-// glob outside UTF-8 take part. An expression that does not compile
-// matches nothing. Among the shortest, the one read first prefers a byte
-// no pattern names ('~' where it can), then lower bytes.
+// it cannot tell: ErrSearchBudget, or another where an expression that
+// matches past ASCII and a glob outside UTF-8 take part. An expression
+// that does not compile matches nothing. Among the shortest, the one
+// read first prefers a byte no pattern names ('~' where it can), then
+// lower bytes.
 func Witness(in, out []Language) (string, bool, error) {
 	// Two single globs whose literal starts part ways share no string.
 	var starts []string
@@ -76,7 +79,8 @@ func Witness(in, out []Language) (string, bool, error) {
 		outsideUTF8 = outsideUTF8 || slices.ContainsFunc(l.Globs, func(g string) bool { return !utf8.ValidString(g) })
 		for _, e := range l.Exprs {
 			if re, err := syntax.Parse(e, syntax.Perl); err == nil {
-				exprs[i], s.runes = append(exprs[i], re), true
+				exprs[i], s.exprs = append(exprs[i], re), true
+				s.runes = s.runes || !ascii(re)
 			}
 		}
 		text = append(append(text, l.Globs...), l.Exprs...)
@@ -107,7 +111,8 @@ type search struct {
 	progs []*syntax.Prog
 	off   []int // each program's first word in a node's states, then the end
 	nin   int
-	runes bool           // an expression takes part: the symbols are runes
+	exprs bool           // an expression takes part
+	runes bool           // one matches past ASCII: the symbols are runes
 	used  syntax.EmptyOp // the empty-width steps the programs take
 	syms  []symbol
 
@@ -219,13 +224,35 @@ type symbol struct {
 	r     rune
 }
 
-// alphabet sets the symbols, the fresh byte first. In byte mode that is
-// all: the search tries the literal bytes each state is at (symbols).
-// In rune mode it adds a rune from every run between two bounds the
-// programs' ranges and case folds, newline and the word characters name.
+// ascii reports whether re matches ASCII runes alone (a folded k matches
+// the Kelvin sign), so that it reads a byte past ASCII as a rune: in none
+// of its classes.
+func ascii(re *syntax.Regexp) bool {
+	if re.Op == syntax.OpAnyChar || re.Op == syntax.OpAnyCharNotNL {
+		return false
+	}
+	fold := re.Op == syntax.OpLiteral && re.Flags&syntax.FoldCase != 0
+	for _, r := range re.Rune {
+		for f := r; ; {
+			if f > unicode.MaxASCII {
+				return false
+			}
+			if f = unicode.SimpleFold(f); !fold || f == r {
+				break
+			}
+		}
+	}
+	return !slices.ContainsFunc(re.Sub, func(sub *syntax.Regexp) bool { return !ascii(sub) })
+}
+
+// alphabet sets the symbols, the fresh byte first. Where no expression
+// takes part that is all: the search tries the literal bytes each state
+// is at (symbols). Where one does it adds a rune from every run between
+// two bounds the programs' ranges and case folds, newline and the word
+// characters name; in byte mode, the bytes among those.
 func (s *search) alphabet(fresh byte) {
 	s.syms = []symbol{{string([]byte{fresh}), rune(fresh)}}
-	if !s.runes {
+	if !s.exprs {
 		return
 	}
 	bounds := map[rune]bool{}
@@ -263,16 +290,19 @@ func (s *search) alphabet(fresh byte) {
 		if !utf8.ValidRune(r) { // a surrogate does not encode
 			r = 0xE000
 		}
-		if r <= hi && r != rune(fresh) {
-			s.syms = append(s.syms, symbol{string(r), r})
+		if sym := (symbol{string(r), r}); r <= hi && r != rune(fresh) && (s.runes || r <= 0xFF) {
+			if !s.runes {
+				sym.bytes = string([]byte{byte(r)})
+			}
+			s.syms = append(s.syms, sym)
 		}
 	}
 }
 
 // symbols returns the symbols to try from a node whose programs reach
 // the instructions reach: in rune mode the alphabet; in byte mode the
-// fresh byte and the bytes the reached literals name, since on any other
-// byte every program moves as on the fresh one.
+// alphabet and the bytes the reached literals name, since on any other
+// byte every program moves as on one of the alphabet's.
 func (s *search) symbols(reach [][]uint32) []symbol {
 	if s.runes {
 		return s.syms
@@ -285,11 +315,9 @@ func (s *search) symbols(reach [][]uint32) []symbol {
 			}
 		}
 	}
-	s.tried = append(s.tried[:0], s.syms[0])
+	s.tried = append(s.tried[:0], s.syms...)
 	for _, c := range bitset(live[:]).appendTo(s.stack[:0]) {
-		if c != uint32(s.syms[0].r) {
-			s.tried = append(s.tried, symbol{string([]byte{byte(c)}), rune(c)})
-		}
+		s.tried = append(s.tried, symbol{string([]byte{byte(c)}), rune(c)})
 	}
 	return s.tried
 }

@@ -105,8 +105,17 @@ func TestWitness(t *testing.T) {
 		// A glob's star crosses a newline, an expression's dot does not.
 		{"a*b", `re:^a[^\n]*b$`, "a\nb", true, nil},
 		// "\xff\xff" holds, but a search in runes reads \xfe and \xff
-		// alike (U+FFFD), so where an expression takes part it cannot tell.
+		// alike (U+FFFD), so where an expression that matches past ASCII
+		// takes part it cannot tell.
 		{in: "*\xff*", out: "*\xfe*\tre:^.$", err: errBytesBesideExpr},
+		// An expression that matches ASCII alone reads bytes as it reads
+		// runes, so the search stays in bytes.
+		{"*\xff*", "*\xfe*\tre:[0-9]", "\xff", true, nil},
+		{"\xff*\nre:^[0-9a-f:]+$", "", "", false, nil},
+		// [fF] parses as a case-folded f, which stays in ASCII; a folded k
+		// matches the Kelvin sign, past it.
+		{"*\xff*\nre:^[fF]", "", "F\xff", true, nil},
+		{in: "*\xff*\nre:(?i)k", err: errBytesBesideExpr},
 	}
 	for _, tt := range tests {
 		in, out := languages(tt.in), languages(tt.out)

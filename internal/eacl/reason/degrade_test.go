@@ -80,14 +80,15 @@ func TestWalkBudgetDegradesProofs(t *testing.T) {
 }
 
 // TestUntoldPieceStaysApart: the string search cannot tell whether a
-// request line lies in "*\xfe* re:^x$" (a glob outside UTF-8 beside an
-// expression), so the first entry's inside piece is dropped. The piece
-// left outside it must not stand for the whole cube: had it, the second
-// entry's witness "x" would be walked as decided by it, while the first
-// entry fires on "x", and the replay would disagree. Instead the domain
-// is incomplete and the walk holds only what it could tell.
+// request line lies in "*\xfe* re:^[xé]$" (a glob outside UTF-8 beside
+// an expression that matches past ASCII), so the first entry's inside
+// piece is dropped. The piece left outside it must not stand for the
+// whole cube: had it, the second entry's witness "x" would be walked as
+// decided by it, while the first entry fires on "x", and the replay
+// would disagree. Instead the domain is incomplete and the walk holds
+// only what it could tell.
 func TestUntoldPieceStaysApart(t *testing.T) {
-	local := mustEACL(t, "neg_access_right apache *\npre_cond_regex gnu *\xfe* re:^x$\n"+
+	local := mustEACL(t, "neg_access_right apache *\npre_cond_regex gnu *\xfe* re:^[xé]$\n"+
 		"pos_access_right apache *\npre_cond_regex gnu x*\n")
 	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
 	if why := e.Incomplete(); !strings.Contains(why, "a glob outside UTF-8 shares a string search with an expression") {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"regexp"
 	"slices"
 	"strconv"
@@ -22,26 +21,25 @@ import (
 
 // The domain is the request space cut into regions. A region is a cube:
 // per request axis, the cells of the policy's atoms (conditions.AtomsOf)
-// it lies in. A glob or "re:" list is a string language, and a string
-// axis holds the languages its strings must be in and must avoid; a
-// CIDR is a block of addresses, judged by net.ParseIP as the location
-// condition judges it; a time window is a set of minutes of the week; a
-// comparison cuts its parameter into absent and the intervals on which
-// it holds or fails; a group is a membership bit; the threat level is
-// one of three. The first-match scan is walked over cubes (Engine.scan):
-// each entry cuts the cube it is reached with into the pieces on which
-// its right and each of its conditions read one cell, and each piece's
-// witness — one request, the shortest string of each language
-// intersection (eacl.Witness) — tells through the real evaluators what
-// the entry does on all of it. The pieces it decides leave the scan, the
-// rest go on to the next entry. So a verdict read off a witness holds
-// for its whole cube, and the cubes cover every request but where the
-// domain says it falls short (why): a condition whose truth depends on
-// state outside the request (conditions.Atoms.Ambient), a walk past its
-// budget (maxCubes), a string search past its own, or an address cube
-// whose globs and blocks no witness tried joins. An unregistered or
-// malformed condition is MAYBE for every request, and claims never pass
-// through it (see DESIGN.md §5.2).
+// it lies in. A glob or "re:" list is a string language, and so is a
+// CIDR, the strings the location condition places in its block; a
+// string axis holds the languages its strings must be in and must
+// avoid. A time window is a set of minutes of the week; a comparison
+// cuts its parameter into absent and the intervals on which it holds or
+// fails; a group is a membership bit; the threat level is one of three.
+// The first-match scan is walked over cubes (Engine.scan): each entry
+// cuts the cube it is reached with into the pieces on which its right
+// and each of its conditions read one cell, and each piece's witness —
+// one request, the shortest string of each language intersection
+// (eacl.Witness) — tells through the real evaluators what the entry
+// does on all of it. The pieces it decides leave the scan, the rest go
+// on to the next entry. So a verdict read off a witness holds for its
+// whole cube, and the cubes cover every request but where the domain
+// says it falls short (why): a condition whose truth depends on state
+// outside the request (conditions.Atoms.Ambient), a walk past its
+// budget (maxCubes), or a string search past its own or that cannot
+// tell. An unregistered or malformed condition is MAYBE for every
+// request, and claims never pass through it (see DESIGN.md §5.2).
 
 // baseTime is the instant witnesses prefer: a Monday noon, fixed so
 // answers are reproducible. A witness minute of the week is a minute of
@@ -55,13 +53,6 @@ const (
 	defaultUser = "user"
 	defaultIP   = "203.0.113.77"
 	defaultLine = "GET /index.html"
-)
-
-// dotted is the language of dotted quads, the shape of IPv4 addresses;
-// spelled holds every string net.ParseIP reads as an address.
-var (
-	dotted  = &lang{Language: eacl.Language{Exprs: []string{`^\d+\.\d+\.\d+\.\d+$`}}, id: -1}
-	spelled = &lang{Language: eacl.Language{Exprs: []string{`^[0-9A-Fa-f.:]*$`}}, id: -2}
 )
 
 // empty is the glob "", the language of the empty string: the evaluators
@@ -237,13 +228,9 @@ func (d *domain) condLang(c eacl.Condition, a conditions.Atoms) *lang {
 }
 
 // strAxis is a cube's extent on a string axis: the languages its
-// strings are in and those they avoid, on the address axis the CIDR
-// blocks they lie in (a block of each union of nets) and outside
-// (notNets), and one string of them.
+// strings are in and those they avoid, and one string of them.
 type strAxis struct {
 	in, out []*lang
-	nets    [][]*net.IPNet
-	notNets []*net.IPNet
 	w       string
 }
 
@@ -266,73 +253,29 @@ func (d *domain) narrow(s strAxis, l *lang, inside bool, preferred string) (strA
 	return d.pick(s, preferred)
 }
 
-// within returns the address axis inside (or outside) the union of the
-// blocks nets, and false when no string is left.
-func (d *domain) within(s strAxis, nets []*net.IPNet, inside bool) (strAxis, bool) {
-	if inside {
-		s.nets = append(slices.Clip(s.nets), nets)
-	} else {
-		s.notNets = append(slices.Clip(s.notNets), nets...)
-	}
-	if s.holds(s.w) {
-		return s, true
-	}
-	return d.pick(s, defaultIP)
-}
-
 // pick gives s a witness and reports whether it holds a string: the
 // preferred one, or the shortest string of the in languages alone, where
-// s holds them; else the search's; else the first free address of a
-// block s lies in or its last; else the languages' shortest dotted quad
-// or string no address spells. Where the search gives up, or no string
-// tried lies both in the languages and in the blocks while some string
-// of the languages spells an address, it cannot tell: s is dropped and
-// the domain left incomplete.
+// s holds them; else the search's. Where the search gives up, it cannot
+// tell: s is dropped and the domain left incomplete.
 func (d *domain) pick(s strAxis, preferred string) (strAxis, bool) {
 	f := d.search(s.in, nil)
-	addrs, some := s.addresses()
-	if f.err == nil && !f.ok || !some {
+	switch {
+	case f.err == nil && !f.ok:
 		return s, false
-	}
-	try := func(ws ...string) bool {
-		i := slices.IndexFunc(ws, s.holds)
-		if i >= 0 {
-			s.w = ws[i]
-		}
-		return i >= 0
-	}
-	if try(preferred, f.w) {
+	case s.holds(preferred):
+		s.w = preferred
 		return s, true
-	}
-	if f.err == nil {
-		if f = d.search(s.in, s.out); f.err == nil && !f.ok {
-			return s, false
-		}
-	}
-	if try(f.w) || try(addrs...) {
+	case s.holds(f.w):
+		s.w = f.w
 		return s, true
-	}
-	if f.err == nil {
-		// The languages' shortest dotted quad may lie in the blocks, and
-		// their shortest string no address spells lies outside them all.
-		for _, q := range [][2][]*lang{{append(slices.Clip(s.in), dotted), s.out}, {s.in, append(slices.Clip(s.out), spelled)}} {
-			if g := d.search(q[0], q[1]); g.ok && try(g.w) {
-				return s, true
-			}
-		}
-		// Every string in a block spells an address.
-		if len(s.nets) > 0 {
-			if g := d.search(append(slices.Clip(s.in), spelled), s.out); g.err == nil && !g.ok {
-				return s, false
-			}
-		}
+	case f.err == nil:
+		f = d.search(s.in, s.out)
 	}
 	if f.err != nil {
 		d.short(f.err.Error())
-	} else {
-		d.short("no witness tried lies both in an address glob and in a CIDR")
 	}
-	return s, false
+	s.w = f.w
+	return s, f.ok
 }
 
 // found is one search's answer.
@@ -380,99 +323,7 @@ func (d *domain) search(in, out []*lang) found {
 
 func (s strAxis) holds(w string) bool {
 	return !slices.ContainsFunc(s.in, func(l *lang) bool { return !l.match(w) }) &&
-		!slices.ContainsFunc(s.out, func(l *lang) bool { return l.match(w) }) &&
-		s.fits(w)
-}
-
-// fits reports whether w lies in a block of each union of s.nets and in
-// no block of s.notNets, read as the location condition reads it: by
-// net.ParseIP and Contains.
-func (s strAxis) fits(w string) bool {
-	if len(s.nets)+len(s.notNets) == 0 {
-		return true
-	}
-	ip := net.ParseIP(w)
-	in := func(n *net.IPNet) bool { return ip != nil && n.Contains(ip) }
-	for _, u := range s.nets {
-		if !slices.ContainsFunc(u, in) {
-			return false
-		}
-	}
-	return !slices.ContainsFunc(s.notNets, in)
-}
-
-// addresses returns, for each block inside a block of every union of
-// s.nets, its first address outside every block of s.notNets and its
-// last address, and whether a free one is left; nothing and true when s
-// names no union. Blocks of one family nest or lie apart, so two meet in
-// the inner one.
-func (s strAxis) addresses() ([]string, bool) {
-	if len(s.nets) == 0 {
-		return nil, true
-	}
-	blocks := s.nets[0]
-	for _, u := range s.nets[1:] {
-		var next []*net.IPNet
-		for _, b := range blocks {
-			for _, c := range u {
-				if len(b.IP) != len(c.IP) || !b.Contains(c.IP) && !c.Contains(b.IP) {
-					continue
-				}
-				inner := b
-				if bl, cl := ones(b), ones(c); cl > bl {
-					inner = c
-				}
-				next = append(next, inner)
-			}
-		}
-		blocks = next
-	}
-	var out []string
-	for _, b := range blocks {
-		if ip := free(b, s.notNets); ip != nil {
-			out = append(out, ip.String(), last(b).String())
-		}
-	}
-	return out, len(out) > 0
-}
-
-// ones is the prefix length of block n.
-func ones(n *net.IPNet) int {
-	k, _ := n.Mask.Size()
-	return k
-}
-
-// last returns block n's last address.
-func last(n *net.IPNet) net.IP {
-	ip := make(net.IP, len(n.IP))
-	for j := range ip {
-		ip[j] = n.IP[j] | ^n.Mask[j]
-	}
-	return ip
-}
-
-// free returns block b's first address outside every block of nots, nil
-// when there is none.
-func free(b *net.IPNet, nots []*net.IPNet) net.IP {
-	ip := b.IP
-	for i := 0; i < len(nots); i++ {
-		if !nots[i].Contains(ip) {
-			continue
-		}
-		// Step past the block's last address, and look again.
-		ip = last(nots[i])
-		j := len(ip) - 1
-		for ; j >= 0; j-- {
-			if ip[j]++; ip[j] != 0 {
-				break
-			}
-		}
-		if j < 0 || !b.Contains(ip) {
-			return nil
-		}
-		i = -1
-	}
-	return ip
+		!slices.ContainsFunc(s.out, func(l *lang) bool { return l.match(w) })
 }
 
 // intAxis is a cube's extent on one integer parameter: free (no cell
@@ -589,32 +440,14 @@ func (d *domain) cells(c eacl.Condition, k *cube) []*cube {
 				add(k.with(func(p *cube) { p.member[g] = bit }))
 			}
 		}
-	case conditions.AxisAddress:
-		// An address list holds an address in one of its blocks or
-		// matching one of its globs: its cells are inside the blocks, and
-		// outside them on either side of the globs.
-		rest, ok := k.addr, true
-		if len(a.Nets) > 0 {
-			if s, ok := d.within(k.addr, a.Nets, true); ok {
-				add(k.with(func(p *cube) { p.addr = s }))
-			}
-			rest, ok = d.within(k.addr, a.Nets, false)
+	case conditions.AxisAddress, conditions.AxisLine:
+		at, preferred := func(p *cube) *strAxis { return &p.line }, defaultLine
+		if a.Axis == conditions.AxisAddress {
+			at, preferred = func(p *cube) *strAxis { return &p.addr }, defaultIP
 		}
-		switch {
-		case !ok:
-		case len(a.Globs) == 0:
-			add(k.with(func(p *cube) { p.addr = rest }))
-		default:
-			for _, inside := range []bool{true, false} {
-				if s, ok := d.narrow(rest, d.condLang(c, a), inside, defaultIP); ok {
-					add(k.with(func(p *cube) { p.addr = s }))
-				}
-			}
-		}
-	case conditions.AxisLine:
 		for _, inside := range []bool{true, false} {
-			if s, ok := d.narrow(k.line, d.condLang(c, a), inside, defaultLine); ok {
-				add(k.with(func(p *cube) { p.line = s }))
+			if s, ok := d.narrow(*at(k), d.condLang(c, a), inside, preferred); ok {
+				add(k.with(func(p *cube) { *at(p) = s }))
 			}
 		}
 	case conditions.AxisTime:

@@ -105,6 +105,23 @@ func TestDeadEntryDetected(t *testing.T) {
 	}
 }
 
+// TestDeadEntriesBesideAddressGlob: an entry inside two disjoint blocks
+// never fires, and one at an address glob after a catch-all is
+// shadowed, so no-dead-entries is refuted with both, the address axis
+// decided exactly.
+func TestDeadEntriesBesideAddressGlob(t *testing.T) {
+	sys := mustEACL(t, "neg_access_right apache GET /a*\npre_cond_location local 192.168.0.0/16\npre_cond_location local 10.0.0.0/8\n"+
+		"neg_access_right * *\nneg_access_right apache *\npre_cond_location local 10.1.*\n")
+	res := mustProve(t, mustEngine(t, []*eacl.EACL{sys}, nil, Options{SystemOnly: true}), "no-dead-entries")
+	var lines []int
+	for _, d := range res.DeadEntries {
+		lines = append(lines, d.Line)
+	}
+	if res.Result != Refuted || fmt.Sprint(lines) != "[1 5]" {
+		t.Errorf("no-dead-entries = %s %q, dead lines %v; want refuted, lines [1 5]", res.Result, res.Reason, lines)
+	}
+}
+
 // TestDeadEntryCauses pins each cause with its witness: the shadowing
 // entries, or the structure that keeps the entry from ever deciding.
 func TestDeadEntryCauses(t *testing.T) {
@@ -418,9 +435,23 @@ func TestUnsatisfiable(t *testing.T) {
 		{"host name inside a CIDR", "pre_cond_accessid_HOST local *.example.org\npre_cond_location local 10.0.0.0/8", true, ""},
 		{"IPv4 and IPv6 CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 2001:db8::/32", true, ""},
 		{"CIDR inside a union of CIDRs", "pre_cond_location local 10.0.0.0/8\npre_cond_location local 10.0.0.0/9 10.128.0.0/9", false, ""},
-		// No string of 10.1.* parses into 192.168.0.0/16, but the walk
-		// names no spelling of an address beyond those it tries.
-		{"glob outside a CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 192.168.0.0/16", false, "address glob"},
+		// A CIDR is the language of the strings net.ParseIP places in its
+		// block: no string of 10.1.* is one of 192.168.0.0/16.
+		{"glob outside a CIDR", "pre_cond_location local 10.1.*\npre_cond_location local 192.168.0.0/16", true, ""},
+		// Contains folds an IPv4-mapped address onto IPv4, so a mapped
+		// block is an IPv4 block: 192.0.2.7 lies in both.
+		{"IPv4 block inside an IPv4-mapped block", "pre_cond_location local ::ffff:0:0/96\npre_cond_location local 192.0.2.7/32", false, ""},
+		{"IPv4-mapped glob inside an IPv4 block", "pre_cond_location local ::ffff:10.*\npre_cond_location local 10.0.0.0/8", false, ""},
+		{"IPv4-mapped glob outside an IPv4 block", "pre_cond_location local ::ffff:10.*\npre_cond_location local 192.168.0.0/16", true, ""},
+		// The "::" stands for group 2 alone, or for more groups that are 0.
+		{"compressed glob inside a /64", "pre_cond_location local 2001:db8::*\npre_cond_location local 2001:db8:0:1::/64", false, ""},
+		{"compressed glob outside a /64", "pre_cond_location local 2001:db8::*\npre_cond_location local 2001:db8:1::/64", true, ""},
+		// 0.0.0.0/0 holds every IPv4 address, ::/0 every other address.
+		{"/0 blocks of both families", "pre_cond_location local 0.0.0.0/0\npre_cond_location local ::/0", true, ""},
+		{"/128 block in either case", "pre_cond_location local 2001:db8::1/128\npre_cond_location local 2001:DB8:*", false, ""},
+		// ::0.0.0.1 is ::1.
+		{"/128 block with a dotted tail", "pre_cond_location local ::1/128\npre_cond_location local *.*", false, ""},
+		{"/128 block outside a glob", "pre_cond_location local ::1/128\npre_cond_location local 1*", true, ""},
 		{"ambient", strings.TrimSuffix(ambientGuard, "\n"), false, "reads state outside the request"},
 		{"expression past the search's budget", "pre_cond_regex gnu re:^[ab]*a[ab]{16}$", false, "state budget"},
 	}

@@ -169,7 +169,7 @@ func TestRecoveryFailedCompactionsKeepRotatedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	appended := 0
 	appendAndFailCompaction := func(n int) {
 		t.Helper()

@@ -306,14 +306,38 @@ func (s *Set) Blocked(ip string) bool {
 // address then expiry, so persistence snapshots and status output are
 // deterministic. A deadline reads in the clock's location.
 func (s *Set) Entries() []Entry {
+	var out []Entry
+	_ = s.Each(func(e Entry) error {
+		out = append(out, e)
+		return nil
+	})
+	return out
+}
+
+// Each calls f with each of Entries in turn, until f returns an error,
+// and returns that error. Under the lock it only copies each live
+// block's address and deadline: the sort and the entries come after, so
+// a large set holds up no Blocked call.
+func (s *Set) Each(f func(Entry) error) error {
 	now := reading{clock: s.clock}
 	loc := now.read().Location()
+	type held struct {
+		addr  string
+		until deadline
+	}
+	var exact map[string]time.Time // the inexact deadlines among them
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Entry
+	blocks := make([]held, 0, len(s.hosts)+len(s.nets))
 	add := func(addr string, d deadline) {
-		if s.live(addr, d, &now) {
-			out = append(out, Entry{Addr: addr, Permanent: d == permanent, Expiry: s.expiry(addr, d, loc)})
+		if !s.live(addr, d, &now) {
+			return
+		}
+		blocks = append(blocks, held{addr, d})
+		if d == inexact {
+			if exact == nil {
+				exact = map[string]time.Time{}
+			}
+			exact[addr] = s.exact[addr]
 		}
 	}
 	for h, d := range s.hosts {
@@ -322,13 +346,30 @@ func (s *Set) Entries() []Entry {
 	for _, n := range s.nets {
 		add(n.cidr, n.until)
 	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if c := strings.Compare(a.Addr, b.Addr); c != 0 {
+	s.mu.Unlock()
+	entry := func(b held) Entry {
+		e := Entry{Addr: b.addr, Permanent: b.until == permanent}
+		switch b.until {
+		case permanent:
+		case inexact:
+			e.Expiry = exact[b.addr]
+		default:
+			e.Expiry = time.Unix(0, int64(b.until)).In(loc)
+		}
+		return e
+	}
+	slices.SortFunc(blocks, func(a, b held) int {
+		if c := strings.Compare(a.addr, b.addr); c != 0 {
 			return c
 		}
-		return a.Expiry.Compare(b.Expiry)
+		return entry(a).Expiry.Compare(entry(b).Expiry)
 	})
-	return out
+	for _, b := range blocks {
+		if err := f(entry(b)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // List returns the currently blocked addresses and CIDRs, in the same

@@ -45,23 +45,24 @@ func appendGroup(dst []byte, ev groups.Event) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendEntries appends json.Marshal(entries), the blocks section.
-func appendEntries(dst []byte, entries []netblock.Entry) (_ []byte, err error) {
-	if entries == nil {
-		return append(dst, "null"...), nil
-	}
+// appendEntries appends json.Marshal of the entries each yields in
+// turn (netblock.Set.Each), the blocks section.
+func appendEntries(dst []byte, each func(func(netblock.Entry) error) error) ([]byte, error) {
+	start, n := len(dst), 0
 	dst = append(dst, '[')
-	for i, e := range entries {
-		dst = appendString(append(comma(dst, i), `{"addr":`...), e.Addr)
-		if e.Permanent {
+	err := each(func(e netblock.Entry) (err error) {
+		dst = appendString(append(comma(dst, n), `{"addr":`...), e.Addr)
+		if n++; e.Permanent {
 			dst = append(dst, `,"permanent":true`...)
 		}
-		if dst, err = appendExpiry(dst, e.Expiry); err != nil {
-			return dst, err
-		}
+		dst, err = appendExpiry(dst, e.Expiry)
 		dst = append(dst, '}')
+		return err
+	})
+	if n == 0 {
+		return append(dst[:start], "null"...), err
 	}
-	return append(dst, ']'), nil
+	return append(dst, ']'), err
 }
 
 // appendMembers appends json.Marshal of s's members map, the groups

@@ -72,7 +72,14 @@ func FuzzJournalRecord(f *testing.F) {
 			sameAsMarshal(t, v, got, err)
 		}
 		entries := []netblock.Entry{{Addr: a, Permanent: flag, Expiry: at}, {Addr: b}}
-		got, err = appendEntries([]byte("kept|"), entries)
+		got, err = appendEntries([]byte("kept|"), func(f func(netblock.Entry) error) error {
+			for _, e := range entries {
+				if err := f(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		sameAsMarshal(t, entries, got, err)
 	})
 }
@@ -103,7 +110,8 @@ var oldDumps = map[string]func(a *Adaptive) any{
 func TestSnapshotSectionsAreMarshal(t *testing.T) {
 	now := time.Date(2003, 5, 1, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	odd := []string{"10.0.0.1", "10.1.0.0/16", "<b>&", "tab\tnl\n", "bad\xff", "sep\xe2\x80\xa8", `"q"\`, "é"}
+	odd := []string{"10.0.0.1", "10.1.0.0/16", "<b>&", "tab\tnl\n", "bad\xff", "sep\xe2\x80\xa8", `"q"\`, "é",
+		"2001:db8::7", "2001:db8::/48", "::ffff:10.0.0.1", "192.0.2.0/24"}
 	zones := []*time.Location{time.UTC, time.FixedZone("east", 5*3600+1800), time.FixedZone("west", -8*3600)}
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
@@ -114,12 +122,21 @@ func TestSnapshotSectionsAreMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := rng.Intn(40) * (round % 4); i > 0; i-- {
-			addr := odd[rng.Intn(len(odd))] + blockAddr(rng.Intn(64))
-			switch rng.Intn(4) {
+			// Whole addresses, CIDRs and opaque hosts, some outside UTF-8.
+			addr := odd[rng.Intn(len(odd))]
+			if rng.Intn(2) == 0 {
+				addr += blockAddr(rng.Intn(64))
+			}
+			switch rng.Intn(5) {
 			case 0:
 				c.Blocks.BlockUntil(addr, time.Time{})
 			case 1:
 				c.Blocks.BlockUntil(addr, now.Add(time.Duration(rng.Int63n(int64(time.Hour)))).In(zones[rng.Intn(len(zones))]))
+			case 4:
+				// Deadlines Unix nanoseconds cannot hold: one long past,
+				// one live.
+				year := []int{1500, 2300}[rng.Intn(2)]
+				c.Blocks.BlockUntil(addr, time.Date(year, 3, 4, 5, 6, 7, 8, zones[rng.Intn(len(zones))]))
 			case 2:
 				c.Groups.Add(odd[rng.Intn(len(odd))], addr)
 			default:

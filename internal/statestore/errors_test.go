@@ -69,7 +69,7 @@ func (f *brokenFile) Sync() error {
 
 func TestCompactSnapshotFuncError(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: -1})
-	s.SetSnapshotFunc(func() ([]byte, error) { return nil, errInjected })
+	s.SetSnapshotFunc(func([]byte) ([]byte, error) { return nil, errInjected })
 	appendN(t, s, 1)
 	if err := s.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("Compact = %v, want injected error", err)
@@ -96,7 +96,7 @@ func TestCompactSnapshotWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	appendN(t, s, 2)
 
 	bfs.failCreate = true
@@ -143,7 +143,7 @@ func TestCompactRenameFailureKeepsSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	appendN(t, s, 3)
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact with failed rotation = %v, want success (rotation is best-effort)", err)
@@ -173,7 +173,7 @@ func TestRecoveryRotatedSegmentSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+		s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 		appendN(t, s, n)
 		if err := s.Compact(); !errors.Is(err, errInjected) {
 			t.Fatalf("Compact with failing Create = %v, want injected", err)

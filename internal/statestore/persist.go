@@ -115,7 +115,7 @@ func Attach(store *Store, c Components) (*Adaptive, error) {
 		}
 	}
 	if store != nil {
-		store.SetSnapshotFunc(a.StateSnapshot)
+		store.SetSnapshotFunc(a.appendState)
 	}
 	return a, nil
 }
@@ -232,7 +232,7 @@ var kinds = []kind{
 				applyBlock(a, netblock.Event{Addr: e.Addr, Expiry: e.Expiry}, journal)
 			}
 		}),
-		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendEntries(dst, a.c.Blocks.Entries()) },
+		dump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendEntries(dst, a.c.Blocks.Each) },
 	},
 	{
 		name: KindThreat, section: "threat",
@@ -501,15 +501,20 @@ func (a *Adaptive) ApplyRemoteSnapshot(data []byte) (int, error) {
 // StateSnapshot marshals the full live adaptive state — for compaction,
 // and what a node sends to a peer that fell behind the replication log
 // horizon: one JSON object with a member per wired kind, empty sections
-// left out. Every section is rendered straight into the one buffer.
-func (a *Adaptive) StateSnapshot() ([]byte, error) {
-	buf := []byte{'{'}
+// left out.
+func (a *Adaptive) StateSnapshot() ([]byte, error) { return a.appendState(nil) }
+
+// appendState appends StateSnapshot's object to buf, every section
+// rendered straight into it.
+func (a *Adaptive) appendState(buf []byte) ([]byte, error) {
+	buf = append(buf, '{')
+	open := len(buf)
 	for _, k := range kinds {
 		if !k.has(&a.c) {
 			continue
 		}
 		mark := len(buf)
-		if mark > 1 {
+		if mark > open {
 			buf = append(buf, ',')
 		}
 		buf = append(append(append(buf, '"'), k.section...), '"', ':')
@@ -518,7 +523,8 @@ func (a *Adaptive) StateSnapshot() ([]byte, error) {
 		if buf, err = k.dump(a, buf); err != nil {
 			return nil, err
 		}
-		if s := string(buf[section:]); s == "null" || s == "[]" || s == "{}" {
+		switch string(buf[section:]) {
+		case "null", "[]", "{}":
 			buf = buf[:mark]
 		}
 	}

@@ -193,7 +193,7 @@ type Store struct {
 
 	// snapshotFunc gathers the current adaptive state for compaction;
 	// set via SetSnapshotFunc before compaction can run.
-	snapshotFunc func() ([]byte, error)
+	snapshotFunc func([]byte) ([]byte, error)
 
 	// compactMu admits one compaction at a time: two in flight would
 	// both write snapshot.json.tmp, and the later rename could publish a
@@ -351,8 +351,9 @@ func (s *Store) Stats() Stats {
 }
 
 // SetSnapshotFunc installs the state-gathering callback compaction
-// uses. Until it is set, compaction is disabled.
-func (s *Store) SetSnapshotFunc(fn func() ([]byte, error)) {
+// uses: it appends the state to the buffer it is given and returns the
+// result. Until it is set, compaction is disabled.
+func (s *Store) SetSnapshotFunc(fn func(buf []byte) ([]byte, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.snapshotFunc = fn
@@ -505,11 +506,14 @@ func (s *Store) compact() error {
 		s.needsTrunc = false
 		s.prevPending = true
 	}
+	size := int(s.snapSize)
 	s.mu.Unlock()
 
-	state, err := fn()
+	// The state renders after room for the envelope's head, into a
+	// buffer the last snapshot's size and a little more.
+	buf, err := fn(make([]byte, snapHead, snapHead+size+size/8+64))
 	if err == nil {
-		err = s.writeSnapshot(state, snapSeq)
+		err = s.writeSnapshot(buf, snapSeq)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -518,20 +522,28 @@ func (s *Store) compact() error {
 		return fmt.Errorf("statestore: compact: %w", err)
 	}
 	s.stats.Snapshots++
-	s.snapSize, s.prevPending = int64(len(state)), false
+	s.snapSize, s.prevPending = int64(len(buf)-snapHead), false
 	_ = s.opts.FS.Remove(s.path(walPrevName))
 	return nil
 }
 
-// writeSnapshot persists state atomically: temp file, fsync, rename,
-// directory sync.
-func (s *Store) writeSnapshot(state []byte, seq uint64) error {
+// snapHead is the room compaction leaves ahead of the state for the
+// snapshot envelope's head, which takes at most 67 bytes.
+const snapHead = 72
+
+// writeSnapshot persists the state buf holds past snapHead atomically,
+// with one write: temp file, fsync, rename, directory sync.
+func (s *Store) writeSnapshot(buf []byte, seq uint64) error {
 	// What json.Marshal(snapFile{1, seq, crc, state}) renders: state is
 	// already compact JSON, and the encoder would validate and copy it twice.
-	raw := make([]byte, 0, len(state)+80)
-	raw = strconv.AppendUint(append(raw, `{"version":1,"seq":`...), seq, 10)
-	raw = strconv.AppendUint(append(raw, `,"crc32":`...), uint64(crc32.ChecksumIEEE(state)), 10)
-	raw = append(append(append(raw, `,"state":`...), state...), '}')
+	state := buf[snapHead:]
+	var room [snapHead]byte
+	head := strconv.AppendUint(append(room[:0], `{"version":1,"seq":`...), seq, 10)
+	head = strconv.AppendUint(append(head, `,"crc32":`...), uint64(crc32.ChecksumIEEE(state)), 10)
+	head = append(head, `,"state":`...)
+	raw := buf[snapHead-len(head):]
+	copy(raw, head)
+	raw = append(raw, '}')
 	f, err := s.opts.FS.Create(s.path(snapTempName))
 	if err != nil {
 		return err

@@ -218,7 +218,7 @@ func TestCompactionAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{Fsync: FsyncAlways, SnapshotEvery: -1})
 	state := []byte(`{"blocks":[{"addr":"10.0.0.1"}]}`)
-	s.SetSnapshotFunc(func() ([]byte, error) { return state, nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, state...), nil })
 	appendN(t, s, 5)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestCompactionAndReopen(t *testing.T) {
 func TestCountDrivenCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{Fsync: FsyncNever, SnapshotEvery: 4})
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	appendN(t, s, 9)
 	if st := s.Stats(); st.Snapshots < 2 {
 		t.Fatalf("Snapshots = %d after 9 appends with SnapshotEvery=4, want >= 2", st.Snapshots)
@@ -389,7 +389,7 @@ func TestFsyncPolicies(t *testing.T) {
 
 func TestTimedCompaction(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: -1, SnapshotInterval: time.Hour})
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	appendN(t, s, 2)
 	s.Tick(time.Now())
 	if st := s.Stats(); st.Snapshots != 0 || st.Syncs != 0 {
@@ -525,7 +525,7 @@ func TestShortWriteSelfRepair(t *testing.T) {
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{Fsync: FsyncNever, SnapshotEvery: 16})
-	s.SetSnapshotFunc(func() ([]byte, error) { return []byte(`{}`), nil })
+	s.SetSnapshotFunc(func(buf []byte) ([]byte, error) { return append(buf, `{}`...), nil })
 	const workers, per = 8, 50
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {

@@ -150,6 +150,22 @@ var ratchets = []ratchet{
 		forbidden: `ids\.NewDetector\(`,
 		bad:       "\t\tAnomaly:  ids.NewDetector(ids.DefaultAnomalyConfig()),",
 	},
+	{
+		name:      "the reasoner judges no address by parsing it",
+		why:       "a CIDR is a language, the strings net.ParseIP places in its block (conditions.Atoms.Exprs), so the address axis is searched like every other string axis and no witness is judged apart",
+		files:     []string{"internal/eacl/reason/*.go"},
+		nonTest:   true,
+		forbidden: `net\.ParseIP|net\.IPNet`,
+		bad:       "\tip := net.ParseIP(w)",
+	},
+	{
+		name:      "a snapshot builds no entry slice",
+		why:       "the blocks section renders from netblock.Set.Each, which copies addresses and deadlines under the set's lock and sorts outside it; Entries builds and sorts 48-byte entries",
+		files:     []string{"internal/statestore/*.go"},
+		nonTest:   true,
+		forbidden: `\.Entries\(\)`,
+		bad:       "\t\tdump: func(a *Adaptive, dst []byte) ([]byte, error) { return appendEntries(dst, a.c.Blocks.Entries()) },",
+	},
 }
 
 // TestRatchets holds every row of the table against the tree, and the
