@@ -268,7 +268,7 @@ func run(args []string, out io.Writer) (int, error) {
 
 func explainPolicy(out io.Writer, api *gaa.API, e *eacl.EACL, right string, params multiFlag) error {
 	req := gaa.NewRequest("apache", right)
-	req.Trace = true // --explain renders the full evaluation trace
+	req.Trace = true // --explain renders the specification's full evaluation trace
 	for _, p := range params {
 		typ, val, ok := strings.Cut(p, "=")
 		if !ok {
@@ -277,10 +277,7 @@ func explainPolicy(out io.Writer, api *gaa.API, e *eacl.EACL, right string, para
 		req.Params = req.Params.With(gaa.Param{Type: typ, Authority: gaa.AuthorityAny, Value: val})
 	}
 	policy := gaa.NewPolicy("explain", nil, []*eacl.EACL{e})
-	ans, err := api.CheckAuthorization(context.Background(), policy, req)
-	if err != nil {
-		return err
-	}
+	ans, _ := api.SpecCheck(context.Background(), policy, req, nil, nil)
 	fmt.Fprintf(out, "decision: %s (applicable=%v)\n", ans.Decision, ans.Applicable)
 	if ans.Challenge != "" {
 		fmt.Fprintf(out, "challenge: %s\n", ans.Challenge)

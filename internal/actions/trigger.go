@@ -153,7 +153,8 @@ func badValue(err error) gaa.Outcome {
 }
 
 // met is the outcome of an action that did its work. The detail is
-// built only for a traced request: evaluateBlock drops it otherwise.
+// built only for a traced request: only the specification's trace of
+// one reads it.
 func met(req *gaa.Request, detail func() string) gaa.Outcome {
 	if !req.Trace {
 		return gaa.MetOutcome(gaa.ClassAction, "")

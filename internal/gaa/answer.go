@@ -67,9 +67,9 @@ type Answer struct {
 	// compiled at registry generation gen.
 	later []*compiledEntry
 	gen   uint64
-	// Trace is the full evaluation trace when tracing is enabled.
-	// Degraded evaluations (see Faults) are traced even with tracing
-	// off.
+	// Trace is the full evaluation trace of a traced request when
+	// SpecCheck wrote the answer. The compiled engine traces degraded
+	// evaluations (see Faults) alone, traced request or not.
 	Trace []TraceEvent
 	// Faults lists the condition evaluations the supervision layer
 	// degraded to MAYBE (panic, timeout, error, invalid decision)

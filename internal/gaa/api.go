@@ -403,7 +403,7 @@ func (a *API) runPhase(ctx context.Context, ans *Answer, b eacl.Block, req *Requ
 		status, source = opStatus, "post"
 	}
 	stale := ans.gen != a.reg.generation()
-	runs, calls := ans.runs(b, status, req.Trace || stale)
+	runs, calls := ans.runs(b, status, stale)
 	if !runs {
 		return Yes, nil
 	}
@@ -427,13 +427,13 @@ func (a *API) runPhase(ctx context.Context, ans *Answer, b eacl.Block, req *Requ
 
 // runs reports whether running block b for status runs any condition
 // (an action that cannot fire does not), and whether one of them calls
-// its evaluator, as every condition does when traced.
-func (ans *Answer) runs(b eacl.Block, status Decision, traced bool) (runs, calls bool) {
+// its evaluator, as every condition of a stale block may.
+func (ans *Answer) runs(b eacl.Block, status Decision, stale bool) (runs, calls bool) {
 	for _, e := range ans.later {
 		blk := e.block(b)
 		for i := range blk {
 			switch cc := &blk[i]; {
-			case traced || cc.fast == nil && !cc.skips(status):
+			case stale || cc.fast == nil && !cc.skips(status):
 				return true, true
 			case cc.fast != nil:
 				runs = true

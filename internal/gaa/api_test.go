@@ -113,13 +113,14 @@ mid_cond_quota local cpu_ms<=50
 		t.Fatalf("decision = %v, want yes", ans.Decision)
 	}
 
-	dec, trace := a.ExecutionControl(context.Background(), ans, req,
-		Param{Type: ParamCPUMillis, Authority: AuthorityAny, Value: "10"})
-	if dec != Yes {
-		t.Errorf("within quota: decision = %v, want yes", dec)
+	within := Param{Type: ParamCPUMillis, Authority: AuthorityAny, Value: "10"}
+	dec, trace := a.ExecutionControl(context.Background(), ans, req, within)
+	if dec != Yes || len(trace) > 0 {
+		t.Errorf("within quota: decision = %v, trace %v; want yes, no trace", dec, trace)
 	}
-	if len(trace) != 1 {
-		t.Errorf("trace = %v, want one event", trace)
+	// The specification writes the trace of a traced request.
+	if dec, trace := a.ReferenceExecutionControl(context.Background(), ans, req, within); dec != Yes || len(trace) != 1 {
+		t.Errorf("specification within quota: decision = %v, trace = %v; want yes, one event", dec, trace)
 	}
 
 	dec, _ = a.ExecutionControl(context.Background(), ans, req,
@@ -267,9 +268,9 @@ func TestRegisteredAndKnown(t *testing.T) {
 }
 
 // TestPhaseSkipsActionsThatCannotFire: an action whose trigger cannot
-// fire for the phase status is not called on an untraced request, and
-// is on a traced one, whose trace shows its answer; one that fires is
-// called either way.
+// fire for the phase status is not called, traced or not; one that
+// fires is. The specification calls every action, so its trace of a
+// traced request shows the unmatched trigger's answer.
 func TestPhaseSkipsActionsThatCannotFire(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		var calls, fired atomic.Int64
@@ -279,28 +280,32 @@ func TestPhaseSkipsActionsThatCannotFire(t *testing.T) {
 		req := simpleRequest()
 		req.Trace = traced
 		ans := checkAuth(t, a, p, req)
-		want := int64(0)
-		if traced {
-			want = 1
-			if n := len(ans.Trace); n == 0 || ans.Trace[n-1].Outcome.Detail != "trigger not matched" {
-				t.Errorf("traced grant's trace = %v, want the unmatched trigger last", ans.Trace)
-			}
+		if ans.Decision != Yes || calls.Load() != 0 || len(ans.Trace) > 0 {
+			t.Errorf("traced=%v: grant = %v after %d audit calls, trace %v; want yes after none, no trace", traced, ans.Decision, calls.Load(), ans.Trace)
 		}
-		if ans.Decision != Yes || calls.Load() != want {
-			t.Errorf("traced=%v: grant = %v after %d audit calls, want yes after %d", traced, ans.Decision, calls.Load(), want)
-		}
-		if dec, trace := a.PostExecutionActions(context.Background(), ans, req, Yes); dec != Yes || calls.Load() != 2*want || (len(trace) > 0) != traced {
+		if dec, trace := a.PostExecutionActions(context.Background(), ans, req, Yes); dec != Yes || calls.Load() != 0 || len(trace) > 0 {
 			t.Errorf("traced=%v: post after success = %v, %d calls, trace %v", traced, dec, calls.Load(), trace)
 		}
-		if dec, _ := a.PostExecutionActions(context.Background(), ans, req, No); dec != Yes || calls.Load() != 2*want+1 || fired.Load() != 1 {
+		if dec, _ := a.PostExecutionActions(context.Background(), ans, req, No); dec != Yes || calls.Load() != 1 || fired.Load() != 1 {
 			t.Errorf("traced=%v: post after failure = %v, %d calls, %d fired; want yes, the audit fired", traced, dec, calls.Load(), fired.Load())
+		}
+		if !traced {
+			continue
+		}
+		spec := a.ReferenceCheck(context.Background(), p, req)
+		if n := len(spec.Trace); spec.Decision != Yes || n == 0 || spec.Trace[n-1].Outcome.Detail != "trigger not matched" {
+			t.Errorf("specification's traced grant = %v, trace %v; want yes, the unmatched trigger last", spec.Decision, spec.Trace)
+		}
+		if dec, trace := a.ReferencePostExecutionActions(context.Background(), spec, req, Yes); dec != Yes || len(trace) != 1 {
+			t.Errorf("specification's post after success = %v, trace %v; want yes, the unmatched trigger", dec, trace)
 		}
 	}
 }
 
 // TestPhaseRunsHoistedMidTestsInline: a hoisted mid-condition runs its
 // compiled test, whether the usage comes apart or after the request's
-// own parameters, and its evaluator only on a traced request.
+// own parameters, traced or not; the specification calls its evaluator
+// and traces.
 func TestPhaseRunsHoistedMidTestsInline(t *testing.T) {
 	var comp, interp atomic.Int64
 	a := New()
@@ -322,8 +327,11 @@ func TestPhaseRunsHoistedMidTestsInline(t *testing.T) {
 		t.Errorf("hoisted %d, evaluator %d calls; want 2 and 0", comp.Load(), interp.Load())
 	}
 	req.Trace = true
-	if dec, trace := a.ExecutionControl(context.Background(), ans, req); dec != Maybe || len(trace) != 2 || interp.Load() != 1 {
-		t.Errorf("traced, usage missing = %v with %d events, %d evaluator calls; want maybe, 2 events, 1 call", dec, len(trace), interp.Load())
+	if dec, trace := a.ExecutionControl(context.Background(), ans, req); dec != Maybe || len(trace) > 0 || comp.Load() != 3 || interp.Load() != 0 {
+		t.Errorf("traced, usage missing = %v with %d events, %d hoisted, %d evaluator calls; want maybe, no trace, 3 and 0", dec, len(trace), comp.Load(), interp.Load())
+	}
+	if dec, trace := a.ReferenceExecutionControl(context.Background(), ans, req); dec != Maybe || len(trace) != 2 || interp.Load() != 1 {
+		t.Errorf("specification, usage missing = %v with %d events, %d evaluator calls; want maybe, 2 events, 1 call", dec, len(trace), interp.Load())
 	}
 }
 

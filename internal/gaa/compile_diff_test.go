@@ -3,7 +3,9 @@ package gaa_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,14 +34,12 @@ import (
 // diffConfig is one engine configuration the equivalence must hold
 // under.
 type diffConfig struct {
-	name  string
-	opt   func() gaa.Option // called per API: injectors carry state
-	trace bool              // set Request.Trace
+	name string
+	opt  func() gaa.Option // called per API: injectors carry state
 }
 
 var diffConfigs = []diffConfig{
 	{name: "plain"},
-	{name: "request-trace", trace: true},
 	{name: "timeout", opt: func() gaa.Option { return gaa.WithEvaluatorTimeout(time.Second) }},
 	{name: "identity-wrapper", opt: func() gaa.Option {
 		return gaa.WithEvaluatorWrapper(func(ev gaa.Evaluator) gaa.Evaluator { return ev })
@@ -157,20 +157,15 @@ func newDiffPair(cfg diffConfig, threat ids.Level, badGuys []string, now time.Ti
 func (d diffPair) check(t *testing.T, label string, p *gaa.Policy, mkReq func() *gaa.Request) (got, want *gaa.Answer) {
 	t.Helper()
 	ctx := context.Background()
-	req := func() *gaa.Request {
-		r := mkReq()
-		r.Trace = d.cfg.trace
-		return r
-	}
 	before := d.walk.CompileStats().Runs
-	got, err := d.walk.CheckAuthorization(ctx, p, req())
+	got, err := d.walk.CheckAuthorization(ctx, p, mkReq())
 	if err != nil {
 		t.Fatalf("%s: %s: %v", d.cfg.name, label, err)
 	}
 	if d.walk.CompileStats().Runs != before+1 {
 		t.Errorf("%s: %s: check not counted as a run", d.cfg.name, label)
 	}
-	want = d.oracle.ReferenceCheck(ctx, p, req())
+	want = d.oracle.ReferenceCheck(ctx, p, mkReq())
 	if diff := answerDiff(got, want); diff != "" {
 		t.Errorf("%s: %s: walk and reference answers differ: %s", d.cfg.name, label, diff)
 	}
@@ -200,13 +195,9 @@ func usageParams(cpu, wall, mem, out int) []gaa.Param {
 func (d diffPair) phases(t *testing.T, label string, got, want *gaa.Answer, mkReq func() *gaa.Request, usage []gaa.Param) {
 	t.Helper()
 	ctx := context.Background()
-	req := func() *gaa.Request {
-		r := mkReq()
-		r.Trace = d.cfg.trace
-		return r
-	}
+	req := mkReq
 	inline := func() *gaa.Request {
-		r := req()
+		r := mkReq()
 		r.Params = append(r.Params, usage...)
 		r.Time = d.now
 		return r
@@ -360,18 +351,20 @@ post_cond_audit local on:failure/info:cgi-failed
 pos_access_right apache *
 `
 
-// TestCompiledMatchesInterpretedOnRepoPolicies sweeps the section 7
-// policies the repository ships (policies/paper), their "without
-// notification" variants, the literal-bound 7.2 local and its
-// monitored variant across a request matrix of rights, identities,
-// client addresses, CGI input lengths and threat levels, under every
-// engine configuration, requiring the walk's answer to equal the
-// reference oracle's on each cell, and the later phases' answers for
-// it — execution control under a snapshot within the quota and one
-// over it, post-execution for each operation status — to equal the
-// oracle's. Two degenerate compositions ride along: all the policies
-// at once (12+ EACLs) and none.
-func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
+// sweepUsages are the usage snapshots the sweep runs the later phases
+// under: one within the monitored policy's quota, one over it.
+var sweepUsages = [][]gaa.Param{usageParams(20, 5, 1<<20, 512), usageParams(400, 9000, 1<<30, 1<<20)}
+
+// repoSweep calls cell on every cell of the repository-policy sweep
+// under cfg: the section 7 policies the repository ships
+// (policies/paper), their "without notification" variants, the
+// literal-bound 7.2 local and its monitored variant, across a request
+// matrix of rights, identities, client addresses, CGI input lengths and
+// threat levels, one pair of APIs per threat level. Two degenerate
+// compositions ride along: all the policies at once (12+ EACLs) and
+// none.
+func repoSweep(t *testing.T, cfg diffConfig, cell func(d diffPair, label string, p *gaa.Policy, mkReq func() *gaa.Request)) {
+	t.Helper()
 	sysPolicies := map[string]string{
 		"none": "",
 		"71":   paper.System71,
@@ -422,50 +415,203 @@ func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
 	users := []string{"", "alice"}
 	ips := []string{"10.9.9.9", "192.168.1.5"}
 	inputs := []string{"14", "2000"}
-	usages := [][]gaa.Param{usageParams(20, 5, 1<<20, 512), usageParams(400, 9000, 1<<30, 1<<20)}
 	now := time.Date(2026, time.March, 4, 15, 30, 0, 0, time.UTC)
 
-	for _, cfg := range diffConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, threat := range []ids.Level{ids.Low, ids.Medium, ids.High} {
-				pair := newDiffPair(cfg, threat, []string{"10.9.9.9"}, now)
-				sweep := func(name string, p *gaa.Policy) {
-					for _, right := range rights {
-						for _, user := range users {
-							for _, ip := range ips {
-								for _, in := range inputs {
-									label := fmt.Sprintf("threat=%v %s right=%q user=%q ip=%s in=%s",
-										threat, name, right, user, ip, in)
-									mkReq := func() *gaa.Request {
-										params := gaa.ParamList{
-											{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
-											{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: in},
-										}
-										if user != "" {
-											params = append(params, gaa.Param{
-												Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
-											})
-										}
-										return gaa.NewRequest("apache", right, params...)
-									}
-									got, want := pair.check(t, label, p, mkReq)
-									for _, usage := range usages {
-										pair.phases(t, label, got, want, mkReq, usage)
-									}
+	for _, threat := range []ids.Level{ids.Low, ids.Medium, ids.High} {
+		pair := newDiffPair(cfg, threat, []string{"10.9.9.9"}, now)
+		sweep := func(name string, p *gaa.Policy) {
+			for _, right := range rights {
+				for _, user := range users {
+					for _, ip := range ips {
+						for _, in := range inputs {
+							label := fmt.Sprintf("threat=%v %s right=%q user=%q ip=%s in=%s",
+								threat, name, right, user, ip, in)
+							mkReq := func() *gaa.Request {
+								params := gaa.ParamList{
+									{Type: gaa.ParamClientIP, Authority: gaa.AuthorityAny, Value: ip},
+									{Type: gaa.ParamInputLength, Authority: gaa.AuthorityAny, Value: in},
 								}
+								if user != "" {
+									params = append(params, gaa.Param{
+										Type: gaa.ParamUser, Authority: gaa.AuthorityAny, Value: user,
+									})
+								}
+								return gaa.NewRequest("apache", right, params...)
 							}
+							cell(pair, label, p, mkReq)
 						}
 					}
 				}
-				for sysName, sysText := range sysPolicies {
-					for locName, locText := range locPolicies {
-						sweep(fmt.Sprintf("sys=%s loc=%s", sysName, locName),
-							composePolicy(t, pair.walk, "/index.html", sysText, locText))
-					}
-				}
-				sweep("everything", everything)
-				sweep("nothing", nothing)
 			}
+		}
+		for sysName, sysText := range sysPolicies {
+			for locName, locText := range locPolicies {
+				sweep(fmt.Sprintf("sys=%s loc=%s", sysName, locName),
+					composePolicy(t, pair.walk, "/index.html", sysText, locText))
+			}
+		}
+		sweep("everything", everything)
+		sweep("nothing", nothing)
+	}
+}
+
+// TestCompiledMatchesInterpretedOnRepoPolicies requires, on every cell
+// of the repository-policy sweep under every engine configuration, the
+// walk's answer to equal the reference oracle's, and the later phases'
+// answers for it — execution control under a snapshot within the quota
+// and one over it, post-execution for each operation status — to equal
+// the oracle's.
+func TestCompiledMatchesInterpretedOnRepoPolicies(t *testing.T) {
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			repoSweep(t, cfg, func(pair diffPair, label string, p *gaa.Policy, mkReq func() *gaa.Request) {
+				got, want := pair.check(t, label, p, mkReq)
+				for _, usage := range sweepUsages {
+					pair.phases(t, label, got, want, mkReq, usage)
+				}
+			})
+		})
+	}
+}
+
+// callLog records, in order, each evaluator call and each hoisted test
+// run on one API, as "eval" or "test" and the condition.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *callLog) add(kind string, c eacl.Condition) {
+	l.mu.Lock()
+	l.calls = append(l.calls, kind+" "+c.String())
+	l.mu.Unlock()
+}
+
+// take returns the calls logged since the last take.
+func (l *callLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+// loggedEval logs the calls of the evaluator it wraps and of the tests
+// compiled from it, hoisting and triggering exactly as that evaluator
+// does.
+type loggedEval struct {
+	gaa.Evaluator
+	log *callLog
+}
+
+func (e loggedEval) Evaluate(ctx context.Context, c eacl.Condition, r *gaa.Request) gaa.Outcome {
+	e.log.add("eval", c)
+	return e.Evaluator.Evaluate(ctx, c, r)
+}
+
+func (e loggedEval) CompileCond(c eacl.Condition) (gaa.CompiledCond, bool) {
+	if comp, ok := e.Evaluator.(gaa.CondCompiler); ok {
+		if fast, ok := comp.CompileCond(c); ok {
+			return loggedCond{fast, e.log, c}, true
+		}
+	}
+	return nil, false
+}
+
+func (e loggedEval) CompileTrigger(c eacl.Condition) func(gaa.Decision) bool {
+	if tc, ok := e.Evaluator.(gaa.TriggerCompiler); ok {
+		return tc.CompileTrigger(c)
+	}
+	return nil
+}
+
+type loggedCond struct {
+	gaa.CompiledCond
+	log  *callLog
+	cond eacl.Condition
+}
+
+func (c loggedCond) EvalCompiled(r *gaa.Request) gaa.CondVerdict {
+	c.log.add("test", c.cond)
+	return c.CompiledCond.EvalCompiled(r)
+}
+
+// TestTraceDoesNotChangeTheCheck: Request.Trace asks the specification
+// (SpecCheck) for an explanation and changes nothing the compiled
+// engine does. On every cell of the repository-policy sweep, a traced
+// check and each later phase of it answer as the untraced ones, field
+// by field (trace and faults included), with the same evaluator calls,
+// hoisted tests and action effects. The pair's walk API runs untraced,
+// its oracle API traced, both through CheckAuthorization.
+func TestTraceDoesNotChangeTheCheck(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wrap func() func(gaa.Evaluator) gaa.Evaluator // one per API: injectors carry state
+	}{
+		{"plain", func() func(gaa.Evaluator) gaa.Evaluator { return nil }},
+		{"faults", func() func(gaa.Evaluator) gaa.Evaluator {
+			return faults.New(11, faults.Spec{Panic: 0.1, Error: 0.15}).Evaluator
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var logs []*callLog // untraced, traced
+			cfg := diffConfig{name: c.name, opt: func() gaa.Option {
+				log, wrap := new(callLog), c.wrap()
+				logs = append(logs, log)
+				return gaa.WithEvaluatorWrapper(func(ev gaa.Evaluator) gaa.Evaluator {
+					if wrap != nil {
+						ev = wrap(ev)
+					}
+					return loggedEval{ev, log}
+				})
+			}}
+			repoSweep(t, cfg, func(d diffPair, label string, p *gaa.Policy, mkReq func() *gaa.Request) {
+				untraced, traced := logs[len(logs)-2], logs[len(logs)-1]
+				ctx := context.Background()
+				tracedReq := func() *gaa.Request {
+					r := mkReq()
+					r.Trace = true
+					return r
+				}
+				same := func(step string) {
+					t.Helper()
+					if u, tr := untraced.take(), traced.take(); !slices.Equal(u, tr) {
+						t.Errorf("%s: %s: %s calls differ:\nuntraced %q\ntraced   %q", c.name, label, step, u, tr)
+					}
+					d.sameEffects(t, label+", "+step)
+				}
+				got, err := d.walk.CheckAuthorization(ctx, p, mkReq())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := d.oracle.CheckAuthorization(ctx, p, tracedReq())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := answerDiff(got, want); diff != "" {
+					t.Errorf("%s: %s: untraced and traced answers differ: %s", c.name, label, diff)
+				}
+				same("CheckAuthorization")
+				phase := func(step string, gd gaa.Decision, gt []gaa.TraceEvent, wd gaa.Decision, wt []gaa.TraceEvent) {
+					t.Helper()
+					if gd != wd {
+						t.Errorf("%s: %s: %s = %v untraced, %v traced", c.name, label, step, gd, wd)
+					} else if diff := traceDiff(gt, wt); diff != "" {
+						t.Errorf("%s: %s: %s traces differ: %s", c.name, label, step, diff)
+					}
+					same(step)
+				}
+				for _, usage := range sweepUsages {
+					gd, gt := d.walk.ExecutionControl(ctx, got, mkReq(), usage...)
+					wd, wt := d.oracle.ExecutionControl(ctx, want, tracedReq(), usage...)
+					phase("ExecutionControl", gd, gt, wd, wt)
+				}
+				for _, op := range []gaa.Decision{gaa.Yes, gaa.No, gaa.Maybe} {
+					gd, gt := d.walk.PostExecutionActions(ctx, got, mkReq(), op)
+					wd, wt := d.oracle.PostExecutionActions(ctx, want, tracedReq(), op)
+					phase("PostExecutionActions "+op.String(), gd, gt, wd, wt)
+				}
+			})
 		})
 	}
 }
@@ -582,7 +728,6 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 					for _, v := range rights[1:] {
 						r.Rights = append(r.Rights, eacl.Right{Sign: eacl.Pos, DefAuth: "apache", Value: v})
 					}
-					r.Trace = cfg.trace
 					return r
 				}
 				label := fmt.Sprintf("request %d for %q", i, rights)

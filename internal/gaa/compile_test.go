@@ -245,22 +245,21 @@ func TestCompiledInvalidateCacheDropsPrograms(t *testing.T) {
 
 // TestCompiledOneScanUnderEveryOption pins the absence of fallback
 // gates: no option or request flag moves a check off the compiled walk,
-// so Runs counts every check. What changes is which conditions run
-// hoisted.
+// so Runs counts every check, and none moves a hoisted test onto its
+// evaluator (the identity wrapper returns the CondCompiler itself).
 func TestCompiledOneScanUnderEveryOption(t *testing.T) {
 	identity := WithEvaluatorWrapper(func(ev Evaluator) Evaluator { return ev })
 	cases := []struct {
-		name       string
-		opts       []Option
-		traceReq   bool
-		wantHoists int64 // hoisted evaluations after one check
+		name     string
+		opts     []Option
+		traceReq bool
 	}{
-		{"plain", nil, false, 1},
-		{"request-trace", nil, true, 0},
-		{"timeout", []Option{WithEvaluatorTimeout(time.Second)}, false, 1},
-		{"wrapper", []Option{identity}, false, 1}, // the identity wrapper returns the CondCompiler itself
-		{"timeout+tracing", []Option{WithEvaluatorTimeout(time.Second)}, true, 0},
-		{"timeout+wrapper+tracing", []Option{WithEvaluatorTimeout(time.Second), identity}, true, 0},
+		{"plain", nil, false},
+		{"request-trace", nil, true},
+		{"timeout", []Option{WithEvaluatorTimeout(time.Second)}, false},
+		{"wrapper", []Option{identity}, false},
+		{"timeout+tracing", []Option{WithEvaluatorTimeout(time.Second)}, true},
+		{"timeout+wrapper+tracing", []Option{WithEvaluatorTimeout(time.Second), identity}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -281,11 +280,8 @@ func TestCompiledOneScanUnderEveryOption(t *testing.T) {
 			if got := a.CompileStats().Runs; got != checks {
 				t.Errorf("runs = %d, want %d", got, checks)
 			}
-			if got := comp.Load(); got != checks*tc.wantHoists {
-				t.Errorf("hoisted evaluations = %d, want %d", got, checks*tc.wantHoists)
-			}
-			if got := interp.Load(); got != checks*(1-tc.wantHoists) {
-				t.Errorf("evaluator calls = %d, want %d", got, checks*(1-tc.wantHoists))
+			if comp.Load() != checks || interp.Load() != 0 {
+				t.Errorf("hoisted %d, evaluator %d calls; want %d and 0", comp.Load(), interp.Load(), checks)
 			}
 		})
 	}
@@ -442,7 +438,7 @@ func TestCompiledUnitCapResets(t *testing.T) {
 			t.Fatalf("decision = %v, want yes", ans.Decision)
 		}
 	}
-	if got := len(*a.progs.units.Load()); got != 10 {
+	if got := len(a.progs.units); got != 10 {
 		t.Errorf("unit table holds %d entries after the reset, want 10", got)
 	}
 	if st := a.CompileStats(); st.Programs != n {

@@ -2,7 +2,6 @@ package gaa
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -22,12 +21,15 @@ import (
 // per occurrence, so supervision, deadlines, injected faults and
 // adaptive values see every one of those calls. Every block compiles.
 //
-// It is the only production scan. spec.go states the same semantics
-// entry by entry, as the specification: for every request both must
-// produce exactly the same answer (decision, applicability, challenge,
-// unevaluated conditions, deciding entries, faults, trace).
-// compile_diff_test.go enforces that with a differential fuzz test and
-// a golden sweep over the repository's policies.
+// It is the only production scan, and it only decides: it writes no
+// trace of its own, traced request or not, beside a degraded
+// evaluation's. spec.go states the same semantics entry by entry, as
+// the specification, and is the one explainer (it writes every
+// trace): for every request both must produce exactly the same answer
+// (decision, applicability, challenge, unevaluated conditions, deciding
+// entries, faults and their trace). compile_diff_test.go enforces that
+// with a differential fuzz test and a golden sweep over the
+// repository's policies.
 
 // CompiledCond is a condition evaluation specialized at policy-compile
 // time: parsing, pattern compilation and static lookups are done once,
@@ -36,9 +38,9 @@ import (
 // return the same verdict — because the engine memoizes it across
 // entries of one request. The verdict must carry the result, class and
 // challenge of the Outcome the evaluator they were compiled from would
-// produce (a traced request evaluates every condition through its
-// evaluator instead, which is where Detail strings come from). A test
-// reads only the request's Rights, Params and Time.
+// produce (Detail strings come from the evaluator, which the
+// specification calls to trace). A test reads only the request's
+// Rights, Params and Time.
 type CompiledCond interface {
 	EvalCompiled(req *Request) CondVerdict
 	// Challenge is the condition's compile-time challenge, read only
@@ -63,8 +65,8 @@ type CondCompiler interface {
 // TriggerCompiler is implemented by actions whose value names the phase
 // status they act on (on:success, on:failure, on:any): for a later
 // block's condition, whether the action fires for a status, or nil to
-// be called whatever the status. An untraced phase counts an action
-// that does not fire met (YES) without calling it.
+// be called whatever the status. A phase counts an action that does
+// not fire met (YES) without calling it.
 type TriggerCompiler interface {
 	CompileTrigger(cond eacl.Condition) (fires func(status Decision) bool)
 }
@@ -158,15 +160,16 @@ func (cc *compiledCond) skips(status Decision) bool {
 // programTable caches compiled units under the API, keyed by EACL
 // identity. Sources return stable *eacl.EACL values across calls
 // (MemorySource snapshots, FileSource/DirSource parse caches), so every
-// composition holding an EACL resolves the same unit (unitsFor) without
+// composition holding an EACL resolves the same unit without
 // recompiling; a hot reload swaps in newly parsed EACLs, which compile
-// afresh. Reads are lock-free (atomic copy-on-write map); compilation
-// serializes on mu. Blowing the cap resets the table, which only costs
+// afresh. Its one reader, unitsFor, resolves a composition's units once
+// per registry generation, so a lookup is off the per-request path and
+// takes mu. Blowing the cap resets the table, which only costs
 // recompilation — unstable sources that re-parse per call would
 // otherwise grow it without bound.
 type programTable struct {
-	mu    sync.Mutex // writers only
-	units atomic.Pointer[map[*eacl.EACL]*compiledEACL]
+	mu    sync.Mutex
+	units map[*eacl.EACL]*compiledEACL
 }
 
 const maxCompiledEACLs = 4096
@@ -175,31 +178,17 @@ const maxCompiledEACLs = 4096
 // on first sight or after a registration changed the registry.
 func (a *API) compiledFor(e *eacl.EACL) *compiledEACL {
 	gen := a.reg.generation()
-	if mp := a.progs.units.Load(); mp != nil {
-		if u, ok := (*mp)[e]; ok && u.regGen == gen {
-			return u
-		}
-	}
 	pt := &a.progs
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	var old map[*eacl.EACL]*compiledEACL
-	if mp := pt.units.Load(); mp != nil {
-		old = *mp
+	if u, ok := pt.units[e]; ok && u.regGen == gen {
+		return u
 	}
-	if u, ok := old[e]; ok && u.regGen == gen {
-		return u // raced with another compiler
-	}
-	if len(old) >= maxCompiledEACLs {
-		old = nil
-	}
-	next := make(map[*eacl.EACL]*compiledEACL, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if pt.units == nil || len(pt.units) >= maxCompiledEACLs {
+		pt.units = make(map[*eacl.EACL]*compiledEACL)
 	}
 	u := a.compileEACL(e, gen)
-	next[e] = u
-	pt.units.Store(&next)
+	pt.units[e] = u
 	return u
 }
 
@@ -312,7 +301,8 @@ func (c constCond) EvalCompiled(*Request) CondVerdict { return c.v }
 
 // compileCond resolves one condition's evaluator and hoists its test
 // where it can. The eligibility rules guarantee the hoisted test
-// reproduces evaluateCondition exactly for trace-disabled requests:
+// reproduces evaluateCondition's verdict exactly, traced request or
+// not:
 //   - values carrying an '@name' reference (HasValueRef) resolve
 //     through the runtime value provider per request — dynamic; any
 //     other '@' ("alice@example.org") is literal text and hoists;
@@ -590,18 +580,13 @@ func (a *API) evalFast(cc *compiledCond, req *Request, line int, res *evalResult
 	return cc.fast.EvalCompiled(req), true
 }
 
-// evalDynamic evaluates cc through its evaluator — a dynamic
-// condition, or any condition of a traced request — recording faults
-// and trace in res. Beside the verdict it hands back the two strings
-// only a final deny reads.
-func (a *API) evalDynamic(ctx context.Context, cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict, challenge, detail string) {
+// evalDynamic evaluates a dynamic condition through its evaluator,
+// recording a fault in res. Beside the verdict it hands back the
+// challenge, which only a final deny reads.
+func (a *API) evalDynamic(ctx context.Context, cc *compiledCond, req *Request, line int, res *evalResult) (v CondVerdict, challenge string) {
 	out := a.evaluateCondition(ctx, cc.ev, cc.cond, req)
-	// Faults are traced even when tracing is off: a degraded evaluation
-	// must stay observable.
 	if out.Fault != FaultNone {
 		res.fault(cc.cond, line, out)
-	} else if req.Trace {
-		res.trace = append(res.trace, TraceEvent{Source: res.source, EntryLine: line, Cond: cc.cond, Outcome: out})
 	}
 	switch out.Result {
 	case Yes, No, Maybe:
@@ -610,16 +595,16 @@ func (a *API) evalDynamic(ctx context.Context, cc *compiledCond, req *Request, l
 	if out.classOrDefault() != ClassSelector {
 		v |= CondRequirement
 	}
-	return v, out.Challenge, out.Detail
+	return v, out.Challenge
 }
 
 // runBlock runs a deciding entry's request-result, mid or post block
 // on the phase's request r and returns the conjunction of its outcomes
 // (zero for an empty block): every condition runs. As in the pre scan,
-// a hoisted test runs inline (unmemoized) and any other condition, or
-// any of a traced request, calls its evaluator, tracing into res; an
-// action that cannot fire for status is met uncalled. A stale block,
-// compiled before the registry last changed, compiles afresh as it runs.
+// a hoisted test runs inline (unmemoized) and any other condition calls
+// its evaluator, recording a fault in res; an action that cannot fire
+// for status is met uncalled. A stale block, compiled before the
+// registry last changed, compiles afresh as it runs.
 func (a *API) runBlock(ctx context.Context, blk []compiledCond, stale bool, r *Request, status Decision, line int, res *evalResult) Decision {
 	var dec Decision
 	for i := range blk {
@@ -630,8 +615,8 @@ func (a *API) runBlock(ctx context.Context, blk []compiledCond, stale bool, r *R
 		}
 		v := CondYes // an action that cannot fire
 		switch {
-		case r.Trace || cc.fast == nil && !cc.skips(status):
-			v, _, _ = a.evalDynamic(ctx, cc, r, line, res)
+		case cc.fast == nil && !cc.skips(status):
+			v, _ = a.evalDynamic(ctx, cc, r, line, res)
 		case cc.fast != nil:
 			v, _ = a.evalFast(cc, r, line, res)
 		}
@@ -644,7 +629,9 @@ func (a *API) runBlock(ctx context.Context, blk []compiledCond, stale bool, r *R
 	return dec
 }
 
-// fault records a degraded evaluation: the Fault and its TraceEvent.
+// fault records a degraded evaluation: the Fault and its TraceEvent,
+// traced request or not, so that a degraded evaluation stays
+// observable.
 func (r *evalResult) fault(cond eacl.Condition, line int, out Outcome) {
 	r.faults = append(r.faults, Fault{Cond: cond, Kind: out.Fault, Reason: out.faultReason()})
 	r.trace = append(r.trace, TraceEvent{Source: r.source, EntryLine: line, Cond: cond, Outcome: out})
@@ -690,22 +677,14 @@ func (a *API) scanLevel(ctx context.Context, units []*compiledEACL, req *Request
 	out.Verdict = fold.result()
 }
 
-// note records a scan step; callers invoke it for traced requests only.
-func (r *evalResult) note(line int, text string) {
-	r.trace = append(r.trace, TraceEvent{Source: r.source, EntryLine: line, Note: text})
-}
-
 // evaluateCompiledEACL scans the ordered entries of one EACL for the
 // requested rights, leaves the first firing entry's decision in res and
 // returns that entry (see the package comment for the full semantics),
 // with right matching answered by the entry bitset entryBits: the scan visits its set bits,
 // lowest first, which is entry order. Request-result conditions are NOT
 // evaluated here: they run once the composed decision is known.
-//
-// A traced request evaluates every condition through its evaluator —
-// hoisted tests are skipped so Detail strings are the evaluator's own —
-// and records each step; TraceEvents are otherwise recorded only for
-// faults, so the common Yes/No path performs no per-entry allocation.
+// TraceEvents are recorded only for faults, so the common Yes/No path
+// performs no per-entry allocation.
 func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Request, cs *compiledScratch, entryBits []uint64, res *evalResult) *compiledEntry {
 	*res = evalResult{source: u.source, Verdict: Verdict{Decision: Maybe}} // uncertain unless an entry applies
 	for w, word := range entryBits {
@@ -717,12 +696,12 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 			for ci := range entry.pre {
 				cc := &entry.pre[ci]
 				var (
-					v                 CondVerdict
-					challenge, detail string
+					v         CondVerdict
+					challenge string
 				)
-				hoisted := cc.fast != nil && !req.Trace
+				hoisted := cc.fast != nil
 				if !hoisted {
-					v, challenge, detail = a.evalDynamic(ctx, cc, req, line, res)
+					v, challenge = a.evalDynamic(ctx, cc, req, line, res)
 				} else if v = cs.memo[cc.memo]; v == 0 {
 					var ok bool
 					if v, ok = a.evalFast(cc, req, line, res); ok {
@@ -734,9 +713,6 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 					if v&CondRequirement == 0 || !entry.pos {
 						// Entry inapplicable — conditions are ordered, a
 						// selector NO ends the entry — and the scan continues.
-						if req.Trace {
-							res.note(line, "entry inapplicable")
-						}
 						continue entries
 					}
 					// Failed requirement on a positive entry: final deny,
@@ -745,9 +721,6 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 						challenge = cc.fast.Challenge()
 					}
 					res.Verdict = Verdict{Decision: No, Applicable: true, Challenge: challenge}
-					if req.Trace {
-						res.note(line, "requirement failed: "+detail)
-					}
 					return entry
 				case Yes:
 					// condition met; continue within the entry
@@ -761,19 +734,10 @@ func (a *API) evaluateCompiledEACL(ctx context.Context, u *compiledEACL, req *Re
 			switch {
 			case len(maybes) > 0:
 				res.unevaluated = maybes
-				if req.Trace {
-					res.note(line, fmt.Sprintf("entry uncertain: %d condition(s) unevaluated", len(maybes)))
-				}
 			case entry.pos:
 				res.Decision = Yes
-				if req.Trace {
-					res.note(line, "entry fired: grant")
-				}
 			default:
 				res.Decision = No
-				if req.Trace {
-					res.note(line, "entry fired: deny")
-				}
 			}
 			return entry
 		}

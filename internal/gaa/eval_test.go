@@ -1,6 +1,7 @@
 package gaa
 
 import (
+	"context"
 	"testing"
 
 	"gaaapi/internal/eacl"
@@ -225,7 +226,9 @@ pre_cond_sel_no local
 pos_access_right apache *
 pre_cond_sel_yes local
 `))
-	ans := checkAuth(t, a, p, simpleRequest())
+	req := simpleRequest()
+	req.Trace = true
+	ans := a.ReferenceCheck(context.Background(), p, req)
 	if len(ans.Trace) == 0 {
 		t.Fatal("empty trace")
 	}

@@ -41,7 +41,6 @@ func newTestAPI(t *testing.T) (*API, *actionLog) {
 	t.Helper()
 	log := &actionLog{}
 	a := New()
-	tracedAPIs.Store(a, true)
 	a.RegisterFunc("sel_yes", AuthorityAny, func(context.Context, eacl.Condition, *Request) Outcome {
 		return MetOutcome(ClassSelector, "sel_yes")
 	})
@@ -112,16 +111,8 @@ func simpleRequest(params ...Param) *Request {
 	return NewRequest("apache", "GET /index.html", params...)
 }
 
-// tracedAPIs holds newTestAPI's APIs: the semantics tests assert full
-// evaluation traces, so checkAuth sets Trace on each request it checks
-// on one, for the later phases on that request too.
-var tracedAPIs sync.Map
-
 func checkAuth(t *testing.T, a *API, p *Policy, req *Request) *Answer {
 	t.Helper()
-	if _, ok := tracedAPIs.Load(a); ok {
-		req.Trace = true
-	}
 	ans, err := a.CheckAuthorization(context.Background(), p, req)
 	if err != nil {
 		t.Fatalf("CheckAuthorization: %v", err)

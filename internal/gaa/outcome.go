@@ -86,8 +86,8 @@ func UnevaluatedOutcome(detail string) Outcome {
 // CondVerdict is what a hoisted test (CompiledCond) answers with: the
 // part of an Outcome the scan acts on, in one pointer-free word that
 // travels in a register and memoizes in a byte. There is no Detail:
-// traced requests never take the hoisted path and nothing else reads
-// it. A selector YES is CondYes; a failed requirement with a realm is
+// only a trace reads it, and the specification, which writes every
+// trace, calls the evaluator. A selector YES is CondYes; a failed requirement with a realm is
 // CondNo|CondRequirement|CondChallenge.
 type CondVerdict uint8
 

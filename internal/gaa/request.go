@@ -27,9 +27,10 @@ type Request struct {
 	// requested operation itself succeeded.
 	OpStatus Decision
 
-	// Trace requests a full evaluation trace in the Answer for this
-	// request (audit logs, cmd/eaclint --explain). Unset, the engine
-	// records none but a degraded evaluation's (the fast path).
+	// Trace asks the specification (SpecCheck) for a full evaluation
+	// trace of this request (cmd/eaclint -explain), and evaluators for
+	// their worded details. The compiled engine decides a traced request
+	// as an untraced one and traces a degraded evaluation's alone.
 	Trace bool
 
 	// Label, when set, is the single requested right spelt

@@ -82,7 +82,8 @@ mid_cond_quota local output_bytes<=4096
 
 // TestExecutionControlUnregisteredQuotaIsMaybe: an unevaluable
 // mid-condition yields MAYBE from the execution-control phase — the
-// caller decides whether to run open or fail closed.
+// caller decides whether to run open or fail closed — and the
+// specification traces it.
 func TestExecutionControlUnregisteredQuotaIsMaybe(t *testing.T) {
 	a, _ := newTestAPI(t)
 	p := localPolicy(mustEACL(t, `
@@ -90,10 +91,14 @@ pos_access_right apache *
 mid_cond_never_registered local x<=1
 `))
 	req := simpleRequest()
+	req.Trace = true
 	ans := checkAuth(t, a, p, req)
-	dec, trace := a.ExecutionControl(context.Background(), ans, req)
-	if dec != Maybe {
+	if dec, _ := a.ExecutionControl(context.Background(), ans, req); dec != Maybe {
 		t.Errorf("ExecutionControl = %v, want maybe", dec)
+	}
+	dec, trace := a.ReferenceExecutionControl(context.Background(), ans, req)
+	if dec != Maybe {
+		t.Errorf("specification's ExecutionControl = %v, want maybe", dec)
 	}
 	if len(trace) != 1 {
 		t.Errorf("trace = %v", trace)

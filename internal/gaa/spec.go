@@ -206,6 +206,11 @@ func specScan(e *eacl.EACL, n int, entry func(n, i int) *EntryModel, traced bool
 	return -1
 }
 
+// note records a scan step of a traced request.
+func (r *evalResult) note(line int, text string) {
+	r.trace = append(r.trace, TraceEvent{Source: r.source, EntryLine: line, Note: text})
+}
+
 // specNote is the step note a traced scan records for an entry.
 func specNote(m *EntryModel) string {
 	switch m.Kind {

@@ -129,24 +129,24 @@ func (s *Store) Contains(group, member string) bool {
 // group).
 func (s *Store) Members(group string) []string {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	g := s.groups[group]
 	out := make([]string, 0, len(g))
 	for m := range g {
 		out = append(out, m)
 	}
-	sort.Strings(out)
+	s.mu.RUnlock()
+	sort.Strings(out) // outside the lock: a writer waits on the copy alone
 	return out
 }
 
 // Groups returns the sorted group names.
 func (s *Store) Groups() []string {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.groups))
 	for g := range s.groups {
 		out = append(out, g)
 	}
+	s.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

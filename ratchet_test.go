@@ -119,6 +119,13 @@ var ratchets = []ratchet{
 		bad:       "\tans, _ := g.api.SpecCheck(ctx, p, req, nil)",
 	},
 	{
+		name:      "the compiled engine writes no trace of its own",
+		why:       "a traced request decides as an untraced one; the specification (SpecCheck, spec.go) writes every trace, and the compiled engine records faults alone",
+		files:     []string{"internal/gaa/compiled.go", "internal/gaa/api.go"},
+		forbidden: `\b(req|r)\.Trace\b|\.note\(`,
+		bad:       "\t\t\t\t\t\tif req.Trace {",
+	},
+	{
 		name:      "the reasoner and eaclint name no built-in routine",
 		why:       "each built-in condition declares what it reads beside its parse (conditions.AtomsOf), and each vocabulary is one table (conditions.Names, actions.Names); the reasoner merges atoms by axis and the lint vocabulary is reason.RegisterVocabulary, so neither restates a routine by name",
 		files:     []string{"internal/eacl/reason/*.go", "cmd/eaclint/*.go"},
