@@ -24,6 +24,9 @@ const (
 	// recency clocks, so concurrent lookups of different sets do not
 	// share a cache line.
 	cacheStripes = 16
+	// hitMark is set in the stamp of every entry that has been hit, so
+	// any such entry outranks every entry still on probation.
+	hitMark = 1 << 63
 )
 
 // policyCache caches composed policies per object, validated on every
@@ -38,19 +41,24 @@ const (
 // put, so an empty cache is one pointer a set. The hash is seeded per
 // cache, so a client cannot aim its paths at one set. A lookup compares
 // at most ways slots; a put replaces the slot already holding the
-// object, else an empty one, else the least-recently-stamped one, with
+// object, else an empty one, else the one with the smallest stamp, with
 // a single atomic store — no mutex, no map and no copy, so a miss costs
-// O(ways) whatever the capacity. Every hit stamps the entry with its
-// stripe's lookup count (all sets of a stripe share the counters, so
-// stamps within a set are comparable), which makes eviction
-// least-recently-used within a set.
+// O(ways) whatever the capacity. Stamps are the stripe's lookup count
+// (all sets of a stripe share the counters, so stamps within a set are
+// comparable). A put stamps its entry as of its miss; a hit stamps it
+// with hitMark set, so an entry never hit is evicted first, oldest put
+// first, and only then the least recently hit one. A one-time object
+// thus waits on probation instead of pushing out the hot set, and a
+// scan of never-seen paths evicts never-hit entries and at most one hit
+// entry a set. An entry recomposed over its stale predecessor keeps
+// that one's stamp, so a policy edit does not demote the hot set.
 //
 // Two racing puts on one set may pick the same victim (one composed
 // policy is dropped and recomposed on its next lookup) or leave two
-// entries for one object (lookups return the first; the other ages
-// out). Both entries were composed from the sources and are checked
-// against the sources' revisions on every hit, so neither race can
-// serve a stale policy.
+// entries for one object (lookups return the first; the other, never
+// hit, is evicted first). Both entries were composed from the sources
+// and are checked against the sources' revisions on every hit, so
+// neither race can serve a stale policy.
 type policyCache struct {
 	ways int
 	seed maphash.Seed
@@ -72,7 +80,8 @@ type cacheStripe struct {
 // the hash and the recency stamp.
 type cacheEntry struct {
 	policy Policy
-	// used is the stripe-clock stamp of the last hit (LRU recency).
+	// used is the stripe-clock stamp of the put, or of the last hit
+	// with hitMark set; the smallest stamp of a set is its victim.
 	used atomic.Uint64
 	// hash is the half of the object's hash the set index did not use;
 	// probes compare it first and skip the string compare on a mismatch.
@@ -92,7 +101,7 @@ func newPolicyCache(maxEntries int) *policyCache {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	// Small caches (tests, tiny deployments) are one set with exact LRU.
+	// Small caches (tests, tiny deployments) are one fully associative set.
 	c := &policyCache{ways: maxEntries, seed: maphash.MakeSeed()}
 	sets := 1
 	if maxEntries >= 2*cacheWays {
@@ -131,7 +140,7 @@ func (c *policyCache) lookup(object string) (cacheSet, *cacheEntry) {
 }
 
 func (s cacheSet) hit(e *cacheEntry) {
-	e.used.Store(s.stripe.hits.Add(1) + s.stripe.misses.Load())
+	e.used.Store(hitMark | (s.stripe.hits.Add(1) + s.stripe.misses.Load()))
 }
 
 func (s cacheSet) miss() {
@@ -139,8 +148,9 @@ func (s cacheSet) miss() {
 }
 
 // put publishes a freshly composed entry into the set its lookup
-// found: over the object's own slot, else an empty one, else the
-// least-recently-used one.
+// found: over the object's own slot, whose stamp it inherits, else an
+// empty one, else the one with the smallest stamp: the oldest never hit,
+// or if every entry has been hit, the least recently hit.
 func (c *policyCache) put(s cacheSet, e *cacheEntry) {
 	if s.slots == nil {
 		ways := make([]atomic.Pointer[cacheEntry], c.ways)
@@ -161,6 +171,7 @@ func (c *policyCache) put(s cacheSet, e *cacheEntry) {
 			continue
 		}
 		if cur.hash == e.hash && cur.policy.Object == e.policy.Object {
+			e.used.Store(cur.used.Load())
 			s.slots[i].Store(e)
 			return
 		}

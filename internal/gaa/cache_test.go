@@ -140,10 +140,10 @@ func TestPolicyCacheDefaultSize(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction verifies real least-recently-used eviction: the
-// untouched entry goes, the recently hit entry stays.
+// TestCacheLRUEviction verifies eviction by stamp in one set: the entry
+// never hit since its put goes, the hit entry stays.
 func TestCacheLRUEviction(t *testing.T) {
-	a := New(WithPolicyCache(2)) // small cache: one set, exact LRU
+	a := New(WithPolicyCache(2)) // small cache: one fully associative set
 	src := NewMemorySource()
 	if err := src.AddPolicy("*", "pos_access_right apache *"); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch /a so /b becomes the least recently used.
+	// Hit /a; /b, never hit, becomes the victim.
 	if _, err := a.GetObjectPolicyInfo("/a", sys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +176,82 @@ func TestCacheLRUEviction(t *testing.T) {
 	if a.cache.len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", a.cache.len())
 	}
+}
+
+// TestCacheKeepsHotSetUnderScan: a hot set looked up twice survives
+// one client walking ten times the capacity in never-seen paths, since
+// an entry that was never hit is evicted before any that was. The hot
+// set also survives when a policy edit recomposed each of its entries
+// just before the scan: a recomposed entry keeps its predecessor's
+// stamp. Each set holds eight of the 4096 entries: a set that drew
+// eight hot objects gives its least recently hit one up to the scan,
+// and a set that drew more misses all of them on the second pass
+// (never-hit entries leave first in, first out). Which sets those are
+// depends on the hash seed, so the share kept is pooled over four
+// caches, each seeded anew.
+func TestCacheKeepsHotSetUnderScan(t *testing.T) {
+	const capacity, caches = 4096, 4
+	names := func(format string, n int) []string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = fmt.Sprintf(format, i)
+		}
+		return s
+	}
+	scan := names("/scan/%06d.html", 10*capacity)
+	for _, tc := range []struct {
+		hot  int
+		want float64
+	}{{1024, 0.95}, {2048, 0.90}} {
+		hot := names("/hot/%05d.html", tc.hot)
+		for _, edit := range []bool{false, true} {
+			t.Run(fmt.Sprintf("hot%d/edit=%v", tc.hot, edit), func(t *testing.T) {
+				var kept uint64
+				for range caches {
+					kept += hotSetKept(t, capacity, hot, scan, edit)
+				}
+				ratio := float64(kept) / float64(caches*len(hot))
+				t.Logf("%d of %d hot objects survived the scan (%.3f)", kept, caches*len(hot), ratio)
+				if ratio < tc.want {
+					t.Errorf("hot-set hit ratio after a %d-object scan = %.3f, want >= %.2f", len(scan), ratio, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// hotSetKept looks up the hot objects twice (after an edit, a third
+// time, which recomposes each), then the scan's once each, and returns
+// how many hot objects hit on the next pass.
+func hotSetKept(t *testing.T, capacity int, hot, scan []string, edit bool) uint64 {
+	src := NewMemorySource()
+	if err := src.AddPolicy("*", "pos_access_right apache *"); err != nil {
+		t.Fatal(err)
+	}
+	a, sys := New(WithPolicyCache(capacity)), []PolicySource{src}
+	get := func(objects []string) {
+		for _, o := range objects {
+			if _, err := a.GetObjectPolicyInfo(o, sys, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get(hot)
+	get(hot)
+	if edit {
+		if err := src.AddPolicy("/cold/*", "neg_access_right apache *"); err != nil {
+			t.Fatal(err)
+		}
+		before := a.CacheStats()
+		get(hot)
+		if after := a.CacheStats(); after.Hits != before.Hits {
+			t.Fatalf("after the edit %d hot lookups hit a stale entry", after.Hits-before.Hits)
+		}
+	}
+	get(scan)
+	before := a.CacheStats()
+	get(hot)
+	return a.CacheStats().Hits - before.Hits
 }
 
 // TestCacheConcurrentMisses holds eight requests in the miss window of
@@ -277,8 +353,10 @@ func (c *countingSource) Revision(string) (string, error) { return "static", nil
 
 // TestCacheModel drives the cache with seeded random lookups over four
 // times its capacity in objects, interleaved with everything that must
-// invalidate (a source mutation, a source swap, InvalidateCache), and
-// checks every answer against an uncached API on the same sources.
+// invalidate (a source mutation, a source swap, InvalidateCache) and
+// with bursts of never-seen objects that fill sets with entries on
+// probation, and checks every answer against an uncached API on the
+// same sources.
 func TestCacheModel(t *testing.T) {
 	for _, capacity := range []int{8, 64} { // one set of 8 ways; 8 sets of 8 ways
 		for _, seed := range []int64{1, 2, 3, 2003} {
@@ -335,6 +413,7 @@ func runCacheModel(t *testing.T, capacity int, seed int64) {
 
 	var lookups uint64
 	var prev CacheStats
+	unseen := len(objects) // next never-seen object, "/o/N" past objects
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(100); {
 		case op < 2:
@@ -346,6 +425,12 @@ func runCacheModel(t *testing.T, capacity int, seed int64) {
 			swap.Swap(newBacking()) // same revision string behind a new generation
 		case op < 5:
 			cached.InvalidateCache()
+		case op < 6:
+			for n := 1 + rng.Intn(2*capacity); n > 0; n-- {
+				lookup(step, fmt.Sprintf("/o/%d", unseen))
+				unseen++
+				lookups++
+			}
 		default:
 			// Zipf-like: half the lookups go to an eighth of the objects.
 			object := objects[rng.Intn(len(objects))]

@@ -125,7 +125,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 			func() uint64 { return a.CacheStats().Hits })
 		reg.CounterFunc(MetricCacheMisses, "Composed-policy cache misses (source re-read and re-translation).",
 			func() uint64 { return a.CacheStats().Misses })
-		reg.CounterFunc(MetricCacheEvictions, "Composed-policy cache LRU evictions.",
+		reg.CounterFunc(MetricCacheEvictions, "Composed-policy cache evictions (never-hit entries first, then the least recently hit).",
 			func() uint64 { return a.CacheStats().Evictions })
 		a.metrics = inst
 		a.applyMetricsSampling()
