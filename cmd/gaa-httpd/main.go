@@ -20,7 +20,9 @@
 //	                    state-store and reload statistics
 //	POST /gaa/reload  — re-read and analyze the -system/-local-dir
 //	                    policy files; swap them in atomically only when
-//	                    clean at severity < error
+//	                    clean at severity < error. An edited .eacl is
+//	                    served from then on, never before; .htaccess
+//	                    files are read on every request
 //	GET  /gaa/metrics — Prometheus text exposition: phase latency,
 //	                    decisions, cache, supervision, notifier, state
 //	                    store, threat level (disable with -metrics=false)
@@ -132,7 +134,7 @@ func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("gaa-httpd", flag.ContinueOnError)
 	fs.StringVar(&o.listen, "listen", ":8080", "listen address")
 	fs.StringVar(&cfg.SystemPolicyFile, "system", "", "system-wide EACL policy file (empty: demo policy)")
-	fs.StringVar(&cfg.LocalPolicyDir, "local-dir", "", "directory tree searched for .eacl local policies")
+	fs.StringVar(&cfg.LocalPolicyDir, "local-dir", "", "directory tree of per-directory .eacl local policies, read at start and on SIGHUP or POST /gaa/reload (its .htaccess files are read live)")
 	fs.StringVar(&cfg.HtpasswdFile, "htpasswd", "", "htpasswd credential file")
 	fs.StringVar(&o.groupsFile, "groups", "", "persistent group (blacklist) file")
 	fs.StringVar(&cfg.AccessLogFile, "access-log", "", "common-log-format access log path (empty: stdout)")

@@ -286,17 +286,19 @@ func firstContactRows(t *testing.T) []costpin.Row {
 	return rows
 }
 
-// fileBackedRows is a document grant through the deployment gaa-httpd
+// fileBackedRows are document grants through the deployment gaa-httpd
 // runs from files on the benchmark's site shape: system.eacl, one .eacl
-// at the document root and none in docs/, documents read from disk.
+// at the document root and none in docs/ or below, documents read from
+// disk. The second is two directories deep, at the same count.
 func fileBackedRows(t *testing.T) []costpin.Row {
 	dir := t.TempDir()
 	site := filepath.Join(dir, "site")
 	for name, content := range map[string]string{
-		filepath.Join(dir, "system.eacl"):      browseSystem,
-		filepath.Join(site, ".eacl"):           browseLocal,
-		filepath.Join(site, "index.html"):      "<html>home</html>",
-		filepath.Join(site, "docs/guide.html"): "<html>guide</html>",
+		filepath.Join(dir, "system.eacl"):            browseSystem,
+		filepath.Join(site, ".eacl"):                 browseLocal,
+		filepath.Join(site, "index.html"):            "<html>home</html>",
+		filepath.Join(site, "docs/guide.html"):       "<html>guide</html>",
+		filepath.Join(site, "docs/manual/page.html"): "<html>page</html>",
 	} {
 		if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
 			t.Fatal(err)
@@ -313,8 +315,11 @@ func fileBackedRows(t *testing.T) []costpin.Row {
 		Metrics:          true,
 		AccessLog:        io.Discard,
 	})
-	return []costpin.Row{warm(serveRun(t, st.Handler(), "/docs/guide.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant",
-		What: "one revision check on the cache-hit path (two stats: the root and docs/) and one file read; the request line is borrowed, as in the document grant"})}
+	h := st.Handler()
+	return []costpin.Row{warm(serveRun(t, h, "/docs/guide.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant",
+		What: "one file read and no revision stat: the local chain is the tree the load parsed; the request line is borrowed, as in the document grant"}),
+		warm(serveRun(t, h, "/docs/manual/page.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant, two directories deep",
+			What: "the file-backed document grant's: a directory without a policy file on the path costs nothing"})}
 }
 
 // retentionRows are what the response path keeps per attack: the

@@ -24,7 +24,7 @@ var objectSite = map[string]string{
 // objectDeployment builds the site as one of the two deployments the
 // guard must decide the same object in: "memory" keys local policies by
 // glob (MemorySource) and serves a DocRoot map (MapRoot); "files" is
-// gaa-httpd's shape, a per-directory .eacl tree (DirSource) over the
+// gaa-httpd's shape, a per-directory .eacl tree (LocalPolicyDir) over the
 // documents it serves from disk (OSRoot). local is the policy the whole
 // site falls under; /private/ additionally denies all.
 func objectDeployment(tb testing.TB, kind, local string) *Stack {

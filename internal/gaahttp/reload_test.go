@@ -3,7 +3,10 @@ package gaahttp
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"gaaapi/internal/gaa"
@@ -30,6 +33,35 @@ func reloadStack(t *testing.T) *Stack {
 	}
 	t.Cleanup(st.Close)
 	return st
+}
+
+// reloadFiles is reloadStack as gaa-httpd serves it from files: a root
+// .eacl over a document tree (LocalPolicyDir), reloaded from disk. edit
+// rewrites the root .eacl and checks that the running policy still
+// answers: an edit is served only once a reload has proved it.
+func reloadFiles(t *testing.T) (st *Stack, edit func(policy string)) {
+	t.Helper()
+	site := t.TempDir()
+	write := func(name, content string) {
+		if err := os.WriteFile(filepath.Join(site, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("index.html", "<html>ok</html>")
+	write(".eacl", allowAll)
+	st, err := NewStack(StackConfig{LocalPolicyDir: site, DocRootDir: site, PolicyCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st, func(policy string) {
+		t.Helper()
+		before := reloadGet(st, "/index.html")
+		write(".eacl", policy)
+		if code := reloadGet(st, "/index.html"); code != before {
+			t.Fatalf("GET after an edit, before a reload = %d, want %d: the edit is served unproved", code, before)
+		}
+	}
 }
 
 func reloadGet(st *Stack, path string) int {
@@ -75,39 +107,102 @@ func TestRejectedReloadKeepsServingOldPolicy(t *testing.T) {
 		{"E013", "pos_access_right apache *\npre_cond_location local 10.0.0.0/8\npre_cond_location local 192.168.0.0/16"},
 	} {
 		t.Run(tt.code, func(t *testing.T) {
-			st := reloadStack(t)
-			if code := reloadGet(st, "/index.html"); code != http.StatusOK {
-				t.Fatalf("pre-reload GET = %d, want 200", code)
-			}
+			t.Run("memory", func(t *testing.T) {
+				st := reloadStack(t)
+				rejectedReload(t, st, tt.code, func() ReloadResult {
+					return st.ReloadPolicies("", map[string]string{"*": tt.policy})
+				})
+			})
+			// The edit also denies all ahead of the flaw: served, it
+			// would answer 403.
+			t.Run("files", func(t *testing.T) {
+				st, edit := reloadFiles(t)
+				rejectedReload(t, st, tt.code, func() ReloadResult {
+					edit(denyAll + "\n" + tt.policy)
+					return st.Reloader.Reload()
+				})
+			})
+		})
+	}
+}
 
-			res := st.ReloadPolicies("", map[string]string{"*": tt.policy})
-			if res.OK {
-				t.Fatal("analyzer-rejected policy applied")
-			}
-			if res.Err == "" || len(res.Diagnostics) == 0 {
-				t.Fatalf("rejection carries no diagnostics: %+v", res)
-			}
-			found := false
-			for _, d := range res.Diagnostics {
-				if strings.Contains(d, tt.code) {
-					found = true
+// rejectedReload runs a reload that analysis must refuse for rule on a
+// stack serving 200 for /index.html, and checks that the refused policy
+// is never served.
+func rejectedReload(t *testing.T, st *Stack, rule string, reload func() ReloadResult) {
+	t.Helper()
+	if code := reloadGet(st, "/index.html"); code != http.StatusOK {
+		t.Fatalf("pre-reload GET = %d, want 200", code)
+	}
+	res := reload()
+	if res.OK {
+		t.Fatal("analyzer-rejected policy applied")
+	}
+	if res.Err == "" || len(res.Diagnostics) == 0 {
+		t.Fatalf("rejection carries no diagnostics: %+v", res)
+	}
+	found := false
+	for _, d := range res.Diagnostics {
+		if strings.Contains(d, rule) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("diagnostics lack the rejecting rule: %v", res.Diagnostics)
+	}
+	if res.Generation != 1 {
+		t.Fatalf("generation = %d after rejection, want 1 (unswapped)", res.Generation)
+	}
+	// The old policy must keep serving.
+	for range 3 {
+		if code := reloadGet(st, "/index.html"); code != http.StatusOK {
+			t.Fatalf("GET after rejected reload = %d, want 200", code)
+		}
+	}
+	stats := st.Reloader.Stats()
+	if stats.Rejected != 1 || stats.Applied != 0 || stats.LastError == "" || len(stats.LastDiagnostics) == 0 {
+		t.Fatalf("stats after rejection = %+v", stats)
+	}
+}
+
+// TestFileReloadUnderLoad: requests in flight across each swap of a
+// file-backed tree answer from the old tree or the new one, and the
+// first request after Reload returns answers from the new one.
+func TestFileReloadUnderLoad(t *testing.T) {
+	st, edit := reloadFiles(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code := reloadGet(st, "/index.html"); code != http.StatusOK && code != http.StatusForbidden {
+					t.Errorf("GET during reloads = %d", code)
+					return
 				}
 			}
-			if !found {
-				t.Fatalf("diagnostics lack the rejecting rule: %v", res.Diagnostics)
-			}
-			if res.Generation != 1 {
-				t.Fatalf("generation = %d after rejection, want 1 (unswapped)", res.Generation)
-			}
-			// The old policy must keep serving.
-			if code := reloadGet(st, "/index.html"); code != http.StatusOK {
-				t.Fatalf("GET after rejected reload = %d, want 200", code)
-			}
-			stats := st.Reloader.Stats()
-			if stats.Rejected != 1 || stats.Applied != 0 || stats.LastError == "" || len(stats.LastDiagnostics) == 0 {
-				t.Fatalf("stats after rejection = %+v", stats)
-			}
-		})
+		}()
+	}
+	for i := range 8 {
+		policy, want := denyAll, http.StatusForbidden
+		if i%2 == 1 {
+			policy, want = allowAll, http.StatusOK
+		}
+		edit(policy)
+		if res := st.Reloader.Reload(); !res.OK {
+			t.Fatalf("reload %d = %+v", i, res)
+		}
+		if code := reloadGet(st, "/index.html"); code != want {
+			t.Fatalf("GET after reload %d = %d, want %d", i, code, want)
+		}
 	}
 }
 
@@ -166,6 +261,28 @@ func TestHealthProbeAutoRollback(t *testing.T) {
 	if stats.Probation {
 		t.Fatal("probation still armed after rollback")
 	}
+
+	// From files: the accepted edit is served, and the rollback
+	// restores the previous tree's answers, not the files on disk.
+	t.Run("files", func(t *testing.T) {
+		st, edit := reloadFiles(t)
+		edit(denyAll)
+		if res := st.Reloader.Reload(); !res.OK {
+			t.Fatalf("reload = %+v", res)
+		}
+		if code := reloadGet(st, "/index.html"); code != http.StatusForbidden {
+			t.Fatalf("GET after an accepted reload = %d, want 403", code)
+		}
+		for i := 0; i < probeWindow; i++ {
+			st.Reloader.Observe(true)
+		}
+		if got := st.Reloader.Stats().AutoRollbacks; got != 1 {
+			t.Fatalf("AutoRollbacks = %d, want 1", got)
+		}
+		if code := reloadGet(st, "/index.html"); code != http.StatusOK {
+			t.Fatalf("GET after the rollback = %d, want 200 from the previous tree", code)
+		}
+	})
 }
 
 func TestHealthProbeHealthySwapSticks(t *testing.T) {

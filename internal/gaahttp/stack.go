@@ -3,10 +3,8 @@ package gaahttp
 import (
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -14,7 +12,6 @@ import (
 	"gaaapi/internal/audit"
 	"gaaapi/internal/cluster"
 	"gaaapi/internal/conditions"
-	"gaaapi/internal/eacl"
 	"gaaapi/internal/gaa"
 	"gaaapi/internal/groups"
 	"gaaapi/internal/httpd"
@@ -37,7 +34,8 @@ type StackConfig struct {
 	SystemPolicyFile string
 	// LocalPolicyDir, when non-empty, is a directory tree whose
 	// per-directory .eacl files replace LocalPolicies and whose
-	// .htaccess files replace Htaccess.
+	// .htaccess files replace Htaccess. The .eacl files are read at
+	// start and on every reload, the .htaccess files on every request.
 	LocalPolicyDir string
 
 	// DocRoot maps objects ("/index.html") to static content.
@@ -448,20 +446,10 @@ func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
 	if err != nil || cfg.LocalPolicyDir == "" {
 		return b, err
 	}
-	// Serving keeps the per-directory DirSource semantics; analysis
-	// vets every .eacl under the tree as of this load.
-	b.Local = gaa.NewDirSource(cfg.LocalPolicyDir, ".eacl")
-	err = filepath.WalkDir(cfg.LocalPolicyDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || d.Name() != ".eacl" {
-			return err
-		}
-		e, err := eacl.ParseFile(path)
-		if err != nil {
-			return fmt.Errorf("local policy %s: %w", path, err)
-		}
-		b.LocalEACLs = append(b.LocalEACLs, e)
-		return nil
-	})
+	// The guard serves the tree this load parsed and the analyzer vets,
+	// so an edit is served once a reload has proved it, and no request
+	// stats a policy file.
+	b.Local, b.LocalEACLs, err = snapshotDir(cfg.LocalPolicyDir)
 	return b, err
 }
 
