@@ -317,9 +317,9 @@ func fileBackedRows(t *testing.T) []costpin.Row {
 	})
 	h := st.Handler()
 	return []costpin.Row{warm(serveRun(t, h, "/docs/guide.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant",
-		What: "one file read and no revision stat: the local chain is the tree the load parsed; the request line is borrowed, as in the document grant"}),
+		What: "the file read's two, the name's NUL-terminated copy and the document's bytes, and no revision stat: the local chain is the tree the load parsed; the request line is borrowed, as in the document grant"}),
 		warm(serveRun(t, h, "/docs/manual/page.html", "10.0.0.1", http.StatusOK), costpin.Row{Name: "file-backed document grant, two directories deep",
-			What: "the file-backed document grant's: a directory without a policy file on the path costs nothing"})}
+			What: "the file-backed document grant's two: a directory without a policy file on the path costs nothing"})}
 }
 
 // retentionRows are what the response path keeps per attack: the

@@ -1,11 +1,8 @@
 package httpd
 
 import (
-	"cmp"
 	"errors"
-	"io"
 	"io/fs"
-	"os"
 	"path"
 	"strings"
 	"syscall"
@@ -64,29 +61,15 @@ func NewOSRoot(dir string) *OSRoot {
 // and its content are read from that handle, so a document replaced
 // mid-request is served as it was or as it is, never as an error.
 func (r *OSRoot) Open(object string) (string, bool, error) {
-	content, err := readDocument(r.dir + gaa.CleanObject(object))
+	// A NUL byte ends a name on every system: no file has this one.
+	if strings.IndexByte(object, 0) >= 0 {
+		return "", false, nil
+	}
+	content, err := readDocument(r.dir, gaa.CleanObject(object))
 	// ENOTDIR: a component of the path is (or just became) a document.
-	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
+	// ENAMETOOLONG: no file can have the name.
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) || errors.Is(err, syscall.ENAMETOOLONG) {
 		return "", false, nil
 	}
 	return content, err == nil, err
-}
-
-// readDocument reads the file at name; a directory reads as not-exist.
-func readDocument(name string) (string, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || fi.IsDir() {
-		return "", cmp.Or(err, fs.ErrNotExist)
-	}
-	data := make([]byte, fi.Size())
-	n, err := io.ReadFull(f, data)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		err = nil // truncated since the stat: serve what is there
-	}
-	return string(data[:n]), err
 }

@@ -1,12 +1,20 @@
 package httpd
 
 import (
+	"cmp"
+	"errors"
+	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"gaaapi/internal/gaa"
 )
 
 // TestObjectPath: the edge decides which document a URL path names,
@@ -198,6 +206,132 @@ func TestServerWithOSRoot(t *testing.T) {
 	w := doRequest(t, s, "GET", "/page.html", nil)
 	if w.Code != http.StatusOK || w.Body.String() != "from disk" {
 		t.Errorf("disk-backed serve = %d %q", w.Code, w.Body.String())
+	}
+}
+
+// TestOSRootUnnameableIsNotFound: a name no file can have, one with a
+// NUL byte or with a component longer than any file system takes, names
+// no document. Both were 500 "document error" while the open's EINVAL
+// and ENAMETOOLONG came back as errors.
+func TestOSRootUnnameableIsNotFound(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "index.html"), []byte("home"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Files: NewOSRoot(dir)})
+	for _, target := range []string{"/index.html%00.txt", "/" + strings.Repeat("a", 300)} {
+		if w := doRequest(t, s, "GET", target, nil); w.Code != http.StatusNotFound {
+			t.Errorf("GET %.40s... = %d %q, want 404", target, w.Code, w.Body.String())
+		}
+	}
+}
+
+// osOpen is OSRoot.Open as it read through an os.File: the reference
+// TestOSRootReadsAsOSDoes holds the descriptor-level read to.
+func osOpen(dir, object string) (string, bool, error) {
+	content, err := func(name string) (string, error) {
+		f, err := os.Open(name)
+		if err != nil {
+			return "", err
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil || fi.IsDir() {
+			return "", cmp.Or(err, fs.ErrNotExist)
+		}
+		data := make([]byte, fi.Size())
+		n, err := io.ReadFull(f, data)
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			err = nil
+		}
+		return string(data[:n]), err
+	}(dir + gaa.CleanObject(object))
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
+		return "", false, nil
+	}
+	return content, err == nil, err
+}
+
+// TestOSRootReadsAsOSDoes: on every kind of name a document root meets,
+// OSRoot.Open answers what the os.File read answered, and on Linux a
+// thousand opens over all of them leave no descriptor open.
+func TestOSRootReadsAsOSDoes(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "root")
+	big := make([]byte, 1<<20+1)
+	for i := range big {
+		big[i] = byte(i * 31 >> 3)
+	}
+	mkdirAll(t, filepath.Join(dir, "withindex"))
+	mkdirAll(t, filepath.Join(dir, "noindex"))
+	for name, content := range map[string][]byte{
+		"empty":                nil,
+		"big":                  big,
+		"withindex/index.html": []byte("index"),
+		"../outside.html":      []byte("outside"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for link, target := range map[string]string{
+		"to-file":    "withindex/index.html",
+		"to-dir":     "withindex",
+		"to-outside": "../outside.html",
+		"dangling":   "missing",
+		"loop":       "loop",
+	} {
+		if err := os.Symlink(target, filepath.Join(dir, link)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := []string{
+		"/empty", "/big", "/withindex", "/withindex/index.html", "/noindex",
+		"/noindex/index.html", "/big/below", "/empty/below/deeper",
+		"/to-file", "/to-dir", "/to-dir/index.html", "/to-outside",
+		"/dangling", "/loop", "/loop/below", "/missing",
+	}
+	if os.Geteuid() == 0 {
+		t.Log("running as root, which reads a mode-000 file: that case is skipped")
+	} else {
+		if err := os.WriteFile(filepath.Join(dir, "unreadable"), []byte("x"), 0o000); err != nil {
+			t.Fatal(err)
+		}
+		objects = append(objects, "/unreadable")
+	}
+
+	r := NewOSRoot(dir)
+	errs := 0
+	for _, object := range objects {
+		got, ok, err := r.Open(object)
+		want, wantOK, wantErr := osOpen(dir, object)
+		if got != want || ok != wantOK || (err != nil) != (wantErr != nil) {
+			t.Errorf("Open(%q) = %.20q, %v, %v; the os read says %.20q, %v, %v", object, got, ok, err, want, wantOK, wantErr)
+		}
+		if err != nil {
+			errs++
+		}
+	}
+	if errs == 0 {
+		t.Error("no case reached an error path")
+	}
+
+	if runtime.GOOS != "linux" {
+		return
+	}
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before := fds()
+	for i := range 1000 {
+		r.Open(objects[i%len(objects)])
+	}
+	if after := fds(); after != before {
+		t.Errorf("1000 opens left %d descriptors open (%d before, %d after)", after-before, before, after)
 	}
 }
 

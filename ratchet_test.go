@@ -166,6 +166,14 @@ var ratchets = []ratchet{
 		bad:       "\tip := net.ParseIP(w)",
 	},
 	{
+		name:      "the document root opens no os.File",
+		why:       "a document is read once and closed: its descriptor is held by readDocument itself in four system calls and two allocations, where an os.File adds four fcntls, a failed epoll registration, a finalizer and three allocations",
+		files:     []string{"internal/httpd/docroot_unix.go"},
+		nonTest:   true,
+		forbidden: `os\.(Open|OpenFile|ReadFile)\(|\.Stat\(\)`,
+		bad:       "\tf, err := os.Open(name)",
+	},
+	{
 		name:      "a snapshot builds no entry slice",
 		why:       "the blocks section renders from netblock.Set.Each, which copies addresses and deadlines under the set's lock and sorts outside it; Entries builds and sorts 48-byte entries",
 		files:     []string{"internal/statestore/*.go"},
