@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"gaaapi/internal/actions"
 	"gaaapi/internal/audit"
@@ -48,8 +47,9 @@ pos_access_right apache *
 // TCP with policies stored on disk: the system-wide policy in one
 // file, per-directory local policies in .eacl files, credentials in an
 // htpasswd file — the paper's deployment shape. It then edits a policy
-// file on disk and verifies the change takes effect on the next
-// request (the file sources' modification-stamp invalidation).
+// file on disk and verifies the change takes effect once the tree is
+// loaded again and swapped in, and not before (what gaa-httpd's reload
+// does).
 func TestEndToEndFileBackedDeployment(t *testing.T) {
 	dir := t.TempDir()
 
@@ -87,10 +87,19 @@ pre_cond_accessid_USER apache *
 	conditions.Register(api, conditions.Deps{Threat: threat, Groups: grp, Counters: counters, Signatures: sigs})
 	actions.Register(api, actions.Deps{Notifier: mailbox, Groups: grp, Audit: ring, Threat: threat, Blocks: blocks, Counters: counters})
 
+	raw, err := os.ReadFile(sysPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	system := gaa.NewMemorySource()
+	if err := system.AddPolicy("*", string(raw)); err != nil {
+		t.Fatal(err)
+	}
+	local := gaa.NewSwappableSource(gaa.NewDirSource(siteDir, ".eacl"))
 	guard := gaahttp.New(gaahttp.Config{
 		API:    api,
-		System: []gaa.PolicySource{gaa.NewFileSource(sysPath)},
-		Local:  []gaa.PolicySource{gaa.NewDirSource(siteDir, ".eacl")},
+		System: []gaa.PolicySource{system},
+		Local:  []gaa.PolicySource{local},
 		Audit:  ring,
 	})
 
@@ -154,14 +163,22 @@ pre_cond_accessid_USER apache *
 	}
 
 	// Un-blacklist and edit the root policy on disk: phf is now
-	// allowed (a policy officer retiring the signature). The file
-	// sources must observe the change without a restart.
+	// allowed (a policy officer retiring the signature). The edit is
+	// served once the tree is loaded again, without a restart.
 	grp.Remove("BadGuys", "127.0.0.1")
 	writeFile(t, filepath.Join(siteDir, ".eacl"), "pos_access_right apache *\n")
-	bumpTime(t, filepath.Join(siteDir, ".eacl"))
+	if code, _ := get("/cgi-bin/phf?Qalias=x", "", ""); code != http.StatusForbidden {
+		t.Errorf("phf after an edit not yet loaded = %d, want 403", code)
+	}
+	grp.Remove("BadGuys", "127.0.0.1")
+	reloaded := gaa.NewDirSource(siteDir, ".eacl")
+	if _, err := reloaded.Files(); err != nil {
+		t.Fatal(err)
+	}
+	local.Swap(reloaded)
 
 	if code, _ := get("/cgi-bin/phf?Qalias=x", "", ""); code != http.StatusOK {
-		t.Errorf("phf after policy retirement = %d, want 200 (live reload)", code)
+		t.Errorf("phf after policy retirement = %d, want 200 (reload)", code)
 	}
 }
 
@@ -239,20 +256,6 @@ func writeFile(t *testing.T, path, content string) {
 func mkdirAll(t *testing.T, path string) {
 	t.Helper()
 	if err := os.MkdirAll(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// bumpTime advances a file's mtime so stamp-based caches observe the
-// change even on coarse-resolution filesystems.
-func bumpTime(t *testing.T, path string) {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nt := fi.ModTime().Add(2 * time.Second)
-	if err := os.Chtimes(path, nt, nt); err != nil {
 		t.Fatal(err)
 	}
 }

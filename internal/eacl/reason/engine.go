@@ -296,12 +296,25 @@ func (e *Engine) fates() {
 // fate scans the pieces entry i of EACL n decides alone, and returns
 // the entries deciding them first, ascending: its cause is shadowed, or
 // unsatisfiable when there is no piece. It is "" when the scan reaches
-// the entry itself, or a shadowing entry decides MAYBE (with the
-// unevaluated condition resolved, the scan could pass it and reach the
-// entry).
+// the entry itself. An earlier entry deciding MAYBE on a piece shadows
+// it there and the piece's scan goes on past it: with the unevaluated
+// condition resolved, the scan could pass that entry, so the entry is
+// live if the scan after it reaches the entry.
 func (e *Engine) fate(n, i int) (cause Cause, by []int) {
 	cause = CauseUnsatisfiable
 	live := false
+	var decide func(k *cube, d int, kind gaa.EntryKind)
+	decide = func(k *cube, d int, kind gaa.EntryKind) {
+		if live = live || d < 0 || d >= i; live {
+			return
+		}
+		if !slices.Contains(by, d) {
+			by = append(by, d)
+		}
+		if kind == gaa.EntryMaybe {
+			e.scan(n, d+1, k, decide)
+		}
+	}
 	for _, k := range e.roots() {
 		pieces, kinds := e.cut(n, i, k)
 		for j, p := range pieces {
@@ -309,12 +322,7 @@ func (e *Engine) fate(n, i int) (cause Cause, by []int) {
 				continue
 			}
 			cause = CauseShadowed
-			e.scan(n, 0, p, func(_ *cube, d int, kind gaa.EntryKind) {
-				live = live || d < 0 || d >= i || kind == gaa.EntryMaybe
-				if !live && !slices.Contains(by, d) {
-					by = append(by, d)
-				}
-			})
+			e.scan(n, 0, p, decide)
 		}
 	}
 	if live {
@@ -469,8 +477,8 @@ type DeadEntry struct {
 // suppressions:
 //
 //   - the domain is incomplete (Incomplete) — none reported;
-//   - a shadowing entry decides MAYBE where this entry would decide
-//     (see fate).
+//   - the scan past a shadowing entry that decides MAYBE where this
+//     entry would decide reaches this entry (see fate).
 func (e *Engine) DeadEntries() []DeadEntry { return e.dead }
 
 // Entry locates one policy entry.

@@ -293,6 +293,25 @@ func TestMaybeAboveSuppressesDeadEntry(t *testing.T) {
 	}
 }
 
+func TestMaybeAboveShadowsWhatTheScanPastItCannotReach(t *testing.T) {
+	// A POST matching *phf* with no input_length stops at entry 1 with
+	// MAYBE; past it, entry 2 grants every POST. So where entry 1 hangs,
+	// the scan continued past it still never reaches entry 3: it is
+	// dead, shadowed by entries 1 and 2 together.
+	local := mustEACL(t, "pos_access_right apache *phf*\n"+
+		"pre_cond_expr local input_length<10\n"+
+		"pos_access_right apache *\n"+
+		"neg_access_right apache POST *\n")
+	e := mustEngine(t, nil, []*eacl.EACL{local}, Options{})
+	dead := e.DeadEntries()
+	if len(dead) != 1 || dead[0].Line != 4 || dead[0].Cause != CauseShadowed || fmt.Sprint(dead[0].ShadowedBy) != "[0 1]" {
+		t.Fatalf("DeadEntries = %+v, want line 4 shadowed by entries [0 1]", dead)
+	}
+	if res := mustProve(t, e, "no-dead-entries"); res.Result != Refuted {
+		t.Errorf("no-dead-entries = %s, want refuted", res.Result)
+	}
+}
+
 func TestRegexReSuppressesDeadEntry(t *testing.T) {
 	local := mustEACL(t, "neg_access_right apache *\n"+
 		"pre_cond_regex gnu re:^/private/[0-9]+$\n"+

@@ -159,7 +159,7 @@ func (cc *compiledCond) skips(status Decision) bool {
 
 // programTable caches compiled units under the API, keyed by EACL
 // identity. Sources return stable *eacl.EACL values across calls
-// (MemorySource snapshots, FileSource/DirSource parse caches), so every
+// (MemorySource snapshots, DirSource's loaded tree), so every
 // composition holding an EACL resolves the same unit without
 // recompiling; a hot reload swaps in newly parsed EACLs, which compile
 // afresh. Its one reader, unitsFor, resolves a composition's units once

@@ -227,8 +227,8 @@ func revisionRows(t *testing.T) []costpin.Row {
 		return func() { dir.Revision(object) }
 	}
 	return []costpin.Row{
-		{Name: "DirSource revision, /index.html", What: "what os.Stat allocates: a string built around the stat shows here", Run: revision("/index.html"), NoRace: true},
-		{Name: "DirSource revision, /docs/guide.html", What: "two stats, and for docs/, which has no policy file, the path asked about and the error that says so", Run: revision("/docs/guide.html"), NoRace: true},
+		{Name: "DirSource revision, /index.html", What: "nothing: the revision is a constant of the loaded tree, behind the swap's generation", Run: revision("/index.html"), NoRace: true},
+		{Name: "DirSource revision, /docs/guide.html", What: "nothing, as for /index.html: no stat, however deep the object", Run: revision("/docs/guide.html"), NoRace: true},
 	}
 }
 

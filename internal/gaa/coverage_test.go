@@ -3,7 +3,6 @@ package gaa
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"gaaapi/internal/eacl"
@@ -109,33 +108,5 @@ func TestUnevaluatedOnlyVariants(t *testing.T) {
 		if _, ok := tt.ans.UnevaluatedOnly("redirect"); ok != tt.wantOK {
 			t.Errorf("%s: UnevaluatedOnly = %v, want %v", tt.name, ok, tt.wantOK)
 		}
-	}
-}
-
-func TestFileSourceRevisionPresent(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.eacl")
-	writeFile(t, path, "pos_access_right a *\n")
-	f := NewFileSource(path)
-	rev, err := f.Revision("/x")
-	if err != nil || rev == "" || rev == "absent" {
-		t.Errorf("Revision = %q, %v", rev, err)
-	}
-}
-
-func TestDirSourceRevisionTracksFiles(t *testing.T) {
-	root := t.TempDir()
-	d := NewDirSource(root, ".eacl")
-	r1, err := d.Revision("/a/b/file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(root, ".eacl"), "pos_access_right a *\n")
-	r2, err := d.Revision("/a/b/file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 == r2 {
-		t.Error("revision unchanged after policy file creation")
 	}
 }

@@ -5,21 +5,19 @@ import (
 	"io/fs"
 	"os"
 	"path"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // DirChain looks one file name up in every directory on the path to an
 // object, the way Apache looks for .htaccess "in every directory of the
 // path to the document" (paper section 4), and remembers the parse of
-// each file that exists: the lookup behind DirSource, FileSource and
-// httpd.DirHtaccessSource. Every call stats every directory, so an
-// edited file governs the very next lookup; a file is the same while its
-// presence, mtime (ns) and size are. Revision counts the changes walks
-// have observed, so an edit makes every composition cached from the
-// chain stale once; recomposing reuses the unchanged parses by pointer.
+// each file that exists: the live lookup behind
+// httpd.DirHtaccessSource, and the reference walk DirSource's tests
+// hold it to. Every call stats every directory, so an edited file
+// governs the very next lookup; a file is the same while its presence,
+// mtime (ns) and size are, and an unchanged file comes back as the same
+// parse by pointer.
 type DirChain[T any] struct {
 	prefix string // the root directory up to and including its separator
 	name   string
@@ -27,10 +25,8 @@ type DirChain[T any] struct {
 	parse  func(file string) (*T, error)
 	stat   func(file string) (fs.FileInfo, error) // os.Stat; tests count the calls
 
-	mu      sync.Mutex               // never held across a stat or a parse
-	nodes   map[string]*chainNode[T] // by directory under the root; files that exist, nothing else
-	changes int
-	rev     atomic.Pointer[string]
+	mu    sync.Mutex               // never held across a stat or a parse
+	nodes map[string]*chainNode[T] // by directory under the root; files that exist, nothing else
 }
 
 type chainNode[T any] struct {
@@ -44,9 +40,7 @@ type chainNode[T any] struct {
 func NewDirChain[T any](root, name string, parse func(file string) (*T, error)) *DirChain[T] {
 	prefix := path.Join(root, "x") // cleaned; "x" when root is the working directory
 	prefix = prefix[:len(prefix)-1]
-	c := &DirChain[T]{prefix: prefix, name: name, root: prefix + name, parse: parse, stat: os.Stat, nodes: make(map[string]*chainNode[T])}
-	c.changed()
-	return c
+	return &DirChain[T]{prefix: prefix, name: name, root: prefix + name, parse: parse, stat: os.Stat, nodes: make(map[string]*chainNode[T])}
 }
 
 // Walk returns the parsed file of every directory on the path to object
@@ -60,16 +54,6 @@ func (c *DirChain[T]) Walk(object string) (out []*T, err error) {
 		return err
 	})
 	return out, err
-}
-
-// Revision walks like Walk and returns the change counter: while it
-// reads the same, no walk has seen a file of the chain change.
-func (c *DirChain[T]) Revision(object string) (string, error) {
-	err := EachDir(object, func(dir string) error {
-		_, err := c.lookup(dir)
-		return err
-	})
-	return *c.rev.Load(), err
 }
 
 // Len reports how many files the chain remembers (tests, diagnostics).
@@ -108,7 +92,6 @@ func (c *DirChain[T]) lookup(dir string) (*T, error) {
 			}
 			dir = strings.Clone(dir) // it is a slice of some request's object
 			c.nodes[dir] = &chainNode[T]{file: file, mtime: mtime, size: size, value: v}
-			c.changed()
 			return v, nil
 		}
 	}
@@ -121,18 +104,10 @@ func (c *DirChain[T]) lookup(dir string) (*T, error) {
 		c.mu.Lock()
 		if c.nodes[dir] == node {
 			delete(c.nodes, dir)
-			c.changed()
 		}
 		c.mu.Unlock()
 	}
 	return nil, nil
-}
-
-// changed publishes the next revision; the caller holds c.mu.
-func (c *DirChain[T]) changed() {
-	rev := "dir-" + strconv.Itoa(c.changes)
-	c.changes++
-	c.rev.Store(&rev)
 }
 
 // CleanObject returns object as a rooted path without "." and ".."

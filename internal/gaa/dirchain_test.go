@@ -1,10 +1,12 @@
 package gaa
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,10 +77,9 @@ func chainSays(got []*eacl.EACL, want string) bool {
 }
 
 // TestEditGovernsNextRequest: whatever happens to a per-directory policy
-// file, the next GetObjectPolicyInfo under that directory — policy cache
-// on, no sleep — is composed from the new content. A lookup elsewhere
-// pays for the edit with one recompose and no more: it gets the same
-// parses back by pointer, so nothing is compiled again.
+// file, the next walk under that directory returns the new content. A
+// walk elsewhere gets the same parses back by pointer, so nothing keyed
+// by them (a compiled unit, a composition) is built again.
 func TestEditGovernsNextRequest(t *testing.T) {
 	for _, where := range []struct{ name, dir, object string }{
 		{"root", "", "/page.html"},
@@ -94,85 +95,35 @@ func TestEditGovernsNextRequest(t *testing.T) {
 				if edit.before != "" {
 					writeFile(t, file, edit.before)
 				}
-				a := New(WithPolicyCache(64))
-				local := []PolicySource{NewDirSource(root, ".eacl")}
-				get := func(object string) *Policy {
+				c := NewDirChain(root, ".eacl", eacl.ParseFile)
+				walk := func(object string) []*eacl.EACL {
 					t.Helper()
-					p, err := a.GetObjectPolicyInfo(object, nil, local)
+					got, err := c.Walk(object)
 					if err != nil {
-						t.Fatalf("GetObjectPolicyInfo(%s): %v", object, err)
+						t.Fatalf("Walk(%s): %v", object, err)
 					}
-					checkAuth(t, a, p, simpleRequest())
-					return p
+					return got
 				}
-				if p := get(where.object); !chainSays(p.Local, edit.before) {
-					t.Fatalf("before the edit: %d local EACLs, want %q", len(p.Local), edit.before)
+				if got := walk(where.object); !chainSays(got, edit.before) {
+					t.Fatalf("before the edit: %d EACLs, want %q", len(got), edit.before)
 				}
-				elsewhere := get("/other/page.html")
+				elsewhere := walk("/other/page.html")
 
 				edit.apply(t, file)
 
-				if p := get(where.object); !chainSays(p.Local, edit.want) {
-					t.Errorf("the lookup after the edit is not composed from the new content (%d local EACLs, want %q)", len(p.Local), edit.want)
+				got := walk(where.object)
+				if !chainSays(got, edit.want) {
+					t.Errorf("the walk after the edit does not return the new content (%d EACLs, want %q)", len(got), edit.want)
 				}
-				programs, misses := a.CompileStats().Programs, a.CacheStats().Misses
-				again := get("/other/page.html")
-				if again.Local[len(again.Local)-1] != elsewhere.Local[len(elsewhere.Local)-1] {
+				again := walk("/other/page.html")
+				if again[len(again)-1] != elsewhere[len(elsewhere)-1] {
 					t.Error("other/.eacl was parsed again after an edit somewhere else")
 				}
-				if got := a.CompileStats().Programs; got != programs {
-					t.Errorf("the lookup elsewhere compiled %d units, want 0", got-programs)
-				}
-				if got := a.CacheStats().Misses - misses; got > 1 {
-					t.Errorf("the lookup elsewhere missed the cache %d times, want at most once", got)
-				}
-				misses = a.CacheStats().Misses
-				get("/other/page.html")
-				get(where.object)
-				if got := a.CacheStats().Misses; got != misses {
-					t.Errorf("%d more misses with nothing edited; an edit makes an entry stale once", got-misses)
+				if next := walk(where.object); !slices.Equal(next, got) {
+					t.Error("an unchanged file was parsed again")
 				}
 			})
 		}
-	}
-}
-
-// TestFileSourceEditGovernsNextRequest is the same table for the
-// one-file source, as the system-wide policy of an API with the cache
-// on.
-func TestFileSourceEditGovernsNextRequest(t *testing.T) {
-	for _, edit := range chainEdits {
-		t.Run(edit.name, func(t *testing.T) {
-			file := filepath.Join(t.TempDir(), "system.eacl")
-			if edit.before != "" {
-				writeFile(t, file, edit.before)
-			}
-			a := New(WithPolicyCache(64))
-			system := []PolicySource{NewFileSource(file)}
-			get := func() []*eacl.EACL {
-				t.Helper()
-				p, err := a.GetObjectPolicyInfo("/page.html", system, nil)
-				if err != nil {
-					t.Fatalf("GetObjectPolicyInfo: %v", err)
-				}
-				return p.System
-			}
-			if got := get(); !chainSays(got, edit.before) {
-				t.Fatalf("before the edit: %d EACLs, want %q", len(got), edit.before)
-			}
-			edit.apply(t, file)
-			got := get()
-			if !chainSays(got, edit.want) {
-				t.Errorf("the lookup after the edit is not composed from the new content (%d EACLs, want %q)", len(got), edit.want)
-			}
-			misses := a.CacheStats().Misses
-			if again := get(); len(again) != len(got) || (len(got) == 1 && again[0] != got[0]) {
-				t.Error("an unchanged file was parsed again")
-			}
-			if a.CacheStats().Misses != misses {
-				t.Error("an unchanged file missed the policy cache")
-			}
-		})
 	}
 }
 
@@ -185,65 +136,50 @@ func TestDirChainStatsEveryComponent(t *testing.T) {
 	mkdir(t, filepath.Join(root, "a/b/c"))
 	writeFile(t, filepath.Join(root, ".eacl"), chainPolicyOld)
 	writeFile(t, filepath.Join(root, "a/b/.eacl"), chainPolicyOld)
-	d := NewDirSource(root, ".eacl")
+	c := NewDirChain(root, ".eacl", eacl.ParseFile)
 	var stats []string
-	d.stat = func(file string) (fs.FileInfo, error) {
+	c.stat = func(file string) (fs.FileInfo, error) {
 		stats = append(stats, strings.TrimPrefix(file, root))
 		return os.Stat(file)
 	}
 	want := "/.eacl /a/.eacl /a/b/.eacl /a/b/c/.eacl"
 	for i := 0; i < 3; i++ {
-		for name, call := range map[string]func(string) error{
-			"Revision": func(o string) error { _, err := d.Revision(o); return err },
-			"Policies": func(o string) error { _, err := d.Policies(o); return err },
-		} {
-			stats = stats[:0]
-			if err := call("/a/b/c/page.html"); err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(stats, " "); got != want {
-				t.Errorf("round %d: %s stats %q, want %q", i, name, got, want)
-			}
+		stats = stats[:0]
+		if _, err := c.Walk("/a/b/c/page.html"); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(stats, " "); got != want {
+			t.Errorf("round %d: Walk stats %q, want %q", i, got, want)
 		}
 	}
-	if rev, _ := d.Revision("/a/b/c/page.html"); rev != "dir-2" {
-		t.Errorf("revision %q after two files were found and nothing changed, want dir-2", rev)
+	if n := c.Len(); n != 2 {
+		t.Errorf("chain remembers %d files, want the 2 that exist", n)
 	}
 }
 
 // TestDirChainErrors: a file that cannot be parsed or a path that cannot
-// be stat'ed fails the lookup — Revision included, so a cached
-// composition is never served past a broken file — and is looked at
-// again by the next call.
+// be stat'ed fails the walk, and is looked at again by the next one.
 func TestDirChainErrors(t *testing.T) {
 	root := t.TempDir()
 	writeFile(t, filepath.Join(root, ".eacl"), chainPolicyOld)
 	writeFile(t, filepath.Join(root, "page.html"), "a document, not a directory")
-	d := NewDirSource(root, ".eacl")
-	if _, err := d.Policies("/x"); err != nil {
+	c := NewDirChain(root, ".eacl", eacl.ParseFile)
+	if _, err := c.Walk("/x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Policies("/page.html/below"); err == nil {
-		t.Error("Policies under a document: want the stat's error")
-	}
-	if _, err := d.Revision("/page.html/below"); err == nil {
-		t.Error("Revision under a document: want the stat's error")
+	if _, err := c.Walk("/page.html/below"); err == nil {
+		t.Error("Walk under a document: want the stat's error")
 	}
 	writeFile(t, filepath.Join(root, ".eacl"), "pre_cond_orphan local x\n")
 	bumpMtime(t, filepath.Join(root, ".eacl"))
-	if _, err := d.Revision("/x"); err == nil {
-		t.Error("Revision over a malformed file: want the parse error")
-	}
-	if _, err := d.Policies("/x"); err == nil {
-		t.Error("Policies over a malformed file: want the parse error")
-	}
-	f := NewFileSource(filepath.Join(root, ".eacl"))
-	if rev, err := f.Revision("/x"); err == nil {
-		t.Errorf("FileSource.Revision over a malformed file = %q, want the parse error", rev)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Walk("/x"); err == nil {
+			t.Errorf("Walk %d over a malformed file: want the parse error", i)
+		}
 	}
 	writeFile(t, filepath.Join(root, ".eacl"), chainPolicyNew)
 	bumpMtime(t, filepath.Join(root, ".eacl"))
-	if got, err := d.Policies("/x"); err != nil || !chainSays(got, chainPolicyNew) {
+	if got, err := c.Walk("/x"); err != nil || !chainSays(got, chainPolicyNew) {
 		t.Errorf("after the repair: %d EACLs, %v", len(got), err)
 	}
 }
@@ -268,15 +204,16 @@ func TestDirChainVanishedBeforeParse(t *testing.T) {
 	}
 }
 
-// TestDirSourceConcurrentEdits: lookups never queue behind a stat or a
+// TestDirChainConcurrentEdits: walks never queue behind a stat or a
 // parse, and a policy file edited under load is never answered with an
 // error or with content that was not on disk during the call. Eight
-// readers resolve 64 objects through an API with the cache on while a
-// ninth goroutine replaces, removes and recreates the eight .eacl files;
-// every version carries its sequence number, so each answer is checked
-// against the versions that existed between the call's start and its
-// return. Run with -race.
-func TestDirSourceConcurrentEdits(t *testing.T) {
+// readers walk to 64 objects while a ninth goroutine replaces, removes
+// and recreates the eight .eacl files; every version carries its
+// sequence number, so each answer is checked against the versions that
+// existed between the call's start and its return. Walks that meet one
+// version first at once all get the parse the first of them stored: one
+// version is one pointer. Run with -race.
+func TestDirChainConcurrentEdits(t *testing.T) {
 	const dirs, filesPerDir, readers, lookups = 8, 8, 8, 400
 	root := t.TempDir()
 	base := time.Now().Add(-time.Hour)
@@ -307,8 +244,7 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := New(WithPolicyCache(64))
-	local := []PolicySource{NewDirSource(root, ".eacl")}
+	c := NewDirChain(root, ".eacl", eacl.ParseFile)
 
 	stop, exited := make(chan struct{}), make(chan struct{})
 	var writer sync.WaitGroup
@@ -352,21 +288,21 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 				d := (r + i) % dirs
 				object := "/" + dirName(d) + "/f" + strconv.Itoa(i%filesPerDir)
 				lo := done[d].Load()
-				p, err := a.GetObjectPolicyInfo(object, nil, local)
+				got, err := c.Walk(object)
 				hi := begun[d].Load()
 				if err != nil {
-					t.Errorf("GetObjectPolicyInfo(%s): %v", object, err)
+					t.Errorf("Walk(%s): %v", object, err)
 					return
 				}
-				if len(p.Local) == 0 {
+				if len(got) == 0 {
 					if hi-lo < 2 && lo%3 != 1 && hi%3 != 1 {
 						t.Errorf("%s: no policy, but the file existed throughout edits %d..%d", object, lo, hi)
 					}
 					continue
 				}
-				v, err := strconv.ParseInt(strings.TrimPrefix(p.Local[0].Entries[0].Right.Value, "v"), 10, 64)
-				if err != nil || len(p.Local) != 1 || v < lo || v > hi {
-					t.Errorf("%s: composed from %v, which was not on disk during edits %d..%d", object, p.Local[0].Entries[0].Right, lo, hi)
+				v, err := strconv.ParseInt(strings.TrimPrefix(got[0].Entries[0].Right.Value, "v"), 10, 64)
+				if err != nil || len(got) != 1 || v < lo || v > hi {
+					t.Errorf("%s: walked to %v, which was not on disk during edits %d..%d", object, got[0].Entries[0].Right, lo, hi)
 				}
 			}
 		}(r)
@@ -376,6 +312,65 @@ func TestDirSourceConcurrentEdits(t *testing.T) {
 	writer.Wait()
 	if n := done[0].Load(); n < 3 {
 		t.Errorf("only %d edits per directory ran beside %d lookups: the readers met no change", n, readers*lookups)
+	}
+
+	mkdir(t, filepath.Join(root, "same"))
+	writeFile(t, filepath.Join(root, "same", ".eacl"), chainPolicyOld)
+	for round := 0; round < 20; round++ {
+		fresh := NewDirChain(root, ".eacl", eacl.ParseFile)
+		var start, walked sync.WaitGroup
+		got := make([]*eacl.EACL, readers)
+		start.Add(1)
+		for r := range got {
+			walked.Add(1)
+			go func(r int) {
+				defer walked.Done()
+				start.Wait()
+				if es, err := fresh.Walk("/same/page.html"); err == nil && len(es) == 1 {
+					got[r] = es[0]
+				}
+			}(r)
+		}
+		start.Done()
+		walked.Wait()
+		for r, e := range got {
+			if e == nil || e != got[0] {
+				t.Fatalf("round %d: reader %d walked to %p, reader 0 to %p: one version, two pointers", round, r, e, got[0])
+			}
+		}
+	}
+}
+
+// TestDirChainForgetsAbsentFiles pins the bound on DirChain's parse
+// cache: a client walking nonexistent directories leaves nothing
+// behind, and a policy file that is removed stops governing.
+func TestDirChainForgetsAbsentFiles(t *testing.T) {
+	root := t.TempDir()
+	mkdir(t, filepath.Join(root, "a"))
+	writeFile(t, filepath.Join(root, ".eacl"), "pos_access_right apache *\n")
+	writeFile(t, filepath.Join(root, "a/.eacl"), "neg_access_right apache *\n")
+	c := NewDirChain(root, ".eacl", eacl.ParseFile)
+	if got, err := c.Walk("/a/page.html"); err != nil || len(got) != 2 {
+		t.Fatalf("Walk = %d EACLs, %v; want 2", len(got), err)
+	}
+	for i := 0; i < 10000; i++ {
+		got, err := c.Walk(fmt.Sprintf("/x%d/a", i))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("Walk under /x%d = %d EACLs, %v; want 1 (root only)", i, len(got), err)
+		}
+	}
+	if n := c.Len(); n != 2 {
+		t.Errorf("chain remembers %d files after probing 10000 absent directories, want 2 (the .eacl files that exist)", n)
+	}
+
+	if err := os.Remove(filepath.Join(root, "a/.eacl")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Walk("/a/page.html"); err != nil || len(got) != 1 {
+		t.Errorf("after removing a/.eacl: %d EACLs, %v; want 1 (root only)", len(got), err)
+	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("chain remembers %d files after the removal, want 1", n)
 	}
 }
 

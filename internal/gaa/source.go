@@ -16,10 +16,9 @@ import (
 // The policy cache does not coalesce concurrent misses: every miss calls
 // Policies, and N requests missing on one object at once call it N
 // times. A source that parses policy text must therefore memoize the
-// parse (as MemorySource, FileSource and DirSource do) and hand back
-// the same *eacl.EACL until its content changes; compiled decision
-// units, and the compositions that objects share, are keyed by that
-// pointer.
+// parse (as MemorySource and DirSource do) and hand back the same
+// *eacl.EACL until its content changes; compiled decision units, and the
+// compositions that objects share, are keyed by that pointer.
 type PolicySource interface {
 	// Policies returns the EACLs governing object, in priority order.
 	// A source with nothing to say returns an empty slice. Neither side
@@ -137,48 +136,4 @@ func (m *MemorySource) Policies(object string) ([]*eacl.EACL, error) {
 // hit path are allocation-free.
 func (m *MemorySource) Revision(string) (string, error) {
 	return m.state.Load().revStr, nil
-}
-
-// FileSource reads one policy file that governs every object (the
-// paper's system-wide policy file): the one-directory case of DirChain.
-type FileSource struct {
-	chain *DirChain[eacl.EACL]
-}
-
-// NewFileSource returns a source backed by the policy file at path.
-// A missing file is not an error: the source simply supplies nothing,
-// so deployments without a system-wide policy work unchanged.
-func NewFileSource(path string) *FileSource {
-	return &FileSource{NewDirChain("", path, eacl.ParseFile)}
-}
-
-// Policies implements PolicySource.
-func (f *FileSource) Policies(string) ([]*eacl.EACL, error) {
-	return f.chain.Walk("")
-}
-
-// Revision implements PolicySource.
-func (f *FileSource) Revision(string) (string, error) {
-	if e, err := f.chain.lookup(""); e == nil {
-		return "absent", err
-	}
-	return *f.chain.rev.Load(), nil
-}
-
-// DirSource maps objects (slash-separated paths) to per-directory
-// policy files: for "/a/b/page.html" with name ".eacl", <root>/.eacl,
-// <root>/a/.eacl and <root>/a/b/.eacl in that order (see DirChain).
-type DirSource struct {
-	*DirChain[eacl.EACL]
-}
-
-// NewDirSource returns a per-directory policy source rooted at root,
-// looking for files called name.
-func NewDirSource(root, name string) *DirSource {
-	return &DirSource{NewDirChain(root, name, eacl.ParseFile)}
-}
-
-// Policies implements PolicySource.
-func (d *DirSource) Policies(object string) ([]*eacl.EACL, error) {
-	return d.Walk(object)
 }

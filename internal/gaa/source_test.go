@@ -48,65 +48,6 @@ func TestMemorySourceRevisionChanges(t *testing.T) {
 	}
 }
 
-func TestFileSource(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "system.eacl")
-	writeFile(t, path, "eacl_mode narrow\nneg_access_right * *\n")
-
-	f := NewFileSource(path)
-	got, err := f.Policies("/anything")
-	if err != nil {
-		t.Fatalf("Policies: %v", err)
-	}
-	if len(got) != 1 || !got[0].ModeSet {
-		t.Fatalf("policies = %v", got)
-	}
-	// Second read hits the parse cache (same pointer).
-	again, err := f.Policies("/other")
-	if err != nil {
-		t.Fatalf("Policies: %v", err)
-	}
-	if got[0] != again[0] {
-		t.Error("expected cached EACL pointer on unchanged file")
-	}
-
-	// Rewrite with a different mtime: cache must refresh.
-	writeFile(t, path, "pos_access_right apache *\n")
-	bumpMtime(t, path)
-	refreshed, err := f.Policies("/x")
-	if err != nil {
-		t.Fatalf("Policies after rewrite: %v", err)
-	}
-	if refreshed[0] == got[0] {
-		t.Error("stale cache after file change")
-	}
-	if refreshed[0].ModeSet {
-		t.Error("refreshed parse still has old content")
-	}
-}
-
-func TestFileSourceMissingFile(t *testing.T) {
-	f := NewFileSource(filepath.Join(t.TempDir(), "absent.eacl"))
-	got, err := f.Policies("/x")
-	if err != nil || got != nil {
-		t.Errorf("Policies on absent file = %v, %v; want nil, nil", got, err)
-	}
-	rev, err := f.Revision("/x")
-	if err != nil || rev != "absent" {
-		t.Errorf("Revision = %q, %v; want absent, nil", rev, err)
-	}
-}
-
-func TestFileSourceParseError(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.eacl")
-	writeFile(t, path, "pre_cond_orphan local x\n")
-	f := NewFileSource(path)
-	if _, err := f.Policies("/x"); err == nil {
-		t.Error("want parse error")
-	}
-}
-
 func TestDirSourceWalksDirectoryChain(t *testing.T) {
 	root := t.TempDir()
 	mkdir(t, filepath.Join(root, "a/b"))
@@ -146,6 +87,9 @@ func TestDirSourceWalksDirectoryChain(t *testing.T) {
 	}
 }
 
+// TestDirSourceCacheRefresh: a loaded tree is refreshed by the next
+// load, never by the file alone: the source keeps its parse after the
+// file changes, and a new load reads the change.
 func TestDirSourceCacheRefresh(t *testing.T) {
 	root := t.TempDir()
 	writeFile(t, filepath.Join(root, ".eacl"), "pos_access_right apache *\n")
@@ -156,18 +100,45 @@ func TestDirSourceCacheRefresh(t *testing.T) {
 	}
 	writeFile(t, filepath.Join(root, ".eacl"), "neg_access_right apache *\n")
 	bumpMtime(t, filepath.Join(root, ".eacl"))
-	second, err := d.Policies("/x")
+	if again, err := d.Policies("/x"); err != nil || again[0] != first[0] {
+		t.Error("the loaded tree changed under an edit that no load read")
+	}
+	second, err := NewDirSource(root, ".eacl").Policies("/x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(first[0].Entries[0].Right, second[0].Entries[0].Right) {
-		t.Error("DirSource served stale policy after file change")
+		t.Error("the next load served the old policy after the file changed")
 	}
 }
 
-// TestDirSourceForgetsAbsentFiles pins the bound on DirSource's parse
-// cache: a client walking nonexistent directories leaves nothing
-// behind, and a policy file that is removed stops governing.
+// TestDirSourceRevisionTracksFiles: the revision a policy cache reads
+// moves when the files do, through the swap a reload makes; the loaded
+// tree's own revision is a constant.
+func TestDirSourceRevisionTracksFiles(t *testing.T) {
+	root := t.TempDir()
+	s := NewSwappableSource(NewDirSource(root, ".eacl"))
+	r1, err := s.Revision("/a/b/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(root, ".eacl"), "pos_access_right a *\n")
+	if r, _ := s.Revision("/a/b/file"); r != r1 {
+		t.Errorf("revision moved from %q to %q with no load", r1, r)
+	}
+	s.Swap(NewDirSource(root, ".eacl"))
+	r2, err := s.Revision("/a/b/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 == r2 {
+		t.Error("revision unchanged after the load that read the new file")
+	}
+}
+
+// TestDirSourceForgetsAbsentFiles: a client walking nonexistent
+// directories grows nothing, and a policy file that is removed stops
+// governing at the next load.
 func TestDirSourceForgetsAbsentFiles(t *testing.T) {
 	root := t.TempDir()
 	mkdir(t, filepath.Join(root, "a"))
@@ -183,18 +154,19 @@ func TestDirSourceForgetsAbsentFiles(t *testing.T) {
 			t.Fatalf("Policies under /x%d = %d EACLs, %v; want 1 (root only)", i, len(got), err)
 		}
 	}
-	if n := d.Len(); n != 2 {
-		t.Errorf("chain remembers %d files after probing 10000 absent directories, want 2 (the .eacl files that exist)", n)
+	if n := len(d.chains); n != 2 {
+		t.Errorf("source holds %d chains after probing 10000 absent directories, want 2 (the .eacl files that exist)", n)
 	}
 
 	if err := os.Remove(filepath.Join(root, "a/.eacl")); err != nil {
 		t.Fatal(err)
 	}
+	d = NewDirSource(root, ".eacl")
 	if got, err := d.Policies("/a/page.html"); err != nil || len(got) != 1 {
 		t.Errorf("after removing a/.eacl: %d EACLs, %v; want 1 (root only)", len(got), err)
 	}
-	if n := d.Len(); n != 1 {
-		t.Errorf("chain remembers %d files after the removal, want 1", n)
+	if all, _ := d.Files(); len(all) != 1 {
+		t.Errorf("the load after the removal holds %d files, want 1", len(all))
 	}
 }
 

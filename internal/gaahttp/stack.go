@@ -449,7 +449,9 @@ func (cfg StackConfig) loadBundle() (*PolicyBundle, error) {
 	// The guard serves the tree this load parsed and the analyzer vets,
 	// so an edit is served once a reload has proved it, and no request
 	// stats a policy file.
-	b.Local, b.LocalEACLs, err = snapshotDir(cfg.LocalPolicyDir)
+	local := gaa.NewDirSource(cfg.LocalPolicyDir, ".eacl")
+	b.Local = local
+	b.LocalEACLs, err = local.Files()
 	return b, err
 }
 

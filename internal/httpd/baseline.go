@@ -59,8 +59,9 @@ func (m *MapHtaccessSource) For(object string) ([]*Htaccess, error) {
 }
 
 // DirHtaccessSource reads .htaccess files under a document root on
-// disk through the walk gaa.DirSource uses: one stat per directory per
-// call, a parse remembered only while its file exists unchanged.
+// disk through gaa.DirChain's live walk, as Apache reads them on every
+// request: one stat per directory per call, a parse remembered only
+// while its file exists unchanged.
 type DirHtaccessSource struct {
 	chain *gaa.DirChain[Htaccess]
 }

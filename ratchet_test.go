@@ -56,8 +56,8 @@ var ratchets = []ratchet{
 	},
 	{
 		name:      "no per-request formatting in the file-backed sources",
-		why:       "the per-directory lookups stat and do not format; a revision is a counter (gaa.DirChain), not a stamp built per request",
-		files:     []string{"internal/gaa/source.go", "internal/gaa/dirchain.go", "internal/httpd/baseline.go"},
+		why:       "the live per-directory walk stats and does not format, and a loaded tree answers from memory; neither builds a stamp per request",
+		files:     []string{"internal/gaa/source.go", "internal/gaa/dirchain.go", "internal/gaa/dirsource.go", "internal/httpd/baseline.go"},
 		forbidden: `fmt\.Sprintf|ModTime\(\)\.String\(\)`,
 		bad:       "\trev := fi.ModTime().String()",
 	},
